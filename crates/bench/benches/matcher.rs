@@ -1,13 +1,13 @@
-//! Microbenchmark: the stream preprojector (projection NFA + buffering),
+//! Microbenchmark: the stream projector (projection NFA + buffering),
 //! isolated from query evaluation — the per-token cost of static
 //! projection, including subtree skipping.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gcx_core::buffer::BufferTree;
-use gcx_core::stream::Preprojector;
+use gcx_core::stream::Projector;
 use gcx_projection::{analyze, CompiledPaths, StreamMatcher};
 use gcx_xmark::queries;
-use gcx_xml::{SymbolTable, Tokenizer};
+use gcx_xml::{PushTokenizer, SymbolTable, TokenStep};
 
 fn project_document(query: &str, doc: &str, project: bool) -> u64 {
     let q = gcx_query::compile(query).unwrap();
@@ -16,8 +16,14 @@ fn project_document(query: &str, doc: &str, project: bool) -> u64 {
     let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
     let (matcher, _) = StreamMatcher::new(&compiled);
     let mut buf = BufferTree::new(project);
-    let mut pre = Preprojector::new(Tokenizer::from_str(doc), matcher, project, None);
-    while pre.advance(&mut buf, &mut symbols).unwrap() {}
+    let mut proj = Projector::new(matcher, project, None);
+    let mut tok = PushTokenizer::new();
+    tok.feed(doc.as_bytes());
+    tok.finish_input();
+    while tok.step().unwrap() == TokenStep::Token {
+        proj.apply(&tok.token(), &mut buf, &mut symbols);
+    }
+    proj.finish(&mut buf);
     buf.stats().allocated
 }
 

@@ -1,16 +1,14 @@
 //! Public engine API: compile once, run many times, in any of the three
 //! buffer-management configurations the experiments compare.
 
-use crate::buffer::{BufferStats, BufferTree};
+use crate::buffer::BufferStats;
 use crate::error::EngineError;
-use crate::eval::{Vm, VmStatus};
 use crate::obs::ObsReport;
 use crate::session::EvalSession;
-use crate::stream::{BufferFeed, Timeline};
+use crate::stream::Timeline;
 use gcx_ir::{OptReport, Program};
 use gcx_projection::{analyze, Analysis};
 use gcx_query::Query;
-use gcx_xml::{WriterOptions, XmlWriter};
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,10 +18,10 @@ use std::time::Instant;
 ///
 /// Everything here is immutable after [`CompiledQuery::compile`] and the
 /// whole artifact is `Send + Sync`: the HTTP service's registry shares one
-/// instance across request threads, and the multi-query driver hands it to
-/// every batch worker. A run performs no lowering and no query-symbol
-/// interning — the program carries pre-compiled step tables and a
-/// pre-interned symbol table that seeds each run's table.
+/// instance across request threads, and the multi-query driver opens one
+/// lane per query of a batch on it. A run performs no lowering and no
+/// query-symbol interning — the program carries pre-compiled step tables
+/// and a pre-interned symbol table that seeds each run's table.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The normalized user query.
@@ -307,8 +305,8 @@ pub struct RunReport {
     pub output_bytes: u64,
     /// The buffer byte budget the run was held to (None = unlimited).
     pub max_buffer_bytes: Option<u64>,
-    /// Number of `feed` calls the run's input arrived in (0 when the run
-    /// was not byte-fed, e.g. the multi-query channel feed).
+    /// Number of `feed` calls the run's input arrived in (for a query of
+    /// a batch: the feeds of the shared scan).
     pub feed_calls: u64,
     /// Largest partial-token spillover (bytes) the tokenizer held across
     /// a `feed` boundary — the chunk-boundary overhead of the sans-IO
@@ -402,100 +400,6 @@ pub fn run<R: Read, W: Write>(
     session.take_output(&mut output)?;
     output.flush().map_err(|e| session.input_io_error(e))?;
     Ok(report)
-}
-
-/// Run a compiled query over an arbitrary [`BufferFeed`].
-///
-/// This is the blocking driver over the resumable evaluator with the
-/// input side factored out: `feed` supplies buffered nodes on demand
-/// instead of the built-in tokenizer+projection pipeline — whenever the
-/// machine suspends on missing input, one feed event is applied and the
-/// machine resumes. The run's symbol table is seeded from the program's
-/// pre-interned table, so feed-side names must either be interned on
-/// arrival (the multi-query channel feed does) or have been interned
-/// against that same table (the preprojector's matcher is compiled with
-/// the program). The multi-query shared-stream driver uses this entry
-/// point to evaluate each query of a batch over a channel-fed projection
-/// of a single input pass.
-pub fn run_with_feed<F: BufferFeed, W: Write>(
-    q: &CompiledQuery,
-    opts: &EngineOptions,
-    mut feed: F,
-    output: W,
-) -> Result<RunReport, EngineError> {
-    let mut buf = BufferTree::new(opts.purge);
-    buf.set_max_bytes(opts.max_buffer_bytes);
-    let mut out = XmlWriter::with_options(
-        output,
-        WriterOptions {
-            indent: opts.indent.clone(),
-        },
-    );
-    // The once-at-startup symbol handshake: cloning the program's
-    // pre-interned table maps every query symbol into the run's (and
-    // thereby the stream tokenizer's) table. No query name is interned
-    // after this point.
-    let mut symbols = q.program.symbols().clone();
-    let mut vm = Vm::new(Arc::clone(&q.program), opts.execute_signoffs);
-    if opts.telemetry {
-        buf.enable_telemetry(crate::obs::DEFAULT_TIMELINE_EVERY);
-        vm.enable_timing();
-    }
-    loop {
-        match vm.resume(&mut buf, &symbols, &mut out)? {
-            VmStatus::Done => break,
-            VmStatus::NeedInput => {
-                // A `nextNode()` request: apply feed events until the
-                // machine's recorded wait is satisfiable (resuming any
-                // earlier is a provable no-op — see [`Vm::wait_satisfied`]).
-                // The buffer byte budget is enforced per event: every
-                // append funnels through here, so the budget check lives
-                // in exactly one place and batching cannot defer it.
-                loop {
-                    let more = feed.advance(&mut buf, &mut symbols)?;
-                    buf.check_limit()?;
-                    if !more {
-                        vm.set_input_exhausted();
-                        break;
-                    }
-                    if vm.wait_satisfied(&buf) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    if opts.drain_input {
-        // Read the rest of the input after evaluation completes (the
-        // paper's engines scan the full document; also validates
-        // well-formedness).
-        loop {
-            let more = feed.advance(&mut buf, &mut symbols)?;
-            buf.check_limit()?;
-            if !more {
-                break;
-            }
-        }
-    }
-    out.flush()?;
-    // Feed-agnostic runs have no byte-level feed spans and no push
-    // tokenizer; those report fields stay empty/zero.
-    let obs = buf
-        .take_telemetry()
-        .map(|tel| tel.into_report(vm.take_task_obs(), Vec::new(), 0));
-    Ok(RunReport {
-        tokens: feed.tokens(),
-        buffer: buf.stats(),
-        timeline: feed.take_timeline(),
-        output_bytes: out.bytes_written(),
-        max_buffer_bytes: buf.max_bytes(),
-        feed_calls: 0,
-        max_pending_bytes: 0,
-        obs,
-        // Feed-driven runs bypass the matcher/projector, so the schema
-        // analyses have nothing to hook into.
-        schema: None,
-    })
 }
 
 /// Convenience: compile and run with the GCX configuration.

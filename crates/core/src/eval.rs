@@ -7,10 +7,10 @@
 //! machine needs data that is not yet buffered — the next node of a
 //! for-loop, the witness of an `exists`, the closing tag of a subtree
 //! about to be emitted — [`Vm::resume`] returns [`VmStatus::NeedInput`]
-//! with every suspended loop frozen in place. The driver (the blocking
-//! [`run_with_feed`](crate::run_with_feed) loop, or the push-based
-//! [`EvalSession`](crate::EvalSession) as chunks arrive) applies exactly
-//! one stream event to the buffer and resumes. This is the paper's
+//! with every suspended loop frozen in place. The driver (the push-based
+//! [`EvalSession`](crate::EvalSession) as chunks arrive, or a batch
+//! [`Lane`](crate::Lane) as the shared scan delivers its events) applies
+//! exactly one stream event to the buffer and resumes. This is the paper's
 //! blocking protocol — "query evaluation remains blocked until the buffer
 //! manager has responded" — with the block turned inside out so the engine
 //! can be suspended at any byte boundary. signOff instructions decrement

@@ -11,12 +11,13 @@
 //! stage is a resumable state machine over pushed stream events, and
 //! [`EvalSession`] is their composition — the push-driven public API
 //! (`feed` bytes in, drain output out, suspend at any byte boundary).
-//! [`run`] and [`run_with_feed`] are blocking wrappers over the same
-//! machines.
+//! [`run`] is the blocking wrapper over it, and a [`Lane`] is the same
+//! buffer + evaluator pair with the tokenizer and the matcher outside:
+//! one query of a batch that `gcx-multi` steps in lock-step off a single
+//! shared scan.
 //!
 //! * [`Projector`] — runs the projection NFA over pushed tokens, copies
-//!   matched ones into the buffer ([`Preprojector`](stream::Preprojector)
-//!   pairs it with a pull tokenizer);
+//!   matched ones into the buffer;
 //! * [`buffer::BufferTree`] — the buffer + role bookkeeping +
 //!   garbage collector;
 //! * the evaluator (`eval`, internal) — executes the rewritten query as
@@ -44,15 +45,15 @@ pub mod cursor;
 mod engine;
 mod error;
 mod eval;
+mod lane;
 pub mod obs;
 pub mod session;
 pub mod stream;
 
 pub use buffer::{AttrBuf, BufferStats, BufferTree, NodeId};
-pub use engine::{
-    run, run_query, run_with_feed, CompiledQuery, EngineOptions, RunReport, SchemaReport,
-};
+pub use engine::{run, run_query, CompiledQuery, EngineOptions, RunReport, SchemaReport};
 pub use error::EngineError;
+pub use lane::{Lane, ScanFacts, SharedStart};
 pub use obs::{FeedSpan, ObsReport, RoleObs, TaskObs};
 pub use session::{Emitted, EvalSession};
-pub use stream::{BufferFeed, ChildCounters, Projector, Timeline};
+pub use stream::{Projector, Timeline};

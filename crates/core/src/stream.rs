@@ -7,65 +7,22 @@
 //! zero per-path work. Every structural token — kept or skipped — advances
 //! the token counter and (optionally) samples the buffer-occupancy timeline
 //! that the paper's Figures 3 and 4 plot. Tokens can come from anywhere:
-//! the push-based `EvalSession` applies them as network chunks arrive,
-//! while [`Preprojector`] pairs the projector with a pull [`Tokenizer`]
-//! for in-process `Read` sources.
+//! `EvalSession` applies them as chunks arrive in its push tokenizer.
+//!
+//! The projector's buffer-writing half — the chain of open kept elements,
+//! their document child counters and the append scratch — is the
+//! crate-internal `BufferWriter`, shared with the batch
+//! [`Lane`](crate::Lane), whose keep/skip decisions come from a merged
+//! matcher outside.
 //!
 //! For the full-buffering baseline (`project = false`) the projector
 //! buffers *every* element and non-whitespace text node; roles are still
 //! assigned so the evaluator and the signOff machinery behave identically.
 
 use crate::buffer::{AttrBuf, BufferTree, NodeId, Ordinals};
-use crate::error::EngineError;
 use gcx_projection::StreamMatcher;
 use gcx_query::ast::RoleId;
-use gcx_xml::{Symbol, SymbolTable, Token, Tokenizer, XmlResult};
-use std::io::Read;
-
-/// Anything that can drive a [`BufferTree`] one step at a time.
-///
-/// The evaluator ([`crate::run_with_feed`]) is agnostic about where
-/// buffered nodes come from: the classic single-query pipeline feeds it
-/// from a [`Preprojector`] (tokenizer + projection NFA), while the
-/// multi-query shared-stream driver (`gcx-multi`) feeds it pre-matched
-/// node events from a channel. One call to [`BufferFeed::advance`]
-/// corresponds to one `nextNode()` request of the paper's architecture.
-pub trait BufferFeed {
-    /// Advance the feed by one event, appending/closing buffer nodes as
-    /// needed. Returns `false` once the input is exhausted (the virtual
-    /// root must be closed before returning `false` the first time).
-    fn advance(
-        &mut self,
-        buf: &mut BufferTree,
-        symbols: &mut SymbolTable,
-    ) -> Result<bool, EngineError>;
-
-    /// Structural events processed so far (for reporting).
-    fn tokens(&self) -> u64;
-
-    /// Extract the buffer-occupancy timeline, if this feed records one.
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        None
-    }
-}
-
-impl<R: Read> BufferFeed for Preprojector<R> {
-    fn advance(
-        &mut self,
-        buf: &mut BufferTree,
-        symbols: &mut SymbolTable,
-    ) -> Result<bool, EngineError> {
-        Ok(Preprojector::advance(self, buf, symbols)?)
-    }
-
-    fn tokens(&self) -> u64 {
-        Preprojector::tokens(self)
-    }
-
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        Preprojector::take_timeline(self)
-    }
-}
+use gcx_xml::{Symbol, SymbolTable, Token};
 
 /// Buffer-occupancy timeline: `(token index, live buffered nodes)` samples.
 #[derive(Debug, Clone, Default)]
@@ -91,16 +48,14 @@ impl Timeline {
 
 /// Document child counters for ordinal stamping: every child — kept,
 /// skipped or text — bumps these, so positional predicates evaluate
-/// against true document positions. One instance per open element; also
-/// used by the shared-stream driver (`gcx-multi`), which stamps ordinals
-/// per query on the driver side.
+/// against true document positions. One instance per open kept element.
 ///
 /// Same-name counts live in a small vector (elements have few distinct
 /// child names; a hash map would pay hashing and allocation per child),
-/// and instances are pooled by their owners so opening an element
+/// and instances are pooled by the [`BufferWriter`] so opening an element
 /// allocates nothing in steady state.
 #[derive(Debug, Default)]
-pub struct ChildCounters {
+struct ChildCounters {
     elem_children: u32,
     text_children: u32,
     any_children: u32,
@@ -108,13 +63,8 @@ pub struct ChildCounters {
 }
 
 impl ChildCounters {
-    /// Fresh counters for a just-opened element.
-    pub fn new() -> ChildCounters {
-        ChildCounters::default()
-    }
-
     /// Reset for reuse (pooling), keeping capacity.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.elem_children = 0;
         self.text_children = 0;
         self.any_children = 0;
@@ -122,7 +72,7 @@ impl ChildCounters {
     }
 
     /// Register an element child named `name`; returns its ordinals.
-    pub fn next_elem(&mut self, name: Symbol) -> Ordinals {
+    fn next_elem(&mut self, name: Symbol) -> Ordinals {
         self.elem_children += 1;
         self.any_children += 1;
         let same = match self.by_name.iter_mut().find(|(n, _)| *n == name) {
@@ -143,7 +93,7 @@ impl ChildCounters {
     }
 
     /// Register a text child; returns its ordinals.
-    pub fn next_text(&mut self) -> Ordinals {
+    fn next_text(&mut self) -> Ordinals {
         self.text_children += 1;
         self.any_children += 1;
         Ordinals {
@@ -154,33 +104,122 @@ impl ChildCounters {
     }
 }
 
-/// One open element as the preprojector sees it.
+/// One open kept element.
 #[derive(Debug)]
 struct OpenEntry {
     node: NodeId,
-    /// Whether the matcher holds a frame for this element. False only in
-    /// full-buffering mode for elements the matcher would have skipped.
+    /// Whether the owner's matcher holds a frame for this element. False
+    /// only in full-buffering mode for elements the matcher would have
+    /// skipped.
     matched: bool,
     counters: ChildCounters,
 }
 
-impl OpenEntry {
-    fn new(node: NodeId, matched: bool, counters: ChildCounters) -> OpenEntry {
-        OpenEntry {
-            node,
-            matched,
-            counters,
+/// The buffer-writing half of projection: the chain of open *kept*
+/// elements (the top is the parent of incoming nodes), each with its
+/// document child counters, plus the scratch that keeps appends
+/// allocation-free. Whoever owns one decides keep/skip and roles — the
+/// [`Projector`] with its own matcher, a batch [`Lane`](crate::Lane) from
+/// the merged matcher's outcome — and the writer turns the decision into
+/// buffer nodes with true document ordinals.
+#[derive(Debug)]
+pub(crate) struct BufferWriter {
+    open: Vec<OpenEntry>,
+    /// Attribute storage for the element being appended (the
+    /// zero-allocation handshake with
+    /// [`BufferTree::append_element_with_attrs`]).
+    attr_scratch: AttrBuf,
+    /// Recycled child counters for closed elements.
+    counter_pool: Vec<ChildCounters>,
+}
+
+impl BufferWriter {
+    pub(crate) fn new() -> BufferWriter {
+        BufferWriter {
+            open: vec![OpenEntry {
+                node: NodeId::ROOT,
+                matched: true,
+                counters: ChildCounters::default(),
+            }],
+            attr_scratch: AttrBuf::new(),
+            counter_pool: Vec::new(),
         }
     }
 
-    /// Register an element child named `name`; returns its ordinals.
-    fn next_elem(&mut self, name: Symbol) -> Ordinals {
-        self.counters.next_elem(name)
+    /// The innermost open element and its `matched` flag.
+    #[inline]
+    pub(crate) fn top(&self) -> (NodeId, bool) {
+        let top = self.open.last().expect("open stack never empty");
+        (top.node, top.matched)
     }
 
-    /// Register a text child; returns its ordinals.
-    fn next_text(&mut self) -> Ordinals {
-        self.counters.next_text()
+    /// Register an element child of the innermost open element — kept or
+    /// not — and return its ordinals. `name` is only compared, so any one
+    /// symbol space works as long as the owner sticks to it.
+    #[inline]
+    pub(crate) fn next_elem(&mut self, name: Symbol) -> Ordinals {
+        let top = self.open.last_mut().expect("open stack never empty");
+        top.counters.next_elem(name)
+    }
+
+    /// Register a text child of the innermost open element.
+    #[inline]
+    pub(crate) fn next_text(&mut self) -> Ordinals {
+        let top = self.open.last_mut().expect("open stack never empty");
+        top.counters.next_text()
+    }
+
+    /// Append a kept element under the innermost open one; it becomes the
+    /// new innermost open element until [`BufferWriter::close_element`]
+    /// (called right away for a self-closing tag).
+    #[inline]
+    pub(crate) fn append_element<'a>(
+        &mut self,
+        buf: &mut BufferTree,
+        name: Symbol,
+        attrs: impl Iterator<Item = (Symbol, &'a str)>,
+        roles: &[(RoleId, u32)],
+        ordinals: Ordinals,
+        matched: bool,
+    ) {
+        self.attr_scratch.clear();
+        for (attr_name, value) in attrs {
+            self.attr_scratch.push(attr_name, value);
+        }
+        let (parent, _) = self.top();
+        let node =
+            buf.append_element_with_attrs(parent, name, &mut self.attr_scratch, roles, ordinals);
+        let counters = self.counter_pool.pop().unwrap_or_default();
+        self.open.push(OpenEntry {
+            node,
+            matched,
+            counters,
+        });
+    }
+
+    /// Close the innermost open element (its end tag arrived); returns
+    /// the `matched` flag it was opened with.
+    #[inline]
+    pub(crate) fn close_element(&mut self, buf: &mut BufferTree) -> bool {
+        let mut entry = self.open.pop().expect("unbalanced end tag past tokenizer");
+        debug_assert!(entry.node != NodeId::ROOT, "root popped before EOF");
+        buf.close(entry.node);
+        entry.counters.clear();
+        self.counter_pool.push(entry.counters);
+        entry.matched
+    }
+
+    /// Append a kept text node under the innermost open element.
+    #[inline]
+    pub(crate) fn append_text(
+        &mut self,
+        buf: &mut BufferTree,
+        content: &str,
+        roles: &[(RoleId, u32)],
+        ordinals: Ordinals,
+    ) {
+        let (parent, _) = self.top();
+        buf.append_text(parent, content, roles, ordinals);
     }
 }
 
@@ -193,8 +232,7 @@ impl OpenEntry {
 /// the virtual root at end of input so blocked cursors terminate.
 pub struct Projector {
     matcher: StreamMatcher,
-    /// Open *kept* elements; the top is the parent of incoming nodes.
-    open: Vec<OpenEntry>,
+    writer: BufferWriter,
     /// Depth inside a skipped subtree (0 = not skipping). Only used when
     /// projection is enabled.
     skip_depth: u32,
@@ -204,14 +242,9 @@ pub struct Projector {
     /// Projection on (GCX / projection-only) or off (full buffering).
     project: bool,
     timeline: Option<Timeline>,
-    /// Scratch reused across tokens (the zero-allocation handshake with
-    /// [`BufferTree::append_element_with_attrs`]): attribute storage for
-    /// the element being appended and the matcher's role output.
-    attr_scratch: AttrBuf,
+    /// The matcher's role output, reused across tokens.
     role_scratch: Vec<(RoleId, u32)>,
     text_role_scratch: Vec<(RoleId, u32)>,
-    /// Recycled child counters for closed elements.
-    counter_pool: Vec<ChildCounters>,
     /// Adopt sibling-order cutoffs from an in-stream DOCTYPE internal
     /// subset (only when no schema is installed yet; parse failures are
     /// ignored — an unusable DOCTYPE means "no schema", not an error).
@@ -223,7 +256,7 @@ impl Projector {
     pub fn new(matcher: StreamMatcher, project: bool, timeline_every: Option<u64>) -> Projector {
         Projector {
             matcher,
-            open: vec![OpenEntry::new(NodeId::ROOT, true, ChildCounters::new())],
+            writer: BufferWriter::new(),
             skip_depth: 0,
             tokens: 0,
             finished: false,
@@ -232,10 +265,8 @@ impl Projector {
                 points: Vec::new(),
                 every,
             }),
-            attr_scratch: AttrBuf::new(),
             role_scratch: Vec::new(),
             text_role_scratch: Vec::new(),
-            counter_pool: Vec::new(),
             adopt_doctype: false,
         }
     }
@@ -288,9 +319,8 @@ impl Projector {
                     }
                 } else {
                     let name = symbols.intern(start.name);
-                    let top = self.open.last_mut().expect("open stack never empty");
-                    let ordinals = top.next_elem(name);
-                    let (top_node, top_matched) = (top.node, top.matched);
+                    let ordinals = self.writer.next_elem(name);
+                    let (top_node, top_matched) = self.writer.top();
                     // Sibling-order cutoffs advance on *every* child name,
                     // kept or projected away: a skipped later sibling is
                     // just as much proof that earlier particles are done.
@@ -311,31 +341,24 @@ impl Projector {
                         (true, false, false)
                     };
                     if keep {
-                        self.attr_scratch.clear();
-                        for a in start.attrs.iter() {
-                            let attr_name = symbols.intern(a.name);
-                            self.attr_scratch.push(attr_name, a.value);
-                        }
                         let roles = if has_roles {
                             self.role_scratch.as_slice()
                         } else {
                             &[]
                         };
-                        let id = buf.append_element_with_attrs(
-                            top_node,
+                        self.writer.append_element(
+                            buf,
                             name,
-                            &mut self.attr_scratch,
+                            start
+                                .attrs
+                                .iter()
+                                .map(|a| (symbols.intern(a.name), a.value)),
                             roles,
                             ordinals,
+                            matched,
                         );
-                        if self_closing {
-                            if matched {
-                                self.matcher.leave_element();
-                            }
-                            buf.close(id);
-                        } else {
-                            let counters = self.counter_pool.pop().unwrap_or_default();
-                            self.open.push(OpenEntry::new(id, matched, counters));
+                        if self_closing && self.writer.close_element(buf) {
+                            self.matcher.leave_element();
                         }
                     } else if !self_closing {
                         self.skip_depth = 1;
@@ -350,32 +373,24 @@ impl Projector {
             Token::EndTag { .. } => {
                 if self.skip_depth > 0 {
                     self.skip_depth -= 1;
-                } else {
-                    let mut entry = self.open.pop().expect("unbalanced end tag past tokenizer");
-                    debug_assert!(entry.node != NodeId::ROOT, "root popped before EOF");
-                    if entry.matched {
-                        self.matcher.leave_element();
-                    }
-                    buf.close(entry.node);
-                    entry.counters.clear();
-                    self.counter_pool.push(entry.counters);
+                } else if self.writer.close_element(buf) {
+                    self.matcher.leave_element();
                 }
                 self.bump(buf);
             }
             Token::Text(content) => {
                 if self.skip_depth == 0 {
-                    let top_matched = self.open.last().unwrap().matched;
-                    if top_matched {
+                    if self.writer.top().1 {
                         self.matcher.text_into(&mut self.text_role_scratch);
                     } else {
                         self.text_role_scratch.clear();
                     }
                     let keep = !self.text_role_scratch.is_empty()
                         || (!self.project && !content.trim().is_empty());
-                    let top = self.open.last_mut().unwrap();
-                    let ordinals = top.next_text();
+                    let ordinals = self.writer.next_text();
                     if keep {
-                        buf.append_text(top.node, content, &self.text_role_scratch, ordinals);
+                        self.writer
+                            .append_text(buf, content, &self.text_role_scratch, ordinals);
                     }
                 }
                 self.bump(buf);
@@ -412,80 +427,45 @@ impl Projector {
     }
 }
 
-/// The pull preprojector: a [`Tokenizer`] paired with the sans-IO
-/// [`Projector`]. Used by blocking callers that own a `Read` source; the
-/// push-based `EvalSession` drives the projector directly instead.
-pub struct Preprojector<R> {
-    tokenizer: Tokenizer<R>,
-    proj: Projector,
-}
-
-impl<R: Read> Preprojector<R> {
-    /// Create a preprojector over a token stream.
-    pub fn new(
-        tokenizer: Tokenizer<R>,
-        matcher: StreamMatcher,
-        project: bool,
-        timeline_every: Option<u64>,
-    ) -> Preprojector<R> {
-        Preprojector {
-            tokenizer,
-            proj: Projector::new(matcher, project, timeline_every),
-        }
-    }
-
-    /// Structural tokens processed so far.
-    pub fn tokens(&self) -> u64 {
-        self.proj.tokens()
-    }
-
-    /// True once the input has been exhausted (root closed).
-    pub fn finished(&self) -> bool {
-        self.proj.finished()
-    }
-
-    /// Extract the recorded timeline (if enabled).
-    pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.proj.take_timeline()
-    }
-
-    /// Process one token. Returns `false` when the input is exhausted
-    /// (after closing the virtual root). This is the `nextNode()` edge of
-    /// the paper's architecture: the buffer manager calls it until a
-    /// blocked evaluator request can be answered.
-    pub fn advance(&mut self, buf: &mut BufferTree, symbols: &mut SymbolTable) -> XmlResult<bool> {
-        if self.proj.finished() {
-            return Ok(false);
-        }
-        let Some(token) = self.tokenizer.next_token()? else {
-            self.proj.finish(buf);
-            return Ok(false);
-        };
-        self.proj.apply(&token, buf, symbols);
-        Ok(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gcx_projection::{analyze, CompiledPaths};
     use gcx_query::compile;
+    use gcx_xml::{PushTokenizer, TokenStep};
 
-    /// Run the preprojector to completion; return (buffer, symbols, tokens).
+    /// Push every token of `xml` through a projector for `query`;
+    /// return the projector.
+    fn run_projector(
+        query: &str,
+        xml: &str,
+        project: bool,
+        buf: &mut BufferTree,
+        symbols: &mut SymbolTable,
+    ) -> Projector {
+        let q = compile(query).unwrap();
+        let a = analyze(&q);
+        let compiled = CompiledPaths::compile(&a.roles, symbols);
+        let (matcher, _root_roles) = StreamMatcher::new(&compiled);
+        let mut proj = Projector::new(matcher, project, Some(1));
+        let mut tok = PushTokenizer::new();
+        tok.feed(xml.as_bytes());
+        tok.finish_input();
+        while tok.step().unwrap() == TokenStep::Token {
+            proj.apply(&tok.token(), buf, symbols);
+        }
+        proj.finish(buf);
+        proj
+    }
+
+    /// Run the projector to completion; return (buffer, symbols, tokens).
     /// Purging is enabled exactly when projecting, mirroring the engine's
     /// presets (full buffering disables the garbage collector).
     fn project_all(query: &str, xml: &str, project: bool) -> (BufferTree, SymbolTable, u64) {
-        let q = compile(query).unwrap();
-        let a = analyze(&q);
         let mut symbols = SymbolTable::new();
-        let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
-        let (matcher, _root_roles) = StreamMatcher::new(&compiled);
         let mut buf = BufferTree::new(project);
-        let tokenizer = Tokenizer::from_str(xml);
-        let mut pre = Preprojector::new(tokenizer, matcher, project, Some(1));
-        while pre.advance(&mut buf, &mut symbols).unwrap() {}
-        let tokens = pre.tokens();
+        let proj = run_projector(query, xml, project, &mut buf, &mut symbols);
+        let tokens = proj.tokens();
         (buf, symbols, tokens)
     }
 
@@ -599,17 +579,16 @@ mod tests {
 
     #[test]
     fn timeline_records_buffer_growth_and_purge() {
-        let q = "for $a in /x/y return 'z'";
-        let query = compile(q).unwrap();
-        let a = analyze(&query);
         let mut symbols = SymbolTable::new();
-        let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
-        let (matcher, _) = StreamMatcher::new(&compiled);
         let mut buf = BufferTree::new(true);
-        let tokenizer = Tokenizer::from_str("<x><w/><w/><y/></x>");
-        let mut pre = Preprojector::new(tokenizer, matcher, true, Some(1));
-        while pre.advance(&mut buf, &mut symbols).unwrap() {}
-        let tl = pre.take_timeline().unwrap();
+        let mut proj = run_projector(
+            "for $a in /x/y return 'z'",
+            "<x><w/><w/><y/></x>",
+            true,
+            &mut buf,
+            &mut symbols,
+        );
+        let tl = proj.take_timeline().unwrap();
         assert_eq!(tl.points.len(), 8);
         assert!(tl.peak() >= 2);
         // Growth then eventual stability: last sample has x + y buffered

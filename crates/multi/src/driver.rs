@@ -1,16 +1,21 @@
-//! The shared-stream driver: one tokenizer pass, N independent query
-//! evaluations.
+//! The lock-step driver: one tokenizer pass, one merged-matcher pass, N
+//! query evaluations stepped by the thread that called in.
 //!
 //! ## Data flow
 //!
-//! The driver thread owns the tokenizer and the [`MergedMatcher`]. For
-//! every structural token it makes the merged keep/skip decision once,
-//! stamps per-query document ordinals (exactly as each query's standalone
-//! preprojector would), and sends per-query [`FeedEvent`]s over bounded
-//! channels to one worker thread per query. Each worker runs the ordinary
-//! single-query evaluator over a [`ChannelFeed`]; its buffer, role
-//! multiset and signOff execution are untouched by the sharing, so
-//! per-query buffer minimality is preserved.
+//! A [`BatchSession`] owns the push tokenizer, the [`MergedMatcher`] and
+//! one [`Lane`] per query (`gcx-core`: that query's evaluator, buffer,
+//! symbol table and output). For every structural token it makes the
+//! merged keep/skip decision once and offers the token — still borrowed
+//! from the tokenizer window — to each lane together with that lane's
+//! roles. A lane that keeps the node appends it to its own buffer with
+//! its own document ordinals (exactly as its stand-alone projector
+//! would) and resumes its evaluator as soon as what it waits for has
+//! arrived. Buffers, role multisets and signOff execution are untouched
+//! by the sharing, so per-query buffer minimality is preserved.
+//!
+//! The session is sans-IO (`feed` / `finish`, like `EvalSession`);
+//! [`SharedRun::run_prepared`] is the blocking wrapper over a `Read`.
 //!
 //! ## Skip bookkeeping
 //!
@@ -18,66 +23,48 @@
 //!
 //! * merged skip (`merged_skip > 0`): *no* query can match inside — the
 //!   subtree is scanned with a depth counter and zero per-query work
-//!   (its end tags never reach per-query state);
-//! * per-query skip (`QState::skip_depth > 0`): some other query keeps the
-//!   element, this one doesn't. The subtree stays invisible to this query,
-//!   but start/end tags inside it (processed for the queries that *do*
-//!   keep it) must balance the counter;
-//! * dead (`QState::tx == None`): the worker disconnected (evaluator
-//!   error); the driver stops feeding it, other queries are unaffected.
+//!   (its end tags never reach a lane);
+//! * per-lane skip: some other query keeps the element, this one doesn't.
+//!   The subtree stays invisible to this lane, but start/end tags inside
+//!   it (processed for the lanes that *do* keep it) balance its counter;
+//! * failed lane: its evaluator or buffer returned an error (byte budget,
+//!   ...). It ignores the rest of the stream and reports the error in its
+//!   [`QueryRun`]; the other lanes are unaffected.
 //!
-//! ## Backpressure and termination
-//!
-//! Channels are bounded ([`BatchOptions::channel_capacity`]): a slow query
-//! stalls the shared pass rather than buffering the stream, keeping memory
-//! proportional to Σ per-query live buffers. Workers always drain to `Eof`
-//! (the engine's `drain_input` pulls after evaluation completes), so the
-//! driver never blocks forever; a worker that dies instead disconnects its
-//! channel, which the driver observes on the next send.
+//! Only errors of the shared input (malformed XML, I/O) fail the batch.
 
-use crate::feed::{ChannelFeed, FeedEvent};
 use crate::matcher::{BatchPlan, MergedMatcher};
-use gcx_core::buffer::Ordinals;
-use gcx_core::{ChildCounters, CompiledQuery, EngineError, EngineOptions, RunReport};
+use gcx_core::{
+    CompiledQuery, EngineError, EngineOptions, Lane, RunReport, ScanFacts, SchemaReport,
+    SharedStart,
+};
 use gcx_query::ast::RoleId;
 use gcx_xml::{PushTokenizer, Symbol, SymbolTable, Token, TokenStep, XmlError, XmlErrorKind};
 use std::io::Read;
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Shared copies of an element's name and attributes; cloning one into a
-/// keeping query's event is a refcount bump.
-type SharedStart = (Arc<str>, Arc<[(Box<str>, Box<str>)]>);
 
 /// Configuration of a shared-stream batch run.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
     /// Execute signOff statements (dynamic buffer minimization) in every
-    /// worker. Disabling degrades each query to projection-only buffering.
+    /// lane. Disabling degrades each query to projection-only buffering.
     pub execute_signoffs: bool,
     /// Pretty-print each query's output with this indent.
     pub indent: Option<String>,
-    /// Bound of each per-query event channel (events, not bytes).
-    pub channel_capacity: usize,
-    /// Events per channel send. Each send to a parked worker pays a thread
-    /// wake-up; chunking amortizes it. Effective chunk size is capped at
-    /// `channel_capacity` so backpressure granularity survives tiny
-    /// channels.
-    pub chunk_size: usize,
     /// Per-query buffer byte budget (None = unlimited). A query that
     /// crosses it fails with `BufferLimitExceeded`; the rest of the batch
-    /// is unaffected (worker failures never stop peers).
+    /// is unaffected (a failed lane never stops its peers).
     pub max_buffer_bytes: Option<u64>,
-    /// Record buffer-lifecycle and VM-frame telemetry in every worker;
+    /// Record buffer-lifecycle and VM-frame telemetry in every lane;
     /// each per-query [`RunReport`] then carries an `obs` section
     /// (residency histograms, purge causes, live-bytes timeline).
     pub telemetry: bool,
-    /// A DTD the shared input is promised to be valid against. Applied at
-    /// the *merged matcher*: per-query path pruning plus the descendant-
-    /// reachability filter on the single shared scan. (Workers evaluate
-    /// over pre-matched channel events, so the buffer-side cutoff
-    /// analysis has no stream to observe there.)
+    /// A DTD the shared input is promised to be valid against. The merged
+    /// matcher gets per-query path pruning plus the descendant-
+    /// reachability filter on the single shared scan, and every lane's
+    /// buffer the sibling-order cutoffs — the three analyses a
+    /// stand-alone run with [`EngineOptions::schema`] applies.
     pub schema: Option<Arc<gcx_schema::Dtd>>,
 }
 
@@ -86,8 +73,6 @@ impl Default for BatchOptions {
         BatchOptions {
             execute_signoffs: true,
             indent: None,
-            channel_capacity: 4096,
-            chunk_size: 256,
             max_buffer_bytes: None,
             telemetry: false,
             schema: None,
@@ -100,7 +85,7 @@ impl Default for BatchOptions {
 pub struct QueryRun {
     /// The query's serialized result (byte-identical to a standalone run).
     pub output: Vec<u8>,
-    /// The worker's run report, or the error that stopped it. `tokens` in
+    /// The lane's run report, or the error that stopped it. `tokens` in
     /// the report counts the events this query *received* — its private
     /// share of the stream.
     pub report: Result<RunReport, EngineError>,
@@ -113,7 +98,7 @@ pub struct BatchReport {
     pub queries: Vec<QueryRun>,
     /// Structural tokens in the single shared scan.
     pub tokens: u64,
-    /// Total per-query events fanned out (Σ over queries).
+    /// Total per-query events delivered (Σ over queries).
     pub fanout_events: u64,
     /// Wall-clock time of the whole batch.
     pub elapsed: Duration,
@@ -122,10 +107,10 @@ pub struct BatchReport {
 impl BatchReport {
     /// Shared-work factor: structural-token work a per-query evaluation
     /// would have done (N scans) over the work actually done (one scan
-    /// plus the fan-out events). Approaches N when the queries' projected
-    /// streams are sparse; can drop below 1.0 for a single query whose
-    /// fan-out duplicates most of the stream (the sharing overhead with
-    /// nobody to share it).
+    /// plus the per-query events). Approaches N when the queries'
+    /// projected streams are sparse; can drop below 1.0 for a single query
+    /// that keeps most of the stream (the sharing overhead with nobody to
+    /// share it).
     pub fn share_factor(&self) -> f64 {
         let n = self.queries.len() as f64;
         let would_have = n * self.tokens as f64;
@@ -165,82 +150,13 @@ impl BatchReport {
                     s.push_str(&format!(
                         "{{\"index\":{i},\"output_bytes\":{},\"error\":\"{}\"}}",
                         q.output.len(),
-                        json_escape(&e.to_string())
+                        gcx_obs::json_escape(&e.to_string())
                     ));
                 }
             }
         }
         s.push_str("]}");
         s
-    }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Per-query driver-side state.
-struct QState {
-    /// Event channel to the worker; `None` once the worker disconnected.
-    tx: Option<SyncSender<Vec<FeedEvent>>>,
-    /// Events accumulated for the next send.
-    chunk: Vec<FeedEvent>,
-    /// Flush threshold for `chunk`.
-    chunk_size: usize,
-    /// Depth inside a subtree this query skipped while some other query
-    /// keeps it (0 = in this query's kept region).
-    skip_depth: u32,
-    /// Ordinal counters for this query's open elements (root frame at the
-    /// bottom). Only elements this query keeps get a frame — identical to
-    /// the standalone preprojector's open stack.
-    counters: Vec<ChildCounters>,
-    /// Recycled counters for closed elements (no allocation per element).
-    counter_pool: Vec<ChildCounters>,
-}
-
-impl QState {
-    fn alive(&self) -> bool {
-        self.tx.is_some()
-    }
-
-    /// Queue an event, flushing a full chunk; on disconnect mark the query
-    /// dead.
-    fn send(&mut self, event: FeedEvent) {
-        if self.tx.is_some() {
-            self.chunk.push(event);
-            if self.chunk.len() >= self.chunk_size {
-                self.flush();
-            }
-        }
-    }
-
-    /// Push the pending chunk to the worker.
-    fn flush(&mut self) {
-        if self.chunk.is_empty() {
-            return;
-        }
-        if let Some(tx) = &self.tx {
-            let chunk = std::mem::replace(&mut self.chunk, Vec::with_capacity(self.chunk_size));
-            if tx.send(chunk).is_err() {
-                self.tx = None;
-                self.chunk = Vec::new();
-            }
-        } else {
-            self.chunk.clear();
-        }
     }
 }
 
@@ -275,300 +191,272 @@ impl SharedRun {
         BatchPlan::new(queries, self.opts.schema.as_deref())
     }
 
-    /// [`SharedRun::run`] against a prepared plan. `plan` must have been
-    /// built (by [`SharedRun::prepare`] with the same schema option) from
-    /// exactly this `queries` slice — same queries, same order; a plan
-    /// from a different batch projects the wrong paths.
-    pub fn run_prepared<R: Read>(
-        &self,
-        plan: &BatchPlan,
-        queries: &[CompiledQuery],
-        input: R,
-    ) -> Result<BatchReport, EngineError> {
+    /// Open a sans-IO session over a prepared plan: push the document
+    /// with [`BatchSession::feed`] as it arrives, then
+    /// [`BatchSession::finish`]. `plan` must have been built (by
+    /// [`SharedRun::prepare`] with the same schema option) from exactly
+    /// this `queries` slice — same queries, same order; a plan from a
+    /// different batch projects the wrong paths.
+    pub fn session(&self, plan: &BatchPlan, queries: &[CompiledQuery]) -> BatchSession {
         assert_eq!(
             plan.n_queries(),
             queries.len(),
             "batch plan was prepared for a different number of queries"
         );
         let started = Instant::now();
-        // Interning during the scan is per-document: each run extends its
-        // own clone of the plan's pre-interned table.
-        let mut symbols = plan.symbols.clone();
-        let (mut matcher, _root_roles) = MergedMatcher::from_plan(plan);
-        let engine_opts = EngineOptions {
-            project: true,
+        let lane_opts = EngineOptions {
             execute_signoffs: self.opts.execute_signoffs,
-            purge: true,
-            drain_input: true,
-            timeline_every: None,
             indent: self.opts.indent.clone(),
             max_buffer_bytes: self.opts.max_buffer_bytes,
             telemetry: self.opts.telemetry,
-            // Workers run over pre-matched channel events: the schema's
-            // stream-side analyses (matcher filter, cutoffs) live in the
-            // shared scan above, not in the per-query evaluators.
-            schema: None,
-            schema_from_doctype: false,
+            schema: self.opts.schema.clone(),
+            ..EngineOptions::gcx()
         };
+        let (matcher, _root_roles) = MergedMatcher::from_plan(plan);
+        BatchSession {
+            tok: PushTokenizer::new(),
+            scan: ScanFacts::default(),
+            started,
+            pruned_paths: plan.pruned_paths.clone(),
+            fan: FanOut {
+                matcher,
+                // Interning during the scan is per-document: each run
+                // extends its own clone of the plan's pre-interned table.
+                symbols: plan.symbols.clone(),
+                lanes: queries.iter().map(|q| Lane::start(q, &lane_opts)).collect(),
+                merged_skip: 0,
+                tokens: 0,
+                fanout: 0,
+                role_scratch: Vec::new(),
+                attr_names: Vec::new(),
+            },
+        }
+    }
 
-        let mut input = input;
-        let mut scan_result: Result<(u64, u64), EngineError> = Ok((0, 0));
-        let mut outcomes: Vec<QueryRun> = Vec::with_capacity(queries.len());
-
-        std::thread::scope(|scope| {
-            let mut states: Vec<QState> = Vec::with_capacity(queries.len());
-            let mut handles = Vec::with_capacity(queries.len());
-            let chunk_size = self
-                .opts
-                .chunk_size
-                .clamp(1, self.opts.channel_capacity.max(1));
-            let chunks_cap = (self.opts.channel_capacity.max(1) / chunk_size).max(1);
-            for q in queries {
-                let (tx, rx) = sync_channel(chunks_cap);
-                let worker_opts = engine_opts.clone();
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let feed = ChannelFeed::new(rx);
-                    // The worker reuses the query's compiled program; its
-                    // run table is seeded from the program's pre-interned
-                    // symbols and event names are interned on arrival.
-                    let report = gcx_core::run_with_feed(q, &worker_opts, feed, &mut out);
-                    (out, report)
-                }));
-                states.push(QState {
-                    tx: Some(tx),
-                    chunk: Vec::with_capacity(chunk_size),
-                    chunk_size,
-                    skip_depth: 0,
-                    counters: vec![ChildCounters::new()],
-                    counter_pool: Vec::new(),
-                });
+    /// [`SharedRun::run`] against a prepared plan (see
+    /// [`SharedRun::session`] for what `plan` must match): the blocking
+    /// wrapper that reads `input` in chunks straight into the session's
+    /// tokenizer window.
+    pub fn run_prepared<R: Read>(
+        &self,
+        plan: &BatchPlan,
+        queries: &[CompiledQuery],
+        mut input: R,
+    ) -> Result<BatchReport, EngineError> {
+        let mut session = self.session(plan, queries);
+        loop {
+            let n = {
+                let gap = session.space(READ_CHUNK);
+                input.read(gap)
+            };
+            match n.map_err(|e| session.input_io_error(e))? {
+                0 => break,
+                n => session.commit(n)?,
             }
-
-            scan_result = drive(&mut input, &mut matcher, &mut symbols, &mut states);
-            // Successful or not: disconnect every channel so workers
-            // finish (Eof was already sent on success).
-            drop(states);
-            for handle in handles {
-                let (output, report) = handle.join().expect("worker panicked");
-                outcomes.push(QueryRun { output, report });
-            }
-        });
-
-        let (tokens, fanout_events) = scan_result?;
-        Ok(BatchReport {
-            queries: outcomes,
-            tokens,
-            fanout_events,
-            elapsed: started.elapsed(),
-        })
+        }
+        session.finish()
     }
 }
 
-/// Chunk size the driver reads from its source between tokenizer steps.
+/// Chunk size the blocking wrapper reads from its source at a time.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// The single shared scan, driven through the sans-IO push tokenizer: the
-/// engine core below this loop never touches the `Read` source — chunks
-/// are read at the edge and fed into the tokenizer window whenever it
-/// reports `NeedMoreData`. Returns (structural tokens, fan-out events).
-fn drive<R: Read>(
-    input: &mut R,
-    matcher: &mut MergedMatcher,
-    symbols: &mut SymbolTable,
-    states: &mut [QState],
-) -> Result<(u64, u64), EngineError> {
-    let mut tokens = 0u64;
-    let mut fanout = 0u64;
-    let mut merged_skip = 0u32;
-    // Scratch reused across elements: per-query roles of the current node.
-    let mut role_scratch: Vec<(RoleId, u32)> = Vec::new();
+/// A push-driven evaluation of one batch over one document. Create with
+/// [`SharedRun::session`]; the caller owns all I/O. Bytes may be split
+/// anywhere (mid-tag, mid-UTF-8 sequence): outputs, buffer peaks and
+/// event counts do not depend on the chunking.
+pub struct BatchSession {
+    tok: PushTokenizer,
+    fan: FanOut,
+    scan: ScanFacts,
+    /// `(pruned, total)` projection-path counts per query when the plan
+    /// was built with a schema.
+    pruned_paths: Option<Vec<(u32, u32)>>,
+    started: Instant,
+}
 
-    let mut tok = PushTokenizer::new();
-    loop {
-        match tok.step()? {
-            TokenStep::End => break,
-            TokenStep::NeedMoreData => {
-                // Refill the window straight from the source (no copy).
-                let pos = tok.position();
-                let gap = tok.space(READ_CHUNK);
-                let n = input.read(gap).map_err(|e| {
-                    EngineError::Xml(XmlError {
-                        kind: XmlErrorKind::Io(e),
-                        pos,
-                    })
-                })?;
-                if n == 0 {
-                    tok.finish_input();
-                } else {
-                    tok.commit(n);
-                }
-                continue;
-            }
-            TokenStep::Token => {}
+impl BatchSession {
+    /// Push one chunk of document bytes and step every lane as far as
+    /// they allow. Fails only on malformed input.
+    pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
+        self.scan.feed_calls += 1;
+        self.tok.feed(chunk);
+        self.pump()
+    }
+
+    /// Zero-copy variant of [`BatchSession::feed`]: borrow at least `min`
+    /// writable bytes of the tokenizer window to read input into, then
+    /// [`BatchSession::commit`] however many arrived.
+    pub fn space(&mut self, min: usize) -> &mut [u8] {
+        self.tok.space(min)
+    }
+
+    /// Declare `n` bytes of [`BatchSession::space`] filled and advance,
+    /// exactly like [`BatchSession::feed`] on that slice.
+    pub fn commit(&mut self, n: usize) -> Result<(), EngineError> {
+        self.scan.feed_calls += 1;
+        self.tok.commit(n);
+        self.pump()
+    }
+
+    /// Wrap an input-side I/O failure the way a tokenizer error is
+    /// reported, carrying the current position.
+    pub fn input_io_error(&self, e: std::io::Error) -> EngineError {
+        EngineError::Xml(XmlError {
+            kind: XmlErrorKind::Io(e),
+            pos: self.tok.position(),
+        })
+    }
+
+    /// Declare the end of input, run every lane to completion and collect
+    /// the batch's outcome. Fails on a truncated or malformed document.
+    pub fn finish(mut self) -> Result<BatchReport, EngineError> {
+        self.tok.finish_input();
+        self.pump()?;
+        self.scan.window_peak = self.tok.window_peak();
+        let reach_cuts = self.fan.matcher.reach_cuts();
+        // Lightest buffer first: a lane's memory is back before the next
+        // one's final phase (a join builds its index there), so the
+        // batch's high-water is the heaviest lane's final phase, not the
+        // sum of all of them.
+        let mut lanes: Vec<(usize, Lane)> = self.fan.lanes.into_iter().enumerate().collect();
+        lanes.sort_by_key(|(_, lane)| lane.live_bytes());
+        let mut runs: Vec<(usize, QueryRun)> = lanes
+            .into_iter()
+            .map(|(i, lane)| {
+                let schema = self.pruned_paths.as_ref().map(|p| SchemaReport {
+                    pruned_paths: p[i].0,
+                    total_paths: p[i].1,
+                    reach_cuts,
+                    ..SchemaReport::default()
+                });
+                let (output, report) = lane.finish(self.scan, schema);
+                (i, QueryRun { output, report })
+            })
+            .collect();
+        runs.sort_by_key(|&(i, _)| i);
+        let queries: Vec<QueryRun> = runs.into_iter().map(|(_, run)| run).collect();
+        Ok(BatchReport {
+            // End of input is every query's last event.
+            fanout_events: self.fan.fanout + queries.len() as u64,
+            queries,
+            tokens: self.fan.tokens,
+            elapsed: self.started.elapsed(),
+        })
+    }
+
+    /// Apply every complete token in the window.
+    fn pump(&mut self) -> Result<(), EngineError> {
+        while self.tok.step()? == TokenStep::Token {
+            self.fan.apply(&self.tok.token());
         }
-        let token = tok.token();
+        self.scan.max_pending_bytes = self
+            .scan
+            .max_pending_bytes
+            .max(self.tok.pending_bytes() as u64);
+        Ok(())
+    }
+}
+
+/// Everything of a session but the tokenizer: the merged decision and
+/// the lanes it is handed to.
+struct FanOut {
+    matcher: MergedMatcher,
+    /// The batch's symbol table (the merged NFA's name tests are interned
+    /// here); lanes translate into their own on first sight of a name.
+    symbols: SymbolTable,
+    lanes: Vec<Lane>,
+    /// Depth inside a subtree no query keeps (0 = not skipping).
+    merged_skip: u32,
+    /// Structural tokens of the shared scan.
+    tokens: u64,
+    /// Events delivered, summed over lanes.
+    fanout: u64,
+    /// Scratch reused across tokens: one lane's roles for the current
+    /// node, and the current element's attribute names.
+    role_scratch: Vec<(RoleId, u32)>,
+    attr_names: Vec<Symbol>,
+}
+
+impl FanOut {
+    fn apply(&mut self, token: &Token<'_>) {
         match token {
-            Token::StartTag(start) => {
-                let self_closing = start.self_closing;
-                if merged_skip > 0 {
-                    if !self_closing {
-                        merged_skip += 1;
-                    }
-                } else {
-                    let name = symbols.intern(start.name);
-                    // Shared owned copies, built lazily on first keeper.
-                    let mut shared: Option<SharedStart> = None;
-                    let outcome = matcher.enter_element(name);
-                    let any_keep = outcome.any_keep;
-                    for (qi, qs) in states.iter_mut().enumerate() {
-                        if !qs.alive() {
-                            continue;
-                        }
-                        if qs.skip_depth > 0 {
-                            // Inside a subtree this query skipped but some
-                            // other query keeps: balance the counter. When
-                            // nobody keeps (merged skip), the subtree's end
-                            // tags never reach per-query state, so the
-                            // counter must not move either.
-                            if !self_closing && any_keep {
-                                qs.skip_depth += 1;
-                            }
-                            continue;
-                        }
-                        // In this query's kept region: every child bumps
-                        // ordinals, kept or not (positional predicates see
-                        // true document positions).
-                        let ordinals = ordinals_elem(qs, name);
-                        if any_keep && outcome.kept[qi] {
-                            role_scratch.clear();
-                            role_scratch.extend(outcome.roles_of(qi as u32));
-                            let (name, attrs) = shared.get_or_insert_with(|| {
-                                let name: Arc<str> = start.name.into();
-                                let attrs: Arc<[_]> = start
-                                    .attrs
-                                    .iter()
-                                    .map(|a| (Box::<str>::from(a.name), Box::<str>::from(a.value)))
-                                    .collect();
-                                (name, attrs)
-                            });
-                            qs.send(FeedEvent::Start {
-                                name: name.clone(),
-                                attrs: attrs.clone(),
-                                roles: role_scratch.as_slice().into(),
-                                ordinals,
-                                self_closing,
-                            });
-                            fanout += 1;
-                            if !self_closing {
-                                let counters = qs.counter_pool.pop().unwrap_or_default();
-                                qs.counters.push(counters);
-                            }
-                        } else if any_keep && !self_closing {
-                            // Some other query keeps this subtree; this one
-                            // starts skipping it. (If nobody keeps it, the
-                            // merged skip below hides it from everyone.)
-                            qs.skip_depth = 1;
-                        }
-                    }
-                    if any_keep {
-                        if self_closing {
-                            matcher.leave_element();
-                        }
-                    } else if !self_closing {
-                        merged_skip = 1;
-                    }
+            Token::StartTag(tag) => {
+                let self_closing = tag.self_closing;
+                // A self-closing tag stands for open+close: count both.
+                self.tokens += 1 + u64::from(self_closing);
+                if self.merged_skip > 0 {
+                    self.merged_skip += u32::from(!self_closing);
+                    return;
                 }
-                tokens += 1;
-                if self_closing {
-                    // A self-closing tag stands for open+close: count both.
-                    tokens += 1;
+                let name = self.symbols.intern(tag.name);
+                let outcome = self.matcher.enter_element(name);
+                let any_keep = outcome.any_keep;
+                self.attr_names.clear();
+                if any_keep {
+                    let symbols = &mut self.symbols;
+                    self.attr_names
+                        .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
+                }
+                let start = SharedStart {
+                    name,
+                    tag,
+                    attr_names: &self.attr_names,
+                };
+                for (qi, lane) in self.lanes.iter_mut().enumerate() {
+                    let roles = if any_keep && outcome.kept[qi] {
+                        self.role_scratch.clear();
+                        self.role_scratch.extend(outcome.roles_of(qi as u32));
+                        Some(self.role_scratch.as_slice())
+                    } else {
+                        None
+                    };
+                    self.fanout += u64::from(lane.start_element(&start, roles, any_keep));
+                }
+                if !any_keep {
+                    // Nobody can match inside: hide the subtree from
+                    // every lane (the matcher pushed no frame for it).
+                    self.merged_skip = u32::from(!self_closing);
+                } else if self_closing {
+                    self.matcher.leave_element();
                 }
             }
             Token::EndTag { .. } => {
-                if merged_skip > 0 {
-                    merged_skip -= 1;
-                } else {
-                    for qs in states.iter_mut() {
-                        if !qs.alive() {
-                            continue;
-                        }
-                        if qs.skip_depth > 0 {
-                            qs.skip_depth -= 1;
-                        } else {
-                            debug_assert!(
-                                qs.counters.len() > 1,
-                                "End for an element this query never kept"
-                            );
-                            let mut counters =
-                                qs.counters.pop().expect("counter stack never empty");
-                            counters.clear();
-                            qs.counter_pool.push(counters);
-                            qs.send(FeedEvent::End);
-                            fanout += 1;
-                        }
-                    }
-                    matcher.leave_element();
+                self.tokens += 1;
+                if self.merged_skip > 0 {
+                    self.merged_skip -= 1;
+                    return;
                 }
-                tokens += 1;
+                for lane in &mut self.lanes {
+                    self.fanout += u64::from(lane.end_element());
+                }
+                self.matcher.leave_element();
             }
             Token::Text(content) => {
-                if merged_skip == 0 {
-                    let roles = matcher.text();
-                    let mut shared: Option<Arc<str>> = None;
-                    for (qi, qs) in states.iter_mut().enumerate() {
-                        if !qs.alive() || qs.skip_depth > 0 {
-                            continue;
-                        }
-                        let ordinals = ordinals_text(qs);
-                        let qi = qi as u32;
-                        // Restrict to this query's tag; role-free text is
-                        // irrelevant to it and not sent.
-                        let lo = roles.partition_point(|&(t, _, _)| t < qi);
-                        let hi = roles.partition_point(|&(t, _, _)| t <= qi);
-                        if lo == hi {
-                            continue;
-                        }
-                        let content = shared
-                            .get_or_insert_with(|| Arc::<str>::from(&*content))
-                            .clone();
-                        qs.send(FeedEvent::Text {
-                            content,
-                            roles: roles[lo..hi].iter().map(|&(_, r, c)| (r, c)).collect(),
-                            ordinals,
-                        });
-                        fanout += 1;
-                    }
+                self.tokens += 1;
+                if self.merged_skip > 0 {
+                    return;
                 }
-                tokens += 1;
+                let roles = self.matcher.text();
+                for (qi, lane) in self.lanes.iter_mut().enumerate() {
+                    // Every visible text child bumps the lane's ordinals;
+                    // only text that carries one of its roles is buffered.
+                    if !lane.in_kept_region() {
+                        continue;
+                    }
+                    let qi = qi as u32;
+                    let lo = roles.partition_point(|&(t, _, _)| t < qi);
+                    let hi = roles.partition_point(|&(t, _, _)| t <= qi);
+                    self.role_scratch.clear();
+                    self.role_scratch
+                        .extend(roles[lo..hi].iter().map(|&(_, r, c)| (r, c)));
+                    self.fanout += u64::from(lane.text(content, &self.role_scratch));
+                }
             }
             // Comments, PIs and the doctype are not part of the data model.
             Token::Comment(_) | Token::ProcessingInstruction { .. } | Token::Doctype(_) => {}
         }
     }
-    // Input exhausted: close every query's virtual root and flush.
-    for qs in states.iter_mut() {
-        qs.send(FeedEvent::Eof);
-        fanout += 1;
-        qs.flush();
-    }
-    Ok((tokens, fanout))
-}
-
-/// Ordinals for an element child in this query's current open element.
-fn ordinals_elem(qs: &mut QState, name: Symbol) -> Ordinals {
-    qs.counters
-        .last_mut()
-        .expect("counter stack never empty")
-        .next_elem(name)
-}
-
-/// Ordinals for a text child in this query's current open element.
-fn ordinals_text(qs: &mut QState) -> Ordinals {
-    qs.counters
-        .last_mut()
-        .expect("counter stack never empty")
-        .next_text()
 }
 
 /// Evaluate a batch with default options.
@@ -610,7 +498,7 @@ mod tests {
             let expected = standalone(q, DOC);
             assert_eq!(run.output, expected);
             let r = run.report.as_ref().unwrap();
-            assert_eq!(r.buffer.live, 0, "worker buffer must drain");
+            assert_eq!(r.buffer.live, 0, "lane buffer must drain");
         }
         assert!(report.tokens > 0);
         assert!(report.share_factor() > 1.0, "4 queries must share the scan");
@@ -638,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_flows_into_worker_reports() {
+    fn telemetry_flows_into_lane_reports() {
         let queries = compile(&["for $b in /bib/book return $b/title"]);
         let opts = BatchOptions {
             telemetry: true,
@@ -648,7 +536,7 @@ mod tests {
         let run = &report.queries[0];
         assert_eq!(run.output, standalone(&queries[0], DOC));
         let r = run.report.as_ref().unwrap();
-        assert!(r.obs.is_some(), "telemetry must reach the worker engines");
+        assert!(r.obs.is_some(), "telemetry must reach the lanes");
         assert!(report.to_json().contains("\"obs\""));
     }
 

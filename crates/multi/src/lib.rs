@@ -8,25 +8,27 @@
 //! compiled queries in a **single pass** over the input:
 //!
 //! ```text
-//!                      ┌───────────────┐  per-query events   ┌──────────────┐
-//!   XML ──► Tokenizer ─► MergedMatcher ├──────────┬─────────►│ BufferTree q0│──► out 0
-//!            (once)    │ (union NFA,   │          │          │ + evaluator  │
-//!                      │ tagged roles) │          └─────────►│ BufferTree q1│──► out 1
-//!                      └───────────────┘   bounded channels  │ + evaluator  │
-//!                                                            └──────────────┘
+//!                      ┌───────────────┐ borrowed token   ┌─────────────────────┐
+//!   XML ──► Tokenizer ─► MergedMatcher ├─ + lane 0 roles ─► Lane 0: BufferTree  │──► out 0
+//!            (once)    │ (union NFA,   │                  │         + evaluator │
+//!                      │ tagged roles) ├─ + lane 1 roles ─► Lane 1: BufferTree  │──► out 1
+//!                      └───────────────┘                  │         + evaluator │
+//!                        one thread steps everything      └─────────────────────┘
 //! ```
 //!
 //! * [`MergedMatcher`] unions the per-query projection NFAs
 //!   ([`gcx_projection::TaggedPaths`]) so each token is tokenized and
 //!   matched **exactly once** no matter how many queries want it; element
 //!   outcomes carry per-query tags.
-//! * [`SharedRun`] drives the pass: it stamps per-query ordinals, fans
-//!   matched tokens out to per-query worker threads over bounded channels
-//!   (backpressure keeps memory proportional to the per-query buffers, not
-//!   the stream), and collects outputs. Each worker runs the unmodified
-//!   single-query evaluator ([`gcx_core::run_with_feed`]) over a
-//!   [`ChannelFeed`], so each query's role multiset, signOff execution and
-//!   therefore *buffer minimality* are preserved verbatim.
+//! * [`SharedRun`] / [`BatchSession`] drive the pass in **lock-step**: for
+//!   every token the merged decision is made once and each query's
+//!   [`gcx_core::Lane`] that keeps the node appends it — by reference,
+//!   with its own document ordinals — to its own buffer and resumes its
+//!   evaluator when the node is what it was waiting for. There are no
+//!   threads, channels or owned events; memory is the sum of the
+//!   per-query buffers. Each lane is the unmodified single-query
+//!   evaluator and buffer, so each query's role multiset, signOff
+//!   execution and therefore *buffer minimality* are preserved verbatim.
 //! * [`BatchReport`] aggregates throughput, per-query buffer statistics
 //!   and the share factor (work that would have been repeated N× but ran
 //!   once).
@@ -36,9 +38,7 @@
 //! and property suites in `tests/`.
 
 mod driver;
-mod feed;
 mod matcher;
 
-pub use driver::{run_batch, BatchOptions, BatchReport, QueryRun, SharedRun};
-pub use feed::{ChannelFeed, FeedEvent};
+pub use driver::{run_batch, BatchOptions, BatchReport, BatchSession, QueryRun, SharedRun};
 pub use matcher::{BatchPlan, MergedMatcher};

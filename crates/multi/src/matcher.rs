@@ -30,6 +30,8 @@ pub struct BatchPlan {
     pub(crate) symbols: SymbolTable,
     pub(crate) merged: Arc<TaggedPaths>,
     pub(crate) reach: Option<Arc<ReachFilter>>,
+    /// `(pruned, total)` projection-path counts per query (with a schema).
+    pub(crate) pruned_paths: Option<Vec<(u32, u32)>>,
     pub(crate) n_queries: usize,
 }
 
@@ -37,12 +39,40 @@ impl BatchPlan {
     /// Compile the batch's paths against one fresh symbol table, merge,
     /// and (with a schema) prune + build the reachability filter.
     pub fn new(queries: &[CompiledQuery], schema: Option<&gcx_schema::Dtd>) -> BatchPlan {
-        let mut symbols = SymbolTable::new();
-        let (merged, reach) = compile_merged(queries, &mut symbols, schema);
+        BatchPlan::compile(queries, SymbolTable::new(), schema)
+    }
+
+    /// Compile every query's paths against `symbols`, prune against the
+    /// schema when present, merge into one tagged automaton, and derive
+    /// the schema's reachability filter.
+    fn compile(
+        queries: &[CompiledQuery],
+        mut symbols: SymbolTable,
+        schema: Option<&gcx_schema::Dtd>,
+    ) -> BatchPlan {
+        let mut pruned_paths = schema.map(|_| Vec::with_capacity(queries.len()));
+        let parts: Vec<CompiledPaths> = queries
+            .iter()
+            .map(|q| {
+                let paths = CompiledPaths::compile(&q.analysis.roles, &mut symbols);
+                match (schema, &mut pruned_paths) {
+                    (Some(dtd), Some(counts)) => {
+                        let prune = dtd.prune(&paths, &symbols);
+                        counts.push((prune.pruned.len() as u32, prune.total as u32));
+                        prune.paths
+                    }
+                    _ => paths,
+                }
+            })
+            .collect();
+        let merged = Arc::new(TaggedPaths::merge(parts.iter()));
+        debug_assert_eq!(merged.n_tags() as usize, queries.len());
+        let reach = schema.map(|dtd| Arc::new(dtd.reach_filter(&mut symbols)));
         BatchPlan {
             symbols,
             merged,
             reach,
+            pruned_paths,
             n_queries: queries.len(),
         }
     }
@@ -52,30 +82,6 @@ impl BatchPlan {
     pub fn n_queries(&self) -> usize {
         self.n_queries
     }
-}
-
-/// Compile every query's paths against `symbols`, prune against the
-/// schema when present, merge into one tagged automaton, and derive the
-/// schema's reachability filter.
-fn compile_merged(
-    queries: &[CompiledQuery],
-    symbols: &mut SymbolTable,
-    schema: Option<&gcx_schema::Dtd>,
-) -> (Arc<TaggedPaths>, Option<Arc<ReachFilter>>) {
-    let parts: Vec<CompiledPaths> = queries
-        .iter()
-        .map(|q| {
-            let paths = CompiledPaths::compile(&q.analysis.roles, symbols);
-            match schema {
-                Some(dtd) => dtd.prune(&paths, symbols).paths,
-                None => paths,
-            }
-        })
-        .collect();
-    let merged = Arc::new(TaggedPaths::merge(parts.iter()));
-    debug_assert_eq!(merged.n_tags() as usize, queries.len());
-    let reach = schema.map(|dtd| Arc::new(dtd.reach_filter(symbols)));
-    (merged, reach)
 }
 
 /// Union-of-batches projection matcher. One instance per shared pass.
@@ -97,34 +103,18 @@ impl MergedMatcher {
         queries: &[CompiledQuery],
         symbols: &mut SymbolTable,
     ) -> (MergedMatcher, Vec<TaggedRole>) {
-        MergedMatcher::build_with_schema(queries, symbols, None)
-    }
-
-    /// [`MergedMatcher::build`] with an optional DTD the shared input is
-    /// promised to be valid against: each query's paths are pruned of
-    /// DTD-unsatisfiable ones before merging, and the merged NFA gets the
-    /// descendant-reachability filter.
-    pub fn build_with_schema(
-        queries: &[CompiledQuery],
-        symbols: &mut SymbolTable,
-        schema: Option<&gcx_schema::Dtd>,
-    ) -> (MergedMatcher, Vec<TaggedRole>) {
-        let (merged, reach) = compile_merged(queries, symbols, schema);
-        MergedMatcher::from_shared(merged, reach)
+        let plan = BatchPlan::compile(queries, std::mem::take(symbols), None);
+        let built = MergedMatcher::from_plan(&plan);
+        *symbols = plan.symbols;
+        built
     }
 
     /// Stamp a fresh matcher out of an already-compiled automaton (the
     /// prepared-batch fast path): only per-run frame state is allocated.
     pub fn from_plan(plan: &BatchPlan) -> (MergedMatcher, Vec<TaggedRole>) {
-        MergedMatcher::from_shared(plan.merged.clone(), plan.reach.clone())
-    }
-
-    fn from_shared(
-        merged: Arc<TaggedPaths>,
-        reach: Option<Arc<ReachFilter>>,
-    ) -> (MergedMatcher, Vec<TaggedRole>) {
-        let n_queries = merged.n_tags();
-        let (inner, root_roles) = TaggedMatcher::from_shared(merged, reach);
+        let n_queries = plan.merged.n_tags();
+        let (inner, root_roles) =
+            TaggedMatcher::from_shared(plan.merged.clone(), plan.reach.clone());
         (
             MergedMatcher {
                 inner,
@@ -144,6 +134,12 @@ impl MergedMatcher {
     /// Current nesting depth (document root excluded).
     pub fn depth(&self) -> usize {
         self.inner.depth()
+    }
+
+    /// Subtrees skipped on the DTD's descendant-reachability proof (0
+    /// without a schema-built matcher).
+    pub fn reach_cuts(&self) -> u64 {
+        self.inner.reach_cuts()
     }
 
     /// Process an element start tag. The returned outcome is valid until

@@ -4,9 +4,9 @@
 
 use gcx_server::client::{self, BodyMode};
 use gcx_server::{serve, ServerConfig, ServerHandle};
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> ServerHandle {
     serve(ServerConfig {
@@ -349,6 +349,21 @@ fn buffer_budget_rejects_with_413_without_killing_peers() {
     h.shutdown();
 }
 
+/// Poll `GET /stats` until a worker answers it (a saturated server
+/// bounces the probe with 503) and return the body.
+fn wait_for_stats(addr: std::net::SocketAddr) -> String {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let r = client::get(addr, "/stats").unwrap();
+        if r.status == 200 {
+            return String::from_utf8(r.body).unwrap();
+        }
+        assert_eq!(r.status, 503);
+        assert!(Instant::now() < deadline, "server never left saturation");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn saturation_yields_immediate_503() {
     let h = start(ServerConfig {
@@ -359,27 +374,39 @@ fn saturation_yields_immediate_503() {
     let addr = h.addr();
     client::put_query(addr, "titles", TITLES).unwrap();
 
-    // Occupy the single worker: an eval whose body never finishes.
+    // Occupy the single worker. A `/stats` answer on this connection
+    // proves the worker has picked it up; the eval whose body never
+    // finishes then keeps it there.
     let mut held = TcpStream::connect(addr).unwrap();
+    held.write_all(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let mut held_reader = BufReader::new(held.try_clone().unwrap());
+    let stats = client::read_response(&mut held_reader).unwrap();
+    assert_eq!(stats.status, 200);
+    let stats = String::from_utf8(stats.body).unwrap();
+    assert!(stats.contains("\"in_flight\":1"), "{stats}");
     held.write_all(b"POST /eval/titles HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n<bib>")
         .unwrap();
     held.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(100));
 
-    // Fill the admission queue with a second idle connection.
+    // Fill the admission queue with a second idle connection. Nobody
+    // pops the queue while the worker is held, and the acceptor admits
+    // connections in the order they were established...
     let queued = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
 
-    // The third connection must be bounced immediately.
+    // ...so the third connection must be bounced immediately.
     let r = client::get(addr, "/healthz").unwrap();
     assert_eq!(r.status, 503);
     assert_eq!(r.header("retry-after"), Some("1"));
 
     // Release the worker and the queued connection so shutdown drains
-    // without waiting out read timeouts, then verify recovery.
+    // without waiting out read timeouts, then verify recovery: once the
+    // worker is through both, the probe is the only request in flight.
+    drop(held_reader);
     drop(held);
     drop(queued);
-    std::thread::sleep(Duration::from_millis(100));
+    let stats = wait_for_stats(addr);
+    assert!(stats.contains("\"in_flight\":1"), "{stats}");
     let r = client::get(addr, "/healthz").unwrap();
     assert_eq!(r.status, 200, "server must recover once the pool frees up");
     h.shutdown();

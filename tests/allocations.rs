@@ -12,10 +12,10 @@
 //! deltas.
 
 use gcx::core::buffer::{AttrBuf, BufferTree, NodeId, Ordinals};
-use gcx::core::stream::Preprojector;
+use gcx::core::stream::Projector;
 use gcx::projection::{analyze, CompiledPaths, StreamMatcher};
 use gcx::query::ast::RoleId;
-use gcx::xml::{SymbolTable, Tokenizer};
+use gcx::xml::{PushTokenizer, SymbolTable, TokenStep, Tokenizer};
 
 #[global_allocator]
 static ALLOC: gcx::memtrack::TrackingAllocator = gcx::memtrack::TrackingAllocator::new();
@@ -44,7 +44,7 @@ fn tokenize_allocs(doc: &str) -> u64 {
     gcx::memtrack::total_allocs() - before
 }
 
-/// Allocation events consumed by a full preprojector pass (tokenizer +
+/// Allocation events consumed by a full projector pass (tokenizer +
 /// projection NFA + buffer appends and purges). The query's projection
 /// path keeps every `item` speculatively and purges it at its end tag —
 /// the steady-state append/purge cycle.
@@ -56,10 +56,28 @@ fn preproject_allocs(doc: &str) -> u64 {
     let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
     let (matcher, _) = StreamMatcher::new(&compiled);
     let mut buf = BufferTree::new(true);
-    let mut pre = Preprojector::new(Tokenizer::from_str(doc), matcher, true, None);
-    while pre.advance(&mut buf, &mut symbols).unwrap() {}
+    let mut proj = Projector::new(matcher, true, None);
+    let mut tok = PushTokenizer::new();
+    tok.feed(doc.as_bytes());
+    tok.finish_input();
+    while tok.step().unwrap() == TokenStep::Token {
+        proj.apply(&tok.token(), &mut buf, &mut symbols);
+    }
+    proj.finish(&mut buf);
     assert_eq!(buf.stats().live, 0, "speculative items must all purge");
     assert!(buf.stats().purged as usize >= doc.matches("<item").count());
+    gcx::memtrack::total_allocs() - before
+}
+
+/// Allocation events consumed by one lock-step batch over `doc`: three
+/// lanes that keep, emit and purge items, stepped off the shared scan.
+fn batch_allocs(queries: &[gcx::CompiledQuery], doc: &str) -> u64 {
+    let before = gcx::memtrack::total_allocs();
+    let report = gcx::multi::run_batch(queries, doc.as_bytes()).unwrap();
+    for run in &report.queries {
+        assert_eq!(run.report.as_ref().unwrap().buffer.live, 0);
+    }
+    assert!(report.fanout_events as usize > doc.matches("<item").count());
     gcx::memtrack::total_allocs() - before
 }
 
@@ -93,6 +111,27 @@ fn steady_state_token_loop_allocates_o1() {
         p_large <= p_small + 64,
         "preprojector steady state must be allocation-free: \
          {p_small} allocs vs {p_large} for twice the document"
+    );
+
+    // The multi-query batch: N lanes fed by reference off one scan keep
+    // the same contract — no event, name or role list is allocated per
+    // node, whatever the number of queries that keep it. (The slack
+    // covers the output vectors doubling a few more times.)
+    let batch: Vec<gcx::CompiledQuery> = [
+        "for $a in /site/item/zzz return 'x'",
+        "for $i in /site/item return $i/name",
+        "<r>{ for $i in /site/item return if (exists($i/price)) then $i/price/text() else () }</r>",
+    ]
+    .iter()
+    .map(|q| gcx::CompiledQuery::compile(q).unwrap())
+    .collect();
+    batch_allocs(&batch, &small);
+    let b_small = batch_allocs(&batch, &small);
+    let b_large = batch_allocs(&batch, &large);
+    assert!(
+        b_large <= b_small + 64,
+        "batch steady state must be allocation-free: \
+         {b_small} allocs vs {b_large} for twice the document"
     );
 
     // Direct buffer churn: append (with attributes, roles and text),

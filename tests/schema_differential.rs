@@ -21,6 +21,9 @@
 //! * pinned early-purge trigger counts on a fixed document, so a
 //!   regression that silently stops triggering (counters drop to 0 but
 //!   nothing else changes) still fails;
+//! * the same contract for the lanes of a `gcx-multi` batch run with a
+//!   schema: every lane's peak and trigger counts equal its stand-alone
+//!   schema-aware run;
 //! * DTD-unsatisfiable path pruning surfaced for Q17 (`person/homepage`
 //!   is absent from the trimmed XMark DTD);
 //! * in-stream `<!DOCTYPE site [...]>` adoption: a `--doctype`-generated
@@ -200,6 +203,51 @@ fn one_byte_chunks_with_schema() {
         let want = run_once(&q, &blind(), bytes);
         let got = run_split(&q, &aware(), bytes, &splits);
         assert_schema_free("1-byte chunks", &want, &got);
+    }
+}
+
+#[test]
+fn batch_lanes_apply_the_schema_like_standalone_runs() {
+    // A lane's buffer gets the sibling-order cutoffs and its share of the
+    // merged matcher's pruning and reach filter: per query, the batch is
+    // as schema-aware as the stand-alone engine — outputs identical to
+    // the blind run, peaks never worse, and in fact the very same peaks
+    // and early-purge triggers as the stand-alone aware run.
+    let batch: Vec<CompiledQuery> = queries::paper_queries()
+        .iter()
+        .map(|(_, text)| CompiledQuery::compile(text).expect("compile"))
+        .collect();
+    let run = gcx::multi::SharedRun::new(gcx::multi::BatchOptions {
+        schema: Some(Dtd::xmark()),
+        ..Default::default()
+    });
+    for (kb, seed) in [(96, 0x6C_78_67), (48, 42)] {
+        let doc = xmark(kb, seed);
+        let report = run.run(&batch, doc.as_bytes()).expect("batch");
+        for (((name, _), q), lane) in queries::paper_queries()
+            .iter()
+            .zip(&batch)
+            .zip(report.queries)
+        {
+            let label = format!("{name} in a batch ({kb}KB seed {seed})");
+            let lane = (lane.output, lane.report.expect("lane report"));
+            let want = run_once(q, &blind(), doc.as_bytes());
+            // A lane counts the events it received, not the scan's tokens.
+            let mut blind_events = want.clone();
+            blind_events.1.tokens = lane.1.tokens;
+            assert_schema_free(&label, &blind_events, &lane);
+            let alone = run_once(q, &aware(), doc.as_bytes()).1;
+            assert_eq!(
+                lane.1.buffer.peak_live_bytes, alone.buffer.peak_live_bytes,
+                "{label}: lane peak differs from the stand-alone aware run"
+            );
+            let (l, a) = (lane.1.schema.unwrap(), alone.schema.unwrap());
+            assert_eq!(
+                (l.early_scan_ends, l.early_signoffs),
+                (a.early_scan_ends, a.early_signoffs),
+                "{label}: early-purge triggers differ from the stand-alone aware run"
+            );
+        }
     }
 }
 
