@@ -3,7 +3,7 @@
 //! `ablation` binary's memory table.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gcx_core::{CompiledQuery, EngineOptions};
+use gcx_core::{CompiledQuery, EngineMode, EngineOptions};
 use gcx_xmark::queries;
 
 fn bench_ablation(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_ablation(c: &mut Criterion) {
         (
             "gc_only",
             EngineOptions {
-                project: false,
+                mode: EngineMode::GcOnly,
                 ..EngineOptions::gcx()
             },
         ),

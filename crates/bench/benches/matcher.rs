@@ -1,30 +1,25 @@
-//! Microbenchmark: the stream projector (projection NFA + buffering),
-//! isolated from query evaluation — the per-token cost of static
-//! projection, including subtree skipping.
+//! Microbenchmark: the stream preprojector (projection NFA + buffering)
+//! with as little query evaluation behind it as a session allows — the
+//! per-token cost of static projection, including subtree skipping.
+//! signOffs are off, so the evaluator only walks its loops.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gcx_core::buffer::BufferTree;
-use gcx_core::stream::Projector;
-use gcx_projection::{analyze, CompiledPaths, StreamMatcher};
+use gcx_core::{CompiledQuery, EngineMode, EngineOptions};
 use gcx_xmark::queries;
-use gcx_xml::{PushTokenizer, SymbolTable, TokenStep};
 
 fn project_document(query: &str, doc: &str, project: bool) -> u64 {
-    let q = gcx_query::compile(query).unwrap();
-    let a = analyze(&q);
-    let mut symbols = SymbolTable::new();
-    let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
-    let (matcher, _) = StreamMatcher::new(&compiled);
-    let mut buf = BufferTree::new(project);
-    let mut proj = Projector::new(matcher, project, None);
-    let mut tok = PushTokenizer::new();
-    tok.feed(doc.as_bytes());
-    tok.finish_input();
-    while tok.step().unwrap() == TokenStep::Token {
-        proj.apply(&tok.token(), &mut buf, &mut symbols);
-    }
-    proj.finish(&mut buf);
-    buf.stats().allocated
+    let q = CompiledQuery::compile(query).unwrap();
+    let mode = if project {
+        EngineMode::ProjectionOnly
+    } else {
+        EngineMode::FullBuffering
+    };
+    let mut session = q.session(&EngineOptions {
+        mode,
+        ..EngineOptions::gcx()
+    });
+    session.feed(doc.as_bytes()).unwrap();
+    session.finish().unwrap().buffer.allocated
 }
 
 fn bench_matcher(c: &mut Criterion) {

@@ -14,7 +14,7 @@
 //! ```
 
 use gcx_bench::{fmt_duration, run_streaming, xmark_file};
-use gcx_core::{CompiledQuery, EngineOptions};
+use gcx_core::{CompiledQuery, EngineMode, EngineOptions};
 use gcx_memtrack as memtrack;
 use gcx_xmark::queries;
 
@@ -58,7 +58,7 @@ fn main() {
     );
     // GC without projection: everything is buffered but signOffs still purge.
     let gc_only = EngineOptions {
-        project: false,
+        mode: EngineMode::GcOnly,
         ..EngineOptions::gcx()
     };
     measure("GC only (no projection)", &q6, &gc_only, &path);

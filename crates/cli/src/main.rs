@@ -212,7 +212,9 @@ fn compile_members(q: &CompiledQuery) -> String {
         q.compile_micros,
         // Inline the program stats object's members.
         st.to_json().trim_start_matches('{').trim_end_matches('}'),
-        q.unoptimized.stats().instructions,
+        q.opt
+            .as_ref()
+            .map_or(st.instructions, |o| o.before.instructions),
         st.instructions,
         q.opt
             .as_ref()

@@ -5,8 +5,8 @@
 //! <https://ui.perfetto.dev>. Each run contributes:
 //!
 //! * a **feed lane** of `"X"` complete events — one per `feed` call,
-//!   on the real process clock (push-mode runs only; the shared-stream
-//!   batch has no per-query feed clock);
+//!   on the real process clock (for a query of a batch: the feeds of
+//!   the shared scan);
 //! * a **`live_bytes` counter track** — the buffer's byte occupancy
 //!   timeline. When feed spans exist the token-indexed samples are
 //!   mapped linearly onto the run's wall-clock window; otherwise the

@@ -1,11 +1,10 @@
-//! Public engine API: compile once, run many times, in any of the three
+//! Public engine API: compile once, run many times, in any of the
 //! buffer-management configurations the experiments compare.
 
 use crate::buffer::BufferStats;
 use crate::error::EngineError;
 use crate::obs::ObsReport;
-use crate::session::EvalSession;
-use crate::stream::Timeline;
+use crate::session::{EvalSession, Timeline};
 use gcx_ir::{OptReport, Program};
 use gcx_projection::{analyze, Analysis};
 use gcx_query::Query;
@@ -31,10 +30,6 @@ pub struct CompiledQuery {
     /// The program the evaluator executes (shared, immutable). This is
     /// the optimized program unless compilation disabled the optimizer.
     pub program: Arc<Program>,
-    /// The direct lowering, before any optimizer pass (kept for
-    /// explain's before/after listing; identical to `program` when the
-    /// optimizer was disabled).
-    pub unoptimized: Arc<Program>,
     /// What the optimizer did (None when it was disabled).
     pub opt: Option<OptReport>,
     /// Wall-clock cost of the whole compilation pipeline
@@ -64,19 +59,18 @@ impl CompiledQuery {
         let started = Instant::now();
         let query = gcx_query::compile(text)?;
         let analysis = analyze(&query);
-        let unoptimized = Arc::new(Program::compile(&query, &analysis));
+        let lowered = Program::compile(&query, &analysis);
         let (program, opt) = if optimize {
-            let (optimized, report) = gcx_ir::optimize(&unoptimized);
-            (Arc::new(optimized), Some(report))
+            let (optimized, report) = gcx_ir::optimize(&lowered);
+            (optimized, Some(report))
         } else {
-            (Arc::clone(&unoptimized), None)
+            (lowered, None)
         };
         let compile_micros = started.elapsed().as_micros() as u64;
         Ok(CompiledQuery {
             query,
             analysis,
-            program,
-            unoptimized,
+            program: Arc::new(program),
             opt,
             compile_micros,
         })
@@ -113,7 +107,8 @@ impl CompiledQuery {
         out.push_str(&self.analysis.rewritten.to_string());
         out.push('\n');
         out.push_str("\n== Compiled program (gcx-ir, unoptimized) ==\n");
-        out.push_str(&self.unoptimized.listing());
+        // The direct lowering is not kept on the artifact: redo it.
+        out.push_str(&Program::compile(&self.query, &self.analysis).listing());
         if let Some(opt) = &self.opt {
             out.push_str("\n== Optimizer passes ==\n");
             for p in &opt.passes {
@@ -133,23 +128,51 @@ impl CompiledQuery {
     }
 }
 
-/// Buffer-management configuration. The three presets span the comparison
-/// axis of the paper's evaluation (Figure 5):
-///
-/// * [`EngineOptions::gcx`] — static projection **and** dynamic buffer
-///   minimization via active garbage collection (the paper's system);
-/// * [`EngineOptions::projection_only`] — static projection, no dynamic
-///   purging (the FluXQuery / projection-based-systems class);
-/// * [`EngineOptions::full_buffering`] — everything buffered (the naive
-///   in-memory engine class).
+/// The buffer-management strategy: the {static projection} × {active
+/// garbage collection} grid. The first three span the comparison axis of
+/// the paper's evaluation (Figure 5); the fourth completes the grid for
+/// the ablation study.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineMode {
+    /// Static projection **and** dynamic buffer minimization via active
+    /// garbage collection (the paper's system).
+    Gcx,
+    /// Static projection; signOffs are ignored, so the buffer grows to
+    /// the size of the projected document, minus role-free subtrees
+    /// reclaimed when they close (the FluXQuery / projection-based-systems
+    /// class).
+    ProjectionOnly,
+    /// No projection, no reclamation: the whole document is buffered
+    /// (the naive in-memory engine class).
+    FullBuffering,
+    /// Everything is buffered, but signOffs still purge.
+    GcOnly,
+}
+
+impl EngineMode {
+    /// The stream preprojector skips what no projection path matches.
+    pub fn projects(self) -> bool {
+        matches!(self, EngineMode::Gcx | EngineMode::ProjectionOnly)
+    }
+
+    /// signOff statements execute (dynamic buffer minimization).
+    pub fn executes_signoffs(self) -> bool {
+        matches!(self, EngineMode::Gcx | EngineMode::GcOnly)
+    }
+
+    /// The buffer may reclaim dead subtrees at all.
+    pub fn purges(self) -> bool {
+        self != EngineMode::FullBuffering
+    }
+}
+
+/// Engine configuration. The three presets — [`EngineOptions::gcx`],
+/// [`EngineOptions::projection_only`], [`EngineOptions::full_buffering`]
+/// — select the [`EngineMode`] of the same name.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Run the stream preprojector's skip logic (static projection).
-    pub project: bool,
-    /// Execute signOff statements (dynamic buffer minimization).
-    pub execute_signoffs: bool,
-    /// Allow the buffer to reclaim dead subtrees at all.
-    pub purge: bool,
+    /// The buffer-management strategy.
+    pub mode: EngineMode,
     /// Read the rest of the input after evaluation completes (the paper's
     /// engines scan the full document; also validates well-formedness).
     pub drain_input: bool,
@@ -183,9 +206,7 @@ impl EngineOptions {
     /// The full GCX configuration: projection + active garbage collection.
     pub fn gcx() -> EngineOptions {
         EngineOptions {
-            project: true,
-            execute_signoffs: true,
-            purge: true,
+            mode: EngineMode::Gcx,
             drain_input: true,
             timeline_every: None,
             indent: None,
@@ -200,7 +221,7 @@ impl EngineOptions {
     /// the size of the projected document.
     pub fn projection_only() -> EngineOptions {
         EngineOptions {
-            execute_signoffs: false,
+            mode: EngineMode::ProjectionOnly,
             ..EngineOptions::gcx()
         }
     }
@@ -208,9 +229,7 @@ impl EngineOptions {
     /// No projection, no GC: the whole document is buffered.
     pub fn full_buffering() -> EngineOptions {
         EngineOptions {
-            project: false,
-            execute_signoffs: false,
-            purge: false,
+            mode: EngineMode::FullBuffering,
             ..EngineOptions::gcx()
         }
     }

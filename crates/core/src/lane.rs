@@ -1,253 +1,393 @@
-//! One query of a lock-step batch: see [`Lane`].
+//! The evaluation core: everything downstream of the keep/skip decision.
+//! See [`Lane`].
 
-use crate::buffer::{BufferTree, NodeId};
-use crate::engine::{CompiledQuery, EngineOptions, RunReport, SchemaReport};
+use crate::buffer::{AttrBuf, BufferStats, BufferTree, NodeId, Ordinals};
+use crate::engine::{CompiledQuery, EngineMode, RunReport, SchemaReport};
 use crate::error::EngineError;
 use crate::eval::{Vm, VmStatus};
-use crate::stream::BufferWriter;
+use crate::obs::FeedSpan;
 use gcx_query::ast::RoleId;
 use gcx_xml::{StartTag, Symbol, SymbolTable, WriterOptions, XmlWriter};
 use std::sync::Arc;
 
-/// Remap slot of a batch symbol this lane has not met yet.
-const UNSEEN: Symbol = Symbol(u32::MAX);
-
-/// A start tag as the shared scan hands it to its lanes: borrowed from
-/// the tokenizer window, names interned once in the batch's symbol table.
-#[derive(Debug, Clone, Copy)]
-pub struct SharedStart<'a> {
-    /// The tag name in the batch's symbol table.
-    pub name: Symbol,
-    /// The token itself (name, attributes, self-closing flag).
-    pub tag: &'a StartTag<'a>,
-    /// The attribute names in the batch's symbol table, parallel to
-    /// `tag.attrs`. Only read by lanes that keep the element, so the
-    /// driver may leave it empty when no lane does.
-    pub attr_names: &'a [Symbol],
-}
-
-/// What the shared scan contributes to every lane's [`RunReport`].
-#[derive(Debug, Clone, Copy, Default)]
+/// What the driver's scan contributes to a lane's [`RunReport`].
+#[derive(Debug, Clone, Default)]
 pub struct ScanFacts {
-    /// `feed` calls the shared input arrived in.
+    /// `feed` calls the input arrived in.
     pub feed_calls: u64,
-    /// Largest partial-token spillover the shared tokenizer held.
+    /// Largest partial-token spillover the tokenizer held.
     pub max_pending_bytes: u64,
-    /// High-water of the shared tokenizer window (telemetry only).
+    /// High-water of the tokenizer window (telemetry only).
     pub window_peak: u64,
+    /// One span per `feed` call (telemetry only, else empty).
+    pub feed_spans: Vec<FeedSpan>,
 }
 
-/// One query of a lock-step batch: the engine core with both the I/O
-/// *and* the projection decision inverted.
+impl ScanFacts {
+    /// Count a `feed` call that is about to be consumed; with `telemetry`
+    /// on, returns its start time for [`ScanFacts::feed_ended`].
+    pub fn feed_started(&mut self, telemetry: bool) -> Option<u64> {
+        self.feed_calls += 1;
+        telemetry.then(gcx_obs::now_micros)
+    }
+
+    /// Record the [`FeedSpan`] of the call `started` opened, if any: when
+    /// the chunk arrived, how long consuming it took, and its size — the
+    /// raw material of the Chrome-trace feed track.
+    pub fn feed_ended(&mut self, started: Option<u64>, bytes: usize) {
+        if let Some(start_us) = started {
+            self.feed_spans.push(FeedSpan {
+                start_us,
+                dur_us: gcx_obs::now_micros().saturating_sub(start_us),
+                bytes: bytes as u64,
+            });
+        }
+    }
+}
+
+/// Document child counters for ordinal stamping: every child — kept,
+/// skipped or text — bumps these, so positional predicates evaluate
+/// against true document positions. One instance per open kept element.
 ///
-/// An [`EvalSession`](crate::EvalSession) owns its tokenizer and matcher
-/// and is pushed bytes. A lane owns neither: a batch driver (`gcx-multi`)
-/// tokenizes the shared stream once, runs one merged projection matcher,
-/// and tells every lane what *its* stand-alone projector would have
-/// decided for the token — keep with these roles, or skip. The lane
-/// writes kept nodes straight into its own buffer from the borrowed token
-/// (no owned event in between) and resumes its evaluator the moment the
-/// recorded wait becomes satisfiable: append → check the byte budget →
-/// resume, the interleaving of a session's pump. Buffer contents, purge
-/// order and peaks are therefore those of a stand-alone run, whatever the
-/// other lanes of the batch do.
+/// Same-name counts live in a small vector (elements have few distinct
+/// child names; a hash map would pay hashing and allocation per child),
+/// and instances are pooled by the [`Lane`] so opening an element
+/// allocates nothing in steady state.
+#[derive(Debug, Default)]
+struct ChildCounters {
+    elem_children: u32,
+    text_children: u32,
+    any_children: u32,
+    by_name: Vec<(Symbol, u32)>,
+}
+
+impl ChildCounters {
+    /// Reset for reuse (pooling), keeping capacity.
+    fn clear(&mut self) {
+        self.elem_children = 0;
+        self.text_children = 0;
+        self.any_children = 0;
+        self.by_name.clear();
+    }
+
+    /// Register an element child named `name`; returns its ordinals.
+    fn next_elem(&mut self, name: Symbol) -> Ordinals {
+        self.elem_children += 1;
+        self.any_children += 1;
+        let same = match self.by_name.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, c)) => {
+                *c += 1;
+                *c
+            }
+            None => {
+                self.by_name.push((name, 1));
+                1
+            }
+        };
+        Ordinals {
+            same_kind: same,
+            elem: self.elem_children,
+            any: self.any_children,
+        }
+    }
+
+    /// Register a text child; returns its ordinals.
+    fn next_text(&mut self) -> Ordinals {
+        self.text_children += 1;
+        self.any_children += 1;
+        Ordinals {
+            same_kind: self.text_children,
+            elem: self.elem_children,
+            any: self.any_children,
+        }
+    }
+}
+
+/// One open kept element.
+#[derive(Debug)]
+struct OpenEntry {
+    node: NodeId,
+    counters: ChildCounters,
+}
+
+/// Whether the lane still evaluates.
+#[derive(Debug)]
+enum Health {
+    Live,
+    /// The error that stopped it, until [`Lane::take_failure`] or
+    /// [`Lane::finish`] hands it out.
+    Failed(EngineError),
+    /// Finished, or failed and reported.
+    Over,
+}
+
+/// The evaluation core of one query over one document: buffer, evaluator,
+/// symbol table and output, with the I/O *and* the projection decision
+/// outside.
+///
+/// A driver tokenizes the stream, decides per token whether this query's
+/// projection keeps it and with which roles, and tells the lane:
+/// [`start_element`](Lane::start_element) /
+/// [`end_element`](Lane::end_element) / [`text`](Lane::text) write the
+/// node into the buffer with its true document ordinals,
+/// [`tick`](Lane::tick) moves the token clock, and [`step`](Lane::step)
+/// enforces the byte budget and resumes the evaluator the moment what it
+/// waits for may have arrived. [`EvalSession`](crate::EvalSession) drives
+/// one lane from its own tokenizer and matcher; `gcx-multi` drives N of
+/// them in lock-step off one shared scan and one merged matcher. The lane
+/// cannot tell which: buffer contents, purge order and peaks depend only
+/// on the events it is shown.
 ///
 /// A lane that fails (buffer budget, evaluator error) turns inert: it
-/// ignores further events and reports the error from [`Lane::finish`];
-/// its peers never notice.
+/// ignores further events and reports the error from
+/// [`Lane::take_failure`] or [`Lane::finish`].
 pub struct Lane {
     vm: Vm,
     buf: BufferTree,
     /// The run's symbol table, seeded from the program's pre-interned one.
     symbols: SymbolTable,
     out: XmlWriter<Vec<u8>>,
-    writer: BufferWriter,
-    /// Batch symbol → this lane's symbol, filled on first use: a name is
-    /// interned into `symbols` once per document, not once per event.
-    remap: Vec<Symbol>,
-    /// Depth inside a subtree this lane skipped while some other lane
-    /// keeps it (0 = in this lane's kept region).
-    skip_depth: u32,
-    /// Events delivered to this lane (kept starts, their ends, kept
-    /// text, end of input) — its private share of the stream.
-    events: u64,
+    /// The chain of open *kept* elements (the top is the parent of
+    /// incoming nodes), each with its document child counters.
+    open: Vec<OpenEntry>,
+    /// Attribute storage for the element being appended (the
+    /// zero-allocation handshake with
+    /// [`BufferTree::append_element_with_attrs`]).
+    attr_scratch: AttrBuf,
+    /// Recycled child counters of closed elements.
+    counter_pool: Vec<ChildCounters>,
+    /// Structural tokens the driver charged to this lane ([`Lane::tick`]).
+    clock: u64,
+    /// An event changed the buffer or a schema cutoff since the last
+    /// [`Lane::step`] (or no step has run yet).
+    touched: bool,
     vm_done: bool,
-    failed: Option<EngineError>,
+    health: Health,
 }
 
 impl Lane {
-    /// Open a lane for `q` and run its program up to the first suspension.
-    /// Of `opts`, the buffer policy (`purge`, `execute_signoffs`,
-    /// `max_buffer_bytes`), `indent`, `telemetry` and an explicit `schema`
-    /// (sibling-order cutoffs) apply; projection and end-of-input draining
-    /// are the shared scan's business, and an in-stream DOCTYPE is not
-    /// adopted.
-    pub fn start(q: &CompiledQuery, opts: &EngineOptions) -> Lane {
-        let mut symbols = q.program.symbols().clone();
-        let mut buf = BufferTree::new(opts.purge);
-        buf.set_max_bytes(opts.max_buffer_bytes);
-        if let Some(dtd) = &opts.schema {
-            buf.set_schema(dtd.ord_table(&mut symbols), false);
-        }
-        let mut vm = Vm::new(Arc::clone(&q.program), opts.execute_signoffs);
-        if opts.telemetry {
+    /// Open a lane for `q`; the first [`Lane::step`] runs its program up
+    /// to the first suspension. `mode` selects the buffer policy (whether
+    /// signOffs execute, whether the buffer purges); what is *shown* to
+    /// the lane is the driver's business.
+    pub fn start(
+        q: &CompiledQuery,
+        mode: EngineMode,
+        max_buffer_bytes: Option<u64>,
+        indent: Option<String>,
+        telemetry: bool,
+    ) -> Lane {
+        let mut buf = BufferTree::new(mode.purges());
+        buf.set_max_bytes(max_buffer_bytes);
+        let mut vm = Vm::new(Arc::clone(&q.program), mode.executes_signoffs());
+        if telemetry {
             buf.enable_telemetry(crate::obs::DEFAULT_TIMELINE_EVERY);
             vm.enable_timing();
         }
-        let out = XmlWriter::with_options(
-            Vec::new(),
-            WriterOptions {
-                indent: opts.indent.clone(),
-            },
-        );
-        let mut lane = Lane {
+        Lane {
             vm,
             buf,
-            symbols,
-            out,
-            writer: BufferWriter::new(),
-            remap: Vec::new(),
-            skip_depth: 0,
-            events: 0,
+            // The once-at-startup symbol handshake: cloning the program's
+            // pre-interned table maps every query symbol into the run's
+            // table.
+            symbols: q.program.symbols().clone(),
+            out: XmlWriter::with_options(Vec::new(), WriterOptions { indent }),
+            open: vec![OpenEntry {
+                node: NodeId::ROOT,
+                counters: ChildCounters::default(),
+            }],
+            attr_scratch: AttrBuf::new(),
+            counter_pool: Vec::new(),
+            clock: 0,
+            // The program has not started: the first step must run it.
+            touched: true,
             vm_done: false,
-            failed: None,
-        };
-        let first = lane.resume();
-        lane.settle(first);
-        lane
+            health: Health::Live,
+        }
     }
 
-    /// True while the lane is alive and outside any subtree it skipped:
-    /// the next token is a child of its innermost open kept element.
-    #[inline]
-    pub fn in_kept_region(&self) -> bool {
-        self.failed.is_none() && self.skip_depth == 0
+    /// The run's symbol table: drivers intern the names they hand over
+    /// (and a schema's names) here.
+    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
+        &mut self.symbols
     }
 
-    /// A start tag in a region at least one lane of the batch can see
-    /// (not inside a merged skip). `roles` is this lane's decision:
-    /// `Some` = keep with these role instances, `None` = skip. `any_keep`
-    /// says whether *some* lane keeps the element — if none does, the
-    /// driver hides the whole subtree, so its end tag will not arrive
-    /// here either. Returns whether the element was delivered (appended).
+    /// Install `dtd`'s sibling-order cutoffs in the buffer.
+    /// `doctype_adopted` marks a DTD picked up from the stream rather
+    /// than configured; it only affects reporting.
+    pub fn set_schema(&mut self, dtd: &gcx_schema::Dtd, doctype_adopted: bool) {
+        self.buf
+            .set_schema(dtd.ord_table(&mut self.symbols), doctype_adopted);
+    }
+
+    /// Whether sibling-order cutoffs are installed.
+    pub fn schema_active(&self) -> bool {
+        self.buf.schema_active()
+    }
+
+    /// A start tag — borrowed from the tokenizer window — that is a child
+    /// of the innermost open kept element; `name` is the tag name and
+    /// `attr_names` the attribute names (parallel to `tag.attrs`) in the
+    /// lane's symbol table ([`Lane::symbols_mut`]). `roles` is the
+    /// driver's decision: `Some` = keep with these role instances, `None`
+    /// = skip — the lane only counts the child (`attr_names` is not
+    /// read), and the driver hides the subtree and its end tag. Returns
+    /// whether the element was appended.
     #[inline]
     pub fn start_element(
         &mut self,
-        start: &SharedStart<'_>,
+        name: Symbol,
+        tag: &StartTag<'_>,
+        attr_names: &[Symbol],
         roles: Option<&[(RoleId, u32)]>,
-        any_keep: bool,
     ) -> bool {
-        let self_closing = start.tag.self_closing;
-        if self.failed.is_some() {
-            return false;
-        }
-        if self.skip_depth > 0 {
-            if !self_closing && any_keep {
-                self.skip_depth += 1;
-            }
+        if !matches!(self.health, Health::Live) {
             return false;
         }
         // Every child bumps the ordinals — and, with a schema, the
         // sibling-order cutoffs — kept or not: positional predicates see
         // true document positions, and a skipped later sibling is just as
-        // much proof that earlier particles are done.
-        let ordinals = self.writer.next_elem(start.name);
-        let schema = self.buf.schema_active();
-        if schema {
-            let name = local(
-                &mut self.remap,
-                &mut self.symbols,
-                start.name,
-                start.tag.name,
-            );
-            let (parent, _) = self.writer.top();
+        // much proof that earlier particles are done (the cutoff alone
+        // can be what the machine waits for).
+        let top = self.open.last_mut().expect("open stack never empty");
+        let ordinals = top.counters.next_elem(name);
+        let parent = top.node;
+        if self.buf.schema_active() {
             self.buf.schema_note_child(parent, name);
+            self.touched = true;
         }
         let Some(roles) = roles else {
-            if any_keep && !self_closing {
-                self.skip_depth = 1;
-            }
-            if schema {
-                // Nothing was appended, but the cutoff alone can be what
-                // the machine waits for.
-                let result = self.resume_if_satisfied();
-                self.settle(result);
-            }
             return false;
         };
-        let Lane {
-            symbols,
-            remap,
-            writer,
-            buf,
-            ..
-        } = self;
-        let name = local(remap, symbols, start.name, start.tag.name);
-        let attrs = start
-            .tag
-            .attrs
-            .iter()
-            .zip(start.attr_names)
-            .map(|(a, &batch)| (local(remap, symbols, batch, a.name), a.value));
-        writer.append_element(buf, name, attrs, roles, ordinals, true);
-        if self_closing {
-            writer.close_element(buf);
+        self.attr_scratch.clear();
+        for (a, &attr_name) in tag.attrs.iter().zip(attr_names) {
+            self.attr_scratch.push(attr_name, a.value);
         }
-        self.delivered();
+        let node = self.buf.append_element_with_attrs(
+            parent,
+            name,
+            &mut self.attr_scratch,
+            roles,
+            ordinals,
+        );
+        let counters = self.counter_pool.pop().unwrap_or_default();
+        self.open.push(OpenEntry { node, counters });
+        if tag.self_closing {
+            self.close_top();
+        }
+        self.touched = true;
         true
     }
 
-    /// The end tag of an element that reached [`Lane::start_element`]
-    /// with `any_keep` set. Returns whether it was delivered (closed a
-    /// node this lane keeps).
+    /// The end tag of the innermost open kept element. Returns whether
+    /// it was closed (false only on a failed lane).
     #[inline]
     pub fn end_element(&mut self) -> bool {
-        if self.failed.is_some() {
+        if !matches!(self.health, Health::Live) {
             return false;
         }
-        if self.skip_depth > 0 {
-            self.skip_depth -= 1;
-            return false;
-        }
-        self.writer.close_element(&mut self.buf);
-        self.delivered();
+        self.close_top();
+        self.touched = true;
         true
     }
 
-    /// A text node outside any merged skip, with this lane's roles for
-    /// it (empty = the lane does not buffer it, only counts it). Returns
-    /// whether it was delivered.
+    /// A text child of the innermost open kept element: `Some(roles)` =
+    /// buffer it with these role instances, `None` = only count it.
+    /// Returns whether it was appended.
     #[inline]
-    pub fn text(&mut self, content: &str, roles: &[(RoleId, u32)]) -> bool {
-        if !self.in_kept_region() {
+    pub fn text(&mut self, content: &str, roles: Option<&[(RoleId, u32)]>) -> bool {
+        if !matches!(self.health, Health::Live) {
             return false;
         }
-        let ordinals = self.writer.next_text();
-        if roles.is_empty() {
+        let top = self.open.last_mut().expect("open stack never empty");
+        let ordinals = top.counters.next_text();
+        let Some(roles) = roles else {
             return false;
-        }
-        self.writer
-            .append_text(&mut self.buf, content, roles, ordinals);
-        self.delivered();
+        };
+        self.buf.append_text(top.node, content, roles, ordinals);
+        self.touched = true;
         true
     }
 
-    /// Bytes this lane's buffer holds right now (0 once it failed).
-    pub fn live_bytes(&self) -> u64 {
-        self.buf.stats().live_bytes
+    /// One structural token went by, as the driver counts them for this
+    /// lane — a session charges every token of the stream (skipped ones
+    /// included, a self-closing tag twice), a batch the events it
+    /// delivered. Residency telemetry is measured on this clock and
+    /// [`RunReport::tokens`] reports it.
+    #[inline]
+    pub fn tick(&mut self) {
+        self.clock += 1;
+        self.buf.tick(self.clock);
+    }
+
+    /// The current token is complete: if it changed anything, enforce the
+    /// byte budget, then let the machine run if what it waits for may
+    /// have arrived (resuming while the recorded wait is unsatisfied
+    /// would be a provable no-op; see `Vm::wait_satisfied`).
+    #[inline]
+    pub fn step(&mut self) {
+        if !std::mem::take(&mut self.touched) {
+            return;
+        }
+        let result = self.buf.check_limit().and_then(|()| {
+            if !self.vm_done && self.vm.wait_satisfied(&self.buf) {
+                self.resume()
+            } else {
+                Ok(())
+            }
+        });
+        self.settle(result);
+    }
+
+    /// The program ran to completion: no further output will be produced.
+    pub fn done(&self) -> bool {
+        self.vm_done
+    }
+
+    /// Structural tokens charged so far ([`Lane::tick`]).
+    pub fn tokens(&self) -> u64 {
+        self.clock
+    }
+
+    /// The buffer's statistics right now (a failed lane's are zero).
+    pub fn buffer_stats(&self) -> BufferStats {
+        self.buf.stats()
+    }
+
+    /// The output produced and not yet drained.
+    pub fn output(&self) -> &[u8] {
+        self.out.get_ref()
+    }
+
+    /// The pending output, for the driver to drain.
+    pub fn output_mut(&mut self) -> &mut Vec<u8> {
+        self.out.get_mut()
+    }
+
+    /// The error that stopped the lane, handed out once; the lane stays
+    /// inert.
+    pub fn take_failure(&mut self) -> Option<EngineError> {
+        if !matches!(self.health, Health::Failed(_)) {
+            return None;
+        }
+        match std::mem::replace(&mut self.health, Health::Over) {
+            Health::Failed(e) => Some(e),
+            _ => None,
+        }
     }
 
     /// End of input — the lane's last event: close the virtual root, run
-    /// the program to completion and hand back the output with the run's
-    /// report (or the error that stopped the lane). Everything else the
-    /// lane held is released here.
+    /// the program to completion and assemble the run's report from the
+    /// lane's own measurements plus the driver's `scan` and `schema`
+    /// facts (the cutoff counters are filled in here). Returns the error
+    /// instead if the lane failed, now or earlier. The output stays
+    /// drainable.
     pub fn finish(
-        mut self,
-        scan: ScanFacts,
+        &mut self,
+        scan: &ScanFacts,
         schema: Option<SchemaReport>,
-    ) -> (Vec<u8>, Result<RunReport, EngineError>) {
-        if self.failed.is_none() {
-            self.events += 1;
+    ) -> Result<RunReport, EngineError> {
+        if matches!(self.health, Health::Live) {
             self.buf.close(NodeId::ROOT);
             let mut result = self.buf.check_limit();
             if result.is_ok() && !self.vm_done {
@@ -259,16 +399,21 @@ impl Lane {
             let result = result.and_then(|()| Ok(self.out.flush()?));
             self.settle(result);
         }
-        if let Some(e) = self.failed {
-            return (std::mem::take(self.out.get_mut()), Err(e));
+        match std::mem::replace(&mut self.health, Health::Over) {
+            Health::Live => {}
+            Health::Failed(e) => return Err(e),
+            Health::Over => return Err(EngineError::Internal("Lane::finish after the end".into())),
         }
-        let obs = self
-            .buf
-            .take_telemetry()
-            .map(|tel| tel.into_report(self.vm.take_task_obs(), Vec::new(), scan.window_peak));
-        let (early_scan_ends, early_signoffs, _) = self.buf.schema_counters();
-        let report = RunReport {
-            tokens: self.events,
+        let obs = self.buf.take_telemetry().map(|tel| {
+            tel.into_report(
+                self.vm.take_task_obs(),
+                scan.feed_spans.clone(),
+                scan.window_peak,
+            )
+        });
+        let (early_scan_ends, early_signoffs, doctype_adopted) = self.buf.schema_counters();
+        Ok(RunReport {
+            tokens: self.clock,
             buffer: self.buf.stats(),
             timeline: None,
             output_bytes: self.out.bytes_written(),
@@ -279,32 +424,20 @@ impl Lane {
             schema: schema.map(|s| SchemaReport {
                 early_scan_ends,
                 early_signoffs,
+                doctype_adopted,
                 ..s
             }),
-        };
-        (std::mem::take(self.out.get_mut()), Ok(report))
+        })
     }
 
-    /// One event reached the buffer: enforce the byte budget, then let
-    /// the machine run if what it waits for may have arrived.
+    /// Close the innermost open element (its end tag arrived).
     #[inline]
-    fn delivered(&mut self) {
-        self.events += 1;
-        self.buf.tick(self.events);
-        let result = self
-            .buf
-            .check_limit()
-            .and_then(|()| self.resume_if_satisfied());
-        self.settle(result);
-    }
-
-    #[inline]
-    fn resume_if_satisfied(&mut self) -> Result<(), EngineError> {
-        if !self.vm_done && self.vm.wait_satisfied(&self.buf) {
-            self.resume()
-        } else {
-            Ok(())
-        }
+    fn close_top(&mut self) {
+        let mut entry = self.open.pop().expect("unbalanced end tag past tokenizer");
+        debug_assert!(entry.node != NodeId::ROOT, "root popped before EOF");
+        self.buf.close(entry.node);
+        entry.counters.clear();
+        self.counter_pool.push(entry.counters);
     }
 
     fn resume(&mut self) -> Result<(), EngineError> {
@@ -319,25 +452,12 @@ impl Lane {
 
     /// Record a failure: the lane turns inert and gives its buffer back
     /// at once (a lane over its budget must not hold the memory to the
-    /// end of the batch).
+    /// end of a batch).
     #[inline]
     fn settle(&mut self, result: Result<(), EngineError>) {
         if let Err(e) = result {
-            self.failed = Some(e);
+            self.health = Health::Failed(e);
             self.buf = BufferTree::new(false);
         }
     }
-}
-
-/// This lane's symbol for batch symbol `batch`, spelled `name`.
-#[inline]
-fn local(remap: &mut Vec<Symbol>, symbols: &mut SymbolTable, batch: Symbol, name: &str) -> Symbol {
-    let i = batch.index();
-    if i >= remap.len() {
-        remap.resize(i + 1, UNSEEN);
-    }
-    if remap[i] == UNSEEN {
-        remap[i] = symbols.intern(name);
-    }
-    remap[i]
 }

@@ -11,13 +11,18 @@
 //! stage is a resumable state machine over pushed stream events, and
 //! [`EvalSession`] is their composition — the push-driven public API
 //! (`feed` bytes in, drain output out, suspend at any byte boundary).
-//! [`run`] is the blocking wrapper over it, and a [`Lane`] is the same
-//! buffer + evaluator pair with the tokenizer and the matcher outside:
-//! one query of a batch that `gcx-multi` steps in lock-step off a single
-//! shared scan.
+//! [`run`] is the blocking wrapper over it.
 //!
-//! * [`Projector`] — runs the projection NFA over pushed tokens, copies
-//!   matched ones into the buffer;
+//! There is one evaluation core, the [`Lane`]: everything downstream of
+//! the keep/skip decision — buffer writes with document ordinals, the
+//! byte budget, resuming the evaluator when what it waits for arrived,
+//! failure capture, report assembly. A session is a tokenizer and the
+//! stream preprojector (projection NFA + skip counters) driving one lane;
+//! `gcx-multi` is one tokenizer and one merged matcher driving N lanes in
+//! lock-step off a single shared scan.
+//!
+//! * [`Lane`] — copies the tokens its driver keeps into the buffer and
+//!   steps the evaluator;
 //! * [`buffer::BufferTree`] — the buffer + role bookkeeping +
 //!   garbage collector;
 //! * the evaluator (`eval`, internal) — executes the rewritten query as
@@ -36,9 +41,9 @@
 //!
 //! ## Configurations
 //!
-//! [`EngineOptions`] selects between the full GCX strategy
+//! [`EngineOptions::mode`] selects between the full GCX strategy
 //! (projection + active GC), projection-only, and full buffering — the
-//! comparison axis of the paper's evaluation.
+//! comparison axis of the paper's evaluation ([`EngineMode`]).
 
 pub mod buffer;
 pub mod cursor;
@@ -48,12 +53,12 @@ mod eval;
 mod lane;
 pub mod obs;
 pub mod session;
-pub mod stream;
 
 pub use buffer::{AttrBuf, BufferStats, BufferTree, NodeId};
-pub use engine::{run, run_query, CompiledQuery, EngineOptions, RunReport, SchemaReport};
+pub use engine::{
+    run, run_query, CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaReport,
+};
 pub use error::EngineError;
-pub use lane::{Lane, ScanFacts, SharedStart};
+pub use lane::{Lane, ScanFacts};
 pub use obs::{FeedSpan, ObsReport, RoleObs, TaskObs};
-pub use session::{Emitted, EvalSession};
-pub use stream::{Projector, Timeline};
+pub use session::{Emitted, EvalSession, Timeline};

@@ -41,17 +41,12 @@
 //! assert_eq!(report.feed_calls, 2);
 //! ```
 
-use crate::buffer::BufferTree;
-use crate::engine::{CompiledQuery, EngineOptions, RunReport};
+use crate::engine::{CompiledQuery, EngineOptions, RunReport, SchemaReport};
 use crate::error::EngineError;
-use crate::eval::{Vm, VmStatus};
-use crate::obs::FeedSpan;
-use crate::stream::Projector;
+use crate::lane::{Lane, ScanFacts};
 use gcx_projection::StreamMatcher;
-use gcx_xml::{
-    PushTokenizer, SymbolTable, TextPos, TokenStep, WriterOptions, XmlError, XmlErrorKind,
-    XmlWriter,
-};
+use gcx_query::ast::RoleId;
+use gcx_xml::{PushTokenizer, Symbol, TextPos, Token, TokenStep, XmlError, XmlErrorKind};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -67,68 +62,107 @@ pub struct Emitted {
     pub done: bool,
 }
 
-/// Outcome of applying stream events from the tokenizer window.
-enum Pumped {
-    /// One token was applied to the buffer.
-    Applied,
-    /// The window ends mid-token: feed more bytes.
-    Starved,
-    /// End of input reached (virtual root closed).
-    Eof,
+/// Buffer-occupancy timeline: `(token index, live buffered nodes)` samples.
+#[derive(Debug, Clone, Default)]
+pub struct Timeline {
+    /// Sampled points in token order.
+    pub points: Vec<(u64, u64)>,
+    /// Sampling stride (1 = every token).
+    pub every: u64,
+}
+
+impl Timeline {
+    fn record(&mut self, token: u64, live: u64) {
+        if self.every > 0 && token.is_multiple_of(self.every) {
+            self.points.push((token, live));
+        }
+    }
+
+    /// Highest buffered-node count over the recorded samples.
+    pub fn peak(&self) -> u64 {
+        self.points.iter().map(|&(_, live)| live).max().unwrap_or(0)
+    }
 }
 
 /// A resumable, push-driven evaluation of one compiled query over one
 /// document. Create with [`CompiledQuery::session`]; see the
 /// [module docs](self) for the protocol.
 ///
-/// The session is the engine core with the I/O inverted: internally it
-/// owns the incremental tokenizer, the projection state machine, the
-/// buffer (with active garbage collection) and the resumable evaluator —
+/// The session is the paper's pipeline with the I/O inverted: it owns the
+/// incremental tokenizer and the stream preprojector (the projection
+/// matcher plus the keep/skip bookkeeping) and drives one [`Lane`] — the
+/// buffer with active garbage collection and the resumable evaluator —
 /// all suspended together between `feed` calls, holding exactly the GCX
 /// buffer plus the current partial token.
 pub struct EvalSession {
-    vm: Vm,
-    buf: BufferTree,
-    symbols: SymbolTable,
-    out: XmlWriter<Vec<u8>>,
     tok: PushTokenizer,
-    proj: Projector,
+    pre: Preprojection,
     drain_input: bool,
-    vm_done: bool,
     finished: bool,
-    feed_calls: u64,
-    max_pending_bytes: u64,
-    /// Telemetry enabled: record a [`FeedSpan`] per feed/commit call.
+    /// Telemetry enabled: record a feed span per feed/commit call.
     telemetry: bool,
-    feed_spans: Vec<FeedSpan>,
+    scan: ScanFacts,
     /// `(pruned, total)` projection-path counts when an explicit schema
     /// pruned the matcher (None without one).
     pruned_paths: Option<(u32, u32)>,
 }
 
+/// Everything of a session but the tokenizer: the stream preprojector
+/// (paper Figure 2, left component) in front of its lane. It takes one
+/// token at a time ("a lookahead of just one token"), runs the projection
+/// NFA and shows the lane what the query's projection keeps, with the
+/// role instances; irrelevant subtrees are skipped with a depth counter,
+/// zero per-path work and no call into the lane beyond the clock tick.
+struct Preprojection {
+    matcher: StreamMatcher,
+    lane: Lane,
+    /// Depth inside a skipped subtree (0 = not skipping).
+    skip_depth: u32,
+    /// Full buffering only: depth inside a subtree that is kept although
+    /// the matcher refused its top element. The matcher holds no frame in
+    /// there, so everything below is kept without roles and without
+    /// asking it.
+    unmatched_depth: u32,
+    /// Projection on (GCX / projection-only) or off: *every* element and
+    /// non-whitespace text node is buffered; roles are still assigned so
+    /// the evaluator and the signOff machinery behave identically.
+    project: bool,
+    timeline: Option<Timeline>,
+    /// The matcher's role output and the current element's attribute
+    /// names, reused across tokens.
+    role_scratch: Vec<(RoleId, u32)>,
+    attr_names: Vec<Symbol>,
+    /// Adopt sibling-order cutoffs from an in-stream DOCTYPE internal
+    /// subset (only when no schema is installed yet; parse failures are
+    /// ignored — an unusable DOCTYPE means "no schema", not an error).
+    adopt_doctype: bool,
+}
+
 impl EvalSession {
     pub(crate) fn new(q: &CompiledQuery, opts: &EngineOptions) -> EvalSession {
-        // The once-at-startup symbol handshake: cloning the program's
-        // pre-interned table maps every query symbol into the session's
-        // (and thereby the tokenizer's) table. The schema analyses intern
-        // their DTD names here too — before any document bytes arrive, so
-        // stream and analyses agree on symbols.
-        let mut symbols = q.program.symbols().clone();
-        let mut buf = BufferTree::new(opts.purge);
-        buf.set_max_bytes(opts.max_buffer_bytes);
+        let mut lane = Lane::start(
+            q,
+            opts.mode,
+            opts.max_buffer_bytes,
+            opts.indent.clone(),
+            opts.telemetry,
+        );
         // The projection NFA was compiled with the query; the per-run
         // matcher only instantiates mutable frame state over the shared
         // paths. Root roles (the paper's r1) are not materialized: the
         // virtual root is never purged, so its bookkeeping would be inert.
         // With a schema: drop DTD-unsatisfiable paths, arm the matcher's
         // descendant-reachability filter, and install sibling-order
-        // cutoffs in the buffer.
+        // cutoffs in the buffer — the analyses intern their DTD names
+        // before any document bytes arrive, so stream and analyses agree
+        // on symbols.
         let (matcher, _root_roles, pruned_paths) = match &opts.schema {
             Some(dtd) => {
-                let prune = dtd.prune(q.program.matcher_paths(), &symbols);
-                let reach = Arc::new(dtd.reach_filter(&mut symbols));
+                let symbols = lane.symbols_mut();
+                let prune = dtd.prune(q.program.matcher_paths(), symbols);
+                let reach = Arc::new(dtd.reach_filter(symbols));
                 let (m, r) = StreamMatcher::with_reach(&prune.paths, Some(reach));
-                buf.set_schema(dtd.ord_table(&mut symbols), false);
+                lane.set_schema(dtd, false);
                 (m, r, Some((prune.pruned.len() as u32, prune.total as u32)))
             }
             None => {
@@ -136,33 +170,26 @@ impl EvalSession {
                 (m, r, None)
             }
         };
-        let mut proj = Projector::new(matcher, opts.project, opts.timeline_every);
-        proj.set_doctype_adoption(opts.schema.is_none() && opts.schema_from_doctype);
-        let out = XmlWriter::with_options(
-            Vec::new(),
-            WriterOptions {
-                indent: opts.indent.clone(),
-            },
-        );
-        let mut vm = Vm::new(Arc::clone(&q.program), opts.execute_signoffs);
-        if opts.telemetry {
-            buf.enable_telemetry(crate::obs::DEFAULT_TIMELINE_EVERY);
-            vm.enable_timing();
-        }
         EvalSession {
-            vm,
-            buf,
-            symbols,
-            out,
             tok: PushTokenizer::new(),
-            proj,
+            pre: Preprojection {
+                matcher,
+                lane,
+                skip_depth: 0,
+                unmatched_depth: 0,
+                project: opts.mode.projects(),
+                timeline: opts.timeline_every.map(|every| Timeline {
+                    points: Vec::new(),
+                    every,
+                }),
+                role_scratch: Vec::new(),
+                attr_names: Vec::new(),
+                adopt_doctype: opts.schema.is_none() && opts.schema_from_doctype,
+            },
             drain_input: opts.drain_input,
-            vm_done: false,
             finished: false,
-            feed_calls: 0,
-            max_pending_bytes: 0,
             telemetry: opts.telemetry,
-            feed_spans: Vec::new(),
+            scan: ScanFacts::default(),
             pruned_paths,
         }
     }
@@ -188,7 +215,6 @@ impl EvalSession {
             // engine likewise stops reading at this point.
             return Ok(self.emitted());
         }
-        self.feed_calls += 1;
         self.tok.feed(chunk);
         self.pump_spanned(chunk.len())
     }
@@ -211,7 +237,6 @@ impl EvalSession {
                 "EvalSession::commit after finish".into(),
             ));
         }
-        self.feed_calls += 1;
         self.tok.commit(n);
         self.pump_spanned(n)
     }
@@ -221,7 +246,7 @@ impl EvalSession {
     /// drops chunks from then on; callers owning the byte source can stop
     /// reading it (the [`run`](crate::run) wrapper does).
     pub fn wants_input(&self) -> bool {
-        !self.vm_done || self.drain_input
+        !self.pre.lane.done() || self.drain_input
     }
 
     /// Declare the end of input and run evaluation to completion,
@@ -235,49 +260,28 @@ impl EvalSession {
             ));
         }
         self.tok.finish_input();
-        let emitted = self.pump()?;
-        debug_assert!(emitted.done, "EOF pump must complete the program");
+        self.pump()?;
         self.finished = true;
-        self.out.flush()?;
-        let obs = self.buf.take_telemetry().map(|tel| {
-            tel.into_report(
-                self.vm.take_task_obs(),
-                std::mem::take(&mut self.feed_spans),
-                self.tok.window_peak(),
-            )
-        });
+        self.scan.window_peak = self.tok.window_peak();
         // A schema was in effect when the matcher was schema-built
         // (explicit) or the buffer adopted a DOCTYPE's order table.
-        let schema = if self.pruned_paths.is_some() || self.buf.schema_active() {
-            let (early_scan_ends, early_signoffs, doctype_adopted) = self.buf.schema_counters();
-            let (pruned, total) = self.pruned_paths.unwrap_or((0, 0));
-            Some(crate::engine::SchemaReport {
-                pruned_paths: pruned,
-                total_paths: total,
-                reach_cuts: self.proj.reach_cuts(),
-                early_scan_ends,
-                early_signoffs,
-                doctype_adopted,
-            })
-        } else {
-            None
-        };
-        Ok(RunReport {
-            tokens: self.proj.tokens(),
-            buffer: self.buf.stats(),
-            timeline: self.proj.take_timeline(),
-            output_bytes: self.out.bytes_written(),
-            max_buffer_bytes: self.buf.max_bytes(),
-            feed_calls: self.feed_calls,
-            max_pending_bytes: self.max_pending_bytes,
-            obs,
-            schema,
-        })
+        let schema = (self.pruned_paths.is_some() || self.pre.lane.schema_active()).then(|| {
+            let (pruned_paths, total_paths) = self.pruned_paths.unwrap_or((0, 0));
+            SchemaReport {
+                pruned_paths,
+                total_paths,
+                reach_cuts: self.pre.matcher.reach_cuts(),
+                ..SchemaReport::default()
+            }
+        });
+        let mut report = self.pre.lane.finish(&self.scan, schema)?;
+        report.timeline = self.pre.timeline.take();
+        Ok(report)
     }
 
     /// Borrowed view of the output bytes pending in the session.
     pub fn output(&self) -> &[u8] {
-        self.out.get_ref()
+        self.pre.lane.output()
     }
 
     /// Drain pending output into `sink`; returns the bytes written.
@@ -288,7 +292,7 @@ impl EvalSession {
     /// the pending buffer before the error returns, so retrying (on the
     /// same or a replacement sink) never emits a byte twice.
     pub fn take_output<W: Write>(&mut self, sink: &mut W) -> Result<usize, EngineError> {
-        let pending = self.out.get_mut();
+        let pending = self.pre.lane.output_mut();
         let total = pending.len();
         let mut off = 0;
         while off < pending.len() {
@@ -320,13 +324,13 @@ impl EvalSession {
 
     /// `feed` calls so far.
     pub fn feed_calls(&self) -> u64 {
-        self.feed_calls
+        self.scan.feed_calls
     }
 
     /// Largest partial-token spillover held across a `feed` boundary so
     /// far (see [`RunReport::max_pending_bytes`]).
     pub fn max_pending_bytes(&self) -> u64 {
-        self.max_pending_bytes
+        self.scan.max_pending_bytes
     }
 
     /// Input position of the next byte to be tokenized (line/column for
@@ -344,91 +348,151 @@ impl EvalSession {
         })
     }
 
-    /// [`EvalSession::pump`] wrapped in a [`FeedSpan`] when telemetry is
-    /// on: when the chunk arrived, how long consuming it took, and its
-    /// size — the raw material of the Chrome-trace feed track.
+    /// [`EvalSession::pump`] as one counted (and, with telemetry on,
+    /// timed) feed call.
     fn pump_spanned(&mut self, bytes: usize) -> Result<Emitted, EngineError> {
-        if !self.telemetry {
-            return self.pump();
-        }
-        let start = gcx_obs::now_micros();
+        let started = self.scan.feed_started(self.telemetry);
         let result = self.pump();
-        self.feed_spans.push(FeedSpan {
-            start_us: start,
-            dur_us: gcx_obs::now_micros().saturating_sub(start),
-            bytes: bytes as u64,
-        });
+        self.scan.feed_ended(started, bytes);
         result
     }
 
-    /// Drive the machine as far as the buffered bytes allow. Keeps the
-    /// blocking engine's exact interleaving — evaluator to suspension,
-    /// tokens until the machine's recorded wait is satisfiable, evaluator
-    /// again — so buffer peaks are bit-identical however the input was
-    /// chunked (resuming while the wait is unsatisfied would be a provable
-    /// no-op; see [`Vm::wait_satisfied`]).
+    /// Apply every complete token in the window, one at a time: the lane
+    /// runs its evaluator to suspension, the next token is applied, the
+    /// evaluator resumes once what it waits for may have arrived — so
+    /// buffer peaks are bit-identical however the input was chunked. A
+    /// lane failure surfaces at the token that caused it.
     fn pump(&mut self) -> Result<Emitted, EngineError> {
+        // Starts the program on the first call; nothing to do afterwards.
+        self.pre.lane.step();
         loop {
-            if !self.vm_done {
-                match self
-                    .vm
-                    .resume(&mut self.buf, &self.symbols, &mut self.out)?
-                {
-                    VmStatus::Done => self.vm_done = true,
-                    VmStatus::NeedInput => loop {
-                        match self.apply_next()? {
-                            Pumped::Applied => {
-                                if self.vm.wait_satisfied(&self.buf) {
-                                    break;
-                                }
-                            }
-                            Pumped::Starved => return Ok(self.emitted()),
-                            Pumped::Eof => {
-                                self.vm.set_input_exhausted();
-                                break;
-                            }
-                        }
-                    },
+            if let Some(e) = self.pre.lane.take_failure() {
+                return Err(e);
+            }
+            if !self.wants_input() {
+                break;
+            }
+            match self.tok.step()? {
+                TokenStep::Token => self.pre.apply(&self.tok.token()),
+                TokenStep::NeedMoreData => {
+                    self.scan.max_pending_bytes = self
+                        .scan
+                        .max_pending_bytes
+                        .max(self.tok.pending_bytes() as u64);
+                    break;
                 }
-            } else {
-                if !self.drain_input {
-                    return Ok(self.emitted());
-                }
-                match self.apply_next()? {
-                    Pumped::Applied => {}
-                    Pumped::Starved | Pumped::Eof => return Ok(self.emitted()),
-                }
+                TokenStep::End => break,
             }
         }
-    }
-
-    /// Apply one stream event from the tokenizer window to the buffer.
-    fn apply_next(&mut self) -> Result<Pumped, EngineError> {
-        match self.tok.step()? {
-            TokenStep::Token => {
-                let token = self.tok.token();
-                self.proj.apply(&token, &mut self.buf, &mut self.symbols);
-                self.buf.check_limit()?;
-                Ok(Pumped::Applied)
-            }
-            TokenStep::NeedMoreData => {
-                self.max_pending_bytes =
-                    self.max_pending_bytes.max(self.tok.pending_bytes() as u64);
-                Ok(Pumped::Starved)
-            }
-            TokenStep::End => {
-                if !self.proj.finished() {
-                    self.proj.finish(&mut self.buf);
-                }
-                Ok(Pumped::Eof)
-            }
-        }
+        Ok(self.emitted())
     }
 
     fn emitted(&self) -> Emitted {
         Emitted {
-            output_bytes: self.out.get_ref().len(),
-            done: self.vm_done,
+            output_bytes: self.pre.lane.output().len(),
+            done: self.pre.lane.done(),
+        }
+    }
+}
+
+impl Preprojection {
+    /// Apply one token: the keep/skip decision, role assignment and token
+    /// counting; the lane does the rest.
+    fn apply(&mut self, token: &Token<'_>) {
+        match token {
+            Token::StartTag(tag) => {
+                let self_closing = tag.self_closing;
+                if self.skip_depth > 0 {
+                    self.skip_depth += u32::from(!self_closing);
+                } else {
+                    let name = self.lane.symbols_mut().intern(tag.name);
+                    // Roles land in the reused scratch — no per-element
+                    // vector.
+                    let matched = self.unmatched_depth == 0
+                        && self
+                            .matcher
+                            .enter_element_into(name, &mut self.role_scratch);
+                    let keep = matched || !self.project;
+                    self.attr_names.clear();
+                    if keep {
+                        let symbols = self.lane.symbols_mut();
+                        self.attr_names
+                            .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
+                    }
+                    let roles: &[(RoleId, u32)] = if matched { &self.role_scratch } else { &[] };
+                    self.lane
+                        .start_element(name, tag, &self.attr_names, keep.then_some(roles));
+                    if !keep {
+                        self.skip_depth = u32::from(!self_closing);
+                    } else if !matched {
+                        self.unmatched_depth += u32::from(!self_closing);
+                    } else if self_closing {
+                        self.matcher.leave_element();
+                    }
+                }
+                self.bump();
+                if self_closing {
+                    // A self-closing tag stands for open+close: count both.
+                    self.bump();
+                }
+            }
+            Token::EndTag { .. } => {
+                if self.skip_depth > 0 {
+                    self.skip_depth -= 1;
+                } else {
+                    self.lane.end_element();
+                    if self.unmatched_depth > 0 {
+                        self.unmatched_depth -= 1;
+                    } else {
+                        self.matcher.leave_element();
+                    }
+                }
+                self.bump();
+            }
+            Token::Text(content) => {
+                if self.skip_depth == 0 {
+                    if self.unmatched_depth == 0 {
+                        self.matcher.text_into(&mut self.role_scratch);
+                    } else {
+                        self.role_scratch.clear();
+                    }
+                    let keep = !self.role_scratch.is_empty()
+                        || (!self.project && !content.trim().is_empty());
+                    self.lane
+                        .text(content, keep.then_some(self.role_scratch.as_slice()));
+                }
+                self.bump();
+            }
+            Token::Doctype(payload) => {
+                // Not part of the data model, but a usable internal subset
+                // can seed the sibling-order analysis mid-stream (names
+                // interned here land before any document element's — the
+                // prolog precedes the root). Explicit schemas win; parse
+                // failures mean "no schema".
+                if self.adopt_doctype && !self.lane.schema_active() {
+                    if let Ok(view) = gcx_xml::DoctypeView::parse(payload) {
+                        if let Ok(dtd) = gcx_schema::Dtd::from_doctype_parts(view.name, view.subset)
+                        {
+                            self.lane.set_schema(&dtd, true);
+                        }
+                    }
+                }
+                return;
+            }
+            // Comments and PIs are not part of the data model.
+            Token::Comment(_) | Token::ProcessingInstruction { .. } => return,
+        }
+        self.lane.step();
+    }
+
+    /// Count one structural token — kept or skipped — on the lane's clock
+    /// and (optionally) sample the buffer-occupancy timeline that the
+    /// paper's Figures 3 and 4 plot.
+    #[inline]
+    fn bump(&mut self) {
+        self.lane.tick();
+        if let Some(t) = self.timeline.as_mut() {
+            t.record(self.lane.tokens(), self.lane.buffer_stats().live);
         }
     }
 }
@@ -461,6 +525,193 @@ mod tests {
         let mut out = Vec::new();
         session.take_output(&mut out).unwrap();
         (out, report)
+    }
+
+    /// Run `query` over `xml` to the end; return the report.
+    fn report(query: &str, xml: &str, opts: &EngineOptions) -> RunReport {
+        let q = CompiledQuery::compile(query).unwrap();
+        run(&q, opts, xml.as_bytes(), std::io::sink()).unwrap()
+    }
+
+    const PAPER_QUERY: &str = r#"
+        <r> {
+          for $bib in /bib return
+            (for $x in $bib/* return
+               if (not(exists($x/price))) then $x else (),
+             for $b in $bib/book return $b/title)
+        } </r>
+    "#;
+
+    #[test]
+    fn projects_paper_prefix() {
+        // <bib><book><title/><author/></book></bib>: all five nodes carry
+        // roles (figure 1a), so bib, book, title and author are buffered.
+        let r = report(
+            PAPER_QUERY,
+            "<bib><book><title/><author/></book></bib>",
+            &EngineOptions::gcx(),
+        );
+        assert_eq!(r.buffer.allocated, 4);
+        assert_eq!(r.tokens, 8);
+    }
+
+    #[test]
+    fn skips_irrelevant_subtrees() {
+        let r = report(
+            "for $a in /x/y return $a",
+            "<x><junk><deep><deeper/></deep></junk><y>keep</y></x>",
+            &EngineOptions::gcx(),
+        );
+        // junk subtree skipped entirely; x, y, "keep" buffered. Skipped
+        // tokens still count.
+        assert_eq!(r.buffer.allocated, 3);
+        assert_eq!(r.tokens, 11);
+    }
+
+    #[test]
+    fn speculative_prefixes_purged_on_close() {
+        // /x/y: an x with no y-children is buffered speculatively (it
+        // matched the path prefix) and reclaimed as soon as it closes
+        // with a role-free subtree — signOffs or not.
+        let r = report(
+            "for $a in /x/y return 'found'",
+            "<x><z/></x>",
+            &EngineOptions::projection_only(),
+        );
+        assert_eq!(r.buffer.allocated, 1, "only the speculative x");
+        assert_eq!(r.buffer.live, 0, "purged at its end tag");
+    }
+
+    #[test]
+    fn document_element_not_on_any_path_skips_whole_input() {
+        let r = report(
+            "for $a in /x/y return 'found'",
+            "<root><x><y/></x></root>",
+            &EngineOptions::gcx(),
+        );
+        // `/x` requires the document element to be named x; <root> fails
+        // the very first transition, so nothing at all is buffered.
+        assert_eq!(r.buffer.allocated, 0);
+        // <root>, <x>, <y/> (counts twice), </x>, </root>
+        assert_eq!(r.tokens, 6);
+    }
+
+    #[test]
+    fn full_buffering_keeps_everything() {
+        let r = report(
+            "for $a in /x/y return $a",
+            "<x><junk><deep/></junk><y>keep</y></x>",
+            &EngineOptions::full_buffering(),
+        );
+        // x, junk, deep, y, text all buffered; nothing is reclaimed.
+        assert_eq!(r.buffer.allocated, 5);
+        assert_eq!(r.buffer.live, 5);
+    }
+
+    #[test]
+    fn whitespace_runs_are_dropped_unless_a_role_keeps_them() {
+        // Projecting: only x and the two y elements; whitespace runs
+        // carry no roles.
+        let r = report(
+            "for $a in /x/y return 'z'",
+            "<x>\n  <y/>\n  <y/>\n</x>",
+            &EngineOptions::gcx(),
+        );
+        assert_eq!(r.buffer.allocated, 3);
+        // Full buffering keeps role-less text too — but not whitespace
+        // runs: x, junk, "t", y.
+        let r = report(
+            "for $a in /x/y return 'z'",
+            "<x>\n  <junk>t</junk>\n  <y/>\n</x>",
+            &EngineOptions::full_buffering(),
+        );
+        assert_eq!(r.buffer.allocated, 4);
+        // Whitespace a role asks for is kept in every mode.
+        let q = CompiledQuery::compile("for $a in /x/y return $a").unwrap();
+        for opts in [EngineOptions::gcx(), EngineOptions::full_buffering()] {
+            let mut out = Vec::new();
+            run(&q, &opts, "<x> <y> </y> </x>".as_bytes(), &mut out).unwrap();
+            assert_eq!(out, b"<y> </y>");
+        }
+    }
+
+    #[test]
+    fn token_counting_matches_paper_arithmetic() {
+        // The paper's micro documents: 10 children of 3 subelements each =
+        // 82 tags; all tags count, text would too (none here).
+        let mut doc = String::from("<bib>");
+        for i in 0..10 {
+            let t = if i == 9 { "book" } else { "article" };
+            doc.push_str(&format!(
+                "<{t}><author></author><title></title><price></price></{t}>"
+            ));
+        }
+        doc.push_str("</bib>");
+        assert_eq!(report(PAPER_QUERY, &doc, &EngineOptions::gcx()).tokens, 82);
+    }
+
+    #[test]
+    fn timeline_records_buffer_growth_at_its_stride() {
+        let query = "for $a in /x/y return 'z'";
+        let doc = "<x><w/><w/><y/></x>";
+        let opts = EngineOptions::projection_only();
+        let tl = report(query, doc, &opts.clone().with_timeline(1))
+            .timeline
+            .unwrap();
+        // One sample per structural token, the skipped <w/>s included.
+        assert_eq!(tl.points.len(), 8);
+        assert!(tl.peak() >= 2);
+        // The last sample has x + y buffered (no signOffs executed here).
+        assert_eq!(tl.points.last().unwrap().1, 2);
+        let tl = report(query, doc, &opts.with_timeline(3)).timeline.unwrap();
+        let at: Vec<u64> = tl.points.iter().map(|&(token, _)| token).collect();
+        assert_eq!(at, [3, 6]);
+        assert!(report(query, doc, &EngineOptions::gcx()).timeline.is_none());
+    }
+
+    #[test]
+    fn self_closing_counts_as_two_tokens() {
+        let r = report("for $a in /x return $a", "<x/>", &EngineOptions::gcx());
+        assert_eq!(r.tokens, 2);
+    }
+
+    #[test]
+    fn ordinals_count_skipped_siblings() {
+        // Positional predicates see document positions: the skipped
+        // <junk> subtrees and the unbuffered text do not renumber the
+        // items, and `*[4]` counts the skipped elements too.
+        let doc = "<l><junk><item>no</item></junk><item>a</item>t<junk/><item>b</item></l>";
+        for opts in [EngineOptions::gcx(), EngineOptions::full_buffering()] {
+            let q = CompiledQuery::compile("for $b in /l/item[2] return $b").unwrap();
+            let mut out = Vec::new();
+            run(&q, &opts, doc.as_bytes(), &mut out).unwrap();
+            assert_eq!(out, b"<item>b</item>");
+            let q = CompiledQuery::compile("for $b in /l/*[4] return $b").unwrap();
+            let mut out = Vec::new();
+            run(&q, &opts, doc.as_bytes(), &mut out).unwrap();
+            assert_eq!(out, b"<item>b</item>");
+        }
+    }
+
+    #[test]
+    fn doctype_is_adopted_unless_a_schema_is_explicit() {
+        let doc = "<!DOCTYPE a [<!ELEMENT a (b*, c)><!ELEMENT b (#PCDATA)>\
+                   <!ELEMENT c (#PCDATA)>]><a><b>1</b><c>2</c></a>";
+        let query = "for $b in /a/b return $b";
+        let adopted = report(query, doc, &EngineOptions::gcx());
+        assert!(adopted.schema.expect("DOCTYPE adopted").doctype_adopted);
+        let mut opts = EngineOptions::gcx();
+        opts.schema_from_doctype = false;
+        assert!(report(query, doc, &opts).schema.is_none());
+        // An explicit schema wins: the in-stream subset is ignored.
+        let dtd = Arc::new(
+            gcx_schema::Dtd::parse(
+                "<!ELEMENT a (b*, c)> <!ELEMENT b (#PCDATA)> <!ELEMENT c (#PCDATA)>",
+            )
+            .unwrap(),
+        );
+        let explicit = report(query, doc, &EngineOptions::gcx().with_schema(dtd));
+        assert!(!explicit.schema.expect("explicit schema").doctype_adopted);
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! ## Data flow
 //!
 //! A [`BatchSession`] owns the push tokenizer, the [`MergedMatcher`] and
-//! one [`Lane`] per query (`gcx-core`: that query's evaluator, buffer,
-//! symbol table and output). For every structural token it makes the
-//! merged keep/skip decision once and offers the token — still borrowed
-//! from the tokenizer window — to each lane together with that lane's
-//! roles. A lane that keeps the node appends it to its own buffer with
-//! its own document ordinals (exactly as its stand-alone projector
-//! would) and resumes its evaluator as soon as what it waits for has
-//! arrived. Buffers, role multisets and signOff execution are untouched
-//! by the sharing, so per-query buffer minimality is preserved.
+//! one [`Lane`] per query (`gcx-core`'s evaluation core: that query's
+//! evaluator, buffer, symbol table and output — the same type a
+//! stand-alone `EvalSession` drives). For every structural token it makes
+//! the merged keep/skip decision once and offers the token — still
+//! borrowed from the tokenizer window, its names translated into the
+//! lane's symbol space — to each lane together with that lane's roles. A
+//! lane that keeps the node appends it to its own buffer with its own
+//! document ordinals and resumes its evaluator as soon as what it waits
+//! for has arrived, exactly as under a stand-alone session. Buffers, role
+//! multisets and signOff execution are untouched by the sharing, so
+//! per-query buffer minimality is preserved.
 //!
 //! The session is sans-IO (`feed` / `finish`, like `EvalSession`);
 //! [`SharedRun::run_prepared`] is the blocking wrapper over a `Read`.
@@ -24,9 +26,10 @@
 //! * merged skip (`merged_skip > 0`): *no* query can match inside — the
 //!   subtree is scanned with a depth counter and zero per-query work
 //!   (its end tags never reach a lane);
-//! * per-lane skip: some other query keeps the element, this one doesn't.
-//!   The subtree stays invisible to this lane, but start/end tags inside
-//!   it (processed for the lanes that *do* keep it) balance its counter;
+//! * per-lane skip (`lane_skip[q] > 0`): some other query keeps the
+//!   element, this one doesn't. The subtree stays invisible to this lane;
+//!   start/end tags inside it (processed for the lanes that *do* keep it)
+//!   only balance its counter here in the fan-out;
 //! * failed lane: its evaluator or buffer returned an error (byte budget,
 //!   ...). It ignores the rest of the stream and reports the error in its
 //!   [`QueryRun`]; the other lanes are unaffected.
@@ -34,10 +37,7 @@
 //! Only errors of the shared input (malformed XML, I/O) fail the batch.
 
 use crate::matcher::{BatchPlan, MergedMatcher};
-use gcx_core::{
-    CompiledQuery, EngineError, EngineOptions, Lane, RunReport, ScanFacts, SchemaReport,
-    SharedStart,
-};
+use gcx_core::{CompiledQuery, EngineError, EngineMode, Lane, RunReport, ScanFacts, SchemaReport};
 use gcx_query::ast::RoleId;
 use gcx_xml::{PushTokenizer, Symbol, SymbolTable, Token, TokenStep, XmlError, XmlErrorKind};
 use std::io::Read;
@@ -64,7 +64,7 @@ pub struct BatchOptions {
     /// matcher gets per-query path pruning plus the descendant-
     /// reachability filter on the single shared scan, and every lane's
     /// buffer the sibling-order cutoffs — the three analyses a
-    /// stand-alone run with [`EngineOptions::schema`] applies.
+    /// stand-alone run with [`gcx_core::EngineOptions::schema`] applies.
     pub schema: Option<Arc<gcx_schema::Dtd>>,
 }
 
@@ -204,18 +204,34 @@ impl SharedRun {
             "batch plan was prepared for a different number of queries"
         );
         let started = Instant::now();
-        let lane_opts = EngineOptions {
-            execute_signoffs: self.opts.execute_signoffs,
-            indent: self.opts.indent.clone(),
-            max_buffer_bytes: self.opts.max_buffer_bytes,
-            telemetry: self.opts.telemetry,
-            schema: self.opts.schema.clone(),
-            ..EngineOptions::gcx()
+        let mode = if self.opts.execute_signoffs {
+            EngineMode::Gcx
+        } else {
+            EngineMode::ProjectionOnly
         };
+        let lanes = queries
+            .iter()
+            .map(|q| {
+                let mut lane = Lane::start(
+                    q,
+                    mode,
+                    self.opts.max_buffer_bytes,
+                    self.opts.indent.clone(),
+                    self.opts.telemetry,
+                );
+                if let Some(dtd) = &self.opts.schema {
+                    lane.set_schema(dtd, false);
+                }
+                // Run the program up to its first suspension.
+                lane.step();
+                lane
+            })
+            .collect();
         let (matcher, _root_roles) = MergedMatcher::from_plan(plan);
         BatchSession {
             tok: PushTokenizer::new(),
             scan: ScanFacts::default(),
+            telemetry: self.opts.telemetry,
             started,
             pruned_paths: plan.pruned_paths.clone(),
             fan: FanOut {
@@ -223,12 +239,15 @@ impl SharedRun {
                 // Interning during the scan is per-document: each run
                 // extends its own clone of the plan's pre-interned table.
                 symbols: plan.symbols.clone(),
-                lanes: queries.iter().map(|q| Lane::start(q, &lane_opts)).collect(),
+                lanes,
+                remap: vec![Vec::new(); queries.len()],
+                lane_skip: vec![0; queries.len()],
                 merged_skip: 0,
                 tokens: 0,
                 fanout: 0,
                 role_scratch: Vec::new(),
                 attr_names: Vec::new(),
+                lane_attr_names: Vec::new(),
             },
         }
     }
@@ -269,6 +288,8 @@ pub struct BatchSession {
     tok: PushTokenizer,
     fan: FanOut,
     scan: ScanFacts,
+    /// Telemetry enabled: record a feed span per feed/commit call.
+    telemetry: bool,
     /// `(pruned, total)` projection-path counts per query when the plan
     /// was built with a schema.
     pruned_paths: Option<Vec<(u32, u32)>>,
@@ -279,9 +300,8 @@ impl BatchSession {
     /// Push one chunk of document bytes and step every lane as far as
     /// they allow. Fails only on malformed input.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
-        self.scan.feed_calls += 1;
         self.tok.feed(chunk);
-        self.pump()
+        self.pump_spanned(chunk.len())
     }
 
     /// Zero-copy variant of [`BatchSession::feed`]: borrow at least `min`
@@ -294,9 +314,8 @@ impl BatchSession {
     /// Declare `n` bytes of [`BatchSession::space`] filled and advance,
     /// exactly like [`BatchSession::feed`] on that slice.
     pub fn commit(&mut self, n: usize) -> Result<(), EngineError> {
-        self.scan.feed_calls += 1;
         self.tok.commit(n);
-        self.pump()
+        self.pump_spanned(n)
     }
 
     /// Wrap an input-side I/O failure the way a tokenizer error is
@@ -320,29 +339,43 @@ impl BatchSession {
         // batch's high-water is the heaviest lane's final phase, not the
         // sum of all of them.
         let mut lanes: Vec<(usize, Lane)> = self.fan.lanes.into_iter().enumerate().collect();
-        lanes.sort_by_key(|(_, lane)| lane.live_bytes());
+        lanes.sort_by_key(|(_, lane)| lane.buffer_stats().live_bytes);
         let mut runs: Vec<(usize, QueryRun)> = lanes
             .into_iter()
-            .map(|(i, lane)| {
+            .map(|(i, mut lane)| {
                 let schema = self.pruned_paths.as_ref().map(|p| SchemaReport {
                     pruned_paths: p[i].0,
                     total_paths: p[i].1,
                     reach_cuts,
                     ..SchemaReport::default()
                 });
-                let (output, report) = lane.finish(self.scan, schema);
+                // End of input is every query's last event.
+                let report = lane.finish(&self.scan, schema).map(|r| RunReport {
+                    tokens: r.tokens + 1,
+                    ..r
+                });
+                let output = std::mem::take(lane.output_mut());
                 (i, QueryRun { output, report })
             })
             .collect();
         runs.sort_by_key(|&(i, _)| i);
         let queries: Vec<QueryRun> = runs.into_iter().map(|(_, run)| run).collect();
         Ok(BatchReport {
-            // End of input is every query's last event.
             fanout_events: self.fan.fanout + queries.len() as u64,
             queries,
             tokens: self.fan.tokens,
             elapsed: self.started.elapsed(),
         })
+    }
+
+    /// [`BatchSession::pump`] as one counted (and, with telemetry on,
+    /// timed) feed call of the shared scan, which every lane's report
+    /// carries.
+    fn pump_spanned(&mut self, bytes: usize) -> Result<(), EngineError> {
+        let started = self.scan.feed_started(self.telemetry);
+        let result = self.pump();
+        self.scan.feed_ended(started, bytes);
+        result
     }
 
     /// Apply every complete token in the window.
@@ -363,9 +396,16 @@ impl BatchSession {
 struct FanOut {
     matcher: MergedMatcher,
     /// The batch's symbol table (the merged NFA's name tests are interned
-    /// here); lanes translate into their own on first sight of a name.
+    /// here).
     symbols: SymbolTable,
     lanes: Vec<Lane>,
+    /// Per lane: batch symbol → the lane's symbol, filled on first use —
+    /// a name is interned into a lane's table once per document, not once
+    /// per event.
+    remap: Vec<Vec<Symbol>>,
+    /// Per lane: depth inside a subtree the lane skipped while some other
+    /// lane keeps it (0 = the lane sees the current token).
+    lane_skip: Vec<u32>,
     /// Depth inside a subtree no query keeps (0 = not skipping).
     merged_skip: u32,
     /// Structural tokens of the shared scan.
@@ -373,9 +413,38 @@ struct FanOut {
     /// Events delivered, summed over lanes.
     fanout: u64,
     /// Scratch reused across tokens: one lane's roles for the current
-    /// node, and the current element's attribute names.
+    /// node, and the current element's attribute names in the batch's
+    /// and in one lane's symbols.
     role_scratch: Vec<(RoleId, u32)>,
     attr_names: Vec<Symbol>,
+    lane_attr_names: Vec<Symbol>,
+}
+
+/// Remap slot of a batch symbol a lane has not met yet.
+const UNSEEN: Symbol = Symbol(u32::MAX);
+
+/// `lane`'s symbol for batch symbol `batch`, spelled `name`.
+#[inline]
+fn local(remap: &mut Vec<Symbol>, lane: &mut Lane, batch: Symbol, name: &str) -> Symbol {
+    let i = batch.index();
+    if i >= remap.len() {
+        remap.resize(i + 1, UNSEEN);
+    }
+    if remap[i] == UNSEEN {
+        remap[i] = lane.symbols_mut().intern(name);
+    }
+    remap[i]
+}
+
+/// A lane's share of one token is over: charge it if the token was
+/// delivered, and let the lane's evaluator catch up.
+#[inline]
+fn token_over(lane: &mut Lane, delivered: bool) -> u64 {
+    if delivered {
+        lane.tick();
+    }
+    lane.step();
+    u64::from(delivered)
 }
 
 impl FanOut {
@@ -398,20 +467,29 @@ impl FanOut {
                     self.attr_names
                         .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
                 }
-                let start = SharedStart {
-                    name,
-                    tag,
-                    attr_names: &self.attr_names,
-                };
                 for (qi, lane) in self.lanes.iter_mut().enumerate() {
+                    if self.lane_skip[qi] > 0 {
+                        self.lane_skip[qi] += u32::from(any_keep && !self_closing);
+                        continue;
+                    }
+                    let remap = &mut self.remap[qi];
+                    self.lane_attr_names.clear();
                     let roles = if any_keep && outcome.kept[qi] {
                         self.role_scratch.clear();
                         self.role_scratch.extend(outcome.roles_of(qi as u32));
+                        for (a, &batch) in tag.attrs.iter().zip(&self.attr_names) {
+                            self.lane_attr_names.push(local(remap, lane, batch, a.name));
+                        }
                         Some(self.role_scratch.as_slice())
                     } else {
                         None
                     };
-                    self.fanout += u64::from(lane.start_element(&start, roles, any_keep));
+                    if roles.is_none() && any_keep && !self_closing {
+                        self.lane_skip[qi] = 1;
+                    }
+                    let name = local(remap, lane, name, tag.name);
+                    let kept = lane.start_element(name, tag, &self.lane_attr_names, roles);
+                    self.fanout += token_over(lane, kept);
                 }
                 if !any_keep {
                     // Nobody can match inside: hide the subtree from
@@ -427,8 +505,13 @@ impl FanOut {
                     self.merged_skip -= 1;
                     return;
                 }
-                for lane in &mut self.lanes {
-                    self.fanout += u64::from(lane.end_element());
+                for (lane, skip) in self.lanes.iter_mut().zip(&mut self.lane_skip) {
+                    if *skip > 0 {
+                        *skip -= 1;
+                        continue;
+                    }
+                    let closed = lane.end_element();
+                    self.fanout += token_over(lane, closed);
                 }
                 self.matcher.leave_element();
             }
@@ -441,7 +524,7 @@ impl FanOut {
                 for (qi, lane) in self.lanes.iter_mut().enumerate() {
                     // Every visible text child bumps the lane's ordinals;
                     // only text that carries one of its roles is buffered.
-                    if !lane.in_kept_region() {
+                    if self.lane_skip[qi] > 0 {
                         continue;
                     }
                     let qi = qi as u32;
@@ -450,7 +533,9 @@ impl FanOut {
                     self.role_scratch.clear();
                     self.role_scratch
                         .extend(roles[lo..hi].iter().map(|&(_, r, c)| (r, c)));
-                    self.fanout += u64::from(lane.text(content, &self.role_scratch));
+                    let roles = (!self.role_scratch.is_empty()).then_some(&self.role_scratch[..]);
+                    let kept = lane.text(content, roles);
+                    self.fanout += token_over(lane, kept);
                 }
             }
             // Comments, PIs and the doctype are not part of the data model.
@@ -467,6 +552,7 @@ pub fn run_batch<R: Read>(queries: &[CompiledQuery], input: R) -> Result<BatchRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcx_core::EngineOptions;
 
     fn compile(texts: &[&str]) -> Vec<CompiledQuery> {
         texts
@@ -527,16 +613,31 @@ mod tests {
 
     #[test]
     fn telemetry_flows_into_lane_reports() {
-        let queries = compile(&["for $b in /bib/book return $b/title"]);
-        let opts = BatchOptions {
+        let queries = compile(&[
+            "for $b in /bib/book return $b/title",
+            "for $a in /bib/article return $a",
+        ]);
+        let run = SharedRun::new(BatchOptions {
             telemetry: true,
             ..BatchOptions::default()
-        };
-        let report = SharedRun::new(opts).run(&queries, DOC.as_bytes()).unwrap();
-        let run = &report.queries[0];
-        assert_eq!(run.output, standalone(&queries[0], DOC));
-        let r = run.report.as_ref().unwrap();
-        assert!(r.obs.is_some(), "telemetry must reach the lanes");
+        });
+        let mut session = run.session(&run.prepare(&queries), &queries);
+        for piece in DOC.as_bytes().chunks(16) {
+            session.feed(piece).unwrap();
+        }
+        let report = session.finish().unwrap();
+        for (q, run) in queries.iter().zip(&report.queries) {
+            assert_eq!(run.output, standalone(q, DOC));
+            let r = run.report.as_ref().unwrap();
+            let obs = r.obs.as_ref().expect("telemetry must reach the lanes");
+            // Every lane carries the shared scan's feed track.
+            assert_eq!(r.feed_calls, DOC.len().div_ceil(16) as u64);
+            assert_eq!(obs.feed_spans.len() as u64, r.feed_calls);
+            assert_eq!(
+                obs.feed_spans.iter().map(|s| s.bytes).sum::<u64>(),
+                DOC.len() as u64
+            );
+        }
         assert!(report.to_json().contains("\"obs\""));
     }
 

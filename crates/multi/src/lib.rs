@@ -26,9 +26,12 @@
 //!   with its own document ordinals — to its own buffer and resumes its
 //!   evaluator when the node is what it was waiting for. There are no
 //!   threads, channels or owned events; memory is the sum of the
-//!   per-query buffers. Each lane is the unmodified single-query
-//!   evaluator and buffer, so each query's role multiset, signOff
-//!   execution and therefore *buffer minimality* are preserved verbatim.
+//!   per-query buffers. A lane is the evaluation core a stand-alone
+//!   `EvalSession` drives — same type, same calls — so each query's role
+//!   multiset, signOff execution and therefore *buffer minimality* are
+//!   preserved verbatim. What this crate adds is only what a batch has
+//!   and a single query has not: the merged matcher, a skip depth per
+//!   lane, and the translation of the batch's symbols into each lane's.
 //! * [`BatchReport`] aggregates throughput, per-query buffer statistics
 //!   and the share factor (work that would have been repeated N× but ran
 //!   once).

@@ -70,27 +70,16 @@ impl ShardPath {
 pub struct ParOptions {
     /// Worker thread budget (also the shard target). `<= 1` means serial.
     pub threads: usize,
-    /// Deepest element depth the boundary scanner records as candidate
-    /// split points (0-based; XMark's `<item>`s sit at depth 3).
-    pub max_scan_depth: u16,
 }
 
-impl Default for ParOptions {
-    fn default() -> Self {
-        ParOptions {
-            threads: 1,
-            max_scan_depth: 3,
-        }
-    }
-}
+/// Deepest element depth the boundary scanner records as candidate split
+/// points (0-based; XMark's `<item>`s sit at depth 3).
+const MAX_SCAN_DEPTH: u16 = 3;
 
 impl ParOptions {
     /// A budget of `threads` workers.
     pub fn with_threads(threads: usize) -> ParOptions {
-        ParOptions {
-            threads,
-            ..ParOptions::default()
-        }
+        ParOptions { threads }
     }
 }
 
@@ -155,7 +144,7 @@ pub fn run_parallel(
             )
         }
     };
-    let outline = match scan_boundaries(doc, par.max_scan_depth) {
+    let outline = match scan_boundaries(doc, MAX_SCAN_DEPTH) {
         Ok(o) => o,
         Err(e) => return run_serial(q, opts, doc, Some(e.to_string())),
     };

@@ -349,12 +349,25 @@ fn buffer_budget_rejects_with_413_without_killing_peers() {
     h.shutdown();
 }
 
+/// `GET path` against a server that may be saturated. The acceptor
+/// answers 503 and closes without reading the request, so the reply can
+/// be lost to the reset that the unread request provokes: ask again.
+fn get_through_resets(addr: std::net::SocketAddr, path: &str) -> client::Response {
+    for _ in 0..100 {
+        match client::get(addr, path) {
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            r => return r.unwrap(),
+        }
+    }
+    panic!("GET {path}: connection reset 100 times in a row");
+}
+
 /// Poll `GET /stats` until a worker answers it (a saturated server
 /// bounces the probe with 503) and return the body.
 fn wait_for_stats(addr: std::net::SocketAddr) -> String {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let r = client::get(addr, "/stats").unwrap();
+        let r = get_through_resets(addr, "/stats");
         if r.status == 200 {
             return String::from_utf8(r.body).unwrap();
         }
@@ -395,7 +408,7 @@ fn saturation_yields_immediate_503() {
     let queued = TcpStream::connect(addr).unwrap();
 
     // ...so the third connection must be bounced immediately.
-    let r = client::get(addr, "/healthz").unwrap();
+    let r = get_through_resets(addr, "/healthz");
     assert_eq!(r.status, 503);
     assert_eq!(r.header("retry-after"), Some("1"));
 

@@ -35,7 +35,7 @@
 //! | [`ir`] | the lower stage: flat, shareable compiled-query programs |
 //! | [`schema`] | DTD model: projection pruning, reachability, sibling-order cutoffs |
 //! | [`analyze`] | static streamability classes, buffer-bound lints, shard safety |
-//! | [`core`](mod@core) | buffer + active GC, preprojector, program executor, engine |
+//! | [`core`](mod@core) | buffer + active GC, the evaluation core (`Lane`), program executor, sessions |
 //! | [`dom`] | full-buffering DOM baseline (differential oracle) |
 //! | [`xmark`] | XMark-like generator + the paper's benchmark queries |
 //! | [`memtrack`] | heap high-watermark allocator for the experiments |
@@ -53,8 +53,8 @@
 //! caller drain output between chunks — see `examples/push_session.rs`.
 
 pub use gcx_core::{
-    run, run_query, BufferStats, CompiledQuery, Emitted, EngineError, EngineOptions, EvalSession,
-    RunReport, SchemaReport, Timeline,
+    run, run_query, BufferStats, CompiledQuery, Emitted, EngineError, EngineMode, EngineOptions,
+    EvalSession, RunReport, SchemaReport, Timeline,
 };
 
 /// The streaming XML substrate (tokenizer, writer, interning).

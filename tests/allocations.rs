@@ -12,10 +12,8 @@
 //! deltas.
 
 use gcx::core::buffer::{AttrBuf, BufferTree, NodeId, Ordinals};
-use gcx::core::stream::Projector;
-use gcx::projection::{analyze, CompiledPaths, StreamMatcher};
 use gcx::query::ast::RoleId;
-use gcx::xml::{PushTokenizer, SymbolTable, TokenStep, Tokenizer};
+use gcx::xml::{SymbolTable, Tokenizer};
 
 #[global_allocator]
 static ALLOC: gcx::memtrack::TrackingAllocator = gcx::memtrack::TrackingAllocator::new();
@@ -44,28 +42,18 @@ fn tokenize_allocs(doc: &str) -> u64 {
     gcx::memtrack::total_allocs() - before
 }
 
-/// Allocation events consumed by a full projector pass (tokenizer +
-/// projection NFA + buffer appends and purges). The query's projection
-/// path keeps every `item` speculatively and purges it at its end tag —
-/// the steady-state append/purge cycle.
+/// Allocation events consumed by a full session pass (tokenizer +
+/// projection NFA + buffer appends and purges + the suspended evaluator).
+/// The query's projection path keeps every `item` speculatively and
+/// purges it at its end tag — the steady-state append/purge cycle.
 fn preproject_allocs(doc: &str) -> u64 {
     let before = gcx::memtrack::total_allocs();
-    let q = gcx::query::compile("for $a in /site/item/zzz return 'x'").unwrap();
-    let a = analyze(&q);
-    let mut symbols = SymbolTable::new();
-    let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
-    let (matcher, _) = StreamMatcher::new(&compiled);
-    let mut buf = BufferTree::new(true);
-    let mut proj = Projector::new(matcher, true, None);
-    let mut tok = PushTokenizer::new();
-    tok.feed(doc.as_bytes());
-    tok.finish_input();
-    while tok.step().unwrap() == TokenStep::Token {
-        proj.apply(&tok.token(), &mut buf, &mut symbols);
-    }
-    proj.finish(&mut buf);
-    assert_eq!(buf.stats().live, 0, "speculative items must all purge");
-    assert!(buf.stats().purged as usize >= doc.matches("<item").count());
+    let q = gcx::CompiledQuery::compile("for $a in /site/item/zzz return 'x'").unwrap();
+    let mut session = q.session(&gcx::EngineOptions::gcx());
+    session.feed(doc.as_bytes()).unwrap();
+    let report = session.finish().unwrap();
+    assert_eq!(report.buffer.live, 0, "speculative items must all purge");
+    assert!(report.buffer.purged as usize >= doc.matches("<item").count());
     gcx::memtrack::total_allocs() - before
 }
 
