@@ -436,16 +436,20 @@ impl BufferTree {
     }
 
     /// Advance the telemetry clock to `tokens` (structural tokens fed so
-    /// far) and sample the live-bytes timeline on cadence. Disabled cost:
-    /// one null check.
+    /// far) and sample the live-bytes timeline on cadence. The clock may
+    /// jump — a skipped subtree is charged at once: every sample point it
+    /// passes is taken, at the occupancy that held throughout. Disabled
+    /// cost: one null check.
     #[inline]
     pub fn tick(&mut self, tokens: u64) {
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.clock = tokens;
-            if tokens >= t.next_sample {
-                t.timeline.push((tokens, self.stats.live_bytes));
-                t.next_sample = tokens.saturating_add(t.every);
+            let mut at = t.next_sample.max(t.clock + 1);
+            while at <= tokens {
+                t.timeline.push((at, self.stats.live_bytes));
+                at = at.saturating_add(t.every);
             }
+            t.next_sample = at;
+            t.clock = tokens;
         }
     }
 
@@ -1236,6 +1240,29 @@ mod tests {
         assert_eq!(b.parent(c2), Some(a));
         assert_eq!(b.stats().live, 3);
         b.check_integrity();
+    }
+
+    #[test]
+    fn a_clock_jump_takes_every_sample_it_passes() {
+        // One token at a time against the same clock moved in jumps (a
+        // skipped subtree is charged at once): same samples, same tokens.
+        let sampled = |jumps: &[u64]| {
+            let mut b = BufferTree::new(true);
+            b.enable_telemetry(4);
+            el(&mut b, NodeId::ROOT, 1, &[(RoleId(0), 1)]);
+            let mut clock = 0;
+            for &jump in jumps {
+                clock += jump;
+                b.tick(clock);
+            }
+            b.take_telemetry().expect("enabled").timeline
+        };
+        let stepped = sampled(&[1; 23]);
+        let at: Vec<u64> = stepped.iter().map(|&(token, _)| token).collect();
+        assert_eq!(at, [1, 5, 9, 13, 17, 21]);
+        assert_eq!(sampled(&[1, 1, 12, 1, 8]), stepped);
+        assert_eq!(sampled(&[23]), stepped);
+        assert_eq!(sampled(&[4, 0, 19]), stepped);
     }
 
     #[test]

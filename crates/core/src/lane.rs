@@ -309,14 +309,15 @@ impl Lane {
         true
     }
 
-    /// One structural token went by, as the driver counts them for this
-    /// lane — a session charges every token of the stream (skipped ones
-    /// included, a self-closing tag twice), a batch the events it
-    /// delivered. Residency telemetry is measured on this clock and
+    /// `tokens` structural tokens went by, as the driver counts them for
+    /// this lane — a session charges every token of the stream (a
+    /// self-closing tag twice, a skipped subtree's all at once, nothing
+    /// having changed in between), a batch the events it delivered.
+    /// Residency telemetry is measured on this clock and
     /// [`RunReport::tokens`] reports it.
     #[inline]
-    pub fn tick(&mut self) {
-        self.clock += 1;
+    pub fn tick(&mut self, tokens: u64) {
+        self.clock += tokens;
         self.buf.tick(self.clock);
     }
 

@@ -17,9 +17,11 @@
 //! the keep/skip decision — buffer writes with document ordinals, the
 //! byte budget, resuming the evaluator when what it waits for arrived,
 //! failure capture, report assembly. A session is a tokenizer and the
-//! stream preprojector (projection NFA + skip counters) driving one lane;
+//! stream preprojector (the projection NFA) driving one lane;
 //! `gcx-multi` is one tokenizer and one merged matcher driving N lanes in
-//! lock-step off a single shared scan.
+//! lock-step off a single shared scan. Either way a subtree the
+//! projection refuses is never tokenized: the driver has the tokenizer
+//! fast-forward through it (`gcx_xml::PushTokenizer::skip_element`).
 //!
 //! * [`Lane`] — copies the tokens its driver keeps into the buffer and
 //!   steps the evaluator;

@@ -72,9 +72,16 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    fn record(&mut self, token: u64, live: u64) {
-        if self.every > 0 && token.is_multiple_of(self.every) {
-            self.points.push((token, live));
+    /// The token clock moved from `from` to `to` with `live` nodes
+    /// buffered throughout: sample every stride point it passed.
+    fn record(&mut self, from: u64, to: u64, live: u64) {
+        if self.every == 0 {
+            return;
+        }
+        let mut at = (from / self.every + 1) * self.every;
+        while at <= to {
+            self.points.push((at, live));
+            at += self.every;
         }
     }
 
@@ -111,13 +118,13 @@ pub struct EvalSession {
 /// (paper Figure 2, left component) in front of its lane. It takes one
 /// token at a time ("a lookahead of just one token"), runs the projection
 /// NFA and shows the lane what the query's projection keeps, with the
-/// role instances; irrelevant subtrees are skipped with a depth counter,
-/// zero per-path work and no call into the lane beyond the clock tick.
+/// role instances. An element it refuses is not looked into at all: the
+/// session has the tokenizer fast-forward through its end tag
+/// ([`PushTokenizer::skip_element`]) and charges the lane's clock for
+/// the tokens that went by.
 struct Preprojection {
     matcher: StreamMatcher,
     lane: Lane,
-    /// Depth inside a skipped subtree (0 = not skipping).
-    skip_depth: u32,
     /// Full buffering only: depth inside a subtree that is kept although
     /// the matcher refused its top element. The matcher holds no frame in
     /// there, so everything below is kept without roles and without
@@ -175,7 +182,6 @@ impl EvalSession {
             pre: Preprojection {
                 matcher,
                 lane,
-                skip_depth: 0,
                 unmatched_depth: 0,
                 project: opts.mode.projects(),
                 timeline: opts.timeline_every.map(|every| Timeline {
@@ -361,10 +367,14 @@ impl EvalSession {
     /// runs its evaluator to suspension, the next token is applied, the
     /// evaluator resumes once what it waits for may have arrived — so
     /// buffer peaks are bit-identical however the input was chunked. A
-    /// lane failure surfaces at the token that caused it.
+    /// subtree the projection refuses is passed in bulk; nothing changes
+    /// in the lane while it goes by. A lane failure surfaces at the token
+    /// that caused it.
     fn pump(&mut self) -> Result<Emitted, EngineError> {
         // Starts the program on the first call; nothing to do afterwards.
         self.pre.lane.step();
+        // A skip the last feed left suspended comes first.
+        let mut skip = self.tok.skipping();
         loop {
             if let Some(e) = self.pre.lane.take_failure() {
                 return Err(e);
@@ -372,16 +382,27 @@ impl EvalSession {
             if !self.wants_input() {
                 break;
             }
-            match self.tok.step()? {
-                TokenStep::Token => self.pre.apply(&self.tok.token()),
-                TokenStep::NeedMoreData => {
-                    self.scan.max_pending_bytes = self
-                        .scan
-                        .max_pending_bytes
-                        .max(self.tok.pending_bytes() as u64);
-                    break;
+            let more = if skip {
+                let skipped = self.tok.skip_element()?;
+                self.pre.bump(skipped.tokens);
+                skip = false;
+                skipped.complete
+            } else {
+                match self.tok.step()? {
+                    TokenStep::Token => {
+                        skip = self.pre.apply(&self.tok.token());
+                        true
+                    }
+                    TokenStep::NeedMoreData => false,
+                    TokenStep::End => break,
                 }
-                TokenStep::End => break,
+            };
+            if !more {
+                self.scan.max_pending_bytes = self
+                    .scan
+                    .max_pending_bytes
+                    .max(self.tok.pending_bytes() as u64);
+                break;
             }
         }
         Ok(self.emitted())
@@ -397,71 +418,61 @@ impl EvalSession {
 
 impl Preprojection {
     /// Apply one token: the keep/skip decision, role assignment and token
-    /// counting; the lane does the rest.
-    fn apply(&mut self, token: &Token<'_>) {
+    /// counting; the lane does the rest. Returns whether the token opened
+    /// an element the projection refuses — its subtree is the caller's to
+    /// skip, end tag included.
+    fn apply(&mut self, token: &Token<'_>) -> bool {
+        let mut skip = false;
         match token {
             Token::StartTag(tag) => {
                 let self_closing = tag.self_closing;
-                if self.skip_depth > 0 {
-                    self.skip_depth += u32::from(!self_closing);
-                } else {
-                    let name = self.lane.symbols_mut().intern(tag.name);
-                    // Roles land in the reused scratch — no per-element
-                    // vector.
-                    let matched = self.unmatched_depth == 0
-                        && self
-                            .matcher
-                            .enter_element_into(name, &mut self.role_scratch);
-                    let keep = matched || !self.project;
-                    self.attr_names.clear();
-                    if keep {
-                        let symbols = self.lane.symbols_mut();
-                        self.attr_names
-                            .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
-                    }
-                    let roles: &[(RoleId, u32)] = if matched { &self.role_scratch } else { &[] };
-                    self.lane
-                        .start_element(name, tag, &self.attr_names, keep.then_some(roles));
-                    if !keep {
-                        self.skip_depth = u32::from(!self_closing);
-                    } else if !matched {
-                        self.unmatched_depth += u32::from(!self_closing);
-                    } else if self_closing {
-                        self.matcher.leave_element();
-                    }
+                let name = self.lane.symbols_mut().intern(tag.name);
+                // Roles land in the reused scratch — no per-element
+                // vector.
+                let matched = self.unmatched_depth == 0
+                    && self
+                        .matcher
+                        .enter_element_into(name, &mut self.role_scratch);
+                let keep = matched || !self.project;
+                self.attr_names.clear();
+                if keep {
+                    let symbols = self.lane.symbols_mut();
+                    self.attr_names
+                        .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
                 }
-                self.bump();
-                if self_closing {
-                    // A self-closing tag stands for open+close: count both.
-                    self.bump();
+                let roles: &[(RoleId, u32)] = if matched { &self.role_scratch } else { &[] };
+                self.lane
+                    .start_element(name, tag, &self.attr_names, keep.then_some(roles));
+                if !keep {
+                    skip = !self_closing;
+                } else if !matched {
+                    self.unmatched_depth += u32::from(!self_closing);
+                } else if self_closing {
+                    self.matcher.leave_element();
                 }
+                // A self-closing tag stands for open+close: count both.
+                self.bump(1 + u64::from(self_closing));
             }
             Token::EndTag { .. } => {
-                if self.skip_depth > 0 {
-                    self.skip_depth -= 1;
+                self.lane.end_element();
+                if self.unmatched_depth > 0 {
+                    self.unmatched_depth -= 1;
                 } else {
-                    self.lane.end_element();
-                    if self.unmatched_depth > 0 {
-                        self.unmatched_depth -= 1;
-                    } else {
-                        self.matcher.leave_element();
-                    }
+                    self.matcher.leave_element();
                 }
-                self.bump();
+                self.bump(1);
             }
             Token::Text(content) => {
-                if self.skip_depth == 0 {
-                    if self.unmatched_depth == 0 {
-                        self.matcher.text_into(&mut self.role_scratch);
-                    } else {
-                        self.role_scratch.clear();
-                    }
-                    let keep = !self.role_scratch.is_empty()
-                        || (!self.project && !content.trim().is_empty());
-                    self.lane
-                        .text(content, keep.then_some(self.role_scratch.as_slice()));
+                if self.unmatched_depth == 0 {
+                    self.matcher.text_into(&mut self.role_scratch);
+                } else {
+                    self.role_scratch.clear();
                 }
-                self.bump();
+                let keep =
+                    !self.role_scratch.is_empty() || (!self.project && !content.trim().is_empty());
+                self.lane
+                    .text(content, keep.then_some(self.role_scratch.as_slice()));
+                self.bump(1);
             }
             Token::Doctype(payload) => {
                 // Not part of the data model, but a usable internal subset
@@ -477,22 +488,24 @@ impl Preprojection {
                         }
                     }
                 }
-                return;
+                return false;
             }
             // Comments and PIs are not part of the data model.
-            Token::Comment(_) | Token::ProcessingInstruction { .. } => return,
+            Token::Comment(_) | Token::ProcessingInstruction { .. } => return false,
         }
         self.lane.step();
+        skip
     }
 
-    /// Count one structural token — kept or skipped — on the lane's clock
-    /// and (optionally) sample the buffer-occupancy timeline that the
-    /// paper's Figures 3 and 4 plot.
+    /// Count `tokens` structural tokens — kept or skipped — on the lane's
+    /// clock and (optionally) sample the buffer-occupancy timeline that
+    /// the paper's Figures 3 and 4 plot.
     #[inline]
-    fn bump(&mut self) {
-        self.lane.tick();
+    fn bump(&mut self, tokens: u64) {
+        let before = self.lane.tokens();
+        self.lane.tick(tokens);
         if let Some(t) = self.timeline.as_mut() {
-            t.record(self.lane.tokens(), self.lane.buffer_stats().live);
+            t.record(before, before + tokens, self.lane.buffer_stats().live);
         }
     }
 }

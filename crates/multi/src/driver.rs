@@ -23,9 +23,11 @@
 //!
 //! Three nested notions of "not interested" exist:
 //!
-//! * merged skip (`merged_skip > 0`): *no* query can match inside — the
-//!   subtree is scanned with a depth counter and zero per-query work
-//!   (its end tags never reach a lane);
+//! * merged skip: *no* query can match inside — the tokenizer
+//!   fast-forwards through the element's end tag
+//!   (`PushTokenizer::skip_element`) and the shared scan is charged the
+//!   tokens that went by; nothing of the subtree reaches the matcher or a
+//!   lane;
 //! * per-lane skip (`lane_skip[q] > 0`): some other query keeps the
 //!   element, this one doesn't. The subtree stays invisible to this lane;
 //!   start/end tags inside it (processed for the lanes that *do* keep it)
@@ -242,7 +244,6 @@ impl SharedRun {
                 lanes,
                 remap: vec![Vec::new(); queries.len()],
                 lane_skip: vec![0; queries.len()],
-                merged_skip: 0,
                 tokens: 0,
                 fanout: 0,
                 role_scratch: Vec::new(),
@@ -378,10 +379,23 @@ impl BatchSession {
         result
     }
 
-    /// Apply every complete token in the window.
+    /// Apply every complete token in the window; a subtree no query keeps
+    /// is passed in bulk (first the one the last feed left suspended).
     fn pump(&mut self) -> Result<(), EngineError> {
-        while self.tok.step()? == TokenStep::Token {
-            self.fan.apply(&self.tok.token());
+        let mut skip = self.tok.skipping();
+        loop {
+            if skip {
+                let skipped = self.tok.skip_element()?;
+                self.fan.tokens += skipped.tokens;
+                if !skipped.complete {
+                    break;
+                }
+                skip = false;
+            } else if self.tok.step()? == TokenStep::Token {
+                skip = self.fan.apply(&self.tok.token());
+            } else {
+                break;
+            }
         }
         self.scan.max_pending_bytes = self
             .scan
@@ -406,8 +420,6 @@ struct FanOut {
     /// Per lane: depth inside a subtree the lane skipped while some other
     /// lane keeps it (0 = the lane sees the current token).
     lane_skip: Vec<u32>,
-    /// Depth inside a subtree no query keeps (0 = not skipping).
-    merged_skip: u32,
     /// Structural tokens of the shared scan.
     tokens: u64,
     /// Events delivered, summed over lanes.
@@ -441,23 +453,22 @@ fn local(remap: &mut Vec<Symbol>, lane: &mut Lane, batch: Symbol, name: &str) ->
 #[inline]
 fn token_over(lane: &mut Lane, delivered: bool) -> u64 {
     if delivered {
-        lane.tick();
+        lane.tick(1);
     }
     lane.step();
     u64::from(delivered)
 }
 
 impl FanOut {
-    fn apply(&mut self, token: &Token<'_>) {
+    /// Offer one token to every lane. Returns whether it opened an element
+    /// no query keeps — its subtree is the caller's to skip, end tag
+    /// included.
+    fn apply(&mut self, token: &Token<'_>) -> bool {
         match token {
             Token::StartTag(tag) => {
                 let self_closing = tag.self_closing;
                 // A self-closing tag stands for open+close: count both.
                 self.tokens += 1 + u64::from(self_closing);
-                if self.merged_skip > 0 {
-                    self.merged_skip += u32::from(!self_closing);
-                    return;
-                }
                 let name = self.symbols.intern(tag.name);
                 let outcome = self.matcher.enter_element(name);
                 let any_keep = outcome.any_keep;
@@ -494,17 +505,14 @@ impl FanOut {
                 if !any_keep {
                     // Nobody can match inside: hide the subtree from
                     // every lane (the matcher pushed no frame for it).
-                    self.merged_skip = u32::from(!self_closing);
-                } else if self_closing {
+                    return !self_closing;
+                }
+                if self_closing {
                     self.matcher.leave_element();
                 }
             }
             Token::EndTag { .. } => {
                 self.tokens += 1;
-                if self.merged_skip > 0 {
-                    self.merged_skip -= 1;
-                    return;
-                }
                 for (lane, skip) in self.lanes.iter_mut().zip(&mut self.lane_skip) {
                     if *skip > 0 {
                         *skip -= 1;
@@ -517,9 +525,6 @@ impl FanOut {
             }
             Token::Text(content) => {
                 self.tokens += 1;
-                if self.merged_skip > 0 {
-                    return;
-                }
                 let roles = self.matcher.text();
                 for (qi, lane) in self.lanes.iter_mut().enumerate() {
                     // Every visible text child bumps the lane's ordinals;
@@ -541,6 +546,7 @@ impl FanOut {
             // Comments, PIs and the doctype are not part of the data model.
             Token::Comment(_) | Token::ProcessingInstruction { .. } | Token::Doctype(_) => {}
         }
+        false
     }
 }
 

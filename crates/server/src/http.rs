@@ -473,7 +473,9 @@ pub fn read_body_limited<R: BufRead>(
     }
 }
 
-/// Write a complete, sized response.
+/// Write a complete, sized response — in one `write`: the peer is an
+/// unbuffered socket with `TCP_NODELAY`, where every fragment would be a
+/// system call, a segment and a wake-up of the reader.
 pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
@@ -483,22 +485,24 @@ pub fn write_response<W: Write>(
     close: bool,
 ) -> io::Result<()> {
     note_status(status);
-    write!(w, "HTTP/1.1 {status} {reason}\r\n")?;
-    write!(w, "Content-Length: {}\r\n", body.len())?;
+    let mut wire = Vec::with_capacity(256 + body.len());
+    write!(wire, "HTTP/1.1 {status} {reason}\r\n")?;
+    write!(wire, "Content-Length: {}\r\n", body.len())?;
     if !extra_headers
         .iter()
         .any(|(n, _)| n.eq_ignore_ascii_case("content-type"))
     {
-        write!(w, "Content-Type: text/plain; charset=utf-8\r\n")?;
+        write!(wire, "Content-Type: text/plain; charset=utf-8\r\n")?;
     }
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        write!(wire, "{name}: {value}\r\n")?;
     }
     if close {
-        write!(w, "Connection: close\r\n")?;
+        write!(wire, "Connection: close\r\n")?;
     }
-    write!(w, "\r\n")?;
-    w.write_all(body)?;
+    write!(wire, "\r\n")?;
+    wire.extend_from_slice(body);
+    w.write_all(&wire)?;
     w.flush()
 }
 
@@ -516,19 +520,33 @@ pub struct DeferredBody<W: Write> {
     out: W,
     /// The prepared success head, written verbatim at commit time.
     head: Vec<u8>,
+    /// `room` spare bytes, then the output not yet sent. `out` is an
+    /// unbuffered socket with `TCP_NODELAY`: head, chunk size, chunk,
+    /// terminal chunk and trailers written piece by piece are some thirty
+    /// system calls and segments a response, each waking the client.
+    /// Framed in place around the output, each flush is one write.
     buf: Vec<u8>,
+    /// Spare bytes at the front of `buf`: the head and a chunk-size line.
+    room: usize,
     threshold: usize,
     committed: bool,
 }
+
+/// The longest chunk-size line: sixteen hex digits, CR, LF.
+const SIZE_LINE: usize = 18;
 
 impl<W: Write> DeferredBody<W> {
     /// Wrap `out`; `head` is the full success head (status line + headers
     /// + blank line) to emit on commit.
     pub fn new(out: W, head: Vec<u8>, threshold: usize) -> DeferredBody<W> {
+        let room = head.len() + SIZE_LINE;
+        let mut buf = Vec::with_capacity(room + threshold.min(64 * 1024));
+        buf.resize(room, 0);
         DeferredBody {
             out,
             head,
-            buf: Vec::with_capacity(threshold.min(64 * 1024)),
+            buf,
+            room,
             threshold,
             committed: false,
         }
@@ -539,35 +557,46 @@ impl<W: Write> DeferredBody<W> {
         self.committed
     }
 
-    fn commit(&mut self) -> io::Result<()> {
+    /// Frame the buffered output as one chunk, in place — behind the head
+    /// if that has not gone out — and return where in `buf` the frame
+    /// begins. Commits: the frame is written next.
+    fn frame(&mut self) -> usize {
+        let mut start = self.room;
+        let len = self.buf.len() - self.room;
+        if len > 0 {
+            let mut line = [0u8; SIZE_LINE];
+            let mut rest = &mut line[..];
+            write!(rest, "{len:x}\r\n").expect("a usize in hex fits");
+            let line_len = SIZE_LINE - rest.len();
+            start -= line_len;
+            self.buf[start..self.room].copy_from_slice(&line[..line_len]);
+            self.buf.extend_from_slice(b"\r\n");
+        }
         if !self.committed {
             note_status(200);
-            self.out.write_all(&self.head)?;
+            start -= self.head.len();
+            self.buf[start..start + self.head.len()].copy_from_slice(&self.head);
             self.committed = true;
         }
-        Ok(())
+        start
     }
 
-    fn flush_chunk(&mut self) -> io::Result<()> {
-        if !self.buf.is_empty() {
-            write!(self.out, "{:x}\r\n", self.buf.len())?;
-            self.out.write_all(&self.buf)?;
-            self.out.write_all(b"\r\n")?;
-            self.buf.clear();
-        }
-        Ok(())
+    fn send(&mut self, start: usize) -> io::Result<()> {
+        let sent = self.out.write_all(&self.buf[start..]);
+        self.buf.truncate(self.room);
+        sent
     }
 
     /// Successful completion: emit everything plus the terminal chunk and
     /// `trailers`, and return the underlying writer for connection reuse.
     pub fn finish(mut self, trailers: &[(&str, String)]) -> io::Result<W> {
-        self.commit()?;
-        self.flush_chunk()?;
-        self.out.write_all(b"0\r\n")?;
+        let start = self.frame();
+        self.buf.extend_from_slice(b"0\r\n");
         for (name, value) in trailers {
-            write!(self.out, "{name}: {value}\r\n")?;
+            write!(self.buf, "{name}: {value}\r\n")?;
         }
-        self.out.write_all(b"\r\n")?;
+        self.buf.extend_from_slice(b"\r\n");
+        self.send(start)?;
         self.out.flush()?;
         Ok(self.out)
     }
@@ -581,13 +610,13 @@ impl<W: Write> DeferredBody<W> {
         if !self.committed {
             return Ok(Some(self.out));
         }
-        self.buf.clear();
-        self.out.write_all(b"0\r\n")?;
+        self.buf.truncate(self.room);
         let sanitized: String = error
             .chars()
             .map(|c| if c == '\r' || c == '\n' { ' ' } else { c })
             .collect();
-        write!(self.out, "X-Gcx-Error: {sanitized}\r\n\r\n")?;
+        write!(self.buf, "0\r\nX-Gcx-Error: {sanitized}\r\n\r\n")?;
+        self.send(self.room)?;
         self.out.flush()?;
         Ok(None)
     }
@@ -596,9 +625,9 @@ impl<W: Write> DeferredBody<W> {
 impl<W: Write> Write for DeferredBody<W> {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
         self.buf.extend_from_slice(data);
-        if self.buf.len() >= self.threshold {
-            self.commit()?;
-            self.flush_chunk()?;
+        if self.buf.len() - self.room >= self.threshold {
+            let start = self.frame();
+            self.send(start)?;
         }
         Ok(data.len())
     }
@@ -608,7 +637,10 @@ impl<W: Write> Write for DeferredBody<W> {
     /// that flush early would forfeit the clean-error window.
     fn flush(&mut self) -> io::Result<()> {
         if self.committed {
-            self.flush_chunk()?;
+            if self.buf.len() > self.room {
+                let start = self.frame();
+                self.send(start)?;
+            }
             self.out.flush()?;
         }
         Ok(())
@@ -723,6 +755,50 @@ mod tests {
             wire,
             "HEAD\r\n\r\n6\r\nabcdef\r\n2\r\ngh\r\n0\r\nX-T: 1\r\n\r\n"
         );
+    }
+
+    #[test]
+    fn deferred_body_writes_each_frame_at_once() {
+        /// Records every `write` it is handed.
+        struct Segments(Vec<Vec<u8>>);
+        impl Write for Segments {
+            fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+                self.0.push(data.to_vec());
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let trailers = [("X-T", "1".to_string())];
+
+        // Never committed: head, chunk, terminal chunk and trailers together.
+        let mut sink = Segments(Vec::new());
+        let mut body = DeferredBody::new(&mut sink, b"HEAD\r\n\r\n".to_vec(), 1024);
+        body.write_all(b"abc").unwrap();
+        body.finish(&trailers).unwrap();
+        assert_eq!(sink.0, [b"HEAD\r\n\r\n3\r\nabc\r\n0\r\nX-T: 1\r\n\r\n"]);
+
+        // Committed by the threshold: head + first chunk, then one write a
+        // chunk, the tail riding on the last.
+        let mut sink = Segments(Vec::new());
+        let mut body = DeferredBody::new(&mut sink, b"HEAD\r\n\r\n".to_vec(), 4);
+        body.write_all(b"abcdefghijklmnop").unwrap();
+        body.write_all(b"qr").unwrap();
+        body.flush().unwrap();
+        body.finish(&trailers).unwrap();
+        assert_eq!(
+            sink.0,
+            [
+                &b"HEAD\r\n\r\n10\r\nabcdefghijklmnop\r\n"[..],
+                b"2\r\nqr\r\n",
+                b"0\r\nX-T: 1\r\n\r\n",
+            ]
+        );
+
+        let mut sink = Segments(Vec::new());
+        write_response(&mut sink, 404, "Not Found", &[("X-A", "b")], b"no\n", true).unwrap();
+        assert_eq!(sink.0.len(), 1);
     }
 
     #[test]

@@ -901,6 +901,16 @@ impl<R: BufRead> BufRead for DeadlineReader<'_, R> {
     }
 }
 
+/// One log line on stderr in a single `write`. Stderr is unbuffered, so
+/// `eprintln!` issues one `write` per format fragment (eleven for an eval
+/// line), each waking whoever reads the other end — while the client of a
+/// `Connection: close` request still waits for this worker to hang up.
+fn log_line(line: std::fmt::Arguments<'_>) {
+    let mut text = line.to_string();
+    text.push('\n');
+    eprint!("{text}");
+}
+
 /// `POST /eval/{name}`: stream the request body through the engine and
 /// the result back out, reporting the run's measurements as trailers.
 fn eval<R: BufRead, W: Write>(
@@ -1050,19 +1060,20 @@ fn eval<R: BufRead, W: Write>(
                 trailers.push(("X-Gcx-Shard-Path", p.clone()));
             }
             out.finish(&trailers)?;
-            shared.stats.record_eval(&report);
+            // The run total last: whoever sees it sees the rest as well.
             entry.evals.bump();
             shared
                 .metrics
                 .eval_peak_buffer_bytes
                 .observe(report.buffer.peak_live_bytes);
-            eprintln!(
+            shared.stats.record_eval(&report);
+            log_line(format_args!(
                 "gcx-server: eval query={name} trace={trace_id} status=200 \
                  tokens={} peak_buffer_bytes={} dur_us={}",
                 report.tokens,
                 report.buffer.peak_live_bytes,
                 started.elapsed().as_micros()
-            );
+            ));
             // `drain_input` read the body to its end, so the connection is
             // positioned at the next request.
             if body.fully_consumed() {
@@ -1091,12 +1102,12 @@ fn eval<R: BufRead, W: Write>(
             } else {
                 format!("{e}\n")
             };
-            eprintln!(
+            log_line(format_args!(
                 "gcx-server: eval query={name} trace={trace_id} status={status} \
                  error={:?} dur_us={}",
                 msg.trim_end(),
                 started.elapsed().as_micros()
-            );
+            ));
             match out.fail(msg.trim_end())? {
                 Some(w) => {
                     // Nothing was streamed yet: a clean, typed rejection.

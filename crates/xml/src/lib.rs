@@ -9,7 +9,8 @@
 //!   text, comments, CDATA, processing instructions), with byte-exact
 //!   source positions, entity resolution and optional well-formedness
 //!   enforcement. Suspends at any byte boundary, carrying partial-token
-//!   spillover internally.
+//!   spillover internally, and fast-forwards over a subtree its consumer
+//!   rejected ([`PushTokenizer::skip_element`]).
 //! * [`Tokenizer`]: the pull adapter over that core for any
 //!   [`std::io::Read`] source.
 //! * [`XmlWriter`]: a streaming serializer with automatic escaping and
@@ -48,7 +49,7 @@ mod writer;
 pub use doctype::{DoctypeError, DoctypeView};
 pub use error::{XmlError, XmlErrorKind, XmlResult};
 pub use pos::TextPos;
-pub use push::{PushTokenizer, TokenStep};
+pub use push::{PushTokenizer, Skipped, TokenStep};
 pub use scan::{scan_boundaries, Boundary, ScanError, ScanEvent, ScanOutline};
 pub use sym::{FxBuildHasher, FxHasher, Symbol, SymbolTable};
 pub use token::{Attr, Attrs, StartTag, Token};

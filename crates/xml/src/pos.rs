@@ -25,19 +25,27 @@ impl TextPos {
     };
 
     /// Advance the position over `bytes`, updating line/column bookkeeping.
-    /// Counting newlines in bulk (instead of branching per byte) lets the
-    /// compiler vectorize this, which matters: every consumed token passes
-    /// through here.
+    /// Every consumed byte passes through here, so newlines are counted in
+    /// bulk, in a form the compiler vectorizes (byte-wide counters over
+    /// blocks too short to overflow them). The search for the *last*
+    /// newline exits early and cannot be vectorized: it runs only when the
+    /// count found one, and from the end, where it is a line's length away.
     pub fn advance(&mut self, bytes: &[u8]) {
         self.offset += bytes.len() as u64;
-        match bytes.iter().rposition(|&b| b == b'\n') {
-            Some(last) => {
-                let newlines = 1 + bytes[..last].iter().filter(|&&b| b == b'\n').count();
-                self.line += newlines as u32;
-                self.column = (bytes.len() - last) as u32;
-            }
-            None => self.column += bytes.len() as u32,
+        let newlines: usize = bytes
+            .chunks(255)
+            .map(|block| block.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize)
+            .sum();
+        if newlines == 0 {
+            self.column += bytes.len() as u32;
+            return;
         }
+        let last = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .expect("a newline was counted");
+        self.line += newlines as u32;
+        self.column = (bytes.len() - last) as u32;
     }
 }
 
@@ -71,6 +79,20 @@ mod tests {
         let mut p = TextPos::START;
         p.advance(b"\n\nxy");
         assert_eq!(p.to_string(), "3:3");
+    }
+
+    #[test]
+    fn long_stretches_count_across_blocks() {
+        // Newlines are counted in 255-byte blocks: cover the seams.
+        let mut bytes = vec![b'x'; 1000];
+        for at in [0, 254, 255, 256, 509, 510, 700] {
+            bytes[at] = b'\n';
+        }
+        let mut p = TextPos::START;
+        p.advance(&bytes);
+        assert_eq!((p.line, p.column, p.offset), (8, 300, 1000));
+        p.advance(&[b'x'; 600]);
+        assert_eq!((p.line, p.column, p.offset), (8, 900, 1600));
     }
 
     #[test]

@@ -48,6 +48,47 @@
 //! assert_eq!(text, "x & y");
 //! ```
 //!
+//! ## Skipping a subtree
+//!
+//! A consumer that has no use for an element — the stream preprojector,
+//! once the projection automaton rejects a start tag — does not step
+//! through its content: right after `step` returned the element's
+//! (non-self-closing) start tag — before the next `feed`, like reading the
+//! token — it calls [`PushTokenizer::skip_element`],
+//! which fast-forwards through the matching end tag and reports how many
+//! structural tokens went by (a start or end tag 1, a self-closing tag 2,
+//! a text run or CDATA section 1; comments and processing instructions
+//! 0). The skip accepts and rejects exactly the documents stepping would,
+//! with the same [`XmlError`] kind and position — the common shapes (clean
+//! ASCII text, `<name>`, `<name/>`, the end tag that matches the innermost
+//! open name) are checked inline, everything else goes through the same
+//! code `step` runs, with the token discarded.
+//!
+//! A skip suspends like `step` does. While [`Skipped::complete`] is false
+//! the window is exhausted: feed more bytes and call `skip_element` again
+//! ([`PushTokenizer::skipping`] says a skip is in flight). Text is consumed
+//! as it arrives, so a skipped megabyte of character data never sits in
+//! the window.
+//!
+//! ```
+//! use gcx_xml::{PushTokenizer, Token, TokenStep};
+//!
+//! let mut t = PushTokenizer::new();
+//! t.feed(b"<r><junk><a>1</a><b k='v'/>some te"); // ends inside a text run
+//! assert_eq!(t.step().unwrap(), TokenStep::Token); // <r>
+//! assert_eq!(t.step().unwrap(), TokenStep::Token); // <junk>: not wanted
+//! let first = t.skip_element().unwrap();
+//! assert!(!first.complete && t.skipping());
+//! assert_eq!(t.pending_bytes(), 0, "skipped text is not held back");
+//! t.feed(b"xt</junk><keep/></r>");
+//! let rest = t.skip_element().unwrap();
+//! assert!(rest.complete && !t.skipping());
+//! // <a> 1 </a> <b/>(2) text </junk>
+//! assert_eq!(first.tokens + rest.tokens, 7);
+//! assert_eq!(t.step().unwrap(), TokenStep::Token);
+//! assert!(matches!(t.token(), Token::StartTag(s) if s.name == "keep"));
+//! ```
+//!
 //! ## Allocation discipline
 //!
 //! Same as the pull tokenizer it replaced: the steady-state token loop
@@ -56,6 +97,7 @@
 //! in one arena, attribute spans live in a reusable scratch vector, and
 //! rewritten text/attribute values go into reusable arenas. A returned
 //! token borrows these buffers and is valid until the next `feed`/`step`.
+//! A skip touches only the window and the open-name arena.
 
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::escape::{normalize_attr_into, normalize_newlines_into, normalize_unescape_into};
@@ -75,6 +117,21 @@ pub enum TokenStep {
     /// Clean end of input: every byte was tokenized and (with checking
     /// enabled) the document is well-formed.
     End,
+}
+
+/// What one [`PushTokenizer::skip_element`] call got through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Skipped {
+    /// Structural tokens passed by this call, as a consumer stepping
+    /// through them would count: a start or end tag 1, a self-closing tag
+    /// 2, a text run or CDATA section 1 (a run split across calls is
+    /// counted by the call that saw its first byte).
+    pub tokens: u64,
+    /// The element's end tag was passed: the next [`PushTokenizer::step`]
+    /// returns what follows it. False when the window ran out first — feed
+    /// more bytes and call again, or, at the end of input, let `step`
+    /// report the end.
+    pub complete: bool,
 }
 
 /// Descriptor of the last recognized token: spans into the window buffer
@@ -162,9 +219,10 @@ pub struct PushTokenizer {
     pos: TextPos,
     opts: TokenizerOptions,
     /// Open element names (well-formedness only): start offsets into
-    /// `stack_arena`, where names are stored back-to-back.
+    /// `stack_arena`, where the (validated, UTF-8) names are stored
+    /// back-to-back.
     stack: Vec<u32>,
-    stack_arena: String,
+    stack_arena: Vec<u8>,
     seen_root: bool,
     /// Scratch for rewritten (unescaped/normalized) text so we can lend it
     /// borrowed.
@@ -181,6 +239,13 @@ pub struct PushTokenizer {
     /// High watermark of the unread window (spillover carried across
     /// chunk boundaries plus in-flight chunk bytes).
     window_peak: usize,
+    /// Elements open inside the subtree being skipped, its top element
+    /// included (0 = no skip in flight).
+    skip_open: usize,
+    /// Mid-skip, inside a text run whose head is already consumed (and
+    /// counted): where the run began, which is where stepping would
+    /// report an error in it.
+    skip_text_start: Option<TextPos>,
 }
 
 impl Default for PushTokenizer {
@@ -205,7 +270,7 @@ impl PushTokenizer {
             pos: TextPos::START,
             opts,
             stack: Vec::new(),
-            stack_arena: String::new(),
+            stack_arena: Vec::new(),
             seen_root: false,
             text_scratch: String::new(),
             attr_spans: Vec::new(),
@@ -214,6 +279,8 @@ impl PushTokenizer {
             pending: Pending::None,
             hint: None,
             window_peak: 0,
+            skip_open: 0,
+            skip_text_start: None,
         }
     }
 
@@ -237,6 +304,12 @@ impl PushTokenizer {
     /// True once [`PushTokenizer::finish_input`] has been called.
     pub fn input_finished(&self) -> bool {
         self.eof
+    }
+
+    /// True while a [`PushTokenizer::skip_element`] is suspended for more
+    /// data: the next call continues it.
+    pub fn skipping(&self) -> bool {
+        self.skip_open > 0
     }
 
     /// High watermark of the unread window over the tokenizer's lifetime —
@@ -359,7 +432,7 @@ impl PushTokenizer {
                     .get(i + 1)
                     .map(|&e| e as usize)
                     .unwrap_or(self.stack_arena.len());
-                self.stack_arena[start as usize..end].to_string()
+                open_name(&self.stack_arena[start as usize..end]).to_string()
             })
             .collect()
     }
@@ -375,29 +448,35 @@ impl PushTokenizer {
             return Ok(TokenStep::End);
         }
         if self.avail() == 0 {
-            if !self.eof {
-                return Ok(TokenStep::NeedMoreData);
-            }
-            // Clean EOF: validate well-formedness closure.
-            self.done = true;
-            if self.opts.check_well_formed {
-                if !self.stack.is_empty() {
-                    return Err(XmlError::new(
-                        XmlErrorKind::UnclosedElements(self.open_names()),
-                        self.pos,
-                    ));
-                }
-                if !self.seen_root && !self.opts.allow_fragments {
-                    return Err(self.err_eof("document element"));
-                }
-            }
-            return Ok(TokenStep::End);
+            return if self.eof {
+                self.end_of_input()
+            } else {
+                Ok(TokenStep::NeedMoreData)
+            };
         }
         if self.buf[self.lo] == b'<' {
             self.step_markup()
         } else {
-            self.step_text()
+            self.step_text(self.pos)
         }
+    }
+
+    /// Every byte is consumed and no more will arrive: validate the
+    /// well-formedness closure. Terminal — later steps report `End`.
+    fn end_of_input(&mut self) -> XmlResult<TokenStep> {
+        self.done = true;
+        if self.opts.check_well_formed {
+            if !self.stack.is_empty() {
+                return Err(XmlError::new(
+                    XmlErrorKind::UnclosedElements(self.open_names()),
+                    self.pos,
+                ));
+            }
+            if !self.seen_root && !self.opts.allow_fragments {
+                return Err(self.err_eof("document element"));
+            }
+        }
+        Ok(TokenStep::End)
     }
 
     /// The token recognized by the last [`TokenStep::Token`]. Borrows the
@@ -456,41 +535,58 @@ impl PushTokenizer {
         }
     }
 
-    fn step_text(&mut self) -> XmlResult<TokenStep> {
+    /// A text run starts at the window start; `start_pos` is where the run
+    /// began (the current position, unless a skip already consumed its
+    /// head) — errors in the run are reported there.
+    fn step_text(&mut self, start_pos: TextPos) -> XmlResult<TokenStep> {
         // Locate the end of the text run: the next '<' or end of input.
         // A run is one token however it was chunked, so the whole run must
         // be buffered before it is emitted (this is the common spillover).
-        let end = match self.find(0, b"<") {
-            None => return Ok(TokenStep::NeedMoreData),
-            Some(None) => self.avail(),
-            Some(Some(i)) => i,
+        // On the first look at a run, one fused pass finds its end *and*
+        // learns whether anything in it needs a second look: a run of
+        // plain ASCII up to its '<' is valid UTF-8 with nothing to rewrite.
+        let mut from = 0;
+        let mut clean_end = None;
+        if self.hint.is_none() {
+            let window = &self.buf[self.lo..self.hi];
+            match text_stop::<true>(window) {
+                Some(p) if window[p] == b'<' => clean_end = Some(p),
+                stop => from = stop.unwrap_or(window.len()),
+            }
+        }
+        let end = match clean_end {
+            Some(end) => end,
+            None => match self.find(from, b"<") {
+                None => return Ok(TokenStep::NeedMoreData),
+                Some(None) => self.avail(),
+                Some(Some(i)) => i,
+            },
         };
-        let start_pos = self.pos;
         let raw = &self.buf[self.lo..self.lo + end];
-        let raw = std::str::from_utf8(raw)
-            .map_err(|_| XmlError::new(XmlErrorKind::InvalidUtf8, start_pos))?;
+        let unclean = match clean_end {
+            Some(_) => None,
+            None => Some(check_utf8(raw, start_pos)?),
+        };
         // Outside the document element only whitespace is allowed.
         if self.opts.check_well_formed
             && !self.opts.allow_fragments
             && self.stack.is_empty()
-            && !raw.bytes().all(|b| b.is_ascii_whitespace())
+            && !raw.iter().all(|b| b.is_ascii_whitespace())
         {
             return Err(XmlError::new(XmlErrorKind::TextOutsideRoot, start_pos));
         }
         // Entity resolution and line-ending normalization share one rewrite
         // pass into the reusable scratch; clean runs are lent borrowed.
-        let needs_rewrite = raw.bytes().any(|b| b == b'&' || b == b'\r');
-        if needs_rewrite {
+        let rewrite = unclean.filter(|raw| raw.bytes().any(|b| b == b'&' || b == b'\r'));
+        if let Some(raw) = rewrite {
             self.text_scratch.clear();
-            let raw_range = self.lo..self.lo + end; // defer slice re-borrow
-            let raw2 = revalidated(&self.buf[raw_range]);
-            if let Err(entity) = normalize_unescape_into(raw2, &mut self.text_scratch) {
+            if let Err(entity) = normalize_unescape_into(raw, &mut self.text_scratch) {
                 let entity = entity.to_string();
                 return Err(XmlError::new(XmlErrorKind::BadEntity(entity), start_pos));
             }
         }
         self.pending = Pending::Text {
-            scratch: needs_rewrite,
+            scratch: rewrite.is_some(),
             start: self.lo,
             len: end,
         };
@@ -641,10 +737,10 @@ impl PushTokenizer {
                         }
                         Some(open_start) => {
                             let open = &self.stack_arena[open_start as usize..];
-                            if open != name {
+                            if open != name.as_bytes() {
                                 return Err(XmlError::new(
                                     XmlErrorKind::MismatchedTag {
-                                        expected: open.to_string(),
+                                        expected: open_name(open).to_string(),
                                         found: name.to_string(),
                                     },
                                     start_pos,
@@ -885,7 +981,7 @@ impl PushTokenizer {
             }
             if !self_closing {
                 self.stack.push(self.stack_arena.len() as u32);
-                self.stack_arena.push_str(name);
+                self.stack_arena.extend_from_slice(name.as_bytes());
             }
         }
 
@@ -897,6 +993,210 @@ impl PushTokenizer {
         };
         self.consume(total);
         Ok(TokenStep::Token)
+    }
+
+    // ---- skipping ----------------------------------------------------------
+
+    /// Fast-forward through the end tag of the element whose
+    /// non-self-closing start tag the last [`PushTokenizer::step`]
+    /// returned — or continue the skip an earlier call suspended
+    /// ([`PushTokenizer::skipping`]). See the [module docs](self) for the
+    /// protocol. Accepts and rejects exactly what stepping through the
+    /// subtree would, with the same error and position.
+    ///
+    /// # Panics
+    ///
+    /// If no skip is in flight and the last step did not produce a
+    /// non-self-closing start tag — or a `feed` has invalidated it since:
+    /// a skip starts where the token would have been read.
+    pub fn skip_element(&mut self) -> XmlResult<Skipped> {
+        if self.skip_open == 0 {
+            assert!(
+                matches!(
+                    self.pending,
+                    Pending::StartTag {
+                        self_closing: false,
+                        ..
+                    }
+                ),
+                "PushTokenizer::skip_element() without an open start tag pending"
+            );
+            self.skip_open = 1;
+        }
+        self.pending = Pending::None;
+        let mut tokens = 0;
+        while self.skip_open > 0 {
+            // A recorded scan position belongs to a partial token at the
+            // window start: only the stepping functions can resume it.
+            if self.hint.is_none() {
+                tokens += self.skip_stretch();
+                if self.skip_open == 0 {
+                    break;
+                }
+            }
+            if self.avail() == 0 {
+                if self.eof {
+                    // The input ends inside the element: an error with
+                    // checking on, otherwise the end `step` will report.
+                    self.skip_open = 0;
+                    self.skip_text_start = None;
+                    self.end_of_input()?;
+                }
+                return Ok(Skipped {
+                    tokens,
+                    complete: false,
+                });
+            }
+            // Something the stretch does not check inline.
+            match self.skip_token()? {
+                Some(n) => tokens += n,
+                None => {
+                    return Ok(Skipped {
+                        tokens,
+                        complete: false,
+                    })
+                }
+            }
+        }
+        Ok(Skipped {
+            tokens,
+            complete: true,
+        })
+    }
+
+    /// The inline part of a skip: walk the window over clean ASCII text,
+    /// attribute-less ASCII-name start tags and end tags that spell the
+    /// innermost open name, and consume the whole stretch at once. Stops —
+    /// in front of it — at anything else, at the window end, and behind the
+    /// end tag that completes the skip. Returns the tokens passed.
+    fn skip_stretch(&mut self) -> u64 {
+        let window = &self.buf[self.lo..self.hi];
+        let check = self.opts.check_well_formed;
+        let mut tokens = 0;
+        let mut i = 0;
+        // Where the text run the stretch stopped in began, if it began in
+        // this stretch.
+        let mut run_start = None;
+        while i < window.len() {
+            if window[i] != b'<' {
+                if self.skip_text_start.is_none() && run_start.is_none() {
+                    run_start = Some(i);
+                    tokens += 1;
+                }
+                match text_stop::<false>(&window[i..]) {
+                    Some(p) if window[i + p] == b'<' => i += p,
+                    // '&' or a non-ASCII byte: the rest of the run needs
+                    // the full checks.
+                    Some(p) => {
+                        i += p;
+                        break;
+                    }
+                    None => {
+                        i = window.len();
+                        break;
+                    }
+                }
+            }
+            // At a '<': whatever text run came before is over.
+            self.skip_text_start = None;
+            run_start = None;
+            let rest = &window[i + 1..];
+            let end_tag = rest.first() == Some(&b'/');
+            // A length of 0 stands for "not a name the stretch vouches for".
+            let name = if end_tag && check {
+                // The only end tag that is right here is the innermost
+                // open name's; it was validated when it was pushed.
+                match self.stack.last() {
+                    Some(&open) if rest[1..].starts_with(&self.stack_arena[open as usize..]) => {
+                        self.stack_arena.len() - open as usize
+                    }
+                    _ => 0,
+                }
+            } else {
+                ascii_name_len(&rest[usize::from(end_tag)..])
+            };
+            if name == 0 {
+                break;
+            }
+            if end_tag {
+                if rest.get(1 + name) != Some(&b'>') {
+                    break;
+                }
+                if check {
+                    let open = self.stack.pop().expect("matched against the top");
+                    self.stack_arena.truncate(open as usize);
+                }
+                tokens += 1;
+                i += name + 3;
+                self.skip_open -= 1;
+                if self.skip_open == 0 {
+                    break;
+                }
+            } else {
+                let self_closing = match (rest.get(name), rest.get(name + 1)) {
+                    (Some(b'>'), _) => false,
+                    (Some(b'/'), Some(b'>')) => true,
+                    _ => break,
+                };
+                if self_closing {
+                    tokens += 2;
+                    i += name + 3;
+                } else {
+                    if check {
+                        self.stack.push(self.stack_arena.len() as u32);
+                        self.stack_arena.extend_from_slice(&rest[..name]);
+                    }
+                    self.skip_open += 1;
+                    tokens += 1;
+                    i += name + 2;
+                }
+            }
+        }
+        if let Some(run_start) = run_start {
+            // Stopped inside a run: remember where it began.
+            self.consume(run_start);
+            self.skip_text_start = Some(self.pos);
+            i -= run_start;
+        }
+        if i > 0 {
+            self.consume(i);
+        }
+        tokens
+    }
+
+    /// One token of a skipped subtree through the stepping functions, the
+    /// token itself discarded. `None` = the window ends inside it.
+    fn skip_token(&mut self) -> XmlResult<Option<u64>> {
+        if self.buf[self.lo] != b'<' {
+            // The rest of a text run whose head the stretch consumed and
+            // counted: validated as a whole once its '<' is in sight.
+            let start = self
+                .skip_text_start
+                .expect("the stretch stopped inside this run");
+            if self.step_text(start)? == TokenStep::NeedMoreData {
+                return Ok(None);
+            }
+            self.skip_text_start = None;
+            return Ok(Some(0));
+        }
+        if self.step_markup()? == TokenStep::NeedMoreData {
+            return Ok(None);
+        }
+        Ok(Some(
+            match std::mem::replace(&mut self.pending, Pending::None) {
+                Pending::StartTag { self_closing, .. } => {
+                    self.skip_open += usize::from(!self_closing);
+                    1 + u64::from(self_closing)
+                }
+                Pending::EndTag { .. } => {
+                    self.skip_open -= 1;
+                    1
+                }
+                // A CDATA section.
+                Pending::Text { .. } => 1,
+                _ => 0,
+            },
+        ))
     }
 }
 
@@ -917,23 +1217,44 @@ fn load_le(bytes: &[u8]) -> usize {
     usize::from_ne_bytes(bytes[..LANES].try_into().unwrap()).to_le()
 }
 
-/// SWAR single-byte search: scans one machine word at a time using the
-/// classic zero-byte detector, with a scalar tail. This is the accelerated
-/// scanner behind [`find_sub`]; the text/markup boundary scans of large
-/// documents spend most of their time here.
+/// The classic zero-byte detector: the high bit of every lane of `word`
+/// that equals `broadcast`'s byte — exact up to and including the first
+/// such lane (borrow propagation can set lanes above it).
 #[inline]
-pub(crate) fn memchr1(needle: u8, hay: &[u8]) -> Option<usize> {
-    let broadcast = usize::from_ne_bytes([needle; LANES]);
+fn zero_detect(word: usize, broadcast: usize) -> usize {
+    let x = word ^ broadcast;
+    x.wrapping_sub(LSB) & !x & MSB
+}
+
+/// First byte of `hay` that `is` accepts, a machine word at a time with a
+/// scalar tail. `detect` gets each word (first byte lowest, see
+/// [`load_le`]) and must set the high bit of every lane whose byte `is`
+/// accepts; it may also set lanes *above* the first such lane — an OR of
+/// [`zero_detect`]s does — because only the lowest set lane is read.
+#[inline]
+fn swar_position(
+    hay: &[u8],
+    detect: impl Fn(usize) -> usize,
+    is: impl Fn(u8) -> bool,
+) -> Option<usize> {
     let mut i = 0;
     while i + LANES <= hay.len() {
-        let x = load_le(&hay[i..]) ^ broadcast;
-        let found = x.wrapping_sub(LSB) & !x & MSB;
+        let found = detect(load_le(&hay[i..]));
         if found != 0 {
             return Some(i + (found.trailing_zeros() / 8) as usize);
         }
         i += LANES;
     }
-    hay[i..].iter().position(|&b| b == needle).map(|p| i + p)
+    hay[i..].iter().position(|&b| is(b)).map(|p| i + p)
+}
+
+/// SWAR single-byte search. This is the accelerated scanner behind
+/// [`find_sub`]; the text/markup boundary scans of large documents spend
+/// most of their time here.
+#[inline]
+pub(crate) fn memchr1(needle: u8, hay: &[u8]) -> Option<usize> {
+    let broadcast = usize::from_ne_bytes([needle; LANES]);
+    swar_position(hay, |word| zero_detect(word, broadcast), |b| b == needle)
 }
 
 /// SWAR scan for the first start-tag delimiter: `"`, `'`, `>` or `<`.
@@ -941,33 +1262,39 @@ pub(crate) fn memchr1(needle: u8, hay: &[u8]) -> Option<usize> {
 /// margin; start tags are delimiter-sparse.
 #[inline]
 pub(crate) fn memchr_tag_delim(hay: &[u8]) -> Option<usize> {
-    #[inline]
-    fn zero_detect(word: usize, broadcast: usize) -> usize {
-        let x = word ^ broadcast;
-        x.wrapping_sub(LSB) & !x & MSB
-    }
     const DQ: usize = usize::from_ne_bytes([b'"'; LANES]);
     const SQ: usize = usize::from_ne_bytes([b'\''; LANES]);
     const GT: usize = usize::from_ne_bytes([b'>'; LANES]);
     const LT: usize = usize::from_ne_bytes([b'<'; LANES]);
-    let mut i = 0;
-    while i + LANES <= hay.len() {
-        let word = load_le(&hay[i..]);
-        let found = zero_detect(word, DQ)
-            | zero_detect(word, SQ)
-            | zero_detect(word, GT)
-            | zero_detect(word, LT);
-        if found != 0 {
-            // Each detector is exact below its own first true match, so the
-            // lowest set lane of the OR is the earliest true delimiter.
-            return Some(i + (found.trailing_zeros() / 8) as usize);
-        }
-        i += LANES;
-    }
-    hay[i..]
-        .iter()
-        .position(|&b| matches!(b, b'"' | b'\'' | b'>' | b'<'))
-        .map(|p| i + p)
+    swar_position(
+        hay,
+        |word| {
+            zero_detect(word, DQ)
+                | zero_detect(word, SQ)
+                | zero_detect(word, GT)
+                | zero_detect(word, LT)
+        },
+        |b| matches!(b, b'"' | b'\'' | b'>' | b'<'),
+    )
+}
+
+/// SWAR scan of character data for the first byte that ends a run or
+/// keeps it from being lent as it stands: `<`, `&`, any non-ASCII byte
+/// and — with `CR`, for runs that will be read — `\r`. A run that reaches
+/// its `<` without another stop is plain ASCII with nothing to rewrite.
+#[inline]
+fn text_stop<const CR: bool>(hay: &[u8]) -> Option<usize> {
+    const LT: usize = usize::from_ne_bytes([b'<'; LANES]);
+    const AMP: usize = usize::from_ne_bytes([b'&'; LANES]);
+    const RET: usize = usize::from_ne_bytes([b'\r'; LANES]);
+    swar_position(
+        hay,
+        |word| {
+            let cr = if CR { zero_detect(word, RET) } else { 0 };
+            zero_detect(word, LT) | zero_detect(word, AMP) | (word & MSB) | cr
+        },
+        |b| matches!(b, b'<' | b'&') || !b.is_ascii() || (CR && b == b'\r'),
+    )
 }
 
 /// Substring search: SWAR scan for the first needle byte, then verify the
@@ -992,6 +1319,11 @@ fn check_utf8(bytes: &[u8], pos: TextPos) -> XmlResult<&str> {
     std::str::from_utf8(bytes).map_err(|_| XmlError::new(XmlErrorKind::InvalidUtf8, pos))
 }
 
+/// An open element's name out of the arena.
+fn open_name(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("open names are validated before they are pushed")
+}
+
 /// Re-borrow bytes that were already UTF-8 validated when the pending
 /// token was recognized (tokens are read after `consume`, which ends the
 /// first borrow). Skipping the second validation saves a full pass over
@@ -999,17 +1331,19 @@ fn check_utf8(bytes: &[u8], pos: TextPos) -> XmlResult<&str> {
 #[inline]
 fn revalidated(bytes: &[u8]) -> &str {
     debug_assert!(std::str::from_utf8(bytes).is_ok());
-    // SAFETY: every pending span was validated via `check_utf8`/`from_utf8`
-    // in the step that recognized it, and the window is not mutated between
-    // that step and the `token()` read (feeding resets the pending state).
+    // SAFETY: every pending span was validated in the step that recognized
+    // it — via `check_utf8`, or, for a text run, by `text_stop` finding no
+    // byte >= 0x80 in it (ASCII is UTF-8) — and the window is not mutated
+    // between that step and the `token()` read (feeding resets the pending
+    // state).
     unsafe { std::str::from_utf8_unchecked(bytes) }
 }
 
 /// Byte classes for the ASCII fast path of [`validate_name`]: bit 0 = valid
-/// name start, bit 1 = valid name continuation. Non-ASCII bytes take the
-/// slow (char-based) path.
-static NAME_CLASS: [u8; 128] = {
-    let mut t = [0u8; 128];
+/// name start, bit 1 = valid name continuation. Non-ASCII bytes are in
+/// neither class here: names with them take the slow (char-based) path.
+static NAME_CLASS: [u8; 256] = {
+    let mut t = [0u8; 256];
     let mut b = 0usize;
     while b < 128 {
         let c = b as u8;
@@ -1024,6 +1358,20 @@ static NAME_CLASS: [u8; 128] = {
     }
     t
 };
+
+/// Length of the valid all-ASCII name `bytes` starts with (0 = none): the
+/// names [`validate_name`] accepts on its table path.
+fn ascii_name_len(bytes: &[u8]) -> usize {
+    match bytes.first() {
+        Some(&first) if NAME_CLASS[first as usize] & 0b01 != 0 => {
+            1 + bytes[1..]
+                .iter()
+                .take_while(|&&b| NAME_CLASS[b as usize] & 0b10 != 0)
+                .count()
+        }
+        _ => 0,
+    }
+}
 
 /// Validate an XML name (element or attribute). Namespace colons allowed.
 /// Runs per tag: ASCII names (the overwhelmingly common case) validate via
@@ -1216,6 +1564,155 @@ mod tests {
         for chunk in [1, 3, 4, 5] {
             assert_eq!(toks_chunked(doc, chunk), whole, "chunk {chunk}");
         }
+    }
+
+    /// Step to the first `<skip>` start tag of `input` (fed `chunk` bytes
+    /// at a time), pass the element — by `skip_element` or by stepping —
+    /// and return the tokens charged, the position behind it and the
+    /// token stream that follows (or the error).
+    fn pass_skip_element(input: &[u8], chunk: usize, by_skip: bool) -> Result<String, String> {
+        let mut t = PushTokenizer::new();
+        let mut chunks = input.chunks(chunk);
+        let mut more = |t: &mut PushTokenizer| match chunks.next() {
+            Some(c) => t.feed(c),
+            None => t.finish_input(),
+        };
+        let show = |e: XmlError| format!("{:?} at {}", e.kind, e.pos);
+        loop {
+            match t.step().map_err(show)? {
+                TokenStep::Token => {
+                    if matches!(t.token(), Token::StartTag(s) if s.name == "skip") {
+                        break;
+                    }
+                }
+                TokenStep::NeedMoreData => more(&mut t),
+                TokenStep::End => panic!("no <skip> element"),
+            }
+        }
+        let (mut charged, mut open) = (0, 1);
+        while open > 0 {
+            if by_skip {
+                let skipped = t.skip_element().map_err(show)?;
+                charged += skipped.tokens;
+                if skipped.complete {
+                    break;
+                }
+                more(&mut t);
+                continue;
+            }
+            match t.step().map_err(show)? {
+                TokenStep::Token => match t.token() {
+                    Token::StartTag(s) if s.self_closing => charged += 2,
+                    Token::StartTag(_) => (charged, open) = (charged + 1, open + 1),
+                    Token::EndTag { .. } => (charged, open) = (charged + 1, open - 1),
+                    Token::Text(_) => charged += 1,
+                    _ => {}
+                },
+                TokenStep::NeedMoreData => more(&mut t),
+                TokenStep::End => panic!("input ended inside <skip>"),
+            }
+        }
+        let mut seen = format!("{charged} tokens to {}:", t.position());
+        loop {
+            match t.step().map_err(show)? {
+                TokenStep::Token => seen.push_str(&format!(" {:?}", t.token())),
+                TokenStep::NeedMoreData => more(&mut t),
+                TokenStep::End => return Ok(seen),
+            }
+        }
+    }
+
+    #[test]
+    fn skip_matches_stepping_at_every_chunking() {
+        // Every shape the skip checks inline and every one it hands to the
+        // stepping functions, under an element that is skipped whole.
+        let doc = "<r><keep/><skip k='v'>plain<a><b/></a><c x=\"1&amp;2\" y='α'/>t&lt;x\n \
+                   <!-- </skip> --><![CDATA[</skip>]]><?pi </skip>?><été>grüße &#65;</été >\
+                   <d\n>tail</d></skip><after>x</after></r>";
+        let whole = pass_skip_element(doc.as_bytes(), doc.len(), false).unwrap();
+        assert!(whole.starts_with("16 tokens to 3:17:"), "{whole}");
+        for chunk in [1, 2, 3, 5, 7, 16, 64, doc.len()] {
+            for by_skip in [false, true] {
+                assert_eq!(
+                    pass_skip_element(doc.as_bytes(), chunk, by_skip).as_ref(),
+                    Ok(&whole),
+                    "chunk {chunk}, by_skip {by_skip}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skip_reports_the_error_stepping_reports() {
+        let cases: [&[u8]; 8] = [
+            b"<r><skip>clean head &bogus; tail</skip></r>",
+            b"<r><skip>clean head \xff tail</skip></r>",
+            b"<r><skip><a k='1' k='2'/></skip></r>",
+            b"<r><skip><a></b></skip></r>",
+            b"<r><skip>x</skipp></r>",
+            b"<r><skip><!-- open </skip></r>",
+            b"<r><skip><1/></skip></r>",
+            b"<r><skip><a>never closed",
+        ];
+        for doc in cases {
+            let want = pass_skip_element(doc, doc.len(), false).unwrap_err();
+            for chunk in [1, 3, doc.len()] {
+                assert_eq!(
+                    pass_skip_element(doc, chunk, true).as_ref(),
+                    Err(&want),
+                    "chunk {chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skipped_text_is_consumed_as_it_arrives() {
+        let mut t = PushTokenizer::new();
+        t.feed(b"<r><big>");
+        assert_eq!(t.step().unwrap(), TokenStep::Token);
+        assert_eq!(t.step().unwrap(), TokenStep::Token);
+        // The skip starts where the token would have been read: before
+        // the next feed.
+        assert!(!t.skip_element().unwrap().complete);
+        let mut tokens = 0;
+        for _ in 0..64 {
+            t.feed(&[b'y'; 1024]);
+            let skipped = t.skip_element().unwrap();
+            assert!(!skipped.complete);
+            tokens += skipped.tokens;
+            assert_eq!(t.pending_bytes(), 0, "a stepped run would spill whole");
+        }
+        // A byte the inline check does not vouch for holds back the rest
+        // of the run only.
+        t.feed(b"clean &amp; ");
+        assert!(!t.skip_element().unwrap().complete);
+        assert_eq!(t.pending_bytes(), 6);
+        t.feed(b"more</big>");
+        let skipped = t.skip_element().unwrap();
+        assert!(skipped.complete);
+        assert_eq!(tokens + skipped.tokens, 2, "one run, one end tag");
+        assert_eq!(t.position().offset, 8 + 64 * 1024 + 12 + 10);
+    }
+
+    #[test]
+    fn text_stop_matches_naive_search() {
+        let hay = "plain ascii text, no stops\r here & there <tag> grüße".as_bytes();
+        for start in 0..hay.len() {
+            let tail = &hay[start..];
+            let naive = |cr: bool| {
+                tail.iter()
+                    .position(|&b| matches!(b, b'<' | b'&') || b >= 0x80 || (cr && b == b'\r'))
+            };
+            assert_eq!(text_stop::<true>(tail), naive(true), "start {start}");
+            assert_eq!(text_stop::<false>(tail), naive(false), "start {start}");
+        }
+        // Lanes above a match may hold anything (borrow false positives,
+        // see `memchr1_matches_naive_search`): the lowest stop wins.
+        assert_eq!(text_stop::<false>(b"aaaaaa=<bbbbbbbb"), Some(7));
+        assert_eq!(text_stop::<false>(b"aaaaaa%&bbbbbbbb"), Some(7));
+        assert_eq!(text_stop::<true>(b"aaaaaa\x0c\rbbbbbbbb"), Some(7));
+        assert_eq!(text_stop::<false>(b"aaaaaaaaaaaaaaaa"), None);
     }
 
     #[test]

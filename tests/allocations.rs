@@ -18,6 +18,9 @@ use gcx::xml::{SymbolTable, Tokenizer};
 #[global_allocator]
 static ALLOC: gcx::memtrack::TrackingAllocator = gcx::memtrack::TrackingAllocator::new();
 
+/// Feed size of the skip measurement (what `gcx::run` reads at a time).
+const CHUNK: usize = 64 * 1024;
+
 /// An XMark-ish flat document: `items` repeated item elements.
 fn item_doc(items: usize) -> String {
     let mut s = String::with_capacity(items * 64 + 16);
@@ -100,6 +103,42 @@ fn steady_state_token_loop_allocates_o1() {
         "preprojector steady state must be allocation-free: \
          {p_small} allocs vs {p_large} for twice the document"
     );
+
+    // A refused subtree of more than 1 MiB goes by in bulk without one
+    // allocation: skipped text is consumed as it arrives, so the window
+    // stays one chunk long, and the open-name arena is reused — also by
+    // the shapes the skip hands to the stepping functions (attributes,
+    // entities).
+    let mut doc = String::from("<site><junk>");
+    while doc.len() < (1 << 20) + 4 * CHUNK {
+        doc.push_str("<a><b k=\"v\">text &amp; more</b><c/><d><e><f>deep text</f></e></d></a>");
+    }
+    doc.push_str("</junk><item/></site>");
+    let q = gcx::CompiledQuery::compile("for $a in /site/item/zzz return 'x'").unwrap();
+    let mut session = q.session(&gcx::EngineOptions::gcx());
+    let mut chunks = doc.as_bytes().chunks(CHUNK);
+    // Warm-up: the window and the scratch buffers reach working size.
+    for chunk in chunks.by_ref().take(2) {
+        session.feed(chunk).unwrap();
+    }
+    let before = gcx::memtrack::total_allocs();
+    let mut skipped = 0;
+    for chunk in chunks.by_ref().take((1 << 20) / CHUNK) {
+        session.feed(chunk).unwrap();
+        skipped += chunk.len();
+    }
+    let during_skip = gcx::memtrack::total_allocs() - before;
+    assert!(skipped >= 1 << 20);
+    assert_eq!(
+        during_skip, 0,
+        "skipping {skipped} bytes of <junk> allocated"
+    );
+    for chunk in chunks {
+        session.feed(chunk).unwrap();
+    }
+    let report = session.finish().unwrap();
+    assert_eq!(report.buffer.allocated, 2, "<site> and <item/> only");
+    assert!(report.tokens > 200_000);
 
     // The multi-query batch: N lanes fed by reference off one scan keep
     // the same contract — no event, name or role list is allocated per

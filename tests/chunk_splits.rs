@@ -14,6 +14,9 @@
 //! * seeded random multi-way splits;
 //! * handpicked documents with multi-byte UTF-8 and CDATA, split at every
 //!   byte;
+//! * the session's measurements — token count, both occupancy timelines,
+//!   peaks — against a token-by-token reference preprojector that knows
+//!   nothing of bulk skip, under the same chunkings;
 //! * (feature `proptest`) randomized split vectors over randomized
 //!   chunkings.
 
@@ -194,15 +197,177 @@ fn all_paper_queries_over_xmark_at_arbitrary_boundaries() {
     for (name, text) in paper_queries() {
         let q = CompiledQuery::compile(text).expect(name);
         let want = oracle(&q, &doc);
-        for chunk in [1usize, 7, 64, 1024] {
-            let splits: Vec<usize> = (1..doc.len()).step_by(chunk).collect();
+        for (label, splits) in xmark_chunkings(doc.len(), &mut rng) {
             let got = run_split(&q, &doc, &splits);
-            assert_equiv(&format!("{name} chunk {chunk}"), &want, &got);
+            assert_equiv(&format!("{name} {label}"), &want, &got);
         }
-        for round in 0..4 {
-            let splits = rng.splits(doc.len(), 9);
-            let got = run_split(&q, &doc, &splits);
-            assert_equiv(&format!("{name} random {round}"), &want, &got);
+    }
+}
+
+/// The chunkings of the XMark tests: fixed chunk sizes that straddle
+/// every construct, plus seeded random 10-way splits.
+fn xmark_chunkings(len: usize, rng: &mut XorShift) -> Vec<(String, Vec<usize>)> {
+    let mut all: Vec<(String, Vec<usize>)> = [1usize, 7, 64, 1024]
+        .iter()
+        .map(|&chunk| (format!("chunk {chunk}"), (1..len).step_by(chunk).collect()))
+        .collect();
+    all.extend((0..4).map(|round| (format!("random {round}"), rng.splits(len, 9))));
+    all
+}
+
+/// What a run measured on the token clock.
+#[derive(Debug, PartialEq)]
+struct Measured {
+    output: Vec<u8>,
+    tokens: u64,
+    /// `(token, live nodes)` after every structural token.
+    nodes_timeline: Vec<(u64, u64)>,
+    /// The telemetry's `(token, live bytes)` samples.
+    bytes_timeline: Vec<(u64, u64)>,
+    peak_live_nodes: u64,
+    peak_live_bytes: u64,
+    /// Purged nodes and the tokens they stayed buffered, summed.
+    residency: (u64, u64),
+}
+
+impl Measured {
+    fn of(output: Vec<u8>, nodes_timeline: Vec<(u64, u64)>, report: &RunReport) -> Measured {
+        let obs = report.obs.as_ref().expect("telemetry on");
+        Measured {
+            output,
+            tokens: report.tokens,
+            nodes_timeline,
+            bytes_timeline: obs.live_bytes_timeline.clone(),
+            peak_live_nodes: report.buffer.peak_live,
+            peak_live_bytes: report.buffer.peak_live_bytes,
+            residency: (obs.residency_tokens.count(), obs.residency_tokens.sum()),
+        }
+    }
+}
+
+/// The reference: the stream preprojector as a token loop. The pull
+/// tokenizer steps through *every* token, a refused subtree moves a depth
+/// counter, and each structural token is charged to the lane on its own
+/// (start 1, self-closing 2, end 1, text 1) — no `skip_element`, no bulk
+/// charge.
+fn token_by_token(q: &CompiledQuery, doc: &[u8]) -> Measured {
+    use gcx::core::{Lane, ScanFacts};
+    use gcx::xml::{Token, Tokenizer};
+
+    let mut lane = Lane::start(q, gcx::EngineMode::Gcx, None, None, true);
+    let (mut matcher, _root_roles) = gcx::projection::StreamMatcher::new(q.program.matcher_paths());
+    let mut tok = Tokenizer::from_bytes(doc);
+    let mut points = Vec::new();
+    let (mut roles, mut attr_names) = (Vec::new(), Vec::new());
+    let mut skip_depth = 0u32;
+    lane.step();
+    while let Some(token) = tok.next_token().expect("reference tokenizes") {
+        let charge = match &token {
+            Token::StartTag(tag) => {
+                let nests = u32::from(!tag.self_closing);
+                if skip_depth > 0 {
+                    skip_depth += nests;
+                } else {
+                    let name = lane.symbols_mut().intern(tag.name);
+                    let keep = matcher.enter_element_into(name, &mut roles);
+                    attr_names.clear();
+                    if keep {
+                        let symbols = lane.symbols_mut();
+                        attr_names.extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
+                    }
+                    lane.start_element(name, tag, &attr_names, keep.then_some(&roles[..]));
+                    if !keep {
+                        skip_depth = nests;
+                    } else if tag.self_closing {
+                        matcher.leave_element();
+                    }
+                }
+                2 - nests
+            }
+            Token::EndTag { .. } => {
+                if skip_depth > 0 {
+                    skip_depth -= 1;
+                } else {
+                    lane.end_element();
+                    matcher.leave_element();
+                }
+                1
+            }
+            Token::Text(content) => {
+                if skip_depth == 0 {
+                    matcher.text_into(&mut roles);
+                    lane.text(content, (!roles.is_empty()).then_some(&roles[..]));
+                }
+                1
+            }
+            _ => continue,
+        };
+        for _ in 0..charge {
+            lane.tick(1);
+            points.push((lane.tokens(), lane.buffer_stats().live));
+        }
+        lane.step();
+    }
+    let report = lane
+        .finish(&ScanFacts::default(), None)
+        .expect("reference run");
+    Measured::of(std::mem::take(lane.output_mut()), points, &report)
+}
+
+/// The session's measurements of the same run, fed in pieces.
+fn session_measured(q: &CompiledQuery, doc: &[u8], splits: &[usize]) -> Measured {
+    let opts = EngineOptions::gcx().with_timeline(1).with_telemetry();
+    let mut session = q.session(&opts);
+    let mut from = 0;
+    for &cut in splits {
+        session.feed(&doc[from..cut]).expect("feed");
+        from = cut;
+    }
+    session.feed(&doc[from..]).expect("final feed");
+    let report = session.finish().expect("finish");
+    let mut out = Vec::new();
+    session.take_output(&mut out).expect("drain");
+    let timeline = report.timeline.as_ref().expect("timeline on");
+    Measured::of(out, timeline.points.clone(), &report)
+}
+
+#[test]
+fn measurements_match_a_token_by_token_reference() {
+    // Skipped subtrees are charged to the token clock in bulk; everything
+    // measured on that clock must land where one-at-a-time charging puts
+    // it: the token count, every sample of both occupancy timelines (token
+    // number *and* value), the peaks, the residency of every purged node.
+    // Long enough for skipped subtrees to span several telemetry samples.
+    let mut cfg = gcx_xmark::XmarkConfig::sized(64 * 1024);
+    cfg.seed = 15;
+    let mut doc = Vec::new();
+    gcx_xmark::generate(&cfg, &mut doc).expect("generate");
+    let mut rng = XorShift(15);
+    for (name, text) in paper_queries() {
+        let q = CompiledQuery::compile(text).expect(name);
+        let want = token_by_token(&q, &doc);
+        assert_eq!(want.nodes_timeline.len() as u64, want.tokens);
+        let mut chunkings = xmark_chunkings(doc.len(), &mut rng);
+        chunkings.push(("whole".into(), Vec::new()));
+        for (label, splits) in chunkings {
+            let got = session_measured(&q, &doc, &splits);
+            assert!(got == want, "{name} {label}: session and reference differ");
+        }
+    }
+    // The paper's micro documents: every 2-way split and 1-byte chunks.
+    for doc in microdocs() {
+        let doc = doc.as_bytes();
+        for text in bib_queries() {
+            let q = CompiledQuery::compile(text).expect("compile");
+            let want = token_by_token(&q, doc);
+            for cut in 0..=doc.len() {
+                assert!(
+                    session_measured(&q, doc, &[cut]) == want,
+                    "{text} cut {cut}"
+                );
+            }
+            let all: Vec<usize> = (1..doc.len()).collect();
+            assert!(session_measured(&q, doc, &all) == want, "{text} 1-byte");
         }
     }
 }

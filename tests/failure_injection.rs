@@ -50,6 +50,82 @@ fn corrupted_tags_error_not_panic() {
     }
 }
 
+/// The error of `r` as (kind, position) if it is an XML error.
+fn xml_error<T>(r: Result<T, gcx::EngineError>) -> (String, gcx::xml::TextPos) {
+    match r {
+        Err(gcx::EngineError::Xml(e)) => (format!("{:?}", e.kind), e.pos),
+        Err(other) => panic!("not an XML error: {other}"),
+        Ok(_) => panic!("malformed input accepted"),
+    }
+}
+
+#[test]
+fn errors_inside_projected_away_subtrees_are_the_tokenizers() {
+    // Everything under <junk> is thrown away by both queries' projection
+    // — by bulk skip, which may be neither more lenient nor differently
+    // strict than the tokenizer stepping through the same bytes: every
+    // driver must fail with the error the pull tokenizer alone reports.
+    let damage: [&[u8]; 9] = [
+        b"<a>text &undefined; more</a>",
+        b"<a k='1' b='2' k='3'/>",
+        b"<a k=unquoted/>",
+        b"<a><1bad/></a>",
+        b"<a>caf\xc3\x28</a>",
+        b"<a><b>x</c></a>",
+        b"<a/><!-- never closed",
+        b"<a/><![CDATA[ never closed",
+        b"<a>x</a></junk ></junk>",
+    ];
+    let queries = [
+        CompiledQuery::compile("for $x in /site/p return $x").unwrap(),
+        CompiledQuery::compile("for $x in /site/q/r return $x/text()").unwrap(),
+    ];
+    // Long enough on both sides of the damage for `run_parallel` to cut
+    // shards around it.
+    let filler = "<p>kept</p><q><r>also kept</r></q>".repeat(200);
+    let threads = gcx::par::ParOptions::with_threads(4);
+    let intact = format!("<site>{filler}<junk><deep>fine</deep></junk>\n{filler}</site>");
+    let sharded = gcx::par::run_parallel(
+        &queries[0],
+        &EngineOptions::gcx(),
+        &threads,
+        intact.as_bytes(),
+    );
+    assert_eq!(sharded.unwrap().path, gcx::par::ShardPath::Parallel);
+    for bad in damage {
+        let mut doc = format!("<site>{filler}<junk><deep>fine</deep>").into_bytes();
+        doc.extend_from_slice(bad);
+        doc.extend_from_slice(format!("</junk>\n{filler}</site>").as_bytes());
+        let label = String::from_utf8_lossy(bad);
+        let want = match gcx::xml::Tokenizer::from_bytes(&doc).validate_to_end() {
+            Err(e) => (format!("{:?}", e.kind), e.pos),
+            Ok(_) => panic!("the tokenizer accepts {label}"),
+        };
+        assert!(want.1.offset > filler.len() as u64, "{label}: {want:?}");
+        for opts in [EngineOptions::gcx(), EngineOptions::projection_only()] {
+            let whole = gcx::run(&queries[0], &opts, &doc[..], std::io::sink());
+            assert_eq!(xml_error(whole), want, "whole, {label}");
+            let mut session = queries[0].session(&opts);
+            let bytewise = doc
+                .iter()
+                .try_for_each(|b| session.feed(&[*b]).map(drop))
+                .and_then(|()| session.finish());
+            assert_eq!(xml_error(bytewise), want, "1-byte feeds, {label}");
+        }
+        let whole = gcx::multi::run_batch(&queries, &doc[..]);
+        assert_eq!(xml_error(whole), want, "batch, {label}");
+        let shared = gcx::multi::SharedRun::new(gcx::multi::BatchOptions::default());
+        let mut session = shared.session(&shared.prepare(&queries), &queries);
+        let bytewise = doc
+            .iter()
+            .try_for_each(|b| session.feed(&[*b]))
+            .and_then(|()| session.finish());
+        assert_eq!(xml_error(bytewise), want, "batch, 1-byte feeds, {label}");
+        let par = gcx::par::run_parallel(&queries[0], &EngineOptions::gcx(), &threads, &doc);
+        assert_eq!(xml_error(par), want, "parallel, {label}");
+    }
+}
+
 /// A reader that fails after `n` bytes.
 struct FailingReader {
     data: Vec<u8>,
