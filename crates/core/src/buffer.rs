@@ -14,7 +14,9 @@
 //! the evaluator holds no pin inside it. Purges cascade upward so the
 //! highest fully-dead ancestor is freed in one pass. Purge attempts are
 //! triggered by exactly three events: a role decrement (signOff), a node
-//! closing (reclaims speculatively buffered prefixes), and an unpin.
+//! closing (reclaims a subtree whose roles were all signed off before its
+//! end tag — or that never had one, where the driver buffers without
+//! projection), and an unpin.
 //!
 //! Reclaimed slots go on a free list and are reused; `NodeId`s carry a
 //! generation so stale ids are caught in debug builds.
@@ -106,6 +108,15 @@ impl AttrBuf {
         self.ends.push(self.text.len() as u32);
     }
 
+    /// Drop every attribute from the `len`-th on, keeping capacity: the
+    /// storage used as a stack (the lane's pending chain).
+    pub fn truncate(&mut self, len: usize) {
+        self.syms.truncate(len);
+        self.ends.truncate(len);
+        self.text
+            .truncate(self.ends.last().map_or(0, |&end| end as usize));
+    }
+
     /// Number of attributes.
     pub fn len(&self) -> usize {
         self.syms.len()
@@ -126,6 +137,14 @@ impl AttrBuf {
     /// Iterate `(name, value)` pairs in document order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> + '_ {
         (0..self.len()).map(|i| self.get(i).expect("index in range"))
+    }
+
+    /// What these attributes add to a node's budgeted size
+    /// (`node_bytes`): per-attribute bookkeeping plus the value text.
+    fn payload_bytes(&self) -> u64 {
+        /// Per-attribute bookkeeping cost (interned name + value end offset).
+        const ATTR_OVERHEAD: u64 = 8;
+        self.syms.len() as u64 * ATTR_OVERHEAD + self.text.len() as u64
     }
 
     /// Value of the attribute named `name`, if present.
@@ -224,15 +243,18 @@ impl BufferStats {
 /// `decrement_role` shrinks them mid-life, which would make append-time
 /// and purge-time costs disagree.
 fn node_bytes(kind: &NodeKind) -> u64 {
-    /// Per-attribute bookkeeping cost (interned name + value end offset).
-    const ATTR_OVERHEAD: u64 = 8;
     let payload = match kind {
-        NodeKind::Element { attrs, .. } => {
-            attrs.syms.len() as u64 * ATTR_OVERHEAD + attrs.text.len() as u64
-        }
+        NodeKind::Element { attrs, .. } => attrs.payload_bytes(),
         NodeKind::Text { content } => content.len() as u64,
     };
     std::mem::size_of::<Node>() as u64 + payload
+}
+
+/// What `elements` open elements whose attributes are all in `attrs` would
+/// cost as buffered nodes: the charge for a lane's pending chain, so that
+/// waiting outside the buffer is no way around the byte budget.
+pub(crate) fn unbuffered_bytes(elements: usize, attrs: &AttrBuf) -> u64 {
+    elements as u64 * std::mem::size_of::<Node>() as u64 + attrs.payload_bytes()
 }
 
 /// Per-role lifecycle counters (telemetry only).
@@ -494,23 +516,44 @@ impl BufferTree {
     /// tag at projection depth; one null check when no schema is active.
     #[inline]
     pub fn schema_note_child(&mut self, parent: NodeId, child: Symbol) {
-        let Some(s) = self.schema.as_deref_mut() else {
-            return;
-        };
-        if parent == NodeId::ROOT {
+        if self.schema.is_none() || parent == NodeId::ROOT {
             return;
         }
         let pname = match &self.nodes[parent.idx as usize].kind {
             NodeKind::Element { name, .. } => *name,
             NodeKind::Text { .. } => return,
         };
-        if let Some(ord) = s.ord.ord(pname, child) {
-            let slot = parent.idx as usize;
-            if s.cutoffs.len() <= slot {
-                s.cutoffs.resize(slot + 1, 0);
-            }
-            s.cutoffs[slot] = s.cutoffs[slot].max(ord + 1);
+        let cutoff = self.schema_cutoff_after(pname, child);
+        self.schema_raise_cutoff(parent, cutoff);
+    }
+
+    /// The cutoff a `child` element puts on an open element named
+    /// `parent` (0: none — no schema, or the DTD does not sequence the
+    /// two). The lane keeps the running maximum for an element that is
+    /// not in the buffer yet and hands it over with
+    /// [`BufferTree::schema_raise_cutoff`] when it materialises.
+    #[inline]
+    pub fn schema_cutoff_after(&self, parent: Symbol, child: Symbol) -> u32 {
+        self.schema
+            .as_deref()
+            .and_then(|s| s.ord.ord(parent, child))
+            .map_or(0, |ord| ord + 1)
+    }
+
+    /// Raise open element `node`'s cutoff to at least `cutoff`.
+    #[inline]
+    pub fn schema_raise_cutoff(&mut self, node: NodeId, cutoff: u32) {
+        let Some(s) = self.schema.as_deref_mut() else {
+            return;
+        };
+        if cutoff == 0 {
+            return;
         }
+        let slot = node.idx as usize;
+        if s.cutoffs.len() <= slot {
+            s.cutoffs.resize(slot + 1, 0);
+        }
+        s.cutoffs[slot] = s.cutoffs[slot].max(cutoff);
     }
 
     /// Has the stream passed the last possible `want` child of the open
@@ -564,15 +607,15 @@ impl BufferTree {
     }
 
     /// Enforce the byte budget: a typed, recoverable error — never an
-    /// abort — once the estimated live buffer exceeds `max_bytes`. The
-    /// engine calls this after every feed advance, so a runaway query is
-    /// stopped within one token of crossing its budget.
-    pub fn check_limit(&self) -> Result<(), EngineError> {
+    /// abort — once the estimated live buffer plus `pending_bytes` (what
+    /// the lane holds of the document outside the buffer, its pending
+    /// chain) exceeds `max_bytes`. The engine calls this
+    /// after every token that grew either, so a runaway query is stopped
+    /// within one token of crossing its budget.
+    pub fn check_limit(&self, pending_bytes: u64) -> Result<(), EngineError> {
+        let used = self.stats.live_bytes + pending_bytes;
         match self.max_bytes {
-            Some(limit) if self.stats.live_bytes > limit => Err(EngineError::BufferLimitExceeded {
-                limit,
-                used: self.stats.live_bytes,
-            }),
+            Some(limit) if used > limit => Err(EngineError::BufferLimitExceeded { limit, used }),
             _ => Ok(()),
         }
     }
@@ -867,7 +910,7 @@ impl BufferTree {
     }
 
     /// Mark a node closed (its end tag was read) and attempt a purge: this
-    /// reclaims speculatively buffered subtrees that never produced a role.
+    /// reclaims subtrees that hold no role (any more) when their end tag comes.
     pub fn close(&mut self, id: NodeId) {
         self.node_mut(id).closed = true;
         if self.telemetry.is_some() {

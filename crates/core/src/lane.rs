@@ -1,7 +1,7 @@
 //! The evaluation core: everything downstream of the keep/skip decision.
 //! See [`Lane`].
 
-use crate::buffer::{AttrBuf, BufferStats, BufferTree, NodeId, Ordinals};
+use crate::buffer::{unbuffered_bytes, AttrBuf, BufferStats, BufferTree, NodeId, Ordinals};
 use crate::engine::{CompiledQuery, EngineMode, RunReport, SchemaReport};
 use crate::error::EngineError;
 use crate::eval::{Vm, VmStatus};
@@ -103,11 +103,56 @@ impl ChildCounters {
     }
 }
 
-/// One open kept element.
+/// One open buffered element.
 #[derive(Debug)]
 struct OpenEntry {
     node: NodeId,
     counters: ChildCounters,
+}
+
+/// One open element the matcher keeps without a role, waiting outside
+/// the buffer for a descendant to earn one (see [`Lane`]).
+#[derive(Debug)]
+struct PendingEntry {
+    name: Symbol,
+    /// Taken from the parent's counters at the start tag.
+    ordinals: Ordinals,
+    /// Index of its first attribute in [`Lane::pending_attrs`]; its
+    /// attributes run to the next entry's first (or the arena's end).
+    attrs_from: usize,
+    /// Sibling-order cutoff its children have raised so far (0 = none).
+    cutoff: u32,
+    counters: ChildCounters,
+}
+
+/// A driver's decision about one start tag.
+#[derive(Debug, Clone, Copy)]
+pub enum Keep<'a> {
+    /// The projection refuses the element: the lane only counts the
+    /// child, and the driver hides the subtree and its end tag.
+    Skip,
+    /// The projection keeps the element for what may lie below it, with
+    /// no role of its own: it opens on the pending chain and reaches the
+    /// buffer only if a descendant earns a role.
+    Speculative,
+    /// Buffer the element now, with these role instances (sorted by role
+    /// id). The list may be empty: full buffering keeps what no role asks
+    /// for.
+    Roles(&'a [(RoleId, u32)]),
+}
+
+impl<'a> Keep<'a> {
+    /// The decision of a *projecting* driver from its matcher's verdict:
+    /// `matched` is the matcher's keep flag, `roles` the role instances it
+    /// assigned.
+    #[inline]
+    pub fn projected(matched: bool, roles: &'a [(RoleId, u32)]) -> Keep<'a> {
+        match (matched, roles.is_empty()) {
+            (false, _) => Keep::Skip,
+            (true, true) => Keep::Speculative,
+            (true, false) => Keep::Roles(roles),
+        }
+    }
 }
 
 /// Whether the lane still evaluates.
@@ -129,7 +174,8 @@ enum Health {
 /// projection keeps it and with which roles, and tells the lane:
 /// [`start_element`](Lane::start_element) /
 /// [`end_element`](Lane::end_element) / [`text`](Lane::text) write the
-/// node into the buffer with its true document ordinals,
+/// node into the buffer with its true document ordinals — a role-less
+/// speculative ancestor only once a descendant needs it there (below) —
 /// [`tick`](Lane::tick) moves the token clock, and [`step`](Lane::step)
 /// enforces the byte budget and resumes the evaluator the moment what it
 /// waits for may have arrived. [`EvalSession`](crate::EvalSession) drives
@@ -141,15 +187,47 @@ enum Health {
 /// A lane that fails (buffer budget, evaluator error) turns inert: it
 /// ignores further events and reports the error from
 /// [`Lane::take_failure`] or [`Lane::finish`].
+///
+/// ## The buffer invariant, and the pending chain that keeps it
+///
+/// A node enters the [`BufferTree`] only if, *at that moment*, it carries
+/// a role or stands above a node that does (full buffering, which the
+/// driver expresses as "keep, with no roles", aside). The projection
+/// matcher keeps more than that: under a `//` step every open element is
+/// a *speculative ancestor* — it has no role, but a descendant may earn
+/// one. Such an element ([`Keep::Speculative`]) is not appended. It waits
+/// on the lane's **pending chain**: name, the document ordinals taken at
+/// its start tag, its attributes (copied into one stack-shaped arena),
+/// the sibling-order cutoff its children have raised so far, and its live
+/// child counters, so positional predicates below it still see document
+/// positions. The chain is always the innermost part of the open-element
+/// path. When a descendant element or text arrives with roles, the whole
+/// chain is appended top-down — exactly the nodes, names, attributes and
+/// ordinals an eager append would have produced, only later — and the
+/// descendant goes under it. A pending element whose end tag arrives
+/// first is popped: the buffer and the evaluator never hear of it.
+///
+/// The chain is O(document depth), like the tokenizer's open-tag stack,
+/// and lives outside the buffer's *reporting*: it shows in a run's heap
+/// high-water, not in `peak_live_bytes`. It is inside the byte *budget*:
+/// a pending element is charged what it would cost as a buffered node, so
+/// `max_buffer_bytes` bounds buffer plus chain.
 pub struct Lane {
     vm: Vm,
     buf: BufferTree,
     /// The run's symbol table, seeded from the program's pre-interned one.
     symbols: SymbolTable,
     out: XmlWriter<Vec<u8>>,
-    /// The chain of open *kept* elements (the top is the parent of
-    /// incoming nodes), each with its document child counters.
+    /// The chain of open *buffered* elements, each with its document
+    /// child counters.
     open: Vec<OpenEntry>,
+    /// The open elements below `open`'s top that are not in the buffer
+    /// (yet): the pending chain. The parent of incoming nodes is its top,
+    /// or `open`'s when it is empty.
+    pending: Vec<PendingEntry>,
+    /// The pending elements' attributes, outermost element first;
+    /// truncated when one is popped, emptied when the chain materialises.
+    pending_attrs: AttrBuf,
     /// Attribute storage for the element being appended (the
     /// zero-allocation handshake with
     /// [`BufferTree::append_element_with_attrs`]).
@@ -196,6 +274,8 @@ impl Lane {
                 node: NodeId::ROOT,
                 counters: ChildCounters::default(),
             }],
+            pending: Vec::new(),
+            pending_attrs: AttrBuf::new(),
             attr_scratch: AttrBuf::new(),
             counter_pool: Vec::new(),
             clock: 0,
@@ -226,20 +306,20 @@ impl Lane {
     }
 
     /// A start tag — borrowed from the tokenizer window — that is a child
-    /// of the innermost open kept element; `name` is the tag name and
+    /// of the innermost open element; `name` is the tag name and
     /// `attr_names` the attribute names (parallel to `tag.attrs`) in the
-    /// lane's symbol table ([`Lane::symbols_mut`]). `roles` is the
-    /// driver's decision: `Some` = keep with these role instances, `None`
-    /// = skip — the lane only counts the child (`attr_names` is not
-    /// read), and the driver hides the subtree and its end tag. Returns
-    /// whether the element was appended.
+    /// lane's symbol table ([`Lane::symbols_mut`]). `keep` is the driver's
+    /// decision. Whatever it is, the child is counted; on [`Keep::Skip`]
+    /// that is all (`attr_names` is not read), and the driver hides the
+    /// subtree and its end tag. Returns whether the element was taken —
+    /// buffered or pending — so that its end tag is the lane's to see.
     #[inline]
     pub fn start_element(
         &mut self,
         name: Symbol,
         tag: &StartTag<'_>,
         attr_names: &[Symbol],
-        roles: Option<&[(RoleId, u32)]>,
+        keep: Keep<'_>,
     ) -> bool {
         if !matches!(self.health, Health::Live) {
             return false;
@@ -248,63 +328,98 @@ impl Lane {
         // sibling-order cutoffs — kept or not: positional predicates see
         // true document positions, and a skipped later sibling is just as
         // much proof that earlier particles are done (the cutoff alone
-        // can be what the machine waits for).
-        let top = self.open.last_mut().expect("open stack never empty");
-        let ordinals = top.counters.next_elem(name);
-        let parent = top.node;
+        // can be what the machine waits for — once the parent is in the
+        // buffer; a pending parent keeps its cutoff for then).
         if self.buf.schema_active() {
-            self.buf.schema_note_child(parent, name);
-            self.touched = true;
+            match self.pending.last_mut() {
+                Some(top) => {
+                    let cutoff = self.buf.schema_cutoff_after(top.name, name);
+                    top.cutoff = top.cutoff.max(cutoff);
+                }
+                None => {
+                    let parent = self.open.last().expect("open stack never empty").node;
+                    self.buf.schema_note_child(parent, name);
+                    self.touched = true;
+                }
+            }
         }
-        let Some(roles) = roles else {
-            return false;
-        };
-        self.attr_scratch.clear();
-        for (a, &attr_name) in tag.attrs.iter().zip(attr_names) {
-            self.attr_scratch.push(attr_name, a.value);
+        let ordinals = self.top_counters().next_elem(name);
+        let attrs = tag.attrs.iter().zip(attr_names);
+        match keep {
+            Keep::Skip => return false,
+            // Open and closed at once, nothing below it: never needed.
+            Keep::Speculative if tag.self_closing => {}
+            Keep::Speculative => {
+                let attrs_from = self.pending_attrs.len();
+                for (a, &attr_name) in attrs {
+                    self.pending_attrs.push(attr_name, a.value);
+                }
+                self.pending.push(PendingEntry {
+                    name,
+                    ordinals,
+                    attrs_from,
+                    cutoff: 0,
+                    counters: self.counter_pool.pop().unwrap_or_default(),
+                });
+                // Nothing for the machine to see, but the chain grew, and
+                // it counts against the byte budget like the buffer does.
+                let within = self.check_budget();
+                self.settle(within);
+            }
+            Keep::Roles(roles) => {
+                self.materialise_pending();
+                for (a, &attr_name) in attrs {
+                    self.attr_scratch.push(attr_name, a.value);
+                }
+                let counters = self.counter_pool.pop().unwrap_or_default();
+                self.open_element(name, ordinals, roles, counters);
+                if tag.self_closing {
+                    self.close_top();
+                }
+                self.touched = true;
+            }
         }
-        let node = self.buf.append_element_with_attrs(
-            parent,
-            name,
-            &mut self.attr_scratch,
-            roles,
-            ordinals,
-        );
-        let counters = self.counter_pool.pop().unwrap_or_default();
-        self.open.push(OpenEntry { node, counters });
-        if tag.self_closing {
-            self.close_top();
-        }
-        self.touched = true;
         true
     }
 
-    /// The end tag of the innermost open kept element. Returns whether
-    /// it was closed (false only on a failed lane).
+    /// The end tag of the innermost open element the lane took. Returns
+    /// whether it was closed (false only on a failed lane).
     #[inline]
     pub fn end_element(&mut self) -> bool {
         if !matches!(self.health, Health::Live) {
             return false;
         }
-        self.close_top();
-        self.touched = true;
+        match self.pending.pop() {
+            // No descendant earned a role: the element never existed as
+            // far as the buffer and the machine are concerned.
+            Some(mut entry) => {
+                self.pending_attrs.truncate(entry.attrs_from);
+                entry.counters.clear();
+                self.counter_pool.push(entry.counters);
+            }
+            None => {
+                self.close_top();
+                self.touched = true;
+            }
+        }
         true
     }
 
-    /// A text child of the innermost open kept element: `Some(roles)` =
-    /// buffer it with these role instances, `None` = only count it.
-    /// Returns whether it was appended.
+    /// A text child of the innermost open element: `Some(roles)` = buffer
+    /// it with these role instances, `None` = only count it. Returns
+    /// whether it was appended.
     #[inline]
     pub fn text(&mut self, content: &str, roles: Option<&[(RoleId, u32)]>) -> bool {
         if !matches!(self.health, Health::Live) {
             return false;
         }
-        let top = self.open.last_mut().expect("open stack never empty");
-        let ordinals = top.counters.next_text();
+        let ordinals = self.top_counters().next_text();
         let Some(roles) = roles else {
             return false;
         };
-        self.buf.append_text(top.node, content, roles, ordinals);
+        self.materialise_pending();
+        let parent = self.open.last().expect("open stack never empty").node;
+        self.buf.append_text(parent, content, roles, ordinals);
         self.touched = true;
         true
     }
@@ -330,7 +445,7 @@ impl Lane {
         if !std::mem::take(&mut self.touched) {
             return;
         }
-        let result = self.buf.check_limit().and_then(|()| {
+        let result = self.check_budget().and_then(|()| {
             if !self.vm_done && self.vm.wait_satisfied(&self.buf) {
                 self.resume()
             } else {
@@ -390,7 +505,7 @@ impl Lane {
     ) -> Result<RunReport, EngineError> {
         if matches!(self.health, Health::Live) {
             self.buf.close(NodeId::ROOT);
-            let mut result = self.buf.check_limit();
+            let mut result = self.check_budget();
             if result.is_ok() && !self.vm_done {
                 // An exhausted machine cannot suspend again: it completes
                 // or fails.
@@ -431,7 +546,83 @@ impl Lane {
         })
     }
 
-    /// Close the innermost open element (its end tag arrived).
+    /// The byte budget covers everything the lane holds of the document:
+    /// the buffer's live nodes and the pending chain, each pending element
+    /// at the size it would have as a buffered node. (A chain of open
+    /// elements under a `//` step is as deep as the document; left
+    /// uncharged it would be a way to hold all of it.)
+    #[inline]
+    fn check_budget(&self) -> Result<(), EngineError> {
+        self.buf
+            .check_limit(unbuffered_bytes(self.pending.len(), &self.pending_attrs))
+    }
+
+    /// The document child counters of the innermost open element, pending
+    /// or buffered: the parent of whatever comes next.
+    #[inline]
+    fn top_counters(&mut self) -> &mut ChildCounters {
+        match self.pending.last_mut() {
+            Some(top) => &mut top.counters,
+            None => {
+                &mut self
+                    .open
+                    .last_mut()
+                    .expect("open stack never empty")
+                    .counters
+            }
+        }
+    }
+
+    /// A descendant of the pending chain earned a role: append the chain,
+    /// outermost element first, with what an append at each start tag
+    /// would have recorded.
+    #[inline]
+    fn materialise_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut entries = pending.drain(..).peekable();
+        while let Some(entry) = entries.next() {
+            let attrs_to = entries
+                .peek()
+                .map_or(self.pending_attrs.len(), |next| next.attrs_from);
+            for a in entry.attrs_from..attrs_to {
+                let (attr_name, value) = self.pending_attrs.get(a).expect("index in range");
+                self.attr_scratch.push(attr_name, value);
+            }
+            let node = self.open_element(entry.name, entry.ordinals, &[], entry.counters);
+            self.buf.schema_raise_cutoff(node, entry.cutoff);
+        }
+        drop(entries);
+        self.pending = pending;
+        self.pending_attrs.clear();
+    }
+
+    /// Append an element — its attributes are in `attr_scratch`, which
+    /// comes back empty — under the innermost buffered element and open
+    /// it. The one place elements enter the buffer.
+    #[inline]
+    fn open_element(
+        &mut self,
+        name: Symbol,
+        ordinals: Ordinals,
+        roles: &[(RoleId, u32)],
+        counters: ChildCounters,
+    ) -> NodeId {
+        let parent = self.open.last().expect("open stack never empty").node;
+        let node = self.buf.append_element_with_attrs(
+            parent,
+            name,
+            &mut self.attr_scratch,
+            roles,
+            ordinals,
+        );
+        self.open.push(OpenEntry { node, counters });
+        node
+    }
+
+    /// Close the innermost buffered element (its end tag arrived).
     #[inline]
     fn close_top(&mut self) {
         let mut entry = self.open.pop().expect("unbalanced end tag past tokenizer");
@@ -451,14 +642,228 @@ impl Lane {
         Ok(())
     }
 
-    /// Record a failure: the lane turns inert and gives its buffer back
-    /// at once (a lane over its budget must not hold the memory to the
-    /// end of a batch).
+    /// Record a failure: the lane turns inert and gives its buffer and
+    /// pending chain back at once (a lane over its budget must not hold
+    /// the memory to the end of a batch).
     #[inline]
     fn settle(&mut self, result: Result<(), EngineError>) {
         if let Err(e) = result {
             self.health = Health::Failed(e);
             self.buf = BufferTree::new(false);
+            self.pending = Vec::new();
+            self.pending_attrs = AttrBuf::new();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcx_xml::{Token, Tokenizer};
+
+    const ROLE: &[(RoleId, u32)] = &[(RoleId(1), 1)];
+
+    /// A scripted driver: element names spell the decision — `s…`
+    /// speculative, `r…` kept with a role, `x…` skipped with its subtree —
+    /// and text is kept with a role iff it starts with `!`. With `eager`,
+    /// speculative elements are appended at their start tag, role-less:
+    /// what the lane did before the pending chain.
+    fn drive(xml: &str, eager: bool, dtd: Option<&gcx_schema::Dtd>) -> Lane {
+        let q = CompiledQuery::compile("'x'").unwrap();
+        // Nothing purges, no signOff runs: the buffer ends up holding
+        // everything that was ever appended.
+        let mut lane = Lane::start(&q, EngineMode::FullBuffering, None, None, false);
+        if let Some(dtd) = dtd {
+            lane.set_schema(dtd, false);
+        }
+        let mut tok = Tokenizer::from_str(xml);
+        let mut hidden = 0u32;
+        while let Some(token) = tok.next_token().unwrap() {
+            match token {
+                Token::StartTag(tag) if hidden > 0 => hidden += u32::from(!tag.self_closing),
+                Token::StartTag(tag) => {
+                    let name = lane.symbols_mut().intern(tag.name);
+                    let attr_names: Vec<Symbol> = tag
+                        .attrs
+                        .iter()
+                        .map(|a| lane.symbols_mut().intern(a.name))
+                        .collect();
+                    let keep = match tag.name.as_bytes()[0] {
+                        b'x' => Keep::Skip,
+                        b's' if eager => Keep::Roles(&[]),
+                        b's' => Keep::Speculative,
+                        _ => Keep::Roles(ROLE),
+                    };
+                    let taken = lane.start_element(name, &tag, &attr_names, keep);
+                    assert_eq!(taken, !matches!(keep, Keep::Skip));
+                    if !taken {
+                        hidden = u32::from(!tag.self_closing);
+                    }
+                }
+                Token::EndTag { .. } if hidden > 0 => hidden -= 1,
+                Token::EndTag { .. } => assert!(lane.end_element()),
+                Token::Text(content) if hidden == 0 => {
+                    let keep = content.starts_with('!');
+                    assert_eq!(lane.text(content, keep.then_some(ROLE)), keep);
+                }
+                _ => {}
+            }
+        }
+        assert!(lane.pending.is_empty() && lane.pending_attrs.is_empty());
+        assert_eq!(lane.open.len(), 1, "only the virtual root stays open");
+        lane
+    }
+
+    /// One line per buffered node in document order — depth, name or
+    /// text, attributes, ordinals, roles — and whether a role sits at or
+    /// below `node`. With `needed_only`, role-free subtrees are left out.
+    fn dump(
+        lane: &Lane,
+        node: NodeId,
+        depth: usize,
+        needed_only: bool,
+        out: &mut Vec<String>,
+    ) -> bool {
+        let buf = &lane.buf;
+        let at = out.len();
+        let mut needed = !buf.roles(node).is_empty();
+        if node != NodeId::ROOT {
+            let what = match buf.name(node) {
+                Some(name) => lane.symbols.resolve(name).to_string(),
+                None => format!("{:?}", buf.text_content(node).unwrap()),
+            };
+            let attrs: Vec<String> = buf
+                .attrs(node)
+                .iter()
+                .map(|(n, v)| format!("{}={v}", lane.symbols.resolve(n)))
+                .collect();
+            let o = buf.ordinals(node);
+            out.push(format!(
+                "{depth} {what} {attrs:?} {}/{}/{} {:?}",
+                o.same_kind,
+                o.elem,
+                o.any,
+                buf.roles(node)
+            ));
+        }
+        let mut child = buf.first_child(node);
+        while let Some(c) = child {
+            needed |= dump(lane, c, depth + 1, needed_only, out);
+            child = buf.next_sibling(c);
+        }
+        if needed_only && !needed {
+            out.truncate(at);
+        }
+        needed
+    }
+
+    fn dumped(lane: &Lane, needed_only: bool) -> Vec<String> {
+        let mut out = Vec::new();
+        dump(lane, NodeId::ROOT, 0, needed_only, &mut out);
+        out
+    }
+
+    const DOC: &str = "<s0 id='top' k='v'>lead<x1><r/></x1><s1 a='1'><s2/><s3 b='2' c='3'>t\
+                       <x2/><r1 d='4'>!in</r1><s4 e='5'/></s3><s5 f='6'>!late</s5></s1>\
+                       <s6 g='7'><s7 h='8'><x3/>plain</s7></s6>\
+                       <s8 i='9'><s9><r2 j='10'/><r2/></s9></s8><s10/></s0>";
+
+    #[test]
+    fn late_ancestors_enter_as_an_eager_append_would_have_made_them() {
+        let lazy = drive(DOC, false, None);
+        let eager = drive(DOC, true, None);
+        // Every appended node carries a role or stands above one…
+        assert_eq!(dumped(&lazy, false), dumped(&lazy, true));
+        // …and is, name, attributes, ordinals and all, the node an append
+        // at its start tag produced, in the same order.
+        assert_eq!(dumped(&lazy, false), dumped(&eager, true));
+        // s2, s4, s6, s7, s10 never earn a place; s0, s1, s3, s5, s8, s9
+        // do, late.
+        assert_eq!(eager.buf.stats().allocated - lazy.buf.stats().allocated, 5);
+        let lines = dumped(&lazy, false);
+        assert_eq!(lines.len(), 11, "{lines:#?}");
+        assert_eq!(lines[0], r#"1 s0 ["id=top", "k=v"] 1/1/1 []"#);
+        assert_eq!(lines[1], r#"2 s1 ["a=1"] 1/2/3 []"#);
+        assert_eq!(lines[2], r#"3 s3 ["b=2", "c=3"] 1/2/2 []"#);
+        // Document positions under parents that were pending: r1 is the
+        // second element and third node of s3, s5 the third element of s1.
+        assert_eq!(lines[3], r#"4 r1 ["d=4"] 1/2/3 [(RoleId(1), 1)]"#);
+        assert_eq!(lines[5], r#"3 s5 ["f=6"] 1/3/3 []"#);
+        assert_eq!(lines[7], r#"2 s8 ["i=9"] 1/4/5 []"#);
+        assert_eq!(lines[10], r#"4 r2 [] 2/2/2 [(RoleId(1), 1)]"#);
+    }
+
+    #[test]
+    fn a_pending_element_that_closes_leaves_no_trace() {
+        let lane = drive(
+            "<s0 a='1'><s1 b='2'>text<s2 c='3'/></s1><x0><r/></x0></s0>",
+            false,
+            None,
+        );
+        let stats = lane.buf.stats();
+        assert_eq!((stats.allocated, stats.live, stats.live_bytes), (0, 0, 0));
+        assert!(lane.buf.first_child(NodeId::ROOT).is_none());
+        // Their counters went back to the pool, not to the allocator.
+        assert_eq!(lane.counter_pool.len(), 2);
+    }
+
+    #[test]
+    fn the_pending_chain_counts_against_the_byte_budget() {
+        // Nested role-less elements, 100 bytes of attribute each: pending
+        // or appended eagerly, the lane fails at the same start tag with
+        // the same byte count — waiting outside the buffer is no way
+        // around the budget.
+        let q = CompiledQuery::compile("'x'").unwrap();
+        let open = format!("<s k='{}'>", "v".repeat(100));
+        let nested = format!("{}{}", open.repeat(64), "</s>".repeat(64));
+        let siblings = format!("<s>{}</s>", format!("{open}</s>").repeat(64));
+        let failed_at = |keep: Keep<'_>, xml: &str| {
+            let mut lane = Lane::start(&q, EngineMode::Gcx, Some(4096), None, false);
+            let name = lane.symbols_mut().intern("s");
+            let attr_names = [lane.symbols_mut().intern("k")];
+            let mut tok = Tokenizer::from_str(xml);
+            let mut opened = 0u32;
+            while let Some(token) = tok.next_token().unwrap() {
+                match token {
+                    Token::StartTag(tag) => {
+                        opened += 1;
+                        lane.start_element(name, &tag, &attr_names[..tag.attrs.len()], keep);
+                    }
+                    Token::EndTag { .. } => assert!(lane.end_element()),
+                    _ => {}
+                }
+                lane.step();
+                if let Some(e) = lane.take_failure() {
+                    assert!(lane.pending.is_empty() && lane.pending_attrs.is_empty());
+                    assert_eq!(lane.buffer_stats().live_bytes, 0);
+                    return Some((opened, e.to_string()));
+                }
+            }
+            None
+        };
+        let lazy = failed_at(Keep::Speculative, &nested).expect("64 × 100 bytes is over 4096");
+        assert!(lazy.1.contains("budget 4096"), "{}", lazy.1);
+        assert_eq!(Some(lazy), failed_at(Keep::Roles(&[]), &nested));
+        // A popped entry gives its bytes back: siblings never add up.
+        assert_eq!(failed_at(Keep::Speculative, &siblings), None);
+    }
+
+    #[test]
+    fn cutoffs_noted_while_pending_hold_once_materialised() {
+        let dtd = gcx_schema::Dtd::parse(
+            "<!ELEMENT s0 (xa*, xb*, r*, xc*)> <!ELEMENT xa EMPTY> <!ELEMENT xb EMPTY> \
+             <!ELEMENT r EMPTY> <!ELEMENT xc EMPTY>",
+        )
+        .unwrap();
+        for eager in [false, true] {
+            // xa and xb go by while s0 is pending; r materialises it.
+            let mut lane = drive("<s0><xa/><xb/><r/></s0>", eager, Some(&dtd));
+            let s0 = lane.buf.first_child(NodeId::ROOT).expect("s0 materialised");
+            let [xa, xb, r, xc] = ["xa", "xb", "r", "xc"].map(|n| lane.symbols_mut().intern(n));
+            let exhausted = [xa, xb, r, xc].map(|n| lane.buf.schema_sibling_exhausted(s0, n));
+            // An r was seen: no xa or xb can follow; r may repeat, xc may
+            // come.
+            assert_eq!(exhausted, [true, true, false, false], "eager: {eager}");
         }
     }
 }

@@ -61,6 +61,6 @@ pub use engine::{
     run, run_query, CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaReport,
 };
 pub use error::EngineError;
-pub use lane::{Lane, ScanFacts};
+pub use lane::{Keep, Lane, ScanFacts};
 pub use obs::{FeedSpan, ObsReport, RoleObs, TaskObs};
 pub use session::{Emitted, EvalSession, Timeline};

@@ -72,7 +72,8 @@ pub struct ObsReport {
     pub purge_batch: Hist,
     /// Purge cascades by trigger: a signOff role decrement.
     pub purges_on_signoff: u64,
-    /// Purge cascades triggered by a node closing (speculative buffers).
+    /// Purge cascades triggered by a node closing with no role left in
+    /// its subtree.
     pub purges_on_close: u64,
     /// Purge cascades triggered by an evaluator unpin.
     pub purges_on_unpin: u64,

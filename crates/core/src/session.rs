@@ -43,7 +43,7 @@
 
 use crate::engine::{CompiledQuery, EngineOptions, RunReport, SchemaReport};
 use crate::error::EngineError;
-use crate::lane::{Lane, ScanFacts};
+use crate::lane::{Keep, Lane, ScanFacts};
 use gcx_projection::StreamMatcher;
 use gcx_query::ast::RoleId;
 use gcx_xml::{PushTokenizer, Symbol, TextPos, Token, TokenStep, XmlError, XmlErrorKind};
@@ -441,8 +441,15 @@ impl Preprojection {
                         .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
                 }
                 let roles: &[(RoleId, u32)] = if matched { &self.role_scratch } else { &[] };
+                // Without projection everything is buffered as it comes;
+                // with it, a role-less match only *may* be needed.
+                let decision = if self.project {
+                    Keep::projected(matched, roles)
+                } else {
+                    Keep::Roles(roles)
+                };
                 self.lane
-                    .start_element(name, tag, &self.attr_names, keep.then_some(roles));
+                    .start_element(name, tag, &self.attr_names, decision);
                 if !keep {
                     skip = !self_closing;
                 } else if !matched {
@@ -582,17 +589,29 @@ mod tests {
     }
 
     #[test]
-    fn speculative_prefixes_purged_on_close() {
-        // /x/y: an x with no y-children is buffered speculatively (it
-        // matched the path prefix) and reclaimed as soon as it closes
-        // with a role-free subtree — signOffs or not.
+    fn speculative_prefixes_never_reach_the_buffer() {
+        // /x/y: an x matches the path prefix but carries no role. It used
+        // to be appended at its start tag and purged at its end tag
+        // (allocated 1, live 0); now it waits outside the buffer for a y,
+        // and with none it is never appended — in any projecting mode.
+        // Derivation of the re-pin: old 1 − 1 role-less element without a
+        // role-carrying descendant = 0.
+        for opts in [EngineOptions::projection_only(), EngineOptions::gcx()] {
+            let r = report("for $a in /x/y return 'found'", "<x><z/></x>", &opts);
+            assert_eq!(r.buffer.allocated, 0, "the speculative x stays out");
+            assert_eq!(r.tokens, 4, "and still counts as delivered");
+            // A y makes x needed after all: both are appended, x first.
+            let r = report("for $a in /x/y return 'found'", "<x><z/><y/></x>", &opts);
+            assert_eq!(r.buffer.allocated, 2);
+            assert_eq!(r.buffer.peak_live, 2);
+        }
+        // Without projection nothing is speculative.
         let r = report(
             "for $a in /x/y return 'found'",
             "<x><z/></x>",
-            &EngineOptions::projection_only(),
+            &EngineOptions::full_buffering(),
         );
-        assert_eq!(r.buffer.allocated, 1, "only the speculative x");
-        assert_eq!(r.buffer.live, 0, "purged at its end tag");
+        assert_eq!(r.buffer.allocated, 2);
     }
 
     #[test]
@@ -956,5 +975,22 @@ mod tests {
             }
         }
         assert!(failed, "the byte budget must trip during feeding");
+    }
+
+    #[test]
+    fn buffer_budget_covers_role_less_open_elements() {
+        // Under `//item` every open element is kept for what may lie below
+        // it. None of these ever reaches the buffer, but a deep nest of
+        // them is held all the same: the budget must stop it.
+        let q = CompiledQuery::compile("for $i in //item return $i").unwrap();
+        let open = format!("<a x=\"{}\">", "v".repeat(1000));
+        for opts in [EngineOptions::gcx(), EngineOptions::projection_only()] {
+            let mut session = q.session(&opts.with_max_buffer_bytes(4096));
+            let err = (1..=64)
+                .find_map(|depth| session.feed(open.as_bytes()).err().map(|e| (depth, e)))
+                .expect("64 KiB of open elements under a 4 KiB budget");
+            assert!(err.0 <= 5, "stopped within one token: depth {}", err.0);
+            assert!(err.1.is_buffer_limit(), "{}", err.1);
+        }
     }
 }

@@ -39,7 +39,10 @@
 //! Only errors of the shared input (malformed XML, I/O) fail the batch.
 
 use crate::matcher::{BatchPlan, MergedMatcher};
-use gcx_core::{CompiledQuery, EngineError, EngineMode, Lane, RunReport, ScanFacts, SchemaReport};
+use gcx_core::{
+    CompiledQuery, EngineError, EngineMode, Keep, Lane, RunReport, ScanFacts, SchemaReport,
+};
+use gcx_projection::TaggedRole;
 use gcx_query::ast::RoleId;
 use gcx_xml::{PushTokenizer, Symbol, SymbolTable, Token, TokenStep, XmlError, XmlErrorKind};
 use std::io::Read;
@@ -246,7 +249,7 @@ impl SharedRun {
                 lane_skip: vec![0; queries.len()],
                 tokens: 0,
                 fanout: 0,
-                role_scratch: Vec::new(),
+                roles: Vec::new(),
                 attr_names: Vec::new(),
                 lane_attr_names: Vec::new(),
             },
@@ -424,10 +427,11 @@ struct FanOut {
     tokens: u64,
     /// Events delivered, summed over lanes.
     fanout: u64,
-    /// Scratch reused across tokens: one lane's roles for the current
-    /// node, and the current element's attribute names in the batch's
-    /// and in one lane's symbols.
-    role_scratch: Vec<(RoleId, u32)>,
+    /// Scratch reused across tokens: the current node's roles with the
+    /// query tags dropped (each lane is handed its sub-slice), and the
+    /// current element's attribute names in the batch's and in one lane's
+    /// symbols.
+    roles: Vec<(RoleId, u32)>,
     attr_names: Vec<Symbol>,
     lane_attr_names: Vec<Symbol>,
 }
@@ -446,6 +450,33 @@ fn local(remap: &mut Vec<Symbol>, lane: &mut Lane, batch: Symbol, name: &str) ->
         remap[i] = lane.symbols_mut().intern(name);
     }
     remap[i]
+}
+
+/// Drop the query tags of `tagged` (sorted by tag) into `roles`, for
+/// [`lane_roles`] to slice.
+#[inline]
+fn untag(tagged: &[TaggedRole], roles: &mut Vec<(RoleId, u32)>) {
+    roles.clear();
+    roles.extend(tagged.iter().map(|&(_, r, c)| (r, c)));
+}
+
+/// Lane `qi`'s sub-slice of `roles`, the untagged copy of `tagged`. The
+/// tagged list is sorted by tag and the lanes are visited in tag order,
+/// so `at` — where the previous lanes' roles ended — only moves forward:
+/// one walk of the list per token, not a search per lane.
+#[inline]
+fn lane_roles<'a>(
+    tagged: &[TaggedRole],
+    roles: &'a [(RoleId, u32)],
+    at: &mut usize,
+    qi: usize,
+) -> &'a [(RoleId, u32)] {
+    let before = tagged[*at..].iter().take_while(|r| (r.0 as usize) < qi);
+    let from = *at + before.count();
+    let mine = tagged[from..].iter().take_while(|r| r.0 as usize == qi);
+    let to = from + mine.count();
+    *at = to;
+    &roles[from..to]
 }
 
 /// A lane's share of one token is over: charge it if the token was
@@ -478,6 +509,8 @@ impl FanOut {
                     self.attr_names
                         .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
                 }
+                untag(&outcome.roles, &mut self.roles);
+                let mut at = 0;
                 for (qi, lane) in self.lanes.iter_mut().enumerate() {
                     if self.lane_skip[qi] > 0 {
                         self.lane_skip[qi] += u32::from(any_keep && !self_closing);
@@ -485,22 +518,23 @@ impl FanOut {
                     }
                     let remap = &mut self.remap[qi];
                     self.lane_attr_names.clear();
-                    let roles = if any_keep && outcome.kept[qi] {
-                        self.role_scratch.clear();
-                        self.role_scratch.extend(outcome.roles_of(qi as u32));
+                    let matched = any_keep && outcome.kept[qi];
+                    if matched {
                         for (a, &batch) in tag.attrs.iter().zip(&self.attr_names) {
                             self.lane_attr_names.push(local(remap, lane, batch, a.name));
                         }
-                        Some(self.role_scratch.as_slice())
-                    } else {
-                        None
-                    };
-                    if roles.is_none() && any_keep && !self_closing {
+                    } else if any_keep && !self_closing {
                         self.lane_skip[qi] = 1;
                     }
+                    let roles = lane_roles(&outcome.roles, &self.roles, &mut at, qi);
                     let name = local(remap, lane, name, tag.name);
-                    let kept = lane.start_element(name, tag, &self.lane_attr_names, roles);
-                    self.fanout += token_over(lane, kept);
+                    let taken = lane.start_element(
+                        name,
+                        tag,
+                        &self.lane_attr_names,
+                        Keep::projected(matched, roles),
+                    );
+                    self.fanout += token_over(lane, taken);
                 }
                 if !any_keep {
                     // Nobody can match inside: hide the subtree from
@@ -525,21 +559,17 @@ impl FanOut {
             }
             Token::Text(content) => {
                 self.tokens += 1;
-                let roles = self.matcher.text();
+                let tagged = self.matcher.text();
+                untag(tagged, &mut self.roles);
+                let mut at = 0;
                 for (qi, lane) in self.lanes.iter_mut().enumerate() {
                     // Every visible text child bumps the lane's ordinals;
                     // only text that carries one of its roles is buffered.
                     if self.lane_skip[qi] > 0 {
                         continue;
                     }
-                    let qi = qi as u32;
-                    let lo = roles.partition_point(|&(t, _, _)| t < qi);
-                    let hi = roles.partition_point(|&(t, _, _)| t <= qi);
-                    self.role_scratch.clear();
-                    self.role_scratch
-                        .extend(roles[lo..hi].iter().map(|&(_, r, c)| (r, c)));
-                    let roles = (!self.role_scratch.is_empty()).then_some(&self.role_scratch[..]);
-                    let kept = lane.text(content, roles);
+                    let roles = lane_roles(tagged, &self.roles, &mut at, qi);
+                    let kept = lane.text(content, (!roles.is_empty()).then_some(roles));
                     self.fanout += token_over(lane, kept);
                 }
             }

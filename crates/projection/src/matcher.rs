@@ -28,11 +28,40 @@
 //! A token whose pre-closure state set is empty can be skipped **together
 //! with its entire subtree** — no projection path can match inside. The
 //! preprojector uses this for constant-time skipping of irrelevant regions.
+//!
+//! ## Memoised transitions
+//!
+//! The NFA step is a pure function of the parent frame's state set and
+//! the child's name — except where a positional predicate reads the
+//! parent's live counter — and a document revisits the same few sets
+//! under the same few names millions of times. So the automaton is
+//! determinised *lazily*, the way streaming tree automata are usually
+//! run: each frame's post-closure state set (path, state **and**
+//! derivation count — multiplicities are part of a set's identity) is
+//! interned, and `(set, symbol) → (child set | dead, per-query kept
+//! flags, the child's sorted role list, reach cuts)` plus each set's text
+//! roles are recorded in a table the matcher instance owns. A token whose
+//! transition is recorded costs a hash probe and a copy of its role
+//! list; one that is not takes the NFA step, which records its result —
+//! the miss path is the fill function, there is no second implementation.
+//!
+//! * **Never recorded:** a step in which a `[k]` predicate was consulted
+//!   (the outcome depends on how many siblings went by). The child set
+//!   it produces is still interned, so recording resumes below it.
+//! * **Bound:** `MEMO_SETS` sets, `MEMO_SETS × MEMO_FANOUT` transitions,
+//!   symbols below 2²⁰. Nested `//a//a` makes counts, hence sets, grow
+//!   with depth; an invented vocabulary makes transitions grow. When the
+//!   table is full a frame carries its explicit state vector again and
+//!   steps the NFA — exactly the matcher without a memo.
+//! * **Warm-up:** the table is allocated once a run has taken
+//!   `MEMO_WARMUP` NFA steps (and interns the frames open at that
+//!   moment); a document of a few KiB never pays for it.
 
 use crate::reach::{test_reachable, ReachFilter};
 use crate::roles::RoleTable;
 use gcx_query::ast::{Axis, NodeTest, Pred, RoleId};
 use gcx_xml::{Symbol, SymbolTable};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A node test compiled against the symbol table.
@@ -296,8 +325,7 @@ impl TaggedOutcome {
     }
 
     /// Roles of one query as a subslice (the roles are sorted by tag, so
-    /// this is a binary search, not a scan — the driver calls it once per
-    /// query per element).
+    /// this is a binary search, not a scan).
     pub fn roles_slice_of(&self, tag: QueryTag) -> &[TaggedRole] {
         let lo = self.roles.partition_point(|&(t, _, _)| t < tag);
         let hi = self.roles.partition_point(|&(t, _, _)| t <= tag);
@@ -326,7 +354,7 @@ pub struct ElementOutcome {
 }
 
 /// A state with its derivation count: `(path index, state id, count)`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct St {
     path: u32,
     sid: StateId,
@@ -336,10 +364,186 @@ struct St {
 /// Per-open-element matcher frame.
 #[derive(Debug, Default, Clone)]
 struct Frame {
-    /// Post-closure states whose next step can still consume children.
+    /// The frame's state set when the memo holds it; the frame then
+    /// leaves `states` empty and reads the memo's copy.
+    set: Option<SetId>,
+    /// Post-closure states whose next step can still consume children —
+    /// carried explicitly only while `set` is `None` (before the memo
+    /// starts, or when it had no room for the set).
     states: Vec<St>,
     /// Predicate counters: (state id of the predicated step, matches seen).
     pred_seen: Vec<(StateId, u32)>,
+}
+
+/// Index of an interned state set in the [`Memo`].
+type SetId = u32;
+
+/// State sets a matcher instance interns at most; it records at most
+/// [`MEMO_FANOUT`] times as many transitions. XMark's 11 paper queries
+/// merged need 27 sets and 91 transitions, `//item` alone 4 and 62 (one
+/// per element name); only derivation counts growing with nesting depth
+/// (`//a//a` over `<a><a><a>…`) or an unbounded vocabulary make more
+/// without end, and past the bound frames carry explicit state vectors
+/// (and take the NFA step) again.
+const MEMO_SETS: usize = 1024;
+
+/// Recorded transitions per interned set, on average, at most.
+const MEMO_FANOUT: usize = 16;
+
+/// NFA steps a run takes before it starts a memo: a document that is
+/// over by then (a few KiB) would pay for the tables — their allocation,
+/// their bytes, a miss per distinct transition — and see too few hits
+/// to earn that back.
+const MEMO_WARMUP: u32 = 512;
+
+/// Symbol indices a transition key has room for; later names of a run
+/// are not memoised.
+const KEY_SYMBOLS: usize = 1 << 20;
+const _: () = assert!(MEMO_SETS <= (u32::MAX as usize) / KEY_SYMBOLS);
+
+/// A memoised transition: what entering a child named `symbol` under a
+/// frame with state set `set` produces.
+#[derive(Debug, Clone, Copy)]
+struct Transition {
+    /// The child frame's set; `None`: no state survives, skip the subtree.
+    child: Option<SetId>,
+    /// The child's roles, a range of [`Memo::roles`].
+    roles: (u32, u32),
+    /// Descendant propagations the reach filter suppressed on the way.
+    cuts: u32,
+}
+
+/// The lazily determinised automaton: state sets seen so far, interned,
+/// and the transitions taken between them. Everything here is a pure
+/// function of `(set, symbol)` — the NFA step computes it once (the miss
+/// path *is* [`TaggedMatcher::enter_element`]'s NFA step, which then
+/// records its result), later tokens look it up. Steps that consult a
+/// positional-predicate counter are never recorded.
+#[derive(Debug)]
+struct Memo {
+    /// Sets this memo may intern.
+    max_sets: usize,
+    /// The interned sets, each canonically ordered, by id — and the way
+    /// back, from a set's states to its id.
+    sets: Vec<Arc<[St]>>,
+    index: HashMap<Arc<[St]>, SetId>,
+    /// `(set, symbol)` → transition: an open-addressing table (linear
+    /// probing, a power of two of slots, at most half full) of
+    /// `(key + 1, index into transitions)`; `(0, _)` is an empty slot.
+    slots: Vec<(u32, u32)>,
+    transitions: Vec<Transition>,
+    /// `n_tags` per-query keep flags per transition.
+    kept: Vec<bool>,
+    /// Role lists of transitions and text, back to back.
+    roles: Vec<TaggedRole>,
+    /// Per set: the roles of a text child (a range of `roles`), once
+    /// computed.
+    text: Vec<Option<(u32, u32)>>,
+}
+
+/// The slot-table key of `(set, symbol)`, plus one.
+#[inline]
+fn transition_key(set: SetId, symbol: Symbol) -> Option<u32> {
+    (symbol.index() < KEY_SYMBOLS).then(|| set * KEY_SYMBOLS as u32 + symbol.index() as u32 + 1)
+}
+
+impl Memo {
+    fn new(max_sets: usize) -> Memo {
+        Memo {
+            max_sets,
+            sets: Vec::new(),
+            index: HashMap::new(),
+            slots: vec![(0, 0); 64],
+            transitions: Vec::new(),
+            kept: Vec::new(),
+            roles: Vec::new(),
+            text: Vec::new(),
+        }
+    }
+
+    /// Number of sets interned so far.
+    fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    fn set(&self, id: SetId) -> &[St] {
+        &self.sets[id as usize]
+    }
+
+    /// The id of `states` (put in canonical order here), interning it if
+    /// it is new and there is room. `None`: no room — the frame keeps its
+    /// explicit vector.
+    fn intern(&mut self, states: &mut [St]) -> Option<SetId> {
+        states.sort_unstable_by_key(|s| (s.path, s.sid, s.count));
+        if let Some(&id) = self.index.get(&*states) {
+            return Some(id);
+        }
+        if self.len() >= self.max_sets {
+            return None;
+        }
+        let id = self.len() as SetId;
+        let set: Arc<[St]> = Arc::from(&*states);
+        self.sets.push(Arc::clone(&set));
+        self.index.insert(set, id);
+        self.text.push(None);
+        Some(id)
+    }
+
+    /// The slot `key` lives in, or the empty one it would go to.
+    #[inline]
+    fn slot_of(&self, key: u32) -> usize {
+        // Fibonacci hashing: the product's high bits mix all of the key's.
+        let bits = self.slots.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9E37_79B9) >> (32 - bits)) as usize;
+        while self.slots[i].0 != 0 && self.slots[i].0 != key {
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        i
+    }
+
+    #[inline]
+    fn transition(&self, set: SetId, symbol: Symbol) -> Option<(usize, Transition)> {
+        let key = transition_key(set, symbol)?;
+        let (found, i) = self.slots[self.slot_of(key)];
+        (found == key).then(|| (i as usize, self.transitions[i as usize]))
+    }
+
+    /// Record what entering `symbol` under `set` produced, if there is
+    /// room.
+    fn record(
+        &mut self,
+        set: SetId,
+        symbol: Symbol,
+        cuts: u64,
+        out: &TaggedOutcome,
+        child: Option<SetId>,
+    ) {
+        let Some(key) = transition_key(set, symbol) else {
+            return;
+        };
+        if self.transitions.len() >= self.max_sets * MEMO_FANOUT {
+            return;
+        }
+        if (self.transitions.len() + 1) * 2 > self.slots.len() {
+            let grown = vec![(0, 0); self.slots.len() * 2];
+            for (key, i) in std::mem::replace(&mut self.slots, grown) {
+                if key != 0 {
+                    let at = self.slot_of(key);
+                    self.slots[at] = (key, i);
+                }
+            }
+        }
+        let at = self.slot_of(key);
+        self.slots[at] = (key, self.transitions.len() as u32);
+        let from = self.roles.len() as u32;
+        self.roles.extend_from_slice(&out.roles);
+        self.kept.extend_from_slice(&out.kept);
+        self.transitions.push(Transition {
+            child,
+            roles: (from, self.roles.len() as u32),
+            cuts: cuts as u32,
+        });
+    }
 }
 
 /// The merged streaming matcher: one NFA pass over the tag stream,
@@ -358,16 +562,32 @@ pub struct TaggedMatcher {
     /// prepared batch ([`gcx-multi`]'s `BatchPlan`) compiles once and
     /// stamps out a fresh matcher per run from the same `Arc`.
     compiled: Arc<TaggedPaths>,
+    /// One frame per nesting level ever reached, the document root's
+    /// first; `frames[..=depth]` are the open elements'. A level's frame
+    /// is reused by every element that opens there, so its vectors'
+    /// capacities stay put instead of being allocated and dropped (or
+    /// moved through a pool) once per kept element.
     frames: Vec<Frame>,
+    /// Current nesting depth: the index of the innermost open frame.
+    depth: usize,
     /// Scratch for building child state sets.
     scratch: Vec<St>,
-    /// Recycled frames: popping a frame would otherwise drop (and entering
-    /// one allocate) two `Vec`s per kept element.
-    frame_pool: Vec<Frame>,
+    /// What the last NFA step produced for an element (the memo's copy,
+    /// once recorded, is what later tokens are answered from) and for a
+    /// text node.
+    outcome: TaggedOutcome,
+    text_roles: Vec<TaggedRole>,
     /// Schema-derived descendant reachability (None: schema-blind).
     reach: Option<Arc<ReachFilter>>,
     /// Descendant-state propagations the reach filter suppressed.
     reach_cuts: u64,
+    /// The memoised transitions, allocated once the run has taken
+    /// [`MEMO_WARMUP`] NFA steps.
+    memo: Option<Box<Memo>>,
+    /// State sets the memo may intern ([`MEMO_SETS`]; tests vary it).
+    memo_sets: usize,
+    /// NFA steps to go before the memo starts (tests start it at once).
+    warmup: u32,
 }
 
 impl TaggedMatcher {
@@ -397,6 +617,20 @@ impl TaggedMatcher {
         compiled: Arc<TaggedPaths>,
         reach: Option<Arc<ReachFilter>>,
     ) -> (TaggedMatcher, Vec<TaggedRole>) {
+        TaggedMatcher::with_memo(compiled, reach, MEMO_SETS, MEMO_WARMUP)
+    }
+
+    /// [`TaggedMatcher::from_shared`] with a memo of at most `memo_sets`
+    /// state sets (0: every transition takes the NFA step) started after
+    /// `warmup` NFA steps. Both are constants of the build, not options;
+    /// tests vary them to compare the memoised matcher with the fill path
+    /// alone.
+    pub(crate) fn with_memo(
+        compiled: Arc<TaggedPaths>,
+        reach: Option<Arc<ReachFilter>>,
+        memo_sets: usize,
+        warmup: u32,
+    ) -> (TaggedMatcher, Vec<TaggedRole>) {
         let mut root = Frame::default();
         let mut root_roles = Vec::new();
         for (p, info) in compiled.paths.iter().enumerate() {
@@ -412,22 +646,28 @@ impl TaggedMatcher {
         }
         // The document root is a node: run closure for leading
         // self/descendant-or-self steps (e.g. role `/descendant-or-self...`).
-        let mut m = TaggedMatcher {
+        closure(&compiled, &mut root.states, None, &mut root_roles);
+        dedupe_tagged(&mut root_roles);
+        let compiled_tags = compiled.n_tags;
+        let m = TaggedMatcher {
             compiled,
             frames: vec![root],
+            depth: 0,
             scratch: Vec::new(),
-            frame_pool: Vec::new(),
+            outcome: TaggedOutcome::for_tags(compiled_tags),
+            text_roles: Vec::new(),
             reach,
             reach_cuts: 0,
+            memo: None,
+            memo_sets,
+            warmup,
         };
-        m.closure_with_name(0, None, &mut root_roles);
-        dedupe_tagged(&mut root_roles);
         (m, root_roles)
     }
 
     /// Current nesting depth (document root frame excluded).
     pub fn depth(&self) -> usize {
-        self.frames.len() - 1
+        self.depth
     }
 
     /// Descendant-state propagations the reach filter suppressed so far.
@@ -435,50 +675,47 @@ impl TaggedMatcher {
         self.reach_cuts
     }
 
-    /// Run the epsilon closure on `frames[idx]`: `self::`/
-    /// `descendant-or-self::` steps that match the element consume in
-    /// place. Completed paths are appended to `out` as tagged roles.
-    /// `name` is the element's tag (None for the virtual document root,
-    /// which only `node()` tests can match).
-    fn closure_with_name(&mut self, idx: usize, name: Option<Symbol>, out: &mut Vec<TaggedRole>) {
-        let mut i = 0;
-        while i < self.frames[idx].states.len() {
-            let st = self.frames[idx].states[i];
-            let info = self.compiled.paths[st.path as usize];
-            if st.sid == info.first + info.len {
-                // Completed match: assign the role, drop the state.
-                out.push((info.tag, info.role, st.count));
-                self.frames[idx].states.swap_remove(i);
-                continue;
+    /// State sets the memo holds (0 before the first miss).
+    #[cfg(test)]
+    fn memo_len(&self) -> usize {
+        self.memo.as_deref().map_or(0, Memo::len)
+    }
+
+    /// Count an NFA step; the one that ends the warm-up allocates the
+    /// memo and interns the open frames, so that what follows under them
+    /// is memoised — not only under elements yet to open.
+    #[inline]
+    fn warm_up(&mut self) {
+        if self.memo.is_some() || self.memo_sets == 0 {
+            return;
+        }
+        if self.warmup > 0 {
+            self.warmup -= 1;
+            return;
+        }
+        let mut memo = Box::new(Memo::new(self.memo_sets));
+        for frame in &mut self.frames[..=self.depth] {
+            frame.set = memo.intern(&mut frame.states);
+            if frame.set.is_some() {
+                frame.states.clear();
             }
-            let step = self.compiled.steps[st.sid as usize];
-            let consumes_in_place = match step.axis {
-                Axis::SelfAxis | Axis::DescendantOrSelf => match name {
-                    Some(n) => step.test.matches_element(n),
-                    // The virtual document root: only node() matches it.
-                    None => step.test == CTest::AnyNode,
-                },
-                _ => false,
-            };
-            if consumes_in_place {
-                // Self steps are consumed (state replaced); desc-or-self
-                // steps both consume and persist for deeper matches.
-                let advanced = St {
-                    path: st.path,
-                    sid: st.sid + 1,
-                    count: st.count,
-                };
-                if step.axis == Axis::SelfAxis {
-                    self.frames[idx].states[i] = advanced;
-                    // Re-examine the same slot (it may complete or chain).
-                    continue;
-                } else {
-                    push_state(&mut self.frames[idx].states, advanced);
-                    i += 1;
-                    continue;
-                }
-            }
-            i += 1;
+        }
+        self.memo = Some(memo);
+    }
+
+    /// Open the frame of an element just entered, with its state set —
+    /// or, without one, the explicit states in `scratch` (the swap leaves
+    /// the level's old, empty vector as the next scratch).
+    #[inline]
+    fn push_frame(&mut self, set: Option<SetId>) {
+        self.depth += 1;
+        if self.depth == self.frames.len() {
+            self.frames.push(Frame::default());
+        }
+        let frame = &mut self.frames[self.depth];
+        frame.set = set;
+        if set.is_none() {
+            std::mem::swap(&mut frame.states, &mut self.scratch);
         }
     }
 
@@ -486,18 +723,62 @@ impl TaggedMatcher {
     /// created with [`TaggedOutcome::for_tags`] for this batch size). When
     /// `out.any_keep` is false the caller skips the subtree and must not
     /// call [`TaggedMatcher::leave_element`] for it.
+    #[inline]
     pub fn enter_element(&mut self, name: Symbol, out: &mut TaggedOutcome) {
         out.reset();
+        if let Some((kept, roles)) = self.enter(name) {
+            out.any_keep = true;
+            out.kept.copy_from_slice(kept);
+            out.roles.extend_from_slice(roles);
+        }
+    }
+
+    /// [`TaggedMatcher::enter_element`] without the copy: `None` when no
+    /// query keeps the element, else the per-query kept flags and the
+    /// element's roles, borrowed from the memo (a recorded transition) or
+    /// from the NFA step's own outcome.
+    #[inline]
+    fn enter(&mut self, name: Symbol) -> Option<(&[bool], &[TaggedRole])> {
+        let recorded = match (self.frames[self.depth].set, self.memo.as_deref()) {
+            (Some(set), Some(memo)) => memo.transition(set, name),
+            _ => None,
+        };
+        let Some((i, t)) = recorded else {
+            self.enter_element_nfa(name);
+            let out = &self.outcome;
+            return out.any_keep.then_some((&out.kept[..], &out.roles[..]));
+        };
+        self.reach_cuts += u64::from(t.cuts);
+        self.push_frame(Some(t.child?));
+        let memo = self.memo.as_deref().expect("a transition was found in it");
+        let n = self.compiled.n_tags as usize;
+        Some((
+            &memo.kept[i * n..(i + 1) * n],
+            &memo.roles[t.roles.0 as usize..t.roles.1 as usize],
+        ))
+    }
+
+    /// The NFA step behind [`TaggedMatcher::enter`], into `self.outcome`:
+    /// every transition the memo does not hold, which it then records.
+    fn enter_element_nfa(&mut self, name: Symbol) {
+        self.warm_up();
+        self.outcome.reset();
         self.scratch.clear();
         // Closed-world reach info for this element, when the schema has
         // any: descendant propagations are gated on it below.
         let rinfo = self.reach.as_deref().and_then(|r| r.info(name));
-        let parent = self.frames.len() - 1;
+        let parent = &mut self.frames[self.depth];
+        let parent_set = parent.set;
+        let states: &[St] = match (parent_set, self.memo.as_deref()) {
+            (Some(set), Some(memo)) => memo.set(set),
+            _ => &parent.states,
+        };
+        let mut cuts = 0;
+        // A positional predicate was consulted: the outcome depends on the
+        // parent frame's live counter, not on (set, symbol) alone.
+        let mut positional = false;
         // Transitions from the parent's states to this child.
-        // Split borrows: iterate over a temporary copy of indices to allow
-        // predicate counting on the parent frame.
-        for si in 0..self.frames[parent].states.len() {
-            let st = self.frames[parent].states[si];
+        for &st in states {
             let step = self.compiled.steps[st.sid as usize];
             match step.axis {
                 Axis::Child => {
@@ -505,8 +786,8 @@ impl TaggedMatcher {
                         let passes = match step.pos {
                             None => true,
                             Some(k) => {
-                                let seen = bump_pred(&mut self.frames[parent].pred_seen, st.sid);
-                                seen == k
+                                positional = true;
+                                bump_pred(&mut parent.pred_seen, st.sid) == k
                             }
                         };
                         if passes {
@@ -522,7 +803,7 @@ impl TaggedMatcher {
                     // Propagate for deeper descendants — unless the schema
                     // proves the test can never match below this element.
                     match rinfo {
-                        Some(ri) if !test_reachable(ri, step.test) => self.reach_cuts += 1,
+                        Some(ri) if !test_reachable(ri, step.test) => cuts += 1,
                         _ => self.scratch.push(st),
                     }
                     // ...and consume if this child matches.
@@ -542,9 +823,7 @@ impl TaggedMatcher {
                     // the reach gate additionally admits a self match.
                     let self_match = step.test.matches_element(name);
                     match rinfo {
-                        Some(ri) if !self_match && !test_reachable(ri, step.test) => {
-                            self.reach_cuts += 1
-                        }
+                        Some(ri) if !self_match && !test_reachable(ri, step.test) => cuts += 1,
                         _ => self.scratch.push(st),
                     }
                 }
@@ -555,49 +834,96 @@ impl TaggedMatcher {
                 Axis::Attribute => unreachable!("attribute steps stripped by analysis"),
             }
         }
-        if self.scratch.is_empty() {
-            return;
+        self.reach_cuts += cuts;
+        let mut child = None;
+        if !self.scratch.is_empty() {
+            // Transitions were pushed without duplicate merging (a
+            // per-push linear scan would make per-element work quadratic
+            // in the merged batch's state count); restore the merged-frame
+            // invariant — predicate counting depends on one state per
+            // (path, sid) — with one sort+merge pass.
+            merge_duplicate_states(&mut self.scratch);
+            let out = &mut self.outcome;
+            out.any_keep = true;
+            // Per-query keep: which queries still hold a state
+            // (pre-closure) — exactly the standalone matcher's `keep`
+            // decision per query.
+            for st in &self.scratch {
+                out.kept[self.compiled.paths[st.path as usize].tag as usize] = true;
+            }
+            closure(
+                &self.compiled,
+                &mut self.scratch,
+                Some(name),
+                &mut out.roles,
+            );
+            dedupe_tagged(&mut out.roles);
+            if let Some(memo) = self.memo.as_deref_mut() {
+                child = memo.intern(&mut self.scratch);
+            }
+            self.push_frame(child);
         }
-        // Transitions were pushed without duplicate merging (a per-push
-        // linear scan would make per-element work quadratic in the merged
-        // batch's state count); restore the merged-frame invariant —
-        // predicate counting depends on one state per (path, sid) — with
-        // one sort+merge pass.
-        merge_duplicate_states(&mut self.scratch);
-        out.any_keep = true;
-        // Per-query keep: which queries still hold a state (pre-closure) —
-        // exactly the standalone matcher's `keep` decision per query.
-        for st in &self.scratch {
-            out.kept[self.compiled.paths[st.path as usize].tag as usize] = true;
+        if let (Some(set), Some(memo)) = (parent_set, self.memo.as_deref_mut()) {
+            // Recordable: nothing positional went in, and the child (if
+            // any) has an id to jump to.
+            if !positional && child.is_some() == self.outcome.any_keep {
+                memo.record(set, name, cuts, &self.outcome, child);
+            }
         }
-        // Recycle a pooled frame; the swap hands its (empty, but sized)
-        // states vector back to `scratch`, so capacities circulate instead
-        // of being allocated and dropped once per kept element.
-        let mut frame = self.frame_pool.pop().unwrap_or_default();
-        std::mem::swap(&mut frame.states, &mut self.scratch);
-        self.frames.push(frame);
-        let idx = self.frames.len() - 1;
-        self.closure_with_name(idx, Some(name), &mut out.roles);
-        dedupe_tagged(&mut out.roles);
     }
 
     /// Process the end tag of a kept element.
     pub fn leave_element(&mut self) {
-        debug_assert!(self.frames.len() > 1, "leave_element on document root");
-        let mut frame = self.frames.pop().expect("checked above");
+        assert!(self.depth > 0, "leave_element on document root");
+        let frame = &mut self.frames[self.depth];
         frame.states.clear();
         frame.pred_seen.clear();
-        self.frame_pool.push(frame);
+        self.depth -= 1;
     }
 
     /// Roles for a text child of the current element, appended to `out`
     /// (cleared first). Text nodes have no children, so no frame is
     /// pushed; per query, an empty result means the text is irrelevant.
+    #[inline]
     pub fn text_into(&mut self, out: &mut Vec<TaggedRole>) {
         out.clear();
-        let parent = self.frames.len() - 1;
-        for si in 0..self.frames[parent].states.len() {
-            let st = self.frames[parent].states[si];
+        out.extend_from_slice(self.text());
+    }
+
+    /// [`TaggedMatcher::text_into`] without the copy: the roles, borrowed
+    /// from the memo or from the NFA step's own result.
+    #[inline]
+    fn text(&mut self) -> &[TaggedRole] {
+        let recorded = match (self.frames[self.depth].set, self.memo.as_deref()) {
+            (Some(set), Some(memo)) => memo.text[set as usize],
+            _ => None,
+        };
+        match recorded {
+            Some((from, to)) => {
+                let memo = self.memo.as_deref().expect("text roles were found in it");
+                &memo.roles[from as usize..to as usize]
+            }
+            None => {
+                self.text_nfa();
+                &self.text_roles
+            }
+        }
+    }
+
+    /// The NFA step behind [`TaggedMatcher::text`], into
+    /// `self.text_roles`; recorded per state set unless a positional
+    /// predicate was consulted.
+    fn text_nfa(&mut self) {
+        self.warm_up();
+        self.text_roles.clear();
+        let parent = &mut self.frames[self.depth];
+        let parent_set = parent.set;
+        let states: &[St] = match (parent_set, self.memo.as_deref()) {
+            (Some(set), Some(memo)) => memo.set(set),
+            _ => &parent.states,
+        };
+        let mut positional = false;
+        for &st in states {
             let info = self.compiled.paths[st.path as usize];
             let step = self.compiled.steps[st.sid as usize];
             // A text node can only complete a path whose FINAL step it
@@ -609,8 +935,8 @@ impl TaggedMatcher {
                         match step.pos {
                             None => true,
                             Some(k) => {
-                                let seen = bump_pred(&mut self.frames[parent].pred_seen, st.sid);
-                                seen == k
+                                positional = true;
+                                bump_pred(&mut parent.pred_seen, st.sid) == k
                             }
                         }
                     }
@@ -620,10 +946,15 @@ impl TaggedMatcher {
                 Axis::Attribute => unreachable!(),
             };
             if completes {
-                out.push((info.tag, info.role, st.count));
+                self.text_roles.push((info.tag, info.role, st.count));
             }
         }
-        dedupe_tagged(out);
+        dedupe_tagged(&mut self.text_roles);
+        if let (Some(set), Some(memo), false) = (parent_set, self.memo.as_deref_mut(), positional) {
+            let from = memo.roles.len() as u32;
+            memo.roles.extend_from_slice(&self.text_roles);
+            memo.text[set as usize] = Some((from, memo.roles.len() as u32));
+        }
     }
 }
 
@@ -633,10 +964,6 @@ impl TaggedMatcher {
 #[derive(Debug)]
 pub struct StreamMatcher {
     inner: TaggedMatcher,
-    /// Reused outcome buffer for `enter_element`.
-    scratch: TaggedOutcome,
-    /// Reused buffer for `text`.
-    text_scratch: Vec<TaggedRole>,
 }
 
 impl StreamMatcher {
@@ -658,14 +985,7 @@ impl StreamMatcher {
         let (inner, tagged_roots) =
             TaggedMatcher::with_reach(TaggedPaths::merge([compiled]), reach);
         let root_roles = tagged_roots.into_iter().map(|(_, r, c)| (r, c)).collect();
-        (
-            StreamMatcher {
-                inner,
-                scratch: TaggedOutcome::for_tags(1),
-                text_scratch: Vec::new(),
-            },
-            root_roles,
-        )
+        (StreamMatcher { inner }, root_roles)
     }
 
     /// Current nesting depth (document root frame excluded).
@@ -692,10 +1012,12 @@ impl StreamMatcher {
     /// keep decision is returned. The preprojector's hot loop uses this
     /// with a reused scratch vector.
     pub fn enter_element_into(&mut self, name: Symbol, roles_out: &mut Vec<(RoleId, u32)>) -> bool {
-        self.inner.enter_element(name, &mut self.scratch);
         roles_out.clear();
-        roles_out.extend(self.scratch.roles.iter().map(|&(_, r, c)| (r, c)));
-        self.scratch.any_keep
+        let Some((_, roles)) = self.inner.enter(name) else {
+            return false;
+        };
+        roles_out.extend(roles.iter().map(|&(_, r, c)| (r, c)));
+        true
     }
 
     /// Process the end tag of a kept element.
@@ -715,11 +1037,57 @@ impl StreamMatcher {
     /// Allocation-free variant of [`StreamMatcher::text`]: roles are
     /// appended to `out` (cleared first).
     pub fn text_into(&mut self, out: &mut Vec<(RoleId, u32)>) {
-        let mut tagged = std::mem::take(&mut self.text_scratch);
-        self.inner.text_into(&mut tagged);
         out.clear();
-        out.extend(tagged.iter().map(|&(_, r, c)| (r, c)));
-        self.text_scratch = tagged;
+        out.extend(self.inner.text().iter().map(|&(_, r, c)| (r, c)));
+    }
+}
+
+/// Run the epsilon closure on an element's state set: `self::`/
+/// `descendant-or-self::` steps that match the element consume in place.
+/// Completed paths are appended to `out` as tagged roles and leave the
+/// set. `name` is the element's tag (None for the virtual document root,
+/// which only `node()` tests can match).
+fn closure(
+    compiled: &TaggedPaths,
+    states: &mut Vec<St>,
+    name: Option<Symbol>,
+    out: &mut Vec<TaggedRole>,
+) {
+    let mut i = 0;
+    while i < states.len() {
+        let st = states[i];
+        let info = compiled.paths[st.path as usize];
+        if st.sid == info.first + info.len {
+            // Completed match: assign the role, drop the state.
+            out.push((info.tag, info.role, st.count));
+            states.swap_remove(i);
+            continue;
+        }
+        let step = compiled.steps[st.sid as usize];
+        let consumes_in_place = match step.axis {
+            Axis::SelfAxis | Axis::DescendantOrSelf => match name {
+                Some(n) => step.test.matches_element(n),
+                // The virtual document root: only node() matches it.
+                None => step.test == CTest::AnyNode,
+            },
+            _ => false,
+        };
+        if consumes_in_place {
+            // Self steps are consumed (state replaced); desc-or-self
+            // steps both consume and persist for deeper matches.
+            let advanced = St {
+                path: st.path,
+                sid: st.sid + 1,
+                count: st.count,
+            };
+            if step.axis == Axis::SelfAxis {
+                states[i] = advanced;
+                // Re-examine the same slot (it may complete or chain).
+                continue;
+            }
+            push_state(states, advanced);
+        }
+        i += 1;
     }
 }
 
@@ -953,6 +1321,190 @@ mod tests {
         assert_eq!(root_roles.len(), 1);
         let e = m.enter_element(sy.intern("anything"));
         assert!(!e.keep);
+    }
+
+    // ---- the memo against the NFA step alone ------------------------------
+
+    /// Queries over a small tag alphabet (the pool `gcx-multi`'s
+    /// `merge_props` draws from): shared prefixes, `//`, nested `//`,
+    /// wildcards, a positional predicate, text steps, no input at all.
+    const POOL: [&str; 10] = [
+        "for $x in /a/b return $x",
+        "for $x in /a/b/c return $x/text()",
+        "for $x in //c return $x",
+        "for $x in /a/*/d return $x",
+        "for $x in /a/b[2] return $x",
+        "for $x in //b//c return $x",
+        "for $x in /a return $x/text()",
+        "<r>{ for $x in /a/b return if (exists($x/c)) then $x/c else () }</r>",
+        "for $x in /a/c/text() return $x",
+        "'no input at all'",
+    ];
+
+    const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+    }
+
+    enum Doc {
+        Elem(&'static str, Vec<Doc>),
+        Text,
+    }
+
+    /// `merge_props`' document shape: random tags, up to 3 children, a
+    /// quarter of them text, at most 5 levels.
+    fn gen_tree(rng: &mut XorShift, depth: u32) -> Doc {
+        let name = TAGS[rng.below(TAGS.len() as u64) as usize];
+        let n_children = if depth >= 4 { 0 } else { rng.below(4) };
+        let children = (0..n_children)
+            .map(|_| match rng.below(4) {
+                0 => Doc::Text,
+                _ => gen_tree(rng, depth + 1),
+            })
+            .collect();
+        Doc::Elem(name, children)
+    }
+
+    /// `depth` nested `<a>`s, a text at the bottom.
+    fn nest(depth: u32) -> Doc {
+        (0..depth).fold(Doc::Text, |inner, _| Doc::Elem("a", vec![inner]))
+    }
+
+    /// Everything a driver observes of one token.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Element(bool, Vec<bool>, Vec<TaggedRole>),
+        Text(Vec<TaggedRole>),
+    }
+
+    /// Walk `doc` the way a driver does, logging every outcome.
+    fn observe(
+        m: &mut TaggedMatcher,
+        out: &mut TaggedOutcome,
+        doc: &Doc,
+        sy: &mut SymbolTable,
+        log: &mut Vec<Seen>,
+    ) {
+        match doc {
+            Doc::Text => {
+                let mut roles = Vec::new();
+                m.text_into(&mut roles);
+                log.push(Seen::Text(roles));
+            }
+            Doc::Elem(name, children) => {
+                m.enter_element(sy.intern(name), out);
+                let kept = if out.any_keep {
+                    out.kept.clone()
+                } else {
+                    Vec::new()
+                };
+                log.push(Seen::Element(out.any_keep, kept, out.roles.clone()));
+                if out.any_keep {
+                    for child in children {
+                        observe(m, out, child, sy, log);
+                    }
+                    m.leave_element();
+                }
+            }
+        }
+    }
+
+    /// The merged automaton of `queries`, and a reach filter that closes
+    /// the worlds of `d` (nothing below) and `e` (only `c` and text), so
+    /// reach cuts are part of what is compared.
+    fn merged(queries: &[&str], sy: &mut SymbolTable) -> (Arc<TaggedPaths>, Arc<ReachFilter>) {
+        let parts: Vec<CompiledPaths> = queries
+            .iter()
+            .map(|q| CompiledPaths::compile(&analyze(&compile(q).unwrap()).roles, sy))
+            .collect();
+        let [c, d, e] = ["c", "d", "e"].map(|n| sy.intern(n));
+        for tag in TAGS {
+            sy.intern(tag);
+        }
+        let mut reach = ReachFilter::new(sy.len());
+        reach.close(d, &[], false);
+        reach.close(e, &[c], true);
+        (Arc::new(TaggedPaths::merge(parts.iter())), Arc::new(reach))
+    }
+
+    /// The fill path alone (no memo) against memos of 2 sets, of the
+    /// default size, and of the default size started mid-document: same
+    /// keep, kept-per-query, roles with multiplicities, reach cuts.
+    fn assert_memo_invisible(queries: &[&str], docs: &[Doc], reach: bool) -> Vec<usize> {
+        let mut sy = SymbolTable::new();
+        let (paths, filter) = merged(queries, &mut sy);
+        let configs = [(0, 0), (2, 0), (MEMO_SETS, 0), (MEMO_SETS, 5)];
+        let mut runs = configs.map(|(sets, warmup)| {
+            let reach = reach.then(|| filter.clone());
+            let (m, roots) = TaggedMatcher::with_memo(paths.clone(), reach, sets, warmup);
+            (m, roots, Vec::new())
+        });
+        let mut out = TaggedOutcome::for_tags(paths.n_tags());
+        for (m, _, log) in &mut runs {
+            for doc in docs {
+                observe(m, &mut out, doc, &mut sy, log);
+                assert_eq!(m.depth(), 0);
+            }
+        }
+        let [(plain, plain_roots, plain_log), memoised @ ..] = runs;
+        assert_eq!(plain.memo_len(), 0, "no memo without room for one");
+        for (m, roots, log) in &memoised {
+            assert_eq!(roots, &plain_roots);
+            assert_eq!(log, &plain_log, "{queries:?}");
+            assert_eq!(m.reach_cuts(), plain.reach_cuts(), "{queries:?}");
+        }
+        memoised.iter().map(|(m, ..)| m.memo_len()).collect()
+    }
+
+    #[test]
+    fn memo_is_invisible_on_random_documents() {
+        let mut rng = XorShift(0xC0FFEE);
+        let mut memoised = 0;
+        for round in 0..300 {
+            let n = 1 + rng.below(4);
+            let queries: Vec<&str> = (0..n)
+                .map(|_| POOL[rng.below(POOL.len() as u64) as usize])
+                .collect();
+            // Several documents through one matcher: later ones run on a
+            // warm memo.
+            let docs: Vec<Doc> = (0..3).map(|_| gen_tree(&mut rng, 0)).collect();
+            let sets = assert_memo_invisible(&queries, &docs, round % 2 == 0);
+            assert!(sets[0] <= 2);
+            memoised += sets[1];
+        }
+        assert!(memoised > 300, "the memo must have been in use: {memoised}");
+    }
+
+    #[test]
+    fn memo_overflow_falls_back_to_explicit_frames() {
+        // Under `//a//a` every nesting level has its own derivation
+        // counts, so its own state set: 64 levels overflow a memo of 2 and
+        // fill one of 1024 with 60-odd sets. The second and third nest
+        // replay it (hits where there are sets, NFA steps where not).
+        let queries = ["for $x in //a//a return $x", "for $x in //a/b[2] return $x"];
+        let docs = [nest(64), nest(64), nest(3)];
+        let sets = assert_memo_invisible(&queries, &docs, false);
+        assert_eq!(sets[0], 2, "the small memo is full");
+        assert!((60..200).contains(&sets[1]), "one set per level: {sets:?}");
+        // Multiplicities are what makes the sets differ: pin one.
+        let mut sy = SymbolTable::new();
+        let (paths, _) = merged(&queries[..1], &mut sy);
+        let (mut m, _) = TaggedMatcher::with_memo(paths, None, 2, 0);
+        let mut out = TaggedOutcome::for_tags(1);
+        let a = sy.intern("a");
+        for _ in 0..64 {
+            m.enter_element(a, &mut out);
+        }
+        let binding = out.roles.iter().find(|r| r.1 == RoleId(1)).unwrap();
+        assert_eq!(binding.2, 63, "63 ancestors named a");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `t` shows up deeper. With a [`ReachFilter`] the propagation is gated —
 //! if the schema proves no `t` can occur below the entered element, the
 //! state is dropped, the frame can come up empty, and the whole subtree is
-//! skipped instead of buffered speculatively.
+//! skipped instead of walked on the chance of a match.
 //!
 //! The filter is **closed-world per element**: an element with an entry
 //! lists exactly the names (and whether text) reachable below it; elements

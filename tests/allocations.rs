@@ -2,8 +2,9 @@
 //! `gcx-memtrack` global allocator's event counter.
 //!
 //! The claim under test: after warm-up, the token→buffer path — tokenizer,
-//! projection NFA, buffer append/purge — performs **O(1) allocations
-//! total**, i.e. ≈ 0 per token. The test measures the same pipeline over a
+//! projection matcher (NFA step and memo), the lane's pending chain,
+//! buffer append/purge — performs **O(1) allocations total**, i.e. ≈ 0
+//! per token. The test measures the same pipeline over a
 //! document and over one twice its size; the fixed setup cost cancels and
 //! the difference bounds the steady-state allocation rate.
 //!
@@ -45,19 +46,28 @@ fn tokenize_allocs(doc: &str) -> u64 {
     gcx::memtrack::total_allocs() - before
 }
 
-/// Allocation events consumed by a full session pass (tokenizer +
-/// projection NFA + buffer appends and purges + the suspended evaluator).
-/// The query's projection path keeps every `item` speculatively and
-/// purges it at its end tag — the steady-state append/purge cycle.
-fn preproject_allocs(doc: &str) -> u64 {
+/// A query whose projection keeps every `item` (and `site`) without a
+/// role: each one opens and closes on the lane's pending chain.
+const SPECULATIVE: &str = "for $a in /site/item/zzz return 'x'";
+/// A query that binds every `item`: each one is appended with a role,
+/// signed off and purged — the steady-state append/purge cycle.
+const BOUND: &str = "for $a in /site/item return $a/zzz";
+
+/// Allocation events consumed by a full session pass of `query`
+/// (tokenizer + projection matcher + pending chain or buffer appends and
+/// purges + the suspended evaluator), and how many nodes it appended.
+fn preproject_allocs(query: &str, doc: &str) -> (u64, u64) {
     let before = gcx::memtrack::total_allocs();
-    let q = gcx::CompiledQuery::compile("for $a in /site/item/zzz return 'x'").unwrap();
+    let q = gcx::CompiledQuery::compile(query).unwrap();
     let mut session = q.session(&gcx::EngineOptions::gcx());
     session.feed(doc.as_bytes()).unwrap();
     let report = session.finish().unwrap();
-    assert_eq!(report.buffer.live, 0, "speculative items must all purge");
-    assert!(report.buffer.purged as usize >= doc.matches("<item").count());
-    gcx::memtrack::total_allocs() - before
+    assert_eq!(report.buffer.live, 0, "everything appended must purge");
+    assert_eq!(report.buffer.purged, report.buffer.allocated);
+    (
+        gcx::memtrack::total_allocs() - before,
+        report.buffer.allocated,
+    )
 }
 
 /// Allocation events consumed by one lock-step batch over `doc`: three
@@ -81,7 +91,8 @@ fn steady_state_token_loop_allocates_o1() {
 
     // Warm up (first-touch effects like lazy statics).
     tokenize_allocs(&small);
-    preproject_allocs(&small);
+    preproject_allocs(SPECULATIVE, &small);
+    preproject_allocs(BOUND, &small);
 
     // Tokenizer alone: doubling the input must not increase allocations
     // beyond a constant (window management is size-independent).
@@ -94,15 +105,24 @@ fn steady_state_token_loop_allocates_o1() {
         2_000 * 8 + 2
     );
 
-    // Tokenizer + NFA + buffer append/purge: same bound. 2k extra items ×
-    // (1 element appended and purged + 2 subtrees skipped) ≈ 0 allocations.
-    let p_small = preproject_allocs(&small);
-    let p_large = preproject_allocs(&large);
-    assert!(
-        p_large <= p_small + 64,
-        "preprojector steady state must be allocation-free: \
-         {p_small} allocs vs {p_large} for twice the document"
-    );
+    // Tokenizer + matcher + the lane: same bound. 2k extra items × (1
+    // element appended and purged, or pushed on the pending chain and
+    // popped, + 2 subtrees skipped) ≈ 0 allocations.
+    for query in [SPECULATIVE, BOUND] {
+        let (p_small, appended) = preproject_allocs(query, &small);
+        let (p_large, _) = preproject_allocs(query, &large);
+        assert!(
+            p_large <= p_small + 64,
+            "preprojector steady state must be allocation-free ({query}): \
+             {p_small} allocs vs {p_large} for twice the document"
+        );
+        // The speculative items used to be appended and purged one by one
+        // (`purged >= #<item`, i.e. 2000 items + site = 2001 appends);
+        // none of the 2001 has a role-carrying descendant, so
+        // 2001 − 2001 = 0 reach the buffer. Bound items all do.
+        let items = small.matches("<item").count() as u64;
+        assert_eq!(appended, if query == SPECULATIVE { 0 } else { items + 1 });
+    }
 
     // A refused subtree of more than 1 MiB goes by in bulk without one
     // allocation: skipped text is consumed as it arrives, so the window
@@ -137,8 +157,40 @@ fn steady_state_token_loop_allocates_o1() {
         session.feed(chunk).unwrap();
     }
     let report = session.finish().unwrap();
-    assert_eq!(report.buffer.allocated, 2, "<site> and <item/> only");
+    // <site> and <item/> were the two appends here; both are role-less
+    // without a role-carrying descendant: 2 − 2 = 0.
+    assert_eq!(report.buffer.allocated, 0, "nothing earns a role");
     assert!(report.tokens > 200_000);
+
+    // The same megabyte under `//item` cannot be refused — an item may
+    // hide anywhere — so every element, attributes and all, opens and
+    // closes on the pending chain and every token goes through the
+    // matcher: no allocation either once the chain's arena and the
+    // matcher's memo are warm, and nothing of it reaches the buffer.
+    let q = gcx::CompiledQuery::compile("for $i in //item return $i").unwrap();
+    let mut session = q.session(&gcx::EngineOptions::gcx());
+    let mut chunks = doc.as_bytes().chunks(CHUNK);
+    for chunk in chunks.by_ref().take(2) {
+        session.feed(chunk).unwrap();
+    }
+    let before = gcx::memtrack::total_allocs();
+    let mut speculative = 0;
+    for chunk in chunks.by_ref().take((1 << 20) / CHUNK) {
+        session.feed(chunk).unwrap();
+        speculative += chunk.len();
+    }
+    let during = gcx::memtrack::total_allocs() - before;
+    assert!(speculative >= 1 << 20);
+    assert_eq!(
+        during, 0,
+        "{speculative} bytes of role-less speculative elements allocated"
+    );
+    for chunk in chunks {
+        session.feed(chunk).unwrap();
+    }
+    let report = session.finish().unwrap();
+    assert_eq!(report.buffer.allocated, 2, "<site> and <item/> only");
+    assert_eq!(report.buffer.peak_live, 2);
 
     // The multi-query batch: N lanes fed by reference off one scan keep
     // the same contract — no event, name or role list is allocated per

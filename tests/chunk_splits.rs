@@ -251,7 +251,7 @@ impl Measured {
 /// (start 1, self-closing 2, end 1, text 1) — no `skip_element`, no bulk
 /// charge.
 fn token_by_token(q: &CompiledQuery, doc: &[u8]) -> Measured {
-    use gcx::core::{Lane, ScanFacts};
+    use gcx::core::{Keep, Lane, ScanFacts};
     use gcx::xml::{Token, Tokenizer};
 
     let mut lane = Lane::start(q, gcx::EngineMode::Gcx, None, None, true);
@@ -275,7 +275,7 @@ fn token_by_token(q: &CompiledQuery, doc: &[u8]) -> Measured {
                         let symbols = lane.symbols_mut();
                         attr_names.extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
                     }
-                    lane.start_element(name, tag, &attr_names, keep.then_some(&roles[..]));
+                    lane.start_element(name, tag, &attr_names, Keep::projected(keep, &roles));
                     if !keep {
                         skip_depth = nests;
                     } else if tag.self_closing {

@@ -2,18 +2,41 @@
 //! against must be **observably free** — output bytes identical to the
 //! schema-blind run for every paper query, under any chunking — while
 //! the buffer contract only ever improves: `peak_live_bytes` ≤ the
-//! blind baseline everywhere, and strictly lower where the DTD's
-//! content models let the engine skip unreachable subtrees or sign
-//! variables off before the parent's close tag.
+//! blind baseline everywhere.
+//!
+//! What the DTD buys, restated. Until lazy prefix materialisation the
+//! reach filter was also a *peak* feature: under `//item` the blind
+//! engine appended every open element as a speculative ancestor, the DTD
+//! proved most of them item-free, and this suite demanded strictly lower
+//! peaks on at least three queries. The blind engine now keeps role-less
+//! ancestors out of the buffer until a descendant earns a role, and
+//! reaches the same peaks unaided — `peak_live_bytes`, blind → aware, on
+//! the two documents of the first test:
+//!
+//! | query | 96 KB seed 0x6C7867, before | after | 48 KB seed 42, before | after |
+//! |---|---|---|---|---|
+//! | Q6 | 1394 → 1041 | 1041 → 1041 | 1393 → 1040 | 1040 → 1040 |
+//! | Q14 | 2075 → 1722 | 1722 → 1722 | 2081 → 1728 | 1728 → 1728 |
+//! | Q6_COUNT | 13864 → 13528 | 13528 → 13528 | 7676 → 7340 | 7340 → 7340 |
+//! | Q1 Q8 Q13 Q20 Q2 Q3 Q17 Q19 | blind = aware, unchanged: 871, 58493, 1722, 705, 1036, 1546, 871, 1381 | same | 872, 29241, 1714, 705, 1036, 1546, 872, 1376 | same |
+//!
+//! (buffer appends likewise: Q6 779 → 209 before, 209 → 209 after; Q14
+//! 2947 → 410, then 410 → 410). Basic buffer discipline is no longer the
+//! schema's to provide. What it still provides, and what is asserted
+//! here in place of the strict peak drop: subtrees the DTD proves
+//! item-free are *cut* (`reach_cuts > 0`) — never shown to the matcher,
+//! bulk-skipped by the tokenizer — so the matcher visits strictly fewer
+//! elements with the schema than without; and sibling-order cutoffs end
+//! scans and sign variables off before the parent's close tag (the
+//! pinned trigger counts below).
 //!
 //! Coverage:
 //!
 //! * all 11 paper queries over generated XMark documents (two sizes,
 //!   two seeds), schema on vs off — byte-identical outputs, token
 //!   counts equal, peaks ≤;
-//! * the strict-improvement floor: on every tested document at least
-//!   three queries must show strictly lower peaks (the reach-filter
-//!   queries Q6/Q14/Q6_COUNT on XMark shapes);
+//! * the reach floor: on every tested document the reach-filter queries
+//!   Q6/Q14/Q6_COUNT cut subtrees and visit strictly fewer elements;
 //! * schema-aware runs driven through the sans-IO session under seeded
 //!   random chunk splits and 1-byte chunks — cutoff bookkeeping and
 //!   early sign-off must be boundary-blind, including the trigger
@@ -29,6 +52,8 @@
 //! * in-stream `<!DOCTYPE site [...]>` adoption: a `--doctype`-generated
 //!   document activates the sibling-order facts without any option set,
 //!   and `schema_from_doctype: false` opts out.
+
+mod common;
 
 use gcx::schema::Dtd;
 use gcx::xmark::{generate_string, queries, XmarkConfig};
@@ -138,27 +163,52 @@ impl XorShift {
     }
 }
 
+/// What the reach filter buys on a `//` query since the blind engine
+/// reaches the same peak unaided: cut subtrees, fewer matcher visits,
+/// never more appends.
+fn assert_reach_pays(
+    label: &str,
+    q: &CompiledQuery,
+    doc: &str,
+    blind: &RunReport,
+    aware: &RunReport,
+) {
+    let cuts = aware.schema.as_ref().expect("schema report").reach_cuts;
+    assert!(cuts > 0, "{label}: must cut unreachable subtrees");
+    let (without, with) = (
+        common::project(q, None, doc).visited,
+        common::project(q, Some(&Dtd::xmark()), doc).visited,
+    );
+    assert!(
+        with < without,
+        "{label}: the matcher must see strictly fewer elements with the \
+         schema ({with} vs {without})"
+    );
+    assert!(
+        aware.buffer.allocated <= blind.buffer.allocated,
+        "{label}: the schema must not add appends"
+    );
+}
+
 #[test]
 fn all_paper_queries_byte_identical_and_peaks_never_worse() {
     for (kb, seed) in [(96, 0x6C_78_67), (48, 42)] {
         let doc = xmark(kb, seed);
-        let mut strictly_lower = 0usize;
         for (name, qtext) in queries::paper_queries() {
             let q = CompiledQuery::compile(qtext).expect("compile");
             let want = run_once(&q, &blind(), doc.as_bytes());
             let got = run_once(&q, &aware(), doc.as_bytes());
-            assert_schema_free(&format!("{name} ({kb}KB seed {seed})"), &want, &got);
-            if got.1.buffer.peak_live_bytes < want.1.buffer.peak_live_bytes {
-                strictly_lower += 1;
+            let label = format!("{name} ({kb}KB seed {seed})");
+            assert_schema_free(&label, &want, &got);
+            // The acceptance floor: the DTD must actually buy something,
+            // on every tested document, for the `//item` queries. It
+            // used to be a strictly lower peak on at least three queries;
+            // see the module docs for why `<=` is now the whole peak
+            // contract and this is the floor.
+            if ["Q6", "Q14", "Q6_COUNT"].contains(&name) {
+                assert_reach_pays(&label, &q, &doc, &want.1, &got.1);
             }
         }
-        // The acceptance floor: the DTD must actually buy something, on
-        // every tested document, for at least three of the paper queries.
-        assert!(
-            strictly_lower >= 3,
-            "({kb}KB seed {seed}): schema lowered the peak on only \
-             {strictly_lower} queries (floor: 3)"
-        );
     }
 }
 
@@ -295,25 +345,20 @@ fn q17_prunes_the_undeclared_homepage_path() {
 #[test]
 fn reach_filter_skips_subtrees_no_declared_ancestry_reaches() {
     // Q14 matches `//item`: schema-blind projection must speculatively
-    // track every subtree a descendant item could hide in; the DTD pins
-    // where items live, so everything else is skipped at the start tag.
+    // track every subtree a descendant item could hide in (on the lane's
+    // pending chain, outside the buffer); the DTD pins where items live,
+    // so everything else is skipped at the start tag.
     let q = CompiledQuery::compile(queries::extra::Q14).expect("compile");
     let doc = xmark(48, 42);
     let want = run_once(&q, &blind(), doc.as_bytes());
     let got = run_once(&q, &aware(), doc.as_bytes());
     assert_schema_free("Q14", &want, &got);
-    let s = got.1.schema.as_ref().expect("schema report");
-    assert!(s.reach_cuts > 0, "Q14 must cut unreachable subtrees");
-    assert!(
-        got.1.buffer.peak_live_bytes < want.1.buffer.peak_live_bytes,
-        "Q14's peak must strictly improve ({} vs {})",
-        got.1.buffer.peak_live_bytes,
-        want.1.buffer.peak_live_bytes
-    );
-    assert!(
-        got.1.buffer.allocated < want.1.buffer.allocated,
-        "Q14 must allocate fewer speculative nodes"
-    );
+    // The peak used to improve strictly (2081 → 1728 bytes here, 1519 →
+    // 206 appends); the blind engine now gets to 1728 / 206 by keeping
+    // role-less ancestors out of the buffer, so the peak contract is the
+    // `<=` of `assert_schema_free` (`tests/lazy_prefix.rs` pins the
+    // equality) and the schema's part is the skipping.
+    assert_reach_pays("Q14", &q, &doc, &want.1, &got.1);
 }
 
 #[test]
