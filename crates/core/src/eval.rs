@@ -352,7 +352,7 @@ pub(crate) struct Vm {
     /// Condition results in evaluation order.
     bools: Vec<bool>,
     /// Operand value vectors in evaluation order.
-    vals: Vec<Vec<Value>>,
+    vals: Vec<Values>,
     env: Vec<Option<Binding>>,
     /// Per-[`gcx_ir::JoinPlan`] runtime state, indexed by join slot.
     joins: Vec<JoinState>,
@@ -368,14 +368,13 @@ pub(crate) struct Vm {
     /// program's step arena (symbols are valid verbatim because the run's
     /// table was seeded from the program's pre-interned table).
     path_steps: Vec<Rc<[EvalStep]>>,
-    /// Scratch reused by string-value extraction.
-    value_scratch: String,
     /// Recycled cursor frame stacks (one cursor per path evaluation).
     cursor_pool: CursorPool,
     /// Reused signOff derivation map.
     signoff_scratch: HashMap<NodeId, u32, FxBuildHasher>,
-    /// Recycled value vectors for comparisons/aggregates.
-    value_pool: Vec<Vec<Value>>,
+    /// Recycled operand values for comparisons/aggregates (capacities
+    /// kept: an operand is atomized per evaluation, not allocated).
+    value_pool: Vec<Values>,
     /// Set by the driver once the feed reports end of input; blocked
     /// waits then fail instead of suspending forever.
     input_exhausted: bool,
@@ -411,7 +410,6 @@ impl Vm {
             exists_cache,
             wait: Wait::Any,
             path_steps,
-            value_scratch: String::new(),
             cursor_pool: CursorPool::default(),
             signoff_scratch: HashMap::default(),
             value_pool: Vec::new(),
@@ -560,23 +558,22 @@ impl Vm {
         cursor.dispose(buf, &mut self.cursor_pool);
     }
 
-    /// A recycled (or fresh) empty value vector.
-    fn pooled_values(&mut self) -> Vec<Value> {
+    /// Recycled (or fresh) empty operand values.
+    fn pooled_values(&mut self) -> Values {
         self.value_pool.pop().unwrap_or_default()
     }
 
-    /// Return a value vector to the pool.
-    fn recycle_values(&mut self, mut v: Vec<Value>) {
+    /// Return operand values to the pool.
+    fn recycle_values(&mut self, mut v: Values) {
         v.clear();
         self.value_pool.push(v);
     }
 
-    /// Push an atomized value onto the top value vector.
-    fn push_value(&mut self, value: Value) {
+    /// The operand values being collected.
+    fn top_values(&mut self) -> &mut Values {
         self.vals
             .last_mut()
-            .expect("value vector scheduled by Operand/Aggregate")
-            .push(value);
+            .expect("values scheduled by Operand/Aggregate")
     }
 
     // ---- the machine loop ----------------------------------------------------
@@ -799,7 +796,7 @@ impl Vm {
                     let hay = self.vals.pop().expect("string-fn haystack");
                     let result = hay
                         .iter()
-                        .any(|hv| needle.iter().any(|nv| func.apply(&hv.text, &nv.text)));
+                        .any(|hv| needle.iter().any(|nv| func.apply(hv.text, nv.text)));
                     self.bools.push(result);
                     self.recycle_values(hay);
                     self.recycle_values(needle);
@@ -807,10 +804,7 @@ impl Vm {
                 Task::Operand(op) => match self.program.operand(op) {
                     OperandIr::Lit { text, num } => {
                         let mut v = self.pooled_values();
-                        v.push(Value {
-                            text: self.program.str_(text).to_string(),
-                            num,
-                        });
+                        v.push_parsed(self.program.str_(text), num);
                         self.vals.push(v);
                     }
                     OperandIr::Path(p) => {
@@ -827,14 +821,12 @@ impl Vm {
                         CursorState::Match(n) => match attr {
                             AttrPlan::Name(a) => {
                                 if let Some(v) = buf.attr(n, a) {
-                                    let value = Value::from_string(v.to_string());
-                                    self.push_value(value);
+                                    self.top_values().push(v);
                                 }
                             }
                             AttrPlan::Any => {
                                 for (_, v) in buf.attrs(n).iter() {
-                                    let value = Value::from_string(v.to_string());
-                                    self.push_value(value);
+                                    self.top_values().push(v);
                                 }
                             }
                             AttrPlan::None => {
@@ -973,7 +965,7 @@ impl Vm {
                                 }
                             }
                             js.text_bucket
-                                .entry(kv.text.clone())
+                                .entry(kv.text.to_string())
                                 .or_default()
                                 .push((entry, kv.num.is_some()));
                         }
@@ -1001,12 +993,12 @@ impl Vm {
                                 if let Some(es) = js.num_bucket.get(&canon_bits(a)) {
                                     js.cands.extend_from_slice(es);
                                 }
-                                if let Some(es) = js.text_bucket.get(&pv.text) {
+                                if let Some(es) = js.text_bucket.get(pv.text) {
                                     js.cands.extend(
                                         es.iter().filter(|&&(_, num)| !num).map(|&(e, _)| e),
                                     );
                                 }
-                            } else if let Some(es) = js.text_bucket.get(&pv.text) {
+                            } else if let Some(es) = js.text_bucket.get(pv.text) {
                                 js.cands.extend(es.iter().map(|&(e, _)| e));
                             }
                         }
@@ -1266,15 +1258,14 @@ impl Vm {
 
     /// Atomize `n`'s string value onto the top value vector.
     fn collect_string_value(&mut self, n: NodeId, buf: &BufferTree) {
-        self.value_scratch.clear();
-        buf.string_value(n, &mut self.value_scratch);
-        let value = Value::from_string(self.value_scratch.clone());
-        self.push_value(value);
+        let values = self.top_values();
+        buf.string_value(n, &mut values.arena);
+        values.close_value();
     }
 }
 
 /// Fold atomized values through an aggregate function.
-fn aggregate_text(func: AggFunc, values: &[Value]) -> Option<String> {
+fn aggregate_text(func: AggFunc, values: &Values) -> Option<String> {
     match func {
         AggFunc::Count => Some(fmt_number(values.len() as f64)),
         AggFunc::Sum => {
@@ -1390,27 +1381,69 @@ fn collect_dos(
 }
 
 /// An atomized value: string plus pre-parsed numeric form.
-#[derive(Debug, Clone)]
-struct Value {
-    text: String,
+#[derive(Debug, Clone, Copy)]
+struct Value<'a> {
+    text: &'a str,
     num: Option<f64>,
 }
 
-impl Value {
-    fn from_string(text: String) -> Value {
-        let num = text.trim().parse::<f64>().ok();
-        Value { text, num }
+/// An operand's atomized values, their strings back-to-back in one arena:
+/// recycled, it keeps the capacity of both, and what it keeps is bounded
+/// by the largest single operand, not by the number of values.
+#[derive(Debug, Default)]
+struct Values {
+    arena: String,
+    /// Per value: where its string ends in `arena` (it starts where the
+    /// one before ends) and its numeric form.
+    items: Vec<(usize, Option<f64>)>,
+}
+
+impl Values {
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.items.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    fn push(&mut self, text: &str) {
+        self.arena.push_str(text);
+        self.close_value();
+    }
+
+    /// [`Values::push`] of a string whose numeric form is known.
+    fn push_parsed(&mut self, text: &str, num: Option<f64>) {
+        self.arena.push_str(text);
+        self.items.push((self.arena.len(), num));
+    }
+
+    /// What was appended to `arena` since the last value is the next one.
+    fn close_value(&mut self) {
+        let start = self.items.last().map_or(0, |&(end, _)| end);
+        let num = self.arena[start..].trim().parse::<f64>().ok();
+        self.items.push((self.arena.len(), num));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Value<'_>> {
+        let mut start = 0;
+        self.items.iter().map(move |&(end, num)| {
+            let text = &self.arena[start..end];
+            start = end;
+            Value { text, num }
+        })
     }
 }
 
 /// General comparison with existential semantics: true iff some pair of
 /// values satisfies the operator. Numeric comparison when both sides are
 /// numeric, string comparison otherwise.
-fn compare_existential(op: CmpOp, lhs: &[Value], rhs: &[Value]) -> bool {
+fn compare_existential(op: CmpOp, lhs: &Values, rhs: &Values) -> bool {
     lhs.iter().any(|l| {
         rhs.iter().any(|r| match (l.num, r.num) {
             (Some(a), Some(b)) => cmp_ord(op, a.partial_cmp(&b)),
-            _ => cmp_ord(op, Some(l.text.cmp(&r.text))),
+            _ => cmp_ord(op, Some(l.text.cmp(r.text))),
         })
     })
 }
@@ -1432,40 +1465,45 @@ fn cmp_ord(op: CmpOp, ord: Option<std::cmp::Ordering>) -> bool {
 mod tests {
     use super::*;
 
-    fn v(s: &str) -> Value {
-        Value::from_string(s.to_string())
+    fn v(texts: &[&str]) -> Values {
+        let mut values = Values::default();
+        for text in texts {
+            values.push(text);
+        }
+        values
     }
 
     #[test]
     fn numeric_comparison_when_both_numeric() {
-        assert!(compare_existential(CmpOp::Lt, &[v("9")], &[v("10")]));
+        assert!(compare_existential(CmpOp::Lt, &v(&["9"]), &v(&["10"])));
         // String comparison would say "9" > "10".
-        assert!(!compare_existential(CmpOp::Gt, &[v("9")], &[v("10")]));
+        assert!(!compare_existential(CmpOp::Gt, &v(&["9"]), &v(&["10"])));
     }
 
     #[test]
     fn string_comparison_otherwise() {
-        assert!(compare_existential(CmpOp::Eq, &[v("abc")], &[v("abc")]));
-        assert!(compare_existential(CmpOp::Lt, &[v("abc")], &[v("abd")]));
-        assert!(!compare_existential(CmpOp::Eq, &[v("abc")], &[v("ABC")]));
+        assert!(compare_existential(CmpOp::Eq, &v(&["abc"]), &v(&["abc"])));
+        assert!(compare_existential(CmpOp::Lt, &v(&["abc"]), &v(&["abd"])));
+        assert!(!compare_existential(CmpOp::Eq, &v(&["abc"]), &v(&["ABC"])));
     }
 
     #[test]
     fn existential_over_sequences() {
-        let lhs = [v("1"), v("5"), v("9")];
-        let rhs = [v("5")];
+        let lhs = v(&["1", "5", "9"]);
+        let rhs = v(&["5"]);
         assert!(compare_existential(CmpOp::Eq, &lhs, &rhs));
         assert!(compare_existential(CmpOp::Gt, &lhs, &rhs));
         assert!(compare_existential(CmpOp::Lt, &lhs, &rhs));
         assert!(
-            !compare_existential(CmpOp::Eq, &[], &rhs),
+            !compare_existential(CmpOp::Eq, &v(&[]), &rhs),
             "empty sequence matches nothing"
         );
     }
 
     #[test]
     fn value_parses_numbers_with_whitespace() {
-        assert_eq!(v(" 42 ").num, Some(42.0));
-        assert_eq!(v("x42").num, None);
+        let values = v(&[" 42 ", "x42", ""]);
+        let seen: Vec<_> = values.iter().map(|v| (v.text, v.num)).collect();
+        assert_eq!(seen, [(" 42 ", Some(42.0)), ("x42", None), ("", None)]);
     }
 }

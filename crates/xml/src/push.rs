@@ -48,6 +48,32 @@
 //! assert_eq!(text, "x & y");
 //! ```
 //!
+//! ## Plain tags
+//!
+//! Almost all of a document's markup is tags with nothing to them, and
+//! both `step` and `skip_element` take those through **one** inline
+//! recogniser instead of the general tag parser. It vouches for
+//!
+//! * `</N>`, where `N` spells the innermost open name (with checking off:
+//!   any ASCII name) and `>` follows directly;
+//! * `<N a="v" b='w'>` and `<N a="v"/>`: ASCII names, exactly one space
+//!   before each attribute, nothing around `=`, either quote, and values
+//!   free of `&`, `<`, `\r`, `\n`, `\t` and bytes ≥ 0x80 — nothing to
+//!   resolve, normalize, validate as UTF-8 or reject.
+//!
+//! It declines — without raising anything and with nothing but scratch
+//! touched — whatever it cannot vouch for: a tag the window cuts, a
+//! partial token being resumed, the document element (root bookkeeping),
+//! duplicate attribute names, any other whitespace (`<a  b="c">`,
+//! `<a b="c" >`, `</a >`), entities, non-ASCII bytes, a name or an end
+//! tag that is not right. A declined tag goes through the general path,
+//! which is therefore still the **only** place a tag error is raised: the
+//! recogniser can make a tag faster, never differently right or wrong.
+//! `crates/xml/tests/step_differential.rs` holds it to that against a
+//! tokenizer fed one byte at a time — which never has a whole tag in the
+//! window before a scan position is recorded for it, so the recogniser
+//! declines every one: it *is* the general path.
+//!
 //! ## Skipping a subtree
 //!
 //! A consumer that has no use for an element — the stream preprojector,
@@ -59,10 +85,9 @@
 //! structural tokens went by (a start or end tag 1, a self-closing tag 2,
 //! a text run or CDATA section 1; comments and processing instructions
 //! 0). The skip accepts and rejects exactly the documents stepping would,
-//! with the same [`XmlError`] kind and position — the common shapes (clean
-//! ASCII text, `<name>`, `<name/>`, the end tag that matches the innermost
-//! open name) are checked inline, everything else goes through the same
-//! code `step` runs, with the token discarded.
+//! with the same [`XmlError`] kind and position — clean ASCII text and
+//! plain tags (above) are checked inline, everything else goes through the
+//! same code `step` runs, with the token discarded.
 //!
 //! A skip suspends like `step` does. While [`Skipped::complete`] is false
 //! the window is exhausted: feed more bytes and call `skip_element` again
@@ -97,7 +122,8 @@
 //! in one arena, attribute spans live in a reusable scratch vector, and
 //! rewritten text/attribute values go into reusable arenas. A returned
 //! token borrows these buffers and is valid until the next `feed`/`step`.
-//! A skip touches only the window and the open-name arena.
+//! A skip touches only the window, the open-name arena and the attribute
+//! span scratch.
 
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::escape::{normalize_attr_into, normalize_newlines_into, normalize_unescape_into};
@@ -185,6 +211,19 @@ enum MarkupKind {
     StartTag,
 }
 
+/// A tag the plain-tag recogniser vouches for, measured from its `<`.
+#[derive(Debug, Clone, Copy)]
+enum PlainTag {
+    /// `</name>`: `name_len + 3` bytes.
+    End { name_len: usize },
+    /// `<name a="v">` or `<name a="v"/>`: `len` bytes, `>` included.
+    Start {
+        len: usize,
+        name_len: usize,
+        self_closing: bool,
+    },
+}
+
 /// Resumable scan state for the current partial token: where the last
 /// failed terminator search left off (plus any mid-scan state), so that a
 /// re-step after more data arrives does not rescan bytes already searched.
@@ -246,6 +285,10 @@ pub struct PushTokenizer {
     /// counted): where the run began, which is where stepping would
     /// report an error in it.
     skip_text_start: Option<TextPos>,
+    /// Tags the plain-tag recogniser took (the lib tests tell its path
+    /// from the general one by this).
+    #[cfg(test)]
+    plain_hits: u64,
 }
 
 impl Default for PushTokenizer {
@@ -281,6 +324,8 @@ impl PushTokenizer {
             window_peak: 0,
             skip_open: 0,
             skip_text_start: None,
+            #[cfg(test)]
+            plain_hits: 0,
         }
     }
 
@@ -624,6 +669,35 @@ impl PushTokenizer {
     }
 
     fn step_markup(&mut self) -> XmlResult<TokenStep> {
+        if let Some(tag) = self.plain_tag(self.lo) {
+            let total = match tag {
+                PlainTag::End { name_len } => {
+                    self.pending = Pending::EndTag {
+                        start: self.lo + 2,
+                        len: name_len,
+                    };
+                    name_len + 3
+                }
+                PlainTag::Start {
+                    len,
+                    name_len,
+                    self_closing,
+                } => {
+                    self.pending = Pending::StartTag {
+                        start: self.lo + 1,
+                        len: len - 2 - usize::from(self_closing),
+                        name_len,
+                        self_closing,
+                    };
+                    len
+                }
+            };
+            // No hint to drop, and no newline in a plain tag to count.
+            self.lo += total;
+            self.pos.offset += total as u64;
+            self.pos.column += total as u32;
+            return Ok(TokenStep::Token);
+        }
         let start_pos = self.pos;
         let Some(kind) = self.classify_markup()? else {
             return Ok(TokenStep::NeedMoreData);
@@ -929,6 +1003,15 @@ impl PushTokenizer {
             let av_end = i;
             i += 1; // closing quote
             let raw_val = &inner[av_start..av_end];
+            if raw_val.contains('<') {
+                return Err(XmlError::syntax("'<' in attribute value", start_pos));
+            }
+            if i < bytes.len() && !bytes[i].is_ascii_whitespace() {
+                return Err(XmlError::syntax(
+                    "missing whitespace after attribute value",
+                    start_pos,
+                ));
+            }
             // Attribute values additionally get §3.3.3 normalization
             // (literal whitespace → space); see `normalize_attr_into`.
             let needs_rewrite = raw_val
@@ -993,6 +1076,115 @@ impl PushTokenizer {
         };
         self.consume(total);
         Ok(TokenStep::Token)
+    }
+
+    // ---- the plain-tag recogniser -------------------------------------------
+
+    /// The one inline recogniser for the tag shapes that make up almost
+    /// all of a document's markup, shared by stepping and skipping: is the
+    /// tag whose `<` sits at `buf[at]` *plain* (see the [module
+    /// docs](self)) and complete in the window? Then the open-name arena
+    /// is updated, a start tag's attribute spans are in `attr_spans`, and
+    /// the tag's extent comes back for the caller to consume.
+    ///
+    /// For a plain tag the general path has nothing to rewrite and nothing
+    /// to reject, and would produce exactly this. Everything else is
+    /// declined with nothing but scratch touched, so no error is ever
+    /// raised here.
+    fn plain_tag(&mut self, at: usize) -> Option<PlainTag> {
+        // A partial token is being resumed: its scan position belongs to
+        // the general path.
+        if self.hint.is_some() {
+            return None;
+        }
+        let check = self.opts.check_well_formed;
+        let tag = &self.buf[at..self.hi];
+        debug_assert_eq!(tag[0], b'<');
+        if tag.get(1) == Some(&b'/') {
+            let name_len = if check {
+                // The only end tag that is right here is the innermost
+                // open name's; it was validated when it was pushed.
+                let open = *self.stack.last()? as usize;
+                let name = &self.stack_arena[open..];
+                if !tag[2..].starts_with(name) {
+                    return None;
+                }
+                name.len()
+            } else {
+                ascii_name_len(&tag[2..])
+            };
+            if name_len == 0 || tag.get(2 + name_len) != Some(&b'>') {
+                return None;
+            }
+            if check {
+                let open = self.stack.pop().expect("matched against the top");
+                self.stack_arena.truncate(open as usize);
+            }
+            #[cfg(test)]
+            {
+                self.plain_hits += 1;
+            }
+            return Some(PlainTag::End { name_len });
+        }
+        // The document element takes the root bookkeeping of the general
+        // path.
+        if check && self.stack.is_empty() {
+            return None;
+        }
+        let name_len = ascii_name_len(&tag[1..]);
+        if name_len == 0 {
+            return None;
+        }
+        self.attr_spans.clear();
+        let mut i = 1 + name_len;
+        let self_closing = loop {
+            match *tag.get(i)? {
+                b'>' => break false,
+                b'/' if tag.get(i + 1) == Some(&b'>') => break true,
+                b' ' => {}
+                _ => return None,
+            }
+            let name = i + 1;
+            let eq = name + ascii_name_len(&tag[name..]);
+            let quote = *tag.get(eq + 1)?;
+            if eq == name || tag[eq] != b'=' || !matches!(quote, b'"' | b'\'') {
+                return None;
+            }
+            let value = eq + 2;
+            let end = value + plain_value_len(&tag[value..], quote)?;
+            // Spans are relative to the tag body, which starts behind `<`.
+            self.attr_spans.push(AttrSpan {
+                name: (name as u32 - 1, eq as u32 - 1),
+                value: (value as u32 - 1, end as u32 - 1),
+                owned: None,
+            });
+            i = end + 1;
+        };
+        if check {
+            let body = &tag[1..];
+            let name_of = |a: &AttrSpan| &body[a.name.0 as usize..a.name.1 as usize];
+            for (n, a) in self.attr_spans.iter().enumerate().skip(1) {
+                if self.attr_spans[..n]
+                    .iter()
+                    .any(|b| name_of(a) == name_of(b))
+                {
+                    return None;
+                }
+            }
+            if !self_closing {
+                self.stack.push(self.stack_arena.len() as u32);
+                self.stack_arena.extend_from_slice(&tag[1..1 + name_len]);
+            }
+        }
+        #[cfg(test)]
+        {
+            self.plain_hits += 1;
+        }
+        Some(PlainTag::Start {
+            len: i + 1 + usize::from(self_closing),
+            name_len,
+            self_closing,
+        })
     }
 
     // ---- skipping ----------------------------------------------------------
@@ -1064,25 +1256,25 @@ impl PushTokenizer {
         })
     }
 
-    /// The inline part of a skip: walk the window over clean ASCII text,
-    /// attribute-less ASCII-name start tags and end tags that spell the
-    /// innermost open name, and consume the whole stretch at once. Stops —
-    /// in front of it — at anything else, at the window end, and behind the
-    /// end tag that completes the skip. Returns the tokens passed.
+    /// The inline part of a skip: walk the window over clean ASCII text
+    /// and plain tags ([`PushTokenizer::plain_tag`]), and consume the whole
+    /// stretch at once. Stops — in front of it — at anything else, at the
+    /// window end, and behind the end tag that completes the skip. Returns
+    /// the tokens passed.
     fn skip_stretch(&mut self) -> u64 {
-        let window = &self.buf[self.lo..self.hi];
-        let check = self.opts.check_well_formed;
+        let (lo, hi) = (self.lo, self.hi);
         let mut tokens = 0;
-        let mut i = 0;
+        let mut i = lo;
         // Where the text run the stretch stopped in began, if it began in
         // this stretch.
         let mut run_start = None;
-        while i < window.len() {
-            if window[i] != b'<' {
+        while i < hi {
+            if self.buf[i] != b'<' {
                 if self.skip_text_start.is_none() && run_start.is_none() {
                     run_start = Some(i);
                     tokens += 1;
                 }
+                let window = &self.buf[..hi];
                 match text_stop::<false>(&window[i..]) {
                     Some(p) if window[i + p] == b'<' => i += p,
                     // '&' or a non-ASCII byte: the rest of the run needs
@@ -1092,7 +1284,7 @@ impl PushTokenizer {
                         break;
                     }
                     None => {
-                        i = window.len();
+                        i = hi;
                         break;
                     }
                 }
@@ -1100,66 +1292,32 @@ impl PushTokenizer {
             // At a '<': whatever text run came before is over.
             self.skip_text_start = None;
             run_start = None;
-            let rest = &window[i + 1..];
-            let end_tag = rest.first() == Some(&b'/');
-            // A length of 0 stands for "not a name the stretch vouches for".
-            let name = if end_tag && check {
-                // The only end tag that is right here is the innermost
-                // open name's; it was validated when it was pushed.
-                match self.stack.last() {
-                    Some(&open) if rest[1..].starts_with(&self.stack_arena[open as usize..]) => {
-                        self.stack_arena.len() - open as usize
-                    }
-                    _ => 0,
-                }
-            } else {
-                ascii_name_len(&rest[usize::from(end_tag)..])
-            };
-            if name == 0 {
-                break;
-            }
-            if end_tag {
-                if rest.get(1 + name) != Some(&b'>') {
-                    break;
-                }
-                if check {
-                    let open = self.stack.pop().expect("matched against the top");
-                    self.stack_arena.truncate(open as usize);
-                }
-                tokens += 1;
-                i += name + 3;
-                self.skip_open -= 1;
-                if self.skip_open == 0 {
-                    break;
-                }
-            } else {
-                let self_closing = match (rest.get(name), rest.get(name + 1)) {
-                    (Some(b'>'), _) => false,
-                    (Some(b'/'), Some(b'>')) => true,
-                    _ => break,
-                };
-                if self_closing {
-                    tokens += 2;
-                    i += name + 3;
-                } else {
-                    if check {
-                        self.stack.push(self.stack_arena.len() as u32);
-                        self.stack_arena.extend_from_slice(&rest[..name]);
-                    }
-                    self.skip_open += 1;
+            match self.plain_tag(i) {
+                None => break,
+                Some(PlainTag::End { name_len }) => {
                     tokens += 1;
-                    i += name + 2;
+                    i += name_len + 3;
+                    self.skip_open -= 1;
+                    if self.skip_open == 0 {
+                        break;
+                    }
+                }
+                Some(PlainTag::Start {
+                    len, self_closing, ..
+                }) => {
+                    tokens += 1 + u64::from(self_closing);
+                    i += len;
+                    self.skip_open += usize::from(!self_closing);
                 }
             }
         }
         if let Some(run_start) = run_start {
             // Stopped inside a run: remember where it began.
-            self.consume(run_start);
+            self.consume(run_start - lo);
             self.skip_text_start = Some(self.pos);
-            i -= run_start;
         }
-        if i > 0 {
-            self.consume(i);
+        if i > self.lo {
+            self.consume(i - self.lo);
         }
         tokens
     }
@@ -1332,16 +1490,23 @@ fn open_name(bytes: &[u8]) -> &str {
 fn revalidated(bytes: &[u8]) -> &str {
     debug_assert!(std::str::from_utf8(bytes).is_ok());
     // SAFETY: every pending span was validated in the step that recognized
-    // it — via `check_utf8`, or, for a text run, by `text_stop` finding no
-    // byte >= 0x80 in it (ASCII is UTF-8) — and the window is not mutated
-    // between that step and the `token()` read (feeding resets the pending
-    // state).
+    // it — via `check_utf8`; for a text run, by `text_stop` finding no byte
+    // >= 0x80 in it (ASCII is UTF-8); for a tag `plain_tag` took, by its
+    // byte classes: a start tag's span is names out of `NAME_CLASS` (ASCII
+    // only), the literal ` `, `=` and quotes, and values out of the
+    // table's bit 2 (ASCII only), and an end tag's span equals, byte for
+    // byte, an open name that was validated when it was pushed — and the
+    // window is not mutated between that step and the `token()` read
+    // (feeding resets the pending state).
     unsafe { std::str::from_utf8_unchecked(bytes) }
 }
 
 /// Byte classes for the ASCII fast path of [`validate_name`]: bit 0 = valid
 /// name start, bit 1 = valid name continuation. Non-ASCII bytes are in
 /// neither class here: names with them take the slow (char-based) path.
+/// Bit 2 = a byte of an attribute value with nothing to it, for
+/// [`plain_value_len`]: ASCII, no `<` to reject, no `&`, `\r`, `\n` or
+/// `\t` to rewrite.
 static NAME_CLASS: [u8; 256] = {
     let mut t = [0u8; 256];
     let mut b = 0usize;
@@ -1353,6 +1518,9 @@ static NAME_CLASS: [u8; 256] = {
         }
         if alpha || c.is_ascii_digit() || matches!(c, b'_' | b':' | b'-' | b'.') {
             t[b] |= 0b10;
+        }
+        if !matches!(c, b'<' | b'&' | b'\r' | b'\n' | b'\t') {
+            t[b] |= 0b100;
         }
         b += 1;
     }
@@ -1371,6 +1539,15 @@ fn ascii_name_len(bytes: &[u8]) -> usize {
         }
         _ => 0,
     }
+}
+
+/// Length of the attribute value `bytes` starts with, if it reaches its
+/// closing `quote` over plain bytes only (bit 2 of [`NAME_CLASS`]).
+fn plain_value_len(bytes: &[u8], quote: u8) -> Option<usize> {
+    let len = bytes
+        .iter()
+        .position(|&b| b == quote || NAME_CLASS[b as usize] & 0b100 == 0)?;
+    (bytes[len] == quote).then_some(len)
 }
 
 /// Validate an XML name (element or attribute). Namespace colons allowed.
@@ -1416,6 +1593,11 @@ mod tests {
 
     /// Tokenize `input` pushed in `chunk`-byte pieces; return debug strings.
     fn toks_chunked(input: &str, chunk: usize) -> Vec<String> {
+        toks_and_hits(input, chunk).0
+    }
+
+    /// [`toks_chunked`], and how many tags the plain-tag recogniser took.
+    fn toks_and_hits(input: &str, chunk: usize) -> (Vec<String>, u64) {
         let mut t = PushTokenizer::new();
         let mut out = Vec::new();
         let mut fed = 0;
@@ -1438,7 +1620,7 @@ mod tests {
                 }
             }
         }
-        out
+        (out, t.plain_hits)
     }
 
     #[test]
@@ -1693,6 +1875,54 @@ mod tests {
         assert!(skipped.complete);
         assert_eq!(tokens + skipped.tokens, 2, "one run, one end tag");
         assert_eq!(t.position().offset, 8 + 64 * 1024 + 12 + 10);
+    }
+
+    #[test]
+    fn bytewise_feeding_is_the_general_path() {
+        // Fed a byte at a time no tag is ever whole in the window before a
+        // scan position is recorded for it, so the recogniser takes none:
+        // the reference `tests/step_differential.rs` compares against.
+        let doc = "<r><a k=\"v\" j='1>2'><b/>text</a><c x=\"\"/><d>&amp;</d ><e\tk=\"v\"/></r>";
+        let (whole, hits) = toks_and_hits(doc, doc.len());
+        // <a …> <b/> </a> <c …/> <d> and, its name on top again, </r>;
+        // not the document element, </d > or <e\t…/>.
+        assert_eq!(hits, 6);
+        assert_eq!(toks_and_hits(doc, 1), (whole, 0));
+
+        let size = if cfg!(miri) { 2 * 1024 } else { 256 * 1024 };
+        let doc = gcx_xmark::generate_string(&gcx_xmark::XmarkConfig::sized(size));
+        let (whole, hits) = toks_and_hits(&doc, doc.len());
+        let tags = whole.iter().filter(|t| t.contains("Tag")).count() as u64;
+        assert!(hits > tags * 9 / 10, "{hits} of {tags} XMark tags");
+        assert_eq!(toks_and_hits(&doc, 1), (whole, 0));
+    }
+
+    #[test]
+    fn skipping_and_stepping_share_the_recogniser() {
+        let doc = "<r><skip><a k=\"v\"><b j='w'/>text</a><c k=\"1\"  j=\"2\"></c></skip></r>";
+        for (chunk, want) in [(doc.len(), 5), (1, 0)] {
+            let mut t = PushTokenizer::new();
+            let mut chunks = doc.as_bytes().chunks(chunk);
+            while !matches!(t.pending, Pending::StartTag { name_len: 4, .. }) {
+                if t.step().unwrap() == TokenStep::NeedMoreData {
+                    t.feed(chunks.next().unwrap());
+                }
+            }
+            let before = t.plain_hits;
+            let mut tokens = 0;
+            loop {
+                let skipped = t.skip_element().unwrap();
+                tokens += skipped.tokens;
+                if skipped.complete {
+                    break;
+                }
+                t.feed(chunks.next().unwrap());
+            }
+            // <a …> <b …/>(2) text </a> <c …> </c> </skip>; its second
+            // space sends <c …> the general way.
+            assert_eq!(tokens, 8);
+            assert_eq!(t.plain_hits - before, want, "chunk {chunk}");
+        }
     }
 
     #[test]

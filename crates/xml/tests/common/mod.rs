@@ -51,8 +51,14 @@ const TEXTS: &[&str] = &[
     "caf\u{e9} &amp; th\u{e9}",
     "line\r\nbreak\rs",
 ];
+/// Attribute values: plain ones (the tokenizer's plain-tag recogniser
+/// takes a tag whose values are all plain — and written as below, one
+/// space before each attribute) and ones it must decline.
 const ATTR_VALUES: &[&str] = &[
     "v",
+    "person0",
+    "12.50",
+    "",
     "1>2",
     "a&lt;b",
     "with 'single'",

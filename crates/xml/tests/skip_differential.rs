@@ -344,6 +344,8 @@ fn handpicked_errors_inside_a_skipped_subtree() {
         "<r><s>clean head, then &bad</s></r>",
         "<r><s><a k='1' k='2'/></s></r>",
         "<r><s><a k=v/></s></r>",
+        "<r><s><a b=\"x<y\"/></s></r>",
+        "<r><s><a b=\"c\"d=\"e\"/></s></r>",
         "<r><s><1a/></s></r>",
         "<r><s><a></b></s></r>",
         "<r><s></t></r>",

@@ -124,6 +124,25 @@ fn steady_state_token_loop_allocates_o1() {
         assert_eq!(appended, if query == SPECULATIVE { 0 } else { items + 1 });
     }
 
+    // Comparison operands are atomized into recycled strings: XMark Q1
+    // compares every person's `@id` with a literal, and twice the persons
+    // must not cost more allocations.
+    let persons = |n: usize| {
+        let people: String = (0..n)
+            .map(|i| format!("<person id=\"person{i}\"><name>n{i}</name></person>"))
+            .collect();
+        format!("<site><people>{people}</people></site>")
+    };
+    let (few, many) = (persons(2_000), persons(4_000));
+    preproject_allocs(gcx::xmark::queries::Q1, &few);
+    let (q1_few, _) = preproject_allocs(gcx::xmark::queries::Q1, &few);
+    let (q1_many, _) = preproject_allocs(gcx::xmark::queries::Q1, &many);
+    assert!(
+        q1_many <= q1_few + 64,
+        "Q1's comparison must not allocate per person: \
+         {q1_few} allocs for 2000 persons vs {q1_many} for 4000"
+    );
+
     // A refused subtree of more than 1 MiB goes by in bulk without one
     // allocation: skipped text is consumed as it arrives, so the window
     // stays one chunk long, and the open-name arena is reused — also by

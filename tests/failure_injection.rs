@@ -65,10 +65,12 @@ fn errors_inside_projected_away_subtrees_are_the_tokenizers() {
     // — by bulk skip, which may be neither more lenient nor differently
     // strict than the tokenizer stepping through the same bytes: every
     // driver must fail with the error the pull tokenizer alone reports.
-    let damage: [&[u8]; 9] = [
+    let damage: [&[u8]; 11] = [
         b"<a>text &undefined; more</a>",
         b"<a k='1' b='2' k='3'/>",
         b"<a k=unquoted/>",
+        b"<a b=\"x<y\"/>",
+        b"<a b=\"c\"d=\"e\"/>",
         b"<a><1bad/></a>",
         b"<a>caf\xc3\x28</a>",
         b"<a><b>x</c></a>",
