@@ -26,6 +26,7 @@ use crate::obs::RoleObs;
 use gcx_obs::Hist;
 use gcx_query::ast::RoleId;
 use gcx_xml::{Symbol, SymbolTable, XmlResult, XmlWriter};
+use std::sync::Arc;
 
 /// Handle to a buffered node. Carries a generation to detect stale use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -353,7 +354,7 @@ impl BufTelemetry {
 /// release signOff waits before the parent's end tag.
 #[derive(Debug)]
 struct SchemaRt {
-    ord: gcx_schema::OrdTable,
+    ord: Arc<gcx_schema::OrdTable>,
     /// Cutoff per node slot (parallel to the arena; reset on slot reuse).
     cutoffs: Vec<u32>,
     /// Cursor scans ended early by a cutoff.
@@ -417,8 +418,12 @@ impl BufferTree {
             gen: 0,
             in_use: true,
         };
+        // Room for what a query that tests and drops its nodes keeps at a
+        // time; one that buffers more grows it.
+        let mut nodes = Vec::with_capacity(8);
+        nodes.push(root);
         BufferTree {
-            nodes: vec![root],
+            nodes,
             free: Vec::new(),
             stats: BufferStats::default(),
             purge_enabled,
@@ -484,7 +489,7 @@ impl BufferTree {
     /// a table picked up from an in-stream DOCTYPE (vs an explicit
     /// engine-option schema); it only affects reporting. Empty tables are
     /// not installed — the hot-path null checks stay null.
-    pub fn set_schema(&mut self, ord: gcx_schema::OrdTable, doctype_adopted: bool) {
+    pub fn set_schema(&mut self, ord: Arc<gcx_schema::OrdTable>, doctype_adopted: bool) {
         if ord.is_empty() {
             return;
         }

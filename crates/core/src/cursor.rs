@@ -19,7 +19,6 @@
 use crate::buffer::{BufferTree, NodeId};
 use gcx_xml::{FxBuildHasher, Symbol};
 use std::collections::HashSet;
-use std::rc::Rc;
 
 pub use gcx_ir::{EAxis, ETest, EvalStep};
 
@@ -107,11 +106,16 @@ pub struct CursorPool {
 /// (or [`PathCursor::new_pooled`]), drive with [`PathCursor::advance`], and
 /// always dispose with [`PathCursor::finish`] / [`PathCursor::dispose`]
 /// (or run it to `Done`) so pins are released.
+///
+/// A cursor does not hold its steps: it remembers which range of the
+/// compiled program's step arena they are, and every call that reads them
+/// is lent the arena — the same one each time. Opening a cursor copies and
+/// counts nothing.
 #[derive(Debug)]
 pub struct PathCursor {
-    /// Shared, pre-compiled steps (sliced once at run startup from the
-    /// compiled program's step arena).
-    steps: Rc<[EvalStep]>,
+    /// The cursor's steps: `arena[first..first + len]`.
+    first: u32,
+    len: u32,
     stack: Vec<Frame>,
     done: bool,
     /// XQuery paths select *distinct* nodes, but two or more descendant
@@ -125,21 +129,23 @@ pub struct PathCursor {
 }
 
 impl PathCursor {
-    /// Start iterating matches of `steps` below `ctx`.
-    pub fn new(buf: &mut BufferTree, ctx: NodeId, steps: impl Into<Rc<[EvalStep]>>) -> PathCursor {
+    /// Start iterating matches of all of `arena` below `ctx`.
+    pub fn new(buf: &mut BufferTree, ctx: NodeId, arena: &[EvalStep]) -> PathCursor {
         let mut pool = CursorPool::default();
-        PathCursor::new_pooled(buf, ctx, steps.into(), &mut pool)
+        PathCursor::new_pooled(buf, ctx, arena, 0..arena.len() as u32, &mut pool)
     }
 
-    /// [`PathCursor::new`] with a recycled frame stack from `pool`.
+    /// Start iterating matches of `arena[steps]` below `ctx`, with a
+    /// recycled frame stack from `pool`.
     pub fn new_pooled(
         buf: &mut BufferTree,
         ctx: NodeId,
-        steps: Rc<[EvalStep]>,
+        arena: &[EvalStep],
+        steps: std::ops::Range<u32>,
         pool: &mut CursorPool,
     ) -> PathCursor {
         buf.pin(ctx);
-        let descendant_steps = steps
+        let descendant_steps = arena[steps.start as usize..steps.end as usize]
             .iter()
             .filter(|s| matches!(s.axis, EAxis::Descendant | EAxis::DescendantOrSelf))
             .count();
@@ -150,7 +156,8 @@ impl PathCursor {
             kind: FrameKind::Eval,
         });
         PathCursor {
-            steps,
+            first: steps.start,
+            len: steps.end - steps.start,
             stack,
             done: false,
             emitted: (descendant_steps >= 2).then(|| Box::new(HashSet::default())),
@@ -180,10 +187,11 @@ impl PathCursor {
     }
 
     /// Produce the next match, request input, or finish.
-    pub fn advance(&mut self, buf: &mut BufferTree) -> CursorState {
+    pub fn advance(&mut self, buf: &mut BufferTree, arena: &[EvalStep]) -> CursorState {
         if self.done {
             return CursorState::Done;
         }
+        let steps = &arena[self.first as usize..][..self.len as usize];
         loop {
             let Some(top_idx) = self.stack.len().checked_sub(1) else {
                 self.done = true;
@@ -193,7 +201,7 @@ impl PathCursor {
             let Frame { node, step, kind } = self.stack[top_idx];
             match kind {
                 FrameKind::Eval => {
-                    if step == self.steps.len() {
+                    if step == steps.len() {
                         self.pop(buf);
                         if let Some(emitted) = self.emitted.as_mut() {
                             if !emitted.insert(node) {
@@ -202,7 +210,7 @@ impl PathCursor {
                         }
                         return CursorState::Match(node);
                     }
-                    let s = self.steps[step];
+                    let s = steps[step];
                     match s.axis {
                         EAxis::Child => {
                             self.stack[top_idx].kind = FrameKind::ChildScan { last: None };
@@ -228,7 +236,7 @@ impl PathCursor {
                     // (pushed on top so it is handled before descending —
                     // document order).
                     self.stack[top_idx].kind = FrameKind::DescScan { last: None };
-                    let s = self.steps[step];
+                    let s = steps[step];
                     if s.test.matches(buf, node) {
                         self.push(buf, node, step + 1);
                     }
@@ -245,7 +253,7 @@ impl PathCursor {
                             if let Some(old) = last {
                                 buf.unpin(old);
                             }
-                            let s = self.steps[step];
+                            let s = steps[step];
                             let mut emit = false;
                             let mut exhausted = false;
                             if s.test.matches(buf, c) {
@@ -272,7 +280,7 @@ impl PathCursor {
                         None => {
                             if buf.is_closed(node) {
                                 self.pop(buf);
-                            } else if let ETest::Name(want) = self.steps[step].test {
+                            } else if let ETest::Name(want) = steps[step].test {
                                 // Earliest scan end: `node` is still open,
                                 // but a DTD sibling-order cutoff can prove
                                 // no further `want` child will arrive.
@@ -332,11 +340,15 @@ impl PathCursor {
     /// unblocks the scan (it will end early on resume). Both nodes are
     /// pinned by the blocked frame, so the hint stays valid across
     /// garbage collection.
-    pub fn wait_hint(&self) -> Option<(NodeId, Option<NodeId>, Option<Symbol>)> {
+    pub fn wait_hint(
+        &self,
+        arena: &[EvalStep],
+    ) -> Option<(NodeId, Option<NodeId>, Option<Symbol>)> {
+        let steps = &arena[self.first as usize..][..self.len as usize];
         let f = self.stack.last()?;
         match f.kind {
             FrameKind::ChildScan { last } => {
-                let want = match self.steps[f.step].test {
+                let want = match steps[f.step].test {
                     ETest::Name(s) => Some(s),
                     _ => None,
                 };
@@ -423,10 +435,12 @@ mod tests {
         (buf, sy, na)
     }
 
-    fn drain(buf: &mut BufferTree, mut cur: PathCursor) -> Vec<NodeId> {
+    /// Every match of `steps` below `ctx`, in the order produced.
+    fn drain(buf: &mut BufferTree, ctx: NodeId, steps: &[EvalStep]) -> Vec<NodeId> {
+        let mut cur = PathCursor::new(buf, ctx, steps);
         let mut out = Vec::new();
         loop {
-            match cur.advance(buf) {
+            match cur.advance(buf, steps) {
                 CursorState::Match(n) => out.push(n),
                 CursorState::Done => break,
                 CursorState::NeedInput => panic!("closed tree cannot need input"),
@@ -444,8 +458,7 @@ mod tests {
             test: ETest::Name(b),
             pos: None,
         }];
-        let cur = PathCursor::new(&mut buf, na, steps);
-        let matches = drain(&mut buf, cur);
+        let matches = drain(&mut buf, na, &steps);
         assert_eq!(matches.len(), 2, "b1 and b3 are children; nested b is not");
         buf.check_integrity();
     }
@@ -459,8 +472,7 @@ mod tests {
             test: ETest::Name(b),
             pos: None,
         }];
-        let cur = PathCursor::new(&mut buf, na, steps);
-        let matches = drain(&mut buf, cur);
+        let matches = drain(&mut buf, na, &steps);
         assert_eq!(matches.len(), 3);
         buf.check_integrity();
     }
@@ -473,8 +485,7 @@ mod tests {
             test: ETest::AnyNode,
             pos: None,
         }];
-        let cur = PathCursor::new(&mut buf, na, steps);
-        let matches = drain(&mut buf, cur);
+        let matches = drain(&mut buf, na, &steps);
         // a, b1, c, b2, text, b3
         assert_eq!(matches.len(), 6);
         buf.check_integrity();
@@ -490,8 +501,7 @@ mod tests {
                 test: ETest::Name(b),
                 pos: Some(k),
             }];
-            let cur = PathCursor::new(&mut buf, na, steps);
-            assert_eq!(drain(&mut buf, cur).len(), expect, "k={k}");
+            assert_eq!(drain(&mut buf, na, &steps).len(), expect, "k={k}");
         }
         buf.check_integrity();
     }
@@ -504,8 +514,7 @@ mod tests {
             test: ETest::Text,
             pos: None,
         }];
-        let cur = PathCursor::new(&mut buf, na, steps);
-        let matches = drain(&mut buf, cur);
+        let matches = drain(&mut buf, na, &steps);
         assert_eq!(matches.len(), 1);
         assert!(buf.is_text(matches[0]));
     }
@@ -520,23 +529,20 @@ mod tests {
             test: ETest::Name(a),
             pos: None,
         }];
-        let cur = PathCursor::new(&mut buf, na, hit);
-        assert_eq!(drain(&mut buf, cur).len(), 1);
+        assert_eq!(drain(&mut buf, na, &hit).len(), 1);
         let miss = vec![EvalStep {
             axis: EAxis::SelfAxis,
             test: ETest::Name(b),
             pos: None,
         }];
-        let cur = PathCursor::new(&mut buf, na, miss);
-        assert_eq!(drain(&mut buf, cur).len(), 0);
+        assert_eq!(drain(&mut buf, na, &miss).len(), 0);
         buf.check_integrity();
     }
 
     #[test]
     fn empty_steps_match_context_itself() {
         let (mut buf, _, na) = build();
-        let cur = PathCursor::new(&mut buf, na, Vec::new());
-        let matches = drain(&mut buf, cur);
+        let matches = drain(&mut buf, na, &[]);
         assert_eq!(matches, vec![na]);
     }
 
@@ -553,23 +559,23 @@ mod tests {
             test: ETest::Name(b),
             pos: None,
         }];
-        let mut cur = PathCursor::new(&mut buf, na, steps);
+        let mut cur = PathCursor::new(&mut buf, na, &steps);
         assert_eq!(
-            cur.advance(&mut buf),
+            cur.advance(&mut buf, &steps),
             CursorState::NeedInput,
             "a is still open"
         );
         // Stream delivers a matching child.
         let nb = buf.append_element(na, b, r, ord(1));
         buf.close(nb);
-        assert_eq!(cur.advance(&mut buf), CursorState::Match(nb));
+        assert_eq!(cur.advance(&mut buf, &steps), CursorState::Match(nb));
         assert_eq!(
-            cur.advance(&mut buf),
+            cur.advance(&mut buf, &steps),
             CursorState::NeedInput,
             "a still open"
         );
         buf.close(na);
-        assert_eq!(cur.advance(&mut buf), CursorState::Done);
+        assert_eq!(cur.advance(&mut buf, &steps), CursorState::Done);
         buf.check_integrity();
     }
 
@@ -592,8 +598,8 @@ mod tests {
             test: ETest::Name(b),
             pos: None,
         }];
-        let mut cur = PathCursor::new(&mut buf, na, steps);
-        let CursorState::Match(m1) = cur.advance(&mut buf) else {
+        let mut cur = PathCursor::new(&mut buf, na, &steps);
+        let CursorState::Match(m1) = cur.advance(&mut buf, &steps) else {
             panic!()
         };
         assert_eq!(m1, nb1);
@@ -601,7 +607,7 @@ mod tests {
         // would free nb1 and break iteration.
         buf.decrement_role(nb1, role, 1);
         assert_eq!(buf.stats().live, 3, "pin defers the purge");
-        let CursorState::Match(m2) = cur.advance(&mut buf) else {
+        let CursorState::Match(m2) = cur.advance(&mut buf, &steps) else {
             panic!()
         };
         assert_eq!(m2, nb2, "iteration continues past the signed-off node");
@@ -611,7 +617,7 @@ mod tests {
             "nb1 reclaimed once the cursor moved on"
         );
         buf.decrement_role(nb2, role, 1);
-        assert_eq!(cur.advance(&mut buf), CursorState::Done);
+        assert_eq!(cur.advance(&mut buf, &steps), CursorState::Done);
         buf.check_integrity();
     }
 
@@ -624,13 +630,13 @@ mod tests {
             test: ETest::Name(b),
             pos: None,
         }];
-        let mut cur = PathCursor::new(&mut buf, na, steps);
-        let _ = cur.advance(&mut buf); // partial progress
+        let mut cur = PathCursor::new(&mut buf, na, &steps);
+        let _ = cur.advance(&mut buf, &steps); // partial progress
         cur.finish(&mut buf);
         buf.check_integrity(); // asserts subtree_pins are consistent (zero)
                                // All pins released: decrementing all roles drains the buffer.
         assert_eq!(
-            cur.advance(&mut buf),
+            cur.advance(&mut buf, &steps),
             CursorState::Done,
             "finished cursor stays done"
         );
@@ -664,8 +670,7 @@ mod tests {
                 pos: None,
             },
         ];
-        let cur = PathCursor::new(&mut buf, NodeId::ROOT, steps);
-        let matches = drain(&mut buf, cur);
+        let matches = drain(&mut buf, NodeId::ROOT, &steps);
         assert_eq!(matches, vec![nb], "one binding despite two derivations");
         buf.check_integrity();
     }
@@ -687,8 +692,7 @@ mod tests {
                 pos: None,
             },
         ];
-        let cur = PathCursor::new(&mut buf, na, steps);
-        let matches = drain(&mut buf, cur);
+        let matches = drain(&mut buf, na, &steps);
         assert_eq!(matches.len(), 1, "only the b nested under c");
         buf.check_integrity();
     }

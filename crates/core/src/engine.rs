@@ -6,21 +6,30 @@ use crate::error::EngineError;
 use crate::obs::ObsReport;
 use crate::session::{EvalSession, Timeline};
 use gcx_ir::{OptReport, Program};
-use gcx_projection::{analyze, Analysis};
+use gcx_projection::{analyze, Analysis, Automaton, TaggedPaths};
 use gcx_query::Query;
+use gcx_schema::{Dtd, OrdTable};
+use gcx_xml::SymbolTable;
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A compiled query: normalized AST, static analysis (roles, rewriting)
 /// and the lowered, executable program (`gcx-ir`).
 ///
-/// Everything here is immutable after [`CompiledQuery::compile`] and the
-/// whole artifact is `Send + Sync`: the HTTP service's registry shares one
-/// instance across request threads, and the multi-query driver opens one
-/// lane per query of a batch on it. A run performs no lowering and no
-/// query-symbol interning — the program carries pre-compiled step tables
-/// and a pre-interned symbol table that seeds each run's table.
+/// What a run *executes* is immutable after [`CompiledQuery::compile`]
+/// and the whole artifact is `Send + Sync`: the HTTP service's registry
+/// shares one instance across request threads, and the multi-query driver
+/// opens one lane per query of a batch on it. A run performs no lowering
+/// and no query-symbol interning — the program carries pre-compiled step
+/// tables, a pre-interned symbol table that seeds each run's table, and
+/// the prepared projection automaton.
+///
+/// Two things are *learnt* and kept here for the next run, each behind a
+/// lock taken when a session starts and when its matcher is dropped,
+/// never per token: the automaton's memoised transitions
+/// (`gcx_projection::Automaton`) and the [`SchemaPlan`] of the DTD last
+/// attached.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The normalized user query.
@@ -36,6 +45,28 @@ pub struct CompiledQuery {
     /// (parse → normalize → analyze/rewrite → lower → optimize), in
     /// microseconds.
     pub compile_micros: u64,
+    /// The plan of the schema last attached (clones share it: it only
+    /// depends on the program).
+    schema_plan: Arc<Mutex<Option<Arc<SchemaPlan>>>>,
+}
+
+/// What attaching one DTD to one compiled query comes to, worked out once
+/// ([`CompiledQuery::schema_plan`]) instead of per session: the three
+/// schema analyses against the query's own symbols.
+#[derive(Debug)]
+pub struct SchemaPlan {
+    /// The DTD planned for; held so that its address stays its identity.
+    dtd: Arc<Dtd>,
+    /// The program's table with the DTD's names on top: a run's table
+    /// starts as a clone, so stream, matcher and cutoffs agree on symbols.
+    pub(crate) symbols: SymbolTable,
+    /// The projection paths the DTD can satisfy, under its
+    /// descendant-reachability filter.
+    pub(crate) automaton: Arc<Automaton>,
+    /// The sibling-order cutoffs for the buffer.
+    pub(crate) ord: Arc<OrdTable>,
+    /// `(pruned, total)` projection-path counts.
+    pub(crate) pruned_paths: (u32, u32),
 }
 
 // The registry/driver sharing contract, enforced at compile time.
@@ -43,6 +74,7 @@ const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     _assert_send_sync::<CompiledQuery>();
     _assert_send_sync::<Program>();
+    _assert_send_sync::<SchemaPlan>();
 };
 
 impl CompiledQuery {
@@ -73,7 +105,36 @@ impl CompiledQuery {
             program: Arc::new(program),
             opt,
             compile_micros,
+            schema_plan: Arc::default(),
         })
+    }
+
+    /// The plan for running this query under `dtd`: built on first use,
+    /// then shared by every session that attaches the same `Arc<Dtd>`
+    /// (another DTD replaces it).
+    pub fn schema_plan(&self, dtd: &Arc<Dtd>) -> Arc<SchemaPlan> {
+        let mut slot = self.schema_plan.lock().expect("no schema analysis panics");
+        if let Some(plan) = slot.as_ref().filter(|p| Arc::ptr_eq(&p.dtd, dtd)) {
+            return Arc::clone(plan);
+        }
+        // The analyses intern their DTD names before any document bytes
+        // arrive, so stream and analyses agree on symbols.
+        let mut symbols = self.program.symbols().clone();
+        let prune = dtd.prune(self.program.matcher_paths(), &symbols);
+        let reach = Arc::new(dtd.reach_filter(&mut symbols));
+        let ord = Arc::new(dtd.ord_table(&mut symbols));
+        let plan = Arc::new(SchemaPlan {
+            dtd: Arc::clone(dtd),
+            automaton: Arc::new(Automaton::new(
+                TaggedPaths::merge([&prune.paths]),
+                Some(reach),
+            )),
+            symbols,
+            ord,
+            pruned_paths: (prune.pruned.len() as u32, prune.total as u32),
+        });
+        *slot = Some(Arc::clone(&plan));
+        plan
     }
 
     /// Open a sans-IO evaluation session: the push-driven form of the

@@ -20,8 +20,8 @@
 //! All lowering happened at query-compile time: the program carries
 //! pre-compiled [`EvalStep`] tables and a pre-interned symbol table that
 //! seeds the run's table, so a run interns no query names and compiles no
-//! steps — startup slices the program's step arena into shared per-path
-//! step slices, and that is the only per-run setup.
+//! steps — a path cursor is lent the program's step arena and remembers
+//! its plan's range of it.
 //!
 //! ## Multiplicity accounting
 //!
@@ -46,7 +46,6 @@ use gcx_query::ast::{AggFunc, CmpOp, RoleId, StrFunc, VarId};
 use gcx_xml::{FxBuildHasher, Symbol, SymbolTable, XmlWriter};
 use std::collections::HashMap;
 use std::io::Write;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A for-variable binding: the node plus its binding-role multiplicity
@@ -364,10 +363,6 @@ pub(crate) struct Vm {
     /// [`VmStatus::NeedInput`]; drivers batch event application against
     /// it via [`Vm::wait_satisfied`].
     wait: Wait,
-    /// Per-path shared step slices, sliced once at startup from the
-    /// program's step arena (symbols are valid verbatim because the run's
-    /// table was seeded from the program's pre-interned table).
-    path_steps: Vec<Rc<[EvalStep]>>,
     /// Recycled cursor frame stacks (one cursor per path evaluation).
     cursor_pool: CursorPool,
     /// Reused signOff derivation map.
@@ -384,24 +379,19 @@ pub(crate) struct Vm {
 
 impl Vm {
     pub(crate) fn new(program: Arc<Program>, execute_signoffs: bool) -> Vm {
-        // The only per-run "lowering": share out the program's immutable
-        // step arena as one Rc slice per distinct path.
-        let path_steps = (0..program.path_count())
-            .map(|i| {
-                let plan = program.path(PathId(i as u32));
-                Rc::from(program.path_steps(plan))
-            })
-            .collect();
         let env = vec![None; program.n_vars()];
         let root = program.root();
         let joins = (0..program.join_count())
             .map(|_| JoinState::default())
             .collect();
         let exists_cache = vec![None; program.exists_slots() as usize];
+        // Room for the frames a paper query nests; a deeper one grows it.
+        let mut tasks = Vec::with_capacity(16);
+        tasks.push(Task::Exec(root));
         Vm {
             program,
             execute_signoffs,
-            tasks: vec![Task::Exec(root)],
+            tasks,
             cursors: Vec::new(),
             bools: Vec::new(),
             vals: Vec::new(),
@@ -409,7 +399,6 @@ impl Vm {
             joins,
             exists_cache,
             wait: Wait::Any,
-            path_steps,
             cursor_pool: CursorPool::default(),
             signoff_scratch: HashMap::default(),
             value_pool: Vec::new(),
@@ -479,7 +468,11 @@ impl Vm {
     /// loop-frame case); falls back to [`Wait::Any`] if the cursor has
     /// no hint.
     fn need_input_cursor(&mut self) -> Result<StepOutcome, EngineError> {
-        let wait = match self.cursors.last().and_then(|c| c.wait_hint()) {
+        let wait = match self
+            .cursors
+            .last()
+            .and_then(|c| c.wait_hint(self.program.steps()))
+        {
             Some((parent, after, want)) => Wait::Sibling {
                 parent,
                 after,
@@ -534,20 +527,15 @@ impl Vm {
         }
     }
 
-    /// The shared step slice of a compiled path.
-    #[inline]
-    fn steps_of(&self, path: PathId) -> Rc<[EvalStep]> {
-        Rc::clone(&self.path_steps[path.index()])
-    }
-
     /// Open a cursor over `path` from its resolved context node and push
     /// it onto the cursor side stack; the caller pushes the matching
     /// loop frame on the task stack.
     fn open_cursor(&mut self, path: PathId, buf: &mut BufferTree) -> Result<(), EngineError> {
         let plan = self.program.path(path);
         let (ctx, _) = self.resolve_root(plan.root)?;
-        let steps = self.steps_of(path);
-        let cursor = PathCursor::new_pooled(buf, ctx, steps, &mut self.cursor_pool);
+        let steps = plan.first_step..plan.first_step + plan.step_len;
+        let arena = self.program.steps();
+        let cursor = PathCursor::new_pooled(buf, ctx, arena, steps, &mut self.cursor_pool);
         self.cursors.push(cursor);
         Ok(())
     }
@@ -652,7 +640,7 @@ impl Vm {
                 }
                 Task::ForLoop { var, role, body } => {
                     let cursor = self.cursors.last_mut().expect("for-loop cursor");
-                    match cursor.advance(buf) {
+                    match cursor.advance(buf, self.program.steps()) {
                         CursorState::Match(n) => {
                             // The binding stays in `env` through the next
                             // re-entry of this frame (nothing reads it between
@@ -678,7 +666,7 @@ impl Vm {
                 // or schedule sub-work: a match costs no frame moves.
                 Task::OutputLoop { attr } => loop {
                     let cursor = self.cursors.last_mut().expect("output cursor");
-                    match cursor.advance(buf) {
+                    match cursor.advance(buf, self.program.steps()) {
                         CursorState::Match(n) => match attr {
                             AttrPlan::None => {
                                 if let Some(content) = buf.text_content(n) {
@@ -747,7 +735,7 @@ impl Vm {
                 }
                 Task::ExistsLoop { attr, cache } => loop {
                     let cursor = self.cursors.last_mut().expect("exists cursor");
-                    match cursor.advance(buf) {
+                    match cursor.advance(buf, self.program.steps()) {
                         CursorState::Match(n) => {
                             // `exists($x/p)`: block until the first witness
                             // appears or the search region is exhausted —
@@ -817,7 +805,7 @@ impl Vm {
                 },
                 Task::CollectLoop { attr } => loop {
                     let cursor = self.cursors.last_mut().expect("collect cursor");
-                    match cursor.advance(buf) {
+                    match cursor.advance(buf, self.program.steps()) {
                         CursorState::Match(n) => match attr {
                             AttrPlan::Name(a) => {
                                 if let Some(v) = buf.attr(n, a) {
@@ -901,7 +889,7 @@ impl Vm {
                     // Attribute steps never appear in signOff targets
                     // (analysis strips them when deriving role paths), so
                     // the plan's element steps are the whole target.
-                    let steps = self.steps_of(path);
+                    let steps = self.program.path_steps(self.program.path(path));
                     // Collect first (merging duplicate derivations), then
                     // decrement: decrements purge eagerly and would
                     // invalidate a live walk. The map is reused across
@@ -909,7 +897,7 @@ impl Vm {
                     // allocation at binding rate otherwise).
                     let mut matches = std::mem::take(&mut self.signoff_scratch);
                     matches.clear();
-                    collect_derivations(buf, ctx, &steps, 0, mult, &mut matches);
+                    collect_derivations(buf, ctx, steps, 0, mult, &mut matches);
                     for (&node, &times) in matches.iter() {
                         buf.decrement_role(node, role, times);
                     }
@@ -925,7 +913,7 @@ impl Vm {
                 Task::JoinBuildLoop { slot } => {
                     let plan = self.program.join(slot);
                     let cursor = self.cursors.last_mut().expect("join build cursor");
-                    match cursor.advance(buf) {
+                    match cursor.advance(buf, self.program.steps()) {
                         CursorState::Match(n) => {
                             let mult = buf.role_count(n, plan.role).max(1);
                             self.env[plan.var.index()] = Some(Binding { node: n, mult });
@@ -1170,7 +1158,7 @@ impl Vm {
                                 // region is complete before `ctx` closes.
                                 // Descendant-first targets get no shortcut.
                                 let early = if buf.schema_active() {
-                                    match self.path_steps[path.index()].first() {
+                                    match self.program.path_steps(plan).first() {
                                         Some(s) if matches!(s.axis, EAxis::Child) => match s.test {
                                             crate::cursor::ETest::Name(w) => Some(w),
                                             _ => None,

@@ -2,7 +2,7 @@
 //! See [`Lane`].
 
 use crate::buffer::{unbuffered_bytes, AttrBuf, BufferStats, BufferTree, NodeId, Ordinals};
-use crate::engine::{CompiledQuery, EngineMode, RunReport, SchemaReport};
+use crate::engine::{CompiledQuery, EngineMode, RunReport, SchemaPlan, SchemaReport};
 use crate::error::EngineError;
 use crate::eval::{Vm, VmStatus};
 use crate::obs::FeedSpan;
@@ -49,38 +49,43 @@ impl ScanFacts {
 /// skipped or text — bumps these, so positional predicates evaluate
 /// against true document positions. One instance per open kept element.
 ///
-/// Same-name counts live in a small vector (elements have few distinct
-/// child names; a hash map would pay hashing and allocation per child),
-/// and instances are pooled by the [`Lane`] so opening an element
-/// allocates nothing in steady state.
-#[derive(Debug, Default)]
+/// Same-name counts live in [`Lane::child_names`], one vector for all
+/// open elements (elements have few distinct child names; a hash map
+/// would pay hashing and allocation per child): an element's counts start
+/// at `names_from` and run to the end — only the innermost open element
+/// counts children, and an element that closes takes its counts with it.
+#[derive(Debug, Clone, Copy)]
 struct ChildCounters {
     elem_children: u32,
     text_children: u32,
     any_children: u32,
-    by_name: Vec<(Symbol, u32)>,
+    names_from: u32,
 }
 
 impl ChildCounters {
-    /// Reset for reuse (pooling), keeping capacity.
-    fn clear(&mut self) {
-        self.elem_children = 0;
-        self.text_children = 0;
-        self.any_children = 0;
-        self.by_name.clear();
+    /// The counters of an element that opens now, `names` being the
+    /// same-name counts of the elements open around it.
+    fn opening(names: &[(Symbol, u32)]) -> ChildCounters {
+        ChildCounters {
+            elem_children: 0,
+            text_children: 0,
+            any_children: 0,
+            names_from: names.len() as u32,
+        }
     }
 
     /// Register an element child named `name`; returns its ordinals.
-    fn next_elem(&mut self, name: Symbol) -> Ordinals {
+    fn next_elem(&mut self, names: &mut Vec<(Symbol, u32)>, name: Symbol) -> Ordinals {
         self.elem_children += 1;
         self.any_children += 1;
-        let same = match self.by_name.iter_mut().find(|(n, _)| *n == name) {
+        let mine = &mut names[self.names_from as usize..];
+        let same = match mine.iter_mut().find(|(n, _)| *n == name) {
             Some((_, c)) => {
                 *c += 1;
                 *c
             }
             None => {
-                self.by_name.push((name, 1));
+                names.push((name, 1));
                 1
             }
         };
@@ -215,8 +220,13 @@ enum Health {
 pub struct Lane {
     vm: Vm,
     buf: BufferTree,
-    /// The run's symbol table, seeded from the program's pre-interned one.
+    /// The run's symbol table, seeded from the compiled query's
+    /// pre-interned one — whose names came to `seeded_name_bytes`; what
+    /// the table holds beyond that, the document put there.
     symbols: SymbolTable,
+    seeded_name_bytes: usize,
+    /// Names the table held when the budget last accounted for them.
+    names_seen: usize,
     out: XmlWriter<Vec<u8>>,
     /// The chain of open *buffered* elements, each with its document
     /// child counters.
@@ -232,8 +242,9 @@ pub struct Lane {
     /// zero-allocation handshake with
     /// [`BufferTree::append_element_with_attrs`]).
     attr_scratch: AttrBuf,
-    /// Recycled child counters of closed elements.
-    counter_pool: Vec<ChildCounters>,
+    /// The open elements' same-name child counts, outermost element
+    /// first (see [`ChildCounters`]).
+    child_names: Vec<(Symbol, u32)>,
     /// Structural tokens the driver charged to this lane ([`Lane::tick`]).
     clock: u64,
     /// An event changed the buffer or a schema cutoff since the last
@@ -255,6 +266,20 @@ impl Lane {
         indent: Option<String>,
         telemetry: bool,
     ) -> Lane {
+        Lane::start_under(q, mode, max_buffer_bytes, indent, telemetry, None)
+    }
+
+    /// [`Lane::start`] under a schema: with a plan (of `q`:
+    /// [`CompiledQuery::schema_plan`]) the buffer gets the DTD's
+    /// sibling-order cutoffs and the table the DTD's names.
+    pub fn start_under(
+        q: &CompiledQuery,
+        mode: EngineMode,
+        max_buffer_bytes: Option<u64>,
+        indent: Option<String>,
+        telemetry: bool,
+        schema: Option<&SchemaPlan>,
+    ) -> Lane {
         let mut buf = BufferTree::new(mode.purges());
         buf.set_max_bytes(max_buffer_bytes);
         let mut vm = Vm::new(Arc::clone(&q.program), mode.executes_signoffs());
@@ -262,22 +287,28 @@ impl Lane {
             buf.enable_telemetry(crate::obs::DEFAULT_TIMELINE_EVERY);
             vm.enable_timing();
         }
+        if let Some(plan) = schema {
+            buf.set_schema(Arc::clone(&plan.ord), false);
+        }
+        // The once-at-startup symbol handshake: cloning the pre-interned
+        // table — the program's, or the plan's with the DTD's names on
+        // top — maps every query symbol into the run's table.
+        let symbols = schema.map_or(q.program.symbols(), |plan| &plan.symbols);
         Lane {
             vm,
             buf,
-            // The once-at-startup symbol handshake: cloning the program's
-            // pre-interned table maps every query symbol into the run's
-            // table.
-            symbols: q.program.symbols().clone(),
+            seeded_name_bytes: symbols.name_bytes(),
+            names_seen: symbols.len(),
+            symbols: symbols.clone(),
             out: XmlWriter::with_options(Vec::new(), WriterOptions { indent }),
             open: vec![OpenEntry {
                 node: NodeId::ROOT,
-                counters: ChildCounters::default(),
+                counters: ChildCounters::opening(&[]),
             }],
             pending: Vec::new(),
             pending_attrs: AttrBuf::new(),
             attr_scratch: AttrBuf::new(),
-            counter_pool: Vec::new(),
+            child_names: Vec::new(),
             clock: 0,
             // The program has not started: the first step must run it.
             touched: true,
@@ -287,17 +318,22 @@ impl Lane {
     }
 
     /// The run's symbol table: drivers intern the names they hand over
-    /// (and a schema's names) here.
+    /// here.
     pub fn symbols_mut(&mut self) -> &mut SymbolTable {
         &mut self.symbols
     }
 
-    /// Install `dtd`'s sibling-order cutoffs in the buffer.
-    /// `doctype_adopted` marks a DTD picked up from the stream rather
-    /// than configured; it only affects reporting.
-    pub fn set_schema(&mut self, dtd: &gcx_schema::Dtd, doctype_adopted: bool) {
-        self.buf
-            .set_schema(dtd.ord_table(&mut self.symbols), doctype_adopted);
+    /// Whether the lane still takes events: false once it failed.
+    pub fn live(&self) -> bool {
+        matches!(self.health, Health::Live)
+    }
+
+    /// Adopt the sibling-order cutoffs of `dtd`, a DTD picked up from the
+    /// stream's DOCTYPE (a configured one comes as a plan, at
+    /// [`Lane::start`]).
+    pub fn adopt_doctype(&mut self, dtd: &gcx_schema::Dtd) {
+        let ord = dtd.ord_table(&mut self.symbols);
+        self.buf.set_schema(Arc::new(ord), true);
     }
 
     /// Whether sibling-order cutoffs are installed.
@@ -324,6 +360,17 @@ impl Lane {
         if !matches!(self.health, Health::Live) {
             return false;
         }
+        // The driver interned this tag's names on its way here, whatever
+        // it decided: names the table lacked are document data the lane
+        // now holds.
+        if self.symbols.len() != self.names_seen {
+            self.names_seen = self.symbols.len();
+            let within = self.check_budget();
+            self.settle(within);
+            if !matches!(self.health, Health::Live) {
+                return false;
+            }
+        }
         // Every child bumps the ordinals — and, with a schema, the
         // sibling-order cutoffs — kept or not: positional predicates see
         // true document positions, and a skipped later sibling is just as
@@ -343,7 +390,8 @@ impl Lane {
                 }
             }
         }
-        let ordinals = self.top_counters().next_elem(name);
+        let ordinals =
+            top_counters(&mut self.pending, &mut self.open).next_elem(&mut self.child_names, name);
         let attrs = tag.attrs.iter().zip(attr_names);
         match keep {
             Keep::Skip => return false,
@@ -359,7 +407,7 @@ impl Lane {
                     ordinals,
                     attrs_from,
                     cutoff: 0,
-                    counters: self.counter_pool.pop().unwrap_or_default(),
+                    counters: ChildCounters::opening(&self.child_names),
                 });
                 // Nothing for the machine to see, but the chain grew, and
                 // it counts against the byte budget like the buffer does.
@@ -371,7 +419,7 @@ impl Lane {
                 for (a, &attr_name) in attrs {
                     self.attr_scratch.push(attr_name, a.value);
                 }
-                let counters = self.counter_pool.pop().unwrap_or_default();
+                let counters = ChildCounters::opening(&self.child_names);
                 self.open_element(name, ordinals, roles, counters);
                 if tag.self_closing {
                     self.close_top();
@@ -392,10 +440,10 @@ impl Lane {
         match self.pending.pop() {
             // No descendant earned a role: the element never existed as
             // far as the buffer and the machine are concerned.
-            Some(mut entry) => {
+            Some(entry) => {
                 self.pending_attrs.truncate(entry.attrs_from);
-                entry.counters.clear();
-                self.counter_pool.push(entry.counters);
+                self.child_names
+                    .truncate(entry.counters.names_from as usize);
             }
             None => {
                 self.close_top();
@@ -413,7 +461,7 @@ impl Lane {
         if !matches!(self.health, Health::Live) {
             return false;
         }
-        let ordinals = self.top_counters().next_text();
+        let ordinals = top_counters(&mut self.pending, &mut self.open).next_text();
         let Some(roles) = roles else {
             return false;
         };
@@ -547,30 +595,17 @@ impl Lane {
     }
 
     /// The byte budget covers everything the lane holds of the document:
-    /// the buffer's live nodes and the pending chain, each pending element
-    /// at the size it would have as a buffered node. (A chain of open
-    /// elements under a `//` step is as deep as the document; left
-    /// uncharged it would be a way to hold all of it.)
+    /// the buffer's live nodes, the pending chain — each pending element
+    /// at the size it would have as a buffered node — and the names the
+    /// document added to the symbol table. (A chain of open elements
+    /// under a `//` step is as deep as the document, and every start tag
+    /// the driver steps over is interned, kept or refused; left uncharged
+    /// either would be a way to hold all of it.)
     #[inline]
     fn check_budget(&self) -> Result<(), EngineError> {
+        let names = self.symbols.name_bytes() - self.seeded_name_bytes;
         self.buf
-            .check_limit(unbuffered_bytes(self.pending.len(), &self.pending_attrs))
-    }
-
-    /// The document child counters of the innermost open element, pending
-    /// or buffered: the parent of whatever comes next.
-    #[inline]
-    fn top_counters(&mut self) -> &mut ChildCounters {
-        match self.pending.last_mut() {
-            Some(top) => &mut top.counters,
-            None => {
-                &mut self
-                    .open
-                    .last_mut()
-                    .expect("open stack never empty")
-                    .counters
-            }
-        }
+            .check_limit(unbuffered_bytes(self.pending.len(), &self.pending_attrs) + names as u64)
     }
 
     /// A descendant of the pending chain earned a role: append the chain,
@@ -625,11 +660,11 @@ impl Lane {
     /// Close the innermost buffered element (its end tag arrived).
     #[inline]
     fn close_top(&mut self) {
-        let mut entry = self.open.pop().expect("unbalanced end tag past tokenizer");
+        let entry = self.open.pop().expect("unbalanced end tag past tokenizer");
         debug_assert!(entry.node != NodeId::ROOT, "root popped before EOF");
         self.buf.close(entry.node);
-        entry.counters.clear();
-        self.counter_pool.push(entry.counters);
+        self.child_names
+            .truncate(entry.counters.names_from as usize);
     }
 
     fn resume(&mut self) -> Result<(), EngineError> {
@@ -656,6 +691,19 @@ impl Lane {
     }
 }
 
+/// The document child counters of the innermost open element, pending or
+/// buffered: the parent of whatever comes next.
+#[inline]
+fn top_counters<'a>(
+    pending: &'a mut [PendingEntry],
+    open: &'a mut [OpenEntry],
+) -> &'a mut ChildCounters {
+    match pending.last_mut() {
+        Some(top) => &mut top.counters,
+        None => &mut open.last_mut().expect("open stack never empty").counters,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,7 +722,7 @@ mod tests {
         // everything that was ever appended.
         let mut lane = Lane::start(&q, EngineMode::FullBuffering, None, None, false);
         if let Some(dtd) = dtd {
-            lane.set_schema(dtd, false);
+            lane.adopt_doctype(dtd);
         }
         let mut tok = Tokenizer::from_str(xml);
         let mut hidden = 0u32;
@@ -803,8 +851,9 @@ mod tests {
         let stats = lane.buf.stats();
         assert_eq!((stats.allocated, stats.live, stats.live_bytes), (0, 0, 0));
         assert!(lane.buf.first_child(NodeId::ROOT).is_none());
-        // Their counters went back to the pool, not to the allocator.
-        assert_eq!(lane.counter_pool.len(), 2);
+        // Their same-name child counts went with them: what is left is the
+        // virtual root's, of s0.
+        assert_eq!(lane.child_names.len(), 1);
     }
 
     #[test]

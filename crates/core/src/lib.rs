@@ -58,7 +58,7 @@ pub mod session;
 
 pub use buffer::{AttrBuf, BufferStats, BufferTree, NodeId};
 pub use engine::{
-    run, run_query, CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaReport,
+    run, run_query, CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaPlan, SchemaReport,
 };
 pub use error::EngineError;
 pub use lane::{Keep, Lane, ScanFacts};

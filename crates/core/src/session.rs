@@ -147,36 +147,28 @@ struct Preprojection {
 
 impl EvalSession {
     pub(crate) fn new(q: &CompiledQuery, opts: &EngineOptions) -> EvalSession {
-        let mut lane = Lane::start(
+        // Nothing is compiled here: the automaton was prepared with the
+        // query and each run's matcher only instantiates frame state over
+        // it (root roles — the paper's r1 — are not materialized: the
+        // virtual root is never purged, so its bookkeeping would be
+        // inert). With a schema the query's plan for it supplies an
+        // automaton without the DTD-unsatisfiable paths and under the
+        // descendant-reachability filter, the sibling-order cutoffs for
+        // the buffer, and a table that already holds the DTD's names.
+        let plan = opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
+        let lane = Lane::start_under(
             q,
             opts.mode,
             opts.max_buffer_bytes,
             opts.indent.clone(),
             opts.telemetry,
+            plan.as_deref(),
         );
-        // The projection NFA was compiled with the query; the per-run
-        // matcher only instantiates mutable frame state over the shared
-        // paths. Root roles (the paper's r1) are not materialized: the
-        // virtual root is never purged, so its bookkeeping would be inert.
-        // With a schema: drop DTD-unsatisfiable paths, arm the matcher's
-        // descendant-reachability filter, and install sibling-order
-        // cutoffs in the buffer — the analyses intern their DTD names
-        // before any document bytes arrive, so stream and analyses agree
-        // on symbols.
-        let (matcher, _root_roles, pruned_paths) = match &opts.schema {
-            Some(dtd) => {
-                let symbols = lane.symbols_mut();
-                let prune = dtd.prune(q.program.matcher_paths(), symbols);
-                let reach = Arc::new(dtd.reach_filter(symbols));
-                let (m, r) = StreamMatcher::with_reach(&prune.paths, Some(reach));
-                lane.set_schema(dtd, false);
-                (m, r, Some((prune.pruned.len() as u32, prune.total as u32)))
-            }
-            None => {
-                let (m, r) = StreamMatcher::new(q.program.matcher_paths());
-                (m, r, None)
-            }
-        };
+        let automaton = plan
+            .as_ref()
+            .map_or(q.program.automaton(), |p| &p.automaton);
+        let matcher = StreamMatcher::start(Arc::clone(automaton));
+        let pruned_paths = plan.as_ref().map(|p| p.pruned_paths);
         EvalSession {
             tok: PushTokenizer::new(),
             pre: Preprojection {
@@ -491,7 +483,7 @@ impl Preprojection {
                     if let Ok(view) = gcx_xml::DoctypeView::parse(payload) {
                         if let Ok(dtd) = gcx_schema::Dtd::from_doctype_parts(view.name, view.subset)
                         {
-                            self.lane.set_schema(&dtd, true);
+                            self.lane.adopt_doctype(&dtd);
                         }
                     }
                 }

@@ -13,12 +13,13 @@ use crate::program::{
     PlanRoot, Program, StrId,
 };
 use crate::step::{EAxis, ETest, EvalStep};
-use gcx_projection::{Analysis, CompiledPaths};
+use gcx_projection::{Analysis, Automaton, CompiledPaths, TaggedPaths};
 use gcx_query::ast::{
     Axis, Cond, Expr, NodeTest, Operand, PathExpr, PathRoot, Pred, Query, Step, VarId,
 };
 use gcx_xml::{FxBuildHasher, SymbolTable};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 impl Program {
     /// Lower a compiled query (its normalized AST plus the static
@@ -59,6 +60,7 @@ impl Program {
             steps: cx.steps,
             strings: cx.strings,
             attrs: cx.attrs,
+            automaton: Arc::new(Automaton::new(TaggedPaths::merge([&matcher_paths]), None)),
             matcher_paths,
             var_names: query.var_names.clone(),
             root,

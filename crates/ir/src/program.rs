@@ -1,10 +1,11 @@
 //! The flat program representation and its accessors.
 
 use crate::step::{EAxis, ETest, EvalStep};
-use gcx_projection::CompiledPaths;
+use gcx_projection::{Automaton, CompiledPaths};
 use gcx_query::ast::{AggFunc, CmpOp, RoleId, StrFunc, VarId};
 use gcx_xml::{Symbol, SymbolTable};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Index of an instruction in the program's instruction arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -274,6 +275,7 @@ pub struct Program {
     pub(crate) strings: Vec<Box<str>>,
     pub(crate) attrs: Vec<(StrId, StrId)>,
     pub(crate) matcher_paths: CompiledPaths,
+    pub(crate) automaton: Arc<Automaton>,
     pub(crate) var_names: Vec<String>,
     pub(crate) root: InstrId,
     pub(crate) joins: Vec<JoinPlan>,
@@ -377,6 +379,13 @@ impl Program {
         &self.steps[plan.first_step as usize..(plan.first_step + plan.step_len) as usize]
     }
 
+    /// The whole step arena: what a path cursor, which remembers its
+    /// plan's range, is lent on every call.
+    #[inline]
+    pub fn steps(&self) -> &[EvalStep] {
+        &self.steps
+    }
+
     /// Resolve an interned program string.
     #[inline]
     pub fn str_(&self, id: StrId) -> &str {
@@ -403,6 +412,14 @@ impl Program {
     #[inline]
     pub fn matcher_paths(&self) -> &CompiledPaths {
         &self.matcher_paths
+    }
+
+    /// [`Program::matcher_paths`] prepared for matching, with everything
+    /// the runs so far learnt of its determinisation: the schema-blind
+    /// run's matcher starts here (`StreamMatcher::start`).
+    #[inline]
+    pub fn automaton(&self) -> &Arc<Automaton> {
+        &self.automaton
     }
 
     /// Name of a for-variable (for diagnostics).

@@ -217,16 +217,17 @@ impl SharedRun {
         let lanes = queries
             .iter()
             .map(|q| {
-                let mut lane = Lane::start(
+                // The lane's share of the schema — the sibling-order
+                // cutoffs — comes prepared, from its query's plan.
+                let schema = self.opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
+                let mut lane = Lane::start_under(
                     q,
                     mode,
                     self.opts.max_buffer_bytes,
                     self.opts.indent.clone(),
                     self.opts.telemetry,
+                    schema.as_deref(),
                 );
-                if let Some(dtd) = &self.opts.schema {
-                    lane.set_schema(dtd, false);
-                }
                 // Run the program up to its first suspension.
                 lane.step();
                 lane
@@ -247,6 +248,7 @@ impl SharedRun {
                 lanes,
                 remap: vec![Vec::new(); queries.len()],
                 lane_skip: vec![0; queries.len()],
+                any_live: true,
                 tokens: 0,
                 fanout: 0,
                 roles: Vec::new(),
@@ -423,6 +425,8 @@ struct FanOut {
     /// Per lane: depth inside a subtree the lane skipped while some other
     /// lane keeps it (0 = the lane sees the current token).
     lane_skip: Vec<u32>,
+    /// Some lane still evaluates (rechecked when the table grows).
+    any_live: bool,
     /// Structural tokens of the shared scan.
     tokens: u64,
     /// Events delivered, summed over lanes.
@@ -500,6 +504,10 @@ impl FanOut {
                 let self_closing = tag.self_closing;
                 // A self-closing tag stands for open+close: count both.
                 self.tokens += 1 + u64::from(self_closing);
+                if !self.any_live {
+                    return !self_closing;
+                }
+                let known = self.symbols.len();
                 let name = self.symbols.intern(tag.name);
                 let outcome = self.matcher.enter_element(name);
                 let any_keep = outcome.any_keep;
@@ -509,9 +517,19 @@ impl FanOut {
                     self.attr_names
                         .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
                 }
+                if self.symbols.len() != known {
+                    // The batch's table holds document names on behalf of
+                    // the lanes, each of which charges its own copy to its
+                    // budget: with every lane over, nobody is left to hold
+                    // names for, and the rest of the document is skipped.
+                    self.any_live = self.lanes.iter().any(Lane::live);
+                }
                 untag(&outcome.roles, &mut self.roles);
                 let mut at = 0;
                 for (qi, lane) in self.lanes.iter_mut().enumerate() {
+                    if !lane.live() {
+                        continue;
+                    }
                     if self.lane_skip[qi] > 0 {
                         self.lane_skip[qi] += u32::from(any_keep && !self_closing);
                         continue;

@@ -12,24 +12,23 @@
 
 use gcx_core::CompiledQuery;
 use gcx_projection::{
-    CompiledPaths, QueryTag, ReachFilter, TaggedMatcher, TaggedOutcome, TaggedPaths, TaggedRole,
+    Automaton, CompiledPaths, QueryTag, TaggedMatcher, TaggedOutcome, TaggedPaths, TaggedRole,
 };
 use gcx_xml::{Symbol, SymbolTable};
 use std::sync::Arc;
 
-/// A batch's compiled, shareable projection artifacts: the merged NFA
-/// plus the symbol table all the batch's path tests were interned
-/// against (and the optional DTD reachability filter). Prepared once
-/// per batch ([`crate::SharedRun::prepare`]), it makes every further
-/// run of the same batch compile nothing: each document stamps out a
-/// fresh matcher from the shared `Arc` and a clone of the pre-interned
-/// table, so repeated batches (a service, a bench loop) pay only
-/// per-run frame state.
+/// A batch's compiled, shareable projection artifacts: the merged
+/// automaton (under the optional DTD reachability filter, with the
+/// transitions earlier runs memoised) plus the symbol table all the
+/// batch's path tests were interned against. Prepared once per batch
+/// ([`crate::SharedRun::prepare`]), it makes every further run of the
+/// same batch compile nothing: each document starts a matcher on the
+/// shared automaton and a clone of the pre-interned table, so repeated
+/// batches (a service, a bench loop) pay only per-run frame state.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     pub(crate) symbols: SymbolTable,
-    pub(crate) merged: Arc<TaggedPaths>,
-    pub(crate) reach: Option<Arc<ReachFilter>>,
+    pub(crate) automaton: Arc<Automaton>,
     /// `(pruned, total)` projection-path counts per query (with a schema).
     pub(crate) pruned_paths: Option<Vec<(u32, u32)>>,
     pub(crate) n_queries: usize,
@@ -65,13 +64,12 @@ impl BatchPlan {
                 }
             })
             .collect();
-        let merged = Arc::new(TaggedPaths::merge(parts.iter()));
+        let merged = TaggedPaths::merge(parts.iter());
         debug_assert_eq!(merged.n_tags() as usize, queries.len());
         let reach = schema.map(|dtd| Arc::new(dtd.reach_filter(&mut symbols)));
         BatchPlan {
             symbols,
-            merged,
-            reach,
+            automaton: Arc::new(Automaton::new(merged, reach)),
             pruned_paths,
             n_queries: queries.len(),
         }
@@ -109,20 +107,18 @@ impl MergedMatcher {
         built
     }
 
-    /// Stamp a fresh matcher out of an already-compiled automaton (the
-    /// prepared-batch fast path): only per-run frame state is allocated.
+    /// Start a matcher on a prepared plan's automaton: only per-run
+    /// frame state is allocated.
     pub fn from_plan(plan: &BatchPlan) -> (MergedMatcher, Vec<TaggedRole>) {
-        let n_queries = plan.merged.n_tags();
-        let (inner, root_roles) =
-            TaggedMatcher::from_shared(plan.merged.clone(), plan.reach.clone());
+        let n_queries = plan.automaton.n_tags();
         (
             MergedMatcher {
-                inner,
+                inner: TaggedMatcher::start(Arc::clone(&plan.automaton)),
                 outcome: TaggedOutcome::for_tags(n_queries),
                 text_scratch: Vec::new(),
                 n_queries,
             },
-            root_roles,
+            plan.automaton.root_roles().to_vec(),
         )
     }
 

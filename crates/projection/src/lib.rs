@@ -26,13 +26,14 @@
 
 mod analysis;
 mod matcher;
+mod memo;
 mod reach;
 mod roles;
 
 pub use analysis::{analyze, Analysis};
 pub use matcher::{
-    CompiledPaths, ElementOutcome, QueryTag, StepView, StreamMatcher, TaggedMatcher, TaggedOutcome,
-    TaggedPaths, TaggedRole, TestView,
+    Automaton, CompiledPaths, ElementOutcome, QueryTag, StepView, StreamMatcher, TaggedMatcher,
+    TaggedOutcome, TaggedPaths, TaggedRole, TestView,
 };
 pub use reach::ReachFilter;
 pub use roles::{Anchor, RoleInfo, RoleOrigin, RoleTable};

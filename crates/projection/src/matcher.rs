@@ -38,31 +38,39 @@
 //! determinised *lazily*, the way streaming tree automata are usually
 //! run: each frame's post-closure state set (path, state **and**
 //! derivation count — multiplicities are part of a set's identity) is
-//! interned, and `(set, symbol) → (child set | dead, per-query kept
-//! flags, the child's sorted role list, reach cuts)` plus each set's text
-//! roles are recorded in a table the matcher instance owns. A token whose
-//! transition is recorded costs a hash probe and a copy of its role
-//! list; one that is not takes the NFA step, which records its result —
-//! the miss path is the fill function, there is no second implementation.
+//! interned, and `(set, name) → (child set | dead, per-query kept flags,
+//! the child's sorted role list, reach cuts)` plus each set's text roles
+//! are recorded in a [`Memo`]. A token whose transition is recorded costs
+//! a hash probe and a copy of its role list; one that is not takes the
+//! NFA step, which records its result — the miss path is the fill
+//! function, there is no second implementation.
 //!
 //! * **Never recorded:** a step in which a `[k]` predicate was consulted
 //!   (the outcome depends on how many siblings went by). The child set
 //!   it produces is still interned, so recording resumes below it.
-//! * **Bound:** `MEMO_SETS` sets, `MEMO_SETS × MEMO_FANOUT` transitions,
-//!   symbols below 2²⁰. Nested `//a//a` makes counts, hence sets, grow
-//!   with depth; an invented vocabulary makes transitions grow. When the
+//! * **Bound:** `MEMO_SETS` sets, `MEMO_SETS × MEMO_FANOUT` transitions.
+//!   Nested `//a//a` makes counts, hence sets, grow with depth. When the
 //!   table is full a frame carries its explicit state vector again and
 //!   steps the NFA — exactly the matcher without a memo.
-//! * **Warm-up:** the table is allocated once a run has taken
-//!   `MEMO_WARMUP` NFA steps (and interns the frames open at that
-//!   moment); a document of a few KiB never pays for it.
+//! * **Sharing:** the memo belongs to the prepared [`Automaton`], not to
+//!   a run, so the second document of a query starts where the first
+//!   left off. What makes one run's table valid for the next is *key
+//!   normalisation*: every name the NFA or the reach filter can tell
+//!   from another was interned before the automaton was prepared, so it
+//!   has the same symbol in every run; the names a document adds on top
+//!   — whatever symbols that run gives them — all behave alike and are
+//!   keyed as one class. A matcher reads the shared table through an
+//!   `Arc`, takes a private copy on its first miss (*copy-on-miss*; a run
+//!   that learns nothing copies nothing) and *offers* the copy back when
+//!   it is dropped: the automaton keeps whichever table knows more. No
+//!   lock is taken per token.
 
+use crate::memo::{canonical, Memo, SetId, St, MEMO_SETS};
 use crate::reach::{test_reachable, ReachFilter};
 use crate::roles::RoleTable;
 use gcx_query::ast::{Axis, NodeTest, Pred, RoleId};
 use gcx_xml::{Symbol, SymbolTable};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A node test compiled against the symbol table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +119,7 @@ pub struct CompiledPaths {
 
 /// Dense state id: index of the *next* step to match. A state equal to the
 /// path's end offset is a completed match.
-type StateId = u32;
+pub(crate) type StateId = u32;
 
 impl CompiledPaths {
     /// Compile the role table's absolute paths, interning names.
@@ -119,8 +127,8 @@ impl CompiledPaths {
     /// Attribute steps never reach the matcher: the analysis strips them
     /// (roles land on the owning element).
     pub fn compile(roles: &RoleTable, symbols: &mut SymbolTable) -> CompiledPaths {
-        let mut steps = Vec::new();
-        let mut paths = Vec::new();
+        let mut steps = Vec::with_capacity(roles.iter().map(|r| r.abs.len()).sum());
+        let mut paths = Vec::with_capacity(roles.len());
         for role in roles.iter() {
             let first = steps.len() as u32;
             for step in &role.abs {
@@ -353,196 +361,111 @@ pub struct ElementOutcome {
     pub roles: RoleAssignment,
 }
 
-/// A state with its derivation count: `(path index, state id, count)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct St {
-    path: u32,
-    sid: StateId,
-    count: u32,
-}
-
 /// Per-open-element matcher frame.
-#[derive(Debug, Default, Clone)]
-struct Frame {
-    /// The frame's state set when the memo holds it; the frame then
-    /// leaves `states` empty and reads the memo's copy.
-    set: Option<SetId>,
-    /// Post-closure states whose next step can still consume children —
-    /// carried explicitly only while `set` is `None` (before the memo
-    /// starts, or when it had no room for the set).
-    states: Vec<St>,
-    /// Predicate counters: (state id of the predicated step, matches seen).
-    pred_seen: Vec<(StateId, u32)>,
-}
-
-/// Index of an interned state set in the [`Memo`].
-type SetId = u32;
-
-/// State sets a matcher instance interns at most; it records at most
-/// [`MEMO_FANOUT`] times as many transitions. XMark's 11 paper queries
-/// merged need 27 sets and 91 transitions, `//item` alone 4 and 62 (one
-/// per element name); only derivation counts growing with nesting depth
-/// (`//a//a` over `<a><a><a>…`) or an unbounded vocabulary make more
-/// without end, and past the bound frames carry explicit state vectors
-/// (and take the NFA step) again.
-const MEMO_SETS: usize = 1024;
-
-/// Recorded transitions per interned set, on average, at most.
-const MEMO_FANOUT: usize = 16;
-
-/// NFA steps a run takes before it starts a memo: a document that is
-/// over by then (a few KiB) would pay for the tables — their allocation,
-/// their bytes, a miss per distinct transition — and see too few hits
-/// to earn that back.
-const MEMO_WARMUP: u32 = 512;
-
-/// Symbol indices a transition key has room for; later names of a run
-/// are not memoised.
-const KEY_SYMBOLS: usize = 1 << 20;
-const _: () = assert!(MEMO_SETS <= (u32::MAX as usize) / KEY_SYMBOLS);
-
-/// A memoised transition: what entering a child named `symbol` under a
-/// frame with state set `set` produces.
 #[derive(Debug, Clone, Copy)]
-struct Transition {
-    /// The child frame's set; `None`: no state survives, skip the subtree.
-    child: Option<SetId>,
-    /// The child's roles, a range of [`Memo::roles`].
-    roles: (u32, u32),
-    /// Descendant propagations the reach filter suppressed on the way.
-    cuts: u32,
+struct Frame {
+    /// The frame's post-closure state set — the states whose next step
+    /// can still consume children — when the memo holds it.
+    set: Option<SetId>,
+    /// Where the frame's explicit states start in
+    /// [`TaggedMatcher::states`] (it has some only while `set` is `None`:
+    /// the memo had no room for the set) and its predicate counters in
+    /// [`TaggedMatcher::preds`]. Both run to the next frame's, or to the
+    /// end: only the innermost frame's are ever read.
+    states_from: u32,
+    preds_from: u32,
 }
 
-/// The lazily determinised automaton: state sets seen so far, interned,
-/// and the transitions taken between them. Everything here is a pure
-/// function of `(set, symbol)` — the NFA step computes it once (the miss
-/// path *is* [`TaggedMatcher::enter_element`]'s NFA step, which then
-/// records its result), later tokens look it up. Steps that consult a
-/// positional-predicate counter are never recorded.
+/// A prepared automaton — the merged paths, the reach filter that gates
+/// them, the document root's outcome — and what its matchers have learnt
+/// of its determinisation so far. Built once where the paths are compiled
+/// (`gcx-ir`'s program, a schema plan, `gcx-multi`'s batch plan) and
+/// shared: [`TaggedMatcher::start`] is the one way to start a matcher.
 #[derive(Debug)]
-struct Memo {
-    /// Sets this memo may intern.
-    max_sets: usize,
-    /// The interned sets, each canonically ordered, by id — and the way
-    /// back, from a set's states to its id.
-    sets: Vec<Arc<[St]>>,
-    index: HashMap<Arc<[St]>, SetId>,
-    /// `(set, symbol)` → transition: an open-addressing table (linear
-    /// probing, a power of two of slots, at most half full) of
-    /// `(key + 1, index into transitions)`; `(0, _)` is an empty slot.
-    slots: Vec<(u32, u32)>,
-    transitions: Vec<Transition>,
-    /// `n_tags` per-query keep flags per transition.
-    kept: Vec<bool>,
-    /// Role lists of transitions and text, back to back.
-    roles: Vec<TaggedRole>,
-    /// Per set: the roles of a text child (a range of `roles`), once
-    /// computed.
-    text: Vec<Option<(u32, u32)>>,
+pub struct Automaton {
+    paths: TaggedPaths,
+    /// Schema-derived descendant reachability (None: schema-blind).
+    reach: Option<Arc<ReachFilter>>,
+    /// The document root's roles (paths with zero steps, e.g. the paper's
+    /// `r1: /`, per query) and frame: its set in the memo or, when the
+    /// memo holds none, its explicit states.
+    root_roles: Vec<TaggedRole>,
+    root_set: Option<SetId>,
+    root_states: Vec<St>,
+    /// The best memo a matcher has offered back so far. Locked when a
+    /// matcher starts and when it is dropped, never per token.
+    memo: Mutex<Arc<Memo>>,
 }
 
-/// The slot-table key of `(set, symbol)`, plus one.
-#[inline]
-fn transition_key(set: SetId, symbol: Symbol) -> Option<u32> {
-    (symbol.index() < KEY_SYMBOLS).then(|| set * KEY_SYMBOLS as u32 + symbol.index() as u32 + 1)
-}
-
-impl Memo {
-    fn new(max_sets: usize) -> Memo {
-        Memo {
-            max_sets,
-            sets: Vec::new(),
-            index: HashMap::new(),
-            slots: vec![(0, 0); 64],
-            transitions: Vec::new(),
-            kept: Vec::new(),
-            roles: Vec::new(),
-            text: Vec::new(),
-        }
+impl Automaton {
+    /// Prepare `paths`, optionally under a schema-derived reachability
+    /// filter: descendant-axis states are not propagated into subtrees
+    /// where the DTD proves their test can never match. Sound for
+    /// schema-valid input; on other input the filter may skip subtrees
+    /// the schema-blind matcher would have buffered.
+    pub fn new(paths: TaggedPaths, reach: Option<Arc<ReachFilter>>) -> Automaton {
+        Automaton::with_memo_sets(paths, reach, MEMO_SETS)
     }
 
-    /// Number of sets interned so far.
-    fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    fn set(&self, id: SetId) -> &[St] {
-        &self.sets[id as usize]
-    }
-
-    /// The id of `states` (put in canonical order here), interning it if
-    /// it is new and there is room. `None`: no room — the frame keeps its
-    /// explicit vector.
-    fn intern(&mut self, states: &mut [St]) -> Option<SetId> {
-        states.sort_unstable_by_key(|s| (s.path, s.sid, s.count));
-        if let Some(&id) = self.index.get(&*states) {
-            return Some(id);
-        }
-        if self.len() >= self.max_sets {
-            return None;
-        }
-        let id = self.len() as SetId;
-        let set: Arc<[St]> = Arc::from(&*states);
-        self.sets.push(Arc::clone(&set));
-        self.index.insert(set, id);
-        self.text.push(None);
-        Some(id)
-    }
-
-    /// The slot `key` lives in, or the empty one it would go to.
-    #[inline]
-    fn slot_of(&self, key: u32) -> usize {
-        // Fibonacci hashing: the product's high bits mix all of the key's.
-        let bits = self.slots.len().trailing_zeros();
-        let mut i = (key.wrapping_mul(0x9E37_79B9) >> (32 - bits)) as usize;
-        while self.slots[i].0 != 0 && self.slots[i].0 != key {
-            i = (i + 1) & (self.slots.len() - 1);
-        }
-        i
-    }
-
-    #[inline]
-    fn transition(&self, set: SetId, symbol: Symbol) -> Option<(usize, Transition)> {
-        let key = transition_key(set, symbol)?;
-        let (found, i) = self.slots[self.slot_of(key)];
-        (found == key).then(|| (i as usize, self.transitions[i as usize]))
-    }
-
-    /// Record what entering `symbol` under `set` produced, if there is
-    /// room.
-    fn record(
-        &mut self,
-        set: SetId,
-        symbol: Symbol,
-        cuts: u64,
-        out: &TaggedOutcome,
-        child: Option<SetId>,
-    ) {
-        let Some(key) = transition_key(set, symbol) else {
-            return;
-        };
-        if self.transitions.len() >= self.max_sets * MEMO_FANOUT {
-            return;
-        }
-        if (self.transitions.len() + 1) * 2 > self.slots.len() {
-            let grown = vec![(0, 0); self.slots.len() * 2];
-            for (key, i) in std::mem::replace(&mut self.slots, grown) {
-                if key != 0 {
-                    let at = self.slot_of(key);
-                    self.slots[at] = (key, i);
-                }
+    /// [`Automaton::new`] with a memo of at most `memo_sets` state sets
+    /// (0: every transition takes the NFA step). A constant of the build,
+    /// not an option; tests vary it to compare the memoised matcher with
+    /// the fill path alone.
+    pub(crate) fn with_memo_sets(
+        paths: TaggedPaths,
+        reach: Option<Arc<ReachFilter>>,
+        memo_sets: usize,
+    ) -> Automaton {
+        let mut root_states = Vec::new();
+        let mut root_roles = Vec::new();
+        for (p, info) in paths.paths.iter().enumerate() {
+            if info.len == 0 {
+                root_roles.push((info.tag, info.role, 1));
+            } else {
+                root_states.push(St {
+                    path: p as u32,
+                    sid: info.first,
+                    count: 1,
+                });
             }
         }
-        let at = self.slot_of(key);
-        self.slots[at] = (key, self.transitions.len() as u32);
-        let from = self.roles.len() as u32;
-        self.roles.extend_from_slice(&out.roles);
-        self.kept.extend_from_slice(&out.kept);
-        self.transitions.push(Transition {
-            child,
-            roles: (from, self.roles.len() as u32),
-            cuts: cuts as u32,
+        // The document root is a node: run closure for leading
+        // self/descendant-or-self steps (e.g. role `/descendant-or-self...`).
+        closure(&paths, &mut root_states, None, &mut root_roles);
+        dedupe_tagged(&mut root_roles);
+        let named = paths.steps.iter().filter_map(|s| match s.test {
+            CTest::Name(n) => Some(n.index() + 1),
+            _ => None,
         });
+        let n_static = named
+            .chain(reach.as_deref().map(ReachFilter::n_elems))
+            .max()
+            .unwrap_or(0);
+        let mut memo = Memo::new(memo_sets, n_static);
+        canonical(&mut root_states);
+        let root_set = memo.has_room().then(|| {
+            let set = memo.insert_set(&root_states);
+            root_states.clear();
+            set
+        });
+        Automaton {
+            paths,
+            reach,
+            root_roles,
+            root_set,
+            root_states,
+            memo: Mutex::new(Arc::new(memo)),
+        }
+    }
+
+    /// The document root's roles, deduplicated, sorted by `(tag, role)`.
+    pub fn root_roles(&self) -> &[TaggedRole] {
+        &self.root_roles
+    }
+
+    /// Number of queries merged in.
+    pub fn n_tags(&self) -> u32 {
+        self.paths.n_tags
     }
 }
 
@@ -558,18 +481,17 @@ impl Memo {
 /// the property suite in `crates/multi` asserts this.
 #[derive(Debug)]
 pub struct TaggedMatcher {
-    /// The merged automaton, shareable across matcher instances: a
-    /// prepared batch ([`gcx-multi`]'s `BatchPlan`) compiles once and
-    /// stamps out a fresh matcher per run from the same `Arc`.
-    compiled: Arc<TaggedPaths>,
-    /// One frame per nesting level ever reached, the document root's
-    /// first; `frames[..=depth]` are the open elements'. A level's frame
-    /// is reused by every element that opens there, so its vectors'
-    /// capacities stay put instead of being allocated and dropped (or
-    /// moved through a pool) once per kept element.
+    automaton: Arc<Automaton>,
+    /// The memoised transitions: the automaton's shared memo until this
+    /// run learns something it lacks, a private copy from then on.
+    memo: Arc<Memo>,
+    /// The open elements' frames, the document root's first.
     frames: Vec<Frame>,
-    /// Current nesting depth: the index of the innermost open frame.
-    depth: usize,
+    /// Explicit states and predicate counters `(state id of the
+    /// predicated step, matches seen)` of the open frames, stack-shaped
+    /// (see [`Frame`]).
+    states: Vec<St>,
+    preds: Vec<(StateId, u32)>,
     /// Scratch for building child state sets.
     scratch: Vec<St>,
     /// What the last NFA step produced for an element (the memo's copy,
@@ -577,97 +499,43 @@ pub struct TaggedMatcher {
     /// text node.
     outcome: TaggedOutcome,
     text_roles: Vec<TaggedRole>,
-    /// Schema-derived descendant reachability (None: schema-blind).
-    reach: Option<Arc<ReachFilter>>,
     /// Descendant-state propagations the reach filter suppressed.
     reach_cuts: u64,
-    /// The memoised transitions, allocated once the run has taken
-    /// [`MEMO_WARMUP`] NFA steps.
-    memo: Option<Box<Memo>>,
-    /// State sets the memo may intern ([`MEMO_SETS`]; tests vary it).
-    memo_sets: usize,
-    /// NFA steps to go before the memo starts (tests start it at once).
-    warmup: u32,
 }
 
 impl TaggedMatcher {
-    /// Create the matcher and compute the document root's roles (paths
-    /// with zero steps, e.g. the paper's `r1: /`, per query).
-    pub fn new(compiled: TaggedPaths) -> (TaggedMatcher, Vec<TaggedRole>) {
-        TaggedMatcher::with_reach(compiled, None)
-    }
-
-    /// [`TaggedMatcher::new`] with a schema-derived reachability filter:
-    /// descendant-axis states are not propagated into subtrees where the
-    /// DTD proves their test can never match. Sound for schema-valid
-    /// input; on other input the filter may skip subtrees the schema-blind
-    /// matcher would have buffered.
-    pub fn with_reach(
-        compiled: TaggedPaths,
-        reach: Option<Arc<ReachFilter>>,
-    ) -> (TaggedMatcher, Vec<TaggedRole>) {
-        TaggedMatcher::from_shared(Arc::new(compiled), reach)
-    }
-
-    /// [`TaggedMatcher::with_reach`] over an already-shared automaton:
-    /// only the per-run frame state is allocated, the compiled paths are
-    /// refcounted. This is the repeated-batch fast path — prepare the
-    /// merge once, stamp out a matcher per document.
-    pub fn from_shared(
-        compiled: Arc<TaggedPaths>,
-        reach: Option<Arc<ReachFilter>>,
-    ) -> (TaggedMatcher, Vec<TaggedRole>) {
-        TaggedMatcher::with_memo(compiled, reach, MEMO_SETS, MEMO_WARMUP)
-    }
-
-    /// [`TaggedMatcher::from_shared`] with a memo of at most `memo_sets`
-    /// state sets (0: every transition takes the NFA step) started after
-    /// `warmup` NFA steps. Both are constants of the build, not options;
-    /// tests vary them to compare the memoised matcher with the fill path
-    /// alone.
-    pub(crate) fn with_memo(
-        compiled: Arc<TaggedPaths>,
-        reach: Option<Arc<ReachFilter>>,
-        memo_sets: usize,
-        warmup: u32,
-    ) -> (TaggedMatcher, Vec<TaggedRole>) {
-        let mut root = Frame::default();
-        let mut root_roles = Vec::new();
-        for (p, info) in compiled.paths.iter().enumerate() {
-            if info.len == 0 {
-                root_roles.push((info.tag, info.role, 1));
-            } else {
-                root.states.push(St {
-                    path: p as u32,
-                    sid: info.first,
-                    count: 1,
-                });
-            }
-        }
-        // The document root is a node: run closure for leading
-        // self/descendant-or-self steps (e.g. role `/descendant-or-self...`).
-        closure(&compiled, &mut root.states, None, &mut root_roles);
-        dedupe_tagged(&mut root_roles);
-        let compiled_tags = compiled.n_tags;
-        let m = TaggedMatcher {
-            compiled,
-            frames: vec![root],
-            depth: 0,
+    /// A matcher over `automaton` for one document, starting from what
+    /// earlier matchers learnt.
+    pub fn start(automaton: Arc<Automaton>) -> TaggedMatcher {
+        let memo = Arc::clone(
+            &automaton
+                .memo
+                .lock()
+                .expect("the memo slot is only swapped"),
+        );
+        // XMark nests 12 deep; a deeper document grows the stack.
+        let mut frames = Vec::with_capacity(16);
+        frames.push(Frame {
+            set: automaton.root_set,
+            states_from: 0,
+            preds_from: 0,
+        });
+        TaggedMatcher {
+            memo,
+            frames,
+            states: automaton.root_states.clone(),
+            preds: Vec::new(),
             scratch: Vec::new(),
-            outcome: TaggedOutcome::for_tags(compiled_tags),
+            outcome: TaggedOutcome::for_tags(automaton.n_tags()),
             text_roles: Vec::new(),
-            reach,
             reach_cuts: 0,
-            memo: None,
-            memo_sets,
-            warmup,
-        };
-        (m, root_roles)
+            automaton,
+        }
     }
 
     /// Current nesting depth (document root frame excluded).
     pub fn depth(&self) -> usize {
-        self.depth
+        self.frames.len() - 1
     }
 
     /// Descendant-state propagations the reach filter suppressed so far.
@@ -675,47 +543,29 @@ impl TaggedMatcher {
         self.reach_cuts
     }
 
-    /// State sets the memo holds (0 before the first miss).
+    /// State sets the memo holds.
     #[cfg(test)]
     fn memo_len(&self) -> usize {
-        self.memo.as_deref().map_or(0, Memo::len)
+        self.memo.len()
     }
 
-    /// Count an NFA step; the one that ends the warm-up allocates the
-    /// memo and interns the open frames, so that what follows under them
-    /// is memoised — not only under elements yet to open.
+    /// The innermost open frame.
     #[inline]
-    fn warm_up(&mut self) {
-        if self.memo.is_some() || self.memo_sets == 0 {
-            return;
-        }
-        if self.warmup > 0 {
-            self.warmup -= 1;
-            return;
-        }
-        let mut memo = Box::new(Memo::new(self.memo_sets));
-        for frame in &mut self.frames[..=self.depth] {
-            frame.set = memo.intern(&mut frame.states);
-            if frame.set.is_some() {
-                frame.states.clear();
-            }
-        }
-        self.memo = Some(memo);
+    fn top(&self) -> Frame {
+        *self.frames.last().expect("the root frame stays")
     }
 
     /// Open the frame of an element just entered, with its state set —
-    /// or, without one, the explicit states in `scratch` (the swap leaves
-    /// the level's old, empty vector as the next scratch).
+    /// or, without one, the explicit states in `scratch`.
     #[inline]
     fn push_frame(&mut self, set: Option<SetId>) {
-        self.depth += 1;
-        if self.depth == self.frames.len() {
-            self.frames.push(Frame::default());
-        }
-        let frame = &mut self.frames[self.depth];
-        frame.set = set;
+        self.frames.push(Frame {
+            set,
+            states_from: self.states.len() as u32,
+            preds_from: self.preds.len() as u32,
+        });
         if set.is_none() {
-            std::mem::swap(&mut frame.states, &mut self.scratch);
+            self.states.extend_from_slice(&self.scratch);
         }
     }
 
@@ -739,10 +589,10 @@ impl TaggedMatcher {
     /// from the NFA step's own outcome.
     #[inline]
     fn enter(&mut self, name: Symbol) -> Option<(&[bool], &[TaggedRole])> {
-        let recorded = match (self.frames[self.depth].set, self.memo.as_deref()) {
-            (Some(set), Some(memo)) => memo.transition(set, name),
-            _ => None,
-        };
+        let recorded = self
+            .top()
+            .set
+            .and_then(|set| self.memo.transition(set, name));
         let Some((i, t)) = recorded else {
             self.enter_element_nfa(name);
             let out = &self.outcome;
@@ -750,36 +600,31 @@ impl TaggedMatcher {
         };
         self.reach_cuts += u64::from(t.cuts);
         self.push_frame(Some(t.child?));
-        let memo = self.memo.as_deref().expect("a transition was found in it");
-        let n = self.compiled.n_tags as usize;
-        Some((
-            &memo.kept[i * n..(i + 1) * n],
-            &memo.roles[t.roles.0 as usize..t.roles.1 as usize],
-        ))
+        Some(self.memo.outcome(i, t, self.automaton.n_tags() as usize))
     }
 
     /// The NFA step behind [`TaggedMatcher::enter`], into `self.outcome`:
     /// every transition the memo does not hold, which it then records.
     fn enter_element_nfa(&mut self, name: Symbol) {
-        self.warm_up();
         self.outcome.reset();
         self.scratch.clear();
+        let compiled = &self.automaton.paths;
         // Closed-world reach info for this element, when the schema has
         // any: descendant propagations are gated on it below.
-        let rinfo = self.reach.as_deref().and_then(|r| r.info(name));
-        let parent = &mut self.frames[self.depth];
-        let parent_set = parent.set;
-        let states: &[St] = match (parent_set, self.memo.as_deref()) {
-            (Some(set), Some(memo)) => memo.set(set),
-            _ => &parent.states,
+        let rinfo = self.automaton.reach.as_deref().and_then(|r| r.info(name));
+        let parent = self.top();
+        let states: &[St] = match parent.set {
+            Some(set) => self.memo.set(set),
+            None => &self.states[parent.states_from as usize..],
         };
+        let seen = parent.preds_from as usize;
         let mut cuts = 0;
         // A positional predicate was consulted: the outcome depends on the
         // parent frame's live counter, not on (set, symbol) alone.
         let mut positional = false;
         // Transitions from the parent's states to this child.
         for &st in states {
-            let step = self.compiled.steps[st.sid as usize];
+            let step = compiled.steps[st.sid as usize];
             match step.axis {
                 Axis::Child => {
                     if step.test.matches_element(name) {
@@ -787,7 +632,7 @@ impl TaggedMatcher {
                             None => true,
                             Some(k) => {
                                 positional = true;
-                                bump_pred(&mut parent.pred_seen, st.sid) == k
+                                bump_pred(&mut self.preds, seen, st.sid) == k
                             }
                         };
                         if passes {
@@ -849,36 +694,37 @@ impl TaggedMatcher {
             // (pre-closure) — exactly the standalone matcher's `keep`
             // decision per query.
             for st in &self.scratch {
-                out.kept[self.compiled.paths[st.path as usize].tag as usize] = true;
+                out.kept[compiled.paths[st.path as usize].tag as usize] = true;
             }
-            closure(
-                &self.compiled,
-                &mut self.scratch,
-                Some(name),
-                &mut out.roles,
-            );
+            closure(compiled, &mut self.scratch, Some(name), &mut out.roles);
             dedupe_tagged(&mut out.roles);
-            if let Some(memo) = self.memo.as_deref_mut() {
-                child = memo.intern(&mut self.scratch);
-            }
+            canonical(&mut self.scratch);
+            child = self.memo.find_set(&self.scratch).or_else(|| {
+                self.memo
+                    .has_room()
+                    .then(|| Arc::make_mut(&mut self.memo).insert_set(&self.scratch))
+            });
             self.push_frame(child);
         }
-        if let (Some(set), Some(memo)) = (parent_set, self.memo.as_deref_mut()) {
-            // Recordable: nothing positional went in, and the child (if
-            // any) has an id to jump to.
-            if !positional && child.is_some() == self.outcome.any_keep {
-                memo.record(set, name, cuts, &self.outcome, child);
+        // Recordable: the parent has an id to look up, nothing positional
+        // went in, and the child (if any) has an id to jump to.
+        if let Some(set) = parent.set {
+            if !positional
+                && child.is_some() == self.outcome.any_keep
+                && self.memo.can_record(set, name)
+            {
+                let out = &self.outcome;
+                Arc::make_mut(&mut self.memo).record(set, name, cuts, &out.kept, &out.roles, child);
             }
         }
     }
 
     /// Process the end tag of a kept element.
     pub fn leave_element(&mut self) {
-        assert!(self.depth > 0, "leave_element on document root");
-        let frame = &mut self.frames[self.depth];
-        frame.states.clear();
-        frame.pred_seen.clear();
-        self.depth -= 1;
+        assert!(self.frames.len() > 1, "leave_element on document root");
+        let frame = self.frames.pop().expect("checked above");
+        self.states.truncate(frame.states_from as usize);
+        self.preds.truncate(frame.preds_from as usize);
     }
 
     /// Roles for a text child of the current element, appended to `out`
@@ -894,15 +740,11 @@ impl TaggedMatcher {
     /// from the memo or from the NFA step's own result.
     #[inline]
     fn text(&mut self) -> &[TaggedRole] {
-        let recorded = match (self.frames[self.depth].set, self.memo.as_deref()) {
-            (Some(set), Some(memo)) => memo.text[set as usize],
-            _ => None,
-        };
+        // (Asked twice: a borrow handed out by the first probe would
+        // outlive the miss branch's `&mut self`.)
+        let recorded = self.top().set.filter(|&set| self.memo.text(set).is_some());
         match recorded {
-            Some((from, to)) => {
-                let memo = self.memo.as_deref().expect("text roles were found in it");
-                &memo.roles[from as usize..to as usize]
-            }
+            Some(set) => self.memo.text(set).expect("just probed"),
             None => {
                 self.text_nfa();
                 &self.text_roles
@@ -914,18 +756,17 @@ impl TaggedMatcher {
     /// `self.text_roles`; recorded per state set unless a positional
     /// predicate was consulted.
     fn text_nfa(&mut self) {
-        self.warm_up();
         self.text_roles.clear();
-        let parent = &mut self.frames[self.depth];
-        let parent_set = parent.set;
-        let states: &[St] = match (parent_set, self.memo.as_deref()) {
-            (Some(set), Some(memo)) => memo.set(set),
-            _ => &parent.states,
+        let compiled = &self.automaton.paths;
+        let parent = self.top();
+        let states: &[St] = match parent.set {
+            Some(set) => self.memo.set(set),
+            None => &self.states[parent.states_from as usize..],
         };
         let mut positional = false;
         for &st in states {
-            let info = self.compiled.paths[st.path as usize];
-            let step = self.compiled.steps[st.sid as usize];
+            let info = compiled.paths[st.path as usize];
+            let step = compiled.steps[st.sid as usize];
             // A text node can only complete a path whose FINAL step it
             // matches: any continuation would need children.
             let is_final = st.sid + 1 == info.first + info.len;
@@ -936,7 +777,8 @@ impl TaggedMatcher {
                             None => true,
                             Some(k) => {
                                 positional = true;
-                                bump_pred(&mut parent.pred_seen, st.sid) == k
+                                let seen = parent.preds_from as usize;
+                                bump_pred(&mut self.preds, seen, st.sid) == k
                             }
                         }
                     }
@@ -950,10 +792,20 @@ impl TaggedMatcher {
             }
         }
         dedupe_tagged(&mut self.text_roles);
-        if let (Some(set), Some(memo), false) = (parent_set, self.memo.as_deref_mut(), positional) {
-            let from = memo.roles.len() as u32;
-            memo.roles.extend_from_slice(&self.text_roles);
-            memo.text[set as usize] = Some((from, memo.roles.len() as u32));
+        if let (Some(set), false) = (parent.set, positional) {
+            Arc::make_mut(&mut self.memo).record_text(set, &self.text_roles);
+        }
+    }
+}
+
+impl Drop for TaggedMatcher {
+    /// Offer the automaton what this run learnt: the next matcher starts
+    /// from whichever memo knows most.
+    fn drop(&mut self) {
+        if let Ok(mut shared) = self.automaton.memo.lock() {
+            if self.memo.learnt() > shared.learnt() {
+                *shared = Arc::clone(&self.memo);
+            }
         }
     }
 }
@@ -967,25 +819,32 @@ pub struct StreamMatcher {
 }
 
 impl StreamMatcher {
-    /// Create the matcher and compute the document root's roles (paths with
-    /// zero steps, e.g. the paper's `r1: /`). The compiled paths are
-    /// borrowed: they live in the shared compiled-query artifact
-    /// (`gcx-ir`'s program), and only the mutable per-run frame state is
-    /// instantiated here.
+    /// Prepare `compiled` for one run and start its matcher; also returns
+    /// the document root's roles (paths with zero steps, e.g. the paper's
+    /// `r1: /`). An engine run starts from the automaton its compiled
+    /// query prepared instead ([`StreamMatcher::start`]).
     pub fn new(compiled: &CompiledPaths) -> (StreamMatcher, RoleAssignment) {
         StreamMatcher::with_reach(compiled, None)
     }
 
     /// [`StreamMatcher::new`] with a schema-derived reachability filter
-    /// (see [`TaggedMatcher::with_reach`]).
+    /// (see [`Automaton::new`]).
     pub fn with_reach(
         compiled: &CompiledPaths,
         reach: Option<Arc<ReachFilter>>,
     ) -> (StreamMatcher, RoleAssignment) {
-        let (inner, tagged_roots) =
-            TaggedMatcher::with_reach(TaggedPaths::merge([compiled]), reach);
-        let root_roles = tagged_roots.into_iter().map(|(_, r, c)| (r, c)).collect();
-        (StreamMatcher { inner }, root_roles)
+        let automaton = Automaton::new(TaggedPaths::merge([compiled]), reach);
+        let untagged = automaton.root_roles.iter().map(|&(_, r, c)| (r, c));
+        let root_roles = untagged.collect();
+        (StreamMatcher::start(Arc::new(automaton)), root_roles)
+    }
+
+    /// A matcher over a prepared single-query automaton (see
+    /// [`TaggedMatcher::start`]).
+    pub fn start(automaton: Arc<Automaton>) -> StreamMatcher {
+        StreamMatcher {
+            inner: TaggedMatcher::start(automaton),
+        }
     }
 
     /// Current nesting depth (document root frame excluded).
@@ -1124,15 +983,16 @@ fn push_state(states: &mut Vec<St>, st: St) {
     states.push(st);
 }
 
-/// Increment and return the match count for a predicated step in a frame.
-fn bump_pred(pred_seen: &mut Vec<(StateId, u32)>, sid: StateId) -> u32 {
-    for (s, n) in pred_seen.iter_mut() {
+/// Increment and return the match count for a predicated step in the
+/// innermost frame, whose counters are `preds[from..]`.
+fn bump_pred(preds: &mut Vec<(StateId, u32)>, from: usize, sid: StateId) -> u32 {
+    for (s, n) in &mut preds[from..] {
         if *s == sid {
             *n += 1;
             return *n;
         }
     }
-    pred_seen.push((sid, 1));
+    preds.push((sid, 1));
     1
 }
 
@@ -1343,6 +1203,10 @@ mod tests {
 
     const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
 
+    /// Tags no query and no reach filter mentions: a run interns them
+    /// when it meets them, after everything the automaton knows.
+    const RUN_LOCAL: [&str; 3] = ["u", "v", "w"];
+
     struct XorShift(u64);
 
     impl XorShift {
@@ -1359,10 +1223,14 @@ mod tests {
         Text,
     }
 
-    /// `merge_props`' document shape: random tags, up to 3 children, a
-    /// quarter of them text, at most 5 levels.
+    /// `merge_props`' document shape: random tags — one in six
+    /// run-local — up to 3 children, a quarter of them text, at most 5
+    /// levels.
     fn gen_tree(rng: &mut XorShift, depth: u32) -> Doc {
-        let name = TAGS[rng.below(TAGS.len() as u64) as usize];
+        let name = match rng.below(6) {
+            0 => RUN_LOCAL[rng.below(RUN_LOCAL.len() as u64) as usize],
+            _ => TAGS[rng.below(TAGS.len() as u64) as usize],
+        };
         let n_children = if depth >= 4 { 0 } else { rng.below(4) };
         let children = (0..n_children)
             .map(|_| match rng.below(4) {
@@ -1417,10 +1285,10 @@ mod tests {
         }
     }
 
-    /// The merged automaton of `queries`, and a reach filter that closes
-    /// the worlds of `d` (nothing below) and `e` (only `c` and text), so
+    /// The merged paths of `queries`, and a reach filter that closes the
+    /// worlds of `d` (nothing below) and `e` (only `c` and text), so
     /// reach cuts are part of what is compared.
-    fn merged(queries: &[&str], sy: &mut SymbolTable) -> (Arc<TaggedPaths>, Arc<ReachFilter>) {
+    fn merged(queries: &[&str], sy: &mut SymbolTable) -> (TaggedPaths, Arc<ReachFilter>) {
         let parts: Vec<CompiledPaths> = queries
             .iter()
             .map(|q| CompiledPaths::compile(&analyze(&compile(q).unwrap()).roles, sy))
@@ -1432,42 +1300,63 @@ mod tests {
         let mut reach = ReachFilter::new(sy.len());
         reach.close(d, &[], false);
         reach.close(e, &[c], true);
-        (Arc::new(TaggedPaths::merge(parts.iter())), Arc::new(reach))
+        (TaggedPaths::merge(parts.iter()), Arc::new(reach))
     }
 
     /// The fill path alone (no memo) against memos of 2 sets, of the
-    /// default size, and of the default size started mid-document: same
-    /// keep, kept-per-query, roles with multiplicities, reach cuts.
-    fn assert_memo_invisible(queries: &[&str], docs: &[Doc], reach: bool) -> Vec<usize> {
+    /// default size, and of the default size *donated*: learnt by a run
+    /// over `donor`, a different document whose table gave the run-local
+    /// names other symbols, and offered back when that matcher was
+    /// dropped. Same keep, kept-per-query, roles with multiplicities,
+    /// reach cuts. Returns the sets each memo holds at the end.
+    fn assert_memo_invisible(
+        queries: &[&str],
+        donor: &Doc,
+        docs: &[Doc],
+        reach: bool,
+    ) -> [usize; 3] {
         let mut sy = SymbolTable::new();
         let (paths, filter) = merged(queries, &mut sy);
-        let configs = [(0, 0), (2, 0), (MEMO_SETS, 0), (MEMO_SETS, 5)];
-        let mut runs = configs.map(|(sets, warmup)| {
-            let reach = reach.then(|| filter.clone());
-            let (m, roots) = TaggedMatcher::with_memo(paths.clone(), reach, sets, warmup);
-            (m, roots, Vec::new())
-        });
         let mut out = TaggedOutcome::for_tags(paths.n_tags());
-        for (m, _, log) in &mut runs {
+        let automata = [0, 2, MEMO_SETS, MEMO_SETS].map(|sets| {
+            let reach = reach.then(|| filter.clone());
+            Arc::new(Automaton::with_memo_sets(paths.clone(), reach, sets))
+        });
+        let donated = &automata[3];
+        let mut donor_table = sy.clone();
+        for name in RUN_LOCAL.iter().rev() {
+            donor_table.intern(name);
+        }
+        let mut m = TaggedMatcher::start(donated.clone());
+        observe(&mut m, &mut out, donor, &mut donor_table, &mut Vec::new());
+        let learnt = m.memo.learnt();
+        drop(m);
+        assert_eq!(donated.memo.lock().unwrap().learnt(), learnt, "offered");
+        let mut runs = automata.each_ref().map(|automaton| {
+            let m = TaggedMatcher::start(automaton.clone());
+            (m, Vec::new())
+        });
+        for (m, log) in &mut runs {
+            // Each run interns the run-local names as it meets them.
+            let mut table = sy.clone();
             for doc in docs {
-                observe(m, &mut out, doc, &mut sy, log);
+                observe(m, &mut out, doc, &mut table, log);
                 assert_eq!(m.depth(), 0);
             }
         }
-        let [(plain, plain_roots, plain_log), memoised @ ..] = runs;
+        let [(plain, plain_log), memoised @ ..] = runs;
         assert_eq!(plain.memo_len(), 0, "no memo without room for one");
-        for (m, roots, log) in &memoised {
-            assert_eq!(roots, &plain_roots);
+        for (m, log) in &memoised {
             assert_eq!(log, &plain_log, "{queries:?}");
             assert_eq!(m.reach_cuts(), plain.reach_cuts(), "{queries:?}");
         }
-        memoised.iter().map(|(m, ..)| m.memo_len()).collect()
+        memoised.each_ref().map(|(m, _)| m.memo_len())
     }
 
     #[test]
     fn memo_is_invisible_on_random_documents() {
         let mut rng = XorShift(0xC0FFEE);
-        let mut memoised = 0;
+        let (mut memoised, mut reused) = (0, 0);
         for round in 0..300 {
             let n = 1 + rng.below(4);
             let queries: Vec<&str> = (0..n)
@@ -1475,12 +1364,57 @@ mod tests {
                 .collect();
             // Several documents through one matcher: later ones run on a
             // warm memo.
+            let donor = gen_tree(&mut rng, 0);
             let docs: Vec<Doc> = (0..3).map(|_| gen_tree(&mut rng, 0)).collect();
-            let sets = assert_memo_invisible(&queries, &docs, round % 2 == 0);
+            let sets = assert_memo_invisible(&queries, &donor, &docs, round % 2 == 0);
             assert!(sets[0] <= 2);
             memoised += sets[1];
+            reused += usize::from(sets[2] > sets[1]);
         }
         assert!(memoised > 300, "the memo must have been in use: {memoised}");
+        assert!(
+            reused > 30,
+            "donated sets the documents never reach: {reused}"
+        );
+    }
+
+    #[test]
+    fn a_run_that_learns_nothing_shares_the_automatons_memo() {
+        let mut sy = SymbolTable::new();
+        let (paths, _) = merged(
+            &["for $x in /a/b return $x", "for $x in //c return $x"],
+            &mut sy,
+        );
+        let automaton = Arc::new(Automaton::new(paths, None));
+        let doc = Doc::Elem(
+            "a",
+            vec![Doc::Elem("b", vec![Doc::Text]), Doc::Elem("u", vec![])],
+        );
+        let mut out = TaggedOutcome::for_tags(2);
+        let cold = Arc::clone(&automaton.memo.lock().unwrap());
+        let mut first = TaggedMatcher::start(automaton.clone());
+        observe(&mut first, &mut out, &doc, &mut sy.clone(), &mut Vec::new());
+        assert!(!Arc::ptr_eq(&first.memo, &cold), "copied on its first miss");
+        drop(first);
+        let warm = Arc::clone(&automaton.memo.lock().unwrap());
+        assert!(warm.learnt() > cold.learnt());
+        // The same shape under another run-local name (and symbol): every
+        // transition is there, nothing is copied, nothing changes hands.
+        let doc = Doc::Elem(
+            "a",
+            vec![Doc::Elem("b", vec![Doc::Text]), Doc::Elem("w", vec![])],
+        );
+        let mut second = TaggedMatcher::start(automaton.clone());
+        observe(
+            &mut second,
+            &mut out,
+            &doc,
+            &mut sy.clone(),
+            &mut Vec::new(),
+        );
+        assert!(Arc::ptr_eq(&second.memo, &warm));
+        drop(second);
+        assert!(Arc::ptr_eq(&automaton.memo.lock().unwrap(), &warm));
     }
 
     #[test]
@@ -1491,13 +1425,13 @@ mod tests {
         // replay it (hits where there are sets, NFA steps where not).
         let queries = ["for $x in //a//a return $x", "for $x in //a/b[2] return $x"];
         let docs = [nest(64), nest(64), nest(3)];
-        let sets = assert_memo_invisible(&queries, &docs, false);
+        let sets = assert_memo_invisible(&queries, &nest(5), &docs, false);
         assert_eq!(sets[0], 2, "the small memo is full");
         assert!((60..200).contains(&sets[1]), "one set per level: {sets:?}");
         // Multiplicities are what makes the sets differ: pin one.
         let mut sy = SymbolTable::new();
         let (paths, _) = merged(&queries[..1], &mut sy);
-        let (mut m, _) = TaggedMatcher::with_memo(paths, None, 2, 0);
+        let mut m = TaggedMatcher::start(Arc::new(Automaton::with_memo_sets(paths, None, 2)));
         let mut out = TaggedOutcome::for_tags(1);
         let a = sy.intern("a");
         for _ in 0..64 {

@@ -96,6 +96,12 @@ impl ReachFilter {
         self.per_elem.get(elem.index())?.as_ref()
     }
 
+    /// Symbols the table has a slot for: a name interned later has no
+    /// entry, like any other name the schema does not constrain.
+    pub(crate) fn n_elems(&self) -> usize {
+        self.per_elem.len()
+    }
+
     /// Number of elements with a closed world.
     pub fn closed_count(&self) -> usize {
         self.per_elem.iter().filter(|e| e.is_some()).count()

@@ -51,7 +51,7 @@ pub use error::{XmlError, XmlErrorKind, XmlResult};
 pub use pos::TextPos;
 pub use push::{PushTokenizer, Skipped, TokenStep};
 pub use scan::{scan_boundaries, Boundary, ScanError, ScanEvent, ScanOutline};
-pub use sym::{FxBuildHasher, FxHasher, Symbol, SymbolTable};
+pub use sym::{FxBuildHasher, FxHasher, SlotTable, Symbol, SymbolTable};
 pub use token::{Attr, Attrs, StartTag, Token};
 pub use tokenizer::{Tokenizer, TokenizerOptions};
 pub use writer::{WriterOptions, XmlWriter};

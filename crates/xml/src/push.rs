@@ -312,8 +312,10 @@ impl PushTokenizer {
             eof: false,
             pos: TextPos::START,
             opts,
-            stack: Vec::new(),
-            stack_arena: Vec::new(),
+            // Room for a document 16 deep with names of 8 bytes: deeper
+            // or wordier ones grow them.
+            stack: Vec::with_capacity(16),
+            stack_arena: Vec::with_capacity(128),
             seen_root: false,
             text_scratch: String::new(),
             attr_spans: Vec::new(),

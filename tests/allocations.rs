@@ -211,6 +211,53 @@ fn steady_state_token_loop_allocates_o1() {
     assert_eq!(report.buffer.allocated, 2, "<site> and <item/> only");
     assert_eq!(report.buffer.peak_live, 2);
 
+    // Sessions start warm. What a run's table holds beyond the compiled
+    // query's, the document put there — into room the clone came with: a
+    // new name allocates nothing, where it used to cost two boxed strings
+    // and its share of a hash map's growth.
+    let mut seeded = SymbolTable::new();
+    for name in ["site", "people", "person", "name", "id"] {
+        seeded.intern(name);
+    }
+    let mut table = seeded.clone();
+    let names: Vec<String> = (0..48).map(|i| format!("element{i}")).collect();
+    let before = gcx::memtrack::total_allocs();
+    for name in &names {
+        table.intern(name);
+    }
+    assert_eq!(gcx::memtrack::total_allocs() - before, 0, "new names");
+    assert_eq!(table.len(), seeded.len() + names.len());
+
+    // And what the first session of a compiled query learns of its
+    // projection automaton, the second finds there: over the same 8 KiB
+    // XMark document it allocates less than the first — whose own memo
+    // costs some twenty allocations — and the third no less than the
+    // second (nothing is left to learn). `was` is what every session of
+    // the query, first or not, allocated before the compiled query kept
+    // anything for the next one (PR 17, this document): a warm session
+    // now makes at most half of that, Q8 — whose join index is two
+    // thirds of its allocations — three fifths.
+    let xmark = gcx::xmark::generate_string(&gcx::xmark::XmarkConfig::sized(8 * 1024));
+    let was = [123, 150, 225, 149, 153, 141, 148, 260, 125, 142, 160];
+    for ((name, text), was) in gcx::xmark::queries::paper_queries().into_iter().zip(was) {
+        let q = gcx::CompiledQuery::compile(text).unwrap();
+        let [first, second, third] = [(); 3].map(|()| {
+            let before = gcx::memtrack::total_allocs();
+            let mut session = q.session(&gcx::EngineOptions::gcx());
+            session.feed(xmark.as_bytes()).unwrap();
+            session.finish().unwrap();
+            drop(session);
+            gcx::memtrack::total_allocs() - before
+        });
+        assert!(second < first, "{name}: {first} cold, {second} warm");
+        assert_eq!(third, second, "{name}: the second session learnt it all");
+        let share = if name == "Q8" { (3, 5) } else { (1, 2) };
+        assert!(
+            second * share.1 <= was * share.0,
+            "{name}: {second} allocations warm, {was} before sessions started warm"
+        );
+    }
+
     // The multi-query batch: N lanes fed by reference off one scan keep
     // the same contract — no event, name or role list is allocated per
     // node, whatever the number of queries that keep it. (The slack

@@ -128,6 +128,67 @@ fn errors_inside_projected_away_subtrees_are_the_tokenizers() {
     }
 }
 
+#[test]
+fn invented_names_count_against_the_byte_budget() {
+    // Every start tag a driver steps over is interned, kept or refused:
+    // under `/r/a` none of the <x…/> is kept, and each brings a new name.
+    // With a byte budget the names a document adds to a run's table are
+    // charged to it like the buffer and the pending chain: 100 000 names
+    // (1.2 MB of them) end in `BufferLimitExceeded` on every driver, not
+    // in a table of that size.
+    let invented = |names: usize| {
+        let mut doc = String::from("<r>");
+        for i in 0..names {
+            doc.push_str(&format!("<x{i:07}/>"));
+        }
+        doc + "<a>kept</a></r>"
+    };
+    let doc = invented(100_000);
+    let doc = doc.as_bytes();
+    let queries = [
+        CompiledQuery::compile("for $a in /r/a return $a").unwrap(),
+        CompiledQuery::compile("for $b in /r/b/c return $b/text()").unwrap(),
+    ];
+    let budget = 16 * 1024;
+    let over = |e: gcx::EngineError, driver: &str| match e {
+        gcx::EngineError::BufferLimitExceeded { limit, used } => {
+            assert_eq!(limit, budget, "{driver}");
+            // Stopped at the name that crossed the line.
+            assert!(used > limit && used <= limit + 16, "{driver}: {used}");
+        }
+        other => panic!("{driver}: {other}"),
+    };
+    for opts in [EngineOptions::gcx(), EngineOptions::projection_only()] {
+        let opts = opts.with_max_buffer_bytes(budget);
+        let whole = gcx::run(&queries[0], &opts, doc, std::io::sink());
+        over(whole.unwrap_err(), "session");
+        let mut session = queries[0].session(&opts);
+        let fed = doc.iter().position(|b| session.feed(&[*b]).is_err());
+        let fed = fed.expect("1-byte feeds fail mid-document");
+        assert!(fed < 64 * 1024, "stopped within one token: byte {fed}");
+        let threads = gcx::par::ParOptions::with_threads(4);
+        let par = gcx::par::run_parallel(&queries[0], &opts, &threads, doc);
+        over(par.unwrap_err(), "parallel");
+    }
+    // Within the budget nothing changes.
+    let opts = EngineOptions::gcx().with_max_buffer_bytes(budget);
+    let mut out = Vec::new();
+    gcx::run(&queries[0], &opts, invented(1_000).as_bytes(), &mut out).unwrap();
+    assert_eq!(out, b"<a>kept</a>");
+    // A batch: every lane holds the names it was shown and fails alone;
+    // with no lane left the shared scan stops interning too (it still
+    // validates the document to its end).
+    let shared = gcx::multi::SharedRun::new(gcx::multi::BatchOptions {
+        max_buffer_bytes: Some(budget),
+        ..gcx::multi::BatchOptions::default()
+    });
+    let report = shared.run(&queries, doc).unwrap();
+    assert_eq!(report.tokens, 200_005);
+    for run in report.queries {
+        over(run.report.unwrap_err(), "batch lane");
+    }
+}
+
 /// A reader that fails after `n` bytes.
 struct FailingReader {
     data: Vec<u8>,
