@@ -707,7 +707,7 @@ fn stats_json_fields_are_documented_in_architecture_md() {
     // the root copy blows past it (runtime failure, `error`), so both
     // per_query shapes are exercised. The batch exits nonzero but the
     // stats JSON is printed either way. Peaks are deterministic: the
-    // text() query tops out at 552 bytes, the root copy needs 936.
+    // text() query tops out at 288 bytes, the root copy needs 496.
     let mdoc = write_temp(
         "schema-m.xml",
         "<l><i>aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa</i>\
@@ -721,7 +721,7 @@ fn stats_json_fields_are_documented_in_architecture_md() {
         .arg("multi")
         .arg(&batch)
         .arg(&mdoc)
-        .args(["--obs", "--stats-json", "--max-buffer-bytes", "700"])
+        .args(["--obs", "--stats-json", "--max-buffer-bytes", "400"])
         .output()
         .unwrap();
     let mut keys = json_keys(&String::from_utf8_lossy(&run.stderr));

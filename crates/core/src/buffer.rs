@@ -1,5 +1,5 @@
-//! The GCX buffer: an arena-backed XML fragment tree with role bookkeeping,
-//! evaluator pins, and **active garbage collection**.
+//! The GCX buffer: an XML fragment tree with role bookkeeping, evaluator
+//! pins, and **active garbage collection**.
 //!
 //! Every buffered node carries a multiset of role instances (the paper's
 //! `book{r3, r5, r6}` annotations). Two aggregated counters per node make
@@ -18,8 +18,39 @@
 //! end tag — or that never had one, where the driver buffers without
 //! projection), and an unpin.
 //!
-//! Reclaimed slots go on a free list and are reused; `NodeId`s carry a
-//! generation so stale ids are caught in debug builds.
+//! ## Storage
+//!
+//! A node is one slot of at most 80 bytes (asserted at compile time): tree
+//! links, name, sibling ordinals, role and pin counters, generation and
+//! flags, and its role multiset when that has a single entry — a node with
+//! more keeps them in a shared overflow. Slots live in chunks of
+//! [`BufferTree::CHUNK_SLOTS`]; a node's index names its chunk and its
+//! place there. A purged slot goes on its chunk's intrusive free list and
+//! is reused under a new generation, so a `NodeId` held across the purge
+//! is no longer live ([`BufferTree::is_live`]) instead of aliasing the new
+//! occupant.
+//!
+//! **Chunks, and the fragmentation bound.** A chunk is allocated only when
+//! every resident chunk is full, and a chunk that a purge empties goes
+//! back to the allocator — except one, kept as a spare so that churn at a
+//! chunk boundary allocates nothing. Counting the root's slot, therefore
+//!
+//! > resident chunks ≤ min(⌈(peak_live + 1) / CHUNK_SLOTS⌉, live + 2)
+//!
+//! at all times ([`BufferTree::slot_bytes`] is that times
+//! [`BufferTree::CHUNK_BYTES`], at most): less than one chunk above what
+//! the high-water needs, and — slots never move, so one survivor keeps its
+//! chunk — no more than one chunk per live node, the root's and the
+//! spare. Later appends fill a survivor's chunk before any chunk is
+//! allocated.
+//!
+//! **Payload store.** Attributes and text live in one byte store: an
+//! element's attribute records (4-byte name, 4-byte value end) followed by
+//! its values, a text node's characters — exactly the bytes `node_bytes`
+//! charges beside the slot. Blocks are rounded up to size classes (8-byte
+//! steps to 64 bytes, then four per power of two: at most 25 % over); a
+//! purge puts a block on its class's free list, and the next payload of
+//! that class takes it. The store keeps its high-water.
 
 use crate::error::EngineError;
 use crate::obs::RoleObs;
@@ -37,10 +68,19 @@ pub struct NodeId {
 
 impl NodeId {
     /// The virtual document root (always live).
-    pub const ROOT: NodeId = NodeId { idx: 0, gen: 0 };
+    pub const ROOT: NodeId = NodeId {
+        idx: 0,
+        gen: ROOT_GEN,
+    };
 }
 
 const NIL: u32 = u32::MAX;
+/// The generation of a free slot; the root has the first one issued.
+const FREE: u32 = 0;
+const ROOT_GEN: u32 = 1;
+/// A slot's index is `chunk << CHUNK_BITS | place in the chunk`.
+const CHUNK_BITS: u32 = 8;
+const CHUNK_MASK: u32 = (1 << CHUNK_BITS) - 1;
 
 /// Document-order ordinals of a node among its siblings, stamped by the
 /// preprojector from the *original* document — projection may drop earlier
@@ -66,12 +106,10 @@ impl Ordinals {
     };
 }
 
-/// Attribute storage for one element: interned names plus one value arena.
-///
-/// All of an element's attribute values share a single string, so a node
-/// costs at most three heap blocks for attributes however many it has — and
-/// those blocks are **recycled** through the buffer's pools when the node is
-/// purged, making the steady-state append/purge cycle allocation-free.
+/// Attributes on their way into the buffer: interned names plus one value
+/// arena. The lane collects a start tag's attributes here (and keeps its
+/// pending chain's as a stack); [`BufferTree::append_element_with_attrs`]
+/// copies them into the payload store.
 #[derive(Debug, Default)]
 pub struct AttrBuf {
     /// Interned attribute names, in document order.
@@ -82,12 +120,8 @@ pub struct AttrBuf {
     text: String,
 }
 
-/// The shared empty attribute list returned for text nodes.
-static EMPTY_ATTRS: AttrBuf = AttrBuf {
-    syms: Vec::new(),
-    ends: Vec::new(),
-    text: String::new(),
-};
+/// Bytes of one stored attribute record: interned name, value end.
+const ATTR_RECORD: usize = 8;
 
 impl AttrBuf {
     /// Fresh, empty storage.
@@ -135,69 +169,305 @@ impl AttrBuf {
         Some((sym, &self.text[start..self.ends[i] as usize]))
     }
 
-    /// Iterate `(name, value)` pairs in document order.
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> + '_ {
-        (0..self.len()).map(|i| self.get(i).expect("index in range"))
+    /// What these attributes add to a node's budgeted size
+    /// (`node_bytes`), and the bytes they take in the payload store: one
+    /// record per attribute plus the value text.
+    fn payload_bytes(&self) -> u64 {
+        (self.syms.len() * ATTR_RECORD + self.text.len()) as u64
     }
 
-    /// What these attributes add to a node's budgeted size
-    /// (`node_bytes`): per-attribute bookkeeping plus the value text.
-    fn payload_bytes(&self) -> u64 {
-        /// Per-attribute bookkeeping cost (interned name + value end offset).
-        const ATTR_OVERHEAD: u64 = 8;
-        self.syms.len() as u64 * ATTR_OVERHEAD + self.text.len() as u64
+    /// Lay the attributes out in `block` (`payload_bytes` long) as the
+    /// store keeps them: the records, then the values.
+    fn write_to(&self, block: &mut [u8]) {
+        let (records, values) = block.split_at_mut(self.syms.len() * ATTR_RECORD);
+        for ((record, sym), end) in records
+            .chunks_exact_mut(ATTR_RECORD)
+            .zip(&self.syms)
+            .zip(&self.ends)
+        {
+            record[..4].copy_from_slice(&sym.0.to_le_bytes());
+            record[4..].copy_from_slice(&end.to_le_bytes());
+        }
+        values.copy_from_slice(self.text.as_bytes());
+    }
+}
+
+/// A buffered element's attributes, borrowed from the payload store
+/// (empty for text nodes).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Attrs<'a> {
+    /// One [`ATTR_RECORD`] per attribute.
+    records: &'a [u8],
+    /// The values, concatenated.
+    values: &'a [u8],
+}
+
+impl<'a> Attrs<'a> {
+    /// Number of attributes.
+    pub fn len(&self) -> usize {
+        self.records.len() / ATTR_RECORD
+    }
+
+    /// True when there are no attributes.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Iterate `(name, value)` pairs in document order.
+    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &'a str)> + 'a {
+        let values = self.values;
+        let mut start = 0;
+        self.records.chunks_exact(ATTR_RECORD).map(move |record| {
+            let end = u32_at(record, 4) as usize;
+            let value = utf8(&values[start..end]);
+            start = end;
+            (Symbol(u32_at(record, 0)), value)
+        })
     }
 
     /// Value of the attribute named `name`, if present.
-    pub fn value_of(&self, name: Symbol) -> Option<&str> {
-        let i = self.syms.iter().position(|&s| s == name)?;
-        Some(self.get(i).expect("index in range").1)
+    pub fn value_of(&self, name: Symbol) -> Option<&'a str> {
+        self.iter().find(|&(sym, _)| sym == name).map(|(_, v)| v)
     }
 }
 
-/// Element payload or text payload.
-#[derive(Debug)]
-pub enum NodeKind {
-    /// An element: interned tag plus attributes.
-    Element {
-        /// Interned tag name.
-        name: Symbol,
-        /// Attributes in document order (pooled storage).
-        attrs: AttrBuf,
-    },
-    /// A text node.
-    Text {
-        /// Character data (entities already resolved; pooled storage).
-        content: String,
-    },
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
 }
 
-#[derive(Debug)]
-struct Node {
+/// Stored characters back as the `&str` they were appended as.
+fn utf8(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("the payload store holds what was appended as str")
+}
+
+/// One buffered node. See the module docs, "Storage".
+#[derive(Debug, Clone)]
+struct Slot {
     parent: u32,
     first_child: u32,
     last_child: u32,
     prev_sibling: u32,
+    /// The next sibling; on a free slot, the next free slot of its chunk.
     next_sibling: u32,
-    kind: NodeKind,
+    /// Element tag (unused on text nodes).
+    name: Symbol,
+    /// Where the payload starts in the store, in 8-byte units.
+    payload_at: u32,
+    /// Payload bytes: attribute records and values, or text.
+    payload_len: u32,
+    /// [`CLOSED`], [`TEXT`] and [`SPILLED`] in the top bits, the number of
+    /// attributes below them (an attribute takes 8 payload bytes of at
+    /// most 4 GiB, so the count fits).
+    flags: u32,
     ordinals: Ordinals,
-    /// End tag seen (text nodes are born closed).
-    closed: bool,
-    /// Role instances: (role, count), kept sorted by role.
-    roles: Vec<(RoleId, u32)>,
     /// Total role instances in this subtree (including self).
     subtree_roles: u64,
+    /// Total pins in this subtree (including self).
+    subtree_pins: u32,
     /// Evaluator pins on this node.
     pins: u32,
-    /// Total pins in this subtree (including self).
-    subtree_pins: u64,
+    /// [`FREE`] on a free slot.
     gen: u32,
-    in_use: bool,
+    /// The role multiset (sorted by role) while it has at most one entry;
+    /// with [`SPILLED`], `(at, capacity)` of its block in the overflow.
+    role: (RoleId, u32),
+    /// Entries in the role multiset.
+    roles: u32,
 }
 
-impl Node {
-    fn own_roles(&self) -> u64 {
-        self.roles.iter().map(|&(_, c)| c as u64).sum()
+const _: () = assert!(size_of::<Slot>() <= 80);
+
+/// What every buffered node is charged before its payload: its slot.
+const SLOT_BYTES: u64 = size_of::<Slot>() as u64;
+
+/// [`Slot::flags`]: the end tag was read (text nodes are born closed).
+const CLOSED: u32 = 1 << 31;
+/// [`Slot::flags`]: a text node.
+const TEXT: u32 = 1 << 30;
+/// [`Slot::flags`]: the role multiset is in the overflow.
+const SPILLED: u32 = 1 << 29;
+/// [`Slot::flags`]: the bits that count attributes.
+const ATTR_COUNT: u32 = SPILLED - 1;
+
+impl Slot {
+    /// The role multiset, sorted by role id.
+    #[inline]
+    fn role_list<'a>(&'a self, overflow: &'a RoleOverflow) -> &'a [(RoleId, u32)] {
+        if self.flags & SPILLED != 0 {
+            let at = self.role.0 .0 as usize;
+            &overflow.pairs[at..at + self.roles as usize]
+        } else {
+            &std::slice::from_ref(&self.role)[..self.roles as usize]
+        }
+    }
+
+    /// Remove up to `amount` instances of `role` (saturating); returns how
+    /// many went. An entry that drops to zero leaves the multiset, and an
+    /// emptied overflow block goes back to the overflow.
+    fn take_role(&mut self, overflow: &mut RoleOverflow, role: RoleId, amount: u32) -> u32 {
+        let n = self.roles as usize;
+        let list = if self.flags & SPILLED != 0 {
+            let at = self.role.0 .0 as usize;
+            &mut overflow.pairs[at..at + n]
+        } else {
+            &mut std::slice::from_mut(&mut self.role)[..n]
+        };
+        let Some(pos) = list.iter().position(|&(r, _)| r == role) else {
+            return 0;
+        };
+        let removed = list[pos].1.min(amount);
+        list[pos].1 -= removed;
+        if list[pos].1 == 0 {
+            list.copy_within(pos + 1.., pos);
+            self.roles -= 1;
+            if self.roles == 0 && self.flags & SPILLED != 0 {
+                overflow.release(self.role.0 .0, self.role.1);
+                self.flags &= !SPILLED;
+            }
+        }
+        removed
+    }
+}
+
+/// The purge rule at one node: closed, and no role or pin in its subtree.
+#[inline]
+fn purgeable_slot(s: &Slot) -> bool {
+    s.flags & CLOSED != 0 && s.subtree_roles == 0 && s.subtree_pins == 0
+}
+
+/// [`BufferTree::CHUNK_SLOTS`] slots and their free list.
+#[derive(Debug)]
+struct Chunk {
+    /// Empty and without capacity once the chunk went back to the
+    /// allocator.
+    slots: Vec<Slot>,
+    /// The first free slot (chained through `next_sibling`), or NIL; on a
+    /// released chunk, the next released chunk.
+    free: u32,
+    /// Slots in use.
+    live: u32,
+    /// Neighbours on the vacancy list, while on it (NIL at its ends).
+    prev: u32,
+    next: u32,
+    /// On the vacancy list: resident, with a free slot.
+    listed: bool,
+}
+
+/// Where a node's payload went in the store.
+#[derive(Debug, Clone, Copy, Default)]
+struct Payload {
+    at: u32,
+    len: u32,
+    attrs: u32,
+}
+
+/// Attribute records and text, in size-classed blocks of one byte vector
+/// (see the module docs). A free block's first four bytes link the next
+/// free block of its class.
+#[derive(Debug, Default)]
+struct PayloadStore {
+    bytes: Vec<u8>,
+    /// The first free block of each size class, in 8-byte units, or NIL.
+    free: Vec<u32>,
+}
+
+/// Size class and rounded size in 8-byte units of a `len`-byte block
+/// (`len > 0`): exact up to 8 units, then four classes per power of two.
+fn size_class(len: u32) -> (usize, u32) {
+    let units = len.div_ceil(8);
+    if units <= 8 {
+        return (units as usize - 1, units);
+    }
+    // 2^b < units <= 2^(b+1), b >= 3: round up to a quarter of 2^b.
+    let b = 31 - (units - 1).leading_zeros();
+    let step = 1 << (b - 2);
+    let rounded = units.div_ceil(step) * step;
+    (
+        8 + 4 * (b as usize - 3) + (rounded / step - 5) as usize,
+        rounded,
+    )
+}
+
+impl PayloadStore {
+    /// A block for `len` bytes, filled by `fill`.
+    fn put(&mut self, len: u64, fill: impl FnOnce(&mut [u8])) -> Payload {
+        let len = u32::try_from(len).expect("a node's payload stays below 4 GiB");
+        if len == 0 {
+            return Payload::default();
+        }
+        let (class, units) = size_class(len);
+        let at = match self.free.get(class) {
+            Some(&head) if head != NIL => {
+                self.free[class] = u32_at(&self.bytes, head as usize * 8);
+                head
+            }
+            _ => {
+                // Room for the class's free list now, so that a purge never
+                // allocates.
+                if self.free.len() <= class {
+                    self.free.resize(class + 1, NIL);
+                }
+                let at = self.bytes.len() / 8;
+                self.bytes.resize(self.bytes.len() + units as usize * 8, 0);
+                u32::try_from(at).expect("the payload store stays below 32 GiB")
+            }
+        };
+        let start = at as usize * 8;
+        fill(&mut self.bytes[start..start + len as usize]);
+        Payload { at, len, attrs: 0 }
+    }
+
+    /// Put the block of a purged `len`-byte payload on its class's free
+    /// list.
+    fn release(&mut self, at: u32, len: u32) {
+        let (class, _) = size_class(len);
+        let start = at as usize * 8;
+        self.bytes[start..start + 4].copy_from_slice(&self.free[class].to_le_bytes());
+        self.free[class] = at;
+    }
+
+    #[inline]
+    fn get(&self, at: u32, len: u32) -> &[u8] {
+        let start = at as usize * 8;
+        &self.bytes[start..start + len as usize]
+    }
+}
+
+/// Role multisets of more than one entry, in blocks as long as the
+/// multiset was at its append (it only shrinks). A free block's first
+/// entry links the next free block of its length.
+#[derive(Debug, Default)]
+struct RoleOverflow {
+    pairs: Vec<(RoleId, u32)>,
+    /// The first free block of each length, or NIL.
+    free: Vec<u32>,
+}
+
+impl RoleOverflow {
+    fn put(&mut self, roles: &[(RoleId, u32)]) -> u32 {
+        let n = roles.len();
+        match self.free.get(n) {
+            Some(&head) if head != NIL => {
+                let at = head as usize;
+                self.free[n] = self.pairs[at].0 .0;
+                self.pairs[at..at + n].copy_from_slice(roles);
+                head
+            }
+            _ => {
+                if self.free.len() <= n {
+                    self.free.resize(n + 1, NIL);
+                }
+                let at = self.pairs.len();
+                self.pairs.extend_from_slice(roles);
+                u32::try_from(at).expect("role overflow stays below 4 G entries")
+            }
+        }
+    }
+
+    fn release(&mut self, at: u32, len: u32) {
+        let len = len as usize;
+        self.pairs[at as usize].0 = RoleId(self.free[len]);
+        self.free[len] = at;
     }
 }
 
@@ -235,27 +505,24 @@ impl BufferStats {
     }
 }
 
-/// Estimated resident cost of one buffered node: the node record itself
-/// plus its variable-size payload (text content, or attribute names and
-/// values). The estimate is *deterministic* — it counts lengths, not
-/// allocator capacities — so the amount charged at append time is exactly
-/// the amount credited back at purge time, and byte budgets behave
-/// identically across runs. Role multisets are deliberately excluded:
-/// `decrement_role` shrinks them mid-life, which would make append-time
-/// and purge-time costs disagree.
-fn node_bytes(kind: &NodeKind) -> u64 {
-    let payload = match kind {
-        NodeKind::Element { attrs, .. } => attrs.payload_bytes(),
-        NodeKind::Text { content } => content.len() as u64,
-    };
-    std::mem::size_of::<Node>() as u64 + payload
+/// Resident cost of one buffered node: its slot plus its payload
+/// (attribute records and values, or text) — `node_bytes`. The figure is
+/// *deterministic*: it counts lengths, not size classes or allocator
+/// capacities, so the amount charged at append time is exactly the amount
+/// credited back at purge time, and byte budgets behave identically
+/// across runs. A role overflow block is not counted: `decrement_role`
+/// shrinks a multiset mid-life, which would make append-time and
+/// purge-time costs disagree.
+#[inline]
+fn node_bytes(payload_len: u32) -> u64 {
+    SLOT_BYTES + payload_len as u64
 }
 
 /// What `elements` open elements whose attributes are all in `attrs` would
 /// cost as buffered nodes: the charge for a lane's pending chain, so that
 /// waiting outside the buffer is no way around the byte budget.
 pub(crate) fn unbuffered_bytes(elements: usize, attrs: &AttrBuf) -> u64 {
-    elements as u64 * std::mem::size_of::<Node>() as u64 + attrs.payload_bytes()
+    elements as u64 * SLOT_BYTES + attrs.payload_bytes()
 }
 
 /// Per-role lifecycle counters (telemetry only).
@@ -268,16 +535,15 @@ struct RoleCell {
     max_live: u64,
 }
 
-/// Buffer-lifecycle telemetry, kept **beside** the node arena rather
-/// than inside [`Node`]: a birth-token stamp per slot plus fixed-bucket
-/// histograms. Keeping `Node`'s layout untouched matters — `node_bytes`
-/// includes `size_of::<Node>()`, so a stamp inside the node would shift
-/// every byte measurement the equivalence suites pin down.
+/// Buffer-lifecycle telemetry, kept **beside** the slots rather than in
+/// them: a birth-token stamp per slot plus fixed-bucket histograms. A
+/// node's charge includes its slot's size, so a stamp inside the slot
+/// would shift every byte measurement the equivalence suites pin down.
 #[derive(Debug)]
 pub(crate) struct BufTelemetry {
     /// Structural-token clock, advanced by [`BufferTree::tick`].
     clock: u64,
-    /// Birth token per node slot (parallel to the node arena).
+    /// Birth token per slot index.
     birth: Vec<u64>,
     pub(crate) residency_tokens: Hist,
     pub(crate) purged_node_bytes: Hist,
@@ -345,17 +611,16 @@ impl BufTelemetry {
 }
 
 /// Runtime state of the schema's sibling-order analysis, kept **beside**
-/// the node arena like [`BufTelemetry`] so [`Node`]'s layout (and thereby
-/// every `node_bytes` measurement) is untouched. Per open element the
-/// buffer tracks a *cutoff*: one past the highest content-model ordinal
-/// seen among its children so far (0 = none). Where the DTD fixes the
-/// sibling order, a child name whose ordinal is below `cutoff - 1` can
-/// never arrive again — the engine uses that to end child scans and
-/// release signOff waits before the parent's end tag.
+/// the slots like [`BufTelemetry`], so a node's charge is untouched. Per
+/// open element the buffer tracks a *cutoff*: one past the highest
+/// content-model ordinal seen among its children so far (0 = none). Where
+/// the DTD fixes the sibling order, a child name whose ordinal is below
+/// `cutoff - 1` can never arrive again — the engine uses that to end child
+/// scans and release signOff waits before the parent's end tag.
 #[derive(Debug)]
 struct SchemaRt {
     ord: Arc<gcx_schema::OrdTable>,
-    /// Cutoff per node slot (parallel to the arena; reset on slot reuse).
+    /// Cutoff per slot index (reset on slot reuse).
     cutoffs: Vec<u32>,
     /// Cursor scans ended early by a cutoff.
     early_scan_ends: u64,
@@ -365,11 +630,23 @@ struct SchemaRt {
     doctype_adopted: bool,
 }
 
-/// The buffer tree. See the module docs for the GC model.
+/// The buffer tree. See the module docs for the GC model and the storage.
 #[derive(Debug)]
 pub struct BufferTree {
-    nodes: Vec<Node>,
-    free: Vec<u32>,
+    /// Slot chunks by chunk index; chunk 0 holds the root and starts small.
+    chunks: Vec<Chunk>,
+    /// The first chunk of the vacancy list — every resident chunk with a
+    /// free slot, the one last freed into first — or NIL.
+    vacant: u32,
+    /// The last chunk given back to the allocator (they are chained
+    /// through `Chunk::free`), or NIL: the indices to reopen.
+    released: u32,
+    /// The one empty chunk kept resident, or NIL.
+    spare: u32,
+    /// The generation the next append gets.
+    next_gen: u32,
+    store: PayloadStore,
+    overflow: RoleOverflow,
     stats: BufferStats,
     /// When false, purging is disabled entirely (full-buffering baseline).
     purge_enabled: bool,
@@ -378,13 +655,6 @@ pub struct BufferTree {
     /// made by whoever drives the feed, so appends themselves stay
     /// infallible.
     max_bytes: Option<u64>,
-    /// Recycled per-node containers. Node *slots* are reused through
-    /// `free`; these pools do the same for the heap blocks hanging off a
-    /// node (role multiset, attribute storage, text content), so the
-    /// steady-state append/purge cycle performs no allocation.
-    role_pool: Vec<Vec<(RoleId, u32)>>,
-    attr_pool: Vec<AttrBuf>,
-    text_pool: Vec<String>,
     /// Reused DFS stack for [`BufferTree::free_subtree`].
     free_scratch: Vec<u32>,
     /// Buffer-lifecycle telemetry, off by default. `Option<Box<_>>` is
@@ -397,40 +667,53 @@ pub struct BufferTree {
 }
 
 impl BufferTree {
+    /// Slots per chunk.
+    pub const CHUNK_SLOTS: usize = 1 << CHUNK_BITS;
+    /// Bytes of one full chunk.
+    pub const CHUNK_BYTES: u64 = Self::CHUNK_SLOTS as u64 * SLOT_BYTES;
+
     /// Create a buffer containing only the (open) virtual document root.
     pub fn new(purge_enabled: bool) -> BufferTree {
-        let root = Node {
+        let root = Slot {
             parent: NIL,
             first_child: NIL,
             last_child: NIL,
             prev_sibling: NIL,
             next_sibling: NIL,
-            kind: NodeKind::Element {
-                name: Symbol(u32::MAX),
-                attrs: AttrBuf::new(),
-            },
+            name: Symbol(u32::MAX),
+            payload_at: 0,
+            payload_len: 0,
+            flags: 0,
             ordinals: Ordinals::FIRST,
-            closed: false,
-            roles: Vec::new(),
             subtree_roles: 0,
-            pins: 0,
             subtree_pins: 0,
-            gen: 0,
-            in_use: true,
+            pins: 0,
+            gen: ROOT_GEN,
+            role: (RoleId(0), 0),
+            roles: 0,
         };
         // Room for what a query that tests and drops its nodes keeps at a
-        // time; one that buffers more grows it.
-        let mut nodes = Vec::with_capacity(8);
-        nodes.push(root);
+        // time; one that buffers more grows the chunk to full size.
+        let mut slots = Vec::with_capacity(8);
+        slots.push(root);
         BufferTree {
-            nodes,
-            free: Vec::new(),
+            chunks: vec![Chunk {
+                slots,
+                free: NIL,
+                live: 1,
+                prev: NIL,
+                next: NIL,
+                listed: true,
+            }],
+            vacant: 0,
+            released: NIL,
+            spare: NIL,
+            next_gen: ROOT_GEN + 1,
+            store: PayloadStore::default(),
+            overflow: RoleOverflow::default(),
             stats: BufferStats::default(),
             purge_enabled,
             max_bytes: None,
-            role_pool: Vec::new(),
-            attr_pool: Vec::new(),
-            text_pool: Vec::new(),
             free_scratch: Vec::new(),
             telemetry: None,
             schema: None,
@@ -440,6 +723,13 @@ impl BufferTree {
     /// Current statistics.
     pub fn stats(&self) -> BufferStats {
         self.stats
+    }
+
+    /// Bytes the resident slot chunks reserve (see the module docs for
+    /// the bound on it).
+    pub fn slot_bytes(&self) -> u64 {
+        let slots: usize = self.chunks.iter().map(|c| c.slots.capacity()).sum();
+        slots as u64 * SLOT_BYTES
     }
 
     /// Turn on buffer-lifecycle telemetry, sampling the live-bytes
@@ -524,9 +814,8 @@ impl BufferTree {
         if self.schema.is_none() || parent == NodeId::ROOT {
             return;
         }
-        let pname = match &self.nodes[parent.idx as usize].kind {
-            NodeKind::Element { name, .. } => *name,
-            NodeKind::Text { .. } => return,
+        let Some(pname) = self.name(parent) else {
+            return;
         };
         let cutoff = self.schema_cutoff_after(pname, child);
         self.schema_raise_cutoff(parent, cutoff);
@@ -577,9 +866,8 @@ impl BufferTree {
             Some(&c) if c > 0 => c,
             _ => return false,
         };
-        let pname = match &self.nodes[parent.idx as usize].kind {
-            NodeKind::Element { name, .. } => *name,
-            NodeKind::Text { .. } => return false,
+        let Some(pname) = self.name(parent) else {
+            return false;
         };
         match s.ord.ord(pname, want) {
             Some(ord) => ord + 1 < cutoff,
@@ -625,31 +913,61 @@ impl BufferTree {
         }
     }
 
-    /// True if `id` still names a live node: its slot is in use and the
-    /// generation matches (slot reuse bumps the generation, so an id
-    /// held across a purge of its node comes back false rather than
-    /// aliasing the slot's new occupant). The join executor checks this
-    /// before dereferencing index entries recorded on an earlier
-    /// execution.
+    /// True if `id` still names a live node: its chunk is resident and
+    /// the slot carries the id's generation (a freed slot has none, and a
+    /// reused one a newer one, so an id held across a purge of its node
+    /// comes back false rather than aliasing the slot's new occupant).
+    /// The join executor checks this before dereferencing index entries
+    /// recorded on an earlier execution.
     #[inline]
     pub fn is_live(&self, id: NodeId) -> bool {
-        self.nodes
-            .get(id.idx as usize)
-            .is_some_and(|n| n.in_use && n.gen == id.gen)
+        self.chunks
+            .get((id.idx >> CHUNK_BITS) as usize)
+            .and_then(|c| c.slots.get((id.idx & CHUNK_MASK) as usize))
+            .is_some_and(|s| s.gen == id.gen)
     }
 
     #[inline]
-    fn node(&self, id: NodeId) -> &Node {
-        let n = &self.nodes[id.idx as usize];
-        debug_assert!(n.in_use && n.gen == id.gen, "stale NodeId {id:?}");
-        n
+    fn slot(&self, idx: u32) -> &Slot {
+        &self.chunks[(idx >> CHUNK_BITS) as usize].slots[(idx & CHUNK_MASK) as usize]
     }
 
     #[inline]
-    fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        let n = &mut self.nodes[id.idx as usize];
-        debug_assert!(n.in_use && n.gen == id.gen, "stale NodeId {id:?}");
-        n
+    fn slot_mut(&mut self, idx: u32) -> &mut Slot {
+        &mut self.chunks[(idx >> CHUNK_BITS) as usize].slots[(idx & CHUNK_MASK) as usize]
+    }
+
+    /// Apply `f` to slot `idx` and to each of its ancestors, bottom up.
+    /// Ancestors tend to share a chunk (the top of the document is in
+    /// chunk 0 with the root), and the walk looks each chunk up once per
+    /// run of them: the hot loops — role propagation, sign-offs, pins —
+    /// are walks to the root.
+    #[inline]
+    fn walk_up(&mut self, mut idx: u32, mut f: impl FnMut(u32, &mut Slot)) {
+        while idx != NIL {
+            let chunk = idx >> CHUNK_BITS;
+            let slots = &mut self.chunks[chunk as usize].slots;
+            // NIL is in no chunk: the inner loop ends there too.
+            while idx >> CHUNK_BITS == chunk {
+                let s = &mut slots[(idx & CHUNK_MASK) as usize];
+                f(idx, s);
+                idx = s.parent;
+            }
+        }
+    }
+
+    #[inline]
+    fn node(&self, id: NodeId) -> &Slot {
+        let s = self.slot(id.idx);
+        debug_assert!(s.gen == id.gen, "stale NodeId {id:?}");
+        s
+    }
+
+    #[inline]
+    fn node_mut(&mut self, id: NodeId) -> &mut Slot {
+        let s = self.slot_mut(id.idx);
+        debug_assert!(s.gen == id.gen, "stale NodeId {id:?}");
+        s
     }
 
     fn id_at(&self, idx: u32) -> Option<NodeId> {
@@ -658,7 +976,7 @@ impl BufferTree {
         } else {
             Some(NodeId {
                 idx,
-                gen: self.nodes[idx as usize].gen,
+                gen: self.slot(idx).gen,
             })
         }
     }
@@ -680,51 +998,53 @@ impl BufferTree {
         self.id_at(self.node(id).next_sibling)
     }
 
-    /// Node payload.
-    pub fn kind(&self, id: NodeId) -> &NodeKind {
-        &self.node(id).kind
-    }
-
     /// Element tag, if `id` is an element.
     pub fn name(&self, id: NodeId) -> Option<Symbol> {
-        match &self.node(id).kind {
-            NodeKind::Element { name, .. } => Some(*name),
-            NodeKind::Text { .. } => None,
-        }
+        let s = self.node(id);
+        (s.flags & TEXT == 0).then_some(s.name)
     }
 
     /// True for text nodes.
     pub fn is_text(&self, id: NodeId) -> bool {
-        matches!(self.node(id).kind, NodeKind::Text { .. })
+        self.node(id).flags & TEXT != 0
     }
 
     /// Text content of a text node.
     pub fn text_content(&self, id: NodeId) -> Option<&str> {
-        match &self.node(id).kind {
-            NodeKind::Text { content } => Some(content),
-            NodeKind::Element { .. } => None,
-        }
+        self.text_of(self.node(id))
+    }
+
+    #[inline]
+    fn text_of(&self, s: &Slot) -> Option<&str> {
+        (s.flags & TEXT != 0).then(|| utf8(self.store.get(s.payload_at, s.payload_len)))
     }
 
     /// Attribute value by interned name.
     pub fn attr(&self, id: NodeId, name: Symbol) -> Option<&str> {
-        match &self.node(id).kind {
-            NodeKind::Element { attrs, .. } => attrs.value_of(name),
-            NodeKind::Text { .. } => None,
-        }
+        self.attrs(id).value_of(name)
     }
 
     /// All attributes of an element (empty for text nodes).
-    pub fn attrs(&self, id: NodeId) -> &AttrBuf {
-        match &self.node(id).kind {
-            NodeKind::Element { attrs, .. } => attrs,
-            NodeKind::Text { .. } => &EMPTY_ATTRS,
+    pub fn attrs(&self, id: NodeId) -> Attrs<'_> {
+        self.attrs_of(self.node(id))
+    }
+
+    #[inline]
+    fn attrs_of(&self, s: &Slot) -> Attrs<'_> {
+        let n = (s.flags & ATTR_COUNT) as usize;
+        if s.flags & TEXT != 0 || n == 0 {
+            return Attrs::default();
         }
+        let (records, values) = self
+            .store
+            .get(s.payload_at, s.payload_len)
+            .split_at(n * ATTR_RECORD);
+        Attrs { records, values }
     }
 
     /// Whether the node's end tag has been read.
     pub fn is_closed(&self, id: NodeId) -> bool {
-        self.node(id).closed
+        self.node(id).flags & CLOSED != 0
     }
 
     /// Document-order sibling ordinals (see [`Ordinals`]).
@@ -734,17 +1054,15 @@ impl BufferTree {
 
     /// Instances of `role` on this node.
     pub fn role_count(&self, id: NodeId, role: RoleId) -> u32 {
-        self.node(id)
-            .roles
+        self.roles(id)
             .iter()
             .find(|(r, _)| *r == role)
-            .map(|&(_, c)| c)
-            .unwrap_or(0)
+            .map_or(0, |&(_, c)| c)
     }
 
     /// The node's role multiset (sorted by role id), for diagnostics.
     pub fn roles(&self, id: NodeId) -> &[(RoleId, u32)] {
-        &self.node(id).roles
+        self.node(id).role_list(&self.overflow)
     }
 
     // ---- construction -------------------------------------------------------
@@ -759,20 +1077,13 @@ impl BufferTree {
         roles: &[(RoleId, u32)],
         ordinals: Ordinals,
     ) -> NodeId {
-        let attrs = self.pooled_attrs();
-        self.append(
-            parent,
-            NodeKind::Element { name, attrs },
-            roles,
-            false,
-            ordinals,
-        )
+        self.append(parent, name, 0, Payload::default(), roles, ordinals)
     }
 
-    /// Append an element under `parent`, **taking** the contents of the
-    /// caller's attribute scratch (which is left empty, holding a recycled
-    /// pooled buffer — the zero-allocation handshake of the preprojector's
-    /// hot loop). `roles` must be sorted by role id.
+    /// Append an element under `parent` with the attributes in the
+    /// caller's scratch, which are copied into the payload store and
+    /// cleared (the scratch keeps its capacity: no allocation in the
+    /// preprojector's hot loop). `roles` must be sorted by role id.
     pub fn append_element_with_attrs(
         &mut self,
         parent: NodeId,
@@ -781,15 +1092,14 @@ impl BufferTree {
         roles: &[(RoleId, u32)],
         ordinals: Ordinals,
     ) -> NodeId {
-        let mut taken = self.pooled_attrs();
-        std::mem::swap(&mut taken, attrs);
-        self.append(
-            parent,
-            NodeKind::Element { name, attrs: taken },
-            roles,
-            false,
-            ordinals,
-        )
+        let payload = Payload {
+            attrs: attrs.len() as u32,
+            ..self
+                .store
+                .put(attrs.payload_bytes(), |block| attrs.write_to(block))
+        };
+        attrs.clear();
+        self.append(parent, name, 0, payload, roles, ordinals)
     }
 
     /// Append a text node under `parent`. Text nodes are born closed.
@@ -801,93 +1111,89 @@ impl BufferTree {
         roles: &[(RoleId, u32)],
         ordinals: Ordinals,
     ) -> NodeId {
-        let mut text = self.text_pool.pop().unwrap_or_default();
-        text.push_str(content);
+        let payload = self.store.put(content.len() as u64, |block| {
+            block.copy_from_slice(content.as_bytes())
+        });
         self.append(
             parent,
-            NodeKind::Text { content: text },
+            Symbol(u32::MAX),
+            TEXT | CLOSED,
+            payload,
             roles,
-            true,
             ordinals,
         )
-    }
-
-    /// A recycled (or fresh) empty attribute buffer.
-    fn pooled_attrs(&mut self) -> AttrBuf {
-        self.attr_pool.pop().unwrap_or_default()
     }
 
     fn append(
         &mut self,
         parent: NodeId,
-        kind: NodeKind,
+        name: Symbol,
+        flags: u32,
+        payload: Payload,
         roles: &[(RoleId, u32)],
-        closed: bool,
         ordinals: Ordinals,
     ) -> NodeId {
-        debug_assert!(!self.node(parent).closed, "appending under a closed node");
+        debug_assert!(
+            self.node(parent).flags & CLOSED == 0,
+            "appending under a closed node"
+        );
         // The role multiset arrives sorted (the matcher dedupes and sorts
         // by role id); sorting per append would be wasted hot-loop work.
         debug_assert!(
             roles.windows(2).all(|w| w[0].0 <= w[1].0),
             "append requires roles sorted by role id: {roles:?}"
         );
-        let mut role_vec = self.role_pool.pop().unwrap_or_default();
-        role_vec.extend_from_slice(roles);
-        let own: u64 = role_vec.iter().map(|&(_, c)| c as u64).sum();
-        let bytes = node_bytes(&kind);
+        let own: u64 = roles.iter().map(|&(_, c)| c as u64).sum();
+        let flags = flags | payload.attrs;
+        let (role, flags) = match *roles {
+            [] => ((RoleId(0), 0), flags),
+            [one] => (one, flags),
+            _ => (
+                (RoleId(self.overflow.put(roles)), roles.len() as u32),
+                flags | SPILLED,
+            ),
+        };
         let prev = self.node(parent).last_child;
-        let node = Node {
+        let gen = self.next_gen;
+        // A wrapped counter skips the free slots' generation.
+        self.next_gen = gen.wrapping_add(1).max(ROOT_GEN + 1);
+        let idx = self.place(Slot {
             parent: parent.idx,
             first_child: NIL,
             last_child: NIL,
             prev_sibling: prev,
             next_sibling: NIL,
-            kind,
+            name,
+            payload_at: payload.at,
+            payload_len: payload.len,
+            flags,
             ordinals,
-            closed,
-            roles: role_vec,
             subtree_roles: own,
-            pins: 0,
             subtree_pins: 0,
-            gen: 0,
-            in_use: true,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                let gen = self.nodes[i as usize].gen;
-                self.nodes[i as usize] = node;
-                self.nodes[i as usize].gen = gen;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        };
+            pins: 0,
+            gen,
+            role,
+            roles: roles.len() as u32,
+        });
         // Link into the parent's child list.
         {
-            let p = self.node_mut(parent);
+            let p = self.slot_mut(parent.idx);
             if p.first_child == NIL {
                 p.first_child = idx;
             }
             p.last_child = idx;
         }
         if prev != NIL {
-            self.nodes[prev as usize].next_sibling = idx;
+            self.slot_mut(prev).next_sibling = idx;
         }
         // Propagate the subtree role count upward.
         if own > 0 {
-            let mut cur = parent.idx;
-            while cur != NIL {
-                self.nodes[cur as usize].subtree_roles += own;
-                cur = self.nodes[cur as usize].parent;
-            }
+            self.walk_up(parent.idx, |_, s| s.subtree_roles += own);
         }
         self.stats.live += 1;
         self.stats.allocated += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.stats.live);
-        self.stats.live_bytes += bytes;
+        self.stats.live_bytes += node_bytes(payload.len);
         self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.stats.live_bytes);
         if let Some(s) = self.schema.as_deref_mut() {
             // A recycled slot may carry the previous occupant's cutoff.
@@ -908,24 +1214,123 @@ impl BufferTree {
                 cell.max_live = cell.max_live.max(cell.live);
             }
         }
-        NodeId {
-            idx,
-            gen: self.nodes[idx as usize].gen,
+        NodeId { idx, gen }
+    }
+
+    /// Put `slot` into a free slot — of the chunk last freed into that has
+    /// one, else of the spare, else of a chunk (re)opened for it — and
+    /// return its index.
+    fn place(&mut self, slot: Slot) -> u32 {
+        if self.vacant == NIL {
+            self.open_chunk();
+        }
+        let c = self.vacant;
+        let chunk = &mut self.chunks[c as usize];
+        let at = if chunk.free != NIL {
+            let at = chunk.free;
+            chunk.free = chunk.slots[at as usize].next_sibling;
+            chunk.slots[at as usize] = slot;
+            at
+        } else {
+            chunk.slots.push(slot);
+            chunk.slots.len() as u32 - 1
+        };
+        chunk.live += 1;
+        if chunk.live as usize == Self::CHUNK_SLOTS {
+            self.unlist(c);
+        }
+        if c == self.spare {
+            self.spare = NIL;
+        }
+        c << CHUNK_BITS | at
+    }
+
+    /// Every resident chunk is full: reopen a released chunk, or add one.
+    fn open_chunk(&mut self) {
+        let c = if self.released != NIL {
+            let c = self.released;
+            self.released = std::mem::replace(&mut self.chunks[c as usize].free, NIL);
+            c
+        } else {
+            assert!(
+                self.chunks.len() < (NIL >> CHUNK_BITS) as usize,
+                "buffer slot space exhausted"
+            );
+            self.chunks.push(Chunk {
+                slots: Vec::new(),
+                free: NIL,
+                live: 0,
+                prev: NIL,
+                next: NIL,
+                listed: false,
+            });
+            self.chunks.len() as u32 - 1
+        };
+        self.chunks[c as usize]
+            .slots
+            .reserve_exact(Self::CHUNK_SLOTS);
+        self.list(c);
+    }
+
+    /// Put chunk `c` first on the vacancy list.
+    fn list(&mut self, c: u32) {
+        let head = std::mem::replace(&mut self.vacant, c);
+        if head != NIL {
+            self.chunks[head as usize].prev = c;
+        }
+        let chunk = &mut self.chunks[c as usize];
+        (chunk.prev, chunk.next, chunk.listed) = (NIL, head, true);
+    }
+
+    /// Take chunk `c` off the vacancy list.
+    fn unlist(&mut self, c: u32) {
+        let chunk = &mut self.chunks[c as usize];
+        let (prev, next) = (chunk.prev, chunk.next);
+        chunk.listed = false;
+        match prev {
+            NIL => self.vacant = next,
+            p => self.chunks[p as usize].next = next,
+        }
+        if next != NIL {
+            self.chunks[next as usize].prev = prev;
+        }
+    }
+
+    /// Return slot `idx` (its payload already released) to its chunk's
+    /// free list, and an emptied chunk to the allocator unless it becomes
+    /// the spare.
+    fn vacate(&mut self, idx: u32) {
+        let c = idx >> CHUNK_BITS;
+        let chunk = &mut self.chunks[c as usize];
+        let slot = &mut chunk.slots[(idx & CHUNK_MASK) as usize];
+        slot.gen = FREE;
+        slot.next_sibling = chunk.free;
+        chunk.free = idx & CHUNK_MASK;
+        chunk.live -= 1;
+        let (listed, empty) = (chunk.listed, chunk.live == 0);
+        if !listed {
+            self.list(c);
+        }
+        if empty {
+            if self.spare == NIL {
+                self.spare = c;
+            } else {
+                self.unlist(c);
+                let chunk = &mut self.chunks[c as usize];
+                chunk.slots = Vec::new();
+                chunk.free = std::mem::replace(&mut self.released, c);
+            }
         }
     }
 
     /// Mark a node closed (its end tag was read) and attempt a purge: this
     /// reclaims subtrees that hold no role (any more) when their end tag comes.
     pub fn close(&mut self, id: NodeId) {
-        self.node_mut(id).closed = true;
-        if self.telemetry.is_some() {
-            let before = self.stats.purged;
-            self.try_purge(id);
-            if self.stats.purged > before {
-                self.telemetry.as_deref_mut().unwrap().purges_on_close += 1;
+        self.node_mut(id).flags |= CLOSED;
+        if self.try_purge(id.idx) {
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.purges_on_close += 1;
             }
-        } else {
-            self.try_purge(id);
         }
     }
 
@@ -934,28 +1339,13 @@ impl BufferTree {
     /// Remove up to `amount` instances of `role` from `id` (saturating),
     /// then attempt a purge. Returns the number actually removed.
     pub fn decrement_role(&mut self, id: NodeId, role: RoleId, amount: u32) -> u32 {
-        let node = self.node_mut(id);
-        let mut removed = 0;
-        if let Some(pos) = node.roles.iter().position(|(r, _)| *r == role) {
-            let have = node.roles[pos].1;
-            removed = have.min(amount);
-            if removed == have {
-                node.roles.remove(pos);
-            } else {
-                node.roles[pos].1 -= removed;
-            }
-        }
+        let chunk = (id.idx >> CHUNK_BITS) as usize;
+        let slot = &mut self.chunks[chunk].slots[(id.idx & CHUNK_MASK) as usize];
+        debug_assert!(slot.gen == id.gen, "stale NodeId {id:?}");
+        let removed = slot.take_role(&mut self.overflow, role, amount);
         if removed > 0 {
-            let mut cur = id.idx;
-            while cur != NIL {
-                self.nodes[cur as usize].subtree_roles -= removed as u64;
-                cur = self.nodes[cur as usize].parent;
-            }
-            if self.telemetry.is_some() {
-                let before = self.stats.purged;
-                self.try_purge(id);
-                let purged = self.stats.purged > before;
-                let t = self.telemetry.as_deref_mut().unwrap();
+            let purged = self.update_upward(id.idx, |s| s.subtree_roles -= removed as u64);
+            if let Some(t) = self.telemetry.as_deref_mut() {
                 let cell = t.role_cell(role);
                 cell.signoffs += removed as u64;
                 cell.live = cell.live.saturating_sub(removed as u64);
@@ -963,8 +1353,6 @@ impl BufferTree {
                     cell.purge_triggers += 1;
                     t.purges_on_signoff += 1;
                 }
-            } else {
-                self.try_purge(id);
             }
         }
         removed
@@ -973,11 +1361,7 @@ impl BufferTree {
     /// Pin a node against purging (evaluator references).
     pub fn pin(&mut self, id: NodeId) {
         self.node_mut(id).pins += 1;
-        let mut cur = id.idx;
-        while cur != NIL {
-            self.nodes[cur as usize].subtree_pins += 1;
-            cur = self.nodes[cur as usize].parent;
-        }
+        self.walk_up(id.idx, |_, s| s.subtree_pins += 1);
     }
 
     /// Release a pin; attempts the purge that may have been deferred.
@@ -987,41 +1371,47 @@ impl BufferTree {
             debug_assert!(n.pins > 0, "unbalanced unpin");
             n.pins -= 1;
         }
-        let mut cur = id.idx;
-        while cur != NIL {
-            self.nodes[cur as usize].subtree_pins -= 1;
-            cur = self.nodes[cur as usize].parent;
-        }
-        if self.telemetry.is_some() {
-            let before = self.stats.purged;
-            self.try_purge(id);
-            if self.stats.purged > before {
-                self.telemetry.as_deref_mut().unwrap().purges_on_unpin += 1;
+        if self.update_upward(id.idx, |s| s.subtree_pins -= 1) {
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.purges_on_unpin += 1;
             }
-        } else {
-            self.try_purge(id);
         }
     }
 
-    /// Garbage collection: free the highest ancestor-or-self of `id` whose
-    /// whole subtree is closed, role-free and pin-free.
-    fn try_purge(&mut self, id: NodeId) {
-        if !self.purge_enabled {
-            return;
-        }
-        let mut candidate: Option<u32> = None;
-        let mut cur = id.idx;
-        while cur != NIL && cur != NodeId::ROOT.idx {
-            let n = &self.nodes[cur as usize];
-            if n.closed && n.subtree_roles == 0 && n.subtree_pins == 0 {
-                candidate = Some(cur);
-                cur = n.parent;
-            } else {
-                break;
+    /// `update` the counters of `idx` and of every ancestor, then purge
+    /// as [`BufferTree::try_purge`] would — the candidate is found on the
+    /// same walk up. Returns whether anything was purged.
+    #[inline]
+    fn update_upward(&mut self, idx: u32, update: impl Fn(&mut Slot)) -> bool {
+        let (mut top, mut purgeable) = (NIL, self.purge_enabled);
+        self.walk_up(idx, |at, s| {
+            update(s);
+            purgeable &= at != NodeId::ROOT.idx && purgeable_slot(s);
+            if purgeable {
+                top = at;
             }
-        }
-        if let Some(top) = candidate {
+        });
+        top != NIL && {
             self.free_subtree(top);
+            true
+        }
+    }
+
+    /// Garbage collection: free the highest ancestor-or-self of `idx`
+    /// whose whole subtree is closed, role-free and pin-free. Returns
+    /// whether anything was purged.
+    fn try_purge(&mut self, idx: u32) -> bool {
+        if !self.purge_enabled {
+            return false;
+        }
+        let (mut cur, mut top) = (idx, NIL);
+        while cur != NIL && cur != NodeId::ROOT.idx && purgeable_slot(self.slot(cur)) {
+            top = cur;
+            cur = self.slot(cur).parent;
+        }
+        top != NIL && {
+            self.free_subtree(top);
+            true
         }
     }
 
@@ -1029,17 +1419,17 @@ impl BufferTree {
     fn free_subtree(&mut self, top: u32) {
         // Unlink from the sibling chain.
         let (parent, prev, next) = {
-            let n = &self.nodes[top as usize];
+            let n = self.slot(top);
             (n.parent, n.prev_sibling, n.next_sibling)
         };
         if prev != NIL {
-            self.nodes[prev as usize].next_sibling = next;
+            self.slot_mut(prev).next_sibling = next;
         }
         if next != NIL {
-            self.nodes[next as usize].prev_sibling = prev;
+            self.slot_mut(next).prev_sibling = prev;
         }
         if parent != NIL {
-            let p = &mut self.nodes[parent as usize];
+            let p = self.slot_mut(parent);
             if p.first_child == top {
                 p.first_child = next;
             }
@@ -1047,9 +1437,9 @@ impl BufferTree {
                 p.last_child = prev;
             }
         }
-        // Free the subtree iteratively with the reused DFS scratch (slot
-        // order is irrelevant — every freed node just returns to the free
-        // list).
+        // Free the subtree iteratively with the reused DFS scratch (order
+        // is irrelevant — every freed node just returns its slot and its
+        // payload blocks).
         let mut stack = std::mem::take(&mut self.free_scratch);
         // The telemetry box is moved out for the duration of the walk so
         // its histograms can be updated while `self` is mutably borrowed.
@@ -1057,30 +1447,17 @@ impl BufferTree {
         let mut batch: u64 = 0;
         stack.push(top);
         while let Some(i) = stack.pop() {
-            let mut child = self.nodes[i as usize].first_child;
+            let n = self.slot(i);
+            let mut child = n.first_child;
+            debug_assert_eq!(n.pins, 0, "freeing a pinned node");
+            let (payload_at, payload_len) = (n.payload_at, n.payload_len);
+            let spilled = (n.flags & SPILLED != 0).then_some(n.role);
             while child != NIL {
                 stack.push(child);
-                child = self.nodes[child as usize].next_sibling;
+                child = self.slot(child).next_sibling;
             }
-            let (kind, roles) = {
-                let n = &mut self.nodes[i as usize];
-                debug_assert_eq!(n.pins, 0, "freeing a pinned node");
-                n.in_use = false;
-                n.gen = n.gen.wrapping_add(1);
-                n.first_child = NIL;
-                (
-                    std::mem::replace(
-                        &mut n.kind,
-                        NodeKind::Text {
-                            content: String::new(),
-                        },
-                    ),
-                    std::mem::take(&mut n.roles),
-                )
-            };
-            // Credit back exactly what the append charged, then recycle
-            // the node's heap blocks through the pools.
-            let bytes = node_bytes(&kind);
+            // Credit back exactly what the append charged.
+            let bytes = node_bytes(payload_len);
             self.stats.live_bytes -= bytes;
             if let Some(t) = tel.as_deref_mut() {
                 let born = t.birth.get(i as usize).copied().unwrap_or(t.clock);
@@ -1088,20 +1465,13 @@ impl BufferTree {
                 t.purged_node_bytes.observe(bytes);
                 batch += 1;
             }
-            match kind {
-                NodeKind::Element { mut attrs, .. } => {
-                    attrs.clear();
-                    self.attr_pool.push(attrs);
-                }
-                NodeKind::Text { mut content } => {
-                    content.clear();
-                    self.text_pool.push(content);
-                }
+            if payload_len > 0 {
+                self.store.release(payload_at, payload_len);
             }
-            let mut roles = roles;
-            roles.clear();
-            self.role_pool.push(roles);
-            self.free.push(i);
+            if let Some((at, cap)) = spilled {
+                self.overflow.release(at.0, cap);
+            }
+            self.vacate(i);
             self.stats.live -= 1;
             self.stats.purged += 1;
         }
@@ -1113,49 +1483,49 @@ impl BufferTree {
     }
 
     // ---- values & serialization ----------------------------------------------
+    //
+    // The walks follow the slots' links directly: iterative, so document
+    // depth never becomes native stack depth (deeply nested documents
+    // would overflow it), and without a generation check per step.
 
     /// XPath string value: concatenated text content of the subtree.
-    ///
-    /// Iterative (link-following) walk: document depth must not translate
-    /// into native stack depth — deeply nested documents would overflow it.
     pub fn string_value(&self, id: NodeId, out: &mut String) {
-        match &self.node(id).kind {
-            NodeKind::Text { content } => {
-                out.push_str(content);
-                return;
-            }
-            NodeKind::Element { .. } => {}
+        let top = self.node(id);
+        if let Some(text) = self.text_of(top) {
+            out.push_str(text);
+            return;
         }
-        let mut cur = self.first_child(id);
-        while let Some(n) = cur {
-            let descend = match &self.node(n).kind {
-                NodeKind::Text { content } => {
-                    out.push_str(content);
-                    None
+        let mut cur = top.first_child;
+        while cur != NIL {
+            let s = self.slot(cur);
+            cur = match self.text_of(s) {
+                Some(text) => {
+                    out.push_str(text);
+                    NIL
                 }
-                NodeKind::Element { .. } => self.first_child(n),
+                None => s.first_child,
             };
-            cur = match descend {
-                Some(c) => Some(c),
-                None => self.next_or_ascend(n, id),
-            };
+            if cur == NIL {
+                cur = self.next_or_ascend(s, id.idx).0;
+            }
         }
     }
 
     /// Next node of a pre-order walk confined to `stop`'s subtree, after
-    /// `n`'s own subtree is done: the next sibling, or the next sibling of
-    /// the closest ancestor below `stop`.
-    fn next_or_ascend(&self, n: NodeId, stop: NodeId) -> Option<NodeId> {
-        let mut m = n;
+    /// `s`'s own subtree is done: the next sibling, or the next sibling of
+    /// the closest ancestor below `stop` (NIL: the walk is over) — and how
+    /// many elements the walk climbed out of on the way.
+    fn next_or_ascend<'a>(&'a self, mut s: &'a Slot, stop: u32) -> (u32, usize) {
+        let mut left = 0;
         loop {
-            if let Some(s) = self.next_sibling(m) {
-                return Some(s);
+            if s.next_sibling != NIL {
+                return (s.next_sibling, left);
             }
-            let p = self.parent(m).expect("walk escaped the subtree");
-            if p == stop {
-                return None;
+            if s.parent == stop {
+                return (NIL, left);
             }
-            m = p;
+            s = self.slot(s.parent);
+            left += 1;
         }
     }
 
@@ -1163,67 +1533,50 @@ impl BufferTree {
     /// walk must descend into element children.
     fn serialize_open<W: std::io::Write>(
         &self,
-        n: NodeId,
+        s: &Slot,
         symbols: &SymbolTable,
         w: &mut XmlWriter<W>,
     ) -> XmlResult<bool> {
-        match &self.node(n).kind {
-            NodeKind::Text { content } => {
-                w.text(content)?;
-                Ok(false)
-            }
-            NodeKind::Element { name, attrs } => {
-                w.start_element(symbols.resolve(*name))?;
-                for (an, av) in attrs.iter() {
-                    w.attribute(symbols.resolve(an), av)?;
-                }
-                Ok(true)
-            }
+        if let Some(text) = self.text_of(s) {
+            w.text(text)?;
+            return Ok(false);
         }
+        w.start_element(symbols.resolve(s.name))?;
+        for (an, av) in self.attrs_of(s).iter() {
+            w.attribute(symbols.resolve(an), av)?;
+        }
+        Ok(true)
     }
 
     /// Serialize the subtree rooted at `id` (which must be closed) to a
     /// writer. The virtual root serializes its children only.
-    ///
-    /// Iterative, like [`BufferTree::string_value`]: the walk follows
-    /// sibling/parent links, so arbitrarily deep documents serialize in
-    /// constant native stack space.
     pub fn serialize<W: std::io::Write>(
         &self,
         id: NodeId,
         symbols: &SymbolTable,
         w: &mut XmlWriter<W>,
     ) -> XmlResult<()> {
-        if id != NodeId::ROOT && !self.serialize_open(id, symbols, w)? {
+        let top = self.node(id);
+        if id != NodeId::ROOT && !self.serialize_open(top, symbols, w)? {
             return Ok(()); // a lone text node
         }
-        let mut cur = self.first_child(id);
-        while let Some(n) = cur {
-            let mut descend = None;
-            if self.serialize_open(n, symbols, w)? {
-                descend = self.first_child(n);
-                if descend.is_none() {
+        let mut cur = top.first_child;
+        while cur != NIL {
+            let s = self.slot(cur);
+            cur = NIL;
+            if self.serialize_open(s, symbols, w)? {
+                cur = s.first_child;
+                if cur == NIL {
                     w.end_element()?; // childless element
                 }
             }
-            cur = match descend {
-                Some(c) => Some(c),
-                None => {
-                    // Ascend, closing every element left behind.
-                    let mut m = n;
-                    loop {
-                        if let Some(s) = self.next_sibling(m) {
-                            break Some(s);
-                        }
-                        let p = self.parent(m).expect("walk escaped the subtree");
-                        if p == id {
-                            break None;
-                        }
-                        w.end_element()?;
-                        m = p;
-                    }
+            if cur == NIL {
+                let left;
+                (cur, left) = self.next_or_ascend(s, id.idx);
+                for _ in 0..left {
+                    w.end_element()?;
                 }
-            };
+            }
         }
         if id != NodeId::ROOT {
             w.end_element()?;
@@ -1233,37 +1586,106 @@ impl BufferTree {
 
     // ---- integrity (used by tests and debug assertions) -----------------------
 
-    /// Recompute aggregate counters and compare with the maintained ones.
-    /// Panics on mismatch. O(n); tests only.
+    /// Recompute aggregate counters and compare with the maintained ones,
+    /// and check the chunks' bookkeeping against their slots. Panics on
+    /// mismatch. O(n); tests only.
     pub fn check_integrity(&self) {
         self.check_node(0);
+        let mut in_use = 0;
+        let mut released = 0;
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            if chunk.slots.capacity() == 0 {
+                released += 1;
+                continue;
+            }
+            let used = chunk.slots.iter().filter(|s| s.gen != FREE).count();
+            assert_eq!(used, chunk.live as usize, "chunk {c}: live count");
+            let mut free = 0;
+            let mut at = chunk.free;
+            while at != NIL {
+                assert_eq!(chunk.slots[at as usize].gen, FREE, "chunk {c}: free list");
+                free += 1;
+                at = chunk.slots[at as usize].next_sibling;
+            }
+            assert_eq!(used + free, chunk.slots.len(), "chunk {c}: lost slots");
+            if used == 0 {
+                assert_eq!(self.spare, c as u32, "chunk {c}: empty, yet not the spare");
+            }
+            in_use += used;
+        }
+        let mut chained = 0;
+        let mut c = self.released;
+        while c != NIL {
+            assert_eq!(
+                self.chunks[c as usize].slots.capacity(),
+                0,
+                "chunk {c}: released"
+            );
+            chained += 1;
+            c = self.chunks[c as usize].free;
+        }
+        assert_eq!(chained, released, "released chunks off the chain");
+        // The vacancy list: exactly the resident chunks with a free slot.
+        let (mut listed, mut prev, mut c) = (0, NIL, self.vacant);
+        while c != NIL {
+            let chunk = &self.chunks[c as usize];
+            assert!(
+                chunk.listed && chunk.prev == prev,
+                "chunk {c}: vacancy links"
+            );
+            assert!(chunk.slots.capacity() > 0 && (chunk.live as usize) < Self::CHUNK_SLOTS);
+            listed += 1;
+            (prev, c) = (c, chunk.next);
+        }
+        let roomy = self
+            .chunks
+            .iter()
+            .filter(|c| c.slots.capacity() > 0 && (c.live as usize) < Self::CHUNK_SLOTS);
+        assert_eq!(
+            listed,
+            roomy.count(),
+            "chunks with room off the vacancy list"
+        );
+        assert_eq!(
+            in_use as u64,
+            self.stats.live + 1,
+            "slots in use vs live nodes"
+        );
     }
 
     fn check_node(&self, idx: u32) -> (u64, u64) {
-        let n = &self.nodes[idx as usize];
-        assert!(n.in_use, "dead node linked into the tree");
-        let mut roles = n.own_roles();
+        let n = self.slot(idx);
+        assert_ne!(n.gen, FREE, "dead node linked into the tree");
+        let mut roles: u64 = n
+            .role_list(&self.overflow)
+            .iter()
+            .map(|&(_, c)| c as u64)
+            .sum();
         let mut pins = n.pins as u64;
         let mut child = n.first_child;
         let mut prev = NIL;
         while child != NIL {
-            assert_eq!(self.nodes[child as usize].parent, idx, "parent link broken");
-            assert_eq!(
-                self.nodes[child as usize].prev_sibling, prev,
-                "sibling chain broken"
-            );
+            assert_eq!(self.slot(child).parent, idx, "parent link broken");
+            assert_eq!(self.slot(child).prev_sibling, prev, "sibling chain broken");
             let (r, p) = self.check_node(child);
             roles += r;
             pins += p;
             prev = child;
-            child = self.nodes[child as usize].next_sibling;
+            child = self.slot(child).next_sibling;
         }
         assert_eq!(n.last_child, prev, "last_child out of date");
         assert_eq!(n.subtree_roles, roles, "subtree_roles out of sync at {idx}");
-        assert_eq!(n.subtree_pins, pins, "subtree_pins out of sync at {idx}");
+        assert_eq!(
+            n.subtree_pins as u64, pins,
+            "subtree_pins out of sync at {idx}"
+        );
         (roles, pins)
     }
 }
+
+#[cfg(test)]
+#[path = "buffer_model.rs"]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -1538,19 +1960,99 @@ mod tests {
     }
 
     #[test]
-    fn attr_pools_recycle_through_purge() {
+    fn payload_blocks_recycle_through_purge() {
         let mut b = BufferTree::new(true);
         let mut attrs = AttrBuf::new();
         for round in 0..3 {
-            attrs.clear();
             attrs.push(sym(7), "v");
             let a =
                 b.append_element_with_attrs(NodeId::ROOT, sym(1), &mut attrs, &[], Ordinals::FIRST);
             b.append_text(a, "t", &[], Ordinals::FIRST);
-            b.close(a); // purged: containers return to the pools
+            b.close(a); // purged: both payload blocks go back to the store
             assert_eq!(b.stats().live, 0, "round {round}");
+            // Round 0 placed them (a 9-byte block rounded up to 16, a
+            // 1-byte one to 8); later rounds take them again.
+            assert_eq!(b.store.bytes.len(), 16 + 8, "round {round}");
         }
         assert_eq!(b.stats().purged, 6);
+        b.check_integrity();
+    }
+
+    #[test]
+    fn size_classes_round_up_by_at_most_a_quarter() {
+        let mut last = (0, 1);
+        for len in 1..=if cfg!(miri) { 5_000 } else { 100_000u32 } {
+            let (class, units) = size_class(len);
+            assert!(
+                units * 8 >= len && (units - 1) * 8 < len.max(64) * 5 / 4,
+                "{len}"
+            );
+            // Classes are numbered densely, in size order.
+            assert!(
+                class == last.0 && units == last.1 || class == last.0 + 1,
+                "{len}"
+            );
+            last = (class, units);
+        }
+        assert_eq!(size_class(64), (7, 8));
+        assert_eq!(size_class(65), (8, 10));
+    }
+
+    #[test]
+    fn an_emptied_chunk_goes_back_but_one_spare_stays() {
+        let slots = BufferTree::CHUNK_SLOTS as u32;
+        let mut b = BufferTree::new(true);
+        let grown = b.slot_bytes();
+        // Four chunks' worth under one open element, then purge them all.
+        let top = el(&mut b, NodeId::ROOT, 1, &[]);
+        let kids: Vec<NodeId> = (0..4 * slots)
+            .map(|i| el(&mut b, top, 2, &[(RoleId(i % 3), 1)]))
+            .collect();
+        assert_eq!(b.slot_bytes(), 5 * BufferTree::CHUNK_BYTES);
+        for &k in &kids {
+            b.close(k);
+        }
+        b.close(top);
+        for (i, &k) in kids.iter().enumerate() {
+            b.decrement_role(k, RoleId(i as u32 % 3), 1);
+            b.check_integrity();
+        }
+        assert_eq!(b.stats().live, 0);
+        // Chunk 0 (the root's, grown to full size) and the spare are left.
+        assert!(grown < BufferTree::CHUNK_BYTES);
+        assert_eq!(b.slot_bytes(), 2 * BufferTree::CHUNK_BYTES);
+        assert!(kids.iter().all(|&k| !b.is_live(k)));
+        // Refilling takes the free slots and the spare, then reopens.
+        let again: Vec<NodeId> = (0..3 * slots)
+            .map(|_| el(&mut b, NodeId::ROOT, 3, &[]))
+            .collect();
+        assert_eq!(b.slot_bytes(), 4 * BufferTree::CHUNK_BYTES);
+        assert!(again.iter().all(|&n| b.is_live(n)));
+        assert!(
+            kids.iter().all(|&k| !b.is_live(k)),
+            "reused slots, new generations"
+        );
+        b.check_integrity();
+    }
+
+    #[test]
+    fn spilled_roles_shrink_and_give_their_block_back() {
+        let mut b = BufferTree::new(true);
+        let roles = [(RoleId(1), 2), (RoleId(4), 1), (RoleId(7), 3)];
+        let a = el(&mut b, NodeId::ROOT, 1, &roles);
+        b.close(a);
+        assert_eq!(b.roles(a), &roles);
+        assert_eq!(b.decrement_role(a, RoleId(4), 5), 1);
+        assert_eq!(b.roles(a), &[(RoleId(1), 2), (RoleId(7), 3)]);
+        assert_eq!(b.decrement_role(a, RoleId(1), 2), 2);
+        assert_eq!(b.decrement_role(a, RoleId(7), 1), 1);
+        assert_eq!(b.roles(a), &[(RoleId(7), 2)]);
+        assert_eq!(b.decrement_role(a, RoleId(7), 2), 2);
+        assert_eq!(b.stats().live, 0);
+        // The next three-entry multiset takes the freed block.
+        let c = el(&mut b, NodeId::ROOT, 1, &roles);
+        assert_eq!(b.overflow.pairs.len(), 3);
+        assert_eq!(b.roles(c), &roles);
         b.check_integrity();
     }
 

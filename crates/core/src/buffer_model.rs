@@ -1,0 +1,424 @@
+//! Reference model of the buffer: seeded random operation sequences run
+//! against the real [`BufferTree`] and a naive vector-of-structs tree, and
+//! after every operation everything observable must agree — navigation,
+//! names, attributes, text, ordinals, roles, `is_live` of every id ever
+//! issued and all six [`BufferStats`] fields. Each sequence grows the
+//! buffer past four live chunks and drains it, twice, so chunk release
+//! and reopening, the spare, slot reuse across generations, spilled role
+//! lists and the payload store's free lists are all exercised. (Under
+//! Miri the comparison runs every 97th operation.)
+
+use super::*;
+
+/// xorshift64*: deterministic and dependency-free.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+const NONE: usize = usize::MAX;
+
+/// What the model knows of one node.
+#[derive(Debug)]
+struct Node {
+    id: NodeId,
+    parent: usize,
+    /// Live children, in document order.
+    children: Vec<usize>,
+    /// None for a text node.
+    name: Option<Symbol>,
+    text: String,
+    attrs: Vec<(Symbol, String)>,
+    ordinals: Ordinals,
+    roles: Vec<(RoleId, u32)>,
+    pins: u32,
+    closed: bool,
+    live: bool,
+}
+
+impl Node {
+    /// The accounted charge: an 80-byte slot, plus an 8-byte record and
+    /// the value per attribute, or the text.
+    fn bytes(&self) -> u64 {
+        let attrs: usize = self.attrs.iter().map(|(_, v)| 8 + v.len()).sum();
+        (80 + attrs + self.text.len()) as u64
+    }
+}
+
+/// The naive tree: every node ever issued, in one vector.
+struct Model {
+    nodes: Vec<Node>,
+    stats: BufferStats,
+}
+
+impl Model {
+    fn append(&mut self, node: Node) -> usize {
+        let i = self.nodes.len();
+        self.nodes[node.parent].children.push(i);
+        let s = &mut self.stats;
+        s.live += 1;
+        s.allocated += 1;
+        s.peak_live = s.peak_live.max(s.live);
+        s.live_bytes += node.bytes();
+        s.peak_live_bytes = s.peak_live_bytes.max(s.live_bytes);
+        self.nodes.push(node);
+        i
+    }
+
+    /// Role instances and pins in `i`'s subtree.
+    fn holds(&self, i: usize) -> (u64, u64) {
+        let n = &self.nodes[i];
+        let mut roles: u64 = n.roles.iter().map(|&(_, c)| c as u64).sum();
+        let mut pins = n.pins as u64;
+        for &c in &n.children {
+            let (r, p) = self.holds(c);
+            roles += r;
+            pins += p;
+        }
+        (roles, pins)
+    }
+
+    /// The paper's purge rule, evaluated from scratch: free the highest
+    /// closed ancestor-or-self of `i` with no role and no pin below it.
+    fn try_purge(&mut self, mut i: usize) {
+        let mut top = NONE;
+        while i != 0 && self.nodes[i].closed && self.holds(i) == (0, 0) {
+            top = i;
+            i = self.nodes[i].parent;
+        }
+        if top != NONE {
+            let parent = self.nodes[top].parent;
+            self.nodes[parent].children.retain(|&c| c != top);
+            self.free(top);
+        }
+    }
+
+    fn free(&mut self, i: usize) {
+        for c in std::mem::take(&mut self.nodes[i].children) {
+            self.free(c);
+        }
+        self.nodes[i].live = false;
+        self.stats.live -= 1;
+        self.stats.purged += 1;
+        self.stats.live_bytes -= self.nodes[i].bytes();
+    }
+}
+
+fn stats_of(s: BufferStats) -> [u64; 6] {
+    [
+        s.live,
+        s.peak_live,
+        s.allocated,
+        s.purged,
+        s.live_bytes,
+        s.peak_live_bytes,
+    ]
+}
+
+/// Everything observable of `buf` against `m`.
+fn check(buf: &BufferTree, m: &Model) {
+    assert_eq!(stats_of(buf.stats()), stats_of(m.stats), "stats");
+    for n in &m.nodes {
+        assert_eq!(buf.is_live(n.id), n.live, "is_live {:?}", n.id);
+        if !n.live {
+            continue;
+        }
+        let id = n.id;
+        let parent = (n.parent != NONE).then(|| m.nodes[n.parent].id);
+        assert_eq!(buf.parent(id), parent);
+        let mut child = buf.first_child(id);
+        for &c in &n.children {
+            assert_eq!(child, Some(m.nodes[c].id), "children of {id:?}");
+            child = buf.next_sibling(m.nodes[c].id);
+        }
+        assert_eq!(child, None, "children of {id:?}");
+        if id == NodeId::ROOT {
+            continue;
+        }
+        assert_eq!(buf.name(id), n.name);
+        assert_eq!(buf.is_text(id), n.name.is_none());
+        assert_eq!(
+            buf.text_content(id),
+            n.name.is_none().then_some(&n.text[..])
+        );
+        let want = n.attrs.iter().map(|(s, v)| (*s, &v[..]));
+        assert!(buf.attrs(id).iter().eq(want), "attributes of {id:?}");
+        assert_eq!(buf.attrs(id).len(), n.attrs.len());
+        if let Some((s, v)) = n.attrs.first() {
+            assert_eq!(buf.attr(id, *s), Some(&v[..]));
+        }
+        assert_eq!(buf.ordinals(id), n.ordinals);
+        assert_eq!(buf.roles(id), &n.roles[..], "roles of {id:?}");
+        for r in 0..4 {
+            let want = n
+                .roles
+                .iter()
+                .find(|(x, _)| x.0 == r)
+                .map_or(0, |&(_, c)| c);
+            assert_eq!(buf.role_count(id, RoleId(r)), want);
+        }
+        assert_eq!(buf.is_closed(id), n.closed);
+    }
+    buf.check_integrity();
+}
+
+/// The buffer and the model, driven side by side.
+struct World {
+    rng: Rng,
+    buf: BufferTree,
+    m: Model,
+    /// Open elements, innermost last (model indices).
+    open: Vec<usize>,
+    /// One entry per pin held.
+    pinned: Vec<usize>,
+    attrs: AttrBuf,
+    /// Generation last issued per slot index.
+    gens: std::collections::HashMap<u32, u32>,
+    reused: bool,
+}
+
+impl World {
+    /// A value: usually short, now and then a few KiB, sometimes
+    /// multi-byte or empty.
+    fn value(&mut self) -> String {
+        let bytes = match self.rng.below(16) {
+            0 => 1024 + self.rng.below(3 * 1024),
+            1..=3 => 0,
+            _ => self.rng.below(40),
+        } as usize;
+        let unit = ["a", "é", "<&>", "x", "€"][self.rng.below(5) as usize];
+        unit.repeat(bytes / unit.len())
+    }
+
+    /// Mostly 1–3 distinct roles of 0..4 (sorted, counts 1–3), else none.
+    fn roles(&mut self) -> Vec<(RoleId, u32)> {
+        if self.rng.chance(20) {
+            return Vec::new();
+        }
+        let mut roles = Vec::new();
+        for r in 0..4 {
+            if self.rng.chance(45) {
+                roles.push((RoleId(r), 1 + self.rng.below(3) as u32));
+            }
+        }
+        if roles.is_empty() {
+            roles.push((RoleId(self.rng.below(4) as u32), 1));
+        }
+        roles.truncate(3);
+        roles
+    }
+
+    /// A live node, or None after a few misses.
+    fn some_live(&mut self) -> Option<usize> {
+        let n = self.m.nodes.len() as u64;
+        (0..8)
+            .map(|_| 1 + self.rng.below(n.max(2) - 1) as usize)
+            .find(|&i| i < self.m.nodes.len() && self.m.nodes[i].live)
+    }
+
+    fn append(&mut self) {
+        let parent = *self.open.last().unwrap();
+        let roles = self.roles();
+        let text = self.m.nodes[parent].name.is_some() && self.rng.chance(35);
+        let ordinals = Ordinals {
+            same_kind: self.rng.below(9) as u32 + 1,
+            elem: self.rng.below(9) as u32 + 1,
+            any: self.rng.below(9) as u32 + 1,
+        };
+        let mut node = Node {
+            id: NodeId::ROOT,
+            parent,
+            children: Vec::new(),
+            name: None,
+            text: String::new(),
+            attrs: Vec::new(),
+            ordinals,
+            roles: roles.clone(),
+            pins: 0,
+            closed: text,
+            live: true,
+        };
+        let at = self.m.nodes[parent].id;
+        if text {
+            node.text = self.value();
+            node.id = self.buf.append_text(at, &node.text, &roles, ordinals);
+        } else {
+            let name = Symbol(self.rng.below(6) as u32);
+            for _ in 0..self.rng.below(5) {
+                let (attr, value) = (Symbol(10 + self.rng.below(4) as u32), self.value());
+                self.attrs.push(attr, &value);
+                node.attrs.push((attr, value));
+            }
+            node.name = Some(name);
+            node.id = if node.attrs.is_empty() && self.rng.chance(50) {
+                self.buf.append_element(at, name, &roles, ordinals)
+            } else {
+                self.buf
+                    .append_element_with_attrs(at, name, &mut self.attrs, &roles, ordinals)
+            };
+            assert!(self.attrs.is_empty(), "the scratch comes back empty");
+        }
+        if let Some(old) = self.gens.insert(node.id.idx, node.id.gen) {
+            assert_ne!(old, node.id.gen, "a reused slot gets a new generation");
+            self.reused = true;
+        }
+        let i = self.m.append(node);
+        if !text {
+            self.open.push(i);
+        }
+    }
+
+    fn close(&mut self) {
+        if self.open.len() > 1 {
+            let i = self.open.pop().unwrap();
+            self.buf.close(self.m.nodes[i].id);
+            self.m.nodes[i].closed = true;
+            self.m.try_purge(i);
+        }
+    }
+
+    fn decrement(&mut self, i: usize, role: RoleId, amount: u32) {
+        let got = self.buf.decrement_role(self.m.nodes[i].id, role, amount);
+        let n = &mut self.m.nodes[i];
+        let mut want = 0;
+        if let Some(pos) = n.roles.iter().position(|&(r, _)| r == role) {
+            want = n.roles[pos].1.min(amount);
+            n.roles[pos].1 -= want;
+            if n.roles[pos].1 == 0 {
+                n.roles.remove(pos);
+            }
+        }
+        assert_eq!(got, want, "removed instances");
+        if want > 0 {
+            self.m.try_purge(i);
+        }
+    }
+
+    /// One random operation; `growing` favours appends, else sign-offs.
+    fn step(&mut self, growing: bool) {
+        let pick = self.rng.below(100);
+        let (append, close) = if growing { (80, 15) } else { (10, 25) };
+        if pick < append {
+            self.append();
+        } else if pick < append + close {
+            self.close();
+        } else if pick < 95 {
+            if let Some(i) = self.some_live() {
+                let own = &self.m.nodes[i].roles;
+                let role = match own.len() {
+                    0 => RoleId(self.rng.below(4) as u32),
+                    n => own[self.rng.below(n as u64) as usize].0,
+                };
+                let amount = 1 + self.rng.below(3) as u32;
+                self.decrement(i, role, amount);
+            }
+        } else if pick < 97 {
+            if let Some(i) = self.some_live() {
+                self.buf.pin(self.m.nodes[i].id);
+                self.m.nodes[i].pins += 1;
+                self.pinned.push(i);
+            }
+        } else if !self.pinned.is_empty() {
+            let at = self.rng.below(self.pinned.len() as u64) as usize;
+            let i = self.pinned.swap_remove(at);
+            self.buf.unpin(self.m.nodes[i].id);
+            self.m.nodes[i].pins -= 1;
+            self.m.try_purge(i);
+        }
+    }
+
+    /// Close everything, drop the pins and every role instance.
+    fn drain(&mut self) {
+        while self.open.len() > 1 {
+            self.close();
+        }
+        while let Some(i) = self.pinned.pop() {
+            self.buf.unpin(self.m.nodes[i].id);
+            self.m.nodes[i].pins -= 1;
+            self.m.try_purge(i);
+        }
+        for i in 1..self.m.nodes.len() {
+            for r in 0..4 {
+                if self.m.nodes[i].live {
+                    self.decrement(i, RoleId(r), u32::MAX);
+                }
+            }
+        }
+    }
+}
+
+fn resident(buf: &BufferTree) -> usize {
+    buf.chunks.iter().filter(|c| c.slots.capacity() > 0).count()
+}
+
+fn run(seed: u64, phase_ops: usize) {
+    let root = Node {
+        id: NodeId::ROOT,
+        parent: NONE,
+        children: Vec::new(),
+        name: None,
+        text: String::new(),
+        attrs: Vec::new(),
+        ordinals: Ordinals::FIRST,
+        roles: Vec::new(),
+        pins: 0,
+        closed: false,
+        live: true,
+    };
+    let mut w = World {
+        rng: Rng(seed | 1),
+        buf: BufferTree::new(true),
+        m: Model {
+            nodes: vec![root],
+            stats: BufferStats::default(),
+        },
+        open: vec![0],
+        pinned: Vec::new(),
+        attrs: AttrBuf::new(),
+        gens: std::collections::HashMap::new(),
+        reused: false,
+    };
+    let (mut most, mut reopened) = (0, false);
+    for round in 0..2 {
+        for op in 0..phase_ops + phase_ops / 2 {
+            let (table, before) = (w.buf.chunks.len(), resident(&w.buf));
+            w.step(op < phase_ops);
+            let now = resident(&w.buf);
+            reopened |= now > before && w.buf.chunks.len() == table;
+            most = most.max(now);
+            if !cfg!(miri) || op % 97 == 0 {
+                check(&w.buf, &w.m);
+            }
+        }
+        w.drain();
+        check(&w.buf, &w.m);
+        assert_eq!(w.buf.stats().live, 0, "seed {seed}, round {round}: drained");
+        // What is left resident: chunk 0 (the root's) and the spare.
+        let left = resident(&w.buf);
+        assert!(left <= 2, "seed {seed}, round {round}: {left} chunks stay");
+    }
+    assert!(most >= 4, "seed {seed}: at most {most} chunks were live");
+    assert!(reopened, "seed {seed}: no released chunk was reopened");
+    assert!(w.reused, "seed {seed}: no slot was reused");
+}
+
+#[test]
+fn random_sequences_agree_with_the_model() {
+    for seed in [0x5eed, 0xc0ffee] {
+        run(seed, 1000);
+    }
+}

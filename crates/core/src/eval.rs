@@ -313,15 +313,48 @@ struct JoinState {
     /// Matched binding nodes of the build pass, in scan order.
     entries: Vec<NodeId>,
     /// Numeric key values (canonicalized f64 bits; NaN excluded — it
-    /// compares equal to nothing) → entry indices.
-    num_bucket: HashMap<u64, Vec<u32>, FxBuildHasher>,
-    /// Full untrimmed key text → (entry, key-is-numeric). Consulted by
+    /// compares equal to nothing) → the key's latest posting.
+    num_bucket: HashMap<u64, u32, FxBuildHasher>,
+    /// Full untrimmed key text → the key's latest posting. Consulted by
     /// every probe: a numeric probe string-compares against non-numeric
     /// keys, a non-numeric probe string-compares against all keys —
     /// exactly [`compare_existential`]'s pair rule.
-    text_bucket: HashMap<String, Vec<(u32, bool)>, FxBuildHasher>,
+    text_bucket: HashMap<Box<str>, u32, FxBuildHasher>,
+    /// The postings of every key of both maps in one vector, each key's
+    /// chained from its latest back to its first: a key costs one map
+    /// entry, and its text one allocation, however many entries it has.
+    postings: Vec<Posting>,
     /// Candidate entries of the current probe (sorted, deduped).
     cands: Vec<u32>,
+}
+
+/// One index entry under one key (see [`JoinState::postings`]).
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    entry: u32,
+    /// The key value is numeric (text postings only).
+    numeric: bool,
+    /// The key's previous posting, or [`NO_POSTING`].
+    prev: u32,
+}
+
+const NO_POSTING: u32 = u32::MAX;
+
+/// Add a posting of `entry` to the key whose latest posting is `head`.
+fn post(postings: &mut Vec<Posting>, head: &mut u32, entry: u32, numeric: bool) {
+    let prev = std::mem::replace(head, postings.len() as u32);
+    postings.push(Posting {
+        entry,
+        numeric,
+        prev,
+    });
+}
+
+/// The postings of the key whose latest is `head`.
+fn key_postings(postings: &[Posting], head: u32) -> impl Iterator<Item = &Posting> {
+    std::iter::successors(postings.get(head as usize), |p| {
+        postings.get(p.prev as usize)
+    })
 }
 
 /// `f64` bits with `-0.0` folded onto `+0.0`, so numerically equal
@@ -949,13 +982,22 @@ impl Vm {
                         for kv in keys.iter() {
                             if let Some(k) = kv.num {
                                 if !k.is_nan() {
-                                    js.num_bucket.entry(canon_bits(k)).or_default().push(entry);
+                                    let head =
+                                        js.num_bucket.entry(canon_bits(k)).or_insert(NO_POSTING);
+                                    post(&mut js.postings, head, entry, true);
                                 }
                             }
-                            js.text_bucket
-                                .entry(kv.text.to_string())
-                                .or_default()
-                                .push((entry, kv.num.is_some()));
+                            // Looked up first: only a new key's text is
+                            // allocated.
+                            let numeric = kv.num.is_some();
+                            match js.text_bucket.get_mut(kv.text) {
+                                Some(head) => post(&mut js.postings, head, entry, numeric),
+                                None => {
+                                    let mut head = NO_POSTING;
+                                    post(&mut js.postings, &mut head, entry, numeric);
+                                    js.text_bucket.insert(kv.text.into(), head);
+                                }
+                            }
                         }
                     }
                     // `= probe` with a `Nop` else-branch (an optimizer
@@ -978,16 +1020,20 @@ impl Vm {
                                 // Numeric probe: numeric-equal keys, plus
                                 // string-equal non-numeric keys (the
                                 // existential compare's mixed-pair rule).
-                                if let Some(es) = js.num_bucket.get(&canon_bits(a)) {
-                                    js.cands.extend_from_slice(es);
+                                if let Some(&head) = js.num_bucket.get(&canon_bits(a)) {
+                                    js.cands
+                                        .extend(key_postings(&js.postings, head).map(|p| p.entry));
                                 }
-                                if let Some(es) = js.text_bucket.get(pv.text) {
+                                if let Some(&head) = js.text_bucket.get(pv.text) {
                                     js.cands.extend(
-                                        es.iter().filter(|&&(_, num)| !num).map(|&(e, _)| e),
+                                        key_postings(&js.postings, head)
+                                            .filter(|p| !p.numeric)
+                                            .map(|p| p.entry),
                                     );
                                 }
-                            } else if let Some(es) = js.text_bucket.get(pv.text) {
-                                js.cands.extend(es.iter().map(|&(e, _)| e));
+                            } else if let Some(&head) = js.text_bucket.get(pv.text) {
+                                js.cands
+                                    .extend(key_postings(&js.postings, head).map(|p| p.entry));
                             }
                         }
                         // Sorted entry indices = build order = document

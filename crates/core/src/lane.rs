@@ -238,9 +238,9 @@ pub struct Lane {
     /// The pending elements' attributes, outermost element first;
     /// truncated when one is popped, emptied when the chain materialises.
     pending_attrs: AttrBuf,
-    /// Attribute storage for the element being appended (the
-    /// zero-allocation handshake with
-    /// [`BufferTree::append_element_with_attrs`]).
+    /// Attribute storage for the element being appended, which
+    /// [`BufferTree::append_element_with_attrs`] copies into the buffer's
+    /// payload store and clears, capacity kept.
     attr_scratch: AttrBuf,
     /// The open elements' same-name child counts, outermost element
     /// first (see [`ChildCounters`]).
@@ -258,21 +258,10 @@ impl Lane {
     /// Open a lane for `q`; the first [`Lane::step`] runs its program up
     /// to the first suspension. `mode` selects the buffer policy (whether
     /// signOffs execute, whether the buffer purges); what is *shown* to
-    /// the lane is the driver's business.
-    pub fn start(
-        q: &CompiledQuery,
-        mode: EngineMode,
-        max_buffer_bytes: Option<u64>,
-        indent: Option<String>,
-        telemetry: bool,
-    ) -> Lane {
-        Lane::start_under(q, mode, max_buffer_bytes, indent, telemetry, None)
-    }
-
-    /// [`Lane::start`] under a schema: with a plan (of `q`:
+    /// the lane is the driver's business. With a schema plan (of `q`:
     /// [`CompiledQuery::schema_plan`]) the buffer gets the DTD's
     /// sibling-order cutoffs and the table the DTD's names.
-    pub fn start_under(
+    pub fn start(
         q: &CompiledQuery,
         mode: EngineMode,
         max_buffer_bytes: Option<u64>,
@@ -720,7 +709,7 @@ mod tests {
         let q = CompiledQuery::compile("'x'").unwrap();
         // Nothing purges, no signOff runs: the buffer ends up holding
         // everything that was ever appended.
-        let mut lane = Lane::start(&q, EngineMode::FullBuffering, None, None, false);
+        let mut lane = Lane::start(&q, EngineMode::FullBuffering, None, None, false, None);
         if let Some(dtd) = dtd {
             lane.adopt_doctype(dtd);
         }
@@ -867,7 +856,7 @@ mod tests {
         let nested = format!("{}{}", open.repeat(64), "</s>".repeat(64));
         let siblings = format!("<s>{}</s>", format!("{open}</s>").repeat(64));
         let failed_at = |keep: Keep<'_>, xml: &str| {
-            let mut lane = Lane::start(&q, EngineMode::Gcx, Some(4096), None, false);
+            let mut lane = Lane::start(&q, EngineMode::Gcx, Some(4096), None, false, None);
             let name = lane.symbols_mut().intern("s");
             let attr_names = [lane.symbols_mut().intern("k")];
             let mut tok = Tokenizer::from_str(xml);

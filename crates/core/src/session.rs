@@ -156,7 +156,7 @@ impl EvalSession {
         // descendant-reachability filter, the sibling-order cutoffs for
         // the buffer, and a table that already holds the DTD's names.
         let plan = opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
-        let lane = Lane::start_under(
+        let lane = Lane::start(
             q,
             opts.mode,
             opts.max_buffer_bytes,

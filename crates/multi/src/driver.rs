@@ -220,7 +220,7 @@ impl SharedRun {
                 // The lane's share of the schema — the sibling-order
                 // cutoffs — comes prepared, from its query's plan.
                 let schema = self.opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
-                let mut lane = Lane::start_under(
+                let mut lane = Lane::start(
                     q,
                     mode,
                     self.opts.max_buffer_bytes,

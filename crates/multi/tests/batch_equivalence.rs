@@ -189,8 +189,8 @@ fn chunk_splits_do_not_change_a_batch() {
 
 #[test]
 fn a_query_over_its_budget_fails_alone() {
-    // Q8's join buffers ~76 KiB of this document, every other query under
-    // 18 KiB: a 40 KB budget trips Q8 only, and nobody else notices.
+    // Q8's join buffers ~38 KiB of this document, every other query under
+    // 9 KiB: a 20 KB budget trips Q8 only, and nobody else notices.
     let doc = xmark(128, 42);
     let queries = compile_batch();
     let q8 = batch_texts()
@@ -198,7 +198,7 @@ fn a_query_over_its_budget_fails_alone() {
         .position(|(name, _)| *name == "Q8")
         .unwrap();
     let limited = SharedRun::new(BatchOptions {
-        max_buffer_bytes: Some(40_000),
+        max_buffer_bytes: Some(20_000),
         ..BatchOptions::default()
     })
     .run(&queries, doc.as_bytes())
@@ -210,7 +210,7 @@ fn a_query_over_its_budget_fails_alone() {
             assert!(
                 matches!(
                     l.report,
-                    Err(EngineError::BufferLimitExceeded { limit: 40_000, .. })
+                    Err(EngineError::BufferLimitExceeded { limit: 20_000, .. })
                 ),
                 "Q8 must trip the budget: {:?}",
                 l.report

@@ -8,13 +8,16 @@
 //! document and over one twice its size; the fixed setup cost cancels and
 //! the difference bounds the steady-state allocation rate.
 //!
-//! Everything runs inside a single `#[test]` because the allocator's
-//! counters are process-global — parallel test threads would pollute the
-//! deltas.
+//! The allocator's counters are process-global, so the tests take
+//! [`SERIAL`]: parallel test threads would pollute each other's deltas.
 
 use gcx::core::buffer::{AttrBuf, BufferTree, NodeId, Ordinals};
 use gcx::query::ast::RoleId;
-use gcx::xml::{SymbolTable, Tokenizer};
+use gcx::xml::{Symbol, SymbolTable, Tokenizer};
+use std::sync::Mutex;
+
+/// Held by every test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 #[global_allocator]
 static ALLOC: gcx::memtrack::TrackingAllocator = gcx::memtrack::TrackingAllocator::new();
@@ -84,6 +87,7 @@ fn batch_allocs(queries: &[gcx::CompiledQuery], doc: &str) -> u64 {
 
 #[test]
 fn steady_state_token_loop_allocates_o1() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Build both documents up front so their construction cost is not
     // measured.
     let small = item_doc(2_000);
@@ -312,5 +316,148 @@ fn steady_state_token_loop_allocates_o1() {
     assert!(
         churn <= 64,
         "10k append/purge cycles after warm-up must allocate ~nothing, saw {churn}"
+    );
+}
+
+/// Append a subtree of 100 000 nodes — a top element over 49 999 items,
+/// each with an attribute, a role and a text child, and a closing text —
+/// close it, and sign every role off, which purges all of it. `ids` is
+/// reused scratch.
+fn subtree_round(buf: &mut BufferTree, attrs: &mut AttrBuf, ids: &mut Vec<NodeId>) {
+    const VALUES: [&str; 3] = ["person0", "", "a longer value, past one size class"];
+    const TEXTS: [&str; 3] = [
+        "some text content",
+        "t",
+        "a text of some sixty bytes, to take another class",
+    ];
+    let (item, id, role) = (Symbol(0), Symbol(1), RoleId(1));
+    let top = buf.append_element(NodeId::ROOT, item, &[], Ordinals::FIRST);
+    ids.clear();
+    for i in 0..49_999 {
+        attrs.push(id, VALUES[i % 3]);
+        let n = buf.append_element_with_attrs(top, item, attrs, &[(role, 1)], Ordinals::FIRST);
+        buf.append_text(n, TEXTS[i % 3], &[], Ordinals::FIRST);
+        buf.close(n);
+        ids.push(n);
+    }
+    buf.append_text(top, "end", &[], Ordinals::FIRST);
+    buf.close(top);
+    assert_eq!(buf.stats().live, 100_000);
+    for &n in ids.iter() {
+        buf.decrement_role(n, role, 1);
+    }
+    assert_eq!(buf.stats().live, 0);
+}
+
+#[test]
+fn purged_buffer_memory_goes_back_or_is_reused() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let chunk = BufferTree::CHUNK_BYTES;
+
+    // (a) A purged 100 000-node subtree gives its slot chunks back: all
+    // but one spare (chunk 0, the root's, was grown by the warm-up).
+    let mut buf = BufferTree::new(true);
+    let mut attrs = AttrBuf::new();
+    let mut ids = Vec::with_capacity(50_000);
+    let role = &[(RoleId(1), 1)][..];
+    for _ in 0..BufferTree::CHUNK_SLOTS {
+        let n = buf.append_element(NodeId::ROOT, Symbol(0), role, Ordinals::FIRST);
+        buf.close(n);
+        ids.push(n);
+    }
+    for &n in &ids {
+        buf.decrement_role(n, RoleId(1), 1);
+    }
+    let before = buf.slot_bytes();
+    assert_eq!(before, 2 * chunk, "chunk 0 at full size, and the spare");
+    gcx::memtrack::reset_peak();
+    subtree_round(&mut buf, &mut attrs, &mut ids);
+    let first_peak = gcx::memtrack::peak_bytes();
+    let resident = gcx::memtrack::live_bytes();
+    assert!(
+        buf.slot_bytes() <= before + chunk,
+        "slot memory {} after the purge, {before} before the append",
+        buf.slot_bytes()
+    );
+    // A second identical round reuses every payload block and allocates
+    // nothing but the chunks the first gave back, nor does it raise the
+    // high-water.
+    let (allocs, bytes) = (gcx::memtrack::total_allocs(), gcx::memtrack::total_bytes());
+    subtree_round(&mut buf, &mut attrs, &mut ids);
+    let allocs = gcx::memtrack::total_allocs() - allocs;
+    let bytes = gcx::memtrack::total_bytes() - bytes;
+    let reopened = 100_000 / BufferTree::CHUNK_SLOTS as u64;
+    assert!(
+        allocs <= reopened && bytes == allocs * chunk,
+        "second round: {allocs} allocations of {bytes} bytes, {reopened} chunks of {chunk}"
+    );
+    assert_eq!(
+        gcx::memtrack::peak_bytes(),
+        first_peak,
+        "the high-water rose"
+    );
+    assert_eq!(gcx::memtrack::live_bytes(), resident);
+
+    // (b) One survivor per chunk: nothing can go back, yet the slot
+    // memory stays within the bound `buffer.rs` states, and appends fill
+    // the survivors' chunks before a chunk is allocated.
+    let bound = |buf: &BufferTree| {
+        let s = buf.stats();
+        let slots = BufferTree::CHUNK_SLOTS as u64;
+        (s.peak_live + 1).div_ceil(slots).min(s.live + 2) * chunk
+    };
+    let mut buf = BufferTree::new(true);
+    let chunks = 64;
+    let nodes = chunks * BufferTree::CHUNK_SLOTS - 1; // the root has a slot
+    let mut ids = Vec::with_capacity(nodes);
+    for _ in 0..nodes {
+        let n = buf.append_element(NodeId::ROOT, Symbol(0), role, Ordinals::FIRST);
+        buf.close(n);
+        ids.push(n);
+    }
+    assert_eq!(buf.slot_bytes(), chunks as u64 * chunk);
+    // Chunks fill in order: node i sits in chunk (i + 1) / CHUNK_SLOTS.
+    for (i, &n) in ids.iter().enumerate() {
+        if (i + 1) % BufferTree::CHUNK_SLOTS != 0 {
+            buf.decrement_role(n, RoleId(1), 1);
+        }
+    }
+    assert_eq!(buf.stats().live, chunks as u64 - 1);
+    assert_eq!(
+        buf.slot_bytes(),
+        chunks as u64 * chunk,
+        "every chunk keeps a survivor"
+    );
+    assert!(buf.slot_bytes() <= bound(&buf));
+    let allocs = gcx::memtrack::total_allocs();
+    ids.clear();
+    for _ in 0..nodes + 1 - chunks {
+        ids.push(buf.append_element(NodeId::ROOT, Symbol(0), role, Ordinals::FIRST));
+    }
+    assert_eq!(
+        gcx::memtrack::total_allocs() - allocs,
+        0,
+        "the holes were refilled"
+    );
+    assert_eq!(buf.slot_bytes(), chunks as u64 * chunk);
+    assert!(buf.slot_bytes() <= bound(&buf));
+
+    // (c) XMark Q8 over a 1 MiB document — a join that buffers its people
+    // and closed auctions to the end — peaks at ≤ 0.8 MiB of heap (1.49
+    // MiB while nodes were 168-byte records with pooled payloads).
+    let mut cfg = gcx::xmark::XmarkConfig::sized(1 << 20);
+    cfg.seed = 42;
+    let doc = gcx::xmark::generate_string(&cfg);
+    let q = gcx::CompiledQuery::compile(gcx::xmark::queries::Q8).unwrap();
+    let opts = gcx::EngineOptions::gcx();
+    gcx::run(&q, &opts, doc.as_bytes(), std::io::sink()).unwrap();
+    let live = gcx::memtrack::live_bytes();
+    gcx::memtrack::reset_peak();
+    let report = gcx::run(&q, &opts, doc.as_bytes(), std::io::sink()).unwrap();
+    let heap = gcx::memtrack::peak_bytes() - live;
+    assert!(
+        heap <= (8 << 20) / 10,
+        "Q8 over 1 MiB peaked at {heap} bytes of heap, {} in the buffer",
+        report.buffer.peak_live_bytes
     );
 }

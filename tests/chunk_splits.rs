@@ -254,7 +254,7 @@ fn token_by_token(q: &CompiledQuery, doc: &[u8]) -> Measured {
     use gcx::core::{Keep, Lane, ScanFacts};
     use gcx::xml::{Token, Tokenizer};
 
-    let mut lane = Lane::start(q, gcx::EngineMode::Gcx, None, None, true);
+    let mut lane = Lane::start(q, gcx::EngineMode::Gcx, None, None, true, None);
     let (mut matcher, _root_roles) = gcx::projection::StreamMatcher::new(q.program.matcher_paths());
     let mut tok = Tokenizer::from_bytes(doc);
     let mut points = Vec::new();

@@ -17,6 +17,10 @@
 //! `old appends − never needed = new appends` (same for purges) is
 //! asserted against [`BEFORE_LAZY_PREFIX`]. Tokens, output sizes and the
 //! two non-projecting modes are byte-for-byte the old pins.
+//!
+//! A second re-pin moved the byte peaks alone, down, when a node's charge
+//! fell from a 168-byte record to an 80-byte slot; the relation is
+//! asserted against [`BEFORE_COMPACT`].
 
 mod common;
 
@@ -46,8 +50,44 @@ fn modes() -> [(&'static str, EngineOptions); 4] {
 
 /// `[tokens, peak_live, peak_live_bytes, allocated, purged, output_bytes]`
 /// per query (in `paper_queries()` order), per mode (in `modes()` order).
+/// Byte peaks re-pinned with compact buffer storage; see
+/// [`BEFORE_COMPACT`].
 #[rustfmt::skip]
 const PINNED: [[[u64; 6]; 4]; 11] = [
+    // Q1
+    [[9900, 5, 431, 317, 317, 25], [9900, 317, 28229, 317, 0, 25], [9900, 8, 762, 6067, 6067, 25], [9900, 6067, 535561, 6067, 0, 25]],
+    // Q6
+    [[9900, 6, 513, 275, 275, 3526], [9900, 275, 24433, 275, 0, 3526], [9900, 9, 936, 6067, 6067, 3526], [9900, 6067, 535561, 6067, 0, 3526]],
+    // Q8
+    [[9900, 438, 39100, 438, 438, 5111], [9900, 438, 39100, 438, 0, 5111], [9900, 442, 39493, 6067, 6067, 5111], [9900, 6067, 535561, 6067, 0, 5111]],
+    // Q13
+    [[9900, 9, 905, 93, 93, 2624], [9900, 93, 9267, 93, 0, 2624], [9900, 12, 1187, 6067, 6067, 2624], [9900, 6067, 535561, 6067, 0, 2624]],
+    // Q20
+    [[9900, 4, 354, 185, 185, 1068], [9900, 185, 17773, 185, 0, 1068], [9900, 7, 762, 6067, 6067, 1068], [9900, 6067, 535561, 6067, 0, 1068]],
+    // Q2
+    [[9900, 6, 508, 171, 171, 1189], [9900, 171, 14981, 171, 0, 1189], [9900, 10, 932, 6067, 6067, 1189], [9900, 6067, 535561, 6067, 0, 1189]],
+    // Q3
+    [[9900, 9, 754, 301, 301, 1289], [9900, 301, 25668, 301, 0, 1289], [9900, 13, 1178, 6067, 6067, 1289], [9900, 6067, 535561, 6067, 0, 1289]],
+    // Q14
+    [[9900, 9, 936, 542, 542, 702], [9900, 542, 55374, 542, 0, 702], [9900, 12, 1218, 6067, 6067, 702], [9900, 6067, 535561, 6067, 0, 702]],
+    // Q17
+    [[9900, 5, 431, 317, 317, 4361], [9900, 317, 28229, 317, 0, 4361], [9900, 8, 762, 6067, 6067, 4361], [9900, 6067, 535561, 6067, 0, 4361]],
+    // Q19
+    [[9900, 8, 678, 78, 78, 999], [9900, 78, 6727, 78, 0, 999], [9900, 11, 1083, 6067, 6067, 999], [9900, 6067, 535561, 6067, 0, 999]],
+    // Q6_COUNT
+    [[9900, 97, 8996, 97, 97, 17], [9900, 97, 8996, 97, 0, 17], [9900, 103, 9602, 6067, 6067, 17], [9900, 6067, 535561, 6067, 0, 17]],
+];
+
+/// [`PINNED`] as it stood while a buffered node was charged a 168-byte
+/// record; every column but the byte peak is unchanged. A node is now
+/// charged its 80-byte slot, payload counted as before, so each node's
+/// charge fell by 88 bytes: a peak of `old` bytes at `peak_live` nodes
+/// becomes exactly `old − 88 × peak_live` where nothing is purged (the
+/// peak is the end state), and lands in `[old − 88 × peak_live, old]`
+/// elsewhere (the high-water may now fall at another token, where fewer
+/// nodes carried more payload).
+#[rustfmt::skip]
+const BEFORE_COMPACT: [[[u64; 6]; 4]; 11] = [
     // Q1
     [[9900, 5, 871, 317, 317, 25], [9900, 317, 56125, 317, 0, 25], [9900, 8, 1406, 6067, 6067, 25], [9900, 6067, 1069457, 6067, 0, 25]],
     // Q6
@@ -119,6 +159,34 @@ fn the_re_pin_is_the_old_pin_minus_what_was_never_needed() {
 }
 
 #[test]
+fn the_compact_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
+    /// Bytes a node's charge fell by: a 168-byte record → an 80-byte slot.
+    const SAVED: u64 = 168 - 80;
+    for (q, (before, now)) in BEFORE_COMPACT.iter().zip(PINNED).enumerate() {
+        for (m, (before, now)) in before.iter().zip(now).enumerate() {
+            let (old, new, nodes) = (before[2], now[2], before[1]);
+            assert_eq!(
+                [before[0], before[1], before[3], before[4], before[5]],
+                [now[0], now[1], now[3], now[4], now[5]],
+                "query {q}, mode {m}"
+            );
+            if before[4] == 0 {
+                assert_eq!(
+                    new,
+                    old - SAVED * nodes,
+                    "query {q}, mode {m}: nothing purged"
+                );
+            } else {
+                assert!(
+                    (old - SAVED * nodes..=old).contains(&new),
+                    "query {q}, mode {m}: {new}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn paper_queries_measure_the_same_in_all_four_modes() {
     let doc = doc();
     for ((name, text), want) in queries::paper_queries().into_iter().zip(PINNED) {
@@ -155,6 +223,12 @@ fn paper_queries_measure_the_same_in_all_four_modes() {
 /// at token 1 (168 → 0), `site` + the open region's ancestors later (Q14:
 /// 1805 → 1637, 1869 → 1701, then 1024 / 873 / 861 / 862 / 840 → 336 past
 /// `regions`, where `//item` used to hold every open element).
+///
+/// Re-pinned again with [`BEFORE_COMPACT`]: residencies are unchanged,
+/// and each timeline sample fell by 88 bytes per node live at that token
+/// (Q6: 1037 → 509 and 1036 → 508 at six nodes, 336 → 160 at two; Q14:
+/// 1637 → 845 and 1701 → 909 at nine; projection-only Q6 21032 → 10560,
+/// 41731 → 20963, then its end state 48633 → 24433 at 275).
 fn assert_telemetry(
     what: &str,
     text: &str,
@@ -182,14 +256,14 @@ fn assert_telemetry(
 fn telemetry_clock_is_pinned() {
     assert_telemetry(
         "Q6/gcx", queries::Q6, EngineOptions::gcx(), (275, 28145),
-        &[(1, 0), (1025, 1037), (2049, 1036), (3073, 336), (4097, 336), (5121, 336), (6145, 336), (7169, 336), (8193, 336), (9217, 336)],
+        &[(1, 0), (1025, 509), (2049, 508), (3073, 160), (4097, 160), (5121, 160), (6145, 160), (7169, 160), (8193, 160), (9217, 160)],
     );
     assert_telemetry(
         "Q14/gcx", queries::extra::Q14, EngineOptions::gcx(), (542, 31585),
-        &[(1, 0), (1025, 1637), (2049, 1701), (3073, 336), (4097, 336), (5121, 336), (6145, 336), (7169, 336), (8193, 336), (9217, 336)],
+        &[(1, 0), (1025, 845), (2049, 909), (3073, 160), (4097, 160), (5121, 160), (6145, 160), (7169, 160), (8193, 160), (9217, 160)],
     );
     assert_telemetry(
         "Q6/projection_only", queries::Q6, EngineOptions::projection_only(), (0, 0),
-        &[(1, 0), (1025, 21032), (2049, 41731), (3073, 48633), (4097, 48633), (5121, 48633), (6145, 48633), (7169, 48633), (8193, 48633), (9217, 48633)],
+        &[(1, 0), (1025, 10560), (2049, 20963), (3073, 24433), (4097, 24433), (5121, 24433), (6145, 24433), (7169, 24433), (8193, 24433), (9217, 24433)],
     );
 }
