@@ -707,7 +707,7 @@ fn stats_json_fields_are_documented_in_architecture_md() {
     // the root copy blows past it (runtime failure, `error`), so both
     // per_query shapes are exercised. The batch exits nonzero but the
     // stats JSON is printed either way. Peaks are deterministic: the
-    // text() query tops out at 288 bytes, the root copy needs 496.
+    // text() query tops out at 264 bytes, the root copy needs 456.
     let mdoc = write_temp(
         "schema-m.xml",
         "<l><i>aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa</i>\

@@ -2,12 +2,8 @@
 //! pins, and **active garbage collection**.
 //!
 //! Every buffered node carries a multiset of role instances (the paper's
-//! `book{r3, r5, r6}` annotations). Two aggregated counters per node make
-//! garbage collection cheap:
-//!
-//! * `subtree_roles` — total role instances in the node's subtree;
-//! * `subtree_pins` — evaluator references (loop bindings, cursor stacks)
-//!   in the subtree.
+//! `book{r3, r5, r6}` annotations) and a count of evaluator pins (loop
+//! bindings, cursor stacks).
 //!
 //! **Purge rule** (paper §2): a node is reclaimed as soon as it is closed
 //! (its end tag has been read), its subtree holds zero role instances, and
@@ -18,10 +14,36 @@
 //! end tag — or that never had one, where the driver buffers without
 //! projection), and an unpin.
 //!
+//! **Hold counts.** A node *holds* while it is open, carries a role, is
+//! pinned, or has a child that holds; each node counts its holding
+//! children (`held`). Since the descendants of a closed node are closed, a
+//! node that does not hold is exactly one the purge rule reclaims, so the
+//! rule costs O(1) per event: counts change only where a node's hold
+//! status *flips*.
+//!
+//! * An append bumps its parent's count when the new node holds (an
+//!   element is born open); the parent is open, so nothing else flips.
+//! * A close, a role decrement or an unpin that leaves a node not holding
+//!   *releases* it: its parent's count drops, the walk goes on up only
+//!   while that flips the parent too, and the topmost node that flipped is
+//!   freed with its subtree (never the virtual root).
+//! * A pin flips only a node that did not hold — a role-less text node, or
+//!   any closed node where purging is disabled — and propagates up only
+//!   through ancestors that did not hold either.
+//!
+//! Those are the only live nodes that do not hold: a text node appended
+//! without a role (under a parent that holds) and, with purging disabled,
+//! anything closed whose subtree is role- and pin-free. With purging on, a
+//! pin therefore takes one step, and every step of a release but its last
+//! flips a node that is then freed — the bookkeeping of a whole run is
+//! linear in its events, however deep the document. (With purging off, a
+//! pin and its unpin walk the closed, role-free ancestors in between, as
+//! often as they recur.)
+//!
 //! ## Storage
 //!
-//! A node is one slot of at most 80 bytes (asserted at compile time): tree
-//! links, name, sibling ordinals, role and pin counters, generation and
+//! A node is one slot of 72 bytes (asserted at compile time): tree links,
+//! name, sibling ordinals, role, pin and hold counters, generation and
 //! flags, and its role multiset when that has a single entry — a node with
 //! more keeps them in a shared overflow. Slots live in chunks of
 //! [`BufferTree::CHUNK_SLOTS`]; a node's index names its chunk and its
@@ -60,7 +82,8 @@ use gcx_xml::{Symbol, SymbolTable, XmlResult, XmlWriter};
 use std::sync::Arc;
 
 /// Handle to a buffered node. Carries a generation to detect stale use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Ordered by slot, which says nothing about document order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId {
     idx: u32,
     gen: u32,
@@ -260,10 +283,8 @@ struct Slot {
     /// most 4 GiB, so the count fits).
     flags: u32,
     ordinals: Ordinals,
-    /// Total role instances in this subtree (including self).
-    subtree_roles: u64,
-    /// Total pins in this subtree (including self).
-    subtree_pins: u32,
+    /// Children that hold (see the module docs, "Hold counts").
+    held: u32,
     /// Evaluator pins on this node.
     pins: u32,
     /// [`FREE`] on a free slot.
@@ -275,7 +296,7 @@ struct Slot {
     roles: u32,
 }
 
-const _: () = assert!(size_of::<Slot>() <= 80);
+const _: () = assert!(size_of::<Slot>() == 72);
 
 /// What every buffered node is charged before its payload: its slot.
 const SLOT_BYTES: u64 = size_of::<Slot>() as u64;
@@ -329,10 +350,11 @@ impl Slot {
     }
 }
 
-/// The purge rule at one node: closed, and no role or pin in its subtree.
+/// Does the node hold: open, carrying a role, pinned, or above a child that
+/// holds? One that does not is what the purge rule reclaims.
 #[inline]
-fn purgeable_slot(s: &Slot) -> bool {
-    s.flags & CLOSED != 0 && s.subtree_roles == 0 && s.subtree_pins == 0
+fn holds(s: &Slot) -> bool {
+    s.flags & CLOSED == 0 || s.roles != 0 || s.pins != 0 || s.held != 0
 }
 
 /// [`BufferTree::CHUNK_SLOTS`] slots and their free list.
@@ -664,6 +686,10 @@ pub struct BufferTree {
     /// Sibling-order cutoffs, installed only when a schema is in effect;
     /// same one-null-test discipline as `telemetry`.
     schema: Option<Box<SchemaRt>>,
+    /// Hold counts changed so far (the lib tests bound the bookkeeping's
+    /// cost by this).
+    #[cfg(test)]
+    hold_steps: u64,
 }
 
 impl BufferTree {
@@ -685,8 +711,7 @@ impl BufferTree {
             payload_len: 0,
             flags: 0,
             ordinals: Ordinals::FIRST,
-            subtree_roles: 0,
-            subtree_pins: 0,
+            held: 0,
             pins: 0,
             gen: ROOT_GEN,
             role: (RoleId(0), 0),
@@ -717,6 +742,8 @@ impl BufferTree {
             free_scratch: Vec::new(),
             telemetry: None,
             schema: None,
+            #[cfg(test)]
+            hold_steps: 0,
         }
     }
 
@@ -937,25 +964,6 @@ impl BufferTree {
         &mut self.chunks[(idx >> CHUNK_BITS) as usize].slots[(idx & CHUNK_MASK) as usize]
     }
 
-    /// Apply `f` to slot `idx` and to each of its ancestors, bottom up.
-    /// Ancestors tend to share a chunk (the top of the document is in
-    /// chunk 0 with the root), and the walk looks each chunk up once per
-    /// run of them: the hot loops — role propagation, sign-offs, pins —
-    /// are walks to the root.
-    #[inline]
-    fn walk_up(&mut self, mut idx: u32, mut f: impl FnMut(u32, &mut Slot)) {
-        while idx != NIL {
-            let chunk = idx >> CHUNK_BITS;
-            let slots = &mut self.chunks[chunk as usize].slots;
-            // NIL is in no chunk: the inner loop ends there too.
-            while idx >> CHUNK_BITS == chunk {
-                let s = &mut slots[(idx & CHUNK_MASK) as usize];
-                f(idx, s);
-                idx = s.parent;
-            }
-        }
-    }
-
     #[inline]
     fn node(&self, id: NodeId) -> &Slot {
         let s = self.slot(id.idx);
@@ -1143,7 +1151,8 @@ impl BufferTree {
             roles.windows(2).all(|w| w[0].0 <= w[1].0),
             "append requires roles sorted by role id: {roles:?}"
         );
-        let own: u64 = roles.iter().map(|&(_, c)| c as u64).sum();
+        // Open elements hold; a text node holds by carrying a role.
+        let holding = flags & CLOSED == 0 || !roles.is_empty();
         let flags = flags | payload.attrs;
         let (role, flags) = match *roles {
             [] => ((RoleId(0), 0), flags),
@@ -1168,27 +1177,28 @@ impl BufferTree {
             payload_len: payload.len,
             flags,
             ordinals,
-            subtree_roles: own,
-            subtree_pins: 0,
+            held: 0,
             pins: 0,
             gen,
             role,
             roles: roles.len() as u32,
         });
-        // Link into the parent's child list.
+        // Link into the parent's child list; the parent is open, so it
+        // holds already and a holding child flips nothing above it.
         {
             let p = self.slot_mut(parent.idx);
             if p.first_child == NIL {
                 p.first_child = idx;
             }
             p.last_child = idx;
+            p.held += u32::from(holding);
+        }
+        #[cfg(test)]
+        {
+            self.hold_steps += u64::from(holding);
         }
         if prev != NIL {
             self.slot_mut(prev).next_sibling = idx;
-        }
-        // Propagate the subtree role count upward.
-        if own > 0 {
-            self.walk_up(parent.idx, |_, s| s.subtree_roles += own);
         }
         self.stats.live += 1;
         self.stats.allocated += 1;
@@ -1326,8 +1336,10 @@ impl BufferTree {
     /// Mark a node closed (its end tag was read) and attempt a purge: this
     /// reclaims subtrees that hold no role (any more) when their end tag comes.
     pub fn close(&mut self, id: NodeId) {
-        self.node_mut(id).flags |= CLOSED;
-        if self.try_purge(id.idx) {
+        let s = self.node_mut(id);
+        debug_assert!(s.flags & CLOSED == 0, "closing a closed node");
+        s.flags |= CLOSED;
+        if !holds(s) && self.release(id.idx) {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.purges_on_close += 1;
             }
@@ -1344,7 +1356,8 @@ impl BufferTree {
         debug_assert!(slot.gen == id.gen, "stale NodeId {id:?}");
         let removed = slot.take_role(&mut self.overflow, role, amount);
         if removed > 0 {
-            let purged = self.update_upward(id.idx, |s| s.subtree_roles -= removed as u64);
+            // It held while it carried the role.
+            let purged = !holds(slot) && self.release(id.idx);
             if let Some(t) = self.telemetry.as_deref_mut() {
                 let cell = t.role_cell(role);
                 cell.signoffs += removed as u64;
@@ -1360,59 +1373,64 @@ impl BufferTree {
 
     /// Pin a node against purging (evaluator references).
     pub fn pin(&mut self, id: NodeId) {
-        self.node_mut(id).pins += 1;
-        self.walk_up(id.idx, |_, s| s.subtree_pins += 1);
+        let s = self.node_mut(id);
+        let held = holds(s);
+        s.pins += 1;
+        if held {
+            return;
+        }
+        // It starts holding: so does each ancestor that did not.
+        let mut at = s.parent;
+        while at != NIL {
+            #[cfg(test)]
+            {
+                self.hold_steps += 1;
+            }
+            let p = self.slot_mut(at);
+            let held = holds(p);
+            p.held += 1;
+            if held {
+                break;
+            }
+            at = p.parent;
+        }
     }
 
     /// Release a pin; attempts the purge that may have been deferred.
     pub fn unpin(&mut self, id: NodeId) {
-        {
-            let n = self.node_mut(id);
-            debug_assert!(n.pins > 0, "unbalanced unpin");
-            n.pins -= 1;
-        }
-        if self.update_upward(id.idx, |s| s.subtree_pins -= 1) {
+        let s = self.node_mut(id);
+        debug_assert!(s.pins > 0, "unbalanced unpin");
+        s.pins -= 1;
+        if !holds(s) && self.release(id.idx) {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.purges_on_unpin += 1;
             }
         }
     }
 
-    /// `update` the counters of `idx` and of every ancestor, then purge
-    /// as [`BufferTree::try_purge`] would — the candidate is found on the
-    /// same walk up. Returns whether anything was purged.
-    #[inline]
-    fn update_upward(&mut self, idx: u32, update: impl Fn(&mut Slot)) -> bool {
-        let (mut top, mut purgeable) = (NIL, self.purge_enabled);
-        self.walk_up(idx, |at, s| {
-            update(s);
-            purgeable &= at != NodeId::ROOT.idx && purgeable_slot(s);
-            if purgeable {
-                top = at;
+    /// Slot `idx` has just stopped holding: take it off its parent's
+    /// count, go on up while that stops the parent holding too, and free
+    /// the topmost node that stopped — never the virtual root, and nothing
+    /// where purging is disabled. Returns whether anything was purged.
+    fn release(&mut self, idx: u32) -> bool {
+        let (mut top, mut at) = (idx, self.slot(idx).parent);
+        while at != NIL {
+            #[cfg(test)]
+            {
+                self.hold_steps += 1;
             }
-        });
-        top != NIL && {
-            self.free_subtree(top);
-            true
+            let p = self.slot_mut(at);
+            p.held -= 1;
+            let up = p.parent;
+            if at == NodeId::ROOT.idx || holds(p) {
+                return self.purge_enabled && {
+                    self.free_subtree(top);
+                    true
+                };
+            }
+            (top, at) = (at, up);
         }
-    }
-
-    /// Garbage collection: free the highest ancestor-or-self of `idx`
-    /// whose whole subtree is closed, role-free and pin-free. Returns
-    /// whether anything was purged.
-    fn try_purge(&mut self, idx: u32) -> bool {
-        if !self.purge_enabled {
-            return false;
-        }
-        let (mut cur, mut top) = (idx, NIL);
-        while cur != NIL && cur != NodeId::ROOT.idx && purgeable_slot(self.slot(cur)) {
-            top = cur;
-            cur = self.slot(cur).parent;
-        }
-        top != NIL && {
-            self.free_subtree(top);
-            true
-        }
+        false // `idx` is the root
     }
 
     /// Detach `top` from its parent and free its whole subtree.
@@ -1586,11 +1604,42 @@ impl BufferTree {
 
     // ---- integrity (used by tests and debug assertions) -----------------------
 
-    /// Recompute aggregate counters and compare with the maintained ones,
-    /// and check the chunks' bookkeeping against their slots. Panics on
-    /// mismatch. O(n); tests only.
+    /// Check every node's links and recount its hold count from its
+    /// children, and check the chunks' bookkeeping against their slots.
+    /// Panics on mismatch. O(n), iterative; tests only.
     pub fn check_integrity(&self) {
-        self.check_node(0);
+        let mut linked = 1; // the root
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            for (at, n) in chunk.slots.iter().enumerate() {
+                if n.gen == FREE {
+                    continue;
+                }
+                let idx = (c as u32) << CHUNK_BITS | at as u32;
+                let (mut child, mut prev, mut held) = (n.first_child, NIL, 0);
+                while child != NIL {
+                    let s = self.slot(child);
+                    assert_ne!(s.gen, FREE, "dead node linked into the tree");
+                    assert_eq!(s.parent, idx, "parent link broken");
+                    assert_eq!(s.prev_sibling, prev, "sibling chain broken");
+                    held += u32::from(holds(s));
+                    linked += 1;
+                    prev = child;
+                    child = s.next_sibling;
+                }
+                assert_eq!(n.last_child, prev, "last_child out of date");
+                assert_eq!(n.held, held, "hold count out of sync at {idx}");
+                // A node that stops holding is purged with it, so where
+                // purging runs only a text node born without a role stays
+                // behind not holding — under a parent that holds.
+                if self.purge_enabled && idx != NodeId::ROOT.idx && !holds(n) {
+                    assert!(
+                        n.flags & TEXT != 0 && holds(self.slot(n.parent)),
+                        "{idx} stopped holding, yet was not purged"
+                    );
+                }
+            }
+        }
+        assert_eq!(linked, self.stats.live + 1, "live nodes off the tree");
         let mut in_use = 0;
         let mut released = 0;
         for (c, chunk) in self.chunks.iter().enumerate() {
@@ -1651,35 +1700,6 @@ impl BufferTree {
             self.stats.live + 1,
             "slots in use vs live nodes"
         );
-    }
-
-    fn check_node(&self, idx: u32) -> (u64, u64) {
-        let n = self.slot(idx);
-        assert_ne!(n.gen, FREE, "dead node linked into the tree");
-        let mut roles: u64 = n
-            .role_list(&self.overflow)
-            .iter()
-            .map(|&(_, c)| c as u64)
-            .sum();
-        let mut pins = n.pins as u64;
-        let mut child = n.first_child;
-        let mut prev = NIL;
-        while child != NIL {
-            assert_eq!(self.slot(child).parent, idx, "parent link broken");
-            assert_eq!(self.slot(child).prev_sibling, prev, "sibling chain broken");
-            let (r, p) = self.check_node(child);
-            roles += r;
-            pins += p;
-            prev = child;
-            child = self.slot(child).next_sibling;
-        }
-        assert_eq!(n.last_child, prev, "last_child out of date");
-        assert_eq!(n.subtree_roles, roles, "subtree_roles out of sync at {idx}");
-        assert_eq!(
-            n.subtree_pins as u64, pins,
-            "subtree_pins out of sync at {idx}"
-        );
-        (roles, pins)
     }
 }
 
@@ -1910,6 +1930,49 @@ mod tests {
         assert_eq!(b.decrement_role(a, RoleId(0), 5), 2, "saturating");
         assert_eq!(b.stats().live, 0);
         b.check_integrity();
+    }
+
+    #[test]
+    fn purge_bookkeeping_is_linear_in_depth() {
+        // A 10 000-deep chain appended, pinned, unpinned, closed innermost
+        // first and (where it carries roles) signed off in either order.
+        // Updating every ancestor per event would cost about n²/2 steps
+        // per kind of operation; hold counts change where a node's hold
+        // status flips, a bounded number of times per operation.
+        const DEPTH: u64 = 10_000;
+        for (roles, outermost_first) in [(true, true), (true, false), (false, true)] {
+            let role: &[(RoleId, u32)] = if roles { &[(RoleId(0), 1)] } else { &[] };
+            let mut b = BufferTree::new(true);
+            let mut chain = vec![NodeId::ROOT];
+            for _ in 0..DEPTH {
+                let parent = *chain.last().unwrap();
+                chain.push(el(&mut b, parent, 1, role));
+            }
+            let chain = &chain[1..];
+            for &n in chain {
+                b.pin(n);
+            }
+            for &n in chain.iter().rev() {
+                b.unpin(n);
+                b.close(n);
+            }
+            let mut signoffs: Vec<NodeId> = if roles { chain.to_vec() } else { Vec::new() };
+            if !outermost_first {
+                signoffs.reverse();
+            }
+            for &n in &signoffs {
+                b.decrement_role(n, RoleId(0), 1);
+            }
+            assert_eq!(b.stats().live, 0);
+            assert_eq!(b.stats().purged, DEPTH);
+            let ops = 4 * DEPTH + signoffs.len() as u64;
+            assert!(
+                b.hold_steps <= 4 * ops,
+                "roles {roles}: {} slot steps for {ops} operations",
+                b.hold_steps
+            );
+            b.check_integrity();
+        }
     }
 
     #[test]

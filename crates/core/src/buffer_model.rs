@@ -2,11 +2,13 @@
 //! against the real [`BufferTree`] and a naive vector-of-structs tree, and
 //! after every operation everything observable must agree — navigation,
 //! names, attributes, text, ordinals, roles, `is_live` of every id ever
-//! issued and all six [`BufferStats`] fields. Each sequence grows the
-//! buffer past four live chunks and drains it, twice, so chunk release
-//! and reopening, the spare, slot reuse across generations, spilled role
-//! lists and the payload store's free lists are all exercised. (Under
-//! Miri the comparison runs every 97th operation.)
+//! issued and all six [`BufferStats`] fields — and `check_integrity`
+//! recounts every hold count. Each sequence grows the buffer past four
+//! live chunks and drains it, twice, so chunk release and reopening, the
+//! spare, slot reuse across generations, spilled role lists and the
+//! payload store's free lists are all exercised. Three [`Shape`]s cover
+//! every state in which a live node does not hold. (Under Miri the
+//! comparison runs every 97th operation.)
 
 use super::*;
 
@@ -32,6 +34,20 @@ impl Rng {
 
 const NONE: usize = usize::MAX;
 
+/// What a sequence buffers, and whether it purges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Roles on most nodes, purging on: the GCX configuration.
+    Roles,
+    /// No role anywhere, purging on: what `GcOnly` buffers without
+    /// projection. An element goes when it closes, a text node (which
+    /// never holds unless pinned) with its parent or on its unpin.
+    RoleLess,
+    /// Roles on most nodes, purging off (`FullBuffering`): everything
+    /// closed and role- and pin-free stays live without holding.
+    NoPurge,
+}
+
 /// What the model knows of one node.
 #[derive(Debug)]
 struct Node {
@@ -51,11 +67,11 @@ struct Node {
 }
 
 impl Node {
-    /// The accounted charge: an 80-byte slot, plus an 8-byte record and
+    /// The accounted charge: a 72-byte slot, plus an 8-byte record and
     /// the value per attribute, or the text.
     fn bytes(&self) -> u64 {
         let attrs: usize = self.attrs.iter().map(|(_, v)| 8 + v.len()).sum();
-        (80 + attrs + self.text.len()) as u64
+        (72 + attrs + self.text.len()) as u64
     }
 }
 
@@ -63,6 +79,7 @@ impl Node {
 struct Model {
     nodes: Vec<Node>,
     stats: BufferStats,
+    purge: bool,
 }
 
 impl Model {
@@ -95,6 +112,9 @@ impl Model {
     /// The paper's purge rule, evaluated from scratch: free the highest
     /// closed ancestor-or-self of `i` with no role and no pin below it.
     fn try_purge(&mut self, mut i: usize) {
+        if !self.purge {
+            return;
+        }
         let mut top = NONE;
         while i != 0 && self.nodes[i].closed && self.holds(i) == (0, 0) {
             top = i;
@@ -179,6 +199,7 @@ fn check(buf: &BufferTree, m: &Model) {
 /// The buffer and the model, driven side by side.
 struct World {
     rng: Rng,
+    shape: Shape,
     buf: BufferTree,
     m: Model,
     /// Open elements, innermost last (model indices).
@@ -204,9 +225,10 @@ impl World {
         unit.repeat(bytes / unit.len())
     }
 
-    /// Mostly 1–3 distinct roles of 0..4 (sorted, counts 1–3), else none.
+    /// Mostly 1–3 distinct roles of 0..4 (sorted, counts 1–3), else none;
+    /// never any in the role-less shape.
     fn roles(&mut self) -> Vec<(RoleId, u32)> {
-        if self.rng.chance(20) {
+        if self.shape == Shape::RoleLess || self.rng.chance(20) {
             return Vec::new();
         }
         let mut roles = Vec::new();
@@ -365,7 +387,8 @@ fn resident(buf: &BufferTree) -> usize {
     buf.chunks.iter().filter(|c| c.slots.capacity() > 0).count()
 }
 
-fn run(seed: u64, phase_ops: usize) {
+fn run(seed: u64, phase_ops: usize, shape: Shape) {
+    let purge = shape != Shape::NoPurge;
     let root = Node {
         id: NodeId::ROOT,
         parent: NONE,
@@ -381,10 +404,12 @@ fn run(seed: u64, phase_ops: usize) {
     };
     let mut w = World {
         rng: Rng(seed | 1),
-        buf: BufferTree::new(true),
+        shape,
+        buf: BufferTree::new(purge),
         m: Model {
             nodes: vec![root],
             stats: BufferStats::default(),
+            purge,
         },
         open: vec![0],
         pinned: Vec::new(),
@@ -406,19 +431,46 @@ fn run(seed: u64, phase_ops: usize) {
         }
         w.drain();
         check(&w.buf, &w.m);
-        assert_eq!(w.buf.stats().live, 0, "seed {seed}, round {round}: drained");
+        let stats = w.buf.stats();
+        if !purge {
+            assert_eq!(stats.purged, 0, "seed {seed}, round {round}: purged");
+            continue;
+        }
+        assert_eq!(stats.live, 0, "seed {seed}, round {round}: drained");
         // What is left resident: chunk 0 (the root's) and the spare.
         let left = resident(&w.buf);
         assert!(left <= 2, "seed {seed}, round {round}: {left} chunks stay");
     }
-    assert!(most >= 4, "seed {seed}: at most {most} chunks were live");
-    assert!(reopened, "seed {seed}: no released chunk was reopened");
-    assert!(w.reused, "seed {seed}: no slot was reused");
+    // Without roles only the open elements and their text stay: fewer
+    // chunks, and the storage is what the other shapes are there for.
+    let chunks = if shape == Shape::RoleLess { 2 } else { 4 };
+    assert!(
+        most >= chunks,
+        "seed {seed}: at most {most} chunks were live"
+    );
+    if purge {
+        assert!(reopened, "seed {seed}: no released chunk was reopened");
+        assert!(w.reused, "seed {seed}: no slot was reused");
+    }
 }
 
 #[test]
 fn random_sequences_agree_with_the_model() {
     for seed in [0x5eed, 0xc0ffee] {
-        run(seed, 1000);
+        run(seed, 1000, Shape::Roles);
+    }
+}
+
+#[test]
+fn role_less_sequences_agree_with_the_model() {
+    for seed in [0x5eed, 0xc0ffee] {
+        run(seed, 1000, Shape::RoleLess);
+    }
+}
+
+#[test]
+fn purge_disabled_sequences_agree_with_the_model() {
+    for seed in [0x5eed, 0xc0ffee] {
+        run(seed, 700, Shape::NoPurge);
     }
 }

@@ -633,8 +633,7 @@ mod tests {
         let mut cur = PathCursor::new(&mut buf, na, &steps);
         let _ = cur.advance(&mut buf, &steps); // partial progress
         cur.finish(&mut buf);
-        buf.check_integrity(); // asserts subtree_pins are consistent (zero)
-                               // All pins released: decrementing all roles drains the buffer.
+        buf.check_integrity(); // the hold counts agree once the pins are gone
         assert_eq!(
             cur.advance(&mut buf, &steps),
             CursorState::Done,

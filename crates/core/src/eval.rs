@@ -132,10 +132,12 @@ enum Task {
     StringFnFinish(StrFunc),
     /// Atomize an operand onto the value stack.
     Operand(OperandId),
-    /// Collect a path's atomized values into the top value vector.
-    CollectLoop { attr: AttrPlan },
-    /// Wait for `node`'s end tag, then push its string value.
-    CollectClosed(NodeId),
+    /// Collect a path's atomized values into the top value vector — or,
+    /// without `atomize` (`count()`), one empty value per match.
+    CollectLoop { attr: AttrPlan, atomize: bool },
+    /// Wait for `node`'s end tag, then push its string value (an empty
+    /// one without `atomize`).
+    CollectClosed { node: NodeId, atomize: bool },
     /// Fold the top value vector through an aggregate and emit it.
     AggFinish(AggFunc),
     /// Wait for `node`'s end tag (signOff over a variable-rooted path:
@@ -225,7 +227,7 @@ fn task_kind(t: &Task) -> usize {
         Task::StringFnFinish(_) => 13,
         Task::Operand(_) => 14,
         Task::CollectLoop { .. } => 15,
-        Task::CollectClosed(_) => 16,
+        Task::CollectClosed { .. } => 16,
         Task::AggFinish(_) => 17,
         Task::WaitClosed(_) => 18,
         Task::DrainInput => 19,
@@ -398,8 +400,8 @@ pub(crate) struct Vm {
     wait: Wait,
     /// Recycled cursor frame stacks (one cursor per path evaluation).
     cursor_pool: CursorPool,
-    /// Reused signOff derivation map.
-    signoff_scratch: HashMap<NodeId, u32, FxBuildHasher>,
+    /// Reused signOff region: each target node with its derivations.
+    signoff_scratch: Vec<(NodeId, u32)>,
     /// Recycled operand values for comparisons/aggregates (capacities
     /// kept: an operand is atomized per evaluation, not allocated).
     value_pool: Vec<Values>,
@@ -433,7 +435,7 @@ impl Vm {
             exists_cache,
             wait: Wait::Any,
             cursor_pool: CursorPool::default(),
-            signoff_scratch: HashMap::default(),
+            signoff_scratch: Vec::new(),
             value_pool: Vec::new(),
             input_exhausted: false,
             timing: None,
@@ -833,10 +835,13 @@ impl Vm {
                         self.open_cursor(p, buf)?;
                         let v = self.pooled_values();
                         self.vals.push(v);
-                        self.tasks.push(Task::CollectLoop { attr });
+                        self.tasks.push(Task::CollectLoop {
+                            attr,
+                            atomize: true,
+                        });
                     }
                 },
-                Task::CollectLoop { attr } => loop {
+                Task::CollectLoop { attr, atomize } => loop {
                     let cursor = self.cursors.last_mut().expect("collect cursor");
                     match cursor.advance(buf, self.program.steps()) {
                         CursorState::Match(n) => match attr {
@@ -852,18 +857,20 @@ impl Vm {
                             }
                             AttrPlan::None => {
                                 if buf.is_text(n) {
-                                    self.collect_string_value(n, buf);
+                                    self.collect_string_value(n, buf, atomize);
                                 } else {
                                     // Blocking atomization: the subtree's
-                                    // string value needs its end tag.
-                                    self.tasks.push(Task::CollectLoop { attr });
-                                    self.tasks.push(Task::CollectClosed(n));
+                                    // string value needs its end tag. A
+                                    // count waits as long, so that it
+                                    // blocks exactly where the value would.
+                                    self.tasks.push(Task::CollectLoop { attr, atomize });
+                                    self.tasks.push(Task::CollectClosed { node: n, atomize });
                                     break;
                                 }
                             }
                         },
                         CursorState::NeedInput => {
-                            self.tasks.push(Task::CollectLoop { attr });
+                            self.tasks.push(Task::CollectLoop { attr, atomize });
                             return self.need_input_cursor();
                         }
                         CursorState::Done => {
@@ -872,12 +879,12 @@ impl Vm {
                         }
                     }
                 },
-                Task::CollectClosed(n) => {
-                    if buf.is_closed(n) {
-                        self.collect_string_value(n, buf);
+                Task::CollectClosed { node, atomize } => {
+                    if buf.is_closed(node) {
+                        self.collect_string_value(node, buf, atomize);
                     } else {
-                        self.tasks.push(Task::CollectClosed(n));
-                        return self.need_input(Wait::Closed(n));
+                        self.tasks.push(Task::CollectClosed { node, atomize });
+                        return self.need_input(Wait::Closed(node));
                     }
                 }
                 Task::AggFinish(func) => {
@@ -923,15 +930,25 @@ impl Vm {
                     // (analysis strips them when deriving role paths), so
                     // the plan's element steps are the whole target.
                     let steps = self.program.path_steps(self.program.path(path));
-                    // Collect first (merging duplicate derivations), then
-                    // decrement: decrements purge eagerly and would
-                    // invalidate a live walk. The map is reused across
-                    // signOffs (one per preemption point per binding —
-                    // allocation at binding rate otherwise).
+                    // Collect first, then decrement: decrements purge
+                    // eagerly and would invalidate a live walk. The vector
+                    // is reused across signOffs (one per preemption point
+                    // per binding — allocation at binding rate otherwise).
                     let mut matches = std::mem::take(&mut self.signoff_scratch);
                     matches.clear();
                     collect_derivations(buf, ctx, steps, 0, mult, &mut matches);
-                    for (&node, &times) in matches.iter() {
+                    // Only a second descendant(-or-self) step reaches a
+                    // node twice (once below each ancestor the first one
+                    // matched): merge the derivations, so that each node is
+                    // decremented once, while it is still live.
+                    let descendant_steps = steps
+                        .iter()
+                        .filter(|s| matches!(s.axis, EAxis::Descendant | EAxis::DescendantOrSelf))
+                        .count();
+                    if descendant_steps >= 2 {
+                        merge_derivations(&mut matches);
+                    }
+                    for &(node, times) in &matches {
                         buf.decrement_role(node, role, times);
                     }
                     self.signoff_scratch = matches;
@@ -1137,7 +1154,13 @@ impl Vm {
                 let v = self.pooled_values();
                 self.vals.push(v);
                 self.tasks.push(Task::AggFinish(func));
-                self.tasks.push(Task::CollectLoop { attr });
+                // `count()` needs how many values, not what they are:
+                // atomizing nested matches would copy their text once per
+                // enclosing match.
+                self.tasks.push(Task::CollectLoop {
+                    attr,
+                    atomize: func != AggFunc::Count,
+                });
             }
             Instr::HashJoin(j) => {
                 let plan = self.program.join(j);
@@ -1290,11 +1313,16 @@ impl Vm {
         Ok(())
     }
 
-    /// Atomize `n`'s string value onto the top value vector.
-    fn collect_string_value(&mut self, n: NodeId, buf: &BufferTree) {
+    /// Atomize `n`'s string value onto the top value vector — or, without
+    /// `atomize`, push an empty value in its place.
+    fn collect_string_value(&mut self, n: NodeId, buf: &BufferTree, atomize: bool) {
         let values = self.top_values();
-        buf.string_value(n, &mut values.arena);
-        values.close_value();
+        if atomize {
+            buf.string_value(n, &mut values.arena);
+            values.close_value();
+        } else {
+            values.push_parsed("", None);
+        }
     }
 }
 
@@ -1331,18 +1359,20 @@ fn aggregate_text(func: AggFunc, values: &Values) -> Option<String> {
     }
 }
 
-/// Walk the buffered subtree counting derivations of `steps[i..]` from
-/// `node`; accumulate `mult × derivations` per matched node.
+/// Walk the buffered subtree for derivations of `steps[i..]` from `node`,
+/// pushing `(match, mult)` per derivation in the order the walk reaches
+/// them — document order, except that a descendant step followed by
+/// further steps finishes each of its matches before descending further.
 fn collect_derivations(
     buf: &BufferTree,
     node: NodeId,
     steps: &[EvalStep],
     i: usize,
     mult: u32,
-    out: &mut HashMap<NodeId, u32, FxBuildHasher>,
+    out: &mut Vec<(NodeId, u32)>,
 ) {
     if i == steps.len() {
-        *out.entry(node).or_insert(0) += mult;
+        out.push((node, mult));
         return;
     }
     let step = steps[i];
@@ -1375,6 +1405,18 @@ fn collect_derivations(
     }
 }
 
+/// Fold each node's derivations into one entry (the region ends up in
+/// slot order).
+fn merge_derivations(matches: &mut Vec<(NodeId, u32)>) {
+    matches.sort_unstable_by_key(|&(node, _)| node);
+    matches.dedup_by(|(node, times), (kept, total)| {
+        *node == *kept && {
+            *total += *times;
+            true
+        }
+    });
+}
+
 /// Descendant-or-self helper: self match, then every descendant at the
 /// same step. Iterative over the subtree — signOff targets routinely carry
 /// a trailing `descendant-or-self::node()`, so this walk sees the full
@@ -1385,7 +1427,7 @@ fn collect_dos(
     steps: &[EvalStep],
     i: usize,
     mult: u32,
-    out: &mut HashMap<NodeId, u32, FxBuildHasher>,
+    out: &mut Vec<(NodeId, u32)>,
 ) {
     let step = steps[i];
     let mut cur = Some(node);

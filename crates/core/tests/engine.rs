@@ -57,6 +57,23 @@ fn buffer_drains_to_zero_with_active_gc() {
 }
 
 #[test]
+fn a_signoff_through_two_descendant_steps_merges_derivations() {
+    // `$x//a//b` reaches a `b` under nested `a`s once below each of them;
+    // the signOff folds those derivations into one decrement per node, and
+    // the buffer still drains.
+    let input = "<r><a><a><b/><b>t</b></a><b/></a><a><b/></a></r>";
+    for (query, want) in [
+        ("for $x in /r return <c>{ count($x//a//b) }</c>", "<c>4</c>"),
+        ("for $x in /r return $x//a//b", "<b/><b>t</b><b/><b/>"),
+    ] {
+        let (out, report) = gcx(query, input);
+        assert_eq!(out, want, "{query}");
+        assert_eq!(report.buffer.live, 0, "{query}: buffer must drain");
+        assert_eq!(report.buffer.purged, report.buffer.allocated, "{query}");
+    }
+}
+
+#[test]
 fn three_configurations_agree_on_results() {
     let queries = [
         PAPER_QUERY,

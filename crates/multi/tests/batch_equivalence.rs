@@ -189,7 +189,7 @@ fn chunk_splits_do_not_change_a_batch() {
 
 #[test]
 fn a_query_over_its_budget_fails_alone() {
-    // Q8's join buffers ~38 KiB of this document, every other query under
+    // Q8's join buffers ~35 KiB of this document, every other query under
     // 9 KiB: a 20 KB budget trips Q8 only, and nobody else notices.
     let doc = xmark(128, 42);
     let queries = compile_batch();

@@ -291,7 +291,7 @@ fn malformed_xml_is_a_clean_error_and_the_server_survives() {
 #[test]
 fn buffer_budget_rejects_with_413_without_killing_peers() {
     // Q8-style join buffering on a document big enough to cross a small
-    // budget (each book peaks at 331 buffered bytes), while an unbudgeted
+    // budget (each book peaks at 299 buffered bytes), while an unbudgeted
     // peer runs the same document.
     let mut doc = String::from("<bib>");
     for i in 0..2_000 {

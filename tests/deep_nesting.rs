@@ -5,7 +5,9 @@
 //! the DOM oracle's traversals — is iterative, so a 100k-deep document
 //! flows through every engine without overflowing the (typically 8MB)
 //! thread stack, which the old recursive walks did at a few tens of
-//! thousands of levels.
+//! thousands of levels. Nor does depth make the GCX configuration slow:
+//! purge bookkeeping costs O(1) per event, and `count()` does not
+//! atomize what it counts, so a 100k-deep document runs in linear time.
 
 use gcx::{CompiledQuery, EngineOptions};
 
@@ -41,17 +43,18 @@ fn hundred_k_deep_document_serializes_without_overflow() {
     let doc = deep_doc(DEPTH);
     let query = "for $v in /d return $v";
     let q = CompiledQuery::compile(query).unwrap();
-    // Full buffering: tokenizer → preprojector → buffer → serialize →
-    // writer, all at 100k depth. (The GCX configuration additionally runs
-    // per-node signOff accounting whose ancestor updates are O(depth) per
-    // node by design; see the differential test below for that path.)
-    let out = run_engine(&q, &EngineOptions::full_buffering(), &doc);
-    assert_eq!(out.len(), doc.len());
-    assert_eq!(
-        out,
-        doc.as_bytes(),
-        "deep round-trip must be byte-identical"
-    );
+    // Tokenizer → preprojector → buffer → serialize → writer, all at 100k
+    // depth: with full buffering, and with projection, signOffs and
+    // purging.
+    for opts in [EngineOptions::full_buffering(), EngineOptions::gcx()] {
+        let out = run_engine(&q, &opts, &doc);
+        assert_eq!(out.len(), doc.len());
+        assert_eq!(
+            out,
+            doc.as_bytes(),
+            "deep round-trip must be byte-identical"
+        );
+    }
 }
 
 #[test]
@@ -73,15 +76,15 @@ fn hundred_k_deep_tokenizer_validates() {
 #[test]
 fn deep_differential_gcx_vs_dom() {
     // The full GCX configuration (projection + signOffs + purging) against
-    // the DOM oracle on a deep document. Depth is moderated because signOff
-    // role accounting walks the ancestor chain per node (quadratic in
-    // depth by design); the point here is agreement, not speed.
+    // the DOM oracle and full buffering on a deep document, then alone at
+    // 100k levels, where the same queries have closed-form answers.
     const DEPTH: usize = 5_000;
-    let doc = deep_doc(DEPTH);
-    for query in [
-        "for $v in /d return $v",
-        "for $v in /d/d/d return $v/text()",
-        "<n>{ count(/d//d) }</n>",
+    const DEEP: usize = 100_000;
+    let (doc, deep) = (deep_doc(DEPTH), deep_doc(DEEP));
+    for (query, at_deep) in [
+        ("for $v in /d return $v", deep.clone()),
+        ("for $v in /d/d/d return $v/text()", String::new()),
+        ("<n>{ count(/d//d) }</n>", format!("<n>{}</n>", DEEP - 1)),
     ] {
         let q = CompiledQuery::compile(query).unwrap();
         let gcx_out = run_engine(&q, &EngineOptions::gcx(), &doc);
@@ -89,5 +92,10 @@ fn deep_differential_gcx_vs_dom() {
         let dom_out = run_dom(query, &doc);
         assert_eq!(gcx_out, dom_out, "gcx vs dom on {query}");
         assert_eq!(full_out, dom_out, "full-buffering vs dom on {query}");
+        let deep_out = run_engine(&q, &EngineOptions::gcx(), &deep);
+        assert!(
+            deep_out == at_deep.as_bytes(),
+            "gcx at {DEEP} levels on {query}"
+        );
     }
 }

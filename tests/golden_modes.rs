@@ -18,9 +18,10 @@
 //! asserted against [`BEFORE_LAZY_PREFIX`]. Tokens, output sizes and the
 //! two non-projecting modes are byte-for-byte the old pins.
 //!
-//! A second re-pin moved the byte peaks alone, down, when a node's charge
-//! fell from a 168-byte record to an 80-byte slot; the relation is
-//! asserted against [`BEFORE_COMPACT`].
+//! Two more re-pins moved the byte peaks alone, down, when a node's charge
+//! fell from a 168-byte record to an 80-byte slot and then to a 72-byte
+//! one; the relation is asserted against [`BEFORE_COMPACT`] and
+//! [`BEFORE_HOLD_COUNTS`].
 
 mod common;
 
@@ -50,10 +51,42 @@ fn modes() -> [(&'static str, EngineOptions); 4] {
 
 /// `[tokens, peak_live, peak_live_bytes, allocated, purged, output_bytes]`
 /// per query (in `paper_queries()` order), per mode (in `modes()` order).
-/// Byte peaks re-pinned with compact buffer storage; see
-/// [`BEFORE_COMPACT`].
+/// Byte peaks re-pinned with compact buffer storage and again with hold
+/// counts; see [`BEFORE_COMPACT`] and [`BEFORE_HOLD_COUNTS`].
 #[rustfmt::skip]
 const PINNED: [[[u64; 6]; 4]; 11] = [
+    // Q1
+    [[9900, 5, 391, 317, 317, 25], [9900, 317, 25693, 317, 0, 25], [9900, 8, 706, 6067, 6067, 25], [9900, 6067, 487025, 6067, 0, 25]],
+    // Q6
+    [[9900, 6, 465, 275, 275, 3526], [9900, 275, 22233, 275, 0, 3526], [9900, 9, 864, 6067, 6067, 3526], [9900, 6067, 487025, 6067, 0, 3526]],
+    // Q8
+    [[9900, 438, 35596, 438, 438, 5111], [9900, 438, 35596, 438, 0, 5111], [9900, 442, 35957, 6067, 6067, 5111], [9900, 6067, 487025, 6067, 0, 5111]],
+    // Q13
+    [[9900, 9, 833, 93, 93, 2624], [9900, 93, 8523, 93, 0, 2624], [9900, 12, 1091, 6067, 6067, 2624], [9900, 6067, 487025, 6067, 0, 2624]],
+    // Q20
+    [[9900, 4, 322, 185, 185, 1068], [9900, 185, 16293, 185, 0, 1068], [9900, 7, 706, 6067, 6067, 1068], [9900, 6067, 487025, 6067, 0, 1068]],
+    // Q2
+    [[9900, 6, 460, 171, 171, 1189], [9900, 171, 13613, 171, 0, 1189], [9900, 10, 852, 6067, 6067, 1189], [9900, 6067, 487025, 6067, 0, 1189]],
+    // Q3
+    [[9900, 9, 682, 301, 301, 1289], [9900, 301, 23260, 301, 0, 1289], [9900, 13, 1074, 6067, 6067, 1289], [9900, 6067, 487025, 6067, 0, 1289]],
+    // Q14
+    [[9900, 9, 864, 542, 542, 702], [9900, 542, 51038, 542, 0, 702], [9900, 12, 1122, 6067, 6067, 702], [9900, 6067, 487025, 6067, 0, 702]],
+    // Q17
+    [[9900, 5, 391, 317, 317, 4361], [9900, 317, 25693, 317, 0, 4361], [9900, 8, 706, 6067, 6067, 4361], [9900, 6067, 487025, 6067, 0, 4361]],
+    // Q19
+    [[9900, 8, 614, 78, 78, 999], [9900, 78, 6103, 78, 0, 999], [9900, 11, 995, 6067, 6067, 999], [9900, 6067, 487025, 6067, 0, 999]],
+    // Q6_COUNT
+    [[9900, 97, 8220, 97, 97, 17], [9900, 97, 8220, 97, 0, 17], [9900, 103, 8778, 6067, 6067, 17], [9900, 6067, 487025, 6067, 0, 17]],
+];
+
+/// [`PINNED`] as it stood while a buffered node was charged an 80-byte
+/// slot: a slot lost its two subtree aggregates (an 8-byte role total and a
+/// 4-byte pin total) for one 4-byte hold count, so each node's charge fell
+/// by 8 bytes. Same relation as [`BEFORE_COMPACT`]: exactly
+/// `old − 8 × peak_live` where nothing is purged, within
+/// `[old − 8 × peak_live, old]` elsewhere.
+#[rustfmt::skip]
+const BEFORE_HOLD_COUNTS: [[[u64; 6]; 4]; 11] = [
     // Q1
     [[9900, 5, 431, 317, 317, 25], [9900, 317, 28229, 317, 0, 25], [9900, 8, 762, 6067, 6067, 25], [9900, 6067, 535561, 6067, 0, 25]],
     // Q6
@@ -78,9 +111,9 @@ const PINNED: [[[u64; 6]; 4]; 11] = [
     [[9900, 97, 8996, 97, 97, 17], [9900, 97, 8996, 97, 0, 17], [9900, 103, 9602, 6067, 6067, 17], [9900, 6067, 535561, 6067, 0, 17]],
 ];
 
-/// [`PINNED`] as it stood while a buffered node was charged a 168-byte
-/// record; every column but the byte peak is unchanged. A node is now
-/// charged its 80-byte slot, payload counted as before, so each node's
+/// [`BEFORE_HOLD_COUNTS`] as it stood while a buffered node was charged a
+/// 168-byte record; every column but the byte peak is unchanged. A node
+/// was then charged its 80-byte slot, payload counted as before, so each node's
 /// charge fell by 88 bytes: a peak of `old` bytes at `peak_live` nodes
 /// becomes exactly `old − 88 × peak_live` where nothing is purged (the
 /// peak is the end state), and lands in `[old − 88 × peak_live, old]`
@@ -158,11 +191,15 @@ fn the_re_pin_is_the_old_pin_minus_what_was_never_needed() {
     assert_eq!(moved, BEFORE_LAZY_PREFIX.len());
 }
 
-#[test]
-fn the_compact_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
-    /// Bytes a node's charge fell by: a 168-byte record → an 80-byte slot.
-    const SAVED: u64 = 168 - 80;
-    for (q, (before, now)) in BEFORE_COMPACT.iter().zip(PINNED).enumerate() {
+/// Every column of `after` equals `before` but the byte peak, which fell by
+/// exactly `saved` bytes per peak node where nothing is purged and by at
+/// most that elsewhere.
+fn assert_byte_peaks_fell_by_at_most(
+    saved: u64,
+    before: &[[[u64; 6]; 4]; 11],
+    after: &[[[u64; 6]; 4]; 11],
+) {
+    for (q, (before, now)) in before.iter().zip(after).enumerate() {
         for (m, (before, now)) in before.iter().zip(now).enumerate() {
             let (old, new, nodes) = (before[2], now[2], before[1]);
             assert_eq!(
@@ -173,17 +210,29 @@ fn the_compact_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
             if before[4] == 0 {
                 assert_eq!(
                     new,
-                    old - SAVED * nodes,
+                    old - saved * nodes,
                     "query {q}, mode {m}: nothing purged"
                 );
             } else {
                 assert!(
-                    (old - SAVED * nodes..=old).contains(&new),
+                    (old - saved * nodes..=old).contains(&new),
                     "query {q}, mode {m}: {new}"
                 );
             }
         }
     }
+}
+
+#[test]
+fn the_compact_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
+    // A 168-byte record → an 80-byte slot.
+    assert_byte_peaks_fell_by_at_most(168 - 80, &BEFORE_COMPACT, &BEFORE_HOLD_COUNTS);
+}
+
+#[test]
+fn the_hold_count_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
+    // An 80-byte slot → a 72-byte one.
+    assert_byte_peaks_fell_by_at_most(80 - 72, &BEFORE_HOLD_COUNTS, &PINNED);
 }
 
 #[test]
@@ -229,6 +278,11 @@ fn paper_queries_measure_the_same_in_all_four_modes() {
 /// (Q6: 1037 → 509 and 1036 → 508 at six nodes, 336 → 160 at two; Q14:
 /// 1637 → 845 and 1701 → 909 at nine; projection-only Q6 21032 → 10560,
 /// 41731 → 20963, then its end state 48633 → 24433 at 275).
+///
+/// And with [`BEFORE_HOLD_COUNTS`]: residencies unchanged, each sample 8
+/// bytes lower per node live at that token (Q6: 509 → 461, 508 → 460,
+/// 160 → 144; Q14: 845 → 773, 909 → 837; projection-only Q6 10560 → 9608
+/// at 119 nodes, 20963 → 19075 at 236, 24433 → 22233 at 275).
 fn assert_telemetry(
     what: &str,
     text: &str,
@@ -256,14 +310,14 @@ fn assert_telemetry(
 fn telemetry_clock_is_pinned() {
     assert_telemetry(
         "Q6/gcx", queries::Q6, EngineOptions::gcx(), (275, 28145),
-        &[(1, 0), (1025, 509), (2049, 508), (3073, 160), (4097, 160), (5121, 160), (6145, 160), (7169, 160), (8193, 160), (9217, 160)],
+        &[(1, 0), (1025, 461), (2049, 460), (3073, 144), (4097, 144), (5121, 144), (6145, 144), (7169, 144), (8193, 144), (9217, 144)],
     );
     assert_telemetry(
         "Q14/gcx", queries::extra::Q14, EngineOptions::gcx(), (542, 31585),
-        &[(1, 0), (1025, 845), (2049, 909), (3073, 160), (4097, 160), (5121, 160), (6145, 160), (7169, 160), (8193, 160), (9217, 160)],
+        &[(1, 0), (1025, 773), (2049, 837), (3073, 144), (4097, 144), (5121, 144), (6145, 144), (7169, 144), (8193, 144), (9217, 144)],
     );
     assert_telemetry(
         "Q6/projection_only", queries::Q6, EngineOptions::projection_only(), (0, 0),
-        &[(1, 0), (1025, 10560), (2049, 20963), (3073, 24433), (4097, 24433), (5121, 24433), (6145, 24433), (7169, 24433), (8193, 24433), (9217, 24433)],
+        &[(1, 0), (1025, 9608), (2049, 19075), (3073, 22233), (4097, 22233), (5121, 22233), (6145, 22233), (7169, 22233), (8193, 22233), (9217, 22233)],
     );
 }
