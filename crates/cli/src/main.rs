@@ -5,9 +5,6 @@
 //! gcx run <query.xq|-e QUERY> <input.xml>   evaluate a query over a document
 //! gcx multi <batch.xq|--xmark> <input.xml>  evaluate a query batch in ONE pass
 //! gcx serve [--addr HOST:PORT]              streaming XQuery HTTP service
-//! gcx bench throughput [--smoke]            throughput baseline (BENCH_throughput.json)
-//! gcx bench serve [--smoke]                 service load test (BENCH_server.json)
-//! gcx bench obs-overhead [--smoke]          telemetry on/off cost (BENCH_obs_overhead.json)
 //! gcx explain <query.xq|-e QUERY>           roles, rewritten query, program listing
 //! gcx analyze <query.xq|-e QUERY>           static streamability class, bound, lints
 //! gcx trace <query.xq|-e QUERY> <input.xml> buffer-occupancy trace (CSV)
@@ -19,14 +16,7 @@ use gcx_core::{CompiledQuery, EngineOptions, RunReport};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 
-mod bench;
 mod trace;
-
-/// Heap tracking for `gcx bench throughput` (peak bytes + allocation
-/// counts). A handful of relaxed atomics per allocation — and the engine's
-/// steady state allocates nothing — so the other commands are unaffected.
-#[global_allocator]
-static ALLOC: gcx_memtrack::TrackingAllocator = gcx_memtrack::TrackingAllocator::new();
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,7 +24,6 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("multi") => cmd_multi(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench") => bench::cmd_bench(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
@@ -72,11 +61,6 @@ USAGE:
               [--max-request-secs S] [--no-opt] [--schema xmark|FILE]
               [--eval-threads N] [--max-spool-bytes N]
               [--max-static-class constant|per-item|subtree|document]
-  gcx bench   throughput [--mb N] [--iters K] [--seed S] [--smoke] [--min-q8-mbs N]
-              [--threads N] [--out FILE]
-  gcx bench   serve [--mb N] [--clients N] [--seed S] [--smoke] [--out FILE]
-  gcx bench   obs-overhead [--mb N] [--iters K] [--seed S] [--smoke]
-              [--min-q8-mbs N] [--out FILE]
   gcx explain <query.xq | -e QUERY> [--schema xmark|FILE]
   gcx analyze <query.xq | -e QUERY> [--schema xmark|FILE] [--json]
   gcx trace   <query.xq | -e QUERY> <input.xml> [--every N]
@@ -130,28 +114,6 @@ automatically for the sibling-order facts (`gcx generate --doctype`
 emits one). Per-query override on the service: the `X-Gcx-Schema:
 xmark|none` header on PUT /queries.
 
-`bench throughput` sweeps the 11 paper queries over a generated XMark
-document — standalone, batched, and with the XMark DTD attached — and
-writes BENCH_throughput.json (MB/s, tokens/s, peak buffer, allocation
-counts, plus a `schema` section comparing peak buffer bytes with the
-DTD on vs off). `--smoke` runs a small 1MB document once (CI) and
-enforces a Q8 throughput floor (20 MB/s by default, `--min-q8-mbs N`
-to override; `bench obs-overhead` applies the same gate to its
-telemetry-off sweep) so a hash-join regression fails the build instead
-of shipping a quadratic plan.
-
-`bench serve` starts an in-process service, registers the 11 paper
-queries and hammers it with N concurrent clients; every response is
-cross-checked byte-for-byte against the offline engine and the buffer
-peaks must match exactly (the service inherits the paper's memory
-contract). Also reports per-request lowering overhead: shared compiled
-program vs recompiling per request. Writes BENCH_server.json.
-
-`bench obs-overhead` sweeps the paper queries twice — telemetry off
-and telemetry on — asserts outputs and buffer peaks are identical in
-both modes, and records the wall-clock delta. The same comparison is
-embedded in BENCH_throughput.json under `obs_overhead`.
-
 `--threads N` (run) partitions the document across N worker threads
 when the query is shard-safe: the input is read whole, split at
 guard-checked element boundaries, each shard evaluated by its own
@@ -165,9 +127,7 @@ reason under `--stats`/`--stats-json` (`shard_path`, `shards`,
 budget to spooled request bodies and reports the taken path in the
 X-Gcx-Shard-Path response header; bodies larger than `--max-spool-bytes`
 (default 256m, 0 = unlimited) stream through the serial path instead of
-spooling, keeping per-request memory bounded. `gcx bench throughput
---threads N` records a parallel sweep under `parallel` in
-BENCH_throughput.json.
+spooling, keeping per-request memory bounded.
 
 `--no-opt` (run, multi, serve) skips the gcx-ir plan optimizer (step
 fusion, shared path prefixes, exists caching, hash joins) and executes
@@ -270,30 +230,37 @@ fn write_trace(path: &str, runs: &[(String, &RunReport)]) -> Result<(), String> 
     Ok(())
 }
 
+/// The value following the flag `name`: `None` when the flag is absent, an
+/// error naming it when it is the last argument.
+fn flag_value<'a>(flags: &[&'a str], name: &str) -> Result<Option<&'a str>, String> {
+    match flags.iter().position(|f| *f == name) {
+        None => Ok(None),
+        Some(i) => match flags.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("`{name}` needs a value")),
+        },
+    }
+}
+
 /// Extract `--max-buffer-bytes N` from a flag list. Sizes accept k/m/g
 /// suffixes, parsed by the same routine the server uses for the
 /// `X-Gcx-Max-Buffer-Bytes` header (`gcx_server::parse_byte_size`).
 fn take_max_buffer_bytes(flags: &[&str]) -> Result<Option<u64>, String> {
-    if !flags.contains(&"--max-buffer-bytes") {
-        return Ok(None);
-    }
-    let v = bench::flag_value(flags, "--max-buffer-bytes")
-        .ok_or("`--max-buffer-bytes` needs a value")?;
-    gcx_server::parse_byte_size(v)
-        .map(Some)
-        .ok_or_else(|| format!("invalid byte size `{v}` (number with optional k/m/g)"))
+    flag_value(flags, "--max-buffer-bytes")?
+        .map(|v| {
+            gcx_server::parse_byte_size(v)
+                .ok_or_else(|| format!("invalid byte size `{v}` (number with optional k/m/g)"))
+        })
+        .transpose()
 }
 
 /// Extract `--schema xmark|FILE` from a flag list: `xmark` selects the
 /// bundled XMark DTD, anything else is read as a DTD file (an internal
 /// subset, or a full `<!DOCTYPE name [...]>` declaration).
-pub(crate) fn take_schema(
-    flags: &[&str],
-) -> Result<Option<std::sync::Arc<gcx_schema::Dtd>>, String> {
-    if !flags.contains(&"--schema") {
+fn take_schema(flags: &[&str]) -> Result<Option<std::sync::Arc<gcx_schema::Dtd>>, String> {
+    let Some(v) = flag_value(flags, "--schema")? else {
         return Ok(None);
-    }
-    let v = bench::flag_value(flags, "--schema").ok_or("`--schema` needs xmark or a DTD file")?;
+    };
     if v == "xmark" {
         return Ok(Some(gcx_schema::Dtd::xmark()));
     }
@@ -343,18 +310,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let (query_text, rest) = take_query(args)?;
     let input_path = rest.first().ok_or("missing input document")?;
     let flags: Vec<&str> = rest[1..].iter().map(String::as_str).collect();
-    let engine = flags
-        .iter()
-        .position(|f| *f == "--engine")
-        .and_then(|i| flags.get(i + 1).copied())
-        .unwrap_or("gcx");
+    let engine = flag_value(&flags, "--engine")?.unwrap_or("gcx");
     let stats = flags.contains(&"--stats");
     let stats_json = flags.contains(&"--stats-json");
     let indent = flags.contains(&"--indent");
     let obs = flags.contains(&"--obs");
     let no_opt = flags.contains(&"--no-opt");
     let trace_path = take_trace(&flags)?;
-    let threads: usize = match bench::flag_value(&flags, "--threads") {
+    let threads: usize = match flag_value(&flags, "--threads")? {
         Some(v) => v
             .parse()
             .ok()
@@ -552,10 +515,7 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
     let stats_json = flags.contains(&"--stats-json");
     let obs = flags.contains(&"--obs");
     let trace_path = take_trace(&flags)?;
-    let out_dir = flags
-        .iter()
-        .position(|f| *f == "--out-dir")
-        .and_then(|i| flags.get(i + 1).copied());
+    let out_dir = flag_value(&flags, "--out-dir")?;
 
     let no_opt = flags.contains(&"--no-opt");
     let mut queries = Vec::with_capacity(texts.len());
@@ -644,19 +604,18 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags: Vec<&str> = args.iter().map(String::as_str).collect();
-    let flag_value = |name: &str| bench::flag_value(&flags, name);
     let mut config = gcx_server::ServerConfig::default();
-    if let Some(addr) = flag_value("--addr") {
+    if let Some(addr) = flag_value(&flags, "--addr")? {
         config.addr = addr.to_string();
     }
-    if let Some(v) = flag_value("--workers") {
+    if let Some(v) = flag_value(&flags, "--workers")? {
         config.workers = v
             .parse::<usize>()
             .ok()
             .filter(|&w| w > 0)
             .ok_or("--workers must be a positive number")?;
     }
-    if let Some(v) = flag_value("--queue") {
+    if let Some(v) = flag_value(&flags, "--queue")? {
         config.queue_depth = v
             .parse::<usize>()
             .ok()
@@ -666,32 +625,32 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.max_buffer_bytes = take_max_buffer_bytes(&flags)?;
     config.optimize = !flags.contains(&"--no-opt");
     config.schema = take_schema(&flags)?;
-    if let Some(v) = flag_value("--eval-threads") {
+    if let Some(v) = flag_value(&flags, "--eval-threads")? {
         config.eval_threads = v
             .parse::<usize>()
             .ok()
             .filter(|&t| t > 0)
             .ok_or("--eval-threads must be a positive number")?;
     }
-    if let Some(v) = flag_value("--max-spool-bytes") {
+    if let Some(v) = flag_value(&flags, "--max-spool-bytes")? {
         let bytes = gcx_server::parse_byte_size(v)
             .ok_or_else(|| format!("invalid byte size `{v}` (number with optional k/m/g)"))?;
         // 0 = unlimited, mirroring the timeout flags.
         config.max_spool_bytes = (bytes > 0).then_some(bytes);
     }
-    if let Some(v) = flag_value("--max-static-class") {
+    if let Some(v) = flag_value(&flags, "--max-static-class")? {
         let class = gcx_analyze::StreamClass::parse(v).ok_or_else(|| {
             format!("invalid class `{v}` (constant | per-item | subtree | document)")
         })?;
         config.admission_class = Some(class);
     }
-    if let Some(v) = flag_value("--read-timeout-secs") {
+    if let Some(v) = flag_value(&flags, "--read-timeout-secs")? {
         let secs: u64 = v
             .parse()
             .map_err(|_| "--read-timeout-secs must be a number")?;
         config.read_timeout = (secs > 0).then(|| std::time::Duration::from_secs(secs));
     }
-    if let Some(v) = flag_value("--max-request-secs") {
+    if let Some(v) = flag_value(&flags, "--max-request-secs")? {
         let secs: u64 = v
             .parse()
             .map_err(|_| "--max-request-secs must be a number (0 = unlimited)")?;
@@ -767,12 +726,11 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let (query_text, rest) = take_query(args)?;
     let input_path = rest.first().ok_or("missing input document")?;
-    let every = rest
-        .iter()
-        .position(|f| f == "--every")
-        .and_then(|i| rest.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1);
+    let flags: Vec<&str> = rest[1..].iter().map(String::as_str).collect();
+    let every: u64 = match flag_value(&flags, "--every")? {
+        Some(v) => v.parse().map_err(|_| "--every must be a number")?,
+        None => 1,
+    };
     let q = CompiledQuery::compile(&query_text).map_err(|e| e.to_string())?;
     let input = open_input(input_path)?;
     let report = gcx_core::run(
@@ -798,16 +756,12 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         .ok_or("missing size in MB")?
         .parse()
         .map_err(|_| "size must be a number (MB)")?;
-    let seed = args
-        .iter()
-        .position(|f| f == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok());
+    let flags: Vec<&str> = args.iter().map(String::as_str).collect();
     let mut cfg = gcx_xmark::XmarkConfig::sized(mb * 1024 * 1024);
-    if let Some(s) = seed {
-        cfg.seed = s;
+    if let Some(v) = flag_value(&flags, "--seed")? {
+        cfg.seed = v.parse().map_err(|_| "--seed must be a number")?;
     }
-    cfg.doctype = args.iter().any(|f| f == "--doctype");
+    cfg.doctype = flags.contains(&"--doctype");
     let written = match args.get(1).filter(|a| !a.starts_with("--")) {
         Some(path) => {
             let f = BufWriter::new(

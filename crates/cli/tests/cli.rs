@@ -531,30 +531,31 @@ fn serve_subcommand_end_to_end() {
 }
 
 #[test]
-fn bench_serve_smoke_writes_report() {
-    let out_path =
-        std::env::temp_dir().join(format!("gcx-bench-serve-{}.json", std::process::id()));
-    let out = gcx_bin()
-        .args(["bench", "serve", "--smoke", "--clients", "2", "--out"])
-        .arg(&out_path)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(&out_path).unwrap();
-    for key in [
-        "\"all_ok\":true",
-        "\"cap_demo\":{\"budget_bytes\":256,\"status\":413,\"rejected\":true}",
-        "\"outputs_match\":true",
-        "\"peaks_match\":true",
-        "\"server_stats\"",
+fn value_flag_without_a_value_fails_naming_it() {
+    let doc = write_temp("novalue.xml", "<a/>");
+    let doc = doc.to_str().unwrap();
+    let q = "for $x in /a return $x";
+    // The serve address is invalid: were `--workers` ignored, the server
+    // would fail to start with another message instead of running.
+    for (args, flag) in [
+        (vec!["run", "-e", q, doc, "--threads"], "--threads"),
+        (vec!["run", "-e", q, doc, "--engine"], "--engine"),
+        (
+            vec!["serve", "--addr", "256.0.0.0:0", "--workers"],
+            "--workers",
+        ),
+        (vec!["multi", "--xmark", doc, "--out-dir"], "--out-dir"),
+        (vec!["trace", "-e", q, doc, "--every"], "--every"),
+        (vec!["generate", "1", "--seed"], "--seed"),
     ] {
-        assert!(json.contains(key), "missing {key}: {json}");
+        let out = gcx_bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{flag}` needs a value")),
+            "{args:?}: {stderr}"
+        );
     }
-    let _ = std::fs::remove_file(&out_path);
 }
 
 #[test]

@@ -191,8 +191,8 @@ impl CompiledQuery {
 
 /// The buffer-management strategy: the {static projection} × {active
 /// garbage collection} grid. The first three span the comparison axis of
-/// the paper's evaluation (Figure 5); the fourth completes the grid for
-/// the ablation study.
+/// the paper's evaluation (Figure 5); the fourth completes the grid
+/// (`tests/golden_modes.rs` pins all four).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// Static projection **and** dynamic buffer minimization via active

@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for the loopback tests and the
-//! `gcx bench serve` load generator.
+//! repository benchmark's `server_loopback` workload.
 //!
 //! The one non-trivial property: the request body is written from a
 //! scoped thread while the response is read on the caller's thread. The
@@ -82,7 +82,7 @@ pub fn request(
 }
 
 /// [`request`] with an explicit socket read timeout. The eval endpoint
-/// streams results of heavyweight queries (`gcx bench serve` holds N
+/// streams results of heavyweight queries (a load test may hold N
 /// concurrent XMark Q8 evaluations on one loopback server), so its reads
 /// legitimately stall far longer than any control-plane exchange.
 #[allow(clippy::too_many_arguments)]

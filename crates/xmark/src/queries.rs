@@ -45,8 +45,7 @@ pub const Q6: &str = r#"
 "#;
 
 /// Q6 with the aggregation extension enabled (not part of the paper's
-/// fragment — "does not yet cover aggregation"). Used by the ablation
-/// benchmarks.
+/// fragment — "does not yet cover aggregation").
 pub const Q6_COUNT: &str = "<count>{ count(/site/regions//item) }</count>";
 
 /// **XMark Q8** — "List the names of persons and the number of items they

@@ -5,16 +5,19 @@
 //! Prints ASCII plots and writes `target/figures/fig3{b,c}.csv`.
 //!
 //! ```sh
-//! cargo run --release -p gcx-bench --bin fig3
+//! cargo run --release --example fig3
 //! ```
 
-use gcx_bench::{ascii_plot, write_series_csv};
-use gcx_core::{CompiledQuery, EngineOptions};
-use gcx_xmark::{microdoc_article_heavy, microdoc_book_heavy, queries};
+#[path = "figures/common.rs"]
+mod common;
+
+use common::{ascii_plot, write_series_csv};
+use gcx::xmark::{microdoc_article_heavy, microdoc_book_heavy, queries};
+use gcx::{CompiledQuery, EngineOptions};
 
 fn series_for(doc: &str) -> Vec<(u64, u64)> {
     let q = CompiledQuery::compile(queries::RUNNING_EXAMPLE).expect("query compiles");
-    let report = gcx_core::run(
+    let report = gcx::run(
         &q,
         &EngineOptions::gcx().with_timeline(1),
         doc.as_bytes(),

@@ -11,13 +11,16 @@
 //!   auctions accumulate: memory linear in the input.
 //!
 //! ```sh
-//! cargo run --release -p gcx-bench --bin fig4            # ~10MB document
-//! cargo run --release -p gcx-bench --bin fig4 -- 2       # ~2MB document
+//! cargo run --release --example fig4            # ~10MB document
+//! cargo run --release --example fig4 -- 2       # ~2MB document
 //! ```
 
-use gcx_bench::{ascii_plot, run_streaming, write_series_csv, xmark_file};
-use gcx_core::{CompiledQuery, EngineOptions};
-use gcx_xmark::queries;
+#[path = "figures/common.rs"]
+mod common;
+
+use common::{ascii_plot, run_streaming, write_series_csv, xmark_file};
+use gcx::xmark::queries;
+use gcx::{CompiledQuery, EngineOptions};
 
 fn main() {
     let mb: u64 = std::env::args()
@@ -39,21 +42,13 @@ fn main() {
         ),
     ] {
         let q = CompiledQuery::compile(query).expect("query compiles");
-        // Sample roughly 2000 points across the document.
-        let (elapsed, report) = {
-            let input = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-            let start = std::time::Instant::now();
-            let report = gcx_core::run(
-                &q,
-                &EngineOptions::gcx().with_timeline(1).without_drain(),
-                input,
-                std::io::sink(),
-            )
-            .expect("run");
-            (start.elapsed(), report)
-        };
+        let (elapsed, report) = run_streaming(
+            &q,
+            &EngineOptions::gcx().with_timeline(1).without_drain(),
+            &path,
+        );
         let full = report.timeline.expect("timeline enabled").points;
-        // Thin the series for CSV/plot (keep every k-th + the peak points).
+        // Thin the series for CSV/plot to roughly 2000 points.
         let stride = (full.len() / 2000).max(1);
         let series: Vec<(u64, u64)> = full.iter().copied().step_by(stride).collect();
 

@@ -1,7 +1,7 @@
 //! Regenerates **Figure 5**: the time / memory-high-watermark table over
 //! XMark queries Q1, Q6, Q8, Q13, Q20 at several document sizes.
 //!
-//! Engines compared (see DESIGN.md for the substitution rationale):
+//! Engines compared:
 //!
 //! * `gcx`        — this system: projection + active garbage collection;
 //! * `proj-only` — static projection without dynamic purging (the
@@ -15,19 +15,22 @@
 //! the high watermark of non-swapped memory).
 //!
 //! ```sh
-//! cargo run --release -p gcx-bench --bin fig5             # 1,5,10,20 MB
-//! cargo run --release -p gcx-bench --bin fig5 -- --full   # 10,50,100,200 MB
-//! cargo run --release -p gcx-bench --bin fig5 -- 5        # single size (MB)
+//! cargo run --release --example fig5             # 1,5,10,20 MB
+//! cargo run --release --example fig5 -- --full   # 10,50,100,200 MB
+//! cargo run --release --example fig5 -- 5        # single size (MB)
 //! ```
 //!
-//! Q8 is quadratic (a nested-loop value join, as in the paper, where it
-//! times out at 200MB); at the `--full` sizes expect it to dominate the
-//! runtime.
+//! The DOM baseline evaluates Q8's value join as a nested loop (quadratic,
+//! as in the paper, where it times out at 200MB); at the `--full` sizes
+//! expect it to dominate the runtime.
 
-use gcx_bench::{fmt_duration, run_dom, run_streaming, xmark_file};
-use gcx_core::{CompiledQuery, EngineOptions};
-use gcx_memtrack as memtrack;
-use gcx_xmark::queries;
+#[path = "figures/common.rs"]
+mod common;
+
+use common::{fmt_duration, run_dom, run_streaming, xmark_file};
+use gcx::memtrack;
+use gcx::xmark::queries;
+use gcx::{CompiledQuery, EngineOptions};
 
 #[global_allocator]
 static ALLOC: memtrack::TrackingAllocator = memtrack::TrackingAllocator::new();

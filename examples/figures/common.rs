@@ -1,67 +1,50 @@
-#![deny(unsafe_code)]
-//! Shared harness utilities for the GCX experiment regenerators.
-//!
-//! The binaries in `src/bin/` regenerate the paper's figures and tables:
-//!
-//! * `fig3` — buffer plots on the micro documents (Figure 3(b)/(c));
-//! * `fig4` — buffer plots for XMark Q6/Q8 on a ~10MB document (Figure 4);
-//! * `fig5` — the time/memory comparison table (Figure 5);
-//! * `ablation` — the 2×2 {projection}×{GC} grid plus the aggregation
-//!   extension (not in the paper; documents our design choices).
-//!
-//! Criterion micro-benchmarks live in `benches/`.
+//! Shared helpers of the figure examples (`fig3`, `fig4`, `fig5`), each of
+//! which includes this file with `#[path]` and uses part of it.
 
-use gcx_core::{CompiledQuery, EngineOptions, RunReport};
-use gcx_xmark::XmarkConfig;
+#![allow(dead_code)]
+
+use gcx::xmark::XmarkConfig;
+use gcx::{CompiledQuery, EngineOptions, RunReport};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::PathBuf;
+use std::io::{BufReader, BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Generate (or reuse a cached copy of) an XMark-like document of roughly
 /// `mb` megabytes; returns its path. Cached under `target/xmark-cache/`.
 pub fn xmark_file(mb: u64) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/xmark-cache");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/xmark-cache");
     std::fs::create_dir_all(&dir).expect("create cache dir");
     let path = dir.join(format!("xmark-{mb}mb.xml"));
     if !path.exists() {
         eprintln!("generating {} ...", path.display());
         let tmp = path.with_extension("tmp");
         let f = BufWriter::new(File::create(&tmp).expect("create doc"));
-        gcx_xmark::generate(&XmarkConfig::sized(mb * 1024 * 1024), f).expect("generate doc");
+        gcx::xmark::generate(&XmarkConfig::sized(mb * 1024 * 1024), f).expect("generate doc");
         std::fs::rename(&tmp, &path).expect("publish doc");
     }
     path
-}
-
-/// Read a cached document fully into memory (criterion benches).
-pub fn xmark_string(mb: u64) -> String {
-    let mut s = String::new();
-    BufReader::new(File::open(xmark_file(mb)).unwrap())
-        .read_to_string(&mut s)
-        .unwrap();
-    s
 }
 
 /// One measured engine run over a file: wall time + engine report.
 pub fn run_streaming(
     q: &CompiledQuery,
     opts: &EngineOptions,
-    path: &std::path::Path,
+    path: &Path,
 ) -> (Duration, RunReport) {
     let input = BufReader::new(File::open(path).expect("open input"));
     let start = Instant::now();
-    let report = gcx_core::run(q, opts, input, std::io::sink()).expect("engine run failed");
+    let report = gcx::run(q, opts, input, std::io::sink()).expect("engine run failed");
     (start.elapsed(), report)
 }
 
 /// One measured DOM-baseline run over a file: wall time + node count +
 /// output bytes.
-pub fn run_dom(query_text: &str, path: &std::path::Path) -> (Duration, usize, u64) {
-    let q = gcx_query::compile(query_text).expect("query compiles");
+pub fn run_dom(query_text: &str, path: &Path) -> (Duration, usize, u64) {
+    let q = gcx::query::compile(query_text).expect("query compiles");
     let input = BufReader::new(File::open(path).expect("open input"));
     let start = Instant::now();
-    let report = gcx_dom::run(&q, input, std::io::sink()).expect("dom run failed");
+    let report = gcx::dom::run(&q, input, std::io::sink()).expect("dom run failed");
     (start.elapsed(), report.nodes, report.output_bytes)
 }
 
@@ -75,9 +58,9 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Write a `(token, buffered nodes)` series as CSV next to the figures.
+/// Write a `(token, buffered nodes)` series as CSV under `target/figures/`.
 pub fn write_series_csv(name: &str, series: &[(u64, u64)]) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/figures");
     std::fs::create_dir_all(&dir).expect("create figures dir");
     let path = dir.join(format!("{name}.csv"));
     let mut f = BufWriter::new(File::create(&path).expect("create csv"));

@@ -187,7 +187,7 @@ fn one_byte_chunks_and_random_splits_microdocs() {
 fn all_paper_queries_over_xmark_at_arbitrary_boundaries() {
     // A real XMark document (the benchmark corpus) with all 11 paper
     // queries: chunk sizes that straddle every construct, plus random
-    // splits. This is the exact pipeline `gcx bench throughput` measures.
+    // splits.
     let mut cfg = gcx_xmark::XmarkConfig::sized(48 * 1024);
     cfg.seed = 42;
     let mut doc = Vec::new();

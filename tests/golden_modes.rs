@@ -3,8 +3,9 @@
 //! configurations (the {projection} × {GC} grid). A refactoring of the
 //! evaluation core must reproduce every one of them — token counts,
 //! buffer peaks in nodes and bytes, appends, purges and output size —
-//! and, with telemetry on, the same residency histogram (the telemetry
-//! clock counts every structural token, skipped ones included).
+//! with telemetry off and on alike, and, with it on, the same residency
+//! histogram (the telemetry clock counts every structural token, skipped
+//! ones included).
 //!
 //! The numbers are those of the engine before the evaluation paths were
 //! unified, with one deliberate re-pin (lazy prefix materialisation): an
@@ -235,25 +236,37 @@ fn the_hold_count_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() 
     assert_byte_peaks_fell_by_at_most(80 - 72, &BEFORE_HOLD_COUNTS, &PINNED);
 }
 
+/// Every case runs with telemetry off and on: telemetry changes no output
+/// and no measurement.
 #[test]
 fn paper_queries_measure_the_same_in_all_four_modes() {
     let doc = doc();
     for ((name, text), want) in queries::paper_queries().into_iter().zip(PINNED) {
         let q = CompiledQuery::compile(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         for ((mode, opts), want) in modes().into_iter().zip(want) {
-            let mut out = Vec::new();
-            let r = gcx::run(&q, &opts, doc.as_bytes(), &mut out)
-                .unwrap_or_else(|e| panic!("{name}/{mode}: {e}"));
-            assert_eq!(r.output_bytes, out.len() as u64, "{name}/{mode}");
-            let got = [
-                r.tokens,
-                r.buffer.peak_live,
-                r.buffer.peak_live_bytes,
-                r.buffer.allocated,
-                r.buffer.purged,
-                r.output_bytes,
-            ];
-            assert_eq!(got, want, "{name}/{mode}");
+            let mut outputs = Vec::new();
+            for opts in [opts.clone(), opts.with_telemetry()] {
+                let traced = opts.telemetry;
+                let mut out = Vec::new();
+                let r = gcx::run(&q, &opts, doc.as_bytes(), &mut out)
+                    .unwrap_or_else(|e| panic!("{name}/{mode}/telemetry {traced}: {e}"));
+                assert_eq!(r.output_bytes, out.len() as u64, "{name}/{mode}");
+                let got = [
+                    r.tokens,
+                    r.buffer.peak_live,
+                    r.buffer.peak_live_bytes,
+                    r.buffer.allocated,
+                    r.buffer.purged,
+                    r.output_bytes,
+                ];
+                assert_eq!(got, want, "{name}/{mode}/telemetry {traced}");
+                assert_eq!(r.obs.is_some(), traced, "{name}/{mode}");
+                outputs.push(out);
+            }
+            assert!(
+                outputs[0] == outputs[1],
+                "{name}/{mode}: telemetry changed the output"
+            );
         }
     }
 }
