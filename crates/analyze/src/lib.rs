@@ -35,7 +35,8 @@
 //! from the same machinery: a `Document`-class query is never
 //! shard-safe (the class verdict short-circuits the structural walk),
 //! and the remaining structural checks reuse the shared
-//! [`gcx_ir::IrVisitor`] traversal.
+//! [`gcx_ir::IrVisitor`] traversal. It serves only the benchmark's
+//! `par_shards` workload (see the module docs).
 
 mod classify;
 mod dtd;

@@ -15,6 +15,10 @@
 //! structural walk below then only has to recognize the *shape* that
 //! partitions — it can assume document-level state is already ruled out.
 //!
+//! Benchmark-only: its one consumer, `gcx-par`, is reached by no product
+//! surface, only by the benchmark's `par_shards` workload. This module
+//! goes with `gcx-par` when that workload is retired.
+//!
 //! ## The safe shape
 //!
 //! A query is shard-safe when, after peeling static wrappers, it is a

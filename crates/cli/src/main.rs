@@ -52,14 +52,12 @@ USAGE:
   gcx run     <query.xq | -e QUERY> <input.xml> [--engine gcx|projection|full|dom]
               [--stats] [--stats-json] [--indent] [--max-buffer-bytes N]
               [--obs] [--trace FILE] [--no-opt] [--schema xmark|FILE]
-              [--threads N]
   gcx multi   <batch.xq | --xmark> <input.xml> [--out-dir DIR]
               [--stats] [--stats-json] [--indent] [--max-buffer-bytes N]
               [--obs] [--trace FILE] [--no-opt] [--schema xmark|FILE]
   gcx serve   [--addr HOST:PORT] [--workers N] [--queue N]
               [--max-buffer-bytes N] [--read-timeout-secs S]
               [--max-request-secs S] [--no-opt] [--schema xmark|FILE]
-              [--eval-threads N] [--max-spool-bytes N]
               [--max-static-class constant|per-item|subtree|document]
   gcx explain <query.xq | -e QUERY> [--schema xmark|FILE]
   gcx analyze <query.xq | -e QUERY> [--schema xmark|FILE] [--json]
@@ -114,20 +112,7 @@ automatically for the sibling-order facts (`gcx generate --doctype`
 emits one). Per-query override on the service: the `X-Gcx-Schema:
 xmark|none` header on PUT /queries.
 
-`--threads N` (run) partitions the document across N worker threads
-when the query is shard-safe: the input is read whole, split at
-guard-checked element boundaries, each shard evaluated by its own
-engine on its own thread, and the outputs merged in document order —
-byte-identical to a serial run (pinned by the parallel differential
-suite). Whole-document `count(...)` queries take a two-phase path
-(per-shard counts, summed); anything the shard-safety analysis cannot
-prove (e.g. Q8's cross-shard join) falls back to one thread with the
-reason under `--stats`/`--stats-json` (`shard_path`, `shards`,
-`threads`, `fallback`). `gcx serve --eval-threads N` applies the same
-budget to spooled request bodies and reports the taken path in the
-X-Gcx-Shard-Path response header; bodies larger than `--max-spool-bytes`
-(default 256m, 0 = unlimited) stream through the serial path instead of
-spooling, keeping per-request memory bounded.
+Every subcommand rejects a flag it does not know.
 
 `--no-opt` (run, multi, serve) skips the gcx-ir plan optimizer (step
 fusion, shared path prefixes, exists caching, hash joins) and executes
@@ -242,6 +227,27 @@ fn flag_value<'a>(flags: &[&'a str], name: &str) -> Result<Option<&'a str>, Stri
     }
 }
 
+/// Fail on the first flag that is neither one of `switches` nor one of
+/// `values` (each followed by its value): a typo or a retired flag is an
+/// error, not a silently different run.
+fn check_flags(flags: &[&str], switches: &[&str], values: &[&str]) -> Result<(), String> {
+    let mut i = 0;
+    while i < flags.len() {
+        let f = flags[i];
+        if values.contains(&f) {
+            i += 1; // skip its value
+        } else if f.len() > 1
+            && f.starts_with('-')
+            && !switches.contains(&f)
+            && !(f.starts_with("--trace=") && values.contains(&"--trace"))
+        {
+            return Err(format!("unknown flag `{f}`"));
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
 /// Extract `--max-buffer-bytes N` from a flag list. Sizes accept k/m/g
 /// suffixes, parsed by the same routine the server uses for the
 /// `X-Gcx-Max-Buffer-Bytes` header (`gcx_server::parse_byte_size`).
@@ -281,35 +287,15 @@ fn open_input(path: &str) -> Result<Box<dyn Read>, String> {
     }
 }
 
-/// Evaluate through the push-driven [`gcx_core::EvalSession`], feeding
-/// 64KB chunks and draining output as it appears.
-fn run_chunked<W: Write>(
-    q: &CompiledQuery,
-    opts: &EngineOptions,
-    mut input: Box<dyn Read>,
-    out: &mut W,
-) -> Result<RunReport, String> {
-    let mut session = q.session(opts);
-    let mut chunk = vec![0u8; 64 * 1024];
-    loop {
-        let n = input
-            .read(&mut chunk)
-            .map_err(|e| format!("input read: {e}"))?;
-        if n == 0 {
-            break;
-        }
-        session.feed(&chunk[..n]).map_err(|e| e.to_string())?;
-        session.take_output(out).map_err(|e| e.to_string())?;
-    }
-    let report = session.finish().map_err(|e| e.to_string())?;
-    session.take_output(out).map_err(|e| e.to_string())?;
-    Ok(report)
-}
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let (query_text, rest) = take_query(args)?;
     let input_path = rest.first().ok_or("missing input document")?;
     let flags: Vec<&str> = rest[1..].iter().map(String::as_str).collect();
+    check_flags(
+        &flags,
+        &["--stats", "--stats-json", "--indent", "--obs", "--no-opt"],
+        &["--engine", "--max-buffer-bytes", "--trace", "--schema"],
+    )?;
     let engine = flag_value(&flags, "--engine")?.unwrap_or("gcx");
     let stats = flags.contains(&"--stats");
     let stats_json = flags.contains(&"--stats-json");
@@ -317,14 +303,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let obs = flags.contains(&"--obs");
     let no_opt = flags.contains(&"--no-opt");
     let trace_path = take_trace(&flags)?;
-    let threads: usize = match flag_value(&flags, "--threads")? {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&t| t > 0)
-            .ok_or("--threads must be a positive number")?,
-        None => 1,
-    };
 
     // One compiled artifact for every engine: the DOM oracle interprets
     // the normalized AST out of the same `CompiledQuery` the streaming
@@ -332,13 +310,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let q = CompiledQuery::compile_opts(&query_text, !no_opt).map_err(|e| e.to_string())?;
 
     if engine == "dom" {
-        if threads > 1 {
-            return Err(
-                "--threads needs a streaming engine (gcx|projection|full): the DOM oracle \
-                 cannot partition the document"
-                    .into(),
-            );
-        }
         if obs || trace_path.is_some() {
             return Err(
                 "--obs/--trace need a streaming engine (gcx|projection|full): the DOM \
@@ -385,55 +356,18 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     opts.max_buffer_bytes = take_max_buffer_bytes(&flags)?;
     opts.telemetry = obs || trace_path.is_some();
     opts.schema = take_schema(&flags)?;
-    let mut input = open_input(input_path)?;
-    // Partition facts for the stats report: (taken path, shard count,
-    // fallback reason). The plain streaming paths are honestly serial.
-    let mut shard_path = gcx_par::ShardPath::Serial;
-    let mut shards = 1usize;
-    let mut fallback: Option<String> = None;
-    let report = if threads > 1 {
-        // Partition-parallel evaluation needs the whole document (shards
-        // are byte ranges), so `--threads` trades streaming for cores.
-        let mut doc = Vec::new();
-        input
-            .read_to_end(&mut doc)
-            .map_err(|e| format!("input read: {e}"))?;
-        let outcome =
-            gcx_par::run_parallel(&q, &opts, &gcx_par::ParOptions::with_threads(threads), &doc)
-                .map_err(|e| e.to_string())?;
-        let mut out = BufWriter::new(std::io::stdout().lock());
-        out.write_all(&outcome.output).map_err(|e| e.to_string())?;
-        out.flush().map_err(|e| e.to_string())?;
-        shard_path = outcome.path;
-        shards = outcome.shards;
-        fallback = outcome.fallback;
-        outcome.report
-    } else if opts.telemetry {
-        // Drive the push session in chunks so the telemetry carries real
-        // per-chunk feed spans (output and buffer peaks are bit-identical
-        // to the pull-mode run — pinned by the chunk_splits suite).
-        let mut out = BufWriter::new(std::io::stdout().lock());
-        run_chunked(&q, &opts, input, &mut out)?
-    } else {
-        let out = BufWriter::new(std::io::stdout().lock());
-        gcx_core::run(&q, &opts, input, out).map_err(|e| e.to_string())?
-    };
+    let input = open_input(input_path)?;
+    // With telemetry on, each 64 KiB commit of `run` is one feed span.
+    let out = BufWriter::new(std::io::stdout().lock());
+    let report = gcx_core::run(&q, &opts, input, out).map_err(|e| e.to_string())?;
     println!();
     if let Some(path) = &trace_path {
         write_trace(path, &[("query".to_string(), &report)])?;
     }
     if stats_json {
-        let par = format!(
-            "\"threads\":{threads},\"shards\":{shards},\"shard_path\":\"{}\"{}",
-            shard_path.as_str(),
-            fallback
-                .as_deref()
-                .map(|r| format!(",\"fallback\":\"{}\"", gcx_obs::json_escape(r)))
-                .unwrap_or_default(),
-        );
         let analysis = gcx_analyze::analyze_program(&q.program, opts.schema.as_deref());
         let compile = format!(
-            "{par},\"compile\":{{{}}},\"analysis\":{}",
+            "\"compile\":{{{}}},\"analysis\":{}",
             compile_members(&q),
             analysis.to_json()
         );
@@ -447,16 +381,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             report.buffer.purged,
             report.output_bytes
         );
-        if threads > 1 {
-            eprintln!(
-                "threads: {threads}   shards: {shards}   path: {}{}",
-                shard_path.as_str(),
-                fallback
-                    .as_deref()
-                    .map(|r| format!("   fallback: {r}"))
-                    .unwrap_or_default(),
-            );
-        }
     }
     Ok(())
 }
@@ -511,6 +435,11 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
     };
     let input_path = rest.first().ok_or("missing input document")?;
     let flags: Vec<&str> = rest[1..].iter().map(String::as_str).collect();
+    check_flags(
+        &flags,
+        &["--stats", "--stats-json", "--indent", "--obs", "--no-opt"],
+        &["--out-dir", "--max-buffer-bytes", "--trace", "--schema"],
+    )?;
     let stats = flags.contains(&"--stats");
     let stats_json = flags.contains(&"--stats-json");
     let obs = flags.contains(&"--obs");
@@ -604,6 +533,20 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags: Vec<&str> = args.iter().map(String::as_str).collect();
+    check_flags(
+        &flags,
+        &["--no-opt"],
+        &[
+            "--addr",
+            "--workers",
+            "--queue",
+            "--max-buffer-bytes",
+            "--schema",
+            "--max-static-class",
+            "--read-timeout-secs",
+            "--max-request-secs",
+        ],
+    )?;
     let mut config = gcx_server::ServerConfig::default();
     if let Some(addr) = flag_value(&flags, "--addr")? {
         config.addr = addr.to_string();
@@ -625,19 +568,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.max_buffer_bytes = take_max_buffer_bytes(&flags)?;
     config.optimize = !flags.contains(&"--no-opt");
     config.schema = take_schema(&flags)?;
-    if let Some(v) = flag_value(&flags, "--eval-threads")? {
-        config.eval_threads = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&t| t > 0)
-            .ok_or("--eval-threads must be a positive number")?;
-    }
-    if let Some(v) = flag_value(&flags, "--max-spool-bytes")? {
-        let bytes = gcx_server::parse_byte_size(v)
-            .ok_or_else(|| format!("invalid byte size `{v}` (number with optional k/m/g)"))?;
-        // 0 = unlimited, mirroring the timeout flags.
-        config.max_spool_bytes = (bytes > 0).then_some(bytes);
-    }
     if let Some(v) = flag_value(&flags, "--max-static-class")? {
         let class = gcx_analyze::StreamClass::parse(v).ok_or_else(|| {
             format!("invalid class `{v}` (constant | per-item | subtree | document)")
@@ -684,6 +614,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     let (query_text, rest) = take_query(args)?;
     let flags: Vec<&str> = rest.iter().map(String::as_str).collect();
+    check_flags(&flags, &[], &["--schema"])?;
     let schema = take_schema(&flags)?;
     let q = CompiledQuery::compile(&query_text).map_err(|e| e.to_string())?;
     print!("{}", q.explain());
@@ -712,6 +643,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let (query_text, rest) = take_query(args)?;
     let flags: Vec<&str> = rest.iter().map(String::as_str).collect();
+    check_flags(&flags, &["--json"], &["--schema"])?;
     let schema = take_schema(&flags)?;
     let q = CompiledQuery::compile(&query_text).map_err(|e| e.to_string())?;
     let a = gcx_analyze::analyze_program(&q.program, schema.as_deref());
@@ -727,6 +659,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let (query_text, rest) = take_query(args)?;
     let input_path = rest.first().ok_or("missing input document")?;
     let flags: Vec<&str> = rest[1..].iter().map(String::as_str).collect();
+    check_flags(&flags, &[], &["--every"])?;
     let every: u64 = match flag_value(&flags, "--every")? {
         Some(v) => v.parse().map_err(|_| "--every must be a number")?,
         None => 1,
@@ -757,6 +690,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "size must be a number (MB)")?;
     let flags: Vec<&str> = args.iter().map(String::as_str).collect();
+    check_flags(&flags, &["--doctype"], &["--seed"])?;
     let mut cfg = gcx_xmark::XmarkConfig::sized(mb * 1024 * 1024);
     if let Some(v) = flag_value(&flags, "--seed")? {
         cfg.seed = v.parse().map_err(|_| "--seed must be a number")?;
@@ -780,6 +714,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing input document")?;
+    let flags: Vec<&str> = args[1..].iter().map(String::as_str).collect();
+    check_flags(&flags, &[], &[])?;
     let input = open_input(path)?;
     let mut t = gcx_xml::Tokenizer::new(input);
     match t.validate_to_end() {

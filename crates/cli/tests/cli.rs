@@ -538,7 +538,7 @@ fn value_flag_without_a_value_fails_naming_it() {
     // The serve address is invalid: were `--workers` ignored, the server
     // would fail to start with another message instead of running.
     for (args, flag) in [
-        (vec!["run", "-e", q, doc, "--threads"], "--threads"),
+        (vec!["run", "-e", q, doc, "--schema"], "--schema"),
         (vec!["run", "-e", q, doc, "--engine"], "--engine"),
         (
             vec!["serve", "--addr", "256.0.0.0:0", "--workers"],
@@ -553,6 +553,39 @@ fn value_flag_without_a_value_fails_naming_it() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(&format!("`{flag}` needs a value")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn unknown_flags_fail_naming_them() {
+    let doc = write_temp("unknownflag.xml", "<a/>");
+    let doc = doc.to_str().unwrap();
+    let q = "for $x in /a return $x";
+    // Retired flags and typos fail before any work is done: the serve
+    // address is invalid, so an ignored flag would surface as a bind
+    // error instead.
+    for (args, flag) in [
+        (vec!["run", "-e", q, doc, "--threads", "2"], "--threads"),
+        (vec!["run", "-e", q, doc, "--stat"], "--stat"),
+        (
+            vec!["serve", "--addr", "256.0.0.0:0", "--eval-threads", "2"],
+            "--eval-threads",
+        ),
+        (vec!["multi", "--xmark", doc, "--stat"], "--stat"),
+        (vec!["explain", "-e", q, "--json"], "--json"),
+        (vec!["analyze", "-e", q, "--jsn"], "--jsn"),
+        (vec!["trace", "-e", q, doc, "--stats"], "--stats"),
+        (vec!["generate", "1", "--doc-type"], "--doc-type"),
+        (vec!["validate", doc, "--strict"], "--strict"),
+    ] {
+        let out = gcx_bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must do no work");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
             "{args:?}: {stderr}"
         );
     }
@@ -738,23 +771,6 @@ fn stats_json_fields_are_documented_in_architecture_md() {
         "the batch must exercise both per_query shapes: {multi_stderr}"
     );
 
-    // A --threads run on a non-shard-safe query (the body copies the
-    // whole binding from the root) exercises the partition-parallel
-    // fields including `fallback`.
-    let par_run = gcx_bin()
-        .args(["run", "-e", "for $b in /bib return $b"])
-        .arg(&doc)
-        .args(["--threads", "2", "--stats-json"])
-        .output()
-        .unwrap();
-    assert!(par_run.status.success());
-    let par_keys = json_keys(&String::from_utf8_lossy(&par_run.stderr));
-    assert!(
-        par_keys.contains("fallback") && par_keys.contains("shard_path"),
-        "the --threads run must report its path and fallback reason"
-    );
-    keys.extend(par_keys);
-
     // A schema-aware run exercises the `schema` stats section.
     let sdoc = write_temp("schema-s.xml", "<site><regions></regions></site>");
     let schema_run = gcx_bin()
@@ -769,6 +785,10 @@ fn stats_json_fields_are_documented_in_architecture_md() {
         keys.contains("schema"),
         "the schema-aware run must exercise the schema stats section"
     );
+    // The CLI has no partition-parallel path, so no run reports one.
+    for gone in ["threads", "shards", "shard_path", "fallback"] {
+        assert!(!keys.contains(gone), "`{gone}` is no longer emitted");
+    }
 
     for key in keys {
         assert!(

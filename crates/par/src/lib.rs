@@ -27,6 +27,15 @@
 //! Correctness is pinned by `tests/parallel_differential.rs` at the
 //! workspace root: all 11 paper queries, 1/2/4/8 threads, byte-identical
 //! outputs, per-shard buffer peaks within the serial peak.
+//!
+//! **Benchmark-only.** No product surface reaches this crate: the CLI,
+//! the service and the root `gcx` crate do not depend on it. It stays
+//! because the repository benchmark's `par_shards` workload calls
+//! [`run_parallel`] directly, and the root crate's differential suites
+//! reach it as a dev-dependency. It leaves together with
+//! `gcx_analyze::shard`, `gcx_xml::scan`, `scan_differential.rs` and
+//! `tests/parallel_differential.rs` in the change that retires
+//! `par_shards`.
 
 mod report;
 mod split;

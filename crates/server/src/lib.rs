@@ -70,9 +70,9 @@ mod stats;
 pub use stats::ServerStats;
 
 use metrics::ServerMetrics;
-use stats::Counter;
 
 use gcx_core::{CompiledQuery, EngineError, EngineOptions};
+use gcx_obs::Counter;
 use http::{BodyReader, DeferredBody, RequestHead};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
@@ -122,21 +122,6 @@ pub struct ServerConfig {
     /// none` opts a query out entirely. Outputs are identical with or
     /// without — the schema only shrinks buffers and latency.
     pub schema: Option<Arc<gcx_schema::Dtd>>,
-    /// Worker-thread budget for ONE eval request (`gcx serve
-    /// --eval-threads`). At the default `1` every request streams
-    /// through a single engine exactly as before. Above 1, each
-    /// request body is spooled whole and evaluated partition-parallel
-    /// ([`gcx_par::run_parallel`]) when the query is shard-safe —
-    /// byte-identical output, the taken path reported in the
-    /// `X-Gcx-Shard-Path` trailer.
-    pub eval_threads: usize,
-    /// Spool-size cap for `eval_threads > 1` (None = unlimited). The
-    /// parallel path must hold the whole request body in memory (shards
-    /// are byte ranges), which would let a few large concurrent uploads
-    /// exhaust RAM no matter what `max_buffer_bytes` says; a body that
-    /// outgrows this cap is handed to the bounded-memory streaming path
-    /// instead (`X-Gcx-Shard-Path: serial`).
-    pub max_spool_bytes: Option<u64>,
     /// Admission policy (`gcx serve --max-static-class`): the loosest
     /// streamability class a query may have to be registered. A PUT
     /// whose static class exceeds the cap answers `422` with the
@@ -158,8 +143,6 @@ impl Default for ServerConfig {
             max_queries: 1024,
             optimize: true,
             schema: None,
-            eval_threads: 1,
-            max_spool_bytes: Some(256 << 20),
             admission_class: None,
         }
     }
@@ -308,10 +291,10 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             drop(stream);
             break;
         }
-        shared.stats.accepted.bump();
+        shared.stats.accepted.inc();
         if q.conns.len() >= shared.config.queue_depth {
             drop(q);
-            shared.stats.rejected_busy.bump();
+            shared.stats.rejected_busy.inc();
             let mut stream = stream;
             let _ = http::write_response(
                 &mut stream,
@@ -350,9 +333,9 @@ fn worker_loop(shared: &Shared) {
             .metrics
             .admission_wait_us
             .observe(admitted.elapsed().as_micros() as u64);
-        shared.stats.in_flight.bump();
+        shared.stats.in_flight.inc();
         let _ = handle_connection(shared, conn);
-        shared.stats.in_flight.drop_one();
+        shared.stats.in_flight.dec_saturating();
     }
 }
 
@@ -428,10 +411,10 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             Ok(Some(head)) => head,
             Ok(None) => return Ok(()), // clean keep-alive end
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                shared.stats.client_errors.bump();
+                shared.stats.client_errors.inc();
                 let msg = format!("bad request: {e}\n");
                 http::write_response(&mut writer, 400, "Bad Request", &[], msg.as_bytes(), true)?;
-                shared.stats.served.bump();
+                shared.stats.served.inc();
                 observe(started);
                 return Ok(());
             }
@@ -445,16 +428,16 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             // not a silent connection drop. Response-write failures carry
             // other kinds (BrokenPipe etc.) and still just close.
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                shared.stats.client_errors.bump();
+                shared.stats.client_errors.inc();
                 let msg = format!("bad request: {e}\n");
                 http::write_response(&mut writer, 400, "Bad Request", &[], msg.as_bytes(), true)?;
-                shared.stats.served.bump();
+                shared.stats.served.inc();
                 observe(started);
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
-        shared.stats.served.bump();
+        shared.stats.served.inc();
         observe(started);
         match outcome {
             Outcome::KeepAlive if keep && !shared.shutting_down() => continue,
@@ -554,7 +537,7 @@ fn route_bodyless<W: Write>(
             Ok(Outcome::Close)
         }
         _ => {
-            shared.stats.client_errors.bump();
+            shared.stats.client_errors.inc();
             let msg = format!("no route for {} {}\n", head.method, head.target);
             http::write_response(writer, 404, "Not Found", &[], msg.as_bytes(), true)?;
             Ok(Outcome::Close)
@@ -591,7 +574,7 @@ fn put_query<R: BufRead, W: Write>(
     writer: &mut W,
 ) -> io::Result<Outcome> {
     if !valid_name(name) {
-        shared.stats.client_errors.bump();
+        shared.stats.client_errors.inc();
         http::write_response(
             writer,
             400,
@@ -607,7 +590,7 @@ fn put_query<R: BufRead, W: Write>(
         writer.flush()?;
     }
     let Some(body) = http::read_body_limited(head, reader, MAX_QUERY_BYTES)? else {
-        shared.stats.client_errors.bump();
+        shared.stats.client_errors.inc();
         http::write_response(
             writer,
             413,
@@ -621,7 +604,7 @@ fn put_query<R: BufRead, W: Write>(
     let text = match String::from_utf8(body) {
         Ok(t) => t,
         Err(_) => {
-            shared.stats.client_errors.bump();
+            shared.stats.client_errors.inc();
             http::write_response(
                 writer,
                 400,
@@ -641,7 +624,7 @@ fn put_query<R: BufRead, W: Write>(
         Some("xmark") => Some(Some(gcx_schema::Dtd::xmark())),
         Some("none") => Some(None),
         Some(other) => {
-            shared.stats.client_errors.bump();
+            shared.stats.client_errors.inc();
             let msg = format!("unknown X-Gcx-Schema {other:?} (xmark|none)\n");
             http::write_response(writer, 400, "Bad Request", &[], msg.as_bytes(), false)?;
             return Ok(Outcome::KeepAlive);
@@ -649,7 +632,7 @@ fn put_query<R: BufRead, W: Write>(
     };
     match CompiledQuery::compile_opts(&text, shared.config.optimize) {
         Ok(q) => {
-            shared.stats.queries_compiled.bump();
+            shared.stats.queries_compiled.inc();
             // Static admission: classify against the DTD this name's
             // evals will actually run under (the per-query X-Gcx-Schema
             // override, else the server-wide default).
@@ -661,7 +644,7 @@ fn put_query<R: BufRead, W: Write>(
             let class = analysis.class.as_str();
             if let Some(cap) = shared.config.admission_class {
                 if analysis.class > cap {
-                    shared.stats.client_errors.bump();
+                    shared.stats.client_errors.inc();
                     let msg = format!(
                         "query refused: static streamability class `{class}` exceeds the \
                          server's `{}` admission cap\n{}",
@@ -682,7 +665,7 @@ fn put_query<R: BufRead, W: Write>(
             let mut registry = shared.registry.write().expect("registry poisoned");
             if !registry.contains_key(name) && registry.len() >= shared.config.max_queries {
                 drop(registry);
-                shared.stats.client_errors.bump();
+                shared.stats.client_errors.inc();
                 let msg = format!(
                     "query registry full ({} entries); DELETE unused queries first\n",
                     shared.config.max_queries
@@ -728,7 +711,7 @@ fn put_query<R: BufRead, W: Write>(
             Ok(Outcome::KeepAlive)
         }
         Err(e) => {
-            shared.stats.client_errors.bump();
+            shared.stats.client_errors.inc();
             let msg = format!("query does not compile: {e}\n");
             http::write_response(writer, 400, "Bad Request", &[], msg.as_bytes(), false)?;
             Ok(Outcome::KeepAlive)
@@ -766,7 +749,7 @@ fn explain_query<W: Write>(shared: &Shared, name: &str, writer: &mut W) -> io::R
             Ok(Outcome::KeepAlive)
         }
         None => {
-            shared.stats.client_errors.bump();
+            shared.stats.client_errors.inc();
             let msg = format!("no query named {name:?}\n");
             http::write_response(writer, 404, "Not Found", &[], msg.as_bytes(), false)?;
             Ok(Outcome::KeepAlive)
@@ -784,7 +767,7 @@ fn delete_query<W: Write>(shared: &Shared, name: &str, writer: &mut W) -> io::Re
     if removed {
         http::write_response(writer, 204, "No Content", &[], b"", false)?;
     } else {
-        shared.stats.client_errors.bump();
+        shared.stats.client_errors.inc();
         let msg = format!("no query named {name:?}\n");
         http::write_response(writer, 404, "Not Found", &[], msg.as_bytes(), false)?;
     }
@@ -931,7 +914,7 @@ fn eval<R: BufRead, W: Write>(
     if head.version != "HTTP/1.1" {
         // Streaming results require chunked transfer-encoding, which an
         // HTTP/1.0 peer must never be sent (RFC 7230 §3.3.1).
-        shared.stats.client_errors.bump();
+        shared.stats.client_errors.inc();
         let msg = "eval streams its result with chunked transfer-encoding; use HTTP/1.1\n";
         http::write_response(
             writer,
@@ -951,7 +934,7 @@ fn eval<R: BufRead, W: Write>(
         .get(name)
         .cloned()
     else {
-        shared.stats.client_errors.bump();
+        shared.stats.client_errors.inc();
         let msg = format!("no query named {name:?} (register with PUT /queries/{name})\n");
         http::write_response(writer, 404, "Not Found", &traced, msg.as_bytes(), true)?;
         drain_rejected(head, reader);
@@ -963,7 +946,7 @@ fn eval<R: BufRead, W: Write>(
         "projection" => EngineOptions::projection_only(),
         "full" => EngineOptions::full_buffering(),
         other => {
-            shared.stats.client_errors.bump();
+            shared.stats.client_errors.inc();
             let msg = format!("unknown engine {other:?} (gcx|projection|full)\n");
             http::write_response(writer, 400, "Bad Request", &traced, msg.as_bytes(), true)?;
             drain_rejected(head, reader);
@@ -982,7 +965,7 @@ fn eval<R: BufRead, W: Write>(
     ) {
         Ok(b) => b,
         Err(msg) => {
-            shared.stats.client_errors.bump();
+            shared.stats.client_errors.inc();
             let msg = format!("{msg}\n");
             http::write_response(writer, 400, "Bad Request", &traced, msg.as_bytes(), true)?;
             drain_rejected(head, reader);
@@ -996,22 +979,13 @@ fn eval<R: BufRead, W: Write>(
     }
 
     let started = Instant::now();
-    let eval_threads = shared.config.eval_threads;
-    // The shard-path trailer only exists when the parallel budget is on:
-    // at the default `eval_threads: 1` the response is bit-identical to
-    // what this server always sent.
-    let shard_trailer = if eval_threads > 1 {
-        ", X-Gcx-Shard-Path"
-    } else {
-        ""
-    };
     let success_head = format!(
         "HTTP/1.1 200 OK\r\n\
         Content-Type: application/xml\r\n\
         Transfer-Encoding: chunked\r\n\
         X-Gcx-Trace-Id: {trace_id}\r\n\
         Trailer: X-Gcx-Tokens, X-Gcx-Peak-Buffered-Nodes, X-Gcx-Peak-Buffer-Bytes, \
-        X-Gcx-Purged-Nodes, X-Gcx-Output-Bytes, X-Gcx-Trace-Id{shard_trailer}\r\n\r\n"
+        X-Gcx-Purged-Nodes, X-Gcx-Output-Bytes, X-Gcx-Trace-Id\r\n\r\n"
     )
     .into_bytes();
 
@@ -1026,23 +1000,9 @@ fn eval<R: BufRead, W: Write>(
     };
     let mut body = BodyReader::for_request(head, &mut timed)?;
     let mut out = DeferredBody::new(&mut *writer, success_head, COMMIT_THRESHOLD);
-    let mut shard_path: Option<String> = None;
-    let result = if eval_threads > 1 {
-        eval_spooled(
-            &entry.query,
-            &opts,
-            eval_threads,
-            shared.config.max_spool_bytes,
-            &mut body,
-            &mut out,
-            &mut shard_path,
-        )
-    } else {
-        eval_push(&entry.query, &opts, &mut body, &mut out)
-    };
-    match result {
+    match eval_push(&entry.query, &opts, &mut body, &mut out) {
         Ok(report) => {
-            let mut trailers: Vec<(&str, String)> = vec![
+            let trailers = [
                 ("X-Gcx-Tokens", report.tokens.to_string()),
                 (
                     "X-Gcx-Peak-Buffered-Nodes",
@@ -1056,12 +1016,9 @@ fn eval<R: BufRead, W: Write>(
                 ("X-Gcx-Output-Bytes", report.output_bytes.to_string()),
                 ("X-Gcx-Trace-Id", trace_id.clone()),
             ];
-            if let Some(p) = &shard_path {
-                trailers.push(("X-Gcx-Shard-Path", p.clone()));
-            }
             out.finish(&trailers)?;
             // The run total last: whoever sees it sees the rest as well.
-            entry.evals.bump();
+            entry.evals.inc();
             shared
                 .metrics
                 .eval_peak_buffer_bytes
@@ -1093,9 +1050,9 @@ fn eval<R: BufRead, W: Write>(
                 }
             };
             match status {
-                413 => shared.stats.rejected_buffer.bump(),
-                400 | 408 => shared.stats.client_errors.bump(),
-                _ => shared.stats.server_errors.bump(),
+                413 => shared.stats.rejected_buffer.inc(),
+                400 | 408 => shared.stats.client_errors.inc(),
+                _ => shared.stats.server_errors.inc(),
             }
             let msg = if expired.get() {
                 "request body deadline exceeded\n".to_string()
@@ -1142,17 +1099,7 @@ fn eval_push<R: BufRead, W: Write>(
     body: &mut BodyReader<'_, R>,
     out: &mut W,
 ) -> Result<gcx_core::RunReport, EngineError> {
-    let session = q.session(opts);
-    eval_push_into(session, body, out)
-}
-
-/// [`eval_push`]'s loop over an already-created (possibly pre-fed)
-/// session — shared with the spool-cap overflow path of [`eval_spooled`].
-fn eval_push_into<R: BufRead, W: Write>(
-    mut session: gcx_core::EvalSession,
-    body: &mut BodyReader<'_, R>,
-    out: &mut W,
-) -> Result<gcx_core::RunReport, EngineError> {
+    let mut session = q.session(opts);
     loop {
         let fed = {
             let chunk = body.fill().map_err(|e| session.input_io_error(e))?;
@@ -1168,56 +1115,6 @@ fn eval_push_into<R: BufRead, W: Write>(
     let report = session.finish()?;
     session.take_output(out)?;
     Ok(report)
-}
-
-/// Spooled-body evaluation for `eval_threads > 1`: partition-parallel
-/// runs need the whole document (shards are byte ranges), so the body is
-/// read to its end first and the merged result written once evaluation
-/// finishes — the streaming-while-uploading property is traded for
-/// cores. Output stays byte-identical to the streaming path; the path
-/// actually taken (`parallel`, `two_phase`, or an honest `serial`
-/// fallback) lands in `shard_path` for the response trailer.
-///
-/// The spool is capped by [`ServerConfig::max_spool_bytes`]: a body that
-/// outgrows it is handed — spooled prefix first, rest of the stream
-/// after — to the same bounded-memory streaming loop the `eval_threads:
-/// 1` path runs, so per-request memory stays governed by the buffer
-/// budget no matter what clients upload.
-fn eval_spooled<R: BufRead, W: Write>(
-    q: &CompiledQuery,
-    opts: &EngineOptions,
-    threads: usize,
-    spool_cap: Option<u64>,
-    body: &mut BodyReader<'_, R>,
-    out: &mut W,
-    shard_path: &mut Option<String>,
-) -> Result<gcx_core::RunReport, EngineError> {
-    let mut doc = Vec::new();
-    loop {
-        let fed = {
-            let chunk = body.fill().map_err(|e| q.session(opts).input_io_error(e))?;
-            if chunk.is_empty() {
-                break;
-            }
-            doc.extend_from_slice(chunk);
-            chunk.len()
-        };
-        body.consume(fed);
-        if spool_cap.is_some_and(|cap| doc.len() as u64 > cap) {
-            *shard_path = Some(gcx_par::ShardPath::Serial.as_str().to_string());
-            let mut session = q.session(opts);
-            session.feed(&doc)?;
-            drop(doc);
-            session.take_output(out)?;
-            return eval_push_into(session, body, out);
-        }
-    }
-    let outcome =
-        gcx_par::run_parallel(q, opts, &gcx_par::ParOptions::with_threads(threads), &doc)?;
-    out.write_all(&outcome.output)
-        .map_err(|e| q.session(opts).input_io_error(e))?;
-    *shard_path = Some(outcome.path.as_str().to_string());
-    Ok(outcome.report)
 }
 
 #[cfg(test)]

@@ -279,7 +279,7 @@ mod tests {
         metrics.admission_wait_us.observe(42);
         metrics.eval_peak_buffer_bytes.observe(4096);
         let stats = ServerStats::default();
-        stats.accepted.bump();
+        stats.accepted.inc();
         let per_query = vec![("q\"1".to_string(), 3u64)];
         let text = render(
             &metrics,

@@ -2,46 +2,8 @@
 //! request, surfaced by `GET /stats`.
 
 use gcx_core::RunReport;
-use std::sync::atomic::{AtomicU64, Ordering};
+use gcx_obs::Counter;
 use std::time::Duration;
-
-/// One monotonically increasing (or in-flight gauge) counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Increment by one.
-    pub fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decrement by one, saturating at zero (gauges only). A plain
-    /// `fetch_sub` would wrap to `u64::MAX` if a decrement ever raced
-    /// ahead of its increment — a nonsense reading that `/stats` and
-    /// `/metrics` would then serve as fact.
-    pub fn drop_one(&self) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raise to at least `n` (high-watermark gauges).
-    pub fn raise_to(&self, n: u64) {
-        self.0.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Service-wide counters. Engine measurements accumulate from each
 /// successful eval's [`RunReport`].
@@ -87,7 +49,7 @@ pub struct ServerStats {
 impl ServerStats {
     /// Fold one successful run into the aggregates.
     pub fn record_eval(&self, report: &RunReport) {
-        self.eval_runs.bump();
+        self.eval_runs.inc();
         self.eval_tokens.add(report.tokens);
         self.eval_purged.add(report.buffer.purged);
         self.eval_output_bytes.add(report.output_bytes);
@@ -163,9 +125,9 @@ mod tests {
     #[test]
     fn json_shape_and_counter_semantics() {
         let s = ServerStats::default();
-        s.accepted.bump();
-        s.in_flight.bump();
-        s.in_flight.drop_one();
+        s.accepted.inc();
+        s.in_flight.inc();
+        s.in_flight.dec_saturating();
         s.eval_peak_buffer_bytes.raise_to(100);
         s.eval_peak_buffer_bytes.raise_to(40);
         assert_eq!(s.eval_peak_buffer_bytes.get(), 100, "watermark never drops");
@@ -183,17 +145,6 @@ mod tests {
         }
         let unlimited = s.to_json(0, Duration::ZERO, 1, 1, None, &[]);
         assert!(unlimited.contains("\"max_buffer_bytes\":null"));
-    }
-
-    #[test]
-    fn drop_one_saturates_at_zero() {
-        let c = Counter::default();
-        c.drop_one();
-        assert_eq!(c.get(), 0, "underflow must clamp, not wrap to u64::MAX");
-        c.bump();
-        c.drop_one();
-        c.drop_one();
-        assert_eq!(c.get(), 0);
     }
 
     /// Golden key order: adding, removing, or reordering a `/stats` field

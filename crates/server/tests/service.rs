@@ -513,96 +513,6 @@ fn unknown_routes_queries_and_engines_fail_cleanly() {
 }
 
 #[test]
-fn eval_threads_spools_partitions_and_reports_the_path() {
-    // A server with a parallel eval budget: shard-safe queries take the
-    // partitioned path (X-Gcx-Shard-Path: parallel), root-binding ones
-    // fall back honestly (serial) — and outputs are byte-identical to
-    // the offline engine either way.
-    let mut cfg = gcx_xmark::XmarkConfig::sized(96 * 1024);
-    cfg.seed = 11;
-    let doc = gcx_xmark::generate_string(&cfg).into_bytes();
-    let items = "for $r in /site/regions return for $i in $r//item return $i/name";
-    let root = "for $s in /site return $s/people";
-
-    let h = start(ServerConfig {
-        eval_threads: 4,
-        ..ServerConfig::default()
-    });
-    let addr = h.addr();
-    client::put_query(addr, "items", items).unwrap();
-    client::put_query(addr, "root", root).unwrap();
-
-    let (expected, report) = offline(items, &doc);
-    for mode in [BodyMode::Sized, BodyMode::Chunked { chunk_size: 4096 }] {
-        let r = client::eval(addr, "items", &doc, &[], mode).unwrap();
-        assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
-        assert_eq!(r.body, expected, "mode {mode:?}");
-        assert_eq!(r.trailer("x-gcx-shard-path"), Some("parallel"));
-        // The aggregate report keeps the serial contract where it can:
-        // no shard may buffer past the serial peak.
-        assert!(r.trailer_u64("x-gcx-peak-buffered-nodes").unwrap() <= report.buffer.peak_live);
-        assert_eq!(
-            r.trailer_u64("x-gcx-output-bytes"),
-            Some(expected.len() as u64)
-        );
-    }
-
-    let (expected, _) = offline(root, &doc);
-    let r = client::eval(addr, "root", &doc, &[], BodyMode::Sized).unwrap();
-    assert_eq!(r.status, 200);
-    assert_eq!(r.body, expected);
-    assert_eq!(r.trailer("x-gcx-shard-path"), Some("serial"));
-    h.shutdown();
-
-    // At the default budget the trailer does not exist at all: the
-    // streaming path is bit-identical to what the server always sent.
-    let h = start(ServerConfig::default());
-    let addr = h.addr();
-    client::put_query(addr, "items", items).unwrap();
-    let r = client::eval(addr, "items", &doc, &[], BodyMode::Sized).unwrap();
-    assert_eq!(r.status, 200);
-    assert_eq!(r.trailer("x-gcx-shard-path"), None);
-    h.shutdown();
-}
-
-#[test]
-fn spool_cap_overflows_to_the_streaming_path() {
-    // A body larger than max_spool_bytes must not be held in memory for
-    // partitioning: the request is handed to the bounded-memory
-    // streaming path mid-upload, answers 200 with byte-identical output,
-    // and reports the serial path honestly.
-    let mut cfg = gcx_xmark::XmarkConfig::sized(96 * 1024);
-    cfg.seed = 11;
-    let doc = gcx_xmark::generate_string(&cfg).into_bytes();
-    let items = "for $r in /site/regions return for $i in $r//item return $i/name";
-
-    let h = start(ServerConfig {
-        eval_threads: 4,
-        max_spool_bytes: Some(16 * 1024),
-        ..ServerConfig::default()
-    });
-    let addr = h.addr();
-    client::put_query(addr, "items", items).unwrap();
-
-    let (expected, _) = offline(items, &doc);
-    for mode in [BodyMode::Sized, BodyMode::Chunked { chunk_size: 4096 }] {
-        let r = client::eval(addr, "items", &doc, &[], mode).unwrap();
-        assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
-        assert_eq!(r.body, expected, "mode {mode:?}");
-        assert_eq!(
-            r.trailer("x-gcx-shard-path"),
-            Some("serial"),
-            "mode {mode:?}"
-        );
-    }
-
-    h.shutdown();
-    // Under-cap partitioning on the same query is pinned by
-    // eval_threads_spools_partitions_and_reports_the_path, which runs
-    // with the default (256m) cap in place.
-}
-
-#[test]
 fn alternate_engines_and_healthz() {
     let h = start(ServerConfig::default());
     let addr = h.addr();

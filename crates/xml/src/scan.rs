@@ -17,6 +17,11 @@
 //! The differential test `crates/xml/tests/scan_differential.rs`
 //! byte-compares the scanner's recorded offsets and depths against
 //! [`crate::PushTokenizer`]'s token stream on generated documents.
+//!
+//! Benchmark-only: `gcx-par` is reached by no product surface, so the
+//! scanner's remaining callers are the benchmark's `par_shards` workload
+//! (through `gcx-par`) and its `xml.scan_ns_per_byte` layer metric. It
+//! goes, with its differential suite, when that workload is retired.
 
 /// One recorded start tag: a candidate split point, with enough
 /// information to rebuild the ancestor context of any later offset.

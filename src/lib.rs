@@ -108,11 +108,6 @@ pub mod multi {
     pub use gcx_multi::*;
 }
 
-/// Partition-parallel evaluation: shard one document across cores.
-pub mod par {
-    pub use gcx_par::*;
-}
-
 /// Heap high-watermark tracking.
 pub mod memtrack {
     pub use gcx_memtrack::*;

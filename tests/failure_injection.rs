@@ -85,15 +85,15 @@ fn errors_inside_projected_away_subtrees_are_the_tokenizers() {
     // Long enough on both sides of the damage for `run_parallel` to cut
     // shards around it.
     let filler = "<p>kept</p><q><r>also kept</r></q>".repeat(200);
-    let threads = gcx::par::ParOptions::with_threads(4);
+    let threads = gcx_par::ParOptions::with_threads(4);
     let intact = format!("<site>{filler}<junk><deep>fine</deep></junk>\n{filler}</site>");
-    let sharded = gcx::par::run_parallel(
+    let sharded = gcx_par::run_parallel(
         &queries[0],
         &EngineOptions::gcx(),
         &threads,
         intact.as_bytes(),
     );
-    assert_eq!(sharded.unwrap().path, gcx::par::ShardPath::Parallel);
+    assert_eq!(sharded.unwrap().path, gcx_par::ShardPath::Parallel);
     for bad in damage {
         let mut doc = format!("<site>{filler}<junk><deep>fine</deep>").into_bytes();
         doc.extend_from_slice(bad);
@@ -123,7 +123,7 @@ fn errors_inside_projected_away_subtrees_are_the_tokenizers() {
             .try_for_each(|b| session.feed(&[*b]))
             .and_then(|()| session.finish());
         assert_eq!(xml_error(bytewise), want, "batch, 1-byte feeds, {label}");
-        let par = gcx::par::run_parallel(&queries[0], &EngineOptions::gcx(), &threads, &doc);
+        let par = gcx_par::run_parallel(&queries[0], &EngineOptions::gcx(), &threads, &doc);
         assert_eq!(xml_error(par), want, "parallel, {label}");
     }
 }
@@ -166,8 +166,8 @@ fn invented_names_count_against_the_byte_budget() {
         let fed = doc.iter().position(|b| session.feed(&[*b]).is_err());
         let fed = fed.expect("1-byte feeds fail mid-document");
         assert!(fed < 64 * 1024, "stopped within one token: byte {fed}");
-        let threads = gcx::par::ParOptions::with_threads(4);
-        let par = gcx::par::run_parallel(&queries[0], &opts, &threads, doc);
+        let threads = gcx_par::ParOptions::with_threads(4);
+        let par = gcx_par::run_parallel(&queries[0], &opts, &threads, doc);
         over(par.unwrap_err(), "parallel");
     }
     // Within the budget nothing changes.

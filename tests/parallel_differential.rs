@@ -11,9 +11,9 @@
 //! peak may exceed the serial run's peak — partitioning must never
 //! *create* buffering the serial evaluation avoided.
 
-use gcx::par::{run_parallel, ParOptions, ShardPath};
 use gcx::xmark::{generate_string, queries, XmarkConfig};
 use gcx::{CompiledQuery, EngineOptions, RunReport};
+use gcx_par::{run_parallel, ParOptions, ShardPath};
 
 fn xmark(kb: u64, seed: u64) -> String {
     let mut cfg = XmarkConfig::sized(kb * 1024);
