@@ -171,66 +171,6 @@ impl QueryAnalysis {
             })
             .collect()
     }
-
-    /// Machine-readable form (hand-rolled JSON; the workspace has no
-    /// serde). Spliced into `--stats-json` under `analysis`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"class\":\"{}\",\"bound\":\"{}\",\"bindings\":[",
-            self.class.as_str(),
-            esc(&self.bound)
-        );
-        for (i, b) in self.bindings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"path\":\"{}\",\"class\":\"{}\",\"reason\":\"{}\"}}",
-                esc(&b.name),
-                esc(&b.path),
-                b.class.as_str(),
-                esc(&b.reason)
-            );
-        }
-        out.push_str("],\"lints\":[");
-        for (i, l) in self.lints.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"span\":\"{}\",\
-                 \"message\":\"{}\",\"why\":\"{}\"}}",
-                l.code,
-                l.severity.as_str(),
-                esc(&l.span),
-                esc(&l.message),
-                esc(&l.why)
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Minimal JSON string escaping for the hand-rolled reports.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Classify an optimized program, with an optional DTD for tightening.
@@ -778,16 +718,6 @@ mod tests {
         let a = analyzed_with("<n>{ count(/r/a) }</n>", Some(&dtd));
         assert_eq!(a.class, StreamClass::Subtree);
         assert!(!a.lints.iter().any(|l| l.code == "GCX-DTD"));
-    }
-
-    #[test]
-    fn json_report_is_well_formed() {
-        let a = analyzed("for $b in /site/people/person return $b/name");
-        let json = a.to_json();
-        assert!(json.starts_with("{\"class\":\"per-item\""), "{json}");
-        for key in ["\"bound\"", "\"bindings\"", "\"lints\"", "\"reason\""] {
-            assert!(json.contains(key), "missing {key}: {json}");
-        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use gcx_core::{CompiledQuery, EngineOptions, RunReport};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 
+mod stats;
 mod trace;
 
 fn main() -> ExitCode {
@@ -146,34 +147,6 @@ the X-Gcx-Streamability response header."
     );
 }
 
-/// Compile-time stats of one query as JSON object members (no braces):
-/// the pipeline's wall-clock cost, the executed program's sizes, and
-/// what the plan optimizer did (`opt_passes` is `[]` under `--no-opt`).
-fn compile_members(q: &CompiledQuery) -> String {
-    let st = q.program.stats();
-    format!(
-        "\"compile_micros\":{},{},\"instructions_before\":{},\"instructions_after\":{},\
-         \"opt_passes\":{}",
-        q.compile_micros,
-        // Inline the program stats object's members.
-        st.to_json().trim_start_matches('{').trim_end_matches('}'),
-        q.opt
-            .as_ref()
-            .map_or(st.instructions, |o| o.before.instructions),
-        st.instructions,
-        q.opt
-            .as_ref()
-            .map_or_else(|| "[]".to_string(), |o| o.passes_json()),
-    )
-}
-
-/// Append a JSON member to a hand-rolled JSON object string.
-fn splice_json(object: &str, member: &str) -> String {
-    let body = object.trim_end();
-    let body = body.strip_suffix('}').expect("JSON object");
-    format!("{body},{member}}}")
-}
-
 /// Read the query from `-e TEXT` or a file path; returns (query, rest).
 fn take_query(args: &[String]) -> Result<(String, &[String]), String> {
     match args.first().map(String::as_str) {
@@ -229,23 +202,29 @@ fn flag_value<'a>(flags: &[&'a str], name: &str) -> Result<Option<&'a str>, Stri
 
 /// Fail on the first flag that is neither one of `switches` nor one of
 /// `values` (each followed by its value): a typo or a retired flag is an
-/// error, not a silently different run.
-fn check_flags(flags: &[&str], switches: &[&str], values: &[&str]) -> Result<(), String> {
+/// error, not a silently different run. Returns the positional arguments:
+/// those that are neither a flag nor a flag's value.
+fn check_flags<'a>(
+    flags: &[&'a str],
+    switches: &[&str],
+    values: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let mut positional = Vec::new();
     let mut i = 0;
     while i < flags.len() {
         let f = flags[i];
+        let known =
+            switches.contains(&f) || (f.starts_with("--trace=") && values.contains(&"--trace"));
         if values.contains(&f) {
             i += 1; // skip its value
-        } else if f.len() > 1
-            && f.starts_with('-')
-            && !switches.contains(&f)
-            && !(f.starts_with("--trace=") && values.contains(&"--trace"))
-        {
+        } else if f.len() > 1 && f.starts_with('-') && !known {
             return Err(format!("unknown flag `{f}`"));
+        } else if !known {
+            positional.push(f);
         }
         i += 1;
     }
-    Ok(())
+    Ok(positional)
 }
 
 /// Extract `--max-buffer-bytes N` from a flag list. Sizes accept k/m/g
@@ -366,12 +345,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     if stats_json {
         let analysis = gcx_analyze::analyze_program(&q.program, opts.schema.as_deref());
-        let compile = format!(
-            "\"compile\":{{{}}},\"analysis\":{}",
-            compile_members(&q),
-            analysis.to_json()
-        );
-        eprintln!("{}", splice_json(&report.to_json(), &compile));
+        eprintln!("{}", stats::run_json(&report, &q, &analysis));
     } else if stats {
         eprintln!(
             "tokens: {}   peak buffered nodes: {}   allocated: {}   purged: {}   out bytes: {}",
@@ -500,15 +474,7 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
         }
     }
     if stats_json {
-        let mut compile = String::from("\"compile\":[");
-        for (i, ((name, _), q)) in texts.iter().zip(&queries).enumerate() {
-            if i > 0 {
-                compile.push(',');
-            }
-            compile.push_str(&format!("{{\"name\":\"{name}\",{}}}", compile_members(q)));
-        }
-        compile.push(']');
-        eprintln!("{}", splice_json(&report.to_json(), &compile));
+        eprintln!("{}", stats::batch_json(&report, &texts, &queries));
     } else if stats {
         eprintln!(
             "queries: {}   tokens (single pass): {}   fan-out events: {}   \
@@ -648,7 +614,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let q = CompiledQuery::compile(&query_text).map_err(|e| e.to_string())?;
     let a = gcx_analyze::analyze_program(&q.program, schema.as_deref());
     if flags.contains(&"--json") {
-        println!("{}", a.to_json());
+        println!("{}", stats::analysis_json(&a));
     } else {
         print!("{}", a.text());
     }
@@ -689,14 +655,17 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         .ok_or("missing size in MB")?
         .parse()
         .map_err(|_| "size must be a number (MB)")?;
-    let flags: Vec<&str> = args.iter().map(String::as_str).collect();
-    check_flags(&flags, &["--doctype"], &["--seed"])?;
+    let flags: Vec<&str> = args[1..].iter().map(String::as_str).collect();
+    let positional = check_flags(&flags, &["--doctype"], &["--seed"])?;
+    if let Some(extra) = positional.get(1) {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
     let mut cfg = gcx_xmark::XmarkConfig::sized(mb * 1024 * 1024);
     if let Some(v) = flag_value(&flags, "--seed")? {
         cfg.seed = v.parse().map_err(|_| "--seed must be a number")?;
     }
     cfg.doctype = flags.contains(&"--doctype");
-    let written = match args.get(1).filter(|a| !a.starts_with("--")) {
+    let written = match positional.first() {
         Some(path) => {
             let f = BufWriter::new(
                 std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?,

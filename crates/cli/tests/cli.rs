@@ -240,6 +240,42 @@ fn generate_then_validate_then_query() {
 }
 
 #[test]
+fn generate_writes_to_its_path_wherever_the_flags_are() {
+    let doc = std::env::temp_dir().join(format!("gcx-cli-genpath-{}.xml", std::process::id()));
+    for flags in [&["--seed", "5"][..], &["--doctype"]] {
+        let _ = std::fs::remove_file(&doc);
+        let out = gcx_bin()
+            .args(["generate", "0"])
+            .args(flags)
+            .arg(&doc)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{flags:?}: the document went to stdout"
+        );
+        assert!(doc.metadata().unwrap().len() > 0, "{flags:?}");
+    }
+    let out = gcx_bin()
+        .args(["generate", "0", "a.xml", "b.xml"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unexpected argument `b.xml`"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_file(&doc);
+}
+
+#[test]
 fn validate_rejects_malformed() {
     let doc = write_temp("bad.xml", "<a><b></a>");
     let out = gcx_bin().arg("validate").arg(&doc).output().unwrap();
@@ -721,14 +757,18 @@ fn json_keys(json: &str) -> std::collections::BTreeSet<String> {
     keys
 }
 
-#[test]
-fn stats_json_fields_are_documented_in_architecture_md() {
-    // Golden contract: every field the CLI can emit in --stats-json must
-    // appear (in backticks) in ARCHITECTURE.md's schema section. Adding a
-    // field without documenting it fails here.
-    let arch = include_str!("../../../ARCHITECTURE.md");
+/// The `--stats-json` documents the schema tests sample, each the JSON
+/// line of the run's stderr: a run with telemetry and a buffer budget, a
+/// batch whose lanes take both `per_query` shapes, and a schema-aware run.
+fn sample_stats_json() -> [String; 3] {
+    let json_line = |out: &std::process::Output| {
+        String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .find(|l| l.starts_with('{'))
+            .unwrap_or_else(|| panic!("no JSON on stderr: {out:?}"))
+            .to_string()
+    };
     let doc = write_temp("schema.xml", "<bib><book><title>T</title></book></bib>");
-
     let run = gcx_bin()
         .args(["run", "-e", "for $b in /bib/book return $b/title"])
         .arg(&doc)
@@ -758,18 +798,6 @@ fn stats_json_fields_are_documented_in_architecture_md() {
         .args(["--obs", "--stats-json", "--max-buffer-bytes", "400"])
         .output()
         .unwrap();
-    let mut keys = json_keys(&String::from_utf8_lossy(&run.stderr));
-    let multi_stderr = String::from_utf8_lossy(&multi.stderr);
-    keys.extend(json_keys(&multi_stderr));
-    assert!(keys.contains("obs"), "sample runs must exercise telemetry");
-    assert!(
-        keys.contains("per_query"),
-        "sample runs must exercise the batch shape: {multi_stderr}"
-    );
-    assert!(
-        keys.contains("error") && keys.contains("report"),
-        "the batch must exercise both per_query shapes: {multi_stderr}"
-    );
 
     // A schema-aware run exercises the `schema` stats section.
     let sdoc = write_temp("schema-s.xml", "<site><regions></regions></site>");
@@ -780,7 +808,28 @@ fn stats_json_fields_are_documented_in_architecture_md() {
         .output()
         .unwrap();
     assert!(schema_run.status.success());
-    keys.extend(json_keys(&String::from_utf8_lossy(&schema_run.stderr)));
+    [json_line(&run), json_line(&multi), json_line(&schema_run)]
+}
+
+#[test]
+fn stats_json_fields_are_documented_in_architecture_md() {
+    // Golden contract: every field the CLI can emit in --stats-json must
+    // appear (in backticks) in ARCHITECTURE.md's schema section. Adding a
+    // field without documenting it fails here.
+    let arch = include_str!("../../../ARCHITECTURE.md");
+    let [run, multi, schema_run] = sample_stats_json();
+    let mut keys = json_keys(&run);
+    keys.extend(json_keys(&multi));
+    assert!(keys.contains("obs"), "sample runs must exercise telemetry");
+    assert!(
+        keys.contains("per_query"),
+        "sample runs must exercise the batch shape: {multi}"
+    );
+    assert!(
+        keys.contains("error") && keys.contains("report"),
+        "the batch must exercise both per_query shapes: {multi}"
+    );
+    keys.extend(json_keys(&schema_run));
     assert!(
         keys.contains("schema"),
         "the schema-aware run must exercise the schema stats section"
@@ -796,6 +845,61 @@ fn stats_json_fields_are_documented_in_architecture_md() {
             "--stats-json field `{key}` is not documented in ARCHITECTURE.md \
              (see \"The --stats-json schema\")"
         );
+    }
+}
+
+/// `json` with its timing-valued members masked: every `compile_micros`
+/// and `elapsed_ms` reads 0, and every `tasks` array (ordered by
+/// nanoseconds) reads `[]`.
+fn mask_timings(mut json: String) -> String {
+    for (key, value_end) in [
+        ("\"compile_micros\":", [',', '}']),
+        ("\"elapsed_ms\":", [',', '}']),
+        ("\"tasks\":[", [']', ']']),
+    ] {
+        let mut from = 0;
+        while let Some(at) = json[from..].find(key) {
+            let start = from + at + key.len();
+            let end = start + json[start..].find(value_end).expect("value ends");
+            let masked = if key.ends_with('[') { "" } else { "0" };
+            json.replace_range(start..end, masked);
+            from = start;
+        }
+    }
+    json
+}
+
+#[test]
+fn stats_json_documents_match_golden() {
+    // Byte-for-byte goldens of the three `--stats-json` documents above
+    // (timings masked) and of `gcx analyze --json` on the paper's running
+    // example. Regenerate with `GCX_BLESS=1 cargo test -p gcx-cli --test
+    // cli stats_json_documents_match_golden` after an intentional change.
+    let query = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/paper.xq");
+    let analyze = gcx_bin()
+        .args(["analyze", query, "--json"])
+        .output()
+        .unwrap();
+    assert!(analyze.status.success());
+    let [run, multi, schema_run] = sample_stats_json();
+    for (file, doc) in [
+        ("stats_run.json", mask_timings(run)),
+        ("stats_multi.json", mask_timings(multi)),
+        ("stats_schema.json", mask_timings(schema_run)),
+        (
+            "analyze_paper.json",
+            String::from_utf8(analyze.stdout)
+                .unwrap()
+                .trim_end()
+                .to_string(),
+        ),
+    ] {
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        if std::env::var_os("GCX_BLESS").is_some() {
+            std::fs::write(&path, format!("{doc}\n")).unwrap();
+        }
+        let golden = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(doc, golden.trim_end(), "{file} drifted from the golden");
     }
 }
 

@@ -510,23 +510,6 @@ pub struct BufferStats {
     pub peak_live_bytes: u64,
 }
 
-impl BufferStats {
-    /// Machine-readable form (hand-rolled JSON; the workspace has no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"live\":{},\"peak_live\":{},\"allocated\":{},\"purged\":{},\
-             \"live_bytes\":{},\"peak_live_bytes\":{}}}",
-            self.live,
-            self.peak_live,
-            self.allocated,
-            self.purged,
-            self.live_bytes,
-            self.peak_live_bytes
-        )
-    }
-}
-
 /// Resident cost of one buffered node: its slot plus its payload
 /// (attribute records and values, or text) — `node_bytes`. The figure is
 /// *deterministic*: it counts lengths, not size classes or allocator

@@ -356,22 +356,6 @@ pub struct SchemaReport {
     pub doctype_adopted: bool,
 }
 
-impl SchemaReport {
-    /// Machine-readable form, embedded in [`RunReport::to_json`].
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"pruned_paths\":{},\"total_paths\":{},\"reach_cuts\":{},\
-             \"early_scan_ends\":{},\"early_signoffs\":{},\"doctype_adopted\":{}}}",
-            self.pruned_paths,
-            self.total_paths,
-            self.reach_cuts,
-            self.early_scan_ends,
-            self.early_signoffs,
-            self.doctype_adopted,
-        )
-    }
-}
-
 /// What a run observed — the measurements the paper's figures are made of.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -398,49 +382,6 @@ pub struct RunReport {
     /// Schema-analysis facts (present exactly when a schema was in
     /// effect, explicit or DOCTYPE-adopted).
     pub schema: Option<SchemaReport>,
-}
-
-impl RunReport {
-    /// Machine-readable form (hand-rolled JSON; the workspace has no
-    /// serde). Timeline points are emitted as `[token, live]` pairs when
-    /// sampling was enabled.
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"tokens\":{},\"output_bytes\":{},\"max_buffer_bytes\":{},\
-             \"feed_calls\":{},\"max_pending_bytes\":{},\"buffer\":{}",
-            self.tokens,
-            self.output_bytes,
-            self.max_buffer_bytes
-                .map_or_else(|| "null".to_string(), |b| b.to_string()),
-            self.feed_calls,
-            self.max_pending_bytes,
-            self.buffer.to_json()
-        );
-        if let Some(tl) = &self.timeline {
-            s.push_str(&format!(
-                ",\"timeline\":{{\"every\":{},\"peak\":{},\"points\":[",
-                tl.every,
-                tl.peak()
-            ));
-            for (i, (t, live)) in tl.points.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("[{t},{live}]"));
-            }
-            s.push_str("]}");
-        }
-        if let Some(obs) = &self.obs {
-            s.push_str(",\"obs\":");
-            s.push_str(&obs.to_json());
-        }
-        if let Some(schema) = &self.schema {
-            s.push_str(",\"schema\":");
-            s.push_str(&schema.to_json());
-        }
-        s.push('}');
-        s
-    }
 }
 
 /// Run a compiled query over an XML input stream, writing the result to

@@ -61,7 +61,7 @@ pub struct FeedSpan {
 
 /// The per-run observability report, carried by
 /// [`crate::RunReport::obs`] when [`crate::EngineOptions::telemetry`]
-/// is on, and serialized into `--stats-json`.
+/// is on; the CLI writes it into `--stats-json`.
 #[derive(Debug, Clone)]
 pub struct ObsReport {
     /// Append→purge residency of purged nodes, in structural tokens.
@@ -90,59 +90,4 @@ pub struct ObsReport {
     /// High watermark of the push tokenizer's window (spillover bytes
     /// held across chunk boundaries plus in-flight chunk bytes).
     pub tokenizer_window_peak: u64,
-}
-
-impl ObsReport {
-    /// Machine-readable form (hand-rolled JSON, same conventions as the
-    /// rest of `--stats-json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"residency_tokens\":");
-        out.push_str(&self.residency_tokens.to_json());
-        out.push_str(",\"purged_node_bytes\":");
-        out.push_str(&self.purged_node_bytes.to_json());
-        out.push_str(",\"purge_batch\":");
-        out.push_str(&self.purge_batch.to_json());
-        out.push_str(&format!(
-            ",\"purges_on_signoff\":{},\"purges_on_close\":{},\"purges_on_unpin\":{}",
-            self.purges_on_signoff, self.purges_on_close, self.purges_on_unpin
-        ));
-        out.push_str(",\"roles\":[");
-        for (i, r) in self.roles.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"role\":\"");
-            gcx_obs::push_json_escaped(&mut out, &r.role);
-            out.push_str(&format!(
-                "\",\"appends\":{},\"signoffs\":{},\"purge_triggers\":{},\"max_live\":{}}}",
-                r.appends, r.signoffs, r.purge_triggers, r.max_live
-            ));
-        }
-        out.push_str("],\"live_bytes_timeline\":{\"every\":");
-        out.push_str(&self.timeline_every.to_string());
-        out.push_str(",\"points\":[");
-        for (i, (t, b)) in self.live_bytes_timeline.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{t},{b}]"));
-        }
-        out.push_str("]},\"tasks\":[");
-        for (i, t) in self.tasks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"task\":\"{}\",\"count\":{},\"nanos\":{}}}",
-                t.name, t.count, t.nanos
-            ));
-        }
-        out.push_str(&format!(
-            "],\"feed_spans\":{},\"tokenizer_window_peak\":{}}}",
-            self.feed_spans.len(),
-            self.tokenizer_window_peak
-        ));
-        out
-    }
 }

@@ -791,11 +791,8 @@ mod tests {
         assert_eq!(obs.feed_spans.len() as u64, report.feed_calls);
         assert!(obs.tokenizer_window_peak > 0);
         assert!(!obs.live_bytes_timeline.is_empty());
-        let json = report.to_json();
-        assert!(json.contains("\"obs\":{\"residency_tokens\""), "{json}");
         // Telemetry off: the report carries no obs section.
         assert!(want_report.obs.is_none());
-        assert!(!want_report.to_json().contains("\"obs\""));
     }
 
     #[test]

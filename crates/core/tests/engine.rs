@@ -448,7 +448,6 @@ fn generous_buffer_budget_changes_nothing() {
     assert_eq!(capped, unlimited);
     assert_eq!(report.buffer.peak_live, base.buffer.peak_live);
     assert_eq!(report.max_buffer_bytes, Some(1 << 20));
-    assert!(report.to_json().contains("\"max_buffer_bytes\":1048576"));
 }
 
 #[test]
@@ -459,7 +458,6 @@ fn byte_accounting_drains_to_zero_and_tracks_peak() {
     );
     assert_eq!(report.buffer.live_bytes, 0, "buffer must drain");
     assert!(report.buffer.peak_live_bytes > 0);
-    assert!(report.to_json().contains("\"peak_live_bytes\""));
 }
 
 #[test]

@@ -65,30 +65,6 @@ pub struct OptReport {
     pub cost_after: u64,
 }
 
-impl OptReport {
-    /// Total rewrites across all passes.
-    pub fn total_changes(&self) -> usize {
-        self.passes.iter().map(|p| p.changes).sum()
-    }
-
-    /// Machine-readable fragment for `--stats-json`: a JSON array under
-    /// `opt_passes` (name + change count per pass, pipeline order).
-    pub fn passes_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pass\":\"{}\",\"changes\":{}}}",
-                p.name, p.changes
-            ));
-        }
-        out.push(']');
-        out
-    }
-}
-
 /// Run the full pass pipeline over a lowered program, returning the
 /// optimized program and the report. The input program is not modified;
 /// callers keep it for `--no-opt` runs and explain diffs.

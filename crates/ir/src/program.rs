@@ -299,18 +299,6 @@ pub struct ProgramStats {
     pub symbols: usize,
 }
 
-impl ProgramStats {
-    /// Machine-readable form (hand-rolled JSON; the workspace has no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"instructions\":{},\"steps\":{},\"paths\":{},\"conds\":{},\
-             \"matcher_paths\":{},\"symbols\":{}}}",
-            self.instructions, self.steps, self.paths, self.conds, self.matcher_paths, self.symbols
-        )
-    }
-}
-
 impl Program {
     /// The root instruction (the whole rewritten query).
     #[inline]

@@ -127,43 +127,6 @@ impl BatchReport {
             would_have / actual
         }
     }
-
-    /// Machine-readable form (hand-rolled JSON; no external deps).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + 192 * self.queries.len());
-        s.push_str(&format!(
-            "{{\"tokens\":{},\"queries\":{},\"fanout_events\":{},\"share_factor\":{:.3},\
-             \"elapsed_ms\":{:.3},\"per_query\":[",
-            self.tokens,
-            self.queries.len(),
-            self.fanout_events,
-            self.share_factor(),
-            self.elapsed.as_secs_f64() * 1e3,
-        ));
-        for (i, q) in self.queries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match &q.report {
-                Ok(r) => {
-                    s.push_str(&format!(
-                        "{{\"index\":{i},\"output_bytes\":{},\"report\":{}}}",
-                        q.output.len(),
-                        r.to_json()
-                    ));
-                }
-                Err(e) => {
-                    s.push_str(&format!(
-                        "{{\"index\":{i},\"output_bytes\":{},\"error\":\"{}\"}}",
-                        q.output.len(),
-                        gcx_obs::json_escape(&e.to_string())
-                    ));
-                }
-            }
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 /// The shared-stream evaluator: one parse, N queries.
@@ -688,16 +651,5 @@ mod tests {
                 DOC.len() as u64
             );
         }
-        assert!(report.to_json().contains("\"obs\""));
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let queries = compile(&["for $b in /bib/book return $b/title"]);
-        let report = run_batch(&queries, DOC.as_bytes()).unwrap();
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"share_factor\""));
-        assert!(json.contains("\"per_query\""));
     }
 }

@@ -3,13 +3,15 @@
 //! instants, and `"M"` metadata for naming threads. Output is the
 //! object form — `{"traceEvents":[...]}` — which both viewers load.
 
-use crate::push_json_escaped;
+use crate::json::{JsonWriter, Scalar};
 
-/// Builds one trace file. Events append as pre-serialized JSON objects;
-/// [`TraceBuilder::finish`] wraps them in the envelope.
-#[derive(Debug, Default)]
+/// Builds one trace file: the envelope is opened at construction, each
+/// event is written into its `traceEvents` array as it is recorded, and
+/// [`TraceBuilder::finish`] closes it.
+#[derive(Debug)]
 pub struct TraceBuilder {
-    events: Vec<String>,
+    w: JsonWriter,
+    events: usize,
 }
 
 /// One event argument value.
@@ -17,51 +19,59 @@ pub struct TraceBuilder {
 pub enum ArgValue<'a> {
     /// Unsigned integer argument.
     U64(u64),
-    /// Float argument.
-    F64(f64),
     /// String argument (escaped on write).
     Str(&'a str),
+}
+
+impl Scalar for ArgValue<'_> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            ArgValue::U64(n) => n.write_json(out),
+            ArgValue::Str(s) => s.write_json(out),
+        }
+    }
+}
+
+impl Default for TraceBuilder {
+    fn default() -> Self {
+        TraceBuilder::new()
+    }
 }
 
 impl TraceBuilder {
     /// A fresh, empty trace.
     pub fn new() -> TraceBuilder {
-        TraceBuilder::default()
+        let mut w = JsonWriter::new();
+        w.object()
+            .field("displayTimeUnit", "ms")
+            .key("traceEvents")
+            .array();
+        TraceBuilder { w, events: 0 }
     }
 
-    fn push_common(ev: &mut String, name: &str, cat: &str, ph: char, ts_us: u64, tid: u64) {
-        ev.push_str("{\"name\":\"");
-        push_json_escaped(ev, name);
-        ev.push_str("\",\"cat\":\"");
-        push_json_escaped(ev, cat);
-        ev.push_str(&format!(
-            "\",\"ph\":\"{ph}\",\"ts\":{ts_us},\"pid\":1,\"tid\":{tid}"
-        ));
+    /// Open an event with the members every timed event starts with.
+    fn begin(&mut self, name: &str, cat: &str, ph: &str, ts_us: u64, tid: u64) -> &mut JsonWriter {
+        self.events += 1;
+        self.w
+            .object()
+            .field("name", name)
+            .field("cat", cat)
+            .field("ph", ph)
+            .field("ts", ts_us)
+            .field("pid", 1u64)
+            .field("tid", tid)
     }
 
-    fn push_args(ev: &mut String, args: &[(&str, ArgValue<'_>)]) {
-        if args.is_empty() {
-            return;
-        }
-        ev.push_str(",\"args\":{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                ev.push(',');
+    /// Write `args` (none: no `args` member) and close the event.
+    fn end_with_args(&mut self, args: &[(&str, ArgValue<'_>)]) {
+        if !args.is_empty() {
+            self.w.key("args").object();
+            for (k, v) in args {
+                self.w.field(k, v);
             }
-            ev.push('"');
-            push_json_escaped(ev, k);
-            ev.push_str("\":");
-            match v {
-                ArgValue::U64(n) => ev.push_str(&n.to_string()),
-                ArgValue::F64(f) => ev.push_str(&format!("{f}")),
-                ArgValue::Str(s) => {
-                    ev.push('"');
-                    push_json_escaped(ev, s);
-                    ev.push('"');
-                }
-            }
+            self.w.end();
         }
-        ev.push('}');
+        self.w.end();
     }
 
     /// A complete-duration (`"X"`) event on thread track `tid`.
@@ -74,30 +84,19 @@ impl TraceBuilder {
         tid: u64,
         args: &[(&str, ArgValue<'_>)],
     ) {
-        let mut ev = String::with_capacity(96);
-        Self::push_common(&mut ev, name, cat, 'X', ts_us, tid);
-        ev.push_str(&format!(",\"dur\":{dur_us}"));
-        Self::push_args(&mut ev, args);
-        ev.push('}');
-        self.events.push(ev);
+        self.begin(name, cat, "X", ts_us, tid).field("dur", dur_us);
+        self.end_with_args(args);
     }
 
     /// A counter (`"C"`) sample: each `(series, value)` pair becomes one
     /// series of the counter track `name`.
     pub fn counter(&mut self, name: &str, ts_us: u64, series: &[(&str, u64)]) {
-        let mut ev = String::with_capacity(96);
-        Self::push_common(&mut ev, name, "counter", 'C', ts_us, 0);
-        ev.push_str(",\"args\":{");
-        for (i, (k, v)) in series.iter().enumerate() {
-            if i > 0 {
-                ev.push(',');
-            }
-            ev.push('"');
-            push_json_escaped(&mut ev, k);
-            ev.push_str(&format!("\":{v}"));
+        let w = self.begin(name, "counter", "C", ts_us, 0);
+        w.key("args").object();
+        for (k, v) in series {
+            w.field(k, v);
         }
-        ev.push_str("}}");
-        self.events.push(ev);
+        w.end().end();
     }
 
     /// An instant (`"i"`) event (thread scope).
@@ -109,47 +108,40 @@ impl TraceBuilder {
         tid: u64,
         args: &[(&str, ArgValue<'_>)],
     ) {
-        let mut ev = String::with_capacity(96);
-        Self::push_common(&mut ev, name, cat, 'i', ts_us, tid);
-        ev.push_str(",\"s\":\"t\"");
-        Self::push_args(&mut ev, args);
-        ev.push('}');
-        self.events.push(ev);
+        self.begin(name, cat, "i", ts_us, tid).field("s", "t");
+        self.end_with_args(args);
     }
 
     /// Name a thread track (`"M"` metadata, `thread_name`).
     pub fn thread_name(&mut self, tid: u64, name: &str) {
-        let mut ev = String::with_capacity(96);
-        ev.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,");
-        ev.push_str(&format!("\"tid\":{tid},\"args\":{{\"name\":\""));
-        push_json_escaped(&mut ev, name);
-        ev.push_str("\"}}");
-        self.events.push(ev);
+        self.events += 1;
+        self.w
+            .object()
+            .field("name", "thread_name")
+            .field("ph", "M")
+            .field("pid", 1u64)
+            .field("tid", tid)
+            .key("args")
+            .object()
+            .field("name", name)
+            .end()
+            .end();
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events
     }
 
     /// True when no event has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events == 0
     }
 
     /// Serialize the trace file.
-    pub fn finish(self) -> String {
-        let mut out =
-            String::with_capacity(64 + self.events.iter().map(String::len).sum::<usize>());
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(ev);
-        }
-        out.push_str("]}");
-        out
+    pub fn finish(mut self) -> String {
+        self.w.end().end();
+        self.w.finish()
     }
 }
 

@@ -4,24 +4,23 @@
 //! Std-only building blocks shared by every layer that wants to be
 //! observable, designed around one constraint: **zero cost when off**.
 //! Nothing in this crate allocates on the hot path — histograms are
-//! fixed-bucket arrays allocated once, the span ring has a fixed
-//! capacity, and every "is observability on?" check in the engine is a
-//! null-pointer test on an `Option<Box<_>>`.
+//! fixed-bucket arrays allocated once, and every "is observability on?"
+//! check in the engine is a null-pointer test on an `Option<Box<_>>`.
 //!
 //! * [`Hist`] — single-threaded fixed-bucket histogram (per-run engine
 //!   telemetry: buffer residency, purge-batch sizes).
 //! * [`AtomicHist`] / [`Counter`] — thread-safe variants for the server
 //!   (request latency, buffer peaks), rendered as Prometheus text.
+//! * [`json`] — the one JSON writer: `--stats-json`, `GET /stats` and
+//!   Chrome traces are written through it.
 //! * [`prom`] — hand-rolled Prometheus text-exposition helpers
 //!   (`# HELP`/`# TYPE` lines, label escaping, cumulative `le` buckets).
-//! * [`chrome`] — Chrome trace-event JSON writer (Perfetto-loadable
-//!   `"X"` duration events and `"C"` counter tracks).
-//! * [`SpanRing`] — fixed-capacity ring of completed spans.
-//! * [`json_escape`]/[`push_json_escaped`] — the one JSON string escaper
-//!   the hand-rolled JSON in this workspace should share.
+//! * [`chrome`] — Chrome trace-event builder (Perfetto-loadable `"X"`
+//!   duration events and `"C"` counter tracks).
 //! * [`trace_id`] — cheap unique request ids (no external RNG).
 
 pub mod chrome;
+pub mod json;
 pub mod prom;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,32 +145,6 @@ impl Hist {
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
-
-    /// Hand-rolled JSON: `{"count":..,"sum":..,"max":..,"le":[..],
-    /// "counts":[..]}` — `counts` is per-bucket with the trailing
-    /// overflow bucket, aligned with `le`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str(&format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"le\":[",
-            self.count, self.sum, self.max
-        ));
-        for (i, b) in self.bounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&b.to_string());
-        }
-        out.push_str("],\"counts\":[");
-        for (i, c) in self.counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&c.to_string());
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// A relaxed atomic counter/gauge with saturating decrement — safe to
@@ -272,95 +245,6 @@ impl AtomicHist {
     }
 }
 
-/// One completed span: a named interval on the process timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// Static span name (e.g. `"feed"`, `"admission-wait"`).
-    pub name: &'static str,
-    /// Category for trace viewers (e.g. `"engine"`, `"server"`).
-    pub cat: &'static str,
-    /// Start, microseconds on the [`now_micros`] clock.
-    pub start_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-}
-
-/// Fixed-capacity ring of completed spans: recording never allocates and
-/// never grows — old spans are overwritten once the ring is full, so a
-/// long run keeps its most recent history.
-#[derive(Debug)]
-pub struct SpanRing {
-    spans: Vec<Span>,
-    head: usize,
-    len: usize,
-}
-
-impl SpanRing {
-    /// A ring holding at most `capacity` spans (allocated up front).
-    pub fn new(capacity: usize) -> SpanRing {
-        SpanRing {
-            spans: Vec::with_capacity(capacity.max(1)),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Record a completed span (overwrites the oldest when full).
-    pub fn push(&mut self, span: Span) {
-        if self.spans.len() < self.spans.capacity() {
-            self.spans.push(span);
-            self.len = self.spans.len();
-        } else {
-            self.spans[self.head] = span;
-            self.head = (self.head + 1) % self.spans.len();
-            self.len = self.spans.len();
-        }
-    }
-
-    /// Number of spans currently held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no span has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Spans in recording order (oldest first).
-    pub fn iter(&self) -> impl Iterator<Item = &Span> {
-        let (tail, head) = self.spans.split_at(self.head);
-        head.iter().chain(tail.iter())
-    }
-}
-
-/// Append `s` to `out` with JSON string escaping (quotes, backslashes,
-/// and control characters — the minimum RFC 8259 requires). The single
-/// escaper behind every piece of hand-rolled JSON that interpolates
-/// untrusted text (query names, error messages).
-pub fn push_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// [`push_json_escaped`] into a fresh `String`.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_json_escaped(&mut out, s);
-    out
-}
-
 /// A 16-hex-digit unique id for request tracing. No external RNG: wall
 /// time, a process-wide counter, and the thread id feed one splitmix64
 /// round, which is plenty for *distinguishing* requests (these are ids,
@@ -413,9 +297,6 @@ mod tests {
         // ≤10 → bucket 0 (twice), ≤100 → bucket 1 (twice), ≤1000 → none,
         // overflow → one.
         assert_eq!(h.counts(), &[2, 2, 0, 1]);
-        let json = h.to_json();
-        assert!(json.contains("\"le\":[10,100,1000]"), "{json}");
-        assert!(json.contains("\"counts\":[2,2,0,1]"), "{json}");
     }
 
     #[test]
@@ -454,33 +335,6 @@ mod tests {
         c.raise_to(10);
         c.raise_to(7);
         assert_eq!(c.get(), 10);
-    }
-
-    #[test]
-    fn span_ring_overwrites_oldest() {
-        let mut ring = SpanRing::new(3);
-        assert!(ring.is_empty());
-        for i in 0..5u64 {
-            ring.push(Span {
-                name: "s",
-                cat: "t",
-                start_us: i,
-                dur_us: 1,
-            });
-        }
-        assert_eq!(ring.len(), 3);
-        let starts: Vec<u64> = ring.iter().map(|s| s.start_us).collect();
-        assert_eq!(starts, vec![2, 3, 4], "oldest spans evicted first");
-    }
-
-    #[test]
-    fn json_escaping_covers_quotes_backslashes_and_controls() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("a\nb\tc\r"), "a\\nb\\tc\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("naïve"), "naïve", "non-ASCII passes through");
     }
 
     #[test]

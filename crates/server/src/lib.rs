@@ -71,7 +71,7 @@ pub use stats::ServerStats;
 
 use metrics::ServerMetrics;
 
-use gcx_core::{CompiledQuery, EngineError, EngineOptions};
+use gcx_core::{CompiledQuery, EngineError, EngineOptions, RunReport};
 use gcx_obs::Counter;
 use http::{BodyReader, DeferredBody, RequestHead};
 use std::collections::{HashMap, VecDeque};
@@ -87,6 +87,21 @@ const MAX_QUERY_BYTES: usize = 1024 * 1024;
 /// Output buffered before the `200` head of an eval response is committed
 /// (see [`http::DeferredBody`]); also the chunk coalescing size after.
 const COMMIT_THRESHOLD: usize = 8 * 1024;
+
+/// Reads a trailer's value from the run report and the request's trace id.
+type TrailerValue = fn(&RunReport, &str) -> String;
+
+/// The trailers a successful eval ends with. The response head's
+/// `Trailer:` line announces these same names.
+#[rustfmt::skip]
+const EVAL_TRAILERS: [(&str, TrailerValue); 6] = [
+    ("X-Gcx-Tokens", |r, _| r.tokens.to_string()),
+    ("X-Gcx-Peak-Buffered-Nodes", |r, _| r.buffer.peak_live.to_string()),
+    ("X-Gcx-Peak-Buffer-Bytes", |r, _| r.buffer.peak_live_bytes.to_string()),
+    ("X-Gcx-Purged-Nodes", |r, _| r.buffer.purged.to_string()),
+    ("X-Gcx-Output-Bytes", |r, _| r.output_bytes.to_string()),
+    ("X-Gcx-Trace-Id", |_, trace_id| trace_id.to_string()),
+];
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -485,15 +500,7 @@ fn route_bodyless<W: Write>(
         ("GET", ["queries", name]) => explain_query(shared, name, writer),
         ("DELETE", ["queries", name]) => delete_query(shared, name, writer),
         ("GET", ["stats"]) => {
-            let (registered, per_query) = per_query_evals(shared);
-            let body = shared.stats.to_json(
-                registered,
-                shared.started.elapsed(),
-                shared.config.workers,
-                shared.config.queue_depth,
-                shared.config.max_buffer_bytes,
-                &per_query,
-            );
+            let body = stats::render(&shared.stats, &snapshot(shared));
             http::write_response(
                 writer,
                 200,
@@ -505,18 +512,7 @@ fn route_bodyless<W: Write>(
             Ok(Outcome::KeepAlive)
         }
         ("GET", ["metrics"]) => {
-            let (registered, per_query) = per_query_evals(shared);
-            let queue_len = shared.queue.lock().expect("queue poisoned").conns.len();
-            let body = metrics::render(
-                &shared.metrics,
-                &shared.stats,
-                shared.started.elapsed(),
-                shared.config.workers,
-                queue_len,
-                shared.config.queue_depth,
-                registered,
-                &per_query,
-            );
+            let body = metrics::render(&shared.metrics, &shared.stats, &snapshot(shared));
             http::write_response(
                 writer,
                 200,
@@ -545,16 +541,24 @@ fn route_bodyless<W: Write>(
     }
 }
 
-/// Snapshot the registry as (size, sorted per-query eval counts) for
-/// `/stats` and `/metrics`.
-fn per_query_evals(shared: &Shared) -> (usize, Vec<(String, u64)>) {
-    let registry = shared.registry.read().expect("registry poisoned");
-    let mut per: Vec<(String, u64)> = registry
+/// What `/stats` and `/metrics` report besides the counters, read once.
+fn snapshot(shared: &Shared) -> stats::Snapshot {
+    let mut per_query: Vec<(String, u64)> = shared
+        .registry
+        .read()
+        .expect("registry poisoned")
         .iter()
         .map(|(name, entry)| (name.clone(), entry.evals.get()))
         .collect();
-    per.sort();
-    (registry.len(), per)
+    per_query.sort();
+    stats::Snapshot {
+        uptime: shared.started.elapsed(),
+        workers: shared.config.workers,
+        queue_depth: shared.config.queue_depth,
+        queue_len: shared.queue.lock().expect("queue poisoned").conns.len(),
+        max_buffer_bytes: shared.config.max_buffer_bytes,
+        per_query,
+    }
 }
 
 /// Valid registry names: short, path- and header-safe.
@@ -984,8 +988,8 @@ fn eval<R: BufRead, W: Write>(
         Content-Type: application/xml\r\n\
         Transfer-Encoding: chunked\r\n\
         X-Gcx-Trace-Id: {trace_id}\r\n\
-        Trailer: X-Gcx-Tokens, X-Gcx-Peak-Buffered-Nodes, X-Gcx-Peak-Buffer-Bytes, \
-        X-Gcx-Purged-Nodes, X-Gcx-Output-Bytes, X-Gcx-Trace-Id\r\n\r\n"
+        Trailer: {}\r\n\r\n",
+        EVAL_TRAILERS.map(|(name, _)| name).join(", ")
     )
     .into_bytes();
 
@@ -1002,21 +1006,7 @@ fn eval<R: BufRead, W: Write>(
     let mut out = DeferredBody::new(&mut *writer, success_head, COMMIT_THRESHOLD);
     match eval_push(&entry.query, &opts, &mut body, &mut out) {
         Ok(report) => {
-            let trailers = [
-                ("X-Gcx-Tokens", report.tokens.to_string()),
-                (
-                    "X-Gcx-Peak-Buffered-Nodes",
-                    report.buffer.peak_live.to_string(),
-                ),
-                (
-                    "X-Gcx-Peak-Buffer-Bytes",
-                    report.buffer.peak_live_bytes.to_string(),
-                ),
-                ("X-Gcx-Purged-Nodes", report.buffer.purged.to_string()),
-                ("X-Gcx-Output-Bytes", report.output_bytes.to_string()),
-                ("X-Gcx-Trace-Id", trace_id.clone()),
-            ];
-            out.finish(&trailers)?;
+            out.finish(&EVAL_TRAILERS.map(|(name, value)| (name, value(&report, &trace_id))))?;
             // The run total last: whoever sees it sees the rest as well.
             entry.evals.inc();
             shared
@@ -1098,7 +1088,7 @@ fn eval_push<R: BufRead, W: Write>(
     opts: &EngineOptions,
     body: &mut BodyReader<'_, R>,
     out: &mut W,
-) -> Result<gcx_core::RunReport, EngineError> {
+) -> Result<RunReport, EngineError> {
     let mut session = q.session(opts);
     loop {
         let fed = {

@@ -1,13 +1,13 @@
 //! `GET /metrics`: Prometheus text exposition (format 0.0.4) for the
 //! service, hand-rolled on [`gcx_obs::prom`]. Counters come straight
-//! from [`ServerStats`]; the histograms here (request latency by
-//! outcome class, admission wait, per-eval buffer peaks) are this
-//! module's own — fixed-bucket relaxed atomics allocated once at server
-//! startup, so recording costs a couple of `fetch_add`s per request.
+//! from [`ServerStats`], named by the [`COUNTERS`] list `/stats` reads
+//! too; the histograms here (request latency by outcome class, admission
+//! wait, per-eval buffer peaks) are this module's own — fixed-bucket
+//! relaxed atomics allocated once at server startup, so recording costs
+//! a couple of `fetch_add`s per request.
 
-use crate::stats::ServerStats;
+use crate::stats::{ServerStats, Snapshot, COUNTERS};
 use gcx_obs::{prom, AtomicHist, BYTE_BUCKETS, LATENCY_US_BUCKETS};
-use std::time::Duration;
 
 /// Histograms the `/stats` counters can't express: distributions, not
 /// sums. One instance lives in the server's shared state.
@@ -52,19 +52,8 @@ impl ServerMetrics {
     }
 }
 
-/// Render the whole exposition document. `per_query` is the sorted
-/// (name, eval-count) list from the registry.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn render(
-    metrics: &ServerMetrics,
-    stats: &ServerStats,
-    uptime: Duration,
-    workers: usize,
-    queue_len: usize,
-    queue_limit: usize,
-    queries: usize,
-    per_query: &[(String, u64)],
-) -> String {
+/// Render the whole exposition document.
+pub(crate) fn render(metrics: &ServerMetrics, stats: &ServerStats, snap: &Snapshot) -> String {
     let mut out = String::with_capacity(4096);
 
     prom::preamble(
@@ -73,17 +62,15 @@ pub(crate) fn render(
         "Seconds since the service started",
         "gauge",
     );
-    prom::sample_f64(&mut out, "gcx_uptime_seconds", &[], uptime.as_secs_f64());
+    prom::sample_f64(
+        &mut out,
+        "gcx_uptime_seconds",
+        &[],
+        snap.uptime.as_secs_f64(),
+    );
 
     prom::preamble(&mut out, "gcx_workers", "Worker thread count", "gauge");
-    prom::sample(&mut out, "gcx_workers", &[], workers as u64);
-    prom::preamble(
-        &mut out,
-        "gcx_workers_busy",
-        "Workers currently serving a connection",
-        "gauge",
-    );
-    prom::sample(&mut out, "gcx_workers_busy", &[], stats.in_flight.get());
+    prom::sample(&mut out, "gcx_workers", &[], snap.workers as u64);
 
     prom::preamble(
         &mut out,
@@ -91,7 +78,12 @@ pub(crate) fn render(
         "Accepted connections waiting for a worker",
         "gauge",
     );
-    prom::sample(&mut out, "gcx_admission_queue_depth", &[], queue_len as u64);
+    prom::sample(
+        &mut out,
+        "gcx_admission_queue_depth",
+        &[],
+        snap.queue_len as u64,
+    );
     prom::preamble(
         &mut out,
         "gcx_admission_queue_limit",
@@ -102,7 +94,7 @@ pub(crate) fn render(
         &mut out,
         "gcx_admission_queue_limit",
         &[],
-        queue_limit as u64,
+        snap.queue_depth as u64,
     );
 
     prom::preamble(
@@ -151,70 +143,11 @@ pub(crate) fn render(
         .admission_wait_us
         .render_prom(&mut out, "gcx_admission_wait_microseconds", &[]);
 
-    for (name, help, value) in [
-        (
-            "gcx_accepted_total",
-            "Connections accepted (admitted or 503-rejected)",
-            stats.accepted.get(),
-        ),
-        (
-            "gcx_rejected_busy_total",
-            "Connections rejected 503 (admission queue full)",
-            stats.rejected_busy.get(),
-        ),
-        (
-            "gcx_rejected_buffer_total",
-            "Evals rejected 413 (buffer budget exceeded)",
-            stats.rejected_buffer.get(),
-        ),
-        (
-            "gcx_client_errors_total",
-            "Other 4xx responses",
-            stats.client_errors.get(),
-        ),
-        (
-            "gcx_server_errors_total",
-            "5xx responses",
-            stats.server_errors.get(),
-        ),
-        (
-            "gcx_queries_compiled_total",
-            "Query compilations performed by PUT /queries",
-            stats.queries_compiled.get(),
-        ),
-        (
-            "gcx_eval_runs_total",
-            "Successful eval runs",
-            stats.eval_runs.get(),
-        ),
-        (
-            "gcx_eval_tokens_total",
-            "Structural tokens processed by successful evals",
-            stats.eval_tokens.get(),
-        ),
-        (
-            "gcx_eval_purged_nodes_total",
-            "Buffer nodes purged by successful evals",
-            stats.eval_purged.get(),
-        ),
-        (
-            "gcx_eval_output_bytes_total",
-            "Result bytes streamed by successful evals",
-            stats.eval_output_bytes.get(),
-        ),
-        (
-            "gcx_eval_early_scan_ends_total",
-            "Schema-driven early child-scan terminations in successful evals",
-            stats.eval_early_scan_ends.get(),
-        ),
-        (
-            "gcx_eval_early_signoffs_total",
-            "Schema-driven early sign-offs in successful evals",
-            stats.eval_early_signoffs.get(),
-        ),
-    ] {
-        prom::preamble(&mut out, name, help, "counter");
-        prom::sample(&mut out, name, &[], value);
+    for &(_, _, family, help, counter) in &COUNTERS {
+        if let Some((name, kind)) = family {
+            prom::preamble(&mut out, name, help, kind);
+            prom::sample(&mut out, name, &[], counter(stats).get());
+        }
     }
 
     prom::preamble(
@@ -223,7 +156,12 @@ pub(crate) fn render(
         "Queries currently in the registry",
         "gauge",
     );
-    prom::sample(&mut out, "gcx_queries_registered", &[], queries as u64);
+    prom::sample(
+        &mut out,
+        "gcx_queries_registered",
+        &[],
+        snap.per_query.len() as u64,
+    );
 
     prom::preamble(
         &mut out,
@@ -231,7 +169,7 @@ pub(crate) fn render(
         "Successful evals per registered query",
         "counter",
     );
-    for (name, evals) in per_query {
+    for (name, evals) in &snap.per_query {
         prom::sample(
             &mut out,
             "gcx_query_evals_total",
@@ -249,18 +187,6 @@ pub(crate) fn render(
     metrics
         .eval_peak_buffer_bytes
         .render_prom(&mut out, "gcx_eval_peak_buffer_bytes", &[]);
-    prom::preamble(
-        &mut out,
-        "gcx_eval_peak_buffer_bytes_max",
-        "High watermark of any single eval's peak buffer bytes",
-        "gauge",
-    );
-    prom::sample(
-        &mut out,
-        "gcx_eval_peak_buffer_bytes_max",
-        &[],
-        stats.eval_peak_buffer_bytes.get(),
-    );
 
     out
 }
@@ -280,17 +206,15 @@ mod tests {
         metrics.eval_peak_buffer_bytes.observe(4096);
         let stats = ServerStats::default();
         stats.accepted.inc();
-        let per_query = vec![("q\"1".to_string(), 3u64)];
-        let text = render(
-            &metrics,
-            &stats,
-            Duration::from_secs(7),
-            4,
-            1,
-            64,
-            1,
-            &per_query,
-        );
+        let snap = Snapshot {
+            uptime: std::time::Duration::from_secs(7),
+            workers: 4,
+            queue_depth: 64,
+            queue_len: 1,
+            max_buffer_bytes: None,
+            per_query: vec![("q\"1".to_string(), 3u64)],
+        };
+        let text = render(&metrics, &stats, &snap);
         // Every non-comment line is `name{labels} value`.
         for line in text.lines() {
             if line.starts_with('#') {

@@ -1,7 +1,9 @@
 //! Aggregate service counters: a handful of relaxed atomics bumped per
-//! request, surfaced by `GET /stats`.
+//! request, surfaced by `GET /stats` and, through the same [`COUNTERS`]
+//! list, by `GET /metrics`.
 
 use gcx_core::RunReport;
+use gcx_obs::json::{Fixed, JsonWriter};
 use gcx_obs::Counter;
 use std::time::Duration;
 
@@ -60,67 +62,110 @@ impl ServerStats {
             self.eval_early_signoffs.add(schema.early_signoffs);
         }
     }
+}
 
-    /// The `GET /stats` document (hand-rolled JSON; no external deps).
-    /// Key order is part of the contract — the golden test below pins it,
-    /// so scripted consumers can diff documents textually.
-    pub fn to_json(
-        &self,
-        registered_queries: usize,
-        uptime: Duration,
-        workers: usize,
-        queue_depth: usize,
-        max_buffer_bytes: Option<u64>,
-        per_query: &[(String, u64)],
-    ) -> String {
-        let mut out = format!(
-            "{{\"uptime_s\":{:.1},\"uptime_secs\":{},\
-             \"workers\":{workers},\"queue_depth\":{queue_depth},\
-             \"max_buffer_bytes\":{},\"queries\":{registered_queries},\
-             \"queries_compiled\":{},\
-             \"accepted\":{},\"served\":{},\"in_flight\":{},\
-             \"rejected_busy\":{},\"rejected_buffer\":{},\
-             \"client_errors\":{},\"server_errors\":{},\
-             \"eval\":{{\"runs\":{},\"tokens\":{},\"purged_nodes\":{},\
-             \"output_bytes\":{},\"peak_buffer_bytes\":{},\
-             \"early_scan_ends\":{},\"early_signoffs\":{}}}",
-            uptime.as_secs_f64(),
-            uptime.as_secs(),
-            max_buffer_bytes.map_or_else(|| "null".to_string(), |b| b.to_string()),
-            self.queries_compiled.get(),
-            self.accepted.get(),
-            self.served.get(),
-            self.in_flight.get(),
-            self.rejected_busy.get(),
-            self.rejected_buffer.get(),
-            self.client_errors.get(),
-            self.server_errors.get(),
-            self.eval_runs.get(),
-            self.eval_tokens.get(),
-            self.eval_purged.get(),
-            self.eval_output_bytes.get(),
-            self.eval_peak_buffer_bytes.get(),
-            self.eval_early_scan_ends.get(),
-            self.eval_early_signoffs.get(),
-        );
-        out.push_str(",\"per_query\":{");
-        for (i, (name, evals)) in per_query.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            gcx_obs::push_json_escaped(&mut out, name);
-            out.push_str("\":");
-            out.push_str(&evals.to_string());
-        }
-        out.push_str("}}");
-        out
+/// One [`ServerStats`] counter as both views name it: its `/stats` key,
+/// whether that key sits in the `eval` object, its `/metrics` family and
+/// Prometheus type (`None`: `/stats` only), the family's `# HELP` text,
+/// and the counter itself.
+pub(crate) type CounterDef = (
+    &'static str,
+    bool,
+    Option<(&'static str, &'static str)>,
+    &'static str,
+    fn(&ServerStats) -> &Counter,
+);
+
+/// Every [`ServerStats`] counter, in `/stats` key order.
+#[rustfmt::skip]
+pub(crate) const COUNTERS: [CounterDef; 15] = [
+    ("queries_compiled", false, Some(("gcx_queries_compiled_total", "counter")),
+        "Query compilations performed by PUT /queries", |s| &s.queries_compiled),
+    ("accepted", false, Some(("gcx_accepted_total", "counter")),
+        "Connections accepted (admitted or 503-rejected)", |s| &s.accepted),
+    ("served", false, None, "Responses written, any status", |s| &s.served),
+    ("in_flight", false, Some(("gcx_workers_busy", "gauge")),
+        "Workers currently serving a connection", |s| &s.in_flight),
+    ("rejected_busy", false, Some(("gcx_rejected_busy_total", "counter")),
+        "Connections rejected 503 (admission queue full)", |s| &s.rejected_busy),
+    ("rejected_buffer", false, Some(("gcx_rejected_buffer_total", "counter")),
+        "Evals rejected 413 (buffer budget exceeded)", |s| &s.rejected_buffer),
+    ("client_errors", false, Some(("gcx_client_errors_total", "counter")),
+        "Other 4xx responses", |s| &s.client_errors),
+    ("server_errors", false, Some(("gcx_server_errors_total", "counter")),
+        "5xx responses", |s| &s.server_errors),
+    ("runs", true, Some(("gcx_eval_runs_total", "counter")),
+        "Successful eval runs", |s| &s.eval_runs),
+    ("tokens", true, Some(("gcx_eval_tokens_total", "counter")),
+        "Structural tokens processed by successful evals", |s| &s.eval_tokens),
+    ("purged_nodes", true, Some(("gcx_eval_purged_nodes_total", "counter")),
+        "Buffer nodes purged by successful evals", |s| &s.eval_purged),
+    ("output_bytes", true, Some(("gcx_eval_output_bytes_total", "counter")),
+        "Result bytes streamed by successful evals", |s| &s.eval_output_bytes),
+    ("peak_buffer_bytes", true, Some(("gcx_eval_peak_buffer_bytes_max", "gauge")),
+        "High watermark of any single eval's peak buffer bytes", |s| &s.eval_peak_buffer_bytes),
+    ("early_scan_ends", true, Some(("gcx_eval_early_scan_ends_total", "counter")),
+        "Schema-driven early child-scan terminations in successful evals",
+        |s| &s.eval_early_scan_ends),
+    ("early_signoffs", true, Some(("gcx_eval_early_signoffs_total", "counter")),
+        "Schema-driven early sign-offs in successful evals", |s| &s.eval_early_signoffs),
+];
+
+/// What `/stats` and `/metrics` report besides the counters: the
+/// service's configuration, its queue and its registry at one instant.
+pub(crate) struct Snapshot {
+    pub uptime: Duration,
+    pub workers: usize,
+    /// Admission queue capacity.
+    pub queue_depth: usize,
+    /// Connections waiting in the admission queue.
+    pub queue_len: usize,
+    pub max_buffer_bytes: Option<u64>,
+    /// Registered queries and their successful evals, sorted by name.
+    pub per_query: Vec<(String, u64)>,
+}
+
+/// The `GET /stats` document. Key order is part of the contract — the
+/// golden test below pins it, so scripted consumers can diff documents
+/// textually.
+pub(crate) fn render(stats: &ServerStats, snap: &Snapshot) -> String {
+    let mut w = JsonWriter::new();
+    w.object()
+        .field("uptime_s", Fixed(snap.uptime.as_secs_f64(), 1))
+        .field("uptime_secs", snap.uptime.as_secs())
+        .field("workers", snap.workers)
+        .field("queue_depth", snap.queue_depth)
+        .field("max_buffer_bytes", snap.max_buffer_bytes)
+        .field("queries", snap.per_query.len());
+    for &(key, _, _, _, counter) in COUNTERS.iter().filter(|c| !c.1) {
+        w.field(key, counter(stats).get());
     }
+    w.key("eval").object();
+    for &(key, _, _, _, counter) in COUNTERS.iter().filter(|c| c.1) {
+        w.field(key, counter(stats).get());
+    }
+    w.end().key("per_query").object();
+    for (name, evals) in &snap.per_query {
+        w.field(name, evals);
+    }
+    w.end().end();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn snapshot(per_query: &[(&str, u64)]) -> Snapshot {
+        Snapshot {
+            uptime: Duration::from_secs(5),
+            workers: 4,
+            queue_depth: 64,
+            queue_len: 0,
+            max_buffer_bytes: None,
+            per_query: per_query.iter().map(|&(n, e)| (n.to_string(), e)).collect(),
+        }
+    }
 
     #[test]
     fn json_shape_and_counter_semantics() {
@@ -131,7 +176,12 @@ mod tests {
         s.eval_peak_buffer_bytes.raise_to(100);
         s.eval_peak_buffer_bytes.raise_to(40);
         assert_eq!(s.eval_peak_buffer_bytes.get(), 100, "watermark never drops");
-        let json = s.to_json(3, Duration::from_secs(2), 4, 64, Some(1024), &[]);
+        let snap = Snapshot {
+            uptime: Duration::from_secs(2),
+            max_buffer_bytes: Some(1024),
+            ..snapshot(&[("a", 0), ("b", 0), ("c", 0)])
+        };
+        let json = render(&s, &snap);
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         for key in [
             "\"accepted\":1",
@@ -143,7 +193,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key}: {json}");
         }
-        let unlimited = s.to_json(0, Duration::ZERO, 1, 1, None, &[]);
+        let unlimited = render(&s, &snapshot(&[]));
         assert!(unlimited.contains("\"max_buffer_bytes\":null"));
     }
 
@@ -152,11 +202,7 @@ mod tests {
     #[test]
     fn stats_json_key_order_is_stable() {
         let s = ServerStats::default();
-        let per_query = vec![
-            ("alpha".to_string(), 2u64),
-            ("q-weird.\"name".to_string(), 1u64),
-        ];
-        let json = s.to_json(2, Duration::from_secs(5), 4, 64, None, &per_query);
+        let json = render(&s, &snapshot(&[("alpha", 2), ("q-weird.\"name", 1)]));
         assert_eq!(
             json,
             "{\"uptime_s\":5.0,\"uptime_secs\":5,\"workers\":4,\"queue_depth\":64,\
@@ -171,13 +217,12 @@ mod tests {
         );
     }
 
-    /// The hand-rolled JSON escaping must keep `/stats` parseable even if
-    /// a hostile name sneaks into the per-query map.
+    /// The JSON escaping must keep `/stats` parseable even if a hostile
+    /// name sneaks into the per-query map.
     #[test]
     fn per_query_names_are_json_escaped() {
         let s = ServerStats::default();
-        let per_query = vec![("a\"b\\c\nd\u{1}e".to_string(), 7u64)];
-        let json = s.to_json(1, Duration::ZERO, 1, 1, None, &per_query);
+        let json = render(&s, &snapshot(&[("a\"b\\c\nd\u{1}e", 7)]));
         assert!(
             json.contains("\"a\\\"b\\\\c\\nd\\u0001e\":7"),
             "escaped name missing: {json}"
