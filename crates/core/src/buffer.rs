@@ -166,15 +166,6 @@ impl AttrBuf {
         self.ends.push(self.text.len() as u32);
     }
 
-    /// Drop every attribute from the `len`-th on, keeping capacity: the
-    /// storage used as a stack (the lane's pending chain).
-    pub fn truncate(&mut self, len: usize) {
-        self.syms.truncate(len);
-        self.ends.truncate(len);
-        self.text
-            .truncate(self.ends.last().map_or(0, |&end| end as usize));
-    }
-
     /// Number of attributes.
     pub fn len(&self) -> usize {
         self.syms.len()
@@ -183,13 +174,6 @@ impl AttrBuf {
     /// True when there are no attributes.
     pub fn is_empty(&self) -> bool {
         self.syms.is_empty()
-    }
-
-    /// The `i`-th attribute as `(name, value)`.
-    pub fn get(&self, i: usize) -> Option<(Symbol, &str)> {
-        let sym = *self.syms.get(i)?;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        Some((sym, &self.text[start..self.ends[i] as usize]))
     }
 
     /// What these attributes add to a node's budgeted size
@@ -298,8 +282,9 @@ struct Slot {
 
 const _: () = assert!(size_of::<Slot>() == 72);
 
-/// What every buffered node is charged before its payload: its slot.
-const SLOT_BYTES: u64 = size_of::<Slot>() as u64;
+/// What every buffered node is charged before its payload: its slot —
+/// and all a lane's pending element is charged.
+pub(crate) const SLOT_BYTES: u64 = size_of::<Slot>() as u64;
 
 /// [`Slot::flags`]: the end tag was read (text nodes are born closed).
 const CLOSED: u32 = 1 << 31;
@@ -521,13 +506,6 @@ pub struct BufferStats {
 #[inline]
 fn node_bytes(payload_len: u32) -> u64 {
     SLOT_BYTES + payload_len as u64
-}
-
-/// What `elements` open elements whose attributes are all in `attrs` would
-/// cost as buffered nodes: the charge for a lane's pending chain, so that
-/// waiting outside the buffer is no way around the byte budget.
-pub(crate) fn unbuffered_bytes(elements: usize, attrs: &AttrBuf) -> u64 {
-    elements as u64 * SLOT_BYTES + attrs.payload_bytes()
 }
 
 /// Per-role lifecycle counters (telemetry only).

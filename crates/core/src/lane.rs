@@ -1,7 +1,7 @@
 //! The evaluation core: everything downstream of the keep/skip decision.
 //! See [`Lane`].
 
-use crate::buffer::{unbuffered_bytes, AttrBuf, BufferStats, BufferTree, NodeId, Ordinals};
+use crate::buffer::{AttrBuf, BufferStats, BufferTree, NodeId, Ordinals, SLOT_BYTES};
 use crate::engine::{CompiledQuery, EngineMode, RunReport, SchemaPlan, SchemaReport};
 use crate::error::EngineError;
 use crate::eval::{Vm, VmStatus};
@@ -122,9 +122,6 @@ struct PendingEntry {
     name: Symbol,
     /// Taken from the parent's counters at the start tag.
     ordinals: Ordinals,
-    /// Index of its first attribute in [`Lane::pending_attrs`]; its
-    /// attributes run to the next entry's first (or the arena's end).
-    attrs_from: usize,
     /// Sibling-order cutoff its children have raised so far (0 = none).
     cutoff: u32,
     counters: ChildCounters,
@@ -138,7 +135,8 @@ pub enum Keep<'a> {
     Skip,
     /// The projection keeps the element for what may lie below it, with
     /// no role of its own: it opens on the pending chain and reaches the
-    /// buffer only if a descendant earns a role.
+    /// buffer only if a descendant earns a role — without its attributes,
+    /// which nothing can read from a role-less node.
     Speculative,
     /// Buffer the element now, with these role instances (sorted by role
     /// id). The list may be empty: full buffering keeps what no role asks
@@ -202,21 +200,31 @@ enum Health {
 /// a *speculative ancestor* — it has no role, but a descendant may earn
 /// one. Such an element ([`Keep::Speculative`]) is not appended. It waits
 /// on the lane's **pending chain**: name, the document ordinals taken at
-/// its start tag, its attributes (copied into one stack-shaped arena),
-/// the sibling-order cutoff its children have raised so far, and its live
-/// child counters, so positional predicates below it still see document
-/// positions. The chain is always the innermost part of the open-element
-/// path. When a descendant element or text arrives with roles, the whole
-/// chain is appended top-down — exactly the nodes, names, attributes and
-/// ordinals an eager append would have produced, only later — and the
-/// descendant goes under it. A pending element whose end tag arrives
-/// first is popped: the buffer and the evaluator never hear of it.
+/// its start tag, the sibling-order cutoff its children have raised so
+/// far, and its live child counters, so positional predicates below it
+/// still see document positions. Not its attributes: no role means no
+/// step can read them, and leaving them out keeps a lane's buffer the
+/// same however its chain arrived. The chain is always the innermost part
+/// of the open-element path. When a descendant element or text arrives
+/// with roles, the whole chain is appended top-down — the nodes, names
+/// and ordinals an eager append would have produced, only later and
+/// without attributes — and the descendant goes under it. A pending
+/// element whose end tag arrives first is popped: the buffer and the
+/// evaluator never hear of it.
+///
+/// A driver may pass the inside of a pending element unseen when its
+/// projection only waits for a few names below it (a session's
+/// descendant search), and open the elements it finds on the way there
+/// late, as [`Keep::Speculative`]. Their ordinals are then counted among
+/// the siblings the lane was shown. Nothing can tell: a step that could
+/// select them by position would have stopped the search.
 ///
 /// The chain is O(document depth), like the tokenizer's open-tag stack,
 /// and lives outside the buffer's *reporting*: it shows in a run's heap
 /// high-water, not in `peak_live_bytes`. It is inside the byte *budget*:
-/// a pending element is charged what it would cost as a buffered node, so
-/// `max_buffer_bytes` bounds buffer plus chain.
+/// a pending element is charged the slot it would take as a buffered
+/// node, so `max_buffer_bytes` bounds buffer plus chain, and
+/// [`Lane::pending_room`] tells a driver how many more fit.
 pub struct Lane {
     vm: Vm,
     buf: BufferTree,
@@ -235,9 +243,6 @@ pub struct Lane {
     /// (yet): the pending chain. The parent of incoming nodes is its top,
     /// or `open`'s when it is empty.
     pending: Vec<PendingEntry>,
-    /// The pending elements' attributes, outermost element first;
-    /// truncated when one is popped, emptied when the chain materialises.
-    pending_attrs: AttrBuf,
     /// Attribute storage for the element being appended, which
     /// [`BufferTree::append_element_with_attrs`] copies into the buffer's
     /// payload store and clears, capacity kept.
@@ -295,7 +300,6 @@ impl Lane {
                 counters: ChildCounters::opening(&[]),
             }],
             pending: Vec::new(),
-            pending_attrs: AttrBuf::new(),
             attr_scratch: AttrBuf::new(),
             child_names: Vec::new(),
             clock: 0,
@@ -310,6 +314,11 @@ impl Lane {
     /// here.
     pub fn symbols_mut(&mut self) -> &mut SymbolTable {
         &mut self.symbols
+    }
+
+    /// The run's symbol table.
+    pub fn symbols(&self) -> &SymbolTable {
+        &self.symbols
     }
 
     /// Whether the lane still takes events: false once it failed.
@@ -335,10 +344,13 @@ impl Lane {
     /// `attr_names` the attribute names (parallel to `tag.attrs`) in the
     /// lane's symbol table ([`Lane::symbols_mut`]). `keep` is the driver's
     /// decision. Whatever it is, the child is counted; on [`Keep::Skip`]
-    /// that is all (`attr_names` is not read), and the driver hides the
-    /// subtree and its end tag. Returns whether the element was taken —
-    /// buffered or pending — so that its end tag is the lane's to see.
-    #[inline]
+    /// that is all, and the driver hides the subtree and its end tag.
+    /// `attr_names` is only read on [`Keep::Roles`]. Returns whether the
+    /// element was taken — buffered or pending — so that its end tag is
+    /// the lane's to see. (Inlined into every caller, like
+    /// [`Lane::step`]: a driver calls both per token, and a session from
+    /// its search as well as its token loop.)
+    #[inline(always)]
     pub fn start_element(
         &mut self,
         name: Symbol,
@@ -381,20 +393,14 @@ impl Lane {
         }
         let ordinals =
             top_counters(&mut self.pending, &mut self.open).next_elem(&mut self.child_names, name);
-        let attrs = tag.attrs.iter().zip(attr_names);
         match keep {
             Keep::Skip => return false,
             // Open and closed at once, nothing below it: never needed.
             Keep::Speculative if tag.self_closing => {}
             Keep::Speculative => {
-                let attrs_from = self.pending_attrs.len();
-                for (a, &attr_name) in attrs {
-                    self.pending_attrs.push(attr_name, a.value);
-                }
                 self.pending.push(PendingEntry {
                     name,
                     ordinals,
-                    attrs_from,
                     cutoff: 0,
                     counters: ChildCounters::opening(&self.child_names),
                 });
@@ -405,7 +411,7 @@ impl Lane {
             }
             Keep::Roles(roles) => {
                 self.materialise_pending();
-                for (a, &attr_name) in attrs {
+                for (a, &attr_name) in tag.attrs.iter().zip(attr_names) {
                     self.attr_scratch.push(attr_name, a.value);
                 }
                 let counters = ChildCounters::opening(&self.child_names);
@@ -430,7 +436,6 @@ impl Lane {
             // No descendant earned a role: the element never existed as
             // far as the buffer and the machine are concerned.
             Some(entry) => {
-                self.pending_attrs.truncate(entry.attrs_from);
                 self.child_names
                     .truncate(entry.counters.names_from as usize);
             }
@@ -477,7 +482,7 @@ impl Lane {
     /// byte budget, then let the machine run if what it waits for may
     /// have arrived (resuming while the recorded wait is unsatisfied
     /// would be a provable no-op; see `Vm::wait_satisfied`).
-    #[inline]
+    #[inline(always)]
     pub fn step(&mut self) {
         if !std::mem::take(&mut self.touched) {
             return;
@@ -583,49 +588,60 @@ impl Lane {
         })
     }
 
+    /// How many more pending elements the byte budget has room for
+    /// (`usize::MAX` without one): a driver that opens elements it passed
+    /// unseen bounds how many it passes by this.
+    pub fn pending_room(&self) -> usize {
+        match self.buf.max_bytes() {
+            Some(limit) => {
+                let room = limit.saturating_sub(self.buf.stats().live_bytes + self.held_bytes());
+                usize::try_from(room / SLOT_BYTES).unwrap_or(usize::MAX)
+            }
+            None => usize::MAX,
+        }
+    }
+
+    /// What the lane holds of the document outside the buffer: a slot per
+    /// pending element, and the names the document added to the symbol
+    /// table.
+    #[inline]
+    fn held_bytes(&self) -> u64 {
+        let names = self.symbols.name_bytes() - self.seeded_name_bytes;
+        self.pending.len() as u64 * SLOT_BYTES + names as u64
+    }
+
     /// The byte budget covers everything the lane holds of the document:
     /// the buffer's live nodes, the pending chain — each pending element
-    /// at the size it would have as a buffered node — and the names the
+    /// at the slot it would take as a buffered node — and the names the
     /// document added to the symbol table. (A chain of open elements
     /// under a `//` step is as deep as the document, and every start tag
     /// the driver steps over is interned, kept or refused; left uncharged
     /// either would be a way to hold all of it.)
     #[inline]
     fn check_budget(&self) -> Result<(), EngineError> {
-        let names = self.symbols.name_bytes() - self.seeded_name_bytes;
-        self.buf
-            .check_limit(unbuffered_bytes(self.pending.len(), &self.pending_attrs) + names as u64)
+        self.buf.check_limit(self.held_bytes())
     }
 
     /// A descendant of the pending chain earned a role: append the chain,
-    /// outermost element first, with what an append at each start tag
-    /// would have recorded.
+    /// outermost element first, with the names and ordinals an append at
+    /// each start tag would have recorded.
     #[inline]
     fn materialise_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let mut pending = std::mem::take(&mut self.pending);
-        let mut entries = pending.drain(..).peekable();
-        while let Some(entry) = entries.next() {
-            let attrs_to = entries
-                .peek()
-                .map_or(self.pending_attrs.len(), |next| next.attrs_from);
-            for a in entry.attrs_from..attrs_to {
-                let (attr_name, value) = self.pending_attrs.get(a).expect("index in range");
-                self.attr_scratch.push(attr_name, value);
-            }
+        for entry in pending.drain(..) {
             let node = self.open_element(entry.name, entry.ordinals, &[], entry.counters);
             self.buf.schema_raise_cutoff(node, entry.cutoff);
         }
-        drop(entries);
         self.pending = pending;
-        self.pending_attrs.clear();
     }
 
-    /// Append an element — its attributes are in `attr_scratch`, which
-    /// comes back empty — under the innermost buffered element and open
-    /// it. The one place elements enter the buffer.
+    /// Append an element — its attributes are in `attr_scratch` (empty
+    /// for a pending one), which comes back empty — under the innermost
+    /// buffered element and open it. The one place elements enter the
+    /// buffer.
     #[inline]
     fn open_element(
         &mut self,
@@ -675,7 +691,6 @@ impl Lane {
             self.health = Health::Failed(e);
             self.buf = BufferTree::new(false);
             self.pending = Vec::new();
-            self.pending_attrs = AttrBuf::new();
         }
     }
 }
@@ -746,19 +761,20 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(lane.pending.is_empty() && lane.pending_attrs.is_empty());
+        assert!(lane.pending.is_empty());
         assert_eq!(lane.open.len(), 1, "only the virtual root stays open");
         lane
     }
 
     /// One line per buffered node in document order — depth, name or
-    /// text, attributes, ordinals, roles — and whether a role sits at or
-    /// below `node`. With `needed_only`, role-free subtrees are left out.
+    /// text, attributes (of a role-less node only `with_roleless_attrs`),
+    /// ordinals, roles — and whether a role sits at or below `node`. With
+    /// `needed_only`, role-free subtrees are left out.
     fn dump(
         lane: &Lane,
         node: NodeId,
         depth: usize,
-        needed_only: bool,
+        (needed_only, with_roleless_attrs): (bool, bool),
         out: &mut Vec<String>,
     ) -> bool {
         let buf = &lane.buf;
@@ -772,6 +788,7 @@ mod tests {
             let attrs: Vec<String> = buf
                 .attrs(node)
                 .iter()
+                .filter(|_| needed || with_roleless_attrs)
                 .map(|(n, v)| format!("{}={v}", lane.symbols.resolve(n)))
                 .collect();
             let o = buf.ordinals(node);
@@ -785,7 +802,7 @@ mod tests {
         }
         let mut child = buf.first_child(node);
         while let Some(c) = child {
-            needed |= dump(lane, c, depth + 1, needed_only, out);
+            needed |= dump(lane, c, depth + 1, (needed_only, with_roleless_attrs), out);
             child = buf.next_sibling(c);
         }
         if needed_only && !needed {
@@ -794,9 +811,10 @@ mod tests {
         needed
     }
 
-    fn dumped(lane: &Lane, needed_only: bool) -> Vec<String> {
+    fn dumped(lane: &Lane, needed_only: bool, with_roleless_attrs: bool) -> Vec<String> {
         let mut out = Vec::new();
-        dump(lane, NodeId::ROOT, 0, needed_only, &mut out);
+        let how = (needed_only, with_roleless_attrs);
+        dump(lane, NodeId::ROOT, 0, how, &mut out);
         out
     }
 
@@ -810,23 +828,24 @@ mod tests {
         let lazy = drive(DOC, false, None);
         let eager = drive(DOC, true, None);
         // Every appended node carries a role or stands above one…
-        assert_eq!(dumped(&lazy, false), dumped(&lazy, true));
-        // …and is, name, attributes, ordinals and all, the node an append
-        // at its start tag produced, in the same order.
-        assert_eq!(dumped(&lazy, false), dumped(&eager, true));
+        assert_eq!(dumped(&lazy, false, true), dumped(&lazy, true, true));
+        // …and is, name, ordinals and all, the node an append at its start
+        // tag produced, in the same order — without the attributes of a
+        // role-less one, which nothing reads.
+        assert_eq!(dumped(&lazy, false, true), dumped(&eager, true, false));
         // s2, s4, s6, s7, s10 never earn a place; s0, s1, s3, s5, s8, s9
         // do, late.
         assert_eq!(eager.buf.stats().allocated - lazy.buf.stats().allocated, 5);
-        let lines = dumped(&lazy, false);
+        let lines = dumped(&lazy, false, true);
         assert_eq!(lines.len(), 11, "{lines:#?}");
-        assert_eq!(lines[0], r#"1 s0 ["id=top", "k=v"] 1/1/1 []"#);
-        assert_eq!(lines[1], r#"2 s1 ["a=1"] 1/2/3 []"#);
-        assert_eq!(lines[2], r#"3 s3 ["b=2", "c=3"] 1/2/2 []"#);
+        assert_eq!(lines[0], r#"1 s0 [] 1/1/1 []"#);
+        assert_eq!(lines[1], r#"2 s1 [] 1/2/3 []"#);
+        assert_eq!(lines[2], r#"3 s3 [] 1/2/2 []"#);
         // Document positions under parents that were pending: r1 is the
         // second element and third node of s3, s5 the third element of s1.
         assert_eq!(lines[3], r#"4 r1 ["d=4"] 1/2/3 [(RoleId(1), 1)]"#);
-        assert_eq!(lines[5], r#"3 s5 ["f=6"] 1/3/3 []"#);
-        assert_eq!(lines[7], r#"2 s8 ["i=9"] 1/4/5 []"#);
+        assert_eq!(lines[5], r#"3 s5 [] 1/3/3 []"#);
+        assert_eq!(lines[7], r#"2 s8 [] 1/4/5 []"#);
         assert_eq!(lines[10], r#"4 r2 [] 2/2/2 [(RoleId(1), 1)]"#);
     }
 
@@ -847,13 +866,15 @@ mod tests {
 
     #[test]
     fn the_pending_chain_counts_against_the_byte_budget() {
-        // Nested role-less elements, 100 bytes of attribute each: pending
-        // or appended eagerly, the lane fails at the same start tag with
-        // the same byte count — waiting outside the buffer is no way
+        // Nested role-less elements with 100 bytes of attribute each: a
+        // pending one is charged its slot, so pending, or appended eagerly
+        // without the attributes, the lane fails at the same start tag
+        // with the same byte count — waiting outside the buffer is no way
         // around the budget.
         let q = CompiledQuery::compile("'x'").unwrap();
         let open = format!("<s k='{}'>", "v".repeat(100));
         let nested = format!("{}{}", open.repeat(64), "</s>".repeat(64));
+        let stripped = format!("{}{}", "<s>".repeat(64), "</s>".repeat(64));
         let siblings = format!("<s>{}</s>", format!("{open}</s>").repeat(64));
         let failed_at = |keep: Keep<'_>, xml: &str| {
             let mut lane = Lane::start(&q, EngineMode::Gcx, Some(4096), None, false, None);
@@ -872,16 +893,18 @@ mod tests {
                 }
                 lane.step();
                 if let Some(e) = lane.take_failure() {
-                    assert!(lane.pending.is_empty() && lane.pending_attrs.is_empty());
+                    assert!(lane.pending.is_empty());
                     assert_eq!(lane.buffer_stats().live_bytes, 0);
                     return Some((opened, e.to_string()));
                 }
             }
             None
         };
-        let lazy = failed_at(Keep::Speculative, &nested).expect("64 × 100 bytes is over 4096");
+        let lazy = failed_at(Keep::Speculative, &nested).expect("64 slots are over 4096");
         assert!(lazy.1.contains("budget 4096"), "{}", lazy.1);
-        assert_eq!(Some(lazy), failed_at(Keep::Roles(&[]), &nested));
+        // 56 slots and the two names fit: 56 × 72 + 2 = 4034.
+        assert_eq!(lazy.0, 57);
+        assert_eq!(Some(lazy), failed_at(Keep::Roles(&[]), &stripped));
         // A popped entry gives its bytes back: siblings never add up.
         assert_eq!(failed_at(Keep::Speculative, &siblings), None);
     }

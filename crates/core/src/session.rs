@@ -46,7 +46,9 @@ use crate::error::EngineError;
 use crate::lane::{Keep, Lane, ScanFacts};
 use gcx_projection::StreamMatcher;
 use gcx_query::ast::RoleId;
-use gcx_xml::{PushTokenizer, Symbol, TextPos, Token, TokenStep, XmlError, XmlErrorKind};
+use gcx_xml::{
+    Attrs, PushTokenizer, StartTag, Symbol, TextPos, Token, TokenStep, XmlError, XmlErrorKind,
+};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -104,6 +106,12 @@ impl Timeline {
 pub struct EvalSession {
     tok: PushTokenizer,
     pre: Preprojection,
+    /// What the next pass over the window does (the skip or search the
+    /// last feed left suspended continues).
+    next: Pass,
+    /// Tokens the search in flight passed before the window ran out: they
+    /// are charged when it ends.
+    searched: u64,
     drain_input: bool,
     finished: bool,
     /// Telemetry enabled: record a feed span per feed/commit call.
@@ -114,6 +122,25 @@ pub struct EvalSession {
     pruned_paths: Option<(u32, u32)>,
 }
 
+/// What the session does with the window next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Step one token and apply it.
+    Step,
+    /// Pass the refused element whose start tag was just applied, end tag
+    /// included.
+    Skip,
+    /// Pass the rest of the innermost open element up to the next start
+    /// tag its frame waits for: a descendant search.
+    Search,
+    /// Apply the start tag a search stopped at, which the tokenizer holds.
+    Found,
+}
+
+/// Names a search hands the tokenizer at most: a frame waiting for more
+/// is stepped through.
+const MAX_STOPS: usize = 8;
+
 /// Everything of a session but the tokenizer: the stream preprojector
 /// (paper Figure 2, left component) in front of its lane. It takes one
 /// token at a time ("a lookahead of just one token"), runs the projection
@@ -121,7 +148,10 @@ pub struct EvalSession {
 /// role instances. An element it refuses is not looked into at all: the
 /// session has the tokenizer fast-forward through its end tag
 /// ([`PushTokenizer::skip_element`]) and charges the lane's clock for
-/// the tokens that went by.
+/// the tokens that went by. Where the innermost frame only waits for a
+/// few names below it (a search set,
+/// [`StreamMatcher::search_names`]), the session has the tokenizer run
+/// ahead to the next start tag of one of them in the same way.
 struct Preprojection {
     matcher: StreamMatcher,
     lane: Lane,
@@ -143,6 +173,10 @@ struct Preprojection {
     /// subset (only when no schema is installed yet; parse failures are
     /// ignored — an unusable DOCTYPE means "no schema", not an error).
     adopt_doctype: bool,
+    /// Tokens shown to the matcher (the lib tests tell what a search
+    /// passes unseen by this).
+    #[cfg(test)]
+    matcher_tokens: u64,
 }
 
 impl EvalSession {
@@ -183,7 +217,11 @@ impl EvalSession {
                 role_scratch: Vec::new(),
                 attr_names: Vec::new(),
                 adopt_doctype: opts.schema.is_none() && opts.schema_from_doctype,
+                #[cfg(test)]
+                matcher_tokens: 0,
             },
+            next: Pass::Step,
+            searched: 0,
             drain_input: opts.drain_input,
             finished: false,
             telemetry: opts.telemetry,
@@ -359,14 +397,12 @@ impl EvalSession {
     /// runs its evaluator to suspension, the next token is applied, the
     /// evaluator resumes once what it waits for may have arrived — so
     /// buffer peaks are bit-identical however the input was chunked. A
-    /// subtree the projection refuses is passed in bulk; nothing changes
-    /// in the lane while it goes by. A lane failure surfaces at the token
-    /// that caused it.
+    /// subtree the projection refuses, and what a search passes, go by in
+    /// bulk; nothing changes in the lane meanwhile. A lane failure
+    /// surfaces at the token that caused it.
     fn pump(&mut self) -> Result<Emitted, EngineError> {
         // Starts the program on the first call; nothing to do afterwards.
         self.pre.lane.step();
-        // A skip the last feed left suspended comes first.
-        let mut skip = self.tok.skipping();
         loop {
             if let Some(e) = self.pre.lane.take_failure() {
                 return Err(e);
@@ -374,19 +410,23 @@ impl EvalSession {
             if !self.wants_input() {
                 break;
             }
-            let more = if skip {
-                let skipped = self.tok.skip_element()?;
-                self.pre.bump(skipped.tokens);
-                skip = false;
-                skipped.complete
-            } else {
-                match self.tok.step()? {
-                    TokenStep::Token => {
-                        skip = self.pre.apply(&self.tok.token());
-                        true
+            let more = match self.next {
+                Pass::Skip => self.skip()?,
+                Pass::Search => self.search()?,
+                // One call site, so that `apply` is inlined here.
+                pass => {
+                    let step = match pass {
+                        Pass::Found => TokenStep::Token,
+                        _ => self.tok.step()?,
+                    };
+                    match step {
+                        TokenStep::Token => {
+                            self.next = self.pre.apply(&self.tok.token());
+                            true
+                        }
+                        TokenStep::NeedMoreData => false,
+                        TokenStep::End => break,
                     }
-                    TokenStep::NeedMoreData => false,
-                    TokenStep::End => break,
                 }
             };
             if !more {
@@ -400,6 +440,65 @@ impl EvalSession {
         Ok(self.emitted())
     }
 
+    /// A bulk skip: pass the refused element whose start tag was just
+    /// applied, end tag included. Returns false when the window ran out
+    /// first.
+    #[inline(never)]
+    fn skip(&mut self) -> Result<bool, EngineError> {
+        let skipped = self.tok.skip_element(&[], usize::MAX)?;
+        self.pre.bump(skipped.tokens);
+        if skipped.complete {
+            self.next = Pass::Step;
+        }
+        Ok(skipped.complete)
+    }
+
+    /// A descendant search: pass the rest of the innermost open element
+    /// up to the next start tag its frame waits for, as stepping would
+    /// have passed it — every token charged, nothing shown to the matcher
+    /// or the lane, which could only have kept it role-less on the pending
+    /// chain and dropped it again. Where it stops, the elements it left
+    /// open are opened on the chain (bounded by what the byte budget has
+    /// room for) and the stop tag is applied next; where it completes, the
+    /// end tag is applied. Returns false when the window ran out first.
+    /// (Kept out of the token loop: inlined into `pump`, it slowed every
+    /// stepped token of queries that never search.)
+    #[inline(never)]
+    fn search(&mut self) -> Result<bool, EngineError> {
+        let pre = &mut self.pre;
+        let waits = pre.matcher.search_names().expect("a search set is on top");
+        let mut stops = [""; MAX_STOPS];
+        for (stop, &name) in stops.iter_mut().zip(waits) {
+            *stop = pre.lane.symbols().resolve(name);
+        }
+        let stops = &stops[..waits.len()];
+        let found = self.tok.skip_element(stops, pre.lane.pending_room())?;
+        let passed = std::mem::take(&mut self.searched) + found.tokens;
+        if found.complete {
+            // The element's end tag is applied as a stepped one would be.
+            pre.bump(passed - 1);
+            self.next = pre.end_tag();
+            return Ok(true);
+        }
+        if !found.stopped && found.left_open == 0 {
+            self.searched = passed;
+            return Ok(false);
+        }
+        // The start tags of the elements left open were among the tokens
+        // passed; each is charged as it is applied.
+        pre.bump(passed - found.left_open as u64);
+        for name in self.tok.left_open(found.left_open) {
+            pre.open_passed(name);
+        }
+        // Past the depth bound the budget has failed the lane.
+        self.next = if found.stopped {
+            Pass::Found
+        } else {
+            Pass::Search
+        };
+        Ok(true)
+    }
+
     fn emitted(&self) -> Emitted {
         Emitted {
             output_bytes: self.pre.lane.output().len(),
@@ -410,11 +509,14 @@ impl EvalSession {
 
 impl Preprojection {
     /// Apply one token: the keep/skip decision, role assignment and token
-    /// counting; the lane does the rest. Returns whether the token opened
-    /// an element the projection refuses — its subtree is the caller's to
-    /// skip, end tag included.
-    fn apply(&mut self, token: &Token<'_>) -> bool {
-        let mut skip = false;
+    /// counting; the lane does the rest. Returns what to do next: skip the
+    /// subtree of an element the projection refuses (end tag included),
+    /// search below a frame that only waits, or step.
+    fn apply(&mut self, token: &Token<'_>) -> Pass {
+        #[cfg(test)]
+        {
+            self.matcher_tokens += u64::from(matches!(token, Token::StartTag(_) | Token::Text(_)));
+        }
         match token {
             Token::StartTag(tag) => {
                 let self_closing = tag.self_closing;
@@ -426,8 +528,10 @@ impl Preprojection {
                         .matcher
                         .enter_element_into(name, &mut self.role_scratch);
                 let keep = matched || !self.project;
+                // Only an element buffered now keeps its attributes.
+                let buffered = keep && !(self.project && self.role_scratch.is_empty());
                 self.attr_names.clear();
-                if keep {
+                if buffered {
                     let symbols = self.lane.symbols_mut();
                     self.attr_names
                         .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
@@ -443,24 +547,18 @@ impl Preprojection {
                 self.lane
                     .start_element(name, tag, &self.attr_names, decision);
                 if !keep {
-                    skip = !self_closing;
+                    // A self-closing tag stands for open+close: count both.
+                    self.bump(1 + u64::from(self_closing));
+                    self.lane.step();
+                    return if self_closing { Pass::Step } else { Pass::Skip };
                 } else if !matched {
                     self.unmatched_depth += u32::from(!self_closing);
                 } else if self_closing {
                     self.matcher.leave_element();
                 }
-                // A self-closing tag stands for open+close: count both.
                 self.bump(1 + u64::from(self_closing));
             }
-            Token::EndTag { .. } => {
-                self.lane.end_element();
-                if self.unmatched_depth > 0 {
-                    self.unmatched_depth -= 1;
-                } else {
-                    self.matcher.leave_element();
-                }
-                self.bump(1);
-            }
+            Token::EndTag { .. } => return self.end_tag(),
             Token::Text(content) => {
                 if self.unmatched_depth == 0 {
                     self.matcher.text_into(&mut self.role_scratch);
@@ -487,13 +585,81 @@ impl Preprojection {
                         }
                     }
                 }
-                return false;
+                return Pass::Step;
             }
             // Comments and PIs are not part of the data model.
-            Token::Comment(_) | Token::ProcessingInstruction { .. } => return false,
+            Token::Comment(_) | Token::ProcessingInstruction { .. } => return Pass::Step,
         }
         self.lane.step();
-        skip
+        // A text leaves the frame as it was, and it was stepped through.
+        if matches!(token, Token::Text(_)) {
+            Pass::Step
+        } else {
+            self.next_pass()
+        }
+    }
+
+    /// Open an element a search passed and left open, as `apply` would
+    /// have opened its start tag: interned, entered into the matcher
+    /// (onto the same search set, with no role) and pending on the chain,
+    /// without its attributes.
+    fn open_passed(&mut self, name: &str) {
+        #[cfg(test)]
+        {
+            self.matcher_tokens += 1;
+        }
+        let symbol = self.lane.symbols_mut().intern(name);
+        let matched = self
+            .matcher
+            .enter_element_into(symbol, &mut self.role_scratch);
+        debug_assert!(matched && self.role_scratch.is_empty());
+        let tag = StartTag {
+            name,
+            attrs: Attrs::EMPTY,
+            self_closing: false,
+        };
+        self.lane
+            .start_element(symbol, &tag, &[], Keep::Speculative);
+        self.bump(1);
+        self.lane.step();
+    }
+
+    /// Apply the end tag of the innermost open element.
+    #[inline(always)]
+    fn end_tag(&mut self) -> Pass {
+        #[cfg(test)]
+        {
+            self.matcher_tokens += 1;
+        }
+        self.lane.end_element();
+        if self.unmatched_depth > 0 {
+            self.unmatched_depth -= 1;
+        } else {
+            self.matcher.leave_element();
+        }
+        self.bump(1);
+        self.lane.step();
+        self.next_pass()
+    }
+
+    /// What follows a tag that may have changed the innermost frame: a
+    /// search, if the frame's state set is a search set — inside an
+    /// element, projecting, and with no schema in force (its sibling-order
+    /// cutoffs count every child, and its reach filter already makes no
+    /// set a search set) — or a step.
+    #[inline]
+    fn next_pass(&self) -> Pass {
+        match self.matcher.search_names() {
+            Some(waits)
+                if waits.len() <= MAX_STOPS
+                    && self.project
+                    && self.matcher.depth() > 0
+                    && !self.lane.schema_active() =>
+            {
+                Pass::Search
+            }
+            _ => Pass::Step,
+        }
     }
 
     /// Count `tokens` structural tokens — kept or skipped — on the lane's
@@ -967,18 +1133,59 @@ mod tests {
     }
 
     #[test]
+    fn a_search_shows_the_matcher_only_items_and_their_ancestors() {
+        // XMark holds its items under regions/<continent>. Under `//item`
+        // the matcher must see every token of an item and the tags of the
+        // elements that hold one — and, with the search, nothing else,
+        // where stepping showed it every token of the document.
+        let size = if cfg!(miri) { 8 * 1024 } else { 1 << 20 };
+        let doc = gcx_xmark::generate_string(&gcx_xmark::XmarkConfig::sized(size));
+        let (mut all, mut needed) = (0u64, 0u64);
+        // Per open element outside an item: whether it holds an item.
+        let (mut open, mut in_item) = (Vec::new(), 0u32);
+        let mut tok = gcx_xml::Tokenizer::from_str(&doc);
+        while let Some(token) = tok.next_token().unwrap() {
+            all += u64::from(token.is_structural());
+            match token {
+                Token::StartTag(tag) if in_item > 0 || tag.name == "item" => {
+                    needed += 1;
+                    in_item += u32::from(!tag.self_closing);
+                    open.iter_mut().for_each(|holds| *holds = true);
+                }
+                Token::StartTag(tag) if !tag.self_closing => open.push(false),
+                Token::EndTag { .. } if in_item > 0 => {
+                    (needed, in_item) = (needed + 1, in_item - 1)
+                }
+                Token::EndTag { .. } => needed += 2 * u64::from(open.pop().unwrap()),
+                Token::Text(_) => needed += u64::from(in_item > 0),
+                _ => {}
+            }
+        }
+        let q = CompiledQuery::compile("for $i in //item return $i").unwrap();
+        let mut session = q.session(&EngineOptions::gcx());
+        session.feed(doc.as_bytes()).unwrap();
+        session.finish().unwrap();
+        assert_eq!(session.pre.matcher_tokens, needed);
+        assert!(needed < all / 2, "{needed} of {all} tokens");
+    }
+
+    #[test]
     fn buffer_budget_covers_role_less_open_elements() {
         // Under `//item` every open element is kept for what may lie below
         // it. None of these ever reaches the buffer, but a deep nest of
-        // them is held all the same: the budget must stop it.
+        // them is held all the same: the budget must stop it — though the
+        // search passes them unseen. A pending element is charged its
+        // 72-byte slot (not the attribute, which it does not keep), and the
+        // run's table the one byte of `a`: 56 × 72 + 1 = 4033 fits, the
+        // 57th open element crosses 4096.
         let q = CompiledQuery::compile("for $i in //item return $i").unwrap();
         let open = format!("<a x=\"{}\">", "v".repeat(1000));
         for opts in [EngineOptions::gcx(), EngineOptions::projection_only()] {
             let mut session = q.session(&opts.with_max_buffer_bytes(4096));
             let err = (1..=64)
                 .find_map(|depth| session.feed(open.as_bytes()).err().map(|e| (depth, e)))
-                .expect("64 KiB of open elements under a 4 KiB budget");
-            assert!(err.0 <= 5, "stopped within one token: depth {}", err.0);
+                .expect("64 open elements under a 4 KiB budget");
+            assert_eq!(err.0, 57, "stopped at the element that crossed");
             assert!(err.1.is_buffer_limit(), "{}", err.1);
         }
     }

@@ -349,7 +349,7 @@ impl BatchSession {
         let mut skip = self.tok.skipping();
         loop {
             if skip {
-                let skipped = self.tok.skip_element()?;
+                let skipped = self.tok.skip_element(&[], usize::MAX)?;
                 self.fan.tokens += skipped.tokens;
                 if !skipped.complete {
                     break;
@@ -496,14 +496,15 @@ impl FanOut {
                     let remap = &mut self.remap[qi];
                     self.lane_attr_names.clear();
                     let matched = any_keep && outcome.kept[qi];
-                    if matched {
+                    let roles = lane_roles(&outcome.roles, &self.roles, &mut at, qi);
+                    // Only an element buffered now keeps its attributes.
+                    if matched && !roles.is_empty() {
                         for (a, &batch) in tag.attrs.iter().zip(&self.attr_names) {
                             self.lane_attr_names.push(local(remap, lane, batch, a.name));
                         }
-                    } else if any_keep && !self_closing {
+                    } else if !matched && any_keep && !self_closing {
                         self.lane_skip[qi] = 1;
                     }
-                    let roles = lane_roles(&outcome.roles, &self.roles, &mut at, qi);
                     let name = local(remap, lane, name, tag.name);
                     let taken = lane.start_element(
                         name,

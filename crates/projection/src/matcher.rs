@@ -64,6 +64,21 @@
 //!   that learns nothing copies nothing) and *offers* the copy back when
 //!   it is dropped: the automaton keeps whichever table knows more. No
 //!   lock is taken per token.
+//!
+//! ## Search sets
+//!
+//! Under a pending `//name` step the automaton only waits: a set whose
+//! every state sits at a `descendant`/`descendant-or-self` step with a
+//! name test (no wildcard, `node()` or `text()` test, no child step, no
+//! position) maps every child named outside its names `N` back onto
+//! itself, with no role, and gives a text child none. The memo computes
+//! `N` once, when it interns such a set, and
+//! [`StreamMatcher::search_names`] shows it for the innermost frame, so a
+//! driver can have the tokenizer run ahead to the next start tag named in
+//! `N` instead of stepping every token through here — the label skipping
+//! of the streaming path engines in "Earliest query answering over
+//! streamed trees". Under a reach filter no set searches: the filter cuts
+//! descendant states by the child's name, which breaks the self-loop.
 
 use crate::memo::{canonical, Memo, SetId, St, MEMO_SETS};
 use crate::reach::{test_reachable, ReachFilter};
@@ -106,6 +121,16 @@ struct CStep {
     test: CTest,
     /// 1-based position for `[k]` predicates (child axis only).
     pos: Option<u32>,
+}
+
+impl CStep {
+    /// A step a search set's states may sit at: `descendant` or
+    /// `descendant-or-self` with a name test and no position.
+    fn waits(&self) -> bool {
+        matches!(self.axis, Axis::Descendant | Axis::DescendantOrSelf)
+            && matches!(self.test, CTest::Name(_))
+            && self.pos.is_none()
+    }
 }
 
 /// All projection paths of a query, compiled against a symbol table.
@@ -392,6 +417,9 @@ pub struct Automaton {
     root_roles: Vec<TaggedRole>,
     root_set: Option<SetId>,
     root_states: Vec<St>,
+    /// Some state set can be a search set: there is no reach filter and
+    /// some step is one a search set's states sit at.
+    searches: bool,
     /// The best memo a matcher has offered back so far. Locked when a
     /// matcher starts and when it is dropped, never per token.
     memo: Mutex<Arc<Memo>>,
@@ -443,8 +471,9 @@ impl Automaton {
             .unwrap_or(0);
         let mut memo = Memo::new(memo_sets, n_static);
         canonical(&mut root_states);
+        let searches = reach.is_none() && paths.steps.iter().any(CStep::waits);
         let root_set = memo.has_room().then(|| {
-            let set = memo.insert_set(&root_states);
+            let set = intern_set(&mut memo, &paths, searches, &root_states);
             root_states.clear();
             set
         });
@@ -454,6 +483,7 @@ impl Automaton {
             root_roles,
             root_set,
             root_states,
+            searches,
             memo: Mutex::new(Arc::new(memo)),
         }
     }
@@ -501,6 +531,8 @@ pub struct TaggedMatcher {
     text_roles: Vec<TaggedRole>,
     /// Descendant-state propagations the reach filter suppressed.
     reach_cuts: u64,
+    /// The automaton's: whether a state set can be a search set.
+    searches: bool,
 }
 
 impl TaggedMatcher {
@@ -529,6 +561,7 @@ impl TaggedMatcher {
             outcome: TaggedOutcome::for_tags(automaton.n_tags()),
             text_roles: Vec::new(),
             reach_cuts: 0,
+            searches: automaton.searches,
             automaton,
         }
     }
@@ -541,6 +574,16 @@ impl TaggedMatcher {
     /// Descendant-state propagations the reach filter suppressed so far.
     pub fn reach_cuts(&self) -> u64 {
         self.reach_cuts
+    }
+
+    /// The search names of the innermost frame's state set (see
+    /// [`StreamMatcher::search_names`]).
+    #[inline]
+    fn search_names(&self) -> Option<&[Symbol]> {
+        if !self.searches {
+            return None;
+        }
+        self.memo.search(self.top().set?)
     }
 
     /// State sets the memo holds.
@@ -699,10 +742,12 @@ impl TaggedMatcher {
             closure(compiled, &mut self.scratch, Some(name), &mut out.roles);
             dedupe_tagged(&mut out.roles);
             canonical(&mut self.scratch);
+            let searches = self.automaton.searches;
             child = self.memo.find_set(&self.scratch).or_else(|| {
-                self.memo
-                    .has_room()
-                    .then(|| Arc::make_mut(&mut self.memo).insert_set(&self.scratch))
+                self.memo.has_room().then(|| {
+                    let memo = Arc::make_mut(&mut self.memo);
+                    intern_set(memo, compiled, searches, &self.scratch)
+                })
             });
             self.push_frame(child);
         }
@@ -857,6 +902,19 @@ impl StreamMatcher {
         self.inner.reach_cuts()
     }
 
+    /// The names the innermost open element's frame waits for, when its
+    /// state set is a *search set* — every state at a `descendant` or
+    /// `descendant-or-self` step with a name test and no position: every
+    /// child named otherwise is kept with no role and gets this same
+    /// frame, and no text child gets a role, so a driver may pass
+    /// everything up to the next start tag of one of these names without
+    /// showing it here. `None` for any other frame, and always under a
+    /// reach filter or for a set the memo had no room for.
+    #[inline]
+    pub fn search_names(&self) -> Option<&[Symbol]> {
+        self.inner.search_names()
+    }
+
     /// Process an element start tag. When the result's `keep` is false the
     /// caller skips the subtree and must not call [`StreamMatcher::leave_element`]
     /// for it.
@@ -899,6 +957,37 @@ impl StreamMatcher {
         out.clear();
         out.extend(self.inner.text().iter().map(|&(_, r, c)| (r, c)));
     }
+}
+
+/// Intern `states` (canonical, not yet in `memo`, which has room), with
+/// its search names when `searches` — without a reach filter, which cuts
+/// descendant states by the child's name and so breaks the self-loop a
+/// search relies on, and with some step a search set can wait at.
+fn intern_set(memo: &mut Memo, paths: &TaggedPaths, searches: bool, states: &[St]) -> SetId {
+    let names = searches.then(|| search_names(paths, states)).flatten();
+    memo.insert_set(states, names.as_deref())
+}
+
+/// The names a search set waits for, or `None` if `states` is not one: a
+/// search set is non-empty and every state in it sits at a `descendant`
+/// or `descendant-or-self` step with a name test — no `*`, `node()` or
+/// `text()` test, no child step, no position. A child named otherwise
+/// propagates every state unchanged and completes none, so the child's
+/// set is the set itself with no role; a text child completes nothing.
+fn search_names(paths: &TaggedPaths, states: &[St]) -> Option<Vec<Symbol>> {
+    let mut names = states
+        .iter()
+        .map(|st| {
+            let step = paths.steps[st.sid as usize];
+            match step.test {
+                CTest::Name(name) if step.waits() => Some(name),
+                _ => None,
+            }
+        })
+        .collect::<Option<Vec<Symbol>>>()?;
+    names.sort_unstable();
+    names.dedup();
+    (!names.is_empty()).then_some(names)
 }
 
 /// Run the epsilon closure on an element's state set: `self::`/
@@ -1439,6 +1528,79 @@ mod tests {
         }
         let binding = out.roles.iter().find(|r| r.1 == RoleId(1)).unwrap();
         assert_eq!(binding.2, 63, "63 ancestors named a");
+    }
+
+    #[test]
+    fn a_search_set_names_what_it_waits_for() {
+        let (mut m, _, mut sy, _) = matcher_for("for $i in //item return $i");
+        let [item, site] = ["item", "site"].map(|n| sy.intern(n));
+        assert_eq!(m.search_names(), Some(&[item][..]));
+        // Anything else: kept, no role, the same set.
+        let outcome = m.enter_element(site);
+        assert!(outcome.keep && outcome.roles.is_empty());
+        assert_eq!(m.search_names(), Some(&[item][..]));
+        assert!(m.text().is_empty());
+        // An item is output whole: `descendant-or-self::node()` below it.
+        assert!(!m.enter_element(item).roles.is_empty());
+        assert_eq!(m.search_names(), None);
+        // A positional step waits too, but not as a search.
+        let (mut m, _, mut sy, _) = matcher_for("for $b in //a/b[2] return $b");
+        assert!(m.search_names().is_some());
+        m.enter_element(sy.intern("a"));
+        assert_eq!(m.search_names(), None, "b[2] counts a's children");
+        // No search under a reach filter, or without room in the memo.
+        let mut sy = SymbolTable::new();
+        let (paths, reach) = merged(&["for $x in //c return $x"], &mut sy);
+        for (reach, sets) in [(Some(reach), MEMO_SETS), (None, 0), (None, MEMO_SETS)] {
+            let searches = reach.is_none() && sets > 0;
+            let automaton = Automaton::with_memo_sets(paths.clone(), reach, sets);
+            let m = TaggedMatcher::start(Arc::new(automaton));
+            assert_eq!(m.search_names().is_some(), searches);
+        }
+    }
+
+    #[test]
+    fn search_sets_loop_on_every_name_they_do_not_wait_for() {
+        // Over the pool's queries and random documents: wherever a frame
+        // is a search set, every other name maps it onto itself with no
+        // role, and a text child gets none.
+        fn walk(m: &mut TaggedMatcher, doc: &Doc, sy: &mut SymbolTable, searched: &mut u32) {
+            if let Some(waits) = m.search_names().map(<[Symbol]>::to_vec) {
+                *searched += 1;
+                let set = m.top().set;
+                let mut out = TaggedOutcome::for_tags(1);
+                for name in TAGS.iter().chain(&RUN_LOCAL).map(|n| sy.intern(n)) {
+                    if !waits.contains(&name) {
+                        m.enter_element(name, &mut out);
+                        assert!(out.any_keep && out.roles.is_empty());
+                        assert_eq!(m.top().set, set);
+                        m.leave_element();
+                    }
+                }
+                assert!(m.text().is_empty());
+            }
+            if let Doc::Elem(name, children) = doc {
+                let mut out = TaggedOutcome::for_tags(1);
+                m.enter_element(sy.intern(name), &mut out);
+                if out.any_keep {
+                    for child in children {
+                        walk(m, child, sy, searched);
+                    }
+                    m.leave_element();
+                }
+            }
+        }
+        let mut rng = XorShift(0x5EA2C4);
+        let mut searched = 0;
+        for query in POOL {
+            let mut sy = SymbolTable::new();
+            let (paths, _) = merged(&[query], &mut sy);
+            let mut m = TaggedMatcher::start(Arc::new(Automaton::new(paths, None)));
+            for _ in 0..20 {
+                walk(&mut m, &gen_tree(&mut rng, 0), &mut sy, &mut searched);
+            }
+        }
+        assert!(searched > 100, "search sets met: {searched}");
     }
 
     #[test]

@@ -75,6 +75,10 @@ pub(crate) struct Memo {
     /// Per set: the roles of a text child (a range of `roles`), once
     /// computed.
     text: Vec<Option<(u32, u32)>>,
+    /// Per set: the names it waits for (a range of `search_names`) when it
+    /// is a search set — see [`Memo::search`].
+    search: Vec<Option<(u32, u32)>>,
+    search_names: Vec<Symbol>,
     /// Sets, transitions and text answers recorded.
     learnt: u32,
 }
@@ -107,6 +111,8 @@ impl Memo {
             kept: Vec::new(),
             roles: Vec::new(),
             text: Vec::new(),
+            search: Vec::new(),
+            search_names: Vec::new(),
             learnt: 0,
         }
     }
@@ -139,15 +145,30 @@ impl Memo {
     }
 
     /// Intern `states`, which [`Memo::find_set`] did not find and for
-    /// which there [is room](Memo::has_room).
-    pub(crate) fn insert_set(&mut self, states: &[St]) -> SetId {
+    /// which there [is room](Memo::has_room); `search` are its search
+    /// names, if it is a search set.
+    pub(crate) fn insert_set(&mut self, states: &[St], search: Option<&[Symbol]>) -> SetId {
         let id = self.len() as SetId;
         self.set_states.extend_from_slice(states);
         self.set_ends.push(self.set_states.len() as u32);
         self.set_index.insert(hash_states(states), id);
         self.text.push(None);
+        self.search.push(search.map(|names| {
+            let from = self.search_names.len() as u32;
+            self.search_names.extend_from_slice(names);
+            (from, self.search_names.len() as u32)
+        }));
         self.learnt += 1;
         id
+    }
+
+    /// The names a search set waits for: every child named otherwise
+    /// leads back to the set itself, with no role, and no text child gets
+    /// one. `None` for any other set.
+    #[inline]
+    pub(crate) fn search(&self, set: SetId) -> Option<&[Symbol]> {
+        let (from, to) = self.search[set as usize]?;
+        Some(&self.search_names[from as usize..to as usize])
     }
 
     /// The index key of `(set, symbol)`: the symbol counts as its class.

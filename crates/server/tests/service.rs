@@ -350,6 +350,27 @@ fn buffer_budget_rejects_with_413_without_killing_peers() {
     h.shutdown();
 }
 
+#[test]
+fn a_deep_descendant_document_is_a_413_under_a_budget() {
+    // 100 000 nested <x> under `//item`: every one is held on the pending
+    // chain, none ever buffered, and a descendant search passes them
+    // unseen — yet the chain is charged a slot per element, so the budget
+    // stops the request with a 413 before the document ends.
+    let depth = 100_000;
+    let doc = format!("{}{}", "<x>".repeat(depth), "</x>".repeat(depth)).into_bytes();
+    let h = start(ServerConfig::default());
+    let addr = h.addr();
+    client::put_query(addr, "items", "for $i in //item return $i").unwrap();
+    let budget = [("X-Gcx-Max-Buffer-Bytes", "65536")];
+    let r = client::eval(addr, "items", &doc, &budget, BodyMode::Sized).unwrap();
+    assert_eq!(r.status, 413, "{}", String::from_utf8_lossy(&r.body));
+    // Without the budget the same document is fine.
+    let r = client::eval(addr, "items", &doc, &[], BodyMode::Sized).unwrap();
+    assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
+    assert!(r.body.is_empty());
+    h.shutdown();
+}
+
 /// `GET path` against a server that may be saturated. The acceptor
 /// answers 503 and closes without reading the request, so the reply can
 /// be lost to the reset that the unread request provokes: ask again.

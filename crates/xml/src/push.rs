@@ -80,20 +80,21 @@
 //! once the projection automaton rejects a start tag — does not step
 //! through its content: right after `step` returned the element's
 //! (non-self-closing) start tag — before the next `feed`, like reading the
-//! token — it calls [`PushTokenizer::skip_element`],
-//! which fast-forwards through the matching end tag and reports how many
-//! structural tokens went by (a start or end tag 1, a self-closing tag 2,
-//! a text run or CDATA section 1; comments and processing instructions
-//! 0). The skip accepts and rejects exactly the documents stepping would,
-//! with the same [`XmlError`] kind and position — clean ASCII text and
-//! plain tags (above) are checked inline, everything else goes through the
-//! same code `step` runs, with the token discarded.
+//! token — it calls [`PushTokenizer::skip_element`] with an empty stop
+//! set, which fast-forwards through the matching end tag and reports how
+//! many structural tokens went by (a start or end tag 1, a self-closing
+//! tag 2, a text run or CDATA section 1; comments and processing
+//! instructions 0). The skip accepts and rejects exactly the documents
+//! stepping would, with the same [`XmlError`] kind and position — clean
+//! ASCII text and plain tags (above) are checked inline, everything else
+//! goes through the same code `step` runs, with the token discarded.
 //!
 //! A skip suspends like `step` does. While [`Skipped::complete`] is false
-//! the window is exhausted: feed more bytes and call `skip_element` again
-//! ([`PushTokenizer::skipping`] says a skip is in flight). Text is consumed
-//! as it arrives, so a skipped megabyte of character data never sits in
-//! the window.
+//! (and the skip did not stop, below) the window is exhausted: feed more
+//! bytes and call `skip_element` again with the same arguments
+//! ([`PushTokenizer::skipping`] says a skip is in flight). Text is
+//! consumed as it arrives, so a skipped megabyte of character data never
+//! sits in the window.
 //!
 //! ```
 //! use gcx_xml::{PushTokenizer, Token, TokenStep};
@@ -102,16 +103,53 @@
 //! t.feed(b"<r><junk><a>1</a><b k='v'/>some te"); // ends inside a text run
 //! assert_eq!(t.step().unwrap(), TokenStep::Token); // <r>
 //! assert_eq!(t.step().unwrap(), TokenStep::Token); // <junk>: not wanted
-//! let first = t.skip_element().unwrap();
+//! let first = t.skip_element(&[], usize::MAX).unwrap();
 //! assert!(!first.complete && t.skipping());
 //! assert_eq!(t.pending_bytes(), 0, "skipped text is not held back");
 //! t.feed(b"xt</junk><keep/></r>");
-//! let rest = t.skip_element().unwrap();
+//! let rest = t.skip_element(&[], usize::MAX).unwrap();
 //! assert!(rest.complete && !t.skipping());
 //! // <a> 1 </a> <b/>(2) text </junk>
 //! assert_eq!(first.tokens + rest.tokens, 7);
 //! assert_eq!(t.step().unwrap(), TokenStep::Token);
 //! assert!(matches!(t.token(), Token::StartTag(s) if s.name == "keep"));
+//! ```
+//!
+//! ## Searching for a name
+//!
+//! A consumer waiting for elements of a few names anywhere below the
+//! current one — the preprojector under a pending `//name` step — passes
+//! those names as the *stop set*. The skip then starts anywhere inside an
+//! element (not only right after its start tag) and covers the rest of
+//! the innermost open element, but ends early at the first start tag
+//! named in the set: it leaves that tag as the pending token, exactly as
+//! `step` would have returned it ([`Skipped::stopped`]), and reports how
+//! many elements it opened on the way there and left open
+//! ([`Skipped::left_open`]; their names, outermost first, come from
+//! [`PushTokenizer::left_open`]). Stops are recognised on the plain-tag
+//! path and on the general one alike, so a tag the recogniser declines or
+//! the window cuts stops the same way. The caller may bound how many
+//! elements a skip leaves open: with more than `max_open` open below the
+//! skipped element, it ends behind the start tag that opened the last and
+//! hands them over. Up to its end, a search passes, validates and counts
+//! exactly what stepping would; an empty stop set is the bulk skip above.
+//!
+//! ```
+//! use gcx_xml::{PushTokenizer, Token, TokenStep};
+//!
+//! let mut t = PushTokenizer::new();
+//! t.feed(b"<site><people><p id='1'/></people><regions><africa><it");
+//! assert_eq!(t.step().unwrap(), TokenStep::Token); // <site>
+//! // Wait for an <item> anywhere below <site>: the window ends first.
+//! let first = t.skip_element(&["item"], usize::MAX).unwrap();
+//! assert!(!first.complete && !first.stopped && t.skipping());
+//! t.feed(b"em id='i0'>x</item></africa></regions></site>");
+//! let found = t.skip_element(&["item"], usize::MAX).unwrap();
+//! assert!(found.stopped && !t.skipping());
+//! // <people> <p/>(2) </people>, then <regions> and <africa>, left open.
+//! assert_eq!(first.tokens + found.tokens, 6);
+//! assert_eq!(t.left_open(found.left_open).collect::<Vec<_>>(), ["regions", "africa"]);
+//! assert!(matches!(t.token(), Token::StartTag(s) if s.name == "item"));
 //! ```
 //!
 //! ## Allocation discipline
@@ -151,13 +189,32 @@ pub struct Skipped {
     /// Structural tokens passed by this call, as a consumer stepping
     /// through them would count: a start or end tag 1, a self-closing tag
     /// 2, a text run or CDATA section 1 (a run split across calls is
-    /// counted by the call that saw its first byte).
+    /// counted by the call that saw its first byte). A stop tag is not
+    /// among them: it is the next token.
     pub tokens: u64,
     /// The element's end tag was passed: the next [`PushTokenizer::step`]
-    /// returns what follows it. False when the window ran out first — feed
-    /// more bytes and call again, or, at the end of input, let `step`
-    /// report the end.
+    /// returns what follows it. False when the skip stopped (below) or the
+    /// window ran out first — then feed more bytes and call again, or, at
+    /// the end of input, let `step` report the end.
     pub complete: bool,
+    /// The skip stopped at a start tag named in the stop set, which
+    /// [`PushTokenizer::token`] now returns.
+    pub stopped: bool,
+    /// Elements the skip opened and left open when it stopped — at a stop
+    /// tag or past the depth bound — read their names with
+    /// [`PushTokenizer::left_open`]. A skip that stopped or went past the
+    /// bound is over; one with `complete`, `stopped` and `left_open` all
+    /// unset is suspended for more bytes.
+    pub left_open: usize,
+}
+
+/// Why a skip ended before its element's end tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Halt {
+    /// At a start tag named in the stop set, left pending.
+    Stop,
+    /// Behind the start tag that opened one element more than the bound.
+    Depth,
 }
 
 /// Descriptor of the last recognized token: spans into the window buffer
@@ -257,9 +314,10 @@ pub struct PushTokenizer {
     eof: bool,
     pos: TextPos,
     opts: TokenizerOptions,
-    /// Open element names (well-formedness only): start offsets into
-    /// `stack_arena`, where the (validated, UTF-8) names are stored
-    /// back-to-back.
+    /// Open element names: start offsets into `stack_arena`, where the
+    /// (validated, UTF-8) names are stored back-to-back. Kept with
+    /// checking off too — a skip that stops reads the names it leaves
+    /// open off it — but only compared against end tags with checking on.
     stack: Vec<u32>,
     stack_arena: Vec<u8>,
     seen_root: bool,
@@ -336,7 +394,8 @@ impl PushTokenizer {
         self.pos
     }
 
-    /// Depth of currently open elements (well-formedness checking only).
+    /// Depth of currently open elements (with checking off, a document
+    /// with stray end tags can make it read low).
     pub fn depth(&self) -> usize {
         self.stack.len()
     }
@@ -468,20 +527,36 @@ impl PushTokenizer {
         XmlError::new(XmlErrorKind::UnexpectedEof { context }, self.pos)
     }
 
+    /// The name of the `i`-th open element, outermost first.
+    fn open_name_at(&self, i: usize) -> &str {
+        let end = self
+            .stack
+            .get(i + 1)
+            .map_or(self.stack_arena.len(), |&e| e as usize);
+        open_name(&self.stack_arena[self.stack[i] as usize..end])
+    }
+
     /// The open element names, outermost first (error reporting).
     fn open_names(&self) -> Vec<String> {
-        self.stack
-            .iter()
-            .enumerate()
-            .map(|(i, &start)| {
-                let end = self
-                    .stack
-                    .get(i + 1)
-                    .map(|&e| e as usize)
-                    .unwrap_or(self.stack_arena.len());
-                open_name(&self.stack_arena[start as usize..end]).to_string()
-            })
+        (0..self.stack.len())
+            .map(|i| self.open_name_at(i).to_string())
             .collect()
+    }
+
+    /// The names of the `n` elements the last [`PushTokenizer::skip_element`]
+    /// left open ([`Skipped::left_open`]), outermost first. Read them
+    /// before the next `feed` or `step`, like the stop tag.
+    pub fn left_open(&self, n: usize) -> impl Iterator<Item = &str> {
+        // A non-self-closing stop tag is open on top of them.
+        let stop = matches!(
+            self.pending,
+            Pending::StartTag {
+                self_closing: false,
+                ..
+            }
+        );
+        let top = self.stack.len() - usize::from(stop);
+        (top - n..top).map(|i| self.open_name_at(i))
     }
 
     // ---- stepping ----------------------------------------------------------
@@ -672,28 +747,8 @@ impl PushTokenizer {
 
     fn step_markup(&mut self) -> XmlResult<TokenStep> {
         if let Some(tag) = self.plain_tag(self.lo) {
-            let total = match tag {
-                PlainTag::End { name_len } => {
-                    self.pending = Pending::EndTag {
-                        start: self.lo + 2,
-                        len: name_len,
-                    };
-                    name_len + 3
-                }
-                PlainTag::Start {
-                    len,
-                    name_len,
-                    self_closing,
-                } => {
-                    self.pending = Pending::StartTag {
-                        start: self.lo + 1,
-                        len: len - 2 - usize::from(self_closing),
-                        name_len,
-                        self_closing,
-                    };
-                    len
-                }
-            };
+            let total;
+            (self.pending, total) = tag.token_at(self.lo);
             // No hint to drop, and no newline in a plain tag to count.
             self.lo += total;
             self.pos.offset += total as u64;
@@ -803,27 +858,27 @@ impl PushTokenizer {
                 let body = check_utf8(&self.buf[self.lo + 2..self.lo + end], start_pos)?;
                 let name = body.trim();
                 validate_name(name, start_pos)?;
-                if self.opts.check_well_formed {
-                    match self.stack.pop() {
-                        None => {
+                let check = self.opts.check_well_formed;
+                match self.stack.pop() {
+                    None if check => {
+                        return Err(XmlError::new(
+                            XmlErrorKind::UnexpectedEndTag(name.to_string()),
+                            start_pos,
+                        ))
+                    }
+                    None => {}
+                    Some(open_start) => {
+                        let open = &self.stack_arena[open_start as usize..];
+                        if check && open != name.as_bytes() {
                             return Err(XmlError::new(
-                                XmlErrorKind::UnexpectedEndTag(name.to_string()),
+                                XmlErrorKind::MismatchedTag {
+                                    expected: open_name(open).to_string(),
+                                    found: name.to_string(),
+                                },
                                 start_pos,
-                            ))
+                            ));
                         }
-                        Some(open_start) => {
-                            let open = &self.stack_arena[open_start as usize..];
-                            if open != name.as_bytes() {
-                                return Err(XmlError::new(
-                                    XmlErrorKind::MismatchedTag {
-                                        expected: open_name(open).to_string(),
-                                        found: name.to_string(),
-                                    },
-                                    start_pos,
-                                ));
-                            }
-                            self.stack_arena.truncate(open_start as usize);
-                        }
+                        self.stack_arena.truncate(open_start as usize);
                     }
                 }
                 let lead = body.len() - body.trim_start().len();
@@ -1056,18 +1111,16 @@ impl PushTokenizer {
             }
         }
 
-        // Well-formedness: root bookkeeping and open-element stack.
-        if self.opts.check_well_formed {
-            if self.stack.is_empty() {
-                if self.seen_root && !self.opts.allow_fragments {
-                    return Err(XmlError::new(XmlErrorKind::TrailingContent, start_pos));
-                }
-                self.seen_root = true;
+        // Well-formedness: root bookkeeping; and the open-element stack.
+        if self.opts.check_well_formed && self.stack.is_empty() {
+            if self.seen_root && !self.opts.allow_fragments {
+                return Err(XmlError::new(XmlErrorKind::TrailingContent, start_pos));
             }
-            if !self_closing {
-                self.stack.push(self.stack_arena.len() as u32);
-                self.stack_arena.extend_from_slice(name.as_bytes());
-            }
+            self.seen_root = true;
+        }
+        if !self_closing {
+            self.stack.push(self.stack_arena.len() as u32);
+            self.stack_arena.extend_from_slice(name.as_bytes());
         }
 
         self.pending = Pending::StartTag {
@@ -1103,11 +1156,11 @@ impl PushTokenizer {
         let tag = &self.buf[at..self.hi];
         debug_assert_eq!(tag[0], b'<');
         if tag.get(1) == Some(&b'/') {
+            let open = self.stack.last().map(|&open| open as usize);
             let name_len = if check {
                 // The only end tag that is right here is the innermost
                 // open name's; it was validated when it was pushed.
-                let open = *self.stack.last()? as usize;
-                let name = &self.stack_arena[open..];
+                let name = &self.stack_arena[open?..];
                 if !tag[2..].starts_with(name) {
                     return None;
                 }
@@ -1118,9 +1171,9 @@ impl PushTokenizer {
             if name_len == 0 || tag.get(2 + name_len) != Some(&b'>') {
                 return None;
             }
-            if check {
-                let open = self.stack.pop().expect("matched against the top");
-                self.stack_arena.truncate(open as usize);
+            if let Some(open) = open {
+                self.stack.pop();
+                self.stack_arena.truncate(open);
             }
             #[cfg(test)]
             {
@@ -1173,10 +1226,10 @@ impl PushTokenizer {
                     return None;
                 }
             }
-            if !self_closing {
-                self.stack.push(self.stack_arena.len() as u32);
-                self.stack_arena.extend_from_slice(&tag[1..1 + name_len]);
-            }
+        }
+        if !self_closing {
+            self.stack.push(self.stack_arena.len() as u32);
+            self.stack_arena.extend_from_slice(&tag[1..1 + name_len]);
         }
         #[cfg(test)]
         {
@@ -1191,40 +1244,48 @@ impl PushTokenizer {
 
     // ---- skipping ----------------------------------------------------------
 
-    /// Fast-forward through the end tag of the element whose
-    /// non-self-closing start tag the last [`PushTokenizer::step`]
-    /// returned — or continue the skip an earlier call suspended
-    /// ([`PushTokenizer::skipping`]). See the [module docs](self) for the
-    /// protocol. Accepts and rejects exactly what stepping through the
+    /// Fast-forward through the end tag of the innermost open element —
+    /// with no `stops`, the one whose non-self-closing start tag the last
+    /// [`PushTokenizer::step`] returned — or continue the skip an earlier
+    /// call suspended ([`PushTokenizer::skipping`]), passing the same
+    /// `stops` and `max_open`. A skip with stops ends early at a start tag
+    /// named in `stops`, and one that has more than `max_open` elements
+    /// open below the skipped element ends behind the start tag that
+    /// opened the last; see [`Skipped`] and the [module docs](self) for
+    /// the protocol. Accepts and rejects exactly what stepping through the
     /// subtree would, with the same error and position.
     ///
     /// # Panics
     ///
-    /// If no skip is in flight and the last step did not produce a
-    /// non-self-closing start tag — or a `feed` has invalidated it since:
-    /// a skip starts where the token would have been read.
-    pub fn skip_element(&mut self) -> XmlResult<Skipped> {
+    /// If no skip is in flight, `stops` is empty and the last step did not
+    /// produce a non-self-closing start tag — or a `feed` has invalidated
+    /// it since: a bulk skip starts where the token would have been read.
+    pub fn skip_element(&mut self, stops: &[&str], max_open: usize) -> XmlResult<Skipped> {
         if self.skip_open == 0 {
             assert!(
-                matches!(
-                    self.pending,
-                    Pending::StartTag {
-                        self_closing: false,
-                        ..
-                    }
-                ),
+                !stops.is_empty()
+                    || matches!(
+                        self.pending,
+                        Pending::StartTag {
+                            self_closing: false,
+                            ..
+                        }
+                    ),
                 "PushTokenizer::skip_element() without an open start tag pending"
             );
             self.skip_open = 1;
         }
         self.pending = Pending::None;
         let mut tokens = 0;
-        while self.skip_open > 0 {
+        let mut halt = None;
+        while self.skip_open > 0 && halt.is_none() {
             // A recorded scan position belongs to a partial token at the
             // window start: only the stepping functions can resume it.
             if self.hint.is_none() {
-                tokens += self.skip_stretch();
-                if self.skip_open == 0 {
+                let (passed, stretch_halt) = self.skip_stretch(stops, max_open);
+                tokens += passed;
+                halt = stretch_halt;
+                if self.skip_open == 0 || halt.is_some() {
                     break;
                 }
             }
@@ -1236,36 +1297,54 @@ impl PushTokenizer {
                     self.skip_text_start = None;
                     self.end_of_input()?;
                 }
-                return Ok(Skipped {
-                    tokens,
-                    complete: false,
-                });
+                return Ok(Skipped::suspended(tokens));
             }
             // Something the stretch does not check inline.
-            match self.skip_token()? {
-                Some(n) => tokens += n,
-                None => {
-                    return Ok(Skipped {
-                        tokens,
-                        complete: false,
-                    })
-                }
+            match self.skip_token(stops, max_open)? {
+                Some((passed, token_halt)) => (tokens, halt) = (tokens + passed, token_halt),
+                None => return Ok(Skipped::suspended(tokens)),
             }
         }
+        let left_open = match halt {
+            Some(_) => std::mem::take(&mut self.skip_open) - 1,
+            None => 0,
+        };
         Ok(Skipped {
             tokens,
-            complete: true,
+            complete: halt.is_none(),
+            stopped: halt == Some(Halt::Stop),
+            left_open,
         })
+    }
+
+    /// Whether a skip stops at the start tag whose name is
+    /// `buf[name..name + len]`.
+    #[inline]
+    fn is_stop(&self, stops: &[&str], name: usize, len: usize) -> bool {
+        let name = &self.buf[name..name + len];
+        stops.iter().any(|stop| stop.as_bytes() == name)
+    }
+
+    /// A skip passes a start tag that is not a stop: it opens one element
+    /// more (unless self-closing), and the skip halts behind it when that
+    /// makes more than `limit` open, the skipped element included.
+    #[inline]
+    fn skip_opens(&mut self, self_closing: bool, limit: usize) -> Option<Halt> {
+        self.skip_open += usize::from(!self_closing);
+        (self.skip_open > limit).then_some(Halt::Depth)
     }
 
     /// The inline part of a skip: walk the window over clean ASCII text
     /// and plain tags ([`PushTokenizer::plain_tag`]), and consume the whole
     /// stretch at once. Stops — in front of it — at anything else, at the
-    /// window end, and behind the end tag that completes the skip. Returns
-    /// the tokens passed.
-    fn skip_stretch(&mut self) -> u64 {
+    /// window end, and behind the end tag that completes the skip or the
+    /// start tag it halts at (a stop tag is left pending). Returns the
+    /// tokens passed and the halt.
+    fn skip_stretch(&mut self, stops: &[&str], max_open: usize) -> (u64, Option<Halt>) {
         let (lo, hi) = (self.lo, self.hi);
+        let limit = max_open.saturating_add(1);
         let mut tokens = 0;
+        let mut halt = None;
         let mut i = lo;
         // Where the text run the stretch stopped in began, if it began in
         // this stretch.
@@ -1304,12 +1383,25 @@ impl PushTokenizer {
                         break;
                     }
                 }
-                Some(PlainTag::Start {
-                    len, self_closing, ..
-                }) => {
-                    tokens += 1 + u64::from(self_closing);
+                Some(
+                    tag @ PlainTag::Start {
+                        len,
+                        name_len,
+                        self_closing,
+                    },
+                ) => {
+                    let at = i;
                     i += len;
-                    self.skip_open += usize::from(!self_closing);
+                    if !stops.is_empty() && self.is_stop(stops, at + 1, name_len) {
+                        self.pending = tag.token_at(at).0;
+                        halt = Some(Halt::Stop);
+                        break;
+                    }
+                    tokens += 1 + u64::from(self_closing);
+                    halt = self.skip_opens(self_closing, limit);
+                    if halt.is_some() {
+                        break;
+                    }
                 }
             }
         }
@@ -1321,12 +1413,18 @@ impl PushTokenizer {
         if i > self.lo {
             self.consume(i - self.lo);
         }
-        tokens
+        (tokens, halt)
     }
 
     /// One token of a skipped subtree through the stepping functions, the
-    /// token itself discarded. `None` = the window ends inside it.
-    fn skip_token(&mut self) -> XmlResult<Option<u64>> {
+    /// token itself discarded — unless it is a stop tag, which stays
+    /// pending. Returns the tokens passed and the halt, or `None` when the
+    /// window ends inside the token.
+    fn skip_token(
+        &mut self,
+        stops: &[&str],
+        max_open: usize,
+    ) -> XmlResult<Option<(u64, Option<Halt>)>> {
         if self.buf[self.lo] != b'<' {
             // The rest of a text run whose head the stretch consumed and
             // counted: validated as a whole once its '<' is in sight.
@@ -1337,26 +1435,76 @@ impl PushTokenizer {
                 return Ok(None);
             }
             self.skip_text_start = None;
-            return Ok(Some(0));
+            self.pending = Pending::None;
+            return Ok(Some((0, None)));
         }
         if self.step_markup()? == TokenStep::NeedMoreData {
             return Ok(None);
         }
-        Ok(Some(
-            match std::mem::replace(&mut self.pending, Pending::None) {
-                Pending::StartTag { self_closing, .. } => {
-                    self.skip_open += usize::from(!self_closing);
-                    1 + u64::from(self_closing)
+        let passed = match self.pending {
+            Pending::StartTag {
+                start,
+                name_len,
+                self_closing,
+                ..
+            } => {
+                if !stops.is_empty() && self.is_stop(stops, start, name_len) {
+                    return Ok(Some((0, Some(Halt::Stop))));
                 }
-                Pending::EndTag { .. } => {
-                    self.skip_open -= 1;
-                    1
-                }
-                // A CDATA section.
-                Pending::Text { .. } => 1,
-                _ => 0,
-            },
-        ))
+                let halt = self.skip_opens(self_closing, max_open.saturating_add(1));
+                (1 + u64::from(self_closing), halt)
+            }
+            Pending::EndTag { .. } => {
+                self.skip_open -= 1;
+                (1, None)
+            }
+            // A CDATA section.
+            Pending::Text { .. } => (1, None),
+            _ => (0, None),
+        };
+        self.pending = Pending::None;
+        Ok(Some(passed))
+    }
+}
+
+impl Skipped {
+    /// A skip the window ran out on after `tokens`.
+    fn suspended(tokens: u64) -> Skipped {
+        Skipped {
+            tokens,
+            complete: false,
+            stopped: false,
+            left_open: 0,
+        }
+    }
+}
+
+impl PlainTag {
+    /// The pending token this tag is when its `<` sits at `buf[at]`, and
+    /// its length.
+    fn token_at(self, at: usize) -> (Pending, usize) {
+        match self {
+            PlainTag::End { name_len } => (
+                Pending::EndTag {
+                    start: at + 2,
+                    len: name_len,
+                },
+                name_len + 3,
+            ),
+            PlainTag::Start {
+                len,
+                name_len,
+                self_closing,
+            } => (
+                Pending::StartTag {
+                    start: at + 1,
+                    len: len - 2 - usize::from(self_closing),
+                    name_len,
+                    self_closing,
+                },
+                len,
+            ),
+        }
     }
 }
 
@@ -1776,7 +1924,7 @@ mod tests {
         let (mut charged, mut open) = (0, 1);
         while open > 0 {
             if by_skip {
-                let skipped = t.skip_element().map_err(show)?;
+                let skipped = t.skip_element(&[], usize::MAX).map_err(show)?;
                 charged += skipped.tokens;
                 if skipped.complete {
                     break;
@@ -1858,11 +2006,11 @@ mod tests {
         assert_eq!(t.step().unwrap(), TokenStep::Token);
         // The skip starts where the token would have been read: before
         // the next feed.
-        assert!(!t.skip_element().unwrap().complete);
+        assert!(!t.skip_element(&[], usize::MAX).unwrap().complete);
         let mut tokens = 0;
         for _ in 0..64 {
             t.feed(&[b'y'; 1024]);
-            let skipped = t.skip_element().unwrap();
+            let skipped = t.skip_element(&[], usize::MAX).unwrap();
             assert!(!skipped.complete);
             tokens += skipped.tokens;
             assert_eq!(t.pending_bytes(), 0, "a stepped run would spill whole");
@@ -1870,10 +2018,10 @@ mod tests {
         // A byte the inline check does not vouch for holds back the rest
         // of the run only.
         t.feed(b"clean &amp; ");
-        assert!(!t.skip_element().unwrap().complete);
+        assert!(!t.skip_element(&[], usize::MAX).unwrap().complete);
         assert_eq!(t.pending_bytes(), 6);
         t.feed(b"more</big>");
-        let skipped = t.skip_element().unwrap();
+        let skipped = t.skip_element(&[], usize::MAX).unwrap();
         assert!(skipped.complete);
         assert_eq!(tokens + skipped.tokens, 2, "one run, one end tag");
         assert_eq!(t.position().offset, 8 + 64 * 1024 + 12 + 10);
@@ -1899,6 +2047,186 @@ mod tests {
         assert_eq!(toks_and_hits(&doc, 1), (whole, 0));
     }
 
+    /// Step to the first start tag named `from` of `input` (fed `chunk`
+    /// bytes at a time), then pass the rest of the innermost open element
+    /// — by `skip_element(stops, max_open)` or by stepping — up to its end
+    /// tag, a start tag named in `stops`, or more than `max_open` elements
+    /// open below it. Returns the tokens charged, the position, how it
+    /// ended (a stop tag as `token()` shows it), the names left open and
+    /// the token stream that follows (or the error).
+    fn pass_search(
+        input: &[u8],
+        chunk: usize,
+        from: &str,
+        (stops, max_open): (&[&str], usize),
+        by_skip: bool,
+    ) -> Result<String, String> {
+        let mut t = PushTokenizer::new();
+        let mut chunks = input.chunks(chunk);
+        let mut more = |t: &mut PushTokenizer| match chunks.next() {
+            Some(c) => t.feed(c),
+            None => t.finish_input(),
+        };
+        let show = |e: XmlError| format!("{:?} at {}", e.kind, e.pos);
+        loop {
+            match t.step().map_err(show)? {
+                TokenStep::Token => {
+                    if matches!(t.token(), Token::StartTag(s) if s.name == from) {
+                        break;
+                    }
+                }
+                TokenStep::NeedMoreData => more(&mut t),
+                TokenStep::End => panic!("no <{from}>"),
+            }
+        }
+        let (mut charged, mut open) = (0, Vec::new());
+        let end = loop {
+            if by_skip {
+                let s = t.skip_element(stops, max_open).map_err(show)?;
+                charged += s.tokens;
+                if s.complete {
+                    break "complete".to_string();
+                }
+                if s.stopped || s.left_open > 0 {
+                    open = t.left_open(s.left_open).map(String::from).collect();
+                    break match s.stopped {
+                        true => format!("stop {:?}", t.token()),
+                        false => "depth".to_string(),
+                    };
+                }
+                more(&mut t);
+                continue;
+            }
+            match t.step().map_err(show)? {
+                TokenStep::Token => match t.token() {
+                    Token::StartTag(s) if stops.contains(&s.name) => {
+                        break format!("stop {:?}", t.token())
+                    }
+                    Token::StartTag(s) if s.self_closing => charged += 2,
+                    Token::StartTag(s) => {
+                        charged += 1;
+                        open.push(s.name.to_string());
+                        if open.len() > max_open {
+                            break "depth".to_string();
+                        }
+                    }
+                    Token::EndTag { .. } => {
+                        charged += 1;
+                        if open.pop().is_none() {
+                            break "complete".to_string();
+                        }
+                    }
+                    Token::Text(_) => charged += 1,
+                    _ => {}
+                },
+                TokenStep::NeedMoreData => more(&mut t),
+                TokenStep::End => panic!("input ended inside <{from}>"),
+            }
+        };
+        let mut seen = format!(
+            "{charged} tokens to {}, {end}, open {open:?}:",
+            t.position()
+        );
+        loop {
+            match t.step().map_err(show)? {
+                TokenStep::Token => seen.push_str(&format!(" {:?}", t.token())),
+                TokenStep::NeedMoreData => more(&mut t),
+                TokenStep::End => return Ok(seen),
+            }
+        }
+    }
+
+    /// [`pass_search`] by skipping equals it by stepping at eight
+    /// chunkings; returns the whole-document result.
+    fn assert_search_is_stepping(doc: &str, from: &str, search: (&[&str], usize)) -> String {
+        let doc = doc.as_bytes();
+        let want = pass_search(doc, doc.len(), from, search, false);
+        for chunk in [1, 2, 3, 5, 7, 16, 64, doc.len()] {
+            assert_eq!(
+                pass_search(doc, chunk, from, search, true),
+                want,
+                "chunk {chunk}, from <{from}>, stops {:?}",
+                search.0
+            );
+        }
+        want.unwrap_or_else(|e| e)
+    }
+
+    /// Every shape a search passes inline or hands to the stepping
+    /// functions — entities, a comment, CDATA and a PI holding a stop name
+    /// — on the way to stops two levels down.
+    const SEARCHED: &str = "<r><s>head<a k='v'><b/>t&amp;x<!-- <item> --><![CDATA[<item>]]>\
+                            <?pi <item>?><c x=\"1&amp;2\"><item k='1'>found</item></c>\
+                            <été>ü</été></a></s><after/></r>";
+
+    #[test]
+    fn a_search_stops_where_stepping_would_at_every_chunking() {
+        let far = assert_search_is_stepping(SEARCHED, "s", (&["zz", "item"], usize::MAX));
+        assert!(
+            far.starts_with("7 tokens to 1:104, stop StartTag(StartTag { name: \"item\"")
+                && far.contains("open [\"a\", \"c\"]:"),
+            "{far}"
+        );
+        // A self-closing stop, a non-ASCII one, and one met after the
+        // search began inside an element rather than at its start tag.
+        let near = assert_search_is_stepping(SEARCHED, "s", (&["b"], usize::MAX));
+        assert!(
+            near.contains("stop StartTag(StartTag { name: \"b\"") && near.contains("open [\"a\"]:")
+        );
+        let late = assert_search_is_stepping(SEARCHED, "s", (&["été"], usize::MAX));
+        assert!(late.contains("open [\"a\"]:"), "{late}");
+        let inside = assert_search_is_stepping(SEARCHED, "b", (&["item"], usize::MAX));
+        assert!(inside.contains("open [\"c\"]:"), "{inside}");
+        // No stop below <s>: the search runs to its end tag.
+        let through = assert_search_is_stepping(SEARCHED, "s", (&["after"], usize::MAX));
+        assert!(through.contains("complete, open []: StartTag"), "{through}");
+    }
+
+    #[test]
+    fn a_stop_inside_a_declined_tag_stops_the_same_way() {
+        // The entity and the doubled space send these stops the general
+        // way; the first is also the recogniser's own parent check.
+        for (doc, stop) in [
+            (SEARCHED, "c"),
+            ("<r><s><a><item  k='1'>x</item></a></s></r>", "item"),
+            ("<r><s><a>t</a><item k='1' k='2'/></s></r>", "item"),
+        ] {
+            let got = assert_search_is_stepping(doc, "s", (&[stop], usize::MAX));
+            assert!(got.contains("stop") || got.contains("duplicate"), "{got}");
+        }
+        // Stepping reports the duplicate attribute at the stop tag: so
+        // does the search.
+        let doc = b"<r><s><a>t</a><item k='1' k='2'/></s></r>";
+        let want = pass_search(doc, doc.len(), "s", (&["item"], usize::MAX), false);
+        assert!(want.is_err(), "{want:?}");
+    }
+
+    #[test]
+    fn a_search_hands_over_past_its_depth_bound() {
+        // Under <s>: a (1), c (2) — item never comes with a bound of 1.
+        let depth = assert_search_is_stepping(SEARCHED, "s", (&["item"], 1));
+        assert!(depth.contains("depth, open [\"a\", \"c\"]:"), "{depth}");
+        let depth = assert_search_is_stepping(SEARCHED, "s", (&["item"], 0));
+        assert!(depth.contains("depth, open [\"a\"]:"), "{depth}");
+        // A stop comes first when it is within the bound.
+        let stop = assert_search_is_stepping(SEARCHED, "s", (&["item"], 2));
+        assert!(stop.contains("stop"), "{stop}");
+    }
+
+    #[test]
+    fn an_empty_stop_set_is_the_bulk_skip() {
+        let doc = SEARCHED.replace("s>", "skip>");
+        let skip = assert_search_is_stepping(&doc, "skip", (&[], usize::MAX));
+        assert!(skip.contains("complete, open []:"), "{skip}");
+        // Same tokens, position and stream as the skip that predates stops.
+        let bulk = pass_skip_element(doc.as_bytes(), 7, true).unwrap();
+        let (at, stream) = bulk.split_once(": ").unwrap();
+        assert_eq!(skip, format!("{at}, complete, open []: {stream}"));
+        // Without stops the bound still applies.
+        let depth = assert_search_is_stepping(SEARCHED, "s", (&[], 1));
+        assert!(depth.contains("depth, open [\"a\", \"c\"]:"), "{depth}");
+    }
+
     #[test]
     fn skipping_and_stepping_share_the_recogniser() {
         let doc = "<r><skip><a k=\"v\"><b j='w'/>text</a><c k=\"1\"  j=\"2\"></c></skip></r>";
@@ -1913,7 +2241,7 @@ mod tests {
             let before = t.plain_hits;
             let mut tokens = 0;
             loop {
-                let skipped = t.skip_element().unwrap();
+                let skipped = t.skip_element(&[], usize::MAX).unwrap();
                 tokens += skipped.tokens;
                 if skipped.complete {
                     break;

@@ -6,8 +6,43 @@
 
 use gcx::projection::StreamMatcher;
 use gcx::schema::Dtd;
+use gcx::xmark::{generate_string, XmarkConfig};
 use gcx::xml::{Token, Tokenizer};
 use gcx::CompiledQuery;
+
+#[path = "../../crates/xml/tests/common/mod.rs"]
+mod generated;
+use generated::{gen_doc, XorShift};
+
+/// An XMark document of about `kb` KiB.
+pub fn xmark(kb: u64, seed: u64) -> String {
+    let mut cfg = XmarkConfig::sized(kb * 1024);
+    cfg.seed = seed;
+    generate_string(&cfg)
+}
+
+/// The corpus of the pending chain: generated documents (comments, CDATA,
+/// PIs, DOCTYPEs, attributes, non-ASCII names; elements `a`, `b`, `x`,
+/// `item`, … at every depth under `<r>`), a few shapes written for the
+/// chain, and one XMark document.
+pub fn pending_corpus() -> Vec<String> {
+    let mut rng = XorShift(0x1A2B_3C4D_5E6F);
+    let mut docs: Vec<String> = (0..40).map(|_| gen_doc(&mut rng)).collect();
+    docs.extend(
+        [
+            // b[2] is the fourth child of an `a` nothing else wants.
+            "<r><a k='1'><x/>t<b>1</b><junk><b>no</b></junk><b>2</b></a></r>",
+            // Nested a's: derivation counts, ancestors pending at two levels.
+            "<r><a><c><a u='v'><d><b>deep</b></d></a></c></a><a><b/><b>two</b></a></r>",
+            // Speculative chains that close without ever being needed.
+            "<r><p><q><s k='v'>text</s></q></p><x>kept<y><x>inner</x></y></x></r>",
+            "<r/>",
+        ]
+        .map(String::from),
+    );
+    docs.push(xmark(24, 42));
+    docs
+}
 
 /// Counts of one walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -22,14 +22,12 @@
 //! when the parent was appended at once.
 
 mod common;
-#[path = "../crates/xml/tests/common/mod.rs"]
-mod generated;
 
+use common::{pending_corpus as corpus, xmark};
 use gcx::multi::{BatchOptions, SharedRun};
 use gcx::schema::Dtd;
-use gcx::xmark::{generate_string, queries, XmarkConfig};
+use gcx::xmark::queries;
 use gcx::{CompiledQuery, EngineOptions, RunReport};
-use generated::{gen_doc, XorShift};
 
 /// `//` below `//`, a positional predicate under a speculative parent,
 /// text under `//`, and a whole-subtree copy from anywhere.
@@ -44,35 +42,6 @@ fn all_queries() -> Vec<(&'static str, &'static str)> {
     let mut all = queries::paper_queries().to_vec();
     all.extend(EXTRA);
     all
-}
-
-fn xmark(kb: u64, seed: u64) -> String {
-    let mut cfg = XmarkConfig::sized(kb * 1024);
-    cfg.seed = seed;
-    generate_string(&cfg)
-}
-
-/// The corpus: generated documents (comments, CDATA, PIs, DOCTYPEs,
-/// attributes, non-ASCII names; elements `a`, `b`, `x`, `item`, … at
-/// every depth under `<r>`), a few shapes written for the pending chain,
-/// and one XMark document.
-fn corpus() -> Vec<String> {
-    let mut rng = XorShift(0x1A2B_3C4D_5E6F);
-    let mut docs: Vec<String> = (0..40).map(|_| gen_doc(&mut rng)).collect();
-    docs.extend(
-        [
-            // b[2] is the fourth child of an `a` nothing else wants.
-            "<r><a k='1'><x/>t<b>1</b><junk><b>no</b></junk><b>2</b></a></r>",
-            // Nested a's: derivation counts, ancestors pending at two levels.
-            "<r><a><c><a u='v'><d><b>deep</b></d></a></c></a><a><b/><b>two</b></a></r>",
-            // Speculative chains that close without ever being needed.
-            "<r><p><q><s k='v'>text</s></q></p><x>kept<y><x>inner</x></y></x></r>",
-            "<r/>",
-        ]
-        .map(String::from),
-    );
-    docs.push(xmark(24, 42));
-    docs
 }
 
 fn fed(q: &CompiledQuery, opts: &EngineOptions, doc: &[u8], chunk: usize) -> (Vec<u8>, RunReport) {
