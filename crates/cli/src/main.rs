@@ -436,9 +436,7 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
     opts.telemetry = obs || trace_path.is_some();
     opts.schema = take_schema(&flags)?;
     let input = open_input(input_path)?;
-    let report = gcx_multi::SharedRun::new(opts)
-        .run(&queries, input)
-        .map_err(|e| e.to_string())?;
+    let report = gcx_multi::run(&queries, &opts, input).map_err(|e| e.to_string())?;
     if let Some(path) = &trace_path {
         let runs: Vec<(String, &RunReport)> = texts
             .iter()
@@ -627,7 +625,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let flags: Vec<&str> = rest[1..].iter().map(String::as_str).collect();
     check_flags(&flags, &[], &["--every"])?;
     let every: u64 = match flag_value(&flags, "--every")? {
-        Some(v) => v.parse().map_err(|_| "--every must be a number")?,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or("--every must be a positive number")?,
         None => 1,
     };
     let q = CompiledQuery::compile(&query_text).map_err(|e| e.to_string())?;

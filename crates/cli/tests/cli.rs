@@ -595,6 +595,34 @@ fn value_flag_without_a_value_fails_naming_it() {
 }
 
 #[test]
+fn a_zero_count_fails_naming_its_flag() {
+    let doc = write_temp("zerocount.xml", "<a><b/></a>");
+    let doc = doc.to_str().unwrap();
+    // A zero trace stride would record no point at all; zero workers
+    // would serve nobody (the address is invalid, so an accepted 0 would
+    // surface as a bind error instead).
+    for (args, flag) in [
+        (
+            vec!["trace", "-e", "for $x in /a return $x", doc, "--every", "0"],
+            "--every",
+        ),
+        (
+            vec!["serve", "--addr", "256.0.0.0:0", "--workers", "0"],
+            "--workers",
+        ),
+    ] {
+        let out = gcx_bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must do no work");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} must be a positive number")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_flags_fail_naming_them() {
     let doc = write_temp("unknownflag.xml", "<a/>");
     let doc = doc.to_str().unwrap();

@@ -3,21 +3,21 @@
 //!
 //! ## Data flow
 //!
-//! A [`BatchSession`] owns the push tokenizer, the [`MergedMatcher`] and
-//! one [`Lane`] per query (`gcx-core`'s evaluation core: that query's
-//! evaluator, buffer, symbol table and output — the same type a
-//! stand-alone `EvalSession` drives). For every structural token it makes
-//! the merged keep/skip decision once and offers the token — still
-//! borrowed from the tokenizer window, its names translated into the
-//! lane's symbol space — to each lane together with that lane's roles. A
-//! lane that keeps the node appends it to its own buffer with its own
-//! document ordinals and resumes its evaluator as soon as what it waits
-//! for has arrived, exactly as under a stand-alone session. Buffers, role
-//! multisets and signOff execution are untouched by the sharing, so
-//! per-query buffer minimality is preserved.
+//! A [`BatchSession`] owns the push tokenizer, the merged
+//! [`TaggedMatcher`] and one [`Lane`] per query (`gcx-core`'s evaluation
+//! core: that query's evaluator, buffer, symbol table and output — the
+//! same type a stand-alone `EvalSession` drives). For every structural
+//! token it makes the merged keep/skip decision once and offers the
+//! token — still borrowed from the tokenizer window, its names translated
+//! into the lane's symbol space — to each lane together with that lane's
+//! roles. A lane that keeps the node appends it to its own buffer with
+//! its own document ordinals and resumes its evaluator as soon as what it
+//! waits for has arrived, exactly as under a stand-alone session.
+//! Buffers, role multisets and signOff execution are untouched by the
+//! sharing, so per-query buffer minimality is preserved.
 //!
 //! The session is sans-IO (`feed` / `finish`, like `EvalSession`);
-//! [`SharedRun::run_prepared`] is the blocking wrapper over a `Read`.
+//! [`run`] is the blocking wrapper over a `Read`.
 //!
 //! ## Skip bookkeeping
 //!
@@ -38,11 +38,12 @@
 //!
 //! Only errors of the shared input (malformed XML, I/O) fail the batch.
 
-use crate::matcher::{BatchPlan, MergedMatcher};
 use gcx_core::{
     CompiledQuery, EngineError, EngineMode, Keep, Lane, RunReport, ScanFacts, SchemaReport,
 };
-use gcx_projection::TaggedRole;
+use gcx_projection::{
+    Automaton, CompiledPaths, TaggedMatcher, TaggedOutcome, TaggedPaths, TaggedRole,
+};
 use gcx_query::ast::RoleId;
 use gcx_xml::{PushTokenizer, Symbol, SymbolTable, Token, TokenStep, XmlError, XmlErrorKind};
 use std::io::Read;
@@ -129,62 +130,94 @@ impl BatchReport {
     }
 }
 
-/// The shared-stream evaluator: one parse, N queries.
-#[derive(Debug, Default)]
-pub struct SharedRun {
-    opts: BatchOptions,
+/// Evaluate `queries` over `input` in a single pass: open a
+/// [`BatchSession`] and feed it `input` in chunks read straight into its
+/// tokenizer window. Per-query evaluator failures are reported in the
+/// [`BatchReport`]; only input errors (which invalidate every query) fail
+/// the whole batch.
+pub fn run<R: Read>(
+    queries: &[CompiledQuery],
+    opts: &BatchOptions,
+    mut input: R,
+) -> Result<BatchReport, EngineError> {
+    let mut session = BatchSession::new(queries, opts);
+    loop {
+        let n = {
+            let gap = session.space(READ_CHUNK);
+            input.read(gap)
+        };
+        match n.map_err(|e| session.input_io_error(e))? {
+            0 => break,
+            n => session.commit(n)?,
+        }
+    }
+    session.finish()
 }
 
-impl SharedRun {
-    /// A driver with the given options.
-    pub fn new(opts: BatchOptions) -> SharedRun {
-        SharedRun { opts }
-    }
+/// Evaluate a batch with default options.
+pub fn run_batch<R: Read>(queries: &[CompiledQuery], input: R) -> Result<BatchReport, EngineError> {
+    run(queries, &BatchOptions::default(), input)
+}
 
-    /// Evaluate `queries` over `input` in a single pass. Per-query
-    /// evaluator failures are reported in the [`BatchReport`]; only input
-    /// parse errors (which invalidate every query) fail the whole batch.
-    pub fn run<R: Read>(
-        &self,
-        queries: &[CompiledQuery],
-        input: R,
-    ) -> Result<BatchReport, EngineError> {
-        self.run_prepared(&self.prepare(queries), queries, input)
-    }
+/// Chunk size [`run`] reads from its source at a time.
+const READ_CHUNK: usize = 64 * 1024;
 
-    /// Compile the batch's shared artifacts (merged projection NFA,
-    /// pre-interned symbol table, schema filter) once. Feeding the plan
-    /// back to [`SharedRun::run_prepared`] makes every further run of
-    /// the same batch compile nothing — the repeated-batch fast path.
-    pub fn prepare(&self, queries: &[CompiledQuery]) -> BatchPlan {
-        BatchPlan::new(queries, self.opts.schema.as_deref())
-    }
+/// A push-driven evaluation of one batch over one document. Create with
+/// [`BatchSession::new`]; the caller owns all I/O. Bytes may be split
+/// anywhere (mid-tag, mid-UTF-8 sequence): outputs, buffer peaks and
+/// event counts do not depend on the chunking.
+pub struct BatchSession {
+    tok: PushTokenizer,
+    fan: FanOut,
+    scan: ScanFacts,
+    /// Telemetry enabled: record a feed span per feed/commit call.
+    telemetry: bool,
+    /// `(pruned, total)` projection-path counts per query with a schema.
+    pruned_paths: Option<Vec<(u32, u32)>>,
+    started: Instant,
+}
 
-    /// Open a sans-IO session over a prepared plan: push the document
-    /// with [`BatchSession::feed`] as it arrives, then
-    /// [`BatchSession::finish`]. `plan` must have been built (by
-    /// [`SharedRun::prepare`] with the same schema option) from exactly
-    /// this `queries` slice — same queries, same order; a plan from a
-    /// different batch projects the wrong paths.
-    pub fn session(&self, plan: &BatchPlan, queries: &[CompiledQuery]) -> BatchSession {
-        assert_eq!(
-            plan.n_queries(),
-            queries.len(),
-            "batch plan was prepared for a different number of queries"
-        );
+impl BatchSession {
+    /// Open a session for `queries`: compile every query's projection
+    /// paths against one fresh symbol table (pruned against
+    /// `opts.schema` when present), merge them into one tagged automaton
+    /// under the schema's reachability filter, and start one lane per
+    /// query. Push the document with [`BatchSession::feed`] as it
+    /// arrives, then [`BatchSession::finish`]. The batch's clock starts
+    /// once the merged automaton is built.
+    pub fn new(queries: &[CompiledQuery], opts: &BatchOptions) -> BatchSession {
+        let dtd = opts.schema.as_deref();
+        let mut symbols = SymbolTable::new();
+        let mut pruned_paths = dtd.map(|_| Vec::with_capacity(queries.len()));
+        let parts: Vec<CompiledPaths> = queries
+            .iter()
+            .map(|q| {
+                let paths = CompiledPaths::compile(&q.analysis.roles, &mut symbols);
+                match (dtd, &mut pruned_paths) {
+                    (Some(dtd), Some(counts)) => {
+                        let prune = dtd.prune(&paths, &symbols);
+                        counts.push((prune.pruned.len() as u32, prune.total as u32));
+                        prune.paths
+                    }
+                    _ => paths,
+                }
+            })
+            .collect();
+        let reach = dtd.map(|dtd| Arc::new(dtd.reach_filter(&mut symbols)));
+        let automaton = Arc::new(Automaton::new(TaggedPaths::merge(parts.iter()), reach));
         let started = Instant::now();
         let lanes = queries
             .iter()
             .map(|q| {
                 // The lane's share of the schema — the sibling-order
                 // cutoffs — comes prepared, from its query's plan.
-                let schema = self.opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
+                let schema = opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
                 let mut lane = Lane::start(
                     q,
                     EngineMode::Gcx,
-                    self.opts.max_buffer_bytes,
-                    self.opts.indent.clone(),
-                    self.opts.telemetry,
+                    opts.max_buffer_bytes,
+                    opts.indent.clone(),
+                    opts.telemetry,
                     schema.as_deref(),
                 );
                 // Run the program up to its first suspension.
@@ -192,18 +225,19 @@ impl SharedRun {
                 lane
             })
             .collect();
-        let (matcher, _root_roles) = MergedMatcher::from_plan(plan);
         BatchSession {
             tok: PushTokenizer::new(),
             scan: ScanFacts::default(),
-            telemetry: self.opts.telemetry,
+            telemetry: opts.telemetry,
             started,
-            pruned_paths: plan.pruned_paths.clone(),
+            pruned_paths,
             fan: FanOut {
-                matcher,
-                // Interning during the scan is per-document: each run
-                // extends its own clone of the plan's pre-interned table.
-                symbols: plan.symbols.clone(),
+                outcome: TaggedOutcome::for_tags(automaton.n_tags()),
+                matcher: TaggedMatcher::start(automaton),
+                text_roles: Vec::new(),
+                // Interning during the scan extends the table the paths
+                // were compiled against.
+                symbols,
                 lanes,
                 remap: vec![Vec::new(); queries.len()],
                 lane_skip: vec![0; queries.len()],
@@ -217,51 +251,6 @@ impl SharedRun {
         }
     }
 
-    /// [`SharedRun::run`] against a prepared plan (see
-    /// [`SharedRun::session`] for what `plan` must match): the blocking
-    /// wrapper that reads `input` in chunks straight into the session's
-    /// tokenizer window.
-    pub fn run_prepared<R: Read>(
-        &self,
-        plan: &BatchPlan,
-        queries: &[CompiledQuery],
-        mut input: R,
-    ) -> Result<BatchReport, EngineError> {
-        let mut session = self.session(plan, queries);
-        loop {
-            let n = {
-                let gap = session.space(READ_CHUNK);
-                input.read(gap)
-            };
-            match n.map_err(|e| session.input_io_error(e))? {
-                0 => break,
-                n => session.commit(n)?,
-            }
-        }
-        session.finish()
-    }
-}
-
-/// Chunk size the blocking wrapper reads from its source at a time.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// A push-driven evaluation of one batch over one document. Create with
-/// [`SharedRun::session`]; the caller owns all I/O. Bytes may be split
-/// anywhere (mid-tag, mid-UTF-8 sequence): outputs, buffer peaks and
-/// event counts do not depend on the chunking.
-pub struct BatchSession {
-    tok: PushTokenizer,
-    fan: FanOut,
-    scan: ScanFacts,
-    /// Telemetry enabled: record a feed span per feed/commit call.
-    telemetry: bool,
-    /// `(pruned, total)` projection-path counts per query when the plan
-    /// was built with a schema.
-    pruned_paths: Option<Vec<(u32, u32)>>,
-    started: Instant,
-}
-
-impl BatchSession {
     /// Push one chunk of document bytes and step every lane as far as
     /// they allow. Fails only on malformed input.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
@@ -372,7 +361,12 @@ impl BatchSession {
 /// Everything of a session but the tokenizer: the merged decision and
 /// the lanes it is handed to.
 struct FanOut {
-    matcher: MergedMatcher,
+    /// The merged matcher over every query's paths, and its outcomes: the
+    /// last start tag's (kept per query, roles by query tag) and the last
+    /// text's roles.
+    matcher: TaggedMatcher,
+    outcome: TaggedOutcome,
+    text_roles: Vec<TaggedRole>,
     /// The batch's symbol table (the merged NFA's name tests are interned
     /// here).
     symbols: SymbolTable,
@@ -468,7 +462,8 @@ impl FanOut {
                 }
                 let known = self.symbols.len();
                 let name = self.symbols.intern(tag.name);
-                let outcome = self.matcher.enter_element(name);
+                self.matcher.enter_element(name, &mut self.outcome);
+                let outcome = &self.outcome;
                 let any_keep = outcome.any_keep;
                 self.attr_names.clear();
                 if any_keep {
@@ -537,7 +532,8 @@ impl FanOut {
             }
             Token::Text(content) => {
                 self.tokens += 1;
-                let tagged = self.matcher.text();
+                self.matcher.text_into(&mut self.text_roles);
+                let tagged = &self.text_roles;
                 untag(tagged, &mut self.roles);
                 let mut at = 0;
                 for (qi, lane) in self.lanes.iter_mut().enumerate() {
@@ -556,11 +552,6 @@ impl FanOut {
         }
         false
     }
-}
-
-/// Evaluate a batch with default options.
-pub fn run_batch<R: Read>(queries: &[CompiledQuery], input: R) -> Result<BatchReport, EngineError> {
-    SharedRun::new(BatchOptions::default()).run(queries, input)
 }
 
 #[cfg(test)]
@@ -631,11 +622,11 @@ mod tests {
             "for $b in /bib/book return $b/title",
             "for $a in /bib/article return $a",
         ]);
-        let run = SharedRun::new(BatchOptions {
+        let opts = BatchOptions {
             telemetry: true,
             ..BatchOptions::default()
-        });
-        let mut session = run.session(&run.prepare(&queries), &queries);
+        };
+        let mut session = BatchSession::new(&queries, &opts);
         for piece in DOC.as_bytes().chunks(16) {
             session.feed(piece).unwrap();
         }

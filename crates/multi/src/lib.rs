@@ -9,19 +9,21 @@
 //!
 //! ```text
 //!                      ┌───────────────┐ borrowed token   ┌─────────────────────┐
-//!   XML ──► Tokenizer ─► MergedMatcher ├─ + lane 0 roles ─► Lane 0: BufferTree  │──► out 0
+//!   XML ──► Tokenizer ─► TaggedMatcher ├─ + lane 0 roles ─► Lane 0: BufferTree  │──► out 0
 //!            (once)    │ (union NFA,   │                  │         + evaluator │
 //!                      │ tagged roles) ├─ + lane 1 roles ─► Lane 1: BufferTree  │──► out 1
 //!                      └───────────────┘                  │         + evaluator │
 //!                        one thread steps everything      └─────────────────────┘
 //! ```
 //!
-//! * [`MergedMatcher`] unions the per-query projection NFAs
-//!   ([`gcx_projection::TaggedPaths`]) so each token is tokenized and
-//!   matched **exactly once** no matter how many queries want it; element
-//!   outcomes carry per-query tags.
-//! * [`SharedRun`] / [`BatchSession`] drive the pass in **lock-step**: for
-//!   every token the merged decision is made once and each query's
+//! * [`BatchSession::new`] unions the per-query projection paths
+//!   ([`gcx_projection::TaggedPaths`]) into one automaton whose
+//!   [`gcx_projection::TaggedMatcher`] matches each token **exactly once**
+//!   no matter how many queries want it; element outcomes carry per-query
+//!   tags.
+//! * A [`BatchSession`] (sans-IO; [`run`] drives one over a `Read`) steps
+//!   the pass in **lock-step**: for every token the merged decision is
+//!   made once and each query's
 //!   [`gcx_core::Lane`] that keeps the node appends it — by reference,
 //!   with its own document ordinals — to its own buffer and resumes its
 //!   evaluator when the node is what it was waiting for. There are no
@@ -41,7 +43,5 @@
 //! and property suites in `tests/`.
 
 mod driver;
-mod matcher;
 
-pub use driver::{run_batch, BatchOptions, BatchReport, BatchSession, QueryRun, SharedRun};
-pub use matcher::{BatchPlan, MergedMatcher};
+pub use driver::{run, run_batch, BatchOptions, BatchReport, BatchSession, QueryRun};

@@ -5,7 +5,7 @@
 //! same purges, same peaks) and draining at the end.
 
 use gcx_core::{CompiledQuery, EngineError, EngineOptions};
-use gcx_multi::{run_batch, BatchOptions, BatchReport, SharedRun};
+use gcx_multi::{run_batch, BatchOptions, BatchReport, BatchSession};
 use gcx_xmark::{generate_string, queries, XmarkConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,9 +119,7 @@ fn fed_in_pieces<'a>(
     queries: &[CompiledQuery],
     pieces: impl Iterator<Item = &'a [u8]>,
 ) -> BatchReport {
-    let run = SharedRun::new(BatchOptions::default());
-    let plan = run.prepare(queries);
-    let mut session = run.session(&plan, queries);
+    let mut session = BatchSession::new(queries, &BatchOptions::default());
     for piece in pieces {
         session.feed(piece).unwrap();
     }
@@ -197,11 +195,14 @@ fn a_query_over_its_budget_fails_alone() {
         .iter()
         .position(|(name, _)| *name == "Q8")
         .unwrap();
-    let limited = SharedRun::new(BatchOptions {
-        max_buffer_bytes: Some(20_000),
-        ..BatchOptions::default()
-    })
-    .run(&queries, doc.as_bytes())
+    let limited = gcx_multi::run(
+        &queries,
+        &BatchOptions {
+            max_buffer_bytes: Some(20_000),
+            ..BatchOptions::default()
+        },
+        doc.as_bytes(),
+    )
     .unwrap();
     let free = run_batch(&queries, doc.as_bytes()).unwrap();
     assert_eq!(limited.tokens, free.tokens);
@@ -260,11 +261,14 @@ fn join_query_in_a_batch() {
 fn schema_facts_reach_the_per_query_reports() {
     let doc = xmark(64, 42);
     let queries = compile_batch();
-    let with_schema = SharedRun::new(BatchOptions {
-        schema: Some(gcx_schema::Dtd::xmark()),
-        ..BatchOptions::default()
-    })
-    .run(&queries, doc.as_bytes())
+    let with_schema = gcx_multi::run(
+        &queries,
+        &BatchOptions {
+            schema: Some(gcx_schema::Dtd::xmark()),
+            ..BatchOptions::default()
+        },
+        doc.as_bytes(),
+    )
     .unwrap();
     let mut cuts = 0;
     for ((name, _), (q, run)) in batch_texts()
@@ -292,55 +296,4 @@ fn schema_facts_reach_the_per_query_reports() {
     assert!(cuts > 0, "the DTD must let the shared scan cut subtrees");
     let plain = run_batch(&queries, doc.as_bytes()).unwrap();
     assert!(plain.queries[0].report.as_ref().unwrap().schema.is_none());
-}
-
-#[test]
-fn prepared_plan_reuses_compilation_across_documents() {
-    // The repeated-batch fast path: prepare the merged NFA + symbol
-    // table once, then run several distinct documents through the same
-    // plan. Every run must be byte-identical to the compile-per-run
-    // path (and to standalone), including with a schema attached.
-    let queries = compile_batch();
-    let run = SharedRun::new(BatchOptions::default());
-    let plan = run.prepare(&queries);
-    assert_eq!(plan.n_queries(), queries.len());
-    for (kb, seed) in [(16u64, 1u64), (48, 2), (96, 3)] {
-        let mut cfg = XmarkConfig::sized(kb * 1024);
-        cfg.seed = seed;
-        let doc = generate_string(&cfg);
-        let prepared = run.run_prepared(&plan, &queries, doc.as_bytes()).unwrap();
-        let fresh = run.run(&queries, doc.as_bytes()).unwrap();
-        for (i, ((name, _), p)) in batch_texts().iter().zip(&prepared.queries).enumerate() {
-            let f = &fresh.queries[i];
-            assert_eq!(
-                p.output, f.output,
-                "{name} @ {kb}KB: prepared-plan output differs from compile-per-run"
-            );
-            assert_eq!(p.output, standalone(&queries[i], &doc).0);
-            assert_eq!(
-                p.report.as_ref().unwrap().buffer.peak_live,
-                f.report.as_ref().unwrap().buffer.peak_live,
-                "{name}: prepared-plan buffer peak drifted"
-            );
-        }
-        assert_eq!(prepared.tokens, fresh.tokens);
-    }
-
-    // Schema-aware plans share the pruned automaton + reach filter too.
-    let schema_run = SharedRun::new(BatchOptions {
-        schema: Some(gcx_schema::Dtd::xmark()),
-        ..BatchOptions::default()
-    });
-    let plan = schema_run.prepare(&queries);
-    let doc = generate_string(&XmarkConfig::sized(64 * 1024));
-    let prepared = schema_run
-        .run_prepared(&plan, &queries, doc.as_bytes())
-        .unwrap();
-    let fresh = schema_run.run(&queries, doc.as_bytes()).unwrap();
-    for ((name, _), (p, f)) in batch_texts()
-        .iter()
-        .zip(prepared.queries.iter().zip(&fresh.queries))
-    {
-        assert_eq!(p.output, f.output, "{name}: schema prepared-plan differs");
-    }
 }

@@ -1,6 +1,6 @@
 //! Randomized property tests for matcher merging (satellite of the
-//! shared-stream subsystem): for every query in a batch, the
-//! [`MergedMatcher`]'s outcome restricted to that query's tag must equal
+//! shared-stream subsystem): for every query in a batch, the merged
+//! [`TaggedMatcher`]'s outcome restricted to that query's tag must equal
 //! the standalone [`StreamMatcher`] outcome — keep/skip decisions, role
 //! assignments, and descendant-axis role *multiplicities*.
 //!
@@ -8,11 +8,14 @@
 //! unavailable offline); deterministic seeds keep failures reproducible.
 
 use gcx_core::CompiledQuery;
-use gcx_multi::{run_batch, MergedMatcher};
-use gcx_projection::{CompiledPaths, StreamMatcher};
+use gcx_multi::run_batch;
+use gcx_projection::{
+    Automaton, CompiledPaths, StreamMatcher, TaggedMatcher, TaggedOutcome, TaggedPaths,
+};
 use gcx_xml::SymbolTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Query pool over a small tag alphabet; all inside the GCX fragment, with
 /// deliberate overlap (shared prefixes, descendant axes, predicates) so
@@ -82,10 +85,18 @@ struct Solo {
 /// Recursive lockstep walk: feed the element tree to the merged matcher
 /// and to every standalone matcher, asserting per-query agreement at each
 /// step.
-fn walk(node: &Node, merged: &mut MergedMatcher, solos: &mut [Solo], sy: &mut SymbolTable) {
+fn walk(
+    node: &Node,
+    merged: &mut TaggedMatcher,
+    out: &mut TaggedOutcome,
+    solos: &mut [Solo],
+    sy: &mut SymbolTable,
+) {
     let Node::Elem { name, children } = node else {
-        // Text: roles restricted per tag must match each standalone text().
-        let tagged: Vec<(u32, gcx_query::ast::RoleId, u32)> = merged.text().to_vec();
+        // Text: roles restricted per tag must match each standalone text.
+        let mut tagged = Vec::new();
+        merged.text_into(&mut tagged);
+        let mut solo_roles = Vec::new();
         for (qi, solo) in solos.iter_mut().enumerate() {
             if solo.skip > 0 {
                 assert!(
@@ -99,7 +110,8 @@ fn walk(node: &Node, merged: &mut MergedMatcher, solos: &mut [Solo], sy: &mut Sy
                 .filter(|&&(t, _, _)| t as usize == qi)
                 .map(|&(_, r, c)| (r, c))
                 .collect();
-            assert_eq!(mine, solo.m.text(), "q{qi}: text roles diverge");
+            solo.m.text_into(&mut solo_roles);
+            assert_eq!(mine, solo_roles, "q{qi}: text roles diverge");
         }
         return;
     };
@@ -113,15 +125,13 @@ fn walk(node: &Node, merged: &mut MergedMatcher, solos: &mut [Solo], sy: &mut Sy
             solo.skip += 1;
             continue;
         }
-        let o = solo.m.enter_element(name_sym);
-        solo_keep[qi] = o.keep;
-        solo_roles[qi] = o.roles;
+        solo_keep[qi] = solo.m.enter_element_into(name_sym, &mut solo_roles[qi]);
     }
 
     // Merged decision.
-    let outcome = merged.enter_element(name_sym);
-    let any_keep = outcome.any_keep;
-    let kept = outcome.kept.clone();
+    merged.enter_element(name_sym, out);
+    let any_keep = out.any_keep;
+    let kept = out.kept.clone();
     let expected_any = solo_keep.iter().any(|&k| k);
     assert_eq!(
         any_keep, expected_any,
@@ -134,7 +144,7 @@ fn walk(node: &Node, merged: &mut MergedMatcher, solos: &mut [Solo], sy: &mut Sy
         if any_keep {
             assert_eq!(kept[qi], solo_keep[qi], "q{qi}: keep diverges on <{name}>");
             assert_eq!(
-                merged.roles_of(qi as u32),
+                out.roles_of(qi as u32).collect::<Vec<_>>(),
                 solo_roles[qi],
                 "q{qi}: roles diverge on <{name}>"
             );
@@ -149,7 +159,7 @@ fn walk(node: &Node, merged: &mut MergedMatcher, solos: &mut [Solo], sy: &mut Sy
             }
         }
         for c in children {
-            walk(c, merged, solos, sy);
+            walk(c, merged, out, solos, sy);
         }
         merged.leave_element();
         for (qi, solo) in solos.iter_mut().enumerate() {
@@ -185,7 +195,13 @@ fn merged_matcher_equals_standalone_matchers() {
             .collect();
 
         let mut sy = SymbolTable::new();
-        let (mut merged, _) = MergedMatcher::build(&queries, &mut sy);
+        let parts: Vec<CompiledPaths> = queries
+            .iter()
+            .map(|q| CompiledPaths::compile(&q.analysis.roles, &mut sy))
+            .collect();
+        let automaton = Automaton::new(TaggedPaths::merge(parts.iter()), None);
+        let mut out = TaggedOutcome::for_tags(automaton.n_tags());
+        let mut merged = TaggedMatcher::start(Arc::new(automaton));
         let mut solos: Vec<Solo> = queries
             .iter()
             .map(|q| {
@@ -196,7 +212,7 @@ fn merged_matcher_equals_standalone_matchers() {
             .collect();
 
         let tree = gen_tree(&mut rng, 0);
-        walk(&tree, &mut merged, &mut solos, &mut sy);
+        walk(&tree, &mut merged, &mut out, &mut solos, &mut sy);
         assert_eq!(merged.depth(), 0, "round {round}: unbalanced walk");
     }
 }

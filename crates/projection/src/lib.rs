@@ -32,8 +32,8 @@ mod roles;
 
 pub use analysis::{analyze, Analysis};
 pub use matcher::{
-    Automaton, CompiledPaths, ElementOutcome, QueryTag, StepView, StreamMatcher, TaggedMatcher,
-    TaggedOutcome, TaggedPaths, TaggedRole, TestView,
+    Automaton, CompiledPaths, QueryTag, StepView, StreamMatcher, TaggedMatcher, TaggedOutcome,
+    TaggedPaths, TaggedRole, TestView,
 };
 pub use reach::ReachFilter;
 pub use roles::{Anchor, RoleInfo, RoleOrigin, RoleTable};

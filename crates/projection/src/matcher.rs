@@ -372,20 +372,6 @@ impl TaggedOutcome {
     }
 }
 
-/// Role instances granted to one node.
-pub type RoleAssignment = Vec<(RoleId, u32)>;
-
-/// Outcome of entering an element.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ElementOutcome {
-    /// False: no projection path can match this element or anything below
-    /// it — the caller must skip the whole subtree (and must NOT call
-    /// `leave_element`).
-    pub keep: bool,
-    /// Role instances for the node (empty for speculative keeps).
-    pub roles: RoleAssignment,
-}
-
 /// Per-open-element matcher frame.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -868,17 +854,8 @@ impl StreamMatcher {
     /// the document root's roles (paths with zero steps, e.g. the paper's
     /// `r1: /`). An engine run starts from the automaton its compiled
     /// query prepared instead ([`StreamMatcher::start`]).
-    pub fn new(compiled: &CompiledPaths) -> (StreamMatcher, RoleAssignment) {
-        StreamMatcher::with_reach(compiled, None)
-    }
-
-    /// [`StreamMatcher::new`] with a schema-derived reachability filter
-    /// (see [`Automaton::new`]).
-    pub fn with_reach(
-        compiled: &CompiledPaths,
-        reach: Option<Arc<ReachFilter>>,
-    ) -> (StreamMatcher, RoleAssignment) {
-        let automaton = Automaton::new(TaggedPaths::merge([compiled]), reach);
+    pub fn new(compiled: &CompiledPaths) -> (StreamMatcher, Vec<(RoleId, u32)>) {
+        let automaton = Automaton::new(TaggedPaths::merge([compiled]), None);
         let untagged = automaton.root_roles.iter().map(|&(_, r, c)| (r, c));
         let root_roles = untagged.collect();
         (StreamMatcher::start(Arc::new(automaton)), root_roles)
@@ -915,19 +892,11 @@ impl StreamMatcher {
         self.inner.search_names()
     }
 
-    /// Process an element start tag. When the result's `keep` is false the
-    /// caller skips the subtree and must not call [`StreamMatcher::leave_element`]
-    /// for it.
-    pub fn enter_element(&mut self, name: Symbol) -> ElementOutcome {
-        let mut roles = Vec::new();
-        let keep = self.enter_element_into(name, &mut roles);
-        ElementOutcome { keep, roles }
-    }
-
-    /// Allocation-free variant of [`StreamMatcher::enter_element`]: the
-    /// element's roles are appended to `roles_out` (cleared first) and the
-    /// keep decision is returned. The preprojector's hot loop uses this
-    /// with a reused scratch vector.
+    /// Process an element start tag: the element's roles are appended to
+    /// `roles_out` (cleared first; empty for a speculative keep) and the
+    /// keep decision is returned. When it is false no projection path can
+    /// match the element or anything below it: the caller skips the
+    /// subtree and must not call [`StreamMatcher::leave_element`] for it.
     pub fn enter_element_into(&mut self, name: Symbol, roles_out: &mut Vec<(RoleId, u32)>) -> bool {
         roles_out.clear();
         let Some((_, roles)) = self.inner.enter(name) else {
@@ -942,17 +911,10 @@ impl StreamMatcher {
         self.inner.leave_element();
     }
 
-    /// Roles for a text child of the current element. Text nodes have no
-    /// children, so no frame is pushed; an empty result means the text is
-    /// irrelevant and is not buffered.
-    pub fn text(&mut self) -> RoleAssignment {
-        let mut roles = Vec::new();
-        self.text_into(&mut roles);
-        roles
-    }
-
-    /// Allocation-free variant of [`StreamMatcher::text`]: roles are
-    /// appended to `out` (cleared first).
+    /// Roles for a text child of the current element, appended to `out`
+    /// (cleared first). Text nodes have no children, so no frame is
+    /// pushed; an empty result means the text is irrelevant and is not
+    /// buffered.
     pub fn text_into(&mut self, out: &mut Vec<(RoleId, u32)>) {
         out.clear();
         out.extend(self.inner.text().iter().map(|&(_, r, c)| (r, c)));
@@ -1110,7 +1072,7 @@ mod tests {
     use gcx_query::compile;
 
     /// Build a matcher for the projection paths of `query`.
-    fn matcher_for(query: &str) -> (StreamMatcher, RoleAssignment, SymbolTable, RoleTable) {
+    fn matcher_for(query: &str) -> (StreamMatcher, Vec<(RoleId, u32)>, SymbolTable, RoleTable) {
         let q = compile(query).unwrap();
         let a = analyze(&q);
         let mut symbols = SymbolTable::new();
@@ -1129,7 +1091,7 @@ mod tests {
     "#;
 
     /// Roles as a sorted display list like `["r2*1", ...]`.
-    fn fmt_roles(roles: &RoleAssignment) -> Vec<String> {
+    fn fmt_roles(roles: &[(RoleId, u32)]) -> Vec<String> {
         let mut v: Vec<String> = roles.iter().map(|(r, c)| format!("{r}*{c}")).collect();
         v.sort();
         v
@@ -1139,25 +1101,24 @@ mod tests {
     fn paper_figure1_role_assignment() {
         // Input prefix: <bib><book><title/><author/></book>
         let (mut m, root_roles, mut sy, _) = matcher_for(PAPER_QUERY);
+        let mut roles = Vec::new();
         assert_eq!(fmt_roles(&root_roles), ["r1*1"]);
 
-        let bib = m.enter_element(sy.intern("bib"));
-        assert!(bib.keep);
-        assert_eq!(fmt_roles(&bib.roles), ["r2*1"]);
+        assert!(m.enter_element_into(sy.intern("bib"), &mut roles));
+        assert_eq!(fmt_roles(&roles), ["r2*1"]);
 
-        let book = m.enter_element(sy.intern("book"));
-        assert!(book.keep);
+        assert!(m.enter_element_into(sy.intern("book"), &mut roles));
         // The paper's Figure 1(a): book{r3, r5, r6}.
-        assert_eq!(fmt_roles(&book.roles), ["r3*1", "r5*1", "r6*1"]);
+        assert_eq!(fmt_roles(&roles), ["r3*1", "r5*1", "r6*1"]);
 
-        let title = m.enter_element(sy.intern("title"));
+        m.enter_element_into(sy.intern("title"), &mut roles);
         // title{r5, r7}.
-        assert_eq!(fmt_roles(&title.roles), ["r5*1", "r7*1"]);
+        assert_eq!(fmt_roles(&roles), ["r5*1", "r7*1"]);
         m.leave_element();
 
-        let author = m.enter_element(sy.intern("author"));
+        m.enter_element_into(sy.intern("author"), &mut roles);
         // author{r5}.
-        assert_eq!(fmt_roles(&author.roles), ["r5*1"]);
+        assert_eq!(fmt_roles(&roles), ["r5*1"]);
         m.leave_element();
 
         m.leave_element(); // book
@@ -1168,42 +1129,47 @@ mod tests {
     #[test]
     fn price_first_witness_only() {
         let (mut m, _, mut sy, _) = matcher_for(PAPER_QUERY);
-        m.enter_element(sy.intern("bib"));
-        m.enter_element(sy.intern("article"));
-        let p1 = m.enter_element(sy.intern("price"));
+        let mut roles = Vec::new();
+        m.enter_element_into(sy.intern("bib"), &mut roles);
+        m.enter_element_into(sy.intern("article"), &mut roles);
+        m.enter_element_into(sy.intern("price"), &mut roles);
         // First price: r4 (witness) + r5 (subtree).
-        assert_eq!(fmt_roles(&p1.roles), ["r4*1", "r5*1"]);
+        assert_eq!(fmt_roles(&roles), ["r4*1", "r5*1"]);
         m.leave_element();
-        let p2 = m.enter_element(sy.intern("price"));
+        m.enter_element_into(sy.intern("price"), &mut roles);
         // Second price: only r5.
-        assert_eq!(fmt_roles(&p2.roles), ["r5*1"]);
+        assert_eq!(fmt_roles(&roles), ["r5*1"]);
         m.leave_element();
     }
 
     #[test]
     fn irrelevant_subtrees_are_skippable() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x/y return $a");
-        m.enter_element(sy.intern("x"));
-        let z = m.enter_element(sy.intern("z"));
-        assert!(!z.keep, "no projection path can match under /x/z");
+        let mut roles = Vec::new();
+        m.enter_element_into(sy.intern("x"), &mut roles);
+        assert!(
+            !m.enter_element_into(sy.intern("z"), &mut roles),
+            "no projection path can match under /x/z"
+        );
         // Caller would skip; no leave_element for z.
-        let y = m.enter_element(sy.intern("y"));
-        assert!(y.keep);
+        assert!(m.enter_element_into(sy.intern("y"), &mut roles));
     }
 
     #[test]
     fn text_nodes_matched_by_subtree_roles() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x return $a");
-        m.enter_element(sy.intern("x"));
-        let roles = m.text();
+        let mut roles = Vec::new();
+        m.enter_element_into(sy.intern("x"), &mut roles);
+        m.text_into(&mut roles);
         assert_eq!(roles.len(), 1, "descendant-or-self::node() matches text");
     }
 
     #[test]
     fn text_nodes_not_matched_without_text_roles() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x/y return $a");
-        m.enter_element(sy.intern("x"));
-        let roles = m.text();
+        let mut roles = Vec::new();
+        m.enter_element_into(sy.intern("x"), &mut roles);
+        m.text_into(&mut roles);
         assert!(
             roles.is_empty(),
             "text under /x is not on any projection path"
@@ -1213,8 +1179,9 @@ mod tests {
     #[test]
     fn explicit_text_step() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x return $a/text()");
-        m.enter_element(sy.intern("x"));
-        let roles = m.text();
+        let mut roles = Vec::new();
+        m.enter_element_into(sy.intern("x"), &mut roles);
+        m.text_into(&mut roles);
         // binding role of $a does not land on text; the text() role does.
         assert_eq!(roles.len(), 1);
     }
@@ -1224,13 +1191,11 @@ mod tests {
         // /descendant::a/descendant::b: b under two nested a's gets the
         // binding role twice (two derivations).
         let (mut m, _, mut sy, _) = matcher_for("for $v in //a//b return if ($v/m = 1) then 'x'");
-        let a1 = m.enter_element(sy.intern("a"));
-        assert!(a1.keep);
-        let a2 = m.enter_element(sy.intern("a"));
-        assert!(a2.keep);
-        let b = m.enter_element(sy.intern("b"));
-        let binding = b
-            .roles
+        let mut roles = Vec::new();
+        assert!(m.enter_element_into(sy.intern("a"), &mut roles));
+        assert!(m.enter_element_into(sy.intern("a"), &mut roles));
+        m.enter_element_into(sy.intern("b"), &mut roles);
+        let binding = roles
             .iter()
             .find(|(r, _)| *r == gcx_query::ast::RoleId(1))
             .unwrap();
@@ -1240,26 +1205,27 @@ mod tests {
     #[test]
     fn descendant_or_self_assigns_to_whole_subtree() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x return $a");
+        let mut roles = Vec::new();
         // Role r3 = /x/descendant-or-self::node() must hit x, child, grandchild.
-        let x = m.enter_element(sy.intern("x"));
+        m.enter_element_into(sy.intern("x"), &mut roles);
         assert!(
-            fmt_roles(&x.roles).iter().any(|s| s.starts_with("r3")),
-            "{:?}",
-            x.roles
+            fmt_roles(&roles).iter().any(|s| s.starts_with("r3")),
+            "{roles:?}"
         );
-        let c = m.enter_element(sy.intern("c"));
-        assert_eq!(fmt_roles(&c.roles), ["r3*1"]);
-        let g = m.enter_element(sy.intern("g"));
-        assert_eq!(fmt_roles(&g.roles), ["r3*1"]);
+        m.enter_element_into(sy.intern("c"), &mut roles);
+        assert_eq!(fmt_roles(&roles), ["r3*1"]);
+        m.enter_element_into(sy.intern("g"), &mut roles);
+        assert_eq!(fmt_roles(&roles), ["r3*1"]);
     }
 
     #[test]
     fn star_matches_any_element() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x/* return 'y'");
-        m.enter_element(sy.intern("x"));
-        assert!(m.enter_element(sy.intern("anything")).keep);
+        let mut roles = Vec::new();
+        m.enter_element_into(sy.intern("x"), &mut roles);
+        assert!(m.enter_element_into(sy.intern("anything"), &mut roles));
         m.leave_element();
-        assert!(m.enter_element(sy.intern("other")).keep);
+        assert!(m.enter_element_into(sy.intern("other"), &mut roles));
     }
 
     #[test]
@@ -1268,8 +1234,79 @@ mod tests {
         // is skippable.
         let (mut m, root_roles, mut sy, _) = matcher_for("'constant'");
         assert_eq!(root_roles.len(), 1);
-        let e = m.enter_element(sy.intern("anything"));
-        assert!(!e.keep);
+        assert!(!m.enter_element_into(sy.intern("anything"), &mut Vec::new()));
+    }
+
+    // ---- the merged matcher: per-query outcomes -----------------------------
+
+    /// A matcher over the merged paths of `queries`, all compiled against
+    /// one table (the NFA compares interned names).
+    fn merged_matcher(queries: &[&str]) -> (TaggedMatcher, TaggedOutcome, SymbolTable) {
+        let mut sy = SymbolTable::new();
+        let parts: Vec<CompiledPaths> = queries
+            .iter()
+            .map(|q| CompiledPaths::compile(&analyze(&compile(q).unwrap()).roles, &mut sy))
+            .collect();
+        let automaton = Automaton::new(TaggedPaths::merge(parts.iter()), None);
+        let out = TaggedOutcome::for_tags(automaton.n_tags());
+        (TaggedMatcher::start(Arc::new(automaton)), out, sy)
+    }
+
+    #[test]
+    fn disjoint_queries_keep_disjoint_subtrees() {
+        let (mut m, mut o, mut sy) =
+            merged_matcher(&["for $a in /r/x return $a", "for $b in /r/y return $b"]);
+        let [r, x, y] = ["r", "x", "y"].map(|n| sy.intern(n));
+        m.enter_element(r, &mut o);
+        assert!(o.any_keep);
+        assert!(o.kept[0] && o.kept[1], "both queries keep the shared root");
+
+        m.enter_element(x, &mut o);
+        assert!(o.any_keep);
+        assert!(o.kept[0] && !o.kept[1], "only query 0 wants /r/x");
+        m.leave_element();
+
+        m.enter_element(y, &mut o);
+        assert!(!o.kept[0] && o.kept[1], "only query 1 wants /r/y");
+        m.leave_element();
+    }
+
+    #[test]
+    fn subtree_wanted_by_nobody_is_skipped_once() {
+        let (mut m, mut o, mut sy) =
+            merged_matcher(&["for $a in /r/x return $a", "for $b in /r/y return $b"]);
+        m.enter_element(sy.intern("r"), &mut o);
+        m.enter_element(sy.intern("z"), &mut o);
+        assert!(!o.any_keep, "no query matches under /r/z");
+    }
+
+    #[test]
+    fn identical_queries_get_independent_tags() {
+        let q = "for $a in /r//v return $a";
+        let (mut m, mut o, mut sy) = merged_matcher(&[q, q]);
+        m.enter_element(sy.intern("r"), &mut o);
+        assert!(o.kept[0] && o.kept[1]);
+        m.enter_element(sy.intern("v"), &mut o);
+        let r0: Vec<_> = o.roles_of(0).collect();
+        let r1: Vec<_> = o.roles_of(1).collect();
+        assert_eq!(r0, r1, "identical queries see identical roles");
+        assert!(!r0.is_empty());
+    }
+
+    #[test]
+    fn text_roles_are_tagged_per_query() {
+        let (mut m, mut o, mut sy) =
+            merged_matcher(&["for $a in /r return $a/text()", "for $b in /r/x return $b"]);
+        m.enter_element(sy.intern("r"), &mut o);
+        let mut roles = Vec::new();
+        m.text_into(&mut roles);
+        assert!(roles.iter().any(|&(t, _, _)| t == 0), "query 0 wants text");
+        // Query 1's binding subtree role starts at /r/x, so text directly
+        // under r carries no query-1 role.
+        assert!(
+            roles.iter().all(|&(t, _, _)| t == 0),
+            "query 1 must not claim text under /r: {roles:?}"
+        );
     }
 
     // ---- the memo against the NFA step alone ------------------------------
@@ -1534,19 +1571,21 @@ mod tests {
     fn a_search_set_names_what_it_waits_for() {
         let (mut m, _, mut sy, _) = matcher_for("for $i in //item return $i");
         let [item, site] = ["item", "site"].map(|n| sy.intern(n));
+        let mut roles = Vec::new();
         assert_eq!(m.search_names(), Some(&[item][..]));
         // Anything else: kept, no role, the same set.
-        let outcome = m.enter_element(site);
-        assert!(outcome.keep && outcome.roles.is_empty());
+        assert!(m.enter_element_into(site, &mut roles) && roles.is_empty());
         assert_eq!(m.search_names(), Some(&[item][..]));
-        assert!(m.text().is_empty());
+        m.text_into(&mut roles);
+        assert!(roles.is_empty());
         // An item is output whole: `descendant-or-self::node()` below it.
-        assert!(!m.enter_element(item).roles.is_empty());
+        m.enter_element_into(item, &mut roles);
+        assert!(!roles.is_empty());
         assert_eq!(m.search_names(), None);
         // A positional step waits too, but not as a search.
         let (mut m, _, mut sy, _) = matcher_for("for $b in //a/b[2] return $b");
         assert!(m.search_names().is_some());
-        m.enter_element(sy.intern("a"));
+        m.enter_element_into(sy.intern("a"), &mut roles);
         assert_eq!(m.search_names(), None, "b[2] counts a's children");
         // No search under a reach filter, or without room in the memo.
         let mut sy = SymbolTable::new();
@@ -1607,9 +1646,10 @@ mod tests {
     fn deep_nesting_stays_linear() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in //deep return $a");
         let d = sy.intern("d");
+        let mut roles = Vec::new();
         for _ in 0..10_000 {
-            let o = m.enter_element(d);
-            assert!(o.keep, "descendant search keeps probing");
+            let keep = m.enter_element_into(d, &mut roles);
+            assert!(keep, "descendant search keeps probing");
         }
         for _ in 0..10_000 {
             m.leave_element();

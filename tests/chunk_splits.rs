@@ -16,9 +16,7 @@
 //!   byte;
 //! * the session's measurements — token count, both occupancy timelines,
 //!   peaks — against a token-by-token reference preprojector that knows
-//!   nothing of bulk skip, under the same chunkings;
-//! * (feature `proptest`) randomized split vectors over randomized
-//!   chunkings.
+//!   nothing of bulk skip, under the same chunkings.
 
 use gcx::{CompiledQuery, EngineOptions, RunReport};
 use gcx_xmark::queries::paper_queries;
@@ -421,39 +419,5 @@ fn boundaries_inside_utf8_and_cdata_are_invisible() {
         let all: Vec<usize> = (1..doc.len()).collect();
         let got = run_split(&q, doc, &all);
         assert_equiv(&format!("{text} 1-byte"), &want, &got);
-    }
-}
-
-// ---- randomized splits (external `proptest`, offline-gated) -----------------
-
-#[cfg(feature = "proptest")]
-mod random {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Arbitrary split vectors over arbitrary microdoc shapes: the
-        /// session must be boundary-blind for every query in the corpus.
-        #[test]
-        fn arbitrary_splits_are_invisible(
-            kinds in proptest::collection::vec(
-                prop_oneof![Just(MicroKind::Article), Just(MicroKind::Book)],
-                1..12,
-            ),
-            raw_splits in proptest::collection::vec(0usize..4096, 0..12),
-            qi in 0usize..4,
-        ) {
-            let doc = microdoc(&kinds);
-            let doc = doc.as_bytes();
-            let q = CompiledQuery::compile(bib_queries()[qi]).unwrap();
-            let want = oracle(&q, doc);
-            let mut splits: Vec<usize> =
-                raw_splits.iter().map(|&s| s % (doc.len() + 1)).collect();
-            splits.sort_unstable();
-            let got = run_split(&q, doc, &splits);
-            assert_equiv(&format!("proptest {splits:?}"), &want, &got);
-        }
     }
 }

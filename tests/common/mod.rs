@@ -4,11 +4,12 @@
 //! instead of copying them from a run.
 #![allow(dead_code)] // every suite uses its own subset
 
-use gcx::projection::StreamMatcher;
+use gcx::projection::{Automaton, StreamMatcher, TaggedPaths};
 use gcx::schema::Dtd;
 use gcx::xmark::{generate_string, XmarkConfig};
 use gcx::xml::{Token, Tokenizer};
 use gcx::CompiledQuery;
+use std::sync::Arc;
 
 #[path = "../../crates/xml/tests/common/mod.rs"]
 mod generated;
@@ -61,13 +62,14 @@ pub struct Projection {
 /// with `dtd`, unsatisfiable paths pruned and the reach filter armed.
 pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
     let mut symbols = q.program.symbols().clone();
-    let (mut matcher, _) = match dtd {
+    let mut matcher = match dtd {
         Some(dtd) => {
             let prune = dtd.prune(q.program.matcher_paths(), &symbols);
-            let reach = std::sync::Arc::new(dtd.reach_filter(&mut symbols));
-            StreamMatcher::with_reach(&prune.paths, Some(reach))
+            let reach = Arc::new(dtd.reach_filter(&mut symbols));
+            let paths = TaggedPaths::merge([&prune.paths]);
+            StreamMatcher::start(Arc::new(Automaton::new(paths, Some(reach))))
         }
-        None => StreamMatcher::new(q.program.matcher_paths()),
+        None => StreamMatcher::new(q.program.matcher_paths()).0,
     };
     let mut tok = Tokenizer::from_str(doc);
     let mut roles = Vec::new();

@@ -22,7 +22,7 @@
 mod common;
 
 use common::{pending_corpus, xmark};
-use gcx::multi::{BatchOptions, SharedRun};
+use gcx::multi::{BatchOptions, BatchSession};
 use gcx::{CompiledQuery, EngineOptions, RunReport};
 
 const QUERIES: [(&str, &str); 6] = [
@@ -67,8 +67,6 @@ fn searched_runs_equal_the_oracle_and_a_stepping_batch() {
         })
         .collect();
     let batch: Vec<CompiledQuery> = compiled.iter().map(|(_, _, q, _)| q.clone()).collect();
-    let shared = SharedRun::new(BatchOptions::default());
-    let plan = shared.prepare(&batch);
     let (gcx, full) = (
         blind(EngineOptions::gcx()),
         blind(EngineOptions::full_buffering()),
@@ -96,7 +94,7 @@ fn searched_runs_equal_the_oracle_and_a_stepping_batch() {
             }
         }
         for chunk in [7, whole] {
-            let mut session = shared.session(&plan, &batch);
+            let mut session = BatchSession::new(&batch, &BatchOptions::default());
             for piece in bytes.chunks(chunk) {
                 session.feed(piece).expect("batch feed");
             }

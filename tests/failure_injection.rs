@@ -116,8 +116,8 @@ fn errors_inside_projected_away_subtrees_are_the_tokenizers() {
         }
         let whole = gcx::multi::run_batch(&queries, &doc[..]);
         assert_eq!(xml_error(whole), want, "batch, {label}");
-        let shared = gcx::multi::SharedRun::new(gcx::multi::BatchOptions::default());
-        let mut session = shared.session(&shared.prepare(&queries), &queries);
+        let mut session =
+            gcx::multi::BatchSession::new(&queries, &gcx::multi::BatchOptions::default());
         let bytewise = doc
             .iter()
             .try_for_each(|b| session.feed(&[*b]))
@@ -178,11 +178,11 @@ fn invented_names_count_against_the_byte_budget() {
     // A batch: every lane holds the names it was shown and fails alone;
     // with no lane left the shared scan stops interning too (it still
     // validates the document to its end).
-    let shared = gcx::multi::SharedRun::new(gcx::multi::BatchOptions {
+    let opts = gcx::multi::BatchOptions {
         max_buffer_bytes: Some(budget),
         ..gcx::multi::BatchOptions::default()
-    });
-    let report = shared.run(&queries, doc).unwrap();
+    };
+    let report = gcx::multi::run(&queries, &opts, doc).unwrap();
     assert_eq!(report.tokens, 200_005);
     for run in report.queries {
         over(run.report.unwrap_err(), "batch lane");

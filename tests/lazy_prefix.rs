@@ -24,7 +24,7 @@
 mod common;
 
 use common::{pending_corpus as corpus, xmark};
-use gcx::multi::{BatchOptions, SharedRun};
+use gcx::multi::{BatchOptions, BatchSession};
 use gcx::schema::Dtd;
 use gcx::xmark::queries;
 use gcx::{CompiledQuery, EngineOptions, RunReport};
@@ -70,8 +70,6 @@ fn outputs_and_buffer_contents_over_the_corpus() {
         .map(|(name, text)| (name, text, CompiledQuery::compile(text).expect(name)))
         .collect();
     let batch: Vec<CompiledQuery> = compiled.iter().map(|(.., q)| q.clone()).collect();
-    let shared = SharedRun::new(BatchOptions::default());
-    let plan = shared.prepare(&batch);
     // The generated documents may carry a DOCTYPE; its adoption is another
     // suite's subject.
     let mut gcx = EngineOptions::gcx();
@@ -109,7 +107,7 @@ fn outputs_and_buffer_contents_over_the_corpus() {
         }
         // The same queries as lanes of one batch.
         for chunk in [1, 7, 64, bytes.len().max(1)] {
-            let mut session = shared.session(&plan, &batch);
+            let mut session = BatchSession::new(&batch, &BatchOptions::default());
             for piece in bytes.chunks(chunk) {
                 session.feed(piece).expect("batch feed");
             }

@@ -14,9 +14,7 @@
 //! * the same pairs driven through the sans-IO session under seeded
 //!   random chunk splits and 1-byte chunks — the join build/probe and
 //!   wait-based batching must be boundary-blind too;
-//! * the paper's bib microdocs under the running Figure 1 query;
-//! * (feature `proptest`) randomized split vectors over randomized
-//!   document seeds.
+//! * the paper's bib microdocs under the running Figure 1 query.
 
 use gcx::xmark::{generate_string, queries, XmarkConfig};
 use gcx::{CompiledQuery, EngineOptions, RunReport};
@@ -181,38 +179,5 @@ fn bib_running_example_agrees() {
         let want = run_once(&unopt, doc.as_bytes());
         let got = run_once(&opt, doc.as_bytes());
         assert_equiv("bib microdoc", &want, &got);
-    }
-}
-
-// ---- randomized variant (external `proptest`, offline-gated) ----------------
-
-#[cfg(feature = "proptest")]
-mod random {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Arbitrary document seeds and split vectors: the optimized plan
-        /// must match the naive plan byte-for-byte on every paper query,
-        /// however the document is generated or chunked.
-        #[test]
-        fn optimizer_is_invisible_on_random_docs(
-            seed in proptest::num::u64::ANY,
-            raw_splits in proptest::collection::vec(0usize..64 * 1024, 0..10),
-            qi in 0usize..11,
-        ) {
-            let doc = xmark(24, seed);
-            let bytes = doc.as_bytes();
-            let (name, qtext) = queries::paper_queries()[qi];
-            let (opt, unopt) = compile_pair(qtext);
-            let want = run_once(&unopt, bytes);
-            let mut splits: Vec<usize> =
-                raw_splits.iter().map(|&s| s % (bytes.len() + 1)).collect();
-            splits.sort_unstable();
-            let got = run_split(&opt, bytes, &splits);
-            assert_equiv(&format!("{name} seed {seed}"), &want, &got);
-        }
     }
 }

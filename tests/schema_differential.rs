@@ -267,13 +267,13 @@ fn batch_lanes_apply_the_schema_like_standalone_runs() {
         .iter()
         .map(|(_, text)| CompiledQuery::compile(text).expect("compile"))
         .collect();
-    let run = gcx::multi::SharedRun::new(gcx::multi::BatchOptions {
+    let opts = gcx::multi::BatchOptions {
         schema: Some(Dtd::xmark()),
         ..Default::default()
-    });
+    };
     for (kb, seed) in [(96, 0x6C_78_67), (48, 42)] {
         let doc = xmark(kb, seed);
-        let report = run.run(&batch, doc.as_bytes()).expect("batch");
+        let report = gcx::multi::run(&batch, &opts, doc.as_bytes()).expect("batch");
         for (((name, _), q), lane) in queries::paper_queries()
             .iter()
             .zip(&batch)
