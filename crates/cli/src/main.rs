@@ -52,13 +52,13 @@ fn print_usage() {
 USAGE:
   gcx run     <query.xq | -e QUERY> <input.xml> [--engine gcx|projection|full|dom]
               [--stats] [--stats-json] [--indent] [--max-buffer-bytes N]
-              [--obs] [--trace FILE] [--no-opt] [--schema xmark|FILE]
+              [--obs] [--trace FILE] [--schema xmark|FILE]
   gcx multi   <batch.xq | --xmark> <input.xml> [--out-dir DIR]
               [--stats] [--stats-json] [--indent] [--max-buffer-bytes N]
-              [--obs] [--trace FILE] [--no-opt] [--schema xmark|FILE]
+              [--obs] [--trace FILE] [--schema xmark|FILE]
   gcx serve   [--addr HOST:PORT] [--workers N] [--queue N]
               [--max-buffer-bytes N] [--read-timeout-secs S]
-              [--max-request-secs S] [--no-opt] [--schema xmark|FILE]
+              [--max-request-secs S] [--schema xmark|FILE]
               [--max-static-class constant|per-item|subtree|document]
   gcx explain <query.xq | -e QUERY> [--schema xmark|FILE]
   gcx analyze <query.xq | -e QUERY> [--schema xmark|FILE] [--json]
@@ -115,13 +115,10 @@ xmark|none` header on PUT /queries.
 
 Every subcommand rejects a flag it does not know.
 
-`--no-opt` (run, multi, serve) skips the gcx-ir plan optimizer (step
-fusion, shared path prefixes, exists caching, hash joins) and executes
-the direct lowering instead. Outputs, token counts and buffer peaks are
-identical either way (pinned by the optimizer differential suite); the
-flag exists for benchmarking and as a diagnostic escape hatch.
-`--stats-json` reports what the optimizer did under `opt_passes` /
-`instructions_before` / `instructions_after`.
+Every query runs through the gcx-ir plan optimizer (step fusion, shared
+path prefixes, exists caching, hash joins); `--stats-json` reports what
+it did under `opt_passes` / `instructions_before` /
+`instructions_after`.
 
 `explain` prints the full compilation report: projection paths and
 roles, the rewritten query with signOff statements, the unoptimized
@@ -165,19 +162,15 @@ fn take_query(args: &[String]) -> Result<(String, &[String]), String> {
 
 /// Extract `--trace FILE` / `--trace=FILE` from a flag list.
 fn take_trace(flags: &[&str]) -> Result<Option<String>, String> {
-    for (i, f) in flags.iter().enumerate() {
+    for f in flags {
         if let Some(v) = f.strip_prefix("--trace=") {
             if v.is_empty() {
                 return Err("`--trace=` needs a file path".into());
             }
             return Ok(Some(v.to_string()));
         }
-        if *f == "--trace" {
-            let v = flags.get(i + 1).ok_or("`--trace` needs a file path")?;
-            return Ok(Some((*v).to_string()));
-        }
     }
-    Ok(None)
+    Ok(flag_value(flags, "--trace")?.map(str::to_string))
 }
 
 /// Write the Chrome trace for `runs` to `path`.
@@ -189,13 +182,14 @@ fn write_trace(path: &str, runs: &[(String, &RunReport)]) -> Result<(), String> 
 }
 
 /// The value following the flag `name`: `None` when the flag is absent, an
-/// error naming it when it is the last argument.
+/// error naming it when it is the last argument or followed by another
+/// flag (`--trace --stats` is a missing value, not a file named `--stats`).
 fn flag_value<'a>(flags: &[&'a str], name: &str) -> Result<Option<&'a str>, String> {
     match flags.iter().position(|f| *f == name) {
         None => Ok(None),
         Some(i) => match flags.get(i + 1) {
-            Some(v) => Ok(Some(v)),
-            None => Err(format!("`{name}` needs a value")),
+            Some(v) if !v.starts_with("--") => Ok(Some(v)),
+            _ => Err(format!("`{name}` needs a value")),
         },
     }
 }
@@ -272,7 +266,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let flags: Vec<&str> = rest[1..].iter().map(String::as_str).collect();
     check_flags(
         &flags,
-        &["--stats", "--stats-json", "--indent", "--obs", "--no-opt"],
+        &["--stats", "--stats-json", "--indent", "--obs"],
         &["--engine", "--max-buffer-bytes", "--trace", "--schema"],
     )?;
     let engine = flag_value(&flags, "--engine")?.unwrap_or("gcx");
@@ -280,13 +274,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let stats_json = flags.contains(&"--stats-json");
     let indent = flags.contains(&"--indent");
     let obs = flags.contains(&"--obs");
-    let no_opt = flags.contains(&"--no-opt");
     let trace_path = take_trace(&flags)?;
 
     // One compiled artifact for every engine: the DOM oracle interprets
     // the normalized AST out of the same `CompiledQuery` the streaming
     // configurations execute the lowered program from.
-    let q = CompiledQuery::compile_opts(&query_text, !no_opt).map_err(|e| e.to_string())?;
+    let q = CompiledQuery::compile(&query_text).map_err(|e| e.to_string())?;
 
     if engine == "dom" {
         if obs || trace_path.is_some() {
@@ -411,7 +404,7 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
     let flags: Vec<&str> = rest[1..].iter().map(String::as_str).collect();
     check_flags(
         &flags,
-        &["--stats", "--stats-json", "--indent", "--obs", "--no-opt"],
+        &["--stats", "--stats-json", "--indent", "--obs"],
         &["--out-dir", "--max-buffer-bytes", "--trace", "--schema"],
     )?;
     let stats = flags.contains(&"--stats");
@@ -420,13 +413,9 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
     let trace_path = take_trace(&flags)?;
     let out_dir = flag_value(&flags, "--out-dir")?;
 
-    let no_opt = flags.contains(&"--no-opt");
     let mut queries = Vec::with_capacity(texts.len());
     for (name, text) in &texts {
-        queries.push(
-            CompiledQuery::compile_opts(text, !no_opt)
-                .map_err(|e| format!("{name} failed: {e}"))?,
-        );
+        queries.push(CompiledQuery::compile(text).map_err(|e| format!("{name} failed: {e}"))?);
     }
     let mut opts = gcx_multi::BatchOptions::default();
     if flags.contains(&"--indent") {
@@ -499,7 +488,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags: Vec<&str> = args.iter().map(String::as_str).collect();
     check_flags(
         &flags,
-        &["--no-opt"],
+        &[],
         &[
             "--addr",
             "--workers",
@@ -530,7 +519,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .ok_or("--queue must be a positive number")?;
     }
     config.max_buffer_bytes = take_max_buffer_bytes(&flags)?;
-    config.optimize = !flags.contains(&"--no-opt");
     config.schema = take_schema(&flags)?;
     if let Some(v) = flag_value(&flags, "--max-static-class")? {
         let class = gcx_analyze::StreamClass::parse(v).ok_or_else(|| {

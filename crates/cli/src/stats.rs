@@ -185,7 +185,7 @@ fn pairs(w: &mut JsonWriter, points: &[(u64, u64)]) {
 
 /// The compile-time members of one query: the pipeline's wall-clock
 /// cost, the executed program's sizes, and what the plan optimizer did
-/// (`opt_passes` is `[]` under `--no-opt`).
+/// (`opt_passes` is `[]` for a program compiled without it).
 fn compile_members(w: &mut JsonWriter, q: &CompiledQuery) {
     let st = q.program.stats();
     w.field("compile_micros", q.compile_micros)

@@ -581,6 +581,14 @@ fn value_flag_without_a_value_fails_naming_it() {
             "--workers",
         ),
         (vec!["multi", "--xmark", doc, "--out-dir"], "--out-dir"),
+        // A value flag followed by another flag has no value: the next
+        // flag is not taken as a file name.
+        (vec!["run", "-e", q, doc, "--trace", "--stats"], "--trace"),
+        (vec!["run", "-e", q, doc, "--trace"], "--trace"),
+        (
+            vec!["multi", "--xmark", doc, "--out-dir", "--stats"],
+            "--out-dir",
+        ),
         (vec!["trace", "-e", q, doc, "--every"], "--every"),
         (vec!["generate", "1", "--seed"], "--seed"),
     ] {

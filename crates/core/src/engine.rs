@@ -84,9 +84,10 @@ impl CompiledQuery {
         CompiledQuery::compile_opts(text, true)
     }
 
-    /// [`CompiledQuery::compile`] with the plan optimizer switchable
-    /// (`gcx ... --no-opt`); with `optimize` off the executed program is
-    /// the direct lowering.
+    /// [`CompiledQuery::compile`] with the plan optimizer switchable; with
+    /// `optimize` off the executed program is the direct lowering (the
+    /// reference the optimizer and descendant-search differentials hold
+    /// the optimized program to).
     pub fn compile_opts(text: &str, optimize: bool) -> Result<CompiledQuery, EngineError> {
         let started = Instant::now();
         let query = gcx_query::compile(text)?;

@@ -67,7 +67,7 @@ pub struct OptReport {
 
 /// Run the full pass pipeline over a lowered program, returning the
 /// optimized program and the report. The input program is not modified;
-/// callers keep it for `--no-opt` runs and explain diffs.
+/// callers keep it as a differential reference and for explain diffs.
 pub fn optimize(input: &Program) -> (Program, OptReport) {
     let mut p = input.clone();
     let before = p.stats();

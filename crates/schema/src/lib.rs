@@ -685,12 +685,6 @@ impl OrdTable {
         self.n_parents == 0
     }
 
-    /// Does `parent` have a sequenced content model at all?
-    #[inline]
-    pub fn has_parent(&self, parent: Symbol) -> bool {
-        matches!(self.per_parent.get(parent.index()), Some(Some(_)))
-    }
-
     /// The sequence ordinal of a `child` element under `parent`, when the
     /// parent's content model is a pure sequence and the child appears in
     /// it.
@@ -903,7 +897,6 @@ mod tests {
         let email = symbols.get("emailaddress").unwrap();
         assert_eq!(t.ord(person, name), Some(0));
         assert_eq!(t.ord(person, email), Some(1));
-        assert!(t.has_parent(person));
         let site = symbols.get("site").unwrap();
         assert_eq!(t.ord(site, symbols.get("people").unwrap()), Some(3));
         // Unknown pairs answer None.

@@ -128,9 +128,6 @@ pub struct ServerConfig {
     /// client could drive; registering a new name past the cap answers
     /// `429` (replacing an existing name always works).
     pub max_queries: usize,
-    /// Run the plan optimizer on registered queries (`gcx serve
-    /// --no-opt` turns it off; outputs are identical either way).
-    pub optimize: bool,
     /// Default DTD every eval's document is promised to be valid
     /// against (`gcx serve --schema`). A query registered with an
     /// `X-Gcx-Schema` header overrides this per name; `X-Gcx-Schema:
@@ -156,7 +153,6 @@ impl Default for ServerConfig {
             read_timeout: Some(Duration::from_secs(30)),
             max_request_duration: Some(Duration::from_secs(300)),
             max_queries: 1024,
-            optimize: true,
             schema: None,
             admission_class: None,
         }
@@ -634,7 +630,7 @@ fn put_query<R: BufRead, W: Write>(
             return Ok(Outcome::KeepAlive);
         }
     };
-    match CompiledQuery::compile_opts(&text, shared.config.optimize) {
+    match CompiledQuery::compile(&text) {
         Ok(q) => {
             shared.stats.queries_compiled.inc();
             // Static admission: classify against the DTD this name's

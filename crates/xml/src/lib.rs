@@ -7,8 +7,9 @@
 //! * [`PushTokenizer`]: the sans-IO tokenizer core — caller-owned chunks
 //!   in, borrowed [`Token`]s out (start tags with attributes, end tags,
 //!   text, comments, CDATA, processing instructions), with byte-exact
-//!   source positions, entity resolution and optional well-formedness
-//!   enforcement. Suspends at any byte boundary, carrying partial-token
+//!   source positions, entity resolution and well-formedness enforcement
+//!   (balanced tags, one document element, no character data outside it).
+//!   Suspends at any byte boundary, carrying partial-token
 //!   spillover internally, and fast-forwards over a subtree its consumer
 //!   rejected ([`PushTokenizer::skip_element`]).
 //! * [`Tokenizer`]: the pull adapter over that core for any
@@ -53,5 +54,5 @@ pub use push::{PushTokenizer, Skipped, TokenStep};
 pub use scan::{scan_boundaries, Boundary, ScanError, ScanEvent, ScanOutline};
 pub use sym::{FxBuildHasher, FxHasher, SlotTable, Symbol, SymbolTable};
 pub use token::{Attr, Attrs, StartTag, Token};
-pub use tokenizer::{Tokenizer, TokenizerOptions};
+pub use tokenizer::Tokenizer;
 pub use writer::{WriterOptions, XmlWriter};

@@ -17,6 +17,13 @@
 //! network chunks as they arrive. Both observe the exact same token
 //! sequence for the same bytes, however the bytes are split.
 //!
+//! There is one configuration: the tokenizer checks well-formedness as it
+//! goes — tags balance, there is exactly one document element, no
+//! character data stands outside it and no start tag repeats an attribute
+//! — and reports the first violation as an [`XmlError`] at its position.
+//! Its consumers (the open-name stack a search hands over, a skip's
+//! depth, the engine's lanes) rely on that balanced, single-rooted stream.
+//!
 //! ```
 //! use gcx_xml::{PushTokenizer, Token, TokenStep};
 //!
@@ -54,8 +61,8 @@
 //! both `step` and `skip_element` take those through **one** inline
 //! recogniser instead of the general tag parser. It vouches for
 //!
-//! * `</N>`, where `N` spells the innermost open name (with checking off:
-//!   any ASCII name) and `>` follows directly;
+//! * `</N>`, where `N` spells the innermost open name and `>` follows
+//!   directly;
 //! * `<N a="v" b='w'>` and `<N a="v"/>`: ASCII names, exactly one space
 //!   before each attribute, nothing around `=`, either quote, and values
 //!   free of `&`, `<`, `\r`, `\n`, `\t` and bytes ≥ 0x80 — nothing to
@@ -167,7 +174,6 @@ use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::escape::{normalize_attr_into, normalize_newlines_into, normalize_unescape_into};
 use crate::pos::TextPos;
 use crate::token::{AttrSpan, Attrs, StartTag, Token};
-use crate::tokenizer::TokenizerOptions;
 
 /// Outcome of one [`PushTokenizer::step`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,8 +184,8 @@ pub enum TokenStep {
     /// The window ends inside a token (or is empty): feed more bytes, or
     /// declare the end of input with [`PushTokenizer::finish_input`].
     NeedMoreData,
-    /// Clean end of input: every byte was tokenized and (with checking
-    /// enabled) the document is well-formed.
+    /// Clean end of input: every byte was tokenized and the document is
+    /// well-formed.
     End,
 }
 
@@ -313,11 +319,8 @@ pub struct PushTokenizer {
     /// Set by [`PushTokenizer::finish_input`]: no more bytes will arrive.
     eof: bool,
     pos: TextPos,
-    opts: TokenizerOptions,
     /// Open element names: start offsets into `stack_arena`, where the
-    /// (validated, UTF-8) names are stored back-to-back. Kept with
-    /// checking off too — a skip that stops reads the names it leaves
-    /// open off it — but only compared against end tags with checking on.
+    /// (validated, UTF-8) names are stored back-to-back.
     stack: Vec<u32>,
     stack_arena: Vec<u8>,
     seen_root: bool,
@@ -356,20 +359,14 @@ impl Default for PushTokenizer {
 }
 
 impl PushTokenizer {
-    /// Push tokenizer with default options (well-formedness checking on).
+    /// A tokenizer at the start of a document.
     pub fn new() -> PushTokenizer {
-        PushTokenizer::with_options(TokenizerOptions::default())
-    }
-
-    /// Push tokenizer with explicit options.
-    pub fn with_options(opts: TokenizerOptions) -> PushTokenizer {
         PushTokenizer {
             buf: Vec::new(),
             lo: 0,
             hi: 0,
             eof: false,
             pos: TextPos::START,
-            opts,
             // Room for a document 16 deep with names of 8 bytes: deeper
             // or wordier ones grow them.
             stack: Vec::with_capacity(16),
@@ -394,8 +391,7 @@ impl PushTokenizer {
         self.pos
     }
 
-    /// Depth of currently open elements (with checking off, a document
-    /// with stray end tags can make it read low).
+    /// Depth of currently open elements.
     pub fn depth(&self) -> usize {
         self.stack.len()
     }
@@ -587,16 +583,14 @@ impl PushTokenizer {
     /// well-formedness closure. Terminal — later steps report `End`.
     fn end_of_input(&mut self) -> XmlResult<TokenStep> {
         self.done = true;
-        if self.opts.check_well_formed {
-            if !self.stack.is_empty() {
-                return Err(XmlError::new(
-                    XmlErrorKind::UnclosedElements(self.open_names()),
-                    self.pos,
-                ));
-            }
-            if !self.seen_root && !self.opts.allow_fragments {
-                return Err(self.err_eof("document element"));
-            }
+        if !self.stack.is_empty() {
+            return Err(XmlError::new(
+                XmlErrorKind::UnclosedElements(self.open_names()),
+                self.pos,
+            ));
+        }
+        if !self.seen_root {
+            return Err(self.err_eof("document element"));
         }
         Ok(TokenStep::End)
     }
@@ -690,11 +684,7 @@ impl PushTokenizer {
             None => Some(check_utf8(raw, start_pos)?),
         };
         // Outside the document element only whitespace is allowed.
-        if self.opts.check_well_formed
-            && !self.opts.allow_fragments
-            && self.stack.is_empty()
-            && !raw.iter().all(|b| b.is_ascii_whitespace())
-        {
+        if self.stack.is_empty() && !raw.iter().all(|b| b.is_ascii_whitespace()) {
             return Err(XmlError::new(XmlErrorKind::TextOutsideRoot, start_pos));
         }
         // Entity resolution and line-ending normalization share one rewrite
@@ -782,10 +772,7 @@ impl PushTokenizer {
                 let total = end + 3;
                 let raw = check_utf8(&self.buf[self.lo + 9..self.lo + end], start_pos)?;
                 let needs_rewrite = raw.bytes().any(|b| b == b'\r');
-                if self.opts.check_well_formed
-                    && !self.opts.allow_fragments
-                    && self.stack.is_empty()
-                {
+                if self.stack.is_empty() {
                     return Err(XmlError::new(XmlErrorKind::TextOutsideRoot, start_pos));
                 }
                 if needs_rewrite {
@@ -858,29 +845,23 @@ impl PushTokenizer {
                 let body = check_utf8(&self.buf[self.lo + 2..self.lo + end], start_pos)?;
                 let name = body.trim();
                 validate_name(name, start_pos)?;
-                let check = self.opts.check_well_formed;
-                match self.stack.pop() {
-                    None if check => {
-                        return Err(XmlError::new(
-                            XmlErrorKind::UnexpectedEndTag(name.to_string()),
-                            start_pos,
-                        ))
-                    }
-                    None => {}
-                    Some(open_start) => {
-                        let open = &self.stack_arena[open_start as usize..];
-                        if check && open != name.as_bytes() {
-                            return Err(XmlError::new(
-                                XmlErrorKind::MismatchedTag {
-                                    expected: open_name(open).to_string(),
-                                    found: name.to_string(),
-                                },
-                                start_pos,
-                            ));
-                        }
-                        self.stack_arena.truncate(open_start as usize);
-                    }
+                let Some(open_start) = self.stack.pop() else {
+                    return Err(XmlError::new(
+                        XmlErrorKind::UnexpectedEndTag(name.to_string()),
+                        start_pos,
+                    ));
+                };
+                let open = &self.stack_arena[open_start as usize..];
+                if open != name.as_bytes() {
+                    return Err(XmlError::new(
+                        XmlErrorKind::MismatchedTag {
+                            expected: open_name(open).to_string(),
+                            found: name.to_string(),
+                        },
+                        start_pos,
+                    ));
                 }
+                self.stack_arena.truncate(open_start as usize);
                 let lead = body.len() - body.trim_start().len();
                 self.pending = Pending::EndTag {
                     start: self.lo + 2 + lead,
@@ -1094,26 +1075,24 @@ impl PushTokenizer {
         }
 
         // Duplicate attribute check (well-formedness constraint).
-        if self.opts.check_well_formed {
-            for a in 1..self.attr_spans.len() {
-                for b in 0..a {
-                    let (an, bn) = (self.attr_spans[a].name, self.attr_spans[b].name);
-                    if inner[an.0 as usize..an.1 as usize] == inner[bn.0 as usize..bn.1 as usize] {
-                        return Err(XmlError::syntax(
-                            format!(
-                                "duplicate attribute `{}`",
-                                &inner[an.0 as usize..an.1 as usize]
-                            ),
-                            start_pos,
-                        ));
-                    }
+        for a in 1..self.attr_spans.len() {
+            for b in 0..a {
+                let (an, bn) = (self.attr_spans[a].name, self.attr_spans[b].name);
+                if inner[an.0 as usize..an.1 as usize] == inner[bn.0 as usize..bn.1 as usize] {
+                    return Err(XmlError::syntax(
+                        format!(
+                            "duplicate attribute `{}`",
+                            &inner[an.0 as usize..an.1 as usize]
+                        ),
+                        start_pos,
+                    ));
                 }
             }
         }
 
         // Well-formedness: root bookkeeping; and the open-element stack.
-        if self.opts.check_well_formed && self.stack.is_empty() {
-            if self.seen_root && !self.opts.allow_fragments {
+        if self.stack.is_empty() {
+            if self.seen_root {
                 return Err(XmlError::new(XmlErrorKind::TrailingContent, start_pos));
             }
             self.seen_root = true;
@@ -1152,29 +1131,20 @@ impl PushTokenizer {
         if self.hint.is_some() {
             return None;
         }
-        let check = self.opts.check_well_formed;
         let tag = &self.buf[at..self.hi];
         debug_assert_eq!(tag[0], b'<');
         if tag.get(1) == Some(&b'/') {
-            let open = self.stack.last().map(|&open| open as usize);
-            let name_len = if check {
-                // The only end tag that is right here is the innermost
-                // open name's; it was validated when it was pushed.
-                let name = &self.stack_arena[open?..];
-                if !tag[2..].starts_with(name) {
-                    return None;
-                }
-                name.len()
-            } else {
-                ascii_name_len(&tag[2..])
-            };
-            if name_len == 0 || tag.get(2 + name_len) != Some(&b'>') {
+            // The only end tag that is right here is the innermost open
+            // name's; it was validated when it was pushed.
+            let open = *self.stack.last()? as usize;
+            let name_len = self.stack_arena.len() - open;
+            if !tag[2..].starts_with(&self.stack_arena[open..])
+                || tag.get(2 + name_len) != Some(&b'>')
+            {
                 return None;
             }
-            if let Some(open) = open {
-                self.stack.pop();
-                self.stack_arena.truncate(open);
-            }
+            self.stack.pop();
+            self.stack_arena.truncate(open);
             #[cfg(test)]
             {
                 self.plain_hits += 1;
@@ -1183,7 +1153,7 @@ impl PushTokenizer {
         }
         // The document element takes the root bookkeeping of the general
         // path.
-        if check && self.stack.is_empty() {
+        if self.stack.is_empty() {
             return None;
         }
         let name_len = ascii_name_len(&tag[1..]);
@@ -1215,16 +1185,14 @@ impl PushTokenizer {
             });
             i = end + 1;
         };
-        if check {
-            let body = &tag[1..];
-            let name_of = |a: &AttrSpan| &body[a.name.0 as usize..a.name.1 as usize];
-            for (n, a) in self.attr_spans.iter().enumerate().skip(1) {
-                if self.attr_spans[..n]
-                    .iter()
-                    .any(|b| name_of(a) == name_of(b))
-                {
-                    return None;
-                }
+        let body = &tag[1..];
+        let name_of = |a: &AttrSpan| &body[a.name.0 as usize..a.name.1 as usize];
+        for (n, a) in self.attr_spans.iter().enumerate().skip(1) {
+            if self.attr_spans[..n]
+                .iter()
+                .any(|b| name_of(a) == name_of(b))
+            {
+                return None;
             }
         }
         if !self_closing {
@@ -1291,8 +1259,8 @@ impl PushTokenizer {
             }
             if self.avail() == 0 {
                 if self.eof {
-                    // The input ends inside the element: an error with
-                    // checking on, otherwise the end `step` will report.
+                    // The input ends inside the element: the element is
+                    // unclosed.
                     self.skip_open = 0;
                     self.skip_text_start = None;
                     self.end_of_input()?;

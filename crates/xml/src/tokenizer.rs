@@ -30,26 +30,6 @@ use std::io::Read;
 
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Configuration for the tokenizer.
-#[derive(Debug, Clone)]
-pub struct TokenizerOptions {
-    /// Enforce balanced tags, a single document element, and no character
-    /// data outside it. On by default.
-    pub check_well_formed: bool,
-    /// Permit document fragments: multiple top-level elements and top-level
-    /// text. Implies relaxing the single-root rule. Off by default.
-    pub allow_fragments: bool,
-}
-
-impl Default for TokenizerOptions {
-    fn default() -> Self {
-        TokenizerOptions {
-            check_well_formed: true,
-            allow_fragments: false,
-        }
-    }
-}
-
 /// Streaming pull tokenizer over any [`Read`] source. See the
 /// [crate docs](crate) for an example, and [`PushTokenizer`] for the
 /// underlying sans-IO state machine.
@@ -73,15 +53,10 @@ impl<'s> Tokenizer<std::io::Cursor<&'s [u8]>> {
 }
 
 impl<R: Read> Tokenizer<R> {
-    /// Tokenizer with default options (well-formedness checking on).
+    /// Tokenizer over `src`.
     pub fn new(src: R) -> Self {
-        Tokenizer::with_options(src, TokenizerOptions::default())
-    }
-
-    /// Tokenizer with explicit options.
-    pub fn with_options(src: R, opts: TokenizerOptions) -> Self {
         Tokenizer {
-            core: PushTokenizer::with_options(opts),
+            core: PushTokenizer::new(),
             src,
         }
     }
@@ -91,7 +66,7 @@ impl<R: Read> Tokenizer<R> {
         self.core.position()
     }
 
-    /// Depth of currently open elements (well-formedness checking only).
+    /// Depth of currently open elements.
     pub fn depth(&self) -> usize {
         self.core.depth()
     }
@@ -330,20 +305,6 @@ mod tests {
             }
         };
         assert!(matches!(err.kind, K::TrailingContent));
-    }
-
-    #[test]
-    fn fragments_allowed_when_opted_in() {
-        let opts = TokenizerOptions {
-            allow_fragments: true,
-            ..Default::default()
-        };
-        let mut t = Tokenizer::with_options(std::io::Cursor::new(b"<a/>text<b/>".as_slice()), opts);
-        let mut n = 0;
-        while t.next_token().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 3);
     }
 
     #[test]

@@ -251,16 +251,6 @@ impl<W: Write> XmlWriter<W> {
         self.raw(content)?;
         self.raw("-->")
     }
-
-    /// Write pre-escaped markup verbatim. Used by the engine when copying
-    /// buffered subtrees whose serialization is already known to be valid.
-    pub fn raw_markup(&mut self, markup: &str) -> XmlResult<()> {
-        self.seal_tag()?;
-        if let Some((_, c)) = self.stack.last_mut() {
-            c.wrote_text = true;
-        }
-        self.raw(markup)
-    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,10 @@
 //! containing fake tags, CDATA containing end tags, processing
 //! instructions, DOCTYPE internal subsets, entity-encoded angle brackets
 //! in text, `>` and quotes inside attribute values.
+//!
+//! Its seeded generator and case runner are also the workspace's property
+//! testing kit: the root `tests/common` and gcx-query's
+//! `parser_generated.rs` include this file by path.
 
 /// Deterministic generator state (xorshift64*, no external deps).
 pub struct XorShift(pub u64);
@@ -24,6 +28,22 @@ impl XorShift {
 
     pub fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
         options[self.below(options.len())]
+    }
+}
+
+/// Run `cases` cases of a property, each on a generator of its own
+/// derived from `base`; a panicking case names its seed before the panic
+/// goes on, so `XorShift(seed)` replays it alone.
+#[allow(dead_code)] // the suites outside this crate use it
+pub fn for_each_case(base: u64, cases: u64, mut case: impl FnMut(&mut XorShift)) {
+    for i in 0..cases {
+        // Odd: an all-zero xorshift state stays zero.
+        let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+        let run = std::panic::AssertUnwindSafe(|| case(&mut XorShift(seed)));
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!("case {i} of {cases} failed; replay with XorShift({seed:#x})");
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 

@@ -1,11 +1,11 @@
 //! Properties of the tokenizer over the seeded generator's documents
 //! (`common`): what the writer makes of a document's tokens tokenizes back
-//! to the same text, and fragment mode accepts whatever strict mode does.
+//! to the same text.
 
 mod common;
 
 use common::{gen_doc, XorShift};
-use gcx_xml::{Token, Tokenizer, TokenizerOptions, XmlWriter};
+use gcx_xml::{Token, Tokenizer, XmlWriter};
 
 /// The document's text content: every text token, concatenated.
 fn all_text(doc: &str) -> String {
@@ -51,45 +51,4 @@ fn writer_round_trip_preserves_text() {
         texts += usize::from(!text.is_empty());
     }
     assert!(texts > 100, "documents with text: {texts}");
-}
-
-/// Token count of a full validating pass, or `None` on an error.
-fn validate(doc: &[u8], opts: TokenizerOptions) -> Option<u64> {
-    Tokenizer::with_options(doc, opts).validate_to_end().ok()
-}
-
-#[test]
-fn fragment_mode_accepts_what_strict_mode_accepts() {
-    let fragments = TokenizerOptions {
-        allow_fragments: true,
-        ..TokenizerOptions::default()
-    };
-    let mut rng = XorShift(0xF4A6_3E17);
-    let (mut intact, mut damaged) = (0, 0);
-    for _ in 0..300 {
-        let doc = gen_doc(&mut rng).into_bytes();
-        // The document as generated, and with one byte overwritten: where
-        // strict mode still accepts, fragment mode must too, with the same
-        // tokens.
-        let mut bent = doc.clone();
-        let at = rng.below(bent.len());
-        bent[at] = b"<>/ x"[rng.below(5)];
-        for (bytes, count) in [(&doc, &mut intact), (&bent, &mut damaged)] {
-            let Some(strict) = validate(bytes, TokenizerOptions::default()) else {
-                continue;
-            };
-            *count += 1;
-            assert_eq!(
-                validate(bytes, fragments.clone()),
-                Some(strict),
-                "{}",
-                String::from_utf8_lossy(bytes)
-            );
-        }
-    }
-    assert_eq!(intact, 300, "every generated document is well-formed");
-    assert!(
-        damaged > 30,
-        "damaged documents strict mode accepts: {damaged}"
-    );
 }

@@ -9,8 +9,7 @@
 //! charged, the same `position()`, the same token stream afterwards, and
 //! never more bytes held back across a feed. Over every single-byte
 //! corruption and every truncation of those documents the two must return
-//! the identical result — the same error kind at the same position — with
-//! well-formedness checking on and off.
+//! the identical result — the same error kind at the same position.
 //!
 //! The same holds for *searches*, skips that stop at a start tag named in
 //! a stop set or past a depth bound: with stop sets drawn from each
@@ -23,7 +22,7 @@
 mod common;
 
 use common::{gen_doc, XorShift};
-use gcx_xml::{PushTokenizer, TextPos, Token, TokenStep, TokenizerOptions};
+use gcx_xml::{PushTokenizer, TextPos, Token, TokenStep};
 
 /// One thing a run got through.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,13 +58,8 @@ struct Run {
 /// skipping every non-self-closing element for which `skip(ordinal,
 /// depth)` holds — `ordinal` counts non-self-closing start tags that were
 /// stepped, `depth` is the number of open ancestors.
-fn run(
-    doc: &[u8],
-    opts: &TokenizerOptions,
-    chunk: usize,
-    skip: impl Fn(usize, i32) -> bool,
-) -> Run {
-    let mut tok = PushTokenizer::with_options(opts.clone());
+fn run(doc: &[u8], chunk: usize, skip: impl Fn(usize, i32) -> bool) -> Run {
+    let mut tok = PushTokenizer::new();
     let mut out = Run {
         events: Vec::new(),
         result: Ok(()),
@@ -199,52 +193,38 @@ fn assert_same(want: &Run, got: &Run, label: &dyn Fn() -> String) {
     }
 }
 
-fn options() -> [TokenizerOptions; 2] {
-    [
-        TokenizerOptions::default(),
-        TokenizerOptions {
-            check_well_formed: false,
-            allow_fragments: false,
-        },
-    ]
-}
-
 fn chunkings(len: usize) -> [usize; 6] {
     [1, 2, 3, 7, 64, len.max(1)]
 }
 
 /// Every element on its own, then everything at one depth, for every
-/// chunking and both option sets.
+/// chunking.
 fn check_every_element(doc: &[u8]) {
-    for opts in options() {
-        for chunk in chunkings(doc.len()) {
-            let want = run(doc, &opts, chunk, |_, _| false);
-            assert_eq!(want.result, Ok(()), "generated document must tokenize");
-            let elements = want
-                .events
-                .iter()
-                .filter(|e| matches!(e, Event::Token { depth: 1, .. }))
-                .count();
-            for k in 0..elements {
-                let got = run(doc, &opts, chunk, |ordinal, _| ordinal == k);
-                assert_same(&want, &got, &|| {
-                    format!(
-                        "element {k}, chunk {chunk}, check {}:\n{}",
-                        opts.check_well_formed,
-                        String::from_utf8_lossy(doc)
-                    )
-                });
-            }
-            for level in 0..4 {
-                let got = run(doc, &opts, chunk, |_, depth| depth == level);
-                assert_same(&want, &got, &|| {
-                    format!(
-                        "depth {level}, chunk {chunk}, check {}:\n{}",
-                        opts.check_well_formed,
-                        String::from_utf8_lossy(doc)
-                    )
-                });
-            }
+    for chunk in chunkings(doc.len()) {
+        let want = run(doc, chunk, |_, _| false);
+        assert_eq!(want.result, Ok(()), "generated document must tokenize");
+        let elements = want
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::Token { depth: 1, .. }))
+            .count();
+        for k in 0..elements {
+            let got = run(doc, chunk, |ordinal, _| ordinal == k);
+            assert_same(&want, &got, &|| {
+                format!(
+                    "element {k}, chunk {chunk}:\n{}",
+                    String::from_utf8_lossy(doc)
+                )
+            });
+        }
+        for level in 0..4 {
+            let got = run(doc, chunk, |_, depth| depth == level);
+            assert_same(&want, &got, &|| {
+                format!(
+                    "depth {level}, chunk {chunk}:\n{}",
+                    String::from_utf8_lossy(doc)
+                )
+            });
         }
     }
 }
@@ -274,11 +254,10 @@ fn skip_equals_stepping_across_a_large_xmark_document() {
     let size = if cfg!(miri) { 8 * 1024 } else { 512 * 1024 };
     let doc = gcx_xmark::generate_string(&gcx_xmark::XmarkConfig::sized(size));
     let doc = doc.as_bytes();
-    let opts = TokenizerOptions::default();
     for chunk in [61, 4096, doc.len()] {
-        let want = run(doc, &opts, chunk, |_, _| false);
+        let want = run(doc, chunk, |_, _| false);
         for level in 0..5 {
-            let got = run(doc, &opts, chunk, |_, depth| depth == level);
+            let got = run(doc, chunk, |_, depth| depth == level);
             assert_same(&want, &got, &|| format!("depth {level}, chunk {chunk}"));
         }
     }
@@ -293,19 +272,16 @@ const CORRUPTIONS: &[u8] = b"<>&/\"' =!?-]1x\x80\xff";
 /// at every depth must agree, whatever they are.
 fn check_damaged(doc: &[u8], finish_at: usize, chunk: usize, what: &dyn Fn() -> String) {
     let doc = &doc[..finish_at];
-    for opts in options() {
-        let want = run(doc, &opts, chunk, |_, _| false);
-        for level in 0..3 {
-            let got = run(doc, &opts, chunk, |_, depth| depth == level);
-            assert_same(&want, &got, &|| {
-                format!(
-                    "{}, skipping at depth {level}, chunk {chunk}, check {}:\n{}",
-                    what(),
-                    opts.check_well_formed,
-                    String::from_utf8_lossy(doc)
-                )
-            });
-        }
+    let want = run(doc, chunk, |_, _| false);
+    for level in 0..3 {
+        let got = run(doc, chunk, |_, depth| depth == level);
+        assert_same(&want, &got, &|| {
+            format!(
+                "{}, skipping at depth {level}, chunk {chunk}:\n{}",
+                what(),
+                String::from_utf8_lossy(doc)
+            )
+        });
     }
 }
 
@@ -423,13 +399,12 @@ type Search<'a> = (&'a [&'a str], usize);
 /// ending the search where it should end.
 fn run_search(
     doc: &[u8],
-    opts: &TokenizerOptions,
     chunk: usize,
     (stops, max_open): Search<'_>,
     level: usize,
     by_skip: bool,
 ) -> SearchRun {
-    let mut tok = PushTokenizer::with_options(opts.clone());
+    let mut tok = PushTokenizer::new();
     let mut out = SearchRun {
         seen: Vec::new(),
         result: Ok(()),
@@ -646,40 +621,37 @@ impl StopNames {
 }
 
 /// Searches from depths 1 to 3 with every stop set, and one bounded to a
-/// single open element, at every chunking and both option sets. Counts
-/// the searches by how they ended into `ends`.
+/// single open element, at every chunking. Counts the searches by how
+/// they ended into `ends`.
 fn check_every_search(doc: &[u8], ends: &mut Vec<(&'static str, usize)>) {
     let names = StopNames::of(doc);
-    for opts in options() {
-        for chunk in chunkings(doc.len()) {
-            let sets = names.sets(chunk);
-            let searches = sets
-                .iter()
-                .map(|stops| (&stops[..], usize::MAX))
-                .chain([(&sets[1][..], 1)]);
-            for search in searches {
-                for level in 1..4 {
-                    let want = run_search(doc, &opts, chunk, search, level, false);
-                    assert_eq!(want.result, Ok(()), "generated document must tokenize");
-                    let got = run_search(doc, &opts, chunk, search, level, true);
-                    for seen in &got.seen {
-                        if let Seen::Search { end, .. } = seen {
-                            match ends.iter_mut().find(|(e, _)| e == end) {
-                                Some((_, n)) => *n += 1,
-                                None => ends.push((end, 1)),
-                            }
+    for chunk in chunkings(doc.len()) {
+        let sets = names.sets(chunk);
+        let searches = sets
+            .iter()
+            .map(|stops| (&stops[..], usize::MAX))
+            .chain([(&sets[1][..], 1)]);
+        for search in searches {
+            for level in 1..4 {
+                let want = run_search(doc, chunk, search, level, false);
+                assert_eq!(want.result, Ok(()), "generated document must tokenize");
+                let got = run_search(doc, chunk, search, level, true);
+                for seen in &got.seen {
+                    if let Seen::Search { end, .. } = seen {
+                        match ends.iter_mut().find(|(e, _)| e == end) {
+                            Some((_, n)) => *n += 1,
+                            None => ends.push((end, 1)),
                         }
                     }
-                    assert_same_search(&want, &got, &|| {
-                        format!(
-                            "stops {:?} bound {}, depth {level}, chunk {chunk}, check {}:\n{}",
-                            search.0,
-                            search.1,
-                            opts.check_well_formed,
-                            String::from_utf8_lossy(doc)
-                        )
-                    });
                 }
+                assert_same_search(&want, &got, &|| {
+                    format!(
+                        "stops {:?} bound {}, depth {level}, chunk {chunk}:\n{}",
+                        search.0,
+                        search.1,
+                        String::from_utf8_lossy(doc)
+                    )
+                });
             }
         }
     }
@@ -693,7 +665,12 @@ fn searches_equal_stepping_on_generated_and_xmark_documents() {
     for _ in 0..rounds {
         check_every_search(gen_doc(&mut rng).as_bytes(), &mut ends);
     }
-    let sizes: &[u64] = if cfg!(miri) { &[1024] } else { &[4096, 6000] };
+    // Four XMark documents: depth-bounded searches end mostly in them.
+    let sizes: &[u64] = if cfg!(miri) {
+        &[1024]
+    } else {
+        &[4096, 6000, 4096, 6000]
+    };
     for (i, &size) in sizes.iter().enumerate() {
         let mut cfg = gcx_xmark::XmarkConfig::sized(size);
         cfg.seed = 7 + i as u64;
@@ -721,21 +698,18 @@ fn searches_and_stepping_agree_on_every_corruption_and_truncation() {
             let mut damaged = doc.to_vec();
             damaged[at] = byte;
             for (doc, what) in [(&doc[..at], "truncated"), (&damaged[..], "corrupted")] {
-                for opts in options() {
-                    for stops in &sets {
-                        for level in 1..3 {
-                            let search = (&stops[..], usize::MAX);
-                            let want = run_search(doc, &opts, chunk, search, level, false);
-                            let got = run_search(doc, &opts, chunk, search, level, true);
-                            assert_same_search(&want, &got, &|| {
-                                format!(
-                                    "{what} at {at} ({byte:#04x}), stops {stops:?}, depth \
-                                     {level}, chunk {chunk}, check {}:\n{}",
-                                    opts.check_well_formed,
-                                    String::from_utf8_lossy(doc)
-                                )
-                            });
-                        }
+                for stops in &sets {
+                    for level in 1..3 {
+                        let search = (&stops[..], usize::MAX);
+                        let want = run_search(doc, chunk, search, level, false);
+                        let got = run_search(doc, chunk, search, level, true);
+                        assert_same_search(&want, &got, &|| {
+                            format!(
+                                "{what} at {at} ({byte:#04x}), stops {stops:?}, depth \
+                                 {level}, chunk {chunk}:\n{}",
+                                String::from_utf8_lossy(doc)
+                            )
+                        });
                     }
                 }
             }

@@ -11,15 +11,14 @@
 //! names, attribute names and values in order, `self_closing` — the same
 //! `position()` and `depth()` after every token, and over every
 //! truncation and every single-byte corruption the identical result, the
-//! same error kind at the same position, with well-formedness checking on
-//! and off. (That the one-byte reference takes no recogniser hit and the
-//! whole feed does is asserted next to the counter, in `push.rs`'s own
-//! tests.)
+//! same error kind at the same position. (That the one-byte reference
+//! takes no recogniser hit and the whole feed does is asserted next to the
+//! counter, in `push.rs`'s own tests.)
 
 mod common;
 
 use common::{gen_doc, XorShift};
-use gcx_xml::{PushTokenizer, TextPos, TokenStep, TokenizerOptions};
+use gcx_xml::{PushTokenizer, TextPos, TokenStep};
 
 /// A whole run: every token's rendering with the position and depth
 /// behind it, and how the run ended (`Err` = error kind's rendering and
@@ -31,8 +30,8 @@ struct Run {
 }
 
 /// Tokenize `doc`, fed `chunk` bytes whenever the tokenizer asks for more.
-fn run(doc: &[u8], opts: &TokenizerOptions, chunk: usize) -> Run {
-    let mut tok = PushTokenizer::with_options(opts.clone());
+fn run(doc: &[u8], chunk: usize) -> Run {
+    let mut tok = PushTokenizer::new();
     let mut chunks = doc.chunks(chunk);
     let mut tokens = Vec::new();
     let result = loop {
@@ -51,34 +50,20 @@ fn run(doc: &[u8], opts: &TokenizerOptions, chunk: usize) -> Run {
     Run { tokens, result }
 }
 
-fn options() -> [TokenizerOptions; 2] {
-    [
-        TokenizerOptions::default(),
-        TokenizerOptions {
-            check_well_formed: false,
-            allow_fragments: false,
-        },
-    ]
-}
-
 /// Every chunking of `doc` against the one-byte reference; returns the
-/// reference with checking on.
+/// reference.
 fn check(doc: &[u8], what: &dyn Fn() -> String) -> Run {
-    let [checked, _] = options().map(|opts| {
-        let want = run(doc, &opts, 1);
-        for chunk in [2, 3, 7, 64, doc.len().max(1)] {
-            assert_eq!(
-                run(doc, &opts, chunk),
-                want,
-                "{}, chunk {chunk}, check {}:\n{}",
-                what(),
-                opts.check_well_formed,
-                String::from_utf8_lossy(doc)
-            );
-        }
-        want
-    });
-    checked
+    let want = run(doc, 1);
+    for chunk in [2, 3, 7, 64, doc.len().max(1)] {
+        assert_eq!(
+            run(doc, chunk),
+            want,
+            "{}, chunk {chunk}:\n{}",
+            what(),
+            String::from_utf8_lossy(doc)
+        );
+    }
+    want
 }
 
 /// Bytes a corruption writes: markup delimiters, the entity opener, both

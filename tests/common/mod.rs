@@ -12,7 +12,7 @@ use gcx::CompiledQuery;
 use std::sync::Arc;
 
 #[path = "../../crates/xml/tests/common/mod.rs"]
-mod generated;
+pub mod generated;
 use generated::{gen_doc, XorShift};
 
 /// An XMark document of about `kb` KiB.
