@@ -547,7 +547,7 @@ impl IrVisitor for Classifier<'_> {
                 self.binding(p, path, &name, ctx);
                 true
             }
-            Instr::OutputPath(path) => {
+            Instr::OutputPath { path, .. } => {
                 self.emission(p, path, ctx);
                 true
             }

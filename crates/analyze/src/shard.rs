@@ -209,7 +209,7 @@ fn analyze_inner(p: &Program) -> AResult<ShardPlan> {
                 });
                 cur = content;
             }
-            Instr::For { .. } | Instr::OutputPath(_) | Instr::Aggregate { .. } => break cur,
+            Instr::For { .. } | Instr::OutputPath { .. } | Instr::Aggregate { .. } => break cur,
             Instr::Nop | Instr::SignOff { .. } => return Err("the query emits nothing dynamic"),
             Instr::Text(_) => return Err("static text at the query root"),
             Instr::If { .. } => return Err("a top-level conditional over the whole document"),
@@ -225,7 +225,7 @@ fn analyze_inner(p: &Program) -> AResult<ShardPlan> {
                 guards,
             })
         }
-        Instr::OutputPath(path) => {
+        Instr::OutputPath { path, .. } => {
             let guard = root_guard(p, path)?;
             Ok(ShardPlan {
                 mode: ShardMode::Concat,

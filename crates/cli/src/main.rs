@@ -121,7 +121,8 @@ it did under `opt_passes` / `instructions_before` /
 `instructions_after`.
 
 `explain` prints the full compilation report: projection paths and
-roles, the rewritten query with signOff statements, the unoptimized
+roles, the rewritten query with signOff statements, where each role
+is signed off (the end of which loop body, or query end), the unoptimized
 gcx-ir program listing (instructions, conditions, path plans, step
 table), the optimizer's per-pass rewrite summary with before/after
 cost estimates, the optimized program the engine executes, and the

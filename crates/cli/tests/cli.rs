@@ -481,6 +481,62 @@ fn run_respects_max_buffer_bytes() {
 }
 
 #[test]
+fn a_copy_streams_through_a_budget_that_a_double_copy_exceeds() {
+    // The identity copy is written as the document streams in: it holds
+    // the document element alone and fits a 1 MiB budget over a document
+    // of 4 MiB, with the output of the unbudgeted run.
+    let doc = std::env::temp_dir().join(format!("gcx-cli-copy-{}.xml", std::process::id()));
+    let out = gcx_bin()
+        .args(["generate", "4"])
+        .arg(&doc)
+        .args(["--seed", "42"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let run = |budget: Option<&str>| {
+        let mut cmd = gcx_bin();
+        cmd.args(["run", "-e", "for $s in /site return $s"])
+            .arg(&doc);
+        if let Some(budget) = budget {
+            cmd.args(["--max-buffer-bytes", budget]);
+        }
+        cmd.output().unwrap()
+    };
+    let (free, capped) = (run(None), run(Some("1m")));
+    assert!(
+        capped.status.success(),
+        "{}",
+        String::from_utf8_lossy(&capped.stderr)
+    );
+    assert!(free.stdout.len() > 3_000_000);
+    assert!(
+        free.stdout == capped.stdout,
+        "the budget changed the output"
+    );
+    std::fs::remove_file(&doc).ok();
+
+    // A second copy of the same element needs every descendant buffered:
+    // 100 000 nested elements cross 64 KiB, and the run fails typed.
+    let depth = 100_000;
+    let deep = write_temp(
+        "deep-copy.xml",
+        &format!("{}{}", "<x>".repeat(depth), "</x>".repeat(depth)),
+    );
+    let out = gcx_bin()
+        .args(["run", "-e", "for $x in /x return ($x, $x)"])
+        .arg(&deep)
+        .args(["--max-buffer-bytes", "64k"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("buffer limit exceeded"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn multi_respects_max_buffer_bytes_per_query() {
     let doc = write_temp("mcap.xml", "<l><i>1</i><i>2</i></l>");
     let batch = write_temp("mcap.xq", "for $i in /l/i return $i/text()\n");
@@ -814,10 +870,12 @@ fn sample_stats_json() -> [String; 3] {
     assert!(run.status.success());
 
     // One query stays under the buffer budget (succeeds, report + obs),
-    // the root copy blows past it (runtime failure, `error`), so both
-    // per_query shapes are exercised. The batch exits nonzero but the
+    // the double root copy blows past it (runtime failure, `error`), so
+    // both per_query shapes are exercised. The batch exits nonzero but the
     // stats JSON is printed either way. Peaks are deterministic: the
-    // text() query tops out at 264 bytes, the root copy needs 456.
+    // text() query tops out at 264 bytes; the second copy of the root
+    // needs every node buffered, 456 bytes (a single copy is written
+    // through as it arrives and holds the root alone).
     let mdoc = write_temp(
         "schema-m.xml",
         "<l><i>aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa</i>\
@@ -825,7 +883,7 @@ fn sample_stats_json() -> [String; 3] {
     );
     let batch = write_temp(
         "schema.xq",
-        "%% a\nfor $i in /l/i return $i/text()\n%% b\nfor $x in /l return $x\n",
+        "%% a\nfor $i in /l/i return $i/text()\n%% b\nfor $x in /l return ($x, $x)\n",
     );
     let multi = gcx_bin()
         .arg("multi")

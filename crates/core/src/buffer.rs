@@ -1527,8 +1527,11 @@ impl BufferTree {
         Ok(true)
     }
 
-    /// Serialize the subtree rooted at `id` (which must be closed) to a
-    /// writer. The virtual root serializes its children only.
+    /// Serialize the subtree rooted at `id` to a writer: all of it when
+    /// `id` is closed; of an open node the part that has arrived — closed
+    /// children whole, the open path's start tags with their attributes —
+    /// leaving the open elements open on the writer for the rest to
+    /// follow. The virtual root serializes its children only.
     pub fn serialize<W: std::io::Write>(
         &self,
         id: NodeId,
@@ -1545,19 +1548,28 @@ impl BufferTree {
             cur = NIL;
             if self.serialize_open(s, symbols, w)? {
                 cur = s.first_child;
-                if cur == NIL {
+                if cur == NIL && s.flags & CLOSED != 0 {
                     w.end_element()?; // childless element
                 }
             }
-            if cur == NIL {
-                let left;
-                (cur, left) = self.next_or_ascend(s, id.idx);
-                for _ in 0..left {
-                    w.end_element()?;
+            // Climb out of what is done, closing the closed elements left
+            // on the way (an open one is the last of its parent's children,
+            // so no sibling follows it yet).
+            let mut at = s;
+            while cur == NIL {
+                if at.next_sibling != NIL {
+                    cur = at.next_sibling;
+                } else if at.parent == id.idx {
+                    break;
+                } else {
+                    at = self.slot(at.parent);
+                    if at.flags & CLOSED != 0 {
+                        w.end_element()?;
+                    }
                 }
             }
         }
-        if id != NodeId::ROOT {
+        if id != NodeId::ROOT && top.flags & CLOSED != 0 {
             w.end_element()?;
         }
         Ok(())
@@ -2105,6 +2117,34 @@ mod tests {
     }
 
     #[test]
+    fn an_open_subtree_serializes_what_has_arrived() {
+        // <a x="1"><b>t</b><c><d/>… with a and c still open: closed
+        // children whole, the open path's start tags left open, so that
+        // the rest can follow on the same writer.
+        let mut symbols = SymbolTable::new();
+        let [a, b_, c, d, x] = ["a", "b", "c", "d", "x"].map(|n| symbols.intern(n));
+        let mut b = BufferTree::new(true);
+        let mut attrs = AttrBuf::new();
+        attrs.push(x, "1");
+        let r = &[(RoleId(0), 1)][..];
+        let na = b.append_element_with_attrs(NodeId::ROOT, a, &mut attrs, r, Ordinals::FIRST);
+        let nb = b.append_element(na, b_, r, Ordinals::FIRST);
+        b.append_text(nb, "t", r, Ordinals::FIRST);
+        b.close(nb);
+        let nc = b.append_element(na, c, r, Ordinals::FIRST);
+        let nd = b.append_element(nc, d, r, Ordinals::FIRST);
+        b.close(nd);
+        let mut w = XmlWriter::new(Vec::new());
+        b.serialize(na, &symbols, &mut w).unwrap();
+        assert_eq!(w.depth(), 2);
+        w.text("u").unwrap();
+        w.end_element().unwrap();
+        w.end_element().unwrap();
+        let out = String::from_utf8(w.finish().unwrap()).unwrap();
+        assert_eq!(out, "<a x=\"1\"><b>t</b><c><d/>u</c></a>");
+    }
+
+    #[test]
     fn deep_chain_serializes_and_values_iteratively() {
         // 200k nested elements: recursive walks would overflow the stack.
         // (Shrunk under Miri — the iterative shape is what is under test,
@@ -2121,6 +2161,18 @@ mod tests {
         let mut s = String::new();
         b.string_value(b.first_child(NodeId::ROOT).unwrap(), &mut s);
         assert_eq!(s, "bottom");
+        // Open, the chain serializes as far as it has arrived and stays
+        // open on the writer.
+        let mut w = XmlWriter::new(Vec::new());
+        b.serialize(NodeId::ROOT, &symbols, &mut w).unwrap();
+        assert_eq!(w.depth() as u32, DEPTH);
+        assert_eq!(w.get_ref().len() as u32, DEPTH * 3 + 6);
+        // Closed, it serializes whole.
+        let mut open = parent;
+        while open != NodeId::ROOT {
+            b.close(open);
+            open = b.parent(open).unwrap();
+        }
         let mut w = XmlWriter::new(Vec::new());
         b.serialize(NodeId::ROOT, &symbols, &mut w).unwrap();
         let out = w.finish().unwrap();

@@ -168,6 +168,21 @@ impl CompiledQuery {
         out.push_str("\n== Rewritten query with signOff statements ==\n");
         out.push_str(&self.analysis.rewritten.to_string());
         out.push('\n');
+        out.push_str("\n== signOff anchors ==\n");
+        for role in self.analysis.roles.iter() {
+            let anchor = match role.anchor {
+                gcx_projection::Anchor::Var(v) => {
+                    format!("end of ${}'s loop body", self.query.var_names[v.index()])
+                }
+                gcx_projection::Anchor::QueryEnd => "query end".to_string(),
+            };
+            out.push_str(&format!(
+                "{}: {:<55} [{}] signed off at {anchor}\n",
+                role.id,
+                role.path_display(),
+                role.origin
+            ));
+        }
         out.push_str("\n== Compiled program (gcx-ir, unoptimized) ==\n");
         // The direct lowering is not kept on the artifact: redo it.
         out.push_str(&Program::compile(&self.query, &self.analysis).listing());
@@ -225,6 +240,14 @@ impl EngineMode {
     /// The buffer may reclaim dead subtrees at all.
     pub fn purges(self) -> bool {
         self != EngineMode::FullBuffering
+    }
+
+    /// An element copied while it is still open streams to the writer,
+    /// and what only the copy needs is not buffered (see
+    /// [`Lane`](crate::Lane)). The paper's system only: the baseline modes
+    /// keep buffering and serializing whole subtrees.
+    pub fn writes_through(self) -> bool {
+        self == EngineMode::Gcx
     }
 }
 

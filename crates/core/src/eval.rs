@@ -5,8 +5,8 @@
 //! **sans-IO state machine**, not a blocking recursion. The control state
 //! lives in an explicit continuation stack of [`Task`]s; whenever the
 //! machine needs data that is not yet buffered — the next node of a
-//! for-loop, the witness of an `exists`, the closing tag of a subtree
-//! about to be emitted — [`Vm::resume`] returns [`VmStatus::NeedInput`]
+//! for-loop, the witness of an `exists`, the end tag of a subtree
+//! being emitted — [`Vm::resume`] returns [`VmStatus::NeedInput`]
 //! with every suspended loop frozen in place. The driver (the push-based
 //! [`EvalSession`](crate::EvalSession) as chunks arrive, or a batch
 //! [`Lane`](crate::Lane) as the shared scan delivers its events) applies
@@ -107,10 +107,11 @@ enum Task {
         role: RoleId,
         body: InstrId,
     },
-    /// An output path mid-iteration.
-    OutputLoop { attr: AttrPlan },
-    /// Wait for `node`'s end tag, then serialize its subtree.
-    EmitClosed(NodeId),
+    /// An output path mid-iteration; `role` is the one its copies'
+    /// descendants carry.
+    OutputLoop { attr: AttrPlan, role: RoleId },
+    /// Emit `node`'s subtree (see [`Vm::emit`]).
+    Emit { node: NodeId, role: RoleId },
     /// Evaluate a condition, pushing its result on the bool stack.
     Cond(CondId),
     /// Negate the bool on top of the stack.
@@ -186,7 +187,7 @@ const TASK_KIND_NAMES: [&str; 26] = [
     "IfBranch",
     "ForLoop",
     "OutputLoop",
-    "EmitClosed",
+    "Emit",
     "Cond",
     "NotFinish",
     "AndRhs",
@@ -217,7 +218,7 @@ fn task_kind(t: &Task) -> usize {
         Task::IfBranch { .. } => 3,
         Task::ForLoop { .. } => 4,
         Task::OutputLoop { .. } => 5,
-        Task::EmitClosed(_) => 6,
+        Task::Emit { .. } => 6,
         Task::Cond(_) => 7,
         Task::NotFinish => 8,
         Task::AndRhs(_) => 9,
@@ -289,6 +290,17 @@ pub(crate) enum Wait {
     ClosedOrExhausted { node: NodeId, want: Symbol },
     /// Draining to end of input (query-end signOff anchor).
     Eof,
+}
+
+/// Where a copy stands while its element is still open: the evaluator has
+/// written what of `node`'s subtree was buffered and waits for its end tag;
+/// the lane writes the rest as it arrives (see [`Lane`](crate::Lane)).
+/// Every descendant of `node` carries `role` once — the copy's own role —
+/// and one that carries nothing else need not enter the buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frontier {
+    pub(crate) node: NodeId,
+    pub(crate) role: RoleId,
 }
 
 /// Which lifecycle stage a [`JoinState`] is in.
@@ -378,6 +390,12 @@ pub(crate) struct Vm {
     /// The compiled program being executed (shared, immutable).
     program: Arc<Program>,
     pub execute_signoffs: bool,
+    /// Hand an open element's copy to the lane ([`Frontier`]) rather than
+    /// wait for its end tag and serialize it from the buffer.
+    write_through: bool,
+    /// The frontier the last suspension handed over, until the lane takes
+    /// it.
+    frontier: Option<Frontier>,
     /// The continuation stack; empty = program complete.
     tasks: Vec<Task>,
     /// Live path cursors, LIFO-parallel to the cursor-owning loop frames
@@ -413,7 +431,7 @@ pub(crate) struct Vm {
 }
 
 impl Vm {
-    pub(crate) fn new(program: Arc<Program>, execute_signoffs: bool) -> Vm {
+    pub(crate) fn new(program: Arc<Program>, execute_signoffs: bool, write_through: bool) -> Vm {
         let env = vec![None; program.n_vars()];
         let root = program.root();
         let joins = (0..program.join_count())
@@ -426,6 +444,8 @@ impl Vm {
         Vm {
             program,
             execute_signoffs,
+            write_through,
+            frontier: None,
             tasks,
             cursors: Vec::new(),
             bools: Vec::new(),
@@ -475,6 +495,12 @@ impl Vm {
             .collect();
         v.sort_by(|a, b| b.nanos.cmp(&a.nanos).then(a.name.cmp(b.name)));
         v
+    }
+
+    /// The copy frontier the machine suspended at, if it did: the lane
+    /// writes the element's subtree from here on.
+    pub(crate) fn take_frontier(&mut self) -> Option<Frontier> {
+        self.frontier.take()
     }
 
     /// Tell the machine no further stream events will arrive. Blocked
@@ -699,7 +725,7 @@ impl Vm {
                 // The match-heavy loops (output, exists, collect) iterate
                 // internally and only touch the task stack when they block
                 // or schedule sub-work: a match costs no frame moves.
-                Task::OutputLoop { attr } => loop {
+                Task::OutputLoop { attr, role } => loop {
                     let cursor = self.cursors.last_mut().expect("output cursor");
                     match cursor.advance(buf, self.program.steps()) {
                         CursorState::Match(n) => match attr {
@@ -707,11 +733,11 @@ impl Vm {
                                 if let Some(content) = buf.text_content(n) {
                                     out.text(content)?;
                                 } else {
-                                    // Elements are emitted whole: wait for
-                                    // the subtree to finish streaming, then
-                                    // serialize it from the buffer.
-                                    self.tasks.push(Task::OutputLoop { attr });
-                                    self.tasks.push(Task::EmitClosed(n));
+                                    // An element is emitted from the moment
+                                    // it is matched: what has arrived now,
+                                    // the rest as it streams in.
+                                    self.tasks.push(Task::OutputLoop { attr, role });
+                                    self.tasks.push(Task::Emit { node: n, role });
                                     break;
                                 }
                             }
@@ -730,7 +756,7 @@ impl Vm {
                             }
                         },
                         CursorState::NeedInput => {
-                            self.tasks.push(Task::OutputLoop { attr });
+                            self.tasks.push(Task::OutputLoop { attr, role });
                             return self.need_input_cursor();
                         }
                         CursorState::Done => {
@@ -739,12 +765,9 @@ impl Vm {
                         }
                     }
                 },
-                Task::EmitClosed(n) => {
-                    if buf.is_closed(n) {
-                        buf.serialize(n, symbols, out)?;
-                    } else {
-                        self.tasks.push(Task::EmitClosed(n));
-                        return self.need_input(Wait::Closed(n));
+                Task::Emit { node, role } => {
+                    if let Some(wait) = self.emit(node, role, buf, symbols, out)? {
+                        return self.need_input(wait);
                     }
                 }
                 Task::Cond(id) => self.exec_cond(id, buf)?,
@@ -1143,10 +1166,10 @@ impl Vm {
                 self.open_cursor(path, buf)?;
                 self.tasks.push(Task::ForLoop { var, role, body });
             }
-            Instr::OutputPath(p) => {
-                let attr = self.program.path(p).attr;
-                self.open_cursor(p, buf)?;
-                self.tasks.push(Task::OutputLoop { attr });
+            Instr::OutputPath { path, role } => {
+                let attr = self.program.path(path).attr;
+                self.open_cursor(path, buf)?;
+                self.tasks.push(Task::OutputLoop { attr, role });
             }
             Instr::Aggregate { func, path } => {
                 let attr = self.program.path(path).attr;
@@ -1250,6 +1273,38 @@ impl Vm {
             }
         }
         Ok(())
+    }
+
+    /// The one emission routine: write `node`'s subtree, returning what to
+    /// wait for if it is not all written yet. A closed node is serialized
+    /// from the buffer. Of an open one, what has arrived is written at
+    /// once — start tags and attributes of the open path, closed children
+    /// whole — and the rest is handed to the lane as a [`Frontier`]: the
+    /// machine then only waits for the end tag, which the lane writes
+    /// too. Without write-through (the baseline modes) an open node is
+    /// waited for and serialized whole.
+    fn emit<W: Write>(
+        &mut self,
+        node: NodeId,
+        role: RoleId,
+        buf: &BufferTree,
+        symbols: &SymbolTable,
+        out: &mut XmlWriter<W>,
+    ) -> Result<Option<Wait>, EngineError> {
+        if buf.is_closed(node) {
+            buf.serialize(node, symbols, out)?;
+            return Ok(None);
+        }
+        // (The virtual root has no end tag for the lane to see: `/` is
+        // serialized at the end of input, as before.)
+        if self.write_through && node != NodeId::ROOT {
+            buf.serialize(node, symbols, out)?;
+            self.frontier = Some(Frontier { node, role });
+            self.tasks.push(Task::WaitClosed(node));
+        } else {
+            self.tasks.push(Task::Emit { node, role });
+        }
+        Ok(Some(Wait::Closed(node)))
     }
 
     /// Dispatch one condition node onto the stacks.

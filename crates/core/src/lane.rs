@@ -4,10 +4,10 @@
 use crate::buffer::{AttrBuf, BufferStats, BufferTree, NodeId, Ordinals, SLOT_BYTES};
 use crate::engine::{CompiledQuery, EngineMode, RunReport, SchemaPlan, SchemaReport};
 use crate::error::EngineError;
-use crate::eval::{Vm, VmStatus};
+use crate::eval::{Frontier, Vm, VmStatus};
 use crate::obs::FeedSpan;
 use gcx_query::ast::RoleId;
-use gcx_xml::{StartTag, Symbol, SymbolTable, WriterOptions, XmlWriter};
+use gcx_xml::{Attrs, StartTag, Symbol, SymbolTable, Token, WriterOptions, XmlWriter};
 use std::sync::Arc;
 
 /// What the driver's scan contributes to a lane's [`RunReport`].
@@ -145,6 +145,18 @@ pub enum Keep<'a> {
 }
 
 impl<'a> Keep<'a> {
+    /// Under a copy frontier: a node whose only role instance is the
+    /// copy's own has been written and is needed no further — an element
+    /// waits on the pending chain like a speculative one, in case a
+    /// descendant earns another role.
+    #[inline]
+    fn under(self, frontier: Frontier) -> Keep<'a> {
+        match self {
+            Keep::Roles(roles) if only(roles, frontier) => Keep::Speculative,
+            keep => keep,
+        }
+    }
+
     /// The decision of a *projecting* driver from its matcher's verdict:
     /// `matched` is the matcher's keep flag, `roles` the role instances it
     /// assigned.
@@ -219,6 +231,24 @@ enum Health {
 /// the siblings the lane was shown. Nothing can tell: a step that could
 /// select them by position would have stopped the search.
 ///
+/// ## Write-through, and the chain under a copy
+///
+/// When the evaluator emits an element that is still open, it writes what
+/// has arrived of it and hands the lane a *copy frontier* (the element and
+/// the role its copy's descendants carry), then only waits for the end
+/// tag. From then on the lane writes every node of the element's subtree
+/// as it arrives — start tag with attributes, text, end tag — and buffers
+/// a node only if it carries a role besides the copy's single instance: a
+/// node holding nothing else is written and not appended, an element of
+/// that kind going on the pending chain as a speculative one does. So a
+/// descendant that earns another role (a nested `//item`, `$a/bidder[1]`
+/// beside `$a`) is still appended under its role-less ancestors, and
+/// every node is written once. The element's own end tag ends the copy.
+/// A driver may also pass a stretch of the subtree through
+/// [`Lane::write_through`] without deciding anything (a session's copy
+/// pass), and open the elements it leaves open with
+/// [`Lane::open_copied`].
+///
 /// The chain is O(document depth), like the tokenizer's open-tag stack,
 /// and lives outside the buffer's *reporting*: it shows in a run's heap
 /// high-water, not in `peak_live_bytes`. It is inside the byte *budget*:
@@ -252,6 +282,8 @@ pub struct Lane {
     child_names: Vec<(Symbol, u32)>,
     /// Structural tokens the driver charged to this lane ([`Lane::tick`]).
     clock: u64,
+    /// The copy the evaluator waits at the frontier of (see above).
+    frontier: Option<Frontier>,
     /// An event changed the buffer or a schema cutoff since the last
     /// [`Lane::step`] (or no step has run yet).
     touched: bool,
@@ -276,7 +308,11 @@ impl Lane {
     ) -> Lane {
         let mut buf = BufferTree::new(mode.purges());
         buf.set_max_bytes(max_buffer_bytes);
-        let mut vm = Vm::new(Arc::clone(&q.program), mode.executes_signoffs());
+        let mut vm = Vm::new(
+            Arc::clone(&q.program),
+            mode.executes_signoffs(),
+            mode.writes_through(),
+        );
         if telemetry {
             buf.enable_telemetry(crate::obs::DEFAULT_TIMELINE_EVERY);
             vm.enable_timing();
@@ -303,6 +339,7 @@ impl Lane {
             attr_scratch: AttrBuf::new(),
             child_names: Vec::new(),
             clock: 0,
+            frontier: None,
             // The program has not started: the first step must run it.
             touched: true,
             vm_done: false,
@@ -349,9 +386,42 @@ impl Lane {
     /// element was taken — buffered or pending — so that its end tag is
     /// the lane's to see. (Inlined into every caller, like
     /// [`Lane::step`]: a driver calls both per token, and a session from
-    /// its search as well as its token loop.)
+    /// its search as well as its token loop.) Under a copy frontier the
+    /// tag is written, and a node holding only the copy's role is kept
+    /// pending, not appended.
     #[inline(always)]
     pub fn start_element(
+        &mut self,
+        name: Symbol,
+        tag: &StartTag<'_>,
+        attr_names: &[Symbol],
+        keep: Keep<'_>,
+    ) -> bool {
+        let keep = match self.frontier {
+            Some(frontier) if self.live() => {
+                self.write_through(&Token::StartTag(*tag));
+                keep.under(frontier)
+            }
+            _ => keep,
+        };
+        self.open_child(name, tag, attr_names, keep)
+    }
+
+    /// An element a driver passed through [`Lane::write_through`] and left
+    /// open: it opens on the pending chain, as [`Lane::start_element`]
+    /// opens one holding only the copy's role, and is not written again.
+    pub fn open_copied(&mut self, name: Symbol) {
+        let tag = StartTag {
+            name: "",
+            attrs: Attrs::EMPTY,
+            self_closing: false,
+        };
+        self.open_child(name, &tag, &[], Keep::Speculative);
+    }
+
+    /// [`Lane::start_element`] past the copy frontier.
+    #[inline(always)]
+    fn open_child(
         &mut self,
         name: Symbol,
         tag: &StartTag<'_>,
@@ -432,6 +502,9 @@ impl Lane {
         if !matches!(self.health, Health::Live) {
             return false;
         }
+        if let Some(frontier) = self.frontier {
+            self.end_copied(frontier);
+        }
         match self.pending.pop() {
             // No descendant earned a role: the element never existed as
             // far as the buffer and the machine are concerned.
@@ -447,15 +520,33 @@ impl Lane {
         true
     }
 
+    /// Write the end tag of an element inside the copy at `frontier` — the
+    /// copied element's own ends the copy. (Out of the token path, which
+    /// only tests for a frontier.)
+    #[inline(never)]
+    fn end_copied(&mut self, frontier: Frontier) {
+        self.write_through(&Token::EndTag { name: "" });
+        if self.pending.is_empty() && self.open.last().is_some_and(|e| e.node == frontier.node) {
+            self.frontier = None;
+        }
+    }
+
     /// A text child of the innermost open element: `Some(roles)` = buffer
-    /// it with these role instances, `None` = only count it. Returns
-    /// whether it was appended.
+    /// it with these role instances, `None` = only count it. Under a copy
+    /// frontier it is written, and appended only if it holds more than the
+    /// copy's role. Returns whether it was taken: appended or written.
     #[inline]
     pub fn text(&mut self, content: &str, roles: Option<&[(RoleId, u32)]>) -> bool {
         if !matches!(self.health, Health::Live) {
             return false;
         }
         let ordinals = top_counters(&mut self.pending, &mut self.open).next_text();
+        if let Some(frontier) = self.frontier {
+            self.write_through(&Token::Text(content));
+            if roles.is_none_or(|roles| only(roles, frontier)) {
+                return true;
+            }
+        }
         let Some(roles) = roles else {
             return false;
         };
@@ -495,6 +586,43 @@ impl Lane {
             }
         });
         self.settle(result);
+    }
+
+    /// The role of the copy whose frontier the evaluator waits at, if it
+    /// does: a driver that knows every node of a stretch would hold that
+    /// role alone may pass the stretch through [`Lane::write_through`].
+    #[inline]
+    pub fn copying(&self) -> Option<RoleId> {
+        self.frontier.map(|f| f.role)
+    }
+
+    /// Write a token of the copied subtree — a start tag with its
+    /// attributes (a self-closing one closed at once), an end tag or text;
+    /// anything else is dropped, as the buffer drops it — without counting,
+    /// matching or buffering it: what the lane does with a node holding
+    /// only the copy's role, bar the pending chain's bookkeeping. A driver
+    /// that passes elements this way and stops inside them opens them
+    /// with [`Lane::open_copied`]; it shows the lane the copied element's
+    /// own end tag.
+    pub fn write_through(&mut self, token: &Token<'_>) {
+        debug_assert!(self.frontier.is_some(), "write-through needs a frontier");
+        let out = &mut self.out;
+        let written = match *token {
+            Token::StartTag(tag) => (|| {
+                out.start_element(tag.name)?;
+                for a in tag.attrs.iter() {
+                    out.attribute(a.name, a.value)?;
+                }
+                if tag.self_closing {
+                    out.end_element()?;
+                }
+                Ok(())
+            })(),
+            Token::EndTag { .. } => out.end_element(),
+            Token::Text(content) => out.text(content),
+            _ => Ok(()),
+        };
+        self.settle(written.map_err(EngineError::from));
     }
 
     /// The program ran to completion: no further output will be produced.
@@ -673,11 +801,13 @@ impl Lane {
     }
 
     fn resume(&mut self) -> Result<(), EngineError> {
-        if let VmStatus::Done = self
+        debug_assert!(self.frontier.is_none(), "resumed inside a copy");
+        match self
             .vm
             .resume(&mut self.buf, &self.symbols, &mut self.out)?
         {
-            self.vm_done = true;
+            VmStatus::Done => self.vm_done = true,
+            VmStatus::NeedInput => self.frontier = self.vm.take_frontier(),
         }
         Ok(())
     }
@@ -691,8 +821,15 @@ impl Lane {
             self.health = Health::Failed(e);
             self.buf = BufferTree::new(false);
             self.pending = Vec::new();
+            self.frontier = None;
         }
     }
+}
+
+/// Whether `roles` is the copy's single instance and nothing else.
+#[inline]
+fn only(roles: &[(RoleId, u32)], frontier: Frontier) -> bool {
+    matches!(roles, [(role, 1)] if *role == frontier.role)
 }
 
 /// The document child counters of the innermost open element, pending or
@@ -907,6 +1044,147 @@ mod tests {
         assert_eq!(Some(lazy), failed_at(Keep::Roles(&[]), &stripped));
         // A popped entry gives its bytes back: siblings never add up.
         assert_eq!(failed_at(Keep::Speculative, &siblings), None);
+    }
+
+    const COPY: RoleId = RoleId(1);
+    const OTHER: RoleId = RoleId(2);
+
+    /// Drive a copy of the document element `f`, which holds the copy's
+    /// role and another: below it, elements named `c…` and plain text hold
+    /// the copy's role alone, `r…` and text starting with `!` another one
+    /// too. With `frontier`, the lane writes the copy from `f`'s start tag
+    /// on, as the evaluator hands it over; without, every node is appended,
+    /// as before write-through. Returns the lane and `f`.
+    fn drive_copy(xml: &str, frontier: bool) -> (Lane, NodeId) {
+        let q = CompiledQuery::compile("'x'").unwrap();
+        let mut lane = Lane::start(&q, EngineMode::Gcx, None, None, false, None);
+        let mut tok = Tokenizer::from_str(xml);
+        let mut f = None;
+        while let Some(token) = tok.next_token().unwrap() {
+            match token {
+                Token::StartTag(tag) => {
+                    let name = lane.symbols_mut().intern(tag.name);
+                    let attr_names: Vec<Symbol> = tag
+                        .attrs
+                        .iter()
+                        .map(|a| lane.symbols_mut().intern(a.name))
+                        .collect();
+                    let roles: &[(RoleId, u32)] = match tag.name.as_bytes()[0] {
+                        b'f' | b'r' => &[(COPY, 1), (OTHER, 1)],
+                        _ => &[(COPY, 1)],
+                    };
+                    assert!(lane.start_element(name, &tag, &attr_names, Keep::Roles(roles)));
+                    if f.is_none() {
+                        let node = lane.open.last().unwrap().node;
+                        f = Some(node);
+                        if frontier {
+                            // What the evaluator writes and hands over.
+                            lane.buf
+                                .serialize(node, &lane.symbols, &mut lane.out)
+                                .unwrap();
+                            lane.frontier = Some(Frontier { node, role: COPY });
+                        }
+                    }
+                }
+                Token::EndTag { .. } => assert!(lane.end_element()),
+                Token::Text(content) => {
+                    let roles: &[(RoleId, u32)] = match content.starts_with('!') {
+                        true => &[(COPY, 1), (OTHER, 1)],
+                        false => &[(COPY, 1)],
+                    };
+                    assert!(lane.text(content, Some(roles)));
+                }
+                _ => {}
+            }
+        }
+        assert!(lane.pending.is_empty() && lane.frontier.is_none());
+        (lane, f.expect("a document element"))
+    }
+
+    /// Which role lists a test keeps.
+    type Filter<'a> = &'a dyn Fn(&[(RoleId, u32)]) -> bool;
+
+    /// The buffered nodes in document order — depth, name or text,
+    /// ordinals — that `keep` accepts the roles of, or that stand above
+    /// one it does.
+    fn outline(lane: &Lane, keep: Filter<'_>) -> Vec<String> {
+        fn walk(
+            lane: &Lane,
+            node: NodeId,
+            depth: usize,
+            keep: Filter<'_>,
+            out: &mut Vec<String>,
+        ) -> bool {
+            let buf = &lane.buf;
+            let at = out.len();
+            let what = match buf.name(node) {
+                Some(name) => lane.symbols.resolve(name).to_string(),
+                None => format!("{:?}", buf.text_content(node).unwrap()),
+            };
+            let o = buf.ordinals(node);
+            out.push(format!(
+                "{depth} {what} {}/{}/{}",
+                o.same_kind, o.elem, o.any
+            ));
+            let mut kept = keep(buf.roles(node));
+            let mut child = buf.first_child(node);
+            while let Some(c) = child {
+                kept |= walk(lane, c, depth + 1, keep, out);
+                child = buf.next_sibling(c);
+            }
+            if !kept {
+                out.truncate(at);
+            }
+            kept
+        }
+        let mut out = Vec::new();
+        let mut child = lane.buf.first_child(NodeId::ROOT);
+        while let Some(c) = child {
+            walk(lane, c, 0, keep, &mut out);
+            child = lane.buf.next_sibling(c);
+        }
+        out
+    }
+
+    #[test]
+    fn under_a_frontier_only_what_holds_another_role_is_appended() {
+        let doc = "<f a='1'>t<c1 k='v'>u<r1 j='2'>!v<c2/></r1>w &amp; x</c1>\
+                   <c3 m='3'><c4>y</c4><c5/></c3>!z<r2/></f>";
+        let (lazy, f) = drive_copy(doc, true);
+        let (eager, g) = drive_copy(doc, false);
+        // The copy was written as it streamed in: what serializing the
+        // whole subtree from the eager buffer writes.
+        let mut whole = XmlWriter::new(Vec::new());
+        eager.buf.serialize(g, &eager.symbols, &mut whole).unwrap();
+        assert_eq!(lazy.output(), whole.get_ref().as_slice());
+        // The buffer was handed what holds another role and the elements
+        // above it — c1 late, without its attributes — with the names and
+        // ordinals an eager append made; c2…c5 and the plain texts never.
+        let others = |roles: &[(RoleId, u32)]| roles.iter().any(|&(r, _)| r == OTHER);
+        assert_eq!(
+            outline(&lazy, &|roles| !roles.is_empty()),
+            outline(&eager, &others)
+        );
+        let lines = outline(&lazy, &|roles| !roles.is_empty());
+        assert_eq!(
+            lines,
+            [
+                "0 f 1/1/1",
+                "1 c1 1/1/2",
+                "2 r1 1/1/2",
+                "3 \"!v\" 1/0/1",
+                "1 \"!z\" 2/2/4",
+                "1 r2 1/3/5"
+            ]
+        );
+        assert!(
+            lazy.buf.attrs(f).iter().count() == 1,
+            "f was appended before the copy"
+        );
+        let c1 = lazy.buf.next_sibling(lazy.buf.first_child(f).unwrap());
+        assert!(c1.is_none_or(|c1| lazy.buf.attrs(c1).is_empty()));
+        assert_eq!(lazy.buf.stats().allocated, 6);
+        assert_eq!(eager.buf.stats().allocated, 14);
     }
 
     #[test]

@@ -112,6 +112,8 @@ pub struct EvalSession {
     /// Tokens the search in flight passed before the window ran out: they
     /// are charged when it ends.
     searched: u64,
+    /// Elements the copy pass in flight opened and has not closed.
+    copied: usize,
     drain_input: bool,
     finished: bool,
     /// Telemetry enabled: record a feed span per feed/commit call.
@@ -133,12 +135,17 @@ enum Pass {
     /// Pass the rest of the innermost open element up to the next start
     /// tag its frame waits for: a descendant search.
     Search,
-    /// Apply the start tag a search stopped at, which the tokenizer holds.
+    /// Pass the rest of the innermost open element, which the lane is
+    /// copying, to its writer up to the next start tag it must be shown:
+    /// a copy pass.
+    Copy,
+    /// Apply the start tag a search or a copy pass stopped at, which the
+    /// tokenizer holds.
     Found,
 }
 
-/// Names a search hands the tokenizer at most: a frame waiting for more
-/// is stepped through.
+/// Names a search hands the tokenizer, or a copy pass stops at, at most: a
+/// frame waiting for more is stepped through.
 const MAX_STOPS: usize = 8;
 
 /// Everything of a session but the tokenizer: the stream preprojector
@@ -151,7 +158,11 @@ const MAX_STOPS: usize = 8;
 /// the tokens that went by. Where the innermost frame only waits for a
 /// few names below it (a search set,
 /// [`StreamMatcher::search_names`]), the session has the tokenizer run
-/// ahead to the next start tag of one of them in the same way.
+/// ahead to the next start tag of one of them in the same way. And where
+/// the lane writes a copy through and the frame would give every node
+/// below it the copy's role alone up to a few names (a copy set,
+/// [`StreamMatcher::copy_stops`]), the session hands each token from the
+/// tokenizer to the lane's writer, unseen by the matcher and the buffer.
 struct Preprojection {
     matcher: StreamMatcher,
     lane: Lane,
@@ -222,6 +233,7 @@ impl EvalSession {
             },
             next: Pass::Step,
             searched: 0,
+            copied: 0,
             drain_input: opts.drain_input,
             finished: false,
             telemetry: opts.telemetry,
@@ -413,6 +425,7 @@ impl EvalSession {
             let more = match self.next {
                 Pass::Skip => self.skip()?,
                 Pass::Search => self.search()?,
+                Pass::Copy => self.copy()?,
                 // One call site, so that `apply` is inlined here.
                 pass => {
                     let step = match pass {
@@ -497,6 +510,71 @@ impl EvalSession {
             Pass::Search
         };
         Ok(true)
+    }
+
+    /// A copy pass: hand the rest of the innermost open element — which
+    /// the lane is copying, and whose frame gives every node below it the
+    /// copy's role alone up to a stop — token by token to the lane's
+    /// writer, every token charged, no name interned, nothing matched or
+    /// appended: what stepping would have had the lane do, bar the
+    /// pending chain's bookkeeping. At a start tag of a stop, or one that
+    /// would open more elements than the byte budget has room for, the
+    /// elements it left open are opened on the chain and the tag is
+    /// applied next; at the element's own end tag, that is applied.
+    /// Returns false when the window ran out first.
+    #[inline(never)]
+    fn copy(&mut self) -> Result<bool, EngineError> {
+        let pre = &mut self.pre;
+        let role = pre.lane.copying().expect("the lane is copying");
+        let stops = pre.matcher.copy_stops(role).expect("a copy set is on top");
+        let room = pre.lane.pending_room();
+        let mut passed = 0;
+        let more = loop {
+            if self.tok.step()? != TokenStep::Token {
+                break false;
+            }
+            let token = self.tok.token();
+            match token {
+                Token::StartTag(tag)
+                    if (!tag.self_closing && self.copied >= room)
+                        || stops
+                            .iter()
+                            .any(|&stop| pre.lane.symbols().resolve(stop) == tag.name) =>
+                {
+                    pre.bump(passed);
+                    passed = 0;
+                    for name in self.tok.left_open(std::mem::take(&mut self.copied)) {
+                        pre.open_copied(name, role);
+                    }
+                    self.next = Pass::Found;
+                    break true;
+                }
+                Token::StartTag(tag) => {
+                    pre.lane.write_through(&token);
+                    passed += 1 + u64::from(tag.self_closing);
+                    self.copied += usize::from(!tag.self_closing);
+                }
+                Token::EndTag { .. } if self.copied == 0 => {
+                    pre.bump(passed);
+                    passed = 0;
+                    self.next = pre.end_tag();
+                    break true;
+                }
+                Token::EndTag { .. } => {
+                    pre.lane.write_through(&token);
+                    passed += 1;
+                    self.copied -= 1;
+                }
+                Token::Text(_) => {
+                    pre.lane.write_through(&token);
+                    passed += 1;
+                }
+                // Comments and PIs are not part of the data model.
+                _ => {}
+            }
+        };
+        pre.bump(passed);
+        Ok(more)
     }
 
     fn emitted(&self) -> Emitted {
@@ -624,6 +702,23 @@ impl Preprojection {
         self.lane.step();
     }
 
+    /// Open an element a copy pass wrote and left open, as `apply` would
+    /// have opened its start tag: interned, entered into the matcher (onto
+    /// the same copy set, with the copy's role alone) and pending on the
+    /// chain. Its start tag was charged by the pass.
+    fn open_copied(&mut self, name: &str, role: RoleId) {
+        #[cfg(test)]
+        {
+            self.matcher_tokens += 1;
+        }
+        let symbol = self.lane.symbols_mut().intern(name);
+        let matched = self
+            .matcher
+            .enter_element_into(symbol, &mut self.role_scratch);
+        debug_assert!(matched && self.role_scratch == [(role, 1)]);
+        self.lane.open_copied(symbol);
+    }
+
     /// Apply the end tag of the innermost open element.
     #[inline(always)]
     fn end_tag(&mut self) -> Pass {
@@ -643,23 +738,39 @@ impl Preprojection {
     }
 
     /// What follows a tag that may have changed the innermost frame: a
-    /// search, if the frame's state set is a search set — inside an
+    /// search, if the frame's state set is a search set; a copy pass, if
+    /// it is a copy set of the copy the lane writes through — inside an
     /// element, projecting, and with no schema in force (its sibling-order
     /// cutoffs count every child, and its reach filter already makes no
-    /// set a search set) — or a step.
+    /// set a search or a copy set) — or a step.
     #[inline]
     fn next_pass(&self) -> Pass {
         match self.matcher.search_names() {
-            Some(waits)
-                if waits.len() <= MAX_STOPS
-                    && self.project
-                    && self.matcher.depth() > 0
-                    && !self.lane.schema_active() =>
-            {
-                Pass::Search
-            }
+            Some(waits) if waits.len() <= MAX_STOPS && self.may_pass() => Pass::Search,
+            Some(_) => Pass::Step,
+            None => match self.lane.copying() {
+                Some(role) => self.copy_or_step(role),
+                None => Pass::Step,
+            },
+        }
+    }
+
+    /// [`Preprojection::next_pass`] inside a copy: a copy pass if the
+    /// frame's set is a copy set of `role`. (Out of line: the token loop
+    /// of a query that copies nothing only tests for a copy.)
+    #[inline(never)]
+    fn copy_or_step(&self, role: RoleId) -> Pass {
+        match self.matcher.copy_stops(role) {
+            Some(stops) if stops.len() <= MAX_STOPS && self.may_pass() => Pass::Copy,
             _ => Pass::Step,
         }
+    }
+
+    /// Whether the session may pass tokens of the innermost element
+    /// unseen at all: inside an element, projecting, no schema in force.
+    #[inline]
+    fn may_pass(&self) -> bool {
+        self.project && self.matcher.depth() > 0 && !self.lane.schema_active()
     }
 
     /// Count `tokens` structural tokens — kept or skipped — on the lane's
@@ -740,9 +851,11 @@ mod tests {
             "<x><junk><deep><deeper/></deep></junk><y>keep</y></x>",
             &EngineOptions::gcx(),
         );
-        // junk subtree skipped entirely; x, y, "keep" buffered. Skipped
-        // tokens still count.
-        assert_eq!(r.buffer.allocated, 3);
+        // junk subtree skipped entirely; x and y buffered, and "keep"
+        // written through: the copy of y started at its start tag, and
+        // the text holds nothing but the copy's role. Skipped tokens
+        // still count.
+        assert_eq!(r.buffer.allocated, 2);
         assert_eq!(r.tokens, 11);
     }
 
@@ -1135,9 +1248,10 @@ mod tests {
     #[test]
     fn a_search_shows_the_matcher_only_items_and_their_ancestors() {
         // XMark holds its items under regions/<continent>. Under `//item`
-        // the matcher must see every token of an item and the tags of the
-        // elements that hold one — and, with the search, nothing else,
-        // where stepping showed it every token of the document.
+        // the matcher must see the tags of the items and of the elements
+        // that hold one — and, with the search and the copy pass inside
+        // each item, nothing else, where stepping showed it every token of
+        // the document.
         let size = if cfg!(miri) { 8 * 1024 } else { 1 << 20 };
         let doc = gcx_xmark::generate_string(&gcx_xmark::XmarkConfig::sized(size));
         let (mut all, mut needed) = (0u64, 0u64);
@@ -1147,17 +1261,21 @@ mod tests {
         while let Some(token) = tok.next_token().unwrap() {
             all += u64::from(token.is_structural());
             match token {
-                Token::StartTag(tag) if in_item > 0 || tag.name == "item" => {
+                Token::StartTag(tag) if in_item > 0 => {
+                    assert_ne!(tag.name, "item", "XMark nests no items");
+                    in_item += u32::from(!tag.self_closing);
+                }
+                Token::StartTag(tag) if tag.name == "item" => {
                     needed += 1;
                     in_item += u32::from(!tag.self_closing);
                     open.iter_mut().for_each(|holds| *holds = true);
                 }
                 Token::StartTag(tag) if !tag.self_closing => open.push(false),
                 Token::EndTag { .. } if in_item > 0 => {
-                    (needed, in_item) = (needed + 1, in_item - 1)
+                    in_item -= 1;
+                    needed += u64::from(in_item == 0);
                 }
                 Token::EndTag { .. } => needed += 2 * u64::from(open.pop().unwrap()),
-                Token::Text(_) => needed += u64::from(in_item > 0),
                 _ => {}
             }
         }

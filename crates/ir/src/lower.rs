@@ -48,8 +48,14 @@ impl Program {
             attrs: Vec::new(),
             path_dedup: HashMap::default(),
             str_dedup: HashMap::default(),
+            outputs: 0,
         };
         let root = cx.expr(&analysis.rewritten.root);
+        assert_eq!(
+            cx.outputs,
+            analysis.output_roles.len(),
+            "one output role per output path"
+        );
         Program {
             symbols: cx.symbols,
             instrs: cx.instrs,
@@ -86,6 +92,9 @@ struct Lower<'a> {
     attrs: Vec<(StrId, StrId)>,
     path_dedup: HashMap<PathKey, PathId, FxBuildHasher>,
     str_dedup: HashMap<Box<str>, StrId, FxBuildHasher>,
+    /// Output paths lowered so far: the next one's role is
+    /// `analysis.output_roles[outputs]` (both walks are pre-order).
+    outputs: usize,
 }
 
 impl Lower<'_> {
@@ -286,8 +295,10 @@ impl Lower<'_> {
                 })
             }
             Expr::Path(p) => {
-                let p = self.path(p);
-                self.push_instr(Instr::OutputPath(p))
+                let path = self.path(p);
+                let role = self.analysis.output_roles[self.outputs];
+                self.outputs += 1;
+                self.push_instr(Instr::OutputPath { path, role })
             }
             Expr::Aggregate { func, arg } => {
                 let path = self.path(arg);

@@ -131,7 +131,7 @@ pub fn cost_estimate(p: &Program) -> u64 {
                     + instr_cost(p, then_branch, depth)
                     + instr_cost(p, else_branch, depth)
             }
-            Instr::OutputPath(path) | Instr::Aggregate { path, .. } => {
+            Instr::OutputPath { path, .. } | Instr::Aggregate { path, .. } => {
                 scale * (2 + p.path(path).step_len as u64)
             }
             Instr::SignOff { path, .. } => scale * (1 + p.path(path).step_len as u64),

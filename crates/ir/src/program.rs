@@ -135,7 +135,15 @@ pub enum Instr {
         else_branch: InstrId,
     },
     /// A path in output position: emit the matching nodes.
-    OutputPath(PathId),
+    OutputPath {
+        /// The path.
+        path: PathId,
+        /// The role a matched element's descendants carry for this copy
+        /// (`path/descendant-or-self::node()`): while the evaluator waits
+        /// at the copy's frontier, a node holding only this role may go
+        /// straight to the writer.
+        role: RoleId,
+    },
     /// Aggregate over a path, emitting a single text value.
     Aggregate {
         /// Which aggregate.
@@ -502,8 +510,8 @@ impl Program {
                         cond.0, then_branch.0, else_branch.0
                     );
                 }
-                Instr::OutputPath(p) => {
-                    let _ = write!(out, "output p{}", p.0);
+                Instr::OutputPath { path, role } => {
+                    let _ = write!(out, "output p{} copying {role}", path.0);
                 }
                 Instr::Aggregate { func, path } => {
                     let _ = write!(out, "aggregate {}(p{})", func.name(), path.0);

@@ -143,7 +143,7 @@ fn walk_instr<V: IrVisitor>(p: &Program, id: InstrId, v: &mut V, ctx: &mut WalkC
             walk_instr(p, then_branch, v, ctx);
             walk_instr(p, else_branch, v, ctx);
         }
-        Instr::OutputPath(path) => v.visit_path(p, path, PathUse::Output, ctx),
+        Instr::OutputPath { path, .. } => v.visit_path(p, path, PathUse::Output, ctx),
         Instr::Aggregate { path, .. } => v.visit_path(p, path, PathUse::Aggregate, ctx),
         Instr::SignOff { path, .. } => v.visit_path(p, path, PathUse::SignOff, ctx),
         Instr::HashJoin(j) => walk_instr(p, p.join(j).fallback, v, ctx),
@@ -205,7 +205,7 @@ mod tests {
                 Instr::Element { .. } => "element",
                 Instr::For { .. } => "for",
                 Instr::If { .. } => "if",
-                Instr::OutputPath(_) => "output",
+                Instr::OutputPath { .. } => "output",
                 Instr::Aggregate { .. } => "aggregate",
                 Instr::SignOff { .. } => "signoff",
                 Instr::HashJoin(_) => "hashjoin",

@@ -50,6 +50,12 @@ pub struct Analysis {
     pub rewritten: Query,
     /// Binding role per variable (every for-variable has one).
     pub binding_roles: Vec<Option<RoleId>>,
+    /// The role of each path in output position, in the order a
+    /// pre-order walk of `rewritten` meets them (sequence items in order,
+    /// an `if`'s condition, then branch, else branch): the role its
+    /// copied subtree carries, `path/descendant-or-self::node()` for a
+    /// path selecting elements.
+    pub output_roles: Vec<RoleId>,
 }
 
 impl Analysis {
@@ -67,6 +73,7 @@ pub fn analyze(query: &Query) -> Analysis {
         vars: vec![None; n],
         var_names: query.var_names.clone(),
         binding_roles: vec![None; n],
+        output_roles: Vec::new(),
         query_end: Vec::new(),
         loop_stack: Vec::new(),
         cond_depth: 0,
@@ -98,6 +105,7 @@ pub fn analyze(query: &Query) -> Analysis {
         roles: cx.roles,
         rewritten,
         binding_roles: cx.binding_roles,
+        output_roles: cx.output_roles,
     }
 }
 
@@ -120,6 +128,7 @@ struct Cx {
     vars: Vec<Option<VarInfo>>,
     var_names: Vec<String>,
     binding_roles: Vec<Option<RoleId>>,
+    output_roles: Vec<RoleId>,
     query_end: Vec<(PathExpr, RoleId)>,
     /// Enclosing loops, innermost last, with the conditional depth at which
     /// each body started.
@@ -336,7 +345,10 @@ impl Cx {
                 content: Box::new(self.expr(content)),
             },
             Expr::Path(p) => {
-                self.add_use_role(p, UseKind::Output);
+                let role = self
+                    .add_use_role(p, UseKind::Output)
+                    .expect("an output use always gets a role");
+                self.output_roles.push(role);
                 Expr::Path(p.clone())
             }
             Expr::Aggregate { func, arg } => {

@@ -79,8 +79,21 @@
 //! of the streaming path engines in "Earliest query answering over
 //! streamed trees". Under a reach filter no set searches: the filter cuts
 //! descendant states by the child's name, which breaks the self-loop.
+//!
+//! ## Copy sets
+//!
+//! Inside a subtree the query copies, a set may hold exactly one
+//! `descendant-or-self::node()` state that ends its path — the copy's role
+//! `r`, with count 1 — beside search-set states only. Every child named
+//! outside the search states' names (the *stops*) then maps the set onto
+//! itself with the one role instance `(r, 1)`, and every text child gets
+//! that instance alone. The memo marks such a set once, when it interns
+//! it, and [`StreamMatcher::copy_stops`] shows it for the innermost frame:
+//! a driver whose lane is writing that copy through may pass everything up
+//! to the next stop straight to the writer. Under a reach filter no set
+//! copies, as none searches.
 
-use crate::memo::{canonical, Memo, SetId, St, MEMO_SETS};
+use crate::memo::{canonical, Below, Memo, SetId, St, MEMO_SETS};
 use crate::reach::{test_reachable, ReachFilter};
 use crate::roles::RoleTable;
 use gcx_query::ast::{Axis, NodeTest, Pred, RoleId};
@@ -459,7 +472,7 @@ impl Automaton {
         canonical(&mut root_states);
         let searches = reach.is_none() && paths.steps.iter().any(CStep::waits);
         let root_set = memo.has_room().then(|| {
-            let set = intern_set(&mut memo, &paths, searches, &root_states);
+            let set = intern_set(&mut memo, &paths, reach.is_none(), &root_states);
             root_states.clear();
             set
         });
@@ -569,7 +582,24 @@ impl TaggedMatcher {
         if !self.searches {
             return None;
         }
-        self.memo.search(self.top().set?)
+        match self.memo.below(self.top().set?) {
+            Below::Search(names) => Some(names),
+            _ => None,
+        }
+    }
+
+    /// The stops of the innermost frame's state set when it is a copy set
+    /// of query `tag`'s `role` (see [`StreamMatcher::copy_stops`]).
+    #[inline]
+    fn copy_stops(&self, tag: QueryTag, role: RoleId) -> Option<&[Symbol]> {
+        match self.memo.below(self.top().set?) {
+            Below::Copy {
+                tag: t,
+                role: r,
+                stops,
+            } if (t, r) == (tag, role) => Some(stops),
+            _ => None,
+        }
     }
 
     /// State sets the memo holds.
@@ -728,11 +758,11 @@ impl TaggedMatcher {
             closure(compiled, &mut self.scratch, Some(name), &mut out.roles);
             dedupe_tagged(&mut out.roles);
             canonical(&mut self.scratch);
-            let searches = self.automaton.searches;
+            let blind = self.automaton.reach.is_none();
             child = self.memo.find_set(&self.scratch).or_else(|| {
                 self.memo.has_room().then(|| {
                     let memo = Arc::make_mut(&mut self.memo);
-                    intern_set(memo, compiled, searches, &self.scratch)
+                    intern_set(memo, compiled, blind, &self.scratch)
                 })
             });
             self.push_frame(child);
@@ -892,6 +922,20 @@ impl StreamMatcher {
         self.inner.search_names()
     }
 
+    /// The stops of the innermost open element's frame, when its state
+    /// set is a *copy set* of `role` — one `descendant-or-self::node()`
+    /// state of `role` with count 1 ending its path, every other state a
+    /// search-set state: every child named outside the stops is kept with
+    /// the single role instance `(role, 1)` and gets this same frame, and
+    /// every text child gets that instance alone, so a driver writing the
+    /// copy through may pass everything up to the next start tag of a stop
+    /// without showing it here. `None` for any other frame, and always
+    /// under a reach filter or for a set the memo had no room for.
+    #[inline]
+    pub fn copy_stops(&self, role: RoleId) -> Option<&[Symbol]> {
+        self.inner.copy_stops(0, role)
+    }
+
     /// Process an element start tag: the element's roles are appended to
     /// `roles_out` (cleared first; empty for a speculative keep) and the
     /// keep decision is returned. When it is false no projection path can
@@ -921,13 +965,58 @@ impl StreamMatcher {
     }
 }
 
-/// Intern `states` (canonical, not yet in `memo`, which has room), with
-/// its search names when `searches` — without a reach filter, which cuts
-/// descendant states by the child's name and so breaks the self-loop a
-/// search relies on, and with some step a search set can wait at.
-fn intern_set(memo: &mut Memo, paths: &TaggedPaths, searches: bool, states: &[St]) -> SetId {
-    let names = searches.then(|| search_names(paths, states)).flatten();
-    memo.insert_set(states, names.as_deref())
+/// Intern `states` (canonical, not yet in `memo`, which has room), marked
+/// as a search or a copy set when it is one and the automaton is `blind` —
+/// without a reach filter, which cuts descendant states by the child's
+/// name and so breaks the self-loop both rely on.
+fn intern_set(memo: &mut Memo, paths: &TaggedPaths, blind: bool, states: &[St]) -> SetId {
+    if !blind {
+        return memo.insert_set(states, Below::Step);
+    }
+    match (search_names(paths, states), copy_set(paths, states)) {
+        (Some(names), _) => memo.insert_set(states, Below::Search(&names)),
+        (None, Some((tag, role, stops))) => memo.insert_set(
+            states,
+            Below::Copy {
+                tag,
+                role,
+                stops: &stops,
+            },
+        ),
+        (None, None) => memo.insert_set(states, Below::Step),
+    }
+}
+
+/// The copy a set belongs to — query, role and stops — or `None` if
+/// `states` is not a copy set: exactly one state sits at a final
+/// `descendant-or-self::node()` step with count 1, and every other one at
+/// a step a search set waits at, whose names are the stops. A child named
+/// otherwise propagates every state unchanged and completes only the
+/// copy's role, once, as a text child does.
+fn copy_set(paths: &TaggedPaths, states: &[St]) -> Option<(QueryTag, RoleId, Vec<Symbol>)> {
+    let mut copy = None;
+    let mut stops = Vec::new();
+    for st in states {
+        let info = paths.paths[st.path as usize];
+        let step = paths.steps[st.sid as usize];
+        match step.test {
+            CTest::Name(name) if step.waits() => stops.push(name),
+            CTest::AnyNode
+                if copy.is_none()
+                    && step.axis == Axis::DescendantOrSelf
+                    && step.pos.is_none()
+                    && st.count == 1
+                    && st.sid + 1 == info.first + info.len =>
+            {
+                copy = Some((info.tag, info.role));
+            }
+            _ => return None,
+        }
+    }
+    let (tag, role) = copy?;
+    stops.sort_unstable();
+    stops.dedup();
+    Some((tag, role, stops))
 }
 
 /// The names a search set waits for, or `None` if `states` is not one: a

@@ -2,7 +2,8 @@
 //! steps have produced so far, kept for the next time (see the
 //! [matcher's module docs](crate::matcher), "Memoised transitions").
 
-use crate::matcher::{StateId, TaggedRole};
+use crate::matcher::{QueryTag, StateId, TaggedRole};
+use gcx_query::ast::RoleId;
 use gcx_xml::{FxHasher, SlotTable, Symbol};
 use std::hash::Hasher;
 
@@ -16,6 +17,39 @@ pub(crate) struct St {
 
 /// Index of an interned state set in the [`Memo`].
 pub(crate) type SetId = u32;
+
+/// What a set lets a driver do below a frame instead of stepping every
+/// token through the matcher, computed once, when the set is interned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Below<N> {
+    /// Nothing: step.
+    Step,
+    /// A search set: every child named outside `names` leads back to the
+    /// set itself, with no role, and no text child gets one.
+    Search(N),
+    /// A copy set: every child named outside `stops` leads back to the
+    /// set itself with the single role instance `(role, 1)` of query
+    /// `tag`, and every text child gets that instance alone.
+    Copy {
+        tag: QueryTag,
+        role: RoleId,
+        stops: N,
+    },
+}
+
+impl<N> Below<N> {
+    pub(crate) fn map<M>(self, f: impl FnOnce(N) -> M) -> Below<M> {
+        match self {
+            Below::Step => Below::Step,
+            Below::Search(names) => Below::Search(f(names)),
+            Below::Copy { tag, role, stops } => Below::Copy {
+                tag,
+                role,
+                stops: f(stops),
+            },
+        }
+    }
+}
 
 /// State sets a memo interns at most; it records at most [`MEMO_FANOUT`]
 /// times as many transitions. XMark's 11 paper queries merged need 27
@@ -75,10 +109,10 @@ pub(crate) struct Memo {
     /// Per set: the roles of a text child (a range of `roles`), once
     /// computed.
     text: Vec<Option<(u32, u32)>>,
-    /// Per set: the names it waits for (a range of `search_names`) when it
-    /// is a search set — see [`Memo::search`].
-    search: Vec<Option<(u32, u32)>>,
-    search_names: Vec<Symbol>,
+    /// Per set: what a driver may do below it, its names a range of
+    /// `below_names` — see [`Memo::below`].
+    below: Vec<Below<(u32, u32)>>,
+    below_names: Vec<Symbol>,
     /// Sets, transitions and text answers recorded.
     learnt: u32,
 }
@@ -111,8 +145,8 @@ impl Memo {
             kept: Vec::new(),
             roles: Vec::new(),
             text: Vec::new(),
-            search: Vec::new(),
-            search_names: Vec::new(),
+            below: Vec::new(),
+            below_names: Vec::new(),
             learnt: 0,
         }
     }
@@ -145,30 +179,28 @@ impl Memo {
     }
 
     /// Intern `states`, which [`Memo::find_set`] did not find and for
-    /// which there [is room](Memo::has_room); `search` are its search
-    /// names, if it is a search set.
-    pub(crate) fn insert_set(&mut self, states: &[St], search: Option<&[Symbol]>) -> SetId {
+    /// which there [is room](Memo::has_room); `below` is what a driver may
+    /// do below it.
+    pub(crate) fn insert_set(&mut self, states: &[St], below: Below<&[Symbol]>) -> SetId {
         let id = self.len() as SetId;
         self.set_states.extend_from_slice(states);
         self.set_ends.push(self.set_states.len() as u32);
         self.set_index.insert(hash_states(states), id);
         self.text.push(None);
-        self.search.push(search.map(|names| {
-            let from = self.search_names.len() as u32;
-            self.search_names.extend_from_slice(names);
-            (from, self.search_names.len() as u32)
+        let names = &mut self.below_names;
+        self.below.push(below.map(|add| {
+            let from = names.len() as u32;
+            names.extend_from_slice(add);
+            (from, names.len() as u32)
         }));
         self.learnt += 1;
         id
     }
 
-    /// The names a search set waits for: every child named otherwise
-    /// leads back to the set itself, with no role, and no text child gets
-    /// one. `None` for any other set.
+    /// What a driver may do below a frame with state set `set`.
     #[inline]
-    pub(crate) fn search(&self, set: SetId) -> Option<&[Symbol]> {
-        let (from, to) = self.search[set as usize]?;
-        Some(&self.search_names[from as usize..to as usize])
+    pub(crate) fn below(&self, set: SetId) -> Below<&[Symbol]> {
+        self.below[set as usize].map(|(from, to)| &self.below_names[from as usize..to as usize])
     }
 
     /// The index key of `(set, symbol)`: the symbol counts as its class.

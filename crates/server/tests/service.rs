@@ -290,16 +290,16 @@ fn malformed_xml_is_a_clean_error_and_the_server_survives() {
 
 #[test]
 fn buffer_budget_rejects_with_413_without_killing_peers() {
-    // Q8-style join buffering on a document big enough to cross a small
-    // budget (each book peaks at 299 buffered bytes), while an unbudgeted
-    // peer runs the same document.
+    // A document big enough to cross a small budget (each book peaks at
+    // 296 buffered bytes: the second copy of its title needs the title
+    // buffered, where a single copy would be written through as it
+    // arrives), while an unbudgeted peer runs the same document.
     let mut doc = String::from("<bib>");
     for i in 0..2_000 {
         doc.push_str(&format!("<book><title>number {i}</title></book>"));
     }
     doc.push_str("</bib>");
-    // `exists` over the whole loop makes this buffer every book first.
-    let blocking = "<r>{ for $b in /bib/book return $b/title }</r>";
+    let blocking = "<r>{ for $b in /bib/book return ($b/title, $b/title) }</r>";
 
     let h = start(ServerConfig {
         workers: 4,

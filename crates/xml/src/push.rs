@@ -540,8 +540,10 @@ impl PushTokenizer {
     }
 
     /// The names of the `n` elements the last [`PushTokenizer::skip_element`]
-    /// left open ([`Skipped::left_open`]), outermost first. Read them
-    /// before the next `feed` or `step`, like the stop tag.
+    /// left open ([`Skipped::left_open`]) — or, after a `step`, the `n`
+    /// innermost open elements below the start tag it returned — outermost
+    /// first. Read them before the next `feed` or `step`, like the stop
+    /// tag.
     pub fn left_open(&self, n: usize) -> impl Iterator<Item = &str> {
         // A non-self-closing stop tag is open on top of them.
         let stop = matches!(

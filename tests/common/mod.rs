@@ -5,10 +5,11 @@
 #![allow(dead_code)] // every suite uses its own subset
 
 use gcx::projection::{Automaton, StreamMatcher, TaggedPaths};
+use gcx::query::ast::RoleId;
 use gcx::schema::Dtd;
 use gcx::xmark::{generate_string, XmarkConfig};
-use gcx::xml::{Token, Tokenizer};
-use gcx::CompiledQuery;
+use gcx::xml::{PushTokenizer, SymbolTable, Token, TokenStep, Tokenizer, XmlWriter};
+use gcx::{CompiledQuery, EngineOptions};
 use std::sync::Arc;
 
 #[path = "../../crates/xml/tests/common/mod.rs"]
@@ -50,19 +51,23 @@ pub fn pending_corpus() -> Vec<String> {
 pub struct Projection {
     /// Start tags shown to the matcher (those outside refused subtrees).
     pub visited: u64,
-    /// Nodes — elements and texts — that carry a role or stand above a
-    /// node that does: what the buffer must be handed, no more.
+    /// Nodes — elements and texts — that carry a role the writer has not
+    /// already served, or stand above a node that does: what the buffer
+    /// must be handed, no more. A node the lane wrote through
+    /// ([`written_through`]) needs no place of its own.
     pub needed: u64,
     /// Elements the matcher keeps without a role, no descendant of which
     /// earns one either: kept on speculation, never needed.
     pub never_needed: u64,
+    /// Nodes written through instead of appended ([`written_through`]).
+    pub written_through: u64,
 }
 
-/// Walk `doc` with the matcher of `q`, built the way a session builds it:
-/// with `dtd`, unsatisfiable paths pruned and the reach filter armed.
-pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
+/// The matcher a session builds for `q`: with `dtd`, unsatisfiable paths
+/// pruned and the reach filter armed.
+fn matcher(q: &CompiledQuery, dtd: Option<&Dtd>) -> (StreamMatcher, SymbolTable) {
     let mut symbols = q.program.symbols().clone();
-    let mut matcher = match dtd {
+    let matcher = match dtd {
         Some(dtd) => {
             let prune = dtd.prune(q.program.matcher_paths(), &symbols);
             let reach = Arc::new(dtd.reach_filter(&mut symbols));
@@ -71,22 +76,35 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
         }
         None => StreamMatcher::new(q.program.matcher_paths()).0,
     };
+    (matcher, symbols)
+}
+
+/// Walk `doc` with the matcher of `q`, built the way a session builds it:
+/// with `dtd`, unsatisfiable paths pruned and the reach filter armed.
+pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
+    let written = written_through(q, dtd, doc);
+    let (mut matcher, mut symbols) = matcher(q, dtd);
     let mut tok = Tokenizer::from_str(doc);
     let mut roles = Vec::new();
-    // Per open kept element: whether a role sits at or below it.
-    let mut open: Vec<bool> = Vec::new();
+    // Per open kept element: whether a role sits at or below it, and
+    // whether a role the writer has not served does.
+    let mut open: Vec<(bool, bool)> = Vec::new();
     let mut hidden_depth = 0u32;
+    // Index of the next visited node (start tag or text) in `written`.
+    let mut node = 0;
     let mut counts = Projection {
         visited: 0,
         needed: 0,
         never_needed: 0,
+        written_through: written.iter().filter(|&&w| w).count() as u64,
     };
-    let close = |open: &mut Vec<bool>, counts: &mut Projection| {
-        let role_below = open.pop().expect("balanced");
-        counts.needed += u64::from(role_below);
+    let close = |open: &mut Vec<(bool, bool)>, counts: &mut Projection| {
+        let (role_below, handed) = open.pop().expect("balanced");
+        counts.needed += u64::from(handed);
         counts.never_needed += u64::from(!role_below);
         if let Some(parent) = open.last_mut() {
-            *parent |= role_below;
+            parent.0 |= role_below;
+            parent.1 |= handed;
         }
     };
     while let Some(token) = tok.next_token().expect("well-formed") {
@@ -96,8 +114,9 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
             }
             Token::StartTag(tag) => {
                 counts.visited += 1;
+                node += 1;
                 if matcher.enter_element_into(symbols.intern(tag.name), &mut roles) {
-                    open.push(!roles.is_empty());
+                    open.push((!roles.is_empty(), !roles.is_empty() && !written[node - 1]));
                     if tag.self_closing {
                         matcher.leave_element();
                         close(&mut open, &mut counts);
@@ -113,10 +132,16 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
             }
             Token::Text(_) if hidden_depth == 0 => {
                 matcher.text_into(&mut roles);
-                if !roles.is_empty() {
+                node += 1;
+                if !roles.is_empty() && !written[node - 1] {
                     counts.needed += 1;
                     if let Some(parent) = open.last_mut() {
-                        *parent = true;
+                        parent.1 = true;
+                    }
+                }
+                if !roles.is_empty() {
+                    if let Some(parent) = open.last_mut() {
+                        parent.0 = true;
                     }
                 }
             }
@@ -124,4 +149,112 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
         }
     }
     counts
+}
+
+/// Which nodes `project` visits — start tags and texts outside refused
+/// subtrees, in document order — the gcx engine writes through instead of
+/// appending: a node holding one instance of one role, inside an element
+/// that holds that role too (the subtree of a copy), whose own
+/// serialization is the last thing the output gained when the byte that
+/// completed it was fed. Observed on the output of a session fed one byte
+/// at a time (with `dtd`, or with no schema at all); no buffer count is
+/// read.
+pub fn written_through(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Vec<bool> {
+    let mut opts = EngineOptions::gcx();
+    opts.schema_from_doctype = false;
+    if let Some(dtd) = dtd {
+        opts = opts.with_schema(Arc::new(dtd.clone()));
+    }
+    // What each byte added to the output.
+    let mut session = q.session(&opts);
+    let mut out = Vec::new();
+    let mut added = Vec::with_capacity(doc.len());
+    for byte in doc.as_bytes().chunks(1) {
+        let from = out.len();
+        session.feed(byte).expect("feed");
+        session.take_output(&mut out).expect("drain");
+        added.push(from..out.len());
+    }
+    session.finish().expect("finish");
+    let ends_with = |at: usize, want: &[u8]| {
+        added
+            .get(at)
+            .is_some_and(|range| out[range.clone()].ends_with(want))
+    };
+    let serialized = |token: &Token<'_>| {
+        let mut w = XmlWriter::new(Vec::new());
+        match token {
+            Token::StartTag(tag) => {
+                w.start_element(tag.name).unwrap();
+                for a in tag.attrs.iter() {
+                    w.attribute(a.name, a.value).unwrap();
+                }
+                if tag.self_closing {
+                    w.end_element().unwrap();
+                }
+            }
+            Token::Text(content) => w.text(content).unwrap(),
+            _ => unreachable!("only nodes are written"),
+        }
+        w.get_ref().clone()
+    };
+    let (mut matcher, mut symbols) = matcher(q, dtd);
+    let mut tok = PushTokenizer::new();
+    tok.feed(doc.as_bytes());
+    tok.finish_input();
+    let mut roles = Vec::new();
+    // The roles of the open kept elements.
+    let mut open: Vec<Vec<(RoleId, u32)>> = Vec::new();
+    let mut hidden_depth = 0u32;
+    let mut written = Vec::new();
+    let copied = |roles: &[(RoleId, u32)], open: &[Vec<(RoleId, u32)>]| match roles {
+        [(role, 1)] => open
+            .last()
+            .is_some_and(|p| p.iter().any(|(r, _)| r == role)),
+        _ => false,
+    };
+    loop {
+        let start = tok.position().offset as usize;
+        if tok.step().expect("well-formed") != TokenStep::Token {
+            break;
+        }
+        let token = tok.token();
+        // The byte that completes a token: a tag's `>`, a CDATA section's
+        // closing `>`, and for character data the `<` that follows it.
+        let end = tok.position().offset as usize;
+        match token {
+            Token::StartTag(tag) if hidden_depth > 0 => {
+                hidden_depth += u32::from(!tag.self_closing)
+            }
+            Token::StartTag(tag) => {
+                if matcher.enter_element_into(symbols.intern(tag.name), &mut roles) {
+                    written.push(copied(&roles, &open) && ends_with(end - 1, &serialized(&token)));
+                    if tag.self_closing {
+                        matcher.leave_element();
+                    } else {
+                        open.push(roles.clone());
+                    }
+                } else {
+                    written.push(false);
+                    hidden_depth = u32::from(!tag.self_closing);
+                }
+            }
+            Token::EndTag { .. } if hidden_depth > 0 => hidden_depth -= 1,
+            Token::EndTag { .. } => {
+                matcher.leave_element();
+                open.pop();
+            }
+            Token::Text(_) if hidden_depth == 0 => {
+                matcher.text_into(&mut roles);
+                let at = if doc[start..].starts_with("<![CDATA[") {
+                    end - 1
+                } else {
+                    end
+                };
+                written.push(copied(&roles, &open) && ends_with(at, &serialized(&token)));
+            }
+            _ => {}
+        }
+    }
+    written
 }

@@ -23,6 +23,15 @@
 //! fell from a 168-byte record to an 80-byte slot and then to a 72-byte
 //! one; the relation is asserted against [`BEFORE_COMPACT`] and
 //! [`BEFORE_HOLD_COUNTS`].
+//!
+//! The last re-pin (copy-through) moved `gcx` rows alone, and only down: a
+//! copy the evaluator starts while its element is open is written as the
+//! element streams in, and a node only the copy needs is not appended.
+//! `common::written_through` counts those nodes from the output of a
+//! session fed one byte at a time — a node whose own serialization was
+//! written the moment it arrived — and `old appends − written through =
+//! new appends` (same for purges) is asserted against
+//! [`BEFORE_COPY_THROUGH`].
 
 mod common;
 
@@ -53,17 +62,18 @@ fn modes() -> [(&'static str, EngineOptions); 4] {
 /// `[tokens, peak_live, peak_live_bytes, allocated, purged, output_bytes]`
 /// per query (in `paper_queries()` order), per mode (in `modes()` order).
 /// Byte peaks re-pinned with compact buffer storage and again with hold
-/// counts; see [`BEFORE_COMPACT`] and [`BEFORE_HOLD_COUNTS`].
+/// counts; see [`BEFORE_COMPACT`] and [`BEFORE_HOLD_COUNTS`]. The `gcx`
+/// rows re-pinned with copy-through; see [`BEFORE_COPY_THROUGH`].
 #[rustfmt::skip]
 const PINNED: [[[u64; 6]; 4]; 11] = [
     // Q1
-    [[9900, 5, 391, 317, 317, 25], [9900, 317, 25693, 317, 0, 25], [9900, 8, 706, 6067, 6067, 25], [9900, 6067, 487025, 6067, 0, 25]],
+    [[9900, 5, 391, 316, 316, 25], [9900, 317, 25693, 317, 0, 25], [9900, 8, 706, 6067, 6067, 25], [9900, 6067, 487025, 6067, 0, 25]],
     // Q6
-    [[9900, 6, 465, 275, 275, 3526], [9900, 275, 22233, 275, 0, 3526], [9900, 9, 864, 6067, 6067, 3526], [9900, 6067, 487025, 6067, 0, 3526]],
+    [[9900, 5, 388, 186, 186, 3526], [9900, 275, 22233, 275, 0, 3526], [9900, 9, 864, 6067, 6067, 3526], [9900, 6067, 487025, 6067, 0, 3526]],
     // Q8
-    [[9900, 438, 35596, 438, 438, 5111], [9900, 438, 35596, 438, 0, 5111], [9900, 442, 35957, 6067, 6067, 5111], [9900, 6067, 487025, 6067, 0, 5111]],
+    [[9900, 437, 35512, 437, 437, 5111], [9900, 438, 35596, 438, 0, 5111], [9900, 442, 35957, 6067, 6067, 5111], [9900, 6067, 487025, 6067, 0, 5111]],
     // Q13
-    [[9900, 9, 833, 93, 93, 2624], [9900, 93, 8523, 93, 0, 2624], [9900, 12, 1091, 6067, 6067, 2624], [9900, 6067, 487025, 6067, 0, 2624]],
+    [[9900, 8, 751, 78, 78, 2624], [9900, 93, 8523, 93, 0, 2624], [9900, 12, 1091, 6067, 6067, 2624], [9900, 6067, 487025, 6067, 0, 2624]],
     // Q20
     [[9900, 4, 322, 185, 185, 1068], [9900, 185, 16293, 185, 0, 1068], [9900, 7, 706, 6067, 6067, 1068], [9900, 6067, 487025, 6067, 0, 1068]],
     // Q2
@@ -75,10 +85,73 @@ const PINNED: [[[u64; 6]; 4]; 11] = [
     // Q17
     [[9900, 5, 391, 317, 317, 4361], [9900, 317, 25693, 317, 0, 4361], [9900, 8, 706, 6067, 6067, 4361], [9900, 6067, 487025, 6067, 0, 4361]],
     // Q19
-    [[9900, 8, 614, 78, 78, 999], [9900, 78, 6103, 78, 0, 999], [9900, 11, 995, 6067, 6067, 999], [9900, 6067, 487025, 6067, 0, 999]],
+    [[9900, 7, 526, 63, 63, 999], [9900, 78, 6103, 78, 0, 999], [9900, 11, 995, 6067, 6067, 999], [9900, 6067, 487025, 6067, 0, 999]],
     // Q6_COUNT
     [[9900, 97, 8220, 97, 97, 17], [9900, 97, 8220, 97, 0, 17], [9900, 103, 8778, 6067, 6067, 17], [9900, 6067, 487025, 6067, 0, 17]],
 ];
+
+/// The `gcx` rows of [`PINNED`] (first of each query) as they stood while
+/// every copied element was buffered whole and serialized after its end
+/// tag. Five queries copy an element the evaluator reaches while it is
+/// still open, and the nodes only that copy needs are written through:
+///
+/// | query | copy started at arrival | appends old − written through = new | peak nodes / bytes |
+/// |---|---|---|---|
+/// | Q1 | `$b/name` of person0 | 317 − 1 = 316 | 5 / 391 → 5 / 391 |
+/// | Q6 | every `$i/name` | 275 − 89 = 186 | 6 / 465 → 5 / 388 |
+/// | Q8 | the first person's `$p/name` (the join holds the rest back) | 438 − 1 = 437 | 438 / 35596 → 437 / 35512 |
+/// | Q13 | `$i/name`, then `$i/description` | 93 − 15 = 78 | 9 / 833 → 8 / 751 |
+/// | Q19 | `$i/name` (its `location` came first) | 78 − 15 = 63 | 8 / 614 → 7 / 526 |
+///
+/// Purges move by the same count (every append is purged in `gcx`);
+/// tokens and outputs do not move, nor does any row of the three other
+/// modes, which never write through.
+#[rustfmt::skip]
+const BEFORE_COPY_THROUGH: [[u64; 6]; 11] = [
+    [9900, 5, 391, 317, 317, 25],
+    [9900, 6, 465, 275, 275, 3526],
+    [9900, 438, 35596, 438, 438, 5111],
+    [9900, 9, 833, 93, 93, 2624],
+    [9900, 4, 322, 185, 185, 1068],
+    [9900, 6, 460, 171, 171, 1189],
+    [9900, 9, 682, 301, 301, 1289],
+    [9900, 9, 864, 542, 542, 702],
+    [9900, 5, 391, 317, 317, 4361],
+    [9900, 8, 614, 78, 78, 999],
+    [9900, 97, 8220, 97, 97, 17],
+];
+
+/// [`PINNED`] before copy-through: its `gcx` rows from
+/// [`BEFORE_COPY_THROUGH`]. The earlier re-pins are asserted against this.
+fn pinned_before_copy_through() -> [[[u64; 6]; 4]; 11] {
+    let mut before = PINNED;
+    for (rows, gcx) in before.iter_mut().zip(BEFORE_COPY_THROUGH) {
+        rows[0] = gcx;
+    }
+    before
+}
+
+#[test]
+fn the_copy_through_re_pin_is_the_old_pin_minus_what_was_written_through() {
+    let doc = doc();
+    let mut moved = 0;
+    for (((name, text), now), before) in queries::paper_queries()
+        .into_iter()
+        .zip(PINNED)
+        .zip(BEFORE_COPY_THROUGH)
+    {
+        let q = CompiledQuery::compile(text).unwrap();
+        let written = common::project(&q, None, &doc).written_through;
+        let [tokens, peak, peak_bytes, allocated, purged, output] = before;
+        let now = now[0];
+        assert_eq!([tokens, output], [now[0], now[5]], "{name}: tokens, output");
+        assert_eq!(allocated - written, now[3], "{name}: appends");
+        assert_eq!(purged - written, now[4], "{name}: purges");
+        assert!(now[1] <= peak && now[2] <= peak_bytes, "{name}: peaks");
+        moved += usize::from(written > 0);
+    }
+    assert_eq!(moved, 5, "Q1, Q6, Q8, Q13 and Q19 copy an open element");
+}
 
 /// [`PINNED`] as it stood while a buffered node was charged an 80-byte
 /// slot: a slot lost its two subtree aggregates (an 8-byte role total and a
@@ -171,7 +244,10 @@ const BEFORE_LAZY_PREFIX: [(&str, u64, [[u64; 6]; 2]); 3] = [
 fn the_re_pin_is_the_old_pin_minus_what_was_never_needed() {
     let doc = doc();
     let mut moved = 0;
-    for ((name, text), now) in queries::paper_queries().into_iter().zip(PINNED) {
+    for ((name, text), now) in queries::paper_queries()
+        .into_iter()
+        .zip(pinned_before_copy_through())
+    {
         let q = CompiledQuery::compile(text).unwrap();
         let never = common::project(&q, None, &doc).never_needed;
         let Some((_, pinned_never, before)) = BEFORE_LAZY_PREFIX.iter().find(|(n, ..)| *n == name)
@@ -233,7 +309,7 @@ fn the_compact_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
 #[test]
 fn the_hold_count_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
     // An 80-byte slot → a 72-byte one.
-    assert_byte_peaks_fell_by_at_most(80 - 72, &BEFORE_HOLD_COUNTS, &PINNED);
+    assert_byte_peaks_fell_by_at_most(80 - 72, &BEFORE_HOLD_COUNTS, &pinned_before_copy_through());
 }
 
 /// Every case runs with telemetry off and on: telemetry changes no output
@@ -296,6 +372,13 @@ fn paper_queries_measure_the_same_in_all_four_modes() {
 /// bytes lower per node live at that token (Q6: 509 → 461, 508 → 460,
 /// 160 → 144; Q14: 845 → 773, 909 → 837; projection-only Q6 10560 → 9608
 /// at 119 nodes, 20963 → 19075 at 236, 24433 → 22233 at 275).
+///
+/// And with [`BEFORE_COPY_THROUGH`], Q6/gcx alone (it writes each item's
+/// name text through; Q14 copies names only after their item's
+/// description has closed): the count is the purge count 275 − 89 = 186,
+/// the sum loses those 89 texts' residencies (28145 → 26463), and the
+/// samples at tokens 1025 and 2049 lose the name text then live (461 →
+/// 374, 460 → 374: one 72-byte slot and its payload).
 fn assert_telemetry(
     what: &str,
     text: &str,
@@ -322,8 +405,8 @@ fn assert_telemetry(
 #[rustfmt::skip]
 fn telemetry_clock_is_pinned() {
     assert_telemetry(
-        "Q6/gcx", queries::Q6, EngineOptions::gcx(), (275, 28145),
-        &[(1, 0), (1025, 461), (2049, 460), (3073, 144), (4097, 144), (5121, 144), (6145, 144), (7169, 144), (8193, 144), (9217, 144)],
+        "Q6/gcx", queries::Q6, EngineOptions::gcx(), (186, 26463),
+        &[(1, 0), (1025, 374), (2049, 374), (3073, 144), (4097, 144), (5121, 144), (6145, 144), (7169, 144), (8193, 144), (9217, 144)],
     );
     assert_telemetry(
         "Q14/gcx", queries::extra::Q14, EngineOptions::gcx(), (542, 31585),

@@ -193,21 +193,41 @@ fn blind_peaks_equal_aware_peaks_and_pending_cutoffs_fire() {
         let (blind_out, b) = fed(&q, &blind, doc.as_bytes(), 4096);
         let (aware_out, a) = fed(&q, &aware, doc.as_bytes(), 4096);
         assert_eq!(blind_out, aware_out, "{name}");
-        // The table: buffer discipline no longer needs the DTD.
-        assert_eq!(
-            (
-                b.buffer.peak_live,
-                b.buffer.peak_live_bytes,
-                b.buffer.allocated
-            ),
-            (
-                a.buffer.peak_live,
-                a.buffer.peak_live_bytes,
-                a.buffer.allocated
-            ),
-            "{name}: the schema-blind engine must reach the schema-aware \
-             peak and append count"
+        // The table: buffer discipline no longer needs the DTD — except
+        // that a sibling-order cutoff can end a loop early, so that a copy
+        // after it starts while its element is still open and is written
+        // through (Q13's `$i/description`, once a cutoff proves `name`
+        // exhausted). Where the DTD writes nothing more through, the
+        // blind engine reaches the aware peak and append count.
+        let blind_needed = common::project(&q, None, &doc);
+        let aware_needed = common::project(&q, Some(&Dtd::xmark()), &doc);
+        let blind_row = (
+            b.buffer.peak_live,
+            b.buffer.peak_live_bytes,
+            b.buffer.allocated,
         );
+        let aware_row = (
+            a.buffer.peak_live,
+            a.buffer.peak_live_bytes,
+            a.buffer.allocated,
+        );
+        if aware_needed.written_through == blind_needed.written_through {
+            assert_eq!(
+                blind_row, aware_row,
+                "{name}: the schema-blind engine must reach the schema-aware \
+                 peak and append count"
+            );
+        } else {
+            assert!(
+                aware_needed.written_through > blind_needed.written_through
+                    && aware_row.0 <= blind_row.0
+                    && aware_row.1 <= blind_row.1
+                    && aware_row.2 < blind_row.2,
+                "{name}: the DTD wrote more through, so it must buffer less: \
+                 {blind_row:?} blind, {aware_row:?} aware"
+            );
+        }
+        assert_eq!(a.buffer.allocated, aware_needed.needed, "{name}");
         assert_eq!(b.buffer.allocated, needed_nodes(&q, &doc), "{name}");
         let s = a.schema.expect("schema report");
         assert_eq!(
