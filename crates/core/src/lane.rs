@@ -387,8 +387,8 @@ impl Lane {
     /// the lane's to see. (Inlined into every caller, like
     /// [`Lane::step`]: a driver calls both per token, and a session from
     /// its search as well as its token loop.) Under a copy frontier the
-    /// tag is written, and a node holding only the copy's role is kept
-    /// pending, not appended.
+    /// tag of a child not refused is written, and a node holding only the
+    /// copy's role is kept pending, not appended.
     #[inline(always)]
     pub fn start_element(
         &mut self,
@@ -398,13 +398,28 @@ impl Lane {
         keep: Keep<'_>,
     ) -> bool {
         let keep = match self.frontier {
-            Some(frontier) if self.live() => {
-                self.write_through(&Token::StartTag(*tag));
-                keep.under(frontier)
-            }
+            // A refused child is hidden from the lane, its end tag too:
+            // nothing of it is written.
+            Some(frontier) if !matches!(keep, Keep::Skip) => self.start_copied(tag, keep, frontier),
             _ => keep,
         };
         self.open_child(name, tag, attr_names, keep)
+    }
+
+    /// Write the start tag of an element inside the copy at `frontier`,
+    /// and what to do with the element then. (Out of the token path, which
+    /// only tests for a frontier.)
+    #[inline(never)]
+    fn start_copied<'k>(
+        &mut self,
+        tag: &StartTag<'_>,
+        keep: Keep<'k>,
+        frontier: Frontier,
+    ) -> Keep<'k> {
+        if self.live() {
+            self.write_through(&Token::StartTag(*tag));
+        }
+        keep.under(frontier)
     }
 
     /// An element a driver passed through [`Lane::write_through`] and left
@@ -541,20 +556,28 @@ impl Lane {
             return false;
         }
         let ordinals = top_counters(&mut self.pending, &mut self.open).next_text();
-        if let Some(frontier) = self.frontier {
-            self.write_through(&Token::Text(content));
-            if roles.is_none_or(|roles| only(roles, frontier)) {
-                return true;
-            }
-        }
         let Some(roles) = roles else {
             return false;
         };
+        if let Some(frontier) = self.frontier {
+            if self.text_copied(content, roles, frontier) {
+                return true;
+            }
+        }
         self.materialise_pending();
         let parent = self.open.last().expect("open stack never empty").node;
         self.buf.append_text(parent, content, roles, ordinals);
         self.touched = true;
         true
+    }
+
+    /// Write a text inside the copy at `frontier`; returns whether that
+    /// was all it needed (it holds the copy's role alone). (Out of the
+    /// token path, which only tests for a frontier.)
+    #[inline(never)]
+    fn text_copied(&mut self, content: &str, roles: &[(RoleId, u32)], frontier: Frontier) -> bool {
+        self.write_through(&Token::Text(content));
+        only(roles, frontier)
     }
 
     /// `tokens` structural tokens went by, as the driver counts them for
@@ -1052,16 +1075,30 @@ mod tests {
     /// Drive a copy of the document element `f`, which holds the copy's
     /// role and another: below it, elements named `c…` and plain text hold
     /// the copy's role alone, `r…` and text starting with `!` another one
-    /// too. With `frontier`, the lane writes the copy from `f`'s start tag
-    /// on, as the evaluator hands it over; without, every node is appended,
-    /// as before write-through. Returns the lane and `f`.
+    /// too; the driver refuses elements named `x…` (and hides their
+    /// subtrees) and gives text starting with `-` no role. With
+    /// `frontier`, the lane writes the copy from `f`'s start tag on, as the
+    /// evaluator hands it over; without, every node is appended, as before
+    /// write-through. Returns the lane and `f`.
     fn drive_copy(xml: &str, frontier: bool) -> (Lane, NodeId) {
         let q = CompiledQuery::compile("'x'").unwrap();
         let mut lane = Lane::start(&q, EngineMode::Gcx, None, None, false, None);
         let mut tok = Tokenizer::from_str(xml);
         let mut f = None;
+        let mut hidden = 0u32;
         while let Some(token) = tok.next_token().unwrap() {
             match token {
+                Token::StartTag(tag) if hidden > 0 => hidden += u32::from(!tag.self_closing),
+                Token::EndTag { .. } if hidden > 0 => hidden -= 1,
+                Token::Text(_) if hidden > 0 => {}
+                Token::StartTag(tag) if tag.name.starts_with('x') => {
+                    let name = lane.symbols_mut().intern(tag.name);
+                    assert!(!lane.start_element(name, &tag, &[], Keep::Skip));
+                    hidden = u32::from(!tag.self_closing);
+                }
+                Token::Text(content) if content.starts_with('-') => {
+                    assert!(!lane.text(content, None));
+                }
                 Token::StartTag(tag) => {
                     let name = lane.symbols_mut().intern(tag.name);
                     let attr_names: Vec<Symbol> = tag
@@ -1185,6 +1222,20 @@ mod tests {
         assert!(c1.is_none_or(|c1| lazy.buf.attrs(c1).is_empty()));
         assert_eq!(lazy.buf.stats().allocated, 6);
         assert_eq!(eager.buf.stats().allocated, 14);
+    }
+
+    #[test]
+    fn under_a_frontier_nothing_refused_is_written() {
+        // A child the driver refuses is hidden from the lane with its end
+        // tag, and a text without a role is only counted: neither may be
+        // written, or the copy's tags would no longer nest.
+        let doc = "<f>t<x1 a='1'>h<c1>i</c1></x1>-n<c2>u<x2/>-o</c2><x3/>v</f>";
+        let (lazy, _) = drive_copy(doc, true);
+        let (eager, g) = drive_copy(doc, false);
+        let mut whole = XmlWriter::new(Vec::new());
+        eager.buf.serialize(g, &eager.symbols, &mut whole).unwrap();
+        assert_eq!(whole.get_ref().as_slice(), b"<f>t<c2>u</c2>v</f>");
+        assert_eq!(lazy.output(), whole.get_ref().as_slice());
     }
 
     #[test]

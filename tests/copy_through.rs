@@ -257,3 +257,38 @@ fn a_bidder_leaves_before_its_auction_ends() {
         "{fed} of {end} bytes fed before `</open_auction>`, output: {out}"
     );
 }
+
+#[test]
+fn a_copy_under_a_schema_the_document_breaks_still_nests() {
+    // `incategory` is declared EMPTY and `mail` may hold no `keyword`: the
+    // schema-aware matcher may refuse what the DTD says cannot be there,
+    // and a copy written through must leave out exactly what a copy that
+    // projection-only serializes from the buffer leaves out — its tags
+    // still nesting.
+    let doc = "<site><regions><europe><item id='i1'><location>x</location>\
+               <incategory category='c'><name>q</name>t<parlist><listitem><text>z\
+               </text></listitem></parlist></incategory><name>n</name><mailbox><mail>\
+               <from>f</from><to>t</to><date>d</date><text>tx<keyword>k</keyword>\
+               </text><keyword>stray</keyword></mail></mailbox></item></europe></regions></site>";
+    let dtd = gcx::schema::Dtd::xmark();
+    for text in [
+        "for $i in /site/regions/europe/item return $i",
+        "for $i in //item return $i",
+        "for $i in /site/regions/europe/item return ($i/incategory, $i//keyword)",
+        "for $m in //mail return $m",
+    ] {
+        let q = CompiledQuery::compile(text).unwrap();
+        let projected = EngineOptions::projection_only().with_schema(dtd.clone());
+        let (want, _) = fed(&q, &projected, doc.as_bytes(), doc.len());
+        assert!(!want.is_empty(), "{text}");
+        let gcx = EngineOptions::gcx().with_schema(dtd.clone());
+        for chunk in [1, 7, doc.len()] {
+            let (out, _) = fed(&q, &gcx, doc.as_bytes(), chunk);
+            assert_eq!(
+                String::from_utf8_lossy(&out),
+                String::from_utf8_lossy(&want),
+                "{text}, chunks of {chunk}"
+            );
+        }
+    }
+}

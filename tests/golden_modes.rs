@@ -31,7 +31,8 @@
 //! session fed one byte at a time — a node whose own serialization was
 //! written the moment it arrived — and `old appends − written through =
 //! new appends` (same for purges) is asserted against
-//! [`BEFORE_COPY_THROUGH`].
+//! [`BEFORE_COPY_THROUGH`]. That count reads the engine's own output, so
+//! it is pinned per query as well ([`WRITTEN_THROUGH`]).
 
 mod common;
 
@@ -131,17 +132,41 @@ fn pinned_before_copy_through() -> [[[u64; 6]; 4]; 11] {
     before
 }
 
+/// Nodes per query the `gcx` engine writes through instead of appending
+/// (the middle term of the table above). Pinned, so that a copy that stops
+/// writing through — fewer nodes written, as many more appended — fails
+/// here and not only in [`PINNED`].
+const WRITTEN_THROUGH: [(&str, u64); 11] = [
+    ("Q1", 1),
+    ("Q6", 89),
+    ("Q8", 1),
+    ("Q13", 15),
+    ("Q20", 0),
+    ("Q2", 0),
+    ("Q3", 0),
+    ("Q14", 0),
+    ("Q17", 0),
+    ("Q19", 15),
+    ("Q6_COUNT", 0),
+];
+
 #[test]
 fn the_copy_through_re_pin_is_the_old_pin_minus_what_was_written_through() {
     let doc = doc();
     let mut moved = 0;
-    for (((name, text), now), before) in queries::paper_queries()
+    for ((((name, text), now), before), (pinned, written)) in queries::paper_queries()
         .into_iter()
         .zip(PINNED)
         .zip(BEFORE_COPY_THROUGH)
+        .zip(WRITTEN_THROUGH)
     {
+        assert_eq!(name, pinned);
         let q = CompiledQuery::compile(text).unwrap();
-        let written = common::project(&q, None, &doc).written_through;
+        assert_eq!(
+            common::project(&q, None, &doc).written_through,
+            written,
+            "{name}: nodes written through"
+        );
         let [tokens, peak, peak_bytes, allocated, purged, output] = before;
         let now = now[0];
         assert_eq!([tokens, output], [now[0], now[5]], "{name}: tokens, output");

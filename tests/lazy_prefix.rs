@@ -180,6 +180,23 @@ const EAGER_TRIGGERS: [(&str, u64, u64); 11] = [
     ("Q6_COUNT", 1, 0),
 ];
 
+/// The queries whose schema-blind `(peak_live, peak_live_bytes,
+/// allocated)` equal their schema-aware ones: every paper query but Q13.
+const BLIND_EQUALS_AWARE: [&str; 10] = [
+    "Q1", "Q6", "Q8", "Q20", "Q2", "Q3", "Q14", "Q17", "Q19", "Q6_COUNT",
+];
+
+/// Q13's `(peak_live, peak_live_bytes, allocated)` schema-blind, then
+/// schema-aware. Q13 copies `$i/name`, then `$i/description`, of each
+/// Australian item. Blind, the loop over the item's `name` children ends
+/// only at the item's end tag, so each `description` has closed before its
+/// copy starts and is serialized from the buffer. Aware, the sibling-order
+/// cutoff ends that loop at `payment` (the DTD allows one `name`, before
+/// it), the copy of `description` starts at its start tag, and the nodes
+/// only that copy needs are written through instead of appended: 33
+/// appends fall to 21, and the peaks from 8 nodes / 761 bytes to 6 / 446.
+const Q13_ROWS: [(u64, u64, u64); 2] = [(8, 761, 33), (6, 446, 21)];
+
 #[test]
 fn blind_peaks_equal_aware_peaks_and_pending_cutoffs_fire() {
     let doc = xmark(48, 42);
@@ -193,41 +210,29 @@ fn blind_peaks_equal_aware_peaks_and_pending_cutoffs_fire() {
         let (blind_out, b) = fed(&q, &blind, doc.as_bytes(), 4096);
         let (aware_out, a) = fed(&q, &aware, doc.as_bytes(), 4096);
         assert_eq!(blind_out, aware_out, "{name}");
-        // The table: buffer discipline no longer needs the DTD — except
-        // that a sibling-order cutoff can end a loop early, so that a copy
-        // after it starts while its element is still open and is written
-        // through (Q13's `$i/description`, once a cutoff proves `name`
-        // exhausted). Where the DTD writes nothing more through, the
-        // blind engine reaches the aware peak and append count.
-        let blind_needed = common::project(&q, None, &doc);
-        let aware_needed = common::project(&q, Some(&Dtd::xmark()), &doc);
-        let blind_row = (
-            b.buffer.peak_live,
-            b.buffer.peak_live_bytes,
-            b.buffer.allocated,
-        );
-        let aware_row = (
-            a.buffer.peak_live,
-            a.buffer.peak_live_bytes,
-            a.buffer.allocated,
-        );
-        if aware_needed.written_through == blind_needed.written_through {
+        // The table: buffer discipline no longer needs the DTD.
+        let rows = [&b, &a].map(|r| {
+            (
+                r.buffer.peak_live,
+                r.buffer.peak_live_bytes,
+                r.buffer.allocated,
+            )
+        });
+        if name == "Q13" {
+            assert_eq!(rows, Q13_ROWS, "{name}: blind and aware rows");
+        } else {
+            assert!(BLIND_EQUALS_AWARE.contains(&name), "{name}");
             assert_eq!(
-                blind_row, aware_row,
+                rows[0], rows[1],
                 "{name}: the schema-blind engine must reach the schema-aware \
                  peak and append count"
             );
-        } else {
-            assert!(
-                aware_needed.written_through > blind_needed.written_through
-                    && aware_row.0 <= blind_row.0
-                    && aware_row.1 <= blind_row.1
-                    && aware_row.2 < blind_row.2,
-                "{name}: the DTD wrote more through, so it must buffer less: \
-                 {blind_row:?} blind, {aware_row:?} aware"
-            );
         }
-        assert_eq!(a.buffer.allocated, aware_needed.needed, "{name}");
+        assert_eq!(
+            a.buffer.allocated,
+            common::project(&q, Some(&Dtd::xmark()), &doc).needed,
+            "{name}"
+        );
         assert_eq!(b.buffer.allocated, needed_nodes(&q, &doc), "{name}");
         let s = a.schema.expect("schema report");
         assert_eq!(
