@@ -23,28 +23,6 @@ pub struct ScanFacts {
     pub feed_spans: Vec<FeedSpan>,
 }
 
-impl ScanFacts {
-    /// Count a `feed` call that is about to be consumed; with `telemetry`
-    /// on, returns its start time for [`ScanFacts::feed_ended`].
-    pub fn feed_started(&mut self, telemetry: bool) -> Option<u64> {
-        self.feed_calls += 1;
-        telemetry.then(gcx_obs::now_micros)
-    }
-
-    /// Record the [`FeedSpan`] of the call `started` opened, if any: when
-    /// the chunk arrived, how long consuming it took, and its size — the
-    /// raw material of the Chrome-trace feed track.
-    pub fn feed_ended(&mut self, started: Option<u64>, bytes: usize) {
-        if let Some(start_us) = started {
-            self.feed_spans.push(FeedSpan {
-                start_us,
-                dur_us: gcx_obs::now_micros().saturating_sub(start_us),
-                bytes: bytes as u64,
-            });
-        }
-    }
-}
-
 /// Document child counters for ordinal stamping: every child — kept,
 /// skipped or text — bumps these, so positional predicates evaluate
 /// against true document positions. One instance per open kept element.
@@ -193,11 +171,11 @@ enum Health {
 /// speculative ancestor only once a descendant needs it there (below) —
 /// [`tick`](Lane::tick) moves the token clock, and [`step`](Lane::step)
 /// enforces the byte budget and resumes the evaluator the moment what it
-/// waits for may have arrived. [`EvalSession`](crate::EvalSession) drives
-/// one lane from its own tokenizer and matcher; `gcx-multi` drives N of
-/// them in lock-step off one shared scan and one merged matcher. The lane
-/// cannot tell which: buffer contents, purge order and peaks depend only
-/// on the events it is shown.
+/// waits for may have arrived. The [`Driver`](crate::Driver) feeds one
+/// lane for an [`EvalSession`](crate::EvalSession), and N of them in
+/// lock-step off one shared scan and one merged matcher for `gcx-multi`.
+/// The lane cannot tell which: buffer contents, purge order and peaks
+/// depend only on the events it is shown.
 ///
 /// A lane that fails (buffer budget, evaluator error) turns inert: it
 /// ignores further events and reports the error from
@@ -225,9 +203,9 @@ enum Health {
 /// evaluator never hear of it.
 ///
 /// A driver may pass the inside of a pending element unseen when its
-/// projection only waits for a few names below it (a session's
-/// descendant search), and open the elements it finds on the way there
-/// late, as [`Keep::Speculative`]. Their ordinals are then counted among
+/// projection only waits for a few names below it (a descendant search),
+/// and open the elements it finds on the way there late, as
+/// [`Keep::Speculative`]. Their ordinals are then counted among
 /// the siblings the lane was shown. Nothing can tell: a step that could
 /// select them by position would have stopped the search.
 ///
@@ -245,9 +223,8 @@ enum Health {
 /// beside `$a`) is still appended under its role-less ancestors, and
 /// every node is written once. The element's own end tag ends the copy.
 /// A driver may also pass a stretch of the subtree through
-/// [`Lane::write_through`] without deciding anything (a session's copy
-/// pass), and open the elements it leaves open with
-/// [`Lane::open_copied`].
+/// [`Lane::write_through`] without deciding anything (a copy pass), and
+/// open the elements it leaves open with [`Lane::open_copied`].
 ///
 /// The chain is O(document depth), like the tokenizer's open-tag stack,
 /// and lives outside the buffer's *reporting*: it shows in a run's heap
@@ -284,6 +261,9 @@ pub struct Lane {
     clock: u64,
     /// The copy the evaluator waits at the frontier of (see above).
     frontier: Option<Frontier>,
+    /// `(pruned, total)` projection-path counts of the schema plan the lane
+    /// started with.
+    pruned_paths: Option<(u32, u32)>,
     /// An event changed the buffer or a schema cutoff since the last
     /// [`Lane::step`] (or no step has run yet).
     touched: bool,
@@ -340,6 +320,7 @@ impl Lane {
             child_names: Vec::new(),
             clock: 0,
             frontier: None,
+            pruned_paths: schema.map(|plan| plan.pruned_paths),
             // The program has not started: the first step must run it.
             touched: true,
             vm_done: false,
@@ -385,10 +366,9 @@ impl Lane {
     /// `attr_names` is only read on [`Keep::Roles`]. Returns whether the
     /// element was taken — buffered or pending — so that its end tag is
     /// the lane's to see. (Inlined into every caller, like
-    /// [`Lane::step`]: a driver calls both per token, and a session from
-    /// its search as well as its token loop.) Under a copy frontier the
-    /// tag of a child not refused is written, and a node holding only the
-    /// copy's role is kept pending, not appended.
+    /// [`Lane::step`]: a driver calls both per token.) Under a copy
+    /// frontier the tag of a child not refused is written, and a node
+    /// holding only the copy's role is kept pending, not appended.
     #[inline(always)]
     pub fn start_element(
         &mut self,
@@ -425,13 +405,14 @@ impl Lane {
     /// An element a driver passed through [`Lane::write_through`] and left
     /// open: it opens on the pending chain, as [`Lane::start_element`]
     /// opens one holding only the copy's role, and is not written again.
-    pub fn open_copied(&mut self, name: Symbol) {
+    /// Returns whether it was taken.
+    pub fn open_copied(&mut self, name: Symbol) -> bool {
         let tag = StartTag {
             name: "",
             attrs: Attrs::EMPTY,
             self_closing: false,
         };
-        self.open_child(name, &tag, &[], Keep::Speculative);
+        self.open_child(name, &tag, &[], Keep::Speculative)
     }
 
     /// [`Lane::start_element`] past the copy frontier.
@@ -580,11 +561,13 @@ impl Lane {
         only(roles, frontier)
     }
 
-    /// `tokens` structural tokens went by, as the driver counts them for
-    /// this lane — a session charges every token of the stream (a
-    /// self-closing tag twice, a skipped subtree's all at once, nothing
-    /// having changed in between), a batch the events it delivered.
-    /// Residency telemetry is measured on this clock and
+    /// Move the lane's token clock by `tokens`. The driver charges by one
+    /// of two rules, which its face picks: a stand-alone lane every
+    /// structural token of the stream (a self-closing tag twice, a skipped
+    /// subtree's all at once, nothing having changed in between), a batch
+    /// lane the events it was shown (a self-closing tag once, nothing of a
+    /// subtree it does not see) — and a bulk pass what stepping would have
+    /// shown it. Residency telemetry is measured on this clock and
     /// [`RunReport::tokens`] reports it.
     #[inline]
     pub fn tick(&mut self, tokens: u64) {
@@ -737,6 +720,21 @@ impl Lane {
                 ..s
             }),
         })
+    }
+
+    /// The driver's share of the run's [`SchemaReport`] when a schema is in
+    /// force (the lane's plan, or an adopted DOCTYPE): the plan's path
+    /// counts and the scan's `reach_cuts`. [`Lane::finish`] adds the
+    /// cutoff counters.
+    pub fn schema_facts(&self, reach_cuts: u64) -> Option<SchemaReport> {
+        let (pruned_paths, total_paths) = self.pruned_paths.unwrap_or((0, 0));
+        let report = SchemaReport {
+            pruned_paths,
+            total_paths,
+            reach_cuts,
+            ..SchemaReport::default()
+        };
+        (self.pruned_paths.is_some() || self.schema_active()).then_some(report)
     }
 
     /// How many more pending elements the byte budget has room for

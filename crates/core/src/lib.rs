@@ -16,13 +16,16 @@
 //! There is one evaluation core, the [`Lane`]: everything downstream of
 //! the keep/skip decision — buffer writes with document ordinals, the
 //! byte budget, resuming the evaluator when what it waits for arrived,
-//! failure capture, report assembly. A session is a tokenizer and the
-//! stream preprojector (the projection NFA) driving one lane;
-//! `gcx-multi` is one tokenizer and one merged matcher driving N lanes in
-//! lock-step off a single shared scan. Either way a subtree the
-//! projection refuses is never tokenized: the driver has the tokenizer
-//! fast-forward through it (`gcx_xml::PushTokenizer::skip_element`).
+//! failure capture, report assembly. And there is one driver, the
+//! [`Driver`]: a tokenizer and the stream preprojector (the projection
+//! NFA) feeding N ≥ 1 lanes in lock-step off a single scan. A session is
+//! its one-lane face; `gcx-multi`'s batch its N-lane face. Either way a
+//! subtree the projection refuses is never tokenized: the driver has the
+//! tokenizer fast-forward through it
+//! (`gcx_xml::PushTokenizer::skip_element`).
 //!
+//! * [`Driver`] — tokenizes, matches, and shows each lane what its query
+//!   keeps, passing what no lane needs in bulk;
 //! * [`Lane`] — copies the tokens its driver keeps into the buffer and
 //!   steps the evaluator;
 //! * [`buffer::BufferTree`] — the buffer + role bookkeeping +
@@ -49,6 +52,7 @@
 
 pub mod buffer;
 pub mod cursor;
+mod driver;
 mod engine;
 mod error;
 mod eval;
@@ -57,6 +61,7 @@ pub mod obs;
 pub mod session;
 
 pub use buffer::{AttrBuf, BufferStats, BufferTree, NodeId};
+pub use driver::Driver;
 pub use engine::{
     run, run_query, CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaPlan, SchemaReport,
 };

@@ -41,14 +41,11 @@
 //! assert_eq!(report.feed_calls, 2);
 //! ```
 
-use crate::engine::{CompiledQuery, EngineOptions, RunReport, SchemaReport};
+use crate::driver::Driver;
+use crate::engine::{CompiledQuery, EngineOptions, RunReport};
 use crate::error::EngineError;
-use crate::lane::{Keep, Lane, ScanFacts};
-use gcx_projection::StreamMatcher;
-use gcx_query::ast::RoleId;
-use gcx_xml::{
-    Attrs, PushTokenizer, StartTag, Symbol, TextPos, Token, TokenStep, XmlError, XmlErrorKind,
-};
+use crate::lane::Lane;
+use gcx_projection::TaggedMatcher;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -76,7 +73,7 @@ pub struct Timeline {
 impl Timeline {
     /// The token clock moved from `from` to `to` with `live` nodes
     /// buffered throughout: sample every stride point it passed.
-    fn record(&mut self, from: u64, to: u64, live: u64) {
+    pub(crate) fn record(&mut self, from: u64, to: u64, live: u64) {
         if self.every == 0 {
             return;
         }
@@ -97,97 +94,17 @@ impl Timeline {
 /// document. Create with [`CompiledQuery::session`]; see the
 /// [module docs](self) for the protocol.
 ///
-/// The session is the paper's pipeline with the I/O inverted: it owns the
-/// incremental tokenizer and the stream preprojector (the projection
-/// matcher plus the keep/skip bookkeeping) and drives one [`Lane`] — the
-/// buffer with active garbage collection and the resumable evaluator —
-/// all suspended together between `feed` calls, holding exactly the GCX
-/// buffer plus the current partial token.
+/// The session is the paper's pipeline with the I/O inverted: the
+/// [`Driver`]'s tokenizer and stream preprojector in front of one
+/// [`Lane`] — the buffer with active garbage collection and the resumable
+/// evaluator — all suspended together between `feed` calls, holding
+/// exactly the GCX buffer plus the current partial token. It is the
+/// driver's one-lane face: its lane is charged every token of the stream,
+/// adopts an in-stream DOCTYPE's cutoffs, and fails the feed when it
+/// fails.
 pub struct EvalSession {
-    tok: PushTokenizer,
-    pre: Preprojection,
-    /// What the next pass over the window does (the skip or search the
-    /// last feed left suspended continues).
-    next: Pass,
-    /// Tokens the search in flight passed before the window ran out: they
-    /// are charged when it ends.
-    searched: u64,
-    /// Elements the copy pass in flight opened and has not closed.
-    copied: usize,
-    drain_input: bool,
+    driver: Driver,
     finished: bool,
-    /// Telemetry enabled: record a feed span per feed/commit call.
-    telemetry: bool,
-    scan: ScanFacts,
-    /// `(pruned, total)` projection-path counts when an explicit schema
-    /// pruned the matcher (None without one).
-    pruned_paths: Option<(u32, u32)>,
-}
-
-/// What the session does with the window next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    /// Step one token and apply it.
-    Step,
-    /// Pass the refused element whose start tag was just applied, end tag
-    /// included.
-    Skip,
-    /// Pass the rest of the innermost open element up to the next start
-    /// tag its frame waits for: a descendant search.
-    Search,
-    /// Pass the rest of the innermost open element, which the lane is
-    /// copying, to its writer up to the next start tag it must be shown:
-    /// a copy pass.
-    Copy,
-    /// Apply the start tag a search or a copy pass stopped at, which the
-    /// tokenizer holds.
-    Found,
-}
-
-/// Names a search hands the tokenizer, or a copy pass stops at, at most: a
-/// frame waiting for more is stepped through.
-const MAX_STOPS: usize = 8;
-
-/// Everything of a session but the tokenizer: the stream preprojector
-/// (paper Figure 2, left component) in front of its lane. It takes one
-/// token at a time ("a lookahead of just one token"), runs the projection
-/// NFA and shows the lane what the query's projection keeps, with the
-/// role instances. An element it refuses is not looked into at all: the
-/// session has the tokenizer fast-forward through its end tag
-/// ([`PushTokenizer::skip_element`]) and charges the lane's clock for
-/// the tokens that went by. Where the innermost frame only waits for a
-/// few names below it (a search set,
-/// [`StreamMatcher::search_names`]), the session has the tokenizer run
-/// ahead to the next start tag of one of them in the same way. And where
-/// the lane writes a copy through and the frame would give every node
-/// below it the copy's role alone up to a few names (a copy set,
-/// [`StreamMatcher::copy_stops`]), the session hands each token from the
-/// tokenizer to the lane's writer, unseen by the matcher and the buffer.
-struct Preprojection {
-    matcher: StreamMatcher,
-    lane: Lane,
-    /// Full buffering only: depth inside a subtree that is kept although
-    /// the matcher refused its top element. The matcher holds no frame in
-    /// there, so everything below is kept without roles and without
-    /// asking it.
-    unmatched_depth: u32,
-    /// Projection on (GCX / projection-only) or off: *every* element and
-    /// non-whitespace text node is buffered; roles are still assigned so
-    /// the evaluator and the signOff machinery behave identically.
-    project: bool,
-    timeline: Option<Timeline>,
-    /// The matcher's role output and the current element's attribute
-    /// names, reused across tokens.
-    role_scratch: Vec<(RoleId, u32)>,
-    attr_names: Vec<Symbol>,
-    /// Adopt sibling-order cutoffs from an in-stream DOCTYPE internal
-    /// subset (only when no schema is installed yet; parse failures are
-    /// ignored — an unusable DOCTYPE means "no schema", not an error).
-    adopt_doctype: bool,
-    /// Tokens shown to the matcher (the lib tests tell what a search
-    /// passes unseen by this).
-    #[cfg(test)]
-    matcher_tokens: u64,
 }
 
 impl EvalSession {
@@ -212,33 +129,10 @@ impl EvalSession {
         let automaton = plan
             .as_ref()
             .map_or(q.program.automaton(), |p| &p.automaton);
-        let matcher = StreamMatcher::start(Arc::clone(automaton));
-        let pruned_paths = plan.as_ref().map(|p| p.pruned_paths);
+        let matcher = TaggedMatcher::start(Arc::clone(automaton));
         EvalSession {
-            tok: PushTokenizer::new(),
-            pre: Preprojection {
-                matcher,
-                lane,
-                unmatched_depth: 0,
-                project: opts.mode.projects(),
-                timeline: opts.timeline_every.map(|every| Timeline {
-                    points: Vec::new(),
-                    every,
-                }),
-                role_scratch: Vec::new(),
-                attr_names: Vec::new(),
-                adopt_doctype: opts.schema.is_none() && opts.schema_from_doctype,
-                #[cfg(test)]
-                matcher_tokens: 0,
-            },
-            next: Pass::Step,
-            searched: 0,
-            copied: 0,
-            drain_input: opts.drain_input,
+            driver: Driver::one(lane, matcher, opts),
             finished: false,
-            telemetry: opts.telemetry,
-            scan: ScanFacts::default(),
-            pruned_paths,
         }
     }
 
@@ -250,21 +144,14 @@ impl EvalSession {
     /// [`EvalSession::output`] or drain it with
     /// [`EvalSession::take_output`].
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Emitted, EngineError> {
-        if self.finished {
-            return Err(EngineError::Internal(
-                "EvalSession::feed after finish".into(),
-            ));
+        self.check_open("feed")?;
+        // Once the program completed with draining off, the rest of the
+        // document is irrelevant: it is dropped (and not counted), not
+        // buffered without bound. The blocking engine stops reading here.
+        if self.wants_input() {
+            self.driver.feed(chunk)?;
         }
-        if !self.wants_input() {
-            // The program completed and draining is off: the rest of the
-            // document is irrelevant. Accepting (and buffering) it would
-            // grow memory without bound, so it is dropped (and not
-            // counted — the bytes never entered the run). The blocking
-            // engine likewise stops reading at this point.
-            return Ok(self.emitted());
-        }
-        self.tok.feed(chunk);
-        self.pump_spanned(chunk.len())
+        Ok(self.emitted())
     }
 
     /// Zero-copy variant of [`EvalSession::feed`]: borrow at least `min`
@@ -272,7 +159,7 @@ impl EvalSession {
     /// (e.g. straight from a socket), then [`EvalSession::commit`] however
     /// many arrived. Invalidates pending borrowed state like `feed` does.
     pub fn space(&mut self, min: usize) -> &mut [u8] {
-        self.tok.space(min)
+        self.driver.space(min)
     }
 
     /// Declare `n` bytes of [`EvalSession::space`] filled and advance
@@ -280,13 +167,9 @@ impl EvalSession {
     /// Callers should stop filling once [`EvalSession::wants_input`] turns
     /// false — committed-but-irrelevant bytes stay buffered.
     pub fn commit(&mut self, n: usize) -> Result<Emitted, EngineError> {
-        if self.finished {
-            return Err(EngineError::Internal(
-                "EvalSession::commit after finish".into(),
-            ));
-        }
-        self.tok.commit(n);
-        self.pump_spanned(n)
+        self.check_open("commit")?;
+        self.driver.commit(n)?;
+        Ok(self.emitted())
     }
 
     /// False once further input can have no effect: the program completed
@@ -294,7 +177,7 @@ impl EvalSession {
     /// drops chunks from then on; callers owning the byte source can stop
     /// reading it (the [`run`](crate::run) wrapper does).
     pub fn wants_input(&self) -> bool {
-        !self.pre.lane.done() || self.drain_input
+        self.driver.wants_input()
     }
 
     /// Declare the end of input and run evaluation to completion,
@@ -302,34 +185,19 @@ impl EvalSession {
     /// blocking engine would (malformed XML, truncated document, buffer
     /// budget). Pending output remains drainable afterwards.
     pub fn finish(&mut self) -> Result<RunReport, EngineError> {
-        if self.finished {
-            return Err(EngineError::Internal(
-                "EvalSession::finish called twice".into(),
-            ));
-        }
-        self.tok.finish_input();
-        self.pump()?;
+        self.check_open("finish")?;
+        self.driver.finish_input()?;
         self.finished = true;
-        self.scan.window_peak = self.tok.window_peak();
-        // A schema was in effect when the matcher was schema-built
-        // (explicit) or the buffer adopted a DOCTYPE's order table.
-        let schema = (self.pruned_paths.is_some() || self.pre.lane.schema_active()).then(|| {
-            let (pruned_paths, total_paths) = self.pruned_paths.unwrap_or((0, 0));
-            SchemaReport {
-                pruned_paths,
-                total_paths,
-                reach_cuts: self.pre.matcher.reach_cuts(),
-                ..SchemaReport::default()
-            }
-        });
-        let mut report = self.pre.lane.finish(&self.scan, schema)?;
-        report.timeline = self.pre.timeline.take();
+        let schema = self.lane().schema_facts(self.driver.counts().1);
+        let Driver { pre, scan, .. } = &mut self.driver;
+        let mut report = pre.lanes[0].lane.finish(scan, schema)?;
+        report.timeline = pre.timeline.take();
         Ok(report)
     }
 
     /// Borrowed view of the output bytes pending in the session.
     pub fn output(&self) -> &[u8] {
-        self.pre.lane.output()
+        self.lane().output()
     }
 
     /// Drain pending output into `sink`; returns the bytes written.
@@ -340,448 +208,38 @@ impl EvalSession {
     /// the pending buffer before the error returns, so retrying (on the
     /// same or a replacement sink) never emits a byte twice.
     pub fn take_output<W: Write>(&mut self, sink: &mut W) -> Result<usize, EngineError> {
-        let pending = self.pre.lane.output_mut();
-        let total = pending.len();
-        let mut off = 0;
-        while off < pending.len() {
-            match sink.write(&pending[off..]) {
-                Ok(0) => {
-                    pending.drain(..off);
-                    return Err(EngineError::Xml(XmlError {
-                        kind: XmlErrorKind::Io(std::io::Error::new(
-                            std::io::ErrorKind::WriteZero,
-                            "output sink accepted no bytes",
-                        )),
-                        pos: TextPos::START,
-                    }));
-                }
-                Ok(n) => off += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    pending.drain(..off);
-                    return Err(EngineError::Xml(XmlError {
-                        kind: XmlErrorKind::Io(e),
-                        pos: TextPos::START,
-                    }));
-                }
-            }
-        }
-        pending.clear();
-        Ok(total)
-    }
-
-    /// `feed` calls so far.
-    pub fn feed_calls(&self) -> u64 {
-        self.scan.feed_calls
+        self.driver.take_output(0, sink)
     }
 
     /// Largest partial-token spillover held across a `feed` boundary so
     /// far (see [`RunReport::max_pending_bytes`]).
     pub fn max_pending_bytes(&self) -> u64 {
-        self.scan.max_pending_bytes
-    }
-
-    /// Input position of the next byte to be tokenized (line/column for
-    /// error reporting).
-    pub fn position(&self) -> TextPos {
-        self.tok.position()
+        self.driver.scan.max_pending_bytes
     }
 
     /// Wrap an input-side I/O failure the way the blocking engine's
     /// tokenizer would have reported it, carrying the current position.
     pub fn input_io_error(&self, e: std::io::Error) -> EngineError {
-        EngineError::Xml(XmlError {
-            kind: XmlErrorKind::Io(e),
-            pos: self.tok.position(),
-        })
+        self.driver.input_io_error(e)
     }
 
-    /// [`EvalSession::pump`] as one counted (and, with telemetry on,
-    /// timed) feed call.
-    fn pump_spanned(&mut self, bytes: usize) -> Result<Emitted, EngineError> {
-        let started = self.scan.feed_started(self.telemetry);
-        let result = self.pump();
-        self.scan.feed_ended(started, bytes);
-        result
+    fn check_open(&self, call: &str) -> Result<(), EngineError> {
+        match self.finished {
+            true => Err(EngineError::Internal(format!(
+                "EvalSession::{call} after finish"
+            ))),
+            false => Ok(()),
+        }
     }
 
-    /// Apply every complete token in the window, one at a time: the lane
-    /// runs its evaluator to suspension, the next token is applied, the
-    /// evaluator resumes once what it waits for may have arrived — so
-    /// buffer peaks are bit-identical however the input was chunked. A
-    /// subtree the projection refuses, and what a search passes, go by in
-    /// bulk; nothing changes in the lane meanwhile. A lane failure
-    /// surfaces at the token that caused it.
-    fn pump(&mut self) -> Result<Emitted, EngineError> {
-        // Starts the program on the first call; nothing to do afterwards.
-        self.pre.lane.step();
-        loop {
-            if let Some(e) = self.pre.lane.take_failure() {
-                return Err(e);
-            }
-            if !self.wants_input() {
-                break;
-            }
-            let more = match self.next {
-                Pass::Skip => self.skip()?,
-                Pass::Search => self.search()?,
-                Pass::Copy => self.copy()?,
-                // One call site, so that `apply` is inlined here.
-                pass => {
-                    let step = match pass {
-                        Pass::Found => TokenStep::Token,
-                        _ => self.tok.step()?,
-                    };
-                    match step {
-                        TokenStep::Token => {
-                            self.next = self.pre.apply(&self.tok.token());
-                            true
-                        }
-                        TokenStep::NeedMoreData => false,
-                        TokenStep::End => break,
-                    }
-                }
-            };
-            if !more {
-                self.scan.max_pending_bytes = self
-                    .scan
-                    .max_pending_bytes
-                    .max(self.tok.pending_bytes() as u64);
-                break;
-            }
-        }
-        Ok(self.emitted())
-    }
-
-    /// A bulk skip: pass the refused element whose start tag was just
-    /// applied, end tag included. Returns false when the window ran out
-    /// first.
-    #[inline(never)]
-    fn skip(&mut self) -> Result<bool, EngineError> {
-        let skipped = self.tok.skip_element(&[], usize::MAX)?;
-        self.pre.bump(skipped.tokens);
-        if skipped.complete {
-            self.next = Pass::Step;
-        }
-        Ok(skipped.complete)
-    }
-
-    /// A descendant search: pass the rest of the innermost open element
-    /// up to the next start tag its frame waits for, as stepping would
-    /// have passed it — every token charged, nothing shown to the matcher
-    /// or the lane, which could only have kept it role-less on the pending
-    /// chain and dropped it again. Where it stops, the elements it left
-    /// open are opened on the chain (bounded by what the byte budget has
-    /// room for) and the stop tag is applied next; where it completes, the
-    /// end tag is applied. Returns false when the window ran out first.
-    /// (Kept out of the token loop: inlined into `pump`, it slowed every
-    /// stepped token of queries that never search.)
-    #[inline(never)]
-    fn search(&mut self) -> Result<bool, EngineError> {
-        let pre = &mut self.pre;
-        let waits = pre.matcher.search_names().expect("a search set is on top");
-        let mut stops = [""; MAX_STOPS];
-        for (stop, &name) in stops.iter_mut().zip(waits) {
-            *stop = pre.lane.symbols().resolve(name);
-        }
-        let stops = &stops[..waits.len()];
-        let found = self.tok.skip_element(stops, pre.lane.pending_room())?;
-        let passed = std::mem::take(&mut self.searched) + found.tokens;
-        if found.complete {
-            // The element's end tag is applied as a stepped one would be.
-            pre.bump(passed - 1);
-            self.next = pre.end_tag();
-            return Ok(true);
-        }
-        if !found.stopped && found.left_open == 0 {
-            self.searched = passed;
-            return Ok(false);
-        }
-        // The start tags of the elements left open were among the tokens
-        // passed; each is charged as it is applied.
-        pre.bump(passed - found.left_open as u64);
-        for name in self.tok.left_open(found.left_open) {
-            pre.open_passed(name);
-        }
-        // Past the depth bound the budget has failed the lane.
-        self.next = if found.stopped {
-            Pass::Found
-        } else {
-            Pass::Search
-        };
-        Ok(true)
-    }
-
-    /// A copy pass: hand the rest of the innermost open element — which
-    /// the lane is copying, and whose frame gives every node below it the
-    /// copy's role alone up to a stop — token by token to the lane's
-    /// writer, every token charged, no name interned, nothing matched or
-    /// appended: what stepping would have had the lane do, bar the
-    /// pending chain's bookkeeping. At a start tag of a stop, or one that
-    /// would open more elements than the byte budget has room for, the
-    /// elements it left open are opened on the chain and the tag is
-    /// applied next; at the element's own end tag, that is applied.
-    /// Returns false when the window ran out first.
-    #[inline(never)]
-    fn copy(&mut self) -> Result<bool, EngineError> {
-        let pre = &mut self.pre;
-        let role = pre.lane.copying().expect("the lane is copying");
-        let stops = pre.matcher.copy_stops(role).expect("a copy set is on top");
-        let room = pre.lane.pending_room();
-        let mut passed = 0;
-        let more = loop {
-            if self.tok.step()? != TokenStep::Token {
-                break false;
-            }
-            let token = self.tok.token();
-            match token {
-                Token::StartTag(tag)
-                    if (!tag.self_closing && self.copied >= room)
-                        || stops
-                            .iter()
-                            .any(|&stop| pre.lane.symbols().resolve(stop) == tag.name) =>
-                {
-                    pre.bump(passed);
-                    passed = 0;
-                    for name in self.tok.left_open(std::mem::take(&mut self.copied)) {
-                        pre.open_copied(name, role);
-                    }
-                    self.next = Pass::Found;
-                    break true;
-                }
-                Token::StartTag(tag) => {
-                    pre.lane.write_through(&token);
-                    passed += 1 + u64::from(tag.self_closing);
-                    self.copied += usize::from(!tag.self_closing);
-                }
-                Token::EndTag { .. } if self.copied == 0 => {
-                    pre.bump(passed);
-                    passed = 0;
-                    self.next = pre.end_tag();
-                    break true;
-                }
-                Token::EndTag { .. } => {
-                    pre.lane.write_through(&token);
-                    passed += 1;
-                    self.copied -= 1;
-                }
-                Token::Text(_) => {
-                    pre.lane.write_through(&token);
-                    passed += 1;
-                }
-                // Comments and PIs are not part of the data model.
-                _ => {}
-            }
-        };
-        pre.bump(passed);
-        Ok(more)
+    fn lane(&self) -> &Lane {
+        &self.driver.pre.lanes[0].lane
     }
 
     fn emitted(&self) -> Emitted {
         Emitted {
-            output_bytes: self.pre.lane.output().len(),
-            done: self.pre.lane.done(),
-        }
-    }
-}
-
-impl Preprojection {
-    /// Apply one token: the keep/skip decision, role assignment and token
-    /// counting; the lane does the rest. Returns what to do next: skip the
-    /// subtree of an element the projection refuses (end tag included),
-    /// search below a frame that only waits, or step.
-    fn apply(&mut self, token: &Token<'_>) -> Pass {
-        #[cfg(test)]
-        {
-            self.matcher_tokens += u64::from(matches!(token, Token::StartTag(_) | Token::Text(_)));
-        }
-        match token {
-            Token::StartTag(tag) => {
-                let self_closing = tag.self_closing;
-                let name = self.lane.symbols_mut().intern(tag.name);
-                // Roles land in the reused scratch — no per-element
-                // vector.
-                let matched = self.unmatched_depth == 0
-                    && self
-                        .matcher
-                        .enter_element_into(name, &mut self.role_scratch);
-                let keep = matched || !self.project;
-                // Only an element buffered now keeps its attributes.
-                let buffered = keep && !(self.project && self.role_scratch.is_empty());
-                self.attr_names.clear();
-                if buffered {
-                    let symbols = self.lane.symbols_mut();
-                    self.attr_names
-                        .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
-                }
-                let roles: &[(RoleId, u32)] = if matched { &self.role_scratch } else { &[] };
-                // Without projection everything is buffered as it comes;
-                // with it, a role-less match only *may* be needed.
-                let decision = if self.project {
-                    Keep::projected(matched, roles)
-                } else {
-                    Keep::Roles(roles)
-                };
-                self.lane
-                    .start_element(name, tag, &self.attr_names, decision);
-                if !keep {
-                    // A self-closing tag stands for open+close: count both.
-                    self.bump(1 + u64::from(self_closing));
-                    self.lane.step();
-                    return if self_closing { Pass::Step } else { Pass::Skip };
-                } else if !matched {
-                    self.unmatched_depth += u32::from(!self_closing);
-                } else if self_closing {
-                    self.matcher.leave_element();
-                }
-                self.bump(1 + u64::from(self_closing));
-            }
-            Token::EndTag { .. } => return self.end_tag(),
-            Token::Text(content) => {
-                if self.unmatched_depth == 0 {
-                    self.matcher.text_into(&mut self.role_scratch);
-                } else {
-                    self.role_scratch.clear();
-                }
-                let keep =
-                    !self.role_scratch.is_empty() || (!self.project && !content.trim().is_empty());
-                self.lane
-                    .text(content, keep.then_some(self.role_scratch.as_slice()));
-                self.bump(1);
-            }
-            Token::Doctype(payload) => {
-                // Not part of the data model, but a usable internal subset
-                // can seed the sibling-order analysis mid-stream (names
-                // interned here land before any document element's — the
-                // prolog precedes the root). Explicit schemas win; parse
-                // failures mean "no schema".
-                if self.adopt_doctype && !self.lane.schema_active() {
-                    if let Ok(view) = gcx_xml::DoctypeView::parse(payload) {
-                        if let Ok(dtd) = gcx_schema::Dtd::from_doctype_parts(view.name, view.subset)
-                        {
-                            self.lane.adopt_doctype(&dtd);
-                        }
-                    }
-                }
-                return Pass::Step;
-            }
-            // Comments and PIs are not part of the data model.
-            Token::Comment(_) | Token::ProcessingInstruction { .. } => return Pass::Step,
-        }
-        self.lane.step();
-        // A text leaves the frame as it was, and it was stepped through.
-        if matches!(token, Token::Text(_)) {
-            Pass::Step
-        } else {
-            self.next_pass()
-        }
-    }
-
-    /// Open an element a search passed and left open, as `apply` would
-    /// have opened its start tag: interned, entered into the matcher
-    /// (onto the same search set, with no role) and pending on the chain,
-    /// without its attributes.
-    fn open_passed(&mut self, name: &str) {
-        #[cfg(test)]
-        {
-            self.matcher_tokens += 1;
-        }
-        let symbol = self.lane.symbols_mut().intern(name);
-        let matched = self
-            .matcher
-            .enter_element_into(symbol, &mut self.role_scratch);
-        debug_assert!(matched && self.role_scratch.is_empty());
-        let tag = StartTag {
-            name,
-            attrs: Attrs::EMPTY,
-            self_closing: false,
-        };
-        self.lane
-            .start_element(symbol, &tag, &[], Keep::Speculative);
-        self.bump(1);
-        self.lane.step();
-    }
-
-    /// Open an element a copy pass wrote and left open, as `apply` would
-    /// have opened its start tag: interned, entered into the matcher (onto
-    /// the same copy set, with the copy's role alone) and pending on the
-    /// chain. Its start tag was charged by the pass.
-    fn open_copied(&mut self, name: &str, role: RoleId) {
-        #[cfg(test)]
-        {
-            self.matcher_tokens += 1;
-        }
-        let symbol = self.lane.symbols_mut().intern(name);
-        let matched = self
-            .matcher
-            .enter_element_into(symbol, &mut self.role_scratch);
-        debug_assert!(matched && self.role_scratch == [(role, 1)]);
-        self.lane.open_copied(symbol);
-    }
-
-    /// Apply the end tag of the innermost open element.
-    #[inline(always)]
-    fn end_tag(&mut self) -> Pass {
-        #[cfg(test)]
-        {
-            self.matcher_tokens += 1;
-        }
-        self.lane.end_element();
-        if self.unmatched_depth > 0 {
-            self.unmatched_depth -= 1;
-        } else {
-            self.matcher.leave_element();
-        }
-        self.bump(1);
-        self.lane.step();
-        self.next_pass()
-    }
-
-    /// What follows a tag that may have changed the innermost frame: a
-    /// search, if the frame's state set is a search set; a copy pass, if
-    /// it is a copy set of the copy the lane writes through — inside an
-    /// element, projecting, and with no schema in force (its sibling-order
-    /// cutoffs count every child, and its reach filter already makes no
-    /// set a search or a copy set) — or a step.
-    #[inline]
-    fn next_pass(&self) -> Pass {
-        match self.matcher.search_names() {
-            Some(waits) if waits.len() <= MAX_STOPS && self.may_pass() => Pass::Search,
-            Some(_) => Pass::Step,
-            None => match self.lane.copying() {
-                Some(role) => self.copy_or_step(role),
-                None => Pass::Step,
-            },
-        }
-    }
-
-    /// [`Preprojection::next_pass`] inside a copy: a copy pass if the
-    /// frame's set is a copy set of `role`. (Out of line: the token loop
-    /// of a query that copies nothing only tests for a copy.)
-    #[inline(never)]
-    fn copy_or_step(&self, role: RoleId) -> Pass {
-        match self.matcher.copy_stops(role) {
-            Some(stops) if stops.len() <= MAX_STOPS && self.may_pass() => Pass::Copy,
-            _ => Pass::Step,
-        }
-    }
-
-    /// Whether the session may pass tokens of the innermost element
-    /// unseen at all: inside an element, projecting, no schema in force.
-    #[inline]
-    fn may_pass(&self) -> bool {
-        self.project && self.matcher.depth() > 0 && !self.lane.schema_active()
-    }
-
-    /// Count `tokens` structural tokens — kept or skipped — on the lane's
-    /// clock and (optionally) sample the buffer-occupancy timeline that
-    /// the paper's Figures 3 and 4 plot.
-    #[inline]
-    fn bump(&mut self, tokens: u64) {
-        let before = self.lane.tokens();
-        self.lane.tick(tokens);
-        if let Some(t) = self.timeline.as_mut() {
-            t.record(before, before + tokens, self.lane.buffer_stats().live);
+            output_bytes: self.output().len(),
+            done: self.lane().done(),
         }
     }
 }
@@ -789,7 +247,9 @@ impl Preprojection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run;
+    use crate::engine::{run, EngineMode};
+    use gcx_projection::{Automaton, CompiledPaths, TaggedPaths};
+    use gcx_xml::{SymbolTable, Token};
 
     const QUERY: &str = "<r>{ for $b in /bib/book return $b/title }</r>";
     const DOC: &str = "<bib><book><title>T1</title><price>9</price></book>\
@@ -1283,8 +743,58 @@ mod tests {
         let mut session = q.session(&EngineOptions::gcx());
         session.feed(doc.as_bytes()).unwrap();
         session.finish().unwrap();
-        assert_eq!(session.pre.matcher_tokens, needed);
+        assert_eq!(session.driver.pre.matcher_tokens, needed);
         assert!(needed < all / 2, "{needed} of {all} tokens");
+        // A batch that adds `count(//item)`, driven as `gcx-multi` drives
+        // one: the same search, and inside each item a copy set of lane 0
+        // that stops at `item` — a copy pass in which lane 1, waiting for
+        // items, is shown nothing either. Whole, and in 7-byte pieces (a
+        // pass left in flight at a feed's end); and every token stepped.
+        let batch = [q, CompiledQuery::compile("count(//item)").unwrap()];
+        let drive = |chunk: usize, bulk: bool| {
+            let mut symbols = SymbolTable::new();
+            let parts: Vec<CompiledPaths> = batch
+                .iter()
+                .map(|q| CompiledPaths::compile(&q.analysis.roles, &mut symbols))
+                .collect();
+            let automaton = Automaton::new(TaggedPaths::merge(&parts), None);
+            let lanes = batch
+                .iter()
+                .map(|q| Lane::start(q, EngineMode::Gcx, None, None, false, None))
+                .collect();
+            let matcher = TaggedMatcher::start(Arc::new(automaton));
+            let mut driver = Driver::batch(lanes, matcher, symbols, false);
+            driver.pre.bulk = bulk;
+            for piece in doc.as_bytes().chunks(chunk) {
+                driver.feed(piece).unwrap();
+            }
+            driver.finish_input().unwrap();
+            let matched = driver.pre.matcher_tokens;
+            let (lanes, scan) = driver.into_lanes();
+            let (mut outs, mut tokens) = (Vec::new(), Vec::new());
+            for mut lane in lanes {
+                let report = lane.finish(&scan, None).unwrap();
+                assert_eq!(report.buffer.live, 0);
+                outs.push(String::from_utf8(std::mem::take(lane.output_mut())).unwrap());
+                tokens.push(report.tokens);
+            }
+            (matched, tokens, outs)
+        };
+        let (matched, tokens, outs) = drive(doc.len(), true);
+        assert_eq!(matched, needed);
+        // The lanes answer what they answer alone, and are charged what
+        // stepping charges them.
+        let mut alone = Vec::new();
+        run(&batch[0], &EngineOptions::gcx(), doc.as_bytes(), &mut alone).unwrap();
+        assert!(outs[0].as_bytes() == alone);
+        assert_eq!(outs[1], doc.matches("<item ").count().to_string());
+        let stepped = drive(doc.len(), false);
+        assert_eq!(stepped.0, all);
+        assert_eq!(tokens, stepped.1, "stepped");
+        assert!(outs == stepped.2, "stepped");
+        let pieces = drive(7, true);
+        assert_eq!((pieces.0, &pieces.1), (matched, &tokens), "7-byte pieces");
+        assert!(pieces.2 == outs, "7-byte pieces");
     }
 
     #[test]

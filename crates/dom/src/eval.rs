@@ -58,8 +58,9 @@ pub struct DomReport {
     pub output_bytes: u64,
 }
 
-/// Evaluation context: the document root or a node.
-#[derive(Debug, Clone, Copy)]
+/// A node of the data model: the document node or a node of the DOM. It
+/// is what a path selects, a variable binds and a copy writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Ctx {
     Document,
     Node(DomId),
@@ -92,7 +93,7 @@ pub fn run_query(query_text: &str, input: &str) -> Result<String, DomError> {
 
 struct Evaluator<'d> {
     dom: &'d Dom,
-    env: Vec<Option<DomId>>,
+    env: Vec<Option<Ctx>>,
 }
 
 impl<'d> Evaluator<'d> {
@@ -100,7 +101,6 @@ impl<'d> Evaluator<'d> {
         match root {
             PathRoot::Root => Ok(Ctx::Document),
             PathRoot::Var(v) => self.env[v.id.index()]
-                .map(Ctx::Node)
                 .ok_or_else(|| DomError::Internal(format!("${} unbound", v.name))),
         }
     }
@@ -121,8 +121,33 @@ impl<'d> Evaluator<'d> {
         }
     }
 
+    /// Serialize `c`: a node, or the document node's children.
+    fn serialize<W: Write>(&self, c: Ctx, out: &mut XmlWriter<W>) -> Result<(), DomError> {
+        match c {
+            Ctx::Node(n) => self.dom.serialize(n, out)?,
+            Ctx::Document => {
+                for &n in &self.dom.roots {
+                    self.dom.serialize(n, out)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// XPath string value of `c`.
+    fn string_value(&self, c: Ctx, out: &mut String) {
+        match c {
+            Ctx::Node(n) => self.dom.string_value(n, out),
+            Ctx::Document => {
+                for &n in &self.dom.roots {
+                    self.dom.string_value(n, out);
+                }
+            }
+        }
+    }
+
     /// All nodes matching `steps` from `ctx`, distinct, in document order.
-    fn eval_steps(&self, ctx: Ctx, steps: &[Step]) -> Vec<DomId> {
+    fn eval_steps(&self, ctx: Ctx, steps: &[Step]) -> Vec<Ctx> {
         let mut acc = Vec::new();
         self.step_rec(ctx, steps, &mut acc);
         // Multiple descendant axes can produce duplicate derivations;
@@ -132,11 +157,9 @@ impl<'d> Evaluator<'d> {
         acc
     }
 
-    fn step_rec(&self, ctx: Ctx, steps: &[Step], acc: &mut Vec<DomId>) {
+    fn step_rec(&self, ctx: Ctx, steps: &[Step], acc: &mut Vec<Ctx>) {
         let Some((step, rest)) = steps.split_first() else {
-            if let Ctx::Node(n) = ctx {
-                acc.push(n);
-            }
+            acc.push(ctx);
             return;
         };
         match step.axis {
@@ -182,7 +205,7 @@ impl<'d> Evaluator<'d> {
     /// stack, popped in document order): descendant axes see the whole
     /// document depth, which must not become native stack depth. The
     /// `step_rec` recursion it feeds is bounded by the path length.
-    fn dos_rec(&self, n: DomId, step: &Step, rest: &[Step], acc: &mut Vec<DomId>) {
+    fn dos_rec(&self, n: DomId, step: &Step, rest: &[Step], acc: &mut Vec<Ctx>) {
         let mut stack = vec![n];
         while let Some(m) = stack.pop() {
             if self.test_matches(&step.test, m) {
@@ -194,7 +217,7 @@ impl<'d> Evaluator<'d> {
 
     /// Matches of a full path expression; attribute-terminated paths return
     /// the owner elements plus the selector.
-    fn eval_path<'p>(&self, p: &'p PathExpr) -> Result<(Vec<DomId>, Option<&'p Step>), DomError> {
+    fn eval_path<'p>(&self, p: &'p PathExpr) -> Result<(Vec<Ctx>, Option<&'p Step>), DomError> {
         let ctx = self.resolve_root(&p.root)?;
         if p.ends_in_attribute() {
             let (last, rest) = p.steps.split_last().unwrap();
@@ -204,8 +227,10 @@ impl<'d> Evaluator<'d> {
         }
     }
 
-    /// Attribute values selected by an attribute step on `n`.
-    fn attr_values(&self, n: DomId, attr_step: &Step, out: &mut Vec<String>) {
+    /// Attribute values selected by an attribute step on `c` (the
+    /// document node has none).
+    fn attr_values(&self, c: Ctx, attr_step: &Step, out: &mut Vec<String>) {
+        let Ctx::Node(n) = c else { return };
         match &attr_step.test {
             NodeTest::Name(name) => {
                 if let Some(v) = self.dom.attr(n, name) {
@@ -284,7 +309,7 @@ impl<'d> Evaluator<'d> {
                                 out.text(&v)?;
                             }
                         }
-                        None => self.dom.serialize(m, out)?,
+                        None => self.serialize(m, out)?,
                     }
                 }
                 Ok(())
@@ -390,7 +415,7 @@ impl<'d> Evaluator<'d> {
                         }
                         None => {
                             let mut s = String::new();
-                            self.dom.string_value(m, &mut s);
+                            self.string_value(m, &mut s);
                             values.push(Value::new(s));
                         }
                     }
@@ -501,6 +526,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, "2 5");
+    }
+
+    #[test]
+    fn the_document_node_is_a_value() {
+        // `/` selects the document node, a variable can bind it, and it is
+        // written as its children.
+        let doc = "<a><b>x</b></a>";
+        for (query, want) in [
+            ("/", "<a><b>x</b></a>"),
+            ("for $x in / return $x", "<a><b>x</b></a>"),
+            ("<r>{ / }</r>", "<r><a><b>x</b></a></r>"),
+            ("for $x in / return $x/a/b", "<b>x</b>"),
+            ("count(/)", "1"),
+        ] {
+            assert_eq!(run_query(query, doc).unwrap(), want, "{query}");
+        }
     }
 
     #[test]

@@ -412,7 +412,7 @@ impl Program {
 
     /// [`Program::matcher_paths`] prepared for matching, with everything
     /// the runs so far learnt of its determinisation: the schema-blind
-    /// run's matcher starts here (`StreamMatcher::start`).
+    /// run's matcher starts here (`TaggedMatcher::start`).
     #[inline]
     pub fn automaton(&self) -> &Arc<Automaton> {
         &self.automaton

@@ -1,52 +1,16 @@
-//! The lock-step driver: one tokenizer pass, one merged-matcher pass, N
-//! query evaluations stepped by the thread that called in.
-//!
-//! ## Data flow
-//!
-//! A [`BatchSession`] owns the push tokenizer, the merged
-//! [`TaggedMatcher`] and one [`Lane`] per query (`gcx-core`'s evaluation
-//! core: that query's evaluator, buffer, symbol table and output — the
-//! same type a stand-alone `EvalSession` drives). For every structural
-//! token it makes the merged keep/skip decision once and offers the
-//! token — still borrowed from the tokenizer window, its names translated
-//! into the lane's symbol space — to each lane together with that lane's
-//! roles. A lane that keeps the node appends it to its own buffer with
-//! its own document ordinals and resumes its evaluator as soon as what it
-//! waits for has arrived, exactly as under a stand-alone session.
-//! Buffers, role multisets and signOff execution are untouched by the
-//! sharing, so per-query buffer minimality is preserved.
-//!
-//! The session is sans-IO (`feed` / `finish`, like `EvalSession`);
-//! [`run`] is the blocking wrapper over a `Read`.
-//!
-//! ## Skip bookkeeping
-//!
-//! Three nested notions of "not interested" exist:
-//!
-//! * merged skip: *no* query can match inside — the tokenizer
-//!   fast-forwards through the element's end tag
-//!   (`PushTokenizer::skip_element`) and the shared scan is charged the
-//!   tokens that went by; nothing of the subtree reaches the matcher or a
-//!   lane;
-//! * per-lane skip (`lane_skip[q] > 0`): some other query keeps the
-//!   element, this one doesn't. The subtree stays invisible to this lane;
-//!   start/end tags inside it (processed for the lanes that *do* keep it)
-//!   only balance its counter here in the fan-out;
-//! * failed lane: its evaluator or buffer returned an error (byte budget,
-//!   ...). It ignores the rest of the stream and reports the error in its
-//!   [`QueryRun`]; the other lanes are unaffected.
-//!
-//! Only errors of the shared input (malformed XML, I/O) fail the batch.
+//! The batch face of `gcx-core`'s [`Driver`]: one scan of the input, one
+//! merged matcher, a [`Lane`] per query, stepped by the thread that called
+//! in. What it adds to the one-lane face: the merged automaton, a clock
+//! per lane that counts the events the lane is shown
+//! ([`RunReport::tokens`], summed in [`BatchReport::fanout_events`]), a
+//! failed lane that reports its error in its [`QueryRun`] while the others
+//! go on (only errors of the shared input fail the batch), and the
+//! batch's report. No lane adopts an in-stream DOCTYPE.
 
-use gcx_core::{
-    CompiledQuery, EngineError, EngineMode, Keep, Lane, RunReport, ScanFacts, SchemaReport,
-};
-use gcx_projection::{
-    Automaton, CompiledPaths, TaggedMatcher, TaggedOutcome, TaggedPaths, TaggedRole,
-};
-use gcx_query::ast::RoleId;
-use gcx_xml::{PushTokenizer, Symbol, SymbolTable, Token, TokenStep, XmlError, XmlErrorKind};
-use std::io::Read;
+use gcx_core::{CompiledQuery, Driver, EngineError, EngineMode, Lane, RunReport};
+use gcx_projection::{Automaton, CompiledPaths, TaggedMatcher, TaggedPaths};
+use gcx_xml::SymbolTable;
+use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -90,7 +54,8 @@ impl Default for BatchOptions {
 /// Outcome of one query of the batch.
 #[derive(Debug)]
 pub struct QueryRun {
-    /// The query's serialized result (byte-identical to a standalone run).
+    /// The query's serialized result (byte-identical to a standalone run),
+    /// bar what [`BatchSession::take_output`] drained before the end.
     pub output: Vec<u8>,
     /// The lane's run report, or the error that stopped it. `tokens` in
     /// the report counts the events this query *received* — its private
@@ -141,14 +106,12 @@ pub fn run<R: Read>(
     mut input: R,
 ) -> Result<BatchReport, EngineError> {
     let mut session = BatchSession::new(queries, opts);
+    let driver = &mut session.driver;
     loop {
-        let n = {
-            let gap = session.space(READ_CHUNK);
-            input.read(gap)
-        };
-        match n.map_err(|e| session.input_io_error(e))? {
+        let n = input.read(driver.space(READ_CHUNK));
+        match n.map_err(|e| driver.input_io_error(e))? {
             0 => break,
-            n => session.commit(n)?,
+            n => driver.commit(n)?,
         }
     }
     session.finish()
@@ -167,13 +130,7 @@ const READ_CHUNK: usize = 64 * 1024;
 /// anywhere (mid-tag, mid-UTF-8 sequence): outputs, buffer peaks and
 /// event counts do not depend on the chunking.
 pub struct BatchSession {
-    tok: PushTokenizer,
-    fan: FanOut,
-    scan: ScanFacts,
-    /// Telemetry enabled: record a feed span per feed/commit call.
-    telemetry: bool,
-    /// `(pruned, total)` projection-path counts per query with a schema.
-    pruned_paths: Option<Vec<(u32, u32)>>,
+    driver: Driver,
     started: Instant,
 }
 
@@ -188,18 +145,13 @@ impl BatchSession {
     pub fn new(queries: &[CompiledQuery], opts: &BatchOptions) -> BatchSession {
         let dtd = opts.schema.as_deref();
         let mut symbols = SymbolTable::new();
-        let mut pruned_paths = dtd.map(|_| Vec::with_capacity(queries.len()));
         let parts: Vec<CompiledPaths> = queries
             .iter()
             .map(|q| {
                 let paths = CompiledPaths::compile(&q.analysis.roles, &mut symbols);
-                match (dtd, &mut pruned_paths) {
-                    (Some(dtd), Some(counts)) => {
-                        let prune = dtd.prune(&paths, &symbols);
-                        counts.push((prune.pruned.len() as u32, prune.total as u32));
-                        prune.paths
-                    }
-                    _ => paths,
+                match dtd {
+                    Some(dtd) => dtd.prune(&paths, &symbols).paths,
+                    None => paths,
                 }
             })
             .collect();
@@ -212,99 +164,65 @@ impl BatchSession {
                 // The lane's share of the schema — the sibling-order
                 // cutoffs — comes prepared, from its query's plan.
                 let schema = opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
-                let mut lane = Lane::start(
+                Lane::start(
                     q,
                     EngineMode::Gcx,
                     opts.max_buffer_bytes,
                     opts.indent.clone(),
                     opts.telemetry,
                     schema.as_deref(),
-                );
-                // Run the program up to its first suspension.
-                lane.step();
-                lane
+                )
             })
             .collect();
+        // Interning during the scan extends the table the paths were
+        // compiled against.
+        let matcher = TaggedMatcher::start(automaton);
         BatchSession {
-            tok: PushTokenizer::new(),
-            scan: ScanFacts::default(),
-            telemetry: opts.telemetry,
+            driver: Driver::batch(lanes, matcher, symbols, opts.telemetry),
             started,
-            pruned_paths,
-            fan: FanOut {
-                outcome: TaggedOutcome::for_tags(automaton.n_tags()),
-                matcher: TaggedMatcher::start(automaton),
-                text_roles: Vec::new(),
-                // Interning during the scan extends the table the paths
-                // were compiled against.
-                symbols,
-                lanes,
-                remap: vec![Vec::new(); queries.len()],
-                lane_skip: vec![0; queries.len()],
-                any_live: true,
-                tokens: 0,
-                fanout: 0,
-                roles: Vec::new(),
-                attr_names: Vec::new(),
-                lane_attr_names: Vec::new(),
-            },
         }
     }
 
     /// Push one chunk of document bytes and step every lane as far as
     /// they allow. Fails only on malformed input.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
-        self.tok.feed(chunk);
-        self.pump_spanned(chunk.len())
+        self.driver.feed(chunk)
     }
 
-    /// Zero-copy variant of [`BatchSession::feed`]: borrow at least `min`
-    /// writable bytes of the tokenizer window to read input into, then
-    /// [`BatchSession::commit`] however many arrived.
-    pub fn space(&mut self, min: usize) -> &mut [u8] {
-        self.tok.space(min)
-    }
-
-    /// Declare `n` bytes of [`BatchSession::space`] filled and advance,
-    /// exactly like [`BatchSession::feed`] on that slice.
-    pub fn commit(&mut self, n: usize) -> Result<(), EngineError> {
-        self.tok.commit(n);
-        self.pump_spanned(n)
-    }
-
-    /// Wrap an input-side I/O failure the way a tokenizer error is
-    /// reported, carrying the current position.
-    pub fn input_io_error(&self, e: std::io::Error) -> EngineError {
-        EngineError::Xml(XmlError {
-            kind: XmlErrorKind::Io(e),
-            pos: self.tok.position(),
-        })
+    /// Drain the output query `lane` produced so far into `sink`; returns
+    /// the bytes written. Interleaved with [`BatchSession::feed`], a
+    /// query's results leave while the document is still arriving; what is
+    /// left at the end is its [`QueryRun::output`]. On a sink error, the
+    /// bytes that *were* written are removed from the pending output
+    /// before the error returns, so retrying never emits a byte twice.
+    pub fn take_output<W: Write>(
+        &mut self,
+        lane: usize,
+        sink: &mut W,
+    ) -> Result<usize, EngineError> {
+        self.driver.take_output(lane, sink)
     }
 
     /// Declare the end of input, run every lane to completion and collect
     /// the batch's outcome. Fails on a truncated or malformed document.
     pub fn finish(mut self) -> Result<BatchReport, EngineError> {
-        self.tok.finish_input();
-        self.pump()?;
-        self.scan.window_peak = self.tok.window_peak();
-        let reach_cuts = self.fan.matcher.reach_cuts();
+        self.driver.finish_input()?;
+        let (tokens, reach_cuts) = self.driver.counts();
+        let (lanes, scan) = self.driver.into_lanes();
+        // Events delivered, summed over lanes (a failed lane's until then).
+        let fanout: u64 = lanes.iter().map(Lane::tokens).sum();
         // Lightest buffer first: a lane's memory is back before the next
         // one's final phase (a join builds its index there), so the
         // batch's high-water is the heaviest lane's final phase, not the
         // sum of all of them.
-        let mut lanes: Vec<(usize, Lane)> = self.fan.lanes.into_iter().enumerate().collect();
+        let mut lanes: Vec<(usize, Lane)> = lanes.into_iter().enumerate().collect();
         lanes.sort_by_key(|(_, lane)| lane.buffer_stats().live_bytes);
         let mut runs: Vec<(usize, QueryRun)> = lanes
             .into_iter()
             .map(|(i, mut lane)| {
-                let schema = self.pruned_paths.as_ref().map(|p| SchemaReport {
-                    pruned_paths: p[i].0,
-                    total_paths: p[i].1,
-                    reach_cuts,
-                    ..SchemaReport::default()
-                });
+                let schema = lane.schema_facts(reach_cuts);
                 // End of input is every query's last event.
-                let report = lane.finish(&self.scan, schema).map(|r| RunReport {
+                let report = lane.finish(&scan, schema).map(|r| RunReport {
                     tokens: r.tokens + 1,
                     ..r
                 });
@@ -313,244 +231,12 @@ impl BatchSession {
             })
             .collect();
         runs.sort_by_key(|&(i, _)| i);
-        let queries: Vec<QueryRun> = runs.into_iter().map(|(_, run)| run).collect();
         Ok(BatchReport {
-            fanout_events: self.fan.fanout + queries.len() as u64,
-            queries,
-            tokens: self.fan.tokens,
+            fanout_events: fanout + runs.len() as u64,
+            queries: runs.into_iter().map(|(_, run)| run).collect(),
+            tokens,
             elapsed: self.started.elapsed(),
         })
-    }
-
-    /// [`BatchSession::pump`] as one counted (and, with telemetry on,
-    /// timed) feed call of the shared scan, which every lane's report
-    /// carries.
-    fn pump_spanned(&mut self, bytes: usize) -> Result<(), EngineError> {
-        let started = self.scan.feed_started(self.telemetry);
-        let result = self.pump();
-        self.scan.feed_ended(started, bytes);
-        result
-    }
-
-    /// Apply every complete token in the window; a subtree no query keeps
-    /// is passed in bulk (first the one the last feed left suspended).
-    fn pump(&mut self) -> Result<(), EngineError> {
-        let mut skip = self.tok.skipping();
-        loop {
-            if skip {
-                let skipped = self.tok.skip_element(&[], usize::MAX)?;
-                self.fan.tokens += skipped.tokens;
-                if !skipped.complete {
-                    break;
-                }
-                skip = false;
-            } else if self.tok.step()? == TokenStep::Token {
-                skip = self.fan.apply(&self.tok.token());
-            } else {
-                break;
-            }
-        }
-        self.scan.max_pending_bytes = self
-            .scan
-            .max_pending_bytes
-            .max(self.tok.pending_bytes() as u64);
-        Ok(())
-    }
-}
-
-/// Everything of a session but the tokenizer: the merged decision and
-/// the lanes it is handed to.
-struct FanOut {
-    /// The merged matcher over every query's paths, and its outcomes: the
-    /// last start tag's (kept per query, roles by query tag) and the last
-    /// text's roles.
-    matcher: TaggedMatcher,
-    outcome: TaggedOutcome,
-    text_roles: Vec<TaggedRole>,
-    /// The batch's symbol table (the merged NFA's name tests are interned
-    /// here).
-    symbols: SymbolTable,
-    lanes: Vec<Lane>,
-    /// Per lane: batch symbol → the lane's symbol, filled on first use —
-    /// a name is interned into a lane's table once per document, not once
-    /// per event.
-    remap: Vec<Vec<Symbol>>,
-    /// Per lane: depth inside a subtree the lane skipped while some other
-    /// lane keeps it (0 = the lane sees the current token).
-    lane_skip: Vec<u32>,
-    /// Some lane still evaluates (rechecked when the table grows).
-    any_live: bool,
-    /// Structural tokens of the shared scan.
-    tokens: u64,
-    /// Events delivered, summed over lanes.
-    fanout: u64,
-    /// Scratch reused across tokens: the current node's roles with the
-    /// query tags dropped (each lane is handed its sub-slice), and the
-    /// current element's attribute names in the batch's and in one lane's
-    /// symbols.
-    roles: Vec<(RoleId, u32)>,
-    attr_names: Vec<Symbol>,
-    lane_attr_names: Vec<Symbol>,
-}
-
-/// Remap slot of a batch symbol a lane has not met yet.
-const UNSEEN: Symbol = Symbol(u32::MAX);
-
-/// `lane`'s symbol for batch symbol `batch`, spelled `name`.
-#[inline]
-fn local(remap: &mut Vec<Symbol>, lane: &mut Lane, batch: Symbol, name: &str) -> Symbol {
-    let i = batch.index();
-    if i >= remap.len() {
-        remap.resize(i + 1, UNSEEN);
-    }
-    if remap[i] == UNSEEN {
-        remap[i] = lane.symbols_mut().intern(name);
-    }
-    remap[i]
-}
-
-/// Drop the query tags of `tagged` (sorted by tag) into `roles`, for
-/// [`lane_roles`] to slice.
-#[inline]
-fn untag(tagged: &[TaggedRole], roles: &mut Vec<(RoleId, u32)>) {
-    roles.clear();
-    roles.extend(tagged.iter().map(|&(_, r, c)| (r, c)));
-}
-
-/// Lane `qi`'s sub-slice of `roles`, the untagged copy of `tagged`. The
-/// tagged list is sorted by tag and the lanes are visited in tag order,
-/// so `at` — where the previous lanes' roles ended — only moves forward:
-/// one walk of the list per token, not a search per lane.
-#[inline]
-fn lane_roles<'a>(
-    tagged: &[TaggedRole],
-    roles: &'a [(RoleId, u32)],
-    at: &mut usize,
-    qi: usize,
-) -> &'a [(RoleId, u32)] {
-    let before = tagged[*at..].iter().take_while(|r| (r.0 as usize) < qi);
-    let from = *at + before.count();
-    let mine = tagged[from..].iter().take_while(|r| r.0 as usize == qi);
-    let to = from + mine.count();
-    *at = to;
-    &roles[from..to]
-}
-
-/// A lane's share of one token is over: charge it if the token was
-/// delivered, and let the lane's evaluator catch up.
-#[inline]
-fn token_over(lane: &mut Lane, delivered: bool) -> u64 {
-    if delivered {
-        lane.tick(1);
-    }
-    lane.step();
-    u64::from(delivered)
-}
-
-impl FanOut {
-    /// Offer one token to every lane. Returns whether it opened an element
-    /// no query keeps — its subtree is the caller's to skip, end tag
-    /// included.
-    fn apply(&mut self, token: &Token<'_>) -> bool {
-        match token {
-            Token::StartTag(tag) => {
-                let self_closing = tag.self_closing;
-                // A self-closing tag stands for open+close: count both.
-                self.tokens += 1 + u64::from(self_closing);
-                if !self.any_live {
-                    return !self_closing;
-                }
-                let known = self.symbols.len();
-                let name = self.symbols.intern(tag.name);
-                self.matcher.enter_element(name, &mut self.outcome);
-                let outcome = &self.outcome;
-                let any_keep = outcome.any_keep;
-                self.attr_names.clear();
-                if any_keep {
-                    let symbols = &mut self.symbols;
-                    self.attr_names
-                        .extend(tag.attrs.iter().map(|a| symbols.intern(a.name)));
-                }
-                if self.symbols.len() != known {
-                    // The batch's table holds document names on behalf of
-                    // the lanes, each of which charges its own copy to its
-                    // budget: with every lane over, nobody is left to hold
-                    // names for, and the rest of the document is skipped.
-                    self.any_live = self.lanes.iter().any(Lane::live);
-                }
-                untag(&outcome.roles, &mut self.roles);
-                let mut at = 0;
-                for (qi, lane) in self.lanes.iter_mut().enumerate() {
-                    if !lane.live() {
-                        continue;
-                    }
-                    if self.lane_skip[qi] > 0 {
-                        self.lane_skip[qi] += u32::from(any_keep && !self_closing);
-                        continue;
-                    }
-                    let remap = &mut self.remap[qi];
-                    self.lane_attr_names.clear();
-                    let matched = any_keep && outcome.kept[qi];
-                    let roles = lane_roles(&outcome.roles, &self.roles, &mut at, qi);
-                    // Only an element buffered now keeps its attributes.
-                    if matched && !roles.is_empty() {
-                        for (a, &batch) in tag.attrs.iter().zip(&self.attr_names) {
-                            self.lane_attr_names.push(local(remap, lane, batch, a.name));
-                        }
-                    } else if !matched && any_keep && !self_closing {
-                        self.lane_skip[qi] = 1;
-                    }
-                    let name = local(remap, lane, name, tag.name);
-                    let taken = lane.start_element(
-                        name,
-                        tag,
-                        &self.lane_attr_names,
-                        Keep::projected(matched, roles),
-                    );
-                    self.fanout += token_over(lane, taken);
-                }
-                if !any_keep {
-                    // Nobody can match inside: hide the subtree from
-                    // every lane (the matcher pushed no frame for it).
-                    return !self_closing;
-                }
-                if self_closing {
-                    self.matcher.leave_element();
-                }
-            }
-            Token::EndTag { .. } => {
-                self.tokens += 1;
-                for (lane, skip) in self.lanes.iter_mut().zip(&mut self.lane_skip) {
-                    if *skip > 0 {
-                        *skip -= 1;
-                        continue;
-                    }
-                    let closed = lane.end_element();
-                    self.fanout += token_over(lane, closed);
-                }
-                self.matcher.leave_element();
-            }
-            Token::Text(content) => {
-                self.tokens += 1;
-                self.matcher.text_into(&mut self.text_roles);
-                let tagged = &self.text_roles;
-                untag(tagged, &mut self.roles);
-                let mut at = 0;
-                for (qi, lane) in self.lanes.iter_mut().enumerate() {
-                    // Every visible text child bumps the lane's ordinals;
-                    // only text that carries one of its roles is buffered.
-                    if self.lane_skip[qi] > 0 {
-                        continue;
-                    }
-                    let roles = lane_roles(tagged, &self.roles, &mut at, qi);
-                    let kept = lane.text(content, (!roles.is_empty()).then_some(roles));
-                    self.fanout += token_over(lane, kept);
-                }
-            }
-            // Comments, PIs and the doctype are not part of the data model.
-            Token::Comment(_) | Token::ProcessingInstruction { .. } | Token::Doctype(_) => {}
-        }
-        false
     }
 }
 
@@ -614,6 +300,27 @@ mod tests {
         let queries = compile(&["for $b in /bib/book return $b"]);
         let err = run_batch(&queries, "<bib><book></bib>".as_bytes());
         assert!(err.is_err(), "mismatched tags must fail the whole batch");
+    }
+
+    #[test]
+    fn a_search_opens_what_it_passed_after_every_lane_failed() {
+        // 200 nested role-less elements under `//item` and a 4 KiB budget:
+        // the search opens the elements it passed until the budget fails
+        // the lane, then goes on with nobody left to show them to — and
+        // must still enter each into the matcher, whose frames their end
+        // tags close.
+        let queries = compile(&["for $i in //item return $i"]);
+        let opens: String = (0..200).map(|k| format!("<a{k}>")).collect();
+        let closes: String = (0..200).rev().map(|k| format!("</a{k}>")).collect();
+        let doc = format!("<r>{opens}<item/>{closes}</r>");
+        let opts = BatchOptions {
+            max_buffer_bytes: Some(4096),
+            ..BatchOptions::default()
+        };
+        let report = run(&queries, &opts, doc.as_bytes()).unwrap();
+        let lane = report.queries[0].report.as_ref();
+        assert!(lane.is_err_and(EngineError::is_buffer_limit), "{lane:?}");
+        assert_eq!(report.tokens, 404);
     }
 
     #[test]

@@ -21,19 +21,17 @@
 //!   [`gcx_projection::TaggedMatcher`] matches each token **exactly once**
 //!   no matter how many queries want it; element outcomes carry per-query
 //!   tags.
-//! * A [`BatchSession`] (sans-IO; [`run`] drives one over a `Read`) steps
-//!   the pass in **lock-step**: for every token the merged decision is
-//!   made once and each query's
-//!   [`gcx_core::Lane`] that keeps the node appends it — by reference,
-//!   with its own document ordinals — to its own buffer and resumes its
-//!   evaluator when the node is what it was waiting for. There are no
-//!   threads, channels or owned events; memory is the sum of the
-//!   per-query buffers. A lane is the evaluation core a stand-alone
-//!   `EvalSession` drives — same type, same calls — so each query's role
+//! * A [`BatchSession`] (sans-IO; [`run`] drives one over a `Read`) is the
+//!   N-lane face of [`gcx_core::Driver`], the loop a stand-alone
+//!   `EvalSession` is the one-lane face of: each query's
+//!   [`gcx_core::Lane`] that keeps a node appends it — by reference, with
+//!   its own document ordinals — to its own buffer and resumes its
+//!   evaluator when the node is what it was waiting for, and what no query
+//!   needs is passed in bulk, as for one query. Each query's role
 //!   multiset, signOff execution and therefore *buffer minimality* are
-//!   preserved verbatim. What this crate adds is only what a batch has
-//!   and a single query has not: the merged matcher, a skip depth per
-//!   lane, and the translation of the batch's symbols into each lane's.
+//!   preserved verbatim; memory is the sum of the per-query buffers. Each
+//!   query's output can be drained as it is produced
+//!   ([`BatchSession::take_output`]).
 //! * [`BatchReport`] aggregates throughput, per-query buffer statistics
 //!   and the share factor (work that would have been repeated N× but ran
 //!   once).

@@ -17,12 +17,15 @@
 //!    (e.g. the inner side of a join like XMark Q8) the signOff is anchored
 //!    at the nearest enclosing unique context so roles are never removed
 //!    while a later re-iteration still needs the nodes.
-//! 3. [`CompiledPaths`] + [`StreamMatcher`] form the runtime matcher: an
-//!    NFA over interned names that the stream preprojector runs while
-//!    reading input. It decides which tokens are buffered at all and which
-//!    role instances each buffered node receives — with multiplicities,
-//!    because descendant axes can assign one role to one node through
-//!    several derivations.
+//! 3. [`CompiledPaths`], merged into [`TaggedPaths`] and prepared as an
+//!    [`Automaton`], run as the [`TaggedMatcher`]: an NFA over interned
+//!    names that the stream preprojector (`gcx-core`'s driver) runs while
+//!    reading input, for one query or a batch of them. It decides which
+//!    tokens are buffered at all and which role instances each buffered
+//!    node receives — with multiplicities, because descendant axes can
+//!    assign one role to one node through several derivations — and,
+//!    below a frame, what the driver may pass without showing it
+//!    ([`Below`]).
 
 mod analysis;
 mod matcher;
@@ -35,5 +38,6 @@ pub use matcher::{
     Automaton, CompiledPaths, QueryTag, StepView, StreamMatcher, TaggedMatcher, TaggedOutcome,
     TaggedPaths, TaggedRole, TestView,
 };
+pub use memo::Below;
 pub use reach::ReachFilter;
 pub use roles::{Anchor, RoleInfo, RoleOrigin, RoleTable};

@@ -72,12 +72,12 @@
 //! name test (no wildcard, `node()` or `text()` test, no child step, no
 //! position) maps every child named outside its names `N` back onto
 //! itself, with no role, and gives a text child none. The memo computes
-//! `N` once, when it interns such a set, and
-//! [`StreamMatcher::search_names`] shows it for the innermost frame, so a
-//! driver can have the tokenizer run ahead to the next start tag named in
-//! `N` instead of stepping every token through here — the label skipping
-//! of the streaming path engines in "Earliest query answering over
-//! streamed trees". Under a reach filter no set searches: the filter cuts
+//! `N` once, when it interns such a set, and [`TaggedMatcher::below`]
+//! shows it for the innermost frame, so a driver can have the tokenizer
+//! run ahead to the next start tag named in `N` instead of stepping every
+//! token through here — the label skipping of the streaming path engines
+//! in "Earliest query answering over streamed trees". Under a reach
+//! filter no set searches: the filter cuts
 //! descendant states by the child's name, which breaks the self-loop.
 //!
 //! ## Copy sets
@@ -88,8 +88,8 @@
 //! outside the search states' names (the *stops*) then maps the set onto
 //! itself with the one role instance `(r, 1)`, and every text child gets
 //! that instance alone. The memo marks such a set once, when it interns
-//! it, and [`StreamMatcher::copy_stops`] shows it for the innermost frame:
-//! a driver whose lane is writing that copy through may pass everything up
+//! it, and [`TaggedMatcher::below`] shows it for the innermost frame: a
+//! driver whose lane is writing that copy through may pass everything up
 //! to the next stop straight to the writer. Under a reach filter no set
 //! copies, as none searches.
 
@@ -367,15 +367,8 @@ impl TaggedOutcome {
 
     /// Roles of one query, in `(role, count)` form.
     pub fn roles_of(&self, tag: QueryTag) -> impl Iterator<Item = (RoleId, u32)> + '_ {
-        self.roles_slice_of(tag).iter().map(|&(_, r, c)| (r, c))
-    }
-
-    /// Roles of one query as a subslice (the roles are sorted by tag, so
-    /// this is a binary search, not a scan).
-    pub fn roles_slice_of(&self, tag: QueryTag) -> &[TaggedRole] {
-        let lo = self.roles.partition_point(|&(t, _, _)| t < tag);
-        let hi = self.roles.partition_point(|&(t, _, _)| t <= tag);
-        &self.roles[lo..hi]
+        let mine = self.roles.iter().filter(move |r| r.0 == tag);
+        mine.map(|&(_, r, c)| (r, c))
     }
 
     fn reset(&mut self) {
@@ -416,9 +409,6 @@ pub struct Automaton {
     root_roles: Vec<TaggedRole>,
     root_set: Option<SetId>,
     root_states: Vec<St>,
-    /// Some state set can be a search set: there is no reach filter and
-    /// some step is one a search set's states sit at.
-    searches: bool,
     /// The best memo a matcher has offered back so far. Locked when a
     /// matcher starts and when it is dropped, never per token.
     memo: Mutex<Arc<Memo>>,
@@ -470,7 +460,6 @@ impl Automaton {
             .unwrap_or(0);
         let mut memo = Memo::new(memo_sets, n_static);
         canonical(&mut root_states);
-        let searches = reach.is_none() && paths.steps.iter().any(CStep::waits);
         let root_set = memo.has_room().then(|| {
             let set = intern_set(&mut memo, &paths, reach.is_none(), &root_states);
             root_states.clear();
@@ -482,14 +471,8 @@ impl Automaton {
             root_roles,
             root_set,
             root_states,
-            searches,
             memo: Mutex::new(Arc::new(memo)),
         }
-    }
-
-    /// The document root's roles, deduplicated, sorted by `(tag, role)`.
-    pub fn root_roles(&self) -> &[TaggedRole] {
-        &self.root_roles
     }
 
     /// Number of queries merged in.
@@ -498,9 +481,9 @@ impl Automaton {
     }
 }
 
-/// The merged streaming matcher: one NFA pass over the tag stream,
-/// per-query outcomes. [`StreamMatcher`] is its single-query face; the
-/// shared-stream driver (`gcx-multi`) runs it over a whole batch.
+/// The streaming matcher: one NFA pass over the tag stream, per-query
+/// outcomes. The engine's driver runs it over a single query's automaton
+/// (one tag) as over a batch's merged one.
 ///
 /// Because every path carries its owning query's tag, and states never
 /// interact across paths (counts merge only on identical `(path, state)`
@@ -530,8 +513,6 @@ pub struct TaggedMatcher {
     text_roles: Vec<TaggedRole>,
     /// Descendant-state propagations the reach filter suppressed.
     reach_cuts: u64,
-    /// The automaton's: whether a state set can be a search set.
-    searches: bool,
 }
 
 impl TaggedMatcher {
@@ -560,7 +541,6 @@ impl TaggedMatcher {
             outcome: TaggedOutcome::for_tags(automaton.n_tags()),
             text_roles: Vec::new(),
             reach_cuts: 0,
-            searches: automaton.searches,
             automaton,
         }
     }
@@ -575,30 +555,46 @@ impl TaggedMatcher {
         self.reach_cuts
     }
 
-    /// The search names of the innermost frame's state set (see
-    /// [`StreamMatcher::search_names`]).
+    /// What a driver may do below the innermost open element instead of
+    /// stepping every token through here, as the memo classified its
+    /// state set when it interned it:
+    ///
+    /// * [`Below::Search`]: a *search set* — every state at a `descendant`
+    ///   or `descendant-or-self` step with a name test and no position.
+    ///   Every child named outside the names is kept with no role and gets
+    ///   this same frame, and no text child gets a role, so a driver may
+    ///   pass everything up to the next start tag of one of them unseen.
+    /// * [`Below::Copy`]: a *copy set* of query `tag`'s `role` — one
+    ///   `descendant-or-self::node()` state of `role` with count 1 ending
+    ///   its path, every other state a search-set state. Every child named
+    ///   outside the stops is kept with the single role instance
+    ///   `(role, 1)` of `tag` (and no role of any other query) and gets
+    ///   this same frame, and every text child gets that instance alone,
+    ///   so a driver writing the copy through may pass everything up to
+    ///   the next start tag of a stop without showing it here.
+    ///
+    /// [`Below::Step`] for any other frame, and always under a reach
+    /// filter or for a set the memo had no room for.
     #[inline]
-    fn search_names(&self) -> Option<&[Symbol]> {
-        if !self.searches {
-            return None;
-        }
-        match self.memo.below(self.top().set?) {
-            Below::Search(names) => Some(names),
-            _ => None,
+    pub fn below(&self) -> Below<&[Symbol]> {
+        match self.top().set {
+            Some(set) => self.memo.below(set),
+            None => Below::Step,
         }
     }
 
-    /// The stops of the innermost frame's state set when it is a copy set
-    /// of query `tag`'s `role` (see [`StreamMatcher::copy_stops`]).
-    #[inline]
-    fn copy_stops(&self, tag: QueryTag, role: RoleId) -> Option<&[Symbol]> {
-        match self.memo.below(self.top().set?) {
-            Below::Copy {
-                tag: t,
-                role: r,
-                stops,
-            } if (t, r) == (tag, role) => Some(stops),
-            _ => None,
+    /// Mark in `held`, indexed by tag, the queries that hold a state in the
+    /// innermost open element's frame: below a search or a copy set, the
+    /// ones stepping would show the children to.
+    pub fn holders(&self, held: &mut [bool]) {
+        let top = self.top();
+        let states: &[St] = match top.set {
+            Some(set) => self.memo.set(set),
+            None => &self.states[top.states_from as usize..],
+        };
+        let paths = &self.automaton.paths.paths;
+        for st in states {
+            held[paths[st.path as usize].tag as usize] = true;
         }
     }
 
@@ -643,11 +639,13 @@ impl TaggedMatcher {
     }
 
     /// [`TaggedMatcher::enter_element`] without the copy: `None` when no
-    /// query keeps the element, else the per-query kept flags and the
-    /// element's roles, borrowed from the memo (a recorded transition) or
-    /// from the NFA step's own outcome.
+    /// query keeps the element (skip the subtree, and do not call
+    /// [`TaggedMatcher::leave_element`] for it), else the per-query kept
+    /// flags and the element's roles sorted by `(tag, role)`, borrowed
+    /// from the memo (a recorded transition) or from the NFA step's own
+    /// outcome.
     #[inline]
-    fn enter(&mut self, name: Symbol) -> Option<(&[bool], &[TaggedRole])> {
+    pub fn enter(&mut self, name: Symbol) -> Option<(&[bool], &[TaggedRole])> {
         let recorded = self
             .top()
             .set
@@ -797,10 +795,11 @@ impl TaggedMatcher {
         out.extend_from_slice(self.text());
     }
 
-    /// [`TaggedMatcher::text_into`] without the copy: the roles, borrowed
-    /// from the memo or from the NFA step's own result.
+    /// [`TaggedMatcher::text_into`] without the copy: the roles, sorted
+    /// by `(tag, role)`, borrowed from the memo or from the NFA step's own
+    /// result.
     #[inline]
-    fn text(&mut self) -> &[TaggedRole] {
+    pub fn text(&mut self) -> &[TaggedRole] {
         // (Asked twice: a borrow handed out by the first probe would
         // outlive the miss branch's `&mut self`.)
         let recorded = self.top().set.filter(|&set| self.memo.text(set).is_some());
@@ -871,9 +870,9 @@ impl Drop for TaggedMatcher {
     }
 }
 
-/// The single-query streaming matcher: the [`TaggedMatcher`] specialized
-/// to one query (tag 0), with the original untagged API. One instance per
-/// engine run.
+/// The [`TaggedMatcher`] specialized to one query (tag 0), with untagged
+/// roles. The engine does not use it: it stays for the repository
+/// benchmark's matcher prefix and the tests that drive a matcher by hand.
 #[derive(Debug)]
 pub struct StreamMatcher {
     inner: TaggedMatcher,
@@ -897,43 +896,6 @@ impl StreamMatcher {
         StreamMatcher {
             inner: TaggedMatcher::start(automaton),
         }
-    }
-
-    /// Current nesting depth (document root frame excluded).
-    pub fn depth(&self) -> usize {
-        self.inner.depth()
-    }
-
-    /// Descendant-state propagations the reach filter suppressed so far.
-    pub fn reach_cuts(&self) -> u64 {
-        self.inner.reach_cuts()
-    }
-
-    /// The names the innermost open element's frame waits for, when its
-    /// state set is a *search set* — every state at a `descendant` or
-    /// `descendant-or-self` step with a name test and no position: every
-    /// child named otherwise is kept with no role and gets this same
-    /// frame, and no text child gets a role, so a driver may pass
-    /// everything up to the next start tag of one of these names without
-    /// showing it here. `None` for any other frame, and always under a
-    /// reach filter or for a set the memo had no room for.
-    #[inline]
-    pub fn search_names(&self) -> Option<&[Symbol]> {
-        self.inner.search_names()
-    }
-
-    /// The stops of the innermost open element's frame, when its state
-    /// set is a *copy set* of `role` — one `descendant-or-self::node()`
-    /// state of `role` with count 1 ending its path, every other state a
-    /// search-set state: every child named outside the stops is kept with
-    /// the single role instance `(role, 1)` and gets this same frame, and
-    /// every text child gets that instance alone, so a driver writing the
-    /// copy through may pass everything up to the next start tag of a stop
-    /// without showing it here. `None` for any other frame, and always
-    /// under a reach filter or for a set the memo had no room for.
-    #[inline]
-    pub fn copy_stops(&self, role: RoleId) -> Option<&[Symbol]> {
-        self.inner.copy_stops(0, role)
     }
 
     /// Process an element start tag: the element's roles are appended to
@@ -1212,7 +1174,7 @@ mod tests {
 
         m.leave_element(); // book
         m.leave_element(); // bib
-        assert_eq!(m.depth(), 0);
+        assert_eq!(m.inner.depth(), 0);
     }
 
     #[test]
@@ -1656,26 +1618,34 @@ mod tests {
         assert_eq!(binding.2, 63, "63 ancestors named a");
     }
 
+    /// The names the innermost frame waits for, if it is a search set.
+    fn search_names(m: &TaggedMatcher) -> Option<&[Symbol]> {
+        match m.below() {
+            Below::Search(names) => Some(names),
+            _ => None,
+        }
+    }
+
     #[test]
     fn a_search_set_names_what_it_waits_for() {
         let (mut m, _, mut sy, _) = matcher_for("for $i in //item return $i");
         let [item, site] = ["item", "site"].map(|n| sy.intern(n));
         let mut roles = Vec::new();
-        assert_eq!(m.search_names(), Some(&[item][..]));
+        assert_eq!(search_names(&m.inner), Some(&[item][..]));
         // Anything else: kept, no role, the same set.
         assert!(m.enter_element_into(site, &mut roles) && roles.is_empty());
-        assert_eq!(m.search_names(), Some(&[item][..]));
+        assert_eq!(search_names(&m.inner), Some(&[item][..]));
         m.text_into(&mut roles);
         assert!(roles.is_empty());
         // An item is output whole: `descendant-or-self::node()` below it.
         m.enter_element_into(item, &mut roles);
         assert!(!roles.is_empty());
-        assert_eq!(m.search_names(), None);
+        assert_eq!(search_names(&m.inner), None);
         // A positional step waits too, but not as a search.
         let (mut m, _, mut sy, _) = matcher_for("for $b in //a/b[2] return $b");
-        assert!(m.search_names().is_some());
+        assert!(search_names(&m.inner).is_some());
         m.enter_element_into(sy.intern("a"), &mut roles);
-        assert_eq!(m.search_names(), None, "b[2] counts a's children");
+        assert_eq!(search_names(&m.inner), None, "b[2] counts a's children");
         // No search under a reach filter, or without room in the memo.
         let mut sy = SymbolTable::new();
         let (paths, reach) = merged(&["for $x in //c return $x"], &mut sy);
@@ -1683,7 +1653,7 @@ mod tests {
             let searches = reach.is_none() && sets > 0;
             let automaton = Automaton::with_memo_sets(paths.clone(), reach, sets);
             let m = TaggedMatcher::start(Arc::new(automaton));
-            assert_eq!(m.search_names().is_some(), searches);
+            assert_eq!(search_names(&m).is_some(), searches);
         }
     }
 
@@ -1693,7 +1663,7 @@ mod tests {
         // is a search set, every other name maps it onto itself with no
         // role, and a text child gets none.
         fn walk(m: &mut TaggedMatcher, doc: &Doc, sy: &mut SymbolTable, searched: &mut u32) {
-            if let Some(waits) = m.search_names().map(<[Symbol]>::to_vec) {
+            if let Some(waits) = search_names(m).map(<[Symbol]>::to_vec) {
                 *searched += 1;
                 let set = m.top().set;
                 let mut out = TaggedOutcome::for_tags(1);
@@ -1743,6 +1713,6 @@ mod tests {
         for _ in 0..10_000 {
             m.leave_element();
         }
-        assert_eq!(m.depth(), 0);
+        assert_eq!(m.inner.depth(), 0);
     }
 }

@@ -19,9 +19,10 @@ pub(crate) struct St {
 pub(crate) type SetId = u32;
 
 /// What a set lets a driver do below a frame instead of stepping every
-/// token through the matcher, computed once, when the set is interned.
+/// token through the matcher, computed once, when the set is interned
+/// (see [`TaggedMatcher::below`](crate::TaggedMatcher::below)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Below<N> {
+pub enum Below<N> {
     /// Nothing: step.
     Step,
     /// A search set: every child named outside `names` leads back to the
@@ -31,8 +32,11 @@ pub(crate) enum Below<N> {
     /// set itself with the single role instance `(role, 1)` of query
     /// `tag`, and every text child gets that instance alone.
     Copy {
+        /// The query copying.
         tag: QueryTag,
+        /// The copy's role.
         role: RoleId,
+        /// The names that end a copy pass.
         stops: N,
     },
 }

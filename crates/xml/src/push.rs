@@ -198,6 +198,9 @@ pub struct Skipped {
     /// counted by the call that saw its first byte). A stop tag is not
     /// among them: it is the next token.
     pub tokens: u64,
+    /// The start and end tags among them, a self-closing tag once: what a
+    /// consumer shown every tag and no text would have been shown.
+    pub tags: u64,
     /// The element's end tag was passed: the next [`PushTokenizer::step`]
     /// returns what follows it. False when the skip stopped (below) or the
     /// window ran out first — then feed more bytes and call again, or, at
@@ -1246,14 +1249,14 @@ impl PushTokenizer {
             self.skip_open = 1;
         }
         self.pending = Pending::None;
-        let mut tokens = 0;
+        let mut passed = Passed::default();
         let mut halt = None;
         while self.skip_open > 0 && halt.is_none() {
             // A recorded scan position belongs to a partial token at the
             // window start: only the stepping functions can resume it.
             if self.hint.is_none() {
-                let (passed, stretch_halt) = self.skip_stretch(stops, max_open);
-                tokens += passed;
+                let (stretch, stretch_halt) = self.skip_stretch(stops, max_open);
+                passed.add(stretch);
                 halt = stretch_halt;
                 if self.skip_open == 0 || halt.is_some() {
                     break;
@@ -1267,12 +1270,15 @@ impl PushTokenizer {
                     self.skip_text_start = None;
                     self.end_of_input()?;
                 }
-                return Ok(Skipped::suspended(tokens));
+                return Ok(Skipped::suspended(passed));
             }
             // Something the stretch does not check inline.
             match self.skip_token(stops, max_open)? {
-                Some((passed, token_halt)) => (tokens, halt) = (tokens + passed, token_halt),
-                None => return Ok(Skipped::suspended(tokens)),
+                Some((token, token_halt)) => {
+                    passed.add(token);
+                    halt = token_halt;
+                }
+                None => return Ok(Skipped::suspended(passed)),
             }
         }
         let left_open = match halt {
@@ -1280,7 +1286,8 @@ impl PushTokenizer {
             None => 0,
         };
         Ok(Skipped {
-            tokens,
+            tokens: passed.tokens,
+            tags: passed.tags,
             complete: halt.is_none(),
             stopped: halt == Some(Halt::Stop),
             left_open,
@@ -1308,12 +1315,12 @@ impl PushTokenizer {
     /// and plain tags ([`PushTokenizer::plain_tag`]), and consume the whole
     /// stretch at once. Stops — in front of it — at anything else, at the
     /// window end, and behind the end tag that completes the skip or the
-    /// start tag it halts at (a stop tag is left pending). Returns the
-    /// tokens passed and the halt.
-    fn skip_stretch(&mut self, stops: &[&str], max_open: usize) -> (u64, Option<Halt>) {
+    /// start tag it halts at (a stop tag is left pending). Returns what it
+    /// passed and the halt.
+    fn skip_stretch(&mut self, stops: &[&str], max_open: usize) -> (Passed, Option<Halt>) {
         let (lo, hi) = (self.lo, self.hi);
         let limit = max_open.saturating_add(1);
-        let mut tokens = 0;
+        let mut passed = Passed::default();
         let mut halt = None;
         let mut i = lo;
         // Where the text run the stretch stopped in began, if it began in
@@ -1323,7 +1330,7 @@ impl PushTokenizer {
             if self.buf[i] != b'<' {
                 if self.skip_text_start.is_none() && run_start.is_none() {
                     run_start = Some(i);
-                    tokens += 1;
+                    passed.tokens += 1;
                 }
                 let window = &self.buf[..hi];
                 match text_stop::<false>(&window[i..]) {
@@ -1346,7 +1353,7 @@ impl PushTokenizer {
             match self.plain_tag(i) {
                 None => break,
                 Some(PlainTag::End { name_len }) => {
-                    tokens += 1;
+                    passed.add(Passed::tag(1));
                     i += name_len + 3;
                     self.skip_open -= 1;
                     if self.skip_open == 0 {
@@ -1367,7 +1374,7 @@ impl PushTokenizer {
                         halt = Some(Halt::Stop);
                         break;
                     }
-                    tokens += 1 + u64::from(self_closing);
+                    passed.add(Passed::tag(1 + u64::from(self_closing)));
                     halt = self.skip_opens(self_closing, limit);
                     if halt.is_some() {
                         break;
@@ -1383,18 +1390,18 @@ impl PushTokenizer {
         if i > self.lo {
             self.consume(i - self.lo);
         }
-        (tokens, halt)
+        (passed, halt)
     }
 
     /// One token of a skipped subtree through the stepping functions, the
     /// token itself discarded — unless it is a stop tag, which stays
-    /// pending. Returns the tokens passed and the halt, or `None` when the
+    /// pending. Returns what it passed and the halt, or `None` when the
     /// window ends inside the token.
     fn skip_token(
         &mut self,
         stops: &[&str],
         max_open: usize,
-    ) -> XmlResult<Option<(u64, Option<Halt>)>> {
+    ) -> XmlResult<Option<(Passed, Option<Halt>)>> {
         if self.buf[self.lo] != b'<' {
             // The rest of a text run whose head the stretch consumed and
             // counted: validated as a whole once its '<' is in sight.
@@ -1406,7 +1413,7 @@ impl PushTokenizer {
             }
             self.skip_text_start = None;
             self.pending = Pending::None;
-            return Ok(Some((0, None)));
+            return Ok(Some((Passed::default(), None)));
         }
         if self.step_markup()? == TokenStep::NeedMoreData {
             return Ok(None);
@@ -1419,29 +1426,49 @@ impl PushTokenizer {
                 ..
             } => {
                 if !stops.is_empty() && self.is_stop(stops, start, name_len) {
-                    return Ok(Some((0, Some(Halt::Stop))));
+                    return Ok(Some((Passed::default(), Some(Halt::Stop))));
                 }
                 let halt = self.skip_opens(self_closing, max_open.saturating_add(1));
-                (1 + u64::from(self_closing), halt)
+                (Passed::tag(1 + u64::from(self_closing)), halt)
             }
             Pending::EndTag { .. } => {
                 self.skip_open -= 1;
-                (1, None)
+                (Passed::tag(1), None)
             }
             // A CDATA section.
-            Pending::Text { .. } => (1, None),
-            _ => (0, None),
+            Pending::Text { .. } => (Passed { tokens: 1, tags: 0 }, None),
+            _ => (Passed::default(), None),
         };
         self.pending = Pending::None;
         Ok(Some(passed))
     }
 }
 
+/// What a stretch or a token of a skip passed (see [`Skipped`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Passed {
+    tokens: u64,
+    tags: u64,
+}
+
+impl Passed {
+    /// One tag, `tokens` of them (2 when self-closing).
+    fn tag(tokens: u64) -> Passed {
+        Passed { tokens, tags: 1 }
+    }
+
+    fn add(&mut self, other: Passed) {
+        self.tokens += other.tokens;
+        self.tags += other.tags;
+    }
+}
+
 impl Skipped {
-    /// A skip the window ran out on after `tokens`.
-    fn suspended(tokens: u64) -> Skipped {
+    /// A skip the window ran out on after passing `passed`.
+    fn suspended(passed: Passed) -> Skipped {
         Skipped {
-            tokens,
+            tokens: passed.tokens,
+            tags: passed.tags,
             complete: false,
             stopped: false,
             left_open: 0,

@@ -39,6 +39,7 @@ enum Event {
     /// A skipped subtree (all suspended calls of one skip together).
     Skipped {
         tokens: u64,
+        tags: u64,
         complete: bool,
         behind: TextPos,
     },
@@ -66,10 +67,10 @@ fn run(doc: &[u8], chunk: usize, skip: impl Fn(usize, i32) -> bool) -> Run {
         pending: Vec::new(),
     };
     let (mut fed, mut ordinal, mut depth) = (0usize, 0usize, 0i32);
-    // The skip in flight: tokens so far.
-    let mut skipping: Option<u64> = None;
+    // The skip in flight: tokens and tags so far.
+    let mut skipping: Option<(u64, u64)> = None;
     loop {
-        let more = if let Some(so_far) = skipping {
+        let more = if let Some((so_far, tags)) = skipping {
             assert!(so_far == 0 || tok.skipping());
             match tok.skip_element(&[], usize::MAX) {
                 Err(e) => {
@@ -80,6 +81,7 @@ fn run(doc: &[u8], chunk: usize, skip: impl Fn(usize, i32) -> bool) -> Run {
                     assert!(!tok.skipping());
                     out.events.push(Event::Skipped {
                         tokens: so_far + s.tokens,
+                        tags: tags + s.tags,
                         complete: s.complete,
                         behind: tok.position(),
                     });
@@ -88,7 +90,7 @@ fn run(doc: &[u8], chunk: usize, skip: impl Fn(usize, i32) -> bool) -> Run {
                     false
                 }
                 Ok(s) => {
-                    skipping = Some(so_far + s.tokens);
+                    skipping = Some((so_far + s.tokens, tags + s.tags));
                     true
                 }
             }
@@ -117,7 +119,7 @@ fn run(doc: &[u8], chunk: usize, skip: impl Fn(usize, i32) -> bool) -> Run {
                     });
                     if change == 1 {
                         if skip(ordinal, depth) {
-                            skipping = Some(0);
+                            skipping = Some((0, 0));
                         }
                         ordinal += 1;
                     }
@@ -148,11 +150,15 @@ fn assert_same(want: &Run, got: &Run, label: &dyn Fn() -> String) {
             Event::Token { .. } => assert_eq!(stepped.next(), Some(event), "{}", label()),
             Event::Skipped {
                 tokens,
+                tags,
                 complete,
                 behind,
             } => {
                 // Step the reference through the same subtree.
                 let (mut open, mut charged, mut at) = (1, 0, None);
+                // Start, end and self-closing tags: what moves the depth
+                // or is charged twice.
+                let mut stepped_tags = 0;
                 while open > 0 {
                     let Some(Event::Token {
                         charge,
@@ -165,6 +171,7 @@ fn assert_same(want: &Run, got: &Run, label: &dyn Fn() -> String) {
                     };
                     open += depth;
                     charged += charge;
+                    stepped_tags += u64::from(*depth != 0 || *charge == 2);
                     at = Some(*behind);
                 }
                 // The reference may have failed inside the subtree; then
@@ -173,6 +180,7 @@ fn assert_same(want: &Run, got: &Run, label: &dyn Fn() -> String) {
                 assert_eq!(*complete, through, "{}", label());
                 if through || want.result.is_ok() {
                     assert_eq!(*tokens, charged, "tokens charged, {}", label());
+                    assert_eq!(*tags, stepped_tags, "tags passed, {}", label());
                     assert_eq!(*behind, at.unwrap_or(*behind), "position, {}", label());
                 }
             }

@@ -151,6 +151,46 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
     counts
 }
 
+/// The events a batch lane of `q` is charged when every token is stepped
+/// to it — each start tag its query keeps (a self-closing one once) and
+/// that element's end tag, each text that gets a role, and the end of
+/// input: what [`gcx::RunReport::tokens`] of the lane must read, however
+/// much of the stream the driver passed in bulk.
+pub fn lane_events(q: &CompiledQuery, doc: &str) -> u64 {
+    let (mut matcher, mut symbols) = matcher(q, None);
+    let mut tok = Tokenizer::from_str(doc);
+    let mut roles = Vec::new();
+    let (mut events, mut hidden_depth) = (1, 0u32);
+    while let Some(token) = tok.next_token().expect("well-formed") {
+        match token {
+            Token::StartTag(tag) if hidden_depth > 0 => {
+                hidden_depth += u32::from(!tag.self_closing)
+            }
+            Token::StartTag(tag) => {
+                if matcher.enter_element_into(symbols.intern(tag.name), &mut roles) {
+                    events += 1;
+                    if tag.self_closing {
+                        matcher.leave_element();
+                    }
+                } else {
+                    hidden_depth = u32::from(!tag.self_closing);
+                }
+            }
+            Token::EndTag { .. } if hidden_depth > 0 => hidden_depth -= 1,
+            Token::EndTag { .. } => {
+                matcher.leave_element();
+                events += 1;
+            }
+            Token::Text(_) if hidden_depth == 0 => {
+                matcher.text_into(&mut roles);
+                events += u64::from(!roles.is_empty());
+            }
+            _ => {}
+        }
+    }
+    events
+}
+
 /// Which nodes `project` visits — start tags and texts outside refused
 /// subtrees, in document order — the gcx engine writes through instead of
 /// appending: a node holding one instance of one role, inside an element

@@ -167,13 +167,24 @@ fn copies_equal_the_oracle_on_every_driver_and_chunking() {
                     session.feed(piece).expect("batch feed");
                 }
                 let report = session.finish().expect("batch");
-                for ((((name, ..), lane), alone), want) in
-                    compiled.iter().zip(report.queries).zip(&alone).zip(&wants)
+                // Each lane is charged what stepping would have shown it.
+                let events: Vec<u64> = compiled
+                    .iter()
+                    .map(|(_, _, q, _)| common::lane_events(q, doc))
+                    .collect();
+                assert_eq!(report.fanout_events, events.iter().sum::<u64>());
+                for (((((name, ..), lane), alone), want), events) in compiled
+                    .iter()
+                    .zip(report.queries)
+                    .zip(&alone)
+                    .zip(&wants)
+                    .zip(events)
                 {
                     let label = format!("{name} on document {d} as a lane, chunks of {chunk}");
                     assert_eq!(&lane.output, want, "{label}");
                     let lane = lane.report.expect("lane report");
                     assert_eq!(buffer(&lane), buffer(alone), "{label}");
+                    assert_eq!(lane.tokens, events, "{label}: events");
                 }
             }
         }
@@ -203,7 +214,8 @@ fn the_copy_queries_buffer_only_their_bindings() {
         assert!(report.buffer.peak_live_bytes * 4 < full.buffer.peak_live_bytes);
     }
     // The document node has no end tag for a lane to see: `/` is
-    // serialized at the end of input, as full buffering does.
+    // serialized at the end of input, as full buffering does — and as the
+    // DOM oracle writes the document node, its children.
     let q = CompiledQuery::compile("/").unwrap();
     let (whole, _) = fed(
         &q,
@@ -211,6 +223,7 @@ fn the_copy_queries_buffer_only_their_bindings() {
         doc.as_bytes(),
         64 * 1024,
     );
+    assert_eq!(whole, gcx::dom::run_query("/", &doc).unwrap().as_bytes());
     for chunk in [7, 64 * 1024] {
         assert!(fed(&q, &EngineOptions::gcx(), doc.as_bytes(), chunk).0 == whole);
     }
@@ -231,7 +244,8 @@ fn the_copy_queries_buffer_only_their_bindings() {
 fn a_bidder_leaves_before_its_auction_ends() {
     // 7(a)'s gate: the emission lag of a copy is at most one token. Fed 64
     // bytes at a time, the first auction's first bidder is in the output
-    // before the auction's end tag has been fed.
+    // before the auction's end tag has been fed — from a session, and from
+    // lane 0 of a batch that runs Q1 beside it.
     let doc = xmark(64, 42);
     let end = doc.find("</open_auction>").expect("an auction");
     let first = doc.find("<open_auction ").unwrap();
@@ -240,22 +254,90 @@ fn a_bidder_leaves_before_its_auction_ends() {
         "the first auction has a bidder"
     );
     let q = CompiledQuery::compile(COPY_AUCTIONS).unwrap();
+    // Everything before the first `</open_auction>`, in 64-byte pieces.
+    let early = || {
+        doc.as_bytes()
+            .chunks(64)
+            .scan(0, move |fed, piece| {
+                *fed += piece.len();
+                (*fed <= end).then_some(piece)
+            })
+            .collect::<Vec<_>>()
+    };
     let mut session = q.session(&EngineOptions::gcx());
     let mut out = Vec::new();
-    let mut fed = 0;
-    for piece in doc.as_bytes().chunks(64) {
-        if fed + piece.len() > end {
-            break;
-        }
+    for piece in early() {
         session.feed(piece).unwrap();
         session.take_output(&mut out).unwrap();
-        fed += piece.len();
     }
     let out = String::from_utf8(out).unwrap();
     assert!(
         out.contains("<bidder"),
-        "{fed} of {end} bytes fed before `</open_auction>`, output: {out}"
+        "{end} bytes before `</open_auction>`, output: {out}"
     );
+
+    let q1 = CompiledQuery::compile(gcx::xmark::queries::Q1).unwrap();
+    let batch = [q.clone(), q1];
+    let mut session = BatchSession::new(&batch, &BatchOptions::default());
+    let mut drained = Vec::new();
+    for piece in early() {
+        session.feed(piece).unwrap();
+        session.take_output(0, &mut drained).unwrap();
+    }
+    let early_out = String::from_utf8(drained.clone()).unwrap();
+    assert!(
+        early_out.contains("<bidder"),
+        "lane 0, {end} bytes before `</open_auction>`, output: {early_out}"
+    );
+    // A sink that fails half-way through a drain takes no byte twice.
+    let rest = &doc.as_bytes()[early().concat().len()..];
+    session.feed(&rest[..rest.len() / 2]).unwrap();
+    let mut broken = Flaky {
+        got: Vec::new(),
+        budget: 5,
+    };
+    assert!(session.take_output(0, &mut broken).is_err());
+    drained.extend_from_slice(&broken.got);
+    session.take_output(0, &mut drained).unwrap();
+    session.feed(&rest[rest.len() / 2..]).unwrap();
+    let report = session.finish().unwrap();
+    // What was not drained is the lane's output at the end.
+    drained.extend_from_slice(&report.queries[0].output);
+    let (alone, _) = fed(&q, &EngineOptions::gcx(), doc.as_bytes(), doc.len());
+    assert_eq!(drained, alone);
+    assert_eq!(
+        report.queries[1].output,
+        fed(&batch[1], &EngineOptions::gcx(), doc.as_bytes(), doc.len()).0
+    );
+    // Inside an auction only lane 0 holds a state, copying: the copy
+    // passes, which also ran across feeds, charged each lane what
+    // stepping would have shown it.
+    for (q, run) in batch.iter().zip(&report.queries) {
+        let events = common::lane_events(q, &doc);
+        assert_eq!(run.report.as_ref().unwrap().tokens, events);
+    }
+}
+
+/// Accepts `budget` bytes, then fails every write.
+struct Flaky {
+    got: Vec<u8>,
+    budget: usize,
+}
+
+impl std::io::Write for Flaky {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.budget == 0 {
+            return Err(std::io::Error::other("sink broke"));
+        }
+        let n = buf.len().min(self.budget);
+        self.got.extend_from_slice(&buf[..n]);
+        self.budget -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[test]
