@@ -787,8 +787,9 @@ impl Preprojector {
     /// Charge a bulk pass that went by `passed`: what stepping would have
     /// shown a lane is the tags if it was shown the children
     /// ([`Preprojector::show_pass`]), the texts too if it is the `copier`.
-    /// (Inlined: skips are as frequent as tokens.)
-    #[inline]
+    /// (Inlined: skips are as frequent as tokens, and a skip's charge,
+    /// which shows no lane anything, folds to the token counts.)
+    #[inline(always)]
     fn charge_pass(&mut self, passed: Passed, copier: Option<usize>) {
         self.tokens += passed.tokens;
         let alone = self.alone();
