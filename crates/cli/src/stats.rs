@@ -4,7 +4,7 @@
 //! every member; the CLI suite pins the documents byte for byte.
 
 use gcx_analyze::QueryAnalysis;
-use gcx_core::{CompiledQuery, ObsReport, RunReport};
+use gcx_core::{CompiledQuery, ObsReport, RunReport, Timeline};
 use gcx_multi::BatchReport;
 use gcx_obs::json::{Fixed, JsonWriter};
 use gcx_obs::Hist;
@@ -88,18 +88,9 @@ fn run_members(w: &mut JsonWriter, r: &RunReport) {
         .field("live_bytes", b.live_bytes)
         .field("peak_live_bytes", b.peak_live_bytes)
         .end();
-    if let Some(tl) = &r.timeline {
-        w.key("timeline")
-            .object()
-            .field("every", tl.every)
-            .field("peak", tl.peak())
-            .key("points");
-        pairs(w, &tl.points);
-        w.end();
-    }
     if let Some(obs) = &r.obs {
         w.key("obs");
-        obs_object(w, obs);
+        obs_object(w, obs, r.timeline.as_ref().expect("telemetry samples"));
     }
     if let Some(s) = &r.schema {
         w.key("schema")
@@ -114,7 +105,7 @@ fn run_members(w: &mut JsonWriter, r: &RunReport) {
     }
 }
 
-fn obs_object(w: &mut JsonWriter, obs: &ObsReport) {
+fn obs_object(w: &mut JsonWriter, obs: &ObsReport, timeline: &Timeline) {
     w.object().key("residency_tokens");
     hist(w, &obs.residency_tokens);
     w.key("purged_node_bytes");
@@ -138,10 +129,13 @@ fn obs_object(w: &mut JsonWriter, obs: &ObsReport) {
     w.end()
         .key("live_bytes_timeline")
         .object()
-        .field("every", obs.timeline_every)
-        .key("points");
-    pairs(w, &obs.live_bytes_timeline);
-    w.end().key("tasks").array();
+        .field("every", timeline.every)
+        .key("points")
+        .array();
+    for (token, bytes) in timeline.live_bytes() {
+        w.array().value(token).value(bytes).end();
+    }
+    w.end().end().key("tasks").array();
     for t in &obs.tasks {
         w.object()
             .field("task", t.name)
@@ -172,15 +166,6 @@ fn hist(w: &mut JsonWriter, h: &Hist) {
         w.value(c);
     }
     w.end().end();
-}
-
-/// `[[a, b], ...]`: a sampled timeline.
-fn pairs(w: &mut JsonWriter, points: &[(u64, u64)]) {
-    w.array();
-    for (a, b) in points {
-        w.array().value(a).value(b).end();
-    }
-    w.end();
 }
 
 /// The compile-time members of one query: the pipeline's wall-clock

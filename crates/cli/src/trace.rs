@@ -60,7 +60,8 @@ pub(crate) fn build(runs: &[(String, &RunReport)]) -> Result<String, String> {
         // document position (token index) as the timestamp.
         let counter = format!("{name}: live_bytes");
         let tokens = report.tokens.max(1);
-        for &(token, bytes) in &obs.live_bytes_timeline {
+        let timeline = report.timeline.iter().flat_map(|t| t.live_bytes());
+        for (token, bytes) in timeline {
             let ts = if span_total_us > 0 {
                 token.min(tokens) * span_total_us / tokens
             } else {

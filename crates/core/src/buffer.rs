@@ -75,7 +75,7 @@
 //! that class takes it. The store keeps its high-water.
 
 use crate::error::EngineError;
-use crate::obs::RoleObs;
+use crate::obs::{RoleObs, Timeline};
 use gcx_obs::Hist;
 use gcx_query::ast::RoleId;
 use gcx_xml::{Symbol, SymbolTable, XmlResult, XmlWriter};
@@ -535,9 +535,6 @@ pub(crate) struct BufTelemetry {
     pub(crate) purges_on_close: u64,
     pub(crate) purges_on_unpin: u64,
     roles: Vec<RoleCell>,
-    pub(crate) timeline: Vec<(u64, u64)>,
-    pub(crate) every: u64,
-    next_sample: u64,
 }
 
 impl BufTelemetry {
@@ -567,8 +564,6 @@ impl BufTelemetry {
             purges_on_close: t.purges_on_close,
             purges_on_unpin: t.purges_on_unpin,
             roles,
-            live_bytes_timeline: t.timeline,
-            timeline_every: t.every,
             tasks,
             feed_spans,
             tokenizer_window_peak,
@@ -644,6 +639,9 @@ pub struct BufferTree {
     /// null-pointer-optimized, so every disabled-path check is a single
     /// null test — the hot loop's cost when observability is off.
     telemetry: Option<Box<BufTelemetry>>,
+    /// The occupancy timeline, sampled by [`BufferTree::tick`]; off by
+    /// default, same one-null-test discipline as `telemetry`.
+    timeline: Option<Box<Timeline>>,
     /// Sibling-order cutoffs, installed only when a schema is in effect;
     /// same one-null-test discipline as `telemetry`.
     schema: Option<Box<SchemaRt>>,
@@ -702,6 +700,7 @@ impl BufferTree {
             max_bytes: None,
             free_scratch: Vec::new(),
             telemetry: None,
+            timeline: None,
             schema: None,
             #[cfg(test)]
             hold_steps: 0,
@@ -720,10 +719,9 @@ impl BufferTree {
         slots as u64 * SLOT_BYTES
     }
 
-    /// Turn on buffer-lifecycle telemetry, sampling the live-bytes
-    /// timeline every `sample_every` structural tokens. All storage is
-    /// allocated here, before the hot loop starts.
-    pub fn enable_telemetry(&mut self, sample_every: u64) {
+    /// Turn on buffer-lifecycle telemetry. All storage is allocated here,
+    /// before the hot loop starts.
+    pub fn enable_telemetry(&mut self) {
         self.telemetry = Some(Box::new(BufTelemetry {
             clock: 0,
             birth: Vec::with_capacity(64),
@@ -734,33 +732,37 @@ impl BufferTree {
             purges_on_close: 0,
             purges_on_unpin: 0,
             roles: Vec::new(),
-            timeline: Vec::new(),
-            every: sample_every.max(1),
-            next_sample: 0,
         }));
     }
 
-    /// Advance the telemetry clock to `tokens` (structural tokens fed so
-    /// far) and sample the live-bytes timeline on cadence. The clock may
-    /// jump — a skipped subtree is charged at once: every sample point it
-    /// passes is taken, at the occupancy that held throughout. Disabled
-    /// cost: one null check.
+    /// Turn on the occupancy timeline, sampled every `every` structural
+    /// tokens from the first on (see [`Timeline`]).
+    pub fn enable_timeline(&mut self, every: u64) {
+        self.timeline = Some(Box::new(Timeline::new(every)));
+    }
+
+    /// Advance the token clock to `tokens` (structural tokens charged so
+    /// far): the telemetry's residency clock, and the timeline, which
+    /// samples every point the clock passed — it may jump, a skipped
+    /// subtree being charged at once. Disabled cost: two null checks.
     #[inline]
     pub fn tick(&mut self, tokens: u64) {
         if let Some(t) = self.telemetry.as_deref_mut() {
-            let mut at = t.next_sample.max(t.clock + 1);
-            while at <= tokens {
-                t.timeline.push((at, self.stats.live_bytes));
-                at = at.saturating_add(t.every);
-            }
-            t.next_sample = at;
             t.clock = tokens;
+        }
+        if let Some(t) = self.timeline.as_deref_mut() {
+            t.record(tokens, self.stats.live, self.stats.live_bytes);
         }
     }
 
     /// Detach the accumulated telemetry (None when never enabled).
     pub(crate) fn take_telemetry(&mut self) -> Option<Box<BufTelemetry>> {
         self.telemetry.take()
+    }
+
+    /// Detach the sampled timeline (None when never enabled).
+    pub(crate) fn take_timeline(&mut self) -> Option<Timeline> {
+        self.timeline.take().map(|t| *t)
     }
 
     /// Install the schema's sibling-order table. `doctype_adopted` marks
@@ -1711,14 +1713,17 @@ mod tests {
         // skipped subtree is charged at once): same samples, same tokens.
         let sampled = |jumps: &[u64]| {
             let mut b = BufferTree::new(true);
-            b.enable_telemetry(4);
+            b.enable_timeline(4);
             el(&mut b, NodeId::ROOT, 1, &[(RoleId(0), 1)]);
             let mut clock = 0;
             for &jump in jumps {
                 clock += jump;
                 b.tick(clock);
             }
-            b.take_telemetry().expect("enabled").timeline
+            b.take_timeline()
+                .expect("enabled")
+                .live_bytes()
+                .collect::<Vec<_>>()
         };
         let stepped = sampled(&[1; 23]);
         let at: Vec<u64> = stepped.iter().map(|&(token, _)| token).collect();

@@ -39,9 +39,10 @@ const NONE: usize = usize::MAX;
 enum Shape {
     /// Roles on most nodes, purging on: the GCX configuration.
     Roles,
-    /// No role anywhere, purging on: what `GcOnly` buffers without
-    /// projection. An element goes when it closes, a text node (which
-    /// never holds unless pinned) with its parent or on its unpin.
+    /// No role anywhere, purging on: role-less nodes, which a projecting
+    /// buffer only holds while open or pinned. An element goes when it
+    /// closes, a text node (which never holds unless pinned) with its
+    /// parent or on its unpin.
     RoleLess,
     /// Roles on most nodes, purging off (`FullBuffering`): everything
     /// closed and role- and pin-free stays live without holding.

@@ -1,11 +1,9 @@
 //! The one loop that turns document bytes into lane events. See
 //! [`Driver`].
 
-use crate::engine::EngineOptions;
 use crate::error::EngineError;
 use crate::lane::{Keep, Lane, ScanFacts};
 use crate::obs::FeedSpan;
-use crate::session::Timeline;
 use gcx_projection::{Below, TaggedMatcher, TaggedRole};
 use gcx_query::ast::RoleId;
 use gcx_xml::{Attrs, PushTokenizer, StartTag, Symbol, SymbolTable, TextPos, Token, TokenStep};
@@ -38,9 +36,10 @@ pub struct Driver {
     /// ends), and the elements the copy pass opened and has not closed.
     passed: Passed,
     copied: usize,
-    /// Read the input to its end after every program completed.
-    drain: bool,
     telemetry: bool,
+    /// A feed or the end of input failed: the tokenizer and the lanes are
+    /// where the error left them, so every later call fails too.
+    failed: bool,
     pub(crate) scan: ScanFacts,
 }
 
@@ -96,9 +95,6 @@ pub(crate) struct Preprojector {
     /// Projection on; off (full buffering), *every* element and non-blank
     /// text is buffered.
     project: bool,
-    /// A stand-alone run's occupancy timeline, on its lane's clock.
-    pub(crate) timeline: Option<Timeline>,
-    adopt_doctype: bool,
     /// Some lane has a schema in force.
     schema: bool,
     /// Some lane still evaluates (rechecked when the table grows).
@@ -135,14 +131,10 @@ pub(crate) struct Slot {
 /// which the lane was shown `shown` events. A stand-alone lane (`alone`)
 /// is charged every token, a batch lane what it was shown.
 #[inline]
-fn charge(timeline: &mut Option<Timeline>, alone: bool, lane: &mut Lane, shown: u64, tokens: u64) {
+fn charge(alone: bool, lane: &mut Lane, shown: u64, tokens: u64) {
     let n = if alone { tokens } else { shown };
     if n > 0 {
-        let before = lane.tokens();
         lane.tick(n);
-        if let Some(t) = timeline.as_mut() {
-            t.record(before, before + n, lane.buffer_stats().live);
-        }
     }
 }
 
@@ -159,42 +151,23 @@ enum Opened {
 }
 
 impl Driver {
-    /// A stand-alone run's driver: `lane` on `matcher`, whose names live in
-    /// the lane's own table, its clock on every token of the stream, its
-    /// failure the feed's.
-    pub(crate) fn one(lane: Lane, matcher: TaggedMatcher, opts: &EngineOptions) -> Driver {
-        let mut driver = Driver::new(vec![lane], matcher, None, opts.telemetry);
-        let pre = &mut driver.pre;
-        pre.project = opts.mode.projects();
-        pre.timeline = opts.timeline_every.map(|every| Timeline {
-            points: Vec::new(),
-            every,
-        });
-        pre.adopt_doctype = opts.schema.is_none() && opts.schema_from_doctype;
-        driver.drain = opts.drain_input;
-        driver
-    }
-
-    /// A batch's driver: `lanes` on `matcher`, over their queries' merged
-    /// automaton (query `i` tagged `i`) whose names live in `symbols`. A
-    /// lane's clock runs on the events it is shown, and a lane that fails
-    /// is left behind. Every lane projects; none adopts a DOCTYPE.
-    pub fn batch(
-        lanes: Vec<Lane>,
-        matcher: TaggedMatcher,
-        symbols: SymbolTable,
-        telemetry: bool,
-    ) -> Driver {
-        Driver::new(lanes, matcher, Some(symbols), telemetry)
-    }
-
-    fn new(
-        lanes: Vec<Lane>,
-        matcher: TaggedMatcher,
-        symbols: Option<SymbolTable>,
-        telemetry: bool,
-    ) -> Driver {
+    /// The driver of `lanes` on `matcher`. Without `symbols` the run is
+    /// stand-alone: one lane, whose own table holds the matcher's names,
+    /// charged every token of the stream, whose failure is the feed's, and
+    /// which adopts an in-stream DOCTYPE ([`Lane::doctype`]). With a
+    /// batch's table — `matcher` on the queries' merged automaton, query
+    /// `i` tagged `i`, its names in `symbols` — a lane is charged the
+    /// events it is shown, and a lane that fails is left behind. Whether
+    /// the run projects and records telemetry is the lanes' to say (every
+    /// lane projects, or none does).
+    pub fn new(lanes: Vec<Lane>, matcher: TaggedMatcher, symbols: Option<SymbolTable>) -> Driver {
+        debug_assert!(
+            symbols.is_some() || lanes.len() == 1,
+            "a stand-alone run has one lane"
+        );
         let schema = lanes.iter().any(Lane::schema_active);
+        let project = lanes.iter().all(Lane::projects);
+        let telemetry = lanes.iter().any(Lane::telemetry);
         let shown = vec![false; lanes.len()];
         let lanes = lanes.into_iter().map(|lane| Slot {
             lane,
@@ -206,9 +179,7 @@ impl Driver {
             symbols,
             lanes: lanes.collect(),
             unmatched_depth: 0,
-            project: true,
-            timeline: None,
-            adopt_doctype: false,
+            project,
             schema,
             any_live: true,
             tokens: 0,
@@ -227,8 +198,8 @@ impl Driver {
             next: Pass::Step,
             passed: Passed::default(),
             copied: 0,
-            drain: true,
             telemetry,
+            failed: false,
             scan: ScanFacts::default(),
         }
     }
@@ -236,8 +207,10 @@ impl Driver {
     /// Push one chunk of document bytes and advance every lane as far as
     /// they allow.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
-        self.tok.feed(chunk);
-        self.pump_spanned(chunk.len())
+        self.latched("feed", |driver| {
+            driver.tok.feed(chunk);
+            driver.pump_spanned(chunk.len())
+        })
     }
 
     /// Borrow at least `min` writable bytes of the tokenizer window to read
@@ -248,22 +221,39 @@ impl Driver {
 
     /// [`Driver::feed`] on `n` bytes of [`Driver::space`].
     pub fn commit(&mut self, n: usize) -> Result<(), EngineError> {
-        self.tok.commit(n);
-        self.pump_spanned(n)
+        self.latched("commit", |driver| {
+            driver.tok.commit(n);
+            driver.pump_spanned(n)
+        })
     }
 
     /// Declare the end of input and apply the rest of it: the lanes are
     /// ready to [finish](Lane::finish).
     pub fn finish_input(&mut self) -> Result<(), EngineError> {
-        self.tok.finish_input();
-        self.pump()?;
-        self.scan.window_peak = self.tok.window_peak();
-        Ok(())
+        self.latched("finish", |driver| {
+            driver.tok.finish_input();
+            driver.pump()?;
+            driver.scan.window_peak = driver.tok.window_peak();
+            Ok(())
+        })
     }
 
-    /// False once further input can have no effect.
-    pub fn wants_input(&self) -> bool {
-        self.drain || !self.pre.lanes.iter().all(|slot| slot.lane.done())
+    /// Run `call` unless an earlier one failed, and remember whether it
+    /// does: the first error is the run's, every later call reports that
+    /// the run failed.
+    fn latched(
+        &mut self,
+        name: &str,
+        call: impl FnOnce(&mut Driver) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        if self.failed {
+            return Err(EngineError::Internal(format!(
+                "{name} after the run failed"
+            )));
+        }
+        let result = call(self);
+        self.failed = result.is_err();
+        result
     }
 
     /// The stream's structural tokens so far, and the descendant-state
@@ -304,7 +294,8 @@ impl Driver {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => XmlErrorKind::Io(e),
             };
-            pending.drain(..off);
+            pending.copy_within(off.., 0);
+            pending.truncate(total - off);
             let pos = TextPos::START;
             return Err(EngineError::Xml(XmlError { kind, pos }));
         }
@@ -345,9 +336,6 @@ impl Driver {
                 if let Some(e) = self.pre.lanes[0].lane.take_failure() {
                     return Err(e);
                 }
-            }
-            if !self.wants_input() {
-                break;
             }
             let more = match self.next {
                 Pass::Skip => self.skip()?,
@@ -568,7 +556,6 @@ impl Preprojector {
             roles,
             attr_names,
             lane_attr_names,
-            timeline,
             ..
         } = self;
         let alone = symbols.is_none();
@@ -631,7 +618,7 @@ impl Preprojector {
                     lane.start_element(name, tag, attr_names, keep)
                 }
             };
-            charge(timeline, alone, lane, u64::from(taken), tokens);
+            charge(alone, lane, u64::from(taken), tokens);
             lane.step();
         }
         if grew {
@@ -663,7 +650,7 @@ impl Preprojector {
                 continue;
             }
             let closed = lane.end_element();
-            charge(&mut self.timeline, alone, lane, u64::from(closed), 1);
+            charge(alone, lane, u64::from(closed), 1);
             lane.step();
         }
         match self.unmatched_depth {
@@ -694,27 +681,18 @@ impl Preprojector {
             if *skip == 0 {
                 let mine = lane_roles(tagged, &self.roles, &mut at, i);
                 let taken = lane.text(content, (plain || !mine.is_empty()).then_some(mine));
-                charge(&mut self.timeline, alone, lane, u64::from(taken), 1);
+                charge(alone, lane, u64::from(taken), 1);
                 lane.step();
             }
         }
         Pass::Step
     }
 
-    /// A DOCTYPE is not part of the data model, but a usable internal
-    /// subset seeds the sibling-order cutoffs where adoption is on and no
-    /// schema is in force (parse failures mean "no schema").
+    /// A DOCTYPE is not part of the data model, but a stand-alone run's
+    /// lane adopts a usable internal subset's sibling-order cutoffs unless
+    /// it has a schema ([`Lane::doctype`]). A batch's lanes do not.
     fn doctype(&mut self, payload: &str) {
-        if !self.adopt_doctype || self.schema {
-            return;
-        }
-        let Ok(view) = gcx_xml::DoctypeView::parse(payload) else {
-            return;
-        };
-        if let Ok(dtd) = gcx_schema::Dtd::from_doctype_parts(view.name, view.subset) {
-            for slot in &mut self.lanes {
-                slot.lane.adopt_doctype(&dtd);
-            }
+        if self.alone() && self.lanes[0].lane.doctype(payload) {
             self.schema = true;
         }
     }
@@ -800,13 +778,7 @@ impl Preprojector {
                 false if copier == Some(i) => passed.tags + passed.texts,
                 false => passed.tags,
             };
-            charge(
-                &mut self.timeline,
-                alone,
-                &mut slot.lane,
-                shown,
-                passed.tokens,
-            );
+            charge(alone, &mut slot.lane, shown, passed.tokens);
         }
     }
 }

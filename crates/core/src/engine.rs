@@ -3,8 +3,8 @@
 
 use crate::buffer::BufferStats;
 use crate::error::EngineError;
-use crate::obs::ObsReport;
-use crate::session::{EvalSession, Timeline};
+use crate::obs::{ObsReport, Timeline};
+use crate::session::EvalSession;
 use gcx_ir::{OptReport, Program};
 use gcx_projection::{analyze, Analysis, Automaton, TaggedPaths};
 use gcx_query::Query;
@@ -205,10 +205,9 @@ impl CompiledQuery {
     }
 }
 
-/// The buffer-management strategy: the {static projection} × {active
-/// garbage collection} grid. The first three span the comparison axis of
-/// the paper's evaluation (Figure 5); the fourth completes the grid
-/// (`tests/golden_modes.rs` pins all four).
+/// The buffer-management strategy: the three configurations the paper's
+/// evaluation compares (Figure 5; `tests/golden_modes.rs` pins each).
+/// Every one reads the whole document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// Static projection **and** dynamic buffer minimization via active
@@ -222,46 +221,40 @@ pub enum EngineMode {
     /// No projection, no reclamation: the whole document is buffered
     /// (the naive in-memory engine class).
     FullBuffering,
-    /// Everything is buffered, but signOffs still purge.
-    GcOnly,
 }
 
 impl EngineMode {
-    /// The stream preprojector skips what no projection path matches.
+    /// The stream preprojector skips what no projection path matches, and
+    /// the buffer reclaims dead subtrees.
     pub fn projects(self) -> bool {
-        matches!(self, EngineMode::Gcx | EngineMode::ProjectionOnly)
-    }
-
-    /// signOff statements execute (dynamic buffer minimization).
-    pub fn executes_signoffs(self) -> bool {
-        matches!(self, EngineMode::Gcx | EngineMode::GcOnly)
-    }
-
-    /// The buffer may reclaim dead subtrees at all.
-    pub fn purges(self) -> bool {
         self != EngineMode::FullBuffering
     }
 
-    /// An element copied while it is still open streams to the writer,
-    /// and what only the copy needs is not buffered (see
-    /// [`Lane`](crate::Lane)). The paper's system only: the baseline modes
-    /// keep buffering and serializing whole subtrees.
-    pub fn writes_through(self) -> bool {
+    /// signOff statements execute (dynamic buffer minimization), and an
+    /// element copied while it is still open streams to the writer, what
+    /// only the copy needs not being buffered (see [`Lane`](crate::Lane)).
+    /// The paper's system only: the baselines keep buffering and
+    /// serializing whole subtrees.
+    pub fn executes_signoffs(self) -> bool {
         self == EngineMode::Gcx
     }
 }
 
 /// Engine configuration. The three presets — [`EngineOptions::gcx`],
 /// [`EngineOptions::projection_only`], [`EngineOptions::full_buffering`]
-/// — select the [`EngineMode`] of the same name.
+/// — select the [`EngineMode`] of the same name. A run reads its input to
+/// the end (validating it), and a stand-alone run with no
+/// [`EngineOptions::schema`] adopts the sibling-order cutoffs of an
+/// in-stream `<!DOCTYPE ...>` internal subset (only those: the matcher is
+/// already built when the token arrives; an unparsable subset is ignored).
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// The buffer-management strategy.
     pub mode: EngineMode,
-    /// Read the rest of the input after evaluation completes (the paper's
-    /// engines scan the full document; also validates well-formedness).
-    pub drain_input: bool,
-    /// Sample the buffer-occupancy timeline every N tokens (None = off).
+    /// Sample the buffer-occupancy timeline ([`RunReport::timeline`])
+    /// every N tokens. None: off, or every
+    /// [`DEFAULT_TIMELINE_EVERY`](crate::obs::DEFAULT_TIMELINE_EVERY)
+    /// tokens with [`EngineOptions::telemetry`].
     pub timeline_every: Option<u64>,
     /// Pretty-print output with this indent.
     pub indent: Option<String>,
@@ -280,11 +273,6 @@ pub struct EngineOptions {
     /// documents that violate the DTD, output may differ from the
     /// schema-blind run — the promise is the caller's.
     pub schema: Option<Arc<gcx_schema::Dtd>>,
-    /// Adopt sibling-order cutoffs from an in-stream `<!DOCTYPE ...>`
-    /// internal subset when no explicit schema was given. Only the
-    /// order/cutoff analysis is enabled this way (the matcher is already
-    /// built when the token arrives); unparsable subsets are ignored.
-    pub schema_from_doctype: bool,
 }
 
 impl EngineOptions {
@@ -292,13 +280,11 @@ impl EngineOptions {
     pub fn gcx() -> EngineOptions {
         EngineOptions {
             mode: EngineMode::Gcx,
-            drain_input: true,
             timeline_every: None,
             indent: None,
             max_buffer_bytes: None,
             telemetry: false,
             schema: None,
-            schema_from_doctype: true,
         }
     }
 
@@ -322,12 +308,6 @@ impl EngineOptions {
     /// Enable timeline sampling (builder style).
     pub fn with_timeline(mut self, every: u64) -> EngineOptions {
         self.timeline_every = Some(every);
-        self
-    }
-
-    /// Disable the final input drain (builder style).
-    pub fn without_drain(mut self) -> EngineOptions {
-        self.drain_input = false;
         self
     }
 
@@ -387,7 +367,9 @@ pub struct RunReport {
     pub tokens: u64,
     /// Buffer statistics: peak/live node counts, allocation/purge totals.
     pub buffer: BufferStats,
-    /// Buffer-occupancy samples (when enabled).
+    /// Buffer-occupancy samples (present exactly when
+    /// [`EngineOptions::timeline_every`] or
+    /// [`EngineOptions::telemetry`] was set).
     pub timeline: Option<Timeline>,
     /// Bytes of serialized output.
     pub output_bytes: u64,
@@ -423,12 +405,6 @@ pub fn run<R: Read, W: Write>(
 ) -> Result<RunReport, EngineError> {
     let mut session = q.session(opts);
     loop {
-        // Once the session stops wanting input (program complete, drain
-        // off) the remaining bytes stay unread in `input`, exactly like
-        // the pull engine stopped pulling.
-        if !session.wants_input() {
-            break;
-        }
         // Read straight into the tokenizer window (no intermediate copy).
         let n = {
             let gap = session.space(64 * 1024);

@@ -389,10 +389,12 @@ fn canon_bits(x: f64) -> u64 {
 pub(crate) struct Vm {
     /// The compiled program being executed (shared, immutable).
     program: Arc<Program>,
-    pub execute_signoffs: bool,
-    /// Hand an open element's copy to the lane ([`Frontier`]) rather than
-    /// wait for its end tag and serialize it from the buffer.
-    write_through: bool,
+    /// The paper's system ([`EngineMode::Gcx`](crate::EngineMode::Gcx)):
+    /// signOffs execute, and an open element's copy is handed to the lane
+    /// ([`Frontier`]) rather than serialized from the buffer after its end
+    /// tag. Off, the machine is a baseline's: it ignores signOffs and
+    /// copies whole subtrees.
+    gc: bool,
     /// The frontier the last suspension handed over, until the lane takes
     /// it.
     frontier: Option<Frontier>,
@@ -431,7 +433,7 @@ pub(crate) struct Vm {
 }
 
 impl Vm {
-    pub(crate) fn new(program: Arc<Program>, execute_signoffs: bool, write_through: bool) -> Vm {
+    pub(crate) fn new(program: Arc<Program>, gc: bool) -> Vm {
         let env = vec![None; program.n_vars()];
         let root = program.root();
         let joins = (0..program.join_count())
@@ -443,8 +445,7 @@ impl Vm {
         tasks.push(Task::Exec(root));
         Vm {
             program,
-            execute_signoffs,
-            write_through,
+            gc,
             frontier: None,
             tasks,
             cursors: Vec::new(),
@@ -1214,7 +1215,7 @@ impl Vm {
                 }
             }
             Instr::SignOff { path, role } => {
-                if self.execute_signoffs {
+                if self.gc {
                     // "These commands must not be issued too early" (paper
                     // §3): a signOff over a non-empty path decrements role
                     // instances on a whole region, so that region must have
@@ -1297,7 +1298,7 @@ impl Vm {
         }
         // (The virtual root has no end tag for the lane to see: `/` is
         // serialized at the end of input, as before.)
-        if self.write_through && node != NodeId::ROOT {
+        if self.gc && node != NodeId::ROOT {
             buf.serialize(node, symbols, out)?;
             self.frontier = Some(Frontier { node, role });
             self.tasks.push(Task::WaitClosed(node));

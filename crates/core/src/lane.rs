@@ -2,10 +2,12 @@
 //! See [`Lane`].
 
 use crate::buffer::{AttrBuf, BufferStats, BufferTree, NodeId, Ordinals, SLOT_BYTES};
-use crate::engine::{CompiledQuery, EngineMode, RunReport, SchemaPlan, SchemaReport};
+use crate::engine::{
+    CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaPlan, SchemaReport,
+};
 use crate::error::EngineError;
 use crate::eval::{Frontier, Vm, VmStatus};
-use crate::obs::FeedSpan;
+use crate::obs::{FeedSpan, DEFAULT_TIMELINE_EVERY};
 use gcx_query::ast::RoleId;
 use gcx_xml::{Attrs, StartTag, Symbol, SymbolTable, Token, WriterOptions, XmlWriter};
 use std::sync::Arc;
@@ -233,6 +235,8 @@ enum Health {
 /// node, so `max_buffer_bytes` bounds buffer plus chain, and
 /// [`Lane::pending_room`] tells a driver how many more fit.
 pub struct Lane {
+    mode: EngineMode,
+    telemetry: bool,
     vm: Vm,
     buf: BufferTree,
     /// The run's symbol table, seeded from the compiled query's
@@ -272,30 +276,27 @@ pub struct Lane {
 }
 
 impl Lane {
-    /// Open a lane for `q`; the first [`Lane::step`] runs its program up
-    /// to the first suspension. `mode` selects the buffer policy (whether
-    /// signOffs execute, whether the buffer purges); what is *shown* to
-    /// the lane is the driver's business. With a schema plan (of `q`:
-    /// [`CompiledQuery::schema_plan`]) the buffer gets the DTD's
+    /// Open a lane for `q` under `opts`; the first [`Lane::step`] runs
+    /// its program up to the first suspension. `opts.mode` selects the
+    /// buffer policy (whether signOffs execute, whether the buffer
+    /// purges); what is *shown* to the lane is the driver's business,
+    /// which reads [`Lane::projects`] off it. The occupancy timeline is on
+    /// at `timeline_every`, or at [`DEFAULT_TIMELINE_EVERY`] with
+    /// telemetry alone. `opts.schema` is not read: with a schema plan (of
+    /// `q`: [`CompiledQuery::schema_plan`]) the buffer gets the DTD's
     /// sibling-order cutoffs and the table the DTD's names.
-    pub fn start(
-        q: &CompiledQuery,
-        mode: EngineMode,
-        max_buffer_bytes: Option<u64>,
-        indent: Option<String>,
-        telemetry: bool,
-        schema: Option<&SchemaPlan>,
-    ) -> Lane {
-        let mut buf = BufferTree::new(mode.purges());
-        buf.set_max_bytes(max_buffer_bytes);
-        let mut vm = Vm::new(
-            Arc::clone(&q.program),
-            mode.executes_signoffs(),
-            mode.writes_through(),
-        );
-        if telemetry {
-            buf.enable_telemetry(crate::obs::DEFAULT_TIMELINE_EVERY);
+    pub fn start(q: &CompiledQuery, opts: &EngineOptions, schema: Option<&SchemaPlan>) -> Lane {
+        let mode = opts.mode;
+        let mut buf = BufferTree::new(mode.projects());
+        buf.set_max_bytes(opts.max_buffer_bytes);
+        let mut vm = Vm::new(Arc::clone(&q.program), mode.executes_signoffs());
+        if opts.telemetry {
+            buf.enable_telemetry();
             vm.enable_timing();
+        }
+        let default_every = opts.telemetry.then_some(DEFAULT_TIMELINE_EVERY);
+        if let Some(every) = opts.timeline_every.or(default_every) {
+            buf.enable_timeline(every);
         }
         if let Some(plan) = schema {
             buf.set_schema(Arc::clone(&plan.ord), false);
@@ -305,12 +306,19 @@ impl Lane {
         // top — maps every query symbol into the run's table.
         let symbols = schema.map_or(q.program.symbols(), |plan| &plan.symbols);
         Lane {
+            mode,
+            telemetry: opts.telemetry,
             vm,
             buf,
             seeded_name_bytes: symbols.name_bytes(),
             names_seen: symbols.len(),
             symbols: symbols.clone(),
-            out: XmlWriter::with_options(Vec::new(), WriterOptions { indent }),
+            out: XmlWriter::with_options(
+                Vec::new(),
+                WriterOptions {
+                    indent: opts.indent.clone(),
+                },
+            ),
             open: vec![OpenEntry {
                 node: NodeId::ROOT,
                 counters: ChildCounters::opening(&[]),
@@ -344,10 +352,40 @@ impl Lane {
         matches!(self.health, Health::Live)
     }
 
+    /// Whether the lane's buffer strategy projects
+    /// ([`EngineMode::projects`]): a driver shows it only what its query
+    /// keeps, or every element and non-blank text.
+    pub fn projects(&self) -> bool {
+        self.mode.projects()
+    }
+
+    /// Whether the lane records telemetry ([`EngineOptions::telemetry`]).
+    pub fn telemetry(&self) -> bool {
+        self.telemetry
+    }
+
+    /// The stream's DOCTYPE, `payload` its token: unless the lane started
+    /// with a schema plan, adopt the sibling-order cutoffs of its internal
+    /// subset. Returns whether it did; a payload that does not parse means
+    /// "no schema".
+    pub fn doctype(&mut self, payload: &str) -> bool {
+        if self.pruned_paths.is_some() {
+            return false;
+        }
+        let Ok(view) = gcx_xml::DoctypeView::parse(payload) else {
+            return false;
+        };
+        let Ok(dtd) = gcx_schema::Dtd::from_doctype_parts(view.name, view.subset) else {
+            return false;
+        };
+        self.adopt_doctype(&dtd);
+        true
+    }
+
     /// Adopt the sibling-order cutoffs of `dtd`, a DTD picked up from the
     /// stream's DOCTYPE (a configured one comes as a plan, at
     /// [`Lane::start`]).
-    pub fn adopt_doctype(&mut self, dtd: &gcx_schema::Dtd) {
+    fn adopt_doctype(&mut self, dtd: &gcx_schema::Dtd) {
         let ord = dtd.ord_table(&mut self.symbols);
         self.buf.set_schema(Arc::new(ord), true);
     }
@@ -567,8 +605,9 @@ impl Lane {
     /// subtree's all at once, nothing having changed in between), a batch
     /// lane the events it was shown (a self-closing tag once, nothing of a
     /// subtree it does not see) — and a bulk pass what stepping would have
-    /// shown it. Residency telemetry is measured on this clock and
-    /// [`RunReport::tokens`] reports it.
+    /// shown it. The one occupancy sampler: the timeline
+    /// ([`RunReport::timeline`]) is sampled on this clock, residency
+    /// telemetry is measured on it, and [`RunReport::tokens`] reports it.
     #[inline]
     pub fn tick(&mut self, tokens: u64) {
         self.clock += tokens;
@@ -707,7 +746,7 @@ impl Lane {
         Ok(RunReport {
             tokens: self.clock,
             buffer: self.buf.stats(),
-            timeline: None,
+            timeline: self.buf.take_timeline(),
             output_bytes: self.out.bytes_written(),
             max_buffer_bytes: self.buf.max_bytes(),
             feed_calls: scan.feed_calls,
@@ -833,17 +872,24 @@ impl Lane {
         Ok(())
     }
 
-    /// Record a failure: the lane turns inert and gives its buffer and
-    /// pending chain back at once (a lane over its budget must not hold
-    /// the memory to the end of a batch).
+    /// Record a failure, if `result` is one.
     #[inline]
     fn settle(&mut self, result: Result<(), EngineError>) {
         if let Err(e) = result {
-            self.health = Health::Failed(e);
-            self.buf = BufferTree::new(false);
-            self.pending = Vec::new();
-            self.frontier = None;
+            self.fail(e);
         }
+    }
+
+    /// The lane turns inert and gives its buffer and pending chain back at
+    /// once (a lane over its budget must not hold the memory to the end
+    /// of a batch). Out of line: the token path only tests for an error.
+    #[cold]
+    #[inline(never)]
+    fn fail(&mut self, e: EngineError) {
+        self.health = Health::Failed(e);
+        self.buf = BufferTree::new(false);
+        self.pending = Vec::new();
+        self.frontier = None;
     }
 }
 
@@ -882,7 +928,7 @@ mod tests {
         let q = CompiledQuery::compile("'x'").unwrap();
         // Nothing purges, no signOff runs: the buffer ends up holding
         // everything that was ever appended.
-        let mut lane = Lane::start(&q, EngineMode::FullBuffering, None, None, false, None);
+        let mut lane = Lane::start(&q, &EngineOptions::full_buffering(), None);
         if let Some(dtd) = dtd {
             lane.adopt_doctype(dtd);
         }
@@ -1035,7 +1081,8 @@ mod tests {
         let stripped = format!("{}{}", "<s>".repeat(64), "</s>".repeat(64));
         let siblings = format!("<s>{}</s>", format!("{open}</s>").repeat(64));
         let failed_at = |keep: Keep<'_>, xml: &str| {
-            let mut lane = Lane::start(&q, EngineMode::Gcx, Some(4096), None, false, None);
+            let opts = EngineOptions::gcx().with_max_buffer_bytes(4096);
+            let mut lane = Lane::start(&q, &opts, None);
             let name = lane.symbols_mut().intern("s");
             let attr_names = [lane.symbols_mut().intern("k")];
             let mut tok = Tokenizer::from_str(xml);
@@ -1080,7 +1127,7 @@ mod tests {
     /// write-through. Returns the lane and `f`.
     fn drive_copy(xml: &str, frontier: bool) -> (Lane, NodeId) {
         let q = CompiledQuery::compile("'x'").unwrap();
-        let mut lane = Lane::start(&q, EngineMode::Gcx, None, None, false, None);
+        let mut lane = Lane::start(&q, &EngineOptions::gcx(), None);
         let mut tok = Tokenizer::from_str(xml);
         let mut f = None;
         let mut hidden = 0u32;

@@ -67,5 +67,5 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use lane::{Keep, Lane, ScanFacts};
-pub use obs::{FeedSpan, ObsReport, RoleObs, TaskObs};
-pub use session::{Emitted, EvalSession, Timeline};
+pub use obs::{FeedSpan, ObsReport, RoleObs, TaskObs, Timeline};
+pub use session::{Emitted, EvalSession};

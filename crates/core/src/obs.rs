@@ -12,9 +12,62 @@
 
 use gcx_obs::Hist;
 
-/// Live-bytes timeline sampling cadence (structural tokens) used when
-/// telemetry is enabled via [`crate::EngineOptions::telemetry`].
+/// Occupancy timeline stride (structural tokens) when telemetry is on
+/// ([`crate::EngineOptions::telemetry`]) and no
+/// [`crate::EngineOptions::timeline_every`] is set.
 pub const DEFAULT_TIMELINE_EVERY: u64 = 1024;
+
+/// A run's buffer-occupancy timeline: live nodes and live bytes, sampled
+/// on the lane's token clock at the first charged token and then every
+/// `every` tokens. A clock that jumps (a skipped subtree is charged at
+/// once) takes every sample point it passes, at the occupancy that held
+/// throughout. There is one sampler, [`crate::Lane::tick`]; a run reports
+/// the timeline in [`crate::RunReport::timeline`].
+#[derive(Debug, Clone)]
+pub struct Timeline {
+    /// `(token, live buffered nodes)` samples in token order.
+    pub points: Vec<(u64, u64)>,
+    /// Live buffered bytes at each sample of `points`.
+    pub bytes: Vec<u64>,
+    /// Sampling stride (1 = every token).
+    pub every: u64,
+    /// The next sample point.
+    next: u64,
+}
+
+impl Timeline {
+    /// An empty timeline sampled every `every` tokens (at least 1).
+    pub(crate) fn new(every: u64) -> Timeline {
+        Timeline {
+            points: Vec::new(),
+            bytes: Vec::new(),
+            every: every.max(1),
+            next: 1,
+        }
+    }
+
+    /// The token clock moved to `to` with `live` nodes of `bytes` bytes
+    /// buffered since its last move: sample every point it passed.
+    #[inline]
+    pub(crate) fn record(&mut self, to: u64, live: u64, bytes: u64) {
+        while self.next <= to {
+            self.points.push((self.next, live));
+            self.bytes.push(bytes);
+            self.next = self.next.saturating_add(self.every);
+        }
+    }
+
+    /// Highest buffered-node count over the recorded samples.
+    pub fn peak(&self) -> u64 {
+        self.points.iter().map(|&(_, live)| live).max().unwrap_or(0)
+    }
+
+    /// `(token, live bytes)` samples in token order.
+    pub fn live_bytes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let tokens = self.points.iter().map(|&(token, _)| token);
+        tokens.zip(self.bytes.iter().copied())
+    }
+}
 
 /// Telemetry for one role: how many instances were attached, signed
 /// off, and how often a signOff on this role was the purge trigger.
@@ -79,10 +132,6 @@ pub struct ObsReport {
     pub purges_on_unpin: u64,
     /// Per-role lifecycle counters, in role-id order.
     pub roles: Vec<RoleObs>,
-    /// `(token, live_bytes)` samples of the buffer's byte occupancy.
-    pub live_bytes_timeline: Vec<(u64, u64)>,
-    /// Sampling cadence of the timeline, in tokens.
-    pub timeline_every: u64,
     /// VM task-frame timing by kind, hottest first.
     pub tasks: Vec<TaskObs>,
     /// Spans of the session's `feed` calls (empty for pull-mode runs).

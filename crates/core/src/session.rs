@@ -57,37 +57,8 @@ pub struct Emitted {
     /// bytes emitted by earlier calls and not yet drained).
     pub output_bytes: usize,
     /// The program ran to completion: no further output will be produced;
-    /// remaining input only gets scanned/validated (when draining is on).
+    /// the rest of the input is still read to its end and validated.
     pub done: bool,
-}
-
-/// Buffer-occupancy timeline: `(token index, live buffered nodes)` samples.
-#[derive(Debug, Clone, Default)]
-pub struct Timeline {
-    /// Sampled points in token order.
-    pub points: Vec<(u64, u64)>,
-    /// Sampling stride (1 = every token).
-    pub every: u64,
-}
-
-impl Timeline {
-    /// The token clock moved from `from` to `to` with `live` nodes
-    /// buffered throughout: sample every stride point it passed.
-    pub(crate) fn record(&mut self, from: u64, to: u64, live: u64) {
-        if self.every == 0 {
-            return;
-        }
-        let mut at = (from / self.every + 1) * self.every;
-        while at <= to {
-            self.points.push((at, live));
-            at += self.every;
-        }
-    }
-
-    /// Highest buffered-node count over the recorded samples.
-    pub fn peak(&self) -> u64 {
-        self.points.iter().map(|&(_, live)| live).max().unwrap_or(0)
-    }
 }
 
 /// A resumable, push-driven evaluation of one compiled query over one
@@ -118,20 +89,13 @@ impl EvalSession {
         // descendant-reachability filter, the sibling-order cutoffs for
         // the buffer, and a table that already holds the DTD's names.
         let plan = opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
-        let lane = Lane::start(
-            q,
-            opts.mode,
-            opts.max_buffer_bytes,
-            opts.indent.clone(),
-            opts.telemetry,
-            plan.as_deref(),
-        );
+        let lane = Lane::start(q, opts, plan.as_deref());
         let automaton = plan
             .as_ref()
             .map_or(q.program.automaton(), |p| &p.automaton);
         let matcher = TaggedMatcher::start(Arc::clone(automaton));
         EvalSession {
-            driver: Driver::one(lane, matcher, opts),
+            driver: Driver::new(vec![lane], matcher, None),
             finished: false,
         }
     }
@@ -145,12 +109,7 @@ impl EvalSession {
     /// [`EvalSession::take_output`].
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Emitted, EngineError> {
         self.check_open("feed")?;
-        // Once the program completed with draining off, the rest of the
-        // document is irrelevant: it is dropped (and not counted), not
-        // buffered without bound. The blocking engine stops reading here.
-        if self.wants_input() {
-            self.driver.feed(chunk)?;
-        }
+        self.driver.feed(chunk)?;
         Ok(self.emitted())
     }
 
@@ -164,35 +123,25 @@ impl EvalSession {
 
     /// Declare `n` bytes of [`EvalSession::space`] filled and advance
     /// evaluation, exactly like [`EvalSession::feed`] on that slice.
-    /// Callers should stop filling once [`EvalSession::wants_input`] turns
-    /// false — committed-but-irrelevant bytes stay buffered.
     pub fn commit(&mut self, n: usize) -> Result<Emitted, EngineError> {
         self.check_open("commit")?;
         self.driver.commit(n)?;
         Ok(self.emitted())
     }
 
-    /// False once further input can have no effect: the program completed
-    /// and end-of-input draining/validation is disabled. [`EvalSession::feed`]
-    /// drops chunks from then on; callers owning the byte source can stop
-    /// reading it (the [`run`](crate::run) wrapper does).
-    pub fn wants_input(&self) -> bool {
-        self.driver.wants_input()
-    }
-
     /// Declare the end of input and run evaluation to completion,
     /// returning the run's measurements. Fails with the same errors the
     /// blocking engine would (malformed XML, truncated document, buffer
-    /// budget). Pending output remains drainable afterwards.
+    /// budget). Pending output remains drainable afterwards. A session
+    /// whose `feed`, `commit` or `finish` failed stays failed: every later
+    /// call returns an error.
     pub fn finish(&mut self) -> Result<RunReport, EngineError> {
         self.check_open("finish")?;
         self.driver.finish_input()?;
         self.finished = true;
         let schema = self.lane().schema_facts(self.driver.counts().1);
         let Driver { pre, scan, .. } = &mut self.driver;
-        let mut report = pre.lanes[0].lane.finish(scan, schema)?;
-        report.timeline = pre.timeline.take();
-        Ok(report)
+        pre.lanes[0].lane.finish(scan, schema)
     }
 
     /// Borrowed view of the output bytes pending in the session.
@@ -247,9 +196,9 @@ impl EvalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, EngineMode};
+    use crate::engine::run;
     use gcx_projection::{Automaton, CompiledPaths, TaggedPaths};
-    use gcx_xml::{SymbolTable, Token};
+    use gcx_xml::{SymbolTable, Token, XmlErrorKind};
 
     const QUERY: &str = "<r>{ for $b in /bib/book return $b/title }</r>";
     const DOC: &str = "<bib><book><title>T1</title><price>9</price></book>\
@@ -426,9 +375,12 @@ mod tests {
         assert!(tl.peak() >= 2);
         // The last sample has x + y buffered (no signOffs executed here).
         assert_eq!(tl.points.last().unwrap().1, 2);
+        // At stride 3 the grid starts at the first charged token: tokens 1,
+        // 1 + 3 and 1 + 2 × 3 of the 8 (`<x>` 1, each `<w/>` and `<y/>` 2,
+        // `</x>` 1).
         let tl = report(query, doc, &opts.with_timeline(3)).timeline.unwrap();
         let at: Vec<u64> = tl.points.iter().map(|&(token, _)| token).collect();
-        assert_eq!(at, [3, 6]);
+        assert_eq!(at, [1, 4, 7]);
         assert!(report(query, doc, &EngineOptions::gcx()).timeline.is_none());
     }
 
@@ -463,9 +415,6 @@ mod tests {
         let query = "for $b in /a/b return $b";
         let adopted = report(query, doc, &EngineOptions::gcx());
         assert!(adopted.schema.expect("DOCTYPE adopted").doctype_adopted);
-        let mut opts = EngineOptions::gcx();
-        opts.schema_from_doctype = false;
-        assert!(report(query, doc, &opts).schema.is_none());
         // An explicit schema wins: the in-stream subset is ignored.
         let dtd = Arc::new(
             gcx_schema::Dtd::parse(
@@ -529,7 +478,8 @@ mod tests {
         assert!(!obs.tasks.is_empty(), "frame timing recorded");
         assert_eq!(obs.feed_spans.len() as u64, report.feed_calls);
         assert!(obs.tokenizer_window_peak > 0);
-        assert!(!obs.live_bytes_timeline.is_empty());
+        let timeline = report.timeline.as_ref().expect("telemetry samples");
+        assert!(!timeline.bytes.is_empty());
         // Telemetry off: the report carries no obs section.
         assert!(want_report.obs.is_none());
     }
@@ -588,46 +538,6 @@ mod tests {
         // Truncated document: the error surfaces at finish.
         let err = session.finish().unwrap_err();
         assert!(matches!(err, EngineError::Xml(_)), "{err}");
-    }
-
-    #[test]
-    fn without_drain_ignores_input_after_completion() {
-        let q = CompiledQuery::compile("'x'").unwrap();
-        let mut session = q.session(&EngineOptions::gcx().without_drain());
-        // A constant query completes without touching the input at all.
-        let emitted = session.feed(b"<doc>").unwrap();
-        assert!(emitted.done);
-        assert!(!session.wants_input(), "drain off: input is now irrelevant");
-        // Further chunks are dropped, not buffered: spillover stays zero
-        // however much arrives.
-        for _ in 0..64 {
-            session.feed(&[b'z'; 1024]).unwrap();
-        }
-        assert_eq!(session.max_pending_bytes(), 0);
-        let report = session.finish().unwrap();
-        assert_eq!(report.output_bytes, 1);
-    }
-
-    #[test]
-    fn run_without_drain_leaves_remaining_input_unread() {
-        let q = CompiledQuery::compile("'x'").unwrap();
-        let mut doc = b"<doc/>".to_vec();
-        doc.extend(std::iter::repeat_n(b' ', 1 << 20)); // a long tail
-        let mut reader = std::io::Cursor::new(doc);
-        let mut out = Vec::new();
-        run(
-            &q,
-            &EngineOptions::gcx().without_drain(),
-            &mut reader,
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(out, b"x");
-        assert!(
-            (reader.position() as usize) < (1 << 20),
-            "the tail must stay unread, like the pull engine ({} read)",
-            reader.position()
-        );
     }
 
     #[test]
@@ -695,14 +605,43 @@ mod tests {
             doc.push_str(&format!("<b>payload payload {i}</b>"));
         }
         doc.push_str("</a>");
-        let mut failed = false;
-        for piece in doc.as_bytes().chunks(16) {
-            if session.feed(piece).is_err() {
-                failed = true;
-                break;
-            }
+        let mut fed = doc.as_bytes().chunks(16).map(|piece| session.feed(piece));
+        let first = fed.find_map(Result::err);
+        let first = first.expect("the byte budget must trip during feeding");
+        assert!(first.is_buffer_limit(), "{first}");
+        // The session stays failed: every later feed, and the end of input,
+        // report that the run failed — none is accepted, and none is a
+        // second budget error.
+        for later in fed {
+            let err = later.expect_err("a failed session takes no more input");
+            assert!(matches!(err, EngineError::Internal(_)), "{err}");
         }
-        assert!(failed, "the byte budget must trip during feeding");
+        let err = session
+            .finish()
+            .expect_err("a failed session has no report");
+        assert!(
+            matches!(&err, EngineError::Internal(m) if m.contains("failed")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_session_fed_malformed_input_stays_failed() {
+        let q = CompiledQuery::compile("for $b in /a/b return $b").unwrap();
+        let mut session = q.session(&EngineOptions::gcx());
+        let err = session.feed(b"<a><b>x</c>").expect_err("mismatched tag");
+        assert!(
+            matches!(&err, EngineError::Xml(e) if matches!(e.kind, XmlErrorKind::MismatchedTag { .. })),
+            "{err}"
+        );
+        // The tokenizer stopped inside the document: going on would
+        // report a garbled tag, or the stray end tag at the end.
+        for more in [&b"</b></a>"[..], b""] {
+            let err = session.feed(more).expect_err("failed before");
+            assert!(matches!(err, EngineError::Internal(_)), "{err}");
+        }
+        let err = session.finish().expect_err("failed before");
+        assert!(matches!(err, EngineError::Internal(_)), "{err}");
     }
 
     #[test]
@@ -760,10 +699,10 @@ mod tests {
             let automaton = Automaton::new(TaggedPaths::merge(&parts), None);
             let lanes = batch
                 .iter()
-                .map(|q| Lane::start(q, EngineMode::Gcx, None, None, false, None))
+                .map(|q| Lane::start(q, &EngineOptions::gcx(), None))
                 .collect();
             let matcher = TaggedMatcher::start(Arc::new(automaton));
-            let mut driver = Driver::batch(lanes, matcher, symbols, false);
+            let mut driver = Driver::new(lanes, matcher, Some(symbols));
             driver.pre.bulk = bulk;
             for piece in doc.as_bytes().chunks(chunk) {
                 driver.feed(piece).unwrap();

@@ -309,8 +309,8 @@ fn malformed_input_is_an_error_not_a_panic() {
 
 #[test]
 fn malformed_input_after_result_still_detected_with_drain() {
-    // The result only needs the first element, but draining the input
-    // (default) still validates the rest.
+    // The result only needs the first element, but every run reads the
+    // input to its end and so still validates the rest.
     let q = CompiledQuery::compile("for $a in /x/y[1] return 'ok'").unwrap();
     let mut out = Vec::new();
     let r = run(
@@ -329,14 +329,6 @@ fn timeline_is_recorded_when_enabled() {
     let tl = report.timeline.expect("timeline enabled");
     assert_eq!(tl.points.len() as u64, report.tokens);
     assert!(tl.peak() > 0);
-}
-
-#[test]
-fn constant_queries_read_no_input_unless_drained() {
-    let opts = EngineOptions::gcx().without_drain();
-    let (out, report) = run_with("'hello'", "<big><doc/></big>", &opts);
-    assert_eq!(out, "hello");
-    assert_eq!(report.tokens, 0, "constant query needs no input");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! go on (only errors of the shared input fail the batch), and the
 //! batch's report. No lane adopts an in-stream DOCTYPE.
 
-use gcx_core::{CompiledQuery, Driver, EngineError, EngineMode, Lane, RunReport};
+use gcx_core::{CompiledQuery, Driver, EngineError, EngineOptions, Lane, RunReport};
 use gcx_projection::{Automaton, CompiledPaths, TaggedMatcher, TaggedPaths};
 use gcx_xml::SymbolTable;
 use std::io::{Read, Write};
@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a shared-stream batch run. Every lane runs the GCX
-/// configuration ([`EngineMode::Gcx`]: signOffs executed, buffers purged).
+/// configuration ([`gcx_core::EngineMode::Gcx`]: signOffs executed,
+/// buffers purged).
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
     /// Pretty-print each query's output with this indent.
@@ -26,7 +27,7 @@ pub struct BatchOptions {
     pub max_buffer_bytes: Option<u64>,
     /// Record buffer-lifecycle and VM-frame telemetry in every lane;
     /// each per-query [`RunReport`] then carries an `obs` section
-    /// (residency histograms, purge causes, live-bytes timeline).
+    /// (residency histograms, purge causes) and an occupancy timeline.
     pub telemetry: bool,
     /// A DTD the shared input is promised to be valid against. The merged
     /// matcher gets per-query path pruning plus the descendant-
@@ -158,27 +159,26 @@ impl BatchSession {
         let reach = dtd.map(|dtd| Arc::new(dtd.reach_filter(&mut symbols)));
         let automaton = Arc::new(Automaton::new(TaggedPaths::merge(parts.iter()), reach));
         let started = Instant::now();
+        let lane_opts = EngineOptions {
+            indent: opts.indent.clone(),
+            max_buffer_bytes: opts.max_buffer_bytes,
+            telemetry: opts.telemetry,
+            ..EngineOptions::gcx()
+        };
         let lanes = queries
             .iter()
             .map(|q| {
                 // The lane's share of the schema — the sibling-order
                 // cutoffs — comes prepared, from its query's plan.
                 let schema = opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
-                Lane::start(
-                    q,
-                    EngineMode::Gcx,
-                    opts.max_buffer_bytes,
-                    opts.indent.clone(),
-                    opts.telemetry,
-                    schema.as_deref(),
-                )
+                Lane::start(q, &lane_opts, schema.as_deref())
             })
             .collect();
         // Interning during the scan extends the table the paths were
         // compiled against.
         let matcher = TaggedMatcher::start(automaton);
         BatchSession {
-            driver: Driver::batch(lanes, matcher, symbols, opts.telemetry),
+            driver: Driver::new(lanes, matcher, Some(symbols)),
             started,
         }
     }
@@ -300,6 +300,22 @@ mod tests {
         let queries = compile(&["for $b in /bib/book return $b"]);
         let err = run_batch(&queries, "<bib><book></bib>".as_bytes());
         assert!(err.is_err(), "mismatched tags must fail the whole batch");
+    }
+
+    #[test]
+    fn a_batch_fed_again_after_malformed_input_stays_failed() {
+        let queries = compile(&["for $b in /bib/book return $b", "count(//book)"]);
+        let mut session = BatchSession::new(&queries, &BatchOptions::default());
+        let err = session
+            .feed(b"<bib><book>x</bib>")
+            .expect_err("mismatched tag");
+        assert!(matches!(err, EngineError::Xml(_)), "{err}");
+        // The scan stopped inside the document: every later feed, and the
+        // end of input, report that the run failed.
+        let err = session.feed(b"</book></bib>").expect_err("failed before");
+        assert!(matches!(err, EngineError::Internal(_)), "{err}");
+        let err = session.finish().expect_err("failed before");
+        assert!(matches!(err, EngineError::Internal(_)), "{err}");
     }
 
     #[test]

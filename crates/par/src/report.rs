@@ -20,7 +20,13 @@ pub fn aggregate_reports(shards: &[RunReport], output_bytes: u64) -> RunReport {
     assert!(!shards.is_empty(), "no shard reports to aggregate");
     let mut agg = shards[0].clone();
     agg.output_bytes = output_bytes;
-    agg.timeline = None;
+    // The timeline is a whole-stream measurement; shard timelines don't
+    // splice into one document clock. (Only telemetry's comes here: a run
+    // that asks for one is serial.)
+    if let Some(timeline) = agg.timeline.as_mut().filter(|_| shards.len() > 1) {
+        timeline.points.clear();
+        timeline.bytes.clear();
+    }
     for r in &shards[1..] {
         agg.tokens += r.tokens;
         agg.buffer.live += r.buffer.live;
@@ -57,9 +63,6 @@ fn merge_obs(a: &mut ObsReport, b: &ObsReport) {
     a.purges_on_close += b.purges_on_close;
     a.purges_on_unpin += b.purges_on_unpin;
     merge_roles(&mut a.roles, &b.roles);
-    // The timeline is a whole-stream measurement; shard timelines don't
-    // splice into one document clock.
-    a.live_bytes_timeline.clear();
     merge_tasks(&mut a.tasks, &b.tasks);
     a.feed_spans.extend_from_slice(&b.feed_spans);
     a.tokenizer_window_peak = a.tokenizer_window_peak.max(b.tokenizer_window_peak);

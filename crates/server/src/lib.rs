@@ -36,7 +36,8 @@
 //! ```text
 //! PUT  /queries/{name}      body = query text          → 201 / 400
 //!      headers: X-Gcx-Schema: xmark|none   (per-name DTD attachment;
-//!               overrides the server-wide --schema default)
+//!               overrides the server-wide --schema default; `none`
+//!               drops it, an in-stream DOCTYPE is still adopted)
 //! GET  /queries             newline-separated names    → 200
 //! GET  /queries/{name}      static-analysis report     → 200 / 404
 //! DELETE /queries/{name}                               → 204 / 404
@@ -131,8 +132,10 @@ pub struct ServerConfig {
     /// Default DTD every eval's document is promised to be valid
     /// against (`gcx serve --schema`). A query registered with an
     /// `X-Gcx-Schema` header overrides this per name; `X-Gcx-Schema:
-    /// none` opts a query out entirely. Outputs are identical with or
-    /// without — the schema only shrinks buffers and latency.
+    /// none` drops this default for a query, though a document's in-stream
+    /// `<!DOCTYPE ...>` is still adopted (as in any run without a schema).
+    /// Outputs are identical with or without — the schema only shrinks
+    /// buffers and latency.
     pub schema: Option<Arc<gcx_schema::Dtd>>,
     /// Admission policy (`gcx serve --max-static-class`): the loosest
     /// streamability class a query may have to be registered. A PUT
@@ -618,7 +621,8 @@ fn put_query<R: BufRead, W: Write>(
     };
     // Per-query schema attachment: `X-Gcx-Schema: xmark` promises every
     // document evaluated under this name validates against the bundled
-    // XMark DTD; `none` opts out of any server-wide default.
+    // XMark DTD; `none` drops any server-wide default (a document's own
+    // DOCTYPE is still adopted, as in any run without a schema).
     let schema = match head.header("x-gcx-schema") {
         None => None,
         Some("xmark") => Some(Some(gcx_schema::Dtd::xmark())),
@@ -1017,8 +1021,9 @@ fn eval<R: BufRead, W: Write>(
                 report.buffer.peak_live_bytes,
                 started.elapsed().as_micros()
             ));
-            // `drain_input` read the body to its end, so the connection is
-            // positioned at the next request.
+            // The run read the body to its end (every run reads its input
+            // to the end), so the connection is positioned at the next
+            // request.
             if body.fully_consumed() {
                 Ok(Outcome::KeepAlive)
             } else {

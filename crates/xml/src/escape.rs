@@ -2,9 +2,13 @@
 //!
 //! XML defines five predefined entities (`&lt;` `&gt;` `&amp;` `&apos;`
 //! `&quot;`) plus numeric character references (`&#10;`, `&#x1F600;`). The
-//! tokenizer uses [`unescape_into`] when lending text and attribute values;
-//! the writer uses [`escape_text`] / [`escape_attr`]. Both sides avoid
-//! allocation when no rewriting is needed.
+//! push tokenizer resolves them, together with line-ending and attribute
+//! normalization, with [`normalize_unescape_into`] (text),
+//! [`normalize_attr_into`] (attribute values) and
+//! [`normalize_newlines_into`] (CDATA) when lending a token; the writer
+//! escapes through `first_escape_byte` / `escape_entity` without
+//! allocating, and [`escape_text`] is the same table as a [`Cow`]. Both
+//! sides avoid allocation when no rewriting is needed.
 
 use std::borrow::Cow;
 
@@ -14,16 +18,28 @@ use std::borrow::Cow;
 /// the `]]>` sequence, but escaping it always is valid and simpler).
 /// Returns the input unchanged (borrowed) when nothing needs escaping.
 pub fn escape_text(s: &str) -> Cow<'_, str> {
-    escape_impl(s, false)
+    // One authoritative table: the same first_escape_byte/escape_entity
+    // pair drives the writer's zero-allocation path. Every escapable byte
+    // is ASCII, so byte-granular splitting is char-safe.
+    let Some(first) = first_escape_byte(s, 0, false) else {
+        return Cow::Borrowed(s);
+    };
+    let mut out = String::with_capacity(s.len() + 8);
+    let mut from = 0;
+    let mut next = Some(first);
+    while let Some(i) = next {
+        out.push_str(&s[from..i]);
+        out.push_str(escape_entity(s.as_bytes()[i]));
+        from = i + 1;
+        next = first_escape_byte(s, from, false);
+    }
+    out.push_str(&s[from..]);
+    Cow::Owned(out)
 }
 
-/// Escape an attribute value for inclusion in double quotes.
-pub fn escape_attr(s: &str) -> Cow<'_, str> {
-    escape_impl(s, true)
-}
-
-/// First byte of `s` (from `from`) that [`escape_impl`] would rewrite, or
-/// `None`. Shared by the Cow API and the writer's zero-allocation path.
+/// First byte of `s` (from `from`) that needs escaping in element content,
+/// or with `attr` in a double-quoted attribute value; `None` if there is
+/// none. Shared by [`escape_text`] and the writer's zero-allocation path.
 pub(crate) fn first_escape_byte(s: &str, from: usize, attr: bool) -> Option<usize> {
     s.as_bytes()[from..]
         .iter()
@@ -49,30 +65,10 @@ pub(crate) fn escape_entity(b: u8) -> &'static str {
     }
 }
 
-fn escape_impl(s: &str, attr: bool) -> Cow<'_, str> {
-    // One authoritative table: the same first_escape_byte/escape_entity
-    // pair drives the writer's zero-allocation path. Every escapable byte
-    // is ASCII, so byte-granular splitting is char-safe.
-    let Some(first) = first_escape_byte(s, 0, attr) else {
-        return Cow::Borrowed(s);
-    };
-    let mut out = String::with_capacity(s.len() + 8);
-    let mut from = 0;
-    let mut next = Some(first);
-    while let Some(i) = next {
-        out.push_str(&s[from..i]);
-        out.push_str(escape_entity(s.as_bytes()[i]));
-        from = i + 1;
-        next = first_escape_byte(s, from, attr);
-    }
-    out.push_str(&s[from..]);
-    Cow::Owned(out)
-}
-
 /// Resolve one entity body (the part between `&` and `;`).
 ///
 /// Returns `None` for unknown names or malformed/invalid numeric references.
-pub fn resolve_entity(body: &str) -> Option<char> {
+fn resolve_entity(body: &str) -> Option<char> {
     match body {
         "lt" => Some('<'),
         "gt" => Some('>'),
@@ -89,30 +85,6 @@ pub fn resolve_entity(body: &str) -> Option<char> {
             char::from_u32(cp)
         }
     }
-}
-
-/// Unescape `raw`, appending the result to `out`.
-///
-/// Returns `Err(entity_body)` on the first unknown/malformed entity.
-/// A trailing bare `&` (no `;` before the end) is also an error, reported as
-/// the partial body seen.
-pub fn unescape_into<'a>(raw: &'a str, out: &mut String) -> Result<(), &'a str> {
-    let mut rest = raw;
-    while let Some(amp) = rest.find('&') {
-        out.push_str(&rest[..amp]);
-        let after = &rest[amp + 1..];
-        let Some(semi) = after.find(';') else {
-            return Err(after);
-        };
-        let body = &after[..semi];
-        match resolve_entity(body) {
-            Some(c) => out.push(c),
-            None => return Err(body),
-        }
-        rest = &after[semi + 1..];
-    }
-    out.push_str(rest);
-    Ok(())
 }
 
 /// XML 1.0 §2.11: translate `\r\n` and bare `\r` to `\n`, appending to
@@ -134,7 +106,9 @@ pub fn normalize_newlines_into(raw: &str, out: &mut String) {
 /// appending to `out`. Characters produced by character references are not
 /// normalized (`&#13;` stays a literal CR, per spec).
 ///
-/// Returns `Err(entity_body)` on the first unknown/malformed entity.
+/// Returns `Err(entity_body)` on the first unknown/malformed entity. A
+/// trailing bare `&` (no `;` before the end) is also an error, reported as
+/// the partial body seen.
 pub fn normalize_unescape_into<'a>(raw: &'a str, out: &mut String) -> Result<(), &'a str> {
     let mut rest = raw;
     loop {
@@ -204,16 +178,6 @@ pub fn normalize_attr_into<'a>(raw: &'a str, out: &mut String) -> Result<(), &'a
     }
 }
 
-/// Unescape into a [`Cow`], borrowing when the input contains no entities.
-pub fn unescape(raw: &str) -> Result<Cow<'_, str>, String> {
-    if !raw.contains('&') {
-        return Ok(Cow::Borrowed(raw));
-    }
-    let mut out = String::with_capacity(raw.len());
-    unescape_into(raw, &mut out).map_err(|e| e.to_string())?;
-    Ok(Cow::Owned(out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +185,6 @@ mod tests {
     #[test]
     fn escape_borrows_when_clean() {
         assert!(matches!(escape_text("hello world"), Cow::Borrowed(_)));
-        assert!(matches!(escape_attr("plain"), Cow::Borrowed(_)));
     }
 
     #[test]
@@ -230,14 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn escape_attr_quotes_and_whitespace() {
-        assert_eq!(escape_attr("a\"b\nc\td"), "a&quot;b&#10;c&#9;d");
-    }
-
-    #[test]
     fn carriage_return_escaped_everywhere() {
         // A raw CR would be lost to line-ending normalization on re-parse.
-        assert_eq!(escape_attr("a\rb"), "a&#13;b");
         assert_eq!(escape_text("a\rb"), "a&#13;b");
     }
 
@@ -309,6 +266,12 @@ mod tests {
         assert_eq!(resolve_entity(""), None);
     }
 
+    /// What the tokenizer lends for text `raw`.
+    fn unescape(raw: &str) -> Result<String, &str> {
+        let mut out = String::new();
+        normalize_unescape_into(raw, &mut out).map(|()| out)
+    }
+
     #[test]
     fn unescape_roundtrips_escaped_text() {
         let original = "a<b&c>\"quoted\"";
@@ -320,11 +283,6 @@ mod tests {
     fn unescape_reports_bad_entity() {
         assert_eq!(unescape("a&bogus;b").unwrap_err(), "bogus");
         assert_eq!(unescape("a&nosemi").unwrap_err(), "nosemi");
-    }
-
-    #[test]
-    fn unescape_borrows_when_clean() {
-        assert!(matches!(unescape("clean text").unwrap(), Cow::Borrowed(_)));
     }
 
     #[test]

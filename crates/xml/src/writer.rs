@@ -289,9 +289,10 @@ mod tests {
         let out = build(|w| {
             w.start_element("a").unwrap();
             w.attribute("x", "1\"2<3").unwrap();
+            w.attribute("y", "a\nb\tc").unwrap();
             w.end_element().unwrap();
         });
-        assert_eq!(out, "<a x=\"1&quot;2&lt;3\"/>");
+        assert_eq!(out, "<a x=\"1&quot;2&lt;3\" y=\"a&#10;b&#9;c\"/>");
     }
 
     #[test]

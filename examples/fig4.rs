@@ -42,11 +42,7 @@ fn main() {
         ),
     ] {
         let q = CompiledQuery::compile(query).expect("query compiles");
-        let (elapsed, report) = run_streaming(
-            &q,
-            &EngineOptions::gcx().with_timeline(1).without_drain(),
-            &path,
-        );
+        let (elapsed, report) = run_streaming(&q, &EngineOptions::gcx().with_timeline(1), &path);
         let full = report.timeline.expect("timeline enabled").points;
         // Thin the series for CSV/plot to roughly 2000 points.
         let stride = (full.len() / 2000).max(1);

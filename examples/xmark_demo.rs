@@ -1,5 +1,5 @@
 //! XMark mini-benchmark: run the paper's queries on a generated document
-//! under all four evaluation strategies and compare buffer behaviour.
+//! under the three evaluation strategies and compare buffer behaviour.
 //!
 //! ```sh
 //! cargo run --release --example xmark_demo           # ~1MB document

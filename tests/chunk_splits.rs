@@ -220,7 +220,7 @@ struct Measured {
     tokens: u64,
     /// `(token, live nodes)` after every structural token.
     nodes_timeline: Vec<(u64, u64)>,
-    /// The telemetry's `(token, live bytes)` samples.
+    /// The timeline's `(token, live bytes)` samples.
     bytes_timeline: Vec<(u64, u64)>,
     peak_live_nodes: u64,
     peak_live_bytes: u64,
@@ -231,11 +231,12 @@ struct Measured {
 impl Measured {
     fn of(output: Vec<u8>, nodes_timeline: Vec<(u64, u64)>, report: &RunReport) -> Measured {
         let obs = report.obs.as_ref().expect("telemetry on");
+        let timeline = report.timeline.as_ref().expect("timeline on");
         Measured {
             output,
             tokens: report.tokens,
             nodes_timeline,
-            bytes_timeline: obs.live_bytes_timeline.clone(),
+            bytes_timeline: timeline.live_bytes().collect(),
             peak_live_nodes: report.buffer.peak_live,
             peak_live_bytes: report.buffer.peak_live_bytes,
             residency: (obs.residency_tokens.count(), obs.residency_tokens.sum()),
@@ -252,7 +253,8 @@ fn token_by_token(q: &CompiledQuery, doc: &[u8]) -> Measured {
     use gcx::core::{Keep, Lane, ScanFacts};
     use gcx::xml::{Token, Tokenizer};
 
-    let mut lane = Lane::start(q, gcx::EngineMode::Gcx, None, None, true, None);
+    let opts = EngineOptions::gcx().with_timeline(1).with_telemetry();
+    let mut lane = Lane::start(q, &opts, None);
     let (mut matcher, _root_roles) = gcx::projection::StreamMatcher::new(q.program.matcher_paths());
     let mut tok = Tokenizer::from_bytes(doc);
     let mut points = Vec::new();

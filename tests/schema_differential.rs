@@ -51,7 +51,7 @@
 //!   is absent from the trimmed XMark DTD);
 //! * in-stream `<!DOCTYPE site [...]>` adoption: a `--doctype`-generated
 //!   document activates the sibling-order facts without any option set,
-//!   and `schema_from_doctype: false` opts out.
+//!   and an explicit schema suppresses the adoption.
 
 mod common;
 
@@ -385,21 +385,6 @@ fn doctype_declaration_is_adopted_from_the_stream() {
             "{name}: adoption raised the peak"
         );
     }
-}
-
-#[test]
-fn doctype_adoption_can_be_opted_out() {
-    let with_dtd = xmark_doctype(24, 5);
-    let q = CompiledQuery::compile(queries::Q1).expect("compile");
-    let mut opts = EngineOptions::gcx();
-    opts.schema_from_doctype = false;
-    let (out, report) = run_once(&q, &opts, with_dtd.as_bytes());
-    assert!(
-        report.schema.is_none(),
-        "opted-out run must not build schema state"
-    );
-    let baseline = run_once(&q, &blind(), with_dtd.as_bytes());
-    assert_eq!(out, baseline.0, "opt-out only disables the facts");
 }
 
 /// An explicit `--schema` wins over (and suppresses) in-stream adoption:
