@@ -12,6 +12,7 @@
 //! gcx validate <input.xml>                  well-formedness check
 //! ```
 
+use gcx_core::batch::{BatchOptions, BatchSession};
 use gcx_core::{CompiledQuery, EngineOptions, RunReport};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
@@ -418,15 +419,52 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
     for (name, text) in &texts {
         queries.push(CompiledQuery::compile(text).map_err(|e| format!("{name} failed: {e}"))?);
     }
-    let mut opts = gcx_multi::BatchOptions::default();
+    let mut opts = BatchOptions::default();
     if flags.contains(&"--indent") {
         opts.indent = Some("  ".to_string());
     }
     opts.max_buffer_bytes = take_max_buffer_bytes(&flags)?;
     opts.telemetry = obs || trace_path.is_some();
     opts.schema = take_schema(&flags)?;
-    let input = open_input(input_path)?;
-    let report = gcx_multi::run(&queries, &opts, input).map_err(|e| e.to_string())?;
+    let mut input = open_input(input_path)?;
+    // Where output leaves while the document arrives: with `--out-dir`
+    // each query's file, else stdout for the first query — the others
+    // follow it there, in batch order, once the document has ended.
+    let mut sinks: Vec<(String, Box<dyn Write>)> = Vec::new();
+    match out_dir {
+        Some(dir) => {
+            std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
+            for i in 0..queries.len() {
+                let path = format!("{dir}/query-{i:02}.out");
+                let file = std::fs::File::create(&path)
+                    .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                sinks.push((path, Box::new(BufWriter::new(file))));
+            }
+        }
+        None => sinks.push((
+            "stdout".into(),
+            Box::new(BufWriter::new(std::io::stdout().lock())),
+        )),
+    }
+    let mut session = BatchSession::new(&queries, &opts);
+    // Each query's output bytes, drained or not.
+    let mut output_bytes = vec![0; queries.len()];
+    let mut chunk = vec![0; 64 * 1024];
+    loop {
+        let n = input
+            .read(&mut chunk)
+            .map_err(|e| format!("cannot read input `{input_path}`: {e}"))?;
+        if n == 0 {
+            break;
+        }
+        session.feed(&chunk[..n]).map_err(|e| e.to_string())?;
+        for (lane, (path, sink)) in sinks.iter_mut().enumerate() {
+            output_bytes[lane] += session
+                .take_output(lane, sink)
+                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        }
+    }
+    let report = session.finish().map_err(|e| e.to_string())?;
     if let Some(path) = &trace_path {
         let runs: Vec<(String, &RunReport)> = texts
             .iter()
@@ -443,26 +481,26 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
             failures.push(format!("{name}: {e}"));
         }
     }
-    match out_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
-            for (i, run) in report.queries.iter().enumerate() {
-                let path = format!("{dir}/query-{i:02}.out");
-                std::fs::write(&path, &run.output)
-                    .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            }
-        }
-        None => {
-            let mut out = BufWriter::new(std::io::stdout().lock());
-            for run in &report.queries {
-                out.write_all(&run.output).map_err(|e| e.to_string())?;
-                writeln!(out).map_err(|e| e.to_string())?;
-            }
-            out.flush().map_err(|e| e.to_string())?;
-        }
+    // Then what is left of each query's output; on stdout a newline ends
+    // each query's.
+    for (i, run) in report.queries.iter().enumerate() {
+        output_bytes[i] += run.output.len();
+        let (path, sink) = &mut sinks[if out_dir.is_some() { i } else { 0 }];
+        let end: &[u8] = if out_dir.is_some() { b"" } else { b"\n" };
+        let written = sink
+            .write_all(&run.output)
+            .and_then(|()| sink.write_all(end));
+        written.map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    }
+    for (path, sink) in &mut sinks {
+        sink.flush()
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     if stats_json {
-        eprintln!("{}", stats::batch_json(&report, &texts, &queries));
+        eprintln!(
+            "{}",
+            stats::batch_json(&report, &output_bytes, &texts, &queries)
+        );
     } else if stats {
         eprintln!(
             "queries: {}   tokens (single pass): {}   fan-out events: {}   \

@@ -4,8 +4,8 @@
 //! every member; the CLI suite pins the documents byte for byte.
 
 use gcx_analyze::QueryAnalysis;
+use gcx_core::batch::BatchReport;
 use gcx_core::{CompiledQuery, ObsReport, RunReport, Timeline};
-use gcx_multi::BatchReport;
 use gcx_obs::json::{Fixed, JsonWriter};
 use gcx_obs::Hist;
 
@@ -24,9 +24,11 @@ pub(crate) fn run_json(report: &RunReport, q: &CompiledQuery, analysis: &QueryAn
 }
 
 /// `gcx multi --stats-json`: the batch object, with one `compile` object
-/// per query (named as in `texts`) last.
+/// per query (named as in `texts`) last. `output_bytes` holds each query's
+/// output, drained or not.
 pub(crate) fn batch_json(
     report: &BatchReport,
+    output_bytes: &[usize],
     texts: &[(String, String)],
     queries: &[CompiledQuery],
 ) -> String {
@@ -39,10 +41,8 @@ pub(crate) fn batch_json(
         .field("elapsed_ms", Fixed(report.elapsed.as_secs_f64() * 1e3, 3))
         .key("per_query")
         .array();
-    for (i, run) in report.queries.iter().enumerate() {
-        w.object()
-            .field("index", i)
-            .field("output_bytes", run.output.len());
+    for (i, (run, &bytes)) in report.queries.iter().zip(output_bytes).enumerate() {
+        w.object().field("index", i).field("output_bytes", bytes);
         match &run.report {
             Ok(r) => {
                 w.key("report").object();

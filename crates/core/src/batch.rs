@@ -1,13 +1,43 @@
-//! The batch face of `gcx-core`'s [`Driver`]: one scan of the input, one
-//! merged matcher, a [`Lane`] per query, stepped by the thread that called
-//! in. What it adds to the one-lane face: the merged automaton, a clock
-//! per lane that counts the events the lane is shown
+//! The batch face of the one driver: N compiled queries over one document
+//! in a single pass.
+//!
+//! GCX minimizes buffers for *one* query over *one* stream. A deployment
+//! serving many outstanding queries against the same feed would then
+//! tokenize and projection-match the stream once **per query**. A
+//! [`BatchSession`] does it once:
+//!
+//! ```text
+//!                      ┌───────────────┐ borrowed token   ┌─────────────────────┐
+//!   XML ──► Tokenizer ─► TaggedMatcher ├─ + lane 0 roles ─► Lane 0: BufferTree  │──► out 0
+//!            (once)    │ (union NFA,   │                  │         + evaluator │
+//!                      │ tagged roles) ├─ + lane 1 roles ─► Lane 1: BufferTree  │──► out 1
+//!                      └───────────────┘                  │         + evaluator │
+//!                        one thread steps everything      └─────────────────────┘
+//! ```
+//!
+//! [`BatchSession::new`] unions the per-query projection paths into one
+//! automaton whose matcher matches each token exactly once, however many
+//! queries want it; its outcomes carry a tag per query. The session runs
+//! the same loop as an [`EvalSession`](crate::EvalSession), with a lane
+//! per query: each lane buffers, with its own document ordinals, what its
+//! query keeps, and resumes its evaluator when the node is what it waits
+//! for; what no query needs passes in bulk. Each query's roles, signOffs
+//! and therefore *buffer minimality* are its own; memory is the sum of the
+//! per-query buffers. What the batch face adds: the merged automaton, a
+//! clock per lane that counts the events the lane is shown
 //! ([`RunReport::tokens`], summed in [`BatchReport::fanout_events`]), a
 //! failed lane that reports its error in its [`QueryRun`] while the others
 //! go on (only errors of the shared input fail the batch), and the
 //! batch's report. No lane adopts an in-stream DOCTYPE.
+//!
+//! Every query's output is byte-identical to a stand-alone
+//! [`run`](crate::run) over the same document, and can be drained while
+//! the document arrives ([`BatchSession::take_output`]).
 
-use gcx_core::{CompiledQuery, Driver, EngineError, EngineOptions, Lane, RunReport};
+use crate::driver::Driver;
+use crate::engine::{CompiledQuery, EngineOptions, RunReport};
+use crate::error::EngineError;
+use crate::lane::Lane;
 use gcx_projection::{Automaton, CompiledPaths, TaggedMatcher, TaggedPaths};
 use gcx_xml::SymbolTable;
 use std::io::{Read, Write};
@@ -15,8 +45,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a shared-stream batch run. Every lane runs the GCX
-/// configuration ([`gcx_core::EngineMode::Gcx`]: signOffs executed,
-/// buffers purged).
+/// configuration ([`EngineMode::Gcx`](crate::EngineMode::Gcx): signOffs
+/// executed, buffers purged).
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
     /// Pretty-print each query's output with this indent.
@@ -33,7 +63,7 @@ pub struct BatchOptions {
     /// matcher gets per-query path pruning plus the descendant-
     /// reachability filter on the single shared scan, and every lane's
     /// buffer the sibling-order cutoffs — the three analyses a
-    /// stand-alone run with [`gcx_core::EngineOptions::schema`] applies.
+    /// stand-alone run with [`EngineOptions::schema`] applies.
     pub schema: Option<Arc<gcx_schema::Dtd>>,
 }
 
@@ -131,7 +161,7 @@ const READ_CHUNK: usize = 64 * 1024;
 /// anywhere (mid-tag, mid-UTF-8 sequence): outputs, buffer peaks and
 /// event counts do not depend on the chunking.
 pub struct BatchSession {
-    driver: Driver,
+    pub(crate) driver: Driver,
     started: Instant,
 }
 
@@ -206,165 +236,27 @@ impl BatchSession {
     /// Declare the end of input, run every lane to completion and collect
     /// the batch's outcome. Fails on a truncated or malformed document.
     pub fn finish(mut self) -> Result<BatchReport, EngineError> {
-        self.driver.finish_input()?;
-        let (tokens, reach_cuts) = self.driver.counts();
-        let (lanes, scan) = self.driver.into_lanes();
-        // Events delivered, summed over lanes (a failed lane's until then).
-        let fanout: u64 = lanes.iter().map(Lane::tokens).sum();
-        // Lightest buffer first: a lane's memory is back before the next
-        // one's final phase (a join builds its index there), so the
-        // batch's high-water is the heaviest lane's final phase, not the
-        // sum of all of them.
-        let mut lanes: Vec<(usize, Lane)> = lanes.into_iter().enumerate().collect();
-        lanes.sort_by_key(|(_, lane)| lane.buffer_stats().live_bytes);
-        let mut runs: Vec<(usize, QueryRun)> = lanes
+        let reports = self.driver.finish()?;
+        let pre = &mut self.driver.pre;
+        // End of input is every query's last event. The events delivered
+        // are summed over lanes, a failed lane's until it failed.
+        let fanout_events = pre.lanes.iter().map(|slot| slot.lane.tokens() + 1).sum();
+        let queries = reports
             .into_iter()
-            .map(|(i, mut lane)| {
-                let schema = lane.schema_facts(reach_cuts);
-                // End of input is every query's last event.
-                let report = lane.finish(&scan, schema).map(|r| RunReport {
+            .zip(&mut pre.lanes)
+            .map(|(report, slot)| QueryRun {
+                output: std::mem::take(slot.lane.output_mut()),
+                report: report.map(|r| RunReport {
                     tokens: r.tokens + 1,
                     ..r
-                });
-                let output = std::mem::take(lane.output_mut());
-                (i, QueryRun { output, report })
+                }),
             })
             .collect();
-        runs.sort_by_key(|&(i, _)| i);
         Ok(BatchReport {
-            fanout_events: fanout + runs.len() as u64,
-            queries: runs.into_iter().map(|(_, run)| run).collect(),
-            tokens,
+            queries,
+            tokens: pre.tokens,
+            fanout_events,
             elapsed: self.started.elapsed(),
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gcx_core::EngineOptions;
-
-    fn compile(texts: &[&str]) -> Vec<CompiledQuery> {
-        texts
-            .iter()
-            .map(|t| CompiledQuery::compile(t).unwrap())
-            .collect()
-    }
-
-    fn standalone(q: &CompiledQuery, doc: &str) -> Vec<u8> {
-        let mut out = Vec::new();
-        gcx_core::run(q, &EngineOptions::gcx(), doc.as_bytes(), &mut out).unwrap();
-        out
-    }
-
-    const DOC: &str = "<bib><book><title>Streams</title><price>10</price></book>\
-                       <article><title>Pipes</title></article></bib>";
-
-    #[test]
-    fn batch_matches_standalone_outputs() {
-        let queries = compile(&[
-            "<r>{ for $b in /bib/book return $b/title }</r>",
-            "for $a in /bib/article return $a",
-            "for $t in /bib/book/price return $t/text()",
-            "'constant'",
-        ]);
-        let report = run_batch(&queries, DOC.as_bytes()).unwrap();
-        assert_eq!(report.queries.len(), 4);
-        for (q, run) in queries.iter().zip(&report.queries) {
-            let expected = standalone(q, DOC);
-            assert_eq!(run.output, expected);
-            let r = run.report.as_ref().unwrap();
-            assert_eq!(r.buffer.live, 0, "lane buffer must drain");
-        }
-        assert!(report.tokens > 0);
-        assert!(report.share_factor() > 1.0, "4 queries must share the scan");
-    }
-
-    #[test]
-    fn single_query_batch_works() {
-        let queries = compile(&["for $b in /bib/book return $b/title"]);
-        let report = run_batch(&queries, DOC.as_bytes()).unwrap();
-        assert_eq!(report.queries[0].output, standalone(&queries[0], DOC));
-    }
-
-    #[test]
-    fn empty_batch_scans_input() {
-        let report = run_batch(&[], DOC.as_bytes()).unwrap();
-        assert!(report.queries.is_empty());
-        assert_eq!(report.tokens, 15);
-    }
-
-    #[test]
-    fn malformed_input_fails_the_batch() {
-        let queries = compile(&["for $b in /bib/book return $b"]);
-        let err = run_batch(&queries, "<bib><book></bib>".as_bytes());
-        assert!(err.is_err(), "mismatched tags must fail the whole batch");
-    }
-
-    #[test]
-    fn a_batch_fed_again_after_malformed_input_stays_failed() {
-        let queries = compile(&["for $b in /bib/book return $b", "count(//book)"]);
-        let mut session = BatchSession::new(&queries, &BatchOptions::default());
-        let err = session
-            .feed(b"<bib><book>x</bib>")
-            .expect_err("mismatched tag");
-        assert!(matches!(err, EngineError::Xml(_)), "{err}");
-        // The scan stopped inside the document: every later feed, and the
-        // end of input, report that the run failed.
-        let err = session.feed(b"</book></bib>").expect_err("failed before");
-        assert!(matches!(err, EngineError::Internal(_)), "{err}");
-        let err = session.finish().expect_err("failed before");
-        assert!(matches!(err, EngineError::Internal(_)), "{err}");
-    }
-
-    #[test]
-    fn a_search_opens_what_it_passed_after_every_lane_failed() {
-        // 200 nested role-less elements under `//item` and a 4 KiB budget:
-        // the search opens the elements it passed until the budget fails
-        // the lane, then goes on with nobody left to show them to — and
-        // must still enter each into the matcher, whose frames their end
-        // tags close.
-        let queries = compile(&["for $i in //item return $i"]);
-        let opens: String = (0..200).map(|k| format!("<a{k}>")).collect();
-        let closes: String = (0..200).rev().map(|k| format!("</a{k}>")).collect();
-        let doc = format!("<r>{opens}<item/>{closes}</r>");
-        let opts = BatchOptions {
-            max_buffer_bytes: Some(4096),
-            ..BatchOptions::default()
-        };
-        let report = run(&queries, &opts, doc.as_bytes()).unwrap();
-        let lane = report.queries[0].report.as_ref();
-        assert!(lane.is_err_and(EngineError::is_buffer_limit), "{lane:?}");
-        assert_eq!(report.tokens, 404);
-    }
-
-    #[test]
-    fn telemetry_flows_into_lane_reports() {
-        let queries = compile(&[
-            "for $b in /bib/book return $b/title",
-            "for $a in /bib/article return $a",
-        ]);
-        let opts = BatchOptions {
-            telemetry: true,
-            ..BatchOptions::default()
-        };
-        let mut session = BatchSession::new(&queries, &opts);
-        for piece in DOC.as_bytes().chunks(16) {
-            session.feed(piece).unwrap();
-        }
-        let report = session.finish().unwrap();
-        for (q, run) in queries.iter().zip(&report.queries) {
-            assert_eq!(run.output, standalone(q, DOC));
-            let r = run.report.as_ref().unwrap();
-            let obs = r.obs.as_ref().expect("telemetry must reach the lanes");
-            // Every lane carries the shared scan's feed track.
-            assert_eq!(r.feed_calls, DOC.len().div_ceil(16) as u64);
-            assert_eq!(obs.feed_spans.len() as u64, r.feed_calls);
-            assert_eq!(
-                obs.feed_spans.iter().map(|s| s.bytes).sum::<u64>(),
-                DOC.len() as u64
-            );
-        }
     }
 }

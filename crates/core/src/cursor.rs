@@ -102,8 +102,8 @@ pub struct CursorPool {
     stacks: Vec<Vec<Frame>>,
 }
 
-/// A lazy, pinned, blocking path iterator. Create with [`PathCursor::new`]
-/// (or [`PathCursor::new_pooled`]), drive with [`PathCursor::advance`], and
+/// A lazy, pinned, blocking path iterator. Create with
+/// [`PathCursor::new_pooled`], drive with [`PathCursor::advance`], and
 /// always dispose with [`PathCursor::finish`] / [`PathCursor::dispose`]
 /// (or run it to `Done`) so pins are released.
 ///
@@ -129,12 +129,6 @@ pub struct PathCursor {
 }
 
 impl PathCursor {
-    /// Start iterating matches of all of `arena` below `ctx`.
-    pub fn new(buf: &mut BufferTree, ctx: NodeId, arena: &[EvalStep]) -> PathCursor {
-        let mut pool = CursorPool::default();
-        PathCursor::new_pooled(buf, ctx, arena, 0..arena.len() as u32, &mut pool)
-    }
-
     /// Start iterating matches of `arena[steps]` below `ctx`, with a
     /// recycled frame stack from `pool`.
     pub fn new_pooled(
@@ -385,6 +379,15 @@ mod tests {
     use crate::buffer::Ordinals;
     use gcx_query::ast::RoleId;
     use gcx_xml::SymbolTable;
+
+    impl PathCursor {
+        /// Start iterating matches of all of `arena` below `ctx`, with a
+        /// frame stack of its own.
+        fn new(buf: &mut BufferTree, ctx: NodeId, arena: &[EvalStep]) -> PathCursor {
+            let mut pool = CursorPool::default();
+            PathCursor::new_pooled(buf, ctx, arena, 0..arena.len() as u32, &mut pool)
+        }
+    }
 
     /// Ordinal helper: position k among same-name siblings, same among all.
     fn ord(k: u32) -> Ordinals {

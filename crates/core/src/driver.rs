@@ -1,6 +1,7 @@
 //! The one loop that turns document bytes into lane events. See
 //! [`Driver`].
 
+use crate::engine::RunReport;
 use crate::error::EngineError;
 use crate::lane::{Keep, Lane, ScanFacts};
 use crate::obs::FeedSpan;
@@ -13,7 +14,8 @@ use std::io::Write;
 /// The push tokenizer and the stream preprojector (paper Figure 2, left
 /// component) in front of N ≥ 1 [`Lane`]s: the one loop behind both faces
 /// of the engine — [`EvalSession`](crate::EvalSession), one lane, and
-/// `gcx-multi`'s `BatchSession`, a lane per query off one shared scan.
+/// [`BatchSession`](crate::batch::BatchSession), a lane per query off one
+/// shared scan.
 ///
 /// The preprojector takes one token at a time, runs the projection
 /// automaton (a query's, or a batch's merged one, whose outcomes carry a
@@ -37,9 +39,10 @@ pub struct Driver {
     passed: Passed,
     copied: usize,
     telemetry: bool,
-    /// A feed or the end of input failed: the tokenizer and the lanes are
-    /// where the error left them, so every later call fails too.
-    failed: bool,
+    /// Why the run is over, for every later call's error: a feed or the
+    /// end of input failed (the tokenizer and the lanes are where the
+    /// error left them), or the input was finished.
+    over: Option<&'static str>,
     pub(crate) scan: ScanFacts,
 }
 
@@ -95,12 +98,10 @@ pub(crate) struct Preprojector {
     /// Projection on; off (full buffering), *every* element and non-blank
     /// text is buffered.
     project: bool,
-    /// Some lane has a schema in force.
-    schema: bool,
     /// Some lane still evaluates (rechecked when the table grows).
     any_live: bool,
     /// Structural tokens of the stream.
-    tokens: u64,
+    pub(crate) tokens: u64,
     /// Per token: its roles untagged (each lane gets its sub-slice), its
     /// attribute names in the table and in one lane's.
     roles: Vec<(RoleId, u32)>,
@@ -165,7 +166,6 @@ impl Driver {
             symbols.is_some() || lanes.len() == 1,
             "a stand-alone run has one lane"
         );
-        let schema = lanes.iter().any(Lane::schema_active);
         let project = lanes.iter().all(Lane::projects);
         let telemetry = lanes.iter().any(Lane::telemetry);
         let shown = vec![false; lanes.len()];
@@ -180,7 +180,6 @@ impl Driver {
             lanes: lanes.collect(),
             unmatched_depth: 0,
             project,
-            schema,
             any_live: true,
             tokens: 0,
             roles: Vec::new(),
@@ -199,7 +198,7 @@ impl Driver {
             passed: Passed::default(),
             copied: 0,
             telemetry,
-            failed: false,
+            over: None,
             scan: ScanFacts::default(),
         }
     }
@@ -227,45 +226,50 @@ impl Driver {
         })
     }
 
-    /// Declare the end of input and apply the rest of it: the lanes are
-    /// ready to [finish](Lane::finish).
-    pub fn finish_input(&mut self) -> Result<(), EngineError> {
+    /// Declare the end of input, apply the rest of it and finish the lanes,
+    /// each report with the run's schema facts; returns each lane's report,
+    /// or the error that stopped it, in lane order. The lightest buffer
+    /// finishes first: a lane's memory is back before the next one's final
+    /// phase (a join builds its index there), so a batch's high-water is
+    /// its heaviest lane's final phase, not the sum of all of them. Fails
+    /// as [`Driver::feed`] does: on a truncated or malformed document, and
+    /// stand-alone on the lane's failure.
+    pub fn finish(&mut self) -> Result<Vec<Result<RunReport, EngineError>>, EngineError> {
         self.latched("finish", |driver| {
             driver.tok.finish_input();
             driver.pump()?;
             driver.scan.window_peak = driver.tok.window_peak();
             Ok(())
-        })
+        })?;
+        self.over = Some("finish");
+        let reach_cuts = self.pre.matcher.reach_cuts();
+        let lanes = &mut self.pre.lanes;
+        let mut order: Vec<usize> = (0..lanes.len()).collect();
+        order.sort_by_key(|&i| lanes[i].lane.buffer_stats().live_bytes);
+        let mut reports: Vec<_> = order
+            .into_iter()
+            .map(|i| (i, lanes[i].lane.finish(&self.scan, reach_cuts)))
+            .collect();
+        reports.sort_by_key(|&(i, _)| i);
+        Ok(reports.into_iter().map(|(_, report)| report).collect())
     }
 
-    /// Run `call` unless an earlier one failed, and remember whether it
-    /// does: the first error is the run's, every later call reports that
-    /// the run failed.
+    /// Run `call` unless the run is over, and remember whether it fails:
+    /// the first error is the run's, every later call reports that the
+    /// run failed (or, after [`Driver::finish`], that it finished).
     fn latched(
         &mut self,
         name: &str,
         call: impl FnOnce(&mut Driver) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
-        if self.failed {
-            return Err(EngineError::Internal(format!(
-                "{name} after the run failed"
-            )));
+        if let Some(why) = self.over {
+            return Err(EngineError::Internal(format!("{name} after {why}")));
         }
         let result = call(self);
-        self.failed = result.is_err();
+        if result.is_err() {
+            self.over = Some("the run failed");
+        }
         result
-    }
-
-    /// The stream's structural tokens so far, and the descendant-state
-    /// propagations a reach filter suppressed.
-    pub fn counts(&self) -> (u64, u64) {
-        (self.pre.tokens, self.pre.matcher.reach_cuts())
-    }
-
-    /// The lanes, in the order they came, and what the scan measured.
-    pub fn into_lanes(self) -> (Vec<Lane>, ScanFacts) {
-        let lanes = self.pre.lanes.into_iter().map(|slot| slot.lane);
-        (lanes.collect(), self.scan)
     }
 
     /// An input-side I/O failure as a tokenizer error at the current
@@ -692,8 +696,8 @@ impl Preprojector {
     /// lane adopts a usable internal subset's sibling-order cutoffs unless
     /// it has a schema ([`Lane::doctype`]). A batch's lanes do not.
     fn doctype(&mut self, payload: &str) {
-        if self.alone() && self.lanes[0].lane.doctype(payload) {
-            self.schema = true;
+        if self.alone() {
+            self.lanes[0].lane.doctype(payload);
         }
     }
 
@@ -721,12 +725,20 @@ impl Preprojector {
     }
 
     /// A search below a search set, a copy pass below a copy set of the
-    /// copy a lane writes through — inside an element, projecting, with no
-    /// schema in force (its cutoffs count every child) — or a step. (Out
-    /// of line: the token loop only tests for a step set.)
+    /// copy a lane writes through — inside an element, projecting — or a
+    /// step. (Out of line: the token loop only tests for a step set.)
+    ///
+    /// A pass hides children from the lanes, and sibling-order cutoffs
+    /// advance on every child of a kept element; neither kind of schema
+    /// lets a pass hide one whose cutoff a wait reads. Under an explicit
+    /// schema the automaton has a reach filter, and the memo marks no
+    /// search or copy set under one. An adopted DOCTYPE prunes no path, so
+    /// every child step a cursor or a signOff can wait on is a state in
+    /// the parent's frame — and a frame that holds such a state is neither
+    /// a search set nor a copy set.
     #[inline(never)]
     fn bulk_or_step(&self, below: Below<&[Symbol]>) -> Pass {
-        if !self.project || self.matcher.depth() == 0 || self.schema {
+        if !self.project || self.matcher.depth() == 0 {
             return Pass::Step;
         }
         #[cfg(test)]
@@ -822,4 +834,137 @@ fn lane_roles<'a>(
             .take_while(|r| r.0 as usize == i)
             .count();
     &roles[from..*at]
+}
+
+#[cfg(test)]
+#[path = "driver_reference.rs"]
+mod reference;
+
+#[cfg(test)]
+mod tests {
+    use crate::batch::{run, run_batch, BatchOptions, BatchSession};
+    use crate::{CompiledQuery, EngineError, EngineOptions};
+
+    fn compile(texts: &[&str]) -> Vec<CompiledQuery> {
+        texts
+            .iter()
+            .map(|t| CompiledQuery::compile(t).unwrap())
+            .collect()
+    }
+
+    fn standalone(q: &CompiledQuery, doc: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::run(q, &EngineOptions::gcx(), doc.as_bytes(), &mut out).unwrap();
+        out
+    }
+
+    const DOC: &str = "<bib><book><title>Streams</title><price>10</price></book>\
+                       <article><title>Pipes</title></article></bib>";
+
+    #[test]
+    fn batch_matches_standalone_outputs() {
+        let queries = compile(&[
+            "<r>{ for $b in /bib/book return $b/title }</r>",
+            "for $a in /bib/article return $a",
+            "for $t in /bib/book/price return $t/text()",
+            "'constant'",
+        ]);
+        let report = run_batch(&queries, DOC.as_bytes()).unwrap();
+        assert_eq!(report.queries.len(), 4);
+        for (q, run) in queries.iter().zip(&report.queries) {
+            let expected = standalone(q, DOC);
+            assert_eq!(run.output, expected);
+            let r = run.report.as_ref().unwrap();
+            assert_eq!(r.buffer.live, 0, "lane buffer must drain");
+        }
+        assert!(report.tokens > 0);
+        assert!(report.share_factor() > 1.0, "4 queries must share the scan");
+    }
+
+    #[test]
+    fn single_query_batch_works() {
+        let queries = compile(&["for $b in /bib/book return $b/title"]);
+        let report = run_batch(&queries, DOC.as_bytes()).unwrap();
+        assert_eq!(report.queries[0].output, standalone(&queries[0], DOC));
+    }
+
+    #[test]
+    fn empty_batch_scans_input() {
+        let report = run_batch(&[], DOC.as_bytes()).unwrap();
+        assert!(report.queries.is_empty());
+        assert_eq!(report.tokens, 15);
+    }
+
+    #[test]
+    fn malformed_input_fails_the_batch() {
+        let queries = compile(&["for $b in /bib/book return $b"]);
+        let err = run_batch(&queries, "<bib><book></bib>".as_bytes());
+        assert!(err.is_err(), "mismatched tags must fail the whole batch");
+    }
+
+    #[test]
+    fn a_batch_fed_again_after_malformed_input_stays_failed() {
+        let queries = compile(&["for $b in /bib/book return $b", "count(//book)"]);
+        let mut session = BatchSession::new(&queries, &BatchOptions::default());
+        let err = session
+            .feed(b"<bib><book>x</bib>")
+            .expect_err("mismatched tag");
+        assert!(matches!(err, EngineError::Xml(_)), "{err}");
+        // The scan stopped inside the document: every later feed, and the
+        // end of input, report that the run failed.
+        let err = session.feed(b"</book></bib>").expect_err("failed before");
+        assert!(matches!(err, EngineError::Internal(_)), "{err}");
+        let err = session.finish().expect_err("failed before");
+        assert!(matches!(err, EngineError::Internal(_)), "{err}");
+    }
+
+    #[test]
+    fn a_search_opens_what_it_passed_after_every_lane_failed() {
+        // 200 nested role-less elements under `//item` and a 4 KiB budget:
+        // the search opens the elements it passed until the budget fails
+        // the lane, then goes on with nobody left to show them to — and
+        // must still enter each into the matcher, whose frames their end
+        // tags close.
+        let queries = compile(&["for $i in //item return $i"]);
+        let opens: String = (0..200).map(|k| format!("<a{k}>")).collect();
+        let closes: String = (0..200).rev().map(|k| format!("</a{k}>")).collect();
+        let doc = format!("<r>{opens}<item/>{closes}</r>");
+        let opts = BatchOptions {
+            max_buffer_bytes: Some(4096),
+            ..BatchOptions::default()
+        };
+        let report = run(&queries, &opts, doc.as_bytes()).unwrap();
+        let lane = report.queries[0].report.as_ref();
+        assert!(lane.is_err_and(EngineError::is_buffer_limit), "{lane:?}");
+        assert_eq!(report.tokens, 404);
+    }
+
+    #[test]
+    fn telemetry_flows_into_lane_reports() {
+        let queries = compile(&[
+            "for $b in /bib/book return $b/title",
+            "for $a in /bib/article return $a",
+        ]);
+        let opts = BatchOptions {
+            telemetry: true,
+            ..BatchOptions::default()
+        };
+        let mut session = BatchSession::new(&queries, &opts);
+        for piece in DOC.as_bytes().chunks(16) {
+            session.feed(piece).unwrap();
+        }
+        let report = session.finish().unwrap();
+        for (q, run) in queries.iter().zip(&report.queries) {
+            assert_eq!(run.output, standalone(q, DOC));
+            let r = run.report.as_ref().unwrap();
+            let obs = r.obs.as_ref().expect("telemetry must reach the lanes");
+            // Every lane carries the shared scan's feed track.
+            assert_eq!(r.feed_calls, DOC.len().div_ceil(16) as u64);
+            assert_eq!(obs.feed_spans.len() as u64, r.feed_calls);
+            assert_eq!(
+                obs.feed_spans.iter().map(|s| s.bytes).sum::<u64>(),
+                DOC.len() as u64
+            );
+        }
+    }
 }

@@ -28,8 +28,8 @@ use std::time::Instant;
 /// Two things are *learnt* and kept here for the next run, each behind a
 /// lock taken when a session starts and when its matcher is dropped,
 /// never per token: the automaton's memoised transitions
-/// (`gcx_projection::Automaton`) and the [`SchemaPlan`] of the DTD last
-/// attached.
+/// (`gcx_projection::Automaton`) and the plan of the DTD last attached
+/// (the three schema analyses against the query's own symbols).
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The normalized user query.
@@ -54,7 +54,7 @@ pub struct CompiledQuery {
 /// ([`CompiledQuery::schema_plan`]) instead of per session: the three
 /// schema analyses against the query's own symbols.
 #[derive(Debug)]
-pub struct SchemaPlan {
+pub(crate) struct SchemaPlan {
     /// The DTD planned for; held so that its address stays its identity.
     dtd: Arc<Dtd>,
     /// The program's table with the DTD's names on top: a run's table
@@ -113,7 +113,7 @@ impl CompiledQuery {
     /// The plan for running this query under `dtd`: built on first use,
     /// then shared by every session that attaches the same `Arc<Dtd>`
     /// (another DTD replaces it).
-    pub fn schema_plan(&self, dtd: &Arc<Dtd>) -> Arc<SchemaPlan> {
+    pub(crate) fn schema_plan(&self, dtd: &Arc<Dtd>) -> Arc<SchemaPlan> {
         let mut slot = self.schema_plan.lock().expect("no schema analysis panics");
         if let Some(plan) = slot.as_ref().filter(|p| Arc::ptr_eq(&p.dtd, dtd)) {
             return Arc::clone(plan);
@@ -232,9 +232,8 @@ impl EngineMode {
 
     /// signOff statements execute (dynamic buffer minimization), and an
     /// element copied while it is still open streams to the writer, what
-    /// only the copy needs not being buffered (see [`Lane`](crate::Lane)).
-    /// The paper's system only: the baselines keep buffering and
-    /// serializing whole subtrees.
+    /// only the copy needs not being buffered. The paper's system only:
+    /// the baselines keep buffering and serializing whole subtrees.
     pub fn executes_signoffs(self) -> bool {
         self == EngineMode::Gcx
     }

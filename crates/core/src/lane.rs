@@ -173,9 +173,10 @@ enum Health {
 /// speculative ancestor only once a descendant needs it there (below) —
 /// [`tick`](Lane::tick) moves the token clock, and [`step`](Lane::step)
 /// enforces the byte budget and resumes the evaluator the moment what it
-/// waits for may have arrived. The [`Driver`](crate::Driver) feeds one
-/// lane for an [`EvalSession`](crate::EvalSession), and N of them in
-/// lock-step off one shared scan and one merged matcher for `gcx-multi`.
+/// waits for may have arrived. The [`Driver`](crate::driver::Driver)
+/// feeds one lane for an [`EvalSession`](crate::EvalSession), and N of
+/// them in lock-step off one shared scan and one merged matcher for a
+/// [`BatchSession`](crate::batch::BatchSession).
 /// The lane cannot tell which: buffer contents, purge order and peaks
 /// depend only on the events it is shown.
 ///
@@ -366,20 +367,18 @@ impl Lane {
 
     /// The stream's DOCTYPE, `payload` its token: unless the lane started
     /// with a schema plan, adopt the sibling-order cutoffs of its internal
-    /// subset. Returns whether it did; a payload that does not parse means
-    /// "no schema".
-    pub fn doctype(&mut self, payload: &str) -> bool {
+    /// subset. A payload that does not parse means "no schema".
+    pub fn doctype(&mut self, payload: &str) {
         if self.pruned_paths.is_some() {
-            return false;
+            return;
         }
         let Ok(view) = gcx_xml::DoctypeView::parse(payload) else {
-            return false;
+            return;
         };
         let Ok(dtd) = gcx_schema::Dtd::from_doctype_parts(view.name, view.subset) else {
-            return false;
+            return;
         };
         self.adopt_doctype(&dtd);
-        true
     }
 
     /// Adopt the sibling-order cutoffs of `dtd`, a DTD picked up from the
@@ -388,11 +387,6 @@ impl Lane {
     fn adopt_doctype(&mut self, dtd: &gcx_schema::Dtd) {
         let ord = dtd.ord_table(&mut self.symbols);
         self.buf.set_schema(Arc::new(ord), true);
-    }
-
-    /// Whether sibling-order cutoffs are installed.
-    pub fn schema_active(&self) -> bool {
-        self.buf.schema_active()
     }
 
     /// A start tag — borrowed from the tokenizer window — that is a child
@@ -709,15 +703,11 @@ impl Lane {
 
     /// End of input — the lane's last event: close the virtual root, run
     /// the program to completion and assemble the run's report from the
-    /// lane's own measurements plus the driver's `scan` and `schema`
-    /// facts (the cutoff counters are filled in here). Returns the error
-    /// instead if the lane failed, now or earlier. The output stays
-    /// drainable.
-    pub fn finish(
-        &mut self,
-        scan: &ScanFacts,
-        schema: Option<SchemaReport>,
-    ) -> Result<RunReport, EngineError> {
+    /// lane's own measurements plus the driver's `scan` and the
+    /// descendant-state propagations its reach filter suppressed. Returns
+    /// the error instead if the lane failed, now or earlier. The output
+    /// stays drainable.
+    pub fn finish(&mut self, scan: &ScanFacts, reach_cuts: u64) -> Result<RunReport, EngineError> {
         if matches!(self.health, Health::Live) {
             self.buf.close(NodeId::ROOT);
             let mut result = self.check_budget();
@@ -742,7 +732,18 @@ impl Lane {
                 scan.window_peak,
             )
         });
+        // A schema is in force: the lane's plan, or an adopted DOCTYPE.
         let (early_scan_ends, early_signoffs, doctype_adopted) = self.buf.schema_counters();
+        let (pruned_paths, total_paths) = self.pruned_paths.unwrap_or((0, 0));
+        let schema =
+            (self.pruned_paths.is_some() || self.buf.schema_active()).then_some(SchemaReport {
+                pruned_paths,
+                total_paths,
+                reach_cuts,
+                early_scan_ends,
+                early_signoffs,
+                doctype_adopted,
+            });
         Ok(RunReport {
             tokens: self.clock,
             buffer: self.buf.stats(),
@@ -752,28 +753,8 @@ impl Lane {
             feed_calls: scan.feed_calls,
             max_pending_bytes: scan.max_pending_bytes,
             obs,
-            schema: schema.map(|s| SchemaReport {
-                early_scan_ends,
-                early_signoffs,
-                doctype_adopted,
-                ..s
-            }),
+            schema,
         })
-    }
-
-    /// The driver's share of the run's [`SchemaReport`] when a schema is in
-    /// force (the lane's plan, or an adopted DOCTYPE): the plan's path
-    /// counts and the scan's `reach_cuts`. [`Lane::finish`] adds the
-    /// cutoff counters.
-    pub fn schema_facts(&self, reach_cuts: u64) -> Option<SchemaReport> {
-        let (pruned_paths, total_paths) = self.pruned_paths.unwrap_or((0, 0));
-        let report = SchemaReport {
-            pruned_paths,
-            total_paths,
-            reach_cuts,
-            ..SchemaReport::default()
-        };
-        (self.pruned_paths.is_some() || self.schema_active()).then_some(report)
     }
 
     /// How many more pending elements the byte budget has room for

@@ -8,26 +8,28 @@
 //! the evaluation.
 //!
 //! The architecture mirrors the paper's Figure 2, built sans-IO: every
-//! stage is a resumable state machine over pushed stream events, and
-//! [`EvalSession`] is their composition — the push-driven public API
-//! (`feed` bytes in, drain output out, suspend at any byte boundary).
-//! [`run`] is the blocking wrapper over it.
+//! stage is a resumable state machine over pushed stream events, and one
+//! driver composes them — a tokenizer and the stream preprojector (the
+//! projection NFA) feeding N ≥ 1 evaluation cores in lock-step off a
+//! single scan. It has two faces, both push-driven (`feed` bytes in,
+//! drain output out, suspend at any byte boundary):
 //!
-//! There is one evaluation core, the [`Lane`]: everything downstream of
-//! the keep/skip decision — buffer writes with document ordinals, the
-//! byte budget, resuming the evaluator when what it waits for arrived,
-//! failure capture, report assembly. And there is one driver, the
-//! [`Driver`]: a tokenizer and the stream preprojector (the projection
-//! NFA) feeding N ≥ 1 lanes in lock-step off a single scan. A session is
-//! its one-lane face; `gcx-multi`'s batch its N-lane face. Either way a
-//! subtree the projection refuses is never tokenized: the driver has the
-//! tokenizer fast-forward through it
-//! (`gcx_xml::PushTokenizer::skip_element`).
+//! * [`EvalSession`] — one query over one document; [`run`] is the
+//!   blocking wrapper over it;
+//! * [`batch::BatchSession`] — N queries over one document in a single
+//!   pass, each query's output byte-identical to its stand-alone run;
+//!   [`batch::run`] is the blocking wrapper over it.
 //!
-//! * [`Driver`] — tokenizes, matches, and shows each lane what its query
-//!   keeps, passing what no lane needs in bulk;
-//! * [`Lane`] — copies the tokens its driver keeps into the buffer and
-//!   steps the evaluator;
+//! Either way a subtree the projection refuses is never tokenized: the
+//! driver has the tokenizer fast-forward through it
+//! (`gcx_xml::PushTokenizer::skip_element`). Behind the faces:
+//!
+//! * the driver (`driver`, internal) — tokenizes, matches, and shows each
+//!   lane what its query keeps, passing what no lane needs in bulk;
+//! * the lane (`lane`, internal) — the one evaluation core, everything
+//!   downstream of the keep/skip decision: buffer writes with document
+//!   ordinals, the byte budget, resuming the evaluator when what it waits
+//!   for arrived, failure capture, report assembly;
 //! * [`buffer::BufferTree`] — the buffer + role bookkeeping +
 //!   garbage collector;
 //! * the evaluator (`eval`, internal) — executes the rewritten query as
@@ -50,8 +52,9 @@
 //! (projection + active GC), projection-only, and full buffering — the
 //! comparison axis of the paper's evaluation ([`EngineMode`]).
 
+pub mod batch;
 pub mod buffer;
-pub mod cursor;
+mod cursor;
 mod driver;
 mod engine;
 mod error;
@@ -61,11 +64,9 @@ pub mod obs;
 pub mod session;
 
 pub use buffer::{AttrBuf, BufferStats, BufferTree, NodeId};
-pub use driver::Driver;
 pub use engine::{
-    run, run_query, CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaPlan, SchemaReport,
+    run, run_query, CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaReport,
 };
 pub use error::EngineError;
-pub use lane::{Keep, Lane, ScanFacts};
 pub use obs::{FeedSpan, ObsReport, RoleObs, TaskObs, Timeline};
 pub use session::{Emitted, EvalSession};

@@ -21,8 +21,8 @@ pub const DEFAULT_TIMELINE_EVERY: u64 = 1024;
 /// on the lane's token clock at the first charged token and then every
 /// `every` tokens. A clock that jumps (a skipped subtree is charged at
 /// once) takes every sample point it passes, at the occupancy that held
-/// throughout. There is one sampler, [`crate::Lane::tick`]; a run reports
-/// the timeline in [`crate::RunReport::timeline`].
+/// throughout. There is one sampler, the lane's clock (`Lane::tick`); a
+/// run reports the timeline in [`crate::RunReport::timeline`].
 #[derive(Debug, Clone)]
 pub struct Timeline {
     /// `(token, live buffered nodes)` samples in token order.

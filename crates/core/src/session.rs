@@ -66,16 +66,15 @@ pub struct Emitted {
 /// [module docs](self) for the protocol.
 ///
 /// The session is the paper's pipeline with the I/O inverted: the
-/// [`Driver`]'s tokenizer and stream preprojector in front of one
-/// [`Lane`] — the buffer with active garbage collection and the resumable
-/// evaluator — all suspended together between `feed` calls, holding
-/// exactly the GCX buffer plus the current partial token. It is the
-/// driver's one-lane face: its lane is charged every token of the stream,
-/// adopts an in-stream DOCTYPE's cutoffs, and fails the feed when it
-/// fails.
+/// driver's tokenizer and stream preprojector in front of one lane — the
+/// buffer with active garbage collection and the resumable evaluator —
+/// all suspended together between `feed` calls, holding exactly the GCX
+/// buffer plus the current partial token. It is the driver's one-lane
+/// face (a [`BatchSession`](crate::batch::BatchSession) is its N-lane
+/// one): its lane is charged every token of the stream, adopts an
+/// in-stream DOCTYPE's cutoffs, and fails the feed when it fails.
 pub struct EvalSession {
     driver: Driver,
-    finished: bool,
 }
 
 impl EvalSession {
@@ -96,7 +95,6 @@ impl EvalSession {
         let matcher = TaggedMatcher::start(Arc::clone(automaton));
         EvalSession {
             driver: Driver::new(vec![lane], matcher, None),
-            finished: false,
         }
     }
 
@@ -108,7 +106,6 @@ impl EvalSession {
     /// [`EvalSession::output`] or drain it with
     /// [`EvalSession::take_output`].
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Emitted, EngineError> {
-        self.check_open("feed")?;
         self.driver.feed(chunk)?;
         Ok(self.emitted())
     }
@@ -124,7 +121,6 @@ impl EvalSession {
     /// Declare `n` bytes of [`EvalSession::space`] filled and advance
     /// evaluation, exactly like [`EvalSession::feed`] on that slice.
     pub fn commit(&mut self, n: usize) -> Result<Emitted, EngineError> {
-        self.check_open("commit")?;
         self.driver.commit(n)?;
         Ok(self.emitted())
     }
@@ -133,15 +129,11 @@ impl EvalSession {
     /// returning the run's measurements. Fails with the same errors the
     /// blocking engine would (malformed XML, truncated document, buffer
     /// budget). Pending output remains drainable afterwards. A session
-    /// whose `feed`, `commit` or `finish` failed stays failed: every later
-    /// call returns an error.
+    /// whose `feed`, `commit` or `finish` failed stays failed, and one that
+    /// finished takes no more input: every later call returns an error.
     pub fn finish(&mut self) -> Result<RunReport, EngineError> {
-        self.check_open("finish")?;
-        self.driver.finish_input()?;
-        self.finished = true;
-        let schema = self.lane().schema_facts(self.driver.counts().1);
-        let Driver { pre, scan, .. } = &mut self.driver;
-        pre.lanes[0].lane.finish(scan, schema)
+        let mut reports = self.driver.finish()?;
+        reports.pop().expect("a session has one lane")
     }
 
     /// Borrowed view of the output bytes pending in the session.
@@ -172,15 +164,6 @@ impl EvalSession {
         self.driver.input_io_error(e)
     }
 
-    fn check_open(&self, call: &str) -> Result<(), EngineError> {
-        match self.finished {
-            true => Err(EngineError::Internal(format!(
-                "EvalSession::{call} after finish"
-            ))),
-            false => Ok(()),
-        }
-    }
-
     fn lane(&self) -> &Lane {
         &self.driver.pre.lanes[0].lane
     }
@@ -196,9 +179,9 @@ impl EvalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchOptions, BatchSession};
     use crate::engine::run;
-    use gcx_projection::{Automaton, CompiledPaths, TaggedPaths};
-    use gcx_xml::{SymbolTable, Token, XmlErrorKind};
+    use gcx_xml::{Token, XmlErrorKind};
 
     const QUERY: &str = "<r>{ for $b in /bib/book return $b/title }</r>";
     const DOC: &str = "<bib><book><title>T1</title><price>9</price></book>\
@@ -644,19 +627,13 @@ mod tests {
         assert!(matches!(err, EngineError::Internal(_)), "{err}");
     }
 
-    #[test]
-    fn a_search_shows_the_matcher_only_items_and_their_ancestors() {
-        // XMark holds its items under regions/<continent>. Under `//item`
-        // the matcher must see the tags of the items and of the elements
-        // that hold one — and, with the search and the copy pass inside
-        // each item, nothing else, where stepping showed it every token of
-        // the document.
-        let size = if cfg!(miri) { 8 * 1024 } else { 1 << 20 };
-        let doc = gcx_xmark::generate_string(&gcx_xmark::XmarkConfig::sized(size));
+    /// The structural tokens of `doc`, and those a matcher under `//item`
+    /// must see: the tags of the items and of the elements that hold one.
+    fn tokens_and_item_paths(doc: &str) -> (u64, u64) {
         let (mut all, mut needed) = (0u64, 0u64);
         // Per open element outside an item: whether it holds an item.
         let (mut open, mut in_item) = (Vec::new(), 0u32);
-        let mut tok = gcx_xml::Tokenizer::from_str(&doc);
+        let mut tok = gcx_xml::Tokenizer::from_str(doc);
         while let Some(token) = tok.next_token().unwrap() {
             all += u64::from(token.is_structural());
             match token {
@@ -678,43 +655,84 @@ mod tests {
                 _ => {}
             }
         }
+        (all, needed)
+    }
+
+    /// Run `q` over `doc` in one session, with the bulk passes on or off;
+    /// returns what the matcher saw, the output and the report.
+    fn solo(q: &CompiledQuery, doc: &str, bulk: bool) -> (u64, Vec<u8>, RunReport) {
+        let mut session = q.session(&EngineOptions::gcx());
+        session.driver.pre.bulk = bulk;
+        session.feed(doc.as_bytes()).unwrap();
+        let report = session.finish().unwrap();
+        let matched = session.driver.pre.matcher_tokens;
+        (matched, session.output().to_vec(), report)
+    }
+
+    /// What a bulk pass may not change about a run: output, token count,
+    /// peaks, appends and the schema's counters.
+    fn assert_same_run(
+        label: &str,
+        got: &(u64, Vec<u8>, RunReport),
+        want: &(u64, Vec<u8>, RunReport),
+    ) {
+        let ((_, out, got), (_, want_out, want)) = (got, want);
+        assert!(out == want_out, "{label}: output");
+        assert_eq!(got.tokens, want.tokens, "{label}: tokens");
+        assert_eq!(got.buffer.peak_live, want.buffer.peak_live, "{label}: peak");
+        assert_eq!(
+            got.buffer.peak_live_bytes, want.buffer.peak_live_bytes,
+            "{label}: peak bytes"
+        );
+        assert_eq!(
+            got.buffer.allocated, want.buffer.allocated,
+            "{label}: appends"
+        );
+        let counters = |r: &RunReport| {
+            r.schema
+                .as_ref()
+                .map(|s| (s.early_scan_ends, s.early_signoffs, s.doctype_adopted))
+        };
+        assert_eq!(counters(got), counters(want), "{label}: schema counters");
+    }
+
+    #[test]
+    fn a_search_shows_the_matcher_only_items_and_their_ancestors() {
+        // XMark holds its items under regions/<continent>. Under `//item`
+        // the matcher must see the tags of the items and of the elements
+        // that hold one — and, with the search and the copy pass inside
+        // each item, nothing else, where stepping showed it every token of
+        // the document.
+        let size = if cfg!(miri) { 8 * 1024 } else { 1 << 20 };
+        let doc = gcx_xmark::generate_string(&gcx_xmark::XmarkConfig::sized(size));
+        let (all, needed) = tokens_and_item_paths(&doc);
         let q = CompiledQuery::compile("for $i in //item return $i").unwrap();
         let mut session = q.session(&EngineOptions::gcx());
         session.feed(doc.as_bytes()).unwrap();
         session.finish().unwrap();
         assert_eq!(session.driver.pre.matcher_tokens, needed);
         assert!(needed < all / 2, "{needed} of {all} tokens");
-        // A batch that adds `count(//item)`, driven as `gcx-multi` drives
-        // one: the same search, and inside each item a copy set of lane 0
-        // that stops at `item` — a copy pass in which lane 1, waiting for
-        // items, is shown nothing either. Whole, and in 7-byte pieces (a
-        // pass left in flight at a feed's end); and every token stepped.
+        // A batch that adds `count(//item)`: the same search, and inside
+        // each item a copy set of lane 0 that stops at `item` — a copy
+        // pass in which lane 1, waiting for items, is shown nothing
+        // either. Whole, and in 7-byte pieces (a pass left in flight at a
+        // feed's end); and every token stepped.
         let batch = [q, CompiledQuery::compile("count(//item)").unwrap()];
         let drive = |chunk: usize, bulk: bool| {
-            let mut symbols = SymbolTable::new();
-            let parts: Vec<CompiledPaths> = batch
-                .iter()
-                .map(|q| CompiledPaths::compile(&q.analysis.roles, &mut symbols))
-                .collect();
-            let automaton = Automaton::new(TaggedPaths::merge(&parts), None);
-            let lanes = batch
-                .iter()
-                .map(|q| Lane::start(q, &EngineOptions::gcx(), None))
-                .collect();
-            let matcher = TaggedMatcher::start(Arc::new(automaton));
-            let mut driver = Driver::new(lanes, matcher, Some(symbols));
-            driver.pre.bulk = bulk;
+            let mut session = BatchSession::new(&batch, &BatchOptions::default());
+            session.driver.pre.bulk = bulk;
             for piece in doc.as_bytes().chunks(chunk) {
-                driver.feed(piece).unwrap();
+                session.feed(piece).unwrap();
             }
-            driver.finish_input().unwrap();
-            let matched = driver.pre.matcher_tokens;
-            let (lanes, scan) = driver.into_lanes();
+            // The root's end tag, the document's last token, is applied
+            // by the feed that completes it.
+            let matched = session.driver.pre.matcher_tokens;
+            let report = session.finish().unwrap();
             let (mut outs, mut tokens) = (Vec::new(), Vec::new());
-            for mut lane in lanes {
-                let report = lane.finish(&scan, None).unwrap();
+            for run in report.queries {
+                let report = run.report.unwrap();
                 assert_eq!(report.buffer.live, 0);
-                outs.push(String::from_utf8(std::mem::take(lane.output_mut())).unwrap());
+                outs.push(String::from_utf8(run.output).unwrap());
                 tokens.push(report.tokens);
             }
             (matched, tokens, outs)
@@ -734,6 +752,50 @@ mod tests {
         let pieces = drive(7, true);
         assert_eq!((pieces.0, &pieces.1), (matched, &tokens), "7-byte pieces");
         assert!(pieces.2 == outs, "7-byte pieces");
+        // A document's own DOCTYPE turns neither pass off: the session
+        // adopts its cutoffs, the matcher still sees only the items and
+        // their ancestors, and the run is the one stepping makes.
+        let config = gcx_xmark::XmarkConfig::sized(size).with_doctype();
+        let doc = gcx_xmark::generate_string(&config);
+        let (_, needed) = tokens_and_item_paths(&doc);
+        let bulk = solo(&batch[0], &doc, true);
+        assert_eq!(bulk.0, needed);
+        let adopted = bulk.2.schema.as_ref().is_some_and(|s| s.doctype_adopted);
+        assert!(adopted, "the DOCTYPE is adopted");
+        assert_same_run("DOCTYPE", &bulk, &solo(&batch[0], &doc, false));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn under_an_adopted_doctype_the_bulk_passes_change_nothing() {
+        // The paper queries and two copy queries over a document with a
+        // DOCTYPE: with the search and the copy pass on, every run is the
+        // one stepping makes — output, peaks and the cutoffs' early ends
+        // and signOffs (see `Preprojector::bulk_or_step`).
+        let config = gcx_xmark::XmarkConfig::sized(256 * 1024).with_doctype();
+        let doc = gcx_xmark::generate_string(&config);
+        let copies = [
+            (
+                "COPY_AUCTIONS",
+                "<all>{ for $a in /site/open_auctions/open_auction return $a }</all>",
+            ),
+            (
+                "COPY_ITEMS",
+                "<all>{ for $i in /site/regions//item return $i }</all>",
+            ),
+        ];
+        for (name, text) in gcx_xmark::queries::paper_queries()
+            .into_iter()
+            .chain(copies)
+        {
+            let q = CompiledQuery::compile(text).unwrap();
+            let bulk = solo(&q, &doc, true);
+            assert!(
+                bulk.2.schema.as_ref().is_some_and(|s| s.doctype_adopted),
+                "{name}"
+            );
+            assert_same_run(name, &bulk, &solo(&q, &doc, false));
+        }
     }
 
     #[test]

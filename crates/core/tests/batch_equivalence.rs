@@ -1,11 +1,11 @@
-//! The acceptance bar of the shared-stream subsystem: a batch of distinct
-//! XMark queries evaluated by `gcx-multi` in ONE pass must produce output
+//! The acceptance bar of the shared-stream batch (`gcx_core::batch`): a
+//! batch of distinct XMark queries evaluated in ONE pass must produce output
 //! **byte-identical** to running each query standalone, with every lane's
 //! buffer doing exactly what the standalone buffer does (same appends,
 //! same purges, same peaks) and draining at the end.
 
+use gcx_core::batch::{run_batch, BatchOptions, BatchReport, BatchSession};
 use gcx_core::{CompiledQuery, EngineError, EngineOptions};
-use gcx_multi::{run_batch, BatchOptions, BatchReport, BatchSession};
 use gcx_xmark::{generate_string, queries, XmarkConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,7 +195,7 @@ fn a_query_over_its_budget_fails_alone() {
         .iter()
         .position(|(name, _)| *name == "Q8")
         .unwrap();
-    let limited = gcx_multi::run(
+    let limited = gcx_core::batch::run(
         &queries,
         &BatchOptions {
             max_buffer_bytes: Some(20_000),
@@ -261,7 +261,7 @@ fn join_query_in_a_batch() {
 fn schema_facts_reach_the_per_query_reports() {
     let doc = xmark(64, 42);
     let queries = compile_batch();
-    let with_schema = gcx_multi::run(
+    let with_schema = gcx_core::batch::run(
         &queries,
         &BatchOptions {
             schema: Some(gcx_schema::Dtd::xmark()),

@@ -7,8 +7,8 @@
 //! Built on the in-tree `rand` shim (the external `proptest` crate is
 //! unavailable offline); deterministic seeds keep failures reproducible.
 
+use gcx_core::batch::run_batch;
 use gcx_core::CompiledQuery;
-use gcx_multi::run_batch;
 use gcx_projection::{
     Automaton, CompiledPaths, StreamMatcher, TaggedMatcher, TaggedOutcome, TaggedPaths,
 };

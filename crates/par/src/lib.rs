@@ -1,8 +1,8 @@
 #![deny(unsafe_code)]
 //! # gcx-par — partition-parallel evaluation of one document across cores
 //!
-//! `gcx-multi` parallelizes across *queries*; this crate parallelizes
-//! within *one* document: the input is split at element boundaries into
+//! A batch (`gcx_core::batch`) shares one scan among *queries*; this crate
+//! parallelizes within *one* document: the input is split at element boundaries into
 //! contiguous byte ranges, one sans-IO [`EvalSession`]
 //! runs per shard on its own thread (fed its range plus a synthesized
 //! ancestor context), and the outputs merge back in strict document

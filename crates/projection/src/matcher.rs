@@ -396,7 +396,7 @@ struct Frame {
 /// A prepared automaton — the merged paths, the reach filter that gates
 /// them, the document root's outcome — and what its matchers have learnt
 /// of its determinisation so far. Built once where the paths are compiled
-/// (`gcx-ir`'s program, a schema plan, `gcx-multi`'s batch plan) and
+/// (`gcx-ir`'s program, a schema plan, a batch session) and
 /// shared: [`TaggedMatcher::start`] is the one way to start a matcher.
 #[derive(Debug)]
 pub struct Automaton {
@@ -1362,7 +1362,7 @@ mod tests {
 
     // ---- the memo against the NFA step alone ------------------------------
 
-    /// Queries over a small tag alphabet (the pool `gcx-multi`'s
+    /// Queries over a small tag alphabet (the pool gcx-core's
     /// `merge_props` draws from): shared prefixes, `//`, nested `//`,
     /// wildcards, a positional predicate, text steps, no input at all.
     const POOL: [&str; 10] = [

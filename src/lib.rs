@@ -35,7 +35,7 @@
 //! | [`ir`] | the lower stage: flat, shareable compiled-query programs |
 //! | [`schema`] | DTD model: projection pruning, reachability, sibling-order cutoffs |
 //! | [`analyze`] | static streamability classes, buffer-bound lints, shard safety |
-//! | [`core`](mod@core) | buffer + active GC, the evaluation core (`Lane`), program executor, sessions |
+//! | [`core`](mod@core) | buffer + active GC, program executor, the one driver's two faces: sessions and one-pass query batches ([`core::batch`]) |
 //! | [`dom`] | full-buffering DOM baseline (differential oracle) |
 //! | [`xmark`] | XMark-like generator + the paper's benchmark queries |
 //! | [`memtrack`] | heap high-watermark allocator for the experiments |
@@ -51,6 +51,8 @@
 //! wrapper over the push-driven [`EvalSession`] ([`CompiledQuery::session`]),
 //! which accepts document bytes chunk by chunk as they arrive and lets the
 //! caller drain output between chunks — see `examples/push_session.rs`.
+//! Many queries over one document share one pass through
+//! [`core::batch::BatchSession`], the same driver with a lane per query.
 
 pub use gcx_core::{
     run, run_query, BufferStats, CompiledQuery, Emitted, EngineError, EngineMode, EngineOptions,
@@ -101,11 +103,6 @@ pub mod dom {
 /// Workload generation (XMark-like documents, paper queries).
 pub mod xmark {
     pub use gcx_xmark::*;
-}
-
-/// Multi-query shared-stream evaluation (one parse, N queries).
-pub mod multi {
-    pub use gcx_multi::*;
 }
 
 /// Heap high-watermark tracking.

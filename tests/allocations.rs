@@ -77,7 +77,7 @@ fn preproject_allocs(query: &str, doc: &str) -> (u64, u64) {
 /// lanes that keep, emit and purge items, stepped off the shared scan.
 fn batch_allocs(queries: &[gcx::CompiledQuery], doc: &str) -> u64 {
     let before = gcx::memtrack::total_allocs();
-    let report = gcx::multi::run_batch(queries, doc.as_bytes()).unwrap();
+    let report = gcx::core::batch::run_batch(queries, doc.as_bytes()).unwrap();
     for run in &report.queries {
         assert_eq!(run.report.as_ref().unwrap().buffer.live, 0);
     }

@@ -24,7 +24,7 @@
 mod common;
 
 use common::xmark;
-use gcx::multi::{BatchOptions, BatchSession};
+use gcx::core::batch::{BatchOptions, BatchSession};
 use gcx::{CompiledQuery, EngineOptions, RunReport};
 
 const COPY_AUCTIONS: &str = "<all>{ for $a in /site/open_auctions/open_auction return $a }</all>";

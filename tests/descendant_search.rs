@@ -22,7 +22,7 @@
 mod common;
 
 use common::{pending_corpus, without_doctype, xmark};
-use gcx::multi::{BatchOptions, BatchSession};
+use gcx::core::batch::{BatchOptions, BatchSession};
 use gcx::{CompiledQuery, EngineOptions, RunReport};
 
 const QUERIES: [(&str, &str); 6] = [

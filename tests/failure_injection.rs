@@ -114,10 +114,12 @@ fn errors_inside_projected_away_subtrees_are_the_tokenizers() {
                 .and_then(|()| session.finish());
             assert_eq!(xml_error(bytewise), want, "1-byte feeds, {label}");
         }
-        let whole = gcx::multi::run_batch(&queries, &doc[..]);
+        let whole = gcx::core::batch::run_batch(&queries, &doc[..]);
         assert_eq!(xml_error(whole), want, "batch, {label}");
-        let mut session =
-            gcx::multi::BatchSession::new(&queries, &gcx::multi::BatchOptions::default());
+        let mut session = gcx::core::batch::BatchSession::new(
+            &queries,
+            &gcx::core::batch::BatchOptions::default(),
+        );
         let bytewise = doc
             .iter()
             .try_for_each(|b| session.feed(&[*b]))
@@ -178,11 +180,11 @@ fn invented_names_count_against_the_byte_budget() {
     // A batch: every lane holds the names it was shown and fails alone;
     // with no lane left the shared scan stops interning too (it still
     // validates the document to its end).
-    let opts = gcx::multi::BatchOptions {
+    let opts = gcx::core::batch::BatchOptions {
         max_buffer_bytes: Some(budget),
-        ..gcx::multi::BatchOptions::default()
+        ..gcx::core::batch::BatchOptions::default()
     };
-    let report = gcx::multi::run(&queries, &opts, doc).unwrap();
+    let report = gcx::core::batch::run(&queries, &opts, doc).unwrap();
     assert_eq!(report.tokens, 200_005);
     for run in report.queries {
         over(run.report.unwrap_err(), "batch lane");

@@ -24,7 +24,7 @@
 mod common;
 
 use common::{pending_corpus as corpus, without_doctype, xmark};
-use gcx::multi::{BatchOptions, BatchSession};
+use gcx::core::batch::{BatchOptions, BatchSession};
 use gcx::schema::Dtd;
 use gcx::xmark::queries;
 use gcx::{CompiledQuery, EngineOptions, RunReport};

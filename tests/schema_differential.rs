@@ -44,7 +44,7 @@
 //! * pinned early-purge trigger counts on a fixed document, so a
 //!   regression that silently stops triggering (counters drop to 0 but
 //!   nothing else changes) still fails;
-//! * the same contract for the lanes of a `gcx-multi` batch run with a
+//! * the same contract for the lanes of a `gcx_core::batch` run with a
 //!   schema: every lane's peak and trigger counts equal its stand-alone
 //!   schema-aware run;
 //! * DTD-unsatisfiable path pruning surfaced for Q17 (`person/homepage`
@@ -267,13 +267,13 @@ fn batch_lanes_apply_the_schema_like_standalone_runs() {
         .iter()
         .map(|(_, text)| CompiledQuery::compile(text).expect("compile"))
         .collect();
-    let opts = gcx::multi::BatchOptions {
+    let opts = gcx::core::batch::BatchOptions {
         schema: Some(Dtd::xmark()),
         ..Default::default()
     };
     for (kb, seed) in [(96, 0x6C_78_67), (48, 42)] {
         let doc = xmark(kb, seed);
-        let report = gcx::multi::run(&batch, &opts, doc.as_bytes()).expect("batch");
+        let report = gcx::core::batch::run(&batch, &opts, doc.as_bytes()).expect("batch");
         for (((name, _), q), lane) in queries::paper_queries()
             .iter()
             .zip(&batch)
