@@ -233,7 +233,7 @@ fn analyze_inner(p: &Program) -> AResult<ShardPlan> {
                 guards: vec![guard],
             })
         }
-        Instr::Aggregate { func, path } => {
+        Instr::Aggregate { func, path, .. } => {
             if func != gcx_query::ast::AggFunc::Count {
                 return Err("only count() aggregates partition exactly");
             }

@@ -172,12 +172,20 @@ impl CompiledQuery {
         for role in self.analysis.roles.iter() {
             let anchor = match role.anchor {
                 gcx_projection::Anchor::Var(v) => {
-                    format!("end of ${}'s loop body", self.query.var_names[v.index()])
+                    format!(
+                        "signed off at end of ${}'s loop body",
+                        self.query.var_names[v.index()]
+                    )
                 }
-                gcx_projection::Anchor::QueryEnd => "query end".to_string(),
+                gcx_projection::Anchor::QueryEnd if self.analysis.releases(role.id) => {
+                    "released from each match as it is consumed; the query-end signOff \
+                     catches what was never reached"
+                        .to_string()
+                }
+                gcx_projection::Anchor::QueryEnd => "signed off at query end".to_string(),
             };
             out.push_str(&format!(
-                "{}: {:<55} [{}] signed off at {anchor}\n",
+                "{}: {:<55} [{}] {anchor}\n",
                 role.id,
                 role.path_display(),
                 role.origin

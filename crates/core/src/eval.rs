@@ -133,13 +133,21 @@ enum Task {
     StringFnFinish(StrFunc),
     /// Atomize an operand onto the value stack.
     Operand(OperandId),
-    /// Collect a path's atomized values into the top value vector — or,
-    /// without `atomize` (`count()`), one empty value per match.
-    CollectLoop { attr: AttrPlan, atomize: bool },
-    /// Wait for `node`'s end tag, then push its string value (an empty
-    /// one without `atomize`).
-    CollectClosed { node: NodeId, atomize: bool },
-    /// Fold the top value vector through an aggregate and emit it.
+    /// Collect a path's matches into `sink`; with `release`, each match
+    /// loses its instances of that role once it is consumed.
+    CollectLoop {
+        attr: AttrPlan,
+        sink: Sink,
+        release: Option<RoleId>,
+    },
+    /// Wait for `node`'s end tag, then collect its string value (see
+    /// [`Task::CollectLoop`]).
+    CollectClosed {
+        node: NodeId,
+        sink: Sink,
+        release: Option<RoleId>,
+    },
+    /// Emit the aggregate folded so far and reset the fold.
     AggFinish(AggFunc),
     /// Wait for `node`'s end tag (signOff over a variable-rooted path:
     /// the binding's subtree must have finished streaming).
@@ -208,6 +216,73 @@ const TASK_KIND_NAMES: [&str; 26] = [
     "JoinProbeLoop",
     "WaitClosedOrExhausted",
 ];
+
+/// Where a collect loop puts each match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sink {
+    /// A comparison operand: the match's atomized value onto the top value
+    /// vector.
+    Values,
+    /// `count()`: one more match.
+    Count,
+    /// `sum`/`avg`/`min`/`max`: the match's atomized value into the
+    /// running [`Fold`].
+    Fold,
+}
+
+/// A running aggregate: what its result needs of the values folded in so
+/// far, not the values (the VM runs one collect loop at a time, so one
+/// fold serves every aggregate).
+#[derive(Debug, Default)]
+struct Fold {
+    /// Values folded in.
+    values: u64,
+    /// Those with a numeric form: how many, their sum, least and greatest.
+    nums: u64,
+    sum: f64,
+    min: Option<f64>,
+    max: Option<f64>,
+    /// A matched element's string value, while it is parsed (reused).
+    scratch: String,
+}
+
+impl Fold {
+    fn add(&mut self, num: Option<f64>) {
+        self.values += 1;
+        if let Some(v) = num {
+            self.nums += 1;
+            self.sum += v;
+            self.min = Some(self.min.map_or(v, |a| a.min(v)));
+            self.max = Some(self.max.map_or(v, |a| a.max(v)));
+        }
+    }
+
+    /// The aggregate's text (none for `min`/`max`/`avg` of no number), and
+    /// the fold emptied for the next aggregate.
+    fn finish(&mut self, func: AggFunc) -> Option<String> {
+        let text = match func {
+            AggFunc::Count => Some(self.values as f64),
+            AggFunc::Sum => Some(self.sum),
+            AggFunc::Min => self.min,
+            AggFunc::Max => self.max,
+            AggFunc::Avg => (self.nums > 0).then(|| self.sum / self.nums as f64),
+        }
+        .map(fmt_number);
+        *self = Fold {
+            scratch: std::mem::take(&mut self.scratch),
+            ..Fold::default()
+        };
+        text
+    }
+}
+
+/// `descendant-or-self::node()`: the region a consumed match's atomized
+/// value was read from.
+const SUBTREE: [EvalStep; 1] = [EvalStep {
+    axis: EAxis::DescendantOrSelf,
+    test: gcx_ir::ETest::AnyNode,
+    pos: None,
+}];
 
 /// Index of a frame's kind in [`TASK_KIND_NAMES`].
 fn task_kind(t: &Task) -> usize {
@@ -422,9 +497,11 @@ pub(crate) struct Vm {
     cursor_pool: CursorPool,
     /// Reused signOff region: each target node with its derivations.
     signoff_scratch: Vec<(NodeId, u32)>,
-    /// Recycled operand values for comparisons/aggregates (capacities
-    /// kept: an operand is atomized per evaluation, not allocated).
+    /// Recycled operand values for comparisons (capacities kept: an
+    /// operand is atomized per evaluation, not allocated).
     value_pool: Vec<Values>,
+    /// The aggregate being collected.
+    fold: Fold,
     /// Set by the driver once the feed reports end of input; blocked
     /// waits then fail instead of suspending forever.
     input_exhausted: bool,
@@ -458,6 +535,7 @@ impl Vm {
             cursor_pool: CursorPool::default(),
             signoff_scratch: Vec::new(),
             value_pool: Vec::new(),
+            fold: Fold::default(),
             input_exhausted: false,
             timing: None,
         }
@@ -621,9 +699,7 @@ impl Vm {
 
     /// The operand values being collected.
     fn top_values(&mut self) -> &mut Values {
-        self.vals
-            .last_mut()
-            .expect("values scheduled by Operand/Aggregate")
+        self.vals.last_mut().expect("values scheduled by Operand")
     }
 
     // ---- the machine loop ----------------------------------------------------
@@ -854,47 +930,63 @@ impl Vm {
                         v.push_parsed(self.program.str_(text), num);
                         self.vals.push(v);
                     }
-                    OperandIr::Path(p) => {
-                        let attr = self.program.path(p).attr;
-                        self.open_cursor(p, buf)?;
+                    OperandIr::Path { path, release } => {
                         let v = self.pooled_values();
                         self.vals.push(v);
-                        self.tasks.push(Task::CollectLoop {
-                            attr,
-                            atomize: true,
-                        });
+                        self.collect(path, Sink::Values, release, buf)?;
                     }
                 },
-                Task::CollectLoop { attr, atomize } => loop {
+                Task::CollectLoop {
+                    attr,
+                    sink,
+                    release,
+                } => loop {
                     let cursor = self.cursors.last_mut().expect("collect cursor");
                     match cursor.advance(buf, self.program.steps()) {
-                        CursorState::Match(n) => match attr {
-                            AttrPlan::Name(a) => {
-                                if let Some(v) = buf.attr(n, a) {
-                                    self.top_values().push(v);
+                        CursorState::Match(n) => {
+                            match attr {
+                                AttrPlan::Name(a) => {
+                                    if let Some(v) = buf.attr(n, a) {
+                                        self.collect_text(sink, v);
+                                    }
                                 }
-                            }
-                            AttrPlan::Any => {
-                                for (_, v) in buf.attrs(n).iter() {
-                                    self.top_values().push(v);
+                                AttrPlan::Any => {
+                                    for (_, v) in buf.attrs(n).iter() {
+                                        self.collect_text(sink, v);
+                                    }
                                 }
-                            }
-                            AttrPlan::None => {
-                                if buf.is_text(n) {
-                                    self.collect_string_value(n, buf, atomize);
-                                } else {
+                                AttrPlan::None if buf.is_text(n) => {
+                                    self.collect_string_value(n, buf, sink)
+                                }
+                                AttrPlan::None => {
                                     // Blocking atomization: the subtree's
                                     // string value needs its end tag. A
                                     // count waits as long, so that it
                                     // blocks exactly where the value would.
-                                    self.tasks.push(Task::CollectLoop { attr, atomize });
-                                    self.tasks.push(Task::CollectClosed { node: n, atomize });
+                                    self.tasks.push(Task::CollectLoop {
+                                        attr,
+                                        sink,
+                                        release,
+                                    });
+                                    self.tasks.push(Task::CollectClosed {
+                                        node: n,
+                                        sink,
+                                        release,
+                                    });
                                     break;
                                 }
                             }
-                        },
+                            if let Some(role) = release {
+                                let subtree = attr == AttrPlan::None && sink != Sink::Count;
+                                self.release(n, role, subtree, buf);
+                            }
+                        }
                         CursorState::NeedInput => {
-                            self.tasks.push(Task::CollectLoop { attr, atomize });
+                            self.tasks.push(Task::CollectLoop {
+                                attr,
+                                sink,
+                                release,
+                            });
                             return self.need_input_cursor();
                         }
                         CursorState::Done => {
@@ -903,19 +995,26 @@ impl Vm {
                         }
                     }
                 },
-                Task::CollectClosed { node, atomize } => {
-                    if buf.is_closed(node) {
-                        self.collect_string_value(node, buf, atomize);
-                    } else {
-                        self.tasks.push(Task::CollectClosed { node, atomize });
+                Task::CollectClosed {
+                    node,
+                    sink,
+                    release,
+                } => {
+                    if !buf.is_closed(node) {
+                        self.tasks.push(Task::CollectClosed {
+                            node,
+                            sink,
+                            release,
+                        });
                         return self.need_input(Wait::Closed(node));
+                    }
+                    self.collect_string_value(node, buf, sink);
+                    if let Some(role) = release {
+                        self.release(node, role, sink != Sink::Count, buf);
                     }
                 }
                 Task::AggFinish(func) => {
-                    let values = self.vals.pop().expect("aggregate operand");
-                    let text = aggregate_text(func, &values);
-                    self.recycle_values(values);
-                    if let Some(t) = text {
+                    if let Some(t) = self.fold.finish(func) {
                         out.text(&t)?;
                     }
                 }
@@ -1172,19 +1271,21 @@ impl Vm {
                 self.open_cursor(path, buf)?;
                 self.tasks.push(Task::OutputLoop { attr, role });
             }
-            Instr::Aggregate { func, path } => {
-                let attr = self.program.path(path).attr;
-                self.open_cursor(path, buf)?;
-                let v = self.pooled_values();
-                self.vals.push(v);
+            Instr::Aggregate {
+                func,
+                path,
+                release,
+            } => {
                 self.tasks.push(Task::AggFinish(func));
                 // `count()` needs how many values, not what they are:
                 // atomizing nested matches would copy their text once per
                 // enclosing match.
-                self.tasks.push(Task::CollectLoop {
-                    attr,
-                    atomize: func != AggFunc::Count,
-                });
+                let sink = if func == AggFunc::Count {
+                    Sink::Count
+                } else {
+                    Sink::Fold
+                };
+                self.collect(path, sink, release, buf)?;
             }
             Instr::HashJoin(j) => {
                 let plan = self.program.join(j);
@@ -1369,49 +1470,74 @@ impl Vm {
         Ok(())
     }
 
-    /// Atomize `n`'s string value onto the top value vector — or, without
-    /// `atomize`, push an empty value in its place.
-    fn collect_string_value(&mut self, n: NodeId, buf: &BufferTree, atomize: bool) {
-        let values = self.top_values();
-        if atomize {
-            buf.string_value(n, &mut values.arena);
-            values.close_value();
-        } else {
-            values.push_parsed("", None);
+    /// Open a collect loop over `path` into `sink`. Its release role is
+    /// dropped unless signOffs execute: the baselines keep every role.
+    fn collect(
+        &mut self,
+        path: PathId,
+        sink: Sink,
+        release: Option<RoleId>,
+        buf: &mut BufferTree,
+    ) -> Result<(), EngineError> {
+        let attr = self.program.path(path).attr;
+        self.open_cursor(path, buf)?;
+        self.tasks.push(Task::CollectLoop {
+            attr,
+            sink,
+            release: release.filter(|_| self.gc),
+        });
+        Ok(())
+    }
+
+    /// Collect one attribute value.
+    fn collect_text(&mut self, sink: Sink, text: &str) {
+        match sink {
+            Sink::Values => self.top_values().push(text),
+            Sink::Count => self.fold.add(None),
+            Sink::Fold => self.fold.add(text.trim().parse().ok()),
         }
     }
-}
 
-/// Fold atomized values through an aggregate function.
-fn aggregate_text(func: AggFunc, values: &Values) -> Option<String> {
-    match func {
-        AggFunc::Count => Some(fmt_number(values.len() as f64)),
-        AggFunc::Sum => {
-            let sum: f64 = values.iter().filter_map(|v| v.num).sum();
-            Some(fmt_number(sum))
-        }
-        AggFunc::Min => values
-            .iter()
-            .filter_map(|v| v.num)
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.min(v)))
-            })
-            .map(fmt_number),
-        AggFunc::Max => values
-            .iter()
-            .filter_map(|v| v.num)
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.max(v)))
-            })
-            .map(fmt_number),
-        AggFunc::Avg => {
-            let nums: Vec<f64> = values.iter().filter_map(|v| v.num).collect();
-            if nums.is_empty() {
-                None
-            } else {
-                Some(fmt_number(nums.iter().sum::<f64>() / nums.len() as f64))
+    /// Collect `n`'s string value (a count only counts it).
+    fn collect_string_value(&mut self, n: NodeId, buf: &BufferTree, sink: Sink) {
+        match sink {
+            Sink::Values => {
+                let values = self.top_values();
+                buf.string_value(n, &mut values.arena);
+                values.close_value();
+            }
+            Sink::Count => self.fold.add(None),
+            Sink::Fold => {
+                let mut text = std::mem::take(&mut self.fold.scratch);
+                text.clear();
+                buf.string_value(n, &mut text);
+                self.fold.add(text.trim().parse().ok());
+                self.fold.scratch = text;
             }
         }
+    }
+
+    /// A value use that runs at most once has consumed match `n`: remove
+    /// the instances of its role that this match put there — on `n`, and
+    /// on `n`'s subtree when its value was read from it — so that the
+    /// buffer drops the match now rather than at the query-end signOff.
+    /// An enclosing match was consumed earlier and took its share of `n`'s
+    /// instances then, so the ones left on `n` are the share of `n`'s own
+    /// derivations; a nested match, still to come, keeps its own.
+    fn release(&mut self, n: NodeId, role: RoleId, subtree: bool, buf: &mut BufferTree) {
+        let times = buf.role_count(n, role);
+        if !subtree {
+            buf.decrement_role(n, role, times);
+            return;
+        }
+        // Collect first, then decrement, as a signOff does.
+        let mut region = std::mem::take(&mut self.signoff_scratch);
+        region.clear();
+        collect_derivations(buf, n, &SUBTREE, 0, times, &mut region);
+        for &(node, times) in &region {
+            buf.decrement_role(node, role, times);
+        }
+        self.signoff_scratch = region;
     }
 }
 
@@ -1534,10 +1660,6 @@ impl Values {
     fn clear(&mut self) {
         self.arena.clear();
         self.items.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
     }
 
     fn push(&mut self, text: &str) {

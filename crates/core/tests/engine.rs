@@ -346,6 +346,40 @@ fn explain_shows_roles_and_rewriting() {
 }
 
 #[test]
+fn explain_names_the_roles_a_root_aggregate_releases() {
+    // The first loop's count is evaluated per binding: signed off at
+    // query end. The root count releases each item as it counts it.
+    let q = CompiledQuery::compile(
+        "<r>{ for $p in /site/people return count(/site/people/person), \
+              count(/site/regions//item) }</r>",
+    )
+    .unwrap();
+    let explain = q.explain();
+    let line = |path: &str| {
+        explain
+            .lines()
+            .find(|l| l.contains(path) && l.contains("[aggregate argument]"))
+            .unwrap_or_else(|| panic!("{path}: {explain}"))
+            .to_string()
+    };
+    assert!(
+        line("/site/people/person").ends_with("signed off at query end"),
+        "{explain}"
+    );
+    assert!(
+        line("/site/regions/descendant::item").ends_with(
+            "released from each match as it is consumed; \
+             the query-end signOff catches what was never reached"
+        ),
+        "{explain}"
+    );
+    assert!(
+        explain.contains("aggregate count(p") && explain.contains(") releasing r"),
+        "{explain}"
+    );
+}
+
+#[test]
 fn empty_for_loops_produce_nothing() {
     let (out, report) = gcx("for $a in /x/nothing return $a", "<x><other/></x>");
     assert_eq!(out, "");

@@ -15,7 +15,7 @@ use crate::program::{
 use crate::step::{EAxis, ETest, EvalStep};
 use gcx_projection::{Analysis, Automaton, CompiledPaths, TaggedPaths};
 use gcx_query::ast::{
-    Axis, Cond, Expr, NodeTest, Operand, PathExpr, PathRoot, Pred, Query, Step, VarId,
+    Axis, Cond, Expr, NodeTest, Operand, PathExpr, PathRoot, Pred, Query, RoleId, Step, VarId,
 };
 use gcx_xml::{FxBuildHasher, SymbolTable};
 use std::collections::HashMap;
@@ -49,12 +49,18 @@ impl Program {
             path_dedup: HashMap::default(),
             str_dedup: HashMap::default(),
             outputs: 0,
+            values: 0,
         };
         let root = cx.expr(&analysis.rewritten.root);
         assert_eq!(
             cx.outputs,
             analysis.output_roles.len(),
             "one output role per output path"
+        );
+        assert_eq!(
+            cx.values,
+            analysis.value_roles.len(),
+            "one value-role entry per aggregate argument and path operand"
         );
         Program {
             symbols: cx.symbols,
@@ -95,6 +101,9 @@ struct Lower<'a> {
     /// Output paths lowered so far: the next one's role is
     /// `analysis.output_roles[outputs]` (both walks are pre-order).
     outputs: usize,
+    /// Aggregate arguments and path operands lowered so far: the next
+    /// one's release role is `analysis.value_roles[values]`.
+    values: usize,
 }
 
 impl Lower<'_> {
@@ -175,6 +184,14 @@ impl Lower<'_> {
         id
     }
 
+    /// The release role of the next value use (see
+    /// [`Analysis::value_roles`]).
+    fn next_release(&mut self) -> Option<RoleId> {
+        let release = self.analysis.value_roles[self.values];
+        self.values += 1;
+        release
+    }
+
     fn operand(&mut self, o: &Operand) -> OperandId {
         let ir = match o {
             Operand::StringLit(s) => OperandIr::Lit {
@@ -185,7 +202,10 @@ impl Lower<'_> {
                 text: self.intern_str(&fmt_number(*v)),
                 num: Some(*v),
             },
-            Operand::Path(p) => OperandIr::Path(self.path(p)),
+            Operand::Path(p) => OperandIr::Path {
+                path: self.path(p),
+                release: self.next_release(),
+            },
         };
         let id = OperandId(self.operands.len() as u32);
         self.operands.push(ir);
@@ -302,7 +322,12 @@ impl Lower<'_> {
             }
             Expr::Aggregate { func, arg } => {
                 let path = self.path(arg);
-                self.push_instr(Instr::Aggregate { func: *func, path })
+                let release = self.next_release();
+                self.push_instr(Instr::Aggregate {
+                    func: *func,
+                    path,
+                    release,
+                })
             }
             Expr::SignOff { target, role } => {
                 debug_assert!(
@@ -315,7 +340,7 @@ impl Lower<'_> {
         }
     }
 
-    fn binding_role(&self, var: VarId) -> gcx_query::ast::RoleId {
+    fn binding_role(&self, var: VarId) -> RoleId {
         self.analysis.binding_roles[var.index()]
             .expect("analysis assigns a binding role to every for-variable")
     }

@@ -399,14 +399,14 @@ fn roles_signed_off_in_loops(p: &Program) -> Vec<bool> {
 fn operand_independent_of(p: &Program, op: OperandIr, var: VarId) -> bool {
     match op {
         OperandIr::Lit { .. } => true,
-        OperandIr::Path(path) => p.path(path).root != PlanRoot::Var(var),
+        OperandIr::Path { path, .. } => p.path(path).root != PlanRoot::Var(var),
     }
 }
 
 /// The key side of an operand pair: a path rooted at `var`.
 fn operand_rooted_at(p: &Program, op: OperandIr, var: VarId) -> Option<PathId> {
     match op {
-        OperandIr::Path(path) if p.path(path).root == PlanRoot::Var(var) => Some(path),
+        OperandIr::Path { path, .. } if p.path(path).root == PlanRoot::Var(var) => Some(path),
         _ => None,
     }
 }

@@ -150,6 +150,10 @@ pub enum Instr {
         func: AggFunc,
         /// Path argument.
         path: PathId,
+        /// The argument's role, when the aggregate runs at most once
+        /// (rooted at `/`, outside every `for` body): each match loses its
+        /// instances of it as soon as it is folded in.
+        release: Option<RoleId>,
     },
     /// `signOff(path, role)` — the compile-time-placed buffer-minimization
     /// statement.
@@ -263,7 +267,14 @@ pub enum OperandIr {
     },
     /// Node sequence selected by a path; atomized to string values at
     /// runtime.
-    Path(PathId),
+    Path {
+        /// The path.
+        path: PathId,
+        /// The operand's role, when its condition runs at most once
+        /// (rooted at `/`, outside every `for` body): each match loses its
+        /// instances of it as soon as its value is taken.
+        release: Option<RoleId>,
+    },
 }
 
 /// A query compiled to its executable form: flat instruction, condition,
@@ -513,8 +524,13 @@ impl Program {
                 Instr::OutputPath { path, role } => {
                     let _ = write!(out, "output p{} copying {role}", path.0);
                 }
-                Instr::Aggregate { func, path } => {
+                Instr::Aggregate {
+                    func,
+                    path,
+                    release,
+                } => {
                     let _ = write!(out, "aggregate {}(p{})", func.name(), path.0);
+                    write_release(&mut out, release);
                 }
                 Instr::SignOff { path, role } => {
                     let _ = write!(out, "signOff(p{}, {role})", path.0);
@@ -670,8 +686,20 @@ impl Program {
     fn operand_display(&self, id: OperandId) -> String {
         match self.operand(id) {
             OperandIr::Lit { text, .. } => format!("{:?}", self.str_(text)),
-            OperandIr::Path(p) => format!("p{}", p.0),
+            OperandIr::Path { path, release } => {
+                let mut out = format!("p{}", path.0);
+                write_release(&mut out, release);
+                out
+            }
         }
+    }
+}
+
+/// The listing's mark of a value use that releases each match as it
+/// consumes it.
+fn write_release(out: &mut String, release: Option<RoleId>) {
+    if let Some(role) = release {
+        let _ = write!(out, " releasing {role}");
     }
 }
 

@@ -170,7 +170,7 @@ fn walk_cond<V: IrVisitor>(p: &Program, id: CondId, v: &mut V, ctx: &mut WalkCtx
             ..
         } => {
             for op in [lhs, rhs] {
-                if let OperandIr::Path(path) = p.operand(op) {
+                if let OperandIr::Path { path, .. } = p.operand(op) {
                     v.visit_path(p, path, PathUse::Operand, ctx);
                 }
             }

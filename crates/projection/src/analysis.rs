@@ -17,6 +17,12 @@
 //!   roles (subtree text; attribute-terminated paths only retain the owner
 //!   element, since attributes travel with their start tag).
 //!
+//! A value use rooted at `/` and outside every `for` body runs at most
+//! once, and it reads each match once: its role is recorded in
+//! [`Analysis::value_roles`], and the evaluator removes a match's instances
+//! of it as soon as it has consumed the match. The query-end signOff then
+//! removes only what evaluation never reached.
+//!
 //! ## signOff placement
 //!
 //! A role's signOff is **anchored** at a variable `$v` when the statement
@@ -56,9 +62,21 @@ pub struct Analysis {
     /// copied subtree carries, `path/descendant-or-self::node()` for a
     /// path selecting elements.
     pub output_roles: Vec<RoleId>,
+    /// One entry per aggregate argument and path operand of a condition,
+    /// in the same pre-order as `output_roles` (an operator's left operand
+    /// before its right): the use's role when the use runs at most once —
+    /// rooted at `/`, outside every `for` body — so that each match may
+    /// lose it as soon as it is consumed; `None` otherwise.
+    pub value_roles: Vec<Option<RoleId>>,
 }
 
 impl Analysis {
+    /// Whether some value use releases `role` as it consumes each match
+    /// (see [`Analysis::value_roles`]).
+    pub fn releases(&self, role: RoleId) -> bool {
+        self.value_roles.contains(&Some(role))
+    }
+
     /// The paper-style mapping listing: roles and their paths.
     pub fn roles_listing(&self) -> String {
         self.roles.listing()
@@ -74,6 +92,7 @@ pub fn analyze(query: &Query) -> Analysis {
         var_names: query.var_names.clone(),
         binding_roles: vec![None; n],
         output_roles: Vec::new(),
+        value_roles: Vec::new(),
         query_end: Vec::new(),
         loop_stack: Vec::new(),
         cond_depth: 0,
@@ -106,6 +125,7 @@ pub fn analyze(query: &Query) -> Analysis {
         rewritten,
         binding_roles: cx.binding_roles,
         output_roles: cx.output_roles,
+        value_roles: cx.value_roles,
     }
 }
 
@@ -129,6 +149,7 @@ struct Cx {
     var_names: Vec<String>,
     binding_roles: Vec<Option<RoleId>>,
     output_roles: Vec<RoleId>,
+    value_roles: Vec<Option<RoleId>>,
     query_end: Vec<(PathExpr, RoleId)>,
     /// Enclosing loops, innermost last, with the conditional depth at which
     /// each body started.
@@ -287,6 +308,16 @@ impl Cx {
         }
     }
 
+    /// Register the role of a value use (aggregate argument, path
+    /// operand) and record it in `value_roles`.
+    fn add_value_role(&mut self, p: &PathExpr, kind: UseKind) {
+        let role = self
+            .add_use_role(p, kind)
+            .expect("a value use always gets a role");
+        let once = matches!(p.root, PathRoot::Root) && self.loop_stack.is_empty();
+        self.value_roles.push(once.then_some(role));
+    }
+
     fn cond(&mut self, c: &Cond) -> Cond {
         match c {
             Cond::True => Cond::True,
@@ -301,7 +332,7 @@ impl Cx {
             Cond::Compare { op, lhs, rhs } => {
                 for operand in [lhs, rhs] {
                     if let Operand::Path(p) = operand {
-                        self.add_use_role(p, UseKind::Comparison);
+                        self.add_value_role(p, UseKind::Comparison);
                     }
                 }
                 Cond::Compare {
@@ -317,7 +348,7 @@ impl Cx {
             } => {
                 for operand in [haystack, needle] {
                     if let Operand::Path(p) = operand {
-                        self.add_use_role(p, UseKind::Comparison);
+                        self.add_value_role(p, UseKind::Comparison);
                     }
                 }
                 Cond::StringFn {
@@ -352,7 +383,7 @@ impl Cx {
                 Expr::Path(p.clone())
             }
             Expr::Aggregate { func, arg } => {
-                self.add_use_role(arg, UseKind::Aggregate(*func));
+                self.add_value_role(arg, UseKind::Aggregate(*func));
                 Expr::Aggregate {
                     func: *func,
                     arg: arg.clone(),
@@ -611,6 +642,35 @@ r7: /bib/book/title/descendant-or-self::node()
         let listing = a.roles_listing();
         assert!(listing.contains("/site/people/person\n"), "{listing}");
         assert!(!listing.contains("person/descendant-or-self"), "{listing}");
+    }
+
+    #[test]
+    fn only_root_value_uses_outside_loops_release() {
+        // In pre-order: the root count, the root comparison's path operand
+        // (the literal has no entry), then the loop body's root and
+        // variable-rooted counts.
+        let a = analyze_str(
+            "<r>{ count(/a/b), if (/a/c = 1) then 'y' else (),
+                  for $x in /a/d return (count(/a/e), count($x/f)) }</r>",
+        );
+        let listing = a.roles_listing();
+        let role = |path: &str| {
+            a.roles
+                .iter()
+                .find(|r| r.path_display() == path)
+                .unwrap_or_else(|| panic!("{path}: {listing}"))
+                .id
+        };
+        assert_eq!(
+            a.value_roles,
+            [
+                Some(role("/a/b")),
+                Some(role("/a/c/descendant-or-self::node()")),
+                None,
+                None,
+            ]
+        );
+        assert!(a.releases(role("/a/b")) && !a.releases(role("/a/e")));
     }
 
     #[test]

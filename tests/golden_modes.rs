@@ -34,6 +34,13 @@
 //! new appends` (same for purges) is asserted against
 //! [`BEFORE_COPY_THROUGH`]. That count reads the engine's own output, so
 //! it is pinned per query as well ([`WRITTEN_THROUGH`]).
+//!
+//! The latest re-pin (root aggregates release each match as they consume
+//! it) moved one row, Q6_COUNT's `gcx` row, and only its two peaks, down:
+//! the count removes an item's role as soon as it has counted the item, so
+//! the buffer holds one item at a time instead of the whole region. The
+//! same nodes are appended and purged, only earlier; tokens and output do
+//! not move. The relation is asserted against [`BEFORE_RELEASE`].
 
 mod common;
 
@@ -58,7 +65,8 @@ fn modes() -> [(&'static str, EngineOptions); 3] {
 /// per query (in `paper_queries()` order), per mode (in `modes()` order).
 /// Byte peaks re-pinned with compact buffer storage and again with hold
 /// counts; see [`BEFORE_COMPACT`] and [`BEFORE_HOLD_COUNTS`]. The `gcx`
-/// rows re-pinned with copy-through; see [`BEFORE_COPY_THROUGH`].
+/// rows re-pinned with copy-through; see [`BEFORE_COPY_THROUGH`], and
+/// Q6_COUNT's `gcx` row with released aggregates; see [`BEFORE_RELEASE`].
 #[rustfmt::skip]
 const PINNED: [[[u64; 6]; 3]; 11] = [
     // Q1
@@ -82,8 +90,34 @@ const PINNED: [[[u64; 6]; 3]; 11] = [
     // Q19
     [[9900, 7, 526, 63, 63, 999], [9900, 78, 6103, 78, 0, 999], [9900, 6067, 487025, 6067, 0, 999]],
     // Q6_COUNT
-    [[9900, 97, 8220, 97, 97, 17], [9900, 97, 8220, 97, 0, 17], [9900, 6067, 487025, 6067, 0, 17]],
+    [[9900, 5, 388, 97, 97, 17], [9900, 97, 8220, 97, 0, 17], [9900, 6067, 487025, 6067, 0, 17]],
 ];
+
+/// Q6_COUNT's `gcx` row of [`PINNED`] while a root `count()` kept every
+/// counted item until the query-end signOff: 97 nodes (`site`, `regions`,
+/// its six region children and 89 items) live at once, 8220 bytes.
+/// Released as counted, the items pass through one at a time.
+const BEFORE_RELEASE: (&str, [u64; 6]) = ("Q6_COUNT", [9900, 97, 8220, 97, 97, 17]);
+
+#[test]
+fn the_release_re_pin_moves_only_q6_count_peaks_down() {
+    let (moved, before) = BEFORE_RELEASE;
+    for ((name, _), rows) in queries::paper_queries().into_iter().zip(PINNED) {
+        if name != moved {
+            continue;
+        }
+        let now = rows[0];
+        let [tokens, peak, peak_bytes, allocated, purged, output] = before;
+        assert_eq!(
+            [tokens, allocated, purged, output],
+            [now[0], now[3], now[4], now[5]],
+            "{name}: tokens, appends, purges, output"
+        );
+        assert!(now[1] < peak && now[2] < peak_bytes, "{name}: peaks");
+        return;
+    }
+    panic!("{moved} is not a paper query");
+}
 
 /// The `gcx` rows of [`PINNED`] (first of each query) as they stood while
 /// every copied element was buffered whole and serialized after its end
