@@ -4,8 +4,8 @@
 
 use crate::dtd::path_is_bounded;
 use gcx_ir::{
-    walk, AttrPlan, CondId, CondIr, ETest, Instr, InstrId, IrVisitor, OperandIr, PathId, PathPlan,
-    PathUse, PlanRoot, Program, WalkCtx,
+    walk, AttrPlan, CondId, CondIr, EAxis, ETest, Instr, InstrId, IrVisitor, OperandIr, PathId,
+    PathPlan, PathUse, PlanRoot, Program, WalkCtx,
 };
 use gcx_query::ast::{AggFunc, RoleId};
 use gcx_schema::Dtd;
@@ -176,13 +176,15 @@ impl QueryAnalysis {
 
 /// Classify an optimized program, with an optional DTD for tightening.
 pub fn analyze_program(p: &Program, dtd: Option<&Dtd>) -> QueryAnalysis {
+    let mut readers = RootReaders(0);
+    walk(p, &mut readers);
     let mut v = Classifier {
         dtd,
         class: StreamClass::Constant,
         bound_span: None,
         bindings: Vec::new(),
         lints: Vec::new(),
-        read: false,
+        shared: readers.0 > 1,
     };
     walk(p, &mut v);
     let bound = match v.class {
@@ -212,26 +214,56 @@ struct Classifier<'a> {
     bound_span: Option<String>,
     bindings: Vec<BindingReport>,
     lints: Vec<GcxLint>,
-    /// Some construct visited so far reads the document, so it may block
-    /// on input before a later one runs: matches of the later one's path
-    /// then accumulate in the buffer meanwhile.
-    read: bool,
+    /// More than one path rooted at `/` reads the document. Whichever
+    /// runs first may block on input before the others run, and their
+    /// matches accumulate in the buffer meanwhile: a root value use is
+    /// released as it is consumed only when it is the query's one root
+    /// reader.
+    shared: bool,
+}
+
+/// Counts the path uses rooted at `/` that read the document.
+struct RootReaders(usize);
+
+impl IrVisitor for RootReaders {
+    fn visit_path(&mut self, p: &Program, id: PathId, use_: PathUse, _ctx: &WalkCtx) {
+        if use_ != PathUse::SignOff && p.path(id).root == PlanRoot::Root {
+            self.0 += 1;
+        }
+    }
 }
 
 fn has_positional(p: &Program, plan: PathPlan) -> bool {
     p.path_steps(plan).iter().any(|s| s.pos.is_some())
 }
 
-/// What one match of a value use that releases it as it is consumed
-/// holds in the buffer: the node alone for a count, an attribute's owner
-/// element or a text node (`constant`), else the match's subtree until
-/// its string value is taken (`per-item`).
-fn one_match(p: &Program, plan: PathPlan, atomized: bool) -> StreamClass {
-    let text = matches!(p.path_steps(plan).last(), Some(s) if s.test == ETest::Text);
-    if !atomized || plan.attr != AttrPlan::None || text {
-        StreamClass::Constant
+/// What one match of a value use that releases each match as it is
+/// consumed holds in the buffer, or `None` when one match can span a
+/// whole region. An attribute's owner element or a text node is released
+/// at the match (`constant`), and so is a counted element, which waits
+/// for its end tag, when no match can nest in another (child and self
+/// steps only). Otherwise one match is held with its subtree until it is
+/// consumed (`per-item`): an atomized element until its string value is
+/// taken, a counted one until its end tag, with the matches nested in it.
+/// A wildcard under a descendant step can match an element that holds
+/// every later match (`//*` first matches the document element), and a
+/// path with no steps is the document root itself: `None` for both.
+fn one_match(p: &Program, plan: PathPlan, atomized: bool) -> Option<StreamClass> {
+    let steps = p.path_steps(plan);
+    let leaf =
+        plan.attr != AttrPlan::None || matches!(steps.last(), Some(s) if s.test == ETest::Text);
+    let nests = steps
+        .iter()
+        .any(|s| matches!(s.axis, EAxis::Descendant | EAxis::DescendantOrSelf));
+    let named = matches!(steps.last(), Some(s) if matches!(s.test, ETest::Name(_)));
+    if !plan.has_steps() {
+        None
+    } else if leaf || (!atomized && !nests) {
+        Some(StreamClass::Constant)
+    } else if nests && !named {
+        None
     } else {
-        StreamClass::PerItem
+        Some(StreamClass::PerItem)
     }
 }
 
@@ -471,23 +503,27 @@ impl Classifier<'_> {
                     "loop body aggregates over the document root",
                 );
             }
-            PlanRoot::Root if release.is_some() && !self.read => {
-                let class = one_match(p, plan, func != AggFunc::Count);
-                self.report(
-                    &name,
-                    &span,
-                    class,
-                    "streamed: each match is released as it is folded in",
-                );
-            }
-            PlanRoot::Root if func == AggFunc::Count => self.region(
-                p,
-                plan,
-                &span,
-                &name,
-                "count() retains the counted region until the total is known",
-            ),
             PlanRoot::Root => {
+                if release.is_some() && !self.shared {
+                    if let Some(class) = one_match(p, plan, func != AggFunc::Count) {
+                        self.report(
+                            &name,
+                            &span,
+                            class,
+                            "streamed: each match is released as it is folded in",
+                        );
+                        return;
+                    }
+                }
+                if func == AggFunc::Count {
+                    return self.region(
+                        p,
+                        plan,
+                        &span,
+                        &name,
+                        "count() retains the counted region until the total is known",
+                    );
+                }
                 if let Some(dtd) = self.dtd {
                     if path_is_bounded(dtd, p, plan) {
                         self.lint(
@@ -567,12 +603,25 @@ impl Classifier<'_> {
                 }
                 self.raise(StreamClass::Document, &span);
             }
-            // A top-level operand read before anything else blocks: each
-            // match is released once its value is taken.
-            PlanRoot::Root if release.is_some() && !self.read => {
-                self.raise(one_match(p, plan, true), &span)
+            PlanRoot::Root if use_ == PathUse::Operand && !plan.has_steps() => {
+                self.lint(
+                    "GCX-ROOT",
+                    Severity::Warning,
+                    &span,
+                    "comparison atomizes the document root",
+                    "the operand's string value is the whole document's text, held until the document ends",
+                );
+                self.raise(StreamClass::Document, &span);
             }
             PlanRoot::Root => {
+                // The query's one root reader: each match is released
+                // once its value is taken.
+                if release.is_some() && !self.shared {
+                    if let Some(class) = one_match(p, plan, true) {
+                        self.raise(class, &span);
+                        return;
+                    }
+                }
                 // A top-level condition over a document region: held as
                 // a unit, like a top-level output.
                 if let Some(dtd) = self.dtd {
@@ -633,8 +682,7 @@ impl IrVisitor for Classifier<'_> {
 
     fn visit_cond(&mut self, p: &Program, id: CondId, ctx: &WalkCtx) {
         // Operands are classified here, where their release role is
-        // known, left before right: the right one runs after the left
-        // one has read the document.
+        // known.
         if let CondIr::Compare { lhs, rhs, .. }
         | CondIr::StringFn {
             haystack: lhs,
@@ -645,23 +693,18 @@ impl IrVisitor for Classifier<'_> {
             for op in [lhs, rhs] {
                 if let OperandIr::Path { path, release } = p.operand(op) {
                     self.probe(p, path, PathUse::Operand, release, ctx);
-                    self.read = true;
                 }
             }
         }
     }
 
     fn visit_path(&mut self, p: &Program, id: PathId, use_: PathUse, ctx: &WalkCtx) {
-        match use_ {
-            // Bindings, outputs and aggregates are classified from
-            // `enter_instr` (they need the instruction's context), and
-            // operands from `visit_cond`; signOffs are buffer-local and
-            // free.
-            PathUse::Binding | PathUse::Output | PathUse::Aggregate | PathUse::Operand => {}
-            PathUse::SignOff => return,
-            PathUse::Exists => self.probe(p, id, use_, None, ctx),
+        // Bindings, outputs and aggregates are classified from
+        // `enter_instr` (they need the instruction's context), and
+        // operands from `visit_cond`; signOffs are buffer-local and free.
+        if use_ == PathUse::Exists {
+            self.probe(p, id, use_, None, ctx);
         }
-        self.read = true;
     }
 }
 
@@ -750,27 +793,38 @@ mod tests {
     fn count_over_document_region_is_subtree() {
         // The second count runs only once the first has read its whole
         // region: the matches of its own region wait in the buffer
-        // meanwhile.
+        // meanwhile. With two root readers neither is released.
         let a = analyzed("<r>{ count(/site/people/person), count(/site/regions//item) }</r>");
         assert_eq!(a.class, StreamClass::Subtree);
-        assert!(a.bound.contains("item region"), "{}", a.bound);
+        assert!(a.bound.contains("person region"), "{}", a.bound);
         let lints: Vec<_> = a.lints.iter().map(|l| (l.code, l.span.as_str())).collect();
         assert_eq!(
             lints,
-            [(
-                "GCX-SUBTREE",
-                "/child::site/child::regions/descendant::item"
-            )]
+            [
+                ("GCX-SUBTREE", "/child::site/child::people/child::person"),
+                (
+                    "GCX-SUBTREE",
+                    "/child::site/child::regions/descendant::item"
+                )
+            ]
         );
+        // A later root loop waits the same way while the count blocks.
+        let a = analyzed(
+            "<r>{ count(/site/regions//item) }\
+               { for $p in /site/people/person return $p/name }</r>",
+        );
+        assert_eq!(a.class, StreamClass::Subtree);
+        assert!(a.bound.contains("item region"), "{}", a.bound);
     }
 
     #[test]
-    fn first_root_count_releases_each_match() {
-        // Nothing reads the document before it: each match is released
-        // as it is counted, and one match holds the node alone.
+    fn sole_root_count_releases_each_match() {
+        // Nothing else reads the document: each match is released as it
+        // is counted. An item waits for its end tag, with any item nested
+        // in it, so one match holds one item's subtree.
         let a = analyzed("<count>{ count(/site/regions//item) }</count>");
-        assert_eq!(a.class, StreamClass::Constant);
-        assert_eq!(a.bound, "O(1)");
+        assert_eq!(a.class, StreamClass::PerItem);
+        assert!(a.bound.contains("item item"), "{}", a.bound);
         assert!(a.lints.is_empty(), "{:?}", a.lints);
         assert_eq!(a.bindings.len(), 1);
         assert!(
@@ -778,10 +832,14 @@ mod tests {
             "{:?}",
             a.bindings
         );
+        // Child steps alone cannot nest: one match is the node alone.
+        let a = analyzed("<count>{ count(/site/people/person) }</count>");
+        assert_eq!(a.class, StreamClass::Constant);
+        assert_eq!(a.bound, "O(1)");
     }
 
     #[test]
-    fn first_root_value_use_holds_one_match() {
+    fn sole_root_value_use_holds_one_match() {
         // An atomized element holds its subtree until its value is taken;
         // an attribute its owner element.
         for (q, class) in [
@@ -794,6 +852,7 @@ mod tests {
                 StreamClass::Constant,
             ),
             ("<s>{ avg(/site/a/b/text()) }</s>", StreamClass::Constant),
+            ("<s>{ count(//item/@id) }</s>", StreamClass::Constant),
             (
                 "if (/site/regions//item/name = \"x\") then \"y\" else ()",
                 StreamClass::PerItem,
@@ -807,10 +866,36 @@ mod tests {
             assert_eq!(a.class, class, "{q}");
             assert!(a.lints.is_empty(), "{q}: {:?}", a.lints);
         }
-        // The right operand runs after the left one has read its region.
+        // Two root operands: the right one runs after the left one has
+        // read its region, so neither is released.
         let a = analyzed("if (/site/a = /site/b) then \"y\" else ()");
         assert_eq!(a.class, StreamClass::Subtree);
-        assert!(a.bound.contains("child::b"), "{}", a.bound);
+        assert!(a.bound.contains("child::a"), "{}", a.bound);
+    }
+
+    #[test]
+    fn a_match_that_can_span_a_region_is_not_one_match() {
+        // `//*` first matches the document element, which holds every
+        // later match until its end tag; `/` is the root itself.
+        for (q, class, code) in [
+            ("<c>{ count(//*) }</c>", StreamClass::Subtree, "GCX-SUBTREE"),
+            (
+                "<c>{ count(/site//*) }</c>",
+                StreamClass::Subtree,
+                "GCX-SUBTREE",
+            ),
+            ("<c>{ sum(//*) }</c>", StreamClass::Document, "GCX-AGG"),
+            ("<s>{ sum(/) }</s>", StreamClass::Document, "GCX-AGG"),
+            (
+                "if (/ = \"x\") then \"y\" else ()",
+                StreamClass::Document,
+                "GCX-ROOT",
+            ),
+        ] {
+            let a = analyzed(q);
+            assert_eq!(a.class, class, "{q}");
+            assert!(a.lints.iter().any(|l| l.code == code), "{q}: {:?}", a.lints);
+        }
     }
 
     #[test]
@@ -852,6 +937,29 @@ mod tests {
     }
 
     #[test]
+    fn dtd_tightens_bounded_count_after_an_earlier_reader() {
+        // The count is not the query's one root reader, so it holds its
+        // region; the DTD caps that region.
+        let dtd = Dtd::parse(
+            "<!ELEMENT r (x, a)><!ELEMENT x (#PCDATA)><!ELEMENT a (b?)><!ELEMENT b (#PCDATA)>",
+        )
+        .unwrap();
+        let q = "<n>{ /r/x, count(/r/a) }</n>";
+        let with = analyzed_with(q, Some(&dtd));
+        assert_eq!(with.class, StreamClass::PerItem);
+        assert!(
+            with.lints
+                .iter()
+                .any(|l| l.code == "GCX-DTD" && l.span.ends_with("child::a")),
+            "{:?}",
+            with.lints
+        );
+        let count = with.bindings.iter().find(|b| b.name == "count()").unwrap();
+        assert_eq!(count.class, StreamClass::PerItem);
+        assert_eq!(analyzed(q).class, StreamClass::Subtree);
+    }
+
+    #[test]
     fn dtd_does_not_tighten_unbounded_regions() {
         let dtd = Dtd::parse("<!ELEMENT r (a*)><!ELEMENT a (b?)><!ELEMENT b (#PCDATA)>").unwrap();
         let a = analyzed_with("<n>{ /r/a }</n>", Some(&dtd));
@@ -863,7 +971,7 @@ mod tests {
     fn paper_query_classes_match_measured_behavior() {
         // The pinned expectations behind the soundness suite: nine
         // streaming queries, the join, and the counting ablation, which
-        // releases each item as it counts it.
+        // releases each item as it counts it and holds one item at most.
         let expect = [
             ("Q1", StreamClass::PerItem),
             ("Q6", StreamClass::PerItem),
@@ -875,7 +983,7 @@ mod tests {
             ("Q14", StreamClass::PerItem),
             ("Q17", StreamClass::PerItem),
             ("Q19", StreamClass::PerItem),
-            ("Q6_COUNT", StreamClass::Constant),
+            ("Q6_COUNT", StreamClass::PerItem),
         ];
         let queries = gcx_xmark::queries::paper_queries();
         assert_eq!(queries.len(), expect.len());

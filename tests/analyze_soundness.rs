@@ -70,8 +70,9 @@ fn worst_peak(q: &CompiledQuery, doc: &[u8], rng: &mut XorShift) -> u64 {
 
 /// The expected class of every paper query. Q8 buffers both join sides
 /// (`Document`); Q6_COUNT releases each item as it counts it, so one item
-/// node is all a match holds (`Constant`: its peak is measured equal at
-/// both document sizes); everything else streams item by item.
+/// (the node, with any item nested in it) is all a match holds
+/// (`PerItem`: its peak is measured equal at both document sizes);
+/// everything else streams item by item.
 const EXPECTED: &[(&str, StreamClass)] = &[
     ("Q1", StreamClass::PerItem),
     ("Q6", StreamClass::PerItem),
@@ -83,14 +84,25 @@ const EXPECTED: &[(&str, StreamClass)] = &[
     ("Q14", StreamClass::PerItem),
     ("Q17", StreamClass::PerItem),
     ("Q19", StreamClass::PerItem),
-    ("Q6_COUNT", StreamClass::Constant),
+    ("Q6_COUNT", StreamClass::PerItem),
     ("TWO_COUNTS", StreamClass::Subtree),
+    ("COUNT_THEN_LOOP", StreamClass::Subtree),
+    ("COUNT_ALL", StreamClass::Subtree),
 ];
 
 /// Two root aggregates in sequence: the second releases nothing as it
 /// goes, because its items wait in the buffer while the first one blocks
 /// on its own region. Its peak is measured to grow with the document.
 const TWO_COUNTS: &str = "<r>{ count(/site/people/person), count(/site/regions//item) }</r>";
+
+/// A root count followed by a root loop: the loop's bindings wait in the
+/// buffer while the count blocks. Measured to grow linearly.
+const COUNT_THEN_LOOP: &str = "<r>{ count(/site/regions//item) }\
+    { for $p in /site/people/person return $p/name }</r>";
+
+/// Counted elements that nest: `site` is the first match, and every
+/// element below it waits for its end tag. Measured to grow linearly.
+const COUNT_ALL: &str = "<c>{ count(//*) }</c>";
 
 fn expected_class(name: &str) -> StreamClass {
     EXPECTED
@@ -108,6 +120,8 @@ fn static_class_dominates_observed_peak_growth() {
     let mut rng = XorShift(0x9E3779B97F4A7C15);
     let mut cases = queries::paper_queries();
     cases.push(("TWO_COUNTS", TWO_COUNTS));
+    cases.push(("COUNT_THEN_LOOP", COUNT_THEN_LOOP));
+    cases.push(("COUNT_ALL", COUNT_ALL));
     for (name, qtext) in cases {
         let q = CompiledQuery::compile(qtext).expect("compile");
         let a = analyze_program(&q.program, None);
@@ -129,7 +143,7 @@ fn static_class_dominates_observed_peak_growth() {
             // Flat: one item node at a time at either size.
             "Q6_COUNT" => assert_eq!(p_small, p_large, "{name}: peak"),
             // Linear: the held region is 8x larger on the 8x document.
-            "TWO_COUNTS" => assert!(
+            "TWO_COUNTS" | "COUNT_THEN_LOOP" | "COUNT_ALL" => assert!(
                 p_large >= p_small * 5,
                 "{name}: peak {p_small} -> {p_large} on 8x input"
             ),
