@@ -237,6 +237,15 @@ fn has_positional(p: &Program, plan: PathPlan) -> bool {
     p.path_steps(plan).iter().any(|s| s.pos.is_some())
 }
 
+/// A path of one child step from `/` (`/site`, `/bib`): its one match is
+/// the document element — a document has exactly one — so it covers the
+/// whole document, as `/` does.
+fn document_element(p: &Program, plan: PathPlan) -> bool {
+    plan.root == PlanRoot::Root
+        && plan.attr == AttrPlan::None
+        && matches!(p.path_steps(plan), [s] if s.axis == EAxis::Child && s.pos.is_none())
+}
+
 /// What one match of a value use that releases each match as it is
 /// consumed holds in the buffer, or `None` when one match can span a
 /// whole region. An attribute's owner element or a text node is released
@@ -326,6 +335,21 @@ impl Classifier<'_> {
                     &span,
                     StreamClass::Document,
                     "binds the document root",
+                );
+            }
+            PlanRoot::Root if document_element(p, plan) => {
+                self.lint(
+                    "GCX-ROOT",
+                    Severity::Warning,
+                    &span,
+                    "the loop binds the document element",
+                    "a document has one element at its root, so one binding covers the whole document and releasing per iteration releases nothing",
+                );
+                self.report(
+                    name,
+                    &span,
+                    StreamClass::Document,
+                    "binds the document element",
                 );
             }
             PlanRoot::Root if has_positional(p, plan) => {
@@ -766,6 +790,30 @@ mod tests {
         let a = analyzed("for $b in /site/people/person[2] return $b/name");
         assert_eq!(a.class, StreamClass::Document);
         assert!(a.lints.iter().any(|l| l.code == "GCX-POS"), "{:?}", a.lints);
+    }
+
+    #[test]
+    fn a_loop_over_the_document_element_is_document() {
+        // One child step from `/` has one match, the document element:
+        // like a loop over `/`, one binding covers the whole document.
+        for q in [
+            "for $s in /site return sum($s//item/quantity)",
+            "for $b in /bib return $b/book",
+            "for $e in /* return $e",
+        ] {
+            let a = analyzed(q);
+            assert_eq!(a.class, StreamClass::Document, "{q}");
+            assert_eq!(a.bindings[0].reason, "binds the document element", "{q}");
+            assert!(
+                a.lints.iter().any(|l| l.code == "GCX-ROOT"),
+                "{q}: {:?}",
+                a.lints
+            );
+        }
+        // Two child steps may have many matches: per item, as before.
+        let a = analyzed("for $r in /site/regions return $r");
+        assert_eq!(a.class, StreamClass::PerItem);
+        assert!(a.lints.is_empty(), "{:?}", a.lints);
     }
 
     #[test]

@@ -873,9 +873,10 @@ fn sample_stats_json() -> [String; 3] {
     // the double root copy blows past it (runtime failure, `error`), so
     // both per_query shapes are exercised. The batch exits nonzero but the
     // stats JSON is printed either way. Peaks are deterministic: the
-    // text() query tops out at 264 bytes; the second copy of the root
-    // needs every node buffered, 456 bytes (a single copy is written
-    // through as it arrives and holds the root alone).
+    // text() query tops out at three 48-byte slots and a 48-byte text, 192
+    // bytes; the second copy of the root needs every node buffered, five
+    // slots and both texts, 336 bytes (a single copy is written through as
+    // it arrives and holds the root alone).
     let mdoc = write_temp(
         "schema-m.xml",
         "<l><i>aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa</i>\
@@ -889,7 +890,7 @@ fn sample_stats_json() -> [String; 3] {
         .arg("multi")
         .arg(&batch)
         .arg(&mdoc)
-        .args(["--obs", "--stats-json", "--max-buffer-bytes", "400"])
+        .args(["--obs", "--stats-json", "--max-buffer-bytes", "280"])
         .output()
         .unwrap();
 

@@ -42,15 +42,24 @@
 //!
 //! ## Storage
 //!
-//! A node is one slot of 72 bytes (asserted at compile time): tree links,
-//! name, sibling ordinals, role, pin and hold counters, generation and
-//! flags, and its role multiset when that has a single entry — a node with
-//! more keeps them in a shared overflow. Slots live in chunks of
-//! [`BufferTree::CHUNK_SLOTS`]; a node's index names its chunk and its
-//! place there. A purged slot goes on its chunk's intrusive free list and
-//! is reused under a new generation, so a `NodeId` held across the purge
-//! is no longer live ([`BufferTree::is_live`]) instead of aliasing the new
-//! occupant.
+//! A node is one slot of [`SLOT_BYTES`] = 48 bytes (asserted at compile
+//! time): tree links, its tag (a text node's length), where its payload
+//! starts, flags with its attribute count, hold and pin counters,
+//! generation, and its role multiset when that has a single entry — a node
+//! with more keeps them in a shared overflow, the slot keeping the block's
+//! place and its entry count and length as two u16s (so a program has at
+//! most [`MAX_ROLES`] roles). Nothing the slot can derive is stored: a
+//! child list is linked both ways, the first child's back-link naming the
+//! last child (`next_sibling` chains end in NIL), and a payload's length
+//! follows from the text's length or from the attribute count and the last
+//! record's value end. A node's [`Ordinals`] are read only by a positional
+//! step, so only a buffer whose program has one keeps them, at the head of
+//! each node's payload ([`BufferTree::with_ordinals`]). Slots live in
+//! chunks of [`BufferTree::CHUNK_SLOTS`]; a node's index names its chunk
+//! and its place there. A purged slot goes on its chunk's intrusive free
+//! list and is reused under a new generation, so a `NodeId` held across
+//! the purge is no longer live ([`BufferTree::is_live`]) instead of
+//! aliasing the new occupant.
 //!
 //! **Chunks, and the fragmentation bound.** A chunk is allocated only when
 //! every resident chunk is full, and a chunk that a purge empties goes
@@ -66,13 +75,14 @@
 //! spare. Later appends fill a survivor's chunk before any chunk is
 //! allocated.
 //!
-//! **Payload store.** Attributes and text live in one byte store: an
-//! element's attribute records (4-byte name, 4-byte value end) followed by
-//! its values, a text node's characters — exactly the bytes `node_bytes`
-//! charges beside the slot. Blocks are rounded up to size classes (8-byte
-//! steps to 64 bytes, then four per power of two: at most 25 % over); a
-//! purge puts a block on its class's free list, and the next payload of
-//! that class takes it. The store keeps its high-water.
+//! **Payload store.** Ordinals, attributes and text live in one byte
+//! store: a node's three 4-byte ordinals where the buffer keeps them, then
+//! an element's attribute records (4-byte name, 4-byte value end) followed
+//! by its values, or a text node's characters — exactly the bytes
+//! `node_bytes` charges beside the slot. Blocks are rounded up to size
+//! classes (8-byte steps to 64 bytes, then four per power of two: at most
+//! 25 % over); a purge puts a block on its class's free list, and the next
+//! payload of that class takes it. The store keeps its high-water.
 
 use crate::error::EngineError;
 use crate::obs::{RoleObs, Timeline};
@@ -127,7 +137,33 @@ impl Ordinals {
         elem: 1,
         any: 1,
     };
+
+    /// Lay the ordinals out as the payload store keeps them.
+    fn write_to(self, head: &mut [u8]) {
+        for (at, n) in [self.same_kind, self.elem, self.any]
+            .into_iter()
+            .enumerate()
+        {
+            head[4 * at..4 * at + 4].copy_from_slice(&n.to_le_bytes());
+        }
+    }
+
+    fn read(head: &[u8]) -> Ordinals {
+        Ordinals {
+            same_kind: u32_at(head, 0),
+            elem: u32_at(head, 4),
+            any: u32_at(head, 8),
+        }
+    }
 }
+
+/// Bytes of a node's [`Ordinals`] at the head of its payload, in a buffer
+/// that keeps them.
+const ORDINAL_BYTES: u32 = 12;
+
+/// The most roles a program may have: a spilled role multiset counts its
+/// entries (distinct roles) in 16 bits.
+pub const MAX_ROLES: usize = u16::MAX as usize;
 
 /// Attributes on their way into the buffer: interned names plus one value
 /// arena. The lane collects a start tag's attributes here (and keeps its
@@ -252,39 +288,38 @@ fn utf8(bytes: &[u8]) -> &str {
 struct Slot {
     parent: u32,
     first_child: u32,
-    last_child: u32,
+    /// The previous sibling; on a first child, the last child of the
+    /// parent (itself when it is the only one).
     prev_sibling: u32,
-    /// The next sibling; on a free slot, the next free slot of its chunk.
+    /// The next sibling, NIL on a last child; on a free slot, the next free
+    /// slot of its chunk.
     next_sibling: u32,
-    /// Element tag (unused on text nodes).
-    name: Symbol,
+    /// An element's tag ([`Symbol`]), a text node's length in bytes.
+    word: u32,
     /// Where the payload starts in the store, in 8-byte units.
     payload_at: u32,
-    /// Payload bytes: attribute records and values, or text.
-    payload_len: u32,
     /// [`CLOSED`], [`TEXT`] and [`SPILLED`] in the top bits, the number of
     /// attributes below them (an attribute takes 8 payload bytes of at
     /// most 4 GiB, so the count fits).
     flags: u32,
-    ordinals: Ordinals,
     /// Children that hold (see the module docs, "Hold counts").
     held: u32,
     /// Evaluator pins on this node.
     pins: u32,
     /// [`FREE`] on a free slot.
     gen: u32,
-    /// The role multiset (sorted by role) while it has at most one entry;
-    /// with [`SPILLED`], `(at, capacity)` of its block in the overflow.
+    /// The role multiset (sorted by role) while it has at most one entry:
+    /// that entry, or a zero count when there is none. With [`SPILLED`],
+    /// the block's place in the overflow, and its entry count (low u16)
+    /// and length (high u16). Either way the second word is zero exactly
+    /// when the multiset is empty.
     role: (RoleId, u32),
-    /// Entries in the role multiset.
-    roles: u32,
 }
 
-const _: () = assert!(size_of::<Slot>() == 72);
+const _: () = assert!(size_of::<Slot>() <= 48);
 
-/// What every buffered node is charged before its payload: its slot —
-/// and all a lane's pending element is charged.
-pub(crate) const SLOT_BYTES: u64 = size_of::<Slot>() as u64;
+/// What every buffered node is charged before its payload: its slot.
+pub const SLOT_BYTES: u64 = size_of::<Slot>() as u64;
 
 /// [`Slot::flags`]: the end tag was read (text nodes are born closed).
 const CLOSED: u32 = 1 << 31;
@@ -295,15 +330,36 @@ const SPILLED: u32 = 1 << 29;
 /// [`Slot::flags`]: the bits that count attributes.
 const ATTR_COUNT: u32 = SPILLED - 1;
 
+/// Entries of a spilled multiset, from its [`Slot::role`] count word.
+fn spilled_len(word: u32) -> usize {
+    (word & 0xFFFF) as usize
+}
+
+/// Length of a spilled multiset's overflow block, from its count word.
+fn spilled_cap(word: u32) -> u32 {
+    word >> 16
+}
+
 impl Slot {
+    /// Entries in the role multiset.
+    #[inline]
+    fn role_entries(&self) -> usize {
+        if self.flags & SPILLED != 0 {
+            spilled_len(self.role.1)
+        } else {
+            usize::from(self.role.1 != 0)
+        }
+    }
+
     /// The role multiset, sorted by role id.
     #[inline]
     fn role_list<'a>(&'a self, overflow: &'a RoleOverflow) -> &'a [(RoleId, u32)] {
+        let n = self.role_entries();
         if self.flags & SPILLED != 0 {
             let at = self.role.0 .0 as usize;
-            &overflow.pairs[at..at + self.roles as usize]
+            &overflow.pairs[at..at + n]
         } else {
-            &std::slice::from_ref(&self.role)[..self.roles as usize]
+            &std::slice::from_ref(&self.role)[..n]
         }
     }
 
@@ -311,11 +367,13 @@ impl Slot {
     /// many went. An entry that drops to zero leaves the multiset, and an
     /// emptied overflow block goes back to the overflow.
     fn take_role(&mut self, overflow: &mut RoleOverflow, role: RoleId, amount: u32) -> u32 {
-        let n = self.roles as usize;
-        let list = if self.flags & SPILLED != 0 {
+        let n = self.role_entries();
+        let spilled = self.flags & SPILLED != 0;
+        let list = if spilled {
             let at = self.role.0 .0 as usize;
             &mut overflow.pairs[at..at + n]
         } else {
+            // A last instance taken zeroes the count word itself.
             &mut std::slice::from_mut(&mut self.role)[..n]
         };
         let Some(pos) = list.iter().position(|&(r, _)| r == role) else {
@@ -323,11 +381,12 @@ impl Slot {
         };
         let removed = list[pos].1.min(amount);
         list[pos].1 -= removed;
-        if list[pos].1 == 0 {
+        if list[pos].1 == 0 && spilled {
             list.copy_within(pos + 1.., pos);
-            self.roles -= 1;
-            if self.roles == 0 && self.flags & SPILLED != 0 {
-                overflow.release(self.role.0 .0, self.role.1);
+            self.role.1 -= 1;
+            if spilled_len(self.role.1) == 0 {
+                overflow.release(self.role.0 .0, spilled_cap(self.role.1));
+                self.role = (RoleId(0), 0);
                 self.flags &= !SPILLED;
             }
         }
@@ -339,7 +398,7 @@ impl Slot {
 /// holds? One that does not is what the purge rule reclaims.
 #[inline]
 fn holds(s: &Slot) -> bool {
-    s.flags & CLOSED == 0 || s.roles != 0 || s.pins != 0 || s.held != 0
+    s.flags & CLOSED == 0 || s.role.1 != 0 || s.pins != 0 || s.held != 0
 }
 
 /// [`BufferTree::CHUNK_SLOTS`] slots and their free list.
@@ -365,7 +424,6 @@ struct Chunk {
 struct Payload {
     at: u32,
     len: u32,
-    attrs: u32,
 }
 
 /// Attribute records and text, in size-classed blocks of one byte vector
@@ -421,7 +479,7 @@ impl PayloadStore {
         };
         let start = at as usize * 8;
         fill(&mut self.bytes[start..start + len as usize]);
-        Payload { at, len, attrs: 0 }
+        Payload { at, len }
     }
 
     /// Put the block of a purged `len`-byte payload on its class's free
@@ -433,10 +491,11 @@ impl PayloadStore {
         self.free[class] = at;
     }
 
+    /// `len` bytes from `skip` into the block at `at`.
     #[inline]
-    fn get(&self, at: u32, len: u32) -> &[u8] {
-        let start = at as usize * 8;
-        &self.bytes[start..start + len as usize]
+    fn get(&self, at: u32, skip: u32, len: usize) -> &[u8] {
+        let start = at as usize * 8 + skip as usize;
+        &self.bytes[start..start + len]
     }
 }
 
@@ -624,6 +683,9 @@ pub struct BufferTree {
     /// The generation the next append gets.
     next_gen: u32,
     store: PayloadStore,
+    /// [`ORDINAL_BYTES`] where every payload starts with its node's
+    /// ordinals, else 0 ([`BufferTree::with_ordinals`]).
+    ordinal_bytes: u32,
     overflow: RoleOverflow,
     stats: BufferStats,
     /// When false, purging is disabled entirely (full-buffering baseline).
@@ -662,19 +724,15 @@ impl BufferTree {
         let root = Slot {
             parent: NIL,
             first_child: NIL,
-            last_child: NIL,
             prev_sibling: NIL,
             next_sibling: NIL,
-            name: Symbol(u32::MAX),
+            word: u32::MAX,
             payload_at: 0,
-            payload_len: 0,
             flags: 0,
-            ordinals: Ordinals::FIRST,
             held: 0,
             pins: 0,
             gen: ROOT_GEN,
             role: (RoleId(0), 0),
-            roles: 0,
         };
         // Room for what a query that tests and drops its nodes keeps at a
         // time; one that buffers more grows the chunk to full size.
@@ -694,6 +752,7 @@ impl BufferTree {
             spare: NIL,
             next_gen: ROOT_GEN + 1,
             store: PayloadStore::default(),
+            ordinal_bytes: 0,
             overflow: RoleOverflow::default(),
             stats: BufferStats::default(),
             purge_enabled,
@@ -705,6 +764,23 @@ impl BufferTree {
             #[cfg(test)]
             hold_steps: 0,
         }
+    }
+
+    /// With `keep`, keep every node's [`Ordinals`], stamped at its append
+    /// ([`ORDINAL_BYTES`] at the head of its payload, charged with it):
+    /// what a program with a positional step reads. Without, the ordinals
+    /// handed to an append are dropped.
+    pub fn with_ordinals(mut self, keep: bool) -> BufferTree {
+        debug_assert_eq!(self.stats.allocated, 0, "ordinals are kept from the start");
+        self.ordinal_bytes = if keep { ORDINAL_BYTES } else { 0 };
+        self
+    }
+
+    /// What an element without attributes is charged: its slot, and its
+    /// ordinals where the buffer keeps them. A lane charges each element
+    /// of its pending chain as much.
+    pub(crate) fn bare_element_bytes(&self) -> u64 {
+        SLOT_BYTES + self.ordinal_bytes as u64
     }
 
     /// Current statistics.
@@ -969,10 +1045,17 @@ impl BufferTree {
         self.id_at(self.node(id).next_sibling)
     }
 
+    /// Last child: the first child's back-link.
+    #[cfg(test)]
+    fn last_child(&self, id: NodeId) -> Option<NodeId> {
+        let first = self.first_child(id)?;
+        self.id_at(self.node(first).prev_sibling)
+    }
+
     /// Element tag, if `id` is an element.
     pub fn name(&self, id: NodeId) -> Option<Symbol> {
         let s = self.node(id);
-        (s.flags & TEXT == 0).then_some(s.name)
+        (s.flags & TEXT == 0).then_some(Symbol(s.word))
     }
 
     /// True for text nodes.
@@ -987,7 +1070,12 @@ impl BufferTree {
 
     #[inline]
     fn text_of(&self, s: &Slot) -> Option<&str> {
-        (s.flags & TEXT != 0).then(|| utf8(self.store.get(s.payload_at, s.payload_len)))
+        (s.flags & TEXT != 0).then(|| {
+            utf8(
+                self.store
+                    .get(s.payload_at, self.ordinal_bytes, s.word as usize),
+            )
+        })
     }
 
     /// Attribute value by interned name.
@@ -1006,11 +1094,25 @@ impl BufferTree {
         if s.flags & TEXT != 0 || n == 0 {
             return Attrs::default();
         }
-        let (records, values) = self
+        let records = self
             .store
-            .get(s.payload_at, s.payload_len)
-            .split_at(n * ATTR_RECORD);
+            .get(s.payload_at, self.ordinal_bytes, n * ATTR_RECORD);
+        // The last record's value end is the length of the values.
+        let values = u32_at(records, records.len() - 4) as usize;
+        let skip = self.ordinal_bytes + records.len() as u32;
+        let values = self.store.get(s.payload_at, skip, values);
         Attrs { records, values }
+    }
+
+    /// Bytes of `s`'s payload (see the module docs), derived: its ordinals
+    /// where the buffer keeps them, then its text or, for an element, its
+    /// attribute records and values.
+    fn payload_len(&self, s: &Slot) -> u32 {
+        if s.flags & TEXT != 0 {
+            return self.ordinal_bytes + s.word;
+        }
+        let attrs = self.attrs_of(s);
+        self.ordinal_bytes + (attrs.records.len() + attrs.values.len()) as u32
     }
 
     /// Whether the node's end tag has been read.
@@ -1018,9 +1120,13 @@ impl BufferTree {
         self.node(id).flags & CLOSED != 0
     }
 
-    /// Document-order sibling ordinals (see [`Ordinals`]).
-    pub fn ordinals(&self, id: NodeId) -> Ordinals {
-        self.node(id).ordinals
+    /// Document-order sibling ordinals (see [`Ordinals`]); None in a
+    /// buffer that keeps none ([`BufferTree::with_ordinals`]).
+    pub fn ordinals(&self, id: NodeId) -> Option<Ordinals> {
+        debug_assert!(id != NodeId::ROOT, "the virtual root has no ordinals");
+        let s = self.node(id);
+        (self.ordinal_bytes != 0)
+            .then(|| Ordinals::read(self.store.get(s.payload_at, 0, ORDINAL_BYTES as usize)))
     }
 
     /// Instances of `role` on this node.
@@ -1048,7 +1154,8 @@ impl BufferTree {
         roles: &[(RoleId, u32)],
         ordinals: Ordinals,
     ) -> NodeId {
-        self.append(parent, name, 0, Payload::default(), roles, ordinals)
+        let payload = self.put_payload(ordinals, 0, |_| {});
+        self.append(parent, name.0, 0, payload, roles)
     }
 
     /// Append an element under `parent` with the attributes in the
@@ -1063,14 +1170,12 @@ impl BufferTree {
         roles: &[(RoleId, u32)],
         ordinals: Ordinals,
     ) -> NodeId {
-        let payload = Payload {
-            attrs: attrs.len() as u32,
-            ..self
-                .store
-                .put(attrs.payload_bytes(), |block| attrs.write_to(block))
-        };
+        let payload = self.put_payload(ordinals, attrs.payload_bytes(), |block| {
+            attrs.write_to(block)
+        });
+        let count = attrs.len() as u32;
         attrs.clear();
-        self.append(parent, name, 0, payload, roles, ordinals)
+        self.append(parent, name.0, count, payload, roles)
     }
 
     /// Append a text node under `parent`. Text nodes are born closed.
@@ -1082,27 +1187,42 @@ impl BufferTree {
         roles: &[(RoleId, u32)],
         ordinals: Ordinals,
     ) -> NodeId {
-        let payload = self.store.put(content.len() as u64, |block| {
+        let payload = self.put_payload(ordinals, content.len() as u64, |block| {
             block.copy_from_slice(content.as_bytes())
         });
-        self.append(
-            parent,
-            Symbol(u32::MAX),
-            TEXT | CLOSED,
-            payload,
-            roles,
-            ordinals,
-        )
+        // The store took it, so it is below 4 GiB.
+        let len = content.len() as u32;
+        self.append(parent, len, TEXT | CLOSED, payload, roles)
     }
 
+    /// A payload block: the ordinals where the buffer keeps them, then
+    /// `len` bytes laid out by `fill`.
+    #[inline]
+    fn put_payload(
+        &mut self,
+        ordinals: Ordinals,
+        len: u64,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Payload {
+        let head = self.ordinal_bytes as usize;
+        self.store.put(head as u64 + len, |block| {
+            let (head, body) = block.split_at_mut(head);
+            if !head.is_empty() {
+                ordinals.write_to(head);
+            }
+            fill(body);
+        })
+    }
+
+    /// Link a node into `parent`'s child list: `word` is its tag or its
+    /// text's length, `flags` its kind and attribute count.
     fn append(
         &mut self,
         parent: NodeId,
-        name: Symbol,
+        word: u32,
         flags: u32,
         payload: Payload,
         roles: &[(RoleId, u32)],
-        ordinals: Ordinals,
     ) -> NodeId {
         debug_assert!(
             self.node(parent).flags & CLOSED == 0,
@@ -1111,57 +1231,65 @@ impl BufferTree {
         // The role multiset arrives sorted (the matcher dedupes and sorts
         // by role id); sorting per append would be wasted hot-loop work.
         debug_assert!(
-            roles.windows(2).all(|w| w[0].0 <= w[1].0),
-            "append requires roles sorted by role id: {roles:?}"
+            roles.windows(2).all(|w| w[0].0 < w[1].0) && roles.iter().all(|&(_, c)| c > 0),
+            "append requires distinct roles sorted by role id, each with an instance: {roles:?}"
         );
         // Open elements hold; a text node holds by carrying a role.
         let holding = flags & CLOSED == 0 || !roles.is_empty();
-        let flags = flags | payload.attrs;
         let (role, flags) = match *roles {
             [] => ((RoleId(0), 0), flags),
             [one] => (one, flags),
-            _ => (
-                (RoleId(self.overflow.put(roles)), roles.len() as u32),
-                flags | SPILLED,
-            ),
+            _ => {
+                let len =
+                    u16::try_from(roles.len()).expect("a program has at most MAX_ROLES roles");
+                // As many entries (low half) as the block is long (high).
+                let len = u32::from(len);
+                (
+                    (RoleId(self.overflow.put(roles)), len | len << 16),
+                    flags | SPILLED,
+                )
+            }
         };
-        let prev = self.node(parent).last_child;
+        let first = self.node(parent).first_child;
+        // The first child's back-link names the last one.
+        let last = match first {
+            NIL => NIL,
+            first => self.slot(first).prev_sibling,
+        };
         let gen = self.next_gen;
         // A wrapped counter skips the free slots' generation.
         self.next_gen = gen.wrapping_add(1).max(ROOT_GEN + 1);
         let idx = self.place(Slot {
             parent: parent.idx,
             first_child: NIL,
-            last_child: NIL,
-            prev_sibling: prev,
+            prev_sibling: last,
             next_sibling: NIL,
-            name,
+            word,
             payload_at: payload.at,
-            payload_len: payload.len,
             flags,
-            ordinals,
             held: 0,
             pins: 0,
             gen,
             role,
-            roles: roles.len() as u32,
         });
         // Link into the parent's child list; the parent is open, so it
         // holds already and a holding child flips nothing above it.
         {
             let p = self.slot_mut(parent.idx);
-            if p.first_child == NIL {
+            if first == NIL {
                 p.first_child = idx;
             }
-            p.last_child = idx;
             p.held += u32::from(holding);
         }
         #[cfg(test)]
         {
             self.hold_steps += u64::from(holding);
         }
-        if prev != NIL {
-            self.slot_mut(prev).next_sibling = idx;
+        if first == NIL {
+            self.slot_mut(idx).prev_sibling = idx;
+        } else {
+            self.slot_mut(last).next_sibling = idx;
+            self.slot_mut(first).prev_sibling = idx;
         }
         self.stats.live += 1;
         self.stats.allocated += 1;
@@ -1398,25 +1526,25 @@ impl BufferTree {
 
     /// Detach `top` from its parent and free its whole subtree.
     fn free_subtree(&mut self, top: u32) {
-        // Unlink from the sibling chain.
+        // Unlink from the sibling chain (the root is never freed, so there
+        // is a parent).
         let (parent, prev, next) = {
             let n = self.slot(top);
             (n.parent, n.prev_sibling, n.next_sibling)
         };
-        if prev != NIL {
+        let first = self.slot(parent).first_child;
+        if top == first {
+            // `prev` is the last child: the new first child links back to
+            // it.
+            self.slot_mut(parent).first_child = next;
+            if next != NIL {
+                self.slot_mut(next).prev_sibling = prev;
+            }
+        } else {
             self.slot_mut(prev).next_sibling = next;
-        }
-        if next != NIL {
-            self.slot_mut(next).prev_sibling = prev;
-        }
-        if parent != NIL {
-            let p = self.slot_mut(parent);
-            if p.first_child == top {
-                p.first_child = next;
-            }
-            if p.last_child == top {
-                p.last_child = prev;
-            }
+            // Past the last child, the back-link moves.
+            let after = if next == NIL { first } else { next };
+            self.slot_mut(after).prev_sibling = prev;
         }
         // Free the subtree iteratively with the reused DFS scratch (order
         // is irrelevant — every freed node just returns its slot and its
@@ -1431,8 +1559,8 @@ impl BufferTree {
             let n = self.slot(i);
             let mut child = n.first_child;
             debug_assert_eq!(n.pins, 0, "freeing a pinned node");
-            let (payload_at, payload_len) = (n.payload_at, n.payload_len);
-            let spilled = (n.flags & SPILLED != 0).then_some(n.role);
+            let (payload_at, payload_len) = (n.payload_at, self.payload_len(n));
+            let spilled = (n.flags & SPILLED != 0).then(|| (n.role.0, spilled_cap(n.role.1)));
             while child != NIL {
                 stack.push(child);
                 child = self.slot(child).next_sibling;
@@ -1522,7 +1650,7 @@ impl BufferTree {
             w.text(text)?;
             return Ok(false);
         }
-        w.start_element(symbols.resolve(s.name))?;
+        w.start_element(symbols.resolve(Symbol(s.word)))?;
         for (an, av) in self.attrs_of(s).iter() {
             w.attribute(symbols.resolve(an), av)?;
         }
@@ -1595,14 +1723,35 @@ impl BufferTree {
                     let s = self.slot(child);
                     assert_ne!(s.gen, FREE, "dead node linked into the tree");
                     assert_eq!(s.parent, idx, "parent link broken");
-                    assert_eq!(s.prev_sibling, prev, "sibling chain broken");
+                    if prev != NIL {
+                        assert_eq!(s.prev_sibling, prev, "sibling chain broken");
+                    }
                     held += u32::from(holds(s));
                     linked += 1;
                     prev = child;
                     child = s.next_sibling;
                 }
-                assert_eq!(n.last_child, prev, "last_child out of date");
+                if n.first_child != NIL {
+                    let back = self.slot(n.first_child).prev_sibling;
+                    assert_eq!(back, prev, "the first child's back-link misses the last");
+                }
                 assert_eq!(n.held, held, "hold count out of sync at {idx}");
+                if n.flags & SPILLED != 0 {
+                    // The packed count word: 1 ≤ entries ≤ block length,
+                    // the block inside the overflow, the entries distinct,
+                    // sorted and each with an instance.
+                    let (len, cap) = (spilled_len(n.role.1), spilled_cap(n.role.1) as usize);
+                    assert!((1..=cap).contains(&len), "{idx}: {len} of {cap} entries");
+                    let block = n.role.0 .0 as usize;
+                    assert!(block + cap <= self.overflow.pairs.len(), "{idx}: block");
+                    let list = n.role_list(&self.overflow);
+                    assert!(
+                        list.windows(2).all(|w| w[0].0 < w[1].0) && list.iter().all(|e| e.1 > 0),
+                        "{idx}: spilled roles {list:?}"
+                    );
+                } else {
+                    assert!(n.role.1 != 0 || n.role_list(&self.overflow).is_empty());
+                }
                 // A node that stops holding is purged with it, so where
                 // purging runs only a text node born without a role stays
                 // behind not holding — under a parent that holds.

@@ -1,9 +1,11 @@
 //! Reference model of the buffer: seeded random operation sequences run
 //! against the real [`BufferTree`] and a naive vector-of-structs tree, and
 //! after every operation everything observable must agree — navigation,
-//! names, attributes, text, ordinals, roles, `is_live` of every id ever
-//! issued and all six [`BufferStats`] fields — and `check_integrity`
-//! recounts every hold count. Each sequence grows the buffer past four
+//! names, attributes, text, ordinals (kept or not), roles, the last child
+//! the first child's back-link names, `is_live` of every id ever issued
+//! and all six [`BufferStats`] fields — and `check_integrity` recounts
+//! every hold count and checks every back-link and every spilled role
+//! multiset's packed count. Each sequence grows the buffer past four
 //! live chunks and drains it, twice, so chunk release and reopening, the
 //! spare, slot reuse across generations, spilled role lists and the
 //! payload store's free lists are all exercised. Three [`Shape`]s cover
@@ -68,11 +70,13 @@ struct Node {
 }
 
 impl Node {
-    /// The accounted charge: a 72-byte slot, plus an 8-byte record and
-    /// the value per attribute, or the text.
-    fn bytes(&self) -> u64 {
+    /// The accounted charge: a 48-byte slot, 12 bytes of ordinals where
+    /// they are kept, plus an 8-byte record and the value per attribute,
+    /// or the text.
+    fn bytes(&self, ordinals: bool) -> u64 {
         let attrs: usize = self.attrs.iter().map(|(_, v)| 8 + v.len()).sum();
-        (72 + attrs + self.text.len()) as u64
+        let ordinals = if ordinals { 12 } else { 0 };
+        (48 + ordinals + attrs + self.text.len()) as u64
     }
 }
 
@@ -81,6 +85,8 @@ struct Model {
     nodes: Vec<Node>,
     stats: BufferStats,
     purge: bool,
+    /// The buffer keeps ordinals.
+    ordinals: bool,
 }
 
 impl Model {
@@ -91,7 +97,7 @@ impl Model {
         s.live += 1;
         s.allocated += 1;
         s.peak_live = s.peak_live.max(s.live);
-        s.live_bytes += node.bytes();
+        s.live_bytes += node.bytes(self.ordinals);
         s.peak_live_bytes = s.peak_live_bytes.max(s.live_bytes);
         self.nodes.push(node);
         i
@@ -135,7 +141,7 @@ impl Model {
         self.nodes[i].live = false;
         self.stats.live -= 1;
         self.stats.purged += 1;
-        self.stats.live_bytes -= self.nodes[i].bytes();
+        self.stats.live_bytes -= self.nodes[i].bytes(self.ordinals);
     }
 }
 
@@ -167,6 +173,8 @@ fn check(buf: &BufferTree, m: &Model) {
             child = buf.next_sibling(m.nodes[c].id);
         }
         assert_eq!(child, None, "children of {id:?}");
+        let last = n.children.last().map(|&c| m.nodes[c].id);
+        assert_eq!(buf.last_child(id), last, "last child of {id:?}");
         if id == NodeId::ROOT {
             continue;
         }
@@ -182,7 +190,7 @@ fn check(buf: &BufferTree, m: &Model) {
         if let Some((s, v)) = n.attrs.first() {
             assert_eq!(buf.attr(id, *s), Some(&v[..]));
         }
-        assert_eq!(buf.ordinals(id), n.ordinals);
+        assert_eq!(buf.ordinals(id), m.ordinals.then_some(n.ordinals));
         assert_eq!(buf.roles(id), &n.roles[..], "roles of {id:?}");
         for r in 0..4 {
             let want = n
@@ -388,7 +396,7 @@ fn resident(buf: &BufferTree) -> usize {
     buf.chunks.iter().filter(|c| c.slots.capacity() > 0).count()
 }
 
-fn run(seed: u64, phase_ops: usize, shape: Shape) {
+fn run(seed: u64, phase_ops: usize, shape: Shape, ordinals: bool) {
     let purge = shape != Shape::NoPurge;
     let root = Node {
         id: NodeId::ROOT,
@@ -406,11 +414,12 @@ fn run(seed: u64, phase_ops: usize, shape: Shape) {
     let mut w = World {
         rng: Rng(seed | 1),
         shape,
-        buf: BufferTree::new(purge),
+        buf: BufferTree::new(purge).with_ordinals(ordinals),
         m: Model {
             nodes: vec![root],
             stats: BufferStats::default(),
             purge,
+            ordinals,
         },
         open: vec![0],
         pinned: Vec::new(),
@@ -457,21 +466,21 @@ fn run(seed: u64, phase_ops: usize, shape: Shape) {
 
 #[test]
 fn random_sequences_agree_with_the_model() {
-    for seed in [0x5eed, 0xc0ffee] {
-        run(seed, 1000, Shape::Roles);
+    for (seed, ordinals) in [(0x5eed, false), (0xc0ffee, true)] {
+        run(seed, 1000, Shape::Roles, ordinals);
     }
 }
 
 #[test]
 fn role_less_sequences_agree_with_the_model() {
-    for seed in [0x5eed, 0xc0ffee] {
-        run(seed, 1000, Shape::RoleLess);
+    for (seed, ordinals) in [(0x5eed, true), (0xc0ffee, false)] {
+        run(seed, 1000, Shape::RoleLess, ordinals);
     }
 }
 
 #[test]
 fn purge_disabled_sequences_agree_with_the_model() {
-    for seed in [0x5eed, 0xc0ffee] {
-        run(seed, 700, Shape::NoPurge);
+    for (seed, ordinals) in [(0x5eed, false), (0xc0ffee, true)] {
+        run(seed, 700, Shape::NoPurge, ordinals);
     }
 }

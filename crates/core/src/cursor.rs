@@ -47,7 +47,9 @@ impl StepTest for ETest {
     }
 
     fn pred_ordinal(self, buf: &BufferTree, node: NodeId) -> u32 {
-        let o = buf.ordinals(node);
+        let o = buf
+            .ordinals(node)
+            .expect("a program with a positional step buffers ordinals");
         match self {
             ETest::Name(_) | ETest::Text => o.same_kind,
             ETest::Star => o.elem,
@@ -398,12 +400,12 @@ mod tests {
         }
     }
 
-    /// Build a small closed tree:
+    /// Build a small closed tree, ordinals kept:
     /// <a><b/><c><b>text</b></c><b/></a>  (all nodes role-pinned alive)
     fn build() -> (BufferTree, SymbolTable, NodeId) {
         let mut sy = SymbolTable::new();
         let (a, b, c) = (sy.intern("a"), sy.intern("b"), sy.intern("c"));
-        let mut buf = BufferTree::new(true);
+        let mut buf = BufferTree::new(true).with_ordinals(true);
         let r = &[(RoleId(0), 1)][..];
         let na = buf.append_element(NodeId::ROOT, a, r, ord(1));
         let nb1 = buf.append_element(na, b, r, ord(1));

@@ -1,7 +1,7 @@
 //! Public engine API: compile once, run many times, in any of the
 //! buffer-management configurations the experiments compare.
 
-use crate::buffer::BufferStats;
+use crate::buffer::{BufferStats, MAX_ROLES};
 use crate::error::EngineError;
 use crate::obs::{ObsReport, Timeline};
 use crate::session::EvalSession;
@@ -92,6 +92,11 @@ impl CompiledQuery {
         let started = Instant::now();
         let query = gcx_query::compile(text)?;
         let analysis = analyze(&query);
+        if analysis.roles.len() > MAX_ROLES {
+            return Err(EngineError::TooManyRoles {
+                roles: analysis.roles.len(),
+            });
+        }
         let lowered = Program::compile(&query, &analysis);
         let (program, opt) = if optimize {
             let (optimized, report) = gcx_ir::optimize(&lowered);

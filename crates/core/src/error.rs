@@ -21,6 +21,12 @@ pub enum EngineError {
         /// Estimated live buffer bytes at the moment the budget tripped.
         used: u64,
     },
+    /// The query needs more roles than a buffered node can count
+    /// ([`crate::buffer::MAX_ROLES`]): compilation refuses it.
+    TooManyRoles {
+        /// The roles the query's analysis derived.
+        roles: usize,
+    },
     /// An internal invariant was violated — a bug in the engine, reported
     /// instead of panicking so callers can recover.
     Internal(String),
@@ -43,6 +49,11 @@ impl fmt::Display for EngineError {
                 f,
                 "buffer limit exceeded: {used} bytes live, budget {limit}"
             ),
+            EngineError::TooManyRoles { roles } => write!(
+                f,
+                "query needs {roles} roles, more than the {} a buffered node counts",
+                crate::buffer::MAX_ROLES
+            ),
             EngineError::Internal(m) => write!(f, "internal engine error: {m}"),
         }
     }
@@ -54,6 +65,7 @@ impl std::error::Error for EngineError {
             EngineError::Xml(e) => Some(e),
             EngineError::Query(e) => Some(e),
             EngineError::BufferLimitExceeded { .. } => None,
+            EngineError::TooManyRoles { .. } => None,
             EngineError::Internal(_) => None,
         }
     }

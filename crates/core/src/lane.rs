@@ -1,7 +1,7 @@
 //! The evaluation core: everything downstream of the keep/skip decision.
 //! See [`Lane`].
 
-use crate::buffer::{AttrBuf, BufferStats, BufferTree, NodeId, Ordinals, SLOT_BYTES};
+use crate::buffer::{AttrBuf, BufferStats, BufferTree, NodeId, Ordinals};
 use crate::engine::{
     CompiledQuery, EngineMode, EngineOptions, RunReport, SchemaPlan, SchemaReport,
 };
@@ -232,8 +232,9 @@ enum Health {
 /// The chain is O(document depth), like the tokenizer's open-tag stack,
 /// and lives outside the buffer's *reporting*: it shows in a run's heap
 /// high-water, not in `peak_live_bytes`. It is inside the byte *budget*:
-/// a pending element is charged the slot it would take as a buffered
-/// node, so `max_buffer_bytes` bounds buffer plus chain, and
+/// a pending element is charged what it would take as a buffered node
+/// without attributes (its slot, and its ordinals where the program has a
+/// positional step), so `max_buffer_bytes` bounds buffer plus chain, and
 /// [`Lane::pending_room`] tells a driver how many more fit.
 pub struct Lane {
     mode: EngineMode,
@@ -288,7 +289,7 @@ impl Lane {
     /// sibling-order cutoffs and the table the DTD's names.
     pub fn start(q: &CompiledQuery, opts: &EngineOptions, schema: Option<&SchemaPlan>) -> Lane {
         let mode = opts.mode;
-        let mut buf = BufferTree::new(mode.projects());
+        let mut buf = BufferTree::new(mode.projects()).with_ordinals(q.program.positional());
         buf.set_max_bytes(opts.max_buffer_bytes);
         let mut vm = Vm::new(Arc::clone(&q.program), mode.executes_signoffs());
         if opts.telemetry {
@@ -764,24 +765,24 @@ impl Lane {
         match self.buf.max_bytes() {
             Some(limit) => {
                 let room = limit.saturating_sub(self.buf.stats().live_bytes + self.held_bytes());
-                usize::try_from(room / SLOT_BYTES).unwrap_or(usize::MAX)
+                usize::try_from(room / self.buf.bare_element_bytes()).unwrap_or(usize::MAX)
             }
             None => usize::MAX,
         }
     }
 
-    /// What the lane holds of the document outside the buffer: a slot per
-    /// pending element, and the names the document added to the symbol
-    /// table.
+    /// What the lane holds of the document outside the buffer: per pending
+    /// element what it would be charged appended without attributes, and
+    /// the names the document added to the symbol table.
     #[inline]
     fn held_bytes(&self) -> u64 {
         let names = self.symbols.name_bytes() - self.seeded_name_bytes;
-        self.pending.len() as u64 * SLOT_BYTES + names as u64
+        self.pending.len() as u64 * self.buf.bare_element_bytes() + names as u64
     }
 
     /// The byte budget covers everything the lane holds of the document:
     /// the buffer's live nodes, the pending chain — each pending element
-    /// at the slot it would take as a buffered node — and the names the
+    /// at what it would take as a buffered node — and the names the
     /// document added to the symbol table. (A chain of open elements
     /// under a `//` step is as deep as the document, and every start tag
     /// the driver steps over is interned, kept or refused; left uncharged
@@ -896,9 +897,15 @@ fn top_counters<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::SLOT_BYTES;
     use gcx_xml::{Token, Tokenizer};
 
     const ROLE: &[(RoleId, u32)] = &[(RoleId(1), 1)];
+
+    /// A program with a positional step, so that the lane's buffer keeps
+    /// the ordinals the tests read back. The scripted drivers below never
+    /// run it.
+    const POSITIONAL: &str = "/s0[1]";
 
     /// A scripted driver: element names spell the decision — `s…`
     /// speculative, `r…` kept with a role, `x…` skipped with its subtree —
@@ -906,7 +913,7 @@ mod tests {
     /// speculative elements are appended at their start tag, role-less:
     /// what the lane did before the pending chain.
     fn drive(xml: &str, eager: bool, dtd: Option<&gcx_schema::Dtd>) -> Lane {
-        let q = CompiledQuery::compile("'x'").unwrap();
+        let q = CompiledQuery::compile(POSITIONAL).unwrap();
         // Nothing purges, no signOff runs: the buffer ends up holding
         // everything that was ever appended.
         let mut lane = Lane::start(&q, &EngineOptions::full_buffering(), None);
@@ -976,7 +983,7 @@ mod tests {
                 .filter(|_| needed || with_roleless_attrs)
                 .map(|(n, v)| format!("{}={v}", lane.symbols.resolve(n)))
                 .collect();
-            let o = buf.ordinals(node);
+            let o = buf.ordinals(node).expect("a positional program");
             out.push(format!(
                 "{depth} {what} {attrs:?} {}/{}/{} {:?}",
                 o.same_kind,
@@ -1052,47 +1059,58 @@ mod tests {
     #[test]
     fn the_pending_chain_counts_against_the_byte_budget() {
         // Nested role-less elements with 100 bytes of attribute each: a
-        // pending one is charged its slot, so pending, or appended eagerly
+        // pending one is charged what it would take appended without the
+        // attribute — its slot, and its three 4-byte ordinals under a
+        // program with a positional step — so pending, or appended eagerly
         // without the attributes, the lane fails at the same start tag
-        // with the same byte count — waiting outside the buffer is no way
+        // with the same byte count: waiting outside the buffer is no way
         // around the budget.
-        let q = CompiledQuery::compile("'x'").unwrap();
-        let open = format!("<s k='{}'>", "v".repeat(100));
-        let nested = format!("{}{}", open.repeat(64), "</s>".repeat(64));
-        let stripped = format!("{}{}", "<s>".repeat(64), "</s>".repeat(64));
-        let siblings = format!("<s>{}</s>", format!("{open}</s>").repeat(64));
-        let failed_at = |keep: Keep<'_>, xml: &str| {
-            let opts = EngineOptions::gcx().with_max_buffer_bytes(4096);
-            let mut lane = Lane::start(&q, &opts, None);
-            let name = lane.symbols_mut().intern("s");
-            let attr_names = [lane.symbols_mut().intern("k")];
-            let mut tok = Tokenizer::from_str(xml);
-            let mut opened = 0u32;
-            while let Some(token) = tok.next_token().unwrap() {
-                match token {
-                    Token::StartTag(tag) => {
-                        opened += 1;
-                        lane.start_element(name, &tag, &attr_names[..tag.attrs.len()], keep);
+        for (text, element) in [("'x'", SLOT_BYTES), (POSITIONAL, SLOT_BYTES + 12)] {
+            let q = CompiledQuery::compile(text).unwrap();
+            // The elements that fit beside the document's two names, `s`
+            // and `k`; twice as many are nested.
+            let fit = (4096 - 2) / element;
+            let depth = 2 * fit as usize;
+            let open = format!("<s k='{}'>", "v".repeat(100));
+            let nested = format!("{}{}", open.repeat(depth), "</s>".repeat(depth));
+            let stripped = format!("{}{}", "<s>".repeat(depth), "</s>".repeat(depth));
+            let siblings = format!("<s>{}</s>", format!("{open}</s>").repeat(depth));
+            let failed_at = |keep: Keep<'_>, xml: &str| {
+                let opts = EngineOptions::gcx().with_max_buffer_bytes(4096);
+                let mut lane = Lane::start(&q, &opts, None);
+                let name = lane.symbols_mut().intern("s");
+                let attr_names = [lane.symbols_mut().intern("k")];
+                let mut tok = Tokenizer::from_str(xml);
+                let mut opened = 0u64;
+                while let Some(token) = tok.next_token().unwrap() {
+                    match token {
+                        Token::StartTag(tag) => {
+                            opened += 1;
+                            lane.start_element(name, &tag, &attr_names[..tag.attrs.len()], keep);
+                        }
+                        Token::EndTag { .. } => assert!(lane.end_element()),
+                        _ => {}
                     }
-                    Token::EndTag { .. } => assert!(lane.end_element()),
-                    _ => {}
+                    lane.step();
+                    if let Some(e) = lane.take_failure() {
+                        assert!(lane.pending.is_empty());
+                        assert_eq!(lane.buffer_stats().live_bytes, 0);
+                        return Some((opened, e.to_string()));
+                    }
                 }
-                lane.step();
-                if let Some(e) = lane.take_failure() {
-                    assert!(lane.pending.is_empty());
-                    assert_eq!(lane.buffer_stats().live_bytes, 0);
-                    return Some((opened, e.to_string()));
-                }
-            }
-            None
-        };
-        let lazy = failed_at(Keep::Speculative, &nested).expect("64 slots are over 4096");
-        assert!(lazy.1.contains("budget 4096"), "{}", lazy.1);
-        // 56 slots and the two names fit: 56 × 72 + 2 = 4034.
-        assert_eq!(lazy.0, 57);
-        assert_eq!(Some(lazy), failed_at(Keep::Roles(&[]), &stripped));
-        // A popped entry gives its bytes back: siblings never add up.
-        assert_eq!(failed_at(Keep::Speculative, &siblings), None);
+                None
+            };
+            let lazy = failed_at(Keep::Speculative, &nested).expect("twice what fits");
+            assert!(lazy.1.contains("budget 4096"), "{text}: {}", lazy.1);
+            assert_eq!(
+                lazy.0,
+                fit + 1,
+                "{text}: the first element that does not fit"
+            );
+            assert_eq!(Some(lazy), failed_at(Keep::Roles(&[]), &stripped), "{text}");
+            // A popped entry gives its bytes back: siblings never add up.
+            assert_eq!(failed_at(Keep::Speculative, &siblings), None, "{text}");
+        }
     }
 
     const COPY: RoleId = RoleId(1);
@@ -1107,7 +1125,7 @@ mod tests {
     /// evaluator hands it over; without, every node is appended, as before
     /// write-through. Returns the lane and `f`.
     fn drive_copy(xml: &str, frontier: bool) -> (Lane, NodeId) {
-        let q = CompiledQuery::compile("'x'").unwrap();
+        let q = CompiledQuery::compile(POSITIONAL).unwrap();
         let mut lane = Lane::start(&q, &EngineOptions::gcx(), None);
         let mut tok = Tokenizer::from_str(xml);
         let mut f = None;
@@ -1184,7 +1202,7 @@ mod tests {
                 Some(name) => lane.symbols.resolve(name).to_string(),
                 None => format!("{:?}", buf.text_content(node).unwrap()),
             };
-            let o = buf.ordinals(node);
+            let o = buf.ordinals(node).expect("a positional program");
             out.push(format!(
                 "{depth} {what} {}/{}/{}",
                 o.same_kind, o.elem, o.any

@@ -368,6 +368,36 @@ mod tests {
     }
 
     #[test]
+    fn a_node_is_charged_its_slot_and_ordinals_only_under_a_positional_step() {
+        // Full buffering purges nothing, so the byte peak is the end
+        // state: the four nodes of the document, one 8-byte attribute
+        // record with its 2-byte value, and 1 byte of text. A 48-byte slot
+        // each, and 12 bytes of ordinals each where a step is positional.
+        let doc = r#"<a><b x="yz">t</b><b/></a>"#;
+        for (query, node) in [
+            ("for $b in /a/b return $b", 48),
+            ("for $b in /a/b[2] return $b", 48 + 12),
+        ] {
+            let r = report(query, doc, &EngineOptions::full_buffering());
+            assert_eq!(r.buffer.peak_live, 4, "{query}");
+            assert_eq!(r.buffer.peak_live_bytes, 4 * node + 8 + 2 + 1, "{query}");
+        }
+    }
+
+    #[test]
+    fn a_query_with_more_roles_than_a_node_counts_is_refused() {
+        // The document root's role and one per output path.
+        let paths = |n: usize| format!("<r>{{ {} }}</r>", vec!["/a"; n].join(", "));
+        let most = crate::buffer::MAX_ROLES;
+        let q = CompiledQuery::compile(&paths(most - 1)).expect("MAX_ROLES roles");
+        assert_eq!(q.analysis.roles.len(), most);
+        match CompiledQuery::compile(&paths(most)) {
+            Err(EngineError::TooManyRoles { roles }) => assert_eq!(roles, most + 1),
+            other => panic!("{:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
     fn self_closing_counts_as_two_tokens() {
         let r = report("for $a in /x return $a", "<x/>", &EngineOptions::gcx());
         assert_eq!(r.tokens, 2);
@@ -804,17 +834,18 @@ mod tests {
         // it. None of these ever reaches the buffer, but a deep nest of
         // them is held all the same: the budget must stop it — though the
         // search passes them unseen. A pending element is charged its
-        // 72-byte slot (not the attribute, which it does not keep), and the
-        // run's table the one byte of `a`: 56 × 72 + 1 = 4033 fits, the
-        // 57th open element crosses 4096.
+        // slot (not the attribute, which it does not keep), and the run's
+        // table the one byte of `a`: `fit` slots and that byte fit in 4096,
+        // the next open element crosses.
         let q = CompiledQuery::compile("for $i in //item return $i").unwrap();
         let open = format!("<a x=\"{}\">", "v".repeat(1000));
+        let fit = (4096 - 1) / crate::buffer::SLOT_BYTES;
         for opts in [EngineOptions::gcx(), EngineOptions::projection_only()] {
             let mut session = q.session(&opts.with_max_buffer_bytes(4096));
-            let err = (1..=64)
+            let err = (1..=2 * fit)
                 .find_map(|depth| session.feed(open.as_bytes()).err().map(|e| (depth, e)))
-                .expect("64 open elements under a 4 KiB budget");
-            assert_eq!(err.0, 57, "stopped at the element that crossed");
+                .expect("twice what fits under a 4 KiB budget");
+            assert_eq!(err.0, fit + 1, "stopped at the element that crossed");
             assert!(err.1.is_buffer_limit(), "{}", err.1);
         }
     }

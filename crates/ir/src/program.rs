@@ -393,6 +393,12 @@ impl Program {
         &self.steps
     }
 
+    /// Whether a step carries a positional predicate `[k]`: only such a
+    /// step reads a node's sibling ordinals.
+    pub fn positional(&self) -> bool {
+        self.steps.iter().any(|s| s.pos.is_some())
+    }
+
     /// Resolve an interned program string.
     #[inline]
     pub fn str_(&self, id: StrId) -> &str {

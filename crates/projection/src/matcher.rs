@@ -827,12 +827,21 @@ impl TaggedMatcher {
         for &st in states {
             let info = compiled.paths[st.path as usize];
             let step = compiled.steps[st.sid as usize];
-            // A text node can only complete a path whose FINAL step it
-            // matches: any continuation would need children.
-            let is_final = st.sid + 1 == info.first + info.len;
+            // A text node can only complete a path whose final step it
+            // matches, or whose later steps all consume it in place
+            // (`self::`/`descendant-or-self::` steps testing `node()` or
+            // `text()`, as after `$a/node()` or a copy): any other
+            // continuation would need children.
+            let end = info.first + info.len;
+            let ends_here = compiled.steps[st.sid as usize + 1..end as usize]
+                .iter()
+                .all(|s| {
+                    matches!(s.axis, Axis::SelfAxis | Axis::DescendantOrSelf)
+                        && s.test.matches_text()
+                });
             let completes = match step.axis {
                 Axis::Child => {
-                    step.test.matches_text() && is_final && {
+                    step.test.matches_text() && ends_here && {
                         match step.pos {
                             None => true,
                             Some(k) => {
@@ -843,7 +852,7 @@ impl TaggedMatcher {
                         }
                     }
                 }
-                Axis::Descendant | Axis::DescendantOrSelf => step.test.matches_text() && is_final,
+                Axis::Descendant | Axis::DescendantOrSelf => step.test.matches_text() && ends_here,
                 Axis::SelfAxis => false,
                 Axis::Attribute => unreachable!(),
             };
@@ -1213,6 +1222,18 @@ mod tests {
         m.enter_element_into(sy.intern("x"), &mut roles);
         m.text_into(&mut roles);
         assert_eq!(roles.len(), 1, "descendant-or-self::node() matches text");
+    }
+
+    #[test]
+    fn a_text_child_completes_a_node_step_the_copy_follows() {
+        // `$a/node()` copies every child: the role is
+        // `/x/node()/descendant-or-self::node()`, and a text child of `x`
+        // takes the `node()` step and the copy's in place.
+        let (mut m, _, mut sy, _) = matcher_for("for $a in /x return <c>{ $a/node() }</c>");
+        let mut roles = Vec::new();
+        m.enter_element_into(sy.intern("x"), &mut roles);
+        m.text_into(&mut roles);
+        assert_eq!(fmt_roles(&roles), ["r3*1"], "the copied text child");
     }
 
     #[test]

@@ -1036,7 +1036,9 @@ fn eval<R: BufRead, W: Write>(
             } else {
                 match &e {
                     EngineError::BufferLimitExceeded { .. } => (413, "Payload Too Large"),
-                    EngineError::Xml(_) | EngineError::Query(_) => (400, "Bad Request"),
+                    EngineError::Xml(_)
+                    | EngineError::Query(_)
+                    | EngineError::TooManyRoles { .. } => (400, "Bad Request"),
                     EngineError::Internal(_) => (500, "Internal Server Error"),
                 }
             };

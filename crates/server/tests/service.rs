@@ -291,9 +291,10 @@ fn malformed_xml_is_a_clean_error_and_the_server_survives() {
 #[test]
 fn buffer_budget_rejects_with_413_without_killing_peers() {
     // A document big enough to cross a small budget (each book peaks at
-    // 296 buffered bytes: the second copy of its title needs the title
-    // buffered, where a single copy would be written through as it
-    // arrives), while an unbudgeted peer runs the same document.
+    // four 48-byte slots and its title text, 200 bytes and more: the
+    // second copy of its title needs the title buffered, where a single
+    // copy would be written through as it arrives and hold three slots,
+    // 144 bytes), while an unbudgeted peer runs the same document.
     let mut doc = String::from("<bib>");
     for i in 0..2_000 {
         doc.push_str(&format!("<book><title>number {i}</title></book>"));
@@ -315,7 +316,7 @@ fn buffer_budget_rejects_with_413_without_killing_peers() {
                 addr,
                 "q",
                 &doc,
-                &[("X-Gcx-Max-Buffer-Bytes", "256")],
+                &[("X-Gcx-Max-Buffer-Bytes", "160")],
                 BodyMode::Sized,
             )
             .unwrap()

@@ -72,7 +72,8 @@ fn worst_peak(q: &CompiledQuery, doc: &[u8], rng: &mut XorShift) -> u64 {
 /// (`Document`); Q6_COUNT releases each item as it counts it, so one item
 /// (the node, with any item nested in it) is all a match holds
 /// (`PerItem`: its peak is measured equal at both document sizes);
-/// everything else streams item by item.
+/// everything else streams item by item. A loop over the document element
+/// (`/site`) binds the whole document once (`Document`, with `GCX-ROOT`).
 const EXPECTED: &[(&str, StreamClass)] = &[
     ("Q1", StreamClass::PerItem),
     ("Q6", StreamClass::PerItem),
@@ -88,6 +89,34 @@ const EXPECTED: &[(&str, StreamClass)] = &[
     ("TWO_COUNTS", StreamClass::Subtree),
     ("COUNT_THEN_LOOP", StreamClass::Subtree),
     ("COUNT_ALL", StreamClass::Subtree),
+    ("SUM_OVER_SITE", StreamClass::Document),
+    ("TWO_PATHS_OVER_SITE", StreamClass::Document),
+];
+
+/// ROADMAP findings row 3: the binding is the document element, one match
+/// as big as the document. Measured to grow linearly.
+const SUM_OVER_SITE: &str = "for $s in /site return sum($s//item/quantity)";
+
+/// ROADMAP findings row 7: the document element again, with two readers
+/// of its subtree in sequence. Measured to grow linearly.
+const TWO_PATHS_OVER_SITE: &str =
+    "for $s in /site return <r>{ $s//item/name }{ $s//person/name }</r>";
+
+/// ROADMAP findings rows 2 and 4: a binding of `/site/regions`, which
+/// under XMark has one match as big as a section. Without a DTD it cannot
+/// be told from a binding of many small items (`/site/people/person`), so
+/// both are classed `per-item` while their peak grows linearly: the
+/// contract breach the DTD-cardinality half of ROADMAP item 2 closes. They
+/// are pinned as what they are, so that closing it flips this list.
+const PER_ITEM_BUT_GROWING: [(&str, &str); 2] = [
+    (
+        "COUNT_PER_REGIONS",
+        "for $r in /site/regions return <c>{ count($r//item) }</c>",
+    ),
+    (
+        "EXISTS_PER_REGIONS",
+        "for $s in /site/regions return if (exists($s//item/mailbox)) then <y/> else <n/>",
+    ),
 ];
 
 /// Two root aggregates in sequence: the second releases nothing as it
@@ -122,6 +151,8 @@ fn static_class_dominates_observed_peak_growth() {
     cases.push(("TWO_COUNTS", TWO_COUNTS));
     cases.push(("COUNT_THEN_LOOP", COUNT_THEN_LOOP));
     cases.push(("COUNT_ALL", COUNT_ALL));
+    cases.push(("SUM_OVER_SITE", SUM_OVER_SITE));
+    cases.push(("TWO_PATHS_OVER_SITE", TWO_PATHS_OVER_SITE));
     for (name, qtext) in cases {
         let q = CompiledQuery::compile(qtext).expect("compile");
         let a = analyze_program(&q.program, None);
@@ -143,7 +174,11 @@ fn static_class_dominates_observed_peak_growth() {
             // Flat: one item node at a time at either size.
             "Q6_COUNT" => assert_eq!(p_small, p_large, "{name}: peak"),
             // Linear: the held region is 8x larger on the 8x document.
-            "TWO_COUNTS" | "COUNT_THEN_LOOP" | "COUNT_ALL" => assert!(
+            "TWO_COUNTS"
+            | "COUNT_THEN_LOOP"
+            | "COUNT_ALL"
+            | "SUM_OVER_SITE"
+            | "TWO_PATHS_OVER_SITE" => assert!(
                 p_large >= p_small * 5,
                 "{name}: peak {p_small} -> {p_large} on 8x input"
             ),
@@ -169,6 +204,27 @@ fn static_class_dominates_observed_peak_growth() {
                 a.class
             );
         }
+    }
+}
+
+#[test]
+fn singleton_bindings_below_the_document_element_still_breach_the_contract() {
+    let small = xmark(64);
+    let large = xmark(512);
+    let mut rng = XorShift(0x51D3_0000_0000_0001);
+    for (name, qtext) in PER_ITEM_BUT_GROWING {
+        let q = CompiledQuery::compile(qtext).expect("compile");
+        let xmark_dtd = Dtd::xmark();
+        for dtd in [None, Some(&*xmark_dtd)] {
+            let class = analyze_program(&q.program, dtd).class;
+            assert_eq!(class, StreamClass::PerItem, "{name}, DTD {}", dtd.is_some());
+        }
+        let p_small = worst_peak(&q, small.as_bytes(), &mut rng);
+        let p_large = worst_peak(&q, large.as_bytes(), &mut rng);
+        assert!(
+            p_large >= p_small * 5,
+            "{name}: peak {p_small} -> {p_large} on 8x input"
+        );
     }
 }
 

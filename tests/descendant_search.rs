@@ -23,6 +23,7 @@ mod common;
 
 use common::{pending_corpus, without_doctype, xmark};
 use gcx::core::batch::{BatchOptions, BatchSession};
+use gcx::core::buffer::SLOT_BYTES;
 use gcx::{CompiledQuery, EngineOptions, RunReport};
 
 const QUERIES: [(&str, &str); 6] = [
@@ -151,10 +152,11 @@ fn positions_right_at_the_search_boundary_are_document_positions() {
 #[test]
 fn a_deep_descendant_document_stays_inside_the_budget() {
     // 100 000 nested <x> under `//item`: the search passes them unseen,
-    // but each is a pending element the lane would hold, at a 72-byte
-    // slot — so the search hands them over once the budget's room is
-    // used up, and the lane fails there. 64 KiB holds 910 slots and the
-    // name `x`: the 911th open element, at byte 2 733, crosses.
+    // but each is a pending element the lane would hold, at a slot of
+    // `SLOT_BYTES` — so the search hands them over once the budget's room
+    // is used up, and the lane fails there. 64 KiB holds `fit` slots and
+    // the name `x` (1 365 at 48 bytes): the next open element, at byte
+    // 3 × (fit + 1) − 1 (4 097), crosses.
     let depth = 100_000;
     let doc = format!("{}{}", "<x>".repeat(depth), "</x>".repeat(depth));
     let q = CompiledQuery::compile("for $i in //item return $i").unwrap();
@@ -163,9 +165,10 @@ fn a_deep_descendant_document_stays_inside_the_budget() {
     assert!(whole.unwrap_err().is_buffer_limit());
     let mut session = q.session(&opts);
     let fed = doc.bytes().position(|b| session.feed(&[b]).is_err());
+    let fit = ((64 * 1024 - 1) / SLOT_BYTES) as usize;
     assert_eq!(
         fed,
-        Some(911 * 3 - 1),
+        Some((fit + 1) * 3 - 1),
         "stopped at the element that crossed"
     );
     // Without a budget nothing of it is held but the tokenizer's names.

@@ -35,12 +35,19 @@
 //! [`BEFORE_COPY_THROUGH`]. That count reads the engine's own output, so
 //! it is pinned per query as well ([`WRITTEN_THROUGH`]).
 //!
-//! The latest re-pin (root aggregates release each match as they consume
-//! it) moved one row, Q6_COUNT's `gcx` row, and only its two peaks, down:
-//! the count removes an item's role as soon as it has counted the item, so
-//! the buffer holds one item at a time instead of the whole region. The
-//! same nodes are appended and purged, only earlier; tokens and output do
-//! not move. The relation is asserted against [`BEFORE_RELEASE`].
+//! The root-aggregate re-pin (root aggregates release each match as they
+//! consume it) moved one row, Q6_COUNT's `gcx` row, and only its two
+//! peaks, down: the count removes an item's role as soon as it has counted
+//! the item, so the buffer holds one item at a time instead of the whole
+//! region. The same nodes are appended and purged, only earlier; tokens
+//! and output do not move. The relation is asserted against
+//! [`BEFORE_RELEASE`].
+//!
+//! The latest re-pin moved byte peaks alone, down, when a node's slot fell
+//! from 72 to 48 bytes — 24 bytes per node, 12 under a program with a
+//! positional step, which now keeps ordinals in the payload; the relation
+//! is asserted against [`BEFORE_SLOT48`], with each query's saving derived
+//! from its compiled program.
 
 mod common;
 
@@ -63,12 +70,48 @@ fn modes() -> [(&'static str, EngineOptions); 3] {
 
 /// `[tokens, peak_live, peak_live_bytes, allocated, purged, output_bytes]`
 /// per query (in `paper_queries()` order), per mode (in `modes()` order).
-/// Byte peaks re-pinned with compact buffer storage and again with hold
-/// counts; see [`BEFORE_COMPACT`] and [`BEFORE_HOLD_COUNTS`]. The `gcx`
-/// rows re-pinned with copy-through; see [`BEFORE_COPY_THROUGH`], and
-/// Q6_COUNT's `gcx` row with released aggregates; see [`BEFORE_RELEASE`].
+/// Byte peaks re-pinned with compact buffer storage, again with hold
+/// counts and again with 48-byte slots; see [`BEFORE_COMPACT`],
+/// [`BEFORE_HOLD_COUNTS`] and [`BEFORE_SLOT48`]. The `gcx` rows re-pinned
+/// with copy-through; see [`BEFORE_COPY_THROUGH`], and Q6_COUNT's `gcx`
+/// row with released aggregates; see [`BEFORE_RELEASE`].
 #[rustfmt::skip]
 const PINNED: [[[u64; 6]; 3]; 11] = [
+    // Q1
+    [[9900, 5, 271, 316, 316, 25], [9900, 317, 18085, 317, 0, 25], [9900, 6067, 341417, 6067, 0, 25]],
+    // Q6
+    [[9900, 5, 268, 186, 186, 3526], [9900, 275, 15633, 275, 0, 3526], [9900, 6067, 341417, 6067, 0, 3526]],
+    // Q8
+    [[9900, 437, 25024, 437, 437, 5111], [9900, 438, 25084, 438, 0, 5111], [9900, 6067, 341417, 6067, 0, 5111]],
+    // Q13
+    [[9900, 8, 559, 78, 78, 2624], [9900, 93, 6291, 93, 0, 2624], [9900, 6067, 341417, 6067, 0, 2624]],
+    // Q20
+    [[9900, 4, 226, 185, 185, 1068], [9900, 185, 11853, 185, 0, 1068], [9900, 6067, 341417, 6067, 0, 1068]],
+    // Q2
+    [[9900, 6, 388, 171, 171, 1189], [9900, 171, 11561, 171, 0, 1189], [9900, 6067, 414221, 6067, 0, 1189]],
+    // Q3
+    [[9900, 9, 574, 301, 301, 1289], [9900, 301, 19648, 301, 0, 1289], [9900, 6067, 414221, 6067, 0, 1289]],
+    // Q14
+    [[9900, 9, 648, 542, 542, 702], [9900, 542, 38030, 542, 0, 702], [9900, 6067, 341417, 6067, 0, 702]],
+    // Q17
+    [[9900, 5, 331, 317, 317, 4361], [9900, 317, 21889, 317, 0, 4361], [9900, 6067, 414221, 6067, 0, 4361]],
+    // Q19
+    [[9900, 7, 358, 63, 63, 999], [9900, 78, 4231, 78, 0, 999], [9900, 6067, 341417, 6067, 0, 999]],
+    // Q6_COUNT
+    [[9900, 5, 268, 97, 97, 17], [9900, 97, 5892, 97, 0, 17], [9900, 6067, 341417, 6067, 0, 17]],
+];
+
+/// [`PINNED`] as it stood while a buffered node was charged a 72-byte
+/// slot. The slot lost three ordinals (kept, where a program reads them,
+/// at the head of the node's payload), its payload length and its last
+/// child (both derived) and its role-entry count (packed into the role
+/// word): 24 bytes per node, or 12 under a program with a positional step
+/// (Q2's and Q3's `bidder[k]`, and Q17's `exists($p/homepage)`, which
+/// normalizes to the witness `homepage[1]`), whose nodes now carry their
+/// 12 bytes of ordinals in the payload. Every column but the byte peak is
+/// unchanged; see [`assert_byte_peaks_fell_by_at_most`].
+#[rustfmt::skip]
+const BEFORE_SLOT48: [[[u64; 6]; 3]; 11] =[
     // Q1
     [[9900, 5, 391, 316, 316, 25], [9900, 317, 25693, 317, 0, 25], [9900, 6067, 487025, 6067, 0, 25]],
     // Q6
@@ -93,7 +136,7 @@ const PINNED: [[[u64; 6]; 3]; 11] = [
     [[9900, 5, 388, 97, 97, 17], [9900, 97, 8220, 97, 0, 17], [9900, 6067, 487025, 6067, 0, 17]],
 ];
 
-/// Q6_COUNT's `gcx` row of [`PINNED`] while a root `count()` kept every
+/// Q6_COUNT's `gcx` row of [`BEFORE_SLOT48`] while a root `count()` kept every
 /// counted item until the query-end signOff: 97 nodes (`site`, `regions`,
 /// its six region children and 89 items) live at once, 8220 bytes.
 /// Released as counted, the items pass through one at a time.
@@ -102,7 +145,7 @@ const BEFORE_RELEASE: (&str, [u64; 6]) = ("Q6_COUNT", [9900, 97, 8220, 97, 97, 1
 #[test]
 fn the_release_re_pin_moves_only_q6_count_peaks_down() {
     let (moved, before) = BEFORE_RELEASE;
-    for ((name, _), rows) in queries::paper_queries().into_iter().zip(PINNED) {
+    for ((name, _), rows) in queries::paper_queries().into_iter().zip(BEFORE_SLOT48) {
         if name != moved {
             continue;
         }
@@ -119,7 +162,7 @@ fn the_release_re_pin_moves_only_q6_count_peaks_down() {
     panic!("{moved} is not a paper query");
 }
 
-/// The `gcx` rows of [`PINNED`] (first of each query) as they stood while
+/// The `gcx` rows of [`BEFORE_SLOT48`] (first of each query) as they stood while
 /// every copied element was buffered whole and serialized after its end
 /// tag. Five queries copy an element the evaluator reaches while it is
 /// still open, and the nodes only that copy needs are written through:
@@ -150,10 +193,10 @@ const BEFORE_COPY_THROUGH: [[u64; 6]; 11] = [
     [9900, 97, 8220, 97, 97, 17],
 ];
 
-/// [`PINNED`] before copy-through: its `gcx` rows from
+/// [`BEFORE_SLOT48`] before copy-through: its `gcx` rows from
 /// [`BEFORE_COPY_THROUGH`]. The earlier re-pins are asserted against this.
 fn pinned_before_copy_through() -> [[[u64; 6]; 3]; 11] {
-    let mut before = PINNED;
+    let mut before = BEFORE_SLOT48;
     for (rows, gcx) in before.iter_mut().zip(BEFORE_COPY_THROUGH) {
         rows[0] = gcx;
     }
@@ -184,7 +227,7 @@ fn the_copy_through_re_pin_is_the_old_pin_minus_what_was_written_through() {
     let mut moved = 0;
     for ((((name, text), now), before), (pinned, written)) in queries::paper_queries()
         .into_iter()
-        .zip(PINNED)
+        .zip(BEFORE_SLOT48)
         .zip(BEFORE_COPY_THROUGH)
         .zip(WRITTEN_THROUGH)
     {
@@ -322,14 +365,15 @@ fn the_re_pin_is_the_old_pin_minus_what_was_never_needed() {
 }
 
 /// Every column of `after` equals `before` but the byte peak, which fell by
-/// exactly `saved` bytes per peak node where nothing is purged and by at
-/// most that elsewhere.
+/// exactly `saved[q]` bytes per peak node of query `q` where nothing is
+/// purged and by at most that elsewhere.
 fn assert_byte_peaks_fell_by_at_most(
-    saved: u64,
+    saved: [u64; 11],
     before: &[[[u64; 6]; 3]; 11],
     after: &[[[u64; 6]; 3]; 11],
 ) {
     for (q, (before, now)) in before.iter().zip(after).enumerate() {
+        let saved = saved[q];
         for (m, (before, now)) in before.iter().zip(now).enumerate() {
             let (old, new, nodes) = (before[2], now[2], before[1]);
             assert_eq!(
@@ -356,13 +400,43 @@ fn assert_byte_peaks_fell_by_at_most(
 #[test]
 fn the_compact_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
     // A 168-byte record → an 80-byte slot.
-    assert_byte_peaks_fell_by_at_most(168 - 80, &BEFORE_COMPACT, &BEFORE_HOLD_COUNTS);
+    assert_byte_peaks_fell_by_at_most([168 - 80; 11], &BEFORE_COMPACT, &BEFORE_HOLD_COUNTS);
 }
 
 #[test]
 fn the_hold_count_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
     // An 80-byte slot → a 72-byte one.
-    assert_byte_peaks_fell_by_at_most(80 - 72, &BEFORE_HOLD_COUNTS, &pinned_before_copy_through());
+    assert_byte_peaks_fell_by_at_most(
+        [80 - 72; 11],
+        &BEFORE_HOLD_COUNTS,
+        &pinned_before_copy_through(),
+    );
+}
+
+#[test]
+fn the_slot48_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
+    // A 72-byte slot → a 48-byte one, plus 12 bytes of ordinals per node
+    // where the program has a positional step.
+    let saved: Vec<u64> = queries::paper_queries()
+        .into_iter()
+        .map(|(_, text)| {
+            let q = CompiledQuery::compile(text).unwrap();
+            if q.program.positional() {
+                72 - (48 + 12)
+            } else {
+                72 - 48
+            }
+        })
+        .collect();
+    let positional: Vec<&str> = queries::paper_queries()
+        .into_iter()
+        .zip(&saved)
+        .filter(|&(_, &saved)| saved == 12)
+        .map(|((name, _), _)| name)
+        .collect();
+    assert_eq!(positional, ["Q2", "Q3", "Q17"]);
+    let saved = saved.try_into().expect("11 paper queries");
+    assert_byte_peaks_fell_by_at_most(saved, &BEFORE_SLOT48, &PINNED);
 }
 
 /// Every case runs with telemetry off and on: telemetry changes no output
@@ -432,6 +506,12 @@ fn paper_queries_measure_the_same_in_all_three_modes() {
 /// the sum loses those 89 texts' residencies (28145 → 26463), and the
 /// samples at tokens 1025 and 2049 lose the name text then live (461 →
 /// 374, 460 → 374: one 72-byte slot and its payload).
+///
+/// And with [`BEFORE_SLOT48`]: residencies unchanged, each sample 24
+/// bytes lower per node live at that token (Q6: 374 → 254 at five nodes,
+/// 144 → 96 at two; Q14: 773 → 557 and 837 → 621 at nine, 144 → 96 at
+/// two; projection-only Q6: 9608 → 6752 at 119 nodes, 19075 → 13411 at
+/// 236, 22233 → 15633 at 275).
 fn assert_telemetry(
     what: &str,
     text: &str,
@@ -464,14 +544,14 @@ fn assert_telemetry(
 fn telemetry_clock_is_pinned() {
     assert_telemetry(
         "Q6/gcx", queries::Q6, EngineOptions::gcx(), (186, 26463),
-        &[(1, 0), (1025, 374), (2049, 374), (3073, 144), (4097, 144), (5121, 144), (6145, 144), (7169, 144), (8193, 144), (9217, 144)],
+        &[(1, 0), (1025, 254), (2049, 254), (3073, 96), (4097, 96), (5121, 96), (6145, 96), (7169, 96), (8193, 96), (9217, 96)],
     );
     assert_telemetry(
         "Q14/gcx", queries::extra::Q14, EngineOptions::gcx(), (542, 31585),
-        &[(1, 0), (1025, 773), (2049, 837), (3073, 144), (4097, 144), (5121, 144), (6145, 144), (7169, 144), (8193, 144), (9217, 144)],
+        &[(1, 0), (1025, 557), (2049, 621), (3073, 96), (4097, 96), (5121, 96), (6145, 96), (7169, 96), (8193, 96), (9217, 96)],
     );
     assert_telemetry(
         "Q6/projection_only", queries::Q6, EngineOptions::projection_only(), (0, 0),
-        &[(1, 0), (1025, 9608), (2049, 19075), (3073, 22233), (4097, 22233), (5121, 22233), (6145, 22233), (7169, 22233), (8193, 22233), (9217, 22233)],
+        &[(1, 0), (1025, 6752), (2049, 13411), (3073, 15633), (4097, 15633), (5121, 15633), (6145, 15633), (7169, 15633), (8193, 15633), (9217, 15633)],
     );
 }

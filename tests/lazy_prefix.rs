@@ -191,8 +191,10 @@ const BLIND_EQUALS_AWARE: [&str; 10] = [
 /// cutoff ends that loop at `payment` (the DTD allows one `name`, before
 /// it), the copy of `description` starts at its start tag, and the nodes
 /// only that copy needs are written through instead of appended: 33
-/// appends fall to 21, and the peaks from 8 nodes / 761 bytes to 6 / 446.
-const Q13_ROWS: [(u64, u64, u64); 2] = [(8, 761, 33), (6, 446, 21)];
+/// appends fall to 21, and the peaks from 8 nodes / 569 bytes to 6 / 302.
+/// (With 72-byte slots the peaks read 761 and 446 bytes: each peak node
+/// now costs 24 bytes less, `761 − 8 × 24` and `446 − 6 × 24`.)
+const Q13_ROWS: [(u64, u64, u64); 2] = [(8, 761 - 8 * 24, 33), (6, 446 - 6 * 24, 21)];
 
 #[test]
 fn blind_peaks_equal_aware_peaks_and_pending_cutoffs_fire() {
