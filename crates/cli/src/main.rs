@@ -116,8 +116,8 @@ xmark|none` header on PUT /queries.
 
 Every subcommand rejects a flag it does not know.
 
-Every query runs through the gcx-ir plan optimizer (step fusion, shared
-path prefixes, exists caching, hash joins); `--stats-json` reports what
+Every query runs through the gcx-ir plan optimizer (one rewrite: a
+nested equality loop becomes a hash join); `--stats-json` reports what
 it did under `opt_passes` / `instructions_before` /
 `instructions_after`.
 

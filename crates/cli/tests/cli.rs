@@ -101,7 +101,7 @@ fn explain_prints_roles() {
         "{text}"
     );
     assert!(text.contains("== Optimizer passes =="), "{text}");
-    assert!(text.contains("step-fusion"), "{text}");
+    assert!(text.contains("hash-join"), "{text}");
     assert!(text.contains("cost estimate:"), "{text}");
     assert!(text.contains("== Optimized program =="), "{text}");
     assert!(text.contains("for $b in p"), "{text}");

@@ -767,7 +767,7 @@ impl BufferTree {
     }
 
     /// With `keep`, keep every node's [`Ordinals`], stamped at its append
-    /// ([`ORDINAL_BYTES`] at the head of its payload, charged with it):
+    /// (`ORDINAL_BYTES`, 12 bytes, at the head of its payload, charged with it):
     /// what a program with a positional step reads. Without, the ordinals
     /// handed to an append are dropped.
     pub fn with_ordinals(mut self, keep: bool) -> BufferTree {

@@ -108,10 +108,13 @@ enum Task {
         body: InstrId,
     },
     /// An output path mid-iteration; `role` is the one its copies'
-    /// descendants carry.
-    OutputLoop { attr: AttrPlan, role: RoleId },
+    /// descendants carry, if they may write through.
+    OutputLoop {
+        attr: AttrPlan,
+        role: Option<RoleId>,
+    },
     /// Emit `node`'s subtree (see [`Vm::emit`]).
-    Emit { node: NodeId, role: RoleId },
+    Emit { node: NodeId, role: Option<RoleId> },
     /// Evaluate a condition, pushing its result on the bool stack.
     Cond(CondId),
     /// Negate the bool on top of the stack.
@@ -120,13 +123,8 @@ enum Task {
     AndRhs(CondId),
     /// Short-circuit `or`: evaluate the rhs only if the lhs failed.
     OrRhs(CondId),
-    /// An `exists` probe mid-iteration. `cache` carries the memo slot
-    /// and resolved context of a [`CondIr::CachedExists`] so the answer
-    /// is stored when the probe completes.
-    ExistsLoop {
-        attr: AttrPlan,
-        cache: Option<(u32, NodeId)>,
-    },
+    /// An `exists` probe mid-iteration.
+    ExistsLoop(AttrPlan),
     /// Compare the two value vectors on top of the value stack.
     CompareFinish(CmpOp),
     /// Apply a string predicate to the two value vectors on top.
@@ -298,7 +296,7 @@ fn task_kind(t: &Task) -> usize {
         Task::NotFinish => 8,
         Task::AndRhs(_) => 9,
         Task::OrRhs(_) => 10,
-        Task::ExistsLoop { .. } => 11,
+        Task::ExistsLoop(_) => 11,
         Task::CompareFinish(_) => 12,
         Task::StringFnFinish(_) => 13,
         Task::Operand(_) => 14,
@@ -485,10 +483,6 @@ pub(crate) struct Vm {
     env: Vec<Option<Binding>>,
     /// Per-[`gcx_ir::JoinPlan`] runtime state, indexed by join slot.
     joins: Vec<JoinState>,
-    /// Memoized `exists` answers per [`CondIr::CachedExists`] slot,
-    /// tagged with the resolved context node (generation-tagged, so a
-    /// recycled buffer slot can never alias a cached answer).
-    exists_cache: Vec<Option<(NodeId, bool)>>,
     /// What the machine was waiting for when `resume` last returned
     /// [`VmStatus::NeedInput`]; drivers batch event application against
     /// it via [`Vm::wait_satisfied`].
@@ -516,7 +510,6 @@ impl Vm {
         let joins = (0..program.join_count())
             .map(|_| JoinState::default())
             .collect();
-        let exists_cache = vec![None; program.exists_slots() as usize];
         // Room for the frames a paper query nests; a deeper one grows it.
         let mut tasks = Vec::with_capacity(16);
         tasks.push(Task::Exec(root));
@@ -530,7 +523,6 @@ impl Vm {
             vals: Vec::new(),
             env,
             joins,
-            exists_cache,
             wait: Wait::Any,
             cursor_pool: CursorPool::default(),
             signoff_scratch: Vec::new(),
@@ -868,7 +860,7 @@ impl Vm {
                         self.tasks.push(Task::Cond(rhs));
                     }
                 }
-                Task::ExistsLoop { attr, cache } => loop {
+                Task::ExistsLoop(attr) => loop {
                     let cursor = self.cursors.last_mut().expect("exists cursor");
                     match cursor.advance(buf, self.program.steps()) {
                         CursorState::Match(n) => {
@@ -876,9 +868,7 @@ impl Vm {
                             // appears or the search region is exhausted —
                             // the paper's "until the data is available in
                             // the buffer or it has become evident that the
-                            // data does not exist". Either way the answer
-                            // is definitive, so a cache slot (if the
-                            // optimizer assigned one) memoizes it.
+                            // data does not exist".
                             let witness = match attr {
                                 AttrPlan::None => true,
                                 AttrPlan::Any => !buf.attrs(n).is_empty(),
@@ -886,22 +876,16 @@ impl Vm {
                             };
                             if witness {
                                 self.bools.push(true);
-                                if let Some((slot, ctx)) = cache {
-                                    self.exists_cache[slot as usize] = Some((ctx, true));
-                                }
                                 self.close_cursor(buf);
                                 break;
                             }
                         }
                         CursorState::NeedInput => {
-                            self.tasks.push(Task::ExistsLoop { attr, cache });
+                            self.tasks.push(Task::ExistsLoop(attr));
                             return self.need_input_cursor();
                         }
                         CursorState::Done => {
                             self.bools.push(false);
-                            if let Some((slot, ctx)) = cache {
-                                self.exists_cache[slot as usize] = Some((ctx, false));
-                            }
                             self.close_cursor(buf);
                             break;
                         }
@@ -1383,12 +1367,13 @@ impl Vm {
     /// once — start tags and attributes of the open path, closed children
     /// whole — and the rest is handed to the lane as a [`Frontier`]: the
     /// machine then only waits for the end tag, which the lane writes
-    /// too. Without write-through (the baseline modes) an open node is
-    /// waited for and serialized whole.
+    /// too. Without write-through (the baseline modes, or a copy that is
+    /// not the last reader of its role's instances: `role` is `None`) an
+    /// open node is waited for and serialized whole.
     fn emit<W: Write>(
         &mut self,
         node: NodeId,
-        role: RoleId,
+        role: Option<RoleId>,
         buf: &BufferTree,
         symbols: &SymbolTable,
         out: &mut XmlWriter<W>,
@@ -1399,12 +1384,13 @@ impl Vm {
         }
         // (The virtual root has no end tag for the lane to see: `/` is
         // serialized at the end of input, as before.)
-        if self.gc && node != NodeId::ROOT {
-            buf.serialize(node, symbols, out)?;
-            self.frontier = Some(Frontier { node, role });
-            self.tasks.push(Task::WaitClosed(node));
-        } else {
-            self.tasks.push(Task::Emit { node, role });
+        match role {
+            Some(role) if self.gc && node != NodeId::ROOT => {
+                buf.serialize(node, symbols, out)?;
+                self.frontier = Some(Frontier { node, role });
+                self.tasks.push(Task::WaitClosed(node));
+            }
+            _ => self.tasks.push(Task::Emit { node, role }),
         }
         Ok(Some(Wait::Closed(node)))
     }
@@ -1428,26 +1414,7 @@ impl Vm {
             CondIr::Exists(p) => {
                 let attr = self.program.path(p).attr;
                 self.open_cursor(p, buf)?;
-                self.tasks.push(Task::ExistsLoop { attr, cache: None });
-            }
-            CondIr::CachedExists { path, slot } => {
-                let plan = self.program.path(path);
-                let (ctx, _) = self.resolve_root(plan.root)?;
-                match self.exists_cache[slot as usize] {
-                    // Memo hit for the same (generation-tagged) context:
-                    // the recorded answer is definitive — a `true` found a
-                    // witness, a `false` exhausted a closed region — so
-                    // the original re-probe could not answer differently.
-                    Some((cached, ans)) if cached == ctx => self.bools.push(ans),
-                    _ => {
-                        let attr = plan.attr;
-                        self.open_cursor(path, buf)?;
-                        self.tasks.push(Task::ExistsLoop {
-                            attr,
-                            cache: Some((slot, ctx)),
-                        });
-                    }
-                }
+                self.tasks.push(Task::ExistsLoop(attr));
             }
             CondIr::Compare { op, lhs, rhs } => {
                 // Operands are scheduled so `lhs` is fully collected before

@@ -77,7 +77,6 @@ impl Program {
             var_names: query.var_names.clone(),
             root,
             joins: Vec::new(),
-            exists_slots: 0,
         }
     }
 }

@@ -1,47 +1,32 @@
-//! The plan-level optimizer: a pass pipeline over the lowered
-//! [`Program`].
+//! The plan-level optimizer: one rewrite over the lowered [`Program`].
 //!
 //! The lowering in `lower.rs` is deliberately 1:1 — it preserves the
-//! rewritten query's shape so the listing reads like the query. The
-//! passes here are the place where plan-level rewrites happen:
+//! rewritten query's shape so the listing reads like the query. The one
+//! plan-level rewrite is here:
 //!
-//! 1. **step-fusion** — peephole over each path's step window: drop
-//!    identity `self::node()` steps and collapse adjacent
-//!    `descendant-or-self::node()` pairs (the cursor's emitted-set
-//!    dedup makes the pair equivalent to one step, and a single
-//!    descendant step scans without the dedup set entirely).
-//! 2. **shared-steps** — rebuild the step arena so paths sharing a
-//!    prefix (or any contiguous step window) share storage; the Q8
-//!    plan, for example, spells `child::site` four times.
-//! 3. **exists-cache** — an `exists(path)` probed inside a loop whose
-//!    context does not depend on the innermost loop variable re-probes
-//!    the same region once per iteration. Exists answers are definitive
-//!    the moment they are produced (the probe blocks until a witness
-//!    arrives or its region is exhausted, and roles keep witnesses
-//!    alive while the probe can still run), so the answer is memoized
-//!    per resolved context node in a cache slot.
-//! 4. **hash-join** — the tentpole: a nested `for $v in /path` whose
-//!    body is `if ($v/key = probe) then .. else ()` is the paper
-//!    benchmark's Q8 shape, quadratic under cursor re-scans. The pass
-//!    replaces the `for` with [`Instr::HashJoin`]: the executor builds
-//!    a keyed index during the first execution (mirroring the original
-//!    loop token for token) and probes it on every later one.
+//! **hash-join** — a nested `for $v in /path` whose body is
+//! `if ($v/key = probe) then .. else ()` is the paper benchmark's Q8
+//! shape, quadratic under cursor re-scans. The pass replaces the `for`
+//! with [`Instr::HashJoin`]: the executor builds a keyed index during
+//! the first execution (mirroring the original loop token for token)
+//! and probes it on every later one.
 //!
-//! Every pass is required to keep outputs **and** buffer peaks
-//! bit-identical; the invariants each pass relies on are documented
-//! inline and enforced end-to-end by `tests/optimizer_differential.rs`.
+//! The rewrite is required to keep outputs **and** buffer peaks
+//! bit-identical; the invariants it relies on are documented inline and
+//! enforced end-to-end by `tests/optimizer_differential.rs`, which also
+//! checks that every plan without a join shape is left exactly as
+//! lowered.
 
 use crate::program::{
     CondId, CondIr, Instr, InstrId, JoinPlan, OperandIr, PathId, PlanRoot, Program, ProgramStats,
 };
-use crate::step::{EAxis, ETest, EvalStep};
 use crate::walk::{walk, walk_from, IrVisitor, WalkCtx};
 use gcx_query::ast::{CmpOp, VarId};
 
 /// What one optimizer pass did, for `gcx explain` and `--stats-json`.
 #[derive(Debug, Clone)]
 pub struct PassStat {
-    /// Pass name (`"step-fusion"`, ...).
+    /// Pass name (`"hash-join"`).
     pub name: &'static str,
     /// Number of rewrites the pass performed (0 = no-op on this plan).
     pub changes: usize,
@@ -65,19 +50,15 @@ pub struct OptReport {
     pub cost_after: u64,
 }
 
-/// Run the full pass pipeline over a lowered program, returning the
-/// optimized program and the report. The input program is not modified;
-/// callers keep it as a differential reference and for explain diffs.
+/// Run the optimizer (the hash-join rewrite) over a lowered program,
+/// returning the optimized program and the report. The input program is
+/// not modified; callers keep it as a differential reference and for
+/// explain diffs.
 pub fn optimize(input: &Program) -> (Program, OptReport) {
     let mut p = input.clone();
     let before = p.stats();
     let cost_before = cost_estimate(&p);
-    let passes = vec![
-        fuse_steps(&mut p),
-        share_steps(&mut p),
-        cache_exists(&mut p),
-        hash_joins(&mut p),
-    ];
+    let passes = vec![hash_joins(&mut p)];
     let after = p.stats();
     let cost_after = cost_estimate(&p);
     (
@@ -143,213 +124,13 @@ pub fn cost_estimate(p: &Program) -> u64 {
             CondIr::Not(a) => 1 + cond_cost(p, a),
             CondIr::And(a, b) | CondIr::Or(a, b) => 1 + cond_cost(p, a) + cond_cost(p, b),
             CondIr::Exists(path) => 2 + p.path(path).step_len as u64,
-            // Memoized: charged as a lookup.
-            CondIr::CachedExists { .. } => 1,
             CondIr::Compare { .. } | CondIr::StringFn { .. } => 4,
         }
     }
     instr_cost(p, p.root(), 0)
 }
 
-// ---- pass 1: step fusion ----------------------------------------------------
-
-/// True for the identity step `self::node()` (no positional predicate).
-fn is_self_node(s: EvalStep) -> bool {
-    s.axis == EAxis::SelfAxis && s.test == ETest::AnyNode && s.pos.is_none()
-}
-
-/// True for `descendant-or-self::node()` (no positional predicate).
-fn is_dos_node(s: EvalStep) -> bool {
-    s.axis == EAxis::DescendantOrSelf && s.test == ETest::AnyNode && s.pos.is_none()
-}
-
-/// Paths referenced by `signOff` instructions. SignOff derivation
-/// counting multiplies per-step derivations, so its paths must keep
-/// their exact step sequence — fusion skips them.
-fn signoff_paths(p: &Program) -> Vec<bool> {
-    let mut used = vec![false; p.path_count()];
-    for instr in &p.instrs {
-        if let Instr::SignOff { path, .. } = *instr {
-            used[path.index()] = true;
-        }
-    }
-    used
-}
-
-/// Pass 1: peephole each evaluator path's steps.
-///
-/// Both rewrites preserve the evaluator cursor's match sequence (order
-/// and multiplicity), verified by unit tests below:
-/// - `self::node()` matches exactly the context node and can never
-///   suspend, so dropping it changes nothing observable. It is kept
-///   when it is the path's only step (a bare `$x/self::node()` binding
-///   stays recognizable in the listing).
-/// - `dos::node()/dos::node()` engages the cursor's emitted-set dedup,
-///   which makes it emit every descendant-or-self node exactly once in
-///   scan order — the same sequence a single `dos::node()` step emits
-///   without any dedup set.
-fn fuse_steps(p: &mut Program) -> PassStat {
-    let skip = signoff_paths(p);
-    let mut dropped_self = 0usize;
-    let mut collapsed_dos = 0usize;
-    let mut fused = 0usize;
-    for (i, &skip_path) in skip.iter().enumerate() {
-        if skip_path {
-            continue;
-        }
-        let plan = p.paths[i];
-        let steps: Vec<EvalStep> = p.path_steps(plan).to_vec();
-        let mut out: Vec<EvalStep> = Vec::with_capacity(steps.len());
-        for &s in &steps {
-            if is_self_node(s) {
-                dropped_self += 1;
-                continue;
-            }
-            if is_dos_node(s) && out.last().copied().is_some_and(is_dos_node) {
-                collapsed_dos += 1;
-                continue;
-            }
-            out.push(s);
-        }
-        if out.is_empty() && !steps.is_empty() {
-            // Keep a bare `self::node()` path intact.
-            dropped_self -= steps.len();
-            continue;
-        }
-        if out.len() == steps.len() {
-            continue;
-        }
-        fused += 1;
-        // Append the fused window; pass 2 rebuilds the arena and drops
-        // the now-dead original window.
-        let first = p.steps.len() as u32;
-        let len = out.len() as u32;
-        p.steps.extend(out);
-        p.paths[i].first_step = first;
-        p.paths[i].step_len = len;
-    }
-    PassStat {
-        name: "step-fusion",
-        changes: dropped_self + collapsed_dos,
-        detail: format!(
-            "{fused} paths rewritten ({dropped_self} self::node() dropped, \
-             {collapsed_dos} adjacent dos::node() collapsed)"
-        ),
-    }
-}
-
-// ---- pass 2: shared step windows --------------------------------------------
-
-/// Pass 2: rebuild the step arena so path plans share contiguous
-/// windows. Lowering dedups *identical* paths only; distinct paths with
-/// a common prefix (`/site/people/person` vs `/site/people/person/name`)
-/// each get their own copy. Window reuse is purely a storage rewrite —
-/// `first_step`/`step_len` move, the step sequences do not.
-fn share_steps(p: &mut Program) -> PassStat {
-    let before = p.steps.len();
-    let mut arena: Vec<EvalStep> = Vec::with_capacity(before);
-    for i in 0..p.paths.len() {
-        let plan = p.paths[i];
-        let want: Vec<EvalStep> = p.path_steps(plan).to_vec();
-        if want.is_empty() {
-            p.paths[i].first_step = 0;
-            p.paths[i].step_len = 0;
-            continue;
-        }
-        let n = want.len();
-        let found =
-            (0..arena.len().saturating_sub(n - 1)).find(|&at| arena[at..at + n] == want[..]);
-        let first = match found {
-            Some(at) => at,
-            None => {
-                // Extend a shared prefix off the arena's tail if one
-                // lines up, otherwise append the whole window.
-                let overlap = (1..n)
-                    .rev()
-                    .find(|&k| arena.ends_with(&want[..k]))
-                    .unwrap_or(0);
-                let at = arena.len() - overlap;
-                arena.extend_from_slice(&want[overlap..]);
-                at
-            }
-        };
-        p.paths[i].first_step = first as u32;
-        p.paths[i].step_len = n as u32;
-    }
-    let saved = before - arena.len();
-    p.steps = arena;
-    PassStat {
-        name: "shared-steps",
-        changes: saved,
-        detail: format!(
-            "step arena {before} -> {} ({saved} steps shared)",
-            p.steps.len()
-        ),
-    }
-}
-
-// ---- pass 3: loop-invariant exists caching ----------------------------------
-
-/// Pass 3: memoize `exists` probes that are loop-invariant under the
-/// innermost enclosing `for`.
-///
-/// Soundness: an exists answer is definitive once produced. `true`
-/// stays true — the role attached to the probed path keeps a witness
-/// buffered for as long as the same context can be re-probed (signOffs
-/// are placed after last use). `false` requires the probe's region to
-/// be exhausted, which means every scanned subtree is closed, and
-/// closed regions never gain nodes. The skipped re-probes were
-/// non-blocking scans over buffered data whose only side effects are
-/// transient cursor pins within a single resume, so peaks are
-/// unchanged.
-fn cache_exists(p: &mut Program) -> PassStat {
-    /// Collects loop-invariant `exists` probes in traversal order; the
-    /// mutation below assigns cache slots in that same order.
-    struct Invariant {
-        found: Vec<CondId>,
-    }
-    impl IrVisitor for Invariant {
-        fn enter_instr(&mut self, p: &Program, id: InstrId, _ctx: &WalkCtx) -> bool {
-            // A join's preserved fallback was vetted by its own pass;
-            // probes inside it are evaluated by the join machinery, not
-            // re-scanned per iteration.
-            !matches!(p.instr(id), Instr::HashJoin(_))
-        }
-        fn visit_cond(&mut self, p: &Program, id: CondId, ctx: &WalkCtx) {
-            if let CondIr::Exists(path) = p.cond(id) {
-                let invariant = match p.path(path).root {
-                    // Probing from the document root: same context on
-                    // every iteration.
-                    PlanRoot::Root => ctx.depth() > 0,
-                    // Probing from an outer loop's binding: invariant
-                    // under the innermost loop.
-                    PlanRoot::Var(v) => ctx.innermost().is_some_and(|inner| inner != v),
-                };
-                if invariant {
-                    self.found.push(id);
-                }
-            }
-        }
-    }
-    let mut v = Invariant { found: Vec::new() };
-    walk(p, &mut v);
-    let cached = v.found.len();
-    for id in v.found {
-        let CondIr::Exists(path) = p.cond(id) else {
-            unreachable!("collected conds are Exists nodes");
-        };
-        let slot = p.exists_slots;
-        p.exists_slots += 1;
-        p.conds[id.index()] = CondIr::CachedExists { path, slot };
-    }
-    PassStat {
-        name: "exists-cache",
-        changes: cached,
-        detail: format!("{cached} loop-invariant exists probes memoized"),
-    }
-}
-
-// ---- pass 4: hash join ------------------------------------------------------
+// ---- the hash join ---------------------------------------------------------
 
 /// True if the instruction subtree contains a `signOff`. A join's then
 /// branch may contain anything *except* signOffs of roles the index
@@ -411,7 +192,7 @@ fn operand_rooted_at(p: &Program, op: OperandIr, var: VarId) -> Option<PathId> {
     }
 }
 
-/// Pass 4: replace eligible nested for-loops with [`Instr::HashJoin`].
+/// Replace eligible nested for-loops with [`Instr::HashJoin`].
 ///
 /// Eligibility (all checked structurally):
 /// - the `for` sits inside at least one enclosing loop (otherwise it
@@ -578,74 +359,6 @@ mod tests {
 
     fn pass<'r>(r: &'r OptReport, name: &str) -> &'r PassStat {
         r.passes.iter().find(|p| p.name == name).expect("pass ran")
-    }
-
-    #[test]
-    fn self_node_steps_are_dropped() {
-        let (_, opt, report) =
-            optimized("for $x in /site/self::node()/child::item return <i>{$x/child::name}</i>");
-        assert!(pass(&report, "step-fusion").changes >= 1);
-        // The fused binding path no longer spells the self step.
-        let listing = opt.listing();
-        assert!(
-            !listing.contains("= self::node()"),
-            "self step survived:\n{listing}"
-        );
-    }
-
-    #[test]
-    fn adjacent_dos_steps_collapse() {
-        let (plain, opt, report) = optimized(
-            "for $x in /descendant-or-self::node()/descendant-or-self::node() return <n/>",
-        );
-        assert_eq!(pass(&report, "step-fusion").changes, 1);
-        assert!(opt.stats().steps < plain.stats().steps);
-    }
-
-    #[test]
-    fn bare_self_node_path_is_kept() {
-        let (plain, opt, _) =
-            optimized("for $x in /a return for $y in $x/self::node() return <n/>");
-        // `$x/self::node()` must keep its only step.
-        assert_eq!(plain.stats().steps, opt.stats().steps);
-        assert!(opt.listing().contains("= self::node()"));
-    }
-
-    #[test]
-    fn shared_prefixes_share_arena_windows() {
-        let (plain, opt, report) = optimized(
-            "for $x in /site/people/person return <p>{$x/child::name}</p>, \
-             for $y in /site/people/person/child::address return <a/>",
-        );
-        let shared = pass(&report, "shared-steps");
-        assert!(shared.changes > 0, "no sharing: {}", shared.detail);
-        assert!(opt.stats().steps < plain.stats().steps);
-        // Sharing moves windows but never changes any path's steps.
-        for i in 0..plain.path_count() {
-            let id = crate::PathId(i as u32);
-            assert_eq!(plain.path_display(id), opt.path_display(id), "path p{i}");
-        }
-    }
-
-    #[test]
-    fn loop_invariant_exists_is_cached() {
-        let (_, opt, report) = optimized(
-            "for $x in /site/person return \
-               if (exists(/site/open_auctions/auction)) then <y/> else <n/>",
-        );
-        assert_eq!(pass(&report, "exists-cache").changes, 1);
-        assert_eq!(opt.exists_slots(), 1);
-        assert!(opt.listing().contains("[cache slot 0]"));
-    }
-
-    #[test]
-    fn innermost_var_exists_is_not_cached() {
-        let (_, opt, report) = optimized(
-            "for $x in /site/person return \
-               if (exists($x/child::name)) then <y/> else <n/>",
-        );
-        assert_eq!(pass(&report, "exists-cache").changes, 0);
-        assert_eq!(opt.exists_slots(), 0);
     }
 
     #[test]

@@ -139,10 +139,11 @@ pub enum Instr {
         /// The path.
         path: PathId,
         /// The role a matched element's descendants carry for this copy
-        /// (`path/descendant-or-self::node()`): while the evaluator waits
-        /// at the copy's frontier, a node holding only this role may go
-        /// straight to the writer.
-        role: RoleId,
+        /// (`path/descendant-or-self::node()`), when the copy runs at most
+        /// once per instance of it: while the evaluator waits at the
+        /// copy's frontier, a node holding only this role may go straight
+        /// to the writer. `None`: the copy is serialized from the buffer.
+        role: Option<RoleId>,
     },
     /// Aggregate over a path, emitting a single text value.
     Aggregate {
@@ -222,18 +223,6 @@ pub enum CondIr {
     Or(CondId, CondId),
     /// `exists(path)`.
     Exists(PathId),
-    /// `exists(path)` whose answer is loop-invariant under the innermost
-    /// enclosing `for`: the executor memoizes the answer per resolved
-    /// context node in cache slot `slot` (see [`Program::exists_slots`]).
-    /// Exists answers are definitive once produced (the probe blocks until
-    /// a witness arrives or the region is exhausted), so re-probes with
-    /// the same context can reuse them.
-    CachedExists {
-        /// The probed path.
-        path: PathId,
-        /// Cache slot index, `0..Program::exists_slots()`.
-        slot: u32,
-    },
     /// General comparison with existential sequence semantics.
     Compare {
         /// Operator.
@@ -298,7 +287,6 @@ pub struct Program {
     pub(crate) var_names: Vec<String>,
     pub(crate) root: InstrId,
     pub(crate) joins: Vec<JoinPlan>,
-    pub(crate) exists_slots: u32,
 }
 
 /// Size counters of a compiled program, for `--stats-json` and benches.
@@ -371,13 +359,6 @@ impl Program {
     #[inline]
     pub fn join_count(&self) -> usize {
         self.joins.len()
-    }
-
-    /// Number of exists-cache slots referenced by
-    /// [`CondIr::CachedExists`] (zero on unoptimized programs).
-    #[inline]
-    pub fn exists_slots(&self) -> u32 {
-        self.exists_slots
     }
 
     /// The element steps of a path plan.
@@ -528,7 +509,10 @@ impl Program {
                     );
                 }
                 Instr::OutputPath { path, role } => {
-                    let _ = write!(out, "output p{} copying {role}", path.0);
+                    let _ = write!(out, "output p{}", path.0);
+                    if let Some(role) = role {
+                        let _ = write!(out, " copying {role}");
+                    }
                 }
                 Instr::Aggregate {
                     func,
@@ -582,9 +566,6 @@ impl Program {
                     }
                     CondIr::Exists(p) => {
                         let _ = write!(out, "exists p{}", p.0);
-                    }
-                    CondIr::CachedExists { path, slot } => {
-                        let _ = write!(out, "exists p{} [cache slot {slot}]", path.0);
                     }
                     CondIr::Compare { op, lhs, rhs } => {
                         let _ = write!(

@@ -10,10 +10,9 @@
 //! the recursion once; callers implement [`IrVisitor`] and read the
 //! loop context off [`WalkCtx`].
 //!
-//! Traversal order is fixed and documented, because two users depend on
-//! it: the exists-cache pass numbers its slots in visit order, and the
-//! join pass collects candidates in post-order (`leave_instr`) so inner
-//! loops are rewritten before outer ones. For every instruction:
+//! Traversal order is fixed and documented, because the join pass
+//! depends on it: it collects candidates in post-order (`leave_instr`)
+//! so inner loops are rewritten before outer ones. For every instruction:
 //! `enter_instr` first (return `false` to skip the subtree), then its
 //! paths/conditions/children — `Seq` items in sequence order, `If` as
 //! condition tree, then branch, else branch, `For` as binding path,
@@ -40,7 +39,7 @@ pub enum PathUse {
     Aggregate,
     /// The path of a `signOff` statement — buffer-local, never output.
     SignOff,
-    /// The path probed by `exists` (cached or not).
+    /// The path probed by `exists`.
     Exists,
     /// A path operand of a comparison or string predicate.
     Operand,
@@ -160,7 +159,7 @@ fn walk_cond<V: IrVisitor>(p: &Program, id: CondId, v: &mut V, ctx: &mut WalkCtx
             walk_cond(p, a, v, ctx);
             walk_cond(p, b, v, ctx);
         }
-        CondIr::Exists(path) | CondIr::CachedExists { path, .. } => {
+        CondIr::Exists(path) => {
             v.visit_path(p, path, PathUse::Exists, ctx);
         }
         CondIr::Compare { lhs, rhs, .. }

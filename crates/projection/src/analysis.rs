@@ -23,6 +23,12 @@
 //! of it as soon as it has consumed the match. The query-end signOff then
 //! removes only what evaluation never reached.
 //!
+//! A copy may write the part of its subtree that has not yet arrived
+//! straight to the output, unbuffered, only if no later evaluation reads
+//! the same role instances again: its role is recorded in
+//! [`Analysis::output_roles`] only when the copy runs at most once per
+//! instance of that role.
+//!
 //! ## signOff placement
 //!
 //! A role's signOff is **anchored** at a variable `$v` when the statement
@@ -56,12 +62,16 @@ pub struct Analysis {
     pub rewritten: Query,
     /// Binding role per variable (every for-variable has one).
     pub binding_roles: Vec<Option<RoleId>>,
-    /// The role of each path in output position, in the order a
-    /// pre-order walk of `rewritten` meets them (sequence items in order,
-    /// an `if`'s condition, then branch, else branch): the role its
-    /// copied subtree carries, `path/descendant-or-self::node()` for a
-    /// path selecting elements.
-    pub output_roles: Vec<RoleId>,
+    /// One entry per path in output position, in the order a pre-order
+    /// walk of `rewritten` meets them (sequence items in order, an `if`'s
+    /// condition, then branch, else branch): the role its copied subtree
+    /// carries (`path/descendant-or-self::node()` for a path selecting
+    /// elements) when the copy runs at most once per instance of that
+    /// role — the role is signed off at the end of the innermost
+    /// enclosing loop's body, or at query end with no enclosing loop — so
+    /// that the copy may write the subtree's later part straight through;
+    /// `None` otherwise.
+    pub output_roles: Vec<Option<RoleId>>,
     /// One entry per aggregate argument and path operand of a condition,
     /// in the same pre-order as `output_roles` (an operator's left operand
     /// before its right): the use's role when the use runs at most once —
@@ -148,7 +158,7 @@ struct Cx {
     vars: Vec<Option<VarInfo>>,
     var_names: Vec<String>,
     binding_roles: Vec<Option<RoleId>>,
-    output_roles: Vec<RoleId>,
+    output_roles: Vec<Option<RoleId>>,
     value_roles: Vec<Option<RoleId>>,
     query_end: Vec<(PathExpr, RoleId)>,
     /// Enclosing loops, innermost last, with the conditional depth at which
@@ -379,7 +389,15 @@ impl Cx {
                 let role = self
                     .add_use_role(p, UseKind::Output)
                     .expect("an output use always gets a role");
-                self.output_roles.push(role);
+                // The output twin of `add_value_role`'s `once`: a copy that
+                // runs again over the same instances (an inner loop, or a
+                // root path in a loop body) must find them buffered.
+                let innermost = self.loop_stack.last().map(|&(v, _)| v);
+                let once = match self.roles.get(role).anchor {
+                    Anchor::Var(v) => innermost == Some(v),
+                    Anchor::QueryEnd => innermost.is_none(),
+                };
+                self.output_roles.push(once.then_some(role));
                 Expr::Path(p.clone())
             }
             Expr::Aggregate { func, arg } => {
@@ -671,6 +689,20 @@ r7: /bib/book/title/descendant-or-self::node()
             ]
         );
         assert!(a.releases(role("/a/b")) && !a.releases(role("/a/e")));
+    }
+
+    #[test]
+    fn only_copies_that_run_once_per_role_instance_write_through() {
+        // In pre-order: a root copy outside loops, a copy of the innermost
+        // binding, an outer binding's path in an inner loop, a root path
+        // in a loop body, and the outer binding's own path after the
+        // inner loop.
+        let a = analyze_str(
+            "<r>{ /a/z, for $o in /a/p return (
+                    for $x in $o/* return ($x, $o/n, /a/z), $o/n) }</r>",
+        );
+        let once: Vec<bool> = a.output_roles.iter().map(Option::is_some).collect();
+        assert_eq!(once, [true, true, false, false, true]);
     }
 
     #[test]

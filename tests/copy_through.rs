@@ -340,6 +340,81 @@ impl std::io::Write for Flaky {
     }
 }
 
+/// Copies that read the same role instances more than once — an outer
+/// variable's path in an inner loop, a root path in a loop body — and a
+/// nested loop whose copy is its binding's last reader.
+const REREAD: [(&str, &str); 4] = [
+    (
+        "an outer path in an inner loop",
+        "<r>{ for $o in /site/people/person return for $x in $o/* return $o/name }</r>",
+    ),
+    (
+        "a root path in a loop",
+        "<r>{ for $x in /site/people/person return /site/z }</r>",
+    ),
+    (
+        "a later root path in a loop",
+        "<r>{ for $i in /site/regions/africa/item return /site/categories/category/name }</r>",
+    ),
+    (
+        "the innermost binding in a nested loop",
+        "<r>{ for $o in /site/people/person return for $x in $o/* return $x }</r>",
+    ),
+];
+
+#[test]
+fn a_copy_that_runs_again_keeps_its_text() {
+    // Only a copy that runs at most once per instance of its role may
+    // write the rest of its subtree through: one that runs again must
+    // find the subtree buffered, not written away by the first copy.
+    let people = "<site><people><person id='p0'><name>Ann</name><age>30</age></person>\
+                  <person id='p1'><name>Bob</name></person></people><z>Z</z></site>";
+    let docs = [people.to_string(), xmark(48, 4242)];
+    let compiled: Vec<CompiledQuery> = REREAD
+        .iter()
+        .map(|&(name, text)| CompiledQuery::compile(text).expect(name))
+        .collect();
+    for (d, doc) in docs.iter().enumerate() {
+        let bytes = doc.as_bytes();
+        let whole = bytes.len();
+        let oracles: Vec<String> = REREAD
+            .iter()
+            .map(|&(_, text)| gcx::dom::run_query(text, doc).expect("oracle"))
+            .collect();
+        for (((name, _), q), oracle) in REREAD.iter().zip(&compiled).zip(&oracles) {
+            for chunk in [1, 7, whole] {
+                let (out, report) = fed(q, &EngineOptions::gcx(), bytes, chunk);
+                assert_eq!(
+                    String::from_utf8_lossy(&out),
+                    *oracle,
+                    "{name} on document {d}, chunks of {chunk}"
+                );
+                assert_eq!(report.buffer.live, 0, "{name}: must drain");
+            }
+        }
+        for chunk in [1, 7, whole] {
+            let mut session = BatchSession::new(&compiled, &BatchOptions::default());
+            for piece in bytes.chunks(chunk) {
+                session.feed(piece).expect("batch feed");
+            }
+            let report = session.finish().expect("batch");
+            for (((name, _), lane), oracle) in REREAD.iter().zip(report.queries).zip(&oracles) {
+                assert_eq!(
+                    String::from_utf8_lossy(&lane.output),
+                    *oracle,
+                    "{name} on document {d} as a lane, chunks of {chunk}"
+                );
+            }
+        }
+    }
+    // The rereading copies write nothing through; the nested loop's
+    // innermost copy still does.
+    for ((name, _), q) in REREAD.iter().zip(&compiled) {
+        let through = common::written_through(q, None, people).contains(&true);
+        assert_eq!(through, name.starts_with("the innermost"), "{name}");
+    }
+}
+
 #[test]
 fn a_copy_under_a_schema_the_document_breaks_still_nests() {
     // `incategory` is declared EMPTY and `mail` may hold no `keyword`: the
