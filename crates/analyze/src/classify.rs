@@ -2,7 +2,6 @@
 //! optimized program, folding per-construct contributions into the
 //! query's class and lint list.
 
-use crate::dtd::path_is_bounded;
 use gcx_ir::{
     walk, AttrPlan, CondId, CondIr, EAxis, ETest, Instr, InstrId, IrVisitor, OperandIr, PathId,
     PathPlan, PathUse, PlanRoot, Program, WalkCtx,
@@ -233,6 +232,13 @@ impl IrVisitor for RootReaders {
     }
 }
 
+/// The DTD proves the rooted path `plan` selects a constant-size region
+/// (see [`Dtd::path_is_bounded`]).
+fn bounded(dtd: &Dtd, p: &Program, plan: PathPlan) -> bool {
+    let has_attr = plan.attr != AttrPlan::None;
+    plan.root == PlanRoot::Root && dtd.path_is_bounded(p.path_steps(plan), has_attr, p.symbols())
+}
+
 fn has_positional(p: &Program, plan: PathPlan) -> bool {
     p.path_steps(plan).iter().any(|s| s.pos.is_some())
 }
@@ -395,7 +401,7 @@ impl Classifier<'_> {
     /// aggregate argument): `Subtree`, unless the DTD caps it.
     fn region(&mut self, p: &Program, plan: PathPlan, span: &str, name: &str, why: &str) {
         if let Some(dtd) = self.dtd {
-            if path_is_bounded(dtd, p, plan) {
+            if bounded(dtd, p, plan) {
                 self.lint(
                     "GCX-DTD",
                     Severity::Info,
@@ -549,7 +555,7 @@ impl Classifier<'_> {
                     );
                 }
                 if let Some(dtd) = self.dtd {
-                    if path_is_bounded(dtd, p, plan) {
+                    if bounded(dtd, p, plan) {
                         self.lint(
                             "GCX-DTD",
                             Severity::Info,
@@ -649,7 +655,7 @@ impl Classifier<'_> {
                 // A top-level condition over a document region: held as
                 // a unit, like a top-level output.
                 if let Some(dtd) = self.dtd {
-                    if path_is_bounded(dtd, p, plan) {
+                    if bounded(dtd, p, plan) {
                         self.raise(StreamClass::PerItem, &span);
                         return;
                     }

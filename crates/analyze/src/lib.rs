@@ -22,7 +22,9 @@
 //! Document- or Subtree-forcing construct is reported as a structured
 //! [`GcxLint`]. An optional DTD tightens `Subtree` (and aggregate
 //! `Document`) to `PerItem` where content-model cardinality proves the
-//! selected region has constant size ([`GcxLint`] code `GCX-DTD`).
+//! selected region has constant size ([`GcxLint`] code `GCX-DTD`); that
+//! proof is `gcx-schema`'s (`Dtd::path_is_bounded`), asked of a plan's
+//! compiled steps.
 //!
 //! **Soundness contract** (enforced by `tests/analyze_soundness.rs` at
 //! the workspace root): the static class must *dominate* the observed
@@ -39,7 +41,6 @@
 //! `par_shards` workload (see the module docs).
 
 mod classify;
-mod dtd;
 pub mod shard;
 
 pub use classify::{analyze_program, BindingReport, GcxLint, QueryAnalysis, Severity, StreamClass};

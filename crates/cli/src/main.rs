@@ -624,7 +624,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             prune.kept(),
             prune.pruned.len()
         );
-        for (role, path) in &prune.pruned {
+        for &role in &prune.pruned {
+            let path = q.analysis.roles.get(role).path_display();
             println!("  pruned {role}: {path}");
         }
     }
@@ -689,7 +690,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     if let Some(extra) = positional.get(1) {
         return Err(format!("unexpected argument `{extra}`"));
     }
-    let mut cfg = gcx_xmark::XmarkConfig::sized(mb * 1024 * 1024);
+    let bytes = mb
+        .checked_mul(1024 * 1024)
+        .ok_or_else(|| format!("size {mb} MB is too large"))?;
+    let mut cfg = gcx_xmark::XmarkConfig::sized(bytes);
     if let Some(v) = flag_value(&flags, "--seed")? {
         cfg.seed = v.parse().map_err(|_| "--seed must be a number")?;
     }

@@ -131,6 +131,36 @@ fn explain_matches_golden_listing() {
 }
 
 #[test]
+fn explain_schema_lists_the_pruned_paths() {
+    // Each path the DTD rules out is printed as its role's absolute path,
+    // here with a descendant step, a wildcard, a position and the subtree
+    // step a copy adds.
+    let q = "for $p in /site/people/person return \
+             <r>{ $p/homepage/foo, $p//bar/text(), $p/*/baz[2], $p/name }</r>";
+    let out = gcx_bin()
+        .args(["explain", "-e", q, "--schema", "xmark"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let schema = &text[text.find("== schema ==").expect("a schema section")..];
+    assert_eq!(
+        schema,
+        "== schema ==\n\
+         64 element declaration(s), root site, 27 with sequenced children, \
+         64 with closed descendant world\n\
+         projection paths: 6 total, 3 kept, 3 pruned as DTD-unsatisfiable\n  \
+         pruned r3: /site/people/person/homepage/foo/descendant-or-self::node()\n  \
+         pruned r4: /site/people/person/descendant::bar/text()\n  \
+         pruned r5: /site/people/person/*/baz[2]/descendant-or-self::node()\n"
+    );
+}
+
+#[test]
 fn analyze_matches_golden_text() {
     // Golden file for `gcx analyze` on the paper's running example:
     // class, symbolic bound, per-binding table, lints. Regenerate with
@@ -273,6 +303,23 @@ fn generate_writes_to_its_path_wherever_the_flags_are() {
         String::from_utf8_lossy(&out.stderr)
     );
     let _ = std::fs::remove_file(&doc);
+}
+
+#[test]
+fn generate_rejects_a_size_whose_bytes_overflow() {
+    // 2^44 MB is 2^64 bytes: the size must be refused by name, not
+    // wrapped to an empty target and written as a tiny document.
+    let doc = std::env::temp_dir().join(format!("gcx-cli-genhuge-{}.xml", std::process::id()));
+    let _ = std::fs::remove_file(&doc);
+    let out = gcx_bin()
+        .args(["generate", "17592186044416"])
+        .arg(&doc)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("size 17592186044416 MB"), "{stderr}");
+    assert!(!doc.exists(), "nothing may be written");
 }
 
 #[test]

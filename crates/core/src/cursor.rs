@@ -22,39 +22,29 @@ use std::collections::HashSet;
 
 pub use gcx_ir::{EAxis, ETest, EvalStep};
 
-/// Buffer-side behaviour of a compiled node test. The data type lives in
-/// `gcx-ir` (steps are compiled once, at query-compile time); this trait
-/// supplies the half that needs the run's [`BufferTree`].
-pub trait StepTest {
-    /// Does `node` satisfy the test?
-    fn matches(self, buf: &BufferTree, node: NodeId) -> bool;
-
-    /// The document ordinal of `node` relevant to a `[k]` predicate on a
-    /// child step with this test: same-name position for name tests,
-    /// element position for `*`, text position for `text()`, any-sibling
-    /// position for `node()`.
-    fn pred_ordinal(self, buf: &BufferTree, node: NodeId) -> u32;
+/// Does `node` pass `test`? The virtual root counts as an element whose
+/// tag no query names: `*` (any non-text node) and `node()` pass it, a
+/// name test does not.
+#[inline]
+pub fn passes(test: ETest, buf: &BufferTree, node: NodeId) -> bool {
+    match buf.name(node) {
+        Some(name) => test.matches_element(name),
+        None => test.matches_text(),
+    }
 }
 
-impl StepTest for ETest {
-    fn matches(self, buf: &BufferTree, node: NodeId) -> bool {
-        match self {
-            ETest::Name(s) => buf.name(node) == Some(s),
-            ETest::Star => !buf.is_text(node),
-            ETest::Text => buf.is_text(node),
-            ETest::AnyNode => true,
-        }
-    }
-
-    fn pred_ordinal(self, buf: &BufferTree, node: NodeId) -> u32 {
-        let o = buf
-            .ordinals(node)
-            .expect("a program with a positional step buffers ordinals");
-        match self {
-            ETest::Name(_) | ETest::Text => o.same_kind,
-            ETest::Star => o.elem,
-            ETest::AnyNode => o.any,
-        }
+/// The document ordinal of `node` relevant to a `[k]` predicate on a
+/// child step with `test`: same-name position for name tests, element
+/// position for `*`, text position for `text()`, any-sibling position
+/// for `node()`.
+pub fn pred_ordinal(test: ETest, buf: &BufferTree, node: NodeId) -> u32 {
+    let o = buf
+        .ordinals(node)
+        .expect("a program with a positional step buffers ordinals");
+    match test {
+        ETest::Name(_) | ETest::Text => o.same_kind,
+        ETest::Star => o.elem,
+        ETest::AnyNode => o.any,
     }
 }
 
@@ -218,7 +208,7 @@ impl PathCursor {
                             self.stack[top_idx].kind = FrameKind::DosEntry;
                         }
                         EAxis::SelfAxis => {
-                            if s.test.matches(buf, node) {
+                            if passes(s.test, buf, node) {
                                 self.stack[top_idx].step += 1;
                                 // kind stays Eval: re-dispatch next round.
                             } else {
@@ -233,7 +223,7 @@ impl PathCursor {
                     // document order).
                     self.stack[top_idx].kind = FrameKind::DescScan { last: None };
                     let s = steps[step];
-                    if s.test.matches(buf, node) {
+                    if passes(s.test, buf, node) {
                         self.push(buf, node, step + 1);
                     }
                 }
@@ -252,13 +242,13 @@ impl PathCursor {
                             let s = steps[step];
                             let mut emit = false;
                             let mut exhausted = false;
-                            if s.test.matches(buf, c) {
+                            if passes(s.test, buf, c) {
                                 // Positional predicates compare against
                                 // *document* ordinals: projection may have
                                 // dropped earlier matching siblings.
                                 match s.pos {
                                     Some(k) => {
-                                        let ord = s.test.pred_ordinal(buf, c);
+                                        let ord = pred_ordinal(s.test, buf, c);
                                         emit = ord == k;
                                         exhausted = ord >= k;
                                     }

@@ -35,7 +35,7 @@
 //! the end of every run (asserted by tests).
 
 use crate::buffer::{BufferTree, NodeId};
-use crate::cursor::{CursorPool, CursorState, EvalStep, PathCursor, StepTest};
+use crate::cursor::{passes, pred_ordinal, CursorPool, CursorState, EvalStep, PathCursor};
 use crate::error::EngineError;
 use crate::obs::TaskObs;
 use gcx_ir::{
@@ -1529,9 +1529,9 @@ fn collect_derivations(
         EAxis::Child => {
             let mut child = buf.first_child(node);
             while let Some(c) = child {
-                if step.test.matches(buf, c) {
+                if passes(step.test, buf, c) {
                     match step.pos {
-                        Some(k) if step.test.pred_ordinal(buf, c) != k => {}
+                        Some(k) if pred_ordinal(step.test, buf, c) != k => {}
                         _ => collect_derivations(buf, c, steps, i + 1, mult, out),
                     }
                 }
@@ -1547,7 +1547,7 @@ fn collect_derivations(
         }
         EAxis::DescendantOrSelf => collect_dos(buf, node, steps, i, mult, out),
         EAxis::SelfAxis => {
-            if step.test.matches(buf, node) {
+            if passes(step.test, buf, node) {
                 collect_derivations(buf, node, steps, i + 1, mult, out);
             }
         }
@@ -1581,7 +1581,7 @@ fn collect_dos(
     let step = steps[i];
     let mut cur = Some(node);
     while let Some(n) = cur {
-        if step.test.matches(buf, n) {
+        if passes(step.test, buf, n) {
             // Remaining steps are bounded by the (small) path length, so
             // this recursion is safe; only the subtree walk is iterative.
             collect_derivations(buf, n, steps, i + 1, mult, out);

@@ -1,17 +1,16 @@
 //! Randomized property tests for matcher merging (satellite of the
 //! shared-stream subsystem): for every query in a batch, the merged
 //! [`TaggedMatcher`]'s outcome restricted to that query's tag must equal
-//! the standalone [`StreamMatcher`] outcome — keep/skip decisions, role
-//! assignments, and descendant-axis role *multiplicities*.
+//! the outcome of a matcher over that query's paths alone — keep/skip
+//! decisions, role assignments, and descendant-axis role
+//! *multiplicities*.
 //!
 //! Built on the in-tree `rand` shim (the external `proptest` crate is
 //! unavailable offline); deterministic seeds keep failures reproducible.
 
 use gcx_core::batch::run_batch;
 use gcx_core::CompiledQuery;
-use gcx_projection::{
-    Automaton, CompiledPaths, StreamMatcher, TaggedMatcher, TaggedOutcome, TaggedPaths,
-};
+use gcx_projection::{Automaton, CompiledPaths, TaggedMatcher, TaggedOutcome, TaggedPaths};
 use gcx_xml::SymbolTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,7 +77,7 @@ fn to_xml(node: &Node, out: &mut String) {
 
 /// One standalone matcher with its skip bookkeeping.
 struct Solo {
-    m: StreamMatcher,
+    m: TaggedMatcher,
     skip: u32,
 }
 
@@ -96,7 +95,6 @@ fn walk(
         // Text: roles restricted per tag must match each standalone text.
         let mut tagged = Vec::new();
         merged.text_into(&mut tagged);
-        let mut solo_roles = Vec::new();
         for (qi, solo) in solos.iter_mut().enumerate() {
             if solo.skip > 0 {
                 assert!(
@@ -110,7 +108,7 @@ fn walk(
                 .filter(|&&(t, _, _)| t as usize == qi)
                 .map(|&(_, r, c)| (r, c))
                 .collect();
-            solo.m.text_into(&mut solo_roles);
+            let solo_roles: Vec<_> = solo.m.text().iter().map(|&(_, r, c)| (r, c)).collect();
             assert_eq!(mine, solo_roles, "q{qi}: text roles diverge");
         }
         return;
@@ -125,7 +123,10 @@ fn walk(
             solo.skip += 1;
             continue;
         }
-        solo_keep[qi] = solo.m.enter_element_into(name_sym, &mut solo_roles[qi]);
+        if let Some((_, roles)) = solo.m.enter(name_sym) {
+            solo_keep[qi] = true;
+            solo_roles[qi].extend(roles.iter().map(|&(_, r, c)| (r, c)));
+        }
     }
 
     // Merged decision.
@@ -206,7 +207,8 @@ fn merged_matcher_equals_standalone_matchers() {
             .iter()
             .map(|q| {
                 let paths = CompiledPaths::compile(&q.analysis.roles, &mut sy);
-                let (m, _) = StreamMatcher::new(&paths);
+                let automaton = Automaton::new(TaggedPaths::merge([&paths]), None);
+                let m = TaggedMatcher::start(Arc::new(automaton));
                 Solo { m, skip: 0 }
             })
             .collect();

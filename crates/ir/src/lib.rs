@@ -16,7 +16,9 @@
 //! conditions, signOffs, output ops) plus
 //!
 //! * a pre-compiled [`EvalStep`] table shared by every path the evaluator
-//!   walks (the [`PathPlan`] table indexes into it);
+//!   walks (the [`PathPlan`] table indexes into it). The step type is
+//!   `gcx-projection`'s, re-exported here: the stream matcher runs the
+//!   same steps, compiled by the same [`EvalStep::compile`];
 //! * the pre-compiled projection-NFA paths
 //!   ([`gcx_projection::CompiledPaths`]) the stream preprojector runs;
 //! * a **pre-interned symbol table**: every name the query mentions is
@@ -35,15 +37,14 @@
 mod lower;
 mod optimize;
 mod program;
-mod step;
 mod walk;
 
+pub use gcx_projection::{EAxis, ETest, EvalStep};
 pub use optimize::{cost_estimate, optimize, OptReport, PassStat};
 pub use program::{
     fmt_number, AttrPlan, CondId, CondIr, Instr, InstrId, JoinPlan, OperandId, OperandIr, PathId,
     PathPlan, PlanRoot, Program, ProgramStats, StrId,
 };
-pub use step::{EAxis, ETest, EvalStep};
 pub use walk::{walk, walk_from, IrVisitor, PathUse, WalkCtx};
 
 /// Compile-time assertion that the shared artifact really is shareable.

@@ -12,10 +12,9 @@ use crate::program::{
     fmt_number, AttrPlan, CondId, CondIr, Instr, InstrId, OperandId, OperandIr, PathId, PathPlan,
     PlanRoot, Program, StrId,
 };
-use crate::step::{EAxis, ETest, EvalStep};
-use gcx_projection::{Analysis, Automaton, CompiledPaths, TaggedPaths};
+use gcx_projection::{Analysis, Automaton, CompiledPaths, EvalStep, TaggedPaths};
 use gcx_query::ast::{
-    Axis, Cond, Expr, NodeTest, Operand, PathExpr, PathRoot, Pred, Query, RoleId, Step, VarId,
+    Cond, Expr, NodeTest, Operand, PathExpr, PathRoot, Query, RoleId, Step, VarId,
 };
 use gcx_xml::{FxBuildHasher, SymbolTable};
 use std::collections::HashMap;
@@ -154,23 +153,7 @@ impl Lower<'_> {
         }
         let first_step = self.steps.len() as u32;
         for s in elem_steps {
-            let compiled = EvalStep {
-                axis: match s.axis {
-                    Axis::Child => EAxis::Child,
-                    Axis::Descendant => EAxis::Descendant,
-                    Axis::DescendantOrSelf => EAxis::DescendantOrSelf,
-                    Axis::SelfAxis => EAxis::SelfAxis,
-                    Axis::Attribute => unreachable!("attribute steps are terminal (normalizer)"),
-                },
-                test: match &s.test {
-                    NodeTest::Name(n) => ETest::Name(self.symbols.intern(n)),
-                    NodeTest::Star => ETest::Star,
-                    NodeTest::Text => ETest::Text,
-                    NodeTest::AnyNode => ETest::AnyNode,
-                },
-                pos: s.pred.map(|Pred::Position(k)| k),
-            };
-            self.steps.push(compiled);
+            self.steps.push(EvalStep::compile(s, &mut self.symbols));
         }
         let id = PathId(self.paths.len() as u32);
         self.paths.push(PathPlan {
@@ -348,7 +331,7 @@ impl Lower<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcx_projection::analyze;
+    use gcx_projection::{analyze, ETest};
 
     const PAPER_QUERY: &str = r#"
         <r> {

@@ -1,7 +1,6 @@
 //! The flat program representation and its accessors.
 
-use crate::step::{EAxis, ETest, EvalStep};
-use gcx_projection::{Automaton, CompiledPaths};
+use gcx_projection::{Automaton, CompiledPaths, EAxis, ETest, EvalStep};
 use gcx_query::ast::{AggFunc, CmpOp, RoleId, StrFunc, VarId};
 use gcx_xml::{Symbol, SymbolTable};
 use std::fmt::Write as _;
@@ -612,22 +611,32 @@ impl Program {
         }
         out.push_str("steps:\n");
         for (i, s) in self.steps.iter().enumerate() {
-            let axis = match s.axis {
-                EAxis::Child => "child",
-                EAxis::Descendant => "descendant",
-                EAxis::DescendantOrSelf => "descendant-or-self",
-                EAxis::SelfAxis => "self",
-            };
-            let test = match s.test {
-                ETest::Name(sym) => self.symbols.resolve(sym).to_string(),
-                ETest::Star => "*".to_string(),
-                ETest::Text => "text()".to_string(),
-                ETest::AnyNode => "node()".to_string(),
-            };
-            let pos = s.pos.map(|k| format!("[{k}]")).unwrap_or_default();
-            let _ = writeln!(out, "  s{i:<3} = {axis}::{test}{pos}");
+            let _ = write!(out, "  s{i:<3} = ");
+            self.write_step(&mut out, s);
+            out.push('\n');
         }
         out
+    }
+
+    /// `axis::test[k]`, as the listing and [`Program::path_display`]
+    /// print a step.
+    fn write_step(&self, out: &mut String, s: &EvalStep) {
+        let axis = match s.axis {
+            EAxis::Child => "child",
+            EAxis::Descendant => "descendant",
+            EAxis::DescendantOrSelf => "descendant-or-self",
+            EAxis::SelfAxis => "self",
+        };
+        let test = match s.test {
+            ETest::Name(sym) => self.symbols.resolve(sym),
+            ETest::Star => "*",
+            ETest::Text => "text()",
+            ETest::AnyNode => "node()",
+        };
+        let _ = write!(out, "{axis}::{test}");
+        if let Some(k) = s.pos {
+            let _ = write!(out, "[{k}]");
+        }
     }
 
     /// Human-readable form of one compiled path (`$b/child::title`,
@@ -643,22 +652,8 @@ impl Program {
             out.push('/');
         }
         for s in self.path_steps(p) {
-            let axis = match s.axis {
-                EAxis::Child => "child",
-                EAxis::Descendant => "descendant",
-                EAxis::DescendantOrSelf => "descendant-or-self",
-                EAxis::SelfAxis => "self",
-            };
-            let test = match s.test {
-                ETest::Name(sym) => self.symbols.resolve(sym).to_string(),
-                ETest::Star => "*".to_string(),
-                ETest::Text => "text()".to_string(),
-                ETest::AnyNode => "node()".to_string(),
-            };
-            let _ = write!(out, "/{axis}::{test}");
-            if let Some(k) = s.pos {
-                let _ = write!(out, "[{k}]");
-            }
+            out.push('/');
+            self.write_step(&mut out, s);
         }
         match p.attr {
             AttrPlan::None => {}

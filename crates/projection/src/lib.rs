@@ -26,18 +26,24 @@
 //!    assign one role to one node through several derivations — and,
 //!    below a frame, what the driver may pass without showing it
 //!    ([`Below`]).
+//!
+//! Its paths are made of [`EvalStep`]s, the one compiled form of a path
+//! step: `gcx-ir` lowers the evaluator's paths into the same type (and
+//! re-exports it), and `gcx-schema` reads the matcher's steps in place.
 
 mod analysis;
 mod matcher;
 mod memo;
 mod reach;
 mod roles;
+mod step;
 
 pub use analysis::{analyze, Analysis};
 pub use matcher::{
-    Automaton, CompiledPaths, QueryTag, StepView, StreamMatcher, TaggedMatcher, TaggedOutcome,
-    TaggedPaths, TaggedRole, TestView,
+    Automaton, CompiledPaths, QueryTag, StreamMatcher, TaggedMatcher, TaggedOutcome, TaggedPaths,
+    TaggedRole,
 };
 pub use memo::Below;
 pub use reach::ReachFilter;
 pub use roles::{Anchor, RoleInfo, RoleOrigin, RoleTable};
+pub use step::{EAxis, ETest, EvalStep};

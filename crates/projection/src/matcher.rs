@@ -96,61 +96,16 @@
 use crate::memo::{canonical, Below, Memo, SetId, St, MEMO_SETS};
 use crate::reach::{test_reachable, ReachFilter};
 use crate::roles::RoleTable;
-use gcx_query::ast::{Axis, NodeTest, Pred, RoleId};
+use crate::step::{EAxis, ETest, EvalStep};
+use gcx_query::ast::RoleId;
 use gcx_xml::{Symbol, SymbolTable};
 use std::sync::{Arc, Mutex};
-
-/// A node test compiled against the symbol table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CTest {
-    Name(Symbol),
-    Star,
-    Text,
-    AnyNode,
-}
-
-impl CTest {
-    /// Does an element with tag `name` pass?
-    #[inline]
-    fn matches_element(self, name: Symbol) -> bool {
-        match self {
-            CTest::Name(s) => s == name,
-            CTest::Star | CTest::AnyNode => true,
-            CTest::Text => false,
-        }
-    }
-
-    /// Does a text node pass?
-    #[inline]
-    fn matches_text(self) -> bool {
-        matches!(self, CTest::Text | CTest::AnyNode)
-    }
-}
-
-/// One compiled step.
-#[derive(Debug, Clone, Copy)]
-struct CStep {
-    axis: Axis,
-    test: CTest,
-    /// 1-based position for `[k]` predicates (child axis only).
-    pos: Option<u32>,
-}
-
-impl CStep {
-    /// A step a search set's states may sit at: `descendant` or
-    /// `descendant-or-self` with a name test and no position.
-    fn waits(&self) -> bool {
-        matches!(self.axis, Axis::Descendant | Axis::DescendantOrSelf)
-            && matches!(self.test, CTest::Name(_))
-            && self.pos.is_none()
-    }
-}
 
 /// All projection paths of a query, compiled against a symbol table.
 #[derive(Debug, Clone)]
 pub struct CompiledPaths {
     /// Steps of all paths, flattened.
-    steps: Vec<CStep>,
+    steps: Vec<EvalStep>,
     /// `paths[p] = (first_step, len, role)`.
     paths: Vec<(u32, u32, RoleId)>,
 }
@@ -169,25 +124,7 @@ impl CompiledPaths {
         let mut paths = Vec::with_capacity(roles.len());
         for role in roles.iter() {
             let first = steps.len() as u32;
-            for step in &role.abs {
-                assert_ne!(
-                    step.axis,
-                    Axis::Attribute,
-                    "attribute steps are stripped by analysis"
-                );
-                let test = match &step.test {
-                    NodeTest::Name(n) => CTest::Name(symbols.intern(n)),
-                    NodeTest::Star => CTest::Star,
-                    NodeTest::Text => CTest::Text,
-                    NodeTest::AnyNode => CTest::AnyNode,
-                };
-                let pos = step.pred.map(|Pred::Position(k)| k);
-                steps.push(CStep {
-                    axis: step.axis,
-                    test,
-                    pos,
-                });
-            }
+            steps.extend(role.abs.iter().map(|s| EvalStep::compile(s, symbols)));
             paths.push((first, role.abs.len() as u32, role.id));
         }
         CompiledPaths { steps, paths }
@@ -208,22 +145,11 @@ impl CompiledPaths {
         self.paths[p].2
     }
 
-    /// Read-only view of path `p`'s steps, for external analyses
-    /// (`gcx-schema` intersects them with DTD content models).
-    pub fn steps_of(&self, p: usize) -> impl Iterator<Item = StepView> + '_ {
+    /// Path `p`'s steps, for external analyses (`gcx-schema` intersects
+    /// them with DTD content models).
+    pub fn steps_of(&self, p: usize) -> &[EvalStep] {
         let (first, len, _) = self.paths[p];
-        self.steps[first as usize..(first + len) as usize]
-            .iter()
-            .map(|s| StepView {
-                axis: s.axis,
-                test: match s.test {
-                    CTest::Name(n) => TestView::Name(n),
-                    CTest::Star => TestView::Star,
-                    CTest::Text => TestView::Text,
-                    CTest::AnyNode => TestView::AnyNode,
-                },
-                pos: s.pos,
-            })
+        &self.steps[first as usize..(first + len) as usize]
     }
 
     /// A copy retaining only the paths whose `keep` flag is true (indexed
@@ -242,30 +168,6 @@ impl CompiledPaths {
                 .collect(),
         }
     }
-}
-
-/// Read-only node-test view for external analyses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TestView {
-    /// A name test, resolved against the compile-time symbol table.
-    Name(Symbol),
-    /// `*`.
-    Star,
-    /// `text()`.
-    Text,
-    /// `node()`.
-    AnyNode,
-}
-
-/// Read-only view of one compiled step.
-#[derive(Debug, Clone, Copy)]
-pub struct StepView {
-    /// The axis navigated.
-    pub axis: Axis,
-    /// The node test.
-    pub test: TestView,
-    /// 1-based `[k]` position, when present.
-    pub pos: Option<u32>,
 }
 
 /// Identifies which query of a merged batch a path/role belongs to.
@@ -291,7 +193,7 @@ struct PathInfo {
 /// name tests compare interned [`Symbol`]s.
 #[derive(Debug, Clone)]
 pub struct TaggedPaths {
-    steps: Vec<CStep>,
+    steps: Vec<EvalStep>,
     paths: Vec<PathInfo>,
     n_tags: u32,
 }
@@ -451,7 +353,7 @@ impl Automaton {
         closure(&paths, &mut root_states, None, &mut root_roles);
         dedupe_tagged(&mut root_roles);
         let named = paths.steps.iter().filter_map(|s| match s.test {
-            CTest::Name(n) => Some(n.index() + 1),
+            ETest::Name(n) => Some(n.index() + 1),
             _ => None,
         });
         let n_static = named
@@ -490,7 +392,7 @@ impl Automaton {
 /// pairs), the states with tag `q` evolve exactly as they would in a
 /// standalone matcher built from query `q`'s paths alone. Per-query
 /// projection and role multiplicities are therefore preserved verbatim —
-/// the property suite in `crates/multi` asserts this.
+/// the property suite in `crates/core/tests/merge_props.rs` asserts this.
 #[derive(Debug)]
 pub struct TaggedMatcher {
     automaton: Arc<Automaton>,
@@ -683,7 +585,7 @@ impl TaggedMatcher {
         for &st in states {
             let step = compiled.steps[st.sid as usize];
             match step.axis {
-                Axis::Child => {
+                EAxis::Child => {
                     if step.test.matches_element(name) {
                         let passes = match step.pos {
                             None => true,
@@ -701,7 +603,7 @@ impl TaggedMatcher {
                         }
                     }
                 }
-                Axis::Descendant => {
+                EAxis::Descendant => {
                     // Propagate for deeper descendants — unless the schema
                     // proves the test can never match below this element.
                     match rinfo {
@@ -717,7 +619,7 @@ impl TaggedMatcher {
                         });
                     }
                 }
-                Axis::DescendantOrSelf => {
+                EAxis::DescendantOrSelf => {
                     // The self part was handled by the parent's closure;
                     // here the "descendant" part propagates, and the state
                     // must also survive for this element's own closure
@@ -729,11 +631,10 @@ impl TaggedMatcher {
                         _ => self.scratch.push(st),
                     }
                 }
-                Axis::SelfAxis => {
+                EAxis::SelfAxis => {
                     // Fully handled by closure on the parent; nothing
                     // transitions to children.
                 }
-                Axis::Attribute => unreachable!("attribute steps stripped by analysis"),
             }
         }
         self.reach_cuts += cuts;
@@ -836,11 +737,11 @@ impl TaggedMatcher {
             let ends_here = compiled.steps[st.sid as usize + 1..end as usize]
                 .iter()
                 .all(|s| {
-                    matches!(s.axis, Axis::SelfAxis | Axis::DescendantOrSelf)
+                    matches!(s.axis, EAxis::SelfAxis | EAxis::DescendantOrSelf)
                         && s.test.matches_text()
                 });
             let completes = match step.axis {
-                Axis::Child => {
+                EAxis::Child => {
                     step.test.matches_text() && ends_here && {
                         match step.pos {
                             None => true,
@@ -852,9 +753,10 @@ impl TaggedMatcher {
                         }
                     }
                 }
-                Axis::Descendant | Axis::DescendantOrSelf => step.test.matches_text() && ends_here,
-                Axis::SelfAxis => false,
-                Axis::Attribute => unreachable!(),
+                EAxis::Descendant | EAxis::DescendantOrSelf => {
+                    step.test.matches_text() && ends_here
+                }
+                EAxis::SelfAxis => false,
             };
             if completes {
                 self.text_roles.push((info.tag, info.role, st.count));
@@ -880,8 +782,9 @@ impl Drop for TaggedMatcher {
 }
 
 /// The [`TaggedMatcher`] specialized to one query (tag 0), with untagged
-/// roles. The engine does not use it: it stays for the repository
-/// benchmark's matcher prefix and the tests that drive a matcher by hand.
+/// roles. Its one caller is the repository benchmark's matcher prefix
+/// (`benchmark/src/layers.rs`); the engine and the tests run a
+/// [`TaggedMatcher`].
 #[derive(Debug)]
 pub struct StreamMatcher {
     inner: TaggedMatcher,
@@ -890,21 +793,13 @@ pub struct StreamMatcher {
 impl StreamMatcher {
     /// Prepare `compiled` for one run and start its matcher; also returns
     /// the document root's roles (paths with zero steps, e.g. the paper's
-    /// `r1: /`). An engine run starts from the automaton its compiled
-    /// query prepared instead ([`StreamMatcher::start`]).
+    /// `r1: /`).
     pub fn new(compiled: &CompiledPaths) -> (StreamMatcher, Vec<(RoleId, u32)>) {
         let automaton = Automaton::new(TaggedPaths::merge([compiled]), None);
         let untagged = automaton.root_roles.iter().map(|&(_, r, c)| (r, c));
         let root_roles = untagged.collect();
-        (StreamMatcher::start(Arc::new(automaton)), root_roles)
-    }
-
-    /// A matcher over a prepared single-query automaton (see
-    /// [`TaggedMatcher::start`]).
-    pub fn start(automaton: Arc<Automaton>) -> StreamMatcher {
-        StreamMatcher {
-            inner: TaggedMatcher::start(automaton),
-        }
+        let inner = TaggedMatcher::start(Arc::new(automaton));
+        (StreamMatcher { inner }, root_roles)
     }
 
     /// Process an element start tag: the element's roles are appended to
@@ -971,10 +866,10 @@ fn copy_set(paths: &TaggedPaths, states: &[St]) -> Option<(QueryTag, RoleId, Vec
         let info = paths.paths[st.path as usize];
         let step = paths.steps[st.sid as usize];
         match step.test {
-            CTest::Name(name) if step.waits() => stops.push(name),
-            CTest::AnyNode
+            ETest::Name(name) if step.waits() => stops.push(name),
+            ETest::AnyNode
                 if copy.is_none()
-                    && step.axis == Axis::DescendantOrSelf
+                    && step.axis == EAxis::DescendantOrSelf
                     && step.pos.is_none()
                     && st.count == 1
                     && st.sid + 1 == info.first + info.len =>
@@ -1002,7 +897,7 @@ fn search_names(paths: &TaggedPaths, states: &[St]) -> Option<Vec<Symbol>> {
         .map(|st| {
             let step = paths.steps[st.sid as usize];
             match step.test {
-                CTest::Name(name) if step.waits() => Some(name),
+                ETest::Name(name) if step.waits() => Some(name),
                 _ => None,
             }
         })
@@ -1035,10 +930,10 @@ fn closure(
         }
         let step = compiled.steps[st.sid as usize];
         let consumes_in_place = match step.axis {
-            Axis::SelfAxis | Axis::DescendantOrSelf => match name {
+            EAxis::SelfAxis | EAxis::DescendantOrSelf => match name {
                 Some(n) => step.test.matches_element(n),
                 // The virtual document root: only node() matches it.
-                None => step.test == CTest::AnyNode,
+                None => step.test == ETest::AnyNode,
             },
             _ => false,
         };
@@ -1050,7 +945,7 @@ fn closure(
                 sid: st.sid + 1,
                 count: st.count,
             };
-            if step.axis == Axis::SelfAxis {
+            if step.axis == EAxis::SelfAxis {
                 states[i] = advanced;
                 // Re-examine the same slot (it may complete or chain).
                 continue;
@@ -1131,14 +1026,37 @@ mod tests {
     use crate::analysis::analyze;
     use gcx_query::compile;
 
-    /// Build a matcher for the projection paths of `query`.
-    fn matcher_for(query: &str) -> (StreamMatcher, Vec<(RoleId, u32)>, SymbolTable, RoleTable) {
+    /// Build a matcher for the projection paths of `query`, with the
+    /// document root's roles.
+    fn matcher_for(query: &str) -> (TaggedMatcher, Vec<(RoleId, u32)>, SymbolTable, RoleTable) {
         let q = compile(query).unwrap();
         let a = analyze(&q);
         let mut symbols = SymbolTable::new();
         let compiled = CompiledPaths::compile(&a.roles, &mut symbols);
-        let (m, root_roles) = StreamMatcher::new(&compiled);
+        let automaton = Automaton::new(TaggedPaths::merge([&compiled]), None);
+        let root_roles = automaton.root_roles.iter().map(|&(_, r, c)| (r, c));
+        let root_roles = root_roles.collect();
+        let m = TaggedMatcher::start(Arc::new(automaton));
         (m, root_roles, symbols, a.roles)
+    }
+
+    /// Enter an element named `name` in a one-query matcher: its roles,
+    /// untagged, into `roles` (cleared first); false when the matcher
+    /// refuses the subtree.
+    fn enter(m: &mut TaggedMatcher, name: Symbol, roles: &mut Vec<(RoleId, u32)>) -> bool {
+        roles.clear();
+        let Some((_, tagged)) = m.enter(name) else {
+            return false;
+        };
+        roles.extend(tagged.iter().map(|&(_, r, c)| (r, c)));
+        true
+    }
+
+    /// The roles, untagged, of a text child of the innermost open element
+    /// of a one-query matcher, into `roles` (cleared first).
+    fn text(m: &mut TaggedMatcher, roles: &mut Vec<(RoleId, u32)>) {
+        roles.clear();
+        roles.extend(m.text().iter().map(|&(_, r, c)| (r, c)));
     }
 
     const PAPER_QUERY: &str = r#"
@@ -1164,39 +1082,39 @@ mod tests {
         let mut roles = Vec::new();
         assert_eq!(fmt_roles(&root_roles), ["r1*1"]);
 
-        assert!(m.enter_element_into(sy.intern("bib"), &mut roles));
+        assert!(enter(&mut m, sy.intern("bib"), &mut roles));
         assert_eq!(fmt_roles(&roles), ["r2*1"]);
 
-        assert!(m.enter_element_into(sy.intern("book"), &mut roles));
+        assert!(enter(&mut m, sy.intern("book"), &mut roles));
         // The paper's Figure 1(a): book{r3, r5, r6}.
         assert_eq!(fmt_roles(&roles), ["r3*1", "r5*1", "r6*1"]);
 
-        m.enter_element_into(sy.intern("title"), &mut roles);
+        enter(&mut m, sy.intern("title"), &mut roles);
         // title{r5, r7}.
         assert_eq!(fmt_roles(&roles), ["r5*1", "r7*1"]);
         m.leave_element();
 
-        m.enter_element_into(sy.intern("author"), &mut roles);
+        enter(&mut m, sy.intern("author"), &mut roles);
         // author{r5}.
         assert_eq!(fmt_roles(&roles), ["r5*1"]);
         m.leave_element();
 
         m.leave_element(); // book
         m.leave_element(); // bib
-        assert_eq!(m.inner.depth(), 0);
+        assert_eq!(m.depth(), 0);
     }
 
     #[test]
     fn price_first_witness_only() {
         let (mut m, _, mut sy, _) = matcher_for(PAPER_QUERY);
         let mut roles = Vec::new();
-        m.enter_element_into(sy.intern("bib"), &mut roles);
-        m.enter_element_into(sy.intern("article"), &mut roles);
-        m.enter_element_into(sy.intern("price"), &mut roles);
+        enter(&mut m, sy.intern("bib"), &mut roles);
+        enter(&mut m, sy.intern("article"), &mut roles);
+        enter(&mut m, sy.intern("price"), &mut roles);
         // First price: r4 (witness) + r5 (subtree).
         assert_eq!(fmt_roles(&roles), ["r4*1", "r5*1"]);
         m.leave_element();
-        m.enter_element_into(sy.intern("price"), &mut roles);
+        enter(&mut m, sy.intern("price"), &mut roles);
         // Second price: only r5.
         assert_eq!(fmt_roles(&roles), ["r5*1"]);
         m.leave_element();
@@ -1206,21 +1124,21 @@ mod tests {
     fn irrelevant_subtrees_are_skippable() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x/y return $a");
         let mut roles = Vec::new();
-        m.enter_element_into(sy.intern("x"), &mut roles);
+        enter(&mut m, sy.intern("x"), &mut roles);
         assert!(
-            !m.enter_element_into(sy.intern("z"), &mut roles),
+            !enter(&mut m, sy.intern("z"), &mut roles),
             "no projection path can match under /x/z"
         );
         // Caller would skip; no leave_element for z.
-        assert!(m.enter_element_into(sy.intern("y"), &mut roles));
+        assert!(enter(&mut m, sy.intern("y"), &mut roles));
     }
 
     #[test]
     fn text_nodes_matched_by_subtree_roles() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x return $a");
         let mut roles = Vec::new();
-        m.enter_element_into(sy.intern("x"), &mut roles);
-        m.text_into(&mut roles);
+        enter(&mut m, sy.intern("x"), &mut roles);
+        text(&mut m, &mut roles);
         assert_eq!(roles.len(), 1, "descendant-or-self::node() matches text");
     }
 
@@ -1231,8 +1149,8 @@ mod tests {
         // takes the `node()` step and the copy's in place.
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x return <c>{ $a/node() }</c>");
         let mut roles = Vec::new();
-        m.enter_element_into(sy.intern("x"), &mut roles);
-        m.text_into(&mut roles);
+        enter(&mut m, sy.intern("x"), &mut roles);
+        text(&mut m, &mut roles);
         assert_eq!(fmt_roles(&roles), ["r3*1"], "the copied text child");
     }
 
@@ -1240,8 +1158,8 @@ mod tests {
     fn text_nodes_not_matched_without_text_roles() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x/y return $a");
         let mut roles = Vec::new();
-        m.enter_element_into(sy.intern("x"), &mut roles);
-        m.text_into(&mut roles);
+        enter(&mut m, sy.intern("x"), &mut roles);
+        text(&mut m, &mut roles);
         assert!(
             roles.is_empty(),
             "text under /x is not on any projection path"
@@ -1252,8 +1170,8 @@ mod tests {
     fn explicit_text_step() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x return $a/text()");
         let mut roles = Vec::new();
-        m.enter_element_into(sy.intern("x"), &mut roles);
-        m.text_into(&mut roles);
+        enter(&mut m, sy.intern("x"), &mut roles);
+        text(&mut m, &mut roles);
         // binding role of $a does not land on text; the text() role does.
         assert_eq!(roles.len(), 1);
     }
@@ -1264,9 +1182,9 @@ mod tests {
         // binding role twice (two derivations).
         let (mut m, _, mut sy, _) = matcher_for("for $v in //a//b return if ($v/m = 1) then 'x'");
         let mut roles = Vec::new();
-        assert!(m.enter_element_into(sy.intern("a"), &mut roles));
-        assert!(m.enter_element_into(sy.intern("a"), &mut roles));
-        m.enter_element_into(sy.intern("b"), &mut roles);
+        assert!(enter(&mut m, sy.intern("a"), &mut roles));
+        assert!(enter(&mut m, sy.intern("a"), &mut roles));
+        enter(&mut m, sy.intern("b"), &mut roles);
         let binding = roles
             .iter()
             .find(|(r, _)| *r == gcx_query::ast::RoleId(1))
@@ -1279,14 +1197,14 @@ mod tests {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x return $a");
         let mut roles = Vec::new();
         // Role r3 = /x/descendant-or-self::node() must hit x, child, grandchild.
-        m.enter_element_into(sy.intern("x"), &mut roles);
+        enter(&mut m, sy.intern("x"), &mut roles);
         assert!(
             fmt_roles(&roles).iter().any(|s| s.starts_with("r3")),
             "{roles:?}"
         );
-        m.enter_element_into(sy.intern("c"), &mut roles);
+        enter(&mut m, sy.intern("c"), &mut roles);
         assert_eq!(fmt_roles(&roles), ["r3*1"]);
-        m.enter_element_into(sy.intern("g"), &mut roles);
+        enter(&mut m, sy.intern("g"), &mut roles);
         assert_eq!(fmt_roles(&roles), ["r3*1"]);
     }
 
@@ -1294,10 +1212,10 @@ mod tests {
     fn star_matches_any_element() {
         let (mut m, _, mut sy, _) = matcher_for("for $a in /x/* return 'y'");
         let mut roles = Vec::new();
-        m.enter_element_into(sy.intern("x"), &mut roles);
-        assert!(m.enter_element_into(sy.intern("anything"), &mut roles));
+        enter(&mut m, sy.intern("x"), &mut roles);
+        assert!(enter(&mut m, sy.intern("anything"), &mut roles));
         m.leave_element();
-        assert!(m.enter_element_into(sy.intern("other"), &mut roles));
+        assert!(enter(&mut m, sy.intern("other"), &mut roles));
     }
 
     #[test]
@@ -1306,7 +1224,7 @@ mod tests {
         // is skippable.
         let (mut m, root_roles, mut sy, _) = matcher_for("'constant'");
         assert_eq!(root_roles.len(), 1);
-        assert!(!m.enter_element_into(sy.intern("anything"), &mut Vec::new()));
+        assert!(!enter(&mut m, sy.intern("anything"), &mut Vec::new()));
     }
 
     // ---- the merged matcher: per-query outcomes -----------------------------
@@ -1652,21 +1570,21 @@ mod tests {
         let (mut m, _, mut sy, _) = matcher_for("for $i in //item return $i");
         let [item, site] = ["item", "site"].map(|n| sy.intern(n));
         let mut roles = Vec::new();
-        assert_eq!(search_names(&m.inner), Some(&[item][..]));
+        assert_eq!(search_names(&m), Some(&[item][..]));
         // Anything else: kept, no role, the same set.
-        assert!(m.enter_element_into(site, &mut roles) && roles.is_empty());
-        assert_eq!(search_names(&m.inner), Some(&[item][..]));
-        m.text_into(&mut roles);
+        assert!(enter(&mut m, site, &mut roles) && roles.is_empty());
+        assert_eq!(search_names(&m), Some(&[item][..]));
+        text(&mut m, &mut roles);
         assert!(roles.is_empty());
         // An item is output whole: `descendant-or-self::node()` below it.
-        m.enter_element_into(item, &mut roles);
+        enter(&mut m, item, &mut roles);
         assert!(!roles.is_empty());
-        assert_eq!(search_names(&m.inner), None);
+        assert_eq!(search_names(&m), None);
         // A positional step waits too, but not as a search.
         let (mut m, _, mut sy, _) = matcher_for("for $b in //a/b[2] return $b");
-        assert!(search_names(&m.inner).is_some());
-        m.enter_element_into(sy.intern("a"), &mut roles);
-        assert_eq!(search_names(&m.inner), None, "b[2] counts a's children");
+        assert!(search_names(&m).is_some());
+        enter(&mut m, sy.intern("a"), &mut roles);
+        assert_eq!(search_names(&m), None, "b[2] counts a's children");
         // No search under a reach filter, or without room in the memo.
         let mut sy = SymbolTable::new();
         let (paths, reach) = merged(&["for $x in //c return $x"], &mut sy);
@@ -1728,12 +1646,12 @@ mod tests {
         let d = sy.intern("d");
         let mut roles = Vec::new();
         for _ in 0..10_000 {
-            let keep = m.enter_element_into(d, &mut roles);
+            let keep = enter(&mut m, d, &mut roles);
             assert!(keep, "descendant search keeps probing");
         }
         for _ in 0..10_000 {
             m.leave_element();
         }
-        assert_eq!(m.inner.depth(), 0);
+        assert_eq!(m.depth(), 0);
     }
 }

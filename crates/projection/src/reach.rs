@@ -20,6 +20,7 @@
 //! table the paths were compiled with (`gcx-schema` interns the DTD names
 //! on top before any document bytes arrive).
 
+use crate::step::ETest;
 use gcx_xml::Symbol;
 
 /// What can appear among the proper descendants of one declared element.
@@ -111,13 +112,12 @@ impl ReachFilter {
 /// Can a state whose next step carries this compiled test still match
 /// somewhere below an element with reach info `ri`?
 #[inline]
-pub(crate) fn test_reachable(ri: &ReachInfo, test: crate::matcher::CTest) -> bool {
-    use crate::matcher::CTest;
+pub(crate) fn test_reachable(ri: &ReachInfo, test: ETest) -> bool {
     match test {
-        CTest::Name(s) => ri.contains(s),
-        CTest::Star => ri.any_elem,
-        CTest::Text => ri.text,
-        CTest::AnyNode => ri.any_elem || ri.text,
+        ETest::Name(s) => ri.contains(s),
+        ETest::Star => ri.any_elem,
+        ETest::Text => ri.text,
+        ETest::AnyNode => ri.any_elem || ri.text,
     }
 }
 

@@ -1,5 +1,5 @@
-//! DTD-driven tightening: content-model cardinality can prove that a
-//! Root-rooted path selects a constant-size region, which downgrades a
+//! Content-model cardinality: a DTD can prove that a root-rooted path
+//! selects a constant-size region, which lets `gcx-analyze` downgrade a
 //! `Subtree` (or aggregate `Document`) contribution to `PerItem`.
 //!
 //! The check is deliberately conservative: every step must be
@@ -10,55 +10,90 @@
 //! "Bounded" counts *nodes*, matching the engine's `peak_live`
 //! accounting — a single text node of any length is one node.
 
-use gcx_ir::{AttrPlan, EAxis, ETest, PathPlan, PlanRoot, Program};
-use gcx_schema::{ContentExpr, ContentModel, Dtd, Rep};
+use crate::{ContentExpr, ContentModel, Dtd, Rep};
+use gcx_projection::{EAxis, ETest, EvalStep};
+use gcx_xml::SymbolTable;
 
-/// True when the DTD proves the node set selected by `plan` has
-/// constant size (independent of the document's length).
-pub(crate) fn path_is_bounded(dtd: &Dtd, p: &Program, plan: PathPlan) -> bool {
-    if plan.root != PlanRoot::Root {
-        return false;
-    }
-    let mut names = Vec::with_capacity(plan.step_len as usize);
-    for s in p.path_steps(plan) {
-        match (s.axis, s.test) {
-            (EAxis::Child, ETest::Name(sym)) => names.push(p.symbols().resolve(sym)),
-            // Descendant axes and wildcard tests select open-ended
-            // sets; give up.
-            _ => return false,
+impl Dtd {
+    /// True when the DTD proves that the path `steps`, taken from the
+    /// document root and ending in an attribute when `has_attr`, selects
+    /// a node set of constant size (independent of the document's
+    /// length). Names resolve against `symbols`.
+    pub fn path_is_bounded(
+        &self,
+        steps: &[EvalStep],
+        has_attr: bool,
+        symbols: &SymbolTable,
+    ) -> bool {
+        let mut names = Vec::with_capacity(steps.len());
+        for s in steps {
+            match (s.axis, s.test) {
+                (EAxis::Child, ETest::Name(sym)) => names.push(symbols.resolve(sym)),
+                // Descendant axes and wildcard tests select open-ended
+                // sets; give up.
+                _ => return false,
+            }
         }
-    }
-    let Some((&first, rest)) = names.split_first() else {
-        return false;
-    };
-    if let Some(root) = dtd.root() {
-        if first != root {
-            // In a document governed by this DTD the first step misses
-            // the (unique) document element: the path selects nothing.
-            return true;
-        }
-    }
-    // Whether or not the DTD names its root, a well-formed document has
-    // exactly one document element, so the first child step from the
-    // root context matches at most one node.
-    let mut cur = first;
-    for &next in rest {
-        let Some(decl) = dtd.get(cur) else {
+        let Some((&first, rest)) = names.split_first() else {
             return false;
         };
-        match model_max_occurs(&decl.model, next) {
-            None => return false,
-            // The model cannot produce this child at all: the path
-            // selects nothing, which is as bounded as it gets.
-            Some(0) => return true,
-            Some(_) => cur = next,
+        if let Some(root) = self.root() {
+            if first != root {
+                // In a document governed by this DTD the first step misses
+                // the (unique) document element: the path selects nothing.
+                return true;
+            }
+        }
+        // Whether or not the DTD names its root, a well-formed document has
+        // exactly one document element, so the first child step from the
+        // root context matches at most one node.
+        let mut cur = first;
+        for &next in rest {
+            let Some(decl) = self.get(cur) else {
+                return false;
+            };
+            match model_max_occurs(&decl.model, next) {
+                None => return false,
+                // The model cannot produce this child at all: the path
+                // selects nothing, which is as bounded as it gets.
+                Some(0) => return true,
+                Some(_) => cur = next,
+            }
+        }
+        // One attribute node per selected element.
+        has_attr || self.subtree_bounded(cur, &mut Vec::new())
+    }
+
+    /// True when every document subtree rooted at an element named `name`
+    /// has a bounded node count: star-free content models, non-recursive,
+    /// with text-only or empty leaves. `visiting` holds the declarations
+    /// on the way down.
+    fn subtree_bounded(&self, name: &str, visiting: &mut Vec<usize>) -> bool {
+        let Some(&i) = self.index.get(name) else {
+            return false;
+        };
+        if visiting.contains(&i) {
+            // Recursive content nests unboundedly.
+            return false;
+        }
+        match &self.decls[i].model {
+            ContentModel::Empty => true,
+            ContentModel::Any => false,
+            // `(#PCDATA)` alone: one text node. Mixed content with element
+            // names repeats freely.
+            ContentModel::Mixed(names) => names.is_empty(),
+            ContentModel::Children(e) => {
+                if !expr_star_free(e) {
+                    return false;
+                }
+                visiting.push(i);
+                let kids = &self.facts[i].child_refs;
+                let ok = kids.iter().all(|k| self.subtree_bounded(k, visiting));
+                visiting.pop();
+                ok
+            }
         }
     }
-    if plan.attr != AttrPlan::None {
-        // One attribute node per selected element.
-        return true;
-    }
-    subtree_bounded(dtd, cur, &mut Vec::new())
 }
 
 /// Max occurrences of `name` as a direct child under `model`; `None`
@@ -105,56 +140,12 @@ fn expr_max_occurs(e: &ContentExpr, name: &str) -> Option<u32> {
     }
 }
 
-/// True when every document subtree rooted at an element named `name`
-/// has a bounded node count: star-free content models, non-recursive,
-/// with text-only or empty leaves.
-fn subtree_bounded<'a>(dtd: &'a Dtd, name: &'a str, visiting: &mut Vec<&'a str>) -> bool {
-    if visiting.contains(&name) {
-        // Recursive content nests unboundedly.
-        return false;
-    }
-    let Some(decl) = dtd.get(name) else {
-        return false;
-    };
-    match &decl.model {
-        ContentModel::Empty => true,
-        ContentModel::Any => false,
-        // `(#PCDATA)` alone: one text node. Mixed content with element
-        // names repeats freely.
-        ContentModel::Mixed(names) => names.is_empty(),
-        ContentModel::Children(e) => {
-            if !expr_star_free(e) {
-                return false;
-            }
-            visiting.push(name);
-            let mut kids = Vec::new();
-            expr_names(e, &mut kids);
-            let ok = kids.iter().all(|k| subtree_bounded(dtd, k, visiting));
-            visiting.pop();
-            ok
-        }
-    }
-}
-
 /// No `*` or `+` particle anywhere in the expression.
 fn expr_star_free(e: &ContentExpr) -> bool {
     match e {
         ContentExpr::Name(_) => true,
         ContentExpr::Seq(items) | ContentExpr::Choice(items) => items.iter().all(expr_star_free),
         ContentExpr::Repeat(inner, rep) => *rep == Rep::Opt && expr_star_free(inner),
-    }
-}
-
-/// Collect every element name mentioned in the expression.
-fn expr_names<'a>(e: &'a ContentExpr, out: &mut Vec<&'a str>) {
-    match e {
-        ContentExpr::Name(n) => out.push(n),
-        ContentExpr::Seq(items) | ContentExpr::Choice(items) => {
-            for c in items {
-                expr_names(c, out);
-            }
-        }
-        ContentExpr::Repeat(inner, _) => expr_names(inner, out),
     }
 }
 
@@ -167,14 +158,20 @@ mod tests {
         let dtd = Dtd::parse(dtd_text).unwrap();
         let query = compile_query(q).expect("query compiles");
         let analysis = gcx_projection::analyze(&query);
-        let p = Program::compile(&query, &analysis);
-        // The first Root-rooted path in the plan table is the one under
-        // test (these probe queries have exactly one).
-        let plan = (0..p.path_count())
-            .map(|i| p.path(gcx_ir::PathId(i as u32)))
-            .find(|plan| plan.root == PlanRoot::Root && plan.has_steps())
+        // The first rooted path with steps is the one under test: these
+        // probe queries bind one loop variable and read nothing of it.
+        let role = analysis
+            .roles
+            .iter()
+            .find(|r| !r.abs.is_empty())
             .expect("query has a root path");
-        path_is_bounded(&dtd, &p, plan)
+        let mut symbols = SymbolTable::new();
+        let steps: Vec<EvalStep> = role
+            .abs
+            .iter()
+            .map(|s| EvalStep::compile(s, &mut symbols))
+            .collect();
+        dtd.path_is_bounded(&steps, false, &symbols)
     }
 
     const TOY: &str = "<!ELEMENT r (a)><!ELEMENT a (b?)><!ELEMENT b (#PCDATA)>";

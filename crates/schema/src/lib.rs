@@ -9,9 +9,9 @@
 //! minimization and of earliest query answering over streamed trees):
 //!
 //! 1. **Projection pruning** — [`Dtd::prune`] intersects each compiled
-//!    projection path with the DTD's content models and drops paths the
-//!    schema proves unsatisfiable, so the matcher tracks fewer states and
-//!    the buffer admits fewer roles.
+//!    projection path (the matcher's own [`EvalStep`]s) with the DTD's
+//!    content models and drops paths the schema proves unsatisfiable, so
+//!    the matcher tracks fewer states and the buffer admits fewer roles.
 //! 2. **Descendant reachability** — [`Dtd::reach_filter`] closes the
 //!    world below each declared element; the matcher uses it to stop
 //!    propagating descendant-axis states into subtrees where their test
@@ -28,18 +28,24 @@
 //! shrink. On documents violating the DTD, behaviour may differ — a
 //! schema is a promise about the input.
 //!
+//! A fourth reading of the content models serves `gcx-analyze`:
+//! [`Dtd::path_is_bounded`] proves from their cardinalities that a rooted
+//! path selects a constant-size region. The content models themselves
+//! are private to this crate, so every analysis of them lives here.
+//!
 //! The DTD itself is parsed from the internal subset of a `<!DOCTYPE>`
 //! declaration (the tokenizer captures it verbatim) or from an external
 //! DTD file (`--schema FILE`); [`Dtd::xmark`] bundles a DTD matching the
 //! `gcx-xmark` generator exactly.
 
-use gcx_projection::{CompiledPaths, ReachFilter, StepView, TestView};
-use gcx_query::ast::{Axis, RoleId};
+use gcx_projection::{CompiledPaths, EAxis, ETest, EvalStep, ReachFilter};
+use gcx_query::ast::RoleId;
 use gcx_xml::{Symbol, SymbolTable};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+mod dtd;
 mod parse;
 
 /// The bundled DTD for `gcx-xmark` generator output (`--schema xmark`).
@@ -81,7 +87,7 @@ impl std::error::Error for SchemaError {}
 
 /// Repetition suffix of a content particle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rep {
+pub(crate) enum Rep {
     /// `?` — zero or one.
     Opt,
     /// `*` — zero or more.
@@ -92,7 +98,7 @@ pub enum Rep {
 
 /// A children content expression (the inside of a `(...)` group).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContentExpr {
+pub(crate) enum ContentExpr {
     /// An element name.
     Name(String),
     /// `(a, b, c)` — sequence.
@@ -105,7 +111,7 @@ pub enum ContentExpr {
 
 /// The content model of one element declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContentModel {
+pub(crate) enum ContentModel {
     /// `EMPTY` — no children, no text.
     Empty,
     /// `ANY` — unconstrained content.
@@ -118,11 +124,11 @@ pub enum ContentModel {
 
 /// One `<!ELEMENT name model>` declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ElementDecl {
+pub(crate) struct ElementDecl {
     /// Element name.
-    pub name: String,
+    pub(crate) name: String,
     /// Its content model.
-    pub model: ContentModel,
+    pub(crate) model: ContentModel,
 }
 
 /// Per-declaration facts derived once at [`Dtd`] construction.
@@ -224,7 +230,7 @@ impl Dtd {
     }
 
     /// Look up one declaration.
-    pub fn get(&self, name: &str) -> Option<&ElementDecl> {
+    pub(crate) fn get(&self, name: &str) -> Option<&ElementDecl> {
         self.index.get(name).map(|&i| &self.decls[i])
     }
 
@@ -332,13 +338,10 @@ impl Dtd {
         let mut pruned = Vec::new();
         if !self.is_empty() {
             for (p, kept) in keep.iter_mut().enumerate() {
-                let steps: Vec<StepView> = paths.steps_of(p).collect();
-                if steps.is_empty() {
-                    continue;
-                }
-                if !self.satisfiable(&steps, symbols) {
+                let steps = paths.steps_of(p);
+                if !steps.is_empty() && !self.satisfiable(steps, symbols) {
                     *kept = false;
-                    pruned.push((paths.role_of(p), render_path(&steps, symbols)));
+                    pruned.push(paths.role_of(p));
                 }
             }
         }
@@ -351,7 +354,7 @@ impl Dtd {
 
     /// Can `steps` (an absolute path from the document root) select any
     /// node in a document valid against this DTD?
-    fn satisfiable(&self, steps: &[StepView], symbols: &SymbolTable) -> bool {
+    fn satisfiable(&self, steps: &[EvalStep], symbols: &SymbolTable) -> bool {
         // Context: the set of nodes the already-consumed prefix may have
         // landed on. `None` elems + open=false would mean "nowhere".
         let mut virtual_root = true;
@@ -374,7 +377,7 @@ impl Dtd {
                                  nopen: &mut bool,
                                  text_possible: &mut bool| {
                 match step.test {
-                    TestView::Name(s) => {
+                    ETest::Name(s) => {
                         let name = symbols.resolve(s);
                         if child_open || refs.iter().any(|r| r == name) {
                             match self.index.get(name) {
@@ -383,7 +386,7 @@ impl Dtd {
                             }
                         }
                     }
-                    TestView::Star | TestView::AnyNode => {
+                    ETest::Star | ETest::AnyNode => {
                         for r in refs {
                             match self.index.get(r) {
                                 Some(&i) => collect(nelems, i),
@@ -392,20 +395,20 @@ impl Dtd {
                         }
                         *nopen |= child_open;
                     }
-                    TestView::Text => {}
+                    ETest::Text => {}
                 }
-                if matches!(step.test, TestView::Text | TestView::AnyNode) {
+                if matches!(step.test, ETest::Text | ETest::AnyNode) {
                     *text_possible |= pcdata || child_open;
                 }
             };
             let from_self = |idx: usize, nelems: &mut Vec<usize>| match step.test {
-                TestView::Name(s) => {
+                ETest::Name(s) => {
                     if self.decls[idx].name == symbols.resolve(s) {
                         collect(nelems, idx);
                     }
                 }
-                TestView::Star | TestView::AnyNode => collect(nelems, idx),
-                TestView::Text => {}
+                ETest::Star | ETest::AnyNode => collect(nelems, idx),
+                ETest::Text => {}
             };
             if virtual_root {
                 // Children of the virtual root: the document element.
@@ -427,14 +430,14 @@ impl Dtd {
                     .map(|&i| self.decls[i].name.clone())
                     .collect();
                 match step.axis {
-                    Axis::Child | Axis::SelfAxis => {
+                    EAxis::Child | EAxis::SelfAxis => {
                         // `self` on the virtual root only matters for the
                         // leading descendant-or-self::node() of subtree
                         // roles, which AnyNode handles below; a plain self
                         // step from the root behaves like staying put.
-                        if step.axis == Axis::SelfAxis {
+                        if step.axis == EAxis::SelfAxis {
                             // Stay on the virtual root; only node() passes.
-                            if matches!(step.test, TestView::AnyNode) {
+                            if matches!(step.test, ETest::AnyNode) {
                                 continue;
                             }
                             return false;
@@ -448,9 +451,9 @@ impl Dtd {
                             &mut text_possible,
                         );
                     }
-                    Axis::Descendant | Axis::DescendantOrSelf => {
-                        if step.axis == Axis::DescendantOrSelf
-                            && matches!(step.test, TestView::AnyNode)
+                    EAxis::Descendant | EAxis::DescendantOrSelf => {
+                        if step.axis == EAxis::DescendantOrSelf
+                            && matches!(step.test, ETest::AnyNode)
                         {
                             // May also stay on the virtual root itself.
                             // Approximate by keeping the root context AND
@@ -485,8 +488,8 @@ impl Dtd {
                                 &mut text_possible,
                             );
                         }
-                        if step.axis == Axis::DescendantOrSelf
-                            && matches!(step.test, TestView::AnyNode)
+                        if step.axis == EAxis::DescendantOrSelf
+                            && matches!(step.test, ETest::AnyNode)
                         {
                             // Self part: next step still starts at the root.
                             if si + 1 < steps.len() {
@@ -500,12 +503,11 @@ impl Dtd {
                             }
                         }
                     }
-                    Axis::Attribute => return true,
                 }
                 virtual_root = false;
             } else {
                 match step.axis {
-                    Axis::Child => {
+                    EAxis::Child => {
                         for &e in &elems {
                             let f = &self.facts[e];
                             from_children(
@@ -528,7 +530,7 @@ impl Dtd {
                             );
                         }
                     }
-                    Axis::Descendant | Axis::DescendantOrSelf => {
+                    EAxis::Descendant | EAxis::DescendantOrSelf => {
                         for &e in &elems {
                             let f = &self.facts[e];
                             let drefs: Vec<String> = f
@@ -545,7 +547,7 @@ impl Dtd {
                                 &mut nopen,
                                 &mut text_possible,
                             );
-                            if step.axis == Axis::DescendantOrSelf {
+                            if step.axis == EAxis::DescendantOrSelf {
                                 from_self(e, &mut nelems);
                             }
                         }
@@ -559,18 +561,17 @@ impl Dtd {
                                 &mut text_possible,
                             );
                         }
-                        nopen |= open && step.axis == Axis::DescendantOrSelf;
+                        nopen |= open && step.axis == EAxis::DescendantOrSelf;
                     }
-                    Axis::SelfAxis => {
+                    EAxis::SelfAxis => {
                         for &e in &elems {
                             from_self(e, &mut nelems);
                         }
                         nopen |= open;
-                        if matches!(step.test, TestView::Text | TestView::AnyNode) && open {
+                        if matches!(step.test, ETest::Text | ETest::AnyNode) && open {
                             text_possible = true;
                         }
                     }
-                    Axis::Attribute => return true,
                 }
             }
             if nelems.is_empty() && !nopen && !text_possible {
@@ -655,8 +656,8 @@ impl Dtd {
 pub struct Prune {
     /// The surviving paths, to build the matcher from.
     pub paths: CompiledPaths,
-    /// What was dropped: role and rendered path.
-    pub pruned: Vec<(RoleId, String)>,
+    /// The roles whose paths were dropped.
+    pub pruned: Vec<RoleId>,
     /// Paths examined (pruned + kept).
     pub total: usize,
 }
@@ -747,45 +748,17 @@ fn sequence_orders_of(model: &ContentModel) -> Option<Vec<(String, u32)>> {
     Some(orders)
 }
 
-/// Render a compiled path for explain output (`/site/people/person`).
-fn render_path(steps: &[StepView], symbols: &SymbolTable) -> String {
-    let mut out = String::new();
-    for s in steps {
-        out.push('/');
-        match s.axis {
-            Axis::Child => {}
-            Axis::Descendant => out.push_str("descendant::"),
-            Axis::DescendantOrSelf => out.push_str("descendant-or-self::"),
-            Axis::SelfAxis => out.push_str("self::"),
-            Axis::Attribute => out.push('@'),
-        }
-        match s.test {
-            TestView::Name(n) => out.push_str(symbols.resolve(n)),
-            TestView::Star => out.push('*'),
-            TestView::Text => out.push_str("text()"),
-            TestView::AnyNode => out.push_str("node()"),
-        }
-        if let Some(k) = s.pos {
-            out.push_str(&format!("[{k}]"));
-        }
-    }
-    if out.is_empty() {
-        out.push('/');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcx_projection::analyze;
+    use gcx_projection::{analyze, RoleTable};
 
-    fn compiled_for(query: &str) -> (CompiledPaths, SymbolTable) {
+    fn compiled_for(query: &str) -> (CompiledPaths, SymbolTable, RoleTable) {
         let q = gcx_query::compile(query).unwrap();
         let a = analyze(&q);
         let mut symbols = SymbolTable::new();
         let paths = CompiledPaths::compile(&a.roles, &mut symbols);
-        (paths, symbols)
+        (paths, symbols, a.roles)
     }
 
     #[test]
@@ -817,7 +790,7 @@ mod tests {
     fn prune_drops_schema_impossible_paths() {
         let dtd = Dtd::xmark();
         // person has no `item` child: the binding path is unsatisfiable.
-        let (paths, symbols) =
+        let (paths, symbols, roles) =
             compiled_for("for $p in /site/people/person return for $i in $p/item return $i");
         let prune = dtd.prune(&paths, &symbols);
         assert!(
@@ -826,7 +799,10 @@ mod tests {
         );
         assert!(prune.kept() < prune.total);
         assert!(
-            prune.pruned.iter().any(|(_, p)| p.contains("item")),
+            prune
+                .pruned
+                .iter()
+                .any(|&r| roles.get(r).path_display().contains("item")),
             "{:?}",
             prune.pruned
         );
@@ -842,7 +818,7 @@ mod tests {
             "for $i in //item return $i/name",
             "for $p in /site/people/person return if (exists($p/address)) then $p/name else ()",
         ] {
-            let (paths, symbols) = compiled_for(q);
+            let (paths, symbols, _) = compiled_for(q);
             let prune = dtd.prune(&paths, &symbols);
             assert!(
                 prune.pruned.is_empty(),
@@ -855,7 +831,7 @@ mod tests {
     #[test]
     fn prune_is_inert_without_declarations() {
         let dtd = Dtd::from_doctype_parts("site", None).unwrap();
-        let (paths, symbols) = compiled_for("for $x in /nowhere/at/all return $x");
+        let (paths, symbols, _) = compiled_for("for $x in /nowhere/at/all return $x");
         let prune = dtd.prune(&paths, &symbols);
         assert!(prune.pruned.is_empty());
         assert_eq!(prune.kept(), prune.total);
@@ -864,13 +840,16 @@ mod tests {
     #[test]
     fn q17_homepage_is_pruned() {
         let dtd = Dtd::xmark();
-        let (paths, symbols) = compiled_for(
+        let (paths, symbols, roles) = compiled_for(
             "for $p in /site/people/person return \
              if (not(exists($p/homepage))) then $p/name else ()",
         );
         let prune = dtd.prune(&paths, &symbols);
         assert!(
-            prune.pruned.iter().any(|(_, p)| p.contains("/homepage")),
+            prune
+                .pruned
+                .iter()
+                .any(|&r| roles.get(r).path_display().contains("/homepage")),
             "{:?}",
             prune.pruned
         );

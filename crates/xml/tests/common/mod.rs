@@ -29,6 +29,15 @@ impl XorShift {
     pub fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
         options[self.below(options.len())]
     }
+
+    /// `n` sorted cut points in `0..=len`: where to split `len` bytes
+    /// into `n + 1` feeds.
+    #[allow(dead_code)] // the suites outside this crate use it
+    pub fn splits(&mut self, len: usize, n: usize) -> Vec<usize> {
+        let mut v: Vec<usize> = (0..n).map(|_| (self.next() as usize) % (len + 1)).collect();
+        v.sort_unstable();
+        v
+    }
 }
 
 /// Run `cases` cases of a property, each on a generator of its own

@@ -15,6 +15,9 @@
 //! The classes themselves are pinned exactly, so a classifier change
 //! that silently loosens everything to `Document` fails too.
 
+mod common;
+
+use common::generated::XorShift;
 use gcx::analyze::{analyze_program, StreamClass};
 use gcx::schema::Dtd;
 use gcx::xmark::{generate_string, queries, XmarkConfig};
@@ -22,26 +25,6 @@ use gcx::{CompiledQuery, EngineOptions};
 
 fn xmark(kb: u64) -> String {
     generate_string(&XmarkConfig::sized(kb * 1024))
-}
-
-/// Deterministic split-point generator (xorshift64*, no external deps).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn splits(&mut self, len: usize, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).map(|_| (self.next() as usize) % (len + 1)).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Feed `doc` cut at `splits`, return the buffer's `peak_live`.

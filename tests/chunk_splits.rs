@@ -20,6 +20,9 @@
 //! knows nothing of bulk skip, under the same chunkings, in gcx-core's own
 //! tests (`driver_reference.rs`): the reference drives a lane by hand.
 
+mod common;
+
+use common::generated::XorShift;
 use gcx::{CompiledQuery, EngineOptions, RunReport};
 use gcx_xmark::queries::paper_queries;
 use gcx_xmark::{microdoc, microdoc_article_heavy, microdoc_book_heavy, MicroKind};
@@ -87,27 +90,6 @@ fn assert_equiv(label: &str, want: &(Vec<u8>, RunReport), got: &(Vec<u8>, RunRep
         got.1.output_bytes, want.1.output_bytes,
         "{label}: output_bytes differs"
     );
-}
-
-/// Tiny deterministic generator for random split points (no external
-/// dependency; xorshift64*).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn splits(&mut self, len: usize, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).map(|_| (self.next() as usize) % (len + 1)).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Micro-document corpus: the paper's Figure 3 documents plus a mixed one.

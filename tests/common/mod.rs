@@ -4,8 +4,7 @@
 //! instead of copying them from a run.
 #![allow(dead_code)] // every suite uses its own subset
 
-use gcx::projection::{Automaton, StreamMatcher, TaggedPaths};
-use gcx::query::ast::RoleId;
+use gcx::projection::{Automaton, TaggedMatcher, TaggedPaths, TaggedRole};
 use gcx::schema::Dtd;
 use gcx::xmark::{generate_string, XmarkConfig};
 use gcx::xml::{PushTokenizer, SymbolTable, Token, TokenStep, Tokenizer, XmlWriter};
@@ -88,18 +87,18 @@ pub struct Projection {
 
 /// The matcher a session builds for `q`: with `dtd`, unsatisfiable paths
 /// pruned and the reach filter armed.
-fn matcher(q: &CompiledQuery, dtd: Option<&Dtd>) -> (StreamMatcher, SymbolTable) {
+fn matcher(q: &CompiledQuery, dtd: Option<&Dtd>) -> (TaggedMatcher, SymbolTable) {
     let mut symbols = q.program.symbols().clone();
-    let matcher = match dtd {
+    let (paths, reach) = match dtd {
         Some(dtd) => {
             let prune = dtd.prune(q.program.matcher_paths(), &symbols);
             let reach = Arc::new(dtd.reach_filter(&mut symbols));
-            let paths = TaggedPaths::merge([&prune.paths]);
-            StreamMatcher::start(Arc::new(Automaton::new(paths, Some(reach))))
+            (prune.paths, Some(reach))
         }
-        None => StreamMatcher::new(q.program.matcher_paths()).0,
+        None => (q.program.matcher_paths().clone(), None),
     };
-    (matcher, symbols)
+    let automaton = Automaton::new(TaggedPaths::merge([&paths]), reach);
+    (TaggedMatcher::start(Arc::new(automaton)), symbols)
 }
 
 /// Walk `doc` with the matcher of `q`, built the way a session builds it:
@@ -108,7 +107,6 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
     let written = written_through(q, dtd, doc);
     let (mut matcher, mut symbols) = matcher(q, dtd);
     let mut tok = Tokenizer::from_str(doc);
-    let mut roles = Vec::new();
     // Per open kept element: whether a role sits at or below it, and
     // whether a role the writer has not served does.
     let mut open: Vec<(bool, bool)> = Vec::new();
@@ -138,8 +136,9 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
             Token::StartTag(tag) => {
                 counts.visited += 1;
                 node += 1;
-                if matcher.enter_element_into(symbols.intern(tag.name), &mut roles) {
-                    open.push((!roles.is_empty(), !roles.is_empty() && !written[node - 1]));
+                if let Some((_, roles)) = matcher.enter(symbols.intern(tag.name)) {
+                    let role = !roles.is_empty();
+                    open.push((role, role && !written[node - 1]));
                     if tag.self_closing {
                         matcher.leave_element();
                         close(&mut open, &mut counts);
@@ -154,15 +153,15 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
                 close(&mut open, &mut counts);
             }
             Token::Text(_) if hidden_depth == 0 => {
-                matcher.text_into(&mut roles);
+                let role = !matcher.text().is_empty();
                 node += 1;
-                if !roles.is_empty() && !written[node - 1] {
+                if role && !written[node - 1] {
                     counts.needed += 1;
                     if let Some(parent) = open.last_mut() {
                         parent.1 = true;
                     }
                 }
-                if !roles.is_empty() {
+                if role {
                     if let Some(parent) = open.last_mut() {
                         parent.0 = true;
                     }
@@ -182,7 +181,6 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
 pub fn lane_events(q: &CompiledQuery, doc: &str) -> u64 {
     let (mut matcher, mut symbols) = matcher(q, None);
     let mut tok = Tokenizer::from_str(doc);
-    let mut roles = Vec::new();
     let (mut events, mut hidden_depth) = (1, 0u32);
     while let Some(token) = tok.next_token().expect("well-formed") {
         match token {
@@ -190,7 +188,7 @@ pub fn lane_events(q: &CompiledQuery, doc: &str) -> u64 {
                 hidden_depth += u32::from(!tag.self_closing)
             }
             Token::StartTag(tag) => {
-                if matcher.enter_element_into(symbols.intern(tag.name), &mut roles) {
+                if matcher.enter(symbols.intern(tag.name)).is_some() {
                     events += 1;
                     if tag.self_closing {
                         matcher.leave_element();
@@ -205,8 +203,7 @@ pub fn lane_events(q: &CompiledQuery, doc: &str) -> u64 {
                 events += 1;
             }
             Token::Text(_) if hidden_depth == 0 => {
-                matcher.text_into(&mut roles);
-                events += u64::from(!roles.is_empty());
+                events += u64::from(!matcher.text().is_empty());
             }
             _ => {}
         }
@@ -265,15 +262,14 @@ pub fn written_through(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Vec<b
     let mut tok = PushTokenizer::new();
     tok.feed(doc.as_bytes());
     tok.finish_input();
-    let mut roles = Vec::new();
     // The roles of the open kept elements.
-    let mut open: Vec<Vec<(RoleId, u32)>> = Vec::new();
+    let mut open: Vec<Vec<TaggedRole>> = Vec::new();
     let mut hidden_depth = 0u32;
     let mut written = Vec::new();
-    let copied = |roles: &[(RoleId, u32)], open: &[Vec<(RoleId, u32)>]| match roles {
-        [(role, 1)] => open
+    let copied = |roles: &[TaggedRole], open: &[Vec<TaggedRole>]| match roles {
+        [(_, role, 1)] => open
             .last()
-            .is_some_and(|p| p.iter().any(|(r, _)| r == role)),
+            .is_some_and(|p| p.iter().any(|(_, r, _)| r == role)),
         _ => false,
     };
     loop {
@@ -290,12 +286,13 @@ pub fn written_through(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Vec<b
                 hidden_depth += u32::from(!tag.self_closing)
             }
             Token::StartTag(tag) => {
-                if matcher.enter_element_into(symbols.intern(tag.name), &mut roles) {
+                if let Some((_, roles)) = matcher.enter(symbols.intern(tag.name)) {
+                    let roles = roles.to_vec();
                     written.push(copied(&roles, &open) && ends_with(end - 1, &serialized(&token)));
                     if tag.self_closing {
                         matcher.leave_element();
                     } else {
-                        open.push(roles.clone());
+                        open.push(roles);
                     }
                 } else {
                     written.push(false);
@@ -308,13 +305,13 @@ pub fn written_through(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Vec<b
                 open.pop();
             }
             Token::Text(_) if hidden_depth == 0 => {
-                matcher.text_into(&mut roles);
+                let roles = matcher.text();
                 let at = if doc[start..].starts_with("<![CDATA[") {
                     end - 1
                 } else {
                     end
                 };
-                written.push(copied(&roles, &open) && ends_with(at, &serialized(&token)));
+                written.push(copied(roles, &open) && ends_with(at, &serialized(&token)));
             }
             _ => {}
         }

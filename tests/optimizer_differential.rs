@@ -17,6 +17,9 @@
 //!   identity `self::node()` step, against the DOM oracle;
 //! * the paper's bib microdocs under the running Figure 1 query.
 
+mod common;
+
+use common::generated::XorShift;
 use gcx::xmark::{generate_string, queries, XmarkConfig};
 use gcx::{CompiledQuery, EngineOptions, RunReport};
 
@@ -79,26 +82,6 @@ fn compile_pair(text: &str) -> (CompiledQuery, CompiledQuery) {
     let opt = CompiledQuery::compile(text).expect("compile (optimized)");
     let unopt = CompiledQuery::compile_opts(text, false).expect("compile (unoptimized)");
     (opt, unopt)
-}
-
-/// Deterministic split-point generator (xorshift64*, no external deps).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn splits(&mut self, len: usize, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).map(|_| (self.next() as usize) % (len + 1)).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[test]

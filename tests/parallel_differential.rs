@@ -11,6 +11,9 @@
 //! peak may exceed the serial run's peak — partitioning must never
 //! *create* buffering the serial evaluation avoided.
 
+mod common;
+
+use common::generated::XorShift;
 use gcx::xmark::{generate_string, queries, XmarkConfig};
 use gcx::{CompiledQuery, EngineOptions, RunReport};
 use gcx_par::{run_parallel, ParOptions, ShardPath};
@@ -35,26 +38,6 @@ fn run_split(q: &CompiledQuery, doc: &[u8], splits: &[usize]) -> (Vec<u8>, RunRe
     let mut out = Vec::new();
     session.take_output(&mut out).expect("drain");
     (out, report)
-}
-
-/// Deterministic split-point generator (xorshift64*, no external deps).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn splits(&mut self, len: usize, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).map(|_| (self.next() as usize) % (len + 1)).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Queries that must actually take a partitioned path on XMark input.

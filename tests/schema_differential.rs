@@ -55,6 +55,7 @@
 
 mod common;
 
+use common::generated::XorShift;
 use gcx::schema::Dtd;
 use gcx::xmark::{generate_string, queries, XmarkConfig};
 use gcx::{CompiledQuery, EngineOptions, RunReport};
@@ -141,26 +142,6 @@ fn assert_schema_free(label: &str, blind: &(Vec<u8>, RunReport), aware: &(Vec<u8
         blind.1.schema.is_none(),
         "{label}: schema-blind run must not carry a schema report"
     );
-}
-
-/// Deterministic split-point generator (xorshift64*, no external deps).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn splits(&mut self, len: usize, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).map(|_| (self.next() as usize) % (len + 1)).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// What the reach filter buys on a `//` query since the blind engine
