@@ -131,6 +131,48 @@ fn explain_matches_golden_listing() {
 }
 
 #[test]
+fn explain_pins_q8s_roles_and_anchors() {
+    // XMark Q8's probe `$p/@id` reads `$p`'s own node, which `$p`'s
+    // binding role r2 keeps until the same signOff: the probe has no role
+    // of its own, so a person carries one role, not two.
+    let out = gcx_bin()
+        .args(["explain", "-e", gcx_xmark::queries::Q8])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let section = |title: &str| {
+        let start = text.find(&format!("== {title} ==\n")).expect(title);
+        let body = &text[start..];
+        body[..body.find("\n\n").unwrap_or(body.len())].to_string()
+    };
+    assert_eq!(
+        section("Projection paths and roles"),
+        "\
+== Projection paths and roles ==
+r1: /
+r2: /site/people/person
+r3: /site/people/person/name/descendant-or-self::node()
+r4: /site/closed_auctions/closed_auction
+r5: /site/closed_auctions/closed_auction/buyer
+r6: /site/closed_auctions/closed_auction/itemref/descendant-or-self::node()"
+    );
+    assert_eq!(
+        section("signOff anchors"),
+        "\
+== signOff anchors ==
+r1: /                                                       [document root] signed off at query end
+r2: /site/people/person                                     [for-binding of var #0] signed off at end of $p's loop body
+r3: /site/people/person/name/descendant-or-self::node()     [output] signed off at end of $p's loop body
+r4: /site/closed_auctions/closed_auction                    [for-binding of var #1] signed off at query end
+r5: /site/closed_auctions/closed_auction/buyer              [comparison operand] signed off at query end
+r6: /site/closed_auctions/closed_auction/itemref/descendant-or-self::node() [output] signed off at query end"
+    );
+    let rewritten = section("Rewritten query with signOff statements");
+    assert_eq!(rewritten.matches("signOff($p").count(), 2, "{rewritten}");
+}
+
+#[test]
 fn explain_schema_lists_the_pruned_paths() {
     // Each path the DTD rules out is printed as its role's absolute path,
     // here with a descendant step, a wildcard, a position and the subtree

@@ -15,7 +15,17 @@
 //!   appended to the final child step (r4);
 //! * comparison operands and aggregate arguments contribute value-retention
 //!   roles (subtree text; attribute-terminated paths only retain the owner
-//!   element, since attributes travel with their start tag).
+//!   element, since attributes travel with their start tag);
+//! * a value use — comparison or string-function operand, aggregate
+//!   argument, `exists` — of `$v/@a`, the attribute directly on a loop
+//!   variable, contributes **no** role: its owner element is `$v`'s node,
+//!   on `$v`'s binding path and signed off at the binding's anchor, so the
+//!   binding role already keeps it exactly as long (XMark Q1's `$b/@id`,
+//!   Q8's `$p/@id`). A node then carries one role where it carried two,
+//!   and no second matcher path or signOff is run for it. An output
+//!   `$v/@a` keeps its role (the copy's write-through is decided per output
+//!   role), and so does a use with an element step (`$p/profile/@income`
+//!   retains `profile`).
 //!
 //! A value use rooted at `/` and outside every `for` body runs at most
 //! once, and it reads each match once: its role is recorded in
@@ -257,8 +267,8 @@ impl Cx {
     }
 
     /// Derive the role path for a use of `p` and register it.
-    /// Returns `None` when no role is needed (bare variable in a context
-    /// already covered by its binding role).
+    /// Returns `None` when no role is needed: `exists` of the root, and a
+    /// value use `$v/@a`, which its binding role covers.
     fn add_use_role(&mut self, p: &PathExpr, kind: UseKind) -> Option<RoleId> {
         let rooted_at = match &p.root {
             PathRoot::Root => None,
@@ -273,7 +283,14 @@ impl Cx {
         };
         if p.ends_in_attribute() {
             // Attributes travel with their element's start tag: retaining
-            // the owner element suffices for every kind of use.
+            // the owner element suffices for every kind of use. The owner
+            // of a value use `$v/@a` is `$v`'s node, which `$v`'s binding
+            // role holds — same path, same anchor: it takes no role.
+            let covered =
+                rooted_at.is_some() && p.steps.len() == 1 && !matches!(kind, UseKind::Output);
+            if covered {
+                return None;
+            }
             abs.pop();
             return Some(self.add_role(abs, origin, rooted_at));
         }
@@ -321,11 +338,9 @@ impl Cx {
     /// Register the role of a value use (aggregate argument, path
     /// operand) and record it in `value_roles`.
     fn add_value_role(&mut self, p: &PathExpr, kind: UseKind) {
-        let role = self
-            .add_use_role(p, kind)
-            .expect("a value use always gets a role");
+        let role = self.add_use_role(p, kind);
         let once = matches!(p.root, PathRoot::Root) && self.loop_stack.is_empty();
-        self.value_roles.push(once.then_some(role));
+        self.value_roles.push(role.filter(|_| once));
     }
 
     fn cond(&mut self, c: &Cond) -> Cond {
@@ -645,6 +660,108 @@ r7: /bib/book/title/descendant-or-self::node()
         // The comparison role is on .../profile, not on the attribute.
         assert!(listing.contains("/site/person/profile\n"), "{listing}");
         assert!(!listing.contains("@income"), "{listing}");
+    }
+
+    /// Roles of `q` other than the document root's, as `path [origin]`.
+    fn roles_of(q: &str) -> Vec<String> {
+        let a = analyze_str(q);
+        a.roles
+            .iter()
+            .skip(1)
+            .map(|r| format!("{} [{}]", r.path_display(), r.origin))
+            .collect()
+    }
+
+    #[test]
+    fn a_value_use_of_a_bound_attribute_takes_no_role() {
+        // `$v/@a` in a comparison, a string function, an aggregate or an
+        // `exists` reads `$v`'s node, which `$v`'s binding role keeps until
+        // the same anchor: the binding's is the one role on its path, with
+        // its one signOff.
+        let q1 = "for $b in /site/people/person return \
+                  if ($b/@id = 'person0') then $b/name else ()";
+        let q8 = "<results> { for $p in /site/people/person return <items> { $p/name, \
+                  for $t in /site/closed_auctions/closed_auction return \
+                  if ($t/buyer/@person = $p/@id) then $t/itemref else () } </items> } </results>";
+        let cases: [(&str, &[&str]); 7] = [
+            (
+                q1,
+                &[
+                    "/site/people/person [for-binding of var #0]",
+                    "/site/people/person/name/descendant-or-self::node() [output]",
+                ],
+            ),
+            (
+                // The hash join's probe `$p/@id` takes none; its key
+                // `$t/buyer/@person` has an element step and keeps one.
+                q8,
+                &[
+                    "/site/people/person [for-binding of var #0]",
+                    "/site/people/person/name/descendant-or-self::node() [output]",
+                    "/site/closed_auctions/closed_auction [for-binding of var #1]",
+                    "/site/closed_auctions/closed_auction/buyer [comparison operand]",
+                    "/site/closed_auctions/closed_auction/itemref/descendant-or-self::node() [output]",
+                ],
+            ),
+            (
+                "for $x in /r/a return if (exists($x/@a)) then 'y' else ()",
+                &["/r/a [for-binding of var #0]"],
+            ),
+            (
+                "for $x in /r/a return <n>{ count($x/@a), sum($x/@a) }</n>",
+                &["/r/a [for-binding of var #0]"],
+            ),
+            (
+                "for $x in /r/a return if (contains($x/@a, 'v')) then 'y' else ()",
+                &["/r/a [for-binding of var #0]"],
+            ),
+            (
+                // `$y` re-runs per `$x` (a root path in a loop body): its
+                // binding and the use of `$y/@k` both anchor at query end,
+                // and the outer `$x/@a` used inside it at `$x`.
+                "for $x in /r/a return for $y in /r/b return \
+                 if ($y/@k > 1 and $x/@a = 'v') then 'y' else ()",
+                &["/r/a [for-binding of var #0]", "/r/b [for-binding of var #1]"],
+            ),
+            (
+                // A hash join whose key and probe are both bound attributes.
+                "for $x in /r/a return for $y in /r/b return \
+                 if ($y/@k = $x/@a) then $y/c else ()",
+                &[
+                    "/r/a [for-binding of var #0]",
+                    "/r/b [for-binding of var #1]",
+                    "/r/b/c/descendant-or-self::node() [output]",
+                ],
+            ),
+        ];
+        for (q, roles) in cases {
+            assert_eq!(roles_of(q), roles, "{q}");
+            let a = analyze_str(q);
+            assert!(a.value_roles.iter().all(Option::is_none), "{q}");
+            let signoffs = a.rewritten.to_string().matches("signOff(").count();
+            assert_eq!(signoffs, roles.len() + 1, "{q}: one per role");
+        }
+
+        // `$p`'s loop still signs its binding role off, once per person.
+        let printed = analyze_str(q8).rewritten.to_string();
+        assert_eq!(printed.matches("signOff($p, r2)").count(), 1, "{printed}");
+    }
+
+    #[test]
+    fn an_element_step_or_an_output_keeps_the_attribute_role() {
+        assert_eq!(
+            roles_of("for $x in /r/a return if ($x/y/@a = 'v') then 'y' else ()"),
+            [
+                "/r/a [for-binding of var #0]",
+                "/r/a/y [comparison operand]"
+            ]
+        );
+        assert_eq!(
+            roles_of("for $x in /r/a return <v>{ $x/@a }</v>"),
+            ["/r/a [for-binding of var #0]", "/r/a [output]"]
+        );
+        // A root `/r/a/@a` has no binding to lean on.
+        assert_eq!(roles_of("count(/r/a/@a)"), ["/r/a [aggregate argument]"]);
     }
 
     #[test]

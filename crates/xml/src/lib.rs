@@ -20,6 +20,9 @@
 //! * [`SymbolTable`]: an interner mapping XML names to dense [`Symbol`] ids so
 //!   the rest of the engine compares names by `u32` equality.
 //! * [`escape`]: the escaping/unescaping primitives shared by both sides.
+//! * [`grow`]: the one growth rule of a session's long-lived stores (the
+//!   tokenizer window here, the buffer's payload store and role overflow
+//!   in the engine): doubling under 64 KiB, an eighth above.
 //!
 //! The tokenizer is the "input stream" of the GCX architecture (Figure 2 of
 //! the paper); the writer is its output side. Both are deliberately
@@ -39,6 +42,7 @@
 mod doctype;
 mod error;
 pub mod escape;
+pub mod grow;
 mod pos;
 pub mod push;
 pub mod scan;

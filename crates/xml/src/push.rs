@@ -163,12 +163,15 @@
 //!
 //! Same as the pull tokenizer it replaced: the steady-state token loop
 //! performs no heap allocation. The window buffer is reused (consumed
-//! prefixes are compacted on the next feed), open names live back-to-back
-//! in one arena, attribute spans live in a reusable scratch vector, and
-//! rewritten text/attribute values go into reusable arenas. A returned
-//! token borrows these buffers and is valid until the next `feed`/`step`.
-//! A skip touches only the window, the open-name arena and the attribute
-//! span scratch.
+//! prefixes are compacted on the next feed) and grows by
+//! [`crate::grow::reserve`]: a 64 KiB feed plus the few bytes of a
+//! carried partial token take it to 72 KiB, not to the 128 KiB doubling
+//! would, and once it has its size no feed of that size allocates. Open
+//! names live back-to-back in one arena, attribute spans live in a
+//! reusable scratch vector, and rewritten text/attribute values go into
+//! reusable arenas. A returned token borrows these buffers and is valid
+//! until the next `feed`/`step`. A skip touches only the window, the
+//! open-name arena and the attribute span scratch.
 
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::escape::{normalize_attr_into, normalize_newlines_into, normalize_unescape_into};
@@ -447,6 +450,8 @@ impl PushTokenizer {
             self.lo = 0;
         }
         if self.buf.len() - self.hi < min {
+            let short = self.hi + min - self.buf.len();
+            crate::grow::reserve(&mut self.buf, short);
             self.buf.resize(self.hi + min, 0);
         }
         &mut self.buf[self.hi..]

@@ -443,8 +443,10 @@ fn purged_buffer_memory_goes_back_or_is_reused() {
     assert!(buf.slot_bytes() <= bound(&buf));
 
     // (c) XMark Q8 over a 1 MiB document — a join that buffers its people
-    // and closed auctions to the end — peaks at ≤ 0.8 MiB of heap (1.49
-    // MiB while nodes were 168-byte records with pooled payloads).
+    // and closed auctions to the end — peaks at ≤ 0.4 MiB of heap (1.49
+    // MiB while nodes were 168-byte records with pooled payloads, 439 271
+    // bytes while its stores grew by doubling and each person carried a
+    // second role for `$p/@id` in the role overflow).
     let mut cfg = gcx::xmark::XmarkConfig::sized(1 << 20);
     cfg.seed = 42;
     let doc = gcx::xmark::generate_string(&cfg);
@@ -456,8 +458,33 @@ fn purged_buffer_memory_goes_back_or_is_reused() {
     let report = gcx::run(&q, &opts, doc.as_bytes(), std::io::sink()).unwrap();
     let heap = gcx::memtrack::peak_bytes() - live;
     assert!(
-        heap <= (8 << 20) / 10,
+        heap <= (4 << 20) / 10,
         "Q8 over 1 MiB peaked at {heap} bytes of heap, {} in the buffer",
+        report.buffer.peak_live_bytes
+    );
+
+    // (d) A root count buffers one item at a time, so its heap is the
+    // session's fixed stores, the largest of them the tokenizer window:
+    // fed in 64 KiB pieces, the window takes a piece plus the carried
+    // partial token, 72 KiB, where doubling made it 128 KiB (and the run
+    // about 135 KiB).
+    let doc = gcx::xmark::generate_string(&gcx::xmark::XmarkConfig::sized(2 << 20));
+    let q = gcx::CompiledQuery::compile(gcx::xmark::queries::Q6_COUNT).unwrap();
+    let count = || {
+        let mut session = q.session(&opts);
+        for piece in doc.as_bytes().chunks(CHUNK) {
+            session.feed(piece).unwrap();
+        }
+        session.finish().unwrap()
+    };
+    count();
+    let live = gcx::memtrack::live_bytes();
+    gcx::memtrack::reset_peak();
+    let report = count();
+    let heap = gcx::memtrack::peak_bytes() - live;
+    assert!(
+        heap <= 96 << 10,
+        "Q6_COUNT over 2 MiB peaked at {heap} bytes of heap, {} in the buffer",
         report.buffer.peak_live_bytes
     );
 }
