@@ -35,7 +35,7 @@
 //! the document arrives ([`BatchSession::take_output`]).
 
 use crate::driver::Driver;
-use crate::engine::{CompiledQuery, EngineOptions, RunReport};
+use crate::engine::{CompiledQuery, EngineOptions, RunReport, READ_CHUNK};
 use crate::error::EngineError;
 use crate::lane::Lane;
 use gcx_projection::{Automaton, CompiledPaths, TaggedMatcher, TaggedPaths};
@@ -127,10 +127,9 @@ impl BatchReport {
 }
 
 /// Evaluate `queries` over `input` in a single pass: open a
-/// [`BatchSession`] and feed it `input` in chunks read straight into its
-/// tokenizer window. Per-query evaluator failures are reported in the
-/// [`BatchReport`]; only input errors (which invalidate every query) fail
-/// the whole batch.
+/// [`BatchSession`] and feed it `input`, read into one 64 KiB buffer.
+/// Per-query evaluator failures are reported in the [`BatchReport`]; only
+/// input errors (which invalidate every query) fail the whole batch.
 pub fn run<R: Read>(
     queries: &[CompiledQuery],
     opts: &BatchOptions,
@@ -138,11 +137,12 @@ pub fn run<R: Read>(
 ) -> Result<BatchReport, EngineError> {
     let mut session = BatchSession::new(queries, opts);
     let driver = &mut session.driver;
+    let mut chunk = vec![0; READ_CHUNK];
     loop {
-        let n = input.read(driver.space(READ_CHUNK));
+        let n = input.read(&mut chunk);
         match n.map_err(|e| driver.input_io_error(e))? {
             0 => break,
-            n => driver.commit(n)?,
+            n => driver.feed(&chunk[..n])?,
         }
     }
     session.finish()
@@ -152,9 +152,6 @@ pub fn run<R: Read>(
 pub fn run_batch<R: Read>(queries: &[CompiledQuery], input: R) -> Result<BatchReport, EngineError> {
     run(queries, &BatchOptions::default(), input)
 }
-
-/// Chunk size [`run`] reads from its source at a time.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// A push-driven evaluation of one batch over one document. Create with
 /// [`BatchSession::new`]; the caller owns all I/O. Bytes may be split
@@ -237,7 +234,7 @@ impl BatchSession {
     /// the batch's outcome. Fails on a truncated or malformed document.
     pub fn finish(mut self) -> Result<BatchReport, EngineError> {
         let reports = self.driver.finish()?;
-        let pre = &mut self.driver.pre;
+        let pre = &mut self.driver.pump.pre;
         // End of input is every query's last event. The events delivered
         // are summed over lanes, a failed lane's until it failed.
         let fanout_events = pre.lanes.iter().map(|slot| slot.lane.tokens() + 1).sum();

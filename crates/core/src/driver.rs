@@ -7,7 +7,9 @@ use crate::lane::{Keep, Lane, ScanFacts};
 use crate::obs::FeedSpan;
 use gcx_projection::{Below, TaggedMatcher, TaggedRole};
 use gcx_query::ast::RoleId;
-use gcx_xml::{Attrs, PushTokenizer, StartTag, Symbol, SymbolTable, TextPos, Token, TokenStep};
+use gcx_xml::{
+    Attrs, Lent, PushTokenizer, StartTag, Symbol, SymbolTable, TextPos, Token, TokenStep,
+};
 use gcx_xml::{XmlError, XmlErrorKind};
 use std::io::Write;
 
@@ -31,31 +33,37 @@ use std::io::Write;
 /// shown it.
 pub struct Driver {
     tok: PushTokenizer,
+    pub(crate) pump: Pump,
+    /// Why the run is over, for every later call's error: a feed or the
+    /// end of input failed (the tokenizer and the lanes are where the
+    /// error left them), or the input was finished.
+    over: Option<&'static str>,
+}
+
+/// Everything of the driver but the tokenizer: what the loop runs on the
+/// input the tokenizer is lent.
+pub(crate) struct Pump {
     pub(crate) pre: Preprojector,
-    /// What the loop does with the window next.
+    /// What the loop does with the input next.
     next: Pass,
     /// What the search or copy pass in flight passed (charged when it
     /// ends), and the elements the copy pass opened and has not closed.
     passed: Passed,
     copied: usize,
     telemetry: bool,
-    /// Why the run is over, for every later call's error: a feed or the
-    /// end of input failed (the tokenizer and the lanes are where the
-    /// error left them), or the input was finished.
-    over: Option<&'static str>,
     pub(crate) scan: ScanFacts,
 }
 
-/// What the driver does with the window next.
+/// What the driver does with the input next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pass {
     /// Step one token and apply it.
     Step,
     /// Pass the refused element whose start tag was just applied.
     Skip,
-    /// A descendant search (see [`Driver::search`]).
+    /// A descendant search (see [`Pump::search`]).
     Search,
-    /// A copy pass (see [`Driver::copy`]).
+    /// A copy pass (see [`Pump::copy`]).
     Copy,
     /// Apply the start tag a search or a copy pass stopped at.
     Found,
@@ -193,36 +201,24 @@ impl Driver {
         };
         Driver {
             tok: PushTokenizer::new(),
-            pre,
-            next: Pass::Step,
-            passed: Passed::default(),
-            copied: 0,
-            telemetry,
+            pump: Pump {
+                pre,
+                next: Pass::Step,
+                passed: Passed::default(),
+                copied: 0,
+                telemetry,
+                scan: ScanFacts::default(),
+            },
             over: None,
-            scan: ScanFacts::default(),
         }
     }
 
     /// Push one chunk of document bytes and advance every lane as far as
-    /// they allow.
+    /// they allow. The chunk is lent to the tokenizer for this call: it
+    /// keeps only a token the chunk's end cuts.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
-        self.latched("feed", |driver| {
-            driver.tok.feed(chunk);
-            driver.pump_spanned(chunk.len())
-        })
-    }
-
-    /// Borrow at least `min` writable bytes of the tokenizer window to read
-    /// input into, then [`Driver::commit`] however many arrived.
-    pub fn space(&mut self, min: usize) -> &mut [u8] {
-        self.tok.space(min)
-    }
-
-    /// [`Driver::feed`] on `n` bytes of [`Driver::space`].
-    pub fn commit(&mut self, n: usize) -> Result<(), EngineError> {
-        self.latched("commit", |driver| {
-            driver.tok.commit(n);
-            driver.pump_spanned(n)
+        self.latched("feed", |tok, pump| {
+            pump.pump_spanned(&mut tok.lend(chunk), chunk.len())
         })
     }
 
@@ -235,20 +231,21 @@ impl Driver {
     /// as [`Driver::feed`] does: on a truncated or malformed document, and
     /// stand-alone on the lane's failure.
     pub fn finish(&mut self) -> Result<Vec<Result<RunReport, EngineError>>, EngineError> {
-        self.latched("finish", |driver| {
-            driver.tok.finish_input();
-            driver.pump()?;
-            driver.scan.window_peak = driver.tok.window_peak();
+        self.latched("finish", |tok, pump| {
+            tok.finish_input();
+            pump.pump(&mut tok.lend(&[]))?;
+            pump.scan.window_peak = tok.window_peak();
             Ok(())
         })?;
         self.over = Some("finish");
-        let reach_cuts = self.pre.matcher.reach_cuts();
-        let lanes = &mut self.pre.lanes;
+        let Pump { pre, scan, .. } = &mut self.pump;
+        let reach_cuts = pre.matcher.reach_cuts();
+        let lanes = &mut pre.lanes;
         let mut order: Vec<usize> = (0..lanes.len()).collect();
         order.sort_by_key(|&i| lanes[i].lane.buffer_stats().live_bytes);
         let mut reports: Vec<_> = order
             .into_iter()
-            .map(|i| (i, lanes[i].lane.finish(&self.scan, reach_cuts)))
+            .map(|i| (i, lanes[i].lane.finish(scan, reach_cuts)))
             .collect();
         reports.sort_by_key(|&(i, _)| i);
         Ok(reports.into_iter().map(|(_, report)| report).collect())
@@ -260,12 +257,12 @@ impl Driver {
     fn latched(
         &mut self,
         name: &str,
-        call: impl FnOnce(&mut Driver) -> Result<(), EngineError>,
+        call: impl FnOnce(&mut PushTokenizer, &mut Pump) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
         if let Some(why) = self.over {
             return Err(EngineError::Internal(format!("{name} after {why}")));
         }
-        let result = call(self);
+        let result = call(&mut self.tok, &mut self.pump);
         if result.is_err() {
             self.over = Some("the run failed");
         }
@@ -283,7 +280,7 @@ impl Driver {
     /// written. On a sink error the bytes that *were* written are dropped
     /// from the pending output first, so a retry never sends a byte twice.
     pub fn take_output<W: Write>(&mut self, i: usize, sink: &mut W) -> Result<usize, EngineError> {
-        let pending = self.pre.lanes[i].lane.output_mut();
+        let pending = self.pump.pre.lanes[i].lane.output_mut();
         let (total, mut off) = (pending.len(), 0);
         while off < total {
             let kind = match sink.write(&pending[off..]) {
@@ -306,14 +303,16 @@ impl Driver {
         pending.clear();
         Ok(total)
     }
+}
 
-    /// [`Driver::pump`] as one counted feed call — with telemetry on, one
+impl Pump {
+    /// [`Pump::pump`] as one counted feed call — with telemetry on, one
     /// [`FeedSpan`]: when the chunk arrived, how long consuming it took,
     /// and its size (the Chrome trace's feed track).
-    fn pump_spanned(&mut self, bytes: usize) -> Result<(), EngineError> {
+    fn pump_spanned(&mut self, tok: &mut Lent, bytes: usize) -> Result<(), EngineError> {
         self.scan.feed_calls += 1;
         let start_us = self.telemetry.then(gcx_obs::now_micros);
-        let result = self.pump();
+        let result = self.pump(tok);
         if let Some(start_us) = start_us {
             let dur_us = gcx_obs::now_micros().saturating_sub(start_us);
             let bytes = bytes as u64;
@@ -326,11 +325,11 @@ impl Driver {
         result
     }
 
-    /// Apply every complete token in the window, one at a time: the lanes'
+    /// Apply every complete token of the lent input, one at a time: the lanes'
     /// evaluators run to suspension between tokens, so buffer peaks do not
     /// depend on the chunking. A stand-alone lane's failure surfaces at the
     /// token that caused it; a batch lane's stays with the lane.
-    fn pump(&mut self) -> Result<(), EngineError> {
+    fn pump(&mut self, tok: &mut Lent) -> Result<(), EngineError> {
         // Starts the programs on the first call; nothing to do afterwards.
         for slot in &mut self.pre.lanes {
             slot.lane.step();
@@ -342,18 +341,18 @@ impl Driver {
                 }
             }
             let more = match self.next {
-                Pass::Skip => self.skip()?,
-                Pass::Search => self.search()?,
-                Pass::Copy => self.copy()?,
+                Pass::Skip => self.skip(tok)?,
+                Pass::Search => self.search(tok)?,
+                Pass::Copy => self.copy(tok)?,
                 // One call site, so that `apply` is inlined here.
                 pass => {
                     let step = match pass {
                         Pass::Found => TokenStep::Token,
-                        _ => self.tok.step()?,
+                        _ => tok.step()?,
                     };
                     match step {
                         TokenStep::Token => {
-                            self.next = self.pre.apply(&self.tok.token());
+                            self.next = self.pre.apply(&tok.token());
                             true
                         }
                         TokenStep::NeedMoreData => false,
@@ -362,7 +361,7 @@ impl Driver {
                 }
             };
             if !more {
-                let pending = self.tok.pending_bytes() as u64;
+                let pending = tok.pending_bytes() as u64;
                 self.scan.max_pending_bytes = self.scan.max_pending_bytes.max(pending);
                 break;
             }
@@ -371,10 +370,10 @@ impl Driver {
     }
 
     /// Pass the refused element whose start tag was just applied, end tag
-    /// included. Returns false when the window ran out first.
+    /// included. Returns false when the input ran out first.
     #[inline(never)]
-    fn skip(&mut self) -> Result<bool, EngineError> {
-        let skipped = self.tok.skip_element(&[], usize::MAX)?;
+    fn skip(&mut self, tok: &mut Lent) -> Result<bool, EngineError> {
+        let skipped = tok.skip_element(&[], usize::MAX)?;
         let tokens = skipped.tokens;
         let passed = Passed {
             tokens,
@@ -393,11 +392,11 @@ impl Driver {
     /// chains and dropped it again. Where it stops, the elements it left
     /// open are opened (as many as the budgets have room for) and the stop
     /// tag is applied next; where it completes, the end tag is. Returns
-    /// false when the window ran out first. (Out of the token loop:
+    /// false when the input ran out first. (Out of the token loop:
     /// inlined there, it slowed every stepped token of queries that never
     /// search.)
     #[inline(never)]
-    fn search(&mut self) -> Result<bool, EngineError> {
+    fn search(&mut self, tok: &mut Lent) -> Result<bool, EngineError> {
         let pre = &mut self.pre;
         let room = pre.show_pass();
         let Below::Search(waits) = pre.matcher.below() else {
@@ -407,7 +406,7 @@ impl Driver {
         for (stop, &name) in stops.iter_mut().zip(waits) {
             *stop = pre.table().resolve(name);
         }
-        let found = self.tok.skip_element(&stops[..waits.len()], room)?;
+        let found = tok.skip_element(&stops[..waits.len()], room)?;
         let passed = &mut self.passed;
         passed.tokens += found.tokens;
         passed.tags += found.tags;
@@ -416,7 +415,7 @@ impl Driver {
             self.next = pre.end_tag();
         } else if found.stopped || found.left_open > 0 {
             pre.charge_pass(passed.take_but(found.left_open), None);
-            for name in self.tok.left_open(found.left_open) {
+            for name in tok.left_open(found.left_open) {
                 pre.open_passed(name, Opened::Searched);
             }
             // Past the depth bound the budget has failed a lane.
@@ -436,9 +435,9 @@ impl Driver {
     /// bookkeeping. At a start tag of a stop, or one that would open more
     /// elements than the budgets have room for, the elements it left open
     /// are opened and the tag is applied next; at the element's end tag,
-    /// that is. Returns false when the window ran out first.
+    /// that is. Returns false when the input ran out first.
     #[inline(never)]
-    fn copy(&mut self) -> Result<bool, EngineError> {
+    fn copy(&mut self, tok: &mut Lent) -> Result<bool, EngineError> {
         let pre = &mut self.pre;
         let room = pre.show_pass();
         let Below::Copy { tag, role, stops } = pre.matcher.below() else {
@@ -449,8 +448,8 @@ impl Driver {
         stop_names[..stops.len()].copy_from_slice(stops);
         let stops = &stop_names[..stops.len()];
         let passed = &mut self.passed;
-        while self.tok.step()? == TokenStep::Token {
-            let token = self.tok.token();
+        while tok.step()? == TokenStep::Token {
+            let token = tok.token();
             match token {
                 Token::StartTag(tag)
                     if (!tag.self_closing && self.copied >= room)
@@ -458,7 +457,7 @@ impl Driver {
                 {
                     let open = std::mem::take(&mut self.copied);
                     pre.charge_pass(passed.take_but(open), Some(copier));
-                    for name in self.tok.left_open(open) {
+                    for name in tok.left_open(open) {
                         pre.open_passed(name, Opened::Copied(copier, role));
                     }
                     self.next = Pass::Found;

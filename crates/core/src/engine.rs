@@ -406,9 +406,9 @@ pub struct RunReport {
 /// `output`. The configuration selects the buffer-management strategy.
 ///
 /// This is a convenience wrapper over the sans-IO [`EvalSession`]: it
-/// reads `input` in chunks, feeds them to the session, and drains the
-/// session's output into `output` as it becomes available — the blocking
-/// shape of the push-driven engine.
+/// reads `input` into one 64 KiB buffer, feeds each read
+/// to the session, and drains the session's output into `output` as it
+/// becomes available — the blocking shape of the push-driven engine.
 pub fn run<R: Read, W: Write>(
     q: &CompiledQuery,
     opts: &EngineOptions,
@@ -416,17 +416,14 @@ pub fn run<R: Read, W: Write>(
     mut output: W,
 ) -> Result<RunReport, EngineError> {
     let mut session = q.session(opts);
+    let mut chunk = vec![0; READ_CHUNK];
     loop {
-        // Read straight into the tokenizer window (no intermediate copy).
-        let n = {
-            let gap = session.space(64 * 1024);
-            input.read(gap)
-        };
+        let n = input.read(&mut chunk);
         let n = n.map_err(|e| session.input_io_error(e))?;
         if n == 0 {
             break;
         }
-        session.commit(n)?;
+        session.feed(&chunk[..n])?;
         session.take_output(&mut output)?;
     }
     let report = session.finish()?;
@@ -434,6 +431,10 @@ pub fn run<R: Read, W: Write>(
     output.flush().map_err(|e| session.input_io_error(e))?;
     Ok(report)
 }
+
+/// Bytes [`run`] and [`batch::run`](crate::batch::run) read from their
+/// source at a time.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// Convenience: compile and run with the GCX configuration.
 pub fn run_query(query_text: &str, input: &str) -> Result<String, EngineError> {

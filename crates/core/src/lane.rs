@@ -9,6 +9,7 @@ use crate::error::EngineError;
 use crate::eval::{Frontier, Vm, VmStatus};
 use crate::obs::{FeedSpan, DEFAULT_TIMELINE_EVERY};
 use gcx_query::ast::RoleId;
+use gcx_xml::grow::Sink;
 use gcx_xml::{Attrs, StartTag, Symbol, SymbolTable, Token, WriterOptions, XmlWriter};
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ pub struct ScanFacts {
     pub feed_calls: u64,
     /// Largest partial-token spillover the tokenizer held.
     pub max_pending_bytes: u64,
-    /// High-water of the tokenizer window (telemetry only).
+    /// High-water of the tokenizer's carry (telemetry only).
     pub window_peak: u64,
     /// One span per `feed` call (telemetry only, else empty).
     pub feed_spans: Vec<FeedSpan>,
@@ -248,7 +249,8 @@ pub struct Lane {
     seeded_name_bytes: usize,
     /// Names the table held when the budget last accounted for them.
     names_seen: usize,
-    out: XmlWriter<Vec<u8>>,
+    /// Output not yet drained, growing by the store rule.
+    out: XmlWriter<Sink>,
     /// The chain of open *buffered* elements, each with its document
     /// child counters.
     open: Vec<OpenEntry>,
@@ -316,7 +318,7 @@ impl Lane {
             names_seen: symbols.len(),
             symbols: symbols.clone(),
             out: XmlWriter::with_options(
-                Vec::new(),
+                Sink::default(),
                 WriterOptions {
                     indent: opts.indent.clone(),
                 },
@@ -390,7 +392,7 @@ impl Lane {
         self.buf.set_schema(Arc::new(ord), true);
     }
 
-    /// A start tag — borrowed from the tokenizer window — that is a child
+    /// A start tag — borrowed from the fed chunk — that is a child
     /// of the innermost open element; `name` is the tag name and
     /// `attr_names` the attribute names (parallel to `tag.attrs`) in the
     /// lane's symbol table ([`Lane::symbols_mut`]). `keep` is the driver's
@@ -682,12 +684,12 @@ impl Lane {
 
     /// The output produced and not yet drained.
     pub fn output(&self) -> &[u8] {
-        self.out.get_ref()
+        &self.out.get_ref().0
     }
 
     /// The pending output, for the driver to drain.
     pub fn output_mut(&mut self) -> &mut Vec<u8> {
-        self.out.get_mut()
+        &mut self.out.get_mut().0
     }
 
     /// The error that stopped the lane, handed out once; the lane stays

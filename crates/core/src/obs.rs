@@ -136,7 +136,8 @@ pub struct ObsReport {
     pub tasks: Vec<TaskObs>,
     /// Spans of the session's `feed` calls (empty for pull-mode runs).
     pub feed_spans: Vec<FeedSpan>,
-    /// High watermark of the push tokenizer's window (spillover bytes
-    /// held across chunk boundaries plus in-flight chunk bytes).
+    /// High watermark of the bytes the push tokenizer held in its carry:
+    /// the longest token a feed's end cut, plus the bytes of the next
+    /// feed copied on to complete it (0 when no feed cut a token).
     pub tokenizer_window_peak: u64,
 }

@@ -99,8 +99,9 @@ impl EvalSession {
     }
 
     /// Push one chunk of document bytes and advance evaluation as far as
-    /// they allow. Any amount is fine, including empty; the session
-    /// carries partial-token spillover across calls internally.
+    /// they allow. Any amount is fine, including empty. The chunk is
+    /// tokenized where it lies: the session copies only a token its end
+    /// cuts, and carries that into the next call.
     ///
     /// Output produced by this call is buffered — read it with
     /// [`EvalSession::output`] or drain it with
@@ -110,26 +111,11 @@ impl EvalSession {
         Ok(self.emitted())
     }
 
-    /// Zero-copy variant of [`EvalSession::feed`]: borrow at least `min`
-    /// writable bytes of the tokenizer window to read input into directly
-    /// (e.g. straight from a socket), then [`EvalSession::commit`] however
-    /// many arrived. Invalidates pending borrowed state like `feed` does.
-    pub fn space(&mut self, min: usize) -> &mut [u8] {
-        self.driver.space(min)
-    }
-
-    /// Declare `n` bytes of [`EvalSession::space`] filled and advance
-    /// evaluation, exactly like [`EvalSession::feed`] on that slice.
-    pub fn commit(&mut self, n: usize) -> Result<Emitted, EngineError> {
-        self.driver.commit(n)?;
-        Ok(self.emitted())
-    }
-
     /// Declare the end of input and run evaluation to completion,
     /// returning the run's measurements. Fails with the same errors the
     /// blocking engine would (malformed XML, truncated document, buffer
     /// budget). Pending output remains drainable afterwards. A session
-    /// whose `feed`, `commit` or `finish` failed stays failed, and one that
+    /// whose `feed` or `finish` failed stays failed, and one that
     /// finished takes no more input: every later call returns an error.
     pub fn finish(&mut self) -> Result<RunReport, EngineError> {
         let mut reports = self.driver.finish()?;
@@ -155,7 +141,7 @@ impl EvalSession {
     /// Largest partial-token spillover held across a `feed` boundary so
     /// far (see [`RunReport::max_pending_bytes`]).
     pub fn max_pending_bytes(&self) -> u64 {
-        self.driver.scan.max_pending_bytes
+        self.driver.pump.scan.max_pending_bytes
     }
 
     /// Wrap an input-side I/O failure the way the blocking engine's
@@ -165,7 +151,7 @@ impl EvalSession {
     }
 
     fn lane(&self) -> &Lane {
-        &self.driver.pre.lanes[0].lane
+        &self.driver.pump.pre.lanes[0].lane
     }
 
     fn emitted(&self) -> Emitted {
@@ -463,9 +449,10 @@ mod tests {
         let (want_out, want_report) = single_shot(QUERY, DOC);
         let q = CompiledQuery::compile(QUERY).unwrap();
         let mut session = q.session(&EngineOptions::gcx().with_telemetry());
-        for piece in DOC.as_bytes().chunks(7) {
-            session.feed(piece).unwrap();
-        }
+        // Two feeds that cut `<book>` in two.
+        let (head, tail) = DOC.as_bytes().split_at("<bib><bo".len());
+        session.feed(head).unwrap();
+        session.feed(tail).unwrap();
         let report = session.finish().unwrap();
         let mut out = Vec::new();
         session.take_output(&mut out).unwrap();
@@ -490,7 +477,10 @@ mod tests {
         assert!(obs.roles.iter().any(|r| r.signoffs > 0));
         assert!(!obs.tasks.is_empty(), "frame timing recorded");
         assert_eq!(obs.feed_spans.len() as u64, report.feed_calls);
+        // The tokenizer held the cut `<bo`, then as much again copied from
+        // the second feed, `ok>`, which completed the tag: 3 + 3 bytes.
         assert!(obs.tokenizer_window_peak > 0);
+        assert_eq!(obs.tokenizer_window_peak, 6);
         let timeline = report.timeline.as_ref().expect("telemetry samples");
         assert!(!timeline.bytes.is_empty());
         // Telemetry off: the report carries no obs section.
@@ -692,10 +682,10 @@ mod tests {
     /// returns what the matcher saw, the output and the report.
     fn solo(q: &CompiledQuery, doc: &str, bulk: bool) -> (u64, Vec<u8>, RunReport) {
         let mut session = q.session(&EngineOptions::gcx());
-        session.driver.pre.bulk = bulk;
+        session.driver.pump.pre.bulk = bulk;
         session.feed(doc.as_bytes()).unwrap();
         let report = session.finish().unwrap();
-        let matched = session.driver.pre.matcher_tokens;
+        let matched = session.driver.pump.pre.matcher_tokens;
         (matched, session.output().to_vec(), report)
     }
 
@@ -740,7 +730,7 @@ mod tests {
         let mut session = q.session(&EngineOptions::gcx());
         session.feed(doc.as_bytes()).unwrap();
         session.finish().unwrap();
-        assert_eq!(session.driver.pre.matcher_tokens, needed);
+        assert_eq!(session.driver.pump.pre.matcher_tokens, needed);
         assert!(needed < all / 2, "{needed} of {all} tokens");
         // A batch that adds `count(//item)`: the same search, and inside
         // each item a copy set of lane 0 that stops at `item` — a copy
@@ -750,13 +740,13 @@ mod tests {
         let batch = [q, CompiledQuery::compile("count(//item)").unwrap()];
         let drive = |chunk: usize, bulk: bool| {
             let mut session = BatchSession::new(&batch, &BatchOptions::default());
-            session.driver.pre.bulk = bulk;
+            session.driver.pump.pre.bulk = bulk;
             for piece in doc.as_bytes().chunks(chunk) {
                 session.feed(piece).unwrap();
             }
             // The root's end tag, the document's last token, is applied
             // by the feed that completes it.
-            let matched = session.driver.pre.matcher_tokens;
+            let matched = session.driver.pump.pre.matcher_tokens;
             let report = session.finish().unwrap();
             let (mut outs, mut tokens) = (Vec::new(), Vec::new());
             for run in report.queries {

@@ -1084,8 +1084,10 @@ fn eval<R: BufRead, W: Write>(
 /// connection's read buffer, with no `Read` adapter in between — and
 /// pending output is drained to the (deferred) response writer between
 /// chunks, so result bytes flow while the document is still uploading.
-/// The session's resident memory is the GCX buffer plus at most one
-/// partial token of spillover.
+/// Each chunk is lent to the session's tokenizer where it lies, in the
+/// connection's read buffer: the session copies only a token the chunk's
+/// end cuts, so what it holds is the GCX buffer plus at most that one
+/// partial token.
 fn eval_push<R: BufRead, W: Write>(
     q: &CompiledQuery,
     opts: &EngineOptions,

@@ -3,7 +3,8 @@
 //! A `Vec` doubles its capacity when it runs out, so a store that ends a
 //! run just past a power of two holds up to twice what it needs for the
 //! rest of the session. The stores that grow with the document — the
-//! tokenizer window, the buffer's payload store and its role overflow —
+//! tokenizer's window and carry, the buffer's payload store and its role
+//! overflow, and a lane's output between drains (through [`Sink`]) —
 //! grow by [`reserve`] instead: by doubling while the store is under 64
 //! KiB (exactly as `Vec` does, so a small document's stores keep the
 //! sizes `Vec` gives them), and above that by an eighth of the current
@@ -29,6 +30,24 @@ pub fn reserve<T>(v: &mut Vec<T>, additional: usize) {
         v.reserve(additional);
     } else {
         v.reserve_exact((cap + cap / 8).max(need) - v.len());
+    }
+}
+
+/// A byte store as an [`io::Write`](std::io::Write) sink whose writes
+/// make room by [`reserve`]: the engine's per-lane output between drains.
+#[derive(Debug, Default)]
+pub struct Sink(pub Vec<u8>);
+
+impl std::io::Write for Sink {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        reserve(&mut self.0, bytes.len());
+        self.0.extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -60,6 +79,19 @@ mod tests {
         let (cap, len) = (v.capacity(), v.len());
         reserve(&mut v, cap - len);
         assert_eq!(v.capacity(), cap);
+    }
+
+    #[test]
+    fn a_sink_grows_by_the_rule() {
+        use std::io::Write;
+        // A copy's output between two drains, a little past 64 KiB, in
+        // the small writes a serializer makes: 72 KiB, not 128.
+        let mut sink = Sink::default();
+        for _ in 0..(64 * 1024 + 1024) / 8 {
+            sink.write_all(b"<a>x</a>").unwrap();
+        }
+        assert!(sink.0.len() > DOUBLING_LIMIT);
+        assert_eq!(sink.0.capacity(), DOUBLING_LIMIT + DOUBLING_LIMIT / 8);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!   text, comments, CDATA, processing instructions), with byte-exact
 //!   source positions, entity resolution and well-formedness enforcement
 //!   (balanced tags, one document element, no character data outside it).
-//!   Suspends at any byte boundary, carrying partial-token
-//!   spillover internally, and fast-forwards over a subtree its consumer
-//!   rejected ([`PushTokenizer::skip_element`]).
+//!   It tokenizes a chunk it is lent where the chunk lies ([`Lent`]),
+//!   suspends at any byte boundary, carrying only a token the chunk's end
+//!   cut, and fast-forwards over a subtree its consumer rejected
+//!   ([`PushTokenizer::skip_element`]).
 //! * [`Tokenizer`]: the pull adapter over that core for any
 //!   [`std::io::Read`] source.
 //! * [`XmlWriter`]: a streaming serializer with automatic escaping and
@@ -21,13 +22,15 @@
 //!   the rest of the engine compares names by `u32` equality.
 //! * [`escape`]: the escaping/unescaping primitives shared by both sides.
 //! * [`grow`]: the one growth rule of a session's long-lived stores (the
-//!   tokenizer window here, the buffer's payload store and role overflow
-//!   in the engine): doubling under 64 KiB, an eighth above.
+//!   tokenizer's carry here, the buffer's payload store and role overflow
+//!   and a lane's output in the engine): doubling under 64 KiB, an eighth
+//!   above.
 //!
 //! The tokenizer is the "input stream" of the GCX architecture (Figure 2 of
 //! the paper); the writer is its output side. Both are deliberately
-//! allocation-light: the tokenizer lends slices of its internal buffer and
-//! only allocates when entity unescaping actually rewrites text.
+//! allocation-light: the tokenizer's tokens borrow the input it was lent
+//! (or, for a token the input's end cut, its carry), and it only
+//! allocates when entity unescaping actually rewrites text.
 //!
 //! ```
 //! use gcx_xml::{Tokenizer, Token};
@@ -54,7 +57,7 @@ mod writer;
 pub use doctype::{DoctypeError, DoctypeView};
 pub use error::{XmlError, XmlErrorKind, XmlResult};
 pub use pos::TextPos;
-pub use push::{PushTokenizer, Skipped, TokenStep};
+pub use push::{Lent, PushTokenizer, Skipped, TokenStep};
 pub use scan::{scan_boundaries, Boundary, ScanError, ScanEvent, ScanOutline};
 pub use sym::{FxBuildHasher, FxHasher, SlotTable, Symbol, SymbolTable};
 pub use token::{Attr, Attrs, StartTag, Token};

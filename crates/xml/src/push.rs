@@ -1,20 +1,31 @@
 //! The sans-IO tokenizer core: caller-owned chunks in, tokens out.
 //!
 //! [`PushTokenizer`] is the engine's byte-level state machine. It performs
-//! **no I/O**: the caller feeds it chunks of the document with
-//! [`PushTokenizer::feed`] (or writes directly into [`PushTokenizer::space`]
-//! and commits), drives it with [`PushTokenizer::step`], and reads each
-//! completed token with [`PushTokenizer::token`]. When the window ends in
-//! the middle of a token, `step` reports [`TokenStep::NeedMoreData`] and the
-//! partial token stays buffered internally (the *spillover*, observable via
-//! [`PushTokenizer::pending_bytes`]) until the next chunk arrives — the
-//! tokenizer can be suspended at any byte boundary, including mid-tag,
-//! mid-UTF-8 sequence or mid-CDATA.
+//! **no I/O**, and has two faces over one scanning core:
+//!
+//! * the **lending face**, the engine's: the caller lends it each chunk of
+//!   the document with [`PushTokenizer::lend`] and, through the returned
+//!   [`Lent`], drives it with `step` and reads each completed token with
+//!   `token` — tokens borrow the chunk itself. When the chunk ends in the
+//!   middle of a token, `step` reports [`TokenStep::NeedMoreData`], and
+//!   when the `Lent` is dropped the tokenizer copies that partial token
+//!   (and nothing else) into its *carry*. The next chunk first completes
+//!   the carried token from its head, then is tokenized where it lies.
+//! * the **owned face**: the caller copies chunks into the tokenizer's
+//!   window with [`PushTokenizer::feed`] (or reads into
+//!   [`PushTokenizer::space`] and commits), then calls
+//!   [`PushTokenizer::step`] and [`PushTokenizer::token`] on the
+//!   tokenizer itself. The window is the same carry, lent to the same
+//!   core.
+//!
+//! Either way the tokenizer can be suspended at any byte boundary,
+//! including mid-tag, mid-UTF-8 sequence or mid-CDATA, and what it holds
+//! across the boundary is observable via `pending_bytes`.
 //!
 //! The pull-based [`crate::Tokenizer`] is a thin adapter that reads from an
-//! [`std::io::Read`] source whenever this core asks for more data; the
-//! streaming engine's [`EvalSession`](https://docs.rs/gcx-core) feeds it
-//! network chunks as they arrive. Both observe the exact same token
+//! [`std::io::Read`] source into the owned face whenever the core asks for
+//! more data; the streaming engine's [`EvalSession`](https://docs.rs/gcx-core)
+//! lends it network chunks as they arrive. All observe the exact same token
 //! sequence for the same bytes, however the bytes are split.
 //!
 //! There is one configuration: the tokenizer checks well-formedness as it
@@ -162,16 +173,20 @@
 //! ## Allocation discipline
 //!
 //! Same as the pull tokenizer it replaced: the steady-state token loop
-//! performs no heap allocation. The window buffer is reused (consumed
-//! prefixes are compacted on the next feed) and grows by
-//! [`crate::grow::reserve`]: a 64 KiB feed plus the few bytes of a
-//! carried partial token take it to 72 KiB, not to the 128 KiB doubling
-//! would, and once it has its size no feed of that size allocates. Open
-//! names live back-to-back in one arena, attribute spans live in a
-//! reusable scratch vector, and rewritten text/attribute values go into
-//! reusable arenas. A returned token borrows these buffers and is valid
-//! until the next `feed`/`step`. A skip touches only the window, the
-//! open-name arena and the attribute span scratch.
+//! performs no heap allocation. On the lending face the carry holds only
+//! a cut token — it starts with room for a tag, and a cut token is
+//! completed by copying the next input onto it in pieces as large as
+//! what it holds unread, so the carry's high-water
+//! ([`PushTokenizer::window_peak`]) is about twice the longest cut token,
+//! not a chunk. On the owned face the carry is the window: reused
+//! (consumed prefixes are compacted on the next feed) and grown by
+//! [`crate::grow::reserve`], so a 64 KiB feed plus a carried partial
+//! token take it to 72 KiB. Open names live back-to-back in one arena,
+//! attribute spans live in a reusable scratch vector, and rewritten
+//! text/attribute values go into reusable arenas. A returned token
+//! borrows these buffers (or the lent input) and is valid until the next
+//! `feed`/`step`. A skip touches only the window, the open-name arena and
+//! the attribute span scratch.
 
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::escape::{normalize_attr_into, normalize_newlines_into, normalize_unescape_into};
@@ -317,10 +332,19 @@ enum ScanHint {
 /// Sans-IO incremental XML tokenizer. See the [module docs](self) for the
 /// protocol and an example.
 pub struct PushTokenizer {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf` (start of the unread window).
+    /// The bytes the tokenizer holds: the window of the owned face, and on
+    /// the lending face only a token an input's end cut (see [`Lent`]).
+    carry: Vec<u8>,
+    core: Core,
+}
+
+/// Everything of the tokenizer but the bytes it scans: the one scanning
+/// core, run over the window slice each call is given — the carry, or an
+/// input [`PushTokenizer::lend`] lent.
+struct Core {
+    /// Read position in the window (start of the unread bytes).
     lo: usize,
-    /// End of valid bytes in `buf`.
+    /// End of valid bytes in the window.
     hi: usize,
     /// Set by [`PushTokenizer::finish_input`]: no more bytes will arrive.
     eof: bool,
@@ -342,9 +366,11 @@ pub struct PushTokenizer {
     pending: Pending,
     /// Resume point of the current partial token's terminator scan.
     hint: Option<ScanHint>,
-    /// High watermark of the unread window (spillover carried across
-    /// chunk boundaries plus in-flight chunk bytes).
+    /// High watermark of the unread bytes in the carry.
     window_peak: usize,
+    /// A [`Lent`] has the window (and the pending token's spans) on its
+    /// input, not on the carry.
+    lent: bool,
     /// Elements open inside the subtree being skipped, its top element
     /// included (0 = no skip in flight).
     skip_open: usize,
@@ -368,66 +394,81 @@ impl PushTokenizer {
     /// A tokenizer at the start of a document.
     pub fn new() -> PushTokenizer {
         PushTokenizer {
-            buf: Vec::new(),
-            lo: 0,
-            hi: 0,
-            eof: false,
-            pos: TextPos::START,
-            // Room for a document 16 deep with names of 8 bytes: deeper
-            // or wordier ones grow them.
-            stack: Vec::with_capacity(16),
-            stack_arena: Vec::with_capacity(128),
-            seen_root: false,
-            text_scratch: String::new(),
-            attr_spans: Vec::new(),
-            attr_arena: String::new(),
-            done: false,
-            pending: Pending::None,
-            hint: None,
-            window_peak: 0,
-            skip_open: 0,
-            skip_text_start: None,
-            #[cfg(test)]
-            plain_hits: 0,
+            // Room for a cut tag and the bytes that complete it: a longer
+            // cut token grows it.
+            carry: Vec::with_capacity(256),
+            core: Core {
+                lo: 0,
+                hi: 0,
+                eof: false,
+                pos: TextPos::START,
+                // Room for a document 16 deep with names of 8 bytes:
+                // deeper or wordier ones grow them.
+                stack: Vec::with_capacity(16),
+                stack_arena: Vec::with_capacity(128),
+                seen_root: false,
+                text_scratch: String::new(),
+                attr_spans: Vec::new(),
+                attr_arena: String::new(),
+                done: false,
+                pending: Pending::None,
+                hint: None,
+                window_peak: 0,
+                lent: false,
+                skip_open: 0,
+                skip_text_start: None,
+                #[cfg(test)]
+                plain_hits: 0,
+            },
         }
     }
 
     /// Current position: the first byte of the *next* token to be returned.
     pub fn position(&self) -> TextPos {
-        self.pos
+        self.core.pos
     }
 
     /// Depth of currently open elements.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.core.stack.len()
     }
 
     /// Unconsumed bytes currently buffered — after a
     /// [`TokenStep::NeedMoreData`], the partial-token spillover carried
     /// across the feed boundary.
     pub fn pending_bytes(&self) -> usize {
-        self.avail()
+        self.core.avail()
     }
 
     /// True once [`PushTokenizer::finish_input`] has been called.
     pub fn input_finished(&self) -> bool {
-        self.eof
+        self.core.eof
     }
 
     /// True while a [`PushTokenizer::skip_element`] is suspended for more
     /// data: the next call continues it.
     pub fn skipping(&self) -> bool {
-        self.skip_open > 0
+        self.core.skip_open > 0
     }
 
-    /// High watermark of the unread window over the tokenizer's lifetime —
-    /// the sans-IO core's true input-side memory bound (partial-token
-    /// spillover plus the largest not-yet-tokenized chunk tail).
+    /// High watermark of the unread bytes the tokenizer held in its own
+    /// buffer over its lifetime: on the owned face the window (carried
+    /// partial token plus the largest not-yet-tokenized chunk tail), on
+    /// the lending face the carry (the largest token an input's end cut).
     pub fn window_peak(&self) -> u64 {
-        self.window_peak as u64
+        self.core.window_peak as u64
     }
 
-    // ---- feeding ----------------------------------------------------------
+    /// The names of the `n` elements the last [`PushTokenizer::skip_element`]
+    /// left open ([`Skipped::left_open`]) — or, after a `step`, the `n`
+    /// innermost open elements below the start tag it returned — outermost
+    /// first. Read them before the next `feed` or `step`, like the stop
+    /// tag.
+    pub fn left_open(&self, n: usize) -> impl Iterator<Item = &str> {
+        self.core.left_open(n)
+    }
+
+    // ---- the owned face ----------------------------------------------------
 
     /// Append a caller-owned chunk to the window. Invalidates any token
     /// not yet read with [`PushTokenizer::token`].
@@ -441,34 +482,299 @@ impl PushTokenizer {
     /// from a source without an intermediate copy); follow with
     /// [`PushTokenizer::commit`]. Invalidates any unread token.
     pub fn space(&mut self, min: usize) -> &mut [u8] {
-        self.pending = Pending::None;
+        let core = &mut self.core;
+        core.pending = Pending::None;
         // Compact the consumed prefix before growing: the window only ever
         // holds the current partial token plus unread lookahead.
-        if self.lo > 0 {
-            self.buf.copy_within(self.lo..self.hi, 0);
-            self.hi -= self.lo;
-            self.lo = 0;
+        core.compact(&mut self.carry);
+        if self.carry.len() - core.hi < min {
+            let short = core.hi + min - self.carry.len();
+            crate::grow::reserve(&mut self.carry, short);
+            self.carry.resize(core.hi + min, 0);
         }
-        if self.buf.len() - self.hi < min {
-            let short = self.hi + min - self.buf.len();
-            crate::grow::reserve(&mut self.buf, short);
-            self.buf.resize(self.hi + min, 0);
-        }
-        &mut self.buf[self.hi..]
+        &mut self.carry[core.hi..]
     }
 
     /// Declare `n` bytes of [`PushTokenizer::space`] filled.
     pub fn commit(&mut self, n: usize) {
-        debug_assert!(self.hi + n <= self.buf.len());
-        self.hi += n;
-        self.window_peak = self.window_peak.max(self.hi - self.lo);
+        let core = &mut self.core;
+        debug_assert!(core.hi + n <= self.carry.len());
+        core.hi += n;
+        core.window_peak = core.window_peak.max(core.avail());
     }
 
     /// Declare the end of input: no more bytes will be fed. The next
     /// [`PushTokenizer::step`] calls tokenize the remaining window and
     /// finish with [`TokenStep::End`] (or a well-formedness error).
     pub fn finish_input(&mut self) {
-        self.eof = true;
+        self.core.eof = true;
+    }
+
+    /// Advance by one token. On [`TokenStep::Token`], read it with
+    /// [`PushTokenizer::token`]; on [`TokenStep::NeedMoreData`] nothing was
+    /// consumed — feed more bytes (or `finish_input`) and call again.
+    pub fn step(&mut self) -> XmlResult<TokenStep> {
+        self.core.step(&self.carry)
+    }
+
+    /// The token recognized by the last [`TokenStep::Token`]. Borrows the
+    /// internal buffers: read it before the next `feed`/`space`/`step`.
+    ///
+    /// # Panics
+    ///
+    /// If the last step did not produce a token.
+    pub fn token(&self) -> Token<'_> {
+        // A lend that was leaked, not dropped, left its input's spans.
+        assert!(
+            !self.core.lent,
+            "PushTokenizer::token() after a leaked lend"
+        );
+        self.core.token(&self.carry)
+    }
+
+    /// Fast-forward through the end tag of the innermost open element —
+    /// with no `stops`, the one whose non-self-closing start tag the last
+    /// [`PushTokenizer::step`] returned — or continue the skip an earlier
+    /// call suspended ([`PushTokenizer::skipping`]), passing the same
+    /// `stops` and `max_open`. A skip with stops ends early at a start tag
+    /// named in `stops`, and one that has more than `max_open` elements
+    /// open below the skipped element ends behind the start tag that
+    /// opened the last; see [`Skipped`] and the [module docs](self) for
+    /// the protocol. Accepts and rejects exactly what stepping through the
+    /// subtree would, with the same error and position.
+    ///
+    /// # Panics
+    ///
+    /// If no skip is in flight, `stops` is empty and the last step did not
+    /// produce a non-self-closing start tag — or a `feed` has invalidated
+    /// it since: a bulk skip starts where the token would have been read.
+    pub fn skip_element(&mut self, stops: &[&str], max_open: usize) -> XmlResult<Skipped> {
+        self.core.skip_element(&self.carry, stops, max_open)
+    }
+
+    // ---- the lending face --------------------------------------------------
+
+    /// Lend `input`, the next bytes of the document, to the tokenizer for
+    /// as long as the returned [`Lent`] lives: it tokenizes them where they
+    /// are, and keeps only what the end of `input` cuts. Invalidates any
+    /// token not yet read.
+    pub fn lend<'a>(&mut self, input: &'a [u8]) -> Lent<'_, 'a> {
+        let core = &mut self.core;
+        core.pending = Pending::None;
+        core.compact(&mut self.carry);
+        self.carry.truncate(core.hi);
+        core.lent = true;
+        let cut = core.hi;
+        let mut lent = Lent {
+            tok: self,
+            input,
+            cut,
+            taken: 0,
+            on_input: false,
+        };
+        if cut > 0 && lent.tok.core.eof {
+            // The carry's end is not the document's while input is left.
+            lent.top_up();
+        }
+        lent
+    }
+}
+
+/// An input lent to a [`PushTokenizer`] ([`PushTokenizer::lend`]): the
+/// same `step`, `token` and `skip_element` as the owned face, tokenizing
+/// the input in place.
+///
+/// Where the tokenizer's carry holds a token an earlier input's end cut,
+/// the carry is completed from this input's head — copied on in growing
+/// pieces until the token is whole — and the tokenizer then continues on
+/// the input itself. When the `Lent` is dropped, the unread rest of the
+/// input — after a [`TokenStep::NeedMoreData`], the token its end cut —
+/// goes into the carry: that is all the tokenizer holds between inputs.
+///
+/// ```
+/// use gcx_xml::{PushTokenizer, Token, TokenStep};
+///
+/// let mut t = PushTokenizer::new();
+/// let mut names = Vec::new();
+/// for input in [&b"<bib><bo"[..], b"ok/></bib>"] {
+///     let mut lent = t.lend(input);
+///     while lent.step().unwrap() == TokenStep::Token {
+///         if let Token::StartTag(s) = lent.token() { names.push(s.name.to_string()); }
+///     }
+///     // `<bo` is carried into the next input.
+/// }
+/// t.finish_input();
+/// assert_eq!(t.lend(&[]).step().unwrap(), TokenStep::End);
+/// assert_eq!(names, ["bib", "book"]);
+/// // `<bo`, doubled from the next input until the tag was whole.
+/// assert_eq!(t.window_peak(), 12);
+/// ```
+pub struct Lent<'t, 'a> {
+    tok: &'t mut PushTokenizer,
+    input: &'a [u8],
+    /// Carry bytes from before this input: with the window on the carry,
+    /// the carry is those and then `input[..taken]`.
+    cut: usize,
+    /// Input bytes copied onto the carry.
+    taken: usize,
+    /// The window is the input (else the carry).
+    on_input: bool,
+}
+
+impl Lent<'_, '_> {
+    /// [`PushTokenizer::step`] on the lent input.
+    pub fn step(&mut self) -> XmlResult<TokenStep> {
+        loop {
+            let (core, buf) = self.window();
+            let step = core.step(buf)?;
+            if step != TokenStep::NeedMoreData || !self.more() {
+                return Ok(step);
+            }
+        }
+    }
+
+    /// [`PushTokenizer::token`]: the token the last `step` recognized, or
+    /// the stop tag a search stopped at.
+    pub fn token(&self) -> Token<'_> {
+        let buf = match self.on_input {
+            true => self.input,
+            false => &self.tok.carry,
+        };
+        self.tok.core.token(buf)
+    }
+
+    /// [`PushTokenizer::skip_element`] on the lent input. A skip the input
+    /// ends in comes back suspended, as on the owned face.
+    pub fn skip_element(&mut self, stops: &[&str], max_open: usize) -> XmlResult<Skipped> {
+        let mut passed = Passed::default();
+        loop {
+            let (core, buf) = self.window();
+            let mut skipped = core.skip_element(buf, stops, max_open)?;
+            passed.add(Passed {
+                tokens: skipped.tokens,
+                tags: skipped.tags,
+            });
+            let suspended = !(skipped.complete || skipped.stopped || skipped.left_open > 0);
+            if !suspended || !self.more() {
+                (skipped.tokens, skipped.tags) = (passed.tokens, passed.tags);
+                return Ok(skipped);
+            }
+        }
+    }
+
+    /// [`PushTokenizer::left_open`].
+    pub fn left_open(&self, n: usize) -> impl Iterator<Item = &str> {
+        self.tok.core.left_open(n)
+    }
+
+    /// [`PushTokenizer::position`].
+    pub fn position(&self) -> TextPos {
+        self.tok.core.pos
+    }
+
+    /// [`PushTokenizer::depth`].
+    pub fn depth(&self) -> usize {
+        self.tok.core.stack.len()
+    }
+
+    /// [`PushTokenizer::skipping`].
+    pub fn skipping(&self) -> bool {
+        self.tok.core.skip_open > 0
+    }
+
+    /// Unread bytes: what the carry would hold if the lend ended now —
+    /// after a [`TokenStep::NeedMoreData`], the token the input's end cut.
+    pub fn pending_bytes(&self) -> usize {
+        let core = &self.tok.core;
+        match self.on_input {
+            true => core.avail(),
+            false => core.avail() + self.input.len() - self.taken,
+        }
+    }
+
+    /// The core and the window it scans: the carry until its read position
+    /// reaches the bytes copied from the input, then the input itself.
+    #[inline]
+    fn window(&mut self) -> (&mut Core, &[u8]) {
+        let PushTokenizer { carry, core } = &mut *self.tok;
+        if !self.on_input && core.lo >= self.cut {
+            // The carried token is read: the rest of the carry is the
+            // input's head, so continue there.
+            core.lo -= self.cut;
+            core.hi = self.input.len();
+            carry.clear();
+            self.on_input = true;
+        }
+        let buf = match self.on_input {
+            true => self.input,
+            false => &carry[..],
+        };
+        (core, buf)
+    }
+
+    /// Whether the window has more for the call that ran out of it: the
+    /// carry's read position reached the input, or more of the input could
+    /// be copied on to complete the carried token.
+    fn more(&mut self) -> bool {
+        !self.on_input && (self.tok.core.lo >= self.cut || self.top_up())
+    }
+
+    /// Copy more of the input onto the carry, as much as the carry holds
+    /// unread (all of it once the input is the last); false when none is
+    /// left.
+    fn top_up(&mut self) -> bool {
+        let rest = &self.input[self.taken..];
+        if rest.is_empty() {
+            return false;
+        }
+        let PushTokenizer { carry, core } = &mut *self.tok;
+        let n = match core.eof {
+            true => rest.len(),
+            false => rest.len().min(core.avail().max(1)),
+        };
+        crate::grow::reserve(carry, n);
+        carry.extend_from_slice(&rest[..n]);
+        self.taken += n;
+        core.hi += n;
+        core.window_peak = core.window_peak.max(core.avail());
+        true
+    }
+}
+
+impl Drop for Lent<'_, '_> {
+    /// Keep what is unread: the carry compacted, and whatever of the input
+    /// the tokenizer did not get to.
+    fn drop(&mut self) {
+        let PushTokenizer { carry, core } = &mut *self.tok;
+        let rest = match self.on_input {
+            true => {
+                let rest = &self.input[core.lo..];
+                (core.lo, core.hi) = (0, 0);
+                rest
+            }
+            false => {
+                core.compact(carry);
+                carry.truncate(core.hi);
+                &self.input[self.taken..]
+            }
+        };
+        crate::grow::reserve(carry, rest.len());
+        carry.extend_from_slice(rest);
+        core.hi += rest.len();
+        core.window_peak = core.window_peak.max(core.avail());
+        core.pending = Pending::None;
+        core.lent = false;
+    }
+}
+
+impl Core {
+    /// Drop the carry's read prefix (the window must be on the carry).
+    fn compact(&mut self, carry: &mut [u8]) {
+        if self.lo > 0 {
+            carry.copy_within(self.lo..self.hi, 0);
+            self.hi -= self.lo;
+            self.lo = 0;
+        }
     }
 
     // ---- window management -------------------------------------------------
@@ -493,12 +799,12 @@ impl PushTokenizer {
     /// Find `needle` in the unread window at relative offset >= `from`,
     /// resuming a previously failed scan of the same partial token.
     /// `Some(None)` = provably absent (end of input); `None` = need data.
-    fn find(&mut self, from: usize, needle: &[u8]) -> Option<Option<usize>> {
+    fn find(&mut self, buf: &[u8], from: usize, needle: &[u8]) -> Option<Option<usize>> {
         let from = match self.hint {
             Some(ScanHint::Find { from: resumed }) => from.max(resumed),
             _ => from,
         };
-        let window = &self.buf[self.lo..self.hi];
+        let window = &buf[self.lo..self.hi];
         if window.len() >= needle.len() && from <= window.len() - needle.len() {
             if let Some(i) = find_sub(&window[from..], needle) {
                 self.hint = None;
@@ -520,9 +826,9 @@ impl PushTokenizer {
 
     /// Consume `n` bytes, updating the position. Ends the current token:
     /// any scan-resume state belongs to it and is dropped.
-    fn consume(&mut self, n: usize) {
+    fn consume(&mut self, buf: &[u8], n: usize) {
         debug_assert!(n <= self.avail());
-        self.pos.advance(&self.buf[self.lo..self.lo + n]);
+        self.pos.advance(&buf[self.lo..self.lo + n]);
         self.lo += n;
         self.hint = None;
     }
@@ -547,12 +853,8 @@ impl PushTokenizer {
             .collect()
     }
 
-    /// The names of the `n` elements the last [`PushTokenizer::skip_element`]
-    /// left open ([`Skipped::left_open`]) — or, after a `step`, the `n`
-    /// innermost open elements below the start tag it returned — outermost
-    /// first. Read them before the next `feed` or `step`, like the stop
-    /// tag.
-    pub fn left_open(&self, n: usize) -> impl Iterator<Item = &str> {
+    /// [`PushTokenizer::left_open`].
+    fn left_open(&self, n: usize) -> impl Iterator<Item = &str> {
         // A non-self-closing stop tag is open on top of them.
         let stop = matches!(
             self.pending,
@@ -567,10 +869,8 @@ impl PushTokenizer {
 
     // ---- stepping ----------------------------------------------------------
 
-    /// Advance by one token. On [`TokenStep::Token`], read it with
-    /// [`PushTokenizer::token`]; on [`TokenStep::NeedMoreData`] nothing was
-    /// consumed — feed more bytes (or `finish_input`) and call again.
-    pub fn step(&mut self) -> XmlResult<TokenStep> {
+    /// [`PushTokenizer::step`] over the window `buf[lo..hi]`.
+    fn step(&mut self, buf: &[u8]) -> XmlResult<TokenStep> {
         self.pending = Pending::None;
         if self.done {
             return Ok(TokenStep::End);
@@ -582,10 +882,10 @@ impl PushTokenizer {
                 Ok(TokenStep::NeedMoreData)
             };
         }
-        if self.buf[self.lo] == b'<' {
-            self.step_markup()
+        if buf[self.lo] == b'<' {
+            self.step_markup(buf)
         } else {
-            self.step_text(self.pos)
+            self.step_text(buf, self.pos)
         }
     }
 
@@ -605,13 +905,9 @@ impl PushTokenizer {
         Ok(TokenStep::End)
     }
 
-    /// The token recognized by the last [`TokenStep::Token`]. Borrows the
-    /// internal buffers: read it before the next `feed`/`space`/`step`.
-    ///
-    /// # Panics
-    ///
-    /// If the last step did not produce a token.
-    pub fn token(&self) -> Token<'_> {
+    /// [`PushTokenizer::token`]: the pending token's spans are in `buf`,
+    /// the window it was recognized in.
+    fn token<'s>(&'s self, buf: &'s [u8]) -> Token<'s> {
         match self.pending {
             Pending::None => panic!("PushTokenizer::token() without a pending token"),
             Pending::Text { scratch: true, .. } => Token::Text(&self.text_scratch),
@@ -619,12 +915,12 @@ impl PushTokenizer {
                 scratch: false,
                 start,
                 len,
-            } => Token::Text(revalidated(&self.buf[start..start + len])),
+            } => Token::Text(revalidated(&buf[start..start + len])),
             Pending::Comment { start, len } => {
-                Token::Comment(revalidated(&self.buf[start..start + len]))
+                Token::Comment(revalidated(&buf[start..start + len]))
             }
             Pending::Doctype { start, len } => {
-                Token::Doctype(revalidated(&self.buf[start..start + len]))
+                Token::Doctype(revalidated(&buf[start..start + len]))
             }
             Pending::Pi {
                 start,
@@ -632,14 +928,14 @@ impl PushTokenizer {
                 target_len,
                 data_off,
             } => {
-                let body = revalidated(&self.buf[start..start + len]);
+                let body = revalidated(&buf[start..start + len]);
                 Token::ProcessingInstruction {
                     target: &body[..target_len],
                     data: &body[data_off..],
                 }
             }
             Pending::EndTag { start, len } => Token::EndTag {
-                name: revalidated(&self.buf[start..start + len]),
+                name: revalidated(&buf[start..start + len]),
             },
             Pending::StartTag {
                 start,
@@ -647,7 +943,7 @@ impl PushTokenizer {
                 name_len,
                 self_closing,
             } => {
-                let inner = revalidated(&self.buf[start..start + len]);
+                let inner = revalidated(&buf[start..start + len]);
                 Token::StartTag(StartTag {
                     name: &inner[..name_len],
                     attrs: Attrs {
@@ -664,7 +960,7 @@ impl PushTokenizer {
     /// A text run starts at the window start; `start_pos` is where the run
     /// began (the current position, unless a skip already consumed its
     /// head) — errors in the run are reported there.
-    fn step_text(&mut self, start_pos: TextPos) -> XmlResult<TokenStep> {
+    fn step_text(&mut self, buf: &[u8], start_pos: TextPos) -> XmlResult<TokenStep> {
         // Locate the end of the text run: the next '<' or end of input.
         // A run is one token however it was chunked, so the whole run must
         // be buffered before it is emitted (this is the common spillover).
@@ -674,7 +970,7 @@ impl PushTokenizer {
         let mut from = 0;
         let mut clean_end = None;
         if self.hint.is_none() {
-            let window = &self.buf[self.lo..self.hi];
+            let window = &buf[self.lo..self.hi];
             match text_stop::<true>(window) {
                 Some(p) if window[p] == b'<' => clean_end = Some(p),
                 stop => from = stop.unwrap_or(window.len()),
@@ -682,13 +978,13 @@ impl PushTokenizer {
         }
         let end = match clean_end {
             Some(end) => end,
-            None => match self.find(from, b"<") {
+            None => match self.find(buf, from, b"<") {
                 None => return Ok(TokenStep::NeedMoreData),
                 Some(None) => self.avail(),
                 Some(Some(i)) => i,
             },
         };
-        let raw = &self.buf[self.lo..self.lo + end];
+        let raw = &buf[self.lo..self.lo + end];
         let unclean = match clean_end {
             Some(_) => None,
             None => Some(check_utf8(raw, start_pos)?),
@@ -712,27 +1008,27 @@ impl PushTokenizer {
             start: self.lo,
             len: end,
         };
-        self.consume(end);
+        self.consume(buf, end);
         Ok(TokenStep::Token)
     }
 
-    fn classify_markup(&self) -> XmlResult<Option<MarkupKind>> {
+    fn classify_markup(&self, buf: &[u8]) -> XmlResult<Option<MarkupKind>> {
         // We have '<' at lo. Peek a handful of bytes to classify.
         match self.ensure(2) {
             None => return Ok(None),
             Some(false) => return Err(self.err_eof("markup")),
             Some(true) => {}
         }
-        Ok(Some(match self.buf[self.lo + 1] {
+        Ok(Some(match buf[self.lo + 1] {
             b'/' => MarkupKind::EndTag,
             b'?' => MarkupKind::Pi,
             b'!' => {
                 // <!-- | <![CDATA[ | <!DOCTYPE — the discriminating prefix
                 // is up to 9 bytes, so wait for them (or end of input).
-                if self.ensure(4) == Some(true) && &self.buf[self.lo + 2..self.lo + 4] == b"--" {
+                if self.ensure(4) == Some(true) && &buf[self.lo + 2..self.lo + 4] == b"--" {
                     MarkupKind::Comment
                 } else if self.ensure(9) == Some(true)
-                    && &self.buf[self.lo + 2..self.lo + 9] == b"[CDATA["
+                    && &buf[self.lo + 2..self.lo + 9] == b"[CDATA["
                 {
                     MarkupKind::CData
                 } else if self.eof || self.avail() >= 9 {
@@ -745,8 +1041,8 @@ impl PushTokenizer {
         }))
     }
 
-    fn step_markup(&mut self) -> XmlResult<TokenStep> {
-        if let Some(tag) = self.plain_tag(self.lo) {
+    fn step_markup(&mut self, buf: &[u8]) -> XmlResult<TokenStep> {
+        if let Some(tag) = self.plain_tag(buf, self.lo) {
             let total;
             (self.pending, total) = tag.token_at(self.lo);
             // No hint to drop, and no newline in a plain tag to count.
@@ -756,31 +1052,31 @@ impl PushTokenizer {
             return Ok(TokenStep::Token);
         }
         let start_pos = self.pos;
-        let Some(kind) = self.classify_markup()? else {
+        let Some(kind) = self.classify_markup(buf)? else {
             return Ok(TokenStep::NeedMoreData);
         };
         match kind {
             MarkupKind::Comment => {
-                let Some(found) = self.find(4, b"-->") else {
+                let Some(found) = self.find(buf, 4, b"-->") else {
                     return Ok(TokenStep::NeedMoreData);
                 };
                 let end = found.ok_or_else(|| self.err_eof("comment"))?;
                 let total = end + 3;
-                check_utf8(&self.buf[self.lo + 4..self.lo + end], start_pos)?;
+                check_utf8(&buf[self.lo + 4..self.lo + end], start_pos)?;
                 self.pending = Pending::Comment {
                     start: self.lo + 4,
                     len: end - 4,
                 };
-                self.consume(total);
+                self.consume(buf, total);
                 Ok(TokenStep::Token)
             }
             MarkupKind::CData => {
-                let Some(found) = self.find(9, b"]]>") else {
+                let Some(found) = self.find(buf, 9, b"]]>") else {
                     return Ok(TokenStep::NeedMoreData);
                 };
                 let end = found.ok_or_else(|| self.err_eof("CDATA section"))?;
                 let total = end + 3;
-                let raw = check_utf8(&self.buf[self.lo + 9..self.lo + end], start_pos)?;
+                let raw = check_utf8(&buf[self.lo + 9..self.lo + end], start_pos)?;
                 let needs_rewrite = raw.bytes().any(|b| b == b'\r');
                 if self.stack.is_empty() {
                     return Err(XmlError::new(XmlErrorKind::TextOutsideRoot, start_pos));
@@ -789,7 +1085,7 @@ impl PushTokenizer {
                     // §2.11 applies inside CDATA too (no entity processing).
                     self.text_scratch.clear();
                     let raw_range = self.lo + 9..self.lo + end;
-                    let raw2 = revalidated(&self.buf[raw_range]);
+                    let raw2 = revalidated(&buf[raw_range]);
                     normalize_newlines_into(raw2, &mut self.text_scratch);
                 }
                 self.pending = Pending::Text {
@@ -797,30 +1093,30 @@ impl PushTokenizer {
                     start: self.lo + 9,
                     len: end - 9,
                 };
-                self.consume(total);
+                self.consume(buf, total);
                 Ok(TokenStep::Token)
             }
             MarkupKind::Doctype => {
                 // Scan for '>' at zero square-bracket depth (internal subset).
-                let Some(end) = self.find_doctype_end()? else {
+                let Some(end) = self.find_doctype_end(buf)? else {
                     return Ok(TokenStep::NeedMoreData);
                 };
                 let total = end + 1;
-                check_utf8(&self.buf[self.lo + 2..self.lo + end], start_pos)?;
+                check_utf8(&buf[self.lo + 2..self.lo + end], start_pos)?;
                 self.pending = Pending::Doctype {
                     start: self.lo + 2,
                     len: end - 2,
                 };
-                self.consume(total);
+                self.consume(buf, total);
                 Ok(TokenStep::Token)
             }
             MarkupKind::Pi => {
-                let Some(found) = self.find(2, b"?>") else {
+                let Some(found) = self.find(buf, 2, b"?>") else {
                     return Ok(TokenStep::NeedMoreData);
                 };
                 let end = found.ok_or_else(|| self.err_eof("processing instruction"))?;
                 let total = end + 2;
-                let body = check_utf8(&self.buf[self.lo + 2..self.lo + end], start_pos)?;
+                let body = check_utf8(&buf[self.lo + 2..self.lo + end], start_pos)?;
                 let target_len = body
                     .char_indices()
                     .find(|(_, c)| c.is_whitespace())
@@ -843,16 +1139,16 @@ impl PushTokenizer {
                     target_len,
                     data_off,
                 };
-                self.consume(total);
+                self.consume(buf, total);
                 Ok(TokenStep::Token)
             }
             MarkupKind::EndTag => {
-                let Some(found) = self.find(2, b">") else {
+                let Some(found) = self.find(buf, 2, b">") else {
                     return Ok(TokenStep::NeedMoreData);
                 };
                 let end = found.ok_or_else(|| self.err_eof("end tag"))?;
                 let total = end + 1;
-                let body = check_utf8(&self.buf[self.lo + 2..self.lo + end], start_pos)?;
+                let body = check_utf8(&buf[self.lo + 2..self.lo + end], start_pos)?;
                 let name = body.trim();
                 validate_name(name, start_pos)?;
                 let Some(open_start) = self.stack.pop() else {
@@ -877,23 +1173,23 @@ impl PushTokenizer {
                     start: self.lo + 2 + lead,
                     len: name.len(),
                 };
-                self.consume(total);
+                self.consume(buf, total);
                 Ok(TokenStep::Token)
             }
-            MarkupKind::StartTag => self.step_start_tag(start_pos),
+            MarkupKind::StartTag => self.step_start_tag(buf, start_pos),
         }
     }
 
     /// Find the '>' that ends a DOCTYPE, respecting `[ ... ]` internal
     /// subsets. `Ok(None)` = need more data (scan resumes where it left
     /// off on the next call).
-    fn find_doctype_end(&mut self) -> XmlResult<Option<usize>> {
+    fn find_doctype_end(&mut self, buf: &[u8]) -> XmlResult<Option<usize>> {
         let (start, mut depth) = match self.hint {
             Some(ScanHint::Doctype { i, depth }) => (i, depth),
             _ => (1, 0usize),
         };
         for i in start..self.avail() {
-            match self.buf[self.lo + i] {
+            match buf[self.lo + i] {
                 b'[' => depth += 1,
                 b']' => depth = depth.saturating_sub(1),
                 b'>' if depth == 0 => {
@@ -919,7 +1215,7 @@ impl PushTokenizer {
     /// Both the unquoted scan (for `" ' > <`) and the in-quote scan (for
     /// the close quote) run word-at-a-time. `Ok(None)` = need more data
     /// (position and in-quote state resume on the next call).
-    fn find_tag_end(&mut self) -> XmlResult<Option<usize>> {
+    fn find_tag_end(&mut self, buf: &[u8]) -> XmlResult<Option<usize>> {
         let (mut i, mut quote) = match self.hint {
             Some(ScanHint::Tag { i, quote }) => (i, quote),
             _ => (1, None::<u8>),
@@ -937,7 +1233,7 @@ impl PushTokenizer {
             match quote {
                 Some(q) => {
                     // Inside a quoted value: skip straight to the close quote.
-                    let hay = &self.buf[self.lo + i..self.hi];
+                    let hay = &buf[self.lo + i..self.hi];
                     match memchr1(q, hay) {
                         Some(p) => {
                             i += p + 1;
@@ -946,12 +1242,12 @@ impl PushTokenizer {
                         None => i = self.avail(),
                     }
                 }
-                None => match memchr_tag_delim(&self.buf[self.lo + i..self.hi]) {
+                None => match memchr_tag_delim(&buf[self.lo + i..self.hi]) {
                     Some(p) => {
                         i += p;
-                        match self.buf[self.lo + i] {
+                        match buf[self.lo + i] {
                             b'"' | b'\'' => {
-                                quote = Some(self.buf[self.lo + i]);
+                                quote = Some(buf[self.lo + i]);
                                 i += 1;
                             }
                             b'>' => {
@@ -959,7 +1255,7 @@ impl PushTokenizer {
                                 return Ok(Some(i));
                             }
                             _ => {
-                                debug_assert_eq!(self.buf[self.lo + i], b'<');
+                                debug_assert_eq!(buf[self.lo + i], b'<');
                                 self.hint = None;
                                 return Err(XmlError::syntax("'<' inside tag", self.pos));
                             }
@@ -971,12 +1267,12 @@ impl PushTokenizer {
         }
     }
 
-    fn step_start_tag(&mut self, start_pos: TextPos) -> XmlResult<TokenStep> {
-        let Some(end) = self.find_tag_end()? else {
+    fn step_start_tag(&mut self, buf: &[u8], start_pos: TextPos) -> XmlResult<TokenStep> {
+        let Some(end) = self.find_tag_end(buf)? else {
             return Ok(TokenStep::NeedMoreData);
         };
         let total = end + 1;
-        let body = check_utf8(&self.buf[self.lo + 1..self.lo + end], start_pos)?;
+        let body = check_utf8(&buf[self.lo + 1..self.lo + end], start_pos)?;
         let self_closing = body.ends_with('/');
         let inner = if self_closing {
             &body[..body.len() - 1]
@@ -1118,7 +1414,7 @@ impl PushTokenizer {
             name_len,
             self_closing,
         };
-        self.consume(total);
+        self.consume(buf, total);
         Ok(TokenStep::Token)
     }
 
@@ -1135,13 +1431,13 @@ impl PushTokenizer {
     /// to reject, and would produce exactly this. Everything else is
     /// declined with nothing but scratch touched, so no error is ever
     /// raised here.
-    fn plain_tag(&mut self, at: usize) -> Option<PlainTag> {
+    fn plain_tag(&mut self, buf: &[u8], at: usize) -> Option<PlainTag> {
         // A partial token is being resumed: its scan position belongs to
         // the general path.
         if self.hint.is_some() {
             return None;
         }
-        let tag = &self.buf[at..self.hi];
+        let tag = &buf[at..self.hi];
         debug_assert_eq!(tag[0], b'<');
         if tag.get(1) == Some(&b'/') {
             // The only end tag that is right here is the innermost open
@@ -1222,23 +1518,8 @@ impl PushTokenizer {
 
     // ---- skipping ----------------------------------------------------------
 
-    /// Fast-forward through the end tag of the innermost open element —
-    /// with no `stops`, the one whose non-self-closing start tag the last
-    /// [`PushTokenizer::step`] returned — or continue the skip an earlier
-    /// call suspended ([`PushTokenizer::skipping`]), passing the same
-    /// `stops` and `max_open`. A skip with stops ends early at a start tag
-    /// named in `stops`, and one that has more than `max_open` elements
-    /// open below the skipped element ends behind the start tag that
-    /// opened the last; see [`Skipped`] and the [module docs](self) for
-    /// the protocol. Accepts and rejects exactly what stepping through the
-    /// subtree would, with the same error and position.
-    ///
-    /// # Panics
-    ///
-    /// If no skip is in flight, `stops` is empty and the last step did not
-    /// produce a non-self-closing start tag — or a `feed` has invalidated
-    /// it since: a bulk skip starts where the token would have been read.
-    pub fn skip_element(&mut self, stops: &[&str], max_open: usize) -> XmlResult<Skipped> {
+    /// [`PushTokenizer::skip_element`] over the window `buf[lo..hi]`.
+    fn skip_element(&mut self, buf: &[u8], stops: &[&str], max_open: usize) -> XmlResult<Skipped> {
         if self.skip_open == 0 {
             assert!(
                 !stops.is_empty()
@@ -1260,7 +1541,7 @@ impl PushTokenizer {
             // A recorded scan position belongs to a partial token at the
             // window start: only the stepping functions can resume it.
             if self.hint.is_none() {
-                let (stretch, stretch_halt) = self.skip_stretch(stops, max_open);
+                let (stretch, stretch_halt) = self.skip_stretch(buf, stops, max_open);
                 passed.add(stretch);
                 halt = stretch_halt;
                 if self.skip_open == 0 || halt.is_some() {
@@ -1278,7 +1559,7 @@ impl PushTokenizer {
                 return Ok(Skipped::suspended(passed));
             }
             // Something the stretch does not check inline.
-            match self.skip_token(stops, max_open)? {
+            match self.skip_token(buf, stops, max_open)? {
                 Some((token, token_halt)) => {
                     passed.add(token);
                     halt = token_halt;
@@ -1302,8 +1583,8 @@ impl PushTokenizer {
     /// Whether a skip stops at the start tag whose name is
     /// `buf[name..name + len]`.
     #[inline]
-    fn is_stop(&self, stops: &[&str], name: usize, len: usize) -> bool {
-        let name = &self.buf[name..name + len];
+    fn is_stop(&self, buf: &[u8], stops: &[&str], name: usize, len: usize) -> bool {
+        let name = &buf[name..name + len];
         stops.iter().any(|stop| stop.as_bytes() == name)
     }
 
@@ -1322,7 +1603,12 @@ impl PushTokenizer {
     /// window end, and behind the end tag that completes the skip or the
     /// start tag it halts at (a stop tag is left pending). Returns what it
     /// passed and the halt.
-    fn skip_stretch(&mut self, stops: &[&str], max_open: usize) -> (Passed, Option<Halt>) {
+    fn skip_stretch(
+        &mut self,
+        buf: &[u8],
+        stops: &[&str],
+        max_open: usize,
+    ) -> (Passed, Option<Halt>) {
         let (lo, hi) = (self.lo, self.hi);
         let limit = max_open.saturating_add(1);
         let mut passed = Passed::default();
@@ -1332,12 +1618,12 @@ impl PushTokenizer {
         // this stretch.
         let mut run_start = None;
         while i < hi {
-            if self.buf[i] != b'<' {
+            if buf[i] != b'<' {
                 if self.skip_text_start.is_none() && run_start.is_none() {
                     run_start = Some(i);
                     passed.tokens += 1;
                 }
-                let window = &self.buf[..hi];
+                let window = &buf[..hi];
                 match text_stop::<false>(&window[i..]) {
                     Some(p) if window[i + p] == b'<' => i += p,
                     // '&' or a non-ASCII byte: the rest of the run needs
@@ -1355,7 +1641,7 @@ impl PushTokenizer {
             // At a '<': whatever text run came before is over.
             self.skip_text_start = None;
             run_start = None;
-            match self.plain_tag(i) {
+            match self.plain_tag(buf, i) {
                 None => break,
                 Some(PlainTag::End { name_len }) => {
                     passed.add(Passed::tag(1));
@@ -1374,7 +1660,7 @@ impl PushTokenizer {
                 ) => {
                     let at = i;
                     i += len;
-                    if !stops.is_empty() && self.is_stop(stops, at + 1, name_len) {
+                    if !stops.is_empty() && self.is_stop(buf, stops, at + 1, name_len) {
                         self.pending = tag.token_at(at).0;
                         halt = Some(Halt::Stop);
                         break;
@@ -1389,11 +1675,11 @@ impl PushTokenizer {
         }
         if let Some(run_start) = run_start {
             // Stopped inside a run: remember where it began.
-            self.consume(run_start - lo);
+            self.consume(buf, run_start - lo);
             self.skip_text_start = Some(self.pos);
         }
         if i > self.lo {
-            self.consume(i - self.lo);
+            self.consume(buf, i - self.lo);
         }
         (passed, halt)
     }
@@ -1404,23 +1690,24 @@ impl PushTokenizer {
     /// window ends inside the token.
     fn skip_token(
         &mut self,
+        buf: &[u8],
         stops: &[&str],
         max_open: usize,
     ) -> XmlResult<Option<(Passed, Option<Halt>)>> {
-        if self.buf[self.lo] != b'<' {
+        if buf[self.lo] != b'<' {
             // The rest of a text run whose head the stretch consumed and
             // counted: validated as a whole once its '<' is in sight.
             let start = self
                 .skip_text_start
                 .expect("the stretch stopped inside this run");
-            if self.step_text(start)? == TokenStep::NeedMoreData {
+            if self.step_text(buf, start)? == TokenStep::NeedMoreData {
                 return Ok(None);
             }
             self.skip_text_start = None;
             self.pending = Pending::None;
             return Ok(Some((Passed::default(), None)));
         }
-        if self.step_markup()? == TokenStep::NeedMoreData {
+        if self.step_markup(buf)? == TokenStep::NeedMoreData {
             return Ok(None);
         }
         let passed = match self.pending {
@@ -1430,7 +1717,7 @@ impl PushTokenizer {
                 self_closing,
                 ..
             } => {
-                if !stops.is_empty() && self.is_stop(stops, start, name_len) {
+                if !stops.is_empty() && self.is_stop(buf, stops, start, name_len) {
                     return Ok(Some((Passed::default(), Some(Halt::Stop))));
                 }
                 let halt = self.skip_opens(self_closing, max_open.saturating_add(1));
@@ -1648,8 +1935,12 @@ fn revalidated(bytes: &[u8]) -> &str {
     // only), the literal ` `, `=` and quotes, and values out of the
     // table's bit 2 (ASCII only), and an end tag's span equals, byte for
     // byte, an open name that was validated when it was pushed — and the
-    // window is not mutated between that step and the `token()` read
-    // (feeding resets the pending state).
+    // window is not mutated between that step and the `token()` read:
+    // feeding and lending reset the pending state, a lent input is
+    // borrowed immutably for the `Lent`'s life and read through it alone,
+    // the carry is only appended to while nothing is pending, and a
+    // leaked `Lent` leaves `Core::lent` set, which the owned face's
+    // `token()` refuses.
     unsafe { std::str::from_utf8_unchecked(bytes) }
 }
 
@@ -1772,7 +2063,7 @@ mod tests {
                 }
             }
         }
-        (out, t.plain_hits)
+        (out, t.core.plain_hits)
     }
 
     #[test]
@@ -2029,6 +2320,63 @@ mod tests {
         assert_eq!(t.position().offset, 8 + 64 * 1024 + 12 + 10);
     }
 
+    /// Tokens of `doc` lent in pieces cut at `cuts`; with `last_final`, the
+    /// end of input is declared before the last piece is lent.
+    fn lent_toks(doc: &[u8], cuts: &[usize], last_final: bool) -> Vec<String> {
+        let mut t = PushTokenizer::new();
+        let mut out = Vec::new();
+        let mut from = 0;
+        let ends = cuts.iter().copied().chain([doc.len()]);
+        for (i, to) in ends.enumerate() {
+            if last_final && i == cuts.len() {
+                t.finish_input();
+            }
+            let mut lent = t.lend(&doc[from..to]);
+            from = to;
+            while let Ok(TokenStep::Token) = lent.step() {
+                out.push(format!("{:?}", lent.token()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_lent_input_is_tokenized_in_place_and_only_a_cut_token_is_kept() {
+        let doc = b"<r><item id=\"i1\">some text</item><e/></r>";
+        let whole = toks_chunked(std::str::from_utf8(doc).unwrap(), doc.len());
+        // Uncut, nothing is copied: the carry never holds a byte — also
+        // when the end of input is declared before the one input is lent.
+        for last_final in [false, true] {
+            let mut t = PushTokenizer::new();
+            if last_final {
+                t.finish_input();
+            }
+            let mut lent = t.lend(doc);
+            while lent.step().unwrap() == TokenStep::Token {}
+            drop(lent);
+            assert_eq!((t.window_peak(), t.pending_bytes()), (0, 0));
+        }
+        // Cut inside the start tag: the carry holds `<item id=` (9 bytes),
+        // then as much again from the next input, which completes it.
+        let mut t = PushTokenizer::new();
+        let mut lent = t.lend(&doc[..12]);
+        while lent.step().unwrap() == TokenStep::Token {}
+        assert_eq!(lent.pending_bytes(), 9);
+        drop(lent);
+        assert_eq!((t.window_peak(), t.pending_bytes()), (9, 9));
+        let mut lent = t.lend(&doc[12..]);
+        assert_eq!(lent.step().unwrap(), TokenStep::Token);
+        assert!(matches!(lent.token(), Token::StartTag(s) if s.name == "item"));
+        while lent.step().unwrap() == TokenStep::Token {}
+        drop(lent);
+        assert_eq!((t.window_peak(), t.pending_bytes()), (18, 0));
+        // The end of input may be declared before the last piece is lent.
+        for cut in 0..=doc.len() {
+            assert_eq!(lent_toks(doc, &[cut], true), whole);
+            assert_eq!(lent_toks(doc, &[cut, cut], false), whole);
+        }
+    }
+
     #[test]
     fn bytewise_feeding_is_the_general_path() {
         // Fed a byte at a time no tag is ever whole in the window before a
@@ -2235,12 +2583,12 @@ mod tests {
         for (chunk, want) in [(doc.len(), 5), (1, 0)] {
             let mut t = PushTokenizer::new();
             let mut chunks = doc.as_bytes().chunks(chunk);
-            while !matches!(t.pending, Pending::StartTag { name_len: 4, .. }) {
+            while !matches!(t.core.pending, Pending::StartTag { name_len: 4, .. }) {
                 if t.step().unwrap() == TokenStep::NeedMoreData {
                     t.feed(chunks.next().unwrap());
                 }
             }
-            let before = t.plain_hits;
+            let before = t.core.plain_hits;
             let mut tokens = 0;
             loop {
                 let skipped = t.skip_element(&[], usize::MAX).unwrap();
@@ -2253,7 +2601,7 @@ mod tests {
             // <a …> <b …/>(2) text </a> <c …> </c> </skip>; its second
             // space sends <c …> the general way.
             assert_eq!(tokens, 8);
-            assert_eq!(t.plain_hits - before, want, "chunk {chunk}");
+            assert_eq!(t.core.plain_hits - before, want, "chunk {chunk}");
         }
     }
 

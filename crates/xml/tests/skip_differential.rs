@@ -18,10 +18,20 @@
 //! from every point at depths 1–3 must charge the tokens stepping charges
 //! up to the stop, hand over the same stop tag at the same position with
 //! the same names left open, and leave the same stream behind.
+//!
+//! Through the lending face ([`gcx_xml::Lent`]), a document lent in two
+//! pieces at every cut, one byte at a time or in seeded random pieces
+//! (empty ones among them) must skip and search exactly as the owned face
+//! fed one byte at a time: the same tokens, skip and search counts, stops,
+//! names left open, positions and errors — and hold no more than stepping
+//! through the same pieces does.
 
 mod common;
+#[path = "common/faces.rs"]
+mod faces;
 
 use common::{gen_doc, XorShift};
+use faces::{bytewise, every_cut_in_two, Feeds};
 use gcx_xml::{PushTokenizer, TextPos, Token, TokenStep};
 
 /// One thing a run got through.
@@ -60,24 +70,28 @@ struct Run {
 /// depth)` holds — `ordinal` counts non-self-closing start tags that were
 /// stepped, `depth` is the number of open ancestors.
 fn run(doc: &[u8], chunk: usize, skip: impl Fn(usize, i32) -> bool) -> Run {
-    let mut tok = PushTokenizer::new();
+    run_fed(doc, Feeds::Owned(chunk), skip)
+}
+
+/// [`run`], with `doc` handed over as `feeds` says.
+fn run_fed(doc: &[u8], feeds: Feeds<'_>, skip: impl Fn(usize, i32) -> bool) -> Run {
     let mut out = Run {
         events: Vec::new(),
         result: Ok(()),
         pending: Vec::new(),
     };
-    let (mut fed, mut ordinal, mut depth) = (0usize, 0usize, 0i32);
+    let (mut ordinal, mut depth) = (0usize, 0i32);
     // The skip in flight: tokens and tags so far.
     let mut skipping: Option<(u64, u64)> = None;
-    loop {
+    feeds.drive(doc, |tok, finished| loop {
         let more = if let Some((so_far, tags)) = skipping {
             assert!(so_far == 0 || tok.skipping());
             match tok.skip_element(&[], usize::MAX) {
                 Err(e) => {
                     out.result = Err((format!("{:?}", e.kind), e.pos));
-                    return out;
+                    return false;
                 }
-                Ok(s) if s.complete || tok.input_finished() => {
+                Ok(s) if s.complete || finished => {
                     assert!(!tok.skipping());
                     out.events.push(Event::Skipped {
                         tokens: so_far + s.tokens,
@@ -98,9 +112,9 @@ fn run(doc: &[u8], chunk: usize, skip: impl Fn(usize, i32) -> bool) -> Run {
             match tok.step() {
                 Err(e) => {
                     out.result = Err((format!("{:?}", e.kind), e.pos));
-                    return out;
+                    return false;
                 }
-                Ok(TokenStep::End) => return out,
+                Ok(TokenStep::End) => return false,
                 Ok(TokenStep::NeedMoreData) => true,
                 Ok(TokenStep::Token) => {
                     let token = tok.token();
@@ -130,15 +144,10 @@ fn run(doc: &[u8], chunk: usize, skip: impl Fn(usize, i32) -> bool) -> Run {
         };
         if more {
             out.pending.push(tok.pending_bytes());
-            if fed == doc.len() {
-                tok.finish_input();
-            } else {
-                let n = chunk.min(doc.len() - fed);
-                tok.feed(&doc[fed..fed + n]);
-                fed += n;
-            }
+            return true;
         }
-    }
+    });
+    out
 }
 
 /// `got` (a run that skipped) against `want` (the same run, stepping all
@@ -391,9 +400,10 @@ struct SearchRun {
 }
 
 impl SearchRun {
-    fn failed(mut self, e: gcx_xml::XmlError) -> SearchRun {
+    /// The run ends in `e`.
+    fn failed(&mut self, e: gcx_xml::XmlError) -> bool {
         self.result = Err((format!("{:?}", e.kind), e.pos));
-        self
+        false
     }
 }
 
@@ -408,22 +418,31 @@ type Search<'a> = (&'a [&'a str], usize);
 fn run_search(
     doc: &[u8],
     chunk: usize,
+    search: Search<'_>,
+    level: usize,
+    by_skip: bool,
+) -> SearchRun {
+    run_search_fed(doc, Feeds::Owned(chunk), search, level, by_skip)
+}
+
+/// [`run_search`], with `doc` handed over as `feeds` says.
+fn run_search_fed(
+    doc: &[u8],
+    feeds: Feeds<'_>,
     (stops, max_open): Search<'_>,
     level: usize,
     by_skip: bool,
 ) -> SearchRun {
-    let mut tok = PushTokenizer::new();
     let mut out = SearchRun {
         seen: Vec::new(),
         result: Ok(()),
         pending: Vec::new(),
     };
-    let mut fed = 0;
     // The open elements, and the search in flight: tokens charged and the
     // names it opened that are still open.
     let mut open: Vec<String> = Vec::new();
     let mut search: Option<(u64, Vec<String>)> = None;
-    loop {
+    feeds.drive(doc, |tok, finished| loop {
         // `Some(end)`: the search in flight ended here (the stop tag, if
         // any, is the pending token).
         let mut ended: Option<&'static str> = None;
@@ -433,14 +452,14 @@ fn run_search(
                 Err(e) => return out.failed(e),
                 Ok(s) => {
                     *charged += s.tokens;
-                    *left = tok.left_open(s.left_open).map(String::from).collect();
+                    *left = tok.left_open(s.left_open);
                     ended = if s.complete {
                         Some("complete")
                     } else if s.stopped {
                         Some("stop")
                     } else if s.left_open > 0 {
                         Some("depth")
-                    } else if tok.input_finished() {
+                    } else if finished {
                         Some("cut")
                     } else {
                         more = true;
@@ -452,7 +471,7 @@ fn run_search(
                 Err(e) => return out.failed(e),
                 Ok(TokenStep::End) => {
                     if search.is_none() {
-                        return out;
+                        return false;
                     }
                     ended = Some("cut");
                 }
@@ -527,15 +546,10 @@ fn run_search(
         }
         if more {
             out.pending.push(tok.pending_bytes());
-            if fed == doc.len() {
-                tok.finish_input();
-            } else {
-                let n = chunk.min(doc.len() - fed);
-                tok.feed(&doc[fed..fed + n]);
-                fed += n;
-            }
+            return true;
         }
-    }
+    });
+    out
 }
 
 /// Searching (`got`) against stepping (`want`): the same tokens, searches,
@@ -568,6 +582,16 @@ struct StopNames {
 
 impl StopNames {
     fn of(doc: &[u8]) -> StopNames {
+        StopNames::collect(doc, true)
+    }
+
+    /// [`StopNames::of`] a document that may be damaged: the names up to
+    /// its first error (`a` where it has none).
+    fn of_any(doc: &[u8]) -> StopNames {
+        StopNames::collect(doc, false)
+    }
+
+    fn collect(doc: &[u8], well_formed: bool) -> StopNames {
         let mut tok = PushTokenizer::new();
         tok.feed(doc);
         tok.finish_input();
@@ -576,8 +600,12 @@ impl StopNames {
         let mut counts: Vec<(String, usize)> = Vec::new();
         loop {
             let start = tok.position().offset as usize;
-            match tok.step().expect("the document is well-formed") {
-                TokenStep::Token => {
+            match tok.step() {
+                Err(e) => {
+                    assert!(!well_formed, "the document is well-formed: {e}");
+                    break;
+                }
+                Ok(TokenStep::Token) => {
                     if let Token::StartTag(s) = tok.token() {
                         let name = s.name.to_string();
                         tags.push((name.clone(), start, tok.position().offset as usize));
@@ -596,9 +624,12 @@ impl StopNames {
                         }
                     }
                 }
-                TokenStep::End => break,
-                TokenStep::NeedMoreData => unreachable!("the whole document is in"),
+                Ok(TokenStep::End) => break,
+                Ok(TokenStep::NeedMoreData) => unreachable!("the whole document is in"),
             }
+        }
+        if counts.is_empty() {
+            counts.push(("a".into(), 0));
         }
         counts.sort_by_key(|&(_, c)| c);
         StopNames {
@@ -742,4 +773,150 @@ fn skip_without_a_start_tag_is_a_caller_bug() {
     tok.step().unwrap();
     tok.step().unwrap(); // <leaf/> has no content to skip
     let _ = tok.skip_element(&[], usize::MAX);
+}
+
+// ---- the lending face -------------------------------------------------------
+
+/// The cut sets a document of `len` bytes is lent in: one byte at a time,
+/// `rounds` seeded random splits (repeated cuts lend empty pieces) and,
+/// with `every_cut`, two pieces at every cut.
+fn lent_cuts(len: usize, rng: &mut XorShift, rounds: usize, every_cut: bool) -> Vec<Vec<usize>> {
+    let mut sets = vec![bytewise(len)];
+    if every_cut {
+        sets.extend(every_cut_in_two(len).map(Vec::from));
+    }
+    sets.extend((0..rounds).map(|_| {
+        let n = 1 + rng.below(8);
+        rng.splits(len, n)
+    }));
+    sets
+}
+
+/// Skips at depths 0–3 of `doc` lent in each of `sets` against the owned
+/// face fed one byte at a time, and against stepping through the same
+/// pieces.
+fn check_lent_skips(doc: &[u8], sets: &[Vec<usize>], what: &dyn Fn() -> String) {
+    let wants: Vec<Run> = (0..4).map(|level| run(doc, 1, |_, d| d == level)).collect();
+    for cuts in sets {
+        let stepped = run_fed(doc, Feeds::Lent(cuts), |_, _| false);
+        for (level, want) in (0..4).zip(&wants) {
+            let got = run_fed(doc, Feeds::Lent(cuts), |_, d| d == level);
+            let label = || format!("{}, depth {level}, lent cut at {cuts:?}", what());
+            assert_eq!(
+                (&got.events, &got.result),
+                (&want.events, &want.result),
+                "{}",
+                label()
+            );
+            assert_same(&stepped, &got, &label);
+        }
+    }
+}
+
+/// Searches from depths 1 and 2 with `doc`'s stop sets, `doc` lent in each
+/// of `sets`, against stepping fed one byte at a time (tokens, searches,
+/// stops, names left open, positions, result) and stepping through the
+/// same pieces (no more held back).
+fn check_lent_searches(doc: &[u8], sets: &[Vec<usize>], what: &dyn Fn() -> String) {
+    let names = StopNames::of_any(doc);
+    let stop_sets = names.sets(doc.len().max(1));
+    for stops in &stop_sets {
+        for (search, level) in [((&stops[..], usize::MAX), 1), ((&stops[..], 1), 2)] {
+            let want = run_search(doc, 1, search, level, false);
+            for cuts in sets {
+                let label = || {
+                    format!(
+                        "{}, stops {stops:?} bound {} depth {level}, lent cut at {cuts:?}",
+                        what(),
+                        search.1
+                    )
+                };
+                let stepped = run_search_fed(doc, Feeds::Lent(cuts), search, level, false);
+                let got = run_search_fed(doc, Feeds::Lent(cuts), search, level, true);
+                assert_eq!(
+                    (&got.seen, &got.result),
+                    (&want.seen, &want.result),
+                    "{}",
+                    label()
+                );
+                assert_same_search(&stepped, &got, &label);
+            }
+        }
+    }
+}
+
+#[test]
+fn lent_skips_and_searches_equal_bytewise_on_generated_documents() {
+    let mut rng = XorShift(0x01E4_D5CA);
+    let rounds = if cfg!(miri) { 1 } else { 30 };
+    for _ in 0..rounds {
+        let doc = gen_doc(&mut rng);
+        let doc = doc.as_bytes();
+        let sets = lent_cuts(doc.len(), &mut rng, 6, true);
+        let what = || String::from_utf8_lossy(doc).into_owned();
+        check_lent_skips(doc, &sets, &what);
+        check_lent_searches(doc, &sets, &what);
+    }
+}
+
+#[test]
+fn lent_skips_and_searches_equal_bytewise_on_xmark_documents() {
+    let sizes: &[u64] = if cfg!(miri) { &[1024] } else { &[4096, 6000] };
+    let mut rng = XorShift(0x1E4D_3A4C);
+    for (i, &size) in sizes.iter().enumerate() {
+        let mut cfg = gcx_xmark::XmarkConfig::sized(size);
+        cfg.seed = 21 + i as u64;
+        let doc = gcx_xmark::generate_string(&cfg);
+        let doc = doc.as_bytes();
+        let sets = lent_cuts(doc.len(), &mut rng, 24, false);
+        let what = || format!("xmark {size}");
+        check_lent_skips(doc, &sets, &what);
+        check_lent_searches(doc, &sets, &what);
+    }
+}
+
+#[test]
+fn lent_skips_and_searches_agree_on_every_truncation_and_corruption() {
+    let mut rng = XorShift(0xBAD_1E4D);
+    let rounds = if cfg!(miri) { 1 } else { 3 };
+    for _ in 0..rounds {
+        let doc = gen_doc(&mut rng);
+        let doc = doc.as_bytes();
+        for at in 0..doc.len() {
+            let mut damaged = doc.to_vec();
+            damaged[at] = CORRUPTIONS[at % CORRUPTIONS.len()];
+            for (doc, how) in [(&doc[..at], "truncated"), (&damaged[..], "corrupted")] {
+                let sets = lent_cuts(doc.len(), &mut rng, 1, false);
+                let what = || format!("{how} at {at}");
+                check_lent_skips(doc, &sets, &what);
+                check_lent_searches(doc, &sets, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn lent_pieces_cut_skipped_text_a_search_and_a_carried_tag() {
+    // A skipped text run, clean and with an entity, a search past a tag
+    // the pieces cut, and a document whose input ends inside a tag: every
+    // cut in two, bytewise, and pieces with empty ones between them.
+    let long = "t".repeat(300);
+    for doc in [
+        format!("<r><s>{long} &amp; {long}</s><k/></r>"),
+        format!("<r><s><a>{long}</a><item id=\"i1\">x</item></s></r>"),
+        format!("<r><s>{long}<item id=\"i1"),
+    ] {
+        let doc = doc.as_bytes();
+        let mut sets: Vec<Vec<usize>> = every_cut_in_two(doc.len()).map(Vec::from).collect();
+        sets.push(bytewise(doc.len()));
+        sets.push(
+            (0..doc.len())
+                .step_by(97)
+                .flat_map(|at| [at, at, at])
+                .collect(),
+        );
+        let what = || String::from_utf8_lossy(doc).into_owned();
+        check_lent_skips(doc, &sets, &what);
+        check_lent_searches(doc, &sets, &what);
+    }
 }

@@ -7,8 +7,10 @@
 //!
 //! The engine never sees a `Read` or `Write`: the caller owns both sides.
 //! This is the exact shape an async server (or any event loop) uses — on
-//! every readable socket event, feed the bytes, drain the output, and let
-//! the session carry partial-token spillover across the boundaries.
+//! every readable socket event, feed the bytes, drain the output. A fed
+//! chunk is tokenized where it lies, in the caller's buffer: the session
+//! copies only a token the chunk's end cuts (the spillover), and carries
+//! that across the boundary.
 
 use gcx::{CompiledQuery, EngineOptions};
 
@@ -34,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let emitted = session.feed(chunk)?;
         let drained = session.take_output(&mut result)?;
         println!(
-            "chunk {i:>2}: fed {:>2} bytes, spillover {:>2}, drained {drained} output bytes{}",
+            "chunk {i:>2}: fed {:>2} bytes, max spillover {:>2}, drained {drained} output bytes{}",
             chunk.len(),
             session.max_pending_bytes(),
             if emitted.done { " (done)" } else { "" },

@@ -464,27 +464,83 @@ fn purged_buffer_memory_goes_back_or_is_reused() {
     );
 
     // (d) A root count buffers one item at a time, so its heap is the
-    // session's fixed stores, the largest of them the tokenizer window:
-    // fed in 64 KiB pieces, the window takes a piece plus the carried
-    // partial token, 72 KiB, where doubling made it 128 KiB (and the run
-    // about 135 KiB).
+    // session's fixed stores. Fed in 64 KiB pieces, the tokenizer holds
+    // only the token a piece's end cuts: 7 357 bytes (release) where the
+    // window copy of each piece made it 80 845 (128 KiB and about 135 KiB
+    // while that window doubled); the bound leaves 5 KiB of slack.
     let doc = gcx::xmark::generate_string(&gcx::xmark::XmarkConfig::sized(2 << 20));
     let q = gcx::CompiledQuery::compile(gcx::xmark::queries::Q6_COUNT).unwrap();
-    let count = || {
-        let mut session = q.session(&opts);
-        for piece in doc.as_bytes().chunks(CHUNK) {
-            session.feed(piece).unwrap();
-        }
-        session.finish().unwrap()
-    };
-    count();
-    let live = gcx::memtrack::live_bytes();
-    gcx::memtrack::reset_peak();
-    let report = count();
-    let heap = gcx::memtrack::peak_bytes() - live;
+    let (heap, report, _) = session_heap(&q, &opts, &doc);
     assert!(
-        heap <= 96 << 10,
+        heap <= 12 << 10,
         "Q6_COUNT over 2 MiB peaked at {heap} bytes of heap, {} in the buffer",
         report.buffer.peak_live_bytes
+    );
+}
+
+/// Heap high-water of a warm session of `q` over `doc`, fed in 64 KiB
+/// pieces and drained after each into a sink that keeps nothing; its
+/// report, and the most output one drain took.
+fn session_heap(
+    q: &gcx::CompiledQuery,
+    opts: &gcx::EngineOptions,
+    doc: &str,
+) -> (u64, gcx::RunReport, usize) {
+    let run = || {
+        let mut session = q.session(opts);
+        let mut most = 0;
+        for piece in doc.as_bytes().chunks(CHUNK) {
+            session.feed(piece).unwrap();
+            most = most.max(session.take_output(&mut std::io::sink()).unwrap());
+        }
+        let report = session.finish().unwrap();
+        session.take_output(&mut std::io::sink()).unwrap();
+        (report, most)
+    };
+    run();
+    let live = gcx::memtrack::live_bytes();
+    gcx::memtrack::reset_peak();
+    let (report, most) = run();
+    (gcx::memtrack::peak_bytes() - live, report, most)
+}
+
+#[test]
+fn a_session_holds_its_buffer_not_its_input() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let doc = gcx::xmark::generate_string(&gcx::xmark::XmarkConfig::sized(2 << 20));
+    let opts = gcx::EngineOptions::gcx();
+
+    // Q1 fed in 64 KiB pieces: the buffer holds a person or two, and the
+    // tokenizer only the token a piece's end cuts — 8 130 bytes of heap
+    // (release), where the session's copy of each piece made it 81 602.
+    let q = gcx::CompiledQuery::compile(gcx::xmark::queries::Q1).unwrap();
+    let (heap, report, _) = session_heap(&q, &opts, &doc);
+    assert!(
+        heap <= 24 << 10,
+        "Q1 over 2 MiB peaked at {heap} bytes of heap, {} in the buffer",
+        report.buffer.peak_live_bytes
+    );
+    // What the tokenizer held: the longest cut token and the bytes that
+    // completed it (44 bytes here), not a piece (65 558 bytes before).
+    let (_, report, _) = session_heap(&q, &opts.clone().with_telemetry(), &doc);
+    let window = report.obs.expect("telemetry on").tokenizer_window_peak;
+    assert!(window > 0 && window <= 4 << 10, "window peak {window}");
+
+    // A copy writes up to a piece's worth of output between two drains,
+    // a little more than 64 KiB here: the lane's output grows by the
+    // store rule to 72 KiB, where doubling took it to 128 KiB (and the
+    // session to 211 925 bytes of heap with the window copy).
+    let q = gcx::CompiledQuery::compile(
+        "<all>{ for $a in /site/open_auctions/open_auction return $a }</all>",
+    )
+    .unwrap();
+    let (heap, _, most) = session_heap(&q, &opts, &doc);
+    assert!(
+        most > 64 << 10 && most <= 72 << 10,
+        "{most} bytes in one drain: the case must take the output past 64 KiB"
+    );
+    assert!(
+        heap <= (72 << 10) + (16 << 10),
+        "the copy peaked at {heap} bytes of heap for {most} bytes of output"
     );
 }
