@@ -3,10 +3,10 @@
 //! query's class and lint list.
 
 use gcx_ir::{
-    walk, AttrPlan, CondId, CondIr, EAxis, ETest, Instr, InstrId, IrVisitor, OperandIr, PathId,
-    PathPlan, PathUse, PlanRoot, Program, WalkCtx,
+    walk, AttrPlan, CondId, CondIr, EAxis, ETest, EvalStep, Instr, InstrId, IrVisitor, OperandIr,
+    PathId, PathUse, PlanRoot, Program, WalkCtx,
 };
-use gcx_query::ast::{AggFunc, RoleId};
+use gcx_query::ast::{AggFunc, RoleId, VarId};
 use gcx_schema::Dtd;
 use std::fmt::Write as _;
 
@@ -18,8 +18,8 @@ use std::fmt::Write as _;
 pub enum StreamClass {
     /// O(1) — no document-dependent state.
     Constant,
-    /// Bounded by one binding's subtree; peaks do not scale with the
-    /// document.
+    /// Bounded by the largest bound item: one iteration's nodes, or one
+    /// released match.
     PerItem,
     /// Proportional to a selected region of the document.
     Subtree,
@@ -173,19 +173,29 @@ impl QueryAnalysis {
     }
 }
 
-/// Classify an optimized program, with an optional DTD for tightening.
+/// Classify an optimized program, with an optional DTD for its
+/// cardinalities: one walk records each role's anchor and reader and
+/// applies the floors, then each role is classed by its holding scope
+/// (see the crate docs).
 pub fn analyze_program(p: &Program, dtd: Option<&Dtd>) -> QueryAnalysis {
-    let mut readers = RootReaders(0);
-    walk(p, &mut readers);
+    let paths = p.matcher_paths();
     let mut v = Classifier {
         dtd,
         class: StreamClass::Constant,
         bound_span: None,
         bindings: Vec::new(),
         lints: Vec::new(),
-        shared: readers.0 > 1,
+        loops: vec![None; p.n_vars()],
+        signoffs: vec![None; paths.len()],
+        readers: vec![None; paths.len()],
+        read: Vec::new(),
     };
     walk(p, &mut v);
+    for i in 0..paths.len() {
+        // Path `i` assigns role `i`: the table compiles the roles in order.
+        debug_assert_eq!(paths.role_of(i).index(), i);
+        v.role(p, paths.role_of(i));
+    }
     let bound = match v.class {
         StreamClass::Constant => "O(1)".to_string(),
         StreamClass::PerItem => format!(
@@ -206,6 +216,95 @@ pub fn analyze_program(p: &Program, dtd: Option<&Dtd>) -> QueryAnalysis {
     }
 }
 
+/// The construct that reads a role, where the program names it: a loop's
+/// binding, a root output copy, a released root value use.
+#[derive(Clone)]
+struct Reader {
+    span: String,
+    report: Option<usize>,
+    /// Whether it is the first path its body reads.
+    first: bool,
+    /// Whether each match is released as it is consumed.
+    released: bool,
+    /// Whether the use ends in an attribute (the role is on its owner).
+    attr: bool,
+    /// Whether it folds its matches' values (`sum`, `avg`, `min`, `max`).
+    folds: bool,
+}
+
+/// How a role's region is held: its class, then the lint's code, message
+/// and why, and the report's reason. A lint with no code is not emitted.
+type Held = (
+    StreamClass,
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+);
+
+/// One released match.
+const RELEASED: Held = (
+    StreamClass::PerItem,
+    "",
+    "",
+    "",
+    "streamed: each match is released as it is folded in",
+);
+
+/// One item of a loop over the document element is the whole document.
+const DOCUMENT_ELEMENT: Held = (
+    StreamClass::Document,
+    "GCX-ROOT",
+    "the loop binds the document element",
+    "a document has one element at its root, so one binding covers the whole document and releasing per iteration releases nothing",
+    "binds the document element",
+);
+
+/// One item of a loop the DTD proves has one match is its whole region.
+const SINGLETON: Held = (
+    StreamClass::Subtree,
+    "GCX-SUBTREE",
+    "the loop binds a singleton",
+    "the content models allow one match, so what one iteration holds is held across that match's whole region",
+    "binds a singleton: its one item is a whole region",
+);
+
+/// A role held until its reader is done with the whole document.
+const UNTIL_END: Held = (
+    StreamClass::Subtree,
+    "GCX-SUBTREE",
+    "buffers a document-level region",
+    "nothing releases the matches before the reader is done with the whole region; the role is signed off at query end",
+    "held until query end",
+);
+
+/// A role whose reader runs after an earlier reader of the document.
+const WAITS: Held = (
+    StreamClass::Subtree,
+    "GCX-SUBTREE",
+    "buffers a document-level region",
+    "an earlier reader of the document runs first, and these matches wait in the buffer while it blocks on input",
+    "waits behind an earlier reader of the document",
+);
+
+/// A root aggregate that cannot release its matches as it folds them.
+const AGGREGATE: Held = (
+    StreamClass::Document,
+    "GCX-AGG",
+    "over a document-level sequence",
+    "the aggregated values form an unbounded sequence the engine cannot release before the document ends",
+    "aggregate over an unbounded document-level sequence",
+);
+
+/// A region the DTD bounds.
+const BOUNDED: Held = (
+    StreamClass::PerItem,
+    "GCX-DTD",
+    "DTD bounds this region to constant size",
+    "the content models cap the match count, and every matched subtree the role holds, so the region tightens to PerItem",
+    "region bounded by the DTD",
+);
+
 struct Classifier<'a> {
     dtd: Option<&'a Dtd>,
     class: StreamClass,
@@ -213,73 +312,113 @@ struct Classifier<'a> {
     bound_span: Option<String>,
     bindings: Vec<BindingReport>,
     lints: Vec<GcxLint>,
-    /// More than one path rooted at `/` reads the document. Whichever
-    /// runs first may block on input before the others run, and their
-    /// matches accumulate in the buffer meanwhile: a root value use is
-    /// released as it is consumed only when it is the query's one root
-    /// reader.
-    shared: bool,
+    /// Per variable: the enclosing loop's variable (`None` at the query
+    /// level) and the binding role, for a loop that is not floored.
+    loops: Vec<Option<(Option<VarId>, RoleId)>>,
+    /// Per role: the path of its `signOff` (`$v/...` or rooted at `/`).
+    signoffs: Vec<Option<PathId>>,
+    /// Per role: its reader, where the program names it.
+    readers: Vec<Option<Reader>>,
+    /// Per body (the query's, then one per enclosing loop): whether a
+    /// path has read it yet.
+    read: Vec<bool>,
 }
 
-/// Counts the path uses rooted at `/` that read the document.
-struct RootReaders(usize);
-
-impl IrVisitor for RootReaders {
-    fn visit_path(&mut self, p: &Program, id: PathId, use_: PathUse, _ctx: &WalkCtx) {
-        if use_ != PathUse::SignOff && p.path(id).root == PlanRoot::Root {
-            self.0 += 1;
-        }
-    }
-}
-
-/// The DTD proves the rooted path `plan` selects a constant-size region
-/// (see [`Dtd::path_is_bounded`]).
-fn bounded(dtd: &Dtd, p: &Program, plan: PathPlan) -> bool {
-    let has_attr = plan.attr != AttrPlan::None;
-    plan.root == PlanRoot::Root && dtd.path_is_bounded(p.path_steps(plan), has_attr, p.symbols())
-}
-
-fn has_positional(p: &Program, plan: PathPlan) -> bool {
-    p.path_steps(plan).iter().any(|s| s.pos.is_some())
-}
-
-/// A path of one child step from `/` (`/site`, `/bib`): its one match is
-/// the document element — a document has exactly one — so it covers the
-/// whole document, as `/` does.
-fn document_element(p: &Program, plan: PathPlan) -> bool {
-    plan.root == PlanRoot::Root
-        && plan.attr == AttrPlan::None
-        && matches!(p.path_steps(plan), [s] if s.axis == EAxis::Child && s.pos.is_none())
-}
-
-/// What one match of a value use that releases each match as it is
-/// consumed holds in the buffer, or `None` when one match can span a
-/// whole region. An attribute's owner element or a text node is released
-/// at the match (`constant`), and so is a counted element, which waits
-/// for its end tag, when no match can nest in another (child and self
-/// steps only). Otherwise one match is held with its subtree until it is
-/// consumed (`per-item`): an atomized element until its string value is
-/// taken, a counted one until its end tag, with the matches nested in it.
-/// A wildcard under a descendant step can match an element that holds
-/// every later match (`//*` first matches the document element), and a
-/// path with no steps is the document root itself: `None` for both.
-fn one_match(p: &Program, plan: PathPlan, atomized: bool) -> Option<StreamClass> {
-    let steps = p.path_steps(plan);
-    let leaf =
-        plan.attr != AttrPlan::None || matches!(steps.last(), Some(s) if s.test == ETest::Text);
-    let nests = steps
+/// What one released match holds, or `None` when one match can span a
+/// region. `elem` is the role path without its trailing
+/// `descendant-or-self::node()`, and `subtree` whether it had one. An
+/// attribute's owner element or a text node is released at the match
+/// (`constant`), and so is a counted element, which waits for its end
+/// tag, when no match can nest in another (child and self steps only).
+/// Otherwise one match is held with its subtree until it is consumed
+/// (`per-item`), with the matches nested in it. A wildcard under a
+/// descendant step can match an element that holds every later match
+/// (`//*` first matches the document element), and a path with no steps
+/// is the document root itself: `None` for both.
+fn released_match(elem: &[EvalStep], subtree: bool, attr: bool) -> Option<StreamClass> {
+    let last = elem.last()?;
+    let nests = elem
         .iter()
         .any(|s| matches!(s.axis, EAxis::Descendant | EAxis::DescendantOrSelf));
-    let named = matches!(steps.last(), Some(s) if matches!(s.test, ETest::Name(_)));
-    if !plan.has_steps() {
-        None
-    } else if leaf || (!atomized && !nests) {
+    if attr || last.test == ETest::Text || (!subtree && !nests) {
         Some(StreamClass::Constant)
-    } else if nests && !named {
+    } else if nests && !matches!(last.test, ETest::Name(_)) {
         None
     } else {
         Some(StreamClass::PerItem)
     }
+}
+
+/// The floor of a path use: a construct that holds the whole document
+/// whatever its roles, as (code, message, why, reason).
+fn floor(
+    p: &Program,
+    path: PathId,
+    use_: PathUse,
+    ctx: &WalkCtx,
+) -> Option<(&'static str, &'static str, &'static str, &'static str)> {
+    let plan = p.path(path);
+    if plan.root != PlanRoot::Root {
+        return None;
+    }
+    let whole = !plan.has_steps();
+    Some(match use_ {
+        PathUse::Binding if whole => (
+            "GCX-ROOT",
+            "the loop binds the document root itself",
+            "one binding covers the whole document, so releasing per iteration releases nothing",
+            "binds the document root",
+        ),
+        PathUse::Output if whole => (
+            "GCX-ROOT",
+            "the query copies the whole document",
+            "the output is the document itself; nothing can be released before it is emitted",
+            "copies the document root",
+        ),
+        _ if p.path_steps(plan).iter().any(|s| s.pos.is_some()) => (
+            "GCX-POS",
+            "positional predicate on a document-level path",
+            "deciding the k-th match can require holding earlier candidates of an unbounded sequence",
+            "positional predicate on a document-level path",
+        ),
+        PathUse::Binding if ctx.depth() > 0 => (
+            "GCX-JOIN",
+            "document-level loop nested inside another loop (join shape)",
+            "the inner sequence is re-scanned once per outer binding, so its nodes cannot be released before the outer loop ends",
+            "document-level sequence re-scanned per outer binding",
+        ),
+        PathUse::Output if ctx.depth() > 0 => (
+            "GCX-ROOT",
+            "loop body re-enters the document root",
+            "nodes outside the binding's subtree must stay buffered across iterations",
+            "loop body re-enters the document root",
+        ),
+        PathUse::Aggregate if ctx.depth() > 0 => (
+            "GCX-ROOT",
+            "loop body aggregates over the document root",
+            "the aggregated region lies outside the binding's subtree and stays buffered across iterations",
+            "loop body aggregates over the document root",
+        ),
+        PathUse::Operand if ctx.depth() > 0 => (
+            "GCX-JOIN",
+            "comparison against a document-level sequence inside a loop",
+            "a value join: the compared sequence must stay available for every outer binding",
+            "",
+        ),
+        PathUse::Exists if ctx.depth() > 0 => (
+            "GCX-ROOT",
+            "loop condition probes the document root",
+            "the probed region must stay available across iterations",
+            "",
+        ),
+        PathUse::Operand if whole => (
+            "GCX-ROOT",
+            "comparison atomizes the document root",
+            "the operand's string value is the whole document's text, held until the document ends",
+            "",
+        ),
+        _ => return None,
+    })
 }
 
 impl Classifier<'_> {
@@ -290,14 +429,11 @@ impl Classifier<'_> {
         }
     }
 
-    fn lint(
-        &mut self,
-        code: &'static str,
-        severity: Severity,
-        span: &str,
-        message: &str,
-        why: &str,
-    ) {
+    fn lint(&mut self, code: &'static str, span: &str, message: &str, why: &str) {
+        let severity = match code {
+            "GCX-SUBTREE" | "GCX-DTD" => Severity::Info,
+            _ => Severity::Warning,
+        };
         self.lints.push(GcxLint {
             code,
             severity,
@@ -307,7 +443,7 @@ impl Classifier<'_> {
         });
     }
 
-    fn report(&mut self, name: &str, span: &str, class: StreamClass, reason: &str) {
+    fn report(&mut self, name: &str, span: &str, class: StreamClass, reason: &str) -> usize {
         self.raise(class, span);
         self.bindings.push(BindingReport {
             name: name.to_string(),
@@ -315,385 +451,236 @@ impl Classifier<'_> {
             class,
             reason: reason.to_string(),
         });
+        self.bindings.len() - 1
     }
 
-    /// A `for` binding path.
-    fn binding(&mut self, p: &Program, path: PathId, name: &str, ctx: &WalkCtx) {
-        let plan = p.path(path);
-        let span = p.path_display(path);
-        match plan.root {
-            PlanRoot::Var(_) => self.report(
-                name,
-                &span,
-                StreamClass::PerItem,
-                "nested: ranges inside the enclosing binding's subtree",
-            ),
-            PlanRoot::Root if !plan.has_steps() => {
-                self.lint(
-                    "GCX-ROOT",
-                    Severity::Warning,
-                    &span,
-                    "the loop binds the document root itself",
-                    "one binding covers the whole document, so releasing per iteration releases nothing",
-                );
-                self.report(
-                    name,
-                    &span,
-                    StreamClass::Document,
-                    "binds the document root",
-                );
-            }
-            PlanRoot::Root if document_element(p, plan) => {
-                self.lint(
-                    "GCX-ROOT",
-                    Severity::Warning,
-                    &span,
-                    "the loop binds the document element",
-                    "a document has one element at its root, so one binding covers the whole document and releasing per iteration releases nothing",
-                );
-                self.report(
-                    name,
-                    &span,
-                    StreamClass::Document,
-                    "binds the document element",
-                );
-            }
-            PlanRoot::Root if has_positional(p, plan) => {
-                self.lint(
-                    "GCX-POS",
-                    Severity::Warning,
-                    &span,
-                    "positional predicate on a document-level path",
-                    "deciding the k-th match can require holding earlier candidates of an unbounded sequence",
-                );
-                self.report(
-                    name,
-                    &span,
-                    StreamClass::Document,
-                    "positional predicate on a document-level path",
-                );
-            }
-            PlanRoot::Root if ctx.depth() > 0 => {
-                self.lint(
-                    "GCX-JOIN",
-                    Severity::Warning,
-                    &span,
-                    "document-level loop nested inside another loop (join shape)",
-                    "the inner sequence is re-scanned once per outer binding, so its nodes cannot be released before the outer loop ends",
-                );
-                self.report(
-                    name,
-                    &span,
-                    StreamClass::Document,
-                    "document-level sequence re-scanned per outer binding",
-                );
-            }
-            PlanRoot::Root => self.report(
-                name,
-                &span,
-                StreamClass::PerItem,
-                "streamed: each binding is released when its iteration ends",
-            ),
-        }
+    /// Whether the path about to be read is the first its body reads.
+    fn first(&mut self, ctx: &WalkCtx) -> bool {
+        let d = ctx.depth() as usize;
+        self.read.truncate(d + 1);
+        self.read.resize(d + 1, false);
+        !std::mem::replace(&mut self.read[d], true)
     }
 
-    /// A Root-rooted region held as a unit (top-level output copy,
-    /// aggregate argument): `Subtree`, unless the DTD caps it.
-    fn region(&mut self, p: &Program, plan: PathPlan, span: &str, name: &str, why: &str) {
-        if let Some(dtd) = self.dtd {
-            if bounded(dtd, p, plan) {
-                self.lint(
-                    "GCX-DTD",
-                    Severity::Info,
-                    span,
-                    "DTD bounds this region to constant size",
-                    "the content models cap both the match count and every matched subtree, so Subtree tightens to PerItem",
-                );
-                self.report(
-                    name,
-                    span,
-                    StreamClass::PerItem,
-                    "subtree selection, DTD-bounded",
-                );
-                return;
-            }
-        }
-        self.lint(
-            "GCX-SUBTREE",
-            Severity::Info,
-            span,
-            "buffers a document-level region",
-            why,
-        );
-        self.report(name, span, StreamClass::Subtree, why);
-    }
-
-    /// A path in output position.
-    fn emission(&mut self, p: &Program, path: PathId, ctx: &WalkCtx) {
-        let plan = p.path(path);
-        let span = p.path_display(path);
-        match plan.root {
-            PlanRoot::Var(_) => self.raise(StreamClass::PerItem, &span),
-            PlanRoot::Root if !plan.has_steps() => {
-                self.lint(
-                    "GCX-ROOT",
-                    Severity::Warning,
-                    &span,
-                    "the query copies the whole document",
-                    "the output is the document itself; nothing can be released before it is emitted",
-                );
-                self.report(
-                    "output",
-                    &span,
-                    StreamClass::Document,
-                    "copies the document root",
-                );
-            }
-            PlanRoot::Root if has_positional(p, plan) => {
-                self.lint(
-                    "GCX-POS",
-                    Severity::Warning,
-                    &span,
-                    "positional predicate on a document-level path",
-                    "deciding the k-th match can require holding earlier candidates of an unbounded sequence",
-                );
-                self.report(
-                    "output",
-                    &span,
-                    StreamClass::Document,
-                    "positional predicate on a document-level path",
-                );
-            }
-            PlanRoot::Root if ctx.depth() > 0 => {
-                self.lint(
-                    "GCX-ROOT",
-                    Severity::Warning,
-                    &span,
-                    "loop body re-enters the document root",
-                    "nodes outside the binding's subtree must stay buffered across iterations",
-                );
-                self.report(
-                    "output",
-                    &span,
-                    StreamClass::Document,
-                    "loop body re-enters the document root",
-                );
-            }
-            PlanRoot::Root => self.region(
-                p,
-                plan,
-                &span,
-                "output",
-                "the selected region is emitted as one unit and buffered until complete",
-            ),
-        }
-    }
-
-    /// An aggregate argument.
-    fn aggregate(
-        &mut self,
-        p: &Program,
-        func: AggFunc,
-        path: PathId,
-        release: Option<RoleId>,
-        ctx: &WalkCtx,
-    ) {
-        let plan = p.path(path);
-        let span = p.path_display(path);
-        let name = format!("{}()", func.name());
-        match plan.root {
-            PlanRoot::Var(_) => self.raise(StreamClass::PerItem, &span),
-            PlanRoot::Root if has_positional(p, plan) => {
-                self.lint(
-                    "GCX-POS",
-                    Severity::Warning,
-                    &span,
-                    "positional predicate on a document-level path",
-                    "deciding the k-th match can require holding earlier candidates of an unbounded sequence",
-                );
-                self.report(
-                    &name,
-                    &span,
-                    StreamClass::Document,
-                    "positional predicate on a document-level path",
-                );
-            }
-            PlanRoot::Root if ctx.depth() > 0 => {
-                self.lint(
-                    "GCX-ROOT",
-                    Severity::Warning,
-                    &span,
-                    "loop body aggregates over the document root",
-                    "the aggregated region lies outside the binding's subtree and stays buffered across iterations",
-                );
-                self.report(
-                    &name,
-                    &span,
-                    StreamClass::Document,
-                    "loop body aggregates over the document root",
-                );
-            }
-            PlanRoot::Root => {
-                if release.is_some() && !self.shared {
-                    if let Some(class) = one_match(p, plan, func != AggFunc::Count) {
-                        self.report(
-                            &name,
-                            &span,
-                            class,
-                            "streamed: each match is released as it is folded in",
-                        );
-                        return;
-                    }
-                }
-                if func == AggFunc::Count {
-                    return self.region(
-                        p,
-                        plan,
-                        &span,
-                        &name,
-                        "count() retains the counted region until the total is known",
-                    );
-                }
-                if let Some(dtd) = self.dtd {
-                    if bounded(dtd, p, plan) {
-                        self.lint(
-                            "GCX-DTD",
-                            Severity::Info,
-                            &span,
-                            "DTD bounds the aggregated sequence to constant size",
-                            "the content models cap the match count, so the aggregate's retention tightens to PerItem",
-                        );
-                        self.report(
-                            &name,
-                            &span,
-                            StreamClass::PerItem,
-                            "aggregate over a DTD-bounded sequence",
-                        );
-                        return;
-                    }
-                }
-                self.lint(
-                    "GCX-AGG",
-                    Severity::Warning,
-                    &span,
-                    &format!("{}() over a document-level sequence", func.name()),
-                    "the aggregated values form an unbounded sequence the engine cannot release before the document ends",
-                );
-                self.report(
-                    &name,
-                    &span,
-                    StreamClass::Document,
-                    "aggregate over an unbounded document-level sequence",
-                );
-            }
-        }
-    }
-
-    /// An `exists` probe or comparison operand (`release`: the operand's
-    /// release role).
-    fn probe(
+    /// Read one path use: note whether it is the first path its body
+    /// reads and apply its floor. A binding, or a root use that is not
+    /// floored, becomes the reader of `role`, reported under `name`
+    /// unless that is empty.
+    fn read(
         &mut self,
         p: &Program,
         path: PathId,
         use_: PathUse,
-        release: Option<RoleId>,
         ctx: &WalkCtx,
-    ) {
+        role: Option<RoleId>,
+        name: &str,
+    ) -> Option<&mut Reader> {
+        let first = self.first(ctx);
         let plan = p.path(path);
         let span = p.path_display(path);
-        match plan.root {
-            PlanRoot::Var(_) => self.raise(StreamClass::PerItem, &span),
-            PlanRoot::Root if has_positional(p, plan) => {
-                self.lint(
-                    "GCX-POS",
-                    Severity::Warning,
-                    &span,
-                    "positional predicate on a document-level path",
-                    "deciding the k-th match can require holding earlier candidates of an unbounded sequence",
-                );
+        if let Some((code, message, why, reason)) = floor(p, path, use_, ctx) {
+            self.lint(code, &span, message, why);
+            if reason.is_empty() {
                 self.raise(StreamClass::Document, &span);
+            } else {
+                self.report(name, &span, StreamClass::Document, reason);
             }
-            PlanRoot::Root if ctx.depth() > 0 => {
-                if use_ == PathUse::Operand {
-                    self.lint(
-                        "GCX-JOIN",
-                        Severity::Warning,
-                        &span,
-                        "comparison against a document-level sequence inside a loop",
-                        "a value join: the compared sequence must stay available for every outer binding",
-                    );
-                } else {
-                    self.lint(
-                        "GCX-ROOT",
-                        Severity::Warning,
-                        &span,
-                        "loop condition probes the document root",
-                        "the probed region must stay available across iterations",
-                    );
+            return None;
+        }
+        let (class, reason) = match (use_, plan.root) {
+            (PathUse::Binding, PlanRoot::Var(_)) => (
+                StreamClass::PerItem,
+                "nested: ranges inside the enclosing binding's subtree",
+            ),
+            (PathUse::Binding, PlanRoot::Root) => (
+                StreamClass::PerItem,
+                "streamed: each binding is released when its iteration ends",
+            ),
+            (_, PlanRoot::Var(_)) => return None,
+            _ => (StreamClass::Constant, ""),
+        };
+        let report = (!name.is_empty()).then(|| self.report(name, &span, class, reason));
+        let reader = &mut self.readers[role?.index()];
+        *reader = Some(Reader {
+            span,
+            report,
+            first,
+            released: matches!(use_, PathUse::Aggregate | PathUse::Operand),
+            attr: plan.attr != AttrPlan::None,
+            folds: false,
+        });
+        reader.as_mut()
+    }
+
+    /// Charge one role's class to its report (or to the query alone),
+    /// linting it when it raises what it is charged to.
+    fn charge(&mut self, report: Option<usize>, span: &str, class: StreamClass, held: Held) {
+        let (_, code, message, why, reason) = held;
+        let raises = match report {
+            Some(i) => {
+                let b = &mut self.bindings[i];
+                let raises = class > b.class;
+                if raises || b.reason.is_empty() {
+                    b.class = b.class.max(class);
+                    b.reason = reason.to_string();
                 }
-                self.raise(StreamClass::Document, &span);
+                raises
             }
-            PlanRoot::Root if use_ == PathUse::Operand && !plan.has_steps() => {
-                self.lint(
-                    "GCX-ROOT",
-                    Severity::Warning,
-                    &span,
-                    "comparison atomizes the document root",
-                    "the operand's string value is the whole document's text, held until the document ends",
-                );
-                self.raise(StreamClass::Document, &span);
+            None => class > self.class,
+        };
+        if raises && !code.is_empty() {
+            // An aggregate's lint names the function, as its report does.
+            let message = match report {
+                Some(i) if code == "GCX-AGG" => format!("{} {message}", self.bindings[i].name),
+                _ => message.to_string(),
+            };
+            self.lint(code, span, &message, why);
+        }
+        self.raise(class, span);
+    }
+
+    /// A region held as a unit: `per-item` where the DTD bounds it
+    /// (`nodes_only`: without the matches' subtrees), else as `held` says.
+    /// The one place the DTD tightens a class.
+    fn region(
+        &mut self,
+        p: &Program,
+        at: (Option<usize>, &str),
+        steps: &[EvalStep],
+        nodes_only: bool,
+        held: Held,
+    ) {
+        let bounded = self
+            .dtd
+            .is_some_and(|dtd| dtd.path_is_bounded(steps, nodes_only, p.symbols()));
+        let held = if bounded { BOUNDED } else { held };
+        self.charge(at.0, at.1, held.0, held);
+    }
+
+    /// The loop binding `v`: its parent loop and its binding's reader.
+    fn loop_of(&self, v: VarId) -> Option<(Option<VarId>, RoleId, &Reader)> {
+        let (parent, role) = self.loops[v.index()]?;
+        Some((parent, role, self.readers[role.index()].as_ref()?))
+    }
+
+    /// Classify one role by its holding scope.
+    fn role(&mut self, p: &Program, role: RoleId) {
+        let steps = p.matcher_paths().steps_of(role.index());
+        let (elem, subtree) = match steps.split_last() {
+            Some((last, elem))
+                if last.axis == EAxis::DescendantOrSelf && last.test == ETest::AnyNode =>
+            {
+                (elem, true)
             }
-            PlanRoot::Root => {
-                // The query's one root reader: each match is released
-                // once its value is taken.
-                if release.is_some() && !self.shared {
-                    if let Some(class) = one_match(p, plan, true) {
-                        self.raise(class, &span);
-                        return;
-                    }
-                }
-                // A top-level condition over a document region: held as
-                // a unit, like a top-level output.
-                if let Some(dtd) = self.dtd {
-                    if bounded(dtd, p, plan) {
-                        self.raise(StreamClass::PerItem, &span);
-                        return;
-                    }
-                }
-                self.raise(StreamClass::Subtree, &span);
+            _ => (steps, false),
+        };
+        if elem.is_empty() && !subtree {
+            // The document root alone, which is never purged.
+            return;
+        }
+        let reader = self.readers[role.index()].clone();
+        if let Some(r) = reader.as_ref().filter(|r| r.released && r.first) {
+            if let Some(class) = released_match(elem, subtree, r.attr) {
+                return self.charge(r.report, &r.span, class, RELEASED);
             }
         }
+        // The anchor's item, raised past every loop that waits behind an
+        // earlier reader of its parent body.
+        let signoff = self.signoffs[role.index()];
+        let mut scope = signoff.and_then(|s| match p.path(s).root {
+            PlanRoot::Var(v) => Some(v),
+            PlanRoot::Root => None,
+        });
+        let mut waits = None;
+        let mut at = scope;
+        while let Some(v) = at {
+            let Some((parent, _, r)) = self.loop_of(v) else {
+                scope = None;
+                break;
+            };
+            if !r.first {
+                (scope, waits) = (parent, Some((r.report, r.span.clone())));
+            }
+            at = parent;
+        }
+        if let Some(v) = scope {
+            return self.item(p, v, role);
+        }
+        // The whole document: the region of the role's path.
+        let (report, span, held) = match (waits, &reader) {
+            (Some((report, span)), _) => (report, span, WAITS),
+            (None, Some(r)) if r.released && !r.first => (r.report, r.span.clone(), WAITS),
+            (None, Some(r)) => (r.report, r.span.clone(), UNTIL_END),
+            (None, None) => {
+                let span = signoff.map_or_else(|| "/".to_string(), |s| p.path_display(s));
+                (None, span, UNTIL_END)
+            }
+        };
+        let held = match reader {
+            Some(r) if r.folds => AGGREGATE,
+            // `/` itself: every use of it that holds it is floored.
+            _ if elem.is_empty() => return self.raise(StreamClass::Document, &span),
+            _ => held,
+        };
+        self.region(p, (report, &span), elem, !subtree, held);
+    }
+
+    /// A role whose matches are held over one item of `$v`.
+    fn item(&mut self, p: &Program, v: VarId, role: RoleId) {
+        let (_, bind_role, r) = self.loop_of(v).expect("a scope is a loop the walk met");
+        let (report, span) = (r.report, r.span.clone());
+        let bind = p.matcher_paths().steps_of(bind_role.index());
+        // One child step from `/` matches the document element.
+        let element = matches!(bind, [s] if s.axis == EAxis::Child && s.pos.is_none());
+        let singleton = match self.dtd {
+            Some(dtd) => dtd.occurs(bind, p.symbols()).1 == Some(1),
+            None => element,
+        };
+        if !singleton || role == bind_role {
+            // One item of many, or the item's own node.
+            return self.raise(StreamClass::PerItem, &span);
+        }
+        let held = if element { DOCUMENT_ELEMENT } else { SINGLETON };
+        self.region(p, (report, &span), bind, false, held);
     }
 }
 
 impl IrVisitor for Classifier<'_> {
     fn enter_instr(&mut self, p: &Program, id: InstrId, ctx: &WalkCtx) -> bool {
         match p.instr(id) {
-            Instr::For { var, path, .. } => {
+            Instr::For {
+                var, path, role, ..
+            } => {
                 let name = format!("${}", p.var_name(var));
-                self.binding(p, path, &name, ctx);
-                true
+                if self
+                    .read(p, path, PathUse::Binding, ctx, Some(role), &name)
+                    .is_some()
+                {
+                    self.loops[var.index()] = Some((ctx.innermost(), role));
+                }
             }
-            Instr::OutputPath { path, .. } => {
-                self.emission(p, path, ctx);
-                true
+            Instr::OutputPath { path, role } => {
+                self.read(p, path, PathUse::Output, ctx, role, "output");
             }
             Instr::Aggregate {
                 func,
                 path,
                 release,
             } => {
-                self.aggregate(p, func, path, release, ctx);
-                true
+                let name = format!("{}()", func.name());
+                if let Some(r) = self.read(p, path, PathUse::Aggregate, ctx, release, &name) {
+                    r.folds = func != AggFunc::Count;
+                }
             }
+            Instr::SignOff { path, role } => self.signoffs[role.index()] = Some(path),
             Instr::HashJoin(j) => {
                 // Classified as a unit: the preserved fallback would
                 // re-report the same loop.
+                self.first(ctx);
                 let plan = p.join(j);
                 let span = p.path_display(plan.path);
                 self.lint(
                     "GCX-JOIN",
-                    Severity::Warning,
                     &span,
                     "value join over a document-level sequence",
                     "the equality pairs bindings from different document regions; the indexed side stays buffered until the document ends",
@@ -704,15 +691,15 @@ impl IrVisitor for Classifier<'_> {
                     StreamClass::Document,
                     "value join: the keyed index retains document-level candidates",
                 );
-                false
+                return false;
             }
-            _ => true,
+            _ => {}
         }
+        true
     }
 
     fn visit_cond(&mut self, p: &Program, id: CondId, ctx: &WalkCtx) {
-        // Operands are classified here, where their release role is
-        // known.
+        // Operands are read here, where their release role is known.
         if let CondIr::Compare { lhs, rhs, .. }
         | CondIr::StringFn {
             haystack: lhs,
@@ -722,18 +709,18 @@ impl IrVisitor for Classifier<'_> {
         {
             for op in [lhs, rhs] {
                 if let OperandIr::Path { path, release } = p.operand(op) {
-                    self.probe(p, path, PathUse::Operand, release, ctx);
+                    self.read(p, path, PathUse::Operand, ctx, release, "");
                 }
             }
         }
     }
 
     fn visit_path(&mut self, p: &Program, id: PathId, use_: PathUse, ctx: &WalkCtx) {
-        // Bindings, outputs and aggregates are classified from
-        // `enter_instr` (they need the instruction's context), and
-        // operands from `visit_cond`; signOffs are buffer-local and free.
+        // Bindings, outputs and aggregates are read in `enter_instr`
+        // (they need the instruction), operands in `visit_cond`; a
+        // signOff reads nothing.
         if use_ == PathUse::Exists {
-            self.probe(p, id, use_, None, ctx);
+            self.read(p, id, use_, ctx, None, "");
         }
     }
 }
@@ -845,22 +832,20 @@ mod tests {
 
     #[test]
     fn count_over_document_region_is_subtree() {
-        // The second count runs only once the first has read its whole
-        // region: the matches of its own region wait in the buffer
-        // meanwhile. With two root readers neither is released.
+        // The first count is the query's first reader and releases each
+        // match; the second runs only once the first has read its whole
+        // region, and the matches of its own region wait in the buffer
+        // meanwhile.
         let a = analyzed("<r>{ count(/site/people/person), count(/site/regions//item) }</r>");
         assert_eq!(a.class, StreamClass::Subtree);
-        assert!(a.bound.contains("person region"), "{}", a.bound);
+        assert!(a.bound.contains("item region"), "{}", a.bound);
         let lints: Vec<_> = a.lints.iter().map(|l| (l.code, l.span.as_str())).collect();
         assert_eq!(
             lints,
-            [
-                ("GCX-SUBTREE", "/child::site/child::people/child::person"),
-                (
-                    "GCX-SUBTREE",
-                    "/child::site/child::regions/descendant::item"
-                )
-            ]
+            [(
+                "GCX-SUBTREE",
+                "/child::site/child::regions/descendant::item"
+            )]
         );
         // A later root loop waits the same way while the count blocks.
         let a = analyzed(
@@ -868,7 +853,7 @@ mod tests {
                { for $p in /site/people/person return $p/name }</r>",
         );
         assert_eq!(a.class, StreamClass::Subtree);
-        assert!(a.bound.contains("item region"), "{}", a.bound);
+        assert!(a.bound.contains("person region"), "{}", a.bound);
     }
 
     #[test]
@@ -921,10 +906,10 @@ mod tests {
             assert!(a.lints.is_empty(), "{q}: {:?}", a.lints);
         }
         // Two root operands: the right one runs after the left one has
-        // read its region, so neither is released.
+        // read its region, so its matches wait in the buffer.
         let a = analyzed("if (/site/a = /site/b) then \"y\" else ()");
         assert_eq!(a.class, StreamClass::Subtree);
-        assert!(a.bound.contains("child::a"), "{}", a.bound);
+        assert!(a.bound.contains("child::b"), "{}", a.bound);
     }
 
     #[test]
@@ -1019,6 +1004,85 @@ mod tests {
         let a = analyzed_with("<n>{ /r/a }</n>", Some(&dtd));
         assert_eq!(a.class, StreamClass::Subtree);
         assert!(!a.lints.iter().any(|l| l.code == "GCX-DTD"));
+    }
+
+    #[test]
+    fn a_loop_under_a_condition_is_held_until_query_end() {
+        // The engine signs the loop's roles off at query end: its
+        // statement may not run once per binding.
+        let q = "if (\"a\" = \"a\") then for $p in /site/people/person return $p/name else ()";
+        let xmark = Dtd::xmark();
+        for dtd in [None, Some(&*xmark)] {
+            let a = analyzed_with(q, dtd);
+            assert_eq!(a.class, StreamClass::Subtree, "DTD {}", dtd.is_some());
+            assert!(a.bound.contains("person region"), "{}", a.bound);
+            assert_eq!(a.bindings[0].reason, "held until query end");
+        }
+    }
+
+    #[test]
+    fn a_later_root_loop_waits_behind_the_first() {
+        let a = analyzed(
+            "<r>{ for $a in /site/people/person return $a/name }\
+               { for $i in /site/regions/africa/item return $i/name }</r>",
+        );
+        assert_eq!(a.class, StreamClass::Subtree);
+        assert!(a.bound.contains("child::africa/child::item"), "{}", a.bound);
+        let classes: Vec<_> = a.bindings.iter().map(|b| b.class).collect();
+        assert_eq!(classes, [StreamClass::PerItem, StreamClass::Subtree]);
+    }
+
+    #[test]
+    fn a_loop_below_the_document_element_streams_its_items() {
+        // Nothing is held across the one `site` item: the person loop is
+        // the first reader of its body and signs each person off.
+        let a = analyzed("for $s in /site return for $p in $s/people/person return $p/name");
+        assert_eq!(a.class, StreamClass::PerItem);
+        assert!(a.lints.is_empty(), "{:?}", a.lints);
+        // A second reader in the body holds the first loop's region.
+        let a = analyzed(
+            "for $s in /site return \
+               (for $p in $s/people/person return $p/name, $s/regions)",
+        );
+        assert_eq!(a.class, StreamClass::Document);
+        assert_eq!(a.bindings[0].reason, "binds the document element");
+    }
+
+    #[test]
+    fn dtd_singleton_binding_is_classed_by_its_region() {
+        let xmark = Dtd::xmark();
+        for q in [
+            "for $r in /site/regions return <c>{ count($r//item) }</c>",
+            "for $s in /site/regions return if (exists($s//item/mailbox)) then <y/> else <n/>",
+            "for $r in /site/regions return \
+               (for $x in $r/africa/item return $x/name, for $y in $r/asia/item return $y/name)",
+            "for $r in /site/regions return $r",
+        ] {
+            assert_eq!(analyzed(q).class, StreamClass::PerItem, "{q}");
+            let a = analyzed_with(q, Some(&xmark));
+            assert_eq!(a.class, StreamClass::Subtree, "{q}");
+            assert!(a.bound.contains("regions region"), "{q}: {}", a.bound);
+            let lints: Vec<_> = a.lints.iter().map(|l| (l.code, l.span.as_str())).collect();
+            assert_eq!(
+                lints,
+                [("GCX-SUBTREE", "/child::site/child::regions")],
+                "{q}"
+            );
+        }
+        // Q6 binds the same singleton, but signs each item off in its
+        // inner loop: nothing is held across the `regions` item.
+        let (_, q6) = gcx_xmark::queries::paper_queries()[1];
+        assert_eq!(analyzed_with(q6, Some(&xmark)).class, StreamClass::PerItem);
+    }
+
+    #[test]
+    fn dtd_bounds_a_waiting_count_by_its_matches() {
+        // A count holds its matches, not their subtrees: one `regions`.
+        let q = "<r>{ count(/site/people/person), count(/site/regions) }</r>";
+        assert_eq!(analyzed(q).class, StreamClass::Subtree);
+        let a = analyzed_with(q, Some(&Dtd::xmark()));
+        assert_eq!(a.class, StreamClass::PerItem);
+        assert!(a.lints.iter().any(|l| l.code == "GCX-DTD"), "{:?}", a.lints);
     }
 
     #[test]

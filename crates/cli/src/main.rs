@@ -129,20 +129,25 @@ table), the optimizer's per-pass rewrite summary with before/after
 cost estimates, the optimized program the engine executes, and the
 static streamability analysis.
 
-`analyze` prints just that analysis: the query's streamability class
-(constant | per-item | subtree | document — how the worst-case buffer
-peak scales with the document), a symbolic bound, a per-binding class
-table, and structured lints (GCX-JOIN, GCX-POS, GCX-ROOT, GCX-AGG,
-GCX-SUBTREE, GCX-DTD) naming each construct that forces buffering and
-why. `--schema` lets DTD cardinality facts tighten region classes;
-`--json` emits the same analysis as JSON (the `analysis` object of
-`run --stats-json`). The verdict is sound but may be loose: a
-constant/per-item class is a promise (pinned by the workspace
-soundness suite), a document class is a warning, not a proof. `gcx
-serve --max-static-class CLASS` enforces the class at registration
-time: PUT /queries answers 422 with the lint diagnostics for any query
-above the cap, and every successful registration reports the class in
-the X-Gcx-Streamability response header."
+`analyze` prints just that analysis, read off the roles the engine
+runs: the query's streamability class (constant | per-item | subtree |
+document — how the worst-case buffer peak scales with the document), a
+symbolic bound, a per-binding class table, and structured lints
+(GCX-JOIN, GCX-POS, GCX-ROOT, GCX-AGG, GCX-SUBTREE, GCX-DTD) naming
+each construct that forces buffering and why. `--schema` reads DTD
+cardinalities: a binding with one match is a singleton, classed by the
+region its one item spans, and a region the DTD bounds tightens to
+per-item; `--json` emits the same analysis as JSON (the `analysis`
+object of `run --stats-json`). The verdict is sound but may be loose:
+a per-item class promises a peak bounded by the largest bound item
+(pinned by the workspace soundness suite), a document class is a
+warning, not a proof. `gcx serve --max-static-class CLASS` enforces
+the class at registration time: PUT /queries answers 422 with the lint
+diagnostics for any query above the cap, and every successful
+registration reports the class in the X-Gcx-Streamability response
+header. A per-item cap bounds memory only as far as the bound items
+are bounded: without a DTD, a loop over `/site/regions` is per-item,
+and its one item is a whole section."
     );
 }
 

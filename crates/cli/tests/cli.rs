@@ -246,6 +246,30 @@ fn analyze_flags_a_join_and_emits_json() {
 }
 
 #[test]
+fn analyze_classes_a_singleton_binding_by_its_region_under_a_schema() {
+    // `/site/regions` has one match under the XMark DTD: what the loop
+    // body holds is held across that match's whole region. Without the
+    // DTD the binding is one item of possibly many.
+    let q = "for $r in /site/regions return <c>{ count($r//item) }</c>";
+    for (args, class) in [
+        (&["--schema", "xmark"][..], "subtree"),
+        (&[][..], "per-item"),
+    ] {
+        let out = gcx_bin()
+            .args(["analyze", "-e", q])
+            .args(args)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.starts_with(&format!("streamability: {class}\n")),
+            "{args:?}: {text}"
+        );
+    }
+}
+
+#[test]
 fn stats_json_carries_the_analysis_block() {
     let doc = write_temp("analysis.xml", "<bib><book><title>T</title></book></bib>");
     let out = gcx_bin()

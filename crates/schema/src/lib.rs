@@ -29,8 +29,10 @@
 //! schema is a promise about the input.
 //!
 //! A fourth reading of the content models serves `gcx-analyze`:
-//! [`Dtd::path_is_bounded`] proves from their cardinalities that a rooted
-//! path selects a constant-size region. The content models themselves
+//! [`Dtd::occurs`] bounds how many nodes a rooted path can select (a
+//! binding that selects one is a singleton), and [`Dtd::path_is_bounded`]
+//! reads the same count to prove that a rooted path selects a
+//! constant-size region. The content models themselves
 //! are private to this crate, so every analysis of them lives here.
 //!
 //! The DTD itself is parsed from the internal subset of a `<!DOCTYPE>`

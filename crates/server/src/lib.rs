@@ -140,9 +140,11 @@ pub struct ServerConfig {
     /// Admission policy (`gcx serve --max-static-class`): the loosest
     /// streamability class a query may have to be registered. A PUT
     /// whose static class exceeds the cap answers `422` with the
-    /// analyzer's lint diagnostics and registers nothing. `None`
-    /// (default) admits everything; every successful registration still
-    /// reports its class in the `X-Gcx-Streamability` response header.
+    /// analyzer's lint diagnostics and registers nothing. A `per-item`
+    /// cap bounds memory only as far as the bound items are bounded.
+    /// `None` (default) admits everything; every successful registration
+    /// still reports its class in the `X-Gcx-Streamability` response
+    /// header.
     pub admission_class: Option<gcx_analyze::StreamClass>,
 }
 

@@ -5,9 +5,11 @@
 //!
 //! Two directions, one implication:
 //!
-//! * a `Constant`/`PerItem` verdict promises the buffer peak does not
-//!   scale with document size — so an 8x larger document must not grow
-//!   the measured `peak_live` beyond noise;
+//! * a `Constant`/`PerItem` verdict promises the buffer peak is bounded
+//!   by the largest bound item — so, on the paper queries, whose items
+//!   are small, an 8x larger document must not grow the measured
+//!   `peak_live` beyond noise; where a binding may be a singleton
+//!   (`/site/regions`), the peak must stay within its one match;
 //! * contrapositively, a query whose measured peak *does* scale must
 //!   carry a `Subtree` or `Document` class (the classifier may be loose,
 //!   never tight).
@@ -19,6 +21,7 @@ mod common;
 
 use common::generated::XorShift;
 use gcx::analyze::{analyze_program, StreamClass};
+use gcx::dom::{Dom, DomId};
 use gcx::schema::Dtd;
 use gcx::xmark::{generate_string, queries, XmarkConfig};
 use gcx::{CompiledQuery, EngineOptions};
@@ -74,6 +77,9 @@ const EXPECTED: &[(&str, StreamClass)] = &[
     ("COUNT_ALL", StreamClass::Subtree),
     ("SUM_OVER_SITE", StreamClass::Document),
     ("TWO_PATHS_OVER_SITE", StreamClass::Document),
+    ("LOOP_UNDER_CONDITION", StreamClass::Subtree),
+    ("LOOP_BELOW_SITE", StreamClass::PerItem),
+    ("COUNT_THEN_SINGLETON", StreamClass::Subtree),
 ];
 
 /// ROADMAP findings row 3: the binding is the document element, one match
@@ -85,13 +91,30 @@ const SUM_OVER_SITE: &str = "for $s in /site return sum($s//item/quantity)";
 const TWO_PATHS_OVER_SITE: &str =
     "for $s in /site return <r>{ $s//item/name }{ $s//person/name }</r>";
 
-/// ROADMAP findings rows 2 and 4: a binding of `/site/regions`, which
-/// under XMark has one match as big as a section. Without a DTD it cannot
-/// be told from a binding of many small items (`/site/people/person`), so
-/// both are classed `per-item` while their peak grows linearly: the
-/// contract breach the DTD-cardinality half of ROADMAP item 2 closes. They
-/// are pinned as what they are, so that closing it flips this list.
-const PER_ITEM_BUT_GROWING: [(&str, &str); 2] = [
+/// A loop under a condition is anchored at query end (its statement may
+/// not run once per binding), so its bindings stay buffered until the
+/// document ends. Measured to grow linearly.
+const LOOP_UNDER_CONDITION: &str =
+    "if (\"a\" = \"a\") then for $p in /site/people/person return $p/name else ()";
+
+/// The document element bound, and nothing held across its one item: the
+/// person loop is the first reader of its body, and each person is
+/// signed off at the end of its iteration. Measured flat.
+const LOOP_BELOW_SITE: &str = "for $s in /site return for $p in $s/people/person return $p/name";
+
+/// A count that waits behind an earlier root reader holds its matches,
+/// not their subtrees: under the XMark DTD `/site/regions` has one match,
+/// so the held region is one node. Measured flat.
+const COUNT_THEN_SINGLETON: &str = "<r>{ count(/site/people/person), count(/site/regions) }</r>";
+
+/// Bindings of `/site/regions`, which under XMark has one match as big
+/// as a section (ROADMAP findings rows 2 and 4, and two loops in its
+/// body). Without a DTD it cannot be told from a binding of many small
+/// items (`/site/people/person`), so it is `per-item`: bounded by the
+/// largest bound item, here the one `regions`. Under the XMark DTD it is
+/// a singleton, and what its body holds is held across its whole region:
+/// `subtree`. Each is measured to grow linearly.
+const SINGLETON_BINDINGS: [(&str, &str); 3] = [
     (
         "COUNT_PER_REGIONS",
         "for $r in /site/regions return <c>{ count($r//item) }</c>",
@@ -99,6 +122,11 @@ const PER_ITEM_BUT_GROWING: [(&str, &str); 2] = [
     (
         "EXISTS_PER_REGIONS",
         "for $s in /site/regions return if (exists($s//item/mailbox)) then <y/> else <n/>",
+    ),
+    (
+        "TWO_LOOPS_PER_REGIONS",
+        "for $r in /site/regions return (for $x in $r/africa/item return $x/name, \
+         for $y in $r/asia/item return $y/name)",
     ),
 ];
 
@@ -136,6 +164,9 @@ fn static_class_dominates_observed_peak_growth() {
     cases.push(("COUNT_ALL", COUNT_ALL));
     cases.push(("SUM_OVER_SITE", SUM_OVER_SITE));
     cases.push(("TWO_PATHS_OVER_SITE", TWO_PATHS_OVER_SITE));
+    cases.push(("LOOP_UNDER_CONDITION", LOOP_UNDER_CONDITION));
+    cases.push(("LOOP_BELOW_SITE", LOOP_BELOW_SITE));
+    cases.push(("COUNT_THEN_SINGLETON", COUNT_THEN_SINGLETON));
     for (name, qtext) in cases {
         let q = CompiledQuery::compile(qtext).expect("compile");
         let a = analyze_program(&q.program, None);
@@ -149,6 +180,14 @@ fn static_class_dominates_observed_peak_growth() {
             "{name}: DTD loosened {:?} -> {with_dtd:?}",
             a.class
         );
+        match name {
+            // `/site/regions` and `australia` are singletons under the
+            // DTD, but each item is signed off per iteration.
+            "Q6" | "Q13" => assert_eq!(with_dtd, StreamClass::PerItem, "{name} under the DTD"),
+            "COUNT_THEN_SINGLETON" => assert_eq!(with_dtd, StreamClass::PerItem, "{name}"),
+            "LOOP_UNDER_CONDITION" => assert_eq!(with_dtd, StreamClass::Subtree, "{name}"),
+            _ => {}
+        }
 
         let p_small = worst_peak(&q, small.as_bytes(), &mut rng);
         let p_large = worst_peak(&q, large.as_bytes(), &mut rng);
@@ -156,12 +195,18 @@ fn static_class_dominates_observed_peak_growth() {
         match name {
             // Flat: one item node at a time at either size.
             "Q6_COUNT" => assert_eq!(p_small, p_large, "{name}: peak"),
+            // Flat: nothing held across the `site` item, and one held
+            // `regions` node.
+            "LOOP_BELOW_SITE" | "COUNT_THEN_SINGLETON" => {
+                assert_eq!(p_small, p_large, "{name}: peak")
+            }
             // Linear: the held region is 8x larger on the 8x document.
             "TWO_COUNTS"
             | "COUNT_THEN_LOOP"
             | "COUNT_ALL"
             | "SUM_OVER_SITE"
-            | "TWO_PATHS_OVER_SITE" => assert!(
+            | "TWO_PATHS_OVER_SITE"
+            | "LOOP_UNDER_CONDITION" => assert!(
                 p_large >= p_small * 5,
                 "{name}: peak {p_small} -> {p_large} on 8x input"
             ),
@@ -190,24 +235,53 @@ fn static_class_dominates_observed_peak_growth() {
     }
 }
 
+/// Nodes of the largest match of the child-only path `names` in `doc`,
+/// with its ancestors and the document root, counted on the DOM.
+fn largest_match_with_ancestors(doc: &str, names: &[&str]) -> u64 {
+    fn size(dom: &Dom, id: DomId) -> u64 {
+        1 + dom.children(id).iter().map(|&c| size(dom, c)).sum::<u64>()
+    }
+    let dom = Dom::parse(doc.as_bytes()).expect("parse");
+    let mut matches = dom.roots.clone();
+    for (i, name) in names.iter().enumerate() {
+        if i > 0 {
+            matches = matches
+                .iter()
+                .flat_map(|&m| dom.children(m).to_vec())
+                .collect();
+        }
+        matches.retain(|&m| dom.name(m) == Some(name));
+    }
+    let largest = matches.iter().map(|&m| size(&dom, m)).max().unwrap_or(0);
+    largest + names.len() as u64
+}
+
 #[test]
-fn singleton_bindings_below_the_document_element_still_breach_the_contract() {
+fn singleton_bindings_are_classed_by_their_region() {
     let small = xmark(64);
     let large = xmark(512);
+    let xmark_dtd = Dtd::xmark();
     let mut rng = XorShift(0x51D3_0000_0000_0001);
-    for (name, qtext) in PER_ITEM_BUT_GROWING {
+    let items = [&small, &large].map(|doc| largest_match_with_ancestors(doc, &["site", "regions"]));
+    for (name, qtext) in SINGLETON_BINDINGS {
         let q = CompiledQuery::compile(qtext).expect("compile");
-        let xmark_dtd = Dtd::xmark();
-        for dtd in [None, Some(&*xmark_dtd)] {
-            let class = analyze_program(&q.program, dtd).class;
-            assert_eq!(class, StreamClass::PerItem, "{name}, DTD {}", dtd.is_some());
-        }
+        let blind = analyze_program(&q.program, None).class;
+        assert_eq!(blind, StreamClass::PerItem, "{name}, blind");
+        let with_dtd = analyze_program(&q.program, Some(&xmark_dtd)).class;
+        assert_eq!(with_dtd, StreamClass::Subtree, "{name}, under the DTD");
         let p_small = worst_peak(&q, small.as_bytes(), &mut rng);
         let p_large = worst_peak(&q, large.as_bytes(), &mut rng);
         assert!(
             p_large >= p_small * 5,
             "{name}: peak {p_small} -> {p_large} on 8x input"
         );
+        // What `per-item` promises: no more than the one bound item.
+        for (item, peak) in items.into_iter().zip([p_small, p_large]) {
+            assert!(
+                peak <= item,
+                "{name}: peak {peak} above the bound item's {item} nodes"
+            );
+        }
     }
 }
 
