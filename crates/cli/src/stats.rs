@@ -87,6 +87,7 @@ fn run_members(w: &mut JsonWriter, r: &RunReport) {
         .field("purged", b.purged)
         .field("live_bytes", b.live_bytes)
         .field("peak_live_bytes", b.peak_live_bytes)
+        .field("folded", b.folded)
         .end();
     if let Some(obs) = &r.obs {
         w.key("obs");

@@ -88,6 +88,21 @@
 //! high-water rather than up to twice it (Q8 over a 16 MiB document:
 //! 777 448 bytes for 749 928 in use, where doubling reserved 1 048 576).
 //! The role overflow grows by the same rule.
+//!
+//! **A copied leaf keeps its text.** A closing element takes over its text
+//! child's payload when that text is its only child, not pinned, and the
+//! two each carry exactly one instance of the same *fold role* — one that
+//! only a copy reads (an output path's `descendant-or-self::node()`
+//! retention, [`BufferTree::fold_copies`]) — and the element has no
+//! attributes. It has no payload of its own (the buffer keeps no ordinals
+//! where it folds), so it adopts the text's block as it is: `payload_at`
+//! names it, a `FOLDED` flag marks the element, and the text's length takes
+//! the attribute-count bits. The text's slot goes back to its chunk, the
+//! charge falls by exactly [`SLOT_BYTES`], and the text counts as purged
+//! ([`BufferStats::folded`] counts it too) with its role instance signed
+//! off. Everything that reads an element's content — its attributes
+//! (none), its payload's length, its serialization and string value —
+//! reads the flag, so a copy of it writes the same bytes.
 
 use crate::error::EngineError;
 use crate::obs::{RoleObs, Timeline};
@@ -303,9 +318,9 @@ struct Slot {
     word: u32,
     /// Where the payload starts in the store, in 8-byte units.
     payload_at: u32,
-    /// [`CLOSED`], [`TEXT`] and [`SPILLED`] in the top bits, the number of
-    /// attributes below them (an attribute takes 8 payload bytes of at
-    /// most 4 GiB, so the count fits).
+    /// [`CLOSED`], [`TEXT`], [`SPILLED`] and [`FOLDED`] in the top bits,
+    /// the number of attributes below them — or, with [`FOLDED`], the
+    /// length of the text the element took in.
     flags: u32,
     /// Children that hold (see the module docs, "Hold counts").
     held: u32,
@@ -332,8 +347,13 @@ const CLOSED: u32 = 1 << 31;
 const TEXT: u32 = 1 << 30;
 /// [`Slot::flags`]: the role multiset is in the overflow.
 const SPILLED: u32 = 1 << 29;
-/// [`Slot::flags`]: the bits that count attributes.
-const ATTR_COUNT: u32 = SPILLED - 1;
+/// [`Slot::flags`]: an element that took its only child's text in (see
+/// the module docs, "A copied leaf keeps its text"); the count bits hold
+/// the text's length.
+const FOLDED: u32 = 1 << 28;
+/// [`Slot::flags`]: the bits that count attributes, or a folded text's
+/// bytes.
+const ATTR_COUNT: u32 = FOLDED - 1;
 
 /// Entries of a spilled multiset, from its [`Slot::role`] count word.
 fn spilled_len(word: u32) -> usize {
@@ -396,6 +416,17 @@ impl Slot {
             }
         }
         removed
+    }
+}
+
+/// Bytes of a text node's text, or of the text a folded element took in;
+/// None for any other element.
+#[inline]
+fn text_len(s: &Slot) -> Option<u32> {
+    match s.flags & (TEXT | FOLDED) {
+        0 => None,
+        TEXT => Some(s.word),
+        _ => Some(s.flags & ATTR_COUNT),
     }
 }
 
@@ -559,6 +590,9 @@ pub struct BufferStats {
     pub live_bytes: u64,
     /// High watermark of `live_bytes`.
     pub peak_live_bytes: u64,
+    /// Text nodes an element took in at its close (see the module docs,
+    /// "A copied leaf keeps its text"); `purged` counts them too.
+    pub folded: u64,
 }
 
 /// Resident cost of one buffered node: its slot plus its payload
@@ -714,6 +748,9 @@ pub struct BufferTree {
     /// Sibling-order cutoffs, installed only when a schema is in effect;
     /// same one-null-test discipline as `telemetry`.
     schema: Option<Box<SchemaRt>>,
+    /// Bit `r` set: a leaf whose only instances are role `r`'s folds
+    /// ([`BufferTree::fold_copies`]); 0 where nothing folds.
+    fold: u64,
     /// Hold counts changed so far (the lib tests bound the bookkeeping's
     /// cost by this).
     #[cfg(test)]
@@ -768,9 +805,24 @@ impl BufferTree {
             telemetry: None,
             timeline: None,
             schema: None,
+            fold: 0,
             #[cfg(test)]
             hold_steps: 0,
         }
+    }
+
+    /// Fold a closing element's text into it where both carry one
+    /// instance of a role whose bit is set in `fold` (bit `r` for role
+    /// `r`: only a program's first 64 roles fold) and nothing else (see
+    /// the module docs, "A copied leaf keeps its text"). Only a purging
+    /// buffer that keeps no ordinals folds: a fold would lose the text's,
+    /// and the element's own ordinals would have to move with it.
+    pub fn fold_copies(&mut self, fold: u64) {
+        debug_assert!(
+            self.purge_enabled && self.ordinal_bytes == 0,
+            "folding needs purging and no ordinals"
+        );
+        self.fold = fold;
     }
 
     /// With `keep`, keep every node's [`Ordinals`], stamped at its append
@@ -1077,12 +1129,22 @@ impl BufferTree {
 
     #[inline]
     fn text_of(&self, s: &Slot) -> Option<&str> {
-        (s.flags & TEXT != 0).then(|| {
-            utf8(
-                self.store
-                    .get(s.payload_at, self.ordinal_bytes, s.word as usize),
-            )
-        })
+        if s.flags & TEXT == 0 {
+            return None;
+        }
+        self.chars_of(s)
+    }
+
+    /// The characters of a text node, or of the text a folded element took
+    /// in; None for any other element.
+    #[inline]
+    fn chars_of(&self, s: &Slot) -> Option<&str> {
+        let len = text_len(s)?;
+        Some(utf8(self.store.get(
+            s.payload_at,
+            self.ordinal_bytes,
+            len as usize,
+        )))
     }
 
     /// Attribute value by interned name.
@@ -1098,7 +1160,7 @@ impl BufferTree {
     #[inline]
     fn attrs_of(&self, s: &Slot) -> Attrs<'_> {
         let n = (s.flags & ATTR_COUNT) as usize;
-        if s.flags & TEXT != 0 || n == 0 {
+        if s.flags & (TEXT | FOLDED) != 0 || n == 0 {
             return Attrs::default();
         }
         let records = self
@@ -1112,11 +1174,12 @@ impl BufferTree {
     }
 
     /// Bytes of `s`'s payload (see the module docs), derived: its ordinals
-    /// where the buffer keeps them, then its text or, for an element, its
-    /// attribute records and values.
+    /// where the buffer keeps them, then its text — a text node's, or the
+    /// one a folded element took in — or, for an element, its attribute
+    /// records and values.
     fn payload_len(&self, s: &Slot) -> u32 {
-        if s.flags & TEXT != 0 {
-            return self.ordinal_bytes + s.word;
+        if let Some(len) = text_len(s) {
+            return self.ordinal_bytes + len;
         }
         let attrs = self.attrs_of(s);
         self.ordinal_bytes + (attrs.records.len() + attrs.values.len()) as u32
@@ -1180,7 +1243,10 @@ impl BufferTree {
         let payload = self.put_payload(ordinals, attrs.payload_bytes(), |block| {
             attrs.write_to(block)
         });
+        // 2^28 of them would take 2 GiB of records: the count leaves the
+        // fold flag's bit alone.
         let count = attrs.len() as u32;
+        assert!(count <= ATTR_COUNT, "{count} attributes on one element");
         attrs.clear();
         self.append(parent, name.0, count, payload, roles)
     }
@@ -1432,15 +1498,64 @@ impl BufferTree {
     }
 
     /// Mark a node closed (its end tag was read) and attempt a purge: this
-    /// reclaims subtrees that hold no role (any more) when their end tag comes.
+    /// reclaims subtrees that hold no role (any more) when their end tag
+    /// comes. An element that still holds may fold its text in (see the
+    /// module docs, "A copied leaf keeps its text").
     pub fn close(&mut self, id: NodeId) {
         let s = self.node_mut(id);
         debug_assert!(s.flags & CLOSED == 0, "closing a closed node");
         s.flags |= CLOSED;
-        if !holds(s) && self.release(id.idx) {
+        if holds(s) {
+            // One role instance (not spilled), no attributes, a child.
+            if s.role.1 == 1 && s.flags & (SPILLED | ATTR_COUNT) == 0 && s.first_child != NIL {
+                let (role, text) = (s.role.0, s.first_child);
+                self.fold(id.idx, role, text);
+            }
+        } else if self.release(id.idx) {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.purges_on_close += 1;
             }
+        }
+    }
+
+    /// Element `idx`, just closed with one instance of `role` and no
+    /// attributes, takes in the payload of its first child `text` if
+    /// `role` is a fold role and `text` is its only child: a text node,
+    /// not pinned, carrying one instance of `role` and nothing else.
+    fn fold(&mut self, idx: u32, role: RoleId, text: u32) {
+        if self
+            .fold
+            .checked_shr(role.0)
+            .is_none_or(|bits| bits & 1 == 0)
+        {
+            return;
+        }
+        let t = self.slot(text);
+        let leaf = t.flags & (TEXT | SPILLED) == TEXT && t.next_sibling == NIL;
+        if !leaf || t.role != (role, 1) || t.pins != 0 || t.word > ATTR_COUNT {
+            return;
+        }
+        let (at, len) = (t.payload_at, t.word);
+        let e = self.slot_mut(idx);
+        debug_assert_eq!(e.held, 1, "the text holds by its role");
+        e.first_child = NIL;
+        e.held = 0;
+        e.payload_at = at;
+        e.flags |= FOLDED | len;
+        self.vacate(text);
+        let s = &mut self.stats;
+        s.live -= 1;
+        s.purged += 1;
+        s.folded += 1;
+        s.live_bytes -= SLOT_BYTES;
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            // The slot is purged, and the text's instance signed off with it.
+            let born = t.birth.get(text as usize).copied().unwrap_or(t.clock);
+            t.residency_tokens.observe(t.clock.saturating_sub(born));
+            t.purged_node_bytes.observe(SLOT_BYTES);
+            let cell = t.role_cell(role);
+            cell.signoffs += 1;
+            cell.live = cell.live.saturating_sub(1);
         }
     }
 
@@ -1607,14 +1722,14 @@ impl BufferTree {
     /// XPath string value: concatenated text content of the subtree.
     pub fn string_value(&self, id: NodeId, out: &mut String) {
         let top = self.node(id);
-        if let Some(text) = self.text_of(top) {
+        if let Some(text) = self.chars_of(top) {
             out.push_str(text);
             return;
         }
         let mut cur = top.first_child;
         while cur != NIL {
             let s = self.slot(cur);
-            cur = match self.text_of(s) {
+            cur = match self.chars_of(s) {
                 Some(text) => {
                     out.push_str(text);
                     NIL
@@ -1660,6 +1775,9 @@ impl BufferTree {
         w.start_element(symbols.resolve(Symbol(s.word)))?;
         for (an, av) in self.attrs_of(s).iter() {
             w.attribute(symbols.resolve(an), av)?;
+        }
+        if let Some(text) = self.chars_of(s) {
+            w.text(text)?; // a folded element's (it has no children)
         }
         Ok(true)
     }
@@ -1715,16 +1833,22 @@ impl BufferTree {
     // ---- integrity (used by tests and debug assertions) -----------------------
 
     /// Check every node's links and recount its hold count from its
-    /// children, and check the chunks' bookkeeping against their slots.
+    /// children, recount the live bytes from the nodes' charges (a folded
+    /// element's flag and length included), and check the chunks'
+    /// bookkeeping against their slots.
     /// Panics on mismatch. O(n), iterative; tests only.
     pub fn check_integrity(&self) {
         let mut linked = 1; // the root
+        let mut charged = 0;
         for (c, chunk) in self.chunks.iter().enumerate() {
             for (at, n) in chunk.slots.iter().enumerate() {
                 if n.gen == FREE {
                     continue;
                 }
                 let idx = (c as u32) << CHUNK_BITS | at as u32;
+                if idx != NodeId::ROOT.idx {
+                    charged += node_bytes(self.payload_len(n));
+                }
                 let (mut child, mut prev, mut held) = (n.first_child, NIL, 0);
                 while child != NIL {
                     let s = self.slot(child);
@@ -1759,6 +1883,14 @@ impl BufferTree {
                 } else {
                     assert!(n.role.1 != 0 || n.role_list(&self.overflow).is_empty());
                 }
+                if n.flags & FOLDED != 0 {
+                    // A closed element without children or attributes whose
+                    // payload is the text it took in, where folds run.
+                    assert_ne!(self.fold, 0, "{idx}: folded without a fold role");
+                    assert_eq!(n.flags & (TEXT | CLOSED), CLOSED, "{idx}: folded");
+                    assert_eq!(n.first_child, NIL, "{idx}: folded, with children");
+                    assert!(self.attrs_of(n).is_empty() && self.chars_of(n).is_some());
+                }
                 // A node that stops holding is purged with it, so where
                 // purging runs only a text node born without a role stays
                 // behind not holding — under a parent that holds.
@@ -1771,6 +1903,10 @@ impl BufferTree {
             }
         }
         assert_eq!(linked, self.stats.live + 1, "live nodes off the tree");
+        assert_eq!(
+            charged, self.stats.live_bytes,
+            "live bytes vs the nodes' charges"
+        );
         let mut in_use = 0;
         let mut released = 0;
         for (c, chunk) in self.chunks.iter().enumerate() {
@@ -2355,5 +2491,73 @@ mod tests {
         assert_eq!(b.stats().peak_live, 2);
         assert_eq!(b.stats().allocated, 11);
         assert_eq!(b.stats().purged, 10);
+    }
+
+    #[test]
+    fn a_fold_gives_the_text_slot_back_and_changes_no_byte_read() {
+        // An element of `CHUNK_SLOTS` leaves `<b>…</b>`, each element and
+        // its one text carrying one instance of a fold role: folded, a
+        // leaf is one slot, so the texts' chunk is never opened, and the
+        // serialization and string values are those of the unfolded tree.
+        let mut symbols = SymbolTable::new();
+        let [r, leaf] = ["r", "b"].map(|n| symbols.intern(n));
+        let (keep, copy) = (RoleId(0), RoleId(1));
+        let n = BufferTree::CHUNK_SLOTS as u64;
+        let build = |fold: bool| {
+            let mut b = BufferTree::new(true);
+            if fold {
+                b.fold_copies(1 << copy.0);
+            }
+            let top = b.append_element(NodeId::ROOT, r, &[(keep, 1)], Ordinals::FIRST);
+            let leaves: Vec<NodeId> = (0..n)
+                .map(|i| {
+                    let l = b.append_element(top, leaf, &[(copy, 1)], Ordinals::FIRST);
+                    b.append_text(l, &format!("t{i} & <{i}>"), &[(copy, 1)], Ordinals::FIRST);
+                    b.close(l);
+                    l
+                })
+                .collect();
+            b.close(top);
+            b.check_integrity();
+            (b, top, leaves)
+        };
+        let (plain, top, plain_leaves) = build(false);
+        let (mut folded, _, leaves) = build(true);
+        let (p, f) = (plain.stats(), folded.stats());
+        assert_eq!((p.folded, f.folded, f.purged), (0, n, n));
+        assert_eq!(f.live, p.live - n);
+        assert_eq!(f.live_bytes, p.live_bytes - n * SLOT_BYTES);
+        // At most one text at a time is a node: the last, before its close.
+        assert_eq!(f.peak_live_bytes, p.peak_live_bytes - (n - 1) * SLOT_BYTES);
+        // The root, `r` and 2 × 256 nodes take three chunks; folded, the
+        // root, `r` and 256 leaves two.
+        assert_eq!(plain.slot_bytes(), 3 * BufferTree::CHUNK_BYTES);
+        assert_eq!(folded.slot_bytes(), 2 * BufferTree::CHUNK_BYTES);
+        let written = |b: &BufferTree| {
+            let mut w = XmlWriter::new(Vec::new());
+            b.serialize(top, &symbols, &mut w).unwrap();
+            w.finish().unwrap()
+        };
+        assert_eq!(written(&folded), written(&plain));
+        for (&l, &pl) in leaves.iter().zip(&plain_leaves) {
+            assert_eq!(folded.first_child(l), None, "folded");
+            assert!(folded.attrs(l).is_empty() && folded.text_content(l).is_none());
+            let (mut got, mut want) = (String::new(), String::new());
+            folded.string_value(l, &mut got);
+            plain.string_value(pl, &mut want);
+            assert_eq!(got, want);
+        }
+        let (mut got, mut want) = (String::new(), String::new());
+        folded.string_value(top, &mut got);
+        plain.string_value(top, &mut want);
+        assert_eq!(got, want);
+        // Signed off, a folded leaf is purged with its text's block.
+        for &l in &leaves {
+            assert_eq!(folded.decrement_role(l, copy, 1), 1);
+        }
+        folded.decrement_role(top, keep, 1);
+        let f = folded.stats();
+        assert_eq!((f.live, f.live_bytes, f.allocated), (0, 0, f.purged));
+        folded.check_integrity();
     }
 }

@@ -2,15 +2,22 @@
 //! against the real [`BufferTree`] and a naive vector-of-structs tree, and
 //! after every operation everything observable must agree — navigation,
 //! names, attributes, text, ordinals (kept or not), roles, the last child
-//! the first child's back-link names, `is_live` of every id ever issued
-//! and all six [`BufferStats`] fields — and `check_integrity` recounts
-//! every hold count and checks every back-link and every spilled role
-//! multiset's packed count. Each sequence grows the buffer past four
-//! live chunks and drains it, twice, so chunk release and reopening, the
-//! spare, slot reuse across generations, spilled role lists and the
-//! payload store's free lists are all exercised. Three [`Shape`]s cover
-//! every state in which a live node does not hold. (Under Miri the
-//! comparison runs every 97th operation.)
+//! the first child's back-link names, `is_live` of every id ever issued,
+//! all seven [`BufferStats`] fields, and the string value and
+//! serialization of every folded element (of the whole tree every 64th
+//! operation) — and `check_integrity` recounts every hold count and the
+//! live bytes and checks every back-link and every spilled role
+//! multiset's packed count. Where the buffer keeps no ordinals, the role
+//! sequences fold: one role is a fold role ([`BufferTree::fold_copies`]),
+//! and now and then an element is appended with one text child that
+//! carries it too (or a second role, a second instance, a pin or a
+//! sibling, which keep it a node), so that the model folds at the
+//! element's close what the buffer must. Each sequence grows the buffer
+//! past four live chunks and drains it, twice, so chunk release and
+//! reopening, the spare, slot reuse across generations, spilled role
+//! lists and the payload store's free lists are all exercised. Three
+//! [`Shape`]s cover every state in which a live node does not hold.
+//! (Under Miri the comparison runs every 97th operation.)
 
 use super::*;
 
@@ -36,6 +43,19 @@ impl Rng {
 
 const NONE: usize = usize::MAX;
 
+/// The fold role, where a sequence folds.
+const FOLD: RoleId = RoleId(2);
+
+/// Names enough for every symbol a sequence uses (elements 0..6,
+/// attributes 10..14), `n0` for `Symbol(0)` and so on.
+fn symbols() -> SymbolTable {
+    let mut t = SymbolTable::new();
+    for i in 0..14 {
+        assert_eq!(t.intern(&format!("n{i}")), Symbol(i));
+    }
+    t
+}
+
 /// What a sequence buffers, and whether it purges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Shape {
@@ -60,19 +80,22 @@ struct Node {
     children: Vec<usize>,
     /// None for a text node.
     name: Option<Symbol>,
+    /// A text node's, or the one a folded element took in.
     text: String,
     attrs: Vec<(Symbol, String)>,
     ordinals: Ordinals,
     roles: Vec<(RoleId, u32)>,
     pins: u32,
     closed: bool,
+    /// An element that took its text child in.
+    folded: bool,
     live: bool,
 }
 
 impl Node {
     /// The accounted charge: a 48-byte slot, 12 bytes of ordinals where
     /// they are kept, plus an 8-byte record and the value per attribute,
-    /// or the text.
+    /// or the text (a folded element's too).
     fn bytes(&self, ordinals: bool) -> u64 {
         let attrs: usize = self.attrs.iter().map(|(_, v)| 8 + v.len()).sum();
         let ordinals = if ordinals { 12 } else { 0 };
@@ -87,6 +110,8 @@ struct Model {
     purge: bool,
     /// The buffer keeps ordinals.
     ordinals: bool,
+    /// The sequence folds (see the module docs).
+    fold: bool,
 }
 
 impl Model {
@@ -134,6 +159,67 @@ impl Model {
         }
     }
 
+    /// Closed element `i` takes in its text child if that is its only
+    /// child, unpinned, and the two carry one instance of [`FOLD`] each and
+    /// nothing else, and `i` has no attributes.
+    fn try_fold(&mut self, i: usize) {
+        let n = &self.nodes[i];
+        let one = [(FOLD, 1)];
+        let &[c] = &n.children[..] else {
+            return;
+        };
+        let t = &self.nodes[c];
+        if !self.fold || n.roles != one || !n.attrs.is_empty() {
+            return;
+        }
+        if t.name.is_some() || t.roles != one || t.pins != 0 {
+            return;
+        }
+        let text = std::mem::take(&mut self.nodes[c].text);
+        self.nodes[c].live = false;
+        let n = &mut self.nodes[i];
+        n.children.clear();
+        n.text = text;
+        n.folded = true;
+        let s = &mut self.stats;
+        s.live -= 1;
+        s.purged += 1;
+        s.folded += 1;
+        s.live_bytes -= 48;
+    }
+
+    /// The string value of `i`: its text and its descendants'.
+    fn string_value(&self, i: usize, out: &mut String) {
+        out.push_str(&self.nodes[i].text);
+        for &c in &self.nodes[i].children {
+            self.string_value(c, out);
+        }
+    }
+
+    /// `i` serialized as the buffer must: an open element's start tag and
+    /// what has arrived under it, left open; the root's children only.
+    fn serialize(&self, i: usize, symbols: &SymbolTable, w: &mut XmlWriter<Vec<u8>>) {
+        let n = &self.nodes[i];
+        if i != 0 {
+            let Some(name) = n.name else {
+                return w.text(&n.text).unwrap();
+            };
+            w.start_element(symbols.resolve(name)).unwrap();
+            for (a, v) in &n.attrs {
+                w.attribute(symbols.resolve(*a), v).unwrap();
+            }
+            if n.folded {
+                w.text(&n.text).unwrap();
+            }
+        }
+        for &c in &n.children {
+            self.serialize(c, symbols, w);
+        }
+        if i != 0 && n.closed {
+            w.end_element().unwrap();
+        }
+    }
+
     fn free(&mut self, i: usize) {
         for c in std::mem::take(&mut self.nodes[i].children) {
             self.free(c);
@@ -145,7 +231,7 @@ impl Model {
     }
 }
 
-fn stats_of(s: BufferStats) -> [u64; 6] {
+fn stats_of(s: BufferStats) -> [u64; 7] {
     [
         s.live,
         s.peak_live,
@@ -153,13 +239,32 @@ fn stats_of(s: BufferStats) -> [u64; 6] {
         s.purged,
         s.live_bytes,
         s.peak_live_bytes,
+        s.folded,
     ]
 }
 
-/// Everything observable of `buf` against `m`.
-fn check(buf: &BufferTree, m: &Model) {
+/// The string value and serialization of `i` in `buf` and in `m`.
+fn check_content(buf: &BufferTree, m: &Model, symbols: &SymbolTable, i: usize) {
+    let id = m.nodes[i].id;
+    let (mut got, mut want) = (String::new(), String::new());
+    buf.string_value(id, &mut got);
+    m.string_value(i, &mut want);
+    assert_eq!(got, want, "string value of {id:?}");
+    let (mut got, mut want) = (XmlWriter::new(Vec::new()), XmlWriter::new(Vec::new()));
+    buf.serialize(id, symbols, &mut got).unwrap();
+    m.serialize(i, symbols, &mut want);
+    assert!(got.get_ref() == want.get_ref(), "serialization of {id:?}");
+    assert_eq!(got.depth(), want.depth(), "elements left open in {id:?}");
+}
+
+/// Everything observable of `buf` against `m`: the content of each folded
+/// element, and with `whole` of the whole tree.
+fn check(buf: &BufferTree, m: &Model, symbols: &SymbolTable, whole: bool) {
     assert_eq!(stats_of(buf.stats()), stats_of(m.stats), "stats");
-    for n in &m.nodes {
+    if whole {
+        check_content(buf, m, symbols, 0);
+    }
+    for (i, n) in m.nodes.iter().enumerate() {
         assert_eq!(buf.is_live(n.id), n.live, "is_live {:?}", n.id);
         if !n.live {
             continue;
@@ -201,6 +306,9 @@ fn check(buf: &BufferTree, m: &Model) {
             assert_eq!(buf.role_count(id, RoleId(r)), want);
         }
         assert_eq!(buf.is_closed(id), n.closed);
+        if n.folded {
+            check_content(buf, m, symbols, i);
+        }
     }
     buf.check_integrity();
 }
@@ -265,6 +373,14 @@ impl World {
         let parent = *self.open.last().unwrap();
         let roles = self.roles();
         let text = self.m.nodes[parent].name.is_some() && self.rng.chance(35);
+        self.append_node(roles, text, false);
+    }
+
+    /// Append a text node or an element with `roles` under the innermost
+    /// open element; a `bare` element gets no attributes. Returns its
+    /// model index.
+    fn append_node(&mut self, roles: Vec<(RoleId, u32)>, text: bool, bare: bool) -> usize {
+        let parent = *self.open.last().unwrap();
         let ordinals = Ordinals {
             same_kind: self.rng.below(9) as u32 + 1,
             elem: self.rng.below(9) as u32 + 1,
@@ -281,6 +397,7 @@ impl World {
             roles: roles.clone(),
             pins: 0,
             closed: text,
+            folded: false,
             live: true,
         };
         let at = self.m.nodes[parent].id;
@@ -289,7 +406,7 @@ impl World {
             node.id = self.buf.append_text(at, &node.text, &roles, ordinals);
         } else {
             let name = Symbol(self.rng.below(6) as u32);
-            for _ in 0..self.rng.below(5) {
+            for _ in 0..if bare { 0 } else { self.rng.below(5) } {
                 let (attr, value) = (Symbol(10 + self.rng.below(4) as u32), self.value());
                 self.attrs.push(attr, &value);
                 node.attrs.push((attr, value));
@@ -311,6 +428,37 @@ impl World {
         if !text {
             self.open.push(i);
         }
+        i
+    }
+
+    /// An attribute-less element carrying one instance of [`FOLD`], with
+    /// a text child carrying the same — now and then a second instance or
+    /// a second role, a pin or a text sibling, which keep it a node —
+    /// closed at once as a rule.
+    fn leaf(&mut self) {
+        self.append_node(vec![(FOLD, 1)], false, true);
+        let roles = match self.rng.below(10) {
+            0 => vec![(FOLD, 2)],
+            1 => vec![(RoleId(0), 1), (FOLD, 1)],
+            _ => vec![(FOLD, 1)],
+        };
+        let text = self.append_node(roles, true, false);
+        match self.rng.below(10) {
+            0 => self.pin(text),
+            1 => {
+                self.append_node(vec![(FOLD, 1)], true, false);
+            }
+            _ => {}
+        }
+        if self.rng.chance(80) {
+            self.close();
+        }
+    }
+
+    fn pin(&mut self, i: usize) {
+        self.buf.pin(self.m.nodes[i].id);
+        self.m.nodes[i].pins += 1;
+        self.pinned.push(i);
     }
 
     fn close(&mut self) {
@@ -318,6 +466,7 @@ impl World {
             let i = self.open.pop().unwrap();
             self.buf.close(self.m.nodes[i].id);
             self.m.nodes[i].closed = true;
+            self.m.try_fold(i);
             self.m.try_purge(i);
         }
     }
@@ -341,6 +490,9 @@ impl World {
 
     /// One random operation; `growing` favours appends, else sign-offs.
     fn step(&mut self, growing: bool) {
+        if self.m.fold && self.rng.chance(8) {
+            return self.leaf();
+        }
         let pick = self.rng.below(100);
         let (append, close) = if growing { (80, 15) } else { (10, 25) };
         if pick < append {
@@ -359,9 +511,7 @@ impl World {
             }
         } else if pick < 97 {
             if let Some(i) = self.some_live() {
-                self.buf.pin(self.m.nodes[i].id);
-                self.m.nodes[i].pins += 1;
-                self.pinned.push(i);
+                self.pin(i);
             }
         } else if !self.pinned.is_empty() {
             let at = self.rng.below(self.pinned.len() as u64) as usize;
@@ -398,6 +548,7 @@ fn resident(buf: &BufferTree) -> usize {
 
 fn run(seed: u64, phase_ops: usize, shape: Shape, ordinals: bool) {
     let purge = shape != Shape::NoPurge;
+    let fold = shape == Shape::Roles && !ordinals;
     let root = Node {
         id: NodeId::ROOT,
         parent: NONE,
@@ -409,6 +560,7 @@ fn run(seed: u64, phase_ops: usize, shape: Shape, ordinals: bool) {
         roles: Vec::new(),
         pins: 0,
         closed: false,
+        folded: false,
         live: true,
     };
     let mut w = World {
@@ -420,6 +572,7 @@ fn run(seed: u64, phase_ops: usize, shape: Shape, ordinals: bool) {
             stats: BufferStats::default(),
             purge,
             ordinals,
+            fold,
         },
         open: vec![0],
         pinned: Vec::new(),
@@ -427,6 +580,10 @@ fn run(seed: u64, phase_ops: usize, shape: Shape, ordinals: bool) {
         gens: std::collections::HashMap::new(),
         reused: false,
     };
+    if fold {
+        w.buf.fold_copies(1 << FOLD.0);
+    }
+    let symbols = symbols();
     let (mut most, mut reopened) = (0, false);
     for round in 0..2 {
         for op in 0..phase_ops + phase_ops / 2 {
@@ -436,11 +593,11 @@ fn run(seed: u64, phase_ops: usize, shape: Shape, ordinals: bool) {
             reopened |= now > before && w.buf.chunks.len() == table;
             most = most.max(now);
             if !cfg!(miri) || op % 97 == 0 {
-                check(&w.buf, &w.m);
+                check(&w.buf, &w.m, &symbols, op % 64 == 0);
             }
         }
         w.drain();
-        check(&w.buf, &w.m);
+        check(&w.buf, &w.m, &symbols, true);
         let stats = w.buf.stats();
         if !purge {
             assert_eq!(stats.purged, 0, "seed {seed}, round {round}: purged");
@@ -462,6 +619,8 @@ fn run(seed: u64, phase_ops: usize, shape: Shape, ordinals: bool) {
         assert!(reopened, "seed {seed}: no released chunk was reopened");
         assert!(w.reused, "seed {seed}: no slot was reused");
     }
+    let folded = w.buf.stats().folded;
+    assert!(!fold || folded >= 100, "seed {seed}: {folded} folds");
 }
 
 #[test]

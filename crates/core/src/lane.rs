@@ -230,6 +230,15 @@ enum Health {
 /// [`Lane::write_through`] without deciding anything (a copy pass), and
 /// open the elements it leaves open with [`Lane::open_copied`].
 ///
+/// A copy that must wait — reached after its element's end tag, or one
+/// that runs again — has a storage twin of this in the buffer: a leaf it
+/// alone reads is kept in one slot, not two. At [`Lane::start`] the lane
+/// hands the buffer its program's copy roles (an output path's
+/// `descendant-or-self::node()` retention) where signOffs run and no
+/// positional step reads ordinals, and an element that closes with one
+/// text child, the two carrying one instance of such a role and nothing
+/// else, takes the text in ([`BufferTree::fold_copies`]).
+///
 /// The chain is O(document depth), like the tokenizer's open-tag stack,
 /// and lives outside the buffer's *reporting*: it shows in a run's heap
 /// high-water, not in `peak_live_bytes`. It is inside the byte *budget*:
@@ -304,6 +313,12 @@ impl Lane {
         }
         if let Some(plan) = schema {
             buf.set_schema(Arc::clone(&plan.ord), false);
+        }
+        // A leaf only a copy reads folds its text in where signOffs run,
+        // unless a positional step reads its ordinals.
+        if mode.executes_signoffs() && !q.program.positional() {
+            let copies = q.analysis.roles.iter().filter(|r| r.retains_copy());
+            buf.fold_copies(copies.fold(0, |bits, r| bits | 1u64.checked_shl(r.id.0).unwrap_or(0)));
         }
         // The once-at-startup symbol handshake: cloning the pre-interned
         // table — the program's, or the plan's with the DTD's names on

@@ -64,6 +64,15 @@ pub struct RoleInfo {
 }
 
 impl RoleInfo {
+    /// Whether the role keeps a copy's subtree: an output path's
+    /// `descendant-or-self::node()` retention. Only a copy reads what
+    /// carries it, and only by serializing; a value use's subtree role
+    /// (a comparison operand, an aggregate) is read as a string value.
+    pub fn retains_copy(&self) -> bool {
+        self.origin == RoleOrigin::Output
+            && self.abs.last() == Some(&Step::descendant_or_self_node())
+    }
+
     /// Format the absolute path the way the paper prints roles
     /// (e.g. `/bib/*/price[1]`, `/bib/*/descendant-or-self::node()`).
     pub fn path_display(&self) -> String {

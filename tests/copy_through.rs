@@ -8,7 +8,10 @@
 //! For the benchmark's two copy queries, the identity copy, copies that
 //! must still buffer (`($a, $a)`, `($a, $a/bidder[1])`), `//item` over
 //! nested items (the copy pass stops at the inner one), copies reached only
-//! after their end tag or in the middle of the element, over an XMark
+//! after their end tag or in the middle of the element, XMark Q8 and leaf
+//! copies that wait for a later sibling — whose text the element takes in
+//! at its end tag, or, beside an attribute, mixed content, a second role
+//! on the text or a positional step, keeps as a node — over an XMark
 //! document and documents with entities, CDATA, comments and PIs inside
 //! the copied subtree, with and without `--indent`:
 //!
@@ -30,7 +33,7 @@ use gcx::{CompiledQuery, EngineOptions, RunReport};
 const COPY_AUCTIONS: &str = "<all>{ for $a in /site/open_auctions/open_auction return $a }</all>";
 const COPY_ITEMS: &str = "<all>{ for $i in /site/regions//item return $i }</all>";
 
-const QUERIES: [(&str, &str); 9] = [
+const QUERIES: [(&str, &str); 13] = [
     ("COPY_AUCTIONS", COPY_AUCTIONS),
     ("COPY_ITEMS", COPY_ITEMS),
     ("identity", "for $s in /site return $s"),
@@ -58,7 +61,27 @@ const QUERIES: [(&str, &str); 9] = [
         "for $a in /site/open_auctions/open_auction return \
          <a id='{$a/@id}'>{ $a/initial/text(), $a/bidder }</a>",
     ),
+    ("Q8", gcx::xmark::queries::Q8),
+    (
+        "a leaf copied after its end tag",
+        "for $p in /r/p return <x>{ $p/c }{ $p/b }</x>",
+    ),
+    (
+        "a leaf and its text",
+        "for $p in /r/p return <x>{ $p/c }{ ($p/b, $p/b/text()) }</x>",
+    ),
+    (
+        "a leaf beside a positional step",
+        "for $p in /r/p return <x>{ $p/c[1] }{ $p/b }</x>",
+    ),
 ];
+
+/// Leaves the `/r/p` rows copy after a later sibling: text with escapes,
+/// which folds into its `b`; then an attribute, mixed content, and text
+/// around a CDATA section and a comment.
+const LEAVES: &str = "<r><p><b>x &amp; y &lt; z &gt; w</b><c>1</c></p>\
+                      <p><b k='v'>t</b><c>2</c></p><p><b>t<i/>u</b><c>3</c></p>\
+                      <p><b>a<![CDATA[<raw> & ]]>b<!-- c -->d</b><c>4</c><c>5</c></p></r>";
 
 /// Documents written for the copy: markup the buffer drops or rewrites
 /// inside a copied subtree, items nested in items, an auction whose copy
@@ -78,6 +101,7 @@ fn documents() -> Vec<String> {
     ]
     .map(String::from)
     .to_vec();
+    docs.push(LEAVES.to_string());
     docs.push(xmark(48, 4242));
     docs
 }
@@ -446,6 +470,56 @@ fn a_copy_under_a_schema_the_document_breaks_still_nests() {
                 String::from_utf8_lossy(&want),
                 "{text}, chunks of {chunk}"
             );
+        }
+    }
+}
+
+#[test]
+fn a_copied_leaf_takes_its_text_in_and_nothing_else_does() {
+    // An element that closes with one text child, the two carrying one
+    // instance of a copy's role and nothing else, keeps the text in its
+    // own slot; each case beside it keeps the text a node. The outputs
+    // are held by the tests above, on every chunking and as batch lanes.
+    let people = "<site><people><person id='p0'><name>Ann</name></person>\
+                  <person id='p1'><name>Bob</name></person></people><z>Z</z></site>";
+    let xmark = xmark(48, 4242);
+    let persons = xmark.matches("<person ").count() as u64;
+    let row = |name: &str| {
+        QUERIES
+            .iter()
+            .chain(&REREAD)
+            .find(|q| q.0 == name)
+            .unwrap()
+            .1
+    };
+    for (name, doc, folded) in [
+        // The escaped text; the attribute, the mixed content and the text
+        // split by a CDATA section and a comment stay.
+        ("a leaf copied after its end tag", LEAVES, 1),
+        ("a leaf and its text", LEAVES, 0),
+        ("a leaf beside a positional step", LEAVES, 0),
+        // `z`, copied again for each person.
+        ("a root path in a loop", people, 1),
+        // Every person's name but the first, which is written through.
+        ("Q8", &xmark, persons - 1),
+    ] {
+        let q = CompiledQuery::compile(row(name)).unwrap();
+        for chunk in [1, doc.len()] {
+            let (out, report) = fed(&q, &EngineOptions::gcx(), doc.as_bytes(), chunk);
+            assert_eq!(report.buffer.folded, folded, "{name}, chunks of {chunk}");
+            assert_eq!(report.buffer.purged, report.buffer.allocated, "{name}");
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                gcx::dom::run_query(row(name), doc).unwrap(),
+                "{name}"
+            );
+        }
+        for opts in [
+            EngineOptions::projection_only(),
+            EngineOptions::full_buffering(),
+        ] {
+            let (_, report) = fed(&q, &opts, doc.as_bytes(), doc.len());
+            assert_eq!(report.buffer.folded, 0, "{name}: {:?}", opts.mode);
         }
     }
 }

@@ -48,6 +48,14 @@
 //! positional step, which now keeps ordinals in the payload; the relation
 //! is asserted against [`BEFORE_SLOT48`], with each query's saving derived
 //! from its compiled program.
+//!
+//! The fold re-pin moved `gcx` rows alone, and only their peaks, down: an
+//! element that closes with one text child, the two carrying one instance
+//! of a copy's role and nothing else, takes the text in, and the text's
+//! 48-byte slot goes back. Appends, purges (a folded text counts as one),
+//! tokens and outputs do not move; a peak falls by one node and 48 bytes
+//! per text folded at it. The relation is asserted against
+//! [`BEFORE_FOLD`], and the folds per query are pinned ([`FOLDED`]).
 
 mod common;
 
@@ -73,8 +81,9 @@ fn modes() -> [(&'static str, EngineOptions); 3] {
 /// Byte peaks re-pinned with compact buffer storage, again with hold
 /// counts and again with 48-byte slots; see [`BEFORE_COMPACT`],
 /// [`BEFORE_HOLD_COUNTS`] and [`BEFORE_SLOT48`]. The `gcx` rows re-pinned
-/// with copy-through; see [`BEFORE_COPY_THROUGH`], and Q6_COUNT's `gcx`
-/// row with released aggregates; see [`BEFORE_RELEASE`].
+/// with copy-through; see [`BEFORE_COPY_THROUGH`], Q6_COUNT's `gcx` row
+/// with released aggregates; see [`BEFORE_RELEASE`], and the `gcx` rows
+/// of Q8, Q14 and Q19 with folded leaves; see [`BEFORE_FOLD`].
 #[rustfmt::skip]
 const PINNED: [[[u64; 6]; 3]; 11] = [
     // Q1
@@ -82,7 +91,7 @@ const PINNED: [[[u64; 6]; 3]; 11] = [
     // Q6
     [[9900, 5, 268, 186, 186, 3526], [9900, 275, 15633, 275, 0, 3526], [9900, 6067, 341417, 6067, 0, 3526]],
     // Q8
-    [[9900, 437, 25024, 437, 437, 5111], [9900, 438, 25084, 438, 0, 5111], [9900, 6067, 341417, 6067, 0, 5111]],
+    [[9900, 333, 20032, 437, 437, 5111], [9900, 438, 25084, 438, 0, 5111], [9900, 6067, 341417, 6067, 0, 5111]],
     // Q13
     [[9900, 8, 559, 78, 78, 2624], [9900, 93, 6291, 93, 0, 2624], [9900, 6067, 341417, 6067, 0, 2624]],
     // Q20
@@ -92,14 +101,106 @@ const PINNED: [[[u64; 6]; 3]; 11] = [
     // Q3
     [[9900, 9, 574, 301, 301, 1289], [9900, 301, 19648, 301, 0, 1289], [9900, 6067, 414221, 6067, 0, 1289]],
     // Q14
-    [[9900, 9, 648, 542, 542, 702], [9900, 542, 38030, 542, 0, 702], [9900, 6067, 341417, 6067, 0, 702]],
+    [[9900, 8, 600, 542, 542, 702], [9900, 542, 38030, 542, 0, 702], [9900, 6067, 341417, 6067, 0, 702]],
     // Q17
     [[9900, 5, 331, 317, 317, 4361], [9900, 317, 21889, 317, 0, 4361], [9900, 6067, 414221, 6067, 0, 4361]],
     // Q19
-    [[9900, 7, 358, 63, 63, 999], [9900, 78, 4231, 78, 0, 999], [9900, 6067, 341417, 6067, 0, 999]],
+    [[9900, 6, 310, 63, 63, 999], [9900, 78, 4231, 78, 0, 999], [9900, 6067, 341417, 6067, 0, 999]],
     // Q6_COUNT
     [[9900, 5, 268, 97, 97, 17], [9900, 97, 5892, 97, 0, 17], [9900, 6067, 341417, 6067, 0, 17]],
 ];
+
+/// The `gcx` rows of [`PINNED`] (first of each query) as they stood while
+/// every buffered text was a node of its own. An element that closes with
+/// one text child, the two carrying one instance of a copy's role
+/// (`…/descendant-or-self::node()` of an output path) and nothing else,
+/// now takes the text in, and the text's slot goes back:
+///
+/// | query | texts folded ([`FOLDED`]) | peak nodes / bytes |
+/// |---|---|---|
+/// | Q1 | 104, one `name` per person | 5 / 271 → 5 / 271 |
+/// | Q8 | 104, every person's `name` (the join holds them to the end) | 437 / 25024 → 333 / 20032 |
+/// | Q13 | 15 | 8 / 559 → 8 / 559 |
+/// | Q14 | 89, each item's `name`, held while `description` is tested | 9 / 648 → 8 / 600 |
+/// | Q19 | 15, each item's `location`, held until its `name` is copied | 7 / 358 → 6 / 310 |
+///
+/// Appends and purges do not move (a folded text counts as purged), nor do
+/// tokens, outputs, or any row of the two other modes, which never fold.
+#[rustfmt::skip]
+const BEFORE_FOLD: [[u64; 6]; 11] = [
+    [9900, 5, 271, 316, 316, 25],
+    [9900, 5, 268, 186, 186, 3526],
+    [9900, 437, 25024, 437, 437, 5111],
+    [9900, 8, 559, 78, 78, 2624],
+    [9900, 4, 226, 185, 185, 1068],
+    [9900, 6, 388, 171, 171, 1189],
+    [9900, 9, 574, 301, 301, 1289],
+    [9900, 9, 648, 542, 542, 702],
+    [9900, 5, 331, 317, 317, 4361],
+    [9900, 7, 358, 63, 63, 999],
+    [9900, 5, 268, 97, 97, 17],
+];
+
+/// Texts per query the `gcx` engine folds into their element (the middle
+/// column of the table above). Q17 has a positional step (its `exists`
+/// normalizes to `homepage[1]`), so nothing folds there.
+const FOLDED: [(&str, u64); 11] = [
+    ("Q1", 104),
+    ("Q6", 0),
+    ("Q8", 104),
+    ("Q13", 15),
+    ("Q20", 0),
+    ("Q2", 0),
+    ("Q3", 0),
+    ("Q14", 89),
+    ("Q17", 0),
+    ("Q19", 15),
+    ("Q6_COUNT", 0),
+];
+
+/// [`PINNED`] before the fold: its `gcx` rows from [`BEFORE_FOLD`]. The
+/// earlier re-pins are asserted against this.
+fn pinned_before_fold() -> [[[u64; 6]; 3]; 11] {
+    let mut before = PINNED;
+    for (rows, gcx) in before.iter_mut().zip(BEFORE_FOLD) {
+        rows[0] = gcx;
+    }
+    before
+}
+
+#[test]
+fn the_fold_re_pin_moves_gcx_peaks_down_by_a_slot_per_text_folded_at_the_peak() {
+    let doc = doc();
+    let mut moved = 0;
+    for ((((name, text), rows), before), (pinned, folded)) in queries::paper_queries()
+        .into_iter()
+        .zip(PINNED)
+        .zip(BEFORE_FOLD)
+        .zip(FOLDED)
+    {
+        assert_eq!(name, pinned);
+        let q = CompiledQuery::compile(text).unwrap();
+        for ((mode, opts), want) in modes().into_iter().zip([folded, 0, 0]) {
+            let r = gcx::run(&q, &opts, doc.as_bytes(), std::io::sink()).unwrap();
+            assert_eq!(r.buffer.folded, want, "{name}/{mode}: texts folded");
+        }
+        let now = rows[0];
+        let [tokens, peak, peak_bytes, allocated, purged, output] = before;
+        assert_eq!(
+            [tokens, allocated, purged, output],
+            [now[0], now[3], now[4], now[5]],
+            "{name}: tokens, appends, purges, output"
+        );
+        let at_peak = peak - now[1];
+        assert!(
+            at_peak <= folded,
+            "{name}: {at_peak} fewer nodes at the peak"
+        );
+        assert_eq!(peak_bytes - now[2], 48 * at_peak, "{name}: a slot per text");
+        moved += usize::from(at_peak > 0);
+    }
+    assert_eq!(moved, 3, "Q8, Q14 and Q19 hold a folded text at their peak");
+}
 
 /// [`PINNED`] as it stood while a buffered node was charged a 72-byte
 /// slot. The slot lost three ordinals (kept, where a program reads them,
@@ -436,7 +537,7 @@ fn the_slot48_re_pin_moves_each_byte_peak_down_by_at_most_the_slot_saving() {
         .collect();
     assert_eq!(positional, ["Q2", "Q3", "Q17"]);
     let saved = saved.try_into().expect("11 paper queries");
-    assert_byte_peaks_fell_by_at_most(saved, &BEFORE_SLOT48, &PINNED);
+    assert_byte_peaks_fell_by_at_most(saved, &BEFORE_SLOT48, &pinned_before_fold());
 }
 
 /// Every case runs with telemetry off and on: telemetry changes no output
@@ -512,6 +613,12 @@ fn paper_queries_measure_the_same_in_all_three_modes() {
 /// 144 → 96 at two; Q14: 773 → 557 and 837 → 621 at nine, 144 → 96 at
 /// two; projection-only Q6: 9608 → 6752 at 119 nodes, 19075 → 13411 at
 /// 236, 22233 → 15633 at 275).
+///
+/// And with [`BEFORE_FOLD`], Q14/gcx alone (Q6 writes its names through):
+/// the count stays the purge count, the sum loses what the 89 folded name
+/// texts waited between their element's end tag and its signOff (31585 →
+/// 29992), and the samples at tokens 1025 and 2049 lose the slot of the
+/// one folded text then live (557 → 509, 621 → 573).
 fn assert_telemetry(
     what: &str,
     text: &str,
@@ -547,8 +654,8 @@ fn telemetry_clock_is_pinned() {
         &[(1, 0), (1025, 254), (2049, 254), (3073, 96), (4097, 96), (5121, 96), (6145, 96), (7169, 96), (8193, 96), (9217, 96)],
     );
     assert_telemetry(
-        "Q14/gcx", queries::extra::Q14, EngineOptions::gcx(), (542, 31585),
-        &[(1, 0), (1025, 557), (2049, 621), (3073, 96), (4097, 96), (5121, 96), (6145, 96), (7169, 96), (8193, 96), (9217, 96)],
+        "Q14/gcx", queries::extra::Q14, EngineOptions::gcx(), (542, 29992),
+        &[(1, 0), (1025, 509), (2049, 573), (3073, 96), (4097, 96), (5121, 96), (6145, 96), (7169, 96), (8193, 96), (9217, 96)],
     );
     assert_telemetry(
         "Q6/projection_only", queries::Q6, EngineOptions::projection_only(), (0, 0),
