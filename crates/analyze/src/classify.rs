@@ -475,8 +475,14 @@ impl Classifier<'_> {
         role: Option<RoleId>,
         name: &str,
     ) -> Option<&mut Reader> {
-        let first = self.first(ctx);
         let plan = p.path(path);
+        // An attribute of a loop variable is read off its bound node, which
+        // is there: the read waits on no input, so it takes no later
+        // reader's place as the body's first.
+        let at_once = matches!(plan.root, PlanRoot::Var(_))
+            && plan.step_len == 0
+            && plan.attr != AttrPlan::None;
+        let first = !at_once && self.first(ctx);
         let span = p.path_display(path);
         if let Some((code, message, why, reason)) = floor(p, path, use_, ctx) {
             self.lint(code, &span, message, why);
@@ -1046,6 +1052,23 @@ mod tests {
         );
         assert_eq!(a.class, StreamClass::Document);
         assert_eq!(a.bindings[0].reason, "binds the document element");
+    }
+
+    #[test]
+    fn a_bound_attribute_read_first_waits_on_nothing() {
+        // The `@id` test reads `$r`'s own node: the item loop after it is
+        // still the first reader of the body, and streams its items within
+        // the one `regions` the DTD allows.
+        let xmark = Dtd::xmark();
+        let q = "for $r in /site/regions return (if ($r/@id = \"x\") then <x/> else (), \
+                   for $i in $r//item return $i/name)";
+        for dtd in [None, Some(&*xmark)] {
+            assert_eq!(analyzed_with(q, dtd).class, StreamClass::PerItem);
+        }
+        // An element step does wait: the same test on a child holds the
+        // region.
+        let q = q.replace("$r/@id", "$r/africa/@id");
+        assert_eq!(analyzed_with(&q, Some(&xmark)).class, StreamClass::Subtree);
     }
 
     #[test]

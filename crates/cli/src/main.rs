@@ -12,7 +12,7 @@
 //! gcx validate <input.xml>                  well-formedness check
 //! ```
 
-use gcx_core::batch::{BatchOptions, BatchSession};
+use gcx_core::batch::BatchSession;
 use gcx_core::{CompiledQuery, EngineOptions, RunReport};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
@@ -424,7 +424,7 @@ fn cmd_multi(args: &[String]) -> Result<(), String> {
     for (name, text) in &texts {
         queries.push(CompiledQuery::compile(text).map_err(|e| format!("{name} failed: {e}"))?);
     }
-    let mut opts = BatchOptions::default();
+    let mut opts = EngineOptions::gcx();
     if flags.contains(&"--indent") {
         opts.indent = Some("  ".to_string());
     }

@@ -35,7 +35,7 @@
 //! the document arrives ([`BatchSession::take_output`]).
 
 use crate::driver::Driver;
-use crate::engine::{CompiledQuery, EngineOptions, RunReport, READ_CHUNK};
+use crate::engine::{CompiledQuery, EngineMode, EngineOptions, RunReport, READ_CHUNK};
 use crate::error::EngineError;
 use crate::lane::Lane;
 use gcx_projection::{Automaton, CompiledPaths, TaggedMatcher, TaggedPaths};
@@ -43,44 +43,6 @@ use gcx_xml::SymbolTable;
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Configuration of a shared-stream batch run. Every lane runs the GCX
-/// configuration ([`EngineMode::Gcx`](crate::EngineMode::Gcx): signOffs
-/// executed, buffers purged).
-#[derive(Debug, Clone)]
-pub struct BatchOptions {
-    /// Pretty-print each query's output with this indent.
-    pub indent: Option<String>,
-    /// Per-query buffer byte budget (None = unlimited). A query that
-    /// crosses it fails with `BufferLimitExceeded`; the rest of the batch
-    /// is unaffected (a failed lane never stops its peers).
-    pub max_buffer_bytes: Option<u64>,
-    /// Record buffer-lifecycle and VM-frame telemetry in every lane;
-    /// each per-query [`RunReport`] then carries an `obs` section
-    /// (residency histograms, purge causes) and an occupancy timeline.
-    pub telemetry: bool,
-    /// A DTD the shared input is promised to be valid against. The merged
-    /// matcher gets per-query path pruning plus the descendant-
-    /// reachability filter on the single shared scan, and every lane's
-    /// buffer the sibling-order cutoffs — the three analyses a
-    /// stand-alone run with [`EngineOptions::schema`] applies.
-    pub schema: Option<Arc<gcx_schema::Dtd>>,
-}
-
-// Hand-written on purpose: `#[derive(Default)]` (an `#[inline]` default)
-// measured 3–5 % lower `batch_shared` throughput on a 2-vCPU x86-64 box,
-// a code-layout effect on the lock-step loop.
-#[allow(clippy::derivable_impls)]
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            indent: None,
-            max_buffer_bytes: None,
-            telemetry: false,
-            schema: None,
-        }
-    }
-}
 
 /// Outcome of one query of the batch.
 #[derive(Debug)]
@@ -132,7 +94,7 @@ impl BatchReport {
 /// input errors (which invalidate every query) fail the whole batch.
 pub fn run<R: Read>(
     queries: &[CompiledQuery],
-    opts: &BatchOptions,
+    opts: &EngineOptions,
     mut input: R,
 ) -> Result<BatchReport, EngineError> {
     let mut session = BatchSession::new(queries, opts);
@@ -148,9 +110,9 @@ pub fn run<R: Read>(
     session.finish()
 }
 
-/// Evaluate a batch with default options.
+/// Evaluate a batch under [`EngineOptions::gcx`].
 pub fn run_batch<R: Read>(queries: &[CompiledQuery], input: R) -> Result<BatchReport, EngineError> {
-    run(queries, &BatchOptions::default(), input)
+    run(queries, &EngineOptions::gcx(), input)
 }
 
 /// A push-driven evaluation of one batch over one document. Create with
@@ -167,10 +129,23 @@ impl BatchSession {
     /// paths against one fresh symbol table (pruned against
     /// `opts.schema` when present), merge them into one tagged automaton
     /// under the schema's reachability filter, and start one lane per
-    /// query. Push the document with [`BatchSession::feed`] as it
-    /// arrives, then [`BatchSession::finish`]. The batch's clock starts
-    /// once the merged automaton is built.
-    pub fn new(queries: &[CompiledQuery], opts: &BatchOptions) -> BatchSession {
+    /// query under `opts` — its indent, byte budget (each lane's own: a
+    /// lane over it fails alone), telemetry, and its share of the schema,
+    /// the sibling-order cutoffs. Push the document with
+    /// [`BatchSession::feed`] as it arrives, then
+    /// [`BatchSession::finish`]. The batch's clock starts once the merged
+    /// automaton is built.
+    ///
+    /// # Panics
+    ///
+    /// Unless `opts` is the GCX configuration ([`EngineMode::Gcx`]) with
+    /// no timeline stride of its own: every lane runs signOffs and
+    /// purges, and samples a timeline only with `telemetry`.
+    pub fn new(queries: &[CompiledQuery], opts: &EngineOptions) -> BatchSession {
+        assert!(
+            opts.mode == EngineMode::Gcx && opts.timeline_every.is_none(),
+            "a batch runs its lanes in the GCX configuration"
+        );
         let dtd = opts.schema.as_deref();
         let mut symbols = SymbolTable::new();
         let parts: Vec<CompiledPaths> = queries
@@ -186,19 +161,13 @@ impl BatchSession {
         let reach = dtd.map(|dtd| Arc::new(dtd.reach_filter(&mut symbols)));
         let automaton = Arc::new(Automaton::new(TaggedPaths::merge(parts.iter()), reach));
         let started = Instant::now();
-        let lane_opts = EngineOptions {
-            indent: opts.indent.clone(),
-            max_buffer_bytes: opts.max_buffer_bytes,
-            telemetry: opts.telemetry,
-            ..EngineOptions::gcx()
-        };
         let lanes = queries
             .iter()
             .map(|q| {
-                // The lane's share of the schema — the sibling-order
-                // cutoffs — comes prepared, from its query's plan.
+                // The lane's share of the schema comes prepared, from its
+                // query's plan.
                 let schema = opts.schema.as_ref().map(|dtd| q.schema_plan(dtd));
-                Lane::start(q, &lane_opts, schema.as_deref())
+                Lane::start(q, opts, schema.as_deref())
             })
             .collect();
         // Interning during the scan extends the table the paths were

@@ -841,7 +841,7 @@ mod reference;
 
 #[cfg(test)]
 mod tests {
-    use crate::batch::{run, run_batch, BatchOptions, BatchSession};
+    use crate::batch::{run, run_batch, BatchSession};
     use crate::{CompiledQuery, EngineError, EngineOptions};
 
     fn compile(texts: &[&str]) -> Vec<CompiledQuery> {
@@ -902,9 +902,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "GCX configuration")]
+    fn a_batch_runs_no_other_mode() {
+        let queries = compile(&["count(//book)"]);
+        BatchSession::new(&queries, &EngineOptions::full_buffering());
+    }
+
+    #[test]
     fn a_batch_fed_again_after_malformed_input_stays_failed() {
         let queries = compile(&["for $b in /bib/book return $b", "count(//book)"]);
-        let mut session = BatchSession::new(&queries, &BatchOptions::default());
+        let mut session = BatchSession::new(&queries, &EngineOptions::gcx());
         let err = session
             .feed(b"<bib><book>x</bib>")
             .expect_err("mismatched tag");
@@ -928,10 +935,7 @@ mod tests {
         let opens: String = (0..200).map(|k| format!("<a{k}>")).collect();
         let closes: String = (0..200).rev().map(|k| format!("</a{k}>")).collect();
         let doc = format!("<r>{opens}<item/>{closes}</r>");
-        let opts = BatchOptions {
-            max_buffer_bytes: Some(4096),
-            ..BatchOptions::default()
-        };
+        let opts = EngineOptions::gcx().with_max_buffer_bytes(4096);
         let report = run(&queries, &opts, doc.as_bytes()).unwrap();
         let lane = report.queries[0].report.as_ref();
         assert!(lane.is_err_and(EngineError::is_buffer_limit), "{lane:?}");
@@ -944,9 +948,9 @@ mod tests {
             "for $b in /bib/book return $b/title",
             "for $a in /bib/article return $a",
         ]);
-        let opts = BatchOptions {
+        let opts = EngineOptions {
             telemetry: true,
-            ..BatchOptions::default()
+            ..EngineOptions::gcx()
         };
         let mut session = BatchSession::new(&queries, &opts);
         for piece in DOC.as_bytes().chunks(16) {

@@ -165,7 +165,7 @@ impl EvalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchOptions, BatchSession};
+    use crate::batch::BatchSession;
     use crate::engine::run;
     use gcx_xml::{Token, XmlErrorKind};
 
@@ -739,7 +739,7 @@ mod tests {
         // feed's end); and every token stepped.
         let batch = [q, CompiledQuery::compile("count(//item)").unwrap()];
         let drive = |chunk: usize, bulk: bool| {
-            let mut session = BatchSession::new(&batch, &BatchOptions::default());
+            let mut session = BatchSession::new(&batch, &EngineOptions::gcx());
             session.driver.pump.pre.bulk = bulk;
             for piece in doc.as_bytes().chunks(chunk) {
                 session.feed(piece).unwrap();

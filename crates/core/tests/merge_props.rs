@@ -10,7 +10,7 @@
 
 use gcx_core::batch::run_batch;
 use gcx_core::CompiledQuery;
-use gcx_projection::{Automaton, CompiledPaths, TaggedMatcher, TaggedOutcome, TaggedPaths};
+use gcx_projection::{Automaton, CompiledPaths, TaggedMatcher, TaggedPaths};
 use gcx_xml::SymbolTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,17 +84,10 @@ struct Solo {
 /// Recursive lockstep walk: feed the element tree to the merged matcher
 /// and to every standalone matcher, asserting per-query agreement at each
 /// step.
-fn walk(
-    node: &Node,
-    merged: &mut TaggedMatcher,
-    out: &mut TaggedOutcome,
-    solos: &mut [Solo],
-    sy: &mut SymbolTable,
-) {
+fn walk(node: &Node, merged: &mut TaggedMatcher, solos: &mut [Solo], sy: &mut SymbolTable) {
     let Node::Elem { name, children } = node else {
         // Text: roles restricted per tag must match each standalone text.
-        let mut tagged = Vec::new();
-        merged.text_into(&mut tagged);
+        let tagged = merged.text().to_vec();
         for (qi, solo) in solos.iter_mut().enumerate() {
             if solo.skip > 0 {
                 assert!(
@@ -130,9 +123,10 @@ fn walk(
     }
 
     // Merged decision.
-    merged.enter_element(name_sym, out);
-    let any_keep = out.any_keep;
-    let kept = out.kept.clone();
+    let (any_keep, kept, tagged) = match merged.enter(name_sym) {
+        Some((kept, tagged)) => (true, kept.to_vec(), tagged.to_vec()),
+        None => (false, Vec::new(), Vec::new()),
+    };
     let expected_any = solo_keep.iter().any(|&k| k);
     assert_eq!(
         any_keep, expected_any,
@@ -144,8 +138,9 @@ fn walk(
         }
         if any_keep {
             assert_eq!(kept[qi], solo_keep[qi], "q{qi}: keep diverges on <{name}>");
+            let mine = tagged.iter().filter(|&&(t, _, _)| t as usize == qi);
             assert_eq!(
-                out.roles_of(qi as u32).collect::<Vec<_>>(),
+                mine.map(|&(_, r, c)| (r, c)).collect::<Vec<_>>(),
                 solo_roles[qi],
                 "q{qi}: roles diverge on <{name}>"
             );
@@ -160,7 +155,7 @@ fn walk(
             }
         }
         for c in children {
-            walk(c, merged, out, solos, sy);
+            walk(c, merged, solos, sy);
         }
         merged.leave_element();
         for (qi, solo) in solos.iter_mut().enumerate() {
@@ -201,7 +196,6 @@ fn merged_matcher_equals_standalone_matchers() {
             .map(|q| CompiledPaths::compile(&q.analysis.roles, &mut sy))
             .collect();
         let automaton = Automaton::new(TaggedPaths::merge(parts.iter()), None);
-        let mut out = TaggedOutcome::for_tags(automaton.n_tags());
         let mut merged = TaggedMatcher::start(Arc::new(automaton));
         let mut solos: Vec<Solo> = queries
             .iter()
@@ -214,7 +208,7 @@ fn merged_matcher_equals_standalone_matchers() {
             .collect();
 
         let tree = gen_tree(&mut rng, 0);
-        walk(&tree, &mut merged, &mut out, &mut solos, &mut sy);
+        walk(&tree, &mut merged, &mut solos, &mut sy);
         assert_eq!(merged.depth(), 0, "round {round}: unbalanced walk");
     }
 }

@@ -342,12 +342,6 @@ impl Program {
         self.paths[id.index()]
     }
 
-    /// Number of compiled paths.
-    #[inline]
-    pub fn path_count(&self) -> usize {
-        self.paths.len()
-    }
-
     /// Read one join plan (payload of [`Instr::HashJoin`]).
     #[inline]
     pub fn join(&self, idx: u32) -> JoinPlan {

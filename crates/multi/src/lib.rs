@@ -5,4 +5,4 @@
 //! keep the old crate path working until the repository benchmark, which
 //! still imports it, moves off.
 
-pub use gcx_core::batch::{run, run_batch, BatchOptions, BatchReport, BatchSession, QueryRun};
+pub use gcx_core::batch::{run, run_batch, BatchReport, BatchSession, QueryRun};

@@ -40,8 +40,7 @@ mod step;
 
 pub use analysis::{analyze, Analysis};
 pub use matcher::{
-    Automaton, CompiledPaths, QueryTag, StreamMatcher, TaggedMatcher, TaggedOutcome, TaggedPaths,
-    TaggedRole,
+    Automaton, CompiledPaths, QueryTag, StreamMatcher, TaggedMatcher, TaggedPaths, TaggedRole,
 };
 pub use memo::Below;
 pub use reach::ReachFilter;

@@ -240,11 +240,10 @@ impl TaggedPaths {
     }
 }
 
-/// Per-element outcome of the merged matcher. Reused across calls: the
-/// caller allocates one with [`TaggedOutcome::for_tags`] and passes it to
-/// every [`TaggedMatcher::enter_element`].
+/// Per-element outcome of the merged matcher's NFA step, reused across
+/// calls.
 #[derive(Debug, Clone)]
-pub struct TaggedOutcome {
+pub(crate) struct TaggedOutcome {
     /// True when at least one query wants this element (a frame was
     /// pushed). False: *no* query can match inside — skip the subtree and
     /// do not call `leave_element`.
@@ -259,18 +258,12 @@ pub struct TaggedOutcome {
 
 impl TaggedOutcome {
     /// An outcome buffer for a batch of `n` queries.
-    pub fn for_tags(n: u32) -> TaggedOutcome {
+    fn for_tags(n: u32) -> TaggedOutcome {
         TaggedOutcome {
             any_keep: false,
             kept: vec![false; n as usize],
             roles: Vec::new(),
         }
-    }
-
-    /// Roles of one query, in `(role, count)` form.
-    pub fn roles_of(&self, tag: QueryTag) -> impl Iterator<Item = (RoleId, u32)> + '_ {
-        let mine = self.roles.iter().filter(move |r| r.0 == tag);
-        mine.map(|&(_, r, c)| (r, c))
     }
 
     fn reset(&mut self) {
@@ -526,22 +519,8 @@ impl TaggedMatcher {
         }
     }
 
-    /// Process an element start tag, filling `out` (which must have been
-    /// created with [`TaggedOutcome::for_tags`] for this batch size). When
-    /// `out.any_keep` is false the caller skips the subtree and must not
-    /// call [`TaggedMatcher::leave_element`] for it.
-    #[inline]
-    pub fn enter_element(&mut self, name: Symbol, out: &mut TaggedOutcome) {
-        out.reset();
-        if let Some((kept, roles)) = self.enter(name) {
-            out.any_keep = true;
-            out.kept.copy_from_slice(kept);
-            out.roles.extend_from_slice(roles);
-        }
-    }
-
-    /// [`TaggedMatcher::enter_element`] without the copy: `None` when no
-    /// query keeps the element (skip the subtree, and do not call
+    /// Process an element start tag: `None` when no query keeps the
+    /// element (skip the subtree, and do not call
     /// [`TaggedMatcher::leave_element`] for it), else the per-query kept
     /// flags and the element's roles sorted by `(tag, role)`, borrowed
     /// from the memo (a recorded transition) or from the NFA step's own
@@ -687,18 +666,10 @@ impl TaggedMatcher {
         self.preds.truncate(frame.preds_from as usize);
     }
 
-    /// Roles for a text child of the current element, appended to `out`
-    /// (cleared first). Text nodes have no children, so no frame is
-    /// pushed; per query, an empty result means the text is irrelevant.
-    #[inline]
-    pub fn text_into(&mut self, out: &mut Vec<TaggedRole>) {
-        out.clear();
-        out.extend_from_slice(self.text());
-    }
-
-    /// [`TaggedMatcher::text_into`] without the copy: the roles, sorted
-    /// by `(tag, role)`, borrowed from the memo or from the NFA step's own
-    /// result.
+    /// Roles for a text child of the current element, sorted by `(tag,
+    /// role)`, borrowed from the memo or from the NFA step's own result.
+    /// Text nodes have no children, so no frame is pushed; per query, no
+    /// role means the text is irrelevant.
     #[inline]
     pub fn text(&mut self) -> &[TaggedRole] {
         // (Asked twice: a borrow handed out by the first probe would
@@ -1052,6 +1023,15 @@ mod tests {
         true
     }
 
+    /// [`TaggedMatcher::enter`], copied out: whether some query keeps the
+    /// element, which do, and its roles.
+    fn entered(m: &mut TaggedMatcher, name: Symbol) -> (bool, Vec<bool>, Vec<TaggedRole>) {
+        match m.enter(name) {
+            Some((kept, roles)) => (true, kept.to_vec(), roles.to_vec()),
+            None => (false, Vec::new(), Vec::new()),
+        }
+    }
+
     /// The roles, untagged, of a text child of the innermost open element
     /// of a one-query matcher, into `roles` (cleared first).
     fn text(m: &mut TaggedMatcher, roles: &mut Vec<(RoleId, u32)>) {
@@ -1231,65 +1211,67 @@ mod tests {
 
     /// A matcher over the merged paths of `queries`, all compiled against
     /// one table (the NFA compares interned names).
-    fn merged_matcher(queries: &[&str]) -> (TaggedMatcher, TaggedOutcome, SymbolTable) {
+    fn merged_matcher(queries: &[&str]) -> (TaggedMatcher, SymbolTable) {
         let mut sy = SymbolTable::new();
         let parts: Vec<CompiledPaths> = queries
             .iter()
             .map(|q| CompiledPaths::compile(&analyze(&compile(q).unwrap()).roles, &mut sy))
             .collect();
         let automaton = Automaton::new(TaggedPaths::merge(parts.iter()), None);
-        let out = TaggedOutcome::for_tags(automaton.n_tags());
-        (TaggedMatcher::start(Arc::new(automaton)), out, sy)
+        (TaggedMatcher::start(Arc::new(automaton)), sy)
     }
 
     #[test]
     fn disjoint_queries_keep_disjoint_subtrees() {
-        let (mut m, mut o, mut sy) =
+        let (mut m, mut sy) =
             merged_matcher(&["for $a in /r/x return $a", "for $b in /r/y return $b"]);
         let [r, x, y] = ["r", "x", "y"].map(|n| sy.intern(n));
-        m.enter_element(r, &mut o);
-        assert!(o.any_keep);
-        assert!(o.kept[0] && o.kept[1], "both queries keep the shared root");
+        let (any, kept, _) = entered(&mut m, r);
+        assert!(any);
+        assert_eq!(kept, [true, true], "both queries keep the shared root");
 
-        m.enter_element(x, &mut o);
-        assert!(o.any_keep);
-        assert!(o.kept[0] && !o.kept[1], "only query 0 wants /r/x");
+        let (any, kept, _) = entered(&mut m, x);
+        assert!(any);
+        assert_eq!(kept, [true, false], "only query 0 wants /r/x");
         m.leave_element();
 
-        m.enter_element(y, &mut o);
-        assert!(!o.kept[0] && o.kept[1], "only query 1 wants /r/y");
+        let (_, kept, _) = entered(&mut m, y);
+        assert_eq!(kept, [false, true], "only query 1 wants /r/y");
         m.leave_element();
     }
 
     #[test]
     fn subtree_wanted_by_nobody_is_skipped_once() {
-        let (mut m, mut o, mut sy) =
+        let (mut m, mut sy) =
             merged_matcher(&["for $a in /r/x return $a", "for $b in /r/y return $b"]);
-        m.enter_element(sy.intern("r"), &mut o);
-        m.enter_element(sy.intern("z"), &mut o);
-        assert!(!o.any_keep, "no query matches under /r/z");
+        m.enter(sy.intern("r"));
+        assert!(
+            m.enter(sy.intern("z")).is_none(),
+            "no query matches under /r/z"
+        );
     }
 
     #[test]
     fn identical_queries_get_independent_tags() {
         let q = "for $a in /r//v return $a";
-        let (mut m, mut o, mut sy) = merged_matcher(&[q, q]);
-        m.enter_element(sy.intern("r"), &mut o);
-        assert!(o.kept[0] && o.kept[1]);
-        m.enter_element(sy.intern("v"), &mut o);
-        let r0: Vec<_> = o.roles_of(0).collect();
-        let r1: Vec<_> = o.roles_of(1).collect();
+        let (mut m, mut sy) = merged_matcher(&[q, q]);
+        assert_eq!(entered(&mut m, sy.intern("r")).1, [true, true]);
+        let (_, _, roles) = entered(&mut m, sy.intern("v"));
+        let roles_of = |tag| {
+            let mine = roles.iter().filter(move |r| r.0 == tag);
+            mine.map(|&(_, r, c)| (r, c)).collect::<Vec<_>>()
+        };
+        let (r0, r1) = (roles_of(0), roles_of(1));
         assert_eq!(r0, r1, "identical queries see identical roles");
         assert!(!r0.is_empty());
     }
 
     #[test]
     fn text_roles_are_tagged_per_query() {
-        let (mut m, mut o, mut sy) =
+        let (mut m, mut sy) =
             merged_matcher(&["for $a in /r return $a/text()", "for $b in /r/x return $b"]);
-        m.enter_element(sy.intern("r"), &mut o);
-        let mut roles = Vec::new();
-        m.text_into(&mut roles);
+        m.enter(sy.intern("r"));
+        let roles = m.text();
         assert!(roles.iter().any(|&(t, _, _)| t == 0), "query 0 wants text");
         // Query 1's binding subtree role starts at /r/x, so text directly
         // under r carries no query-1 role.
@@ -1370,30 +1352,15 @@ mod tests {
     }
 
     /// Walk `doc` the way a driver does, logging every outcome.
-    fn observe(
-        m: &mut TaggedMatcher,
-        out: &mut TaggedOutcome,
-        doc: &Doc,
-        sy: &mut SymbolTable,
-        log: &mut Vec<Seen>,
-    ) {
+    fn observe(m: &mut TaggedMatcher, doc: &Doc, sy: &mut SymbolTable, log: &mut Vec<Seen>) {
         match doc {
-            Doc::Text => {
-                let mut roles = Vec::new();
-                m.text_into(&mut roles);
-                log.push(Seen::Text(roles));
-            }
+            Doc::Text => log.push(Seen::Text(m.text().to_vec())),
             Doc::Elem(name, children) => {
-                m.enter_element(sy.intern(name), out);
-                let kept = if out.any_keep {
-                    out.kept.clone()
-                } else {
-                    Vec::new()
-                };
-                log.push(Seen::Element(out.any_keep, kept, out.roles.clone()));
-                if out.any_keep {
+                let (any, kept, roles) = entered(m, sy.intern(name));
+                log.push(Seen::Element(any, kept, roles));
+                if any {
                     for child in children {
-                        observe(m, out, child, sy, log);
+                        observe(m, child, sy, log);
                     }
                     m.leave_element();
                 }
@@ -1433,7 +1400,6 @@ mod tests {
     ) -> [usize; 3] {
         let mut sy = SymbolTable::new();
         let (paths, filter) = merged(queries, &mut sy);
-        let mut out = TaggedOutcome::for_tags(paths.n_tags());
         let automata = [0, 2, MEMO_SETS, MEMO_SETS].map(|sets| {
             let reach = reach.then(|| filter.clone());
             Arc::new(Automaton::with_memo_sets(paths.clone(), reach, sets))
@@ -1444,7 +1410,7 @@ mod tests {
             donor_table.intern(name);
         }
         let mut m = TaggedMatcher::start(donated.clone());
-        observe(&mut m, &mut out, donor, &mut donor_table, &mut Vec::new());
+        observe(&mut m, donor, &mut donor_table, &mut Vec::new());
         let learnt = m.memo.learnt();
         drop(m);
         assert_eq!(donated.memo.lock().unwrap().learnt(), learnt, "offered");
@@ -1456,7 +1422,7 @@ mod tests {
             // Each run interns the run-local names as it meets them.
             let mut table = sy.clone();
             for doc in docs {
-                observe(m, &mut out, doc, &mut table, log);
+                observe(m, doc, &mut table, log);
                 assert_eq!(m.depth(), 0);
             }
         }
@@ -1506,10 +1472,9 @@ mod tests {
             "a",
             vec![Doc::Elem("b", vec![Doc::Text]), Doc::Elem("u", vec![])],
         );
-        let mut out = TaggedOutcome::for_tags(2);
         let cold = Arc::clone(&automaton.memo.lock().unwrap());
         let mut first = TaggedMatcher::start(automaton.clone());
-        observe(&mut first, &mut out, &doc, &mut sy.clone(), &mut Vec::new());
+        observe(&mut first, &doc, &mut sy.clone(), &mut Vec::new());
         assert!(!Arc::ptr_eq(&first.memo, &cold), "copied on its first miss");
         drop(first);
         let warm = Arc::clone(&automaton.memo.lock().unwrap());
@@ -1521,13 +1486,7 @@ mod tests {
             vec![Doc::Elem("b", vec![Doc::Text]), Doc::Elem("w", vec![])],
         );
         let mut second = TaggedMatcher::start(automaton.clone());
-        observe(
-            &mut second,
-            &mut out,
-            &doc,
-            &mut sy.clone(),
-            &mut Vec::new(),
-        );
+        observe(&mut second, &doc, &mut sy.clone(), &mut Vec::new());
         assert!(Arc::ptr_eq(&second.memo, &warm));
         drop(second);
         assert!(Arc::ptr_eq(&automaton.memo.lock().unwrap(), &warm));
@@ -1548,12 +1507,12 @@ mod tests {
         let mut sy = SymbolTable::new();
         let (paths, _) = merged(&queries[..1], &mut sy);
         let mut m = TaggedMatcher::start(Arc::new(Automaton::with_memo_sets(paths, None, 2)));
-        let mut out = TaggedOutcome::for_tags(1);
         let a = sy.intern("a");
+        let mut roles = Vec::new();
         for _ in 0..64 {
-            m.enter_element(a, &mut out);
+            roles = entered(&mut m, a).2;
         }
-        let binding = out.roles.iter().find(|r| r.1 == RoleId(1)).unwrap();
+        let binding = roles.iter().find(|r| r.1 == RoleId(1)).unwrap();
         assert_eq!(binding.2, 63, "63 ancestors named a");
     }
 
@@ -1605,11 +1564,10 @@ mod tests {
             if let Some(waits) = search_names(m).map(<[Symbol]>::to_vec) {
                 *searched += 1;
                 let set = m.top().set;
-                let mut out = TaggedOutcome::for_tags(1);
                 for name in TAGS.iter().chain(&RUN_LOCAL).map(|n| sy.intern(n)) {
                     if !waits.contains(&name) {
-                        m.enter_element(name, &mut out);
-                        assert!(out.any_keep && out.roles.is_empty());
+                        let (any, _, roles) = entered(m, name);
+                        assert!(any && roles.is_empty());
                         assert_eq!(m.top().set, set);
                         m.leave_element();
                     }
@@ -1617,9 +1575,7 @@ mod tests {
                 assert!(m.text().is_empty());
             }
             if let Doc::Elem(name, children) = doc {
-                let mut out = TaggedOutcome::for_tags(1);
-                m.enter_element(sy.intern(name), &mut out);
-                if out.any_keep {
+                if m.enter(sy.intern(name)).is_some() {
                     for child in children {
                         walk(m, child, sy, searched);
                     }

@@ -490,7 +490,9 @@ impl PushTokenizer {
         if self.carry.len() - core.hi < min {
             let short = core.hi + min - self.carry.len();
             crate::grow::reserve(&mut self.carry, short);
-            self.carry.resize(core.hi + min, 0);
+            // From a zeroed allocation: `resize` writes byte by byte
+            // where the optimiser does not make it a memset.
+            self.carry.extend_from_slice(&vec![0; short]);
         }
         &mut self.carry[core.hi..]
     }

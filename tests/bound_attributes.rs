@@ -8,15 +8,12 @@
 //! for each shape over a generated document — `exists`, `count`/`sum`,
 //! `contains`, a use inside a loop that re-runs per outer binding, a hash
 //! join keyed and probed on bound attributes — beside the uses that keep
-//! their role (`$x/y/@a`, an output `$x/@a`):
-//!
-//! * output == the DOM oracle, and the buffer drains;
-//! * chunks of 1 and 7 bytes give the whole document's output and buffer
-//!   counts;
-//! * so does a lane of a batch over all of them, fed in 7-byte pieces.
+//! their role (`$x/y/@a`, an output `$x/@a`), the differential matrix
+//! holds every axis, and the role listings are pinned.
 
-use gcx::core::batch::{BatchOptions, BatchSession};
-use gcx::{CompiledQuery, EngineOptions, RunReport};
+mod common;
+
+use common::{cases, compile, contract, xmark};
 
 /// `<r>` with `n` `a` elements (an `@a` on two in three, a `y` child with
 /// its own `@a`) and `n` `b` elements (a `@k` and a `c` child).
@@ -73,103 +70,33 @@ const SHAPES: [(&str, bool); 8] = [
     ),
 ];
 
-fn fed(q: &CompiledQuery, doc: &[u8], chunk: usize) -> (Vec<u8>, RunReport) {
-    let mut session = q.session(&EngineOptions::gcx());
-    for piece in doc.chunks(chunk) {
-        session.feed(piece).expect("feed");
-    }
-    let report = session.finish().expect("finish");
-    let mut out = Vec::new();
-    session.take_output(&mut out).expect("drain");
-    (out, report)
-}
-
-fn buffer(r: &RunReport) -> [u64; 5] {
-    let b = &r.buffer;
-    [
-        b.allocated,
-        b.purged,
-        b.peak_live,
-        b.peak_live_bytes,
-        b.live,
-    ]
-}
-
-/// Every query against the DOM oracle over `doc`, at three chunkings and
-/// as a batch lane.
-fn check(queries: &[(&str, CompiledQuery)], doc: &str) {
-    let bytes = doc.as_bytes();
-    let mut alone = Vec::new();
-    for (text, q) in queries {
-        let oracle = gcx::dom::run_query(text, doc).expect("oracle");
-        let (out, whole) = fed(q, bytes, bytes.len());
-        assert_eq!(out, oracle.as_bytes(), "{text}");
-        assert_eq!(whole.buffer.live, 0, "{text}: live at the end");
-        for chunk in [1, 7] {
-            let (out, report) = fed(q, bytes, chunk);
-            assert_eq!(out, oracle.as_bytes(), "{text}, chunks of {chunk}");
-            assert_eq!(buffer(&report), buffer(&whole), "{text}, chunks of {chunk}");
-        }
-        alone.push((out, whole));
-    }
-    let compiled: Vec<CompiledQuery> = queries.iter().map(|(_, q)| q.clone()).collect();
-    let mut session = BatchSession::new(&compiled, &BatchOptions::default());
-    for piece in bytes.chunks(7) {
-        session.feed(piece).expect("batch feed");
-    }
-    let report = session.finish().expect("batch");
-    for (((text, _), lane), (out, alone)) in queries.iter().zip(report.queries).zip(&alone) {
-        assert_eq!(&lane.output, out, "{text} as a lane");
-        let lane = lane.report.expect("lane report");
-        assert_eq!(buffer(&lane), buffer(alone), "{text} as a lane");
-    }
-}
-
-fn compile(text: &str) -> CompiledQuery {
-    CompiledQuery::compile(text).unwrap_or_else(|e| panic!("{text}: {e}"))
-}
-
 #[test]
 fn bound_attribute_uses_equal_the_oracle() {
-    let queries: Vec<(&str, CompiledQuery)> = SHAPES
-        .iter()
-        .map(|&(text, _)| (text, compile(text)))
-        .collect();
-    for ((text, q), (_, keeps)) in queries.iter().zip(SHAPES) {
+    for (text, keeps) in SHAPES {
         // Roles on `/r/a` beyond `$x`'s binding (an output's) or on
         // `/r/a/y` (`$x/y/@a`'s, which nothing else keeps).
-        let listing = q.analysis.roles_listing();
+        let listing = compile(text).analysis.roles_listing();
         let on_a = listing.lines().filter(|l| l.ends_with(": /r/a")).count();
         let on_y = listing.lines().filter(|l| l.ends_with(": /r/a/y")).count();
         let extra = on_a - 1 + on_y;
         assert_eq!(extra > 0, keeps, "{text}\n{listing}");
     }
-    assert!(queries[4].1.program.listing().contains("hashjoin"));
-    for n in [12, 90] {
-        check(&queries, &doc(n));
-    }
+    assert!(compile(SHAPES[4].0).program.listing().contains("hashjoin"));
+    let texts = SHAPES.map(|(text, _)| text);
+    contract(&cases(&texts, &[doc(12), doc(90)], None));
 }
 
 #[test]
 fn xmark_q1_and_q8_equal_the_oracle() {
-    let queries = [
-        ("Q1", gcx::xmark::queries::Q1),
-        ("Q8", gcx::xmark::queries::Q8),
-    ];
-    let compiled: Vec<(&str, CompiledQuery)> = queries
-        .iter()
-        .map(|&(_, text)| (text, compile(text)))
-        .collect();
-    for ((name, _), (_, q)) in queries.iter().zip(&compiled) {
-        let listing = q.analysis.roles_listing();
+    let texts = [gcx::xmark::queries::Q1, gcx::xmark::queries::Q8];
+    for text in texts {
+        let listing = compile(text).analysis.roles_listing();
         assert_eq!(
             listing.matches(": /site/people/person\n").count(),
             1,
-            "{name}: the binding's role alone\n{listing}"
+            "{text}: the binding's role alone\n{listing}"
         );
     }
-    assert!(compiled[1].1.program.listing().contains("hashjoin"));
-    let mut cfg = gcx::xmark::XmarkConfig::sized(48 * 1024);
-    cfg.seed = 7;
-    check(&compiled, &gcx::xmark::generate_string(&cfg));
+    assert!(compile(texts[1]).program.listing().contains("hashjoin"));
+    contract(&cases(&texts, &[xmark(48, 7)], None));
 }

@@ -14,18 +14,25 @@ use std::sync::Arc;
 #[path = "../../crates/xml/tests/common/mod.rs"]
 pub mod generated;
 use generated::{gen_doc, XorShift};
+mod matrix;
+#[allow(unused_imports)] // every suite uses its own subset
+pub use matrix::*;
 
 /// An XMark document of about `kb` KiB.
 pub fn xmark(kb: u64, seed: u64) -> String {
-    let mut cfg = XmarkConfig::sized(kb * 1024);
-    cfg.seed = seed;
-    generate_string(&cfg)
+    generate_string(&XmarkConfig {
+        seed,
+        ..XmarkConfig::sized(kb * 1024)
+    })
 }
 
 /// `doc` without its `<!DOCTYPE ...>` declaration, if it has one: a
 /// stand-alone run adopts one's sibling-order cutoffs, which turn the
 /// descendant search off and may let a copy write more through.
 pub fn without_doctype(doc: &str) -> String {
+    if !doc.contains("<!DOCTYPE") {
+        return doc.to_string();
+    }
     let mut tok = Tokenizer::from_str(doc);
     let mut from = 0;
     while let Some(token) = tok.next_token().expect("well-formed") {
@@ -89,15 +96,15 @@ pub struct Projection {
 /// pruned and the reach filter armed.
 fn matcher(q: &CompiledQuery, dtd: Option<&Dtd>) -> (TaggedMatcher, SymbolTable) {
     let mut symbols = q.program.symbols().clone();
-    let (paths, reach) = match dtd {
-        Some(dtd) => {
-            let prune = dtd.prune(q.program.matcher_paths(), &symbols);
-            let reach = Arc::new(dtd.reach_filter(&mut symbols));
-            (prune.paths, Some(reach))
-        }
-        None => (q.program.matcher_paths().clone(), None),
+    let Some(dtd) = dtd else {
+        return (
+            TaggedMatcher::start(Arc::clone(q.program.automaton())),
+            symbols,
+        );
     };
-    let automaton = Automaton::new(TaggedPaths::merge([&paths]), reach);
+    let prune = dtd.prune(q.program.matcher_paths(), &symbols);
+    let reach = Arc::new(dtd.reach_filter(&mut symbols));
+    let automaton = Automaton::new(TaggedPaths::merge([&prune.paths]), Some(reach));
     (TaggedMatcher::start(Arc::new(automaton)), symbols)
 }
 
@@ -106,7 +113,6 @@ fn matcher(q: &CompiledQuery, dtd: Option<&Dtd>) -> (TaggedMatcher, SymbolTable)
 pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
     let written = written_through(q, dtd, doc);
     let (mut matcher, mut symbols) = matcher(q, dtd);
-    let mut tok = Tokenizer::from_str(doc);
     // Per open kept element: whether a role sits at or below it, and
     // whether a role the writer has not served does.
     let mut open: Vec<(bool, bool)> = Vec::new();
@@ -128,48 +134,44 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
             parent.1 |= handed;
         }
     };
-    while let Some(token) = tok.next_token().expect("well-formed") {
-        match token {
-            Token::StartTag(tag) if hidden_depth > 0 => {
-                hidden_depth += u32::from(!tag.self_closing)
-            }
-            Token::StartTag(tag) => {
-                counts.visited += 1;
-                node += 1;
-                if let Some((_, roles)) = matcher.enter(symbols.intern(tag.name)) {
-                    let role = !roles.is_empty();
-                    open.push((role, role && !written[node - 1]));
-                    if tag.self_closing {
-                        matcher.leave_element();
-                        close(&mut open, &mut counts);
-                    }
-                } else {
-                    hidden_depth = u32::from(!tag.self_closing);
+    for_each_token(doc, |token| match token {
+        Token::StartTag(tag) if hidden_depth > 0 => hidden_depth += u32::from(!tag.self_closing),
+        Token::StartTag(tag) => {
+            counts.visited += 1;
+            node += 1;
+            if let Some((_, roles)) = matcher.enter(symbols.intern(tag.name)) {
+                let role = !roles.is_empty();
+                open.push((role, role && !written[node - 1]));
+                if tag.self_closing {
+                    matcher.leave_element();
+                    close(&mut open, &mut counts);
                 }
+            } else {
+                hidden_depth = u32::from(!tag.self_closing);
             }
-            Token::EndTag { .. } if hidden_depth > 0 => hidden_depth -= 1,
-            Token::EndTag { .. } => {
-                matcher.leave_element();
-                close(&mut open, &mut counts);
-            }
-            Token::Text(_) if hidden_depth == 0 => {
-                let role = !matcher.text().is_empty();
-                node += 1;
-                if role && !written[node - 1] {
-                    counts.needed += 1;
-                    if let Some(parent) = open.last_mut() {
-                        parent.1 = true;
-                    }
-                }
-                if role {
-                    if let Some(parent) = open.last_mut() {
-                        parent.0 = true;
-                    }
-                }
-            }
-            _ => {}
         }
-    }
+        Token::EndTag { .. } if hidden_depth > 0 => hidden_depth -= 1,
+        Token::EndTag { .. } => {
+            matcher.leave_element();
+            close(&mut open, &mut counts);
+        }
+        Token::Text(_) if hidden_depth == 0 => {
+            let role = !matcher.text().is_empty();
+            node += 1;
+            if role && !written[node - 1] {
+                counts.needed += 1;
+                if let Some(parent) = open.last_mut() {
+                    parent.1 = true;
+                }
+            }
+            if role {
+                if let Some(parent) = open.last_mut() {
+                    parent.0 = true;
+                }
+            }
+        }
+        _ => {}
+    });
     counts
 }
 
@@ -178,37 +180,40 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
 /// that element's end tag, each text that gets a role, and the end of
 /// input: what [`gcx::RunReport::tokens`] of the lane must read, however
 /// much of the stream the driver passed in bulk.
-pub fn lane_events(q: &CompiledQuery, doc: &str) -> u64 {
-    let (mut matcher, mut symbols) = matcher(q, None);
-    let mut tok = Tokenizer::from_str(doc);
+pub fn lane_events(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> u64 {
+    let (mut matcher, mut symbols) = matcher(q, dtd);
     let (mut events, mut hidden_depth) = (1, 0u32);
-    while let Some(token) = tok.next_token().expect("well-formed") {
-        match token {
-            Token::StartTag(tag) if hidden_depth > 0 => {
-                hidden_depth += u32::from(!tag.self_closing)
-            }
-            Token::StartTag(tag) => {
-                if matcher.enter(symbols.intern(tag.name)).is_some() {
-                    events += 1;
-                    if tag.self_closing {
-                        matcher.leave_element();
-                    }
-                } else {
-                    hidden_depth = u32::from(!tag.self_closing);
-                }
-            }
-            Token::EndTag { .. } if hidden_depth > 0 => hidden_depth -= 1,
-            Token::EndTag { .. } => {
-                matcher.leave_element();
+    for_each_token(doc, |token| match token {
+        Token::StartTag(tag) if hidden_depth > 0 => hidden_depth += u32::from(!tag.self_closing),
+        Token::StartTag(tag) => {
+            if matcher.enter(symbols.intern(tag.name)).is_some() {
                 events += 1;
+                if tag.self_closing {
+                    matcher.leave_element();
+                }
+            } else {
+                hidden_depth = u32::from(!tag.self_closing);
             }
-            Token::Text(_) if hidden_depth == 0 => {
-                events += u64::from(!matcher.text().is_empty());
-            }
-            _ => {}
         }
-    }
+        Token::EndTag { .. } if hidden_depth > 0 => hidden_depth -= 1,
+        Token::EndTag { .. } => {
+            matcher.leave_element();
+            events += 1;
+        }
+        Token::Text(_) if hidden_depth == 0 => events += u64::from(!matcher.text().is_empty()),
+        _ => {}
+    });
     events
+}
+
+/// Call `f` with each token of `doc`, in order.
+fn for_each_token(doc: &str, mut f: impl FnMut(Token<'_>)) {
+    let mut tok = PushTokenizer::new();
+    tok.feed(doc.as_bytes());
+    tok.finish_input();
+    while tok.step().expect("well-formed") == TokenStep::Token {
+        f(tok.token());
+    }
 }
 
 /// Which nodes `project` visits — start tags and texts outside refused

@@ -13,22 +13,19 @@
 //! at its end tag, or, beside an attribute, mixed content, a second role
 //! on the text or a positional step, keeps as a node — over an XMark
 //! document and documents with entities, CDATA, comments and PIs inside
-//! the copied subtree, with and without `--indent`:
-//!
-//! * output == the DOM oracle (compact) or full buffering (indented),
-//!   at every chunking, from the unoptimised plan too;
-//! * the buffer is handed exactly what `common::project` derives: the
-//!   nodes that carry a role the writer has not served, or stand above one;
-//! * a batch lane, which steps every token, writes the same bytes and is
-//!   handed the same buffer.
+//! the copied subtree, the differential matrix holds every axis (its
+//! indented one and its batch lanes, which step every token, included),
+//! and the buffer is pinned to be handed exactly what `common::project`
+//! derives: the nodes that carry a role the writer has not served, or
+//! stand above one.
 //!
 //! And the emission lag: a bidder leaves before its auction has ended.
 
 mod common;
 
-use common::xmark;
-use gcx::core::batch::{BatchOptions, BatchSession};
-use gcx::{CompiledQuery, EngineOptions, RunReport};
+use common::{cases, compile, contract, fed, whole, xmark};
+use gcx::core::batch::BatchSession;
+use gcx::EngineOptions;
 
 const COPY_AUCTIONS: &str = "<all>{ for $a in /site/open_auctions/open_auction return $a }</all>";
 const COPY_ITEMS: &str = "<all>{ for $i in /site/regions//item return $i }</all>";
@@ -106,112 +103,13 @@ fn documents() -> Vec<String> {
     docs
 }
 
-fn fed(q: &CompiledQuery, opts: &EngineOptions, doc: &[u8], chunk: usize) -> (Vec<u8>, RunReport) {
-    let mut session = q.session(opts);
-    for piece in doc.chunks(chunk) {
-        session.feed(piece).expect("feed");
-    }
-    let report = session.finish().expect("finish");
-    let mut out = Vec::new();
-    session.take_output(&mut out).expect("drain");
-    (out, report)
-}
-
-fn buffer(r: &RunReport) -> (u64, u64, u64) {
-    (
-        r.buffer.allocated,
-        r.buffer.peak_live,
-        r.buffer.peak_live_bytes,
-    )
-}
-
 #[test]
 fn copies_equal_the_oracle_on_every_driver_and_chunking() {
-    let docs = documents();
-    let compiled: Vec<(&str, &str, CompiledQuery, CompiledQuery)> = QUERIES
-        .iter()
-        .map(|&(name, text)| {
-            let q = CompiledQuery::compile(text).expect(name);
-            let unoptimised = CompiledQuery::compile_opts(text, false).expect(name);
-            (name, text, q, unoptimised)
-        })
-        .collect();
-    let batch: Vec<CompiledQuery> = compiled.iter().map(|(_, _, q, _)| q.clone()).collect();
-    for (d, doc) in docs.iter().enumerate() {
-        let bytes = doc.as_bytes();
-        let whole = bytes.len();
-        for indent in [None, Some("  ".to_string())] {
-            let gcx = EngineOptions {
-                indent: indent.clone(),
-                ..EngineOptions::gcx()
-            };
-            let full = EngineOptions {
-                indent: indent.clone(),
-                ..EngineOptions::full_buffering()
-            };
-            let mut alone = Vec::new();
-            let mut wants = Vec::new();
-            for (name, text, q, unoptimised) in &compiled {
-                let label = format!("{name} on document {d}, indent {indent:?}");
-                // Full buffering serializes every copy from the buffer,
-                // after its end tag: the reference for the layout.
-                let (want, _) = fed(q, &full, bytes, whole);
-                if indent.is_none() {
-                    let oracle = gcx::dom::run_query(text, doc).expect("oracle");
-                    assert_eq!(want, oracle.as_bytes(), "{label}: full buffering");
-                }
-                let (out, _) = fed(unoptimised, &gcx, bytes, whole);
-                assert_eq!(out, want, "{label}: unoptimised");
-                let needed = common::project(q, None, doc).needed;
-                for chunk in [1, 2, 3, 7, 64, whole] {
-                    let (out, report) = fed(q, &gcx, bytes, chunk);
-                    assert_eq!(
-                        String::from_utf8_lossy(&out),
-                        String::from_utf8_lossy(&want),
-                        "{label}, chunks of {chunk}"
-                    );
-                    assert_eq!(
-                        report.buffer.allocated, needed,
-                        "{label}, chunks of {chunk}"
-                    );
-                    assert_eq!(report.buffer.live, 0, "{label}: must drain");
-                    if chunk == whole {
-                        alone.push(report);
-                    }
-                }
-                wants.push(want);
-            }
-            for chunk in [7, whole] {
-                let opts = BatchOptions {
-                    indent: indent.clone(),
-                    ..BatchOptions::default()
-                };
-                let mut session = BatchSession::new(&batch, &opts);
-                for piece in bytes.chunks(chunk) {
-                    session.feed(piece).expect("batch feed");
-                }
-                let report = session.finish().expect("batch");
-                // Each lane is charged what stepping would have shown it.
-                let events: Vec<u64> = compiled
-                    .iter()
-                    .map(|(_, _, q, _)| common::lane_events(q, doc))
-                    .collect();
-                assert_eq!(report.fanout_events, events.iter().sum::<u64>());
-                for (((((name, ..), lane), alone), want), events) in compiled
-                    .iter()
-                    .zip(report.queries)
-                    .zip(&alone)
-                    .zip(&wants)
-                    .zip(events)
-                {
-                    let label = format!("{name} on document {d} as a lane, chunks of {chunk}");
-                    assert_eq!(&lane.output, want, "{label}");
-                    let lane = lane.report.expect("lane report");
-                    assert_eq!(buffer(&lane), buffer(alone), "{label}");
-                    assert_eq!(lane.tokens, events, "{label}: events");
-                }
-            }
-        }
+    let texts = QUERIES.map(|(_, text)| text);
+    let all = cases(&texts, &documents(), None);
+    for (case, seen) in all.iter().zip(contract(&all)) {
+        let needed = common::project(&compile(&case.query), None, &case.doc).needed;
+        assert_eq!(seen.report.buffer.allocated, needed, "{}", case.query);
     }
 }
 
@@ -226,42 +124,27 @@ fn the_copy_queries_buffer_only_their_bindings() {
     let auctions = doc.matches("<open_auction ").count() as u64;
     let items = doc.matches("<item ").count() as u64;
     for (text, bindings) in [(COPY_AUCTIONS, auctions + 2), (COPY_ITEMS, items + 8)] {
-        let q = CompiledQuery::compile(text).unwrap();
-        let (_, report) = fed(&q, &EngineOptions::gcx(), doc.as_bytes(), 64 * 1024);
+        let q = compile(text);
+        let report = whole(&q, &EngineOptions::gcx(), &doc).report;
         assert_eq!(report.buffer.allocated, bindings, "{text}");
-        let (_, full) = fed(
-            &q,
-            &EngineOptions::full_buffering(),
-            doc.as_bytes(),
-            64 * 1024,
-        );
+        let full = whole(&q, &EngineOptions::full_buffering(), &doc).report;
         assert!(report.buffer.peak_live_bytes * 4 < full.buffer.peak_live_bytes);
     }
     // The document node has no end tag for a lane to see: `/` is
     // serialized at the end of input, as full buffering does — and as the
     // DOM oracle writes the document node, its children.
-    let q = CompiledQuery::compile("/").unwrap();
-    let (whole, _) = fed(
-        &q,
-        &EngineOptions::full_buffering(),
-        doc.as_bytes(),
-        64 * 1024,
-    );
-    assert_eq!(whole, gcx::dom::run_query("/", &doc).unwrap().as_bytes());
+    let q = compile("/");
+    let all = whole(&q, &EngineOptions::full_buffering(), &doc).output;
+    assert_eq!(all, gcx::dom::run_query("/", &doc).unwrap());
     for chunk in [7, 64 * 1024] {
-        assert!(fed(&q, &EngineOptions::gcx(), doc.as_bytes(), chunk).0 == whole);
+        assert!(fed(&q, &EngineOptions::gcx(), &doc, chunk).output == all);
     }
-    let q = CompiledQuery::compile("for $s in /site return $s").unwrap();
+    let text = "for $s in /site return $s";
     let opts = EngineOptions::gcx().with_max_buffer_bytes(4096);
-    let (out, report) = fed(&q, &opts, doc.as_bytes(), 64 * 1024);
-    assert_eq!(
-        out,
-        gcx::dom::run_query("for $s in /site return $s", &doc)
-            .unwrap()
-            .as_bytes()
-    );
-    assert_eq!(report.buffer.allocated, 1, "`site` alone");
-    assert!(report.buffer.peak_live_bytes <= 1024);
+    let seen = whole(&compile(text), &opts, &doc);
+    assert_eq!(seen.output, gcx::dom::run_query(text, &doc).unwrap());
+    assert_eq!(seen.report.buffer.allocated, 1, "`site` alone");
+    assert!(seen.report.buffer.peak_live_bytes <= 1024);
 }
 
 #[test]
@@ -277,7 +160,7 @@ fn a_bidder_leaves_before_its_auction_ends() {
         doc[first..end].contains("<bidder>"),
         "the first auction has a bidder"
     );
-    let q = CompiledQuery::compile(COPY_AUCTIONS).unwrap();
+    let q = compile(COPY_AUCTIONS);
     // Everything before the first `</open_auction>`, in 64-byte pieces.
     let early = || {
         doc.as_bytes()
@@ -300,9 +183,8 @@ fn a_bidder_leaves_before_its_auction_ends() {
         "{end} bytes before `</open_auction>`, output: {out}"
     );
 
-    let q1 = CompiledQuery::compile(gcx::xmark::queries::Q1).unwrap();
-    let batch = [q.clone(), q1];
-    let mut session = BatchSession::new(&batch, &BatchOptions::default());
+    let batch = [q.clone(), compile(gcx::xmark::queries::Q1)];
+    let mut session = BatchSession::new(&batch, &EngineOptions::gcx());
     let mut drained = Vec::new();
     for piece in early() {
         session.feed(piece).unwrap();
@@ -327,17 +209,17 @@ fn a_bidder_leaves_before_its_auction_ends() {
     let report = session.finish().unwrap();
     // What was not drained is the lane's output at the end.
     drained.extend_from_slice(&report.queries[0].output);
-    let (alone, _) = fed(&q, &EngineOptions::gcx(), doc.as_bytes(), doc.len());
-    assert_eq!(drained, alone);
-    assert_eq!(
-        report.queries[1].output,
-        fed(&batch[1], &EngineOptions::gcx(), doc.as_bytes(), doc.len()).0
-    );
+    for (q, out) in batch
+        .iter()
+        .zip([drained, report.queries[1].output.clone()])
+    {
+        assert_eq!(out, whole(q, &EngineOptions::gcx(), &doc).output.as_bytes());
+    }
     // Inside an auction only lane 0 holds a state, copying: the copy
     // passes, which also ran across feeds, charged each lane what
     // stepping would have shown it.
     for (q, run) in batch.iter().zip(&report.queries) {
-        let events = common::lane_events(q, &doc);
+        let events = common::lane_events(q, None, &doc);
         assert_eq!(run.report.as_ref().unwrap().tokens, events);
     }
 }
@@ -393,48 +275,12 @@ fn a_copy_that_runs_again_keeps_its_text() {
     // find the subtree buffered, not written away by the first copy.
     let people = "<site><people><person id='p0'><name>Ann</name><age>30</age></person>\
                   <person id='p1'><name>Bob</name></person></people><z>Z</z></site>";
-    let docs = [people.to_string(), xmark(48, 4242)];
-    let compiled: Vec<CompiledQuery> = REREAD
-        .iter()
-        .map(|&(name, text)| CompiledQuery::compile(text).expect(name))
-        .collect();
-    for (d, doc) in docs.iter().enumerate() {
-        let bytes = doc.as_bytes();
-        let whole = bytes.len();
-        let oracles: Vec<String> = REREAD
-            .iter()
-            .map(|&(_, text)| gcx::dom::run_query(text, doc).expect("oracle"))
-            .collect();
-        for (((name, _), q), oracle) in REREAD.iter().zip(&compiled).zip(&oracles) {
-            for chunk in [1, 7, whole] {
-                let (out, report) = fed(q, &EngineOptions::gcx(), bytes, chunk);
-                assert_eq!(
-                    String::from_utf8_lossy(&out),
-                    *oracle,
-                    "{name} on document {d}, chunks of {chunk}"
-                );
-                assert_eq!(report.buffer.live, 0, "{name}: must drain");
-            }
-        }
-        for chunk in [1, 7, whole] {
-            let mut session = BatchSession::new(&compiled, &BatchOptions::default());
-            for piece in bytes.chunks(chunk) {
-                session.feed(piece).expect("batch feed");
-            }
-            let report = session.finish().expect("batch");
-            for (((name, _), lane), oracle) in REREAD.iter().zip(report.queries).zip(&oracles) {
-                assert_eq!(
-                    String::from_utf8_lossy(&lane.output),
-                    *oracle,
-                    "{name} on document {d} as a lane, chunks of {chunk}"
-                );
-            }
-        }
-    }
+    let texts = REREAD.map(|(_, text)| text);
+    contract(&cases(&texts, &[people.to_string(), xmark(48, 4242)], None));
     // The rereading copies write nothing through; the nested loop's
     // innermost copy still does.
-    for ((name, _), q) in REREAD.iter().zip(&compiled) {
-        let through = common::written_through(q, None, people).contains(&true);
+    for (name, text) in REREAD {
+        let through = common::written_through(&compile(text), None, people).contains(&true);
         assert_eq!(through, name.starts_with("the innermost"), "{name}");
     }
 }
@@ -458,18 +304,14 @@ fn a_copy_under_a_schema_the_document_breaks_still_nests() {
         "for $i in /site/regions/europe/item return ($i/incategory, $i//keyword)",
         "for $m in //mail return $m",
     ] {
-        let q = CompiledQuery::compile(text).unwrap();
+        let q = compile(text);
         let projected = EngineOptions::projection_only().with_schema(dtd.clone());
-        let (want, _) = fed(&q, &projected, doc.as_bytes(), doc.len());
+        let want = whole(&q, &projected, doc).output;
         assert!(!want.is_empty(), "{text}");
         let gcx = EngineOptions::gcx().with_schema(dtd.clone());
         for chunk in [1, 7, doc.len()] {
-            let (out, _) = fed(&q, &gcx, doc.as_bytes(), chunk);
-            assert_eq!(
-                String::from_utf8_lossy(&out),
-                String::from_utf8_lossy(&want),
-                "{text}, chunks of {chunk}"
-            );
+            let out = fed(&q, &gcx, doc, chunk).output;
+            assert_eq!(out, want, "{text}, chunks of {chunk}");
         }
     }
 }
@@ -478,8 +320,7 @@ fn a_copy_under_a_schema_the_document_breaks_still_nests() {
 fn a_copied_leaf_takes_its_text_in_and_nothing_else_does() {
     // An element that closes with one text child, the two carrying one
     // instance of a copy's role and nothing else, keeps the text in its
-    // own slot; each case beside it keeps the text a node. The outputs
-    // are held by the tests above, on every chunking and as batch lanes.
+    // own slot; each case beside it keeps the text a node.
     let people = "<site><people><person id='p0'><name>Ann</name></person>\
                   <person id='p1'><name>Bob</name></person></people><z>Z</z></site>";
     let xmark = xmark(48, 4242);
@@ -503,22 +344,19 @@ fn a_copied_leaf_takes_its_text_in_and_nothing_else_does() {
         // Every person's name but the first, which is written through.
         ("Q8", &xmark, persons - 1),
     ] {
-        let q = CompiledQuery::compile(row(name)).unwrap();
+        let q = compile(row(name));
         for chunk in [1, doc.len()] {
-            let (out, report) = fed(&q, &EngineOptions::gcx(), doc.as_bytes(), chunk);
-            assert_eq!(report.buffer.folded, folded, "{name}, chunks of {chunk}");
-            assert_eq!(report.buffer.purged, report.buffer.allocated, "{name}");
-            assert_eq!(
-                String::from_utf8(out).unwrap(),
-                gcx::dom::run_query(row(name), doc).unwrap(),
-                "{name}"
-            );
+            let seen = fed(&q, &EngineOptions::gcx(), doc, chunk);
+            let buffer = seen.report.buffer;
+            assert_eq!(buffer.folded, folded, "{name}, chunks of {chunk}");
+            assert_eq!(buffer.purged, buffer.allocated, "{name}");
+            assert_eq!(seen.output, gcx::dom::run_query(row(name), doc).unwrap());
         }
         for opts in [
             EngineOptions::projection_only(),
             EngineOptions::full_buffering(),
         ] {
-            let (_, report) = fed(&q, &opts, doc.as_bytes(), doc.len());
+            let report = whole(&q, &opts, doc).report;
             assert_eq!(report.buffer.folded, 0, "{name}: {:?}", opts.mode);
         }
     }

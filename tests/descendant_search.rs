@@ -4,47 +4,30 @@
 //! one of them instead of stepping every token through the matcher and the
 //! lane — and nothing observable but the time taken may tell.
 //!
-//! For six queries — `//` alone, under `count`, below `//`, with a
+//! The corpus: six queries — `//` alone, under `count`, below `//`, with a
 //! positional step below it, below a child step, and with a wildcard step
-//! below it — over the pending chain's corpus and a second XMark document,
-//! at chunk sizes 1, 7, 64 and whole:
-//!
-//! * output == the DOM oracle == full buffering == the unoptimised plan;
-//! * a batch lane, which steps every token, is handed the same buffer:
-//!   `allocated`, `peak_live` and `peak_live_bytes` equal the stand-alone
-//!   run's, and the batch's shared scan counts the stand-alone `tokens`.
-//!
-//! Positional steps right at the search boundary — siblings split by
-//! passed subtrees and text, a parent found two levels below where the
-//! search began, in a later chunk — see document positions. A deep `//`
-//! document stays inside the byte budget on every driver.
+//! below it — over the pending chain's documents and an XMark document,
+//! through the differential matrix, whose batch lanes step every token and
+//! are handed the same buffer. Pinned beside it: positional steps right at
+//! the search boundary — siblings split by passed subtrees and text, a
+//! parent found two levels below where the search began, in a later
+//! chunk — see document positions, and a deep `//` document stays inside
+//! the byte budget.
 
 mod common;
 
-use common::{pending_corpus, without_doctype, xmark};
-use gcx::core::batch::{BatchOptions, BatchSession};
+use common::{cases, compile, contract, fed, pending_corpus, run_split, without_doctype, xmark};
 use gcx::core::buffer::SLOT_BYTES;
-use gcx::{CompiledQuery, EngineOptions, RunReport};
+use gcx::EngineOptions;
 
-const QUERIES: [(&str, &str); 6] = [
-    ("//item", "for $v in //item return $v"),
-    ("count(//a)", "<n>{ count(//a) }</n>"),
-    ("//a//b", "for $v in //a//b return $v"),
-    ("//a/b[2]", "for $v in //a/b[2] return $v"),
-    ("/r//x/y[2]/z", "for $v in /r//x/y[2]/z return $v"),
-    ("//a/*[2]", "for $v in //a/*[2] return $v"),
+const QUERIES: [&str; 6] = [
+    "for $v in //item return $v",
+    "<n>{ count(//a) }</n>",
+    "for $v in //a//b return $v",
+    "for $v in //a/b[2] return $v",
+    "for $v in /r//x/y[2]/z return $v",
+    "for $v in //a/*[2] return $v",
 ];
-
-fn fed(q: &CompiledQuery, opts: &EngineOptions, doc: &[u8], chunk: usize) -> (Vec<u8>, RunReport) {
-    let mut session = q.session(opts);
-    for piece in doc.chunks(chunk) {
-        session.feed(piece).expect("feed");
-    }
-    let report = session.finish().expect("finish");
-    let mut out = Vec::new();
-    session.take_output(&mut out).expect("drain");
-    (out, report)
-}
 
 #[test]
 fn searched_runs_equal_the_oracle_and_a_stepping_batch() {
@@ -55,59 +38,7 @@ fn searched_runs_equal_the_oracle_and_a_stepping_batch() {
         .map(|d| without_doctype(d))
         .collect();
     docs.push(xmark(48, 7));
-    let compiled: Vec<(&str, &str, CompiledQuery, CompiledQuery)> = QUERIES
-        .iter()
-        .map(|&(name, text)| {
-            let q = CompiledQuery::compile(text).expect(name);
-            let unoptimised = CompiledQuery::compile_opts(text, false).expect(name);
-            (name, text, q, unoptimised)
-        })
-        .collect();
-    let batch: Vec<CompiledQuery> = compiled.iter().map(|(_, _, q, _)| q.clone()).collect();
-    let (gcx, full) = (EngineOptions::gcx(), EngineOptions::full_buffering());
-    for (d, doc) in docs.iter().enumerate() {
-        let bytes = doc.as_bytes();
-        let whole = bytes.len().max(1);
-        let mut alone = Vec::new();
-        for (name, text, q, unoptimised) in &compiled {
-            let label = format!("{name} on document {d}");
-            let oracle = gcx::dom::run_query(text, doc).expect("oracle");
-            assert_eq!(
-                fed(q, &full, bytes, whole).0,
-                oracle.as_bytes(),
-                "{label}: full"
-            );
-            let (out, _) = fed(unoptimised, &gcx, bytes, whole);
-            assert_eq!(out, oracle.as_bytes(), "{label}: unoptimised");
-            for chunk in [1, 7, 64, whole] {
-                let (out, report) = fed(q, &gcx, bytes, chunk);
-                assert_eq!(out, oracle.as_bytes(), "{label}, chunks of {chunk}");
-                if chunk == whole {
-                    alone.push(report);
-                }
-            }
-        }
-        for chunk in [7, whole] {
-            let mut session = BatchSession::new(&batch, &BatchOptions::default());
-            for piece in bytes.chunks(chunk) {
-                session.feed(piece).expect("batch feed");
-            }
-            let report = session.finish().expect("batch");
-            for (((name, ..), lane), alone) in compiled.iter().zip(report.queries).zip(&alone) {
-                let label = format!("{name} on document {d} as a lane, chunks of {chunk}");
-                let lane = lane.report.expect("lane report");
-                let buffer = |r: &RunReport| {
-                    (
-                        r.buffer.allocated,
-                        r.buffer.peak_live,
-                        r.buffer.peak_live_bytes,
-                    )
-                };
-                assert_eq!(buffer(&lane), buffer(alone), "{label}");
-                assert_eq!(report.tokens, alone.tokens, "{label}: shared-scan tokens");
-            }
-        }
-    }
+    contract(&cases(&QUERIES, &docs, None));
 }
 
 #[test]
@@ -121,30 +52,27 @@ fn positions_right_at_the_search_boundary_are_document_positions() {
                <a><y/>t<b>4</b><z><a><b>5</b><b>6</b></a></z><b>7</b></a>\
                <x><y>1</y><w/><y><z>yes</z></y><y><z>no</z></y></x></r>";
     let first_a = doc.find("<a>").unwrap();
-    for (query, want) in [
+    let pinned = [
         ("for $v in //a/b[2] return $v", "<b>2</b><b>7</b><b>6</b>"),
         (
             "for $v in //a/*[2] return $v",
             "<x><b>no</b></x><b>4</b><b>6</b>",
         ),
         ("for $v in /r//x/y[2]/z return $v", "<z>yes</z>"),
-    ] {
-        let q = CompiledQuery::compile(query).unwrap();
-        assert_eq!(gcx::dom::run_query(query, doc).unwrap(), want, "{query}");
-        for chunk in [1, 2, 3, 5, 7, 11, doc.len()] {
-            let (out, _) = fed(&q, &EngineOptions::gcx(), doc.as_bytes(), chunk);
-            assert_eq!(out, want.as_bytes(), "{query}, chunks of {chunk}");
+    ];
+    let texts = pinned.map(|(query, _)| query);
+    for ((query, want), seen) in pinned.iter().zip(contract(&cases(&texts, &[doc], None))) {
+        assert_eq!(seen.output, *want, "{query}");
+        let q = compile(query);
+        for chunk in [2, 3, 5, 11] {
+            let out = fed(&q, &EngineOptions::gcx(), doc, chunk).output;
+            assert_eq!(out, *want, "{query}, chunks of {chunk}");
         }
         // The first `a` arrives in the feed after the one the search
         // started in, whole or cut after its `<`.
         for cut in [first_a, first_a + 1] {
-            let mut session = q.session(&EngineOptions::gcx());
-            session.feed(&doc.as_bytes()[..cut]).unwrap();
-            session.feed(&doc.as_bytes()[cut..]).unwrap();
-            session.finish().unwrap();
-            let mut out = Vec::new();
-            session.take_output(&mut out).unwrap();
-            assert_eq!(out, want.as_bytes(), "{query}, cut at {cut}");
+            let out = run_split(&q, &EngineOptions::gcx(), doc, &[cut]).output;
+            assert_eq!(out, *want, "{query}, cut at {cut}");
         }
     }
 }
@@ -159,7 +87,7 @@ fn a_deep_descendant_document_stays_inside_the_budget() {
     // 3 × (fit + 1) − 1 (4 097), crosses.
     let depth = 100_000;
     let doc = format!("{}{}", "<x>".repeat(depth), "</x>".repeat(depth));
-    let q = CompiledQuery::compile("for $i in //item return $i").unwrap();
+    let q = compile("for $i in //item return $i");
     let opts = EngineOptions::gcx().with_max_buffer_bytes(64 * 1024);
     let whole = gcx::run(&q, &opts, doc.as_bytes(), std::io::sink());
     assert!(whole.unwrap_err().is_buffer_limit());

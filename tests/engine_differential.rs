@@ -10,17 +10,19 @@
 //! 4. the independent DOM evaluator (`gcx-dom`).
 //!
 //! Additionally the GCX buffer must drain to zero (role/signOff balance)
-//! and the peak hierarchy gcx ≤ projection-only ≤ full buffering must hold.
+//! and the peak hierarchy gcx ≤ projection-only ≤ full buffering must hold
+//! — the differential matrix's oracle and modes axes, run here with the
+//! rest of the matrix on generated corpora.
 //!
-//! Every case runs on its own generator; a failing case prints its seed
-//! (`XorShift(seed)` replays it alone).
+//! Every case is drawn from a generator of its own; a failing case names
+//! its query and document.
 
 mod common;
 
 use common::generated::{for_each_case, XorShift};
+use common::{cases, contract};
 use gcx::xml::escape::escape_text;
 use gcx::xml::{Token, Tokenizer, XmlWriter};
-use gcx::{CompiledQuery, EngineOptions, RunReport};
 
 /// True with probability 1/2.
 fn coin(rng: &mut XorShift) -> bool {
@@ -100,55 +102,6 @@ fn query(rng: &mut XorShift) -> String {
     }
 }
 
-// ---- the differential harness ------------------------------------------------
-
-fn run_cfg(q: &CompiledQuery, opts: &EngineOptions, doc: &str) -> (String, RunReport) {
-    let mut out = Vec::new();
-    let report = gcx::run(q, opts, doc.as_bytes(), &mut out)
-        .unwrap_or_else(|e| panic!("engine failed: {e}"));
-    (String::from_utf8(out).unwrap(), report)
-}
-
-fn check_all_engines_agree(query_text: &str, doc: &str) {
-    // One compiled artifact: the three streaming configurations execute
-    // the same lowered program (gcx-ir) under different options; the DOM
-    // oracle interprets the normalized AST out of the same `CompiledQuery`
-    // with independent code.
-    let q = CompiledQuery::compile(query_text).expect("query compiles");
-    let (gcx_out, gcx_rep) = run_cfg(&q, &EngineOptions::gcx(), doc);
-    let (proj_out, proj_rep) = run_cfg(&q, &EngineOptions::projection_only(), doc);
-    let (full_out, full_rep) = run_cfg(&q, &EngineOptions::full_buffering(), doc);
-    let mut dom_out = Vec::new();
-    gcx::dom::run(&q.query, doc.as_bytes(), &mut dom_out).expect("dom run");
-    let dom_out = String::from_utf8(dom_out).unwrap();
-
-    let what = || format!("query: {query_text}\ndoc: {doc}");
-    assert_eq!(gcx_out, proj_out, "gcx vs projection-only\n{}", what());
-    assert_eq!(gcx_out, full_out, "gcx vs full buffering\n{}", what());
-    assert_eq!(gcx_out, dom_out, "gcx vs DOM oracle\n{}", what());
-
-    assert_eq!(
-        gcx_rep.buffer.live,
-        0,
-        "the GCX buffer must drain (role balance)\n{}",
-        what()
-    );
-    assert!(
-        gcx_rep.buffer.peak_live <= proj_rep.buffer.peak_live,
-        "gcx peak {} > projection-only peak {}\n{}",
-        gcx_rep.buffer.peak_live,
-        proj_rep.buffer.peak_live,
-        what()
-    );
-    assert!(
-        proj_rep.buffer.peak_live <= full_rep.buffer.peak_live,
-        "projection-only peak {} > full-buffering peak {}\n{}",
-        proj_rep.buffer.peak_live,
-        full_rep.buffer.peak_live,
-        what()
-    );
-}
-
 // ---- properties --------------------------------------------------------------
 
 #[test]
@@ -166,39 +119,34 @@ fn engines_agree_on_random_docs_fixed_queries() {
         "<n>{ count(//item) }</n>, <s>{ sum(//price) }</s>",
         "for $x in /a return if ($x//price >= 42 and not(exists($x/c))) then $x else ()",
     ];
-    for_each_case(0x5EED_F1ED, 192, |rng| {
-        let doc = document(rng);
-        for q in QUERIES {
-            check_all_engines_agree(q, &doc);
-        }
-    });
+    let mut docs = Vec::new();
+    for_each_case(0x5EED_F1ED, 192, |rng| docs.push(document(rng)));
+    contract(&cases(QUERIES, &docs, None));
 }
 
 #[test]
 fn engines_agree_on_random_queries_random_docs() {
+    let mut all = Vec::new();
     for_each_case(0x5EED_1234_ABCD, 4000, |rng| {
         let q = query(rng);
-        let doc = document(rng);
-        check_all_engines_agree(&q, &doc);
+        all.extend(cases(&[q], &[document(rng)], None));
     });
+    contract(&all);
 }
 
-/// Random XMark micro-documents × all 11 paper queries: the IR-executing
-/// engine stays byte-identical to the DOM oracle under gcx,
-/// projection-only and full-buffering options, and the peak hierarchy
-/// holds.
+/// Random XMark micro-documents × all 11 paper queries.
 #[test]
 fn xmark_microdocs_agree_across_engines_and_oracle() {
+    let texts: Vec<&str> = gcx::xmark::queries::paper_queries()
+        .iter()
+        .map(|q| q.1)
+        .collect();
+    let mut docs = Vec::new();
     for_each_case(0x5EED_3A4C, 12, |rng| {
-        let mut cfg = gcx::xmark::XmarkConfig::sized((4 + rng.below(44) as u64) * 1024);
-        cfg.seed = rng.next();
-        let doc = gcx::xmark::generate_string(&cfg);
-        // A failure message carries the whole query text, which names the
-        // paper query.
-        for (_name, text) in gcx::xmark::queries::paper_queries() {
-            check_all_engines_agree(text, &doc);
-        }
+        let kb = 4 + rng.below(44) as u64;
+        docs.push(common::xmark(kb, rng.next()));
     });
+    contract(&cases(&texts, &docs, None));
 }
 
 /// Tokenize, re-serialize through the writer, tokenize again: the two

@@ -116,10 +116,7 @@ fn errors_inside_projected_away_subtrees_are_the_tokenizers() {
         }
         let whole = gcx::core::batch::run_batch(&queries, &doc[..]);
         assert_eq!(xml_error(whole), want, "batch, {label}");
-        let mut session = gcx::core::batch::BatchSession::new(
-            &queries,
-            &gcx::core::batch::BatchOptions::default(),
-        );
+        let mut session = gcx::core::batch::BatchSession::new(&queries, &EngineOptions::gcx());
         let bytewise = doc
             .iter()
             .try_for_each(|b| session.feed(&[*b]))
@@ -180,10 +177,7 @@ fn invented_names_count_against_the_byte_budget() {
     // A batch: every lane holds the names it was shown and fails alone;
     // with no lane left the shared scan stops interning too (it still
     // validates the document to its end).
-    let opts = gcx::core::batch::BatchOptions {
-        max_buffer_bytes: Some(budget),
-        ..gcx::core::batch::BatchOptions::default()
-    };
+    let opts = EngineOptions::gcx().with_max_buffer_bytes(budget);
     let report = gcx::core::batch::run(&queries, &opts, doc).unwrap();
     assert_eq!(report.tokens, 200_005);
     for run in report.queries {

@@ -14,31 +14,10 @@
 mod common;
 
 use common::generated::XorShift;
-use gcx::xmark::{generate_string, queries, XmarkConfig};
-use gcx::{CompiledQuery, EngineOptions, RunReport};
+use common::{run_split, xmark};
+use gcx::xmark::queries;
+use gcx::{CompiledQuery, EngineOptions};
 use gcx_par::{run_parallel, ParOptions, ShardPath};
-
-fn xmark(kb: u64, seed: u64) -> String {
-    let mut cfg = XmarkConfig::sized(kb * 1024);
-    cfg.seed = seed;
-    generate_string(&cfg)
-}
-
-/// Push `doc` through an `EvalSession` cut at `splits` (ascending offsets).
-fn run_split(q: &CompiledQuery, doc: &[u8], splits: &[usize]) -> (Vec<u8>, RunReport) {
-    let mut session = q.session(&EngineOptions::gcx());
-    let mut from = 0;
-    for &cut in splits {
-        let cut = cut.min(doc.len());
-        session.feed(&doc[from..cut]).expect("feed");
-        from = cut;
-    }
-    session.feed(&doc[from..]).expect("final feed");
-    let report = session.finish().expect("finish");
-    let mut out = Vec::new();
-    session.take_output(&mut out).expect("drain");
-    (out, report)
-}
 
 /// Queries that must actually take a partitioned path on XMark input.
 const MUST_SHARD: &[&str] = &[
@@ -50,29 +29,29 @@ const MUST_FALL_BACK: &[&str] = &["Q8"];
 #[test]
 fn all_paper_queries_all_thread_counts() {
     let doc = xmark(96, 0x6C7867);
-    let doc = doc.as_bytes();
     let mut rng = XorShift(0x9E3779B97F4A7C15);
     for (name, qtext) in queries::paper_queries() {
         let q = CompiledQuery::compile(qtext).expect("compile");
         // Serial reference under seeded chunk splits: chunking-invariant
         // by the PR 5 contract, and the baseline for every thread count.
-        let reference = run_split(&q, doc, &rng.splits(doc.len(), 23));
+        let reference = run_split(&q, &EngineOptions::gcx(), &doc, &rng.splits(doc.len(), 23));
         for threads in [1usize, 2, 4, 8] {
             let outcome = run_parallel(
                 &q,
                 &EngineOptions::gcx(),
                 &ParOptions::with_threads(threads),
-                doc,
+                doc.as_bytes(),
             )
             .expect("run_parallel");
             assert_eq!(
-                outcome.output, reference.0,
+                outcome.output,
+                reference.output.as_bytes(),
                 "{name} @ {threads} threads: parallel output differs from serial"
             );
             if threads == 1 {
                 assert_eq!(outcome.path, ShardPath::Serial);
                 assert_eq!(
-                    outcome.report.tokens, reference.1.tokens,
+                    outcome.report.tokens, reference.report.tokens,
                     "{name}: serial-path token count drifted"
                 );
             }
@@ -88,23 +67,23 @@ fn all_paper_queries_all_thread_counts() {
                 // stays within the serial peak.
                 for (i, sr) in outcome.shard_reports.iter().enumerate() {
                     assert!(
-                        sr.buffer.peak_live <= reference.1.buffer.peak_live,
+                        sr.buffer.peak_live <= reference.report.buffer.peak_live,
                         "{name} @ {threads} threads: shard {i} peak {} exceeds serial peak {}",
                         sr.buffer.peak_live,
-                        reference.1.buffer.peak_live
+                        reference.report.buffer.peak_live
                     );
                     assert!(
-                        sr.buffer.peak_live_bytes <= reference.1.buffer.peak_live_bytes,
+                        sr.buffer.peak_live_bytes <= reference.report.buffer.peak_live_bytes,
                         "{name} @ {threads} threads: shard {i} byte peak {} exceeds serial {}",
                         sr.buffer.peak_live_bytes,
-                        reference.1.buffer.peak_live_bytes
+                        reference.report.buffer.peak_live_bytes
                     );
                 }
                 // Shard token counts sum to the aggregate (preludes are
                 // re-tokenized per shard, so the sum exceeds serial).
                 let sum: u64 = outcome.shard_reports.iter().map(|r| r.tokens).sum();
                 assert_eq!(outcome.report.tokens, sum);
-                assert!(sum >= reference.1.tokens);
+                assert!(sum >= reference.report.tokens);
             }
             if threads > 1 && MUST_FALL_BACK.contains(&name) {
                 assert_eq!(
@@ -119,9 +98,9 @@ fn all_paper_queries_all_thread_counts() {
                 // No output or peak change on the fallback path.
                 assert_eq!(
                     outcome.report.buffer.peak_live,
-                    reference.1.buffer.peak_live
+                    reference.report.buffer.peak_live
                 );
-                assert_eq!(outcome.report.tokens, reference.1.tokens);
+                assert_eq!(outcome.report.tokens, reference.report.tokens);
             }
         }
     }
@@ -139,8 +118,8 @@ fn q6_count_takes_two_phase_path() {
     )
     .expect("run_parallel");
     assert_eq!(outcome.path, ShardPath::TwoPhase);
-    let reference = run_split(&q, doc.as_bytes(), &[]);
-    assert_eq!(outcome.output, reference.0);
+    let reference = run_split(&q, &EngineOptions::gcx(), &doc, &[]);
+    assert_eq!(outcome.output, reference.output.as_bytes());
 }
 
 #[test]
@@ -160,8 +139,8 @@ fn running_example_falls_back_via_guard() {
     .expect("run_parallel");
     assert_eq!(outcome.path, ShardPath::Serial);
     assert!(outcome.fallback.is_some());
-    let reference = run_split(&q, doc.as_bytes(), &[]);
-    assert_eq!(outcome.output, reference.0);
+    let reference = run_split(&q, &EngineOptions::gcx(), doc, &[]);
+    assert_eq!(outcome.output, reference.output.as_bytes());
 }
 
 /// A chained query whose *intermediate* spine level can bind nested
@@ -201,18 +180,18 @@ fn nested_intermediate_bindings_shard_only_at_safe_boundaries() {
     // top-level blocks, and the merge stays byte-identical to serial.
     let q = CompiledQuery::compile(NESTED_SPINE).expect("compile");
     let doc = nested_doc(64);
-    let doc = doc.as_bytes();
-    let reference = run_split(&q, doc, &[]);
+    let reference = run_split(&q, &EngineOptions::gcx(), &doc, &[]);
     for threads in [2usize, 4, 8] {
         let outcome = run_parallel(
             &q,
             &EngineOptions::gcx(),
             &ParOptions::with_threads(threads),
-            doc,
+            doc.as_bytes(),
         )
         .expect("run_parallel");
         assert_eq!(
-            outcome.output, reference.0,
+            outcome.output,
+            reference.output.as_bytes(),
             "@ {threads} threads: a split divided a nested spine binding"
         );
         // Whole blocks are still safe to distribute: the veto must not
@@ -242,17 +221,21 @@ fn nested_bindings_with_no_safe_boundary_fall_back() {
         ));
     }
     doc.push_str("</a></r>");
-    let doc = doc.as_bytes();
-    let reference = run_split(&q, doc, &[]);
-    let outcome = run_parallel(&q, &EngineOptions::gcx(), &ParOptions::with_threads(4), doc)
-        .expect("run_parallel");
+    let reference = run_split(&q, &EngineOptions::gcx(), &doc, &[]);
+    let outcome = run_parallel(
+        &q,
+        &EngineOptions::gcx(),
+        &ParOptions::with_threads(4),
+        doc.as_bytes(),
+    )
+    .expect("run_parallel");
     assert_eq!(
         outcome.path,
         ShardPath::Serial,
         "no split point avoids dividing a nested binding"
     );
     assert!(outcome.fallback.is_some());
-    assert_eq!(outcome.output, reference.0);
+    assert_eq!(outcome.output, reference.output.as_bytes());
 }
 
 #[test]
@@ -284,15 +267,20 @@ fn parallel_is_deterministic_across_runs() {
 fn one_byte_feeds_match_parallel_merge() {
     // The serial reference at the pathological extreme: 1-byte feeds.
     let doc = xmark(4, 3);
-    let doc = doc.as_bytes();
     for (name, qtext) in [("Q1", queries::Q1), ("Q6", queries::Q6)] {
         let q = CompiledQuery::compile(qtext).expect("compile");
         let splits: Vec<usize> = (1..doc.len()).collect();
-        let reference = run_split(&q, doc, &splits);
-        let outcome = run_parallel(&q, &EngineOptions::gcx(), &ParOptions::with_threads(8), doc)
-            .expect("run_parallel");
+        let reference = run_split(&q, &EngineOptions::gcx(), &doc, &splits);
+        let outcome = run_parallel(
+            &q,
+            &EngineOptions::gcx(),
+            &ParOptions::with_threads(8),
+            doc.as_bytes(),
+        )
+        .expect("run_parallel");
         assert_eq!(
-            outcome.output, reference.0,
+            outcome.output,
+            reference.output.as_bytes(),
             "{name}: 1-byte-fed serial differs from parallel merge"
         );
     }
