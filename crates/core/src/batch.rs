@@ -23,12 +23,13 @@
 //! query keeps, and resumes its evaluator when the node is what it waits
 //! for; what no query needs passes in bulk. Each query's roles, signOffs
 //! and therefore *buffer minimality* are its own; memory is the sum of the
-//! per-query buffers. What the batch face adds: the merged automaton, a
-//! clock per lane that counts the events the lane is shown
-//! ([`RunReport::tokens`], summed in [`BatchReport::fanout_events`]), a
-//! failed lane that reports its error in its [`QueryRun`] while the others
-//! go on (only errors of the shared input fail the batch), and the
-//! batch's report. No lane adopts an in-stream DOCTYPE.
+//! per-query buffers. A lane counts, samples and adopts an in-stream
+//! DOCTYPE as its stand-alone run does: its [`RunReport`] is that run's.
+//! What the batch face adds: the merged automaton, a failed lane that
+//! reports its error in its [`QueryRun`] while the others go on (only
+//! errors of the shared input fail the batch), and the batch's report —
+//! the tokens the driver handed the lanes ([`BatchReport::fanout_events`])
+//! against the one scan.
 //!
 //! Every query's output is byte-identical to a stand-alone
 //! [`run`](crate::run) over the same document, and can be drained while
@@ -50,9 +51,10 @@ pub struct QueryRun {
     /// The query's serialized result (byte-identical to a standalone run),
     /// bar what [`BatchSession::take_output`] drained before the end.
     pub output: Vec<u8>,
-    /// The lane's run report, or the error that stopped it. `tokens` in
-    /// the report counts the events this query *received* — its private
-    /// share of the stream.
+    /// The lane's run report, or the error that stopped it: the report of
+    /// the query's stand-alone run over the document, bar the reach cuts,
+    /// which are the shared scan's. `tokens` is the stream's structural
+    /// tokens.
     pub report: Result<RunReport, EngineError>,
 }
 
@@ -63,7 +65,10 @@ pub struct BatchReport {
     pub queries: Vec<QueryRun>,
     /// Structural tokens in the single shared scan.
     pub tokens: u64,
-    /// Total per-query events delivered (Σ over queries).
+    /// Tokens the driver handed a lane, summed over lanes: each token a
+    /// live lane was shown (a self-closing tag once), and each one a copy
+    /// pass wrote through for its lane. What a lane sat out, and what a
+    /// bulk pass went by unseen, is not among them.
     pub fanout_events: u64,
     /// Wall-clock time of the whole batch.
     pub elapsed: Duration,
@@ -130,20 +135,19 @@ impl BatchSession {
     /// `opts.schema` when present), merge them into one tagged automaton
     /// under the schema's reachability filter, and start one lane per
     /// query under `opts` — its indent, byte budget (each lane's own: a
-    /// lane over it fails alone), telemetry, and its share of the schema,
-    /// the sibling-order cutoffs. Push the document with
-    /// [`BatchSession::feed`] as it arrives, then
+    /// lane over it fails alone), telemetry, timeline stride and its share
+    /// of the schema, the sibling-order cutoffs. Push the
+    /// document with [`BatchSession::feed`] as it arrives, then
     /// [`BatchSession::finish`]. The batch's clock starts once the merged
     /// automaton is built.
     ///
     /// # Panics
     ///
-    /// Unless `opts` is the GCX configuration ([`EngineMode::Gcx`]) with
-    /// no timeline stride of its own: every lane runs signOffs and
-    /// purges, and samples a timeline only with `telemetry`.
+    /// Unless `opts` is the GCX configuration ([`EngineMode::Gcx`]): every
+    /// lane runs signOffs and purges.
     pub fn new(queries: &[CompiledQuery], opts: &EngineOptions) -> BatchSession {
         assert!(
-            opts.mode == EngineMode::Gcx && opts.timeline_every.is_none(),
+            opts.mode == EngineMode::Gcx,
             "a batch runs its lanes in the GCX configuration"
         );
         let dtd = opts.schema.as_deref();
@@ -204,24 +208,18 @@ impl BatchSession {
     pub fn finish(mut self) -> Result<BatchReport, EngineError> {
         let reports = self.driver.finish()?;
         let pre = &mut self.driver.pump.pre;
-        // End of input is every query's last event. The events delivered
-        // are summed over lanes, a failed lane's until it failed.
-        let fanout_events = pre.lanes.iter().map(|slot| slot.lane.tokens() + 1).sum();
         let queries = reports
             .into_iter()
             .zip(&mut pre.lanes)
             .map(|(report, slot)| QueryRun {
                 output: std::mem::take(slot.lane.output_mut()),
-                report: report.map(|r| RunReport {
-                    tokens: r.tokens + 1,
-                    ..r
-                }),
+                report,
             })
             .collect();
         Ok(BatchReport {
             queries,
             tokens: pre.tokens,
-            fanout_events,
+            fanout_events: pre.handed,
             elapsed: self.started.elapsed(),
         })
     }

@@ -876,10 +876,10 @@ impl BufferTree {
         self.timeline = Some(Box::new(Timeline::new(every)));
     }
 
-    /// Advance the token clock to `tokens` (structural tokens charged so
-    /// far): the telemetry's residency clock, and the timeline, which
-    /// samples every point the clock passed — it may jump, a skipped
-    /// subtree being charged at once. Disabled cost: two null checks.
+    /// Advance the token clock to `tokens` (the stream's structural tokens
+    /// so far): the telemetry's residency clock, and the timeline, which
+    /// samples every point the clock passed — it may jump, a subtree
+    /// passed in bulk going by at once. Disabled cost: two null checks.
     #[inline]
     pub fn tick(&mut self, tokens: u64) {
         if let Some(t) = self.telemetry.as_deref_mut() {

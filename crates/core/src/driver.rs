@@ -27,10 +27,11 @@ use std::io::Write;
 /// every query refuses is skipped, the tokenizer searches ahead below a
 /// search set ([`Below::Search`]), and below a copy set of the copy a lane
 /// writes through ([`Below::Copy`]) tokens go straight to that lane's
-/// writer. A lane's clock ([`Lane::tick`]) runs by the rule its face
-/// picks — every token of the stream (one lane) or the events it is shown
-/// (a batch) — and a bulk pass charges each lane what stepping would have
-/// shown it.
+/// writer. Every lane's clock is the stream's structural-token count: a
+/// lane is ticked ([`Lane::tick`]) after each token it is shown and after
+/// each bulk pass, and one that sat out a subtree catches up when the
+/// subtree ends — so a batch lane counts and samples what its stand-alone
+/// run does.
 pub struct Driver {
     tok: PushTokenizer,
     pub(crate) pump: Pump,
@@ -46,9 +47,10 @@ pub(crate) struct Pump {
     pub(crate) pre: Preprojector,
     /// What the loop does with the input next.
     next: Pass,
-    /// What the search or copy pass in flight passed (charged when it
-    /// ends), and the elements the copy pass opened and has not closed.
-    passed: Passed,
+    /// Structural tokens the search or copy pass in flight passed (charged
+    /// when it ends), and the elements the copy pass opened and has not
+    /// closed.
+    passed: u64,
     copied: usize,
     telemetry: bool,
     pub(crate) scan: ScanFacts,
@@ -73,25 +75,6 @@ enum Pass {
 /// more is stepped through.
 const MAX_STOPS: usize = 8;
 
-/// What a search or a copy pass went by: structural tokens as the stream
-/// counts them, tags (a self-closing one once) and texts.
-#[derive(Debug, Clone, Copy, Default)]
-struct Passed {
-    tokens: u64,
-    tags: u64,
-    texts: u64,
-}
-
-impl Passed {
-    /// All of it but its last `tags` tags, which are applied (and charged)
-    /// as stepped ones; the count starts again.
-    fn take_but(&mut self, tags: usize) -> Passed {
-        self.tokens -= tags as u64;
-        self.tags -= tags as u64;
-        std::mem::take(self)
-    }
-}
-
 /// Everything of the driver but the tokenizer.
 pub(crate) struct Preprojector {
     matcher: TaggedMatcher,
@@ -108,15 +91,18 @@ pub(crate) struct Preprojector {
     project: bool,
     /// Some lane still evaluates (rechecked when the table grows).
     any_live: bool,
-    /// Structural tokens of the stream.
+    /// Structural tokens of the stream: every lane's clock.
     pub(crate) tokens: u64,
+    /// Tokens handed to a live lane, summed over lanes: each one a lane
+    /// was shown, and each one a copy pass wrote through.
+    pub(crate) handed: u64,
     /// Per token: its roles untagged (each lane gets its sub-slice), its
     /// attribute names in the table and in one lane's.
     roles: Vec<(RoleId, u32)>,
     attr_names: Vec<Symbol>,
     lane_attr_names: Vec<Symbol>,
-    /// Per lane: whether the search or copy pass in flight would have
-    /// been shown the elements it passes ([`Preprojector::show_pass`]).
+    /// Per lane: whether stepping would show it the elements the search
+    /// or copy pass in flight passes ([`Preprojector::show_pass`]).
     shown: Vec<bool>,
     /// Tokens shown to the matcher.
     #[cfg(test)]
@@ -136,17 +122,6 @@ pub(crate) struct Slot {
     remap: Vec<Symbol>,
 }
 
-/// The one place a lane's clock moves: `tokens` of the stream went by, of
-/// which the lane was shown `shown` events. A stand-alone lane (`alone`)
-/// is charged every token, a batch lane what it was shown.
-#[inline]
-fn charge(alone: bool, lane: &mut Lane, shown: u64, tokens: u64) {
-    let n = if alone { tokens } else { shown };
-    if n > 0 {
-        lane.tick(n);
-    }
-}
-
 /// Where a start tag the preprojector applies comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Opened {
@@ -161,14 +136,14 @@ enum Opened {
 
 impl Driver {
     /// The driver of `lanes` on `matcher`. Without `symbols` the run is
-    /// stand-alone: one lane, whose own table holds the matcher's names,
-    /// charged every token of the stream, whose failure is the feed's, and
-    /// which adopts an in-stream DOCTYPE ([`Lane::doctype`]). With a
-    /// batch's table — `matcher` on the queries' merged automaton, query
-    /// `i` tagged `i`, its names in `symbols` — a lane is charged the
-    /// events it is shown, and a lane that fails is left behind. Whether
-    /// the run projects and records telemetry is the lanes' to say (every
-    /// lane projects, or none does).
+    /// stand-alone: one lane, whose own table holds the matcher's names and
+    /// whose failure is the feed's. With a batch's table — `matcher` on the
+    /// queries' merged automaton, query `i` tagged `i`, its names in
+    /// `symbols` — a lane that fails is left behind. Either way every lane
+    /// runs on the stream's token clock and adopts an in-stream DOCTYPE
+    /// unless it has a schema plan ([`Lane::doctype`]). Whether the run
+    /// projects and records telemetry is the lanes' to say (every lane
+    /// projects, or none does).
     pub fn new(lanes: Vec<Lane>, matcher: TaggedMatcher, symbols: Option<SymbolTable>) -> Driver {
         debug_assert!(
             symbols.is_some() || lanes.len() == 1,
@@ -190,6 +165,7 @@ impl Driver {
             project,
             any_live: true,
             tokens: 0,
+            handed: 0,
             roles: Vec::new(),
             attr_names: Vec::new(),
             lane_attr_names: Vec::new(),
@@ -204,7 +180,7 @@ impl Driver {
             pump: Pump {
                 pre,
                 next: Pass::Step,
-                passed: Passed::default(),
+                passed: 0,
                 copied: 0,
                 telemetry,
                 scan: ScanFacts::default(),
@@ -239,6 +215,7 @@ impl Driver {
         })?;
         self.over = Some("finish");
         let Pump { pre, scan, .. } = &mut self.pump;
+        scan.tokens = pre.tokens;
         let reach_cuts = pre.matcher.reach_cuts();
         let lanes = &mut pre.lanes;
         let mut order: Vec<usize> = (0..lanes.len()).collect();
@@ -374,12 +351,7 @@ impl Pump {
     #[inline(never)]
     fn skip(&mut self, tok: &mut Lent) -> Result<bool, EngineError> {
         let skipped = tok.skip_element(&[], usize::MAX)?;
-        let tokens = skipped.tokens;
-        let passed = Passed {
-            tokens,
-            ..Passed::default()
-        };
-        self.pre.charge_pass(passed, None);
+        self.pre.charge_pass(skipped.tokens);
         if skipped.complete {
             self.next = Pass::Step;
         }
@@ -407,14 +379,14 @@ impl Pump {
             *stop = pre.table().resolve(name);
         }
         let found = tok.skip_element(&stops[..waits.len()], room)?;
-        let passed = &mut self.passed;
-        passed.tokens += found.tokens;
-        passed.tags += found.tags;
+        self.passed += found.tokens;
+        // The end tag, or the elements left open, are applied as stepped
+        // ones, which count themselves.
         if found.complete {
-            pre.charge_pass(passed.take_but(1), None);
+            pre.charge_pass(std::mem::take(&mut self.passed) - 1);
             self.next = pre.end_tag();
         } else if found.stopped || found.left_open > 0 {
-            pre.charge_pass(passed.take_but(found.left_open), None);
+            pre.charge_pass(std::mem::take(&mut self.passed) - found.left_open as u64);
             for name in tok.left_open(found.left_open) {
                 pre.open_passed(name, Opened::Searched);
             }
@@ -447,7 +419,6 @@ impl Pump {
         let mut stop_names = [Symbol(0); MAX_STOPS];
         stop_names[..stops.len()].copy_from_slice(stops);
         let stops = &stop_names[..stops.len()];
-        let passed = &mut self.passed;
         while tok.step()? == TokenStep::Token {
             let token = tok.token();
             match token {
@@ -456,7 +427,7 @@ impl Pump {
                         || stops.iter().any(|&s| pre.table().resolve(s) == tag.name) =>
                 {
                     let open = std::mem::take(&mut self.copied);
-                    pre.charge_pass(passed.take_but(open), Some(copier));
+                    pre.charge_pass(std::mem::take(&mut self.passed) - open as u64);
                     for name in tok.left_open(open) {
                         pre.open_passed(name, Opened::Copied(copier, role));
                     }
@@ -464,7 +435,7 @@ impl Pump {
                     return Ok(true);
                 }
                 Token::EndTag { .. } if self.copied == 0 => {
-                    pre.charge_pass(passed.take_but(0), Some(copier));
+                    pre.charge_pass(std::mem::take(&mut self.passed));
                     self.next = pre.end_tag();
                     return Ok(true);
                 }
@@ -472,18 +443,15 @@ impl Pump {
                 Token::Comment(_) | Token::ProcessingInstruction { .. } | Token::Doctype(_) => {}
                 _ => {
                     pre.lanes[copier].lane.write_through(&token);
-                    passed.tokens += 1;
+                    pre.handed += 1;
+                    self.passed += 1;
                     match token {
                         Token::StartTag(tag) => {
-                            passed.tokens += u64::from(tag.self_closing);
-                            passed.tags += 1;
+                            self.passed += u64::from(tag.self_closing);
                             self.copied += usize::from(!tag.self_closing);
                         }
-                        Token::EndTag { .. } => {
-                            passed.tags += 1;
-                            self.copied -= 1;
-                        }
-                        _ => passed.texts += 1,
+                        Token::EndTag { .. } => self.copied -= 1,
+                        _ => {}
                     }
                 }
             }
@@ -493,10 +461,9 @@ impl Pump {
 }
 
 impl Preprojector {
-    /// A stand-alone run: one lane, whose table holds the matcher's names,
-    /// charged every token of the stream, whose failure is the feed's. (A
-    /// batch: each lane is charged the events it is shown, and a lane that
-    /// fails is left behind.)
+    /// A stand-alone run: one lane, whose table holds the matcher's names
+    /// and whose failure is the feed's. (A batch: the matcher's names are
+    /// in its own table, and a lane that fails is left behind.)
     #[inline]
     fn alone(&self) -> bool {
         self.symbols.is_none()
@@ -550,8 +517,7 @@ impl Preprojector {
         }
         let self_closing = tag.self_closing;
         // A self-closing tag stands for open+close: the stream counts both.
-        let tokens = 1 + u64::from(self_closing);
-        self.tokens += tokens;
+        self.tokens += 1 + u64::from(self_closing);
         let Preprojector {
             matcher,
             symbols,
@@ -561,7 +527,6 @@ impl Preprojector {
             lane_attr_names,
             ..
         } = self;
-        let alone = symbols.is_none();
         let table = match symbols {
             Some(table) => table,
             None => lanes[0].lane.symbols_mut(),
@@ -609,19 +574,20 @@ impl Preprojector {
                 }
                 _ => (name, &attr_names[..]),
             };
-            let taken = match from {
+            self.handed += 1;
+            match from {
                 Opened::Copied(copier, role) if copier == i => {
                     debug_assert!(matched && mine == [(role, 1)]);
-                    lane.open_copied(name)
+                    lane.open_copied(name);
                 }
                 _ => {
                     // A bulk pass passes only what gives no lane but the
                     // copier a role.
                     debug_assert!(from == Opened::Stepped || mine.is_empty());
-                    lane.start_element(name, tag, attr_names, keep)
+                    lane.start_element(name, tag, attr_names, keep);
                 }
-            };
-            charge(alone, lane, u64::from(taken), tokens);
+            }
+            lane.tick(self.tokens);
             lane.step();
         }
         if grew {
@@ -646,14 +612,19 @@ impl Preprojector {
             self.matcher_tokens += 1;
         }
         self.tokens += 1;
-        let alone = self.alone();
         for Slot { lane, skip, .. } in &mut self.lanes {
             if *skip > 0 {
                 *skip -= 1;
+                // The subtree the lane sat out is over: its sampler catches
+                // up before it is shown anything else.
+                if *skip == 0 {
+                    lane.tick(self.tokens);
+                }
                 continue;
             }
-            let closed = lane.end_element();
-            charge(alone, lane, u64::from(closed), 1);
+            self.handed += u64::from(lane.live());
+            lane.end_element();
+            lane.tick(self.tokens);
             lane.step();
         }
         match self.unmatched_depth {
@@ -678,25 +649,35 @@ impl Preprojector {
         untag(tagged, &mut self.roles);
         // Without projection role-less text is kept too, but not blanks.
         let plain = !self.project && !content.trim().is_empty();
-        let alone = self.symbols.is_none();
         let mut at = 0;
         for (i, Slot { lane, skip, .. }) in self.lanes.iter_mut().enumerate() {
             if *skip == 0 {
                 let mine = lane_roles(tagged, &self.roles, &mut at, i);
-                let taken = lane.text(content, (plain || !mine.is_empty()).then_some(mine));
-                charge(alone, lane, u64::from(taken), 1);
+                self.handed += u64::from(lane.live());
+                lane.text(content, (plain || !mine.is_empty()).then_some(mine));
+                lane.tick(self.tokens);
                 lane.step();
             }
         }
         Pass::Step
     }
 
-    /// A DOCTYPE is not part of the data model, but a stand-alone run's
-    /// lane adopts a usable internal subset's sibling-order cutoffs unless
-    /// it has a schema ([`Lane::doctype`]). A batch's lanes do not.
+    /// A DOCTYPE is not part of the data model, but every lane without a
+    /// schema plan adopts the sibling-order cutoffs of a usable internal
+    /// subset ([`Lane::doctype`]), which is parsed once for all of them. A
+    /// payload that does not parse means "no schema". (Out of line: a
+    /// document has one DOCTYPE at most.)
+    #[cold]
+    #[inline(never)]
     fn doctype(&mut self, payload: &str) {
-        if self.alone() {
-            self.lanes[0].lane.doctype(payload);
+        let Ok(view) = gcx_xml::DoctypeView::parse(payload) else {
+            return;
+        };
+        let Ok(dtd) = gcx_schema::Dtd::from_doctype_parts(view.name, view.subset) else {
+            return;
+        };
+        for slot in &mut self.lanes {
+            slot.lane.doctype(&dtd);
         }
     }
 
@@ -773,23 +754,14 @@ impl Preprojector {
         room
     }
 
-    /// Charge a bulk pass that went by `passed`: what stepping would have
-    /// shown a lane is the tags if it was shown the children
-    /// ([`Preprojector::show_pass`]), the texts too if it is the `copier`.
-    /// (Inlined: skips are as frequent as tokens, and a skip's charge,
-    /// which shows no lane anything, folds to the token counts.)
+    /// A bulk pass went by `tokens` of the stream: every lane's sampler
+    /// moves past them, none having buffered anything on the way. (Inlined:
+    /// skips are as frequent as tokens.)
     #[inline(always)]
-    fn charge_pass(&mut self, passed: Passed, copier: Option<usize>) {
-        self.tokens += passed.tokens;
-        let alone = self.alone();
-        let unseen = alone || passed.tags + passed.texts == 0;
-        for (i, slot) in self.lanes.iter_mut().enumerate() {
-            let shown = match unseen || !self.shown[i] {
-                true => 0,
-                false if copier == Some(i) => passed.tags + passed.texts,
-                false => passed.tags,
-            };
-            charge(alone, &mut slot.lane, shown, passed.tokens);
+    fn charge_pass(&mut self, tokens: u64) {
+        self.tokens += tokens;
+        for slot in &mut self.lanes {
+            slot.lane.tick(self.tokens);
         }
     }
 }

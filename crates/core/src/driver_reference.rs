@@ -1,7 +1,7 @@
 //! The driver against a token-by-token reference: skipped subtrees and the
-//! search and copy passes are charged to a lane's token clock in bulk, and
-//! everything measured on that clock must land where one-at-a-time
-//! charging puts it — the token count, every sample of both occupancy
+//! search and copy passes move a lane's sampler in bulk, and everything
+//! measured on the stream's token clock must land where ticking one token
+//! at a time puts it — the token count, every sample of both occupancy
 //! timelines (token number *and* value), the peaks, the residency of every
 //! purged node — under every chunking of the input.
 
@@ -115,7 +115,7 @@ fn token_by_token(q: &CompiledQuery, doc: &[u8]) -> Measured {
     let mut tok = Tokenizer::from_bytes(doc);
     let mut points = Vec::new();
     let (mut roles, mut attr_names) = (Vec::new(), Vec::new());
-    let mut refused_depth = 0u32;
+    let (mut refused_depth, mut at) = (0u32, 0);
     lane.step();
     while let Some(token) = tok.next_token().expect("reference tokenizes") {
         let charge = match &token {
@@ -165,14 +165,17 @@ fn token_by_token(q: &CompiledQuery, doc: &[u8]) -> Measured {
             _ => continue,
         };
         for _ in 0..charge {
-            lane.tick(1);
-            points.push((lane.tokens(), lane.buffer_stats().live));
+            at += 1;
+            lane.tick(at);
+            points.push((at, lane.buffer_stats().live));
         }
         lane.step();
     }
-    let report = lane
-        .finish(&ScanFacts::default(), 0)
-        .expect("reference run");
+    let scan = ScanFacts {
+        tokens: at,
+        ..ScanFacts::default()
+    };
+    let report = lane.finish(&scan, 0).expect("reference run");
     Measured::of(std::mem::take(lane.output_mut()), points, &report)
 }
 

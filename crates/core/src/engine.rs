@@ -375,7 +375,9 @@ pub struct SchemaReport {
 /// What a run observed — the measurements the paper's figures are made of.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Structural tokens processed.
+    /// Structural tokens of the document (a self-closing tag counts two),
+    /// whatever the query keeps: the clock the timeline and residency
+    /// telemetry run on. A batch lane reports the same count.
     pub tokens: u64,
     /// Buffer statistics: peak/live node counts, allocation/purge totals.
     pub buffer: BufferStats,

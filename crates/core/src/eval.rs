@@ -1044,17 +1044,10 @@ impl Vm {
                     let mut matches = std::mem::take(&mut self.signoff_scratch);
                     matches.clear();
                     collect_derivations(buf, ctx, steps, 0, mult, &mut matches);
-                    // Only a second descendant(-or-self) step reaches a
-                    // node twice (once below each ancestor the first one
-                    // matched): merge the derivations, so that each node is
-                    // decremented once, while it is still live.
-                    let descendant_steps = steps
-                        .iter()
-                        .filter(|s| matches!(s.axis, EAxis::Descendant | EAxis::DescendantOrSelf))
-                        .count();
-                    if descendant_steps >= 2 {
-                        merge_derivations(&mut matches);
-                    }
+                    // A second descendant(-or-self) step reaches a node
+                    // once below each ancestor the first one matched: each
+                    // derivation holds an instance, so the node holds until
+                    // its last one is taken, and is released once.
                     for &(node, times) in &matches {
                         buf.decrement_role(node, role, times);
                     }
@@ -1552,18 +1545,6 @@ fn collect_derivations(
             }
         }
     }
-}
-
-/// Fold each node's derivations into one entry (the region ends up in
-/// slot order).
-fn merge_derivations(matches: &mut Vec<(NodeId, u32)>) {
-    matches.sort_unstable_by_key(|&(node, _)| node);
-    matches.dedup_by(|(node, times), (kept, total)| {
-        *node == *kept && {
-            *total += *times;
-            true
-        }
-    });
 }
 
 /// Descendant-or-self helper: self match, then every descendant at the

@@ -16,6 +16,8 @@ use std::sync::Arc;
 /// What the driver's scan contributes to a lane's [`RunReport`].
 #[derive(Debug, Clone, Default)]
 pub struct ScanFacts {
+    /// Structural tokens of the stream: every lane's clock.
+    pub tokens: u64,
     /// `feed` calls the input arrived in.
     pub feed_calls: u64,
     /// Largest partial-token spillover the tokenizer held.
@@ -172,7 +174,7 @@ enum Health {
 /// [`end_element`](Lane::end_element) / [`text`](Lane::text) write the
 /// node into the buffer with its true document ordinals — a role-less
 /// speculative ancestor only once a descendant needs it there (below) —
-/// [`tick`](Lane::tick) moves the token clock, and [`step`](Lane::step)
+/// [`tick`](Lane::tick) samples it at the stream position, and [`step`](Lane::step)
 /// enforces the byte budget and resumes the evaluator the moment what it
 /// waits for may have arrived. The [`Driver`](crate::driver::Driver)
 /// feeds one lane for an [`EvalSession`](crate::EvalSession), and N of
@@ -274,8 +276,6 @@ pub struct Lane {
     /// The open elements' same-name child counts, outermost element
     /// first (see [`ChildCounters`]).
     child_names: Vec<(Symbol, u32)>,
-    /// Structural tokens the driver charged to this lane ([`Lane::tick`]).
-    clock: u64,
     /// The copy the evaluator waits at the frontier of (see above).
     frontier: Option<Frontier>,
     /// `(pruned, total)` projection-path counts of the schema plan the lane
@@ -345,7 +345,6 @@ impl Lane {
             pending: Vec::new(),
             attr_scratch: AttrBuf::new(),
             child_names: Vec::new(),
-            clock: 0,
             frontier: None,
             pruned_paths: schema.map(|plan| plan.pruned_paths),
             // The program has not started: the first step must run it.
@@ -383,28 +382,14 @@ impl Lane {
         self.telemetry
     }
 
-    /// The stream's DOCTYPE, `payload` its token: unless the lane started
-    /// with a schema plan, adopt the sibling-order cutoffs of its internal
-    /// subset. A payload that does not parse means "no schema".
-    pub fn doctype(&mut self, payload: &str) {
-        if self.pruned_paths.is_some() {
-            return;
+    /// The DTD of the stream's DOCTYPE: unless the lane started with a
+    /// schema plan (a configured DTD, see [`Lane::start`]), adopt its
+    /// sibling-order cutoffs, their names in the lane's own table.
+    pub fn doctype(&mut self, dtd: &gcx_schema::Dtd) {
+        if self.pruned_paths.is_none() {
+            let ord = dtd.ord_table(&mut self.symbols);
+            self.buf.set_schema(Arc::new(ord), true);
         }
-        let Ok(view) = gcx_xml::DoctypeView::parse(payload) else {
-            return;
-        };
-        let Ok(dtd) = gcx_schema::Dtd::from_doctype_parts(view.name, view.subset) else {
-            return;
-        };
-        self.adopt_doctype(&dtd);
-    }
-
-    /// Adopt the sibling-order cutoffs of `dtd`, a DTD picked up from the
-    /// stream's DOCTYPE (a configured one comes as a plan, at
-    /// [`Lane::start`]).
-    fn adopt_doctype(&mut self, dtd: &gcx_schema::Dtd) {
-        let ord = dtd.ord_table(&mut self.symbols);
-        self.buf.set_schema(Arc::new(ord), true);
     }
 
     /// A start tag — borrowed from the fed chunk — that is a child
@@ -413,10 +398,8 @@ impl Lane {
     /// lane's symbol table ([`Lane::symbols_mut`]). `keep` is the driver's
     /// decision. Whatever it is, the child is counted; on [`Keep::Skip`]
     /// that is all, and the driver hides the subtree and its end tag.
-    /// `attr_names` is only read on [`Keep::Roles`]. Returns whether the
-    /// element was taken — buffered or pending — so that its end tag is
-    /// the lane's to see. (Inlined into every caller, like
-    /// [`Lane::step`]: a driver calls both per token.) Under a copy
+    /// `attr_names` is only read on [`Keep::Roles`]. (Inlined into every
+    /// caller, like [`Lane::step`]: a driver calls both per token.) Under a copy
     /// frontier the tag of a child not refused is written, and a node
     /// holding only the copy's role is kept pending, not appended.
     #[inline(always)]
@@ -426,14 +409,14 @@ impl Lane {
         tag: &StartTag<'_>,
         attr_names: &[Symbol],
         keep: Keep<'_>,
-    ) -> bool {
+    ) {
         let keep = match self.frontier {
             // A refused child is hidden from the lane, its end tag too:
             // nothing of it is written.
             Some(frontier) if !matches!(keep, Keep::Skip) => self.start_copied(tag, keep, frontier),
             _ => keep,
         };
-        self.open_child(name, tag, attr_names, keep)
+        self.open_child(name, tag, attr_names, keep);
     }
 
     /// Write the start tag of an element inside the copy at `frontier`,
@@ -455,14 +438,13 @@ impl Lane {
     /// An element a driver passed through [`Lane::write_through`] and left
     /// open: it opens on the pending chain, as [`Lane::start_element`]
     /// opens one holding only the copy's role, and is not written again.
-    /// Returns whether it was taken.
-    pub fn open_copied(&mut self, name: Symbol) -> bool {
+    pub fn open_copied(&mut self, name: Symbol) {
         let tag = StartTag {
             name: "",
             attrs: Attrs::EMPTY,
             self_closing: false,
         };
-        self.open_child(name, &tag, &[], Keep::Speculative)
+        self.open_child(name, &tag, &[], Keep::Speculative);
     }
 
     /// [`Lane::start_element`] past the copy frontier.
@@ -473,9 +455,9 @@ impl Lane {
         tag: &StartTag<'_>,
         attr_names: &[Symbol],
         keep: Keep<'_>,
-    ) -> bool {
+    ) {
         if !matches!(self.health, Health::Live) {
-            return false;
+            return;
         }
         // The driver interned this tag's names on its way here, whatever
         // it decided: names the table lacked are document data the lane
@@ -485,7 +467,7 @@ impl Lane {
             let within = self.check_budget();
             self.settle(within);
             if !matches!(self.health, Health::Live) {
-                return false;
+                return;
             }
         }
         // Every child bumps the ordinals — and, with a schema, the
@@ -510,7 +492,8 @@ impl Lane {
         let ordinals =
             top_counters(&mut self.pending, &mut self.open).next_elem(&mut self.child_names, name);
         match keep {
-            Keep::Skip => return false,
+            // Refused: counted, and that is all.
+            Keep::Skip => {}
             // Open and closed at once, nothing below it: never needed.
             Keep::Speculative if tag.self_closing => {}
             Keep::Speculative => {
@@ -538,15 +521,13 @@ impl Lane {
                 self.touched = true;
             }
         }
-        true
     }
 
-    /// The end tag of the innermost open element the lane took. Returns
-    /// whether it was closed (false only on a failed lane).
+    /// The end tag of the innermost open element the lane took.
     #[inline]
-    pub fn end_element(&mut self) -> bool {
+    pub fn end_element(&mut self) {
         if !matches!(self.health, Health::Live) {
-            return false;
+            return;
         }
         if let Some(frontier) = self.frontier {
             self.end_copied(frontier);
@@ -563,7 +544,6 @@ impl Lane {
                 self.touched = true;
             }
         }
-        true
     }
 
     /// Write the end tag of an element inside the copy at `frontier` — the
@@ -580,26 +560,25 @@ impl Lane {
     /// A text child of the innermost open element: `Some(roles)` = buffer
     /// it with these role instances, `None` = only count it. Under a copy
     /// frontier it is written, and appended only if it holds more than the
-    /// copy's role. Returns whether it was taken: appended or written.
+    /// copy's role.
     #[inline]
-    pub fn text(&mut self, content: &str, roles: Option<&[(RoleId, u32)]>) -> bool {
+    pub fn text(&mut self, content: &str, roles: Option<&[(RoleId, u32)]>) {
         if !matches!(self.health, Health::Live) {
-            return false;
+            return;
         }
         let ordinals = top_counters(&mut self.pending, &mut self.open).next_text();
         let Some(roles) = roles else {
-            return false;
+            return;
         };
         if let Some(frontier) = self.frontier {
             if self.text_copied(content, roles, frontier) {
-                return true;
+                return;
             }
         }
         self.materialise_pending();
         let parent = self.open.last().expect("open stack never empty").node;
         self.buf.append_text(parent, content, roles, ordinals);
         self.touched = true;
-        true
     }
 
     /// Write a text inside the copy at `frontier`; returns whether that
@@ -611,19 +590,17 @@ impl Lane {
         only(roles, frontier)
     }
 
-    /// Move the lane's token clock by `tokens`. The driver charges by one
-    /// of two rules, which its face picks: a stand-alone lane every
-    /// structural token of the stream (a self-closing tag twice, a skipped
-    /// subtree's all at once, nothing having changed in between), a batch
-    /// lane the events it was shown (a self-closing tag once, nothing of a
-    /// subtree it does not see) — and a bulk pass what stepping would have
-    /// shown it. The one occupancy sampler: the timeline
-    /// ([`RunReport::timeline`]) is sampled on this clock, residency
-    /// telemetry is measured on it, and [`RunReport::tokens`] reports it.
+    /// The stream is at structural token `at` (a self-closing tag counts
+    /// two): the one occupancy sampler. The timeline
+    /// ([`RunReport::timeline`]) is sampled at every grid point up to `at`
+    /// with what the lane buffers now, and residency telemetry is measured
+    /// on this clock. The driver ticks a lane after each token it shows it
+    /// and after each bulk pass; a lane that sat out a subtree is ticked
+    /// when the subtree ends, before it is shown anything else, so its
+    /// samples land where a run that stepped through it puts them.
     #[inline]
-    pub fn tick(&mut self, tokens: u64) {
-        self.clock += tokens;
-        self.buf.tick(self.clock);
+    pub fn tick(&mut self, at: u64) {
+        self.buf.tick(at);
     }
 
     /// The current token is complete: if it changed anything, enforce the
@@ -685,11 +662,6 @@ impl Lane {
     /// The program ran to completion: no further output will be produced.
     pub fn done(&self) -> bool {
         self.vm_done
-    }
-
-    /// Structural tokens charged so far ([`Lane::tick`]).
-    pub fn tokens(&self) -> u64 {
-        self.clock
     }
 
     /// The buffer's statistics right now (a failed lane's are zero).
@@ -763,7 +735,7 @@ impl Lane {
                 doctype_adopted,
             });
         Ok(RunReport {
-            tokens: self.clock,
+            tokens: scan.tokens,
             buffer: self.buf.stats(),
             timeline: self.buf.take_timeline(),
             output_bytes: self.out.bytes_written(),
@@ -935,7 +907,7 @@ mod tests {
         // everything that was ever appended.
         let mut lane = Lane::start(&q, &EngineOptions::full_buffering(), None);
         if let Some(dtd) = dtd {
-            lane.adopt_doctype(dtd);
+            lane.doctype(dtd);
         }
         let mut tok = Tokenizer::from_str(xml);
         let mut hidden = 0u32;
@@ -955,17 +927,16 @@ mod tests {
                         b's' => Keep::Speculative,
                         _ => Keep::Roles(ROLE),
                     };
-                    let taken = lane.start_element(name, &tag, &attr_names, keep);
-                    assert_eq!(taken, !matches!(keep, Keep::Skip));
-                    if !taken {
+                    lane.start_element(name, &tag, &attr_names, keep);
+                    if matches!(keep, Keep::Skip) {
                         hidden = u32::from(!tag.self_closing);
                     }
                 }
                 Token::EndTag { .. } if hidden > 0 => hidden -= 1,
-                Token::EndTag { .. } => assert!(lane.end_element()),
+                Token::EndTag { .. } => lane.end_element(),
                 Token::Text(content) if hidden == 0 => {
                     let keep = content.starts_with('!');
-                    assert_eq!(lane.text(content, keep.then_some(ROLE)), keep);
+                    lane.text(content, keep.then_some(ROLE));
                 }
                 _ => {}
             }
@@ -1105,7 +1076,7 @@ mod tests {
                             opened += 1;
                             lane.start_element(name, &tag, &attr_names[..tag.attrs.len()], keep);
                         }
-                        Token::EndTag { .. } => assert!(lane.end_element()),
+                        Token::EndTag { .. } => lane.end_element(),
                         _ => {}
                     }
                     lane.step();
@@ -1154,11 +1125,11 @@ mod tests {
                 Token::Text(_) if hidden > 0 => {}
                 Token::StartTag(tag) if tag.name.starts_with('x') => {
                     let name = lane.symbols_mut().intern(tag.name);
-                    assert!(!lane.start_element(name, &tag, &[], Keep::Skip));
+                    lane.start_element(name, &tag, &[], Keep::Skip);
                     hidden = u32::from(!tag.self_closing);
                 }
                 Token::Text(content) if content.starts_with('-') => {
-                    assert!(!lane.text(content, None));
+                    lane.text(content, None);
                 }
                 Token::StartTag(tag) => {
                     let name = lane.symbols_mut().intern(tag.name);
@@ -1171,7 +1142,7 @@ mod tests {
                         b'f' | b'r' => &[(COPY, 1), (OTHER, 1)],
                         _ => &[(COPY, 1)],
                     };
-                    assert!(lane.start_element(name, &tag, &attr_names, Keep::Roles(roles)));
+                    lane.start_element(name, &tag, &attr_names, Keep::Roles(roles));
                     if f.is_none() {
                         let node = lane.open.last().unwrap().node;
                         f = Some(node);
@@ -1184,13 +1155,13 @@ mod tests {
                         }
                     }
                 }
-                Token::EndTag { .. } => assert!(lane.end_element()),
+                Token::EndTag { .. } => lane.end_element(),
                 Token::Text(content) => {
                     let roles: &[(RoleId, u32)] = match content.starts_with('!') {
                         true => &[(COPY, 1), (OTHER, 1)],
                         false => &[(COPY, 1)],
                     };
-                    assert!(lane.text(content, Some(roles)));
+                    lane.text(content, Some(roles));
                 }
                 _ => {}
             }

@@ -18,11 +18,11 @@ use gcx_obs::Hist;
 pub const DEFAULT_TIMELINE_EVERY: u64 = 1024;
 
 /// A run's buffer-occupancy timeline: live nodes and live bytes, sampled
-/// on the lane's token clock at the first charged token and then every
-/// `every` tokens. A clock that jumps (a skipped subtree is charged at
-/// once) takes every sample point it passes, at the occupancy that held
-/// throughout. There is one sampler, the lane's clock (`Lane::tick`); a
-/// run reports the timeline in [`crate::RunReport::timeline`].
+/// on the stream's token count at its first token and then every `every`
+/// tokens. A clock that jumps (a subtree passed in bulk, or sat out by a
+/// batch lane) takes every sample point it passes, at the occupancy that
+/// held throughout. There is one sampler (`Lane::tick`); a run reports
+/// the timeline in [`crate::RunReport::timeline`].
 #[derive(Debug, Clone)]
 pub struct Timeline {
     /// `(token, live buffered nodes)` samples in token order.

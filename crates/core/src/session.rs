@@ -71,8 +71,9 @@ pub struct Emitted {
 /// all suspended together between `feed` calls, holding exactly the GCX
 /// buffer plus the current partial token. It is the driver's one-lane
 /// face (a [`BatchSession`](crate::batch::BatchSession) is its N-lane
-/// one): its lane is charged every token of the stream, adopts an
-/// in-stream DOCTYPE's cutoffs, and fails the feed when it fails.
+/// one): its lane runs on the stream's token count, adopts an in-stream
+/// DOCTYPE's cutoffs, as a batch lane does, and fails the feed when it
+/// fails.
 pub struct EvalSession {
     driver: Driver,
 }
@@ -759,11 +760,12 @@ mod tests {
         };
         let (matched, tokens, outs) = drive(doc.len(), true);
         assert_eq!(matched, needed);
-        // The lanes answer what they answer alone, and are charged what
-        // stepping charges them.
+        // The lanes answer what they answer alone, and count every token
+        // of the stream, as stepping does.
         let mut alone = Vec::new();
-        run(&batch[0], &EngineOptions::gcx(), doc.as_bytes(), &mut alone).unwrap();
+        let report = run(&batch[0], &EngineOptions::gcx(), doc.as_bytes(), &mut alone).unwrap();
         assert!(outs[0].as_bytes() == alone);
+        assert_eq!(tokens, [report.tokens; 2]);
         assert_eq!(outs[1], doc.matches("<item ").count().to_string());
         let stepped = drive(doc.len(), false);
         assert_eq!(stepped.0, all);

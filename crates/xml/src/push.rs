@@ -216,9 +216,6 @@ pub struct Skipped {
     /// counted by the call that saw its first byte). A stop tag is not
     /// among them: it is the next token.
     pub tokens: u64,
-    /// The start and end tags among them, a self-closing tag once: what a
-    /// consumer shown every tag and no text would have been shown.
-    pub tags: u64,
     /// The element's end tag was passed: the next [`PushTokenizer::step`]
     /// returns what follows it. False when the skip stopped (below) or the
     /// window ran out first — then feed more bytes and call again, or, at
@@ -648,17 +645,14 @@ impl Lent<'_, '_> {
     /// [`PushTokenizer::skip_element`] on the lent input. A skip the input
     /// ends in comes back suspended, as on the owned face.
     pub fn skip_element(&mut self, stops: &[&str], max_open: usize) -> XmlResult<Skipped> {
-        let mut passed = Passed::default();
+        let mut passed = 0;
         loop {
             let (core, buf) = self.window();
             let mut skipped = core.skip_element(buf, stops, max_open)?;
-            passed.add(Passed {
-                tokens: skipped.tokens,
-                tags: skipped.tags,
-            });
+            passed += skipped.tokens;
             let suspended = !(skipped.complete || skipped.stopped || skipped.left_open > 0);
             if !suspended || !self.more() {
-                (skipped.tokens, skipped.tags) = (passed.tokens, passed.tags);
+                skipped.tokens = passed;
                 return Ok(skipped);
             }
         }
@@ -1537,14 +1531,14 @@ impl Core {
             self.skip_open = 1;
         }
         self.pending = Pending::None;
-        let mut passed = Passed::default();
+        let mut passed = 0;
         let mut halt = None;
         while self.skip_open > 0 && halt.is_none() {
             // A recorded scan position belongs to a partial token at the
             // window start: only the stepping functions can resume it.
             if self.hint.is_none() {
                 let (stretch, stretch_halt) = self.skip_stretch(buf, stops, max_open);
-                passed.add(stretch);
+                passed += stretch;
                 halt = stretch_halt;
                 if self.skip_open == 0 || halt.is_some() {
                     break;
@@ -1563,7 +1557,7 @@ impl Core {
             // Something the stretch does not check inline.
             match self.skip_token(buf, stops, max_open)? {
                 Some((token, token_halt)) => {
-                    passed.add(token);
+                    passed += token;
                     halt = token_halt;
                 }
                 None => return Ok(Skipped::suspended(passed)),
@@ -1574,8 +1568,7 @@ impl Core {
             None => 0,
         };
         Ok(Skipped {
-            tokens: passed.tokens,
-            tags: passed.tags,
+            tokens: passed,
             complete: halt.is_none(),
             stopped: halt == Some(Halt::Stop),
             left_open,
@@ -1603,17 +1596,12 @@ impl Core {
     /// and plain tags ([`PushTokenizer::plain_tag`]), and consume the whole
     /// stretch at once. Stops — in front of it — at anything else, at the
     /// window end, and behind the end tag that completes the skip or the
-    /// start tag it halts at (a stop tag is left pending). Returns what it
-    /// passed and the halt.
-    fn skip_stretch(
-        &mut self,
-        buf: &[u8],
-        stops: &[&str],
-        max_open: usize,
-    ) -> (Passed, Option<Halt>) {
+    /// start tag it halts at (a stop tag is left pending). Returns the
+    /// tokens it passed and the halt.
+    fn skip_stretch(&mut self, buf: &[u8], stops: &[&str], max_open: usize) -> (u64, Option<Halt>) {
         let (lo, hi) = (self.lo, self.hi);
         let limit = max_open.saturating_add(1);
-        let mut passed = Passed::default();
+        let mut passed = 0;
         let mut halt = None;
         let mut i = lo;
         // Where the text run the stretch stopped in began, if it began in
@@ -1623,7 +1611,7 @@ impl Core {
             if buf[i] != b'<' {
                 if self.skip_text_start.is_none() && run_start.is_none() {
                     run_start = Some(i);
-                    passed.tokens += 1;
+                    passed += 1;
                 }
                 let window = &buf[..hi];
                 match text_stop::<false>(&window[i..]) {
@@ -1646,7 +1634,7 @@ impl Core {
             match self.plain_tag(buf, i) {
                 None => break,
                 Some(PlainTag::End { name_len }) => {
-                    passed.add(Passed::tag(1));
+                    passed += 1;
                     i += name_len + 3;
                     self.skip_open -= 1;
                     if self.skip_open == 0 {
@@ -1667,7 +1655,7 @@ impl Core {
                         halt = Some(Halt::Stop);
                         break;
                     }
-                    passed.add(Passed::tag(1 + u64::from(self_closing)));
+                    passed += 1 + u64::from(self_closing);
                     halt = self.skip_opens(self_closing, limit);
                     if halt.is_some() {
                         break;
@@ -1688,14 +1676,14 @@ impl Core {
 
     /// One token of a skipped subtree through the stepping functions, the
     /// token itself discarded — unless it is a stop tag, which stays
-    /// pending. Returns what it passed and the halt, or `None` when the
-    /// window ends inside the token.
+    /// pending. Returns the tokens it passed and the halt, or `None` when
+    /// the window ends inside the token.
     fn skip_token(
         &mut self,
         buf: &[u8],
         stops: &[&str],
         max_open: usize,
-    ) -> XmlResult<Option<(Passed, Option<Halt>)>> {
+    ) -> XmlResult<Option<(u64, Option<Halt>)>> {
         if buf[self.lo] != b'<' {
             // The rest of a text run whose head the stretch consumed and
             // counted: validated as a whole once its '<' is in sight.
@@ -1707,7 +1695,7 @@ impl Core {
             }
             self.skip_text_start = None;
             self.pending = Pending::None;
-            return Ok(Some((Passed::default(), None)));
+            return Ok(Some((0, None)));
         }
         if self.step_markup(buf)? == TokenStep::NeedMoreData {
             return Ok(None);
@@ -1720,49 +1708,29 @@ impl Core {
                 ..
             } => {
                 if !stops.is_empty() && self.is_stop(buf, stops, start, name_len) {
-                    return Ok(Some((Passed::default(), Some(Halt::Stop))));
+                    return Ok(Some((0, Some(Halt::Stop))));
                 }
                 let halt = self.skip_opens(self_closing, max_open.saturating_add(1));
-                (Passed::tag(1 + u64::from(self_closing)), halt)
+                (1 + u64::from(self_closing), halt)
             }
             Pending::EndTag { .. } => {
                 self.skip_open -= 1;
-                (Passed::tag(1), None)
+                (1, None)
             }
             // A CDATA section.
-            Pending::Text { .. } => (Passed { tokens: 1, tags: 0 }, None),
-            _ => (Passed::default(), None),
+            Pending::Text { .. } => (1, None),
+            _ => (0, None),
         };
         self.pending = Pending::None;
         Ok(Some(passed))
     }
 }
 
-/// What a stretch or a token of a skip passed (see [`Skipped`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct Passed {
-    tokens: u64,
-    tags: u64,
-}
-
-impl Passed {
-    /// One tag, `tokens` of them (2 when self-closing).
-    fn tag(tokens: u64) -> Passed {
-        Passed { tokens, tags: 1 }
-    }
-
-    fn add(&mut self, other: Passed) {
-        self.tokens += other.tokens;
-        self.tags += other.tags;
-    }
-}
-
 impl Skipped {
-    /// A skip the window ran out on after passing `passed`.
-    fn suspended(passed: Passed) -> Skipped {
+    /// A skip the window ran out on after passing `tokens`.
+    fn suspended(tokens: u64) -> Skipped {
         Skipped {
-            tokens: passed.tokens,
-            tags: passed.tags,
+            tokens,
             complete: false,
             stopped: false,
             left_open: 0,

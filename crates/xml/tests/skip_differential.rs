@@ -49,7 +49,6 @@ enum Event {
     /// A skipped subtree (all suspended calls of one skip together).
     Skipped {
         tokens: u64,
-        tags: u64,
         complete: bool,
         behind: TextPos,
     },
@@ -81,10 +80,10 @@ fn run_fed(doc: &[u8], feeds: Feeds<'_>, skip: impl Fn(usize, i32) -> bool) -> R
         pending: Vec::new(),
     };
     let (mut ordinal, mut depth) = (0usize, 0i32);
-    // The skip in flight: tokens and tags so far.
-    let mut skipping: Option<(u64, u64)> = None;
+    // The skip in flight: tokens so far.
+    let mut skipping: Option<u64> = None;
     feeds.drive(doc, |tok, finished| loop {
-        let more = if let Some((so_far, tags)) = skipping {
+        let more = if let Some(so_far) = skipping {
             assert!(so_far == 0 || tok.skipping());
             match tok.skip_element(&[], usize::MAX) {
                 Err(e) => {
@@ -95,7 +94,6 @@ fn run_fed(doc: &[u8], feeds: Feeds<'_>, skip: impl Fn(usize, i32) -> bool) -> R
                     assert!(!tok.skipping());
                     out.events.push(Event::Skipped {
                         tokens: so_far + s.tokens,
-                        tags: tags + s.tags,
                         complete: s.complete,
                         behind: tok.position(),
                     });
@@ -104,7 +102,7 @@ fn run_fed(doc: &[u8], feeds: Feeds<'_>, skip: impl Fn(usize, i32) -> bool) -> R
                     false
                 }
                 Ok(s) => {
-                    skipping = Some((so_far + s.tokens, tags + s.tags));
+                    skipping = Some(so_far + s.tokens);
                     true
                 }
             }
@@ -133,7 +131,7 @@ fn run_fed(doc: &[u8], feeds: Feeds<'_>, skip: impl Fn(usize, i32) -> bool) -> R
                     });
                     if change == 1 {
                         if skip(ordinal, depth) {
-                            skipping = Some((0, 0));
+                            skipping = Some(0);
                         }
                         ordinal += 1;
                     }
@@ -159,15 +157,11 @@ fn assert_same(want: &Run, got: &Run, label: &dyn Fn() -> String) {
             Event::Token { .. } => assert_eq!(stepped.next(), Some(event), "{}", label()),
             Event::Skipped {
                 tokens,
-                tags,
                 complete,
                 behind,
             } => {
                 // Step the reference through the same subtree.
                 let (mut open, mut charged, mut at) = (1, 0, None);
-                // Start, end and self-closing tags: what moves the depth
-                // or is charged twice.
-                let mut stepped_tags = 0;
                 while open > 0 {
                     let Some(Event::Token {
                         charge,
@@ -180,7 +174,6 @@ fn assert_same(want: &Run, got: &Run, label: &dyn Fn() -> String) {
                     };
                     open += depth;
                     charged += charge;
-                    stepped_tags += u64::from(*depth != 0 || *charge == 2);
                     at = Some(*behind);
                 }
                 // The reference may have failed inside the subtree; then
@@ -189,7 +182,6 @@ fn assert_same(want: &Run, got: &Run, label: &dyn Fn() -> String) {
                 assert_eq!(*complete, through, "{}", label());
                 if through || want.result.is_ok() {
                     assert_eq!(*tokens, charged, "tokens charged, {}", label());
-                    assert_eq!(*tags, stepped_tags, "tags passed, {}", label());
                     assert_eq!(*behind, at.unwrap_or(*behind), "position, {}", label());
                 }
             }

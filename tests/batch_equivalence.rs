@@ -25,70 +25,64 @@ fn compile_batch() -> Vec<CompiledQuery> {
         .collect()
 }
 
-/// Events each query of the batch receives (`RunReport::tokens`).
-fn lane_events(report: &BatchReport) -> Vec<u64> {
-    report
-        .queries
-        .iter()
-        .map(|run| run.report.as_ref().unwrap().tokens)
-        .collect()
-}
-
 #[test]
 fn eleven_xmark_queries_identical_to_standalone() {
     let texts: Vec<&str> = paper_queries().iter().map(|q| q.1).collect();
     contract(&cases(&texts, &[xmark(128, 42)], None));
     // Read 64 KiB at a time: each lane against its stand-alone run.
     batch_axis(&cases(&texts, &[xmark(512, 42)], None));
-    // (KiB, shared-scan tokens, events delivered, events per query) for
-    // seed 42, as counted by the thread-and-channel driver this one
-    // replaced: sharing the scan must not change who sees what.
-    let pinned: [(u64, u64, u64, [u64; 11]); 2] = [
-        (
-            128,
-            9900,
-            14037,
-            [530, 1837, 692, 157, 371, 303, 514, 7228, 530, 127, 1748],
-        ),
-        (
-            512,
-            39752,
-            56201,
-            [
-                2110, 7381, 2756, 607, 1509, 1206, 2052, 28961, 2110, 487, 7022,
-            ],
-        ),
-    ];
+    // (KiB, shared-scan tokens, tokens handed to the lanes) for seed 42.
+    let pinned: [(u64, u64, u64); 2] = [(128, 9900, 15460), (512, 39752, 61922)];
     let queries = compile_batch();
-    for (kb, tokens, fanout, per_query) in pinned {
-        let report = run_batch(&queries, xmark(kb, 42).as_bytes()).unwrap();
+    let opts = EngineOptions::gcx().with_telemetry();
+    for (kb, tokens, fanout) in pinned {
+        let doc = xmark(kb, 42);
+        let report = run(&queries, &opts, doc.as_bytes()).unwrap();
         assert_eq!(report.tokens, tokens, "{kb} KiB: shared-scan tokens");
-        assert_eq!(report.fanout_events, fanout, "{kb} KiB: events delivered");
-        assert_eq!(
-            lane_events(&report),
-            per_query,
-            "{kb} KiB: events per query"
-        );
+        assert_eq!(report.fanout_events, fanout, "{kb} KiB: tokens handed");
         assert!(
             report.share_factor() > 2.0,
             "11 sparse queries must amortize the scan (got {:.2})",
             report.share_factor()
         );
+        // With telemetry on, each lane's counts (on the scan's clock),
+        // timeline, residency and role lifecycle are its stand-alone run's.
+        for ((name, _), (q, lane)) in paper_queries()
+            .iter()
+            .zip(queries.iter().zip(report.queries))
+        {
+            let (got, want) = (lane.report.unwrap(), common::whole(q, &opts, &doc).report);
+            assert_eq!(
+                got.tokens, tokens,
+                "{kb} KiB: {name} runs on the scan's clock"
+            );
+            assert_eq!(
+                common::counts(&got),
+                common::counts(&want),
+                "{kb} KiB: {name}"
+            );
+            let (got, want) = (got.obs.unwrap(), want.obs.unwrap());
+            let (g, w) = (&got.residency_tokens, &want.residency_tokens);
+            let residency = (g.count(), g.sum(), g.max(), g.counts());
+            assert_eq!(
+                residency,
+                (w.count(), w.sum(), w.max(), w.counts()),
+                "{name}"
+            );
+            assert!(g.count() > 0, "{kb} KiB: {name} purges");
+            let roles = |obs: &gcx::core::ObsReport| format!("{:?}", obs.roles);
+            assert_eq!(roles(&got), roles(&want), "{kb} KiB: {name}: roles");
+        }
     }
 }
 
 fn assert_same_batch(got: &BatchReport, want: &BatchReport, what: &str) {
     assert_eq!(got.tokens, want.tokens, "{what}");
     assert_eq!(got.fanout_events, want.fanout_events, "{what}");
-    assert_eq!(lane_events(got), lane_events(want), "{what}");
     for (i, (g, w)) in got.queries.iter().zip(&want.queries).enumerate() {
         assert_eq!(g.output, w.output, "{what}: query {i}");
         let (g, w) = (g.report.as_ref().unwrap(), w.report.as_ref().unwrap());
-        assert_eq!(
-            common::buffer_counts(g),
-            common::buffer_counts(w),
-            "{what}: query {i}"
-        );
+        assert_eq!(common::counts(g), common::counts(w), "{what}: query {i}");
     }
 }
 

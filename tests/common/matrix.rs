@@ -22,10 +22,10 @@
 //! * **batch lane** — the cases on one document run as the lanes of one
 //!   `BatchSession`, fed 1 byte at a time (documents up to 64 KiB), 7
 //!   bytes at a time, and in 64 KiB reads writing indented. Each lane's
-//!   output and buffer counts equal its stand-alone run under the same
-//!   schema facts (a DOCTYPE is adopted only stand-alone, so against the
-//!   run without it), its `tokens` equal [`lane_events`], its
-//!   `feed_calls` the batch's, and `fanout_events` is their sum;
+//!   output and [`Counts`] equal its stand-alone run's, DOCTYPE included
+//!   (bar the reach cuts, which are the shared scan's), its `feed_calls`
+//!   are the batch's, and `fanout_events` does not depend on the
+//!   chunking;
 //! * **warm sessions** — the chunked runs are later sessions of the
 //!   compiled query, and the first of them runs at the same time on a
 //!   second thread, on a query that served the corpus's other documents
@@ -39,7 +39,6 @@
 //! for the rest.
 
 use super::generated::XorShift;
-use super::{lane_events, without_doctype};
 use gcx::core::batch::BatchSession;
 use gcx::schema::Dtd;
 use gcx::{CompiledQuery, EngineMode, EngineOptions, RunReport};
@@ -332,8 +331,6 @@ struct Alone {
     query: CompiledQuery,
     /// The whole document.
     whole: Seen,
-    /// The whole document without its DOCTYPE, if it has one.
-    plain: Option<Seen>,
     /// The whole document, written indented.
     indented: Seen,
 }
@@ -343,10 +340,8 @@ impl Alone {
         let (doc, dtd) = (&*case.doc, case.dtd.as_ref());
         let query = compile(&case.query);
         let opts = options(EngineMode::Gcx, dtd);
-        let stripped = without_doctype(doc);
         Alone {
             whole: whole(&query, &opts, doc),
-            plain: (stripped != doc).then(|| whole(&query, &opts, &stripped)),
             indented: whole(&query, &indented(opts), doc),
             query,
         }
@@ -488,24 +483,27 @@ fn stand_alone(label: &str, case: &Case, alone: &Alone, shared: Option<&Compiled
     }
 }
 
-/// The cases `group` (one document, one DTD) as the lanes of a batch.
+/// The cases `group` (one document, one DTD) as the lanes of a batch,
+/// each held to its stand-alone run.
 fn lanes(cases: &[Case], group: &[usize], alone: &[Alone]) {
     let (doc, dtd) = (&*cases[group[0]].doc, cases[group[0]].dtd.as_ref());
     let queries: Vec<CompiledQuery> = group.iter().map(|&i| alone[i].query.clone()).collect();
-    let events: Vec<u64> = queries
-        .iter()
-        .map(|q| lane_events(q, dtd.map(|d| &**d), doc))
-        .collect();
-    let opts = EngineOptions {
-        schema: dtd.cloned(),
-        ..EngineOptions::gcx()
+    let opts = options(EngineMode::Gcx, dtd);
+    // The reach cuts are the shared scan's, not a lane's.
+    let lane_counts = |r: &RunReport| {
+        let c = counts(r);
+        let schema = c.schema.map(|(pruned, total, _, ends, early, adopted)| {
+            (pruned, total, 0, ends, early, adopted)
+        });
+        Counts { schema, ..c }
     };
     // Fed 7 (and 1) bytes at a time, and read as `gcx::run` reads a
-    // document, 64 KiB at a time, writing indented, which moves no count.
+    // document, 64 KiB at a time, writing indented.
     let mut runs = vec![Some(7), None];
     if doc.len() <= BYTEWISE {
         runs.push(Some(1));
     }
+    let mut fanout = None;
     for chunk in runs {
         let (how, report) = match chunk {
             Some(chunk) => (
@@ -518,40 +516,25 @@ fn lanes(cases: &[Case], group: &[usize], alone: &[Alone]) {
                 ("64 KiB reads, indented".into(), report.expect("batch"))
             }
         };
-        assert_eq!(report.fanout_events, events.iter().sum::<u64>());
-        for ((&i, lane), &events) in group.iter().zip(report.queries).zip(&events) {
+        let handed = *fanout.get_or_insert(report.fanout_events);
+        assert_eq!(report.fanout_events, handed, "{how}: fanout events");
+        for (&i, lane) in group.iter().zip(report.queries) {
             let label = format!("{} as a lane, {how}", cases[i].query);
-            let alone = &alone[i];
-            // A lane adopts no DOCTYPE.
-            let want = alone.plain.as_ref().unwrap_or(&alone.whole);
-            let output = String::from_utf8(lane.output).expect("UTF-8 output");
-            match chunk {
-                None => assert_eq!(output, alone.indented.output, "{label}"),
-                Some(_) => assert_eq!(output, want.output, "{label}"),
-            }
-            let lane = lane.report.expect("lane report");
-            assert_eq!(buffer_counts(&lane), buffer_counts(&want.report), "{label}");
-            let facts = |r: &RunReport| {
-                r.schema.as_ref().map(|s| {
-                    (
-                        s.pruned_paths,
-                        s.total_paths,
-                        s.early_scan_ends,
-                        s.early_signoffs,
-                    )
-                })
+            let want = match chunk {
+                None => &alone[i].indented,
+                Some(_) => &alone[i].whole,
             };
-            assert_eq!(facts(&lane), facts(&want.report), "{label}: schema facts");
-            assert_eq!(lane.tokens, events, "{label}: events shown");
+            let output = String::from_utf8(lane.output).expect("UTF-8 output");
+            assert_eq!(output, want.output, "{label}");
+            let lane = lane.report.expect("lane report");
+            let (got, want) = (&lane, &want.report);
+            assert_eq!(lane_counts(got), lane_counts(want), "{label}: counts");
             let feeds = match chunk {
                 Some(chunk) => doc.len().div_ceil(chunk) as u64,
-                None => want.report.feed_calls,
+                None => want.feed_calls,
             };
-            assert_eq!(lane.feed_calls, feeds, "{label}: feed calls");
-            assert_eq!(
-                report.tokens, want.report.tokens,
-                "{label}: the shared scan"
-            );
+            assert_eq!(got.feed_calls, feeds, "{label}: feed calls");
+            assert_eq!(report.tokens, want.tokens, "{label}: the shared scan");
         }
     }
 }

@@ -26,9 +26,9 @@ pub fn xmark(kb: u64, seed: u64) -> String {
     })
 }
 
-/// `doc` without its `<!DOCTYPE ...>` declaration, if it has one: a
-/// stand-alone run adopts one's sibling-order cutoffs, which turn the
-/// descendant search off and may let a copy write more through.
+/// `doc` without its `<!DOCTYPE ...>` declaration, if it has one: a run
+/// without a schema adopts one's sibling-order cutoffs, which may let a
+/// copy write more through and purge earlier.
 pub fn without_doctype(doc: &str) -> String {
     if !doc.contains("<!DOCTYPE") {
         return doc.to_string();
@@ -173,37 +173,6 @@ pub fn project(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> Projection {
         _ => {}
     });
     counts
-}
-
-/// The events a batch lane of `q` is charged when every token is stepped
-/// to it — each start tag its query keeps (a self-closing one once) and
-/// that element's end tag, each text that gets a role, and the end of
-/// input: what [`gcx::RunReport::tokens`] of the lane must read, however
-/// much of the stream the driver passed in bulk.
-pub fn lane_events(q: &CompiledQuery, dtd: Option<&Dtd>, doc: &str) -> u64 {
-    let (mut matcher, mut symbols) = matcher(q, dtd);
-    let (mut events, mut hidden_depth) = (1, 0u32);
-    for_each_token(doc, |token| match token {
-        Token::StartTag(tag) if hidden_depth > 0 => hidden_depth += u32::from(!tag.self_closing),
-        Token::StartTag(tag) => {
-            if matcher.enter(symbols.intern(tag.name)).is_some() {
-                events += 1;
-                if tag.self_closing {
-                    matcher.leave_element();
-                }
-            } else {
-                hidden_depth = u32::from(!tag.self_closing);
-            }
-        }
-        Token::EndTag { .. } if hidden_depth > 0 => hidden_depth -= 1,
-        Token::EndTag { .. } => {
-            matcher.leave_element();
-            events += 1;
-        }
-        Token::Text(_) if hidden_depth == 0 => events += u64::from(!matcher.text().is_empty()),
-        _ => {}
-    });
-    events
 }
 
 /// Call `f` with each token of `doc`, in order.

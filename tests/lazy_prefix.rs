@@ -164,3 +164,22 @@ fn blind_peaks_equal_aware_peaks_and_pending_cutoffs_fire() {
         );
     }
 }
+
+#[test]
+fn a_signoff_that_reaches_a_node_twice() {
+    // Nested a's: a path with two descendant steps reaches a b once below
+    // each a above it, so its signOff decrements the b once per
+    // derivation, with purges of the nodes walked before it in between.
+    let docs = [
+        "<r><a><a><b>1</b><x/><b>2<b>3</b></b></a><b>4</b></a>\
+         <a><b><a><b>5</b></a></b></a><a><a><a><b>6</b><c/></a></a></a></r>",
+        "<r><a><b><a><b><a><b>deep</b></a></b></a></b></a><b>out</b></r>",
+    ];
+    let texts = [
+        "<r>{ for $x in /r return $x//a//b }</r>",
+        "for $x in //a return <n>{ $x//a//b/text() }</n>",
+        "for $x in /r return count($x//a//b)",
+        "for $x in /r/a return ($x//a//b, $x//c)",
+    ];
+    contract(&cases(&texts, &docs, None));
+}

@@ -42,6 +42,20 @@ fn hash_join_pass_fires_on_q8() {
     assert!(join.changes > 0, "Q8's value join must be rewritten");
 }
 
+/// A join-shaped inner loop over a root path whose `else` branch writes:
+/// every pair must still be visited, so the join may not rewrite it.
+const ELSE_BRANCH: &str = "<r>{ for $b in /site/closed_auctions/closed_auction/buyer return \
+     for $p in /site/people/person return \
+       if ($p/@id = $b/@person) then $p/name else <z/> }</r>";
+
+#[test]
+fn an_inner_loop_with_an_else_branch_is_no_join() {
+    let opt = compile(ELSE_BRANCH).program.listing();
+    let unopt = CompiledQuery::compile_opts(ELSE_BRANCH, false).unwrap();
+    assert_eq!(opt, unopt.program.listing(), "the direct lowering");
+    contract(&cases(&[ELSE_BRANCH], &[xmark(24, 11)], None));
+}
+
 #[test]
 fn only_the_join_rewrites_a_plan() {
     for (name, text) in queries::paper_queries() {
