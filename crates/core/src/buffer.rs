@@ -1000,6 +1000,15 @@ impl BufferTree {
         }
     }
 
+    /// Is `node`'s region over: its end tag read (the virtual root's is
+    /// the end of input), or — with `want` — a DTD sibling-order cutoff
+    /// proving that no further `want` child of `node` can arrive? Every
+    /// wait of the evaluator asks this one question.
+    #[inline]
+    pub fn region_over(&self, node: NodeId, want: Option<Symbol>) -> bool {
+        self.is_closed(node) || want.is_some_and(|w| self.schema_sibling_exhausted(node, w))
+    }
+
     /// Count a cursor scan ended early by a cutoff.
     pub fn schema_count_scan_end(&mut self) {
         if let Some(s) = self.schema.as_deref_mut() {

@@ -3,9 +3,10 @@
 //! A [`PathCursor`] enumerates the nodes matching a step sequence below a
 //! context node, in document order, *while the document is still
 //! streaming in*. When iteration reaches the end of a node's currently
-//! buffered children and that node is still open, the cursor reports
-//! [`CursorState::NeedInput`]; the engine pulls one token from the
-//! preprojector and retries. This is exactly the paper's blocking protocol:
+//! buffered children and that node's region is not over, the cursor
+//! reports [`CursorState::NeedInput`] with the scan it is blocked on; the
+//! engine pulls one token from the preprojector and retries. This is
+//! exactly the paper's blocking protocol:
 //! "query evaluation remains blocked until the buffer manager has
 //! responded", with the buffer manager issuing `nextNode()` requests.
 //!
@@ -53,10 +54,40 @@ pub fn pred_ordinal(test: ETest, buf: &BufferTree, node: NodeId) -> u32 {
 pub enum CursorState {
     /// The next match in document order.
     Match(NodeId),
-    /// More input is needed: pull a token and call `advance` again.
-    NeedInput,
+    /// More input is needed: the scan is blocked (see [`Blocked`]); pull a
+    /// token and call `advance` again.
+    NeedInput(Blocked),
     /// Iteration complete.
     Done,
+}
+
+/// The scan a cursor is blocked on: `parent`'s children, `after` the last
+/// one examined (`None`: before the first). It goes on once `parent` gains
+/// a child after `after`, or once the region the scan reads is over
+/// ([`BufferTree::region_over`] with `want`, a child-axis name scan's
+/// target: a cutoff can end a scan without a buffered sibling arriving).
+/// Both nodes are pinned by the blocked frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Blocked {
+    pub parent: NodeId,
+    pub after: Option<NodeId>,
+    pub want: Option<Symbol>,
+}
+
+/// Is the blocked scan over? Its parent's region is over, or the parent
+/// is the virtual root and the scan has examined its one child, the
+/// document element (the tokenizer rejects a second element and text
+/// outside it, and the whitespace it lets through there is no node). A
+/// scan a DTD cutoff ends before its parent's end tag is counted.
+fn scan_over(buf: &mut BufferTree, b: Blocked) -> bool {
+    if b.parent == NodeId::ROOT && b.after.is_some() {
+        return true;
+    }
+    let over = buf.region_over(b.parent, b.want);
+    if over && !buf.is_closed(b.parent) {
+        buf.schema_count_scan_end();
+    }
+    over
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -264,21 +295,19 @@ impl PathCursor {
                             }
                         }
                         None => {
-                            if buf.is_closed(node) {
-                                self.pop(buf);
-                            } else if let ETest::Name(want) = steps[step].test {
-                                // Earliest scan end: `node` is still open,
-                                // but a DTD sibling-order cutoff can prove
-                                // no further `want` child will arrive.
-                                if buf.schema_sibling_exhausted(node, want) {
-                                    buf.schema_count_scan_end();
-                                    self.pop(buf);
-                                } else {
-                                    return CursorState::NeedInput;
-                                }
-                            } else {
-                                return CursorState::NeedInput;
+                            let want = match steps[step].test {
+                                ETest::Name(want) => Some(want),
+                                _ => None,
+                            };
+                            let blocked = Blocked {
+                                parent: node,
+                                after: last,
+                                want,
+                            };
+                            if !scan_over(buf, blocked) {
+                                return CursorState::NeedInput(blocked);
                             }
+                            self.pop(buf);
                         }
                     }
                 }
@@ -304,44 +333,19 @@ impl PathCursor {
                             });
                         }
                         None => {
-                            if buf.is_closed(node) {
-                                self.pop(buf);
-                            } else {
-                                return CursorState::NeedInput;
+                            let blocked = Blocked {
+                                parent: node,
+                                after: last,
+                                want: None,
+                            };
+                            if !scan_over(buf, blocked) {
+                                return CursorState::NeedInput(blocked);
                             }
+                            self.pop(buf);
                         }
                     }
                 }
             }
-        }
-    }
-
-    /// After [`CursorState::NeedInput`]: the scan the cursor is blocked
-    /// on, as `(parent, last-examined-child, wanted-child-name)`. The
-    /// cursor can only make progress once `parent` gains a child after
-    /// `last` or closes — the engine uses this to batch token application
-    /// between suspension checks instead of re-entering the evaluator per
-    /// token. The wanted name is `Some` only for a child-axis name scan:
-    /// there, a schema sibling-order cutoff proving `want` exhausted also
-    /// unblocks the scan (it will end early on resume). Both nodes are
-    /// pinned by the blocked frame, so the hint stays valid across
-    /// garbage collection.
-    pub fn wait_hint(
-        &self,
-        arena: &[EvalStep],
-    ) -> Option<(NodeId, Option<NodeId>, Option<Symbol>)> {
-        let steps = &arena[self.first as usize..][..self.len as usize];
-        let f = self.stack.last()?;
-        match f.kind {
-            FrameKind::ChildScan { last } => {
-                let want = match steps[f.step].test {
-                    ETest::Name(s) => Some(s),
-                    _ => None,
-                };
-                Some((f.node, last, want))
-            }
-            FrameKind::DescScan { last } => Some((f.node, last, None)),
-            _ => None,
         }
     }
 
@@ -438,7 +442,7 @@ mod tests {
             match cur.advance(buf, steps) {
                 CursorState::Match(n) => out.push(n),
                 CursorState::Done => break,
-                CursorState::NeedInput => panic!("closed tree cannot need input"),
+                CursorState::NeedInput(_) => panic!("closed tree cannot need input"),
             }
         }
         out
@@ -555,9 +559,16 @@ mod tests {
             pos: None,
         }];
         let mut cur = PathCursor::new(&mut buf, na, &steps);
+        let blocked = |after| {
+            CursorState::NeedInput(Blocked {
+                parent: na,
+                after,
+                want: Some(b),
+            })
+        };
         assert_eq!(
             cur.advance(&mut buf, &steps),
-            CursorState::NeedInput,
+            blocked(None),
             "a is still open"
         );
         // Stream delivers a matching child.
@@ -566,7 +577,7 @@ mod tests {
         assert_eq!(cur.advance(&mut buf, &steps), CursorState::Match(nb));
         assert_eq!(
             cur.advance(&mut buf, &steps),
-            CursorState::NeedInput,
+            blocked(Some(nb)),
             "a still open"
         );
         buf.close(na);

@@ -642,6 +642,15 @@ impl Preprojector {
             self.matcher_tokens += 1;
         }
         self.tokens += 1;
+        // Outside the document element only whitespace passes the
+        // tokenizer, and it is no node of the document: the virtual root
+        // holds the one element alone. The lanes see only the clock move.
+        if self.unmatched_depth == 0 && self.matcher.depth() == 0 {
+            for Slot { lane, .. } in &mut self.lanes {
+                lane.tick(self.tokens);
+            }
+            return Pass::Step;
+        }
         let tagged: &[TaggedRole] = match self.unmatched_depth {
             0 => self.matcher.text(),
             _ => &[],

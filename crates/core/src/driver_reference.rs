@@ -155,7 +155,8 @@ fn token_by_token(q: &CompiledQuery, doc: &[u8]) -> Measured {
                 1
             }
             Token::Text(content) => {
-                if refused_depth == 0 {
+                // Whitespace outside the document element is no node.
+                if refused_depth == 0 && matcher.depth() > 0 {
                     roles.clear();
                     roles.extend(matcher.text().iter().map(|&(_, r, c)| (r, c)));
                     lane.text(content, (!roles.is_empty()).then_some(&roles[..]));

@@ -35,7 +35,9 @@
 //! the end of every run (asserted by tests).
 
 use crate::buffer::{BufferTree, NodeId};
-use crate::cursor::{passes, pred_ordinal, CursorPool, CursorState, EvalStep, PathCursor};
+use crate::cursor::{
+    passes, pred_ordinal, Blocked, CursorPool, CursorState, ETest, EvalStep, PathCursor,
+};
 use crate::error::EngineError;
 use crate::obs::TaskObs;
 use gcx_ir::{
@@ -147,19 +149,16 @@ enum Task {
     },
     /// Emit the aggregate folded so far and reset the fold.
     AggFinish(AggFunc),
-    /// Wait for `node`'s end tag (signOff over a variable-rooted path:
-    /// the binding's subtree must have finished streaming).
-    WaitClosed(NodeId),
-    /// [`Task::WaitClosed`] with a schema shortcut: the signOff target's
-    /// first step is `child::want`, so once a DTD sibling-order cutoff
-    /// proves `want` exhausted under `node`, every node the target can
-    /// ever select is buffered and closed — the signOff may run before
-    /// `node`'s end tag. This is the paper's "earliest possible" moment
-    /// moved earlier by schema knowledge.
-    WaitClosedOrExhausted { node: NodeId, want: Symbol },
-    /// Consume the rest of the input (signOff over a root-anchored path:
-    /// the whole document is the region).
-    DrainInput,
+    /// Wait until [`BufferTree::region_over`]`(node, want)`: a copy's end
+    /// tag, or a signOff's region — the binding's subtree, or the whole
+    /// document for a root-anchored target (the virtual root closes at
+    /// end of input). With `want` (the target's first step is
+    /// `child::want`), a DTD sibling-order cutoff proving `want` exhausted
+    /// under `node` completes the region before `node`'s end tag: every
+    /// node the target can ever select is then buffered and closed. This
+    /// is the paper's "earliest possible" moment moved earlier by schema
+    /// knowledge.
+    WaitRegion { node: NodeId, want: Option<Symbol> },
     /// Decrement role instances over the (now complete) target region.
     SignoffExec {
         path: PathId,
@@ -186,7 +185,7 @@ enum Task {
 /// Display names of the task-frame kinds, parallel to [`task_kind`].
 /// Frame timing attributes evaluation cost by kind — e.g. the Q8
 /// allocation cliff shows up as `CollectLoop`/`CollectClosed` dominance.
-const TASK_KIND_NAMES: [&str; 26] = [
+const TASK_KIND_NAMES: [&str; 24] = [
     "Exec",
     "Seq",
     "EndElement",
@@ -205,14 +204,12 @@ const TASK_KIND_NAMES: [&str; 26] = [
     "CollectLoop",
     "CollectClosed",
     "AggFinish",
-    "WaitClosed",
-    "DrainInput",
+    "WaitRegion",
     "SignoffExec",
     "JoinBuildLoop",
     "JoinBuildFinish",
     "JoinProbe",
     "JoinProbeLoop",
-    "WaitClosedOrExhausted",
 ];
 
 /// Where a collect loop puts each match.
@@ -303,14 +300,12 @@ fn task_kind(t: &Task) -> usize {
         Task::CollectLoop { .. } => 15,
         Task::CollectClosed { .. } => 16,
         Task::AggFinish(_) => 17,
-        Task::WaitClosed(_) => 18,
-        Task::DrainInput => 19,
-        Task::SignoffExec { .. } => 20,
-        Task::JoinBuildLoop { .. } => 21,
-        Task::JoinBuildFinish { .. } => 22,
-        Task::JoinProbe { .. } => 23,
-        Task::JoinProbeLoop { .. } => 24,
-        Task::WaitClosedOrExhausted { .. } => 25,
+        Task::WaitRegion { .. } => 18,
+        Task::SignoffExec { .. } => 19,
+        Task::JoinBuildLoop { .. } => 20,
+        Task::JoinBuildFinish { .. } => 21,
+        Task::JoinProbe { .. } => 22,
+        Task::JoinProbeLoop { .. } => 23,
     }
 }
 
@@ -341,28 +336,16 @@ struct TaskTiming {
 pub(crate) enum Wait {
     /// No recorded wait: resume after every event (always correct).
     Any,
-    /// A cursor scan is blocked at `parent`'s last buffered child:
-    /// progress needs a following sibling (a first child when `after`
-    /// is `None`) or `parent`'s end tag. Both nodes are pinned by the
-    /// blocked cursor frame. `want` (a child-axis name scan's target) is
-    /// a third unblock condition under a schema: a sibling-order cutoff
-    /// proving `want` exhausted ends the scan — necessary because a
-    /// *skipped* later sibling advances the cutoff without appending any
-    /// buffered sibling the other two conditions could see.
-    Sibling {
-        parent: NodeId,
-        after: Option<NodeId>,
-        want: Option<Symbol>,
-    },
-    /// Blocked on `node`'s end tag (emit/collect/signOff waits). The
-    /// node is referenced by the blocked frame and kept alive by its
-    /// role instances or an enclosing cursor pin.
-    Closed(NodeId),
-    /// Blocked on `node`'s end tag *or* a cutoff proving its `want`
-    /// children exhausted (schema-early signOff waits).
-    ClosedOrExhausted { node: NodeId, want: Symbol },
-    /// Draining to end of input (query-end signOff anchor).
-    Eof,
+    /// A cursor scan is blocked: progress needs a following sibling (a
+    /// first child when `after` is `None`) or the end of the region it
+    /// reads — with `want`, also a cutoff that a *skipped* later sibling
+    /// advanced without appending any buffered sibling.
+    Sibling(Blocked),
+    /// Blocked until [`BufferTree::region_over`]`(node, want)`
+    /// (emit/collect/signOff waits). The node is referenced by the
+    /// blocked frame and kept alive by its role instances or an enclosing
+    /// cursor pin.
+    Region { node: NodeId, want: Option<Symbol> },
 }
 
 /// Where a copy stands while its element is still open: the evaluator has
@@ -496,9 +479,6 @@ pub(crate) struct Vm {
     value_pool: Vec<Values>,
     /// The aggregate being collected.
     fold: Fold,
-    /// Set by the driver once the feed reports end of input; blocked
-    /// waits then fail instead of suspending forever.
-    input_exhausted: bool,
     /// Frame timing, off by default (one null check per frame).
     timing: Option<Box<TaskTiming>>,
 }
@@ -528,7 +508,6 @@ impl Vm {
             signoff_scratch: Vec::new(),
             value_pool: Vec::new(),
             fold: Fold::default(),
-            input_exhausted: false,
             timing: None,
         }
     }
@@ -574,19 +553,13 @@ impl Vm {
         self.frontier.take()
     }
 
-    /// Tell the machine no further stream events will arrive. Blocked
-    /// subtree waits turn into errors; end-of-input drains complete.
-    pub(crate) fn set_input_exhausted(&mut self) {
-        self.input_exhausted = true;
-    }
-
     /// Suspend on missing input, recording what would unblock us — unless
-    /// the input is already exhausted, in which case the wait can never
-    /// be satisfied (a feed that closed the virtual root unblocks every
-    /// cursor, so this is unreachable for well-formed feeds; fail rather
-    /// than spin).
-    fn need_input(&mut self, wait: Wait) -> Result<StepOutcome, EngineError> {
-        if self.input_exhausted {
+    /// the virtual root is closed: no further stream event will arrive, so
+    /// the wait can never be satisfied (every region is over at the end of
+    /// a well-formed input, so this is unreachable; fail rather than
+    /// spin).
+    fn need_input(&mut self, wait: Wait, buf: &BufferTree) -> Result<StepOutcome, EngineError> {
+        if buf.is_closed(NodeId::ROOT) {
             Err(EngineError::Internal(
                 "input exhausted with an open buffered node".into(),
             ))
@@ -594,25 +567,6 @@ impl Vm {
             self.wait = wait;
             Ok(StepOutcome::NeedInput)
         }
-    }
-
-    /// Suspend on the top cursor's blocked scan position (the common
-    /// loop-frame case); falls back to [`Wait::Any`] if the cursor has
-    /// no hint.
-    fn need_input_cursor(&mut self) -> Result<StepOutcome, EngineError> {
-        let wait = match self
-            .cursors
-            .last()
-            .and_then(|c| c.wait_hint(self.program.steps()))
-        {
-            Some((parent, after, want)) => Wait::Sibling {
-                parent,
-                after,
-                want,
-            },
-            None => Wait::Any,
-        };
-        self.need_input(wait)
     }
 
     /// Would resuming now let the suspended frame make progress? Used by
@@ -623,22 +577,17 @@ impl Vm {
     pub(crate) fn wait_satisfied(&self, buf: &BufferTree) -> bool {
         match self.wait {
             Wait::Any => true,
-            Wait::Eof => self.input_exhausted,
-            Wait::Closed(n) => buf.is_closed(n),
-            Wait::ClosedOrExhausted { node, want } => {
-                buf.is_closed(node) || buf.schema_sibling_exhausted(node, want)
-            }
-            Wait::Sibling {
+            Wait::Region { node, want } => buf.region_over(node, want),
+            Wait::Sibling(Blocked {
                 parent,
                 after,
                 want,
-            } => {
-                buf.is_closed(parent)
-                    || match after {
-                        None => buf.first_child(parent).is_some(),
-                        Some(c) => buf.next_sibling(c).is_some(),
-                    }
-                    || want.is_some_and(|w| buf.schema_sibling_exhausted(parent, w))
+            }) => {
+                let next = match after {
+                    None => buf.first_child(parent),
+                    Some(c) => buf.next_sibling(c),
+                };
+                next.is_some() || buf.region_over(parent, want)
             }
         }
     }
@@ -781,9 +730,9 @@ impl Vm {
                             self.tasks.push(Task::ForLoop { var, role, body });
                             self.tasks.push(Task::Exec(body));
                         }
-                        CursorState::NeedInput => {
+                        CursorState::NeedInput(blocked) => {
                             self.tasks.push(Task::ForLoop { var, role, body });
-                            return self.need_input_cursor();
+                            return self.need_input(Wait::Sibling(blocked), buf);
                         }
                         CursorState::Done => {
                             self.env[var.index()] = None;
@@ -824,9 +773,9 @@ impl Vm {
                                 }
                             }
                         },
-                        CursorState::NeedInput => {
+                        CursorState::NeedInput(blocked) => {
                             self.tasks.push(Task::OutputLoop { attr, role });
-                            return self.need_input_cursor();
+                            return self.need_input(Wait::Sibling(blocked), buf);
                         }
                         CursorState::Done => {
                             self.close_cursor(buf);
@@ -836,7 +785,7 @@ impl Vm {
                 },
                 Task::Emit { node, role } => {
                     if let Some(wait) = self.emit(node, role, buf, symbols, out)? {
-                        return self.need_input(wait);
+                        return self.need_input(wait, buf);
                     }
                 }
                 Task::Cond(id) => self.exec_cond(id, buf)?,
@@ -880,9 +829,9 @@ impl Vm {
                                 break;
                             }
                         }
-                        CursorState::NeedInput => {
+                        CursorState::NeedInput(blocked) => {
                             self.tasks.push(Task::ExistsLoop(attr));
-                            return self.need_input_cursor();
+                            return self.need_input(Wait::Sibling(blocked), buf);
                         }
                         CursorState::Done => {
                             self.bools.push(false);
@@ -965,13 +914,13 @@ impl Vm {
                                 self.release(n, role, subtree, buf);
                             }
                         }
-                        CursorState::NeedInput => {
+                        CursorState::NeedInput(blocked) => {
                             self.tasks.push(Task::CollectLoop {
                                 attr,
                                 sink,
                                 release,
                             });
-                            return self.need_input_cursor();
+                            return self.need_input(Wait::Sibling(blocked), buf);
                         }
                         CursorState::Done => {
                             self.close_cursor(buf);
@@ -990,7 +939,7 @@ impl Vm {
                             sink,
                             release,
                         });
-                        return self.need_input(Wait::Closed(node));
+                        return self.need_input(Wait::Region { node, want: None }, buf);
                     }
                     self.collect_string_value(node, buf, sink);
                     if let Some(role) = release {
@@ -1002,29 +951,15 @@ impl Vm {
                         out.text(&t)?;
                     }
                 }
-                Task::WaitClosed(n) => {
-                    if !buf.is_closed(n) {
-                        self.tasks.push(Task::WaitClosed(n));
-                        return self.need_input(Wait::Closed(n));
+                Task::WaitRegion { node, want } => {
+                    if !buf.region_over(node, want) {
+                        self.tasks.push(Task::WaitRegion { node, want });
+                        return self.need_input(Wait::Region { node, want }, buf);
                     }
-                }
-                Task::WaitClosedOrExhausted { node, want } => {
                     if !buf.is_closed(node) {
-                        if buf.schema_sibling_exhausted(node, want) {
-                            // Earliest purge: the cutoff proves the signOff
-                            // region complete while `node` is still open.
-                            buf.schema_count_early_signoff();
-                        } else {
-                            self.tasks.push(Task::WaitClosedOrExhausted { node, want });
-                            return self.need_input(Wait::ClosedOrExhausted { node, want });
-                        }
-                    }
-                }
-                Task::DrainInput => {
-                    if !self.input_exhausted {
-                        self.tasks.push(Task::DrainInput);
-                        self.wait = Wait::Eof;
-                        return Ok(StepOutcome::NeedInput);
+                        // Earliest purge: the cutoff proves the signOff
+                        // region complete while `node` is still open.
+                        buf.schema_count_early_signoff();
                     }
                 }
                 Task::SignoffExec {
@@ -1075,9 +1010,9 @@ impl Vm {
                             self.tasks.push(Task::Operand(plan.rhs));
                             self.tasks.push(Task::Operand(plan.lhs));
                         }
-                        CursorState::NeedInput => {
+                        CursorState::NeedInput(blocked) => {
                             self.tasks.push(Task::JoinBuildLoop { slot });
-                            return self.need_input_cursor();
+                            return self.need_input(Wait::Sibling(blocked), buf);
                         }
                         CursorState::Done => {
                             // The cursor is exhausted, so the scanned
@@ -1304,9 +1239,11 @@ impl Vm {
                     // (e.g. attribute-only conditions) finish while the
                     // binding is still open, so this wait is load-bearing.
                     // For a query-end anchor the region is the whole
-                    // document (evaluation may have short-circuited). A
-                    // signOff of the anchor node itself (empty path) is
-                    // always safe: roles are assigned at node creation.
+                    // document (evaluation may have short-circuited): the
+                    // virtual root has no name, so no cutoff ends it before
+                    // the end of input. A signOff of the anchor node itself
+                    // (empty path) is always safe: roles are assigned at
+                    // node creation.
                     let plan = self.program.path(path);
                     let (ctx, mult) = self.resolve_root(plan.root)?;
                     self.tasks.push(Task::SignoffExec {
@@ -1316,37 +1253,22 @@ impl Vm {
                         mult,
                     });
                     if plan.has_steps() {
-                        match plan.root {
-                            PlanRoot::Root => self.tasks.push(Task::DrainInput),
-                            PlanRoot::Var(_) => {
-                                // Schema shortcut: a target whose first step
-                                // is `child::name` selects only nodes inside
-                                // `name`-children of the binding. Once a
-                                // sibling-order cutoff proves that name
-                                // exhausted, those subtrees are all closed
-                                // (the cutoff's witness is a *later* sibling,
-                                // which follows their end tags), so the
-                                // region is complete before `ctx` closes.
-                                // Descendant-first targets get no shortcut.
-                                let early = if buf.schema_active() {
-                                    match self.program.path_steps(plan).first() {
-                                        Some(s) if matches!(s.axis, EAxis::Child) => match s.test {
-                                            crate::cursor::ETest::Name(w) => Some(w),
-                                            _ => None,
-                                        },
-                                        _ => None,
-                                    }
-                                } else {
-                                    None
-                                };
-                                match early {
-                                    Some(want) => self
-                                        .tasks
-                                        .push(Task::WaitClosedOrExhausted { node: ctx, want }),
-                                    None => self.tasks.push(Task::WaitClosed(ctx)),
-                                }
-                            }
-                        }
+                        // A target whose first step is `child::name`
+                        // selects only nodes inside `name`-children of the
+                        // binding: once a sibling-order cutoff proves that
+                        // name exhausted, those subtrees are all closed
+                        // (the cutoff's witness is a *later* sibling, which
+                        // follows their end tags). Descendant-first targets
+                        // wait for the end tag.
+                        let want = match self.program.path_steps(plan).first() {
+                            Some(&EvalStep {
+                                axis: EAxis::Child,
+                                test: ETest::Name(w),
+                                ..
+                            }) => Some(w),
+                            _ => None,
+                        };
+                        self.tasks.push(Task::WaitRegion { node: ctx, want });
                     }
                 }
             }
@@ -1381,11 +1303,11 @@ impl Vm {
             Some(role) if self.gc && node != NodeId::ROOT => {
                 buf.serialize(node, symbols, out)?;
                 self.frontier = Some(Frontier { node, role });
-                self.tasks.push(Task::WaitClosed(node));
+                self.tasks.push(Task::WaitRegion { node, want: None });
             }
             _ => self.tasks.push(Task::Emit { node, role }),
         }
-        Ok(Some(Wait::Closed(node)))
+        Ok(Some(Wait::Region { node, want: None }))
     }
 
     /// Dispatch one condition node onto the stacks.

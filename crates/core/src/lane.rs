@@ -702,9 +702,8 @@ impl Lane {
             self.buf.close(NodeId::ROOT);
             let mut result = self.check_budget();
             if result.is_ok() && !self.vm_done {
-                // An exhausted machine cannot suspend again: it completes
-                // or fails.
-                self.vm.set_input_exhausted();
+                // With the virtual root closed the machine cannot suspend
+                // again: it completes or fails.
                 result = self.resume();
             }
             let result = result.and_then(|()| Ok(self.out.flush()?));
@@ -858,6 +857,9 @@ impl Lane {
     #[inline(never)]
     fn fail(&mut self, e: EngineError) {
         self.health = Health::Failed(e);
+        // The machine's wait names nodes of the buffer given back: a token
+        // that touched the lane before it failed must not resume it.
+        self.touched = false;
         self.buf = BufferTree::new(false);
         self.pending = Vec::new();
         self.frontier = None;

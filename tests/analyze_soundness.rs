@@ -24,12 +24,12 @@ use common::xmark;
 use gcx::analyze::{analyze_program, StreamClass};
 use gcx::dom::{Dom, DomId};
 use gcx::schema::Dtd;
-use gcx::xmark::queries;
+use gcx::xmark::{generate_string, queries, XmarkConfig};
 use gcx::{CompiledQuery, EngineOptions};
 
 /// Feed `doc` cut at `splits`, return the buffer's `peak_live`.
-fn peak_split(q: &CompiledQuery, doc: &[u8], splits: &[usize]) -> u64 {
-    let mut session = q.session(&EngineOptions::gcx());
+fn peak_split(q: &CompiledQuery, opts: &EngineOptions, doc: &[u8], splits: &[usize]) -> u64 {
+    let mut session = q.session(opts);
     let mut from = 0;
     for &cut in splits {
         let cut = cut.min(doc.len());
@@ -44,9 +44,14 @@ fn peak_split(q: &CompiledQuery, doc: &[u8], splits: &[usize]) -> u64 {
 /// Worst observed peak across a whole-document feed and two seeded
 /// chunkings — the static verdict has to hold for all of them.
 fn worst_peak(q: &CompiledQuery, doc: &[u8], rng: &mut XorShift) -> u64 {
-    let mut worst = peak_split(q, doc, &[]);
+    worst_peak_with(q, &EngineOptions::gcx(), doc, rng)
+}
+
+/// [`worst_peak`] under `opts`.
+fn worst_peak_with(q: &CompiledQuery, opts: &EngineOptions, doc: &[u8], rng: &mut XorShift) -> u64 {
+    let mut worst = peak_split(q, opts, doc, &[]);
     for n in [3usize, 17] {
-        worst = worst.max(peak_split(q, doc, &rng.splits(doc.len(), n)));
+        worst = worst.max(peak_split(q, opts, doc, &rng.splits(doc.len(), n)));
     }
     worst
 }
@@ -144,6 +149,13 @@ const TWO_COUNTS: &str = "<r>{ count(/site/people/person), count(/site/regions//
 /// buffer while the count blocks. Measured to grow linearly.
 const COUNT_THEN_LOOP: &str = "<r>{ count(/site/regions//item) }\
     { for $p in /site/people/person return $p/name }</r>";
+
+/// ROADMAP findings rows 12 and 13: a root reader of the regions, then
+/// one of the persons that follow them. Blind, the persons wait in the
+/// buffer until the first reader's region — the whole document — ends.
+const ROW_12: &str = "<r>{ count(/site/regions//item), count(/site/people/person) }</r>";
+const ROW_13: &str = "<r>{ for $x in /site/regions//item/name return $x }\
+    { for $y in /site/people/person/name return $y }</r>";
 
 /// Counted elements that nest: `site` is the first match, and every
 /// element below it waits for its end tag. Measured to grow linearly.
@@ -291,6 +303,43 @@ fn singleton_bindings_are_classed_by_their_region() {
                 "{name}: peak {peak} above the bound item's {item} nodes"
             );
         }
+    }
+}
+
+/// Under the XMark DTD, `site = (regions, categories, …, people, …)`: no
+/// `regions` follows once `categories` opens, and the virtual root holds
+/// one element, so a root reader of the regions is over there and the
+/// persons after it stream — under an explicit schema and under an
+/// in-stream DOCTYPE alike. Blind, `COUNT_THEN_LOOP` grows (above). The
+/// three stay classed `subtree`: the classifier does not read DTD order.
+#[test]
+fn root_readers_end_where_the_dtd_order_ends_them() {
+    let aware = EngineOptions::gcx().with_schema(Dtd::xmark());
+    let doctype = |kb: u64| {
+        generate_string(&XmarkConfig {
+            seed: 0x6C_78_67,
+            ..XmarkConfig::sized(kb * 1024).with_doctype()
+        })
+    };
+    let (small, large) = (xmark(64, 0x6C_78_67), xmark(512, 0x6C_78_67));
+    let (small_dt, large_dt) = (doctype(64), doctype(512));
+    let mut rng = XorShift(0x0D7D_0000_0000_0015);
+    for (name, qtext) in [
+        ("COUNT_THEN_LOOP", COUNT_THEN_LOOP),
+        ("ROW_12", ROW_12),
+        ("ROW_13", ROW_13),
+    ] {
+        let q = CompiledQuery::compile(qtext).expect("compile");
+        let schema =
+            [&small, &large].map(|doc| worst_peak_with(&q, &aware, doc.as_bytes(), &mut rng));
+        assert_eq!(schema[0], schema[1], "{name}: peak under the DTD");
+        let adopted = [&small_dt, &large_dt].map(|doc| worst_peak(&q, doc.as_bytes(), &mut rng));
+        assert_eq!(adopted[0], adopted[1], "{name}: peak under the DOCTYPE");
+        assert_eq!(
+            analyze_program(&q.program, Some(&Dtd::xmark())).class,
+            StreamClass::Subtree,
+            "{name}: class under the DTD"
+        );
     }
 }
 

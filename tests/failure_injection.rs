@@ -185,6 +185,37 @@ fn invented_names_count_against_the_byte_budget() {
     }
 }
 
+#[test]
+fn a_budget_crossed_under_a_schema_is_an_error() {
+    // The start tag that crosses the budget can first advance a
+    // sibling-order cutoff, which marks the lane for a resume; the failed
+    // lane gives its buffer back, and its machine's wait still names
+    // nodes of that buffer, so the resume must not happen. Persons are
+    // copied while the regions' item names wait behind them.
+    let q = CompiledQuery::compile(
+        "<r>{ for $y in /site/people/person/name return $y }\
+         { for $x in /site/regions//item/name return $x }</r>",
+    )
+    .unwrap();
+    for kb in [64u64, 128, 256] {
+        let doc = generate_string(&XmarkConfig {
+            seed: 42,
+            ..XmarkConfig::sized(kb * 1024)
+        });
+        for budget in [1024u64, 4096] {
+            let opts = EngineOptions::gcx()
+                .with_schema(gcx::schema::Dtd::xmark())
+                .with_max_buffer_bytes(budget);
+            match gcx::run(&q, &opts, doc.as_bytes(), std::io::sink()) {
+                Err(gcx::EngineError::BufferLimitExceeded { limit, .. }) => {
+                    assert_eq!(limit, budget, "{kb} KiB")
+                }
+                other => panic!("{kb} KiB, {budget} bytes: {other:?}"),
+            }
+        }
+    }
+}
+
 /// A reader that fails after `n` bytes.
 struct FailingReader {
     data: Vec<u8>,

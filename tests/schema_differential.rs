@@ -34,8 +34,22 @@ fn aware() -> EngineOptions {
     EngineOptions::gcx().with_schema(Dtd::xmark())
 }
 
+/// ROADMAP findings rows 12 and 13: a root reader of the regions, then
+/// one of the persons after them. Under the DTD the first reader is over
+/// once `categories` opens (the virtual root holds one element), so the
+/// persons stream instead of waiting for the end of input.
+const ROOT_READERS: [&str; 2] = [
+    "<r>{ count(/site/regions//item), count(/site/people/person) }</r>",
+    "<r>{ for $x in /site/regions//item/name return $x }\
+     { for $y in /site/people/person/name return $y }</r>",
+];
+
+/// The corpus: the paper queries, then [`ROOT_READERS`] (the pins zip
+/// over the paper queries alone).
 fn paper_texts() -> Vec<&'static str> {
-    queries::paper_queries().iter().map(|q| q.1).collect()
+    let mut texts: Vec<_> = queries::paper_queries().iter().map(|q| q.1).collect();
+    texts.extend(ROOT_READERS);
+    texts
 }
 
 /// What the reach filter buys on a `//` query: cut subtrees, fewer
@@ -120,6 +134,54 @@ fn early_purge_trigger_counts_are_pinned() {
              if the analysis got sharper)"
         );
     }
+}
+
+/// A loop over `/` binds the virtual root itself, and a signOff's region
+/// needs its matches closed: neither takes the rule that a scan under the
+/// root is over at the document's one element. The count's role is signed
+/// off at the end of input, as without the DTD; so are the regions an
+/// `exists` leaves at its first witness, under `$r` and under `/` (a
+/// signOff run before the items after the witness arrive would leave them
+/// holding instances, and the buffer would not drain).
+#[test]
+fn a_root_binding_still_waits_for_the_end_of_input() {
+    let count = "for $r in / return <n>{ count($r/site/regions//item) }</n>";
+    let witnesses = [
+        "for $r in / return if (exists($r/site/regions//item)) then <y/> else <n/>",
+        "if (exists(/site/regions//item/mailbox)) then <y/> else <n/>",
+    ];
+    let doc = xmark(48, 42);
+    let seen = contract(&cases(&[count], &[&doc], Some(&Dtd::xmark())));
+    let blind = whole(&compile(count), &EngineOptions::gcx(), &doc)
+        .report
+        .buffer;
+    let aware = &seen[0].report.buffer;
+    assert_eq!(aware.live, 0);
+    assert_eq!(
+        (aware.peak_live, blind.peak_live),
+        (PEAK_UNDER_ROOT, PEAK_UNDER_ROOT),
+        "the count's items are held to the end of input"
+    );
+    contract(&cases(&witnesses, &[&doc], Some(&Dtd::xmark())));
+}
+
+/// `for $r in / return <n>{ count($r/site/regions//item) }</n>` over
+/// `xmark(48, 42)`, blind and under the DTD: every item with its
+/// ancestors, held to the end (1 447 on `gcx generate 2 --seed 42`).
+const PEAK_UNDER_ROOT: u64 = 41;
+
+/// A content model that fixes no order ends nothing early: after `b`, an
+/// `a` may still come.
+#[test]
+fn a_choice_content_model_ends_nothing_early() {
+    let dtd = std::sync::Arc::new(
+        Dtd::parse("<!ELEMENT s (a | b)*> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>").expect("dtd"),
+    );
+    let q = "for $s in /s return <n>{ count($s/a) }</n>";
+    let seen = contract(&cases(&[q], &["<s><a/><b/><a/></s>"], Some(&dtd)));
+    assert_eq!(seen[0].output, "<n>2</n>");
+    let s = seen[0].report.schema.as_ref().expect("schema report");
+    assert_eq!((s.early_scan_ends, s.early_signoffs), (0, 0));
 }
 
 #[test]
