@@ -80,13 +80,15 @@
 //! an element's attribute records (4-byte name, 4-byte value end) followed
 //! by its values, or a text node's characters — exactly the bytes
 //! `node_bytes` charges beside the slot. Blocks are rounded up to size
-//! classes (8-byte steps to 64 bytes, then four per power of two: at most
-//! 25 % over); a purge puts a block on its class's free list, and the next
+//! classes (4-byte steps to 64 bytes, then four per power of two: at most
+//! 25 % over), and addressed in 4-byte units, so the store holds up to 16
+//! GiB; a purge puts a block on its class's free list, and the next
 //! payload of that class takes it. The store keeps its high-water, and it
 //! grows by [`gcx_xml::grow::reserve`] — doubling under 64 KiB, by an
 //! eighth above — so its capacity is at most an eighth over that
 //! high-water rather than up to twice it (Q8 over a 16 MiB document:
-//! 777 448 bytes for 749 928 in use, where doubling reserved 1 048 576).
+//! 691 065 bytes for 632 284 in use, where doubling reserved 1 048 576;
+//! 8-byte steps used 750 120).
 //! The role overflow grows by the same rule.
 //!
 //! **A copied leaf keeps its text.** A closing element takes over its text
@@ -316,7 +318,7 @@ struct Slot {
     next_sibling: u32,
     /// An element's tag ([`Symbol`]), a text node's length in bytes.
     word: u32,
-    /// Where the payload starts in the store, in 8-byte units.
+    /// Where the payload starts in the store, in 4-byte units.
     payload_at: u32,
     /// [`CLOSED`], [`TEXT`], [`SPILLED`] and [`FOLDED`] in the top bits,
     /// the number of attributes below them — or, with [`FOLDED`], the
@@ -458,6 +460,7 @@ struct Chunk {
 /// Where a node's payload went in the store.
 #[derive(Debug, Clone, Copy, Default)]
 struct Payload {
+    /// The block's first [`UNIT`].
     at: u32,
     len: u32,
 }
@@ -468,23 +471,28 @@ struct Payload {
 #[derive(Debug, Default)]
 struct PayloadStore {
     bytes: Vec<u8>,
-    /// The first free block of each size class, in 8-byte units, or NIL.
+    /// The first free block of each size class, in [`UNIT`]s, or NIL.
     free: Vec<u32>,
 }
 
-/// Size class and rounded size in 8-byte units of a `len`-byte block
-/// (`len > 0`): exact up to 8 units, then four classes per power of two.
+/// The payload store's unit of size and address, in bytes: the store
+/// holds up to 2^32 units, and a free block's link fits its first unit.
+const UNIT: usize = 4;
+
+/// Size class and rounded size in [`UNIT`]s of a `len`-byte block
+/// (`len > 0`): exact up to 16 units (64 bytes), then four classes per
+/// power of two.
 fn size_class(len: u32) -> (usize, u32) {
-    let units = len.div_ceil(8);
-    if units <= 8 {
+    let units = len.div_ceil(UNIT as u32);
+    if units <= 16 {
         return (units as usize - 1, units);
     }
-    // 2^b < units <= 2^(b+1), b >= 3: round up to a quarter of 2^b.
+    // 2^b < units <= 2^(b+1), b >= 4: round up to a quarter of 2^b.
     let b = 31 - (units - 1).leading_zeros();
     let step = 1 << (b - 2);
     let rounded = units.div_ceil(step) * step;
     (
-        8 + 4 * (b as usize - 3) + (rounded / step - 5) as usize,
+        16 + 4 * (b as usize - 4) + (rounded / step - 5) as usize,
         rounded,
     )
 }
@@ -499,7 +507,7 @@ impl PayloadStore {
         let (class, units) = size_class(len);
         let at = match self.free.get(class) {
             Some(&head) if head != NIL => {
-                self.free[class] = u32_at(&self.bytes, head as usize * 8);
+                self.free[class] = u32_at(&self.bytes, head as usize * UNIT);
                 head
             }
             _ => {
@@ -508,13 +516,13 @@ impl PayloadStore {
                 if self.free.len() <= class {
                     self.free.resize(class + 1, NIL);
                 }
-                let (at, size) = (self.bytes.len() / 8, units as usize * 8);
+                let (at, size) = (self.bytes.len() / UNIT, units as usize * UNIT);
                 gcx_xml::grow::reserve(&mut self.bytes, size);
                 self.bytes.resize(self.bytes.len() + size, 0);
-                u32::try_from(at).expect("the payload store stays below 32 GiB")
+                u32::try_from(at).expect("the payload store stays below 16 GiB")
             }
         };
-        let start = at as usize * 8;
+        let start = at as usize * UNIT;
         fill(&mut self.bytes[start..start + len as usize]);
         Payload { at, len }
     }
@@ -523,7 +531,7 @@ impl PayloadStore {
     /// list.
     fn release(&mut self, at: u32, len: u32) {
         let (class, _) = size_class(len);
-        let start = at as usize * 8;
+        let start = at as usize * UNIT;
         self.bytes[start..start + 4].copy_from_slice(&self.free[class].to_le_bytes());
         self.free[class] = at;
     }
@@ -531,7 +539,7 @@ impl PayloadStore {
     /// `len` bytes from `skip` into the block at `at`.
     #[inline]
     fn get(&self, at: u32, skip: u32, len: usize) -> &[u8] {
-        let start = at as usize * 8 + skip as usize;
+        let start = at as usize * UNIT + skip as usize;
         &self.bytes[start..start + len]
     }
 }
@@ -2312,9 +2320,9 @@ mod tests {
             b.append_text(a, "t", &[], Ordinals::FIRST);
             b.close(a); // purged: both payload blocks go back to the store
             assert_eq!(b.stats().live, 0, "round {round}");
-            // Round 0 placed them (a 9-byte block rounded up to 16, a
-            // 1-byte one to 8); later rounds take them again.
-            assert_eq!(b.store.bytes.len(), 16 + 8, "round {round}");
+            // Round 0 placed them (a 9-byte block rounded up to 12, a
+            // 1-byte one to 4); later rounds take them again.
+            assert_eq!(b.store.bytes.len(), 12 + 4, "round {round}");
         }
         assert_eq!(b.stats().purged, 6);
         b.check_integrity();
@@ -2326,7 +2334,7 @@ mod tests {
         for len in 1..=if cfg!(miri) { 5_000 } else { 100_000u32 } {
             let (class, units) = size_class(len);
             assert!(
-                units * 8 >= len && (units - 1) * 8 < len.max(64) * 5 / 4,
+                units * 4 >= len && (units - 1) * 4 < len.max(64) * 5 / 4,
                 "{len}"
             );
             // Classes are numbered densely, in size order.
@@ -2336,8 +2344,8 @@ mod tests {
             );
             last = (class, units);
         }
-        assert_eq!(size_class(64), (7, 8));
-        assert_eq!(size_class(65), (8, 10));
+        assert_eq!(size_class(64), (15, 16));
+        assert_eq!(size_class(65), (16, 20));
     }
 
     #[test]

@@ -45,8 +45,8 @@ use gcx_ir::{
     PlanRoot, Program,
 };
 use gcx_query::ast::{AggFunc, CmpOp, RoleId, StrFunc, VarId};
-use gcx_xml::{FxBuildHasher, Symbol, SymbolTable, XmlWriter};
-use std::collections::HashMap;
+use gcx_xml::{Symbol, SymbolTable, XmlWriter};
+use std::hash::{BuildHasher, RandomState};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -377,22 +377,29 @@ enum JoinPhase {
 /// mirroring the loop's first execution, consulted by every later one.
 /// Entry indices are assigned in build = scan = document order, so a
 /// sorted candidate list reproduces the original iteration order.
+///
+/// The index is four flat vectors and nothing else: the entries and the
+/// postings (8 bytes each), and two [`KeyTable`]s — 8 bytes a slot, and
+/// each distinct key's bytes once behind a length byte or two. Q8 over a
+/// 16 MiB document: 4 275 text keys, 262 144 bytes in all, where boxed
+/// keys in a hash map and 12-byte postings took 412 152.
 #[derive(Debug, Default)]
 struct JoinState {
     phase: JoinPhase,
     /// Matched binding nodes of the build pass, in scan order.
     entries: Vec<NodeId>,
-    /// Numeric key values (canonicalized f64 bits; NaN excluded — it
-    /// compares equal to nothing) → the key's latest posting.
-    num_bucket: HashMap<u64, u32, FxBuildHasher>,
-    /// Full untrimmed key text → the key's latest posting. Consulted by
-    /// every probe: a numeric probe string-compares against non-numeric
-    /// keys, a non-numeric probe string-compares against all keys —
-    /// exactly [`compare_existential`]'s pair rule.
-    text_bucket: HashMap<Box<str>, u32, FxBuildHasher>,
-    /// The postings of every key of both maps in one vector, each key's
-    /// chained from its latest back to its first: a key costs one map
-    /// entry, and its text one allocation, however many entries it has.
+    /// Numeric key values — the 8 bytes of their [`canon_bits`]; NaN
+    /// excluded, it compares equal to nothing — with each one's latest
+    /// posting.
+    nums: KeyTable,
+    /// Full untrimmed key texts with each one's latest posting. Consulted
+    /// by every probe: a numeric probe string-compares against
+    /// non-numeric keys, a non-numeric probe string-compares against all
+    /// keys — exactly [`compare_existential`]'s pair rule.
+    texts: KeyTable,
+    /// The postings of every key of both tables in one vector, each key's
+    /// chained from its latest back to its first: a key costs one slot
+    /// and its bytes once, however many entries it has.
     postings: Vec<Posting>,
     /// Candidate entries of the current probe (sorted, deduped).
     cands: Vec<u32>,
@@ -401,30 +408,140 @@ struct JoinState {
 /// One index entry under one key (see [`JoinState::postings`]).
 #[derive(Debug, Clone, Copy)]
 struct Posting {
+    /// The entry, with [`NUMERIC`] set where the key value is numeric
+    /// (read on text postings only).
     entry: u32,
-    /// The key value is numeric (text postings only).
-    numeric: bool,
     /// The key's previous posting, or [`NO_POSTING`].
     prev: u32,
 }
 
+/// [`Posting::entry`]'s flag bit: the key value is numeric.
+const NUMERIC: u32 = 1 << 31;
+
 const NO_POSTING: u32 = u32::MAX;
+
+impl Posting {
+    fn entry(self) -> u32 {
+        self.entry & !NUMERIC
+    }
+
+    fn numeric(self) -> bool {
+        self.entry & NUMERIC != 0
+    }
+}
 
 /// Add a posting of `entry` to the key whose latest posting is `head`.
 fn post(postings: &mut Vec<Posting>, head: &mut u32, entry: u32, numeric: bool) {
-    let prev = std::mem::replace(head, postings.len() as u32);
+    assert!(entry < NUMERIC, "a join indexes fewer than 2^31 entries");
+    let at = u32::try_from(postings.len()).expect("a join keeps fewer than 2^32 postings");
+    let prev = std::mem::replace(head, at);
     postings.push(Posting {
-        entry,
-        numeric,
+        entry: if numeric { entry | NUMERIC } else { entry },
         prev,
     });
 }
 
 /// The postings of the key whose latest is `head`.
-fn key_postings(postings: &[Posting], head: u32) -> impl Iterator<Item = &Posting> {
-    std::iter::successors(postings.get(head as usize), |p| {
-        postings.get(p.prev as usize)
+fn key_postings(postings: &[Posting], head: u32) -> impl Iterator<Item = Posting> + '_ {
+    std::iter::successors(postings.get(head as usize).copied(), |p| {
+        postings.get(p.prev as usize).copied()
     })
+}
+
+/// The distinct keys of one side of a join, each with its latest posting.
+/// Each key's bytes are stored once in `arena`, behind their length in
+/// LEB128; the index is a power of two of `(key start + 1, latest
+/// posting)` slots, linearly probed and at most 7/8 full, where `(0, _)`
+/// is an empty slot. A slot keeps no hash: growing rehashes every key
+/// from the arena. The keys are the document's, so the hash is keyed per
+/// table: no document can choose keys that collide.
+#[derive(Debug, Default)]
+struct KeyTable {
+    arena: Vec<u8>,
+    slots: Vec<(u32, u32)>,
+    len: usize,
+    hasher: RandomState,
+}
+
+impl KeyTable {
+    /// Slots a table starts with on its first key.
+    const FIRST_SLOTS: usize = 16;
+
+    /// The latest posting of `key`, if the table has it.
+    fn get(&self, key: &[u8]) -> Option<u32> {
+        self.find(key).ok().map(|i| self.slots[i].1)
+    }
+
+    /// The latest posting of `key`, which is added with [`NO_POSTING`] if
+    /// it is new.
+    fn head_mut(&mut self, key: &[u8]) -> &mut u32 {
+        let i = match self.find(key) {
+            Ok(i) => i,
+            Err(_) if (self.len + 1) * 8 > self.slots.len() * 7 => {
+                self.grow();
+                self.find(key).expect_err("a new key")
+            }
+            Err(i) => i,
+        };
+        if self.slots[i].0 == 0 {
+            let start = u32::try_from(self.arena.len() + 1).expect("join keys stay below 4 GiB");
+            let mut len = key.len();
+            while len >= 0x80 {
+                self.arena.push(len as u8 | 0x80);
+                len >>= 7;
+            }
+            self.arena.push(len as u8);
+            self.arena.extend_from_slice(key);
+            self.slots[i] = (start, NO_POSTING);
+            self.len += 1;
+        }
+        &mut self.slots[i].1
+    }
+
+    /// `key`'s slot, or the empty slot where it would go.
+    fn find(&self, key: &[u8]) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.hasher.hash_one(key) as usize & mask;
+        loop {
+            match self.slots[i].0 {
+                0 => return Err(i),
+                start if self.key_at(start as usize - 1) == key => return Ok(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The key whose length starts at `at` in the arena.
+    fn key_at(&self, mut at: usize) -> &[u8] {
+        let (mut len, mut shift) = (0, 0);
+        loop {
+            let byte = self.arena[at];
+            at += 1;
+            len |= usize::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                break;
+            }
+            shift += 7;
+        }
+        &self.arena[at..at + len]
+    }
+
+    /// Double the slots (or make the first ones) and re-place every key.
+    fn grow(&mut self) {
+        let size = (self.slots.len() * 2).max(Self::FIRST_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); size]);
+        let mask = size - 1;
+        for (start, head) in old.into_iter().filter(|&(start, _)| start != 0) {
+            let mut i = self.hasher.hash_one(self.key_at(start as usize - 1)) as usize & mask;
+            while self.slots[i].0 != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (start, head);
+        }
+    }
 }
 
 /// `f64` bits with `-0.0` folded onto `+0.0`, so numerically equal
@@ -1034,22 +1151,12 @@ impl Vm {
                         for kv in keys.iter() {
                             if let Some(k) = kv.num {
                                 if !k.is_nan() {
-                                    let head =
-                                        js.num_bucket.entry(canon_bits(k)).or_insert(NO_POSTING);
+                                    let head = js.nums.head_mut(&canon_bits(k).to_le_bytes());
                                     post(&mut js.postings, head, entry, true);
                                 }
                             }
-                            // Looked up first: only a new key's text is
-                            // allocated.
-                            let numeric = kv.num.is_some();
-                            match js.text_bucket.get_mut(kv.text) {
-                                Some(head) => post(&mut js.postings, head, entry, numeric),
-                                None => {
-                                    let mut head = NO_POSTING;
-                                    post(&mut js.postings, &mut head, entry, numeric);
-                                    js.text_bucket.insert(kv.text.into(), head);
-                                }
-                            }
+                            let head = js.texts.head_mut(kv.text.as_bytes());
+                            post(&mut js.postings, head, entry, kv.num.is_some());
                         }
                     }
                     // `= probe` with a `Nop` else-branch (an optimizer
@@ -1072,20 +1179,21 @@ impl Vm {
                                 // Numeric probe: numeric-equal keys, plus
                                 // string-equal non-numeric keys (the
                                 // existential compare's mixed-pair rule).
-                                if let Some(&head) = js.num_bucket.get(&canon_bits(a)) {
-                                    js.cands
-                                        .extend(key_postings(&js.postings, head).map(|p| p.entry));
-                                }
-                                if let Some(&head) = js.text_bucket.get(pv.text) {
+                                if let Some(head) = js.nums.get(&canon_bits(a).to_le_bytes()) {
                                     js.cands.extend(
-                                        key_postings(&js.postings, head)
-                                            .filter(|p| !p.numeric)
-                                            .map(|p| p.entry),
+                                        key_postings(&js.postings, head).map(Posting::entry),
                                     );
                                 }
-                            } else if let Some(&head) = js.text_bucket.get(pv.text) {
+                                if let Some(head) = js.texts.get(pv.text.as_bytes()) {
+                                    js.cands.extend(
+                                        key_postings(&js.postings, head)
+                                            .filter(|p| !p.numeric())
+                                            .map(Posting::entry),
+                                    );
+                                }
+                            } else if let Some(head) = js.texts.get(pv.text.as_bytes()) {
                                 js.cands
-                                    .extend(key_postings(&js.postings, head).map(|p| p.entry));
+                                    .extend(key_postings(&js.postings, head).map(Posting::entry));
                             }
                         }
                         // Sorted entry indices = build order = document
@@ -1622,6 +1730,42 @@ mod tests {
             !compare_existential(CmpOp::Eq, &v(&[]), &rhs),
             "empty sequence matches nothing"
         );
+    }
+
+    #[test]
+    fn a_key_table_finds_every_key_through_its_growth() {
+        let mut table = KeyTable::default();
+        let long = "x".repeat(200);
+        let mut keys: Vec<String> = (0..3000).map(|i| format!("k{i}")).collect();
+        keys.extend(["", "ключ", long.as_str()].map(String::from));
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(*table.head_mut(key.as_bytes()), NO_POSTING, "{key}");
+            *table.head_mut(key.as_bytes()) = i as u32;
+        }
+        assert_eq!(table.len, keys.len());
+        // At most 7/8 full, and each key once behind its length: one byte,
+        // two for the 200-byte key.
+        assert_eq!(table.slots.len(), 4096);
+        let text: usize = keys.iter().map(String::len).sum();
+        assert_eq!(table.arena.len(), text + keys.len() + 1);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(table.get(key.as_bytes()), Some(i as u32), "{key}");
+        }
+        assert_eq!(table.get(b"k3000"), None);
+        assert_eq!(table.get(&long.as_bytes()[1..]), None);
+        assert_eq!(KeyTable::default().get(b""), None);
+    }
+
+    #[test]
+    fn a_posting_keeps_its_numeric_flag_beside_its_entry() {
+        let (mut postings, mut head) = (Vec::new(), NO_POSTING);
+        post(&mut postings, &mut head, 7, true);
+        post(&mut postings, &mut head, NUMERIC - 1, false);
+        let seen: Vec<_> = key_postings(&postings, head)
+            .map(|p| (p.entry(), p.numeric()))
+            .collect();
+        assert_eq!(seen, [(NUMERIC - 1, false), (7, true)]);
+        assert_eq!(std::mem::size_of::<Posting>(), 8);
     }
 
     #[test]

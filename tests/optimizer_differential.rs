@@ -105,6 +105,114 @@ fn one_byte_chunks_on_the_join_query() {
     contract(&cases(&texts, &[xmark(16, 3)], None));
 }
 
+/// Two joins over [`join_key_doc`]: element keys, where an entry or a
+/// probe may have several values, and attribute keys, Q8's shape.
+const JOIN_KEYS: [&str; 2] = [
+    "<r>{ for $p in /d/people/p return <m>{ $p/n, \
+       for $b in /d/buys/b return if ($b/k = $p/v) then $b/i else () }</m> }</r>",
+    "<r>{ for $p in /d/people/p return <m>{ $p/n, \
+       for $b in /d/buys/b return if ($b/@k = $p/@v) then $b/i else () }</m> }</r>",
+];
+
+/// Buyers (`b`, each with its keys `k`) and persons (`p`, each with its
+/// probe values `v`), in both element and attribute form. The keys cover
+/// the join index's pair rule and its layout: numeric keys equal in value
+/// but not in text, `-0` against `0`, `NaN`, infinities, an empty key,
+/// non-ASCII keys (two spellings of `é` among them), a key with an
+/// escaped character, a 200-byte key (a two-byte length), an entry with
+/// two equal keys and one with two different keys (which one probe hits
+/// with both its values), numeric and non-numeric keys with the same
+/// text, and 3 200 more distinct keys, so that both of its tables grow
+/// several times.
+fn join_key_doc() -> String {
+    let long = "x".repeat(200);
+    let special: Vec<Vec<&str>> = vec![
+        vec!["1"],
+        vec!["1.0"],
+        vec![" 01 "],
+        vec!["1e0"],
+        vec!["0"],
+        vec!["-0"],
+        vec!["NaN"],
+        vec!["inf"],
+        vec!["infinity"],
+        vec![""],
+        vec!["ключ"],
+        vec!["日本語"],
+        vec!["\u{e9}"],
+        vec!["e\u{301}"],
+        vec!["a&amp;b"],
+        vec![&long],
+        vec!["dup", "dup"],
+        vec!["left", "right"],
+        vec!["7x", "7"],
+    ];
+    let probes: [&[&str]; 19] = [
+        &["1"],
+        &["1.00"],
+        &["0"],
+        &["-0.0"],
+        &["NaN"],
+        &["INF"],
+        &[""],
+        &["ключ"],
+        &["e\u{301}"],
+        &["a&amp;b"],
+        &[&long],
+        &[&long[1..]],
+        &["dup"],
+        &["left", "right"],
+        &["7x"],
+        &["7.0"],
+        &["k16", "1501.5"],
+        &["k3198", "k3200"],
+        &["nothing"],
+    ];
+    let mut doc = String::from("<d><people>");
+    for (i, values) in probes.iter().enumerate() {
+        // The attribute form carries the first value.
+        doc.push_str(&format!("<p v=\"{}\"><n>{i}</n>", values[0]));
+        for v in *values {
+            doc.push_str(&format!("<v>{v}</v>"));
+        }
+        doc.push_str("</p>");
+    }
+    doc.push_str("</people><buys>");
+    let mut entries: Vec<Vec<String>> = (0..3200)
+        .map(|i| match i % 2 {
+            0 => vec![format!("k{i}")],
+            _ => vec![format!("{i}.5")],
+        })
+        .collect();
+    // The special keys in among the bulk, so that their entries spread.
+    for (n, keys) in special.iter().enumerate() {
+        entries.insert(n * 150, keys.iter().map(|k| k.to_string()).collect());
+    }
+    for (i, keys) in entries.iter().enumerate() {
+        // The attribute form carries the first key.
+        doc.push_str(&format!("<b k=\"{}\">", keys[0]));
+        for k in keys {
+            doc.push_str(&format!("<k>{k}</k>"));
+        }
+        doc.push_str(&format!("<i>{i}</i></b>"));
+    }
+    doc.push_str("</buys></d>");
+    doc
+}
+
+#[test]
+fn join_keys_agree_with_the_oracle() {
+    for text in JOIN_KEYS {
+        let report = compile(text).opt.expect("optimized artifact has a report");
+        let join = report.passes.iter().find(|p| p.name == "hash-join");
+        assert!(join.is_some_and(|p| p.changes > 0), "{text}: no hash join");
+    }
+    // Most probes find an entry, some several.
+    for seen in contract(&cases(&JOIN_KEYS, &[join_key_doc()], None)) {
+        assert!(seen.output.matches("<i>").count() >= 20, "{}", seen.output);
+    }
+}
+
 #[test]
 fn bib_running_example_agrees() {
     use MicroKind::{Article, Book};
